@@ -23,18 +23,11 @@ from .errors import ReproError
 
 def _knob_value(text: str, name: str):
     """argparse type for ``--shards``/``--batch-size``: int or 'auto'."""
-    if text.strip().lower() == "auto":
-        return "auto"
+    from .core.base import validate_knob
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid {name} value {text!r}: expected a positive "
-            f"integer or 'auto'") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"invalid {name} value {text!r}: must be >= 1 (or 'auto')")
-    return value
+        return validate_knob(text, name)
+    except ReproError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _shards_value(text: str):
@@ -50,8 +43,9 @@ def _maybe_tuner(args: argparse.Namespace):
 
     A persistent tuner is wanted when any knob is ``auto`` or the user
     named a model file; otherwise the converters run the static path
-    (``ensure_tuner`` would still learn in memory, but without a
-    ``--cost-model`` there is nothing durable to show for it).
+    (a converter given ``auto`` knobs and no tuner still learns in
+    memory, but without a ``--cost-model`` there is nothing durable to
+    show for it).
     """
     explicit = getattr(args, "cost_model", None)
     knobs = (getattr(args, "shards", 1), getattr(args, "batch_size", 0))

@@ -24,26 +24,27 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from ..errors import ConversionError
-from ..formats import batch as batch_codec
 from ..formats.bam import BamReader
-from ..formats.baix import BaixIndex, default_index_path
-from ..formats.bamx import BamxLayout, BamxWriter
-from ..formats.batch import DEFAULT_BATCH_SIZE, PIPELINES
-from ..formats.store import open_record_store
-from ..formats.header import SamHeader
-from ..formats.tags import encode_tags
+from ..formats.bamx import plan_layout
+from ..formats.batch import DEFAULT_BATCH_SIZE, batched, \
+    convert_records
+from ..formats.store import chunk_protocol, index_path_for, \
+    open_record_store, open_store_writer, region_locator, \
+    store_extension, write_indexes, write_store_records
 from ..runtime.autotune import AUTO, AutoTuner
-from ..runtime.buffers import BufferedTextWriter
 from ..runtime.metrics import RankMetrics
 from ..runtime.partition import partition_records
 from ..runtime.tracing import get_tracer
-from .base import ConversionResult, bind_target, emit_records, \
-    ensure_tuner, execute_rank_tasks, finish_rank_metrics, \
-    make_output_path, merge_shard_outputs, record_tuning, \
-    resolve_tuning, validate_knob
+from .base import ConversionResult, ShardableSpec, bind_target, \
+    converter_options, finish_rank_metrics, \
+    make_output_path, run_conversion, write_bam_records, \
+    write_text_chunks
 from .filters import ACCEPT_ALL, RecordFilter
 from .region import GenomicRegion
 from .targets import get_target
@@ -67,94 +68,43 @@ def preprocess_bam(bam_path: str | os.PathLike[str],
     which the conversion phase reads through the vectorized kernels.
     Returns the phase metrics.
     """
-    from ..formats.store import STORE_FORMATS
-    if store_format not in STORE_FORMATS:
-        raise ConversionError(
-            f"unknown store format {store_format!r}; choose one of "
-            f"{STORE_FORMATS}")
-    if store_format == "bamc" and compress:
-        raise ConversionError(
-            "BAMC does not support BGZF compression; use "
-            "store_format='bamx' with compress=True for BAMZ")
     t0 = time.perf_counter()
     metrics = RankMetrics()
     bam_path = os.fspath(bam_path)
     bamx_path = os.fspath(bamx_path)
-    if baix_path is None:
-        baix_path = default_index_path(bamx_path)
     tracer = get_tracer()
     with tracer.span("preprocess", "bam",
                      args={"input": os.path.basename(bam_path),
                            "compress": compress,
                            "store_format": store_format}):
         # Pass 1: plan the fixed-field capacities.
-        name_cap = cigar_cap = seq_cap = tag_cap = 0
         count = 0
+
+        def counted(records):
+            nonlocal count
+            for count, record in enumerate(records, 1):
+                yield record
         with tracer.span("plan", "bam"), BamReader(bam_path) as reader:
             header = reader.header
-            for record in reader:
-                name_cap = max(name_cap, len(record.qname))
-                cigar_cap = max(cigar_cap, len(record.cigar))
-                if record.seq != "*":
-                    seq_cap = max(seq_cap, len(record.seq))
-                tag_cap = max(tag_cap, len(encode_tags(record.tags)))
-                count += 1
-        layout = BamxLayout(name_cap, cigar_cap, seq_cap, tag_cap)
+            layout = plan_layout(counted(reader))
         # Pass 2: write aligned records and collect index entries.
-        if store_format == "bamc":
-            from ..formats.bamc import BamcWriter
-            writer_ctx = BamcWriter(bamx_path, header, layout,
-                                    slab_records=batch_size)
-        elif compress:
-            from ..formats.bamz import BamzWriter
-            writer_ctx = BamzWriter(bamx_path, header, layout, level=level)
-        else:
-            writer_ctx = BamxWriter(bamx_path, header, layout)
-        index_entries = []
         with tracer.span("write", "bam", args={"records": count}), \
-                BamReader(bam_path) as reader, writer_ctx as writer:
-            if hasattr(writer, "write_batch"):
-                # BAMX: batch-encode into one preallocated buffer per
-                # slab (BAMZ needs per-record virtual offsets and keeps
-                # the per-record path).
-                pending: list = []
-                with tracer.span("batch.encode", "bam",
-                                 args={"batch_size": batch_size}):
-                    for record in reader:
-                        pending.append(record)
-                        if len(pending) >= batch_size:
-                            _flush_preproc_batch(writer, pending,
-                                                 index_entries)
-                            pending = []
-                    if pending:
-                        _flush_preproc_batch(writer, pending,
-                                             index_entries)
-            else:
-                for record in reader:
-                    index = writer.write(record)
-                    if record.rname != "*" and record.pos >= 0:
-                        index_entries.append((index, record))
+                BamReader(bam_path) as reader, \
+                open_store_writer(bamx_path, header, layout, store_format,
+                                  compress, level, batch_size) as writer, \
+                tracer.span("batch.encode", "bam",
+                            args={"batch_size": batch_size}):
+            index_entries = write_store_records(writer, reader,
+                                                batch_size)
         with tracer.span("index", "bam",
                          args={"entries": len(index_entries)}):
-            BaixIndex.build(index_entries, header).save(baix_path)
-            from ..formats.baix2 import BaixOverlapIndex
-            from ..formats.baix2 import default_index_path as baix2_path
-            BaixOverlapIndex.build(index_entries, header).save(
-                baix2_path(bamx_path))
+            baix_path = write_indexes(index_entries, header, bamx_path,
+                                      baix_path)
     metrics.records = count
     metrics.bytes_read = 2 * os.path.getsize(bam_path)
     metrics.bytes_written = (os.path.getsize(bamx_path)
                              + os.path.getsize(baix_path))
     return finish_rank_metrics(metrics, t0)
-
-
-def _flush_preproc_batch(writer: BamxWriter, records: list,
-                         index_entries: list) -> None:
-    """Write one preprocessing batch and collect its index entries."""
-    first = writer.write_batch(records)
-    for j, record in enumerate(records):
-        if record.rname != "*" and record.pos >= 0:
-            index_entries.append((first + j, record))
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,9 +125,8 @@ class PreprocArtifacts:
                   ) -> "PreprocArtifacts":
         """Wrap an existing store, defaulting the index path."""
         store_path = os.fspath(store_path)
-        if baix_path is None:
-            baix_path = default_index_path(store_path)
-        return cls(store_path, os.fspath(baix_path))
+        return cls(store_path, os.fspath(baix_path) if baix_path is not None
+                   else index_path_for(store_path))
 
     def validate(self) -> "PreprocArtifacts":
         """Check both files exist; returns self for chaining."""
@@ -188,8 +137,14 @@ class PreprocArtifacts:
         return self
 
 
+def _count_pieces(count: int, n: int) -> list[tuple[int, int]]:
+    """Non-empty ``(start, stop)`` parts of an exact split of *count*
+    fixed-size records into <= *n* pieces."""
+    return [(s, e) for s, e in partition_records(count, n) if e > s]
+
+
 @dataclass(frozen=True, slots=True)
-class BamxRangeSpec:
+class BamxRangeSpec(ShardableSpec):
     """One rank's contiguous BAMX record range (full conversion)."""
 
     bamx_path: str
@@ -206,37 +161,18 @@ class BamxRangeSpec:
         """Relative shard size: BAMX records to convert."""
         return float(self.stop - self.start)
 
-    def split(self, n: int) -> "list[BamxRangeSpec]":
-        """Over-decompose this rank's record range into <= *n* shards.
+    def _pieces(self, n: int) -> list[dict]:
+        # BAMX records are fixed-size, so this is an exact count split.
+        return [{"start": self.start + s, "stop": self.start + e}
+                for s, e in _count_pieces(self.stop - self.start, n)]
 
-        BAMX records are fixed-size, so the split is an exact count
-        split; shards write ``.shardNN`` files (header on shard 0 only)
-        that :meth:`merge_shards` concatenates.  Binary targets
-        decline.
-        """
-        count = self.stop - self.start
-        if n <= 1 or count <= 1 \
-                or get_target(self.target).mode == "binary":
-            return [self]
-        parts = [(s, e) for s, e in partition_records(count, n) if e > s]
-        if len(parts) <= 1:
-            return [self]
-        return [replace(self,
-                        start=self.start + s,
-                        stop=self.start + e,
-                        out_path=f"{self.out_path}.shard{i:02d}",
-                        write_header=(i == 0))
-                for i, (s, e) in enumerate(parts)]
-
-    def merge_shards(self, shard_specs: "list[BamxRangeSpec]",
-                     shard_results: list[RankMetrics]) -> RankMetrics:
-        """Ordered reducer: concatenate shard files into ``out_path``."""
-        return merge_shard_outputs(self.out_path, shard_specs,
-                                   shard_results)
+    def select(self, range_chunks, pick_chunks):
+        """This spec's records as chunks of an opened store."""
+        return range_chunks(self.start, self.stop, self.batch_size)
 
 
 @dataclass(frozen=True, slots=True)
-class BamxPickSpec:
+class BamxPickSpec(ShardableSpec):
     """One rank's explicit record indices (partial conversion)."""
 
     bamx_path: str
@@ -252,214 +188,45 @@ class BamxPickSpec:
         """Relative shard size: records to random-access."""
         return float(len(self.indices))
 
-    def split(self, n: int) -> "list[BamxPickSpec]":
-        """Over-decompose this rank's index list into <= *n* shards."""
-        count = len(self.indices)
-        if n <= 1 or count <= 1 \
-                or get_target(self.target).mode == "binary":
-            return [self]
-        parts = [(s, e) for s, e in partition_records(count, n) if e > s]
-        if len(parts) <= 1:
-            return [self]
-        return [replace(self,
-                        indices=self.indices[s:e],
-                        out_path=f"{self.out_path}.shard{i:02d}",
-                        write_header=(i == 0))
-                for i, (s, e) in enumerate(parts)]
+    def _pieces(self, n: int) -> list[dict]:
+        return [{"indices": self.indices[s:e]}
+                for s, e in _count_pieces(len(self.indices), n)]
 
-    def merge_shards(self, shard_specs: "list[BamxPickSpec]",
-                     shard_results: list[RankMetrics]) -> RankMetrics:
-        """Ordered reducer: concatenate shard files into ``out_path``."""
-        return merge_shard_outputs(self.out_path, shard_specs,
-                                   shard_results)
+    def select(self, range_chunks, pick_chunks):
+        """This spec's records as chunks of an opened store."""
+        return pick_chunks(self.indices, self.batch_size)
 
 
-def _bamx_range_task(spec: BamxRangeSpec) -> RankMetrics:
-    """Convert records ``[start, stop)`` of a BAMX/BAMZ store."""
-    from ..formats.store import open_record_store
+def _bamx_task(spec: BamxRangeSpec | BamxPickSpec) -> RankMetrics:
+    """Convert one spec's selection — a record range or an index tuple
+    — of a BAMX/BAMZ/BAMC store."""
     t0 = time.perf_counter()
     metrics = RankMetrics()
     with open_record_store(spec.bamx_path) as reader:
-        target = bind_target(get_target(spec.target), reader.header)
-        metrics.bytes_read += (spec.stop - spec.start) \
+        header = reader.header
+        target = bind_target(get_target(spec.target), header)
+        # cost_hint() is the spec's record count.
+        metrics.bytes_read += int(spec.cost_hint()) \
             * reader.layout.record_size
-        if spec.pipeline == "batch" and target.mode == "text" \
-                and hasattr(reader, "read_column_batches"):
-            slabs = reader.read_column_batches(spec.start, spec.stop)
-            _write_target_columnar(slabs, reader, target, spec,
-                                   metrics)
-        elif spec.pipeline == "batch" and target.mode == "text" \
-                and hasattr(reader, "read_raw_batches"):
-            slabs = reader.read_raw_batches(spec.start, spec.stop,
-                                            spec.batch_size)
-            _write_target_batched(slabs, reader, target, spec,
-                                  metrics)
-        else:
-            records = spec.record_filter.apply(
-                reader.read_range(spec.start, spec.stop))
-            _write_target(records, target, reader.header, spec.out_path,
-                          metrics, spec.write_header)
-    return finish_rank_metrics(metrics, t0)
-
-
-def _bamx_pick_task(spec: BamxPickSpec) -> RankMetrics:
-    """Convert an explicit set of record indices (random access)."""
-    from ..formats.store import open_record_store
-    t0 = time.perf_counter()
-    metrics = RankMetrics()
-    with open_record_store(spec.bamx_path) as reader:
-        target = bind_target(get_target(spec.target), reader.header)
-        metrics.bytes_read += len(spec.indices) * reader.layout.record_size
-        if spec.pipeline == "batch" and target.mode == "text" \
-                and hasattr(reader, "read_column_picks"):
-            slabs = reader.read_column_picks(spec.indices)
-            _write_target_columnar(slabs, reader, target, spec,
-                                   metrics)
-        elif spec.pipeline == "batch" and target.mode == "text" \
-                and hasattr(reader, "read_raw"):
-            slabs = ((memoryview(reader.read_raw(i)), 1)
-                     for i in spec.indices)
-            _write_target_batched(slabs, reader, target, spec,
-                                  metrics)
-        else:
-            records = spec.record_filter.apply(
-                reader[i] for i in spec.indices)
-            _write_target(records, target, reader.header, spec.out_path,
-                          metrics, spec.write_header)
-    return finish_rank_metrics(metrics, t0)
-
-
-def _write_target_batched(slabs, reader, target, spec,
-                          metrics: RankMetrics) -> None:
-    """Batched text conversion of raw record slabs.
-
-    *slabs* yields ``(memoryview, count)`` pairs; records with a field
-    fastpath never materialize, others decode record-at-a-time inside
-    the same chunked writes.  Byte-identical to the per-record path.
-    """
-    tracer = get_tracer()
-    layout, header = reader.layout, reader.header
-    fast_emit = batch_codec.bamx_fastpath_for(target, layout, header)
-    seen = emitted = batches = 0
-    with tracer.span("write", "io",
-                     args={"out": os.path.basename(spec.out_path)}), \
-            tracer.span("batch.pipeline", "bam",
-                        args={"batch_size": spec.batch_size,
-                              "fastpath": fast_emit is not None,
-                              "target": spec.target}) as span, \
-            BufferedTextWriter(spec.out_path, metrics=metrics) as writer:
-        head = target.file_header(header)
-        if head and spec.write_header:
-            writer.write_text(head)
-        out_lines: list[str] = []
-        for buf, count in slabs:
-            if fast_emit is not None:
-                s, e = batch_codec.convert_bamx_slab(
-                    buf, count, layout, fast_emit, spec.record_filter,
-                    out_lines)
+        range_chunks, pick_chunks, decode_chunk, make_convert_chunk = \
+            chunk_protocol(reader)
+        chunks = spec.select(range_chunks, pick_chunks)
+        with get_tracer().span(
+                "write", "io",
+                args={"out": os.path.basename(spec.out_path)}):
+            if target.mode == "binary":
+                write_bam_records(
+                    spec.out_path, header, spec.record_filter.apply(
+                        chain.from_iterable(map(decode_chunk, chunks))),
+                    metrics)
             else:
-                s, e = batch_codec.convert_bamx_slab_record(
-                    buf, count, layout, header, target,
-                    spec.record_filter, out_lines)
-            seen += s
-            emitted += e
-            batches += 1
-            if len(out_lines) >= spec.batch_size:
-                writer.write_lines(out_lines)
-                out_lines = []
-        if out_lines:
-            writer.write_lines(out_lines)
-        if span is not None:
-            span.args.update(batches=batches, records=seen)
-    metrics.records += seen
-    metrics.emitted += emitted
-
-
-def _write_target_columnar(slabs, reader, target, spec,
-                           metrics: RankMetrics) -> None:
-    """Columnar text conversion of :class:`~..formats.bamc.ColumnSlab`s.
-
-    Targets with a vectorized kernel emit whole slabs through numpy
-    masks and blob-wide decodes; other targets (and any slab a kernel
-    declines) fall back to record-at-a-time decoding of the same slab,
-    counted in ``metrics.kernel_fallbacks``.  Byte-identical to the
-    per-record path.
-    """
-    from ..formats import kernels as kernel_codec
-    tracer = get_tracer()
-    header = reader.header
-    emit = kernel_codec.kernel_emitter_for(target, header)
-    seen = emitted = batches = fallbacks = 0
-    with tracer.span("write", "io",
-                     args={"out": os.path.basename(spec.out_path)}), \
-            tracer.span("batch.pipeline", "bam",
-                        args={"batch_size": spec.batch_size,
-                              "kernel": emit is not None,
-                              "target": spec.target}) as span, \
-            BufferedTextWriter(spec.out_path, metrics=metrics) as writer:
-        head = target.file_header(header)
-        if head and spec.write_header:
-            writer.write_text(head)
-        out_lines: list[str] = []
-        for slab in slabs:
-            if emit is not None:
-                try:
-                    lines, s = emit(slab, spec.record_filter)
-                    out_lines.extend(lines)
-                    e = len(lines)
-                except kernel_codec.KernelFallback:
-                    s, e = kernel_codec.convert_slab_record(
-                        slab, header, target, spec.record_filter,
-                        out_lines)
-                    fallbacks += 1
-            else:
-                s, e = kernel_codec.convert_slab_record(
-                    slab, header, target, spec.record_filter, out_lines)
-                fallbacks += 1
-            seen += s
-            emitted += e
-            batches += 1
-            if len(out_lines) >= spec.batch_size:
-                writer.write_lines(out_lines)
-                out_lines = []
-        if out_lines:
-            writer.write_lines(out_lines)
-        if span is not None:
-            span.args.update(batches=batches, records=seen,
-                             fallbacks=fallbacks)
-    metrics.records += seen
-    metrics.emitted += emitted
-    metrics.kernel_fallbacks += fallbacks
-
-
-def _write_target(records, target, header: SamHeader, out_path: str,
-                  metrics: RankMetrics, write_header: bool = True) -> None:
-    with get_tracer().span("write", "io",
-                           args={"out": os.path.basename(out_path)}):
-        _write_target_inner(records, target, header, out_path, metrics,
-                            write_header)
-
-
-def _write_target_inner(records, target, header: SamHeader, out_path: str,
-                        metrics: RankMetrics,
-                        write_header: bool = True) -> None:
-    if target.mode == "binary":
-        from ..formats.bam import BamWriter
-        writer = BamWriter(out_path, header)
-        emitted = 0
-        for record in records:
-            writer.write(record)
-            emitted += 1
-        writer.close()
-        metrics.records += emitted
-        metrics.emitted += emitted
-        metrics.bytes_written += os.path.getsize(out_path)
-    else:
-        with BufferedTextWriter(out_path, metrics=metrics) as writer:
-            head = target.file_header(header)
-            if head and write_header:
-                writer.write_text(head)
-            emit_records(records, target, writer, metrics)
+                convert_chunk, span_args, fallback_field = \
+                    make_convert_chunk(target, spec.record_filter,
+                                       spec.pipeline)
+                write_text_chunks(spec, target, header, chunks,
+                                  convert_chunk, metrics, "bam",
+                                  span_args, fallback_field)
+    return finish_rank_metrics(metrics, t0)
 
 
 class BamConverter:
@@ -495,22 +262,11 @@ class BamConverter:
                  shards_per_rank: int | str = 1,
                  store_format: str = "bamx",
                  tuner: AutoTuner | None = None) -> None:
-        from ..formats.store import STORE_FORMATS
-        if pipeline not in PIPELINES:
-            raise ConversionError(
-                f"unknown pipeline {pipeline!r}; choose one of "
-                f"{PIPELINES}")
-        if store_format not in STORE_FORMATS:
-            raise ConversionError(
-                f"unknown store format {store_format!r}; choose one of "
-                f"{STORE_FORMATS}")
-        self.batch_size = validate_knob(batch_size, "batch_size")
+        self.batch_size, self.shards_per_rank, self.tuner = \
+            converter_options(batch_size, pipeline, shards_per_rank,
+                              tuner, store_format)
         self.pipeline = pipeline
-        self.shards_per_rank = validate_knob(shards_per_rank,
-                                             "shards_per_rank")
         self.store_format = store_format
-        self.tuner = ensure_tuner(tuner, self.shards_per_rank,
-                                  self.batch_size)
 
     def _store_kind(self, store_path: str) -> str:
         """Cost-model store component, from the store's extension."""
@@ -527,13 +283,12 @@ class BamConverter:
         BGZF-compressed BAMZ when ``compress=True``, or columnar BAMC
         when the converter was built with ``store_format="bamc"``.
         """
-        from ..formats.store import store_extension
         work_dir = os.fspath(work_dir)
         os.makedirs(work_dir, exist_ok=True)
         stem = os.path.splitext(os.path.basename(os.fspath(bam_path)))[0]
         bamx_path = os.path.join(
             work_dir, stem + store_extension(compress, self.store_format))
-        baix_path = default_index_path(bamx_path)
+        baix_path = index_path_for(bamx_path)
         batch_size = DEFAULT_BATCH_SIZE if self.batch_size == AUTO \
             else self.batch_size
         metrics = preprocess_bam(bam_path, bamx_path, baix_path,
@@ -570,48 +325,29 @@ class BamConverter:
 
         *record_filter* restricts which records are emitted.
         """
-        if nprocs < 1:
-            raise ConversionError(f"nprocs {nprocs} must be >= 1")
         bamx_path = os.fspath(bamx_path)
-        out_dir = os.fspath(out_dir)
-        os.makedirs(out_dir, exist_ok=True)
-        t0 = time.perf_counter()
-        tracer = get_tracer()
-        with tracer.span("convert", "bam",
-                         args={"store": os.path.basename(bamx_path),
-                               "target": target, "nprocs": nprocs}):
+
+        def plan(out_dir: str) -> tuple:
             with open_record_store(bamx_path) as reader:
                 count = len(reader)
             target_plugin = get_target(target)
             stem = os.path.splitext(os.path.basename(bamx_path))[0]
-            shards, batch_size, tuning = resolve_tuning(
-                self.tuner, target=target,
-                store_format=self._store_kind(bamx_path),
-                pipeline=self.pipeline, total_units=count,
-                nprocs=nprocs, shards=self.shards_per_rank,
-                batch_size=self.batch_size,
-                default_batch=DEFAULT_BATCH_SIZE)
             specs = [
                 BamxRangeSpec(bamx_path, start, stop, target,
                               make_output_path(out_dir, stem, rank,
                                                target_plugin),
                               record_filter or ACCEPT_ALL,
-                              batch_size, self.pipeline)
+                              pipeline=self.pipeline)
                 for rank, (start, stop)
                 in enumerate(partition_records(count, nprocs))
             ]
-            rank_metrics = execute_rank_tasks(
-                _bamx_range_task, specs, executor,
-                shards_per_rank=shards, tuning=tuning)
-            record_tuning(tracer, tuning)
-        return ConversionResult(
-            target=target,
-            outputs=[s.out_path for s in specs],
-            rank_metrics=rank_metrics,
-            records=sum(m.records for m in rank_metrics),
-            emitted=sum(m.emitted for m in rank_metrics),
-            wall_seconds=time.perf_counter() - t0,
-        )
+            return self._store_kind(bamx_path), self.pipeline, count, specs
+
+        return run_conversion(
+            self, _bamx_task,
+            ("convert", "bam", {"store": os.path.basename(bamx_path),
+                                "target": target, "nprocs": nprocs}),
+            target, out_dir, nprocs, executor, plan)
 
     def convert_region(self, bamx_path: str | os.PathLike[str],
                        baix_path: str | os.PathLike[str] | None,
@@ -631,75 +367,10 @@ class BamConverter:
         split evenly across ranks for random-access conversion
         (§III-B).  *record_filter* further restricts by flags/MAPQ.
         """
-        if nprocs < 1:
-            raise ConversionError(f"nprocs {nprocs} must be >= 1")
-        bamx_path = os.fspath(bamx_path)
-        out_dir = os.fspath(out_dir)
-        os.makedirs(out_dir, exist_ok=True)
-        t0 = time.perf_counter()
-        if mode not in ("start", "overlap"):
-            raise ConversionError(
-                f"unknown partial-conversion mode {mode!r}; choose "
-                f"'start' or 'overlap'")
-        tracer = get_tracer()
-        with tracer.span("convert.region", "bam",
-                         args={"store": os.path.basename(bamx_path),
-                               "target": target, "nprocs": nprocs,
-                               "mode": mode}):
-            with open_record_store(bamx_path) as reader:
-                header = reader.header
-            if isinstance(region, str):
-                region = GenomicRegion.parse(region, header)
-            ref_id = header.ref_id(region.chrom)
-            with tracer.span("locate", "bam", args={"mode": mode}):
-                if mode == "start":
-                    if baix_path is None:
-                        baix_path = default_index_path(bamx_path)
-                    index = BaixIndex.load(baix_path)
-                    lo, hi = index.locate(ref_id, region.start, region.end)
-                    indices = index.record_indices(lo, hi)
-                else:
-                    from ..formats.baix2 import BaixOverlapIndex
-                    from ..formats.baix2 import default_index_path \
-                        as baix2_path
-                    if baix_path is None:
-                        baix_path = baix2_path(bamx_path)
-                    index2 = BaixOverlapIndex.load(baix_path)
-                    indices = index2.locate_overlaps(ref_id, region.start,
-                                                     region.end)
-            target_plugin = get_target(target)
-            stem = os.path.splitext(os.path.basename(bamx_path))[0]
-            shards, batch_size, tuning = resolve_tuning(
-                self.tuner, target=target,
-                store_format=self._store_kind(bamx_path),
-                pipeline=f"{self.pipeline}.pick",
-                total_units=len(indices), nprocs=nprocs,
-                shards=self.shards_per_rank,
-                batch_size=self.batch_size,
-                default_batch=DEFAULT_BATCH_SIZE)
-            specs = [
-                BamxPickSpec(bamx_path,
-                             tuple(int(i) for i in indices[start:stop]),
-                             target,
-                             make_output_path(out_dir, f"{stem}.region",
-                                              rank, target_plugin),
-                             record_filter or ACCEPT_ALL,
-                             batch_size, self.pipeline)
-                for rank, (start, stop)
-                in enumerate(partition_records(len(indices), nprocs))
-            ]
-            rank_metrics = execute_rank_tasks(
-                _bamx_pick_task, specs, executor,
-                shards_per_rank=shards, tuning=tuning)
-            record_tuning(tracer, tuning)
-        return ConversionResult(
-            target=target,
-            outputs=[s.out_path for s in specs],
-            rank_metrics=rank_metrics,
-            records=sum(m.records for m in rank_metrics),
-            emitted=sum(m.emitted for m in rank_metrics),
-            wall_seconds=time.perf_counter() - t0,
-        )
+        return self._convert_picks(
+            "convert.region", {}, "region", bamx_path, baix_path,
+            [region], target, out_dir, nprocs, executor, mode,
+            record_filter)
 
     def convert_regions(self, bamx_path: str | os.PathLike[str],
                         baix_path: str | os.PathLike[str] | None,
@@ -715,88 +386,60 @@ class BamConverter:
         of the "more partial conversion types" the paper's future work
         calls for.  Parameters match :meth:`convert_region`.
         """
-        if nprocs < 1:
-            raise ConversionError(f"nprocs {nprocs} must be >= 1")
         if not regions:
             raise ConversionError("convert_regions needs >= 1 region")
+        return self._convert_picks(
+            "convert.regions", {"regions": len(regions)}, "regions",
+            bamx_path, baix_path, regions, target, out_dir, nprocs,
+            executor, mode, record_filter)
+
+    def _convert_picks(self, span_name: str, span_args: dict, suffix: str,
+                       bamx_path, baix_path, regions: list, target: str,
+                       out_dir, nprocs: int, executor: str, mode: str,
+                       record_filter: RecordFilter | None,
+                       ) -> ConversionResult:
+        """Locate *regions* in the store's index and convert the union
+        of the selected records; part files are ``<stem>.<suffix>.*``."""
         if mode not in ("start", "overlap"):
             raise ConversionError(
                 f"unknown partial-conversion mode {mode!r}; choose "
                 f"'start' or 'overlap'")
         bamx_path = os.fspath(bamx_path)
-        out_dir = os.fspath(out_dir)
-        os.makedirs(out_dir, exist_ok=True)
-        t0 = time.perf_counter()
-        tracer = get_tracer()
-        with tracer.span("convert.regions", "bam",
-                         args={"store": os.path.basename(bamx_path),
-                               "target": target, "nprocs": nprocs,
-                               "regions": len(regions), "mode": mode}):
+
+        def plan(out_dir: str) -> tuple:
             with open_record_store(bamx_path) as reader:
                 header = reader.header
             parsed = [GenomicRegion.parse(r, header)
                       if isinstance(r, str) else r for r in regions]
-            index_lists = []
-            with tracer.span("locate", "bam", args={"mode": mode}):
-                if mode == "start":
-                    if baix_path is None:
-                        baix_path = default_index_path(bamx_path)
-                    index = BaixIndex.load(baix_path)
-                    for region in parsed:
-                        lo, hi = index.locate(header.ref_id(region.chrom),
-                                              region.start, region.end)
-                        index_lists.append(index.record_indices(lo, hi))
-                else:
-                    from ..formats.baix2 import BaixOverlapIndex
-                    from ..formats.baix2 import default_index_path \
-                        as baix2_path
-                    if baix_path is None:
-                        baix_path = baix2_path(bamx_path)
-                    index2 = BaixOverlapIndex.load(baix_path)
-                    for region in parsed:
-                        index_lists.append(index2.locate_overlaps(
-                            header.ref_id(region.chrom), region.start,
-                            region.end))
+            with get_tracer().span("locate", "bam", args={"mode": mode}):
+                locate = region_locator(bamx_path, mode, baix_path)
+                found = np.concatenate([
+                    np.asarray(locate(header.ref_id(r.chrom), r.start,
+                                      r.end), dtype=np.int64)
+                    for r in parsed])
             # Union without duplicates, preserving first-seen order.
-            seen: set[int] = set()
-            indices: list[int] = []
-            for index_list in index_lists:
-                for i in index_list:
-                    i = int(i)
-                    if i not in seen:
-                        seen.add(i)
-                        indices.append(i)
+            _, first = np.unique(found, return_index=True)
+            indices = found[np.sort(first)].tolist()
             target_plugin = get_target(target)
             stem = os.path.splitext(os.path.basename(bamx_path))[0]
-            shards, batch_size, tuning = resolve_tuning(
-                self.tuner, target=target,
-                store_format=self._store_kind(bamx_path),
-                pipeline=f"{self.pipeline}.pick",
-                total_units=len(indices), nprocs=nprocs,
-                shards=self.shards_per_rank,
-                batch_size=self.batch_size,
-                default_batch=DEFAULT_BATCH_SIZE)
             specs = [
                 BamxPickSpec(bamx_path, tuple(indices[start:stop]), target,
-                             make_output_path(out_dir, f"{stem}.regions",
+                             make_output_path(out_dir, f"{stem}.{suffix}",
                                               rank, target_plugin),
                              record_filter or ACCEPT_ALL,
-                             batch_size, self.pipeline)
+                             pipeline=self.pipeline)
                 for rank, (start, stop)
                 in enumerate(partition_records(len(indices), nprocs))
             ]
-            rank_metrics = execute_rank_tasks(
-                _bamx_pick_task, specs, executor,
-                shards_per_rank=shards, tuning=tuning)
-            record_tuning(tracer, tuning)
-        return ConversionResult(
-            target=target,
-            outputs=[s.out_path for s in specs],
-            rank_metrics=rank_metrics,
-            records=sum(m.records for m in rank_metrics),
-            emitted=sum(m.emitted for m in rank_metrics),
-            wall_seconds=time.perf_counter() - t0,
-        )
+            return (self._store_kind(bamx_path), f"{self.pipeline}.pick",
+                    len(indices), specs)
+
+        return run_conversion(
+            self, _bamx_task,
+            (span_name, "bam", {"store": os.path.basename(bamx_path),
+                                "target": target, "nprocs": nprocs,
+                                **span_args, "mode": mode}),
+            target, out_dir, nprocs, executor, plan)
 
 
 def convert_bam_direct(bam_path: str | os.PathLike[str], target: str,
@@ -810,19 +453,31 @@ def convert_bam_direct(bam_path: str | os.PathLike[str], target: str,
     t0 = time.perf_counter()
     metrics = RankMetrics()
     bam_path = os.fspath(bam_path)
-    out_path = os.fspath(out_path)
-    with get_tracer().span("convert.direct", "bam",
-                           args={"input": os.path.basename(bam_path),
-                                 "target": target}), \
-            BamReader(bam_path) as reader:
-        target_plugin = bind_target(get_target(target), reader.header)
+    # The whole file as one rank: no selection, just the output fields.
+    spec = BamxRangeSpec(bam_path, 0, 0, target, os.fspath(out_path))
+    tracer = get_tracer()
+    with tracer.span("convert.direct", "bam",
+                     args={"input": os.path.basename(bam_path),
+                           "target": target}), \
+            BamReader(bam_path) as reader, \
+            tracer.span("write", "io",
+                        args={"out": os.path.basename(spec.out_path)}):
+        plugin = bind_target(get_target(target), reader.header)
         metrics.bytes_read += os.path.getsize(bam_path)
-        _write_target(iter(reader), target_plugin, reader.header, out_path,
-                      metrics)
+        if plugin.mode == "binary":
+            write_bam_records(spec.out_path, reader.header, reader,
+                              metrics)
+        else:
+            write_text_chunks(
+                spec, plugin, reader.header,
+                batched(reader, spec.batch_size),
+                lambda chunk, out: (*convert_records(chunk, plugin, None,
+                                                     out), 0),
+                metrics, "bam", None)
     rank = finish_rank_metrics(metrics, t0)
     return ConversionResult(
         target=target,
-        outputs=[out_path],
+        outputs=[spec.out_path],
         rank_metrics=[rank],
         records=rank.records,
         emitted=rank.emitted,

@@ -3,15 +3,22 @@
 The paper separates a *runtime system* (partitioning, buffering,
 parallel execution, resource management) from the *user program* (the
 per-record conversion function).  This module is the runtime system's
-common machinery:
+common machinery, each job done once:
 
-* :func:`execute_rank_tasks` — run one task per rank under the chosen
-  executor (``simulate`` / ``thread`` / ``process``);
+* :func:`run_conversion` — the driver every ``convert*`` method shares:
+  resolve the tuning knobs, run one task per rank, fold the result;
+* :func:`execute_rank_tasks` — run one task per rank (or per shard of a
+  rank) under the chosen executor (``simulate`` / ``thread`` /
+  ``process``), always inside a ``rank``/``shard`` span;
+* :func:`write_text_chunks` / :func:`write_bam_records` — the one loop
+  that turns a source's chunks into a text part file, and the one that
+  writes records into a binary BAM part;
 * :class:`ConversionResult` — what every converter returns: output
-  paths, per-rank metrics (feeding the cluster model), record counts;
-* :func:`emit_records` — the inner loop converting parsed alignment
-  objects through a target plugin into a write buffer, with compute
-  time metered separately from I/O.
+  paths, per-rank metrics (feeding the cluster model), record counts.
+
+A new source or store plugs in by supplying an iterator of chunks and a
+``convert_chunk`` closure (see :func:`write_text_chunks`); nothing here
+changes.
 """
 
 from __future__ import annotations
@@ -20,99 +27,79 @@ import os
 import shutil
 import time
 from collections.abc import Callable, Iterable, Sequence
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from ..errors import ConversionError, RuntimeLayerError
+from ..errors import BamxFormatError, ConversionError, RuntimeLayerError
+from ..formats.batch import DEFAULT_BATCH_SIZE, PIPELINES
 from ..formats.header import SamHeader
 from ..formats.record import AlignmentRecord
+from ..formats.store import store_extension
 from ..runtime.autotune import AUTO, JobTuning, MAX_RESPLIT_ROUNDS
 from ..runtime.buffers import BufferedTextWriter
 from ..runtime.executor import get_shared_executor
 from ..runtime.metrics import RankMetrics
 from ..runtime.tracing import Tracer, get_tracer
-from .targets import TargetFormat
+from .targets import TargetFormat, get_target
 
 #: Executors accepted by the converters.
 EXECUTORS = ("simulate", "thread", "process")
 
 
-def validate_knob(value: Any, name: str) -> int | str:
+def validate_knob(value: Any, name: str,
+                  error: type[Exception] = ConversionError) -> int | str:
     """Validate a tuning knob that accepts a positive int or ``"auto"``.
 
     Returns the int or the canonical :data:`~repro.runtime.autotune.AUTO`
-    sentinel; anything else raises :class:`~repro.errors.ConversionError`
-    naming the bad value (no raw ``int()`` tracebacks).
+    sentinel; anything else raises *error* naming the bad value (no raw
+    ``int()`` tracebacks).  The one validator behind the converter
+    constructors, the service's job parameters and the CLI flags.
     """
     if isinstance(value, str):
         if value.strip().lower() == AUTO:
             return AUTO
-        try:
+        with suppress(ValueError):
             value = int(value)
-        except ValueError:
-            raise ConversionError(
-                f"invalid {name} value {value!r}: expected a positive "
-                f"integer or 'auto'") from None
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConversionError(
+        raise error(
             f"invalid {name} value {value!r}: expected a positive "
             f"integer or 'auto'")
     if value < 1:
-        raise ConversionError(
+        raise error(
             f"invalid {name} value {value}: must be >= 1 (or 'auto')")
     return value
 
 
-def ensure_tuner(tuner: Any, *knobs: Any) -> Any:
-    """The tuner a converter should use.
+def converter_options(batch_size: int | str, pipeline: str,
+                      shards_per_rank: int | str, tuner: Any,
+                      store_format: str = "bamx") -> tuple:
+    """Validate the constructor options the three converters share.
 
-    An explicit tuner wins.  Otherwise, when any knob is ``"auto"``, a
-    private in-memory tuner is created (cold -> defaults, warming
-    across this converter instance's calls); with neither, ``None`` —
-    fully manual knobs pay zero tuning overhead.
+    Returns ``(batch_size, shards_per_rank, tuner)`` — the validated
+    knobs and the tuner that resolves them when one is ``"auto"``; a
+    bad *pipeline* or *store_format* raises
+    :class:`~repro.errors.ConversionError` before the converter touches
+    any file.
     """
-    if tuner is not None or AUTO not in knobs:
-        return tuner
-    from ..runtime.autotune import AutoTuner, CostModel
-    return AutoTuner(CostModel())
-
-
-def resolve_tuning(tuner: Any, target: str, store_format: str,
-                   pipeline: str, total_units: float, nprocs: int,
-                   shards: int | str, batch_size: int | str,
-                   default_batch: int,
-                   ) -> tuple[int, int, JobTuning | None]:
-    """Resolve possibly-``"auto"`` knobs into concrete values.
-
-    Returns ``(shards_per_rank, batch_size, tuning)``; without a tuner
-    the ``"auto"`` knobs just fall back to the defaults and *tuning* is
-    ``None`` (no budgets, no observations).
-    """
-    if tuner is None:
-        return (1 if shards == AUTO else shards,
-                default_batch if batch_size == AUTO else batch_size,
-                None)
-    tuning = tuner.begin_job(
-        target=target, store_format=store_format, pipeline=pipeline,
-        total_units=total_units, nprocs=nprocs, shards=shards,
-        batch_size=batch_size, default_batch=default_batch)
-    return tuning.shards_per_rank, tuning.batch_size, tuning
-
-
-def record_tuning(tracer: Tracer, tuning: JobTuning | None) -> None:
-    """Persist a job's observations and trace its ``cost_model`` block.
-
-    The provenance span nests under whatever span is active — the
-    converter's ``convert`` span, and through it the service's
-    per-attempt job span — so ``repro status --trace JOB`` explains
-    every auto decision.
-    """
-    if tuning is None:
-        return
-    tuning.finish()
-    with tracer.span("autotune", "autotune",
-                     args={"cost_model": tuning.provenance()}):
-        pass
+    if pipeline not in PIPELINES:
+        raise ConversionError(
+            f"unknown pipeline {pipeline!r}; choose one of "
+            f"{PIPELINES}")
+    try:
+        store_extension(False, store_format)
+    except BamxFormatError as exc:
+        raise ConversionError(str(exc)) from None
+    batch_size = validate_knob(batch_size, "batch_size")
+    shards_per_rank = validate_knob(shards_per_rank, "shards_per_rank")
+    if tuner is None and AUTO in (batch_size, shards_per_rank):
+        # No explicit tuner but an "auto" knob: a private in-memory
+        # tuner (cold -> defaults, warming across this converter
+        # instance's calls).  Fully manual knobs keep ``None`` and pay
+        # zero tuning overhead.
+        from ..runtime.autotune import AutoTuner, CostModel
+        tuner = AutoTuner(CostModel())
+    return batch_size, shards_per_rank, tuner
 
 
 @dataclass(slots=True)
@@ -169,6 +156,65 @@ class ConversionResult:
         return len(self.rank_metrics)
 
 
+def run_conversion(converter: Any, task_fn: Callable[[Any], Any],
+                   span: tuple[str, str, dict[str, Any]], target: str,
+                   out_dir: str | os.PathLike[str], nprocs: int,
+                   executor: str,
+                   plan: Callable[[str], tuple[str, str, float, list]],
+                   ) -> ConversionResult:
+    """The driver every ``convert*`` method shares.
+
+    Opens the *span* ``(name, category, args)``, asks ``plan(out_dir)``
+    — inside the span, so partitioning/locating is traced under it —
+    for ``(store_kind, pipeline, total_units, specs)``: the cost-model
+    key parts, the job size in the specs' ``cost_hint`` units, and one
+    spec per rank (``out_path`` names its output).  The knobs of
+    *converter* (``tuner``, ``shards_per_rank``, ``batch_size``) are
+    then resolved for that job, the tuned batch size is filled into the
+    specs, and the rank tasks run under *executor*.
+    """
+    if nprocs < 1:
+        raise ConversionError(f"nprocs {nprocs} must be >= 1")
+    out_dir = os.fspath(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    t0 = time.perf_counter()
+    tracer = get_tracer()
+    span_name, category, span_args = span
+    with tracer.span(span_name, category, args=span_args):
+        store_kind, pipeline, total_units, specs = plan(out_dir)
+        # Without a tuner the knobs are plain ints (see
+        # converter_options): no budgets, no observations.
+        shards, batch_size = converter.shards_per_rank, converter.batch_size
+        tuning = None
+        if converter.tuner is not None:
+            tuning = converter.tuner.begin_job(
+                target=target, store_format=store_kind, pipeline=pipeline,
+                total_units=total_units, nprocs=nprocs, shards=shards,
+                batch_size=batch_size, default_batch=DEFAULT_BATCH_SIZE)
+            shards, batch_size = tuning.shards_per_rank, tuning.batch_size
+        specs = [replace(spec, batch_size=batch_size) for spec in specs]
+        rank_metrics = execute_rank_tasks(
+            task_fn, specs, executor, shards_per_rank=shards,
+            tuning=tuning)
+        if tuning is not None:
+            # Persist the job's observations and trace its cost_model
+            # block: the provenance span nests under this span — and
+            # through it the service's per-attempt job span — so `repro
+            # status --trace JOB` explains every auto decision.
+            tuning.finish()
+            with tracer.span("autotune", "autotune",
+                             args={"cost_model": tuning.provenance()}):
+                pass
+    return ConversionResult(
+        target=target,
+        outputs=[s.out_path for s in specs],
+        rank_metrics=rank_metrics,
+        records=sum(m.records for m in rank_metrics),
+        emitted=sum(m.emitted for m in rank_metrics),
+        wall_seconds=time.perf_counter() - t0,
+    )
+
+
 def execute_rank_tasks(task_fn: Callable[[Any], RankMetrics],
                        specs: Sequence[Any],
                        executor: str = "simulate",
@@ -200,21 +246,27 @@ def execute_rank_tasks(task_fn: Callable[[Any], RankMetrics],
     is over-decomposed into up to *n* shards, which the shared pool
     pulls dynamically longest-first; per-shard results are folded back
     to per-rank results via each spec's ``merge_shards`` (an ordered
-    reducer, so outputs stay byte-identical to the static run).  Specs
-    without ``split`` — and calls where nothing decomposes — fall back
-    to the static one-task-per-rank schedule.
+    reducer, so outputs stay byte-identical to the static run).  The
+    static one-task-per-rank schedule is the same schedule with
+    one-piece groups: specs without ``split`` — and calls where nothing
+    decomposes — run as ``rank`` tasks instead of ``shard`` tasks.
 
-    Tuning
-    ------
-    With a :class:`~repro.runtime.autotune.JobTuning`, the sharded
-    schedule becomes *adaptive*: shards carry straggler budgets (model
-    prediction x straggler factor, or — on the sequential executor with
-    a cold model — the median of completed siblings), budget-blown
-    shards yield a :class:`ShardRemainder` whose tail is re-split and
-    re-dispatched (bounded waves; the final wave is un-budgeted so the
-    job always terminates), and measured ``(units, seconds)`` pairs
-    flow back into the cost model from both the sharded and the static
-    path.
+    Shards of all ranks are flattened into one work list; with
+    *tuning* (a :class:`~repro.runtime.autotune.JobTuning`) a
+    decomposed schedule becomes *adaptive* and runs in waves: shards
+    carry straggler budgets (model prediction x straggler factor, or —
+    dispatched inline with a cold model — the median of completed
+    siblings), budget-blown shards yield a :class:`ShardRemainder`
+    whose tail is re-split (``tuning.resplit_factor`` pieces) and
+    re-dispatched in the next wave; after
+    :data:`~repro.runtime.autotune.MAX_RESPLIT_ROUNDS` waves budgets
+    are dropped so the schedule always terminates.  Every piece is
+    keyed by its split path (original shard 2's first tail piece is
+    ``(2, 0)``), and the per-rank reduction sorts pieces by path — the
+    ordered reducer that keeps concatenated outputs byte-identical
+    regardless of how many times a shard was re-split.  Measured
+    ``(units, seconds)`` pairs flow back into the cost model from
+    decomposed and static schedules alike.
     """
     if executor not in EXECUTORS:
         raise RuntimeLayerError(
@@ -225,63 +277,78 @@ def execute_rank_tasks(task_fn: Callable[[Any], RankMetrics],
         raise RuntimeLayerError(
             f"shards_per_rank must be >= 1, got {shards_per_rank}")
     tracer = get_tracer()
-    groups = _shard_plan(specs, shards_per_rank)
-    if groups is not None:
-        return _execute_sharded(task_fn, specs, groups, executor, tracer,
-                                tuning)
-    if tracer.enabled:
-        results = _execute_rank_tasks_traced(task_fn, specs, executor,
-                                             tracer)
-    elif executor == "simulate" or len(specs) == 1:
-        results = [task_fn(spec) for spec in specs]
-    else:
-        labels = [f"rank {rank}" for rank in range(len(specs))]
-        results = get_shared_executor().map_tasks(
-            task_fn, list(specs), executor, labels=labels)
-    if tuning is not None:
-        _feed_observations(tuning, specs, results)
-    return results
-
-
-def _feed_observations(tuning: JobTuning, specs: Sequence[Any],
-                       results: Sequence[Any]) -> None:
-    """Collect measured ``(units, seconds)`` pairs for the cost model.
-
-    Results that are not :class:`RankMetrics`-shaped (preprocess parse
-    shards return tuples) are skipped — the model only learns from
-    timed work.
-    """
-    pairs = []
-    for spec, result in zip(specs, results):
-        seconds = getattr(result, "total_seconds", None)
-        if seconds is not None:
-            pairs.append((_cost_hint(spec), float(seconds)))
-    if pairs:
-        tuning.observe(pairs)
-
-
-def _shard_plan(specs: Sequence[Any], shards_per_rank: int,
-                ) -> list[list[Any]] | None:
-    """Split each spec into shards; ``None`` when nothing decomposes.
-
-    Specs opt in by implementing ``split(n) -> list[spec]``; a spec may
-    return ``[self]`` to decline (single record, binary target, ...).
-    Returning ``None`` keeps undecomposable workloads — sort/histogram/
-    flagstat specs, ``--shards 1`` — on the static path untouched.
-    """
-    if shards_per_rank <= 1:
-        return None
-    groups: list[list[Any]] = []
-    decomposed = False
-    for spec in specs:
-        split = getattr(spec, "split", None)
-        group = [spec] if split is None else split(shards_per_rank)
+    # Specs opt in to sharding by implementing ``split(n) -> list[spec]``
+    # and may return ``[self]`` to decline (single record, binary
+    # target, ...); sort/histogram/flagstat specs and ``--shards 1``
+    # give one-piece groups, i.e. the static schedule.
+    groups = [spec.split(shards_per_rank)
+              if shards_per_rank > 1 and hasattr(spec, "split") else [spec]
+              for spec in specs]
+    for spec, group in zip(specs, groups):
         if not group:
             raise RuntimeLayerError(
                 f"split() of {type(spec).__name__} returned no shards")
-        decomposed = decomposed or len(group) > 1
-        groups.append(group)
-    return groups if decomposed else None
+    sharded = any(len(group) > 1 for group in groups)
+    # Budgets, re-split waves and makespan tracking belong to the
+    # decomposed schedule; on the static one (no shard files distinct
+    # from the rank outputs, so nothing may yield) tuning only learns.
+    wave_tuning = tuning if sharded else None
+    entries: list[tuple[int, tuple[int, ...], Any, bool]] = []
+    for rank, group in enumerate(groups):
+        # A one-piece group's shard IS the rank spec (same out_path), so
+        # it must not yield a tail to merge into itself; budgets apply
+        # only where shard files are distinct from the rank output.
+        budget_ok = len(group) > 1
+        for shard_idx, shard in enumerate(group):
+            entries.append((rank, (shard_idx,) if sharded else (),
+                            _with_budget(shard, wave_tuning) if budget_ok
+                            else shard, budget_ok))
+    caller = tracer.current_span()
+    parent_id = caller.span_id if caller is not None else None
+    pieces: dict[tuple[int, tuple[int, ...]], tuple[Any, Any]] = {}
+    rounds = 0
+    while entries:
+        budgets_live = wave_tuning is not None \
+            and rounds < MAX_RESPLIT_ROUNDS
+        results = _dispatch(task_fn, entries, executor, tracer,
+                            parent_id, wave_tuning, budgets_live)
+        next_entries: list[tuple[int, tuple[int, ...], Any, bool]] = []
+        for (rank, path, spec, _), result in zip(entries, results):
+            if not isinstance(result, ShardRemainder):
+                pieces[(rank, path)] = (spec, result)
+                continue
+            pieces[(rank, path)] = (spec, result.metrics)
+            subs = result.tail_spec.split(
+                wave_tuning.resplit_factor if wave_tuning is not None
+                else 2)
+            if wave_tuning is not None:
+                wave_tuning.note_resplit(len(subs))
+            for sub_idx, sub in enumerate(subs):
+                next_entries.append((rank, path + (sub_idx,),
+                                     _with_budget(sub, wave_tuning)
+                                     if budgets_live else sub, True))
+        entries = next_entries
+        rounds += 1
+    out = []
+    for rank, spec in enumerate(specs):
+        ordered = sorted((path, piece) for (r, path), piece
+                         in pieces.items() if r == rank)
+        if len(ordered) == 1:
+            out.append(ordered[0][1][1])
+        else:
+            out.append(spec.merge_shards(
+                [piece[0] for _, piece in ordered],
+                [piece[1] for _, piece in ordered]))
+    if tuning is not None:
+        # Measured (units, seconds) pairs for the cost model.  Results
+        # that are not RankMetrics-shaped (preprocess parse shards
+        # return tuples) are skipped: it only learns from timed work.
+        pairs = [(_cost_hint(spec), float(result.total_seconds))
+                 for spec, result in pieces.values()
+                 if hasattr(result, "total_seconds")]
+        if pairs:
+            tuning.observe(pairs)
+    return out
 
 
 def _cost_hint(spec: Any) -> float:
@@ -290,10 +357,13 @@ def _cost_hint(spec: Any) -> float:
     return float(hint()) if hint is not None else 1.0
 
 
-def _shard_label(path: tuple[int, ...]) -> int | str:
-    """Span/label id of a shard: the plain index for first-wave shards
-    (back-compat with trace consumers), dotted for re-split pieces
-    (``2.1`` = second sub-shard of original shard 2)."""
+def _shard_label(path: tuple[int, ...]) -> int | str | None:
+    """Span/label id of a shard: ``None`` for a whole rank (static
+    schedule), the plain index for first-wave shards (back-compat with
+    trace consumers), dotted for re-split pieces (``2.1`` = second
+    sub-shard of original shard 2)."""
+    if not path:
+        return None
     if len(path) == 1:
         return path[0]
     return ".".join(str(p) for p in path)
@@ -308,8 +378,8 @@ def _with_budget(spec: Any, tuning: JobTuning | None) -> Any:
     """Price a shard's straggler budget from the cost model.
 
     Leaves the spec untouched when there is no tuning, the spec cannot
-    yield, or the model is cold (the sequential executor then falls
-    back to sibling-median budgets mid-wave).
+    yield, or the model is cold (inline dispatch then falls back to
+    sibling-median budgets mid-wave).
     """
     if tuning is None or not _supports_budget(spec):
         return spec
@@ -319,145 +389,133 @@ def _with_budget(spec: Any, tuning: JobTuning | None) -> Any:
     return replace(spec, budget_seconds=budget)
 
 
-def _execute_sharded(task_fn: Callable[[Any], RankMetrics],
-                     specs: Sequence[Any], groups: list[list[Any]],
-                     executor: str, tracer: Tracer,
-                     tuning: JobTuning | None = None,
-                     ) -> list[RankMetrics]:
-    """Run the over-decomposed schedule and reduce shards per rank.
+def _dispatch(task_fn: Callable[[Any], Any],
+              entries: Sequence[tuple[int, tuple[int, ...], Any, bool]],
+              executor: str, tracer: Tracer, parent_id: int | None,
+              tuning: JobTuning | None, budgets_live: bool) -> list[Any]:
+    """Dispatch one wave of rank/shard entries; results in entry order.
 
-    Shards of all ranks are flattened into one work list and dispatched
-    longest-first; the shared pool's workers pull them dynamically, so
-    a skewed rank's extra shards land on whichever workers are free.
-
-    With *tuning*, the schedule runs in waves: budgeted shards that
-    yield a :class:`ShardRemainder` have their tail re-split
-    (``tuning.resplit_factor`` pieces) and re-dispatched in the next
-    wave; after :data:`~repro.runtime.autotune.MAX_RESPLIT_ROUNDS`
-    waves budgets are dropped so the schedule always terminates.  Every
-    piece is keyed by its split path (original shard 2's first tail
-    piece is ``(2, 0)``), and the per-rank reduction sorts pieces by
-    path — the same ordered reducer that keeps concatenated outputs
-    byte-identical regardless of how many times a shard was re-split.
+    Two arms.  *Inline* (``simulate``, or a single entry): entries run
+    one after another on the calling thread, where a cold cost model
+    still gets straggler detection — completed siblings' durations
+    price the budget of each not-yet-budgeted shard (k x median), which
+    is the deterministic flavor the tests pin down.  *Pool* (``thread``
+    / ``process``): the shared executor pulls entries longest-first and
+    budgets apply at submit time only — shards run concurrently, so
+    there is no well-defined "completed siblings" set to consult.
     """
-    entries: list[tuple[int, tuple[int, ...], Any, bool]] = []
-    for rank, group in enumerate(groups):
-        # A one-piece group's shard IS the rank spec (same out_path), so
-        # it must not yield a tail to merge into itself; budgets apply
-        # only where shard files are distinct from the rank output.
-        budget_ok = len(group) > 1
-        for shard_idx, shard in enumerate(group):
-            entries.append((rank, (shard_idx,),
-                            _with_budget(shard, tuning) if budget_ok
-                            else shard, budget_ok))
-    parent_id = None
-    if tracer.enabled:
-        caller = tracer.current_span()
-        parent_id = caller.span_id if caller is not None else None
-    pieces: dict[tuple[int, tuple[int, ...]], tuple[Any, Any]] = {}
-    rounds = 0
-    while entries:
-        budgets_live = tuning is not None and rounds < MAX_RESPLIT_ROUNDS
-        results = _dispatch_shards(task_fn, entries, executor, tracer,
-                                   parent_id, tuning, budgets_live)
-        next_entries: list[tuple[int, tuple[int, ...], Any, bool]] = []
-        for (rank, path, spec, _), result in zip(entries, results):
-            if not isinstance(result, ShardRemainder):
-                pieces[(rank, path)] = (spec, result)
-                continue
-            pieces[(rank, path)] = (spec, result.metrics)
-            factor = tuning.resplit_factor if tuning is not None else 2
-            subs = result.tail_spec.split(factor)
-            if tuning is not None:
-                tuning.note_resplit(len(subs))
-            for sub_idx, sub in enumerate(subs):
-                next_entries.append((rank, path + (sub_idx,),
-                                     _with_budget(sub, tuning)
-                                     if budgets_live else sub, True))
-        entries = next_entries
-        rounds += 1
-    out = []
-    for rank, (spec, group) in enumerate(zip(specs, groups)):
-        ordered = sorted((path, piece) for (r, path), piece
-                         in pieces.items() if r == rank)
-        shard_specs = [piece[0] for _, piece in ordered]
-        shard_results = [piece[1] for _, piece in ordered]
-        if len(shard_specs) == 1:
-            out.append(shard_results[0])
-        else:
-            out.append(spec.merge_shards(shard_specs, shard_results))
-    if tuning is not None:
-        _feed_observations(tuning,
-                           [piece[0] for piece in pieces.values()],
-                           [piece[1] for piece in pieces.values()])
-    return out
-
-
-def _dispatch_shards(task_fn: Callable[[Any], Any],
-                     entries: Sequence[tuple[int, tuple[int, ...], Any,
-                                             bool]],
-                     executor: str, tracer: Tracer,
-                     parent_id: int | None,
-                     tuning: JobTuning | None,
-                     budgets_live: bool) -> list[Any]:
-    """Dispatch one wave of shard entries; results in entry order.
-
-    On the sequential ``simulate`` executor a cold cost model still
-    gets straggler detection: completed siblings' durations price the
-    budget of each not-yet-budgeted shard (k x median), which is the
-    deterministic flavor the tests pin down.  Pool executors apply
-    model budgets at submit time only — their shards run concurrently,
-    so there is no well-defined "completed siblings" set to consult.
-    """
-    labels = [f"rank {rank} shard {_shard_label(path)}"
-              for rank, path, _, _ in entries]
-    costs = [_cost_hint(shard) for _, _, shard, _ in entries]
-    progress = None
-    if tuning is not None:
-        progress = lambda i, result, elapsed: \
-            tuning.note_completion(elapsed)  # noqa: E731
-    if executor == "simulate":
-        results = []
+    shard_ids = [_shard_label(path) for _, path, _, _ in entries]
+    if executor == "simulate" or len(entries) == 1:
+        gathered = []
         durations: list[float] = []
         wave_start = time.perf_counter()
-        for rank, path, shard, budget_ok in entries:
+        for (rank, _, spec, budget_ok), shard in zip(entries, shard_ids):
             if budgets_live and budget_ok \
-                    and getattr(shard, "budget_seconds", None) is None \
-                    and _supports_budget(shard):
+                    and getattr(spec, "budget_seconds", None) is None \
+                    and _supports_budget(spec):
                 budget = tuning.sibling_budget(durations)
                 if budget is not None:
-                    shard = replace(shard, budget_seconds=budget)
+                    spec = replace(spec, budget_seconds=budget)
             t0 = time.perf_counter()
-            if tracer.enabled:
-                results.append(_shard_span_call(
-                    task_fn, tracer, rank, _shard_label(path), shard,
-                    parent_id))
-            else:
-                results.append(task_fn(shard))
+            gathered.append(_run_entry((task_fn, spec, rank, shard,
+                                        tracer, parent_id)))
             durations.append(time.perf_counter() - t0)
             if tuning is not None:
                 tuning.note_completion(time.perf_counter() - wave_start)
-        return results
-    if tracer.enabled and executor == "thread":
-        payloads = [(task_fn, tracer, rank, _shard_label(path), shard,
-                     parent_id) for rank, path, shard, _ in entries]
-        return get_shared_executor().map_tasks(
-            _shard_span_entry, payloads, "thread",
-            labels=labels, costs=costs, progress=progress)
-    if tracer.enabled:
-        payloads = [(task_fn, tracer.epoch, rank, _shard_label(path),
-                     shard) for rank, path, shard, _ in entries]
+    else:
+        # Threads record straight into the shared tracer (its span
+        # stack is per-thread); a process worker rebuilds a child
+        # tracer on the parent's timeline from (enabled, epoch).
+        trace = tracer if executor == "thread" \
+            else (tracer.enabled, tracer.epoch)
         gathered = get_shared_executor().map_tasks(
-            _traced_process_shard, payloads, "process",
-            labels=labels, costs=costs, progress=progress)
-        results = []
-        for result, span_dicts, rank in gathered:
-            tracer.ingest(span_dicts, rank=rank, parent_id=parent_id)
-            results.append(result)
-        return results
-    return get_shared_executor().map_tasks(
-        task_fn, [shard for _, _, shard, _ in entries], executor,
-        labels=labels, costs=costs, progress=progress)
+            _run_entry,
+            [(task_fn, spec, rank, shard, trace, parent_id)
+             for (rank, _, spec, _), shard in zip(entries, shard_ids)],
+            executor,
+            labels=[f"rank {rank}" if shard is None
+                    else f"rank {rank} shard {shard}"
+                    for (rank, _, _, _), shard in zip(entries, shard_ids)],
+            costs=[_cost_hint(spec) for _, _, spec, _ in entries],
+            progress=None if tuning is None else
+            (lambda _i, _result, elapsed: tuning.note_completion(elapsed)))
+    results = []
+    for (rank, _, _, _), (result, span_dicts) in zip(entries, gathered):
+        tracer.ingest(span_dicts, rank=rank, parent_id=parent_id)
+        results.append(result)
+    return results
+
+
+def _run_entry(payload: tuple) -> tuple[Any, list[dict[str, Any]]]:
+    """Run one rank or shard task under its span (module-level so the
+    worker pool can pickle it).
+
+    *payload* is ``(task_fn, spec, rank, shard, trace, parent_id)``:
+    *shard* is ``None`` for a whole-rank task (span ``rank``) or the
+    shard label (span ``shard``); *trace* is the shared tracer
+    in-process, or ``(enabled, epoch)`` in a pool process, which
+    records into a child tracer and returns its spans for the parent
+    to :meth:`~repro.runtime.tracing.Tracer.ingest` under *parent_id*.
+    In-process, *parent_id* re-attaches the span to the launching span
+    even on a pool thread with an empty span stack.  A disabled tracer
+    hands out one shared null span, so untraced runs take this same
+    path; returns ``(result, span_dicts)``.
+    """
+    task_fn, spec, rank, shard, trace, parent_id = payload
+    child = None
+    if not isinstance(trace, Tracer):
+        trace = child = Tracer(enabled=trace[0], epoch=trace[1])
+        parent_id = None
+    name, args = "rank", {"task": task_fn.__name__}
+    if shard is not None:
+        name = "shard"
+        args.update(rank=rank, shard=shard)
+    with trace.activate(), trace.rank_context(rank), \
+            trace.span(name, "rank", rank=rank, args=args,
+                       parent_id=parent_id):
+        result = task_fn(spec)
+    return result, [] if child is None \
+        else [s.to_dict() for s in child.spans()]
+
+
+class ShardableSpec:
+    """Mixin for rank specs that write one text part file.
+
+    Subclasses are frozen dataclasses with ``target``, ``out_path`` and
+    ``write_header`` fields, a :meth:`cost_hint`, and a ``_pieces(n)``
+    returning the field overrides of up to *n* non-empty sub-ranges;
+    this supplies the ``split`` / ``merge_shards`` pair
+    :func:`execute_rank_tasks` looks for.
+    """
+
+    __slots__ = ()
+
+    def split(self, n: int) -> list:
+        """Over-decompose this spec into <= *n* shards.
+
+        Each shard writes its own ``.shardNN`` part file that
+        :meth:`merge_shards` concatenates back.  Only shard 0 of a
+        header-carrying spec writes the file header: re-splitting a
+        headerless spec (a straggler's remainder) must not resurrect
+        it.  Binary targets decline — each part would be a complete
+        BAM file.
+        """
+        if n <= 1 or self.cost_hint() <= 1 \
+                or get_target(self.target).mode == "binary":
+            return [self]
+        pieces = self._pieces(n)
+        if len(pieces) <= 1:
+            return [self]
+        return [replace(self, out_path=f"{self.out_path}.shard{i:02d}",
+                        write_header=(i == 0 and self.write_header),
+                        **piece)
+                for i, piece in enumerate(pieces)]
+
+    def merge_shards(self, shard_specs: Sequence[Any],
+                     shard_results: Sequence[RankMetrics]) -> RankMetrics:
+        """Ordered reducer: concatenate shard files into ``out_path``."""
+        return merge_shard_outputs(self.out_path, shard_specs,
+                                   shard_results)
 
 
 def merge_shard_outputs(out_path: str, shard_specs: Sequence[Any],
@@ -478,129 +536,87 @@ def merge_shard_outputs(out_path: str, shard_specs: Sequence[Any],
     return RankMetrics.merge_shards(list(shard_metrics))
 
 
-def _rank_span_call(task_fn: Callable[[Any], RankMetrics],
-                    tracer: Tracer, rank: int, spec: Any,
-                    parent_id: int | None) -> RankMetrics:
-    """Run one rank task under a rank-tagged span of *tracer*.
+def write_text_chunks(spec: Any, target: TargetFormat, header: SamHeader,
+                      chunks: Iterable[Any],
+                      convert_chunk: Callable[[Any, list[str]],
+                                              tuple[int, int, int]],
+                      metrics: RankMetrics, span_category: str,
+                      span_args: dict[str, Any] | None,
+                      fallback_field: str | None = None) -> None:
+    """The chunk loop: drive a source's *chunks* through *target* into
+    the text part file ``spec.out_path``.
 
-    *parent_id* re-attaches the rank span to the launching span even
-    when this runs on a pool thread with an empty span stack.
+    A source is an iterator of chunks (SAM line batches, raw BAMX
+    slabs, BAMC column slabs, lists of records) plus
+    ``convert_chunk(chunk, out_lines) -> (seen, emitted, fallbacks)``,
+    which appends the chunk's emitted lines to *out_lines*; *seen*
+    counts post-filter records.  The loop owns everything else: the
+    file header (only where ``spec.write_header``), flushing once
+    ``spec.batch_size`` lines are pending, the ``records``/``emitted``
+    metrics, and the ``batch.pipeline`` span.
+
+    *span_args* are the source's span arguments (``fastpath`` or
+    ``kernel``); entries the chunk source adds while the loop runs (a
+    straggler's ``yielded``/``resume_offset``) are recorded when it
+    ends.  ``None`` — the ``pipeline="record"`` oracle — records no
+    pipeline span.  *fallback_field* names the :class:`RankMetrics`
+    counter the chunks' fallbacks accumulate into (and puts them on the
+    span); sources without such a counter pass ``None``.
+
+    No fine-grained timing happens here: rank tasks measure their total
+    wall time and subtract the writer/reader-metered I/O to get compute
+    seconds (see :func:`finish_rank_metrics`), which keeps the loop
+    free of timer calls.
     """
-    with tracer.activate(), tracer.rank_context(rank), \
-            tracer.span("rank", "rank", rank=rank,
-                        args={"task": task_fn.__name__},
-                        parent_id=parent_id):
-        return task_fn(spec)
-
-
-def _rank_span_entry(payload: tuple) -> RankMetrics:
-    """Single-argument adapter for pooled :func:`_rank_span_call`."""
-    task_fn, tracer, rank, spec, parent_id = payload
-    return _rank_span_call(task_fn, tracer, rank, spec, parent_id)
-
-
-def _shard_span_call(task_fn: Callable[[Any], RankMetrics],
-                     tracer: Tracer, rank: int, shard_idx: int | str,
-                     spec: Any, parent_id: int | None) -> Any:
-    """Run one shard task under a rank/shard-tagged span of *tracer*."""
-    with tracer.activate(), tracer.rank_context(rank), \
-            tracer.span("shard", "rank", rank=rank,
-                        args={"task": task_fn.__name__, "rank": rank,
-                              "shard": shard_idx},
-                        parent_id=parent_id):
-        return task_fn(spec)
-
-
-def _shard_span_entry(payload: tuple) -> Any:
-    """Single-argument adapter for pooled :func:`_shard_span_call`."""
-    task_fn, tracer, rank, shard_idx, spec, parent_id = payload
-    return _shard_span_call(task_fn, tracer, rank, shard_idx, spec,
-                            parent_id)
-
-
-def _traced_process_rank(payload: tuple) -> tuple:
-    """Child-process entry: record spans locally, return them for
-    gathering (module-level so the worker pool can pickle it)."""
-    task_fn, epoch, rank, spec = payload
-    child = Tracer(enabled=True, epoch=epoch)
-    with child.activate(), child.rank_context(rank), \
-            child.span("rank", "rank", rank=rank,
-                       args={"task": task_fn.__name__}):
-        metrics = task_fn(spec)
-    return metrics, [s.to_dict() for s in child.spans()], rank
-
-
-def _traced_process_shard(payload: tuple) -> tuple:
-    """Child-process entry for one shard; spans tagged rank/shard."""
-    task_fn, epoch, rank, shard_idx, spec = payload
-    child = Tracer(enabled=True, epoch=epoch)
-    with child.activate(), child.rank_context(rank), \
-            child.span("shard", "rank", rank=rank,
-                       args={"task": task_fn.__name__, "rank": rank,
-                             "shard": shard_idx}):
-        result = task_fn(spec)
-    return result, [s.to_dict() for s in child.spans()], rank
-
-
-def _execute_rank_tasks_traced(task_fn: Callable[[Any], RankMetrics],
-                               specs: Sequence[Any], executor: str,
-                               tracer: Tracer) -> list[RankMetrics]:
-    """Traced variant of :func:`execute_rank_tasks` (static schedule).
-
-    Simulate/thread ranks record straight into the shared tracer (its
-    span stack is per-thread); process ranks record into a child tracer
-    sharing the parent epoch and their spans are gathered to rank 0 via
-    :meth:`Tracer.ingest`.
-    """
-    caller = tracer.current_span()
-    parent_id = caller.span_id if caller is not None else None
-    if executor == "simulate" or len(specs) == 1:
-        return [_rank_span_call(task_fn, tracer, rank, spec, parent_id)
-                for rank, spec in enumerate(specs)]
-    labels = [f"rank {rank}" for rank in range(len(specs))]
-    if executor == "thread":
-        payloads = [(task_fn, tracer, rank, spec, parent_id)
-                    for rank, spec in enumerate(specs)]
-        return get_shared_executor().map_tasks(
-            _rank_span_entry, payloads, "thread", labels=labels)
-    payloads = [(task_fn, tracer.epoch, rank, spec)
-                for rank, spec in enumerate(specs)]
-    gathered = get_shared_executor().map_tasks(
-        _traced_process_rank, payloads, "process", labels=labels)
-    out = []
-    for metrics, span_dicts, rank in gathered:
-        tracer.ingest(span_dicts, rank=rank, parent_id=parent_id)
-        out.append(metrics)
-    return out
-
-
-def emit_records(records: Iterable[AlignmentRecord], target: TargetFormat,
-                 writer: BufferedTextWriter, metrics: RankMetrics,
-                 ) -> tuple[int, int]:
-    """Drive parsed records through the user program into the writer.
-
-    Returns ``(records_seen, objects_emitted)``.  No fine-grained timing
-    happens here: rank tasks measure their total wall time and subtract
-    the writer/reader-metered I/O to get compute seconds (see
-    :func:`finish_rank_metrics`), which keeps the inner loop free of
-    per-record timer calls.
-    """
-    if target.mode != "text":
-        raise ConversionError(
-            f"emit_records drives text targets; {target.name} is binary")
-    seen = 0
-    emitted = 0
-    emit = target.emit
-    write_line = writer.write_line
-    for record in records:
-        line = emit(record)
-        seen += 1
-        if line is not None:
-            write_line(line)
-            emitted += 1
+    pipeline_span = nullcontext() if span_args is None \
+        else get_tracer().span(
+            "batch.pipeline", span_category,
+            args={"batch_size": spec.batch_size, **span_args,
+                  "target": spec.target})
+    seen = emitted = fallbacks = batches = 0
+    with pipeline_span as span, \
+            BufferedTextWriter(spec.out_path, metrics=metrics) as writer:
+        head = target.file_header(header)
+        if head and spec.write_header:
+            writer.write_text(head)
+        out_lines: list[str] = []
+        for chunk in chunks:
+            s, e, f = convert_chunk(chunk, out_lines)
+            seen += s
+            emitted += e
+            fallbacks += f
+            batches += 1
+            if len(out_lines) >= spec.batch_size:
+                writer.write_lines(out_lines)
+                out_lines = []
+        if out_lines:
+            writer.write_lines(out_lines)
+        if span is not None:
+            span.args.update(batches=batches, records=seen)
+            if fallback_field is not None:
+                span.args["fallbacks"] = fallbacks
+            span.args.update(span_args)
     metrics.records += seen
     metrics.emitted += emitted
-    return seen, emitted
+    if fallback_field is not None:
+        setattr(metrics, fallback_field,
+                getattr(metrics, fallback_field) + fallbacks)
+
+
+def write_bam_records(out_path: str, header: SamHeader,
+                      records: Iterable[AlignmentRecord],
+                      metrics: RankMetrics) -> None:
+    """Write *records* as one complete binary BAM part file."""
+    from ..formats.bam import BamWriter
+    writer = BamWriter(out_path, header)
+    emitted = 0
+    for record in records:
+        writer.write(record)
+        emitted += 1
+    writer.close()
+    metrics.records += emitted
+    metrics.emitted += emitted
+    metrics.bytes_written += os.path.getsize(out_path)
 
 
 def finish_rank_metrics(metrics: RankMetrics, t_start: float) -> RankMetrics:

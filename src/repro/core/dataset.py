@@ -160,8 +160,8 @@ class AlignmentDataset:
         from .samp_converter import PreprocSamConverter
         paths, _ = PreprocSamConverter().preprocess(self.path, work_dir,
                                                     nprocs)
-        from ..formats.baix import default_index_path
-        return RecordStoreHandle(paths[0], default_index_path(paths[0]))
+        from ..formats.store import index_path_for
+        return RecordStoreHandle(paths[0], index_path_for(paths[0]))
 
 
 class RecordStoreHandle:
@@ -201,25 +201,15 @@ class RecordStoreHandle:
     def fetch(self, region: GenomicRegion | str, mode: str = "start",
               ) -> list[AlignmentRecord]:
         """Records of one region, in coordinate order."""
-        from ..formats.baix import BaixIndex
-        from ..formats.store import open_record_store
+        from ..formats.store import open_record_store, region_locator
+        if mode not in ("start", "overlap"):
+            raise ConversionError(f"unknown fetch mode {mode!r}")
         with open_record_store(self.store_path) as reader:
             header = reader.header
             if isinstance(region, str):
                 region = GenomicRegion.parse(region, header)
-            ref_id = header.ref_id(region.chrom)
-            if mode == "start":
-                index = BaixIndex.load(self.baix_path)
-                lo, hi = index.locate(ref_id, region.start, region.end)
-                indices = index.record_indices(lo, hi)
-            elif mode == "overlap":
-                from ..formats.baix2 import BaixOverlapIndex
-                from ..formats.baix2 import default_index_path
-                index2 = BaixOverlapIndex.load(
-                    default_index_path(self.store_path))
-                indices = index2.locate_overlaps(ref_id, region.start,
-                                                 region.end)
-            else:
-                raise ConversionError(
-                    f"unknown fetch mode {mode!r}")
-            return [reader[int(i)] for i in indices]
+            locate = region_locator(
+                self.store_path, mode,
+                self.baix_path if mode == "start" else None)
+            return [reader[int(i)] for i in locate(
+                header.ref_id(region.chrom), region.start, region.end)]

@@ -12,23 +12,23 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
-from ..errors import ConversionError
-from ..formats import batch as batch_codec
-from ..formats.batch import DEFAULT_BATCH_SIZE, PIPELINES
+from ..formats.batch import DEFAULT_BATCH_SIZE, convert_records, \
+    convert_sam_lines, sam_fastpath_for
 from ..formats.header import SamHeader
 from ..formats.sam import parse_alignment
 from ..runtime import faults
 from ..runtime.autotune import AutoTuner
-from ..runtime.buffers import BufferedTextWriter, RangeLineReader
+from ..runtime.buffers import RangeLineReader
 from ..runtime.metrics import RankMetrics
 from ..runtime.partition import Partition, partition_bytes_source
 from ..runtime.tracing import get_tracer
-from .base import ConversionResult, ShardRemainder, bind_target, \
-    emit_records, ensure_tuner, execute_rank_tasks, \
-    finish_rank_metrics, make_output_path, merge_shard_outputs, \
-    record_tuning, resolve_tuning, validate_knob
+from .base import ConversionResult, ShardableSpec, ShardRemainder, \
+    bind_target, converter_options, finish_rank_metrics, \
+    make_output_path, run_conversion, write_bam_records, \
+    write_text_chunks
 from .filters import ACCEPT_ALL, RecordFilter
 from .targets import get_target
 
@@ -48,21 +48,28 @@ def scan_header(path: str | os.PathLike[str]) -> tuple[SamHeader, int]:
     return SamHeader.from_text("".join(header_lines)), offset
 
 
-def partition_alignments(path: str | os.PathLike[str], nprocs: int,
-                         header_end: int) -> list[Partition]:
-    """Algorithm 1 over the alignment region ``[header_end, EOF)``."""
-    length = os.path.getsize(path) - header_end
+def partition_range(path: str | os.PathLike[str], start: int, end: int,
+                    n: int) -> list[Partition]:
+    """Algorithm 1 over the byte range ``[start, end)`` of *path*
+    (which must start at a record boundary); absolute offsets."""
     with open(path, "rb") as fh:
         def read_at(offset: int, size: int) -> bytes:
-            fh.seek(header_end + offset)
+            fh.seek(start + offset)
             return fh.read(size)
-        parts = partition_bytes_source(read_at, length, nprocs)
-    return [Partition(p.rank, p.start + header_end, p.end + header_end)
+        parts = partition_bytes_source(read_at, end - start, n)
+    return [Partition(p.rank, p.start + start, p.end + start)
             for p in parts]
 
 
+def partition_alignments(path: str | os.PathLike[str], nprocs: int,
+                         header_end: int) -> list[Partition]:
+    """Algorithm 1 over the alignment region ``[header_end, EOF)``."""
+    return partition_range(path, header_end, os.path.getsize(path),
+                           nprocs)
+
+
 @dataclass(frozen=True, slots=True)
-class SamRankSpec:
+class SamRankSpec(ShardableSpec):
     """Everything one conversion rank needs (picklable for the process
     executor)."""
 
@@ -87,41 +94,40 @@ class SamRankSpec:
         """Relative shard size: bytes of SAM text to parse."""
         return float(self.end - self.start)
 
-    def split(self, n: int) -> "list[SamRankSpec]":
-        """Over-decompose this rank's byte range into <= *n* shards.
+    def _pieces(self, n: int) -> list[dict]:
+        # Algorithm 1 again, so every shard starts at a record boundary.
+        return [{"start": p.start, "end": p.end}
+                for p in partition_range(self.sam_path, self.start,
+                                         self.end, n) if p.length > 0]
 
-        Algorithm 1 re-partitions ``[start, end)`` so every shard
-        starts at a record boundary; each shard writes its own
-        ``.shardNN`` part file (only shard 0 carries the file header)
-        and :meth:`merge_shards` concatenates them back.  Binary
-        targets decline — each part would be a complete BAM file.
-        """
-        if n <= 1 or self.end - self.start <= 1 \
-                or get_target(self.target).mode == "binary":
-            return [self]
-        length = self.end - self.start
-        with open(self.sam_path, "rb") as fh:
-            def read_at(offset: int, size: int) -> bytes:
-                fh.seek(self.start + offset)
-                return fh.read(size)
-            parts = partition_bytes_source(read_at, length, n)
-        parts = [p for p in parts if p.length > 0]
-        if len(parts) <= 1:
-            return [self]
-        # A tail re-split must not resurrect the header: shard 0 of a
-        # headerless spec (a straggler's remainder) stays headerless.
-        return [replace(self,
-                        start=self.start + p.start,
-                        end=self.start + p.end,
-                        out_path=f"{self.out_path}.shard{i:02d}",
-                        write_header=(i == 0 and self.write_header))
-                for i, p in enumerate(parts)]
 
-    def merge_shards(self, shard_specs: "list[SamRankSpec]",
-                     shard_results: list[RankMetrics]) -> RankMetrics:
-        """Ordered reducer: concatenate shard files into ``out_path``."""
-        return merge_shard_outputs(self.out_path, shard_specs,
-                                   shard_results)
+def _budgeted_batches(spec: SamRankSpec, reader: RangeLineReader,
+                      t_start: float, span_args: dict) -> Iterator[list]:
+    """Feed the spec's line batches until its straggler budget runs out.
+
+    With ``spec.budget_seconds`` set, elapsed time is checked after
+    every batch; once over budget the generator stops at the batch
+    boundary (everything converted so far is a valid output prefix) and
+    records ``yielded``/``resume_offset`` in the pipeline span's
+    *span_args*; the task hands the *remaining* byte range — a
+    headerless, un-budgeted sibling writing ``<out_path>.tail`` — to
+    the scheduler to re-split.  Consumed bytes are exact: every line
+    the reader yields cost ``len(line) + 1`` (the stripped newline),
+    and the only line without one is the file's last, in which case the
+    resume offset lands at/past ``end`` and the task is complete.
+    """
+    deadline = None if spec.budget_seconds is None \
+        else t_start + spec.budget_seconds
+    consumed = 0
+    for lines in reader.iter_batches(spec.batch_size):
+        faults.fire("shard.batch")
+        yield lines
+        consumed += sum(len(line) for line in lines) + len(lines)
+        if deadline is not None and time.perf_counter() > deadline \
+                and spec.start + consumed < spec.end:
+            span_args.update(yielded=True,
+                             resume_offset=spec.start + consumed)
+            return
 
 
 def _sam_rank_task(spec: SamRankSpec) \
@@ -139,105 +145,38 @@ def _sam_rank_task(spec: SamRankSpec) \
     reader = RangeLineReader(spec.sam_path, spec.start, spec.end,
                              chunk_size=spec.read_chunk, metrics=metrics)
 
-    def parsed_records():
-        stream = (parse_alignment(line) for line in reader
-                  if line and not line.startswith("@"))
-        yield from spec.record_filter.apply(stream)
+    def parsed(lines):
+        return (parse_alignment(line) for line in lines
+                if line and line[0] != "@")
+
+    def record_chunk(lines, out):
+        return *convert_records(parsed(lines), target,
+                                spec.record_filter, out), 0
 
     if target.mode == "binary":
-        from ..formats.bam import BamWriter
-        writer = BamWriter(spec.out_path, header)
-        emitted = 0
-        for record in parsed_records():
-            writer.write(record)
-            emitted += 1
-        writer.close()
-        metrics.records += emitted
-        metrics.emitted += emitted
-        metrics.bytes_written += os.path.getsize(spec.out_path)
+        write_bam_records(spec.out_path, header,
+                          spec.record_filter.apply(parsed(reader)),
+                          metrics)
     elif spec.pipeline == "batch":
-        tail = _sam_rank_batched(spec, reader, target, header, metrics,
-                                 t0)
-        if tail is not None:
-            return ShardRemainder(finish_rank_metrics(metrics, t0),
-                                  tail)
+        fast_emit = sam_fastpath_for(target)
+        span_args = {"fastpath": fast_emit is not None}
+        write_text_chunks(
+            spec, target, header,
+            _budgeted_batches(spec, reader, t0, span_args),
+            record_chunk if fast_emit is None else
+            lambda lines, out: convert_sam_lines(
+                lines, target, fast_emit, spec.record_filter, out),
+            metrics, "sam", span_args, "fallbacks")
+        if "resume_offset" in span_args:
+            tail = replace(spec, start=span_args["resume_offset"],
+                           out_path=spec.out_path + ".tail",
+                           write_header=False, budget_seconds=None)
+            return ShardRemainder(finish_rank_metrics(metrics, t0), tail)
     else:
-        with BufferedTextWriter(spec.out_path, metrics=metrics) as writer:
-            head = target.file_header(header)
-            if head and spec.write_header:
-                writer.write_text(head)
-            emit_records(parsed_records(), target, writer, metrics)
+        write_text_chunks(spec, target, header,
+                          reader.iter_batches(spec.batch_size),
+                          record_chunk, metrics, "sam", None)
     return finish_rank_metrics(metrics, t0)
-
-
-def _sam_rank_batched(spec: SamRankSpec, reader: RangeLineReader, target,
-                      header: SamHeader, metrics: RankMetrics,
-                      t_start: float) -> SamRankSpec | None:
-    """Batched text pipeline: chunk split -> column fastpath -> joined
-    writes.  Output is byte-identical to the per-record path.
-
-    Straggler cooperation: with ``spec.budget_seconds`` set, elapsed
-    time is checked after every batch; once over budget the task stops
-    at the batch boundary (everything written so far is a valid
-    prefix) and returns the spec of its *remaining* byte range — a
-    headerless, un-budgeted sibling writing ``<out_path>.tail`` — for
-    the scheduler to re-split.  Consumed bytes are exact: every line
-    the reader yields cost ``len(line) + 1`` (the stripped newline),
-    and the only line without one is the file's last, in which case
-    the resume offset lands at/past ``end`` and the task is complete.
-    """
-    fast_emit = batch_codec.sam_fastpath_for(target)
-    tracer = get_tracer()
-    seen = emitted = fallbacks = batches = 0
-    consumed = 0
-    deadline = None if spec.budget_seconds is None \
-        else t_start + spec.budget_seconds
-    tail: SamRankSpec | None = None
-    with tracer.span("batch.pipeline", "sam",
-                     args={"batch_size": spec.batch_size,
-                           "fastpath": fast_emit is not None,
-                           "target": spec.target}) as span, \
-            BufferedTextWriter(spec.out_path, metrics=metrics) as writer:
-        head = target.file_header(header)
-        if head and spec.write_header:
-            writer.write_text(head)
-        for lines in reader.iter_batches(spec.batch_size):
-            faults.fire("shard.batch")
-            out_lines: list[str] = []
-            if fast_emit is not None:
-                s, e, f = batch_codec.convert_sam_lines(
-                    lines, target, fast_emit, spec.record_filter,
-                    out_lines)
-            else:
-                s, e = batch_codec.convert_sam_lines_record(
-                    lines, target, spec.record_filter, out_lines)
-                f = 0
-            if out_lines:
-                writer.write_lines(out_lines)
-            seen += s
-            emitted += e
-            fallbacks += f
-            batches += 1
-            consumed += sum(len(line) for line in lines) + len(lines)
-            if deadline is not None \
-                    and time.perf_counter() > deadline:
-                resume = spec.start + consumed
-                if resume < spec.end:
-                    tail = replace(spec, start=resume,
-                                   out_path=spec.out_path + ".tail",
-                                   write_header=False,
-                                   budget_seconds=None)
-                    break
-        if span is not None:
-            span.args.update(batches=batches, records=seen,
-                             fallbacks=fallbacks)
-            if tail is not None:
-                span.args.update(yielded=True,
-                                 resume_offset=tail.start)
-    metrics.records += seen
-    metrics.emitted += emitted
-    metrics.fallbacks += fallbacks
-    return tail
 
 
 class SamConverter:
@@ -271,17 +210,11 @@ class SamConverter:
                  pipeline: str = "batch",
                  shards_per_rank: int | str = 1,
                  tuner: AutoTuner | None = None) -> None:
-        if pipeline not in PIPELINES:
-            raise ConversionError(
-                f"unknown pipeline {pipeline!r}; choose one of "
-                f"{PIPELINES}")
         self.read_chunk = read_chunk
-        self.batch_size = validate_knob(batch_size, "batch_size")
+        self.batch_size, self.shards_per_rank, self.tuner = \
+            converter_options(batch_size, pipeline, shards_per_rank,
+                              tuner)
         self.pipeline = pipeline
-        self.shards_per_rank = validate_knob(shards_per_rank,
-                                             "shards_per_rank")
-        self.tuner = ensure_tuner(tuner, self.shards_per_rank,
-                                  self.batch_size)
 
     def convert(self, sam_path: str | os.PathLike[str], target: str,
                 out_dir: str | os.PathLike[str], nprocs: int = 1,
@@ -296,29 +229,15 @@ class SamConverter:
         :class:`~repro.core.base.ConversionResult` whose
         ``rank_metrics`` feed the simulated-cluster model.
         """
-        if nprocs < 1:
-            raise ConversionError(f"nprocs {nprocs} must be >= 1")
         sam_path = os.fspath(sam_path)
-        out_dir = os.fspath(out_dir)
-        os.makedirs(out_dir, exist_ok=True)
-        t0 = time.perf_counter()
-        tracer = get_tracer()
-        with tracer.span("convert", "sam",
-                         args={"input": os.path.basename(sam_path),
-                               "target": target, "nprocs": nprocs}):
-            with tracer.span("partition", "sam"):
+
+        def plan(out_dir: str) -> tuple:
+            with get_tracer().span("partition", "sam"):
                 header, header_end = scan_header(sam_path)
                 partitions = partition_alignments(sam_path, nprocs,
                                                   header_end)
             target_plugin = get_target(target)  # validates the name early
             stem = os.path.splitext(os.path.basename(sam_path))[0]
-            shards, batch_size, tuning = resolve_tuning(
-                self.tuner, target=target, store_format="sam",
-                pipeline=self.pipeline,
-                total_units=os.path.getsize(sam_path) - header_end,
-                nprocs=nprocs, shards=self.shards_per_rank,
-                batch_size=self.batch_size,
-                default_batch=DEFAULT_BATCH_SIZE)
             specs = [
                 SamRankSpec(
                     sam_path=sam_path,
@@ -330,24 +249,18 @@ class SamConverter:
                     header_text=header.to_text(),
                     read_chunk=self.read_chunk,
                     record_filter=record_filter or ACCEPT_ALL,
-                    batch_size=batch_size,
                     pipeline=self.pipeline,
                 )
                 for p in partitions
             ]
-            rank_metrics = execute_rank_tasks(
-                _sam_rank_task, specs, executor,
-                shards_per_rank=shards, tuning=tuning)
-            record_tuning(tracer, tuning)
-        result = ConversionResult(
-            target=target,
-            outputs=[s.out_path for s in specs],
-            rank_metrics=rank_metrics,
-            records=sum(m.records for m in rank_metrics),
-            emitted=sum(m.emitted for m in rank_metrics),
-            wall_seconds=time.perf_counter() - t0,
-        )
-        return result
+            return ("sam", self.pipeline,
+                    os.path.getsize(sam_path) - header_end, specs)
+
+        return run_conversion(
+            self, _sam_rank_task,
+            ("convert", "sam", {"input": os.path.basename(sam_path),
+                                "target": target, "nprocs": nprocs}),
+            target, out_dir, nprocs, executor, plan)
 
 
 def convert_sam(sam_path: str | os.PathLike[str], target: str,

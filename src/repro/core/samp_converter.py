@@ -19,19 +19,20 @@ import time
 from dataclasses import dataclass, replace
 
 from ..errors import ConversionError
-from ..formats.baix import BaixIndex, default_index_path
-from ..formats.bamx import BamxWriter, plan_layout
+from ..formats.bamx import plan_layout
 from ..formats.batch import DEFAULT_BATCH_SIZE, parse_sam_lines
 from ..formats.header import SamHeader
+from ..formats.store import open_store_writer, store_extension, \
+    write_indexes, write_store_records
 from ..runtime.autotune import AutoTuner
 from ..runtime.buffers import RangeLineReader
 from ..runtime.metrics import RankMetrics
-from ..runtime.partition import partition_bytes_source
 from ..runtime.tracing import get_tracer
-from .base import ConversionResult, ensure_tuner, execute_rank_tasks, \
-    finish_rank_metrics, record_tuning, resolve_tuning, validate_knob
+from .base import ConversionResult, converter_options, \
+    finish_rank_metrics, run_conversion
 from .bam_converter import BamConverter
-from .sam_converter import partition_alignments, scan_header
+from .sam_converter import partition_alignments, partition_range, \
+    scan_header
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,6 +48,11 @@ class PreprocessSpec:
     batch_size: int = DEFAULT_BATCH_SIZE
     parse_only: bool = False
     store_format: str = "bamx"
+
+    @property
+    def out_path(self) -> str:
+        """The rank's output, as the conversion driver names it."""
+        return self.bamx_path
 
     def cost_hint(self) -> float:
         """Relative shard size: bytes of SAM text to parse."""
@@ -64,19 +70,11 @@ class PreprocessSpec:
         """
         if n <= 1 or self.end - self.start <= 1:
             return [self]
-        length = self.end - self.start
-        with open(self.sam_path, "rb") as fh:
-            def read_at(offset: int, size: int) -> bytes:
-                fh.seek(self.start + offset)
-                return fh.read(size)
-            parts = partition_bytes_source(read_at, length, n)
-        parts = [p for p in parts if p.length > 0]
+        parts = [p for p in partition_range(self.sam_path, self.start,
+                                            self.end, n) if p.length > 0]
         if len(parts) <= 1:
             return [self]
-        return [replace(self,
-                        start=self.start + p.start,
-                        end=self.start + p.end,
-                        parse_only=True)
+        return [replace(self, start=p.start, end=p.end, parse_only=True)
                 for p in parts]
 
     def merge_shards(self, shard_specs: "list[PreprocessSpec]",
@@ -112,31 +110,17 @@ def _write_rank_store(spec: PreprocessSpec, records: list,
     tracer = get_tracer()
     header = SamHeader.from_text(spec.header_text)
     layout = plan_layout(records)
-    if spec.store_format == "bamc":
-        from ..formats.bamc import BamcWriter
-        writer_ctx = BamcWriter(spec.bamx_path, header, layout,
-                                slab_records=spec.batch_size)
-    else:
-        writer_ctx = BamxWriter(spec.bamx_path, header, layout)
     with tracer.span("write", "samp", args={"records": len(records)}), \
-            writer_ctx as writer:
-        index_entries = []
-        with tracer.span("batch.encode", "samp",
-                         args={"batch_size": spec.batch_size}):
-            for off in range(0, len(records), spec.batch_size):
-                chunk = records[off:off + spec.batch_size]
-                first = writer.write_batch(chunk)
-                for j, record in enumerate(chunk):
-                    if record.rname != "*" and record.pos >= 0:
-                        index_entries.append((first + j, record))
-    baix_path = default_index_path(spec.bamx_path)
+            open_store_writer(spec.bamx_path, header, layout,
+                              spec.store_format,
+                              slab_records=spec.batch_size) as writer, \
+            tracer.span("batch.encode", "samp",
+                        args={"batch_size": spec.batch_size}):
+        index_entries = write_store_records(writer, records,
+                                            spec.batch_size)
     with tracer.span("index", "samp",
                      args={"entries": len(index_entries)}):
-        BaixIndex.build(index_entries, header).save(baix_path)
-        from ..formats.baix2 import BaixOverlapIndex
-        from ..formats.baix2 import default_index_path as baix2_path
-        BaixOverlapIndex.build(index_entries, header).save(
-            baix2_path(spec.bamx_path))
+        baix_path = write_indexes(index_entries, header, spec.bamx_path)
     metrics.bytes_written += (os.path.getsize(spec.bamx_path)
                               + os.path.getsize(baix_path))
 
@@ -173,19 +157,12 @@ class PreprocSamConverter:
                  shards_per_rank: int | str = 1,
                  store_format: str = "bamx",
                  tuner: AutoTuner | None = None) -> None:
-        from ..formats.store import STORE_FORMATS
-        if store_format not in STORE_FORMATS:
-            raise ConversionError(
-                f"unknown store format {store_format!r}; choose one of "
-                f"{STORE_FORMATS}")
         self.read_chunk = read_chunk
-        self.batch_size = validate_knob(batch_size, "batch_size")
+        self.batch_size, self.shards_per_rank, self.tuner = \
+            converter_options(batch_size, pipeline, shards_per_rank,
+                              tuner, store_format)
         self.pipeline = pipeline
-        self.shards_per_rank = validate_knob(shards_per_rank,
-                                             "shards_per_rank")
         self.store_format = store_format
-        self.tuner = ensure_tuner(tuner, self.shards_per_rank,
-                                  self.batch_size)
 
     def preprocess(self, sam_path: str | os.PathLike[str],
                    work_dir: str | os.PathLike[str], nprocs: int = 1,
@@ -195,28 +172,15 @@ class PreprocSamConverter:
 
         Returns the BAMX paths (rank order) and per-rank metrics.
         """
-        if nprocs < 1:
-            raise ConversionError(f"nprocs {nprocs} must be >= 1")
         sam_path = os.fspath(sam_path)
-        work_dir = os.fspath(work_dir)
-        os.makedirs(work_dir, exist_ok=True)
-        tracer = get_tracer()
-        with tracer.span("preprocess", "samp",
-                         args={"input": os.path.basename(sam_path),
-                               "nprocs": nprocs}):
-            with tracer.span("partition", "samp"):
+
+        def plan(work_dir: str) -> tuple:
+            with get_tracer().span("partition", "samp"):
                 header, header_end = scan_header(sam_path)
                 partitions = partition_alignments(sam_path, nprocs,
                                                   header_end)
             stem = os.path.splitext(os.path.basename(sam_path))[0]
-            ext = ".bamc" if self.store_format == "bamc" else ".bamx"
-            shards, batch_size, tuning = resolve_tuning(
-                self.tuner, target="preprocess",
-                store_format=self.store_format, pipeline="parse",
-                total_units=os.path.getsize(sam_path) - header_end,
-                nprocs=nprocs, shards=self.shards_per_rank,
-                batch_size=self.batch_size,
-                default_batch=DEFAULT_BATCH_SIZE)
+            ext = store_extension(False, self.store_format)
             specs = [
                 PreprocessSpec(
                     sam_path=sam_path,
@@ -226,16 +190,19 @@ class PreprocSamConverter:
                         work_dir, f"{stem}.part{p.rank:04d}{ext}"),
                     header_text=header.to_text(),
                     read_chunk=self.read_chunk,
-                    batch_size=batch_size,
                     store_format=self.store_format,
                 )
                 for p in partitions
             ]
-            metrics = execute_rank_tasks(
-                _preprocess_rank_task, specs, executor,
-                shards_per_rank=shards, tuning=tuning)
-            record_tuning(tracer, tuning)
-        return [s.bamx_path for s in specs], metrics
+            return (self.store_format, "parse",
+                    os.path.getsize(sam_path) - header_end, specs)
+
+        result = run_conversion(
+            self, _preprocess_rank_task,
+            ("preprocess", "samp", {"input": os.path.basename(sam_path),
+                                    "nprocs": nprocs}),
+            "preprocess", work_dir, nprocs, executor, plan)
+        return result.outputs, result.rank_metrics
 
     def convert(self, bamx_paths: list[str], target: str,
                 out_dir: str | os.PathLike[str], nprocs: int = 1,
@@ -256,27 +223,21 @@ class PreprocSamConverter:
                                      shards_per_rank=self.shards_per_rank,
                                      store_format=self.store_format,
                                      tuner=self.tuner)
-        outputs: list[str] = []
+        parts = [bam_converter.convert(bamx_path, target, out_dir, nprocs,
+                                       executor)
+                 for bamx_path in bamx_paths]
         # Rank r's total work is the sum of its share of every BAMX file,
         # matching the paper's one-file-at-a-time schedule.
-        combined: list[RankMetrics] = [RankMetrics() for _ in range(nprocs)]
-        records = 0
-        emitted = 0
-        for bamx_path in bamx_paths:
-            part = bam_converter.convert(bamx_path, target, out_dir,
-                                         nprocs, executor)
-            outputs.extend(part.outputs)
-            records += part.records
-            emitted += part.emitted
-            for rank in range(nprocs):
-                combined[rank] = combined[rank].merge(
-                    part.rank_metrics[rank])
+        combined = [RankMetrics() for _ in range(nprocs)]
+        for part in parts:
+            combined = [total.merge(metrics) for total, metrics
+                        in zip(combined, part.rank_metrics)]
         return ConversionResult(
             target=target,
-            outputs=outputs,
+            outputs=[path for part in parts for path in part.outputs],
             rank_metrics=combined,
-            records=records,
-            emitted=emitted,
+            records=sum(part.records for part in parts),
+            emitted=sum(part.emitted for part in parts),
             wall_seconds=time.perf_counter() - t0,
         )
 

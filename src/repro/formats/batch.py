@@ -28,8 +28,8 @@ Record filters apply on both fastpaths without materialization:
 both are available before any other field is decoded.
 
 Targets without a registered fastpath (GFF needs tags; JSON/YAML need
-every field) still run batched — parsed record-at-a-time but emitted
-through the same chunked writers — via the ``*_record`` drivers here.
+every field) still run batched — decoded record-at-a-time but emitted
+through the same chunked writers — via :func:`convert_records`.
 
 One behavioural caveat, by design: the fastpaths validate only the
 fields a target consumes, so a malformed column in a line the fast
@@ -43,6 +43,7 @@ from __future__ import annotations
 import re
 import struct
 from collections.abc import Iterable
+from itertools import islice
 
 from .bamx import _FIXED, BamxLayout
 from .cigar import REF_CONSUMING
@@ -244,17 +245,20 @@ def convert_sam_lines(lines: Iterable[str], target, fast_emit,
     return seen, emitted, fallbacks
 
 
-def convert_sam_lines_record(lines: Iterable[str], target, record_filter,
-                             out: list[str]) -> tuple[int, int]:
-    """Record-at-a-time batch driver for targets without a fastpath."""
+def convert_records(records: Iterable[AlignmentRecord], target,
+                    record_filter, out: list[str]) -> tuple[int, int]:
+    """The record-at-a-time driver: filter, ``target.emit``, collect.
+
+    Every source without a fastpath for *target* — and every source
+    under ``pipeline="record"`` — decodes its chunk into records and
+    runs them through here; appends emitted lines to *out* and returns
+    ``(records_seen, lines_emitted)`` (seen = post-filter).
+    """
     seen = emitted = 0
     flt = record_filter if record_filter is not None \
         and not record_filter.is_noop else None
     emit = target.emit
-    for line in lines:
-        if not line or line[0] == "@":
-            continue
-        record = parse_alignment(line)
+    for record in records:
         if flt is not None and not flt.matches(record):
             continue
         res = emit(record)
@@ -263,6 +267,14 @@ def convert_sam_lines_record(lines: Iterable[str], target, record_filter,
             out.append(res)
             emitted += 1
     return seen, emitted
+
+
+def batched(items: Iterable, n: int):
+    """Yield lists of up to *n* consecutive *items* (the
+    ``itertools.batched`` of Python 3.12)."""
+    items = iter(items)
+    while chunk := list(islice(items, n)):
+        yield chunk
 
 
 def parse_sam_lines(lines: Iterable[str]) -> list[AlignmentRecord]:
@@ -425,27 +437,6 @@ def convert_bamx_slab(buf, count: int, layout: BamxLayout, fast_emit,
             out.append(res)
             emitted += 1
         off += rsize
-    return seen, emitted
-
-
-def convert_bamx_slab_record(buf, count: int, layout: BamxLayout,
-                             header: SamHeader, target, record_filter,
-                             out: list[str]) -> tuple[int, int]:
-    """Record-at-a-time slab driver for targets without a fastpath."""
-    seen = emitted = 0
-    flt = record_filter if record_filter is not None \
-        and not record_filter.is_noop else None
-    rsize = layout.record_size
-    emit = target.emit
-    for i in range(count):
-        record = layout.decode(buf, header, i * rsize)
-        if flt is not None and not flt.matches(record):
-            continue
-        res = emit(record)
-        seen += 1
-        if res is not None:
-            out.append(res)
-            emitted += 1
     return seen, emitted
 
 

@@ -320,22 +320,3 @@ def kernel_emitter_for(target, header: SamHeader):
     if maker is None:
         return None
     return maker(header)
-
-
-def convert_slab_record(slab: ColumnSlab, header: SamHeader, target,
-                        record_filter,
-                        out: list[str]) -> tuple[int, int]:
-    """Record-at-a-time slab driver for targets without a kernel."""
-    seen = emitted = 0
-    flt = record_filter if record_filter is not None \
-        and not record_filter.is_noop else None
-    emit = target.emit
-    for record in slab.decode_all(header):
-        if flt is not None and not flt.matches(record):
-            continue
-        res = emit(record)
-        seen += 1
-        if res is not None:
-            out.append(res)
-            emitted += 1
-    return seen, emitted

@@ -1,24 +1,41 @@
-"""Record-store opener: BAMX, BAMZ and BAMC behind one interface.
+"""Record stores behind one interface: BAMX, BAMZ and BAMC.
 
 All readers expose ``len``, ``[i]``, ``read_range``, iteration,
 ``.header`` and ``.layout``; converters call :func:`open_record_store`
-and never care which physical format backs the store.  The columnar
-BAMC reader additionally offers ``read_column_batches`` /
-``read_column_picks``, which the converters feature-detect to run the
-vectorized kernels.
+and never care which physical format backs the store.  Everything else
+that depends on the physical format lives here too, one row per store:
+
+* :func:`chunk_protocol` / :func:`column_slabs` — how an opened store
+  feeds the converters' chunk loop (raw record slabs for BAMX/BAMZ,
+  column slabs for BAMC) and the statistics kernels;
+* :func:`open_store_writer` / :func:`write_store_records` /
+  :func:`write_indexes` — how the preprocessors write a store and its
+  BAIX/BAIX2 sidecars;
+* :func:`index_path_for` / :func:`region_locator` — how partial
+  conversion finds a store's index and queries it.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable, Iterable
 from typing import Union
 
 from ..errors import BamxFormatError
+from . import baix as _baix
+from . import baix2 as _baix2
 from . import bamc as _bamc
 from . import bamx as _bamx
-from .bamc import BamcReader
-from .bamx import BamxReader
-from .bamz import BamzReader
+from .baix import BaixIndex
+from .baix2 import BaixOverlapIndex
+from .bamc import BamcReader, BamcWriter
+from .bamx import BamxLayout, BamxReader, BamxWriter
+from .bamz import BamzReader, BamzWriter
+from .batch import DEFAULT_BATCH_SIZE, bamx_fastpath_for, batched, \
+    convert_bamx_slab, convert_records, decode_bamx_batch
+from .header import SamHeader
+from .kernels import KernelFallback, kernel_emitter_for
+from .record import AlignmentRecord
 
 RecordStore = Union[BamxReader, BamzReader, BamcReader]
 
@@ -57,3 +74,196 @@ def store_extension(compress: bool,
                 "store_format='bamx' with compress=True for BAMZ")
         return ".bamc"
     return ".bamz" if compress else ".bamx"
+
+
+# -- reading: the chunk protocol ------------------------------------
+
+def _raw_protocol(reader: BamxReader | BamzReader) -> tuple:
+    """BAMX/BAMZ: chunks are ``(memoryview, count)`` raw record slabs
+    converted through the field fastpaths of :mod:`.batch`."""
+    header, layout = reader.header, reader.layout
+
+    def pick_chunks(indices, batch_size):
+        for off in range(0, len(indices), batch_size):
+            part = indices[off:off + batch_size]
+            yield memoryview(b"".join(map(reader.read_raw, part))), \
+                len(part)
+
+    def decode_chunk(chunk):
+        # Full decode touches every field: materializing the slab once
+        # makes the per-field slices cheap bytes slices (small
+        # memoryview slices are slower than the one big copy).
+        return decode_bamx_batch(bytes(chunk[0]), chunk[1], layout, header)
+
+    def fast_chunk(target, record_filter, record_chunk):
+        emit = bamx_fastpath_for(target, layout, header)
+        if emit is None:
+            return None
+
+        def convert_chunk(chunk, out):
+            seen, emitted = convert_bamx_slab(
+                chunk[0], chunk[1], layout, emit, record_filter, out)
+            return seen, emitted, 0
+        return convert_chunk
+
+    return (reader.read_raw_batches, pick_chunks, decode_chunk,
+            fast_chunk, "fastpath", None)
+
+
+def _column_protocol(reader: BamcReader) -> tuple:
+    """BAMC: chunks are :class:`~.bamc.ColumnSlab`s emitted by the
+    vectorized kernels; a slab a kernel declines degrades to the record
+    driver and is counted in ``metrics.kernel_fallbacks``."""
+    header = reader.header
+
+    def fast_chunk(target, record_filter, record_chunk):
+        emit = kernel_emitter_for(target, header)
+        if emit is None:
+            return None
+
+        def convert_chunk(slab, out):
+            try:
+                lines, seen = emit(slab, record_filter)
+            except KernelFallback:
+                return record_chunk(slab, out)
+            out.extend(lines)
+            return seen, len(lines), 0
+        return convert_chunk
+
+    return (lambda start, stop, batch_size:
+            reader.read_column_batches(start, stop),
+            lambda indices, batch_size: reader.read_column_picks(indices),
+            lambda slab: slab.decode_all(header),
+            fast_chunk, "kernel", "kernel_fallbacks")
+
+
+#: One row per store format: which chunk protocol its reader speaks.
+_PROTOCOLS: dict[type, Callable[..., tuple]] = {
+    BamxReader: _raw_protocol,
+    BamzReader: _raw_protocol,
+    BamcReader: _column_protocol,
+}
+
+
+def chunk_protocol(reader: RecordStore) -> tuple:
+    """How an opened store feeds the converters' one chunk loop.
+
+    Returns ``(range_chunks, pick_chunks, decode_chunk,
+    make_convert_chunk)``:
+
+    * ``range_chunks(start, stop, batch_size)`` / ``pick_chunks(indices,
+      batch_size)`` iterate the selection as chunks in record order;
+    * ``decode_chunk(chunk)`` yields the chunk's alignment records (the
+      binary-target and record-pipeline path);
+    * ``make_convert_chunk(target, record_filter, pipeline)`` returns
+      ``(convert_chunk, span_args, fallback_field)`` for
+      :func:`repro.core.base.write_text_chunks` — the store's fast
+      emitter when ``pipeline == "batch"`` and *target* has one, else
+      :func:`~.batch.convert_records` over ``decode_chunk``.
+    """
+    range_chunks, pick_chunks, decode_chunk, fast_chunk, span_key, \
+        fallback_field = _PROTOCOLS[type(reader)](reader)
+
+    def make_convert_chunk(target, record_filter, pipeline):
+        def record_chunk(chunk, out):
+            seen, emitted = convert_records(decode_chunk(chunk), target,
+                                            record_filter, out)
+            return seen, emitted, 1
+        if pipeline != "batch":
+            return record_chunk, None, None
+        fast = fast_chunk(target, record_filter, record_chunk)
+        return (fast or record_chunk, {span_key: fast is not None},
+                fallback_field)
+
+    return range_chunks, pick_chunks, decode_chunk, make_convert_chunk
+
+
+def column_slabs(reader: RecordStore):
+    """Every :class:`~.bamc.ColumnSlab` of a columnar store, in record
+    order — or ``None`` for a row store (BAMX/BAMZ), whose callers fall
+    back to iterating records.  What the flagstat/histogram kernels
+    dispatch on."""
+    if isinstance(reader, BamcReader):
+        return reader.read_column_batches(0, len(reader))
+    return None
+
+
+# -- writing: store + index sidecars --------------------------------
+
+def open_store_writer(path: str | os.PathLike[str], header: SamHeader,
+                      layout: BamxLayout, store_format: str = "bamx",
+                      compress: bool = False, level: int = 6,
+                      slab_records: int = DEFAULT_BATCH_SIZE,
+                      ) -> BamxWriter | BamzWriter | BamcWriter:
+    """The writer for a *store_format* / *compress* combination
+    (validated by :func:`store_extension`)."""
+    if store_extension(compress, store_format) == ".bamc":
+        return BamcWriter(path, header, layout, slab_records=slab_records)
+    if compress:
+        return BamzWriter(path, header, layout, level=level)
+    return BamxWriter(path, header, layout)
+
+
+def write_store_records(writer: BamxWriter | BamzWriter | BamcWriter,
+                        records: Iterable[AlignmentRecord],
+                        batch_size: int) -> list:
+    """Append *records* in batches of *batch_size*; returns the
+    ``(index, record)`` entries of the placed ones for the indexes.
+
+    Writers with ``write_batch`` encode each batch into one
+    preallocated buffer; BAMZ needs per-record virtual offsets and
+    keeps the per-record write.
+    """
+    entries: list = []
+    has_batch = hasattr(writer, "write_batch")
+    for chunk in batched(records, batch_size):
+        if has_batch:
+            first = writer.write_batch(chunk)
+            indices = range(first, first + len(chunk))
+        else:
+            indices = [writer.write(record) for record in chunk]
+        entries.extend((i, record) for i, record in zip(indices, chunk)
+                       if record.rname != "*" and record.pos >= 0)
+    return entries
+
+
+def index_path_for(store_path: str | os.PathLike[str],
+                   mode: str = "start") -> str:
+    """Sidecar index of a store: ``.baix`` for ``mode="start"``
+    queries, ``.baix2`` for ``mode="overlap"``."""
+    return (_baix2 if mode == "overlap" else _baix).default_index_path(
+        store_path)
+
+
+def write_indexes(entries: list, header: SamHeader,
+                  store_path: str | os.PathLike[str],
+                  baix_path: str | os.PathLike[str] | None = None,
+                  ) -> str:
+    """Build and save the BAIX and BAIX2 sidecars of a store; returns
+    the BAIX path."""
+    baix_path = os.fspath(baix_path) if baix_path is not None \
+        else index_path_for(store_path)
+    BaixIndex.build(entries, header).save(baix_path)
+    BaixOverlapIndex.build(entries, header).save(
+        index_path_for(store_path, "overlap"))
+    return baix_path
+
+
+def region_locator(store_path: str | os.PathLike[str], mode: str,
+                   index_path: str | os.PathLike[str] | None = None,
+                   ) -> Callable[[int, int, int], Iterable[int]]:
+    """``locate(ref_id, start, end) -> record indices`` over a store's
+    sidecar index.
+
+    ``mode="start"`` (the paper's semantics) selects records whose
+    starting position lies in the region, by binary search over the v1
+    BAIX; ``mode="overlap"`` selects records whose alignment span
+    overlaps it, via the v2 overlap index.
+    """
+    if index_path is None:
+        index_path = index_path_for(store_path, mode)
+    if mode == "overlap":
+        return BaixOverlapIndex.load(index_path).locate_overlaps
+    index = BaixIndex.load(index_path)
+    return lambda ref_id, start, end: index.record_indices(
+        *index.locate(ref_id, start, end))

@@ -27,12 +27,11 @@ import time
 from typing import Any
 
 from ..core import BamConverter, SamConverter, parse_filter_expr
-from ..core.base import ConversionResult
+from ..core.base import ConversionResult, validate_knob
 from ..errors import JobNotFoundError, ServiceError, \
     ServiceOverloadedError
-from ..formats.baix import default_index_path
-from ..formats.store import store_extension
-from ..runtime.autotune import AUTO, AutoTuner, CostModel
+from ..formats.store import index_path_for
+from ..runtime.autotune import AutoTuner, CostModel
 from ..runtime.metrics import ServiceMetrics
 from . import journal as journal_mod
 from . import protocol
@@ -44,33 +43,6 @@ from .scheduler import WorkerPool
 
 #: Job kinds the service runner dispatches on.
 JOB_KINDS = ("convert", "region", "preprocess")
-
-
-def _parse_knob(value: Any, name: str) -> int | str:
-    """Validate a job's ``shards``/``batch_size`` knob.
-
-    Accepts a positive int (or its string form) or ``"auto"``; anything
-    else raises :class:`~repro.errors.ServiceError` naming the bad
-    value — submitters get a clear rejection instead of a worker-side
-    ``int()`` traceback.
-    """
-    if isinstance(value, str):
-        if value.strip().lower() == AUTO:
-            return AUTO
-        try:
-            value = int(value)
-        except ValueError:
-            raise ServiceError(
-                f"invalid {name} value {value!r}: expected a positive "
-                f"integer or 'auto'") from None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ServiceError(
-            f"invalid {name} value {value!r}: expected a positive "
-            f"integer or 'auto'")
-    if value < 1:
-        raise ServiceError(
-            f"invalid {name} value {value}: must be >= 1 (or 'auto')")
-    return value
 
 
 def _result_dict(result: ConversionResult,
@@ -145,8 +117,8 @@ class ConversionService:
         self.work_dir = os.fspath(work_dir)
         os.makedirs(self.work_dir, exist_ok=True)
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self.shards_per_rank = _parse_knob(shards_per_rank,
-                                           "shards_per_rank")
+        self.shards_per_rank = validate_knob(
+            shards_per_rank, "shards_per_rank", ServiceError)
         self.tuner = AutoTuner(
             CostModel(cost_model_path if cost_model_path is not None
                       else os.path.join(self.work_dir,
@@ -210,7 +182,7 @@ class ConversionService:
         # fail the submission, not a worker thread minutes later.
         for knob in ("shards", "batch_size"):
             if knob in params:
-                _parse_knob(params[knob], knob)
+                validate_knob(params[knob], knob, ServiceError)
         job = Job(kind=kind, params=dict(params), priority=priority,
                   timeout=timeout, max_retries=max_retries,
                   backoff=backoff)
@@ -259,13 +231,14 @@ class ConversionService:
         # Journal-recovered jobs bypass submit(), so knobs are
         # re-validated here with the same friendly errors.
         knobs: dict[str, Any] = {
-            "shards_per_rank": _parse_knob(
-                params.get("shards", self.shards_per_rank), "shards"),
+            "shards_per_rank": validate_knob(
+                params.get("shards", self.shards_per_rank), "shards",
+                ServiceError),
             "tuner": self.tuner,
         }
         if "batch_size" in params:
-            knobs["batch_size"] = _parse_knob(params["batch_size"],
-                                              "batch_size")
+            knobs["batch_size"] = validate_knob(
+                params["batch_size"], "batch_size", ServiceError)
         source = os.fspath(params["input"])
         lowered = source.lower()
         if job.kind == "preprocess":
@@ -274,6 +247,7 @@ class ConversionService:
                 store_format=params.get("store_format", "bamx"))
             return {"artifacts": entry.files(),
                     "cache": "hit" if hit else "miss"}
+        cache_state = None
         if job.kind == "region":
             store_path, baix_path, cache_state = self._store_for(
                 source, params)
@@ -282,19 +256,15 @@ class ConversionService:
                 params["target"], params["out_dir"], nprocs, executor,
                 mode=params.get("mode", "start"),
                 record_filter=record_filter)
-            self._note_fallbacks(result)
-            return _result_dict(result, cache_state)
-        # kind == "convert"
-        if lowered.endswith(".sam"):
+        elif lowered.endswith(".sam"):
             result = SamConverter(**knobs).convert(
                 source, params["target"], params["out_dir"], nprocs,
                 executor, record_filter=record_filter)
-            self._note_fallbacks(result)
-            return _result_dict(result, None)
-        store_path, _, cache_state = self._store_for(source, params)
-        result = BamConverter(**knobs).convert(
-            store_path, params["target"], params["out_dir"], nprocs,
-            executor, record_filter=record_filter)
+        else:
+            store_path, _, cache_state = self._store_for(source, params)
+            result = BamConverter(**knobs).convert(
+                store_path, params["target"], params["out_dir"], nprocs,
+                executor, record_filter=record_filter)
         self._note_fallbacks(result)
         return _result_dict(result, cache_state)
 
@@ -335,33 +305,24 @@ class ConversionService:
             source, compress=bool(params.get("compress", False)),
             store_format=params.get("store_format", "bamx"))
         store_path = self._entry_store(entry)
-        mode = params.get("mode", "start")
-        if mode == "overlap":
-            from ..formats.baix2 import default_index_path as baix2_path
-            return store_path, baix2_path(store_path), \
-                "hit" if hit else "miss"
-        return store_path, default_index_path(store_path), \
+        return store_path, \
+            index_path_for(store_path, params.get("mode", "start")), \
             "hit" if hit else "miss"
 
     def _preprocessed(self, bam_path: str, compress: bool,
                       store_format: str = "bamx",
                       ) -> tuple[CacheEntry, bool]:
         """Fetch-or-build the preprocessing artifacts for a BAM."""
-        from ..core.bam_converter import preprocess_bam
         params = {"op": "preprocess_bam", "compress": compress}
         if store_format != "bamx":
             # Appended only for non-default formats so cache entries
             # built before BAMC existed keep their keys.
             params["store_format"] = store_format
-        stem = os.path.splitext(os.path.basename(bam_path))[0]
 
         def builder(entry_dir: str) -> None:
-            store_path = os.path.join(
-                entry_dir,
-                stem + store_extension(compress, store_format))
-            metrics = preprocess_bam(bam_path, store_path,
-                                     compress=compress,
-                                     store_format=store_format)
+            _, _, metrics = BamConverter(
+                store_format=store_format).preprocess(
+                bam_path, entry_dir, compress=compress)
             self.metrics.inc("preprocess_runs")
             self.metrics.observe("preprocess_seconds",
                                  metrics.total_seconds)

@@ -82,16 +82,18 @@ def histogram_from_store(reader, bin_size: int = 25,
     CIGAR is ever decoded; row stores fall back to
     :func:`histogram_from_records`.
     """
-    header = reader.header
-    if not hasattr(reader, "read_column_batches"):
-        return histogram_from_records(iter(reader), header, bin_size)
     from ..formats.kernels import add_coverage_events
+    from ..formats.store import column_slabs
+    header = reader.header
+    slabs = column_slabs(reader)
+    if slabs is None:
+        return histogram_from_records(iter(reader), header, bin_size)
     diffs = {ref.name: np.zeros(ref.length + 1, dtype=np.int64)
              for ref in header.references}
     ref_ids = {ref.name: header.ref_id(ref.name)
                for ref in header.references}
     lengths = {ref.name: ref.length for ref in header.references}
-    for slab in reader.read_column_batches(0, len(reader)):
+    for slab in slabs:
         for name, diff in diffs.items():
             add_coverage_events(slab, ref_ids[name], lengths[name], diff)
     return {name: bin_coverage(np.cumsum(diff[:-1]), bin_size)

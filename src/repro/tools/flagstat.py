@@ -123,15 +123,16 @@ def flagstat_store(reader) -> FlagStats:
     :func:`repro.formats.kernels.flagstat_slab` kernel — no record ever
     materializes; row stores fall back to the record path.
     """
-    if hasattr(reader, "read_column_batches"):
-        from ..formats.kernels import flagstat_slab
-        stats = FlagStats()
-        for slab in reader.read_column_batches(0, len(reader)):
-            counts = flagstat_slab(slab)
-            for name, value in counts.items():
-                setattr(stats, name, getattr(stats, name) + value)
-        return stats
-    return flagstat_records(reader)
+    from ..formats.kernels import flagstat_slab
+    from ..formats.store import column_slabs
+    slabs = column_slabs(reader)
+    if slabs is None:
+        return flagstat_records(reader)
+    stats = FlagStats()
+    for slab in slabs:
+        for name, value in flagstat_slab(slab).items():
+            setattr(stats, name, getattr(stats, name) + value)
+    return stats
 
 
 def flagstat(path: str | os.PathLike[str]) -> FlagStats:

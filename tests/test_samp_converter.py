@@ -94,6 +94,20 @@ def test_empty_bamx_list_rejected(tmp_path):
         PreprocSamConverter().convert([], "bed", tmp_path / "o")
 
 
+@pytest.mark.parametrize("bad", [{"pipeline": "bogus"},
+                                 {"store_format": "parquet"},
+                                 {"batch_size": 0},
+                                 {"shards_per_rank": "many"}])
+def test_bad_options_rejected_before_any_work(tmp_path, bad):
+    """The constructor validates every option up front: a typo must not
+    cost a full parallel preprocess before convert() notices it."""
+    with pytest.raises(ConversionError):
+        PreprocSamConverter(**bad).convert_end_to_end(
+            tmp_path / "missing.sam", "bed", tmp_path / "w",
+            tmp_path / "o")
+    assert os.listdir(tmp_path) == []
+
+
 def test_invalid_nprocs(sam_file, tmp_path):
     with pytest.raises(ConversionError):
         PreprocSamConverter().preprocess(sam_file, tmp_path, nprocs=0)

@@ -75,6 +75,33 @@ def test_binary_targets_decline_to_split(sam_file, tmp_path):
     assert spec.split(4) == [spec]
 
 
+@pytest.mark.parametrize("kind", ["sam", "range", "pick"])
+def test_resplit_never_resurrects_the_header(sam_file, bam_file,
+                                             tmp_path, kind):
+    """Shard 0 of a headerless spec (a straggler's tail) stays
+    headerless, whichever spec class is re-split."""
+    from dataclasses import replace
+
+    from repro.core.bam_converter import BamxPickSpec, BamxRangeSpec
+    from repro.core.sam_converter import SamRankSpec, scan_header
+    if kind == "sam":
+        _, header_end = scan_header(sam_file)
+        spec = SamRankSpec(sam_file, header_end,
+                           os.path.getsize(sam_file), "sam",
+                           str(tmp_path / "x.sam"), "", 4096)
+    else:
+        bamx, _, _ = BamConverter().preprocess(bam_file, tmp_path / "w")
+        spec = BamxRangeSpec(bamx, 0, 90, "sam", str(tmp_path / "x.sam")) \
+            if kind == "range" else \
+            BamxPickSpec(bamx, tuple(range(90)), "sam",
+                         str(tmp_path / "x.sam"))
+    shards = spec.split(3)
+    assert [s.write_header for s in shards] == [True, False, False]
+    tails = replace(spec, write_header=False).split(3)
+    assert len(tails) == 3
+    assert not any(s.write_header for s in tails)
+
+
 def test_sam_converter_sharded_with_filter(sam_file, tmp_path):
     f = RecordFilter(min_mapq=30, primary_only=True)
     static = SamConverter().convert(sam_file, "bed", tmp_path / "s",
@@ -345,3 +372,169 @@ def test_auto_shards_identity_vs_static(sam_file, tmp_path):
             executor=executor)
         assert read_parts(auto) == read_parts(static), run
         assert_no_shard_leftovers(tmp_path / run)
+
+
+# -- One runner / one chunk loop: equivalence over the folded paths --
+
+#: Span names whose shape `repro status --trace` and
+#: docs/observability.md show users.
+_SHAPE_SPANS = ("rank", "shard", "write", "batch.pipeline", "autotune")
+
+#: ``(source, schedule) -> [(name, category, arg keys,
+#: has-parent, count)]``, captured at the commit before the twins were
+#: folded (d5ff596); executor and tracer-on/off must not change it.
+GOLDEN_SPANS = {
+    ("sam", "static"): [
+        ("batch.pipeline", "sam",
+         "batch_size,batches,fallbacks,fastpath,records,target",
+         True, 2),
+        ("convert", "sam", "input,nprocs,target", False, 1),
+        ("rank", "rank", "task", True, 2),
+    ],
+    ("sam", "shards3"): [
+        ("batch.pipeline", "sam",
+         "batch_size,batches,fallbacks,fastpath,records,target",
+         True, 6),
+        ("convert", "sam", "input,nprocs,target", False, 1),
+        ("shard", "rank", "rank,shard,task", True, 6),
+    ],
+    ("sam", "resplit"): [
+        ("autotune", "autotune", "cost_model", True, 1),
+        ("batch.pipeline", "sam",
+         "batch_size,batches,fallbacks,fastpath,records,resume_offset,"
+         "target,yielded",
+         True, 6),
+        ("batch.pipeline", "sam",
+         "batch_size,batches,fallbacks,fastpath,records,target",
+         True, 16),
+        ("convert", "sam", "input,nprocs,target", False, 1),
+        ("shard", "rank", "rank,shard,task", True, 22),
+    ],
+    ("bamx", "static"): [
+        ("batch.pipeline", "bam",
+         "batch_size,batches,fastpath,records,target",
+         True, 2),
+        ("convert", "bam", "nprocs,store,target", False, 1),
+        ("rank", "rank", "task", True, 2),
+        ("write", "io", "out", True, 2),
+    ],
+    ("bamx", "shards3"): [
+        ("batch.pipeline", "bam",
+         "batch_size,batches,fastpath,records,target",
+         True, 6),
+        ("convert", "bam", "nprocs,store,target", False, 1),
+        ("shard", "rank", "rank,shard,task", True, 6),
+        ("write", "io", "out", True, 6),
+    ],
+    ("bamx", "resplit"): [
+        ("autotune", "autotune", "cost_model", True, 1),
+        ("batch.pipeline", "bam",
+         "batch_size,batches,fastpath,records,target",
+         True, 6),
+        ("convert", "bam", "nprocs,store,target", False, 1),
+        ("shard", "rank", "rank,shard,task", True, 6),
+        ("write", "io", "out", True, 6),
+    ],
+    ("bamc", "static"): [
+        ("batch.pipeline", "bam",
+         "batch_size,batches,fallbacks,kernel,records,target",
+         True, 2),
+        ("convert", "bam", "nprocs,store,target", False, 1),
+        ("rank", "rank", "task", True, 2),
+        ("write", "io", "out", True, 2),
+    ],
+    ("bamc", "shards3"): [
+        ("batch.pipeline", "bam",
+         "batch_size,batches,fallbacks,kernel,records,target",
+         True, 6),
+        ("convert", "bam", "nprocs,store,target", False, 1),
+        ("shard", "rank", "rank,shard,task", True, 6),
+        ("write", "io", "out", True, 6),
+    ],
+    ("bamc", "resplit"): [
+        ("autotune", "autotune", "cost_model", True, 1),
+        ("batch.pipeline", "bam",
+         "batch_size,batches,fallbacks,kernel,records,target",
+         True, 6),
+        ("convert", "bam", "nprocs,store,target", False, 1),
+        ("shard", "rank", "rank,shard,task", True, 6),
+        ("write", "io", "out", True, 6),
+    ],
+}
+
+
+def span_shape(tracer):
+    """Sorted multiset of the user-visible span shapes of a traced run."""
+    counts = {}
+    for s in tracer.spans():
+        if s.name in _SHAPE_SPANS or s.name.startswith("convert"):
+            key = (s.name, s.category, ",".join(sorted(s.args)),
+                   s.parent_id is not None)
+            counts[key] = counts.get(key, 0) + 1
+    return sorted(key + (n,) for key, n in counts.items())
+
+
+@pytest.fixture(scope="module")
+def fold_sources(sam_file, bam_file, tmp_path_factory):
+    """SAM / BAMX / BAMC inputs plus their record-pipeline oracles."""
+    work = tmp_path_factory.mktemp("fold")
+    bamx, _, _ = BamConverter().preprocess(bam_file, work / "wx")
+    bamc, _, _ = BamConverter(store_format="bamc").preprocess(
+        bam_file, work / "wc")
+    sources = {"sam": (SamConverter, sam_file),
+               "bamx": (BamConverter, bamx),
+               "bamc": (BamConverter, bamc)}
+    oracles = {}
+    for name, (cls, path) in sources.items():
+        for target in ("bed", "json"):
+            result = cls(pipeline="record").convert(
+                path, target, work / f"oracle-{name}-{target}", nprocs=1)
+            oracles[name, target] = open(result.outputs[0], "rb").read()
+    return sources, oracles
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("target", ["bed", "json"])
+@pytest.mark.parametrize("schedule", ["static", "shards3", "resplit"])
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("source", ["sam", "bamx", "bamc"])
+def test_folded_paths_match_record_oracle_and_span_shape(
+        fold_sources, tmp_path, source, executor, schedule, target,
+        traced):
+    """Every executor x schedule x tracer x source combination runs the
+    same task runner and chunk loop: bytes equal the record-pipeline
+    single-rank oracle, and a traced run shows the golden span shape."""
+    from repro.runtime import faults
+    from repro.runtime.autotune import AutoTuner, CostModel
+    from repro.runtime.executor import reset_shared_executor
+    from repro.runtime.tracing import Tracer, install
+
+    sources, oracles = fold_sources
+    cls, path = sources[source]
+    knobs = {}
+    if schedule != "static":
+        knobs["shards_per_rank"] = 3
+    if schedule == "resplit":
+        knobs.update(batch_size=64, tuner=AutoTuner(
+            CostModel(tmp_path / "m.json"), budget_override=0.001))
+        faults.arm("shard.batch:delay")
+        # Pool workers must fork after arming to see the fault (and be
+        # discarded afterwards so they do not leak it).
+        reset_shared_executor()
+    tracer = Tracer(enabled=traced)
+    prev = install(tracer)
+    try:
+        result = cls(**knobs).convert(path, target, tmp_path / "out",
+                                      nprocs=2, executor=executor)
+    finally:
+        install(prev)
+        if schedule == "resplit":
+            faults.disarm()
+            reset_shared_executor()
+    produced = b"".join(open(p, "rb").read() for p in result.outputs)
+    assert produced == oracles[source, target]
+    assert_no_shard_leftovers(tmp_path / "out")
+    if traced:
+        assert span_shape(tracer) == GOLDEN_SPANS[source, schedule]
+    else:
+        assert tracer.spans() == []
