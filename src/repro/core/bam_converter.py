@@ -30,13 +30,14 @@ from itertools import chain
 import numpy as np
 
 from ..errors import ConversionError
-from ..formats.bam import BamReader
-from ..formats.bamx import plan_layout
+from ..formats.baix2 import record_columns
+from ..formats.bam import BamReader, slab_columns, slab_records
+from ..formats.bamx import BamxLayout, plan_layout, slab_layout
 from ..formats.batch import DEFAULT_BATCH_SIZE, batched, \
     convert_records
-from ..formats.store import chunk_protocol, index_path_for, \
-    open_record_store, open_store_writer, region_locator, \
-    store_extension, write_indexes, write_store_records
+from ..formats.store import chunk_protocol, concat_columns, \
+    index_path_for, open_record_store, open_store_writer, publishing, \
+    region_locator, store_extension, write_indexes
 from ..runtime.autotune import AUTO, AutoTuner
 from ..runtime.metrics import RankMetrics
 from ..runtime.partition import partition_records
@@ -61,7 +62,11 @@ def preprocess_bam(bam_path: str | os.PathLike[str],
 
     Two streaming passes over the BAM (layout planning, then writing);
     the BGZF layer forbids anything but sequential decoding, which is
-    why this phase cannot be parallelized (§III-B).  With
+    why this phase cannot be parallelized (§III-B).  Both passes move
+    bytes, not objects: a slab of *batch_size* records is column views
+    over the inflated bytes, and only a slab that is not provably
+    canonical is decoded into records (``metrics.fallbacks``).  Store
+    and sidecars get their final names once all are complete.  With
     ``compress=True`` the record store is written as BGZF-compressed
     BAMZ (the paper's future-work extension) instead of raw BAMX; with
     ``store_format="bamc"`` it is written as the slab-columnar BAMC,
@@ -76,35 +81,53 @@ def preprocess_bam(bam_path: str | os.PathLike[str],
     with tracer.span("preprocess", "bam",
                      args={"input": os.path.basename(bam_path),
                            "compress": compress,
-                           "store_format": store_format}):
-        # Pass 1: plan the fixed-field capacities.
-        count = 0
-
-        def counted(records):
-            nonlocal count
-            for count, record in enumerate(records, 1):
-                yield record
+                           "store_format": store_format}), \
+            publishing(bamx_path, baix_path) as tmp_path:
+        # Pass 1: plan the fixed-field capacities from length columns.
+        layout = BamxLayout(0, 0, 0, 0)
         with tracer.span("plan", "bam"), BamReader(bam_path) as reader:
             header = reader.header
-            layout = plan_layout(counted(reader))
-        # Pass 2: write aligned records and collect index entries.
-        with tracer.span("write", "bam", args={"records": count}), \
+            for slab, records in _slabs(reader, batch_size):
+                metrics.records += len(records) if slab is None \
+                    else slab.count
+                layout = layout.merge(plan_layout(records) if slab is None
+                                      else slab_layout(slab))
+        # Pass 2: write aligned records and collect index columns.
+        columns = []
+        with tracer.span("write", "bam",
+                         args={"records": metrics.records}), \
                 BamReader(bam_path) as reader, \
-                open_store_writer(bamx_path, header, layout, store_format,
+                open_store_writer(tmp_path, header, layout, store_format,
                                   compress, level, batch_size) as writer, \
                 tracer.span("batch.encode", "bam",
-                            args={"batch_size": batch_size}):
-            index_entries = write_store_records(writer, reader,
-                                                batch_size)
+                            args={"batch_size": batch_size}) as span:
+            for slab, records in _slabs(reader, batch_size):
+                if slab is None:
+                    metrics.fallbacks += 1
+                    columns.append(record_columns(enumerate(
+                        records, writer.write_batch(records)), header))
+                else:
+                    columns.append(slab.placed(writer.write_slab(slab)))
+            if span is not None:
+                span.args["fallbacks"] = metrics.fallbacks
+        columns = concat_columns(columns)
         with tracer.span("index", "bam",
-                         args={"entries": len(index_entries)}):
-            baix_path = write_indexes(index_entries, header, bamx_path,
-                                      baix_path)
-    metrics.records = count
+                         args={"entries": len(columns[-1])}):
+            write_indexes(*columns, tmp_path)
     metrics.bytes_read = 2 * os.path.getsize(bam_path)
-    metrics.bytes_written = (os.path.getsize(bamx_path)
-                             + os.path.getsize(baix_path))
+    metrics.bytes_written = os.path.getsize(bamx_path) + os.path.getsize(
+        baix_path if baix_path is not None else index_path_for(bamx_path))
     return finish_rank_metrics(metrics, t0)
+
+
+def _slabs(reader: BamReader, batch_size: int):
+    """The rest of *reader* as ``(slab, None)`` column slabs over the
+    raw bytes or, where not provably canonical, ``(None, records)``."""
+    n_ref = len(reader.header.references)
+    for buf, offsets in reader.iter_raw_slabs(batch_size):
+        slab = slab_columns(buf, offsets, n_ref)
+        yield slab, None if slab is not None \
+            else slab_records(buf, offsets, reader.header)
 
 
 @dataclass(frozen=True, slots=True)

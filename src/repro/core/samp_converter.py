@@ -22,8 +22,8 @@ from ..errors import ConversionError
 from ..formats.bamx import plan_layout
 from ..formats.batch import DEFAULT_BATCH_SIZE, parse_sam_lines
 from ..formats.header import SamHeader
-from ..formats.store import open_store_writer, store_extension, \
-    write_indexes, write_store_records
+from ..formats.store import index_path_for, open_store_writer, \
+    publishing, store_extension, write_indexes, write_store_records
 from ..runtime.autotune import AutoTuner
 from ..runtime.buffers import RangeLineReader
 from ..runtime.metrics import RankMetrics
@@ -110,19 +110,22 @@ def _write_rank_store(spec: PreprocessSpec, records: list,
     tracer = get_tracer()
     header = SamHeader.from_text(spec.header_text)
     layout = plan_layout(records)
-    with tracer.span("write", "samp", args={"records": len(records)}), \
-            open_store_writer(spec.bamx_path, header, layout,
-                              spec.store_format,
-                              slab_records=spec.batch_size) as writer, \
-            tracer.span("batch.encode", "samp",
-                        args={"batch_size": spec.batch_size}):
-        index_entries = write_store_records(writer, records,
-                                            spec.batch_size)
-    with tracer.span("index", "samp",
-                     args={"entries": len(index_entries)}):
-        baix_path = write_indexes(index_entries, header, spec.bamx_path)
-    metrics.bytes_written += (os.path.getsize(spec.bamx_path)
-                              + os.path.getsize(baix_path))
+    with publishing(spec.bamx_path) as tmp_path:
+        with tracer.span("write", "samp",
+                         args={"records": len(records)}), \
+                open_store_writer(tmp_path, header, layout,
+                                  spec.store_format,
+                                  slab_records=spec.batch_size) as writer, \
+                tracer.span("batch.encode", "samp",
+                            args={"batch_size": spec.batch_size}):
+            columns = write_store_records(writer, records,
+                                          spec.batch_size)
+        with tracer.span("index", "samp",
+                         args={"entries": len(columns[-1])}):
+            write_indexes(*columns, tmp_path)
+    metrics.bytes_written += (
+        os.path.getsize(spec.bamx_path)
+        + os.path.getsize(index_path_for(spec.bamx_path)))
 
 
 def _preprocess_rank_task(spec: PreprocessSpec):

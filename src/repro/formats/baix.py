@@ -57,23 +57,26 @@ class BaixIndex:
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def build(cls, records: Iterable[tuple[int, AlignmentRecord]],
-              header: SamHeader) -> "BaixIndex":
-        """Build from ``(record_index, record)`` pairs in any order."""
-        ref_ids = []
-        positions = []
-        indices = []
-        for index, record in records:
-            if record.rname == "*" or record.pos < 0:
-                continue
-            ref_ids.append(header.ref_id(record.rname))
-            positions.append(record.pos)
-            indices.append(index)
+    def from_columns(cls, ref_ids, positions, indices) -> "BaixIndex":
+        """Build from the ``(ref id, start, record index)`` columns of
+        the placed records, in any order."""
         ref_arr = np.asarray(ref_ids, dtype=np.int32)
         pos_arr = np.asarray(positions, dtype=np.int32)
         idx_arr = np.asarray(indices, dtype=np.int64)
         order = np.lexsort((idx_arr, pos_arr, ref_arr))
         return cls(ref_arr[order], pos_arr[order], idx_arr[order])
+
+    @classmethod
+    def build(cls, records: Iterable[tuple[int, AlignmentRecord]],
+              header: SamHeader) -> "BaixIndex":
+        """Build from ``(record_index, record)`` pairs in any order."""
+        ref_ids, positions, indices = [], [], []
+        for index, record in records:
+            if record.rname != "*" and record.pos >= 0:
+                ref_ids.append(header.ref_id(record.rname))
+                positions.append(record.pos)
+                indices.append(index)
+        return cls.from_columns(ref_ids, positions, indices)
 
     @classmethod
     def from_bamx(cls, reader: BamxReader) -> "BaixIndex":

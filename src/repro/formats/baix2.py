@@ -34,6 +34,20 @@ from .record import AlignmentRecord
 MAGIC = b"BAIX\x02"
 
 
+def record_columns(records: Iterable[tuple[int, AlignmentRecord]],
+                   header: SamHeader) -> tuple[list[int], ...]:
+    """``(ref_ids, starts, ends, indices)`` of the placed records among
+    ``(record_index, record)`` pairs: what the indexes are built from."""
+    ref_ids, starts, ends, indices = columns = [], [], [], []
+    for index, record in records:
+        if record.rname != "*" and record.pos >= 0:
+            ref_ids.append(header.ref_id(record.rname))
+            starts.append(record.pos)
+            ends.append(record.end)
+            indices.append(index)
+    return columns
+
+
 class BaixOverlapIndex:
     """Coordinate-sorted (ref, start, end) -> record-index mapping with
     both start-within and overlap queries."""
@@ -68,20 +82,10 @@ class BaixOverlapIndex:
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def build(cls, records: Iterable[tuple[int, AlignmentRecord]],
-              header: SamHeader) -> "BaixOverlapIndex":
-        """Build from ``(record_index, record)`` pairs in any order."""
-        ref_ids = []
-        starts = []
-        ends = []
-        indices = []
-        for index, record in records:
-            if record.rname == "*" or record.pos < 0:
-                continue
-            ref_ids.append(header.ref_id(record.rname))
-            starts.append(record.pos)
-            ends.append(record.end)
-            indices.append(index)
+    def from_columns(cls, ref_ids, starts, ends, indices,
+                     ) -> "BaixOverlapIndex":
+        """Build from the ``(ref id, start, end, record index)`` columns
+        of the placed records, in any order."""
         ref_arr = np.asarray(ref_ids, dtype=np.int32)
         start_arr = np.asarray(starts, dtype=np.int32)
         end_arr = np.asarray(ends, dtype=np.int32)
@@ -89,6 +93,12 @@ class BaixOverlapIndex:
         order = np.lexsort((idx_arr, start_arr, ref_arr))
         return cls(ref_arr[order], start_arr[order], end_arr[order],
                    idx_arr[order])
+
+    @classmethod
+    def build(cls, records: Iterable[tuple[int, AlignmentRecord]],
+              header: SamHeader) -> "BaixOverlapIndex":
+        """Build from ``(record_index, record)`` pairs in any order."""
+        return cls.from_columns(*record_columns(records, header))
 
     # -- (de)serialization -------------------------------------------------
 

@@ -18,31 +18,57 @@ import os
 import struct
 from collections.abc import Iterable, Iterator
 
+import numpy as np
+
 from ..errors import BamFormatError
+from .bamc import ColumnSlab
 from .bgzf import BgzfReader, BgzfWriter
 from .binning import reg2bin
-from .cigar import decode_ops, encode_ops
+from .cigar import REF_CONSUMING_CODE, decode_ops, encode_ops
 from .header import Reference, SamHeader
+from .ragged import ragged_index, segment_sums
 from .record import UNMAPPED_POS, AlignmentRecord
 from .seq import pack_sequence, qual_bytes_to_text, qual_text_to_bytes, \
     unpack_sequence
-from .tags import decode_tags, encode_tags
+from .tags import canonical_tag_blocks, decode_tags, encode_tags
 
 MAGIC = b"BAM\x01"
 
+_BLOCK_SIZE = struct.Struct("<i")
 _FIXED = struct.Struct("<iiBBHHHiiii")  # refID..tlen after block_size
+
+#: ``block_size`` plus the fixed fields as one 36-byte numpy dtype.
+_RAW_DTYPE = np.dtype([
+    ("block_size", "<i4"), ("ref_id", "<i4"), ("pos", "<i4"),
+    ("l_read_name", "u1"), ("mapq", "u1"), ("bin", "<u2"),
+    ("n_cigar", "<u2"), ("flag", "<u2"), ("l_seq", "<i4"),
+    ("next_ref", "<i4"), ("next_pos", "<i4"), ("tlen", "<i4")])
+
+
+def check_record_bounds(block_size: int, l_read_name: int = 1,
+                        n_cigar: int = 0, l_seq: int = 0) -> None:
+    """Raise :class:`BamFormatError` naming the first length field that
+    cannot be true of a record body of *block_size* bytes.  Every
+    reader calls this before a read or a slice trusts the field."""
+    room = block_size - _FIXED.size - l_read_name - 4 * n_cigar
+    if block_size < _FIXED.size:
+        field = f"block_size {block_size} (< {_FIXED.size} fixed bytes)"
+    elif l_read_name < 1:
+        field = "l_read_name 0 (no room for the NUL)"
+    elif room < 0:
+        field = f"l_read_name {l_read_name} / n_cigar {n_cigar}"
+    elif not 0 <= l_seq + (l_seq + 1) // 2 <= room:
+        field = f"l_seq {l_seq}"
+    else:
+        return
+    raise BamFormatError(f"corrupt BAM alignment record: {field} does "
+                         f"not fit a block_size of {block_size}")
 
 
 def encode_record(record: AlignmentRecord, header: SamHeader) -> bytes:
     """Encode one alignment to its BAM byte representation, including the
     leading ``block_size`` field."""
-    ref_id = -1 if record.rname == "*" else header.ref_id(record.rname)
-    if record.rnext == "*":
-        next_ref = -1
-    elif record.rnext == "=":
-        next_ref = ref_id
-    else:
-        next_ref = header.ref_id(record.rnext)
+    ref_id, next_ref = header.ref_ids(record.rname, record.rnext)
     name = record.qname.encode("ascii") + b"\x00"
     if len(name) > 255:
         raise BamFormatError(f"QNAME {record.qname!r} longer than 254 bytes")
@@ -80,12 +106,14 @@ def encode_record(record: AlignmentRecord, header: SamHeader) -> bytes:
 
 def decode_record(body: bytes, header: SamHeader) -> AlignmentRecord:
     """Decode one alignment from its BAM body (without ``block_size``)."""
-    if len(body) < _FIXED.size:
-        raise BamFormatError("truncated BAM alignment record")
+    check_record_bounds(len(body))
     (ref_id, pos, l_read_name, mapq, _bin, n_cigar, flag, l_seq,
      next_ref, next_pos, tlen) = _FIXED.unpack_from(body, 0)
+    check_record_bounds(len(body), l_read_name, n_cigar, l_seq)
     off = _FIXED.size
-    name = body[off:off + l_read_name - 1].decode("ascii")
+    name = body[off:off + l_read_name - 1].decode("latin-1")
+    if not name.isascii():
+        raise BamFormatError(f"read name {name!r} is not ASCII")
     if body[off + l_read_name - 1] != 0:
         raise BamFormatError("read name is not NUL-terminated")
     off += l_read_name
@@ -101,13 +129,10 @@ def decode_record(body: bytes, header: SamHeader) -> AlignmentRecord:
     else:
         qual = qual_bytes_to_text(qual_raw)
     tags = decode_tags(body[off:])
-    rname = "*" if ref_id < 0 else header.ref_name(ref_id)
-    if next_ref < 0:
-        rnext = "*"
-    elif next_ref == ref_id:
-        rnext = "="
-    else:
-        rnext = header.ref_name(next_ref)
+    if pos > 1 << 30 \
+            and pos + max(1, sum(w >> 4 for w in cigar_words)) >= 1 << 31:
+        raise BamFormatError(f"alignment at pos {pos} ends beyond 2^31")
+    rname, rnext = header.ref_names(ref_id, next_ref)
     return AlignmentRecord(
         qname=name,
         flag=flag,
@@ -225,16 +250,13 @@ class BamReader:
         if len(size_raw) != 4:
             raise BamFormatError("truncated record length",
                                  source=self.source_name)
-        (block_size,) = struct.unpack("<i", size_raw)
+        (block_size,) = _BLOCK_SIZE.unpack(size_raw)
+        check_record_bounds(block_size)
         body = self._bgzf.read_exactly(block_size)
         return decode_record(body, self.header)
 
     def __iter__(self) -> Iterator[AlignmentRecord]:
-        while True:
-            record = self._read_one()
-            if record is None:
-                return
-            yield record
+        return iter(self._read_one, None)
 
     def iter_with_offsets(self) -> Iterator[tuple[int, AlignmentRecord]]:
         """Yield ``(virtual_offset, record)`` pairs for index building."""
@@ -245,6 +267,36 @@ class BamReader:
                 return
             yield voffset, record
 
+    def iter_raw_slabs(self, records_per_slab: int,
+                       ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield the remaining alignments as ``(buf, offsets)`` slabs
+        of exactly *records_per_slab* whole records (the last may be
+        short): *buf* the inflated bytes as a writable ``uint8`` array,
+        ``buf[offsets[i]:offsets[i + 1]]`` record *i* from its
+        ``block_size`` on.  Only the ``block_size`` chain is walked, in
+        1 MiB reads, the unfinished tail carried into the next slab.
+        """
+        pending, offsets = bytearray(), [0]
+        while chunk := self._bgzf.read(1 << 20):
+            pending += chunk
+            while (end := offsets[-1] + 4) <= len(pending):
+                (block_size,) = _BLOCK_SIZE.unpack_from(pending, end - 4)
+                check_record_bounds(block_size)
+                if end + block_size > len(pending):
+                    break
+                offsets.append(end + block_size)
+                if len(offsets) > records_per_slab:
+                    yield (np.frombuffer(pending, np.uint8, offsets[-1]),
+                           np.array(offsets, np.int32))
+                    # A new buffer: the slab just yielded keeps its own.
+                    pending, offsets = pending[offsets[-1]:], [0]
+        if offsets[-1] != len(pending):
+            raise BamFormatError("truncated BAM alignment record",
+                                 source=self.source_name)
+        if len(offsets) > 1:
+            yield (np.frombuffer(pending, np.uint8),
+                   np.array(offsets, np.int32))
+
     def seek_virtual(self, voffset: int) -> None:
         """Jump to a record boundary previously obtained from
         :meth:`iter_with_offsets` or an index."""
@@ -253,6 +305,72 @@ class BamReader:
     def rewind(self) -> None:
         """Return to the first alignment record."""
         self._bgzf.seek_virtual(self._after_header)
+
+
+def slab_records(buf: np.ndarray, offsets: np.ndarray,
+                 header: SamHeader) -> list[AlignmentRecord]:
+    """Decode every record of a raw slab (the record path)."""
+    data, bounds = buf.tobytes(), offsets.tolist()
+    return [decode_record(data[start + 4:end], header)
+            for start, end in zip(bounds, bounds[1:])]
+
+
+def slab_columns(buf: np.ndarray, offsets: np.ndarray,
+                 n_ref: int) -> ColumnSlab | None:
+    """A raw slab as a :class:`ColumnSlab` of views over *buf* — or
+    ``None`` unless every record is proven *canonical*: well-formed,
+    and encoded exactly as :func:`decode_record` followed by a store's
+    ``write_batch`` would re-encode it (``docs/formats.md`` lists the
+    rules; the few same-size normalizations are applied to *buf*).  On
+    ``None`` the caller takes :func:`slab_records`, which raises the
+    typed error or yields the normalized records.
+    """
+    n, start = len(offsets) - 1, offsets[:-1]
+    fixed = buf[start[:, None] + np.arange(
+        _RAW_DTYPE.itemsize, dtype=np.int32)].view(_RAW_DTYPE).reshape(n)
+    l_seq = fixed["l_seq"]
+    name_lo = start + _RAW_DTYPE.itemsize
+    name_len = fixed["l_read_name"].astype(np.int32)
+    cigar_lo = name_lo + name_len
+    cigar_len = 4 * fixed["n_cigar"].astype(np.int32)
+    seq_lo = cigar_lo + cigar_len
+    # 64-bit until the bounds hold: a hostile l_seq must not wrap.
+    qual_lo = seq_lo + (l_seq.astype(np.int64) + 1) // 2
+    tag_lo, tag_hi = qual_lo + l_seq, offsets[1:]
+    if ((name_len < 1) | (l_seq < 0) | (tag_lo > tag_hi)
+            | (tag_hi - tag_lo > 0xFFFF)).any() \
+            or buf[cigar_lo - 1].any() \
+            or (buf[ragged_index(name_lo, name_len)] & 0x80).any() \
+            or max(fixed["ref_id"].max(), fixed["next_ref"].max()) >= n_ref:
+        return None
+    qual_lo, tag_lo = qual_lo.astype(np.int32), tag_lo.astype(np.int32)
+    words = buf[ragged_index(cigar_lo, cigar_len)].view("<u4")
+    if ((words & 0xF > 8) | (words >> 4 == 0)).any():
+        return None
+    span = segment_sums(np.where(np.array(REF_CONSUMING_CODE)[words & 0xF],
+                                 words >> 4, 0), fixed["n_cigar"])
+    pos = np.maximum(fixed["pos"], -1)
+    end_pos = np.where(pos < 0, -1, pos + np.where(span > 0, span, 1))
+    if end_pos.max() > np.iinfo(np.int32).max:
+        return None
+    buf[qual_lo[l_seq & 1 == 1] - 1] &= 0xF0
+    # QUAL: Phred > 222 re-encodes as 222 except in an all-0xFF record.
+    loud = np.flatnonzero(buf > 222)
+    owner = np.searchsorted(qual_lo, loud, side="right") - 1
+    inside = (owner >= 0) & (loud < (qual_lo + l_seq)[owner])
+    loud, owner = loud[inside], owner[inside]
+    if len(loud) and ((buf[loud] != 0xFF).any() or (
+            np.bincount(owner, minlength=n)[owner] != l_seq[owner]).any()):
+        return None
+    if not canonical_tag_blocks(buf, tag_lo, tag_hi):
+        return None
+    return ColumnSlab(
+        -1, n, np.maximum(fixed["ref_id"], -1), pos,
+        end_pos.astype(np.int32), np.maximum(fixed["next_ref"], -1),
+        np.maximum(fixed["next_pos"], -1), fixed["tlen"], l_seq,
+        fixed["flag"], fixed["mapq"], name_lo, cigar_lo - 1, cigar_lo,
+        seq_lo, seq_lo, qual_lo, qual_lo, tag_lo, tag_lo, tag_hi,
+        *[buf.tobytes()] * 5)
 
 
 def read_bam(path: str | os.PathLike[str],

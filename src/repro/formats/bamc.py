@@ -61,10 +61,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BamxFormatError, CapacityError
-from .bamx import BamxLayout
+from ..errors import BamxFormatError
+from .bamx import BamxLayout, plan_layout
 from .cigar import decode_ops, encode_ops
 from .header import SamHeader
+from .ragged import ragged_index
 from .record import UNMAPPED_POS, AlignmentRecord
 from .seq import pack_sequence, qual_bytes_to_text, qual_text_to_bytes, \
     unpack_sequence
@@ -81,6 +82,12 @@ _HEADER = struct.Struct("<IIIIIQIQI")
 # record_count, slab_records, footer_offset, text_len
 _COUNT_OFFSET = len(MAGIC) + 20          # u64 record_count
 _FOOTER_OFFSET = len(MAGIC) + 20 + 8 + 4  # u64 footer_offset
+
+
+#: The fixed columns of a slab in file order, with their dtypes.
+_COLUMNS = (("ref_id", "<i4"), ("pos", "<i4"), ("end_pos", "<i4"),
+            ("next_ref", "<i4"), ("next_pos", "<i4"), ("tlen", "<i4"),
+            ("l_seq", "<i4"), ("flag", "<u2"), ("mapq", "u1"))
 
 
 @dataclass(slots=True)
@@ -121,20 +128,35 @@ class ColumnSlab:
     qual_blob: bytes
     tag_blob: bytes
 
+    def sections(self) -> tuple[tuple, ...]:
+        """The variable fields — name, CIGAR, SEQ, QUAL, tags — as
+        ``(lo, hi, blob)`` triples in file order."""
+        return ((self.name_lo, self.name_hi, self.name_blob),
+                (self.cigar_lo, self.cigar_hi, self.cigar_blob),
+                (self.seq_lo, self.seq_hi, self.seq_blob),
+                (self.qual_lo, self.qual_hi, self.qual_blob),
+                (self.tag_lo, self.tag_hi, self.tag_blob))
+
+    def placed(self, first: int) -> tuple[np.ndarray, ...]:
+        """``(ref_ids, starts, ends, indices)`` of the slab's placed
+        records — the BAIX/BAIX2 columns — numbering them from
+        *first*."""
+        keep = np.flatnonzero((self.ref_id >= 0) & (self.pos >= 0))
+        return (self.ref_id[keep], self.pos[keep], self.end_pos[keep],
+                keep + first)
+
+    def _select(self, key: slice | np.ndarray, start: int,
+                count: int) -> "ColumnSlab":
+        sections = self.sections()
+        return ColumnSlab(
+            start, count,
+            *(getattr(self, name)[key] for name, _ in _COLUMNS),
+            *(bound[key] for lo, hi, _ in sections for bound in (lo, hi)),
+            *(blob for _, _, blob in sections))
+
     def window(self, a: int, b: int, start: int) -> "ColumnSlab":
         """A zero-copy view of records ``[a, b)`` of this slab."""
-        return ColumnSlab(
-            start, b - a,
-            self.ref_id[a:b], self.pos[a:b], self.end_pos[a:b],
-            self.next_ref[a:b], self.next_pos[a:b], self.tlen[a:b],
-            self.l_seq[a:b], self.flag[a:b], self.mapq[a:b],
-            self.name_lo[a:b], self.name_hi[a:b],
-            self.cigar_lo[a:b], self.cigar_hi[a:b],
-            self.seq_lo[a:b], self.seq_hi[a:b],
-            self.qual_lo[a:b], self.qual_hi[a:b],
-            self.tag_lo[a:b], self.tag_hi[a:b],
-            self.name_blob, self.cigar_blob, self.seq_blob,
-            self.qual_blob, self.tag_blob)
+        return self._select(slice(a, b), start, b - a)
 
     def take(self, idx: np.ndarray) -> "ColumnSlab":
         """A gathered slab of the (slab-local) records in *idx*.
@@ -142,18 +164,7 @@ class ColumnSlab:
         Preserves the order of *idx*, which is what lets the partial
         conversion path keep the caller's record order byte-for-byte.
         """
-        return ColumnSlab(
-            -1, len(idx),
-            self.ref_id[idx], self.pos[idx], self.end_pos[idx],
-            self.next_ref[idx], self.next_pos[idx], self.tlen[idx],
-            self.l_seq[idx], self.flag[idx], self.mapq[idx],
-            self.name_lo[idx], self.name_hi[idx],
-            self.cigar_lo[idx], self.cigar_hi[idx],
-            self.seq_lo[idx], self.seq_hi[idx],
-            self.qual_lo[idx], self.qual_hi[idx],
-            self.tag_lo[idx], self.tag_hi[idx],
-            self.name_blob, self.cigar_blob, self.seq_blob,
-            self.qual_blob, self.tag_blob)
+        return self._select(idx, -1, len(idx))
 
     def decode(self, i: int, header: SamHeader) -> AlignmentRecord:
         """Decode record *i* of this slab, matching BAMX decode exactly."""
@@ -175,13 +186,7 @@ class ColumnSlab:
         else:
             seq = qual = "*"
         tags = decode_tags(self.tag_blob[self.tag_lo[i]:self.tag_hi[i]])
-        rname = "*" if ref_id < 0 else header.ref_name(ref_id)
-        if next_ref < 0:
-            rnext = "*"
-        elif next_ref == ref_id:
-            rnext = "="
-        else:
-            rnext = header.ref_name(next_ref)
+        rname, rnext = header.ref_names(ref_id, next_ref)
         return AlignmentRecord(
             qname=name, flag=int(self.flag[i]), rname=rname,
             pos=pos if pos >= 0 else UNMAPPED_POS,
@@ -200,41 +205,74 @@ class ColumnSlab:
 def _parse_slab(buf: bytes, start: int, count: int) -> ColumnSlab:
     """Build a :class:`ColumnSlab` over one raw slab buffer."""
     off = 0
-
-    def fixed(dtype: str, width: int) -> np.ndarray:
-        nonlocal off
-        arr = np.frombuffer(buf, dtype, count, off)
-        off += width * count
-        return arr
-
-    ref_id = fixed("<i4", 4)
-    pos = fixed("<i4", 4)
-    end_pos = fixed("<i4", 4)
-    next_ref = fixed("<i4", 4)
-    next_pos = fixed("<i4", 4)
-    tlen = fixed("<i4", 4)
-    l_seq = fixed("<i4", 4)
-    flag = fixed("<u2", 2)
-    mapq = fixed("u1", 1)
-
-    sections = []
+    columns = []
+    for _, dtype in _COLUMNS:
+        columns.append(np.frombuffer(buf, dtype, count, off))
+        off += columns[-1].nbytes
+    bounds, blobs = [], []
     for _ in range(5):
         offsets = np.frombuffer(buf, "<u4", count + 1, off)
-        off += 4 * (count + 1)
-        blob_len = int(offsets[count])
-        blob = buf[off:off + blob_len]
-        if len(blob) != blob_len:
+        off += offsets.nbytes
+        blobs.append(buf[off:off + int(offsets[count])])
+        if len(blobs[-1]) != int(offsets[count]):
             raise BamxFormatError("truncated BAMC slab")
-        off += blob_len
-        sections.append((offsets[:-1], offsets[1:], blob))
-    (name_lo, name_hi, name_blob), (cigar_lo, cigar_hi, cigar_blob), \
-        (seq_lo, seq_hi, seq_blob), (qual_lo, qual_hi, qual_blob), \
-        (tag_lo, tag_hi, tag_blob) = sections
-    return ColumnSlab(
-        start, count, ref_id, pos, end_pos, next_ref, next_pos, tlen,
-        l_seq, flag, mapq, name_lo, name_hi, cigar_lo, cigar_hi,
-        seq_lo, seq_hi, qual_lo, qual_hi, tag_lo, tag_hi,
-        name_blob, cigar_blob, seq_blob, qual_blob, tag_blob)
+        off += len(blobs[-1])
+        bounds += [offsets[:-1], offsets[1:]]
+    return ColumnSlab(start, count, *columns, *bounds, *blobs)
+
+
+def slab_from_records(records: list[AlignmentRecord],
+                      header: SamHeader) -> ColumnSlab:
+    """Encode *records* into the columns and packed blobs of a slab."""
+    rows: list[tuple] = []
+    blobs: tuple[list[bytes], ...] = ([], [], [], [], [])
+    names, cigars, seqs, quals, tags = (blob.append for blob in blobs)
+    for record in records:
+        ref_id, next_ref = header.ref_ids(record.rname, record.rnext)
+        l_seq = 0 if record.seq == "*" else len(record.seq)
+        rows.append((ref_id, record.pos, record.end, next_ref,
+                     record.pnext, record.tlen, l_seq, record.flag,
+                     record.mapq))
+        words = encode_ops(record.cigar)
+        names(record.qname.encode("ascii"))
+        cigars(struct.pack(f"<{len(words)}I", *words))
+        seqs(pack_sequence(record.seq) if l_seq else b"")
+        if not l_seq or record.qual == "*":
+            quals(b"\xff" * l_seq)
+        elif len(record.qual) != l_seq:
+            raise BamxFormatError(
+                f"QUAL length {len(record.qual)} != SEQ length {l_seq}")
+        else:
+            quals(qual_text_to_bytes(record.qual))
+        tags(encode_tags(record.tags))
+    columns = [np.array(values, dtype) for values, (_, dtype)
+               in zip(zip(*rows) if rows else [()] * 9, _COLUMNS)]
+    bounds = []
+    for blob in blobs:
+        offsets = np.zeros(len(records) + 1, "<u4")
+        np.cumsum([len(part) for part in blob], out=offsets[1:])
+        bounds += [offsets[:-1], offsets[1:]]
+    return ColumnSlab(-1, len(records), *columns, *bounds,
+                      *(b"".join(blob) for blob in blobs))
+
+
+def encode_slab(slab: ColumnSlab, layout: BamxLayout) -> bytes:
+    """Serialize one slab to the layout in the module docstring: the
+    fixed columns as they are, each variable field as an offset table
+    plus one ragged gather out of its blob.  Raises
+    :class:`~repro.errors.CapacityError` like a BAMX writer would."""
+    layout.require(slab)
+    parts = [getattr(slab, name).astype(dtype).tobytes()
+             for name, dtype in _COLUMNS]
+    for lo, hi, blob in slab.sections():
+        offsets = np.zeros(slab.count + 1, "<u4")
+        np.cumsum(hi - lo, out=offsets[1:])
+        data = np.frombuffer(blob, np.uint8)
+        # A blob that is already packed in order needs no gather.
+        parts += [offsets.tobytes(), (
+            data[:offsets[-1]] if np.array_equal(lo, offsets[:-1])
+            else data[ragged_index(lo, hi - lo)]).tobytes()]
+    return b"".join(parts)
 
 
 class BamcWriter:
@@ -276,12 +314,7 @@ class BamcWriter:
 
     def write(self, record: AlignmentRecord) -> int:
         """Append one record; return its 0-based record index."""
-        index = self.records_written
-        self._pending.append(record)
-        self.records_written += 1
-        if len(self._pending) >= self.slab_records:
-            self._flush_slab()
-        return index
+        return self.write_batch([record])
 
     def write_batch(self, records: list[AlignmentRecord]) -> int:
         """Append a batch; return the first record's index."""
@@ -301,102 +334,28 @@ class BamcWriter:
             n += 1
         return n
 
+    def write_slab(self, slab: ColumnSlab) -> int:
+        """:meth:`write_batch` for a column slab, without records: cut
+        into slabs of :attr:`slab_records` as is — unless single
+        records are pending, which only the record path can regroup."""
+        if self._pending:
+            return self.write_batch(list(slab.decode_all(self.header)))
+        first = self.records_written
+        for a in range(0, slab.count, self.slab_records):
+            self._write_columns(slab.window(
+                a, min(a + self.slab_records, slab.count), first + a))
+        self.records_written += slab.count
+        return first
+
     def _flush_slab(self) -> None:
         records, self._pending = self._pending, []
-        if not records:
-            return
-        self._slab_offsets.append(self._fh.tell())
-        self._slab_counts.append(len(records))
-        self._fh.write(self._encode_slab(records))
+        if records:
+            self._write_columns(slab_from_records(records, self.header))
 
-    def _encode_slab(self, records: list[AlignmentRecord]) -> bytes:
-        layout, header = self.layout, self.header
-        n = len(records)
-        ref_ids = [0] * n
-        poss = [0] * n
-        ends = [0] * n
-        next_refs = [0] * n
-        next_poss = [0] * n
-        tlens = [0] * n
-        l_seqs = [0] * n
-        flags = [0] * n
-        mapqs = [0] * n
-        names: list[bytes] = []
-        cigars: list[bytes] = []
-        seqs: list[bytes] = []
-        quals: list[bytes] = []
-        tags: list[bytes] = []
-        for i, record in enumerate(records):
-            name = record.qname.encode("ascii")
-            if len(name) > layout.name_cap:
-                raise CapacityError(
-                    f"read name of {len(name)} bytes exceeds layout "
-                    f"capacity {layout.name_cap}")
-            words = encode_ops(record.cigar)
-            if len(words) > layout.cigar_cap:
-                raise CapacityError(
-                    f"{len(words)} CIGAR ops exceed layout capacity "
-                    f"{layout.cigar_cap}")
-            l_seq = 0 if record.seq == "*" else len(record.seq)
-            if l_seq > layout.seq_cap:
-                raise CapacityError(
-                    f"sequence of {l_seq} bases exceeds layout "
-                    f"capacity {layout.seq_cap}")
-            tag_block = encode_tags(record.tags)
-            if len(tag_block) > layout.tag_cap:
-                raise CapacityError(
-                    f"tag block of {len(tag_block)} bytes exceeds "
-                    f"layout capacity {layout.tag_cap}")
-            ref_id = -1 if record.rname == "*" \
-                else header.ref_id(record.rname)
-            if record.rnext == "*":
-                next_ref = -1
-            elif record.rnext == "=":
-                next_ref = ref_id
-            else:
-                next_ref = header.ref_id(record.rnext)
-            ref_ids[i] = ref_id
-            poss[i] = record.pos
-            ends[i] = record.end
-            next_refs[i] = next_ref
-            next_poss[i] = record.pnext
-            tlens[i] = record.tlen
-            l_seqs[i] = l_seq
-            flags[i] = record.flag
-            mapqs[i] = record.mapq
-            names.append(name)
-            cigars.append(struct.pack(f"<{len(words)}I", *words))
-            if l_seq:
-                seqs.append(pack_sequence(record.seq))
-                if record.qual == "*":
-                    quals.append(b"\xff" * l_seq)
-                else:
-                    if len(record.qual) != l_seq:
-                        raise BamxFormatError(
-                            f"QUAL length {len(record.qual)} != SEQ "
-                            f"length {l_seq}")
-                    quals.append(qual_text_to_bytes(record.qual))
-            else:
-                seqs.append(b"")
-                quals.append(b"")
-            tags.append(tag_block)
-        parts = [
-            np.array(ref_ids, "<i4").tobytes(),
-            np.array(poss, "<i4").tobytes(),
-            np.array(ends, "<i4").tobytes(),
-            np.array(next_refs, "<i4").tobytes(),
-            np.array(next_poss, "<i4").tobytes(),
-            np.array(tlens, "<i4").tobytes(),
-            np.array(l_seqs, "<i4").tobytes(),
-            np.array(flags, "<u2").tobytes(),
-            np.array(mapqs, "u1").tobytes(),
-        ]
-        for blobs in (names, cigars, seqs, quals, tags):
-            offsets = np.zeros(n + 1, "<u4")
-            offsets[1:] = np.cumsum([len(b) for b in blobs])
-            parts.append(offsets.tobytes())
-            parts.append(b"".join(blobs))
-        return b"".join(parts)
+    def _write_columns(self, slab: ColumnSlab) -> None:
+        self._slab_offsets.append(self._fh.tell())
+        self._slab_counts.append(slab.count)
+        self._fh.write(encode_slab(slab, self.layout))
 
     def close(self) -> None:
         """Flush the tail slab, write the footer, patch the header."""
@@ -580,7 +539,6 @@ def write_bamc(path: str | os.PathLike[str], header: SamHeader,
     Returns the layout actually used.
     """
     if layout is None:
-        from .bamx import plan_layout
         layout = plan_layout(records)
     with BamcWriter(path, header, layout,
                     slab_records=slab_records) as writer:

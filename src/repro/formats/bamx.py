@@ -29,21 +29,34 @@ import os
 import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..errors import BamxFormatError, CapacityError
-from .bam import MAGIC as _BAM_MAGIC  # noqa: F401  (kept for format docs)
 from .cigar import decode_ops, encode_ops
 from .header import SamHeader
+from .ragged import ragged_index
 from .record import UNMAPPED_POS, AlignmentRecord
 from .seq import pack_sequence, qual_bytes_to_text, qual_text_to_bytes, \
     unpack_sequence
 from .tags import decode_tags, encode_tags
+
+if TYPE_CHECKING:
+    from .bamc import ColumnSlab
 
 MAGIC = b"BAMX\x01"
 
 _FIXED = struct.Struct("<iiBBHHiiiiH")
 # ref_id, pos, mapq, name_len, flag, n_cigar, l_seq,
 # next_ref, next_pos, tlen, tag_len
+
+#: The same 32 bytes as a numpy dtype, for whole-slab row encoding.
+_FIXED_DTYPE = np.dtype([
+    ("ref_id", "<i4"), ("pos", "<i4"), ("mapq", "u1"), ("name_len", "u1"),
+    ("flag", "<u2"), ("n_cigar", "<u2"), ("l_seq", "<i4"),
+    ("next_ref", "<i4"), ("next_pos", "<i4"), ("tlen", "<i4"),
+    ("tag_len", "<u2")])
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,13 +103,50 @@ class BamxLayout:
                           max(self.seq_cap, other.seq_cap),
                           max(self.tag_cap, other.tag_cap))
 
+    # -- slab codec ------------------------------------------------------
+
+    def require(self, slab: "ColumnSlab") -> None:
+        """Raise :class:`CapacityError` unless all of *slab* fits (the
+        capacity checks of :meth:`encode_into` on whole columns)."""
+        need = slab_layout(slab)
+        if self.merge(need) != self:
+            raise CapacityError(
+                f"records needing {need} exceed layout capacity {self}")
+
+    def encode_slab(self, slab: "ColumnSlab") -> np.ndarray:
+        """Encode a whole :class:`~repro.formats.bamc.ColumnSlab` as an
+        ``n x record_size`` row block: the fixed prefix through one
+        structured array, each variable field through one ragged
+        scatter into the zeroed rows.  Byte-for-byte what
+        :meth:`encode_into` writes for the slab's records."""
+        self.require(slab)
+        n, sections = slab.count, slab.sections()
+        lengths = [hi - lo for lo, hi, _ in sections]
+        fixed = np.zeros(n, _FIXED_DTYPE)
+        for name in ("ref_id", "pos", "mapq", "flag", "l_seq", "next_ref",
+                     "next_pos", "tlen"):
+            fixed[name] = getattr(slab, name)
+        fixed["name_len"], fixed["n_cigar"] = lengths[0], lengths[1] // 4
+        fixed["tag_len"] = lengths[4]
+        rows = np.zeros((n, self.record_size), np.uint8)
+        rows[:, :_FIXED.size] = fixed.view(np.uint8).reshape(n, -1)
+        flat = rows.reshape(-1)
+        dtype = np.int32 if flat.size < 1 << 31 else np.int64
+        dst = np.arange(n, dtype=dtype) * self.record_size + _FIXED.size
+        for (lo, _, blob), length, width in zip(sections, lengths, (
+                self.name_cap, 4 * self.cigar_cap, (self.seq_cap + 1) // 2,
+                self.seq_cap, self.tag_cap)):
+            src = ragged_index(lo, length, dtype)
+            flat[src + np.repeat(dst - lo.astype(dtype), length)] = \
+                np.frombuffer(blob, np.uint8)[src]
+            dst += width
+        return rows
+
     # -- record codec ----------------------------------------------------
 
     def encode(self, record: AlignmentRecord, header: SamHeader) -> bytes:
         """Encode one record to exactly :attr:`record_size` bytes."""
-        out = bytearray(self.record_size)
-        self.encode_into(record, header, out, 0)
-        return bytes(out)
+        return bytes(self.encode_batch([record], header))
 
     def encode_into(self, record: AlignmentRecord, header: SamHeader,
                     out: bytearray, offset: int) -> None:
@@ -127,13 +177,7 @@ class BamxLayout:
             raise CapacityError(
                 f"tag block of {len(tag_block)} bytes exceeds layout "
                 f"capacity {self.tag_cap}")
-        ref_id = -1 if record.rname == "*" else header.ref_id(record.rname)
-        if record.rnext == "*":
-            next_ref = -1
-        elif record.rnext == "=":
-            next_ref = ref_id
-        else:
-            next_ref = header.ref_id(record.rnext)
+        ref_id, next_ref = header.ref_ids(record.rname, record.rnext)
         _FIXED.pack_into(
             out, offset,
             ref_id, record.pos, record.mapq, len(name), record.flag,
@@ -160,6 +204,14 @@ class BamxLayout:
                 out[off:off + l_seq] = qual_text_to_bytes(record.qual)
         off += self.seq_cap
         out[off:off + len(tag_block)] = tag_block
+
+    def encode_batch(self, records: list[AlignmentRecord],
+                     header: SamHeader) -> bytearray:
+        """Encode *records* side by side into one preallocated buffer."""
+        out = bytearray(len(records) * self.record_size)
+        for i, record in enumerate(records):
+            self.encode_into(record, header, out, i * self.record_size)
+        return out
 
     def decode(self, data: bytes | memoryview, header: SamHeader,
                offset: int = 0) -> AlignmentRecord:
@@ -188,13 +240,7 @@ class BamxLayout:
         else:
             qual = qual_bytes_to_text(qual_raw)
         tags = decode_tags(bytes(data[off:off + tag_len]))
-        rname = "*" if ref_id < 0 else header.ref_name(ref_id)
-        if next_ref < 0:
-            rnext = "*"
-        elif next_ref == ref_id:
-            rnext = "="
-        else:
-            rnext = header.ref_name(next_ref)
+        rname, rnext = header.ref_names(ref_id, next_ref)
         return AlignmentRecord(
             qname=name, flag=flag, rname=rname,
             pos=pos if pos >= 0 else UNMAPPED_POS,
@@ -219,6 +265,13 @@ def plan_layout(records: Iterable[AlignmentRecord]) -> BamxLayout:
     return BamxLayout(name_cap, cigar_cap, seq_cap, tag_cap)
 
 
+def slab_layout(slab: "ColumnSlab") -> BamxLayout:
+    """:func:`plan_layout` from a slab's length columns alone."""
+    name, cigar, _, _, tags = ((hi - lo) for lo, hi, _ in slab.sections())
+    return BamxLayout(*(int(column.max()) if slab.count else 0
+                        for column in (name, cigar // 4, slab.l_seq, tags)))
+
+
 class BamxWriter:
     """Write a BAMX file with a pre-planned :class:`BamxLayout`."""
 
@@ -234,7 +287,6 @@ class BamxWriter:
             0,  # header_length placeholder, fixed up on close
             layout.name_cap, layout.cigar_cap, layout.seq_cap,
             layout.tag_cap, 0, len(text))
-        self._header_struct_size = len(head)
         self._fh.write(head)
         self._fh.write(text)
         self._data_offset = self._fh.tell()
@@ -247,28 +299,23 @@ class BamxWriter:
 
     def write(self, record: AlignmentRecord) -> int:
         """Append one record; return its 0-based record index."""
-        self._fh.write(self.layout.encode(record, self.header))
-        index = self.records_written
-        self.records_written += 1
-        return index
+        return self.write_batch([record])
 
     def write_batch(self, records: list[AlignmentRecord]) -> int:
-        """Append a batch in one preallocated encode + one write.
+        """Append a batch in one preallocated encode + one write;
+        returns the index of ``records[0]`` (``records[i]`` gets *i*
+        more)."""
+        return self._write_rows(
+            self.layout.encode_batch(records, self.header), len(records))
 
-        Returns the record index of the first record written; record
-        ``records[i]`` gets index ``return_value + i``.
-        """
-        if not records:
-            return self.records_written
-        rsize = self.layout.record_size
-        out = bytearray(len(records) * rsize)
-        off = 0
-        for record in records:
-            self.layout.encode_into(record, self.header, out, off)
-            off += rsize
-        self._fh.write(out)
+    def write_slab(self, slab: "ColumnSlab") -> int:
+        """:meth:`write_batch` for a column slab, without records."""
+        return self._write_rows(self.layout.encode_slab(slab), slab.count)
+
+    def _write_rows(self, rows: bytearray | np.ndarray, count: int) -> int:
+        self._fh.write(rows)  # file or, for BAMZ, BGZF stream
         first = self.records_written
-        self.records_written += len(records)
+        self.records_written += count
         return first
 
     def write_all(self, records: Iterable[AlignmentRecord]) -> int:

@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import os
 import struct
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
 from ..errors import BamxFormatError, IndexError_
-from .bamx import BamxLayout, plan_layout
-from .bgzf import BgzfReader, BgzfWriter
+from .bamx import BamxLayout, BamxWriter, plan_layout
+from .bgzf import MAX_BLOCK_DATA, BgzfReader, BgzfWriter
 from .header import SamHeader
 from .record import AlignmentRecord
 
@@ -54,45 +54,24 @@ def index_path_for(bamz_path: str | os.PathLike[str]) -> str:
     return os.fspath(bamz_path) + ".bzi"
 
 
-class BamzWriter:
-    """Write a BAMZ file plus its ``.bzi`` virtual-offset index."""
+class BamzWriter(BamxWriter):
+    """Write a BAMZ file plus its ``.bzi`` virtual-offset index: the
+    rows of a :class:`~repro.formats.bamx.BamxWriter` inside a BGZF
+    stream, so only the header and the close differ."""
 
     def __init__(self, target: str | os.PathLike[str], header: SamHeader,
                  layout: BamxLayout, level: int = 6) -> None:
         self.path = os.fspath(target)
         self.header = header
         self.layout = layout
-        self._bgzf = BgzfWriter(self.path, level=level)
-        self._voffsets: list[int] = []
+        self._fh = BgzfWriter(self.path, level=level)
         text = header.to_text().encode("ascii")
         head = MAGIC + _HEAD.pack(layout.name_cap, layout.cigar_cap,
                                   layout.seq_cap, layout.tag_cap,
                                   0, len(text))
-        self._bgzf.write(head)
-        self._bgzf.write(text)
+        self._fh.write(head + text)
+        self._data_start = len(head) + len(text)
         self.records_written = 0
-
-    def __enter__(self) -> "BamzWriter":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def write(self, record: AlignmentRecord) -> int:
-        """Append one record; return its 0-based record index."""
-        self._voffsets.append(self._bgzf.tell())
-        self._bgzf.write(self.layout.encode(record, self.header))
-        index = self.records_written
-        self.records_written += 1
-        return index
-
-    def write_all(self, records: Iterable[AlignmentRecord]) -> int:
-        """Append every record; return the count written by this call."""
-        n = 0
-        for record in records:
-            self.write(record)
-            n += 1
-        return n
 
     def close(self) -> None:
         """Finish the BGZF stream and write the sidecar index.
@@ -101,14 +80,20 @@ class BamzWriter:
         compression, so the authoritative count lives in the index; the
         reader cross-checks the two.
         """
-        if self._bgzf.closed:
+        if self._fh.closed:
             return
-        self._bgzf.close()
+        self._fh.close()
+        # The stream is never flushed early, so block k holds bytes
+        # [k * 0xFF00, (k + 1) * 0xFF00) and offsets follow from indices.
+        upos = self._data_start + self.layout.record_size * np.arange(
+            self.records_written, dtype=np.int64)
+        starts = np.asarray(self._fh.block_starts, dtype=np.int64)
+        voffsets = starts[upos // MAX_BLOCK_DATA] << 16 \
+            | upos % MAX_BLOCK_DATA
         with open(index_path_for(self.path), "wb") as fh:
             fh.write(INDEX_MAGIC)
-            fh.write(struct.pack("<Q", len(self._voffsets)))
-            fh.write(np.asarray(self._voffsets,
-                                dtype="<u8").tobytes())
+            fh.write(struct.pack("<Q", len(voffsets)))
+            fh.write(voffsets.astype("<u8").tobytes())
 
 
 class BamzReader:

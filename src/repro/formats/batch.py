@@ -46,7 +46,7 @@ from collections.abc import Iterable
 from itertools import islice
 
 from .bamx import _FIXED, BamxLayout
-from .cigar import REF_CONSUMING
+from .cigar import REF_CONSUMING, REF_CONSUMING_CODE
 from .header import SamHeader
 from .record import AlignmentRecord
 from .sam import MANDATORY_COLUMNS, parse_alignment
@@ -289,11 +289,6 @@ def parse_sam_lines(lines: Iterable[str]) -> list[AlignmentRecord]:
 # _FIXED tuple for the record at *off*.
 # --------------------------------------------------------------------------
 
-#: ref-consuming flag per BAM CIGAR op code (padded: invalid codes are
-#: treated as non-consuming, matching a span of 0 for corrupt data).
-_REF_CONSUMING_CODE = tuple(op in REF_CONSUMING for op in "MIDNSHP=X") \
-    + (False,) * 7
-
 _U32_STRUCTS: dict[int, struct.Struct] = {}
 
 
@@ -307,7 +302,7 @@ def _cigar_words(buf, off: int, n: int) -> tuple[int, ...]:
 def _words_ref_span(words: tuple[int, ...]) -> int:
     span = 0
     for w in words:
-        if _REF_CONSUMING_CODE[w & 0xF]:
+        if REF_CONSUMING_CODE[w & 0xF]:
             span += w >> 4
     return span
 

@@ -124,14 +124,19 @@ class BgzfWriter(io.RawIOBase):
         self._level = level
         self._buffer = bytearray()
         self._coffset = 0  # compressed bytes emitted so far
+        #: Compressed offset of every block emitted so far (block *k*
+        #: starts at uncompressed ``k * MAX_BLOCK_DATA`` unless flushed).
+        self.block_starts: list[int] = []
         self._closed = False
 
     def writable(self) -> bool:  # noqa: D102 - io.RawIOBase API
         return True
 
     def write(self, data: bytes) -> int:  # type: ignore[override]
-        """Buffer *data*, flushing full 64 KiB blocks as they fill."""
-        self._buffer.extend(data)
+        """Buffer *data* (any contiguous buffer, e.g. a 2-D row block),
+        flushing full 64 KiB blocks as they fill."""
+        data = memoryview(data).cast("B")
+        self._buffer += data
         while len(self._buffer) >= MAX_BLOCK_DATA:
             self._emit(bytes(self._buffer[:MAX_BLOCK_DATA]))
             del self._buffer[:MAX_BLOCK_DATA]
@@ -146,6 +151,7 @@ class BgzfWriter(io.RawIOBase):
         else:
             block = compress_block(payload, self._level)
         self._raw.write(block)
+        self.block_starts.append(self._coffset)
         self._coffset += len(block)
 
     def flush_block(self) -> None:

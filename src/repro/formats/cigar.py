@@ -33,6 +33,11 @@ QUERY_CONSUMING = frozenset("MIS=X")
 #: Operations that consume positions on the reference.
 REF_CONSUMING = frozenset("MDN=X")
 
+#: Whether BAM op code *i* consumes the reference (padded to all 16
+#: codes: invalid ones consume nothing, a span of 0 for corrupt data).
+REF_CONSUMING_CODE = tuple(op in REF_CONSUMING for op in CIGAR_OPS) \
+    + (False,) * 7
+
 #: Maximum operation length representable in BAM (28-bit length field).
 MAX_OP_LEN = (1 << 28) - 1
 

@@ -129,6 +129,21 @@ class SamHeader:
             raise SamFormatError(f"reference id {ref_id} out of range")
         return self.references[ref_id].name
 
+    def ref_ids(self, rname: str, rnext: str) -> tuple[int, int]:
+        """``(refID, next_refID)`` of a record's RNAME/RNEXT columns:
+        ``-1`` for ``*``, the record's own reference for ``=``."""
+        ref_id = -1 if rname == "*" else self.ref_id(rname)
+        if rnext == "*":
+            return ref_id, -1
+        return ref_id, ref_id if rnext == "=" else self.ref_id(rnext)
+
+    def ref_names(self, ref_id: int, next_ref: int) -> tuple[str, str]:
+        """Inverse of :meth:`ref_ids`: ``(RNAME, RNEXT)`` columns."""
+        rname = "*" if ref_id < 0 else self.ref_name(ref_id)
+        if next_ref < 0:
+            return rname, "*"
+        return rname, "=" if next_ref == ref_id else self.ref_name(next_ref)
+
     def has_reference(self, name: str) -> bool:
         """Return True if *name* appears in the reference dictionary."""
         return name in self._ref_index

@@ -9,8 +9,9 @@ that depends on the physical format lives here too, one row per store:
   feeds the converters' chunk loop (raw record slabs for BAMX/BAMZ,
   column slabs for BAMC) and the statistics kernels;
 * :func:`open_store_writer` / :func:`write_store_records` /
-  :func:`write_indexes` — how the preprocessors write a store and its
-  BAIX/BAIX2 sidecars;
+  :func:`write_indexes` / :func:`publishing` — how the preprocessors
+  write a store and its BAIX/BAIX2 sidecars, and make them appear
+  atomically;
 * :func:`index_path_for` / :func:`region_locator` — how partial
   conversion finds a store's index and queries it.
 """
@@ -18,16 +19,20 @@ that depends on the physical format lives here too, one row per store:
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager, suppress
 from typing import Union
+
+import numpy as np
 
 from ..errors import BamxFormatError
 from . import baix as _baix
 from . import baix2 as _baix2
 from . import bamc as _bamc
 from . import bamx as _bamx
+from . import bamz as _bamz
 from .baix import BaixIndex
-from .baix2 import BaixOverlapIndex
+from .baix2 import BaixOverlapIndex, record_columns
 from .bamc import BamcReader, BamcWriter
 from .bamx import BamxLayout, BamxReader, BamxWriter
 from .bamz import BamzReader, BamzWriter
@@ -206,25 +211,46 @@ def open_store_writer(path: str | os.PathLike[str], header: SamHeader,
 
 def write_store_records(writer: BamxWriter | BamzWriter | BamcWriter,
                         records: Iterable[AlignmentRecord],
-                        batch_size: int) -> list:
+                        batch_size: int) -> tuple:
     """Append *records* in batches of *batch_size*; returns the
-    ``(index, record)`` entries of the placed ones for the indexes.
+    ``(ref_ids, starts, ends, indices)`` columns of the placed ones,
+    which is all :func:`write_indexes` needs of them."""
+    return concat_columns([record_columns(
+        enumerate(chunk, writer.write_batch(chunk)), writer.header)
+        for chunk in batched(records, batch_size)])
 
-    Writers with ``write_batch`` encode each batch into one
-    preallocated buffer; BAMZ needs per-record virtual offsets and
-    keeps the per-record write.
-    """
-    entries: list = []
-    has_batch = hasattr(writer, "write_batch")
-    for chunk in batched(records, batch_size):
-        if has_batch:
-            first = writer.write_batch(chunk)
-            indices = range(first, first + len(chunk))
-        else:
-            indices = [writer.write(record) for record in chunk]
-        entries.extend((i, record) for i, record in zip(indices, chunk)
-                       if record.rname != "*" and record.pos >= 0)
-    return entries
+
+def concat_columns(parts: list[tuple]) -> tuple:
+    """Join per-batch ``(ref_ids, starts, ends, indices)`` columns."""
+    return tuple(np.concatenate(column) for column in zip(*parts)) \
+        if parts else ((), (), (), ())
+
+
+@contextmanager
+def publishing(store_path: str | os.PathLike[str],
+               baix_path: str | os.PathLike[str] | None = None,
+               ) -> Iterator[str]:
+    """Yield a temporary sibling path to write a store (and beside it
+    its ``.bzi``/``.baix``/``.baix2`` sidecars) under; move them into
+    place on a clean exit — sidecars first, the store last — and unlink
+    them on an exception: a failed run leaves nothing ``--bamx`` takes."""
+    store_path = os.fspath(store_path)
+    tmp = f"{store_path}.tmp{os.getpid()}"
+    moves = ((_bamz.index_path_for(tmp), _bamz.index_path_for(store_path)),
+             (index_path_for(tmp), os.fspath(baix_path) if baix_path
+              is not None else index_path_for(store_path)),
+             (index_path_for(tmp, "overlap"),
+              index_path_for(store_path, "overlap")),
+             (tmp, store_path))
+    try:
+        yield tmp
+        for written, final in moves:
+            if os.path.exists(written):
+                os.replace(written, final)
+    finally:
+        for written, _ in moves:
+            with suppress(FileNotFoundError):
+                os.unlink(written)
 
 
 def index_path_for(store_path: str | os.PathLike[str],
@@ -235,18 +261,14 @@ def index_path_for(store_path: str | os.PathLike[str],
         store_path)
 
 
-def write_indexes(entries: list, header: SamHeader,
-                  store_path: str | os.PathLike[str],
-                  baix_path: str | os.PathLike[str] | None = None,
-                  ) -> str:
-    """Build and save the BAIX and BAIX2 sidecars of a store; returns
-    the BAIX path."""
-    baix_path = os.fspath(baix_path) if baix_path is not None \
-        else index_path_for(store_path)
-    BaixIndex.build(entries, header).save(baix_path)
-    BaixOverlapIndex.build(entries, header).save(
+def write_indexes(ref_ids, starts, ends, indices,
+                  store_path: str | os.PathLike[str]) -> None:
+    """Build the BAIX and BAIX2 sidecars of a store from the columns of
+    its placed records and save them beside it."""
+    BaixIndex.from_columns(ref_ids, starts, indices).save(
+        index_path_for(store_path))
+    BaixOverlapIndex.from_columns(ref_ids, starts, ends, indices).save(
         index_path_for(store_path, "overlap"))
-    return baix_path
 
 
 def region_locator(store_path: str | os.PathLike[str], mode: str,

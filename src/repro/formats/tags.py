@@ -24,7 +24,10 @@ import re
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import SamFormatError
+from .ragged import ragged_index
 
 _TAG_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]$")
 _ARRAY_SUBTYPES = "cCsSiIf"
@@ -193,7 +196,7 @@ def _decode_tags(data: bytes) -> list[Tag]:
         code = chr(data[off + 2])
         off += 3
         if code == "A":
-            tags.append(Tag(name, "A", chr(data[off])))
+            tags.append(Tag(name, "A", bytes((data[off],)).decode("ascii")))
             off += 1
         elif code in _INT_BOUNDS:
             s = _TAG_STRUCTS[code]
@@ -218,6 +221,8 @@ def _decode_tags(data: bytes) -> list[Tag]:
                 raise SamFormatError(f"invalid B-array subtype {sub!r}")
             (count,) = struct.unpack_from("<i", data, off + 1)
             off += 5
+            if count > n - off:  # before the format string is built
+                raise SamFormatError("truncated BAM B-array tag")
             fmt = "<" + _STRUCT_OF[sub] * count
             values = struct.unpack_from(fmt, data, off)
             off += struct.calcsize(fmt)
@@ -225,6 +230,82 @@ def _decode_tags(data: bytes) -> list[Tag]:
         else:
             raise SamFormatError(f"unknown BAM tag type code {code!r}")
     return tags
+
+
+#: Value bytes by BAM type code: 0 for the self-delimiting ``Z``/``B``,
+#: -1 for what :func:`canonical_tag_blocks` leaves to the record path
+#: (unknown codes, and ``H``, whose hex case re-encoding normalizes).
+_VALUE_SIZE = np.full(256, -1, np.int64)
+_VALUE_SIZE[list(b"AfZBcCsSiI")] = (1, 4, 0, 0, 1, 1, 2, 2, 4, 4)
+#: Bytes per integer by type code / ``B`` subtype; 0 for the others.
+_INT_SIZE = np.zeros(256, np.int64)
+_INT_SIZE[list(b"cCsSiI")] = (1, 1, 2, 2, 4, 4)
+
+
+def canonical_tag_blocks(buf: np.ndarray, lo: np.ndarray,
+                         hi: np.ndarray) -> bool:
+    """Walk the tag blocks ``buf[lo[i]:hi[i]]`` in lockstep, one tag of
+    every record per step, and tell whether each is byte for byte what
+    ``encode_tags(decode_tags(block))`` returns — after rewriting in
+    *buf* the integer codes whose width this module keeps (``C`` 7 is
+    ``c`` 7 here).  ``False``: a block is malformed or re-encodes
+    differently (an integer that narrows, ``H``, a float array, an
+    Inf/NaN float — the round trip quiets a signalling NaN —,
+    non-ASCII text), so take the record path."""
+    live = np.flatnonzero(lo < hi)
+    cur, end = lo[live].astype(np.int64), hi[live].astype(np.int64)
+    nuls = None
+    while len(cur):
+        if (cur + 3 > end).any() \
+                or ((buf[cur] | buf[cur + 1]) & 0x80).any():
+            return False
+        code, val = buf[cur + 2], cur + 3
+        size = _VALUE_SIZE[code]
+        if (size < 0).any():
+            return False
+        text = np.flatnonzero(code == ord("Z"))
+        if len(text):
+            if nuls is None:
+                nuls = np.flatnonzero(buf == 0)
+            k = np.searchsorted(nuls, val[text])
+            if (k == len(nuls)).any():
+                return False
+            size[text] = nuls[k] - val[text] + 1
+            if (buf[ragged_index(val[text], size[text], np.int64)]
+                    & 0x80).any():
+                return False
+        array = np.flatnonzero(code == ord("B"))
+        if len(array):
+            at = val[array]
+            if (at + 5 > end[array]).any():
+                return False
+            width = _INT_SIZE[buf[at]]
+            count = sum(buf[at + 1 + j].astype(np.int64) << 8 * j
+                        for j in range(4))
+            if (width == 0).any() or (count >> 31).any():
+                return False
+            size[array] = 5 + count * width
+        if (val + size > end).any():
+            return False
+        real = val[code == ord("f")]
+        if (buf[val[code == ord("A")]] & 0x80).any() or (
+                (buf[real + 3] & 0x7F == 0x7F) & (buf[real + 2] >> 7)).any():
+            return False
+        for width, narrower, negative in ((1, -1, 0), (2, 0xFF, 0x80),
+                                          (4, 0xFFFF, 0x8000)):
+            ints = np.flatnonzero(_INT_SIZE[code] == width)
+            value = sum(buf[val[ints] + j].astype(np.int64) << 8 * j
+                        for j in range(width))
+            unsigned = code[ints] & 0x20 == 0
+            if ((value <= narrower) | ~unsigned
+                    & (value >= (1 << 8 * width) - negative)).any():
+                return False
+            # ASCII case bit: C -> c, S -> s, I -> i.
+            buf[cur[ints[unsigned & (value < 1 << 8 * width - 1)]] + 2] \
+                |= 0x20
+        cur = val + size
+        cur, end = cur[cur < end], end[cur < end]
+    return True
 
 
 def encode_tags(tags: list[Tag]) -> bytes:

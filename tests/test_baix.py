@@ -126,3 +126,16 @@ def test_index_order_mirrors_fig4():
     idx = BaixIndex.build(enumerate(records), HDR)
     assert idx.positions.tolist() == [100, 300, 500]
     assert idx.indices.tolist() == [1, 2, 0]
+
+
+def test_from_columns_is_what_build_does(index, workload):
+    _, header, records = workload
+    placed = [(header.ref_id(r.rname), r.pos, i)
+              for i, r in enumerate(records) if r.rname != "*" and r.pos >= 0]
+    ref_ids, positions, indices = (np.array(c) for c in zip(*placed[::-1]))
+    built = BaixIndex.from_columns(ref_ids, positions, indices)
+    idx = index[0]
+    assert np.array_equal(built.ref_ids, idx.ref_ids)
+    assert np.array_equal(built.positions, idx.positions)
+    assert np.array_equal(built.indices, idx.indices)
+    assert len(BaixIndex.from_columns((), (), ())) == 0

@@ -159,3 +159,41 @@ def test_sam_line_through_bam_roundtrip():
             "ACGTACGTACGTACGT\tABCDEFGHIJKLMNOP\tNM:i:3\tXB:B:c,1,-1")
     rec = parse_alignment(line)
     assert decode_record(encode_record(rec, HDR)[4:], HDR) == rec
+
+
+@pytest.mark.parametrize("per_slab", [1, 7, 4096])
+def test_iter_raw_slabs_cuts_whole_records(bam_file, workload, per_slab):
+    from repro.formats.bam import slab_columns, slab_records
+    _, header, records = workload
+    seen = []
+    with BamReader(bam_file) as reader:
+        for buf, offsets in reader.iter_raw_slabs(per_slab):
+            assert offsets[0] == 0 and offsets[-1] == len(buf)
+            assert len(offsets) - 1 == min(per_slab,
+                                           len(records) - len(seen))
+            for a, b in zip(offsets, offsets[1:]):
+                assert bytes(buf[a:b]) == encode_record(
+                    records[len(seen)], header)
+                seen.append(records[len(seen)])
+            # What this repo writes is canonical: columns, no records.
+            slab = slab_columns(buf, offsets, len(header.references))
+            assert slab is not None and slab.count == len(offsets) - 1
+            assert list(slab.decode_all(header)) \
+                == slab_records(buf, offsets, header)
+    assert len(seen) == len(records)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("block_size", 20), ("l_read_name", 0), ("n_cigar", 500),
+    ("l_seq", 1 << 30), ("l_seq", -4)])
+def test_decode_record_bounds_are_typed(field, value):
+    import struct
+    body = bytearray(encode_record(make_record(), HDR)[4:])
+    if field == "block_size":
+        body = body[:value]
+    else:
+        off, fmt = {"l_read_name": (8, "B"), "n_cigar": (12, "<H"),
+                    "l_seq": (16, "<i")}[field]
+        struct.pack_into(fmt, body, off, value)
+    with pytest.raises(BamFormatError, match=field):
+        decode_record(bytes(body), HDR)

@@ -81,7 +81,7 @@ def test_mismatched_index_rejected(workload, tmp_path):
 
 
 def test_bad_magic(tmp_path):
-    from repro.formats.bgzf import BgzfWriter
+    from repro.formats.bgzf import BgzfReader, BgzfWriter
     path = tmp_path / "bad.bamz"
     writer = BgzfWriter(path)
     writer.write(b"WRONG MAGIC HERE")
@@ -149,3 +149,33 @@ def test_converter_pipeline_over_bamz(workload, tmp_path):
     rb = converter.convert_region(bamz, baix_z, "chr1:1-20000", "sam",
                                   tmp_path / "rz", nprocs=2)
     assert cat(ra) == cat(rb)
+
+
+@pytest.mark.parametrize("batch", [1, 7, 400])
+def test_virtual_offsets_follow_from_the_block_cut(tmp_path, workload,
+                                                   batch):
+    """The ``.bzi`` is computed arithmetically at close; it must equal
+    what ``tell()`` before every single-record write reports, however
+    the records were batched."""
+    import numpy as np
+
+    from repro.formats.bamx import plan_layout
+    from repro.formats.bgzf import BgzfReader, BgzfWriter
+    _, header, records = workload
+    records = records * 3  # several BGZF blocks
+    layout = plan_layout(records)
+    path = tmp_path / "t.bamz"
+    with BamzWriter(path, header, layout) as writer:
+        for i in range(0, len(records), batch):
+            assert writer.write_batch(records[i:i + batch]) == i
+    oracle = BgzfWriter(tmp_path / "oracle.bgzf")
+    with BamzReader(path) as reader:
+        # The header fits the first block: offset == byte count.
+        oracle.write(BgzfReader(path).read(reader._first_voffset))
+        told = []
+        for record in records:
+            told.append(oracle.tell())
+            oracle.write(layout.encode(record, header))
+        oracle.close()
+        assert np.array_equal(reader._voffsets, np.array(told, "<u8"))
+        assert list(reader) == records

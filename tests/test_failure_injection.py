@@ -198,3 +198,81 @@ def test_empty_sam_converts_to_empty_outputs(tmp_path):
     assert result.records == 0
     for out in result.outputs:
         assert os.path.getsize(out) == 0
+
+
+# --- BAM length fields that lie -------------------------------------------
+
+def _mutated_bam(path, **lie):
+    """Seven good records, the fourth with a lying field (or, for
+    ``name``, a non-ASCII byte in its name)."""
+    from tests import rawbam
+    good = [rawbam.record(b"read%d" % i, pos=100 + i) for i in range(7)]
+    good[3] = rawbam.record(lie.pop("name", b"read3"), pos=103, **lie)
+    path.write_bytes(rawbam.bgzf(rawbam.stream(good)))
+    return path
+
+
+LYING_FIELDS = {
+    "negative block_size": ({"block_size": -5}, "block_size"),
+    "undersized block_size": ({"block_size": 20}, "block_size"),
+    "n_cigar 60000": ({"n_cigar": 60000}, "n_cigar"),
+    "l_seq +huge": ({"l_seq": (1 << 31) - 1}, "l_seq"),
+    "l_seq -huge": ({"l_seq": -(1 << 31) + 7}, "l_seq"),
+    "l_read_name 0": ({"l_read_name": 0}, "l_read_name"),
+    "non-ASCII name": ({"name": b"re\xe9d3"}, "ASCII"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LYING_FIELDS))
+def test_bam_lying_length_fields_give_typed_errors(tmp_path, case):
+    """Every reader of BAM records — the record iterator, the raw-slab
+    preprocessor for all three stores, ``repro validate`` — names the
+    field in a BamFormatError; never ``struct.error`` or
+    ``UnicodeDecodeError``, never a slurp of the rest of the file."""
+    import time
+
+    from repro.core.bam_converter import preprocess_bam
+    from repro.tools import validate_file
+    lie, named = LYING_FIELDS[case]
+    bam = _mutated_bam(tmp_path / "lie.bam", **lie)
+    t0 = time.perf_counter()
+    with pytest.raises(BamFormatError, match=named):
+        with BamReader(bam) as reader:
+            list(reader)
+    for kind, kwargs in (("bamx", {}), ("bamz", {"compress": True}),
+                         ("bamc", {"store_format": "bamc"})):
+        with pytest.raises(BamFormatError, match=named):
+            preprocess_bam(bam, tmp_path / f"s.{kind}", **kwargs)
+    with pytest.raises(BamFormatError, match=named):
+        validate_file(bam)
+    assert time.perf_counter() - t0 < 5.0
+    assert sorted(os.listdir(tmp_path)) == ["lie.bam"]
+
+
+@pytest.mark.parametrize("defect", ["flipped byte", "zero-length op"])
+@pytest.mark.parametrize("kwargs", [{}, {"compress": True},
+                                    {"store_format": "bamc"}],
+                         ids=["bamx", "bamz", "bamc"])
+def test_failed_preprocess_leaves_no_store_behind(tmp_path, kwargs,
+                                                  defect):
+    """A BAM that fails mid-stream — a corrupt last block, or a record
+    only the *write* pass rejects — used to leave a truncated but
+    valid-looking store in the work dir, reusable through ``--bamx``."""
+    import struct
+
+    from repro.core.bam_converter import preprocess_bam
+    from tests import rawbam
+    records = [rawbam.record(b"read%d" % i, pos=100 + i)
+               for i in range(10)]
+    if defect == "zero-length op":
+        records.append(rawbam.record(cigar=struct.pack("<I", 0)))
+    blob = bytearray(rawbam.bgzf(rawbam.stream(records), block=300))
+    if defect == "flipped byte":
+        blob[-28 - 20] ^= 0xFF  # in the last data block, before EOF
+    bam = tmp_path / "in.bam"
+    bam.write_bytes(bytes(blob))
+    work = tmp_path / "work"
+    work.mkdir()
+    with pytest.raises(ReproError):
+        preprocess_bam(bam, work / "in.store", batch_size=4, **kwargs)
+    assert os.listdir(work) == []
