@@ -69,8 +69,7 @@ def preprocess_bam(bam_path: str | os.PathLike[str],
     and sidecars get their final names once all are complete.  With
     ``compress=True`` the record store is written as BGZF-compressed
     BAMZ (the paper's future-work extension) instead of raw BAMX; with
-    ``store_format="bamc"`` it is written as the slab-columnar BAMC,
-    which the conversion phase reads through the vectorized kernels.
+    ``store_format="bamc"`` it is written as the slab-columnar BAMC.
     Returns the phase metrics.
     """
     t0 = time.perf_counter()
@@ -258,11 +257,11 @@ class BamConverter:
     Parameters
     ----------
     batch_size:
-        Records per raw slab through the batched conversion phase.
+        Records per slab through the batched conversion phase.
     pipeline:
-        ``"batch"`` (default) converts raw record slabs through the
-        field-level fastpaths; ``"record"`` decodes every record.
-        Outputs are byte-identical.
+        ``"batch"`` (default) converts column slabs — read from BAMC,
+        decoded from BAMX/BAMZ rows — through the vectorized kernels;
+        ``"record"`` decodes every record.  Outputs are byte-identical.
     shards_per_rank:
         Over-decomposition factor: each rank's record range is split
         into up to this many shards pulled dynamically by the shared
@@ -271,9 +270,8 @@ class BamConverter:
     store_format:
         Record-store format :meth:`preprocess` writes: ``"bamx"``
         (default; row-major fixed records, BAMZ when compressed) or
-        ``"bamc"`` (slab-columnar, converted through the vectorized
-        kernels).  Conversion itself dispatches on the store's magic,
-        so either converter reads either store.
+        ``"bamc"`` (slab-columnar).  Conversion itself dispatches on
+        the store's magic, so either converter reads either store.
     tuner:
         :class:`~repro.runtime.autotune.AutoTuner` resolving ``"auto"``
         knobs and learning from every run; auto-created in-memory when

@@ -546,8 +546,8 @@ def write_text_chunks(spec: Any, target: TargetFormat, header: SamHeader,
     """The chunk loop: drive a source's *chunks* through *target* into
     the text part file ``spec.out_path``.
 
-    A source is an iterator of chunks (SAM line batches, raw BAMX
-    slabs, BAMC column slabs, lists of records) plus
+    A source is an iterator of chunks (SAM line batches, a store's
+    column slabs, lists of records) plus
     ``convert_chunk(chunk, out_lines) -> (seen, emitted, fallbacks)``,
     which appends the chunk's emitted lines to *out_lines*; *seen*
     counts post-filter records.  The loop owns everything else: the

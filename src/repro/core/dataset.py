@@ -201,7 +201,8 @@ class RecordStoreHandle:
     def fetch(self, region: GenomicRegion | str, mode: str = "start",
               ) -> list[AlignmentRecord]:
         """Records of one region, in coordinate order."""
-        from ..formats.store import open_record_store, region_locator
+        from ..formats.store import DEFAULT_BATCH_SIZE, chunk_protocol, \
+            open_record_store, region_locator
         if mode not in ("start", "overlap"):
             raise ConversionError(f"unknown fetch mode {mode!r}")
         with open_record_store(self.store_path) as reader:
@@ -211,5 +212,8 @@ class RecordStoreHandle:
             locate = region_locator(
                 self.store_path, mode,
                 self.baix_path if mode == "start" else None)
-            return [reader[int(i)] for i in locate(
-                header.ref_id(region.chrom), region.start, region.end)]
+            _, pick_chunks, decode_chunk, _ = chunk_protocol(reader)
+            return [record for slab in pick_chunks(
+                [int(i) for i in locate(header.ref_id(region.chrom),
+                                        region.start, region.end)],
+                DEFAULT_BATCH_SIZE) for record in decode_chunk(slab)]

@@ -168,38 +168,31 @@ class ColumnSlab:
 
     def decode(self, i: int, header: SamHeader) -> AlignmentRecord:
         """Decode record *i* of this slab, matching BAMX decode exactly."""
-        ref_id = int(self.ref_id[i])
-        pos = int(self.pos[i])
-        next_ref = int(self.next_ref[i])
-        next_pos = int(self.next_pos[i])
-        l_seq = int(self.l_seq[i])
-        name = str(self.name_blob[self.name_lo[i]:self.name_hi[i]],
-                   "ascii")
-        words = np.frombuffer(
-            self.cigar_blob[self.cigar_lo[i]:self.cigar_hi[i]], "<u4")
-        if l_seq:
-            seq = unpack_sequence(
-                self.seq_blob[self.seq_lo[i]:self.seq_hi[i]], l_seq)
-            qual_raw = self.qual_blob[self.qual_lo[i]:self.qual_hi[i]]
-            qual = "*" if not qual_raw.strip(b"\xff") \
-                else qual_bytes_to_text(qual_raw)
-        else:
-            seq = qual = "*"
-        tags = decode_tags(self.tag_blob[self.tag_lo[i]:self.tag_hi[i]])
-        rname, rnext = header.ref_names(ref_id, next_ref)
-        return AlignmentRecord(
-            qname=name, flag=int(self.flag[i]), rname=rname,
-            pos=pos if pos >= 0 else UNMAPPED_POS,
-            mapq=int(self.mapq[i]),
-            cigar=decode_ops([int(w) for w in words]),
-            rnext=rnext,
-            pnext=next_pos if next_pos >= 0 else UNMAPPED_POS,
-            tlen=int(self.tlen[i]), seq=seq, qual=qual, tags=tags)
+        return next(self.window(i, i + 1, -1).decode_all(header))
 
     def decode_all(self, header: SamHeader) -> Iterator[AlignmentRecord]:
-        """Decode every record of this slab in order."""
-        for i in range(self.count):
-            yield self.decode(i, header)
+        """Decode every record of this slab in order: the columns and
+        field slices as Python values once, then one cheap loop."""
+        columns = [getattr(self, name).tolist() for name, _ in _COLUMNS]
+        fields = [[blob[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
+                  for lo, hi, blob in self.sections()]
+        for (ref_id, pos, _, next_ref, next_pos, tlen, l_seq, flag,
+             mapq), name, words, seq, qual, tags in zip(zip(*columns),
+                                                        *fields):
+            if l_seq:
+                seq = unpack_sequence(seq, l_seq)
+                qual = "*" if not qual.strip(b"\xff") \
+                    else qual_bytes_to_text(qual)
+            else:
+                seq = qual = "*"
+            rname, rnext = header.ref_names(ref_id, next_ref)
+            yield AlignmentRecord(
+                qname=str(name, "ascii"), flag=flag, rname=rname,
+                pos=pos if pos >= 0 else UNMAPPED_POS, mapq=mapq,
+                cigar=decode_ops(np.frombuffer(words, "<u4").tolist()),
+                rnext=rnext,
+                pnext=next_pos if next_pos >= 0 else UNMAPPED_POS,
+                tlen=tlen, seq=seq, qual=qual, tags=decode_tags(tags))
 
 
 def _parse_slab(buf: bytes, start: int, count: int) -> ColumnSlab:
@@ -502,23 +495,20 @@ class BamcReader:
         order is exactly the order of *indices*, which is what keeps
         partial conversion byte-identical to the v1 pick path.
         """
-        n = len(indices)
-        i = 0
-        while i < n:
-            index = indices[i]
-            if not 0 <= index < self._count:
-                raise BamxFormatError(
-                    f"record index {index} outside [0, {self._count})",
-                    source=self.source_name)
-            slab_index = self._slab_of(index)
-            slab = self._load_slab(slab_index)
-            lo, hi = slab.start, slab.start + slab.count
-            j = i + 1
-            while j < n and lo <= indices[j] < hi:
-                j += 1
-            local = np.asarray(indices[i:j], dtype=np.int64) - lo
-            yield slab.take(local)
-            i = j
+        picks = np.asarray(indices, dtype=np.int64)
+        bad = picks[(picks < 0) | (picks >= self._count)]
+        if len(bad):
+            raise BamxFormatError(
+                f"record index {int(bad[0])} outside [0, {self._count})",
+                source=self.source_name)
+        if not len(picks):
+            return
+        slab_of = np.searchsorted(self._slab_starts, picks, side="right") - 1
+        cuts = [0, *(np.flatnonzero(np.diff(slab_of)) + 1).tolist(),
+                len(picks)]
+        for a, b in zip(cuts, cuts[1:]):
+            slab = self._load_slab(int(slab_of[a]))
+            yield slab.take(picks[a:b] - slab.start)
 
     def read_range(self, start: int, stop: int,
                    ) -> Iterator[AlignmentRecord]:

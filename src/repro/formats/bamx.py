@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import BamxFormatError, CapacityError
-from .cigar import decode_ops, encode_ops
+from .cigar import REF_CONSUMING_CODE, decode_ops, encode_ops
 from .header import SamHeader
 from .ragged import ragged_index
 from .record import UNMAPPED_POS, AlignmentRecord
@@ -44,6 +44,7 @@ from .tags import decode_tags, encode_tags
 
 if TYPE_CHECKING:
     from .bamc import ColumnSlab
+    from .bamz import BamzReader
 
 MAGIC = b"BAMX\x01"
 
@@ -57,6 +58,15 @@ _FIXED_DTYPE = np.dtype([
     ("flag", "<u2"), ("n_cigar", "<u2"), ("l_seq", "<i4"),
     ("next_ref", "<i4"), ("next_pos", "<i4"), ("tlen", "<i4"),
     ("tag_len", "<u2")])
+
+_REF_CONSUMING = np.array(REF_CONSUMING_CODE)
+_INT32_MAX = (1 << 31) - 1
+
+
+def _corrupt_row(index: int | None, source: str | None) -> BamxFormatError:
+    return BamxFormatError(
+        "length fields exceed the layout capacities, or the alignment "
+        "end exceeds int32", source=source, lineno=index)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,10 +101,8 @@ class BamxLayout:
                 raise BamxFormatError(f"negative {label}: {value}")
         if self.name_cap > 254:
             raise BamxFormatError("name_cap exceeds SAM's 254-byte limit")
-        object.__setattr__(
-            self, "record_size",
-            _FIXED.size + self.name_cap + 4 * self.cigar_cap
-            + (self.seq_cap + 1) // 2 + self.seq_cap + self.tag_cap)
+        object.__setattr__(self, "record_size",
+                           _FIXED.size + sum(self._widths()))
 
     def merge(self, other: "BamxLayout") -> "BamxLayout":
         """Smallest layout accommodating records of both layouts."""
@@ -129,18 +137,81 @@ class BamxLayout:
         fixed["name_len"], fixed["n_cigar"] = lengths[0], lengths[1] // 4
         fixed["tag_len"] = lengths[4]
         rows = np.zeros((n, self.record_size), np.uint8)
-        rows[:, :_FIXED.size] = fixed.view(np.uint8).reshape(n, -1)
+        rows[:, :_FIXED.size] = fixed.view(np.uint8).reshape(n, _FIXED.size)
         flat = rows.reshape(-1)
         dtype = np.int32 if flat.size < 1 << 31 else np.int64
         dst = np.arange(n, dtype=dtype) * self.record_size + _FIXED.size
-        for (lo, _, blob), length, width in zip(sections, lengths, (
-                self.name_cap, 4 * self.cigar_cap, (self.seq_cap + 1) // 2,
-                self.seq_cap, self.tag_cap)):
+        for (lo, _, blob), length, width in zip(sections, lengths,
+                                                self._widths()):
             src = ragged_index(lo, length, dtype)
             flat[src + np.repeat(dst - lo.astype(dtype), length)] = \
                 np.frombuffer(blob, np.uint8)[src]
             dst += width
         return rows
+
+    def decode_slab(self, rows: bytes | memoryview, count: int,
+                    start: int | np.ndarray = -1, source: str | None = None,
+                    ) -> "ColumnSlab":
+        """The inverse of :meth:`encode_slab`: *count* rows as a
+        :class:`~repro.formats.bamc.ColumnSlab` whose first record has
+        index *start* (gathered rows: the index of each, or -1 for
+        unknown).  The rows are an ``n x record_size`` byte matrix:
+        the fixed prefix is read through one strided structured view,
+        each variable field is the copy of one column slice (``lo = i *
+        width``, ``hi = lo + length``), and ``end_pos`` is summed off the
+        ``n x cigar_cap`` word matrix.  Length fields are checked on
+        whole columns first (:class:`BamxFormatError` naming the first
+        bad record and *source*)."""
+        from .bamc import ColumnSlab
+        if len(rows) < count * self.record_size:
+            raise BamxFormatError("truncated BAMX record", source=source)
+        matrix = np.frombuffer(rows, np.uint8, count * self.record_size
+                               ).reshape(count, self.record_size)
+        fixed = np.ndarray(count, _FIXED_DTYPE, rows,
+                           strides=(self.record_size,))
+        name_len, l_seq, tag_len = (fixed[name] for name in (
+            "name_len", "l_seq", "tag_len"))
+        n_cigar = fixed["n_cigar"].astype(np.int64)
+        bad = self._misfit(name_len, n_cigar, l_seq, tag_len)
+        bounds, blobs, at = [], [], _FIXED.size
+        for length, width in zip(
+                (name_len, 4 * n_cigar, (l_seq.astype(np.int64) + 1) // 2,
+                 l_seq, tag_len), self._widths()):
+            lo = np.arange(count, dtype=np.int64) * width
+            bounds += [lo, lo + length]
+            blobs.append(matrix[:, at:at + width].tobytes())
+            at += width
+        words = np.frombuffer(blobs[1], "<u4").reshape(count, self.cigar_cap)
+        span = np.where(
+            (np.arange(self.cigar_cap) < n_cigar[:, None])
+            & _REF_CONSUMING[words & 0xF], words >> 4, 0).sum(1, np.int64)
+        pos = np.maximum(fixed["pos"], -1)
+        end_pos = np.where(pos < 0, -1, pos + np.maximum(span, 1))
+        bad = bad | (end_pos > _INT32_MAX)
+        gathered = np.ndim(start) > 0
+        if bad.any():
+            first = int(bad.argmax())
+            raise _corrupt_row(int(start[first]) if gathered
+                               else first + max(start, 0), source)
+        return ColumnSlab(
+            -1 if gathered else start, count,
+            np.maximum(fixed["ref_id"], -1), pos,
+            end_pos.astype(np.int32), np.maximum(fixed["next_ref"], -1),
+            np.maximum(fixed["next_pos"], -1), fixed["tlen"].copy(),
+            l_seq.copy(), fixed["flag"].copy(), fixed["mapq"].copy(),
+            *bounds, *blobs)
+
+    def _widths(self) -> tuple[int, ...]:
+        """Bytes a row reserves for name, CIGAR, SEQ, QUAL and tags."""
+        return (self.name_cap, 4 * self.cigar_cap, (self.seq_cap + 1) // 2,
+                self.seq_cap, self.tag_cap)
+
+    def _misfit(self, name_len, n_cigar, l_seq, tag_len):
+        """Truthy where a row's length fields exceed the capacities —
+        the one bounds rule of a stored row, on ints or whole columns."""
+        return ((name_len > self.name_cap) | (n_cigar > self.cigar_cap)
+                | (l_seq < 0) | (l_seq > self.seq_cap)
+                | (tag_len > self.tag_cap))
 
     # -- record codec ----------------------------------------------------
 
@@ -214,21 +285,31 @@ class BamxLayout:
         return out
 
     def decode(self, data: bytes | memoryview, header: SamHeader,
-               offset: int = 0) -> AlignmentRecord:
+               offset: int = 0, index: int | None = None,
+               source: str | None = None) -> AlignmentRecord:
         """Decode one record from *data* starting at *offset*.
 
         *data* may be any bytes-like object; the batched readers pass a
         :class:`memoryview` over a whole slab so field slices here are
-        the only copies made.
+        the only copies made.  *index* and *source* (the record's index
+        in the store, the store's name) only label the error of a row
+        that breaks the bounds rule of :meth:`decode_slab`.
         """
         if len(data) - offset < self.record_size:
-            raise BamxFormatError("truncated BAMX record")
+            raise BamxFormatError("truncated BAMX record", source=source)
         (ref_id, pos, mapq, name_len, flag, n_cigar, l_seq,
          next_ref, next_pos, tlen, tag_len) = _FIXED.unpack_from(data, offset)
+        if self._misfit(name_len, n_cigar, l_seq, tag_len):
+            raise _corrupt_row(index, source)
         off = offset + _FIXED.size
         name = str(data[off:off + name_len], "ascii")
         off += self.name_cap
         cigar_words = struct.unpack_from(f"<{n_cigar}I", data, off)
+        # An op is shorter than 2**28, so only a huge pos needs the sum.
+        if pos + (max(n_cigar, 1) << 28) > _INT32_MAX and pos + max(1, sum(
+                w >> 4 for w in cigar_words
+                if REF_CONSUMING_CODE[w & 0xF])) > _INT32_MAX:
+            raise _corrupt_row(index, source)
         off += 4 * self.cigar_cap
         seq = unpack_sequence(data[off:off + (l_seq + 1) // 2], l_seq) \
             if l_seq else "*"
@@ -381,7 +462,8 @@ class BamxReader:
         self._fh.seek(self._data_offset
                       + index * self.layout.record_size)
         data = self._fh.read(self.layout.record_size)
-        return self.layout.decode(data, self.header)
+        return self.layout.decode(data, self.header, 0, index,
+                                  self.source_name)
 
     def read_raw(self, index: int) -> bytes:
         """Read the raw :attr:`record_size` bytes of record *index*."""
@@ -427,17 +509,25 @@ class BamxReader:
     def read_range(self, start: int, stop: int,
                    ) -> Iterator[AlignmentRecord]:
         """Yield records ``start <= i < stop`` with one buffered scan."""
-        rsize = self.layout.record_size
-        for data, n in self.read_raw_batches(start, stop):
-            # Full decode touches every field: materializing the slab
-            # once makes the per-field slices cheap bytes slices (small
-            # memoryview slices are slower than the one big copy).
-            data = bytes(data)
-            for i in range(n):
-                yield self.layout.decode(data, self.header, i * rsize)
+        return decode_range(self, start, stop)
 
     def __iter__(self) -> Iterator[AlignmentRecord]:
         return self.read_range(0, self._count)
+
+
+def decode_range(reader: "BamxReader | BamzReader", start: int, stop: int,
+                 ) -> Iterator[AlignmentRecord]:
+    """Records ``start <= i < stop`` of a row store, slab by slab."""
+    layout, rsize = reader.layout, reader.layout.record_size
+    for data, n in reader.read_raw_batches(start, stop):
+        # Full decode touches every field: materializing the slab once
+        # makes the per-field slices cheap bytes slices (small
+        # memoryview slices are slower than the one big copy).
+        data = bytes(data)
+        for i in range(n):
+            yield layout.decode(data, reader.header, i * rsize, start + i,
+                                reader.source_name)
+        start += n
 
 
 def write_bamx(path: str | os.PathLike[str], header: SamHeader,

@@ -38,7 +38,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from ..errors import BamxFormatError, IndexError_
-from .bamx import BamxLayout, BamxWriter, plan_layout
+from .bamx import BamxLayout, BamxWriter, decode_range, plan_layout
 from .bgzf import MAX_BLOCK_DATA, BgzfReader, BgzfWriter
 from .header import SamHeader
 from .record import AlignmentRecord
@@ -143,7 +143,8 @@ class BamzReader:
                              f"[0, {self._count})")
         self._bgzf.seek_virtual(int(self._voffsets[index]))
         data = self._bgzf.read_exactly(self.layout.record_size)
-        return self.layout.decode(data, self.header)
+        return self.layout.decode(data, self.header, 0, index,
+                                  self.source_name)
 
     def read_raw(self, index: int) -> bytes:
         """Read the raw :attr:`record_size` bytes of record *index*."""
@@ -184,12 +185,7 @@ class BamzReader:
                    ) -> Iterator[AlignmentRecord]:
         """Yield records ``start <= i < stop``, decoding sequentially
         from one seek."""
-        rsize = self.layout.record_size
-        for data, n in self.read_raw_batches(start, stop):
-            # Full decode touches every field; see BamxReader.read_range.
-            data = bytes(data)
-            for i in range(n):
-                yield self.layout.decode(data, self.header, i * rsize)
+        return decode_range(self, start, stop)
 
     def __iter__(self) -> Iterator[AlignmentRecord]:
         return self.read_range(0, self._count)

@@ -14,22 +14,23 @@ converters' hot loops run by default (``pipeline="batch"``):
   falls back to the record path *for that line*, so output — and error
   behaviour for lines the fastpath touches — matches the per-record
   pipeline exactly.
-* **BAMX field fastpaths** — emitters over the raw fixed-layout record
-  bytes of a BAMX/BAMZ store.  Fields are sliced straight out of a
-  ``memoryview`` of the slab (zero copies until a field is actually
-  rendered); a BED conversion never unpacks the sequence, qualities or
-  tags at all.
+* **BAMX slab adapters** — :func:`bamx_fastpath_for` /
+  :func:`convert_bamx_slab` keep the signatures of the former per-record
+  field fastpaths over raw BAMX/BAMZ slabs; the rows now decode to a
+  column slab (:meth:`~.bamx.BamxLayout.decode_slab`) and go through
+  the :mod:`.kernels` emitters, like every store.
 * **Batch encode** — :func:`encode_bamx_batch` packs many records into
   one preallocated ``bytearray`` so writers issue one large write per
   batch instead of one small write per record.
 
-Record filters apply on both fastpaths without materialization:
+Record filters apply on the fastpaths without materialization:
 :class:`~repro.core.filters.RecordFilter` only reads FLAG and MAPQ, and
 both are available before any other field is decoded.
 
-Targets without a registered fastpath (GFF needs tags; JSON/YAML need
-every field) still run batched — decoded record-at-a-time but emitted
-through the same chunked writers — via :func:`convert_records`.
+Targets without a registered fastpath or kernel (GFF needs tags;
+JSON/YAML need every field) still run batched — decoded
+record-at-a-time but emitted through the same chunked writers — via
+:func:`convert_records`.
 
 One behavioural caveat, by design: the fastpaths validate only the
 fields a target consumes, so a malformed column in a line the fast
@@ -41,16 +42,16 @@ parse-everything behaviour.
 from __future__ import annotations
 
 import re
-import struct
 from collections.abc import Iterable
 from itertools import islice
 
-from .bamx import _FIXED, BamxLayout
-from .cigar import REF_CONSUMING, REF_CONSUMING_CODE
+from .bamx import BamxLayout
+from .cigar import REF_CONSUMING
 from .header import SamHeader
+from .kernels import MATE_SUFFIX, kernel_emitter_for
 from .record import AlignmentRecord
 from .sam import MANDATORY_COLUMNS, parse_alignment
-from .seq import qual_bytes_to_text, reverse_complement, unpack_sequence
+from .seq import reverse_complement
 
 #: Pipeline names accepted by the converters.
 PIPELINES = ("batch", "record")
@@ -97,17 +98,6 @@ def _cigar_ref_span(text: str) -> int:
     return span
 
 
-def _mate_suffix(flag: int) -> str:
-    """``/1``, ``/2`` or empty — mirror of flags.mate_number."""
-    read1 = flag & 0x40
-    read2 = flag & 0x80
-    if read1 and not read2:
-        return "/1"
-    if read2 and not read1:
-        return "/2"
-    return ""
-
-
 def _sam_fast_bed(cols: list[str]) -> str | None:
     flag = int(cols[1])
     if flag & 0x4:
@@ -142,7 +132,7 @@ def _sam_fast_fasta(cols: list[str]) -> str | None:
     flag = int(cols[1])
     if flag & 0x10:
         seq = reverse_complement(seq)
-    return f">{cols[0]}{_mate_suffix(flag)}\n{seq}"
+    return f">{cols[0]}{MATE_SUFFIX[(flag >> 6) & 3]}\n{seq}"
 
 
 def _sam_fast_fastq(cols: list[str]) -> str | None:
@@ -159,7 +149,7 @@ def _sam_fast_fastq(cols: list[str]) -> str | None:
             qual = qual[::-1]
     if qual == "*":
         qual = "!" * len(seq)
-    return f"@{cols[0]}{_mate_suffix(flag)}\n{seq}\n+\n{qual}"
+    return f"@{cols[0]}{MATE_SUFFIX[(flag >> 6) & 3]}\n{seq}\n+\n{qual}"
 
 
 def _sam_fast_sam(cols: list[str]) -> str:
@@ -284,155 +274,24 @@ def parse_sam_lines(lines: Iterable[str]) -> list[AlignmentRecord]:
 
 
 # --------------------------------------------------------------------------
-# BAMX field fastpaths: emitters over raw fixed-layout record bytes.
-# fn(buf, off, fixed) -> str | None where *fixed* is the unpacked
-# _FIXED tuple for the record at *off*.
+# BAMX slabs: adapters from the raw-slab signatures onto the kernels.
 # --------------------------------------------------------------------------
 
-_U32_STRUCTS: dict[int, struct.Struct] = {}
-
-
-def _cigar_words(buf, off: int, n: int) -> tuple[int, ...]:
-    s = _U32_STRUCTS.get(n)
-    if s is None:
-        s = _U32_STRUCTS[n] = struct.Struct(f"<{n}I")
-    return s.unpack_from(buf, off)
-
-
-def _words_ref_span(words: tuple[int, ...]) -> int:
-    span = 0
-    for w in words:
-        if REF_CONSUMING_CODE[w & 0xF]:
-            span += w >> 4
-    return span
-
-
-def _make_bamx_bed(layout: BamxLayout, header: SamHeader):
-    off_name = _FIXED.size
-    off_cigar = off_name + layout.name_cap
-    refs = [r.name for r in header.references]
-
-    def emit(buf, off: int, fixed) -> str | None:
-        ref_id, pos, mapq, name_len, flag, n_cigar = fixed[:6]
-        if flag & 0x4 or pos < 0:
-            return None
-        span = _words_ref_span(
-            _cigar_words(buf, off + off_cigar, n_cigar)) if n_cigar else 0
-        end = pos + (span if span > 0 else 1)
-        rname = refs[ref_id] if ref_id >= 0 else "*"
-        name = str(buf[off + off_name:off + off_name + name_len], "ascii")
-        strand = "-" if flag & 0x10 else "+"
-        return f"{rname}\t{pos}\t{end}\t{name}\t{min(mapq, 1000)}\t{strand}"
-
-    return emit
-
-
-def _make_bamx_bedgraph(layout: BamxLayout, header: SamHeader):
-    off_cigar = _FIXED.size + layout.name_cap
-    refs = [r.name for r in header.references]
-
-    def emit(buf, off: int, fixed) -> str | None:
-        ref_id, pos, _mapq, _name_len, flag, n_cigar = fixed[:6]
-        if flag & 0x4 or pos < 0:
-            return None
-        span = _words_ref_span(
-            _cigar_words(buf, off + off_cigar, n_cigar)) if n_cigar else 0
-        rname = refs[ref_id] if ref_id >= 0 else "*"
-        return f"{rname}\t{pos}\t{pos + (span if span > 0 else 1)}\t1"
-
-    return emit
-
-
-def _make_bamx_fasta(layout: BamxLayout, header: SamHeader):
-    off_name = _FIXED.size
-    off_seq = off_name + layout.name_cap + 4 * layout.cigar_cap
-
-    def emit(buf, off: int, fixed) -> str | None:
-        name_len, flag = fixed[3], fixed[4]
-        l_seq = fixed[6]
-        if l_seq == 0:
-            return None
-        seq = unpack_sequence(
-            buf[off + off_seq:off + off_seq + (l_seq + 1) // 2], l_seq)
-        if flag & 0x10:
-            seq = reverse_complement(seq)
-        name = str(buf[off + off_name:off + off_name + name_len], "ascii")
-        return f">{name}{_mate_suffix(flag)}\n{seq}"
-
-    return emit
-
-
-def _make_bamx_fastq(layout: BamxLayout, header: SamHeader):
-    off_name = _FIXED.size
-    off_seq = off_name + layout.name_cap + 4 * layout.cigar_cap
-    off_qual = off_seq + (layout.seq_cap + 1) // 2
-
-    def emit(buf, off: int, fixed) -> str | None:
-        name_len, flag = fixed[3], fixed[4]
-        if flag & 0x900:
-            return None
-        l_seq = fixed[6]
-        if l_seq == 0:
-            return None
-        seq = unpack_sequence(
-            buf[off + off_seq:off + off_seq + (l_seq + 1) // 2], l_seq)
-        qual_raw = bytes(buf[off + off_qual:off + off_qual + l_seq])
-        if flag & 0x10:
-            seq = reverse_complement(seq)
-        if not qual_raw.strip(b"\xff"):
-            qual = "!" * l_seq
-        else:
-            qual = qual_bytes_to_text(qual_raw)
-            if flag & 0x10:
-                qual = qual[::-1]
-        name = str(buf[off + off_name:off + off_name + name_len], "ascii")
-        return f"@{name}{_mate_suffix(flag)}\n{seq}\n+\n{qual}"
-
-    return emit
-
-
-_BAMX_FASTPATH_MAKERS = {
-    "bed": _make_bamx_bed,
-    "bedgraph": _make_bamx_bedgraph,
-    "fasta": _make_bamx_fasta,
-    "fastq": _make_bamx_fastq,
-}
-
-
 def bamx_fastpath_for(target, layout: BamxLayout, header: SamHeader):
-    """Field fast emitter for *target* over *layout*, or None."""
-    if getattr(target, "mode", "text") != "text":
-        return None
-    maker = _BAMX_FASTPATH_MAKERS.get(getattr(target, "name", None))
-    if maker is None:
-        return None
-    return maker(layout, header)
+    """The slab emitter for *target*, or None: since BAMX rows decode to
+    column slabs this is :func:`~.kernels.kernel_emitter_for`."""
+    return kernel_emitter_for(target, header)
 
 
 def convert_bamx_slab(buf, count: int, layout: BamxLayout, fast_emit,
                       record_filter, out: list[str]) -> tuple[int, int]:
-    """Drive one raw slab of *count* fixed-size records through a field
-    fastpath.  Appends emitted lines to *out*; returns
+    """Drive one raw slab of *count* fixed-size records through
+    *fast_emit* (from :func:`bamx_fastpath_for`): decode the rows to a
+    column slab, emit.  Appends emitted lines to *out*; returns
     ``(records_seen, lines_emitted)`` (seen = post-filter)."""
-    seen = emitted = 0
-    flt = record_filter if record_filter is not None \
-        and not record_filter.is_noop else None
-    rsize = layout.record_size
-    unpack_fixed = _FIXED.unpack_from
-    off = 0
-    for _ in range(count):
-        fixed = unpack_fixed(buf, off)
-        if flt is not None and not flt.matches_flag_mapq(fixed[4],
-                                                         fixed[2]):
-            off += rsize
-            continue
-        res = fast_emit(buf, off, fixed)
-        seen += 1
-        if res is not None:
-            out.append(res)
-            emitted += 1
-        off += rsize
-    return seen, emitted
+    lines, seen = fast_emit(layout.decode_slab(buf, count), record_filter)
+    out.extend(lines)
+    return seen, len(lines)
 
 
 # --------------------------------------------------------------------------
@@ -443,13 +302,7 @@ def encode_bamx_batch(records: list[AlignmentRecord], header: SamHeader,
                       layout: BamxLayout) -> bytearray:
     """Encode *records* into one preallocated buffer of
     ``len(records) * layout.record_size`` bytes."""
-    rsize = layout.record_size
-    out = bytearray(len(records) * rsize)
-    off = 0
-    for record in records:
-        layout.encode_into(record, header, out, off)
-        off += rsize
-    return out
+    return layout.encode_batch(records, header)
 
 
 def decode_bamx_batch(buf, count: int, layout: BamxLayout,

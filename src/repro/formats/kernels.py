@@ -1,4 +1,5 @@
-"""Vectorized numpy kernels over BAMC column slabs.
+"""Vectorized numpy kernels over column slabs — what every store
+yields: BAMC reads them, BAMX/BAMZ rows decode to them.
 
 Every operation the converter hot loops run per record — filter
 predicates, flagstat category counts, coverage/MAPQ histograms, target
@@ -12,27 +13,29 @@ at once.  The contracts are strict:
   use the ``next_ref``/``ref_id`` columns, which is the integer form
   of the record path's ``rnext not in ("=", "*", rname)`` test —
   reference names are unique, so the two are equivalent).
-* **Emitters** produce byte-identical lines to the v1 BAMX fastpaths
-  in :mod:`repro.formats.batch` (and therefore to the per-record
-  pipeline); the interval targets read the precomputed ``end_pos``
-  column instead of re-walking CIGARs.
+* **Emitters** produce byte-identical lines to the per-record
+  pipeline; the interval targets read the ``end_pos`` column instead
+  of re-walking CIGARs, and the SAM emitter renders CIGAR and tag text
+  straight from the BAM-encoded bytes.
 
-Targets without a kernel (SAM needs canonical CIGAR/tag text; GFF
-needs tags; JSON/YAML need everything) fall back per slab to the
-decoded-record path — the converters count those slabs as
-``kernel_fallbacks`` so a silently-degraded columnar run is visible in
-the service metrics.
+Targets without a kernel (GFF needs tags; JSON/YAML need everything)
+and slabs an emitter declines (:class:`KernelFallback`) go per slab to
+the decoded-record path — the converters count those slabs as
+``kernel_fallbacks`` so a silently-degraded run is visible in the
+service metrics.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..errors import FormatError
 from .bamc import ColumnSlab
-from .batch import _mate_suffix
+from .cigar import decode_ops, format_cigar
 from .header import SamHeader
 from .seq import qual_blob_to_text, reverse_complement, \
     unpack_sequence_blob
+from .tags import tag_block_to_sam
 
 
 class KernelFallback(Exception):
@@ -41,9 +44,8 @@ class KernelFallback(Exception):
 
 #: Mate suffix by the (READ1, READ2) bit pair — index with
 #: ``(flag >> 6) & 3``.  Both-set and neither-set read as unpaired,
-#: matching :func:`repro.formats.batch._mate_suffix`.
-_MATE_SUFFIX = ("", "/1", "/2", "")
-assert tuple(_mate_suffix(f << 6) for f in range(4)) == _MATE_SUFFIX
+#: matching :func:`repro.formats.flags.mate_number`.
+MATE_SUFFIX = ("", "/1", "/2", "")
 
 
 def filter_mask(flag: np.ndarray, mapq: np.ndarray,
@@ -168,8 +170,8 @@ def coverage_depth_columns(slabs, ref_id: int,
 # --------------------------------------------------------------------------
 # Columnar target emitters.  Each maker returns
 # ``fn(slab, record_filter) -> (lines, seen)`` where *seen* counts
-# post-filter records (matching the v1 pipeline's metrics) and *lines*
-# are byte-identical to the v1 fastpath output.
+# post-filter records (matching the record pipeline's metrics) and
+# *lines* are byte-identical to the record pipeline's output.
 # --------------------------------------------------------------------------
 
 def _base_and_seen(slab: ColumnSlab, record_filter,
@@ -259,7 +261,7 @@ def _make_fasta(header: SamHeader):
         names = _names(slab, idx)
         flags = slab.flag[idx].tolist()
         return [
-            f">{n}{_MATE_SUFFIX[(f >> 6) & 3]}\n"
+            f">{n}{MATE_SUFFIX[(f >> 6) & 3]}\n"
             f"{reverse_complement(s) if f & 0x10 else s}"
             for n, f, s in zip(names, flags, seqs)], seen
 
@@ -295,10 +297,75 @@ def _make_fastq(header: SamHeader):
                 q = q[::-1]
             if f & 0x10:
                 s = reverse_complement(s)
-            lines.append(f"@{n}{_MATE_SUFFIX[(f >> 6) & 3]}\n{s}\n+\n{q}")
+            lines.append(f"@{n}{MATE_SUFFIX[(f >> 6) & 3]}\n{s}\n+\n{q}")
         return lines, seen
 
     return emit
+
+
+def _make_sam(header: SamHeader):
+    refs = [r.name for r in header.references]
+
+    def emit(slab: ColumnSlab, record_filter) -> tuple[list[str], int]:
+        base, seen = _base_and_seen(slab, record_filter)
+        idx = np.arange(slab.count) if base is None \
+            else np.flatnonzero(base)
+        if not idx.size:
+            return [], seen
+        ref_id = slab.ref_id[idx].tolist()
+        next_ref = slab.next_ref[idx].tolist()
+        lengths = slab.l_seq[idx].tolist()
+        lo, hi = slab.qual_lo[idx].tolist(), slab.qual_hi[idx].tolist()
+        lines = []
+        for i, (name, flag, rname, pos, mapq, cigar, mate, own, pnext,
+                tlen, seq, qual, tags) in enumerate(zip(
+                _names(slab, idx), slab.flag[idx].tolist(),
+                _rnames(refs, ref_id), slab.pos[idx].tolist(),
+                slab.mapq[idx].tolist(),
+                _field_texts(slab.cigar_blob, slab.cigar_lo[idx],
+                             slab.cigar_hi[idx], _cigar_text),
+                next_ref, ref_id, slab.next_pos[idx].tolist(),
+                slab.tlen[idx].tolist(), _sequences(slab, idx, lengths),
+                qual_blob_to_text(slab.qual_blob, lo, hi),
+                _field_texts(slab.tag_blob, slab.tag_lo[idx],
+                             slab.tag_hi[idx], tag_block_to_sam))):
+            # The BAMX decode rule: no SEQ, or all-0xFF QUAL, is "*".
+            if not seq:
+                seq = qual = "*"
+            elif qual.startswith("\xff") \
+                    and not slab.qual_blob[lo[i]:hi[i]].strip(b"\xff"):
+                qual = "*"
+            rnext = "*" if mate < 0 else "=" if mate == own else refs[mate]
+            lines.append(
+                f"{name}\t{flag}\t{rname}\t{pos + 1 if pos >= 0 else 0}\t"
+                f"{mapq}\t{cigar}\t{rnext}\t"
+                f"{pnext + 1 if pnext >= 0 else 0}\t{tlen}\t{seq}\t{qual}"
+                + (tags and "\t" + tags))
+        return lines, seen
+
+    return emit
+
+
+def _cigar_text(raw: bytes) -> str:
+    return format_cigar(decode_ops(np.frombuffer(raw, "<u4").tolist()))
+
+
+def _field_texts(blob: bytes, lo: np.ndarray, hi: np.ndarray,
+                 render) -> list[str]:
+    """``render(blob[lo[i]:hi[i]])`` per record, rendering each distinct
+    field value once; a value *render* rejects sends the slab to the
+    record path, which raises the typed error."""
+    cache: dict[bytes, str] = {}
+    out = []
+    try:
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            raw = blob[a:b]
+            if raw not in cache:
+                cache[raw] = render(raw)
+            out.append(cache[raw])
+    except (FormatError, ValueError):   # ValueError: a ragged CIGAR blob
+        raise KernelFallback from None
+    return out
 
 
 _KERNEL_MAKERS = {
@@ -306,6 +373,7 @@ _KERNEL_MAKERS = {
     "bedgraph": _make_bedgraph,
     "fasta": _make_fasta,
     "fastq": _make_fastq,
+    "sam": _make_sam,
 }
 
 #: Target names with a columnar kernel emitter.

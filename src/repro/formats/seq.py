@@ -124,13 +124,12 @@ def unpack_sequence_blob(blob: bytes, lo: list[int], hi: list[int],
     hex-expanded and translated **once** (both C-speed), then each
     sequence is a string slice — the columnar FASTA/FASTQ kernels'
     per-slab replacement for calling :func:`unpack_sequence` per
-    record.  Offsets must be non-decreasing (they are slices of one
-    offset table).
+    record.  The records may come in any order (a gathered slab).
     """
     if not lo:
         return []
-    base = lo[0]
-    text = memoryview(blob)[base:hi[-1]].hex().translate(_HEX_TO_BASE)
+    base = min(lo)
+    text = memoryview(blob)[base:max(hi)].hex().translate(_HEX_TO_BASE)
     return [text[2 * (a - base):2 * (a - base) + n]
             for a, n in zip(lo, lengths)]
 
@@ -146,8 +145,8 @@ def qual_blob_to_text(blob: bytes, lo: list[int],
     """
     if not lo:
         return []
-    base = lo[0]
-    text = blob[base:hi[-1]].translate(_RAW_TO_PHRED33).decode("latin-1")
+    base = min(lo)
+    text = blob[base:max(hi)].translate(_RAW_TO_PHRED33).decode("latin-1")
     return [text[a - base:b - base] for a, b in zip(lo, hi)]
 
 

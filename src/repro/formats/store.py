@@ -6,8 +6,8 @@ and never care which physical format backs the store.  Everything else
 that depends on the physical format lives here too, one row per store:
 
 * :func:`chunk_protocol` / :func:`column_slabs` — how an opened store
-  feeds the converters' chunk loop (raw record slabs for BAMX/BAMZ,
-  column slabs for BAMC) and the statistics kernels;
+  feeds the converters' chunk loop and the statistics kernels: as
+  column slabs, which BAMC holds and BAMX/BAMZ rows decode to;
 * :func:`open_store_writer` / :func:`write_store_records` /
   :func:`write_indexes` / :func:`publishing` — how the preprocessors
   write a store and its BAIX/BAIX2 sidecars, and make them appear
@@ -36,8 +36,7 @@ from .baix2 import BaixOverlapIndex, record_columns
 from .bamc import BamcReader, BamcWriter
 from .bamx import BamxLayout, BamxReader, BamxWriter
 from .bamz import BamzReader, BamzWriter
-from .batch import DEFAULT_BATCH_SIZE, bamx_fastpath_for, batched, \
-    convert_bamx_slab, convert_records, decode_bamx_batch
+from .batch import DEFAULT_BATCH_SIZE, batched, convert_records
 from .header import SamHeader
 from .kernels import KernelFallback, kernel_emitter_for
 from .record import AlignmentRecord
@@ -83,48 +82,72 @@ def store_extension(compress: bool,
 
 # -- reading: the chunk protocol ------------------------------------
 
-def _raw_protocol(reader: BamxReader | BamzReader) -> tuple:
-    """BAMX/BAMZ: chunks are ``(memoryview, count)`` raw record slabs
-    converted through the field fastpaths of :mod:`.batch`."""
-    header, layout = reader.header, reader.layout
+def _row_slabs(reader: BamxReader | BamzReader) -> tuple:
+    """BAMX/BAMZ speak columns by decoding their fixed rows a slab at a
+    time (:meth:`~.bamx.BamxLayout.decode_slab`): ``(range_chunks,
+    pick_chunks)`` with the signatures of :func:`chunk_protocol`."""
+    decode_slab, source = reader.layout.decode_slab, reader.source_name
+
+    def range_chunks(start, stop, batch_size):
+        for rows, count in reader.read_raw_batches(start, stop, batch_size):
+            yield decode_slab(rows, count, start, source)
+            start += count
 
     def pick_chunks(indices, batch_size):
+        # One read per run of consecutive indices; the joined rows are
+        # already in pick order, so the slab needs no gather.
         for off in range(0, len(indices), batch_size):
-            part = indices[off:off + batch_size]
-            yield memoryview(b"".join(map(reader.read_raw, part))), \
-                len(part)
+            part = np.asarray(indices[off:off + batch_size], np.int64)
+            runs = np.split(part, np.flatnonzero(np.diff(part) != 1) + 1)
+            rows = b"".join(
+                rows for run in runs for rows, _ in reader.read_raw_batches(
+                    int(run[0]), int(run[0]) + len(run), len(run)))
+            yield decode_slab(rows, len(part), part, source)
 
-    def decode_chunk(chunk):
-        # Full decode touches every field: materializing the slab once
-        # makes the per-field slices cheap bytes slices (small
-        # memoryview slices are slower than the one big copy).
-        return decode_bamx_batch(bytes(chunk[0]), chunk[1], layout, header)
-
-    def fast_chunk(target, record_filter, record_chunk):
-        emit = bamx_fastpath_for(target, layout, header)
-        if emit is None:
-            return None
-
-        def convert_chunk(chunk, out):
-            seen, emitted = convert_bamx_slab(
-                chunk[0], chunk[1], layout, emit, record_filter, out)
-            return seen, emitted, 0
-        return convert_chunk
-
-    return (reader.read_raw_batches, pick_chunks, decode_chunk,
-            fast_chunk, "fastpath", None)
+    return range_chunks, pick_chunks
 
 
-def _column_protocol(reader: BamcReader) -> tuple:
-    """BAMC: chunks are :class:`~.bamc.ColumnSlab`s emitted by the
-    vectorized kernels; a slab a kernel declines degrades to the record
-    driver and is counted in ``metrics.kernel_fallbacks``."""
+def chunk_protocol(reader: RecordStore) -> tuple:
+    """How an opened store feeds the converters' one chunk loop: every
+    store yields :class:`~.bamc.ColumnSlab`s — BAMC natively, BAMX/BAMZ
+    through :func:`_row_slabs`.
+
+    Returns ``(range_chunks, pick_chunks, decode_chunk,
+    make_convert_chunk)``:
+
+    * ``range_chunks(start, stop, batch_size)`` / ``pick_chunks(indices,
+      batch_size)`` iterate the selection as slabs in record order;
+    * ``decode_chunk(slab)`` yields the slab's alignment records (the
+      binary-target and record-pipeline path);
+    * ``make_convert_chunk(target, record_filter, pipeline)`` returns
+      ``(convert_chunk, span_args, fallback_field)`` for
+      :func:`repro.core.base.write_text_chunks` — the target's kernel
+      emitter when ``pipeline == "batch"`` and it has one, else
+      :func:`~.batch.convert_records` over ``decode_chunk``.  A slab a
+      kernel declines degrades to the record driver and is counted in
+      ``metrics.kernel_fallbacks``.
+    """
     header = reader.header
+    if isinstance(reader, BamcReader):
+        def range_chunks(start, stop, batch_size):
+            return reader.read_column_batches(start, stop)
 
-    def fast_chunk(target, record_filter, record_chunk):
+        def pick_chunks(indices, batch_size):
+            return reader.read_column_picks(indices)
+    else:
+        range_chunks, pick_chunks = _row_slabs(reader)
+
+    def decode_chunk(slab):
+        return slab.decode_all(header)
+
+    def make_convert_chunk(target, record_filter, pipeline):
+        def record_chunk(slab, out):
+            seen, emitted = convert_records(decode_chunk(slab), target,
+                                            record_filter, out)
+            return seen, emitted, 1
+        if pipeline != "batch":
+            return record_chunk, None, None
         emit = kernel_emitter_for(target, header)
-        if emit is None:
-            return None
 
         def convert_chunk(slab, out):
             try:
@@ -133,64 +156,16 @@ def _column_protocol(reader: BamcReader) -> tuple:
                 return record_chunk(slab, out)
             out.extend(lines)
             return seen, len(lines), 0
-        return convert_chunk
-
-    return (lambda start, stop, batch_size:
-            reader.read_column_batches(start, stop),
-            lambda indices, batch_size: reader.read_column_picks(indices),
-            lambda slab: slab.decode_all(header),
-            fast_chunk, "kernel", "kernel_fallbacks")
-
-
-#: One row per store format: which chunk protocol its reader speaks.
-_PROTOCOLS: dict[type, Callable[..., tuple]] = {
-    BamxReader: _raw_protocol,
-    BamzReader: _raw_protocol,
-    BamcReader: _column_protocol,
-}
-
-
-def chunk_protocol(reader: RecordStore) -> tuple:
-    """How an opened store feeds the converters' one chunk loop.
-
-    Returns ``(range_chunks, pick_chunks, decode_chunk,
-    make_convert_chunk)``:
-
-    * ``range_chunks(start, stop, batch_size)`` / ``pick_chunks(indices,
-      batch_size)`` iterate the selection as chunks in record order;
-    * ``decode_chunk(chunk)`` yields the chunk's alignment records (the
-      binary-target and record-pipeline path);
-    * ``make_convert_chunk(target, record_filter, pipeline)`` returns
-      ``(convert_chunk, span_args, fallback_field)`` for
-      :func:`repro.core.base.write_text_chunks` — the store's fast
-      emitter when ``pipeline == "batch"`` and *target* has one, else
-      :func:`~.batch.convert_records` over ``decode_chunk``.
-    """
-    range_chunks, pick_chunks, decode_chunk, fast_chunk, span_key, \
-        fallback_field = _PROTOCOLS[type(reader)](reader)
-
-    def make_convert_chunk(target, record_filter, pipeline):
-        def record_chunk(chunk, out):
-            seen, emitted = convert_records(decode_chunk(chunk), target,
-                                            record_filter, out)
-            return seen, emitted, 1
-        if pipeline != "batch":
-            return record_chunk, None, None
-        fast = fast_chunk(target, record_filter, record_chunk)
-        return (fast or record_chunk, {span_key: fast is not None},
-                fallback_field)
+        return (convert_chunk if emit else record_chunk,
+                {"kernel": emit is not None}, "kernel_fallbacks")
 
     return range_chunks, pick_chunks, decode_chunk, make_convert_chunk
 
 
-def column_slabs(reader: RecordStore):
-    """Every :class:`~.bamc.ColumnSlab` of a columnar store, in record
-    order — or ``None`` for a row store (BAMX/BAMZ), whose callers fall
-    back to iterating records.  What the flagstat/histogram kernels
-    dispatch on."""
-    if isinstance(reader, BamcReader):
-        return reader.read_column_batches(0, len(reader))
-    return None
+def column_slabs(reader: RecordStore) -> Iterator:
+    """Every :class:`~.bamc.ColumnSlab` of a store, in record order:
+    what the flagstat/histogram kernels run on."""
+    return chunk_protocol(reader)[0](0, len(reader), DEFAULT_BATCH_SIZE)
 
 
 # -- writing: store + index sidecars --------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,27 +58,29 @@ class Tag:
 
     def to_sam(self) -> str:
         """Render as the SAM text column ``TAG:TYPE:VALUE``."""
-        t, v = self.type, self.value
-        if t == "A":
-            body = str(v)
-        elif t == "i":
-            body = str(int(v))  # type: ignore[call-overload]
-        elif t == "f":
-            body = repr(float(v))  # type: ignore[arg-type]
-        elif t == "Z":
-            body = str(v)
-        elif t == "H":
-            assert isinstance(v, (bytes, bytearray))
-            body = v.hex().upper()
-        elif t == "B":
-            sub, values = v  # type: ignore[misc]
-            parts = [sub]
-            for x in values:
-                parts.append(repr(float(x)) if sub == "f" else str(int(x)))
-            body = ",".join(parts)
-        else:  # pragma: no cover - constructor prevents this
-            raise SamFormatError(f"unknown tag type {t!r}")
-        return f"{self.name}:{t}:{body}"
+        return tag_to_sam(self.name, self.type, self.value)
+
+
+def tag_to_sam(name: str, t: str, v: object) -> str:
+    """The SAM text column ``TAG:TYPE:VALUE`` of one tag's fields."""
+    if t == "i":
+        body = str(int(v))  # type: ignore[call-overload]
+    elif t in ("A", "Z"):
+        body = str(v)
+    elif t == "f":
+        body = repr(float(v))  # type: ignore[arg-type]
+    elif t == "H":
+        assert isinstance(v, (bytes, bytearray))
+        body = v.hex().upper()
+    elif t == "B":
+        sub, values = v  # type: ignore[misc]
+        parts = [sub]
+        for x in values:
+            parts.append(repr(float(x)) if sub == "f" else str(int(x)))
+        body = ",".join(parts)
+    else:  # pragma: no cover - constructor prevents this
+        raise SamFormatError(f"unknown tag type {t!r}")
+    return f"{name}:{t}:{body}"
 
 
 def parse_tag(field: str) -> Tag:
@@ -171,8 +174,24 @@ def encode_tag(tag: Tag) -> bytes:
 
 def decode_tags(data: bytes) -> list[Tag]:
     """Decode the trailing tag block of a BAM alignment record."""
+    return [Tag(*fields) for fields in _walk_tags(data)]
+
+
+def tag_block_to_sam(data: bytes) -> str:
+    """``format_tags(decode_tags(data))`` without the :class:`Tag`
+    objects: the tab-joined SAM text of one BAM tag block."""
+    return "\t".join([tag_to_sam(*fields) for fields in _walk_tags(data)])
+
+
+#: Pre-compiled Struct per scalar tag code (hot path of _walk_tags).
+_TAG_STRUCTS = {code: struct.Struct("<" + fmt)
+                for code, fmt in _STRUCT_OF.items()}
+
+
+def _walk_tags(data: bytes) -> Iterator[tuple[str, str, object]]:
+    """The ``(name, type, value)`` fields of each tag of a BAM block."""
     try:
-        return _decode_tags(data)
+        yield from _tag_fields(data)
     except (struct.error, IndexError, ValueError) as exc:
         if isinstance(exc, SamFormatError):
             raise
@@ -180,13 +199,7 @@ def decode_tags(data: bytes) -> list[Tag]:
                              f"{exc}") from None
 
 
-#: Pre-compiled Struct per scalar tag code (hot path of _decode_tags).
-_TAG_STRUCTS = {code: struct.Struct("<" + fmt)
-                for code, fmt in _STRUCT_OF.items()}
-
-
-def _decode_tags(data: bytes) -> list[Tag]:
-    tags: list[Tag] = []
+def _tag_fields(data: bytes) -> Iterator[tuple[str, str, object]]:
     off = 0
     n = len(data)
     while off < n:
@@ -196,24 +209,24 @@ def _decode_tags(data: bytes) -> list[Tag]:
         code = chr(data[off + 2])
         off += 3
         if code == "A":
-            tags.append(Tag(name, "A", bytes((data[off],)).decode("ascii")))
+            yield name, "A", bytes((data[off],)).decode("ascii")
             off += 1
         elif code in _INT_BOUNDS:
             s = _TAG_STRUCTS[code]
             (v,) = s.unpack_from(data, off)
-            tags.append(Tag(name, "i", v))
+            yield name, "i", v
             off += s.size
         elif code == "f":
             (v,) = _TAG_STRUCTS["f"].unpack_from(data, off)
-            tags.append(Tag(name, "f", v))
+            yield name, "f", v
             off += 4
         elif code in ("Z", "H"):
             end = data.index(b"\x00", off)
             body = data[off:end].decode("ascii")
             if code == "Z":
-                tags.append(Tag(name, "Z", body))
+                yield name, "Z", body
             else:
-                tags.append(Tag(name, "H", bytes.fromhex(body)))
+                yield name, "H", bytes.fromhex(body)
             off = end + 1
         elif code == "B":
             sub = chr(data[off])
@@ -226,10 +239,9 @@ def _decode_tags(data: bytes) -> list[Tag]:
             fmt = "<" + _STRUCT_OF[sub] * count
             values = struct.unpack_from(fmt, data, off)
             off += struct.calcsize(fmt)
-            tags.append(Tag(name, "B", (sub, tuple(values))))
+            yield name, "B", (sub, tuple(values))
         else:
             raise SamFormatError(f"unknown BAM tag type code {code!r}")
-    return tags
 
 
 #: Value bytes by BAM type code: 0 for the self-delimiting ``Z``/``B``,

@@ -76,24 +76,20 @@ def histogram_from_store(reader, bin_size: int = 25,
                          ) -> dict[str, np.ndarray]:
     """Binned coverage for every reference of an open record store.
 
-    A columnar store (BAMC) accumulates the difference arrays straight
-    from the position/end columns via
-    :func:`repro.formats.kernels.add_coverage_events` — no record or
-    CIGAR is ever decoded; row stores fall back to
-    :func:`histogram_from_records`.
+    The difference arrays accumulate straight from the position/end
+    columns of the store's slabs via
+    :func:`repro.formats.kernels.add_coverage_events` — no record is
+    ever decoded.
     """
     from ..formats.kernels import add_coverage_events
     from ..formats.store import column_slabs
     header = reader.header
-    slabs = column_slabs(reader)
-    if slabs is None:
-        return histogram_from_records(iter(reader), header, bin_size)
     diffs = {ref.name: np.zeros(ref.length + 1, dtype=np.int64)
              for ref in header.references}
     ref_ids = {ref.name: header.ref_id(ref.name)
                for ref in header.references}
     lengths = {ref.name: ref.length for ref in header.references}
-    for slab in slabs:
+    for slab in column_slabs(reader):
         for name, diff in diffs.items():
             add_coverage_events(slab, ref_ids[name], lengths[name], diff)
     return {name: bin_coverage(np.cumsum(diff[:-1]), bin_size)

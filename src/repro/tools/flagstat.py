@@ -119,17 +119,14 @@ def flagstat_records(records: Iterable[AlignmentRecord]) -> FlagStats:
 def flagstat_store(reader) -> FlagStats:
     """Flag statistics over an open record store.
 
-    A columnar store (BAMC) is counted with the vectorized
+    Every store is counted slab by slab with the vectorized
     :func:`repro.formats.kernels.flagstat_slab` kernel — no record ever
-    materializes; row stores fall back to the record path.
+    materializes.
     """
     from ..formats.kernels import flagstat_slab
     from ..formats.store import column_slabs
-    slabs = column_slabs(reader)
-    if slabs is None:
-        return flagstat_records(reader)
     stats = FlagStats()
-    for slab in slabs:
+    for slab in column_slabs(reader):
         for name, value in flagstat_slab(slab).items():
             setattr(stats, name, getattr(stats, name) + value)
     return stats

@@ -356,11 +356,11 @@ def test_service_store_format_param(bam_file, tmp_path):
         col = service.submit("convert", {
             "input": str(bam_file), "target": "bed",
             "out_dir": str(tmp_path / "col"), "store_format": "bamc"})
-        sam_job = service.submit("convert", {
-            "input": str(bam_file), "target": "sam",
-            "out_dir": str(tmp_path / "sam"), "store_format": "bamc"})
+        json_job = service.submit("convert", {
+            "input": str(bam_file), "target": "json",
+            "out_dir": str(tmp_path / "json"), "store_format": "bamc"})
         assert service.pool.wait_all(timeout=60)
-        for job_id in (row.job_id, col.job_id, sam_job.job_id):
+        for job_id in (row.job_id, col.job_id, json_job.job_id):
             job = service.pool.get(job_id)
             assert job.state.value == "done", job.error
 
@@ -376,7 +376,7 @@ def test_service_store_format_param(bam_file, tmp_path):
             for name in filenames:
                 extensions.add(os.path.splitext(name)[1])
         assert ".bamx" in extensions and ".bamc" in extensions
-        # The sam job has no columnar kernel -> its slabs fell back to
+        # The json job has no columnar kernel -> its slabs fell back to
         # the record path and the service counter says so.
         assert service.metrics.counter("kernel_fallbacks") > 0
     finally:

@@ -276,3 +276,75 @@ def test_failed_preprocess_leaves_no_store_behind(tmp_path, kwargs,
     with pytest.raises(ReproError):
         preprocess_bam(bam, work / "in.store", batch_size=4, **kwargs)
     assert os.listdir(work) == []
+
+
+# --- BAMX / BAMZ rows whose length fields lie -----------------------------
+
+#: field -> (byte offset in the 32-byte row prefix, struct code, value)
+LYING_ROWS = {
+    "name_len": (9, "<B", 200),
+    "n_cigar": (12, "<H", 60000),
+    "l_seq huge": (14, "<i", 1 << 20),
+    "l_seq negative": (14, "<i", -1),
+    "tag_len": (30, "<H", 60000),
+    "end past int32": (4, "<i", (1 << 31) - 1),
+}
+
+
+@pytest.mark.parametrize("kind", ["bamx", "bamz"])
+@pytest.mark.parametrize("case", sorted(LYING_ROWS))
+def test_row_store_lying_length_fields_give_typed_errors(
+        tmp_path, workload, kind, case):
+    """A row whose length field exceeds its capacity (or whose end
+    leaves int32) used to raise ``struct.error`` or read the
+    neighbouring field; the record path and the slab path now share one
+    bounds rule and name the record and the file."""
+    import struct
+
+    from repro.core import BamConverter
+    from repro.formats.bamz import BamzWriter
+    from repro.formats.store import column_slabs, open_record_store
+    from repro.tools.flagstat import flagstat_store
+    _, header, records = workload
+    plain = tmp_path / "t.bamx"
+    layout = write_bamx(plain, header, records[:20])
+    blob = bytearray(plain.read_bytes())
+    data_offset = len(blob) - 20 * layout.record_size
+    at, code, value = LYING_ROWS[case]
+    struct.pack_into(code, blob, data_offset + 13 * layout.record_size + at,
+                     value)
+    path = tmp_path / f"bad.{kind}"
+    if kind == "bamx":
+        path.write_bytes(bytes(blob))
+    else:
+        with BamzWriter(path, header, layout) as writer:
+            writer._write_rows(blob[data_offset:], 20)
+    named = rf"bad\.{kind}: record 13: "
+    with open_record_store(path) as reader:
+        assert len(reader) == 20
+        assert reader[12].qname == records[12].qname
+        with pytest.raises(BamxFormatError, match=named):
+            reader[13]
+        with pytest.raises(BamxFormatError, match=named):
+            list(reader)
+        with pytest.raises(BamxFormatError, match=named):
+            list(column_slabs(reader))
+        with pytest.raises(BamxFormatError, match=named):
+            flagstat_store(reader)
+    for pipeline in ("batch", "record"):
+        with pytest.raises(BamxFormatError, match=named):
+            BamConverter(pipeline=pipeline).convert(
+                path, "bed", tmp_path / pipeline)
+    with pytest.raises(BamxFormatError, match=named):
+        BamConverter().convert_region(
+            _indexed(path, header, records[:20]), None,
+            f"{records[12].rname}:{records[12].pos + 1}-"
+            f"{records[19].pos + 1}", "bed", tmp_path / "region")
+
+
+def _indexed(store, header, records):
+    """Give *store* the BAIX sidecar of *records*; returns *store*."""
+    from repro.formats.baix2 import record_columns
+    from repro.formats.store import write_indexes
+    write_indexes(*record_columns(enumerate(records), header), store)
+    return store

@@ -412,7 +412,7 @@ GOLDEN_SPANS = {
     ],
     ("bamx", "static"): [
         ("batch.pipeline", "bam",
-         "batch_size,batches,fastpath,records,target",
+         "batch_size,batches,fallbacks,kernel,records,target",
          True, 2),
         ("convert", "bam", "nprocs,store,target", False, 1),
         ("rank", "rank", "task", True, 2),
@@ -420,7 +420,7 @@ GOLDEN_SPANS = {
     ],
     ("bamx", "shards3"): [
         ("batch.pipeline", "bam",
-         "batch_size,batches,fastpath,records,target",
+         "batch_size,batches,fallbacks,kernel,records,target",
          True, 6),
         ("convert", "bam", "nprocs,store,target", False, 1),
         ("shard", "rank", "rank,shard,task", True, 6),
@@ -429,7 +429,7 @@ GOLDEN_SPANS = {
     ("bamx", "resplit"): [
         ("autotune", "autotune", "cost_model", True, 1),
         ("batch.pipeline", "bam",
-         "batch_size,batches,fastpath,records,target",
+         "batch_size,batches,fallbacks,kernel,records,target",
          True, 6),
         ("convert", "bam", "nprocs,store,target", False, 1),
         ("shard", "rank", "rank,shard,task", True, 6),
