@@ -16,12 +16,22 @@ Quick start::
     wl = simdata.build_sam_dataset("sample.sam", n_templates=1000)
     result = core.SamConverter().convert("sample.sam", "bed", "out/",
                                          nprocs=4)
+
+Subpackages are imported on first use (PEP 562), so a service client
+verb does not pay for numpy and the converter stack.
 """
 
-from . import baselines, core, formats, runtime, simdata, stats, tools
+import importlib
+
 from .errors import ReproError
 
 __version__ = "1.0.0"
 
 __all__ = ["formats", "runtime", "core", "stats", "simdata", "baselines",
            "tools", "ReproError", "__version__"]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,10 +15,12 @@ import argparse
 import contextlib
 import os
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ReproError
+
+if TYPE_CHECKING:       # handlers import numpy when they run
+    import numpy as np
 
 
 def _knob_value(text: str, name: str):
@@ -185,6 +187,8 @@ def _cmd_region(args: argparse.Namespace) -> int:
 
 
 def _cmd_histogram(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from .formats.bedgraph import write_bedgraph
     from .formats.sam import SamReader
     from .stats import histogram_from_records, histogram_from_store, \
@@ -211,6 +215,7 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
 
 
 def _load_series(path: str) -> np.ndarray:
+    import numpy as np
     if path.endswith(".npy"):
         return np.load(path)
     from .formats.bedgraph import read_bedgraph
@@ -227,6 +232,8 @@ def _load_series(path: str) -> np.ndarray:
 
 
 def _cmd_nlmeans(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from .stats import nlmeans_parallel
     values = _load_series(args.input)
     denoised, metrics = nlmeans_parallel(values, args.nprocs,
@@ -241,6 +248,8 @@ def _cmd_nlmeans(args: argparse.Namespace) -> int:
 
 
 def _cmd_fdr(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from .simdata import build_simulations
     from .stats import fdr_parallel
     hist = _load_series(args.histogram)
@@ -300,6 +309,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_peaks(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from .simdata import build_simulations
     from .stats import call_peaks
     hist = _load_series(args.histogram)
@@ -449,7 +460,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    from .runtime.metrics import format_metrics_snapshot
     with _service_client(args) as client:
         if args.trace:
             from .runtime.tracing import format_tree, spans_from_dicts
@@ -460,6 +470,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
             print(format_tree(spans_from_dicts(span_dicts)))
             return 0
         if args.metrics:
+            from .runtime.metrics import format_metrics_snapshot
             print(format_metrics_snapshot(client.metrics()))
             return 0
         jobs = client.status(args.job)
@@ -532,7 +543,7 @@ def _add_service_endpoint_arguments(p: argparse.ArgumentParser) -> None:
 
 def _add_pipeline_arguments(p: argparse.ArgumentParser) -> None:
     """Batched-pipeline knobs shared by the conversion commands."""
-    from .formats.batch import DEFAULT_BATCH_SIZE, PIPELINES
+    from .defaults import DEFAULT_BATCH_SIZE, PIPELINES
     p.add_argument("--batch-size", type=_batch_size_value,
                    default=DEFAULT_BATCH_SIZE,
                    help="records per batch through the chunk-level "
@@ -548,7 +559,7 @@ def _add_pipeline_arguments(p: argparse.ArgumentParser) -> None:
 
 def _add_store_format_argument(p: argparse.ArgumentParser) -> None:
     """The preprocessing record-store format knob."""
-    from .formats.store import STORE_FORMATS
+    from .defaults import STORE_FORMATS
     p.add_argument("--store-format", default="bamx",
                    choices=STORE_FORMATS,
                    help="record store written by preprocessing: 'bamx' "

@@ -45,6 +45,7 @@ import re
 from collections.abc import Iterable
 from itertools import islice
 
+from ..defaults import DEFAULT_BATCH_SIZE, PIPELINES  # noqa: F401
 from .bamx import BamxLayout
 from .cigar import REF_CONSUMING
 from .header import SamHeader
@@ -52,12 +53,6 @@ from .kernels import MATE_SUFFIX, kernel_emitter_for
 from .record import AlignmentRecord
 from .sam import MANDATORY_COLUMNS, parse_alignment
 from .seq import reverse_complement
-
-#: Pipeline names accepted by the converters.
-PIPELINES = ("batch", "record")
-
-#: Default records per batch through the converter hot loops.
-DEFAULT_BATCH_SIZE = 4096
 
 
 class FallbackToRecord(Exception):

@@ -25,6 +25,7 @@ from typing import Union
 
 import numpy as np
 
+from ..defaults import STORE_FORMATS
 from ..errors import BamxFormatError
 from . import baix as _baix
 from . import baix2 as _baix2
@@ -42,9 +43,6 @@ from .kernels import KernelFallback, kernel_emitter_for
 from .record import AlignmentRecord
 
 RecordStore = Union[BamxReader, BamzReader, BamcReader]
-
-#: Record-store formats a converter can write.
-STORE_FORMATS = ("bamx", "bamc")
 
 
 def open_record_store(path: str | os.PathLike[str]) -> RecordStore:

@@ -25,19 +25,31 @@ digest per artifact file; fetches re-verify those digests (always by
 default, or sampled), and an entry whose bytes no longer match — bit
 rot, torn writes, manual tampering — is moved to ``quarantine/``
 instead of ever being served, then rebuilt from the source input.
+
+Hash once, then verify by identity: a file's digest is remembered
+against its ``(st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns)``
+(:meth:`ArtifactCache._digest`), for inputs and artifacts alike, so a
+fetch re-reads ``meta.json``, lists the entry and stats its files, but
+reads a file's bytes only when its identity changed (``ctime`` cannot
+be set from userland, so a rewrite that restores size and ``mtime``
+still shows), when this process has not hashed it yet — a fresh build,
+the first fetch after a restart — or when its last hash is older than
+:data:`FULL_DIGEST_SECONDS` (bounding exposure to silent media rot).
 Startup adopts surviving entries, sweeps stale ``.build-*`` temp dirs
 left by crashed builds, and quarantines entries whose ``meta.json`` is
 corrupt rather than refusing to start.
 
-A global lock guards the LRU book-keeping; per-key build locks let
-concurrent submitters of the *same* input share one build while
-different keys build in parallel.  Eviction is size-capped LRU: after
+A global lock guards the LRU book-keeping; per-key build locks (kept
+only while a build of that key is in flight) let concurrent submitters
+of the *same* input share one build while different keys build in
+parallel.  Eviction is size-capped LRU: after
 each build the total size is trimmed to ``max_bytes``, never evicting
 the entry that was just requested.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -47,7 +59,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from ..errors import CacheIntegrityError, ServiceError
 from ..runtime import faults
@@ -56,6 +68,13 @@ from ..runtime.metrics import ServiceMetrics
 _CHUNK = 1 << 20
 _META = "meta.json"
 _QUARANTINE = "quarantine"
+#: Longest a remembered digest stands in for re-reading the bytes.
+FULL_DIGEST_SECONDS = 3600.0
+#: Most recently used files whose (identity, digest) is remembered.
+DIGEST_MEMO_ROWS = 1024
+#: Identities younger than this are not remembered: a coarse-clock
+#: filesystem (tick <= 10 ms) may stamp a second write the same.
+_SETTLE_NS = 20_000_000
 
 
 def content_digest(path: str | os.PathLike[str]) -> str:
@@ -69,9 +88,13 @@ def content_digest(path: str | os.PathLike[str]) -> str:
 
 def cache_key(input_path: str | os.PathLike[str], params: dict) -> str:
     """Cache key: input *content* hash combined with canonical params."""
+    return _keyed(content_digest(input_path), params)
+
+
+def _keyed(input_digest: str, params: dict) -> str:
     canon = json.dumps(params, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256()
-    digest.update(content_digest(input_path).encode("ascii"))
+    digest.update(input_digest.encode("ascii"))
     digest.update(b"\x00")
     digest.update(canon.encode("utf-8"))
     return digest.hexdigest()
@@ -146,8 +169,11 @@ class ArtifactCache:
         self.verify_prob = self._parse_verify(verify)
         self._verify_rng = random.Random(0x5EED)
         self._lock = threading.Lock()
-        self._build_locks: dict[str, threading.Lock] = {}
+        self._build_locks: dict[str, list] = {}     # key -> [lock, users]
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
+        #: path -> (identity, digest, monotonic time hashed), LRU.
+        self._digests: OrderedDict[str, tuple[tuple, str, float]] \
+            = OrderedDict()
         os.makedirs(self.cache_dir, exist_ok=True)
         self._scan()
 
@@ -183,25 +209,15 @@ class ArtifactCache:
         quarantined and rebuilt transparently.  Returns
         ``(entry, hit)``.
         """
-        key = cache_key(input_path, params)
-        with self._lock:
-            entry = self._touch(key)
-            build_lock = self._build_locks.setdefault(key,
-                                                      threading.Lock())
+        key = _keyed(self._digest(input_path)[0], params)
+        entry = self._fetch(key)
         if entry is not None:
-            entry = self._verified_or_quarantined(entry)
-            if entry is not None:
-                self.metrics.inc("cache_hits")
-                return entry, True
-        with build_lock:
+            return entry, True
+        with self._building(key):
             # Re-check: another thread may have built while we waited.
-            with self._lock:
-                entry = self._touch(key)
+            entry = self._fetch(key)
             if entry is not None:
-                entry = self._verified_or_quarantined(entry)
-                if entry is not None:
-                    self.metrics.inc("cache_hits")
-                    return entry, True
+                return entry, True
             self.metrics.inc("cache_misses")
             entry = self._build(key, input_path, params, builder)
         self._evict(keep=key)
@@ -211,12 +227,9 @@ class ArtifactCache:
                params: dict) -> CacheEntry | None:
         """Entry for (*input_path*, *params*) if cached (and passing
         verification), else ``None``."""
-        key = cache_key(input_path, params)
-        with self._lock:
-            entry = self._touch(key)
-        if entry is not None:
-            entry = self._verified_or_quarantined(entry)
-        self.metrics.inc("cache_hits" if entry else "cache_misses")
+        entry = self._fetch(_keyed(self._digest(input_path)[0], params))
+        if entry is None:
+            self.metrics.inc("cache_misses")
         return entry
 
     def total_bytes(self) -> int:
@@ -239,9 +252,37 @@ class ArtifactCache:
 
     # -- integrity ---------------------------------------------------
 
+    def _digest(self, path: str | os.PathLike[str]) -> tuple[str, bool]:
+        """SHA-256 of *path* and whether its bytes were read for it.
+
+        The digest remembered for an unchanged identity stands in until
+        it is :data:`FULL_DIGEST_SECONDS` old.
+        """
+        path = os.path.abspath(path)
+        st = os.stat(path)
+        identity = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns,
+                    st.st_ctime_ns)
+        now = time.monotonic()
+        with self._lock:
+            row = self._digests.pop(path, None)
+            if row is not None and row[0] == identity \
+                    and now - row[2] < FULL_DIGEST_SECONDS:
+                self._digests[path] = row       # most recently used
+                return row[1], False
+        digest = content_digest(path)
+        if max(st.st_mtime_ns, st.st_ctime_ns) \
+                < time.time_ns() - _SETTLE_NS:
+            with self._lock:
+                self._digests[path] = (identity, digest, now)
+                while len(self._digests) > DIGEST_MEMO_ROWS:
+                    self._digests.popitem(last=False)
+        return digest, True
+
     def _check_entry(self, entry: CacheEntry) -> str | None:
         """Digest-verify one entry; returns a failure detail or
-        ``None`` when the entry is intact."""
+        ``None`` when the entry is intact (counted as
+        ``cache_verify_ok`` when any byte was read for it, else as
+        ``cache_verify_identity``)."""
         meta_path = os.path.join(entry.path, _META)
         try:
             with open(meta_path, encoding="utf-8") as fh:
@@ -257,10 +298,12 @@ class ArtifactCache:
             # operators can see unverifiable entries exist.
             self.metrics.inc("cache_verify_skipped")
             return None
+        hashed = False
         for name, want in sorted(digests.items()):
             path = os.path.join(entry.path, name)
             try:
-                got = content_digest(path)
+                got, read = self._digest(path)
+                hashed |= read
             except OSError as exc:
                 return f"artifact {name} unreadable: {exc}"
             if got != want:
@@ -269,7 +312,36 @@ class ArtifactCache:
         extra = set(os.listdir(entry.path)) - set(digests) - {_META}
         if extra:
             return f"unexpected files in entry: {sorted(extra)}"
+        self.metrics.inc("cache_verify_ok" if hashed
+                         else "cache_verify_identity")
         return None
+
+    def _fetch(self, key: str) -> CacheEntry | None:
+        """The entry under *key* if cached and verified (a hit)."""
+        with self._lock:
+            entry = self._touch(key)
+        if entry is not None:
+            entry = self._verified_or_quarantined(entry)
+            if entry is not None:
+                self.metrics.inc("cache_hits")
+        return entry
+
+    @contextlib.contextmanager
+    def _building(self, key: str) -> Iterator[None]:
+        """Hold *key*'s build lock, which exists only while some thread
+        is in here: the table cannot outgrow the builds in flight."""
+        with self._lock:
+            slot = self._build_locks.setdefault(
+                key, [threading.Lock(), 0])
+            slot[1] += 1
+        try:
+            with slot[0]:
+                yield
+        finally:
+            with self._lock:
+                slot[1] -= 1
+                if not slot[1]:
+                    del self._build_locks[key]
 
     def _verified_or_quarantined(self,
                                  entry: CacheEntry) -> CacheEntry | None:
@@ -289,7 +361,6 @@ class ArtifactCache:
             return entry
         detail = self._check_entry(entry)
         if detail is None:
-            self.metrics.inc("cache_verify_ok")
             return entry
         self.metrics.inc("cache_verify_failed")
         self._quarantine(entry.key, entry.path, detail)

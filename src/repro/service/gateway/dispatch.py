@@ -9,22 +9,26 @@ Two entry points share one op switch:
   envelopes.
 * :meth:`Dispatcher.dispatch` — the async path the gateway sessions
   call.  Quick ops answer inline; blocking ops run on a dedicated
-  executor so the event loop never stalls; ``wait`` long-polls on the
-  event loop (an :mod:`asyncio` sleep loop at ``wait_poll_interval``,
-  no thread parked per waiter — thousands of concurrent waiters cost
-  thousands of timers, not thousands of threads); ``submit`` passes
-  through admission control first and is refused with an explicit
-  ``overloaded`` error at the limit.
+  executor so the event loop never stalls; ``wait`` parks on one
+  :class:`asyncio.Event` that the scheduler sets the moment the job's
+  terminal record is journaled (completion notification: no polling,
+  no thread per waiter); ``submit`` passes through admission control
+  first and is refused with an explicit ``overloaded`` error at the
+  limit.
 
 Every async request is wrapped in a ``gateway.<op>`` tracing span
 (free when tracing is disabled) and timed into the
-``gateway_request_seconds`` metric.
+``gateway_request_seconds`` metric; ``gateway_wait_wake_seconds``
+times a job's ``finished_at`` to the moment its parked ``wait``
+answers.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
@@ -50,21 +54,17 @@ class Dispatcher:
         The gateway's :class:`AdmissionController`.
     stop_callback:
         Called (on a fresh thread) when a ``shutdown`` op is accepted.
-    wait_poll_interval:
-        Event-loop poll period for long-poll ``wait`` ops.
     executor_threads:
         Size of the dispatch thread pool backing ``run_in_executor``.
     """
 
     def __init__(self, service: Any, admission: AdmissionController,
                  stop_callback: Callable[[], None] | None = None,
-                 wait_poll_interval: float = 0.02,
                  executor_threads: int = 8) -> None:
         self.service = service
         self.admission = admission
         self.metrics: ServiceMetrics = service.metrics
         self._stop_callback = stop_callback
-        self._wait_poll_interval = wait_poll_interval
         self._executor = ThreadPoolExecutor(
             max_workers=executor_threads,
             thread_name_prefix="repro-gateway-dispatch")
@@ -130,7 +130,8 @@ class Dispatcher:
         Holds the request until the job is terminal or *timeout*
         elapses, then returns the snapshot either way (mirroring
         ``ConversionService.wait``).  No executor thread is parked —
-        the waiter is an asyncio sleep loop.
+        the waiter is one event, set by the scheduler's completion
+        callback; an already-terminal job answers at once.
         """
         try:
             job_id = message["job_id"]
@@ -138,24 +139,33 @@ class Dispatcher:
             return protocol.error_response(
                 "request is missing field 'job_id'",
                 code=protocol.CODE_BAD_REQUEST)
+        timeout = message.get("timeout")
+        if timeout is not None:
+            timeout = float(timeout)
+        loop = asyncio.get_running_loop()
+        finished = asyncio.Event()
+
+        def wake() -> None:
+            # Worker thread.  A loop a drain already closed has nobody
+            # left to tell.
+            with contextlib.suppress(RuntimeError):
+                loop.call_soon_threadsafe(finished.set)
+
         try:
-            job = self.service.pool.get(job_id)
+            job, parked = self.service.pool.watch(job_id, wake)
         except JobNotFoundError as exc:
             return protocol.error_response(
                 str(exc), code=protocol.CODE_JOB_NOT_FOUND)
-        timeout = message.get("timeout")
-        loop = asyncio.get_running_loop()
-        deadline = None if timeout is None \
-            else loop.time() + float(timeout)
-        while not job.done.is_set():
-            if deadline is None:
-                await asyncio.sleep(self._wait_poll_interval)
-                continue
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                break
-            await asyncio.sleep(min(self._wait_poll_interval,
-                                    remaining))
+        if parked:
+            try:
+                await asyncio.wait_for(finished.wait(), timeout)
+            except asyncio.TimeoutError:
+                pass
+            finally:        # timeout, session close and drain alike
+                self.service.pool.unwatch(job, wake)
+            if job.state.terminal:
+                self.metrics.observe("gateway_wait_wake_seconds",
+                                     time.time() - job.finished_at)
         return protocol.ok_response(job=job.to_dict())
 
     def request_stop(self) -> None:

@@ -70,8 +70,6 @@ class GatewayConfig:
     write_timeout:
         Per-response write/drain deadline; a peer that stops reading
         is disconnected instead of wedging the session.
-    wait_poll_interval:
-        Event-loop poll period resolving long-poll ``wait`` ops.
     drain_timeout:
         Upper bound on waiting for in-flight ops and jobs during
         graceful shutdown.
@@ -84,7 +82,6 @@ class GatewayConfig:
     keepalive_interval: float | None = 15.0
     idle_timeout: float | None = None
     write_timeout: float = 30.0
-    wait_poll_interval: float = 0.02
     drain_timeout: float = 10.0
     dispatch_threads: int = 8
 
@@ -133,7 +130,6 @@ class GatewayServer:
             service, self.admission,
             stop_callback=(stop_callback if stop_callback is not None
                            else self.stop),
-            wait_poll_interval=self.config.wait_poll_interval,
             executor_threads=self.config.dispatch_threads)
 
         self._loop: asyncio.AbstractEventLoop | None = None

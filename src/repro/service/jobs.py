@@ -142,6 +142,9 @@ class Job:
     #: Deliberately excluded from :meth:`to_dict` — traces can be large
     #: and are fetched on demand through the ``trace`` protocol op.
     trace: list = field(default_factory=list, repr=False)
+    #: Wake-up callables parked by :meth:`WorkerPool.watch`; the pool
+    #: runs and clears them once the terminal record is journaled.
+    waiters: list = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:

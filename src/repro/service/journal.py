@@ -14,16 +14,20 @@ Record grammar (one JSON object per line)::
     {"event": "transition", "job_id": ..., "to": "running",
      "attempts": N, "error": ..., "result": ...,
      "started_at": ..., "finished_at": ...}
+    {"event": "id_floor",   "seq": N}
 
 Replay folds the records in order: ``submit`` (re)creates the job
-spec, ``transition`` updates it.  A torn tail — the half-line a crash
-leaves behind — and corrupt interior lines are *skipped and counted*,
-never fatal: the journal exists precisely for processes that died
-mid-write.
+spec, ``transition`` updates it, ``id_floor`` (written by compaction
+once the pool has forgotten old finished jobs) keeps the highest job-id
+sequence no longer in the file, so new ids never reuse one.  A torn
+tail — the half-line a crash leaves behind — and corrupt interior
+lines are *skipped and counted*, never fatal: the journal exists
+precisely for processes that died mid-write.
 
-Compaction rewrites the file as one ``submit`` record per job holding
-its current spec (atomic ``os.replace`` of a fsynced temp file), and
-runs automatically once ``compact_threshold`` records accumulate.
+Compaction rewrites the file as one ``submit`` record per job the pool
+still retains, holding its current spec (atomic ``os.replace`` of a
+fsynced temp file), and runs automatically once ``compact_threshold``
+records accumulate.
 
 Durability is configurable per deployment through the fsync policy:
 
@@ -173,7 +177,7 @@ class JobJournal:
                 and self._records_since_compact \
                 >= self.compact_threshold
 
-    def maybe_compact(self, jobs: list[Job]) -> bool:
+    def maybe_compact(self, jobs: list[Job], id_floor: int = 0) -> bool:
         """Auto-compact when the record budget is exhausted.
 
         The pool calls this opportunistically after journaling; it
@@ -192,11 +196,12 @@ class JobJournal:
         with self._lock:
             if not self.needs_compact():
                 return False
-            self.compact(jobs)
+            self.compact(jobs, id_floor)
         return True
 
-    def compact(self, jobs: list[Job]) -> None:
-        """Atomically rewrite the journal as one record per job.
+    def compact(self, jobs: list[Job], id_floor: int = 0) -> None:
+        """Atomically rewrite the journal as one record per job (plus
+        an ``id_floor`` record when ids were forgotten).
 
         The snapshot is written to a temp file, fsynced, and
         ``os.replace``d over the journal, so a crash during compaction
@@ -205,10 +210,13 @@ class JobJournal:
         tmp_path = self.path + ".compact"
         with self._lock:
             try:
+                records = [{"event": "submit", "job": job.to_spec()}
+                           for job in jobs]
+                if id_floor > 0:
+                    records.insert(0, {"event": "id_floor",
+                                       "seq": id_floor})
                 with open(tmp_path, "wb") as tmp:
-                    for job in jobs:
-                        record = {"event": "submit",
-                                  "job": job.to_spec()}
+                    for record in records:
                         tmp.write(json.dumps(
                             record, separators=(",", ":"),
                             allow_nan=False).encode("utf-8") + b"\n")
@@ -246,11 +254,13 @@ def replay(path: str | os.PathLike[str],
     Returns ``(specs, stats)`` where *specs* maps job id to the job's
     most recent :meth:`Job.to_spec` view in submission order, and
     *stats* counts ``records``, ``bad_lines`` (torn tail / corrupt
-    interior lines, skipped) and ``orphan_transitions`` (transitions
-    whose submit record was lost to corruption, skipped).
+    interior lines, skipped), ``orphan_transitions`` (transitions
+    whose submit record was lost to corruption, skipped) and carries
+    ``id_floor`` (highest forgotten job-id sequence, 0 if none).
     """
     specs: dict[str, dict[str, Any]] = {}
-    stats = {"records": 0, "bad_lines": 0, "orphan_transitions": 0}
+    stats = {"records": 0, "bad_lines": 0, "orphan_transitions": 0,
+             "id_floor": 0}
     path = os.fspath(path)
     if not os.path.exists(path):
         return specs, stats
@@ -285,6 +295,9 @@ def replay(path: str | os.PathLike[str],
                 spec["result"] = record.get("result")
                 spec["started_at"] = record.get("started_at")
                 spec["finished_at"] = record.get("finished_at")
+            elif event == "id_floor" \
+                    and isinstance(record.get("seq"), int):
+                stats["id_floor"] = max(stats["id_floor"], record["seq"])
             else:
                 stats["bad_lines"] += 1
                 continue

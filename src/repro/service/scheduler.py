@@ -1,10 +1,11 @@
 """Thread-based job scheduler: priority queue + worker pool.
 
 The pool drains a priority queue (higher :attr:`Job.priority` first,
-FIFO among equals) with N worker threads.  Each attempt of a job runs
-on its own thread so a per-job *timeout* can be enforced with
-``join(timeout)``; a timed-out attempt's thread is abandoned (daemon)
-and the job either retries with exponential backoff or fails.  Retries
+FIFO among equals) with N worker threads.  An attempt with a *timeout*
+runs on its own thread so the limit can be enforced with
+``join(timeout)`` (one without runs on the worker thread itself); a
+timed-out attempt's thread is abandoned (daemon) and the job either
+retries with exponential backoff or fails.  Retries
 are parked in a delay heap and become eligible again at
 ``backoff * 2**(attempt-1)`` seconds.
 
@@ -14,7 +15,14 @@ cooperatively, and whatever the attempt produces is discarded — the job
 lands in ``CANCELLED`` rather than ``DONE``/``FAILED``.
 
 All queue/state mutation happens under one condition variable; the
-runner itself executes outside the lock.
+runner itself executes outside the lock.  Every state change goes
+through :meth:`WorkerPool._transition`, which journals it and keeps the
+queued/running counts, so gauges and admission checks never rescan the
+job table.  Every terminal one goes on through
+:meth:`WorkerPool._finish`, which runs the callbacks parked by
+:meth:`WorkerPool.watch` and forgets the oldest-finished jobs beyond
+:data:`RETAINED_TERMINAL_JOBS` — memory, journal compaction and status
+listings stay bounded however long the daemon lives.
 """
 
 from __future__ import annotations
@@ -23,14 +31,19 @@ import heapq
 import itertools
 import threading
 import time
+from collections import deque
 from typing import Any, Callable
 
 from ..errors import JobNotFoundError, ReproError, ServiceError
 from ..runtime import faults
 from ..runtime.metrics import ServiceMetrics
 from ..runtime.tracing import Tracer
-from .jobs import Job, JobState
+from .jobs import Job, JobState, job_id_sequence
 from .journal import JobJournal
+
+#: Finished jobs kept for status/wait/trace queries; beyond this the
+#: oldest-finished one is forgotten and its id answers "expired".
+RETAINED_TERMINAL_JOBS = 1000
 
 
 class WorkerPool:
@@ -86,6 +99,9 @@ class WorkerPool:
         self._ready: list[tuple[int, int, Job]] = []     # (-prio, seq, job)
         self._delayed: list[tuple[float, int, Job]] = []  # (due, seq, job)
         self._jobs: dict[str, Job] = {}
+        self._live = {JobState.QUEUED: 0, JobState.RUNNING: 0}
+        self._finished: deque[Job] = deque()     # oldest-finished first
+        self._expired_seq = 0        # highest id sequence forgotten
         self._stopping = False
         self._threads = [
             threading.Thread(target=self._worker_loop,
@@ -114,34 +130,58 @@ class WorkerPool:
                 # accepting work we cannot recover would silently
                 # reintroduce the bug the journal fixes.
                 self._journal.append_submit(job)
-            self._jobs[job.job_id] = job
+            self._register(job)
             heapq.heappush(self._ready,
                            (-job.priority, next(self._seq), job))
             self.metrics.inc("jobs_submitted")
-            self._update_depth_gauge()
             self._cond.notify()
         return job
 
     def get(self, job_id: str) -> Job:
         """The job named *job_id*, or raise :class:`JobNotFoundError`."""
         with self._cond:
-            try:
-                return self._jobs[job_id]
-            except KeyError:
-                raise JobNotFoundError(f"unknown job id {job_id!r}") \
-                    from None
+            job = self._jobs.get(job_id)
+            if job is not None:
+                return job
+            if 0 < job_id_sequence(job_id) <= self._expired_seq:
+                raise JobNotFoundError(
+                    f"job id {job_id!r} expired: only the "
+                    f"{RETAINED_TERMINAL_JOBS} most recently finished "
+                    f"jobs are kept")
+            raise JobNotFoundError(f"unknown job id {job_id!r}")
+
+    def watch(self, job_id: str,
+              wake: Callable[[], None]) -> tuple[Job, bool]:
+        """Park *wake* on a job until it finishes: ``(job, parked)``.
+
+        A parked *wake* runs once, on the finishing thread with the
+        scheduler lock held, after the terminal record is journaled —
+        so it must only hand off.  A job that is already terminal parks
+        nothing.  Callers that stop waiting early :meth:`unwatch`.
+        """
+        with self._cond:
+            job = self.get(job_id)
+            parked = not job.state.terminal
+            if parked:
+                job.waiters.append(wake)
+            return job, parked
+
+    def unwatch(self, job: Job, wake: Callable[[], None]) -> None:
+        """Withdraw a parked *wake* (no-op once it ran)."""
+        with self._cond:
+            if wake in job.waiters:
+                job.waiters.remove(wake)
 
     def jobs(self) -> list[Job]:
-        """All known jobs in submission order."""
+        """Every retained job (live or recently finished), in
+        submission order."""
         with self._cond:
             return sorted(self._jobs.values(),
                           key=lambda j: j.submitted_at)
 
     def queued_count(self) -> int:
         """Jobs currently waiting to run (admission-control input)."""
-        with self._cond:
-            return sum(1 for j in self._jobs.values()
-                       if j.state is JobState.QUEUED)
+        return self._live[JobState.QUEUED]
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a job.
@@ -152,9 +192,7 @@ class WorkerPool:
         job had already finished.
         """
         with self._cond:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise JobNotFoundError(f"unknown job id {job_id!r}")
+            job = self.get(job_id)
             if job.state.terminal:
                 return False
             job.cancel_requested.set()
@@ -197,12 +235,15 @@ class WorkerPool:
 
     # -- crash recovery ---------------------------------------------
 
-    def recover(self, specs: list[dict]) -> dict[str, int]:
+    def recover(self, specs: list[dict],
+                id_floor: int = 0) -> dict[str, int]:
         """Adopt journaled job specs after a restart.
 
-        Terminal jobs are registered so status/wait/trace queries keep
-        answering for them.  ``QUEUED`` jobs go straight back on the
-        ready heap under their original ids.  A job that was
+        Terminal jobs are registered (oldest-finished first, under the
+        retention bound; *id_floor* is the journal's note of ids
+        forgotten earlier) so status/wait/trace queries keep answering
+        for them.  ``QUEUED`` jobs go straight back on the ready heap
+        under their original ids.  A job that was
         ``RUNNING`` when the process died had its attempt interrupted;
         that attempt *counts* (``attempts`` was journaled when it
         started), so the job is re-queued with the normal exponential
@@ -211,9 +252,16 @@ class WorkerPool:
         """
         counts = {"terminal": 0, "requeued": 0, "rerun": 0,
                   "failed": 0, "invalid": 0}
-        ordered = sorted(specs, key=lambda s: s.get("submitted_at", 0))
+
+
+        def order(spec: dict) -> tuple[float, float]:
+            done = spec.get("finished_at")
+            return (done if isinstance(done, (int, float))
+                    else float("inf"), spec.get("submitted_at", 0))
+
         with self._cond:
-            for spec in ordered:
+            self._expired_seq = max(self._expired_seq, id_floor)
+            for spec in sorted(specs, key=order):
                 try:
                     job = Job.from_spec(spec)
                 except ServiceError:
@@ -227,7 +275,7 @@ class WorkerPool:
                 if job.job_id in self._jobs:
                     raise ServiceError(
                         f"duplicate job id {job.job_id} in recovery")
-                self._jobs[job.job_id] = job
+                self._register(job)
                 if job.state.terminal:
                     counts["terminal"] += 1
                     continue
@@ -242,8 +290,7 @@ class WorkerPool:
                              f"service restart")
                 if job.attempts_left > 0:
                     delay = job.backoff * 2 ** (job.attempts - 1)
-                    job.transition(JobState.QUEUED)
-                    self._journal_transition(job)
+                    self._transition(job, JobState.QUEUED)
                     heapq.heappush(
                         self._delayed,
                         (time.monotonic() + delay, next(self._seq),
@@ -252,7 +299,6 @@ class WorkerPool:
                 else:
                     self._finish(job, JobState.FAILED)
                     counts["failed"] += 1
-            self._update_depth_gauge()
             self._cond.notify_all()
         recovered = counts["requeued"] + counts["rerun"]
         self.metrics.inc("jobs_recovered", recovered)
@@ -277,25 +323,49 @@ class WorkerPool:
         if self._journal is None:
             return False
         with self._cond:
-            jobs = sorted(self._jobs.values(),
-                          key=lambda j: j.submitted_at)
             if force:
-                self._journal.compact(jobs)
+                self._journal.compact(self.jobs(), self._expired_seq)
                 return True
-            return self._journal.maybe_compact(jobs)
+            return self._journal.maybe_compact(self.jobs(),
+                                               self._expired_seq)
 
     # -- worker internals -------------------------------------------
 
-    def _journal_transition(self, job: Job) -> None:
-        # Called with the lock held, right after a state change.
-        # Best-effort on purpose: a worker thread must survive a
-        # journal write failure (including injected ones).
+    def _register(self, job: Job) -> None:
+        # Called with the lock held: adopt a submitted/recovered job.
+        self._jobs[job.job_id] = job
+        if job.state.terminal:
+            self._retire(job)
+        else:
+            self._live[job.state] += 1
+            self._publish_gauges()
+
+    def _transition(self, job: Job, to: JobState) -> None:
+        # Called with the lock held: the one place a registered job
+        # changes state.  Journaling is best-effort on purpose: a
+        # worker thread must survive a journal write failure.
+        was = job.state
+        job.transition(to)
+        self._live[was] -= 1
+        if to in self._live:
+            self._live[to] += 1
+        self._publish_gauges()
         if self._journal is None:
             return
         try:
             self._journal.append_transition(job)
         except ReproError:
             self.metrics.inc("journal_append_errors")
+
+    def _retire(self, job: Job) -> None:
+        # Called with the lock held, for a job that is terminal:
+        # forget the oldest-finished jobs beyond the retention bound.
+        self._finished.append(job)
+        while len(self._finished) > RETAINED_TERMINAL_JOBS:
+            old = self._finished.popleft()
+            del self._jobs[old.job_id]
+            self._expired_seq = max(self._expired_seq,
+                                    job_id_sequence(old.job_id))
 
     def _discard(self, job: Job) -> None:
         # Called with the lock held: drop *job*'s entries from both
@@ -310,23 +380,25 @@ class WorkerPool:
             self._delayed[:] = delayed
             heapq.heapify(self._delayed)
 
-    def _update_depth_gauge(self) -> None:
+    def _publish_gauges(self) -> None:
         # Called with the lock held.
-        depth = sum(1 for j in self._jobs.values()
-                    if j.state is JobState.QUEUED)
-        running = sum(1 for j in self._jobs.values()
-                      if j.state is JobState.RUNNING)
-        self.metrics.set_gauge("queue_depth", depth)
-        self.metrics.set_gauge("jobs_running", running)
+        self.metrics.set_gauge("queue_depth",
+                               self._live[JobState.QUEUED])
+        self.metrics.set_gauge("jobs_running",
+                               self._live[JobState.RUNNING])
 
     def _finish(self, job: Job, state: JobState) -> None:
-        # Called with the lock held; records terminal state + metrics.
-        job.transition(state)
-        self._journal_transition(job)
+        # Called with the lock held; records terminal state + metrics,
+        # then wakes the waiters — strictly after the journal append,
+        # so a client never sees a state the journal lacks.
+        self._transition(job, state)
         self.metrics.inc(f"jobs_{state.value}")
         self.metrics.observe("job_wall_seconds",
                              job.finished_at - job.submitted_at)
-        self._update_depth_gauge()
+        self._retire(job)
+        waiters, job.waiters = job.waiters, []
+        for wake in waiters:
+            wake()
         self._cond.notify_all()
 
     def _next_job(self) -> Job | None:
@@ -342,9 +414,7 @@ class WorkerPool:
                     _, _, job = heapq.heappop(self._ready)
                     if job.state is JobState.QUEUED:
                         job.attempts += 1
-                        job.transition(JobState.RUNNING)
-                        self._journal_transition(job)
-                        self._update_depth_gauge()
+                        self._transition(job, JobState.RUNNING)
                         return job
                     # Cancelled while queued: stale heap entry, skip.
                 if self._stopping:
@@ -389,6 +459,10 @@ class WorkerPool:
             finally:
                 box[2] = [s.to_dict() for s in tracer.spans()]
 
+        if job.timeout is None:
+            # Nothing to enforce: run on the worker thread itself.
+            call()
+            return box[0], box[1], False, box[2]
         thread = threading.Thread(target=call, daemon=True,
                                   name=f"{job.job_id}-attempt"
                                        f"{job.attempts}")
@@ -443,13 +517,11 @@ class WorkerPool:
                     continue
                 if job.attempts_left > 0 and not self._stopping:
                     delay = job.backoff * 2 ** (job.attempts - 1)
-                    job.transition(JobState.QUEUED)
-                    self._journal_transition(job)
+                    self._transition(job, JobState.QUEUED)
                     self.metrics.inc("jobs_retried")
                     heapq.heappush(
                         self._delayed,
                         (time.monotonic() + delay, next(self._seq), job))
-                    self._update_depth_gauge()
                     self._cond.notify_all()
                 elif job.attempts_left > 0:
                     # Pool is stopping: parking a retry would orphan it.

@@ -1,16 +1,19 @@
 """Tests for artifact-cache integrity: per-file digests, quarantine
 of corrupt entries, the corrupt-meta.json startup regression, publish
-races, temp-dir sweeping, and verification policies."""
+races, temp-dir sweeping, verification policies, and hash-once /
+verify-by-identity fetches."""
 
 from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
 from repro.errors import ServiceError
 from repro.runtime.metrics import ServiceMetrics
+from repro.service import cache as cache_mod
 from repro.service.cache import ArtifactCache, cache_key, \
     content_digest, file_digests
 
@@ -231,3 +234,155 @@ def test_cache_key_is_content_addressed(tmp_path):
     b.write_bytes(b"same-bytes")
     assert cache_key(a, {"op": "x"}) == cache_key(b, {"op": "x"})
     assert cache_key(a, {"op": "x"}) != cache_key(a, {"op": "y"})
+
+
+# ---------------------------------------------------------------------
+# hash once, then verify by identity
+
+
+def settle() -> None:
+    """Let file timestamps age past the racy-identity window."""
+    time.sleep(2.5 * cache_mod._SETTLE_NS / 1e9)
+
+
+@pytest.fixture
+def digest_calls(monkeypatch):
+    """Paths handed to ``content_digest`` from inside the cache."""
+    calls: list[str] = []
+
+    def counting(path):
+        calls.append(os.fspath(path))
+        return content_digest(path)
+
+    monkeypatch.setattr(cache_mod, "content_digest", counting)
+    return calls
+
+
+def warm(tmp_path, **cache_kwargs):
+    """A built entry whose identities the cache has remembered."""
+    metrics = ServiceMetrics()
+    cache, source, entry = build_one(tmp_path, metrics=metrics,
+                                     **cache_kwargs)
+    settle()
+    assert cache.lookup(source, {"op": "x"}) is not None
+    return cache, source, entry, metrics
+
+
+def test_steady_state_hit_reads_no_file(tmp_path, digest_calls):
+    cache, source, entry, metrics = warm(tmp_path)
+    del digest_calls[:]
+    for _ in range(5):
+        found, hit = cache.get_or_build(source, {"op": "x"}, builder)
+        assert hit and found.key == entry.key
+    assert digest_calls == []
+    assert metrics.counter("cache_verify_identity") == 5
+
+
+def test_first_fetch_after_restart_digests_exactly_once(tmp_path,
+                                                        digest_calls):
+    _, source, entry, _ = warm(tmp_path)
+    metrics = ServiceMetrics()
+    reopened = ArtifactCache(tmp_path / "cache", metrics=metrics)
+    del digest_calls[:]
+    assert reopened.lookup(source, {"op": "x"}) is not None
+    # The input for the key, then every artifact of the adopted entry.
+    assert sorted(digest_calls) == sorted(
+        [source, entry.file("data.bamx"), entry.file("data.bamx.baix")])
+    assert metrics.counter("cache_verify_ok") == 1
+    del digest_calls[:]
+    assert reopened.lookup(source, {"op": "x"}) is not None
+    assert digest_calls == []
+    assert metrics.counter("cache_verify_identity") == 1
+
+
+def test_full_digest_comes_back_when_the_last_one_is_old(
+        tmp_path, digest_calls, monkeypatch):
+    cache, source, _, metrics = warm(tmp_path)
+    monkeypatch.setattr(cache_mod, "FULL_DIGEST_SECONDS", 0.0)
+    del digest_calls[:]
+    assert cache.lookup(source, {"op": "x"}) is not None
+    assert len(digest_calls) == 3       # input + both artifacts
+    assert metrics.counter("cache_verify_identity") == 0
+
+
+def overwrite_keeping_size_and_mtime(path: str) -> None:
+    before = os.stat(path)
+    with open(path, "r+b") as fh:
+        fh.write(b"X")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == \
+        (before.st_size, before.st_mtime_ns)
+
+
+def replace_by_rename(path: str) -> None:
+    before = os.stat(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path + ".new", "wb") as fh:
+        fh.write(b"Y" + data[1:])
+    os.utime(path + ".new", ns=(before.st_atime_ns, before.st_mtime_ns))
+    os.replace(path + ".new", path)
+
+
+def edit_meta(path: str) -> None:
+    with open(path, encoding="utf-8") as fh:
+        meta = json.load(fh)
+    name = "data.bamx"
+    meta["files"][name] = "0" * len(meta["files"][name])
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(meta, fh)
+
+
+TAMPERINGS = {
+    "in-place-same-size-mtime-restored":
+        ("data.bamx", overwrite_keeping_size_and_mtime),
+    "replaced-by-rename": ("data.bamx", replace_by_rename),
+    "deleted-artifact": ("data.bamx.baix", os.unlink),
+    "extra-file": ("smuggled.bin",
+                   lambda path: open(path, "wb").close()),
+    "edited-meta": ("meta.json", edit_meta),
+}
+
+
+@pytest.mark.parametrize("how", sorted(TAMPERINGS))
+def test_tampered_warm_entry_is_quarantined_never_served(tmp_path, how):
+    cache, source, entry, metrics = warm(tmp_path)
+    name, tamper = TAMPERINGS[how]
+    tamper(entry.file(name))
+    assert cache.lookup(source, {"op": "x"}) is None
+    assert len(cache.quarantined()) == 1
+    assert metrics.counter("cache_verify_failed") == 1
+    rebuilt, hit = cache.get_or_build(source, {"op": "x"}, builder)
+    assert not hit
+    with open(rebuilt.file("data.bamx"), "rb") as fh:
+        assert fh.read() == PAYLOAD
+
+
+def test_input_rewritten_in_place_at_same_size_gets_new_key(tmp_path):
+    cache, source, entry, _ = warm(tmp_path)
+    before = os.stat(source)
+    with open(source, "r+b") as fh:
+        fh.write(b"INPUT")      # same length as the b"input" it replaces
+    os.utime(source, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert os.stat(source).st_size == before.st_size
+    rebuilt, hit = cache.get_or_build(source, {"op": "x"}, builder)
+    assert not hit and rebuilt.key != entry.key
+    assert rebuilt.key == cache_key(source, {"op": "x"})
+
+
+def test_locks_and_memo_rows_stay_bounded(tmp_path, monkeypatch):
+    """Regression: one build lock per key ever requested, forever."""
+    monkeypatch.setattr(cache_mod, "DIGEST_MEMO_ROWS", 16)
+    size = len(PAYLOAD) + len(b"index-bytes") + 400     # ~ one entry
+    cache = ArtifactCache(tmp_path / "cache", max_bytes=3 * size)
+    sources = []
+    for i in range(500):
+        sources.append(tmp_path / f"input{i}.bam")
+        sources[-1].write_bytes(b"input-%d" % i)
+    settle()
+    for i, source in enumerate(sources):
+        cache.get_or_build(source, {"op": i}, builder)
+    assert len(cache.keys()) <= 3
+    assert cache._build_locks == {}
+    assert len(cache._digests) == 16

@@ -280,3 +280,43 @@ def test_preprocess_compress_flag(tmp_path, capsys):
                 "--compress"]) == 0
     assert list(work.glob("*.bamz"))
     assert list(work.glob("*.bamz.bzi"))
+
+
+def test_client_verbs_do_not_import_the_converter_stack():
+    """``repro submit|status|cancel`` and the client module must start
+    without numpy or ``repro.core`` (checked in a fresh interpreter)."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    probe = (
+        "import sys\n"
+        "import repro.service.client\n"
+        "from repro.service import ServiceClient, protocol\n"
+        "from repro.cli import main\n"
+        "try:\n"
+        "    main(['status', '--help'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "heavy = [m for m in ('numpy', 'repro.core', 'repro.formats')\n"
+        "         if m in sys.modules]\n"
+        "print('HEAVY', heavy)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    done = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().endswith("HEAVY []"), done.stdout
+
+
+def test_package_exports_resolve_lazily_and_completely():
+    import repro
+    import repro.service
+    for package in (repro, repro.service):
+        for name in package.__all__:
+            assert getattr(package, name) is not None
+    assert repro.service.ServiceClient.__module__ == \
+        "repro.service.client"
+    with pytest.raises(AttributeError):
+        repro.service.no_such_export

@@ -206,6 +206,77 @@ def test_compaction_never_loses_racing_submits(tmp_path):
     assert not missing, f"compaction lost acked submits: {missing}"
 
 
+def test_compaction_and_replay_round_trip_the_retained_set(
+        tmp_path, monkeypatch):
+    """Forgotten jobs leave the journal at compaction; what replay
+    gives back is exactly what the pool still answers for, plus the
+    floor that keeps new ids clear of the forgotten ones."""
+    from repro.service import scheduler
+    monkeypatch.setattr(scheduler, "RETAINED_TERMINAL_JOBS", 10)
+    path = tmp_path / "jobs.jsonl"
+    gate = threading.Event()
+    journal = JobJournal(path, fsync="never")
+    pool = WorkerPool(lambda job: gate.wait(30), workers=1,
+                      journal=journal)
+    try:
+        jobs = [pool.submit(Job(kind="k", job_id=f"job-{i:06d}"))
+                for i in range(1, 16)]
+        # The highest id finishes first, so it is the first forgotten.
+        assert pool.cancel("job-000015")
+        gate.set()
+        assert pool.wait_all(20)
+        retained = {job.job_id for job in pool.jobs()}
+        assert retained == {f"job-{i:06d}" for i in range(5, 15)}
+        assert pool.compact_journal(force=True)
+        specs, stats = replay(path)
+        assert set(specs) == retained
+        assert {s["state"] for s in specs.values()} == {"done"}
+        assert stats["id_floor"] == 15 and stats["bad_lines"] == 0
+    finally:
+        gate.set()
+        pool.shutdown()
+        journal.close()
+
+    # A restart on that journal answers "expired" for the forgotten
+    # ids and never hands one of them out again.
+    svc = ConversionService(tmp_path / "svc", workers=1,
+                            journal_path=path)
+    try:
+        assert {j["job_id"] for j in svc.status()} == retained
+        with pytest.raises(Exception, match="expired"):
+            svc.status("job-000015")
+        fresh = svc.pool.submit(Job(kind="preprocess",
+                                    params={"input": "/nonexistent"}))
+        assert fresh.job_id == "job-000016"
+        assert jobs[14].job_id == "job-000015"
+    finally:
+        svc.close()
+
+
+def test_recover_applies_the_retention_bound_oldest_finished_first(
+        monkeypatch):
+    from repro.service import scheduler
+    monkeypatch.setattr(scheduler, "RETAINED_TERMINAL_JOBS", 3)
+    pool = WorkerPool(lambda job: None, workers=1)
+    try:
+        now = time.time()
+        # Submission order is the reverse of finishing order.
+        counts = pool.recover([
+            spec(f"job-{i:06d}", state="done", submitted_at=now - i,
+                 finished_at=now + i) for i in range(1, 7)]
+            + [spec("job-000007", state="queued",
+                    submitted_at=now - 60)], id_floor=2)
+        assert counts["terminal"] == 6 and counts["requeued"] == 1
+        assert pool.wait_all(10)
+        # Job 7 finished last; before it, jobs 6 and 5 by finished_at.
+        assert {j.job_id for j in pool.jobs()} == \
+            {"job-000005", "job-000006", "job-000007"}
+        with pytest.raises(Exception, match="expired"):
+            pool.get("job-000004")
+    finally:
+        pool.shutdown()
+
+
 # ---------------------------------------------------------------------
 # job-id seeding
 

@@ -201,6 +201,124 @@ def test_pool_queue_depth_gauge_and_duplicate_submit():
         pool.shutdown()
 
 
+def recount(pool: WorkerPool) -> tuple[int, int]:
+    states = [job.state for job in pool.jobs()]
+    return (states.count(JobState.QUEUED),
+            states.count(JobState.RUNNING))
+
+
+def gauges(pool: WorkerPool) -> tuple[int, int]:
+    return (pool.metrics.gauge("queue_depth"),
+            pool.metrics.gauge("jobs_running"))
+
+
+def test_gauges_equal_a_recount_through_a_mixed_run():
+    """Retries, cancels of queued and running jobs, a timeout and a
+    recovery: the maintained counts never drift from a full scan."""
+    gate = threading.Event()
+
+    def runner(job: Job):
+        mode = job.params.get("mode")
+        if mode == "block":
+            gate.wait(30)
+        elif mode == "spin":
+            while not job.cancel_requested.is_set():
+                time.sleep(0.001)
+        elif mode == "flaky" and job.attempts < 3:
+            raise RuntimeError("again")
+        return mode
+
+    pool = WorkerPool(runner, workers=2)
+    try:
+        now = time.time()
+        pool.recover([
+            {"job_id": "job-000001", "kind": "k", "state": "done",
+             "submitted_at": now - 9, "finished_at": now - 8},
+            {"job_id": "job-000002", "kind": "k", "state": "running",
+             "attempts": 1, "max_retries": 0, "submitted_at": now - 7},
+            {"job_id": "job-000003", "kind": "k", "state": "running",
+             "attempts": 1, "max_retries": 1, "backoff": 0.01,
+             "submitted_at": now - 6},
+            {"job_id": "job-000004", "kind": "k", "state": "queued",
+             "params": {"mode": "block"}, "submitted_at": now - 5},
+        ])
+        spinner = pool.submit(Job(kind="k", params={"mode": "spin"}))
+        queued = [pool.submit(Job(kind="k")) for _ in range(3)]
+        timed = pool.submit(Job(kind="k", params={"mode": "block"},
+                                timeout=0.05))
+        flaky = pool.submit(Job(kind="k", params={"mode": "flaky"},
+                                max_retries=3, backoff=0.01))
+        deadline = time.monotonic() + 10
+        pinned = (spinner, pool.get("job-000004"))
+        while any(j.state is not JobState.RUNNING for j in pinned):
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        with pool._cond:
+            assert gauges(pool) == recount(pool)
+            assert pool.queued_count() == recount(pool)[0] >= 5
+        assert pool.cancel(queued[0].job_id)        # queued
+        assert pool.cancel(spinner.job_id)          # running
+        with pool._cond:
+            assert gauges(pool) == recount(pool)
+        gate.set()
+        assert pool.wait_all(20)
+        assert gauges(pool) == recount(pool) == (0, 0)
+        assert pool.queued_count() == 0
+        assert timed.state in (JobState.FAILED, JobState.DONE)
+        assert flaky.state is JobState.DONE and flaky.attempts == 3
+        assert pool.get("job-000002").state is JobState.FAILED
+        assert pool.get("job-000003").state is JobState.DONE
+    finally:
+        gate.set()
+        pool.shutdown()
+
+
+def test_pool_keeps_a_bounded_number_of_finished_jobs(monkeypatch):
+    from repro.service import scheduler
+    monkeypatch.setattr(scheduler, "RETAINED_TERMINAL_JOBS", 20)
+    gate = threading.Event()
+    pool = WorkerPool(
+        lambda job: gate.wait(30) if job.params.get("block") else None,
+        workers=2)
+    try:
+        running = [pool.submit(Job(kind="k", params={"block": True}))
+                   for _ in range(2)]
+        deadline = time.monotonic() + 10
+        while recount(pool)[1] < 2:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        parked = pool.submit(Job(kind="k"))
+        # 70 jobs finish (cancelled while queued) around the three
+        # live ones; only the 20 most recently finished stay.
+        finished = [pool.submit(Job(kind="k")) for _ in range(70)]
+        for job in finished:
+            assert pool.cancel(job.job_id)
+        kept = {job.job_id for job in pool.jobs()}
+        assert kept == {j.job_id for j in running + [parked]
+                        + finished[-20:]}
+        with pytest.raises(JobNotFoundError, match="expired"):
+            pool.get(finished[0].job_id)
+        with pytest.raises(JobNotFoundError, match="expired"):
+            pool.cancel(finished[49].job_id)
+        with pytest.raises(JobNotFoundError, match="unknown job id"):
+            pool.get("job-999999")
+        assert pool.get(finished[50].job_id).state \
+            is JobState.CANCELLED
+        gate.set()
+        assert pool.wait_all(20)
+        # The live jobs were never evicted, whatever finished around
+        # them; now that they finished they are the newest retained.
+        for job in running + [parked]:
+            assert pool.get(job.job_id).state is JobState.DONE
+        assert len(pool.jobs()) == 20
+        # New ids keep climbing past every forgotten one.
+        fresh = pool.submit(Job(kind="k"))
+        assert fresh.job_id not in {j.job_id for j in finished}
+    finally:
+        gate.set()
+        pool.shutdown()
+
+
 # ---------------------------------------------------------------------
 # artifact cache
 

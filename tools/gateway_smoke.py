@@ -15,11 +15,16 @@ Checks enforced:
 * no submit is rejected (the burst stays under the admission bound);
 * a deliberately oversized frame gets a ``bad_frame`` error and the
   connection stays usable;
-* results land on disk for every job.
+* results land on disk for every job;
+* the gateway adds little to a job: one closed-loop client then runs
+  jobs back to back, and the median of client latency minus the job's
+  own ``finished_at - started_at`` must stay under
+  :data:`OVERHEAD_LIMIT_MS` — the guard against a poll tick (or any
+  other fixed per-job wait) coming back.
 
-The service metrics snapshot is written to ``GATEWAY_SMOKE_metrics.json``
-at the repo root (uploaded as a CI artifact) so gateway counters are
-inspectable per run.
+The service metrics snapshot and the overhead median/p90 are written
+to ``GATEWAY_SMOKE_metrics.json`` at the repo root (uploaded as a CI
+artifact) so gateway counters are inspectable per run.
 
 Usage::
 
@@ -31,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -43,6 +49,13 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from repro.service import ServiceClient  # noqa: E402
 from repro.service import protocol  # noqa: E402
 from repro.simdata import build_sam_dataset  # noqa: E402
+
+
+#: Ceiling on the median per-job gateway overhead (a 20 ms poll tick
+#: alone puts it at ~10 ms plus the queue wait).
+OVERHEAD_LIMIT_MS = 10.0
+#: Back-to-back jobs of the overhead probe.
+OVERHEAD_JOBS = 40
 
 
 def fail(message: str) -> None:
@@ -141,6 +154,35 @@ def run_burst(address: tuple[str, int], sam_path: str, out_root: str,
     return results
 
 
+def measure_overhead(address: tuple[str, int], sam_path: str,
+                     out_root: str, deadline_s: float) -> dict:
+    """Per-job client latency minus run time, one closed-loop client."""
+    overheads = []
+    with ServiceClient(address, timeout=deadline_s) as client:
+        for i in range(OVERHEAD_JOBS):
+            t0 = time.perf_counter()
+            job = client.submit("convert", {
+                "input": sam_path, "target": "bed",
+                "out_dir": os.path.join(out_root, f"seq{i:03d}")})
+            job = client.wait(job["job_id"], timeout=deadline_s)
+            latency = time.perf_counter() - t0
+            if job["state"] != "done":
+                fail(f"overhead probe job not done: {job}")
+            overheads.append(
+                (latency - (job["finished_at"] - job["started_at"]))
+                * 1e3)
+    overheads.sort()
+    report = {"jobs": len(overheads),
+              "median_ms": statistics.median(overheads),
+              "p90_ms": overheads[int(len(overheads) * 0.9)]}
+    print(f"[smoke] gateway overhead per job: median "
+          f"{report['median_ms']:.2f} ms, p90 {report['p90_ms']:.2f} ms")
+    if report["median_ms"] > OVERHEAD_LIMIT_MS:
+        fail(f"median gateway overhead {report['median_ms']:.2f} ms "
+             f"exceeds {OVERHEAD_LIMIT_MS} ms")
+    return report
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--clients", type=int,
@@ -178,6 +220,9 @@ def main(argv: list[str] | None = None) -> int:
                        if not (r.get("result") or {}).get("outputs")]
             if missing:
                 fail(f"jobs finished without outputs: {missing[:3]}")
+            overhead = measure_overhead(address, sam_path,
+                                        os.path.join(work, "out"),
+                                        args.deadline)
 
             with ServiceClient(address, timeout=30) as client:
                 snapshot = client.metrics()
@@ -192,10 +237,14 @@ def main(argv: list[str] | None = None) -> int:
             if counters.get("jobs_done", 0) < args.clients:
                 fail(f"jobs_done={counters.get('jobs_done')} < "
                      f"{args.clients}")
+            if "gateway_wait_wake_seconds" not in snapshot["timers"]:
+                fail("no gateway_wait_wake_seconds timer in the "
+                     "metrics snapshot")
 
             out_path = os.path.join(ROOT, "GATEWAY_SMOKE_metrics.json")
             with open(out_path, "w", encoding="utf-8") as fh:
                 json.dump({"smoke": True, "clients": args.clients,
+                           "gateway_overhead": overhead,
                            "metrics": snapshot}, fh, indent=2,
                           sort_keys=True)
                 fh.write("\n")
