@@ -122,7 +122,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             if args.bamx else None
         artifacts, pre = converter.ensure_preprocessed(
             args.input, args.work_dir or args.out_dir,
-            artifacts=supplied)
+            artifacts=supplied, nprocs=args.nprocs,
+            executor=args.executor)
         if pre is not None:
             print(f"preprocessed to {artifacts.store_path} "
                   f"({pre.total_seconds:.2f}s, {pre.records} records)")
@@ -149,9 +150,10 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     if source.endswith(".bam"):
         bamx, baix, metrics = BamConverter(
             store_format=args.store_format).preprocess(
-            args.input, args.work_dir, compress=args.compress)
-        print(f"sequential preprocessing: {metrics.records} records, "
-              f"{metrics.total_seconds:.2f}s\n  {bamx}\n  {baix}")
+            args.input, args.work_dir, compress=args.compress,
+            nprocs=args.nprocs, executor=args.executor)
+        print(f"preprocessing ({args.nprocs} ranks): {metrics.records} "
+              f"records, {metrics.total_seconds:.2f}s\n  {bamx}\n  {baix}")
     elif source.endswith(".sam"):
         paths, metrics = PreprocSamConverter(
             shards_per_rank=args.shards,
@@ -631,10 +633,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_convert)
 
     p = sub.add_parser("preprocess", help="BAMX/BAIX preprocessing only")
-    p.add_argument("input", help=".sam (parallel) or .bam (sequential)")
+    p.add_argument("input", help=".sam or .bam input")
     p.add_argument("--work-dir", required=True)
     p.add_argument("--nprocs", type=int, default=1,
-                   help="preprocessing ranks (SAM input only)")
+                   help="preprocessing ranks")
     p.add_argument("--compress", action="store_true",
                    help="write BGZF-compressed BAMZ instead of BAMX "
                         "(BAM input only)")

@@ -1,29 +1,21 @@
 """The paper's core contribution: the three parallel format-converter
-instances, partial (region) conversion, and the target-plugin API."""
+instances, partial (region) conversion, and the target-plugin API.
+Exports resolve on first use (PEP 562)."""
 
+from .._lazy import lazy_exports
 from ..formats.record import AlignmentRecord
-from .base import EXECUTORS, ConversionResult
-from .bam_converter import BamConverter, PreprocArtifacts, \
-    convert_bam_direct, preprocess_bam
-from .dataset import AlignmentDataset, RecordStoreHandle
-from .filters import ACCEPT_ALL, RecordFilter, parse_filter_expr
-from .region import GenomicRegion
-from .sam_converter import SamConverter, convert_sam, scan_header
-from .sort import SortResult, parallel_sort_sam, sort_bam, sort_sam
-from .samp_converter import PreprocSamConverter
-from .targets import TargetFormat, get_target, register_target, \
-    target_names
 
-__all__ = [
-    "AlignmentRecord",
-    "ConversionResult", "EXECUTORS",
-    "SamConverter", "convert_sam", "scan_header",
-    "BamConverter", "PreprocArtifacts", "convert_bam_direct",
-    "preprocess_bam",
-    "PreprocSamConverter",
-    "GenomicRegion",
-    "AlignmentDataset", "RecordStoreHandle",
-    "RecordFilter", "ACCEPT_ALL", "parse_filter_expr",
-    "SortResult", "sort_sam", "sort_bam", "parallel_sort_sam",
-    "TargetFormat", "get_target", "register_target", "target_names",
-]
+__all__, __getattr__ = lazy_exports(globals(), {
+    "base": ("EXECUTORS", "ConversionResult"),
+    "bam_converter": ("BamConverter", "PreprocArtifacts",
+                      "convert_bam_direct", "preprocess_bam"),
+    "dataset": ("AlignmentDataset", "RecordStoreHandle"),
+    "filters": ("ACCEPT_ALL", "RecordFilter", "parse_filter_expr"),
+    "region": ("GenomicRegion",),
+    "sam_converter": ("SamConverter", "convert_sam", "scan_header"),
+    "sort": ("SortResult", "parallel_sort_sam", "sort_bam", "sort_sam"),
+    "samp_converter": ("PreprocSamConverter",),
+    "targets": ("TargetFormat", "get_target", "register_target",
+                "target_names"),
+})
+__all__.append("AlignmentRecord")

@@ -5,9 +5,11 @@ byte split leaves every partition unparsable: BAM conversion cannot be
 parallelized without preprocessing.  The converter therefore runs two
 phases:
 
-1. **Sequential preprocessing** — stream the BAM once to plan the BAMX
-   layout, stream it again to write the fixed-record BAMX file and its
-   BAIX index (sorted starting positions -> record indices).
+1. **Preprocessing** — write the fixed-record BAMX file and its BAIX
+   index (sorted starting positions -> record indices).  The paper
+   runs this sequentially; here only the walk over the ``block_size``
+   chain is — BGZF blocks are inflated, and slabs of records encoded,
+   by ``nprocs`` ranks (:func:`preprocess_bam`).
 2. **Parallel conversion** — the BAMX supports O(1) random access, so
    partitioning degenerates to handing each rank an equal count of
    records; from there the flow matches the SAM converter.
@@ -25,25 +27,32 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from itertools import chain
+from functools import reduce
+from itertools import accumulate, chain
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import ConversionError
-from ..formats.baix2 import record_columns
-from ..formats.bam import BamReader, slab_columns, slab_records
-from ..formats.bamx import BamxLayout, plan_layout, slab_layout
+from ..formats.bam import BamReader, raw_slabs, read_header, \
+    slab_columns, slab_records
+from ..formats.bamc import slab_from_records
+from ..formats.bamx import BamxLayout
 from ..formats.batch import DEFAULT_BATCH_SIZE, batched, \
     convert_records
+from ..formats.bgzf import BgzfReader, scan_blocks
+from ..formats.header import SamHeader
 from ..formats.store import chunk_protocol, concat_columns, \
-    index_path_for, open_record_store, open_store_writer, publishing, \
-    region_locator, store_extension, write_indexes
+    encode_slab_part, index_path_for, open_record_store, \
+    open_store_writer, publishing, region_locator, store_extension, \
+    write_indexes
+from ..runtime import faults
 from ..runtime.autotune import AUTO, AutoTuner
 from ..runtime.metrics import RankMetrics
 from ..runtime.partition import partition_records
 from ..runtime.tracing import get_tracer
 from .base import ConversionResult, ShardableSpec, bind_target, \
-    converter_options, finish_rank_metrics, \
+    converter_options, execute_rank_tasks, finish_rank_metrics, \
     make_output_path, run_conversion, write_bam_records, \
     write_text_chunks
 from .filters import ACCEPT_ALL, RecordFilter
@@ -56,21 +65,24 @@ def preprocess_bam(bam_path: str | os.PathLike[str],
                    baix_path: str | os.PathLike[str] | None = None,
                    compress: bool = False, level: int = 6,
                    batch_size: int = DEFAULT_BATCH_SIZE,
-                   store_format: str = "bamx",
-                   ) -> RankMetrics:
-    """Sequential preprocessing: BAM -> BAMX/BAMZ/BAMC + BAIX.
-
-    Two streaming passes over the BAM (layout planning, then writing);
-    the BGZF layer forbids anything but sequential decoding, which is
-    why this phase cannot be parallelized (§III-B).  Both passes move
-    bytes, not objects: a slab of *batch_size* records is column views
-    over the inflated bytes, and only a slab that is not provably
-    canonical is decoded into records (``metrics.fallbacks``).  Store
-    and sidecars get their final names once all are complete.  With
-    ``compress=True`` the record store is written as BGZF-compressed
-    BAMZ (the paper's future-work extension) instead of raw BAMX; with
-    ``store_format="bamc"`` it is written as the slab-columnar BAMC.
-    Returns the phase metrics.
+                   store_format: str = "bamx", nprocs: int = 1,
+                   executor: str = "simulate") -> RankMetrics:
+    """Preprocessing: BAM -> BAMX/BAMZ/BAMC + BAIX on *nprocs* ranks,
+    every BGZF block inflated once (``docs/parallelization.md``):
+    ``scan`` the block boundaries; ``inflate`` block ranges, a rank
+    each, into a spool file beside the store; ``walk`` the
+    ``block_size`` chain over the spool — the serial residue — for the
+    slab cuts every *batch_size* records; ``write``: ``encode`` runs of
+    whole slabs, a rank each — column views over the raw bytes where a
+    slab is provably canonical, decoded records where not
+    (``metrics.fallbacks``), under the capacities the slab itself needs
+    — then append the parts in order under the capacities all of them
+    need; ``index``.  One rank runs the same stages in this process.
+    Store and sidecars get their final names once all are complete;
+    spool and parts never outlive the call.  ``compress=True`` writes
+    BGZF-compressed BAMZ (the paper's future-work extension),
+    ``store_format="bamc"`` the slab-columnar BAMC.  Returns the phase
+    metrics.
     """
     t0 = time.perf_counter()
     metrics = RankMetrics()
@@ -79,54 +91,117 @@ def preprocess_bam(bam_path: str | os.PathLike[str],
     tracer = get_tracer()
     with tracer.span("preprocess", "bam",
                      args={"input": os.path.basename(bam_path),
-                           "compress": compress,
+                           "compress": compress, "nprocs": nprocs,
                            "store_format": store_format}), \
             publishing(bamx_path, baix_path) as tmp_path:
-        # Pass 1: plan the fixed-field capacities from length columns.
-        layout = BamxLayout(0, 0, 0, 0)
-        with tracer.span("plan", "bam"), BamReader(bam_path) as reader:
-            header = reader.header
-            for slab, records in _slabs(reader, batch_size):
-                metrics.records += len(records) if slab is None \
-                    else slab.count
-                layout = layout.merge(plan_layout(records) if slab is None
-                                      else slab_layout(slab))
-        # Pass 2: write aligned records and collect index columns.
-        columns = []
-        with tracer.span("write", "bam",
-                         args={"records": metrics.records}), \
-                BamReader(bam_path) as reader, \
-                open_store_writer(tmp_path, header, layout, store_format,
-                                  compress, level, batch_size) as writer, \
-                tracer.span("batch.encode", "bam",
-                            args={"batch_size": batch_size}) as span:
-            for slab, records in _slabs(reader, batch_size):
-                if slab is None:
-                    metrics.fallbacks += 1
-                    columns.append(record_columns(enumerate(
-                        records, writer.write_batch(records)), header))
-                else:
-                    columns.append(slab.placed(writer.write_slab(slab)))
+        spool_path = tmp_path + ".spool"
+        with tracer.span("scan", "bam"):
+            starts, sizes = scan_blocks(bam_path)
+            places = [0, *accumulate(sizes)]
+        with open(spool_path, "wb") as spool:
+            spool.truncate(places[-1])
+        # (An empty file, a header-only BAM: one rank with nothing.)
+        execute_rank_tasks(_inflate_task, [
+            _InflateSpec(bam_path, starts[a], starts[b], spool_path,
+                         places[a])
+            for a, b in _count_pieces(len(sizes), nprocs) or [(0, 0)]],
+            executor, span_name="inflate")
+        with tracer.span("walk", "bam"), open(spool_path, "rb") as spool:
+            # A header length that lies must not size a read.
+            header = read_header(
+                lambda n: spool.read(max(0, min(n, places[-1]))), bam_path)
+            slabs, at = [], spool.tell()
+            for _, offsets in raw_slabs(spool.read, batch_size, bam_path):
+                slabs.append((len(slabs) * batch_size, at, offsets))
+                at += int(offsets[-1])
+        with tracer.span("write", "bam") as span:
+            specs = [
+                _EncodeSpec(spool_path, tuple(slabs[a:b]), header,
+                            store_format, f"{tmp_path}.part{rank:04d}")
+                for rank, (a, b) in enumerate(
+                    _count_pieces(len(slabs), nprocs) or [(0, 0)])]
+            results = execute_rank_tasks(_encode_task, specs, executor,
+                                         span_name="encode")
+            os.unlink(spool_path)
+            layout = reduce(BamxLayout.merge, (
+                need for done in results for *_, need in done),
+                BamxLayout(0, 0, 0, 0))
+            columns = []
+            with open_store_writer(tmp_path, header, layout, store_format,
+                                   compress, level, batch_size) as writer:
+                for spec, done in zip(specs, results):
+                    with open(spec.out_path, "rb") as part:
+                        for nbytes, count, fell_back, placed, need in done:
+                            writer.write_encoded(part.read(nbytes), count,
+                                                 need)
+                            columns.append(placed)
+                            metrics.fallbacks += fell_back
+                    os.unlink(spec.out_path)
+                metrics.records = writer.records_written
             if span is not None:
-                span.args["fallbacks"] = metrics.fallbacks
+                span.args.update(records=metrics.records,
+                                 fallbacks=metrics.fallbacks)
         columns = concat_columns(columns)
         with tracer.span("index", "bam",
                          args={"entries": len(columns[-1])}):
             write_indexes(*columns, tmp_path)
-    metrics.bytes_read = 2 * os.path.getsize(bam_path)
+    metrics.bytes_read = os.path.getsize(bam_path)
     metrics.bytes_written = os.path.getsize(bamx_path) + os.path.getsize(
         baix_path if baix_path is not None else index_path_for(bamx_path))
     return finish_rank_metrics(metrics, t0)
 
 
-def _slabs(reader: BamReader, batch_size: int):
-    """The rest of *reader* as ``(slab, None)`` column slabs over the
-    raw bytes or, where not provably canonical, ``(None, records)``."""
-    n_ref = len(reader.header.references)
-    for buf, offsets in reader.iter_raw_slabs(batch_size):
-        slab = slab_columns(buf, offsets, n_ref)
-        yield slab, None if slab is not None \
-            else slab_records(buf, offsets, reader.header)
+class _InflateSpec(NamedTuple):
+    """A rank's blocks (compressed ``[start, stop)``), their spool place."""
+
+    bam_path: str
+    start: int
+    stop: int
+    spool_path: str
+    place: int
+
+
+def _inflate_task(spec: _InflateSpec) -> None:
+    faults.fire("preprocess.rank")
+    with BgzfReader(spec.bam_path, spec.start, spec.stop) as reader, \
+            open(spec.spool_path, "r+b") as spool:
+        spool.seek(spec.place)
+        while chunk := reader.read(1 << 20):
+            spool.write(chunk)
+
+
+class _EncodeSpec(NamedTuple):
+    """One rank's run of whole slabs — ``(first record index, spool
+    offset, record offsets)`` each — to encode into a part file."""
+
+    spool_path: str
+    slabs: tuple
+    header: SamHeader
+    store_format: str
+    out_path: str
+
+
+def _encode_task(spec: _EncodeSpec) -> list[tuple]:
+    """Returns, per slab, ``(part bytes, records, fell back, index
+    columns, capacities encoded under)``."""
+    faults.fire("preprocess.rank")
+    done = []
+    with open(spec.spool_path, "rb") as spool, \
+            open(spec.out_path, "wb") as part:
+        for first, at, offsets in spec.slabs:
+            buf = np.empty(int(offsets[-1]), np.uint8)
+            spool.seek(at)
+            if spool.readinto(buf) != len(buf):
+                raise ConversionError("preprocessing spool is truncated")
+            slab = slab_columns(buf, offsets, len(spec.header.references))
+            fell_back = slab is None
+            if fell_back:
+                slab = slab_from_records(
+                    slab_records(buf, offsets, spec.header), spec.header)
+            data, need = encode_slab_part(slab, spec.store_format)
+            done.append((part.write(data), slab.count, fell_back,
+                         slab.placed(first), need))
+    return done
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,9 +371,11 @@ class BamConverter:
 
     def preprocess(self, bam_path: str | os.PathLike[str],
                    work_dir: str | os.PathLike[str],
-                   compress: bool = False,
+                   compress: bool = False, nprocs: int = 1,
+                   executor: str = "simulate",
                    ) -> tuple[str, str, RankMetrics]:
-        """Run sequential preprocessing into *work_dir*.
+        """Run preprocessing into *work_dir* on *nprocs* ranks
+        (:func:`preprocess_bam`).
 
         Returns ``(store_path, baix_path, metrics)``; the store is BAMX,
         BGZF-compressed BAMZ when ``compress=True``, or columnar BAMC
@@ -315,26 +392,28 @@ class BamConverter:
         metrics = preprocess_bam(bam_path, bamx_path, baix_path,
                                  compress=compress,
                                  batch_size=batch_size,
-                                 store_format=self.store_format)
+                                 store_format=self.store_format,
+                                 nprocs=nprocs, executor=executor)
         return bamx_path, baix_path, metrics
 
     def ensure_preprocessed(self, bam_path: str | os.PathLike[str],
                             work_dir: str | os.PathLike[str],
                             compress: bool = False,
                             artifacts: PreprocArtifacts | None = None,
+                            nprocs: int = 1, executor: str = "simulate",
                             ) -> tuple[PreprocArtifacts,
                                        RankMetrics | None]:
         """Reuse externally supplied artifacts or preprocess now.
 
         When *artifacts* names an existing BAMX/BAIX pair (e.g. from
-        the service layer's content-addressed cache) the sequential
-        preprocessing phase is skipped entirely and the metrics slot is
-        ``None``; otherwise :meth:`preprocess` runs into *work_dir*.
+        the service layer's content-addressed cache) the preprocessing
+        phase is skipped entirely and the metrics slot is ``None``;
+        otherwise :meth:`preprocess` runs into *work_dir*.
         """
         if artifacts is not None:
             return artifacts.validate(), None
         store_path, baix_path, metrics = self.preprocess(
-            bam_path, work_dir, compress=compress)
+            bam_path, work_dir, compress, nprocs, executor)
         return PreprocArtifacts(store_path, baix_path), metrics
 
     def convert(self, bamx_path: str | os.PathLike[str], target: str,
@@ -439,8 +518,7 @@ class BamConverter:
                                       r.end), dtype=np.int64)
                     for r in parsed])
             # Union without duplicates, preserving first-seen order.
-            _, first = np.unique(found, return_index=True)
-            indices = found[np.sort(first)].tolist()
+            indices = list(dict.fromkeys(found.tolist()))
             target_plugin = get_target(target)
             stem = os.path.splitext(os.path.basename(bamx_path))[0]
             specs = [

@@ -220,8 +220,10 @@ def execute_rank_tasks(task_fn: Callable[[Any], RankMetrics],
                        executor: str = "simulate",
                        shards_per_rank: int = 1,
                        tuning: JobTuning | None = None,
+                       span_name: str = "rank",
                        ) -> list[RankMetrics]:
     """Run ``task_fn(spec)`` once per rank spec; return per-rank metrics.
+    A whole-rank task runs under a span called *span_name*.
 
     Executors
     ---------
@@ -311,7 +313,7 @@ def execute_rank_tasks(task_fn: Callable[[Any], RankMetrics],
         budgets_live = wave_tuning is not None \
             and rounds < MAX_RESPLIT_ROUNDS
         results = _dispatch(task_fn, entries, executor, tracer,
-                            parent_id, wave_tuning, budgets_live)
+                            parent_id, wave_tuning, budgets_live, span_name)
         next_entries: list[tuple[int, tuple[int, ...], Any, bool]] = []
         for (rank, path, spec, _), result in zip(entries, results):
             if not isinstance(result, ShardRemainder):
@@ -392,7 +394,8 @@ def _with_budget(spec: Any, tuning: JobTuning | None) -> Any:
 def _dispatch(task_fn: Callable[[Any], Any],
               entries: Sequence[tuple[int, tuple[int, ...], Any, bool]],
               executor: str, tracer: Tracer, parent_id: int | None,
-              tuning: JobTuning | None, budgets_live: bool) -> list[Any]:
+              tuning: JobTuning | None, budgets_live: bool,
+              span_name: str) -> list[Any]:
     """Dispatch one wave of rank/shard entries; results in entry order.
 
     Two arms.  *Inline* (``simulate``, or a single entry): entries run
@@ -418,7 +421,7 @@ def _dispatch(task_fn: Callable[[Any], Any],
                     spec = replace(spec, budget_seconds=budget)
             t0 = time.perf_counter()
             gathered.append(_run_entry((task_fn, spec, rank, shard,
-                                        tracer, parent_id)))
+                                        tracer, parent_id, span_name)))
             durations.append(time.perf_counter() - t0)
             if tuning is not None:
                 tuning.note_completion(time.perf_counter() - wave_start)
@@ -430,7 +433,7 @@ def _dispatch(task_fn: Callable[[Any], Any],
             else (tracer.enabled, tracer.epoch)
         gathered = get_shared_executor().map_tasks(
             _run_entry,
-            [(task_fn, spec, rank, shard, trace, parent_id)
+            [(task_fn, spec, rank, shard, trace, parent_id, span_name)
              for (rank, _, spec, _), shard in zip(entries, shard_ids)],
             executor,
             labels=[f"rank {rank}" if shard is None
@@ -450,23 +453,23 @@ def _run_entry(payload: tuple) -> tuple[Any, list[dict[str, Any]]]:
     """Run one rank or shard task under its span (module-level so the
     worker pool can pickle it).
 
-    *payload* is ``(task_fn, spec, rank, shard, trace, parent_id)``:
-    *shard* is ``None`` for a whole-rank task (span ``rank``) or the
-    shard label (span ``shard``); *trace* is the shared tracer
-    in-process, or ``(enabled, epoch)`` in a pool process, which
-    records into a child tracer and returns its spans for the parent
-    to :meth:`~repro.runtime.tracing.Tracer.ingest` under *parent_id*.
+    *payload* is ``(task_fn, spec, rank, shard, trace, parent_id,
+    span_name)``: *shard* is ``None`` for a whole-rank task (span
+    *span_name*) or the shard label (span ``shard``); *trace* is the
+    shared tracer in-process, or ``(enabled, epoch)`` in a pool process,
+    which records into a child tracer and returns its spans for the
+    parent to :meth:`~repro.runtime.tracing.Tracer.ingest` under *parent_id*.
     In-process, *parent_id* re-attaches the span to the launching span
     even on a pool thread with an empty span stack.  A disabled tracer
     hands out one shared null span, so untraced runs take this same
     path; returns ``(result, span_dicts)``.
     """
-    task_fn, spec, rank, shard, trace, parent_id = payload
+    task_fn, spec, rank, shard, trace, parent_id, name = payload
     child = None
     if not isinstance(trace, Tracer):
         trace = child = Tracer(enabled=trace[0], epoch=trace[1])
         parent_id = None
-    name, args = "rank", {"task": task_fn.__name__}
+    args = {"task": task_fn.__name__}
     if shard is not None:
         name = "shard"
         args.update(rank=rank, shard=shard)

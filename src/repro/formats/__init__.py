@@ -3,52 +3,34 @@ BED, BEDGRAPH, FASTA, FASTQ, WIG, JSON, YAML.
 
 Every reader produces the canonical
 :class:`~repro.formats.record.AlignmentRecord`; every writer and target
-plugin consumes it.
+plugin consumes it.  Exports resolve on first use (PEP 562).
 """
 
-from .bai import BaiIndex
-from .baix import BaixIndex
-from .bam import BamReader, BamWriter, read_bam, write_bam
-from .bamc import BamcReader, BamcWriter, ColumnSlab, read_bamc, \
-    write_bamc
-from .bamx import BamxLayout, BamxReader, BamxWriter, plan_layout, \
-    read_bamx, write_bamx
-from .bamz import BamzReader, BamzWriter, read_bamz, write_bamz
-from .bed import BedInterval, read_bed, write_bed
-from .bedgraph import BedGraphInterval, compress_runs, read_bedgraph, \
-    write_bedgraph
-from .bgzf import BgzfReader, BgzfWriter
-from .bgzf_threads import ThreadedBgzfWriter
-from .binning import reg2bin, reg2bins
-from .fasta import FastaIndex, FastaRecord, read_fasta, write_fasta
-from .fastq import FastqRecord, read_fastq, write_fastq
-from .header import HeaderLine, Reference, SamHeader
-from .record import UNMAPPED_POS, AlignmentRecord
-from .registry import SOURCE_FORMATS, TARGET_FORMATS, detect_format, \
-    get_format, list_formats
-from .sam import SamReader, SamWriter, format_alignment, parse_alignment, \
-    read_sam, write_sam
-from .store import open_record_store
-from .tags import Tag
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AlignmentRecord", "UNMAPPED_POS", "Tag",
-    "SamHeader", "HeaderLine", "Reference",
-    "SamReader", "SamWriter", "parse_alignment", "format_alignment",
-    "read_sam", "write_sam",
-    "BamReader", "BamWriter", "read_bam", "write_bam",
-    "BgzfReader", "BgzfWriter", "ThreadedBgzfWriter",
-    "BaiIndex", "reg2bin", "reg2bins",
-    "BamxLayout", "BamxReader", "BamxWriter", "plan_layout",
-    "read_bamx", "write_bamx",
-    "BamzReader", "BamzWriter", "read_bamz", "write_bamz",
-    "BamcReader", "BamcWriter", "ColumnSlab", "read_bamc", "write_bamc",
-    "open_record_store",
-    "BaixIndex",
-    "BedInterval", "read_bed", "write_bed",
-    "BedGraphInterval", "compress_runs", "read_bedgraph", "write_bedgraph",
-    "FastaRecord", "FastaIndex", "read_fasta", "write_fasta",
-    "FastqRecord", "read_fastq", "write_fastq",
-    "get_format", "detect_format", "list_formats",
-    "SOURCE_FORMATS", "TARGET_FORMATS",
-]
+__all__, __getattr__ = lazy_exports(globals(), {
+    "bai": ("BaiIndex",),
+    "baix": ("BaixIndex",),
+    "bam": ("BamReader", "BamWriter", "read_bam", "write_bam"),
+    "bamc": ("BamcReader", "BamcWriter", "ColumnSlab", "read_bamc",
+             "write_bamc"),
+    "bamx": ("BamxLayout", "BamxReader", "BamxWriter", "plan_layout",
+             "read_bamx", "write_bamx"),
+    "bamz": ("BamzReader", "BamzWriter", "read_bamz", "write_bamz"),
+    "bed": ("BedInterval", "read_bed", "write_bed"),
+    "bedgraph": ("BedGraphInterval", "compress_runs", "read_bedgraph",
+                 "write_bedgraph"),
+    "bgzf": ("BgzfReader", "BgzfWriter"),
+    "bgzf_threads": ("ThreadedBgzfWriter",),
+    "binning": ("reg2bin", "reg2bins"),
+    "fasta": ("FastaIndex", "FastaRecord", "read_fasta", "write_fasta"),
+    "fastq": ("FastqRecord", "read_fastq", "write_fastq"),
+    "header": ("HeaderLine", "Reference", "SamHeader"),
+    "record": ("UNMAPPED_POS", "AlignmentRecord"),
+    "registry": ("SOURCE_FORMATS", "TARGET_FORMATS", "detect_format",
+                 "get_format", "list_formats"),
+    "sam": ("SamReader", "SamWriter", "format_alignment",
+            "parse_alignment", "read_sam", "write_sam"),
+    "store": ("open_record_store",),
+    "tags": ("Tag",),
+})

@@ -68,13 +68,13 @@ class BaixOverlapIndex:
         if np.any(self.ends < self.starts):
             raise IndexError_("BAIX2 entry with end < start")
         # Maximum alignment span per reference drives the overlap
-        # candidate window.
-        self._max_span: dict[int, int] = {}
-        for ref_id in np.unique(self.ref_ids):
-            mask = self.ref_ids == ref_id
-            spans = self.ends[mask] - self.starts[mask]
-            self._max_span[int(ref_id)] = int(spans.max()) if len(spans) \
-                else 0
+        # candidate window.  The entries are sorted, so each reference
+        # is one run (np.unique would import numpy.ma to say the same).
+        runs = [0, *(np.flatnonzero(np.diff(self.ref_ids)) + 1).tolist(), n]
+        spans = self.ends - self.starts
+        self._max_span: dict[int, int] = {
+            int(self.ref_ids[lo]): int(spans[lo:hi].max())
+            for lo, hi in zip(runs, runs[1:]) if hi > lo}
 
     def __len__(self) -> int:
         return len(self.indices)

@@ -6,21 +6,24 @@ binary tags); the reader is the inverse.  Record virtual offsets are
 surfaced so BAI construction and the paper's sequential-preprocessing
 phase can be built on top.
 
-Like BamTools — the C++ library the paper wraps — this reader only decodes
-the stream *sequentially*: without an index there is no way to find record
-boundaries mid-stream, which is exactly why the paper's BAM converter
-needs its preprocessing phase.
+Like BamTools — the C++ library the paper wraps — this reader decodes
+the stream *sequentially*.  BGZF blocks can be found and inflated in any
+order, but records carry no delimiter: a record starts where the one
+before it ends, so record boundaries only come from walking the
+``block_size`` chain front to back (:func:`raw_slabs`) — which is what
+the paper's BAM converter needs its preprocessing phase for, and all of
+it that has to stay serial.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
-from ..errors import BamFormatError
+from ..errors import BamFormatError, BgzfError
 from .bamc import ColumnSlab
 from .bgzf import BgzfReader, BgzfWriter
 from .binning import reg2bin
@@ -199,6 +202,43 @@ class BamWriter:
         self._bgzf.close()
 
 
+def read_header(read: Callable[[int], bytes],
+                source_name: str = "<stream>") -> SamHeader:
+    """Parse magic, header text and reference list off an inflated
+    stream; ``read(n)`` returns its next *n* bytes, fewer at its end."""
+    def exactly(n: int) -> bytes:
+        data = read(n)
+        if len(data) != n:
+            raise BgzfError(
+                f"unexpected EOF: wanted {n} bytes, got {len(data)}")
+        return data
+
+    if read(4) != MAGIC:
+        raise BamFormatError("bad BAM magic", source=source_name)
+    (l_text,) = struct.unpack("<i", exactly(4))
+    text = exactly(l_text).decode("ascii")
+    (n_ref,) = struct.unpack("<i", exactly(4))
+    references = []
+    for _ in range(n_ref):
+        (l_name,) = struct.unpack("<i", exactly(4))
+        raw = exactly(l_name)
+        (l_ref,) = struct.unpack("<i", exactly(4))
+        references.append(Reference(raw[:-1].decode("ascii"), l_ref))
+    header = SamHeader.from_text(text.rstrip("\x00"))
+    if not header.references:
+        # Preserve original header lines (e.g. @PG/@CO) if any.
+        built = SamHeader.from_references(references)
+        built.lines = header.lines + built.lines[1:]
+        return built
+    # Consistency: binary reference list must match @SQ lines.
+    if [(r.name, r.length) for r in header.references] != \
+            [(r.name, r.length) for r in references]:
+        raise BamFormatError(
+            "binary reference list disagrees with @SQ header lines",
+            source=source_name)
+    return header
+
+
 class BamReader:
     """Sequential BAM reader; yields records (or records with offsets)."""
 
@@ -206,31 +246,7 @@ class BamReader:
         self._bgzf = BgzfReader(source)
         self.source_name = os.fspath(source) if isinstance(
             source, (str, os.PathLike)) else "<stream>"
-        magic = self._bgzf.read(4)
-        if magic != MAGIC:
-            raise BamFormatError("bad BAM magic", source=self.source_name)
-        (l_text,) = struct.unpack("<i", self._bgzf.read_exactly(4))
-        text = self._bgzf.read_exactly(l_text).decode("ascii")
-        (n_ref,) = struct.unpack("<i", self._bgzf.read_exactly(4))
-        references = []
-        for _ in range(n_ref):
-            (l_name,) = struct.unpack("<i", self._bgzf.read_exactly(4))
-            raw = self._bgzf.read_exactly(l_name)
-            (l_ref,) = struct.unpack("<i", self._bgzf.read_exactly(4))
-            references.append(Reference(raw[:-1].decode("ascii"), l_ref))
-        header = SamHeader.from_text(text.rstrip("\x00"))
-        if header.references:
-            # Consistency: binary reference list must match @SQ lines.
-            if [(r.name, r.length) for r in header.references] != \
-                    [(r.name, r.length) for r in references]:
-                raise BamFormatError(
-                    "binary reference list disagrees with @SQ header lines",
-                    source=self.source_name)
-            self.header = header
-        else:
-            self.header = SamHeader.from_references(references)
-            # Preserve original header lines (e.g. @PG/@CO) if any.
-            self.header.lines = header.lines + self.header.lines[1:]
+        self.header = read_header(self._bgzf.read, self.source_name)
         self._after_header = self._bgzf.tell()
 
     def __enter__(self) -> "BamReader":
@@ -269,33 +285,9 @@ class BamReader:
 
     def iter_raw_slabs(self, records_per_slab: int,
                        ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield the remaining alignments as ``(buf, offsets)`` slabs
-        of exactly *records_per_slab* whole records (the last may be
-        short): *buf* the inflated bytes as a writable ``uint8`` array,
-        ``buf[offsets[i]:offsets[i + 1]]`` record *i* from its
-        ``block_size`` on.  Only the ``block_size`` chain is walked, in
-        1 MiB reads, the unfinished tail carried into the next slab.
-        """
-        pending, offsets = bytearray(), [0]
-        while chunk := self._bgzf.read(1 << 20):
-            pending += chunk
-            while (end := offsets[-1] + 4) <= len(pending):
-                (block_size,) = _BLOCK_SIZE.unpack_from(pending, end - 4)
-                check_record_bounds(block_size)
-                if end + block_size > len(pending):
-                    break
-                offsets.append(end + block_size)
-                if len(offsets) > records_per_slab:
-                    yield (np.frombuffer(pending, np.uint8, offsets[-1]),
-                           np.array(offsets, np.int32))
-                    # A new buffer: the slab just yielded keeps its own.
-                    pending, offsets = pending[offsets[-1]:], [0]
-        if offsets[-1] != len(pending):
-            raise BamFormatError("truncated BAM alignment record",
-                                 source=self.source_name)
-        if len(offsets) > 1:
-            yield (np.frombuffer(pending, np.uint8),
-                   np.array(offsets, np.int32))
+        """:func:`raw_slabs` over the remaining alignments."""
+        return raw_slabs(self._bgzf.read, records_per_slab,
+                         self.source_name)
 
     def seek_virtual(self, voffset: int) -> None:
         """Jump to a record boundary previously obtained from
@@ -305,6 +297,45 @@ class BamReader:
     def rewind(self) -> None:
         """Return to the first alignment record."""
         self._bgzf.seek_virtual(self._after_header)
+
+
+def raw_slabs(read: Callable[[int], bytes], records_per_slab: int,
+              source_name: str = "<stream>",
+              ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the alignments of an inflated stream (``read(n)`` returns
+    its next bytes, none at its end) as ``(buf, offsets)`` slabs of
+    exactly *records_per_slab* whole records (the last may be short):
+    *buf* the inflated bytes as a writable ``uint8`` array,
+    ``buf[offsets[i]:offsets[i + 1]]`` record *i* from its
+    ``block_size`` on.  Only the ``block_size`` chain is walked, in
+    1 MiB reads, the unfinished tail carried into the next slab.
+    """
+    pending, offsets = bytearray(), [0]
+    unpack, smallest = _BLOCK_SIZE.unpack_from, _FIXED.size + 1
+    while chunk := read(1 << 20):
+        pending += chunk
+        # The one serial loop of BAM preprocessing: keep it lean.
+        end, last = offsets[-1], len(pending) - 4
+        while end <= last:
+            (block_size,) = unpack(pending, end)
+            if block_size < smallest:
+                check_record_bounds(block_size)  # raises
+            end += 4 + block_size
+            if end > last + 4:
+                break
+            offsets.append(end)
+            if len(offsets) > records_per_slab:
+                yield (np.frombuffer(pending, np.uint8, end),
+                       np.array(offsets, np.int32))
+                # A new buffer: the slab just yielded keeps its own.
+                pending, offsets = pending[end:], [0]
+                end, last = 0, len(pending) - 4
+    if offsets[-1] != len(pending):
+        raise BamFormatError("truncated BAM alignment record",
+                             source=source_name)
+    if len(offsets) > 1:
+        yield (np.frombuffer(pending, np.uint8),
+               np.array(offsets, np.int32))
 
 
 def slab_records(buf: np.ndarray, offsets: np.ndarray,

@@ -327,28 +327,26 @@ class BamcWriter:
             n += 1
         return n
 
-    def write_slab(self, slab: ColumnSlab) -> int:
-        """:meth:`write_batch` for a column slab, without records: cut
-        into slabs of :attr:`slab_records` as is — unless single
-        records are pending, which only the record path can regroup."""
-        if self._pending:
-            return self.write_batch(list(slab.decode_all(self.header)))
-        first = self.records_written
-        for a in range(0, slab.count, self.slab_records):
-            self._write_columns(slab.window(
-                a, min(a + self.slab_records, slab.count), first + a))
-        self.records_written += slab.count
-        return first
-
     def _flush_slab(self) -> None:
         records, self._pending = self._pending, []
         if records:
-            self._write_columns(slab_from_records(records, self.header))
+            self._append(encode_slab(slab_from_records(
+                records, self.header), self.layout), len(records))
 
-    def _write_columns(self, slab: ColumnSlab) -> None:
+    def _append(self, data: bytes, count: int) -> None:
         self._slab_offsets.append(self._fh.tell())
-        self._slab_counts.append(slab.count)
-        self._fh.write(encode_slab(slab, self.layout))
+        self._slab_counts.append(count)
+        self._fh.write(data)
+
+    def write_encoded(self, data: bytes, count: int,
+                      layout: BamxLayout | None = None) -> int:
+        """Append one slab of *count* records already serialized by
+        :func:`encode_slab` under any *layout* that held it — a slab
+        stores no padding — while no single records are pending;
+        returns the index of its first record."""
+        self._append(data, count)
+        self.records_written += count
+        return self.records_written - count
 
     def close(self) -> None:
         """Flush the tail slab, write the footer, patch the header."""

@@ -149,6 +149,23 @@ class BamxLayout:
             dst += width
         return rows
 
+    def restride(self, rows: bytes | memoryview, count: int,
+                 source: "BamxLayout") -> bytes | memoryview | np.ndarray:
+        """*count* rows encoded under the narrower layout *source*,
+        re-laid under this one: every field keeps its bytes at its new
+        offset, only the zero padding grows — byte-for-byte what
+        :meth:`encode_slab` writes under this layout."""
+        if source == self:
+            return rows
+        old = np.frombuffer(rows, np.uint8).reshape(count, source.record_size)
+        new = np.zeros((count, self.record_size), np.uint8)
+        new[:, :_FIXED.size] = old[:, :_FIXED.size]
+        at = to = _FIXED.size
+        for narrow, wide in zip(source._widths(), self._widths()):
+            new[:, to:to + narrow] = old[:, at:at + narrow]
+            at, to = at + narrow, to + wide
+        return new
+
     def decode_slab(self, rows: bytes | memoryview, count: int,
                     start: int | np.ndarray = -1, source: str | None = None,
                     ) -> "ColumnSlab":
@@ -386,14 +403,16 @@ class BamxWriter:
         """Append a batch in one preallocated encode + one write;
         returns the index of ``records[0]`` (``records[i]`` gets *i*
         more)."""
-        return self._write_rows(
+        return self.write_encoded(
             self.layout.encode_batch(records, self.header), len(records))
 
-    def write_slab(self, slab: "ColumnSlab") -> int:
-        """:meth:`write_batch` for a column slab, without records."""
-        return self._write_rows(self.layout.encode_slab(slab), slab.count)
-
-    def _write_rows(self, rows: bytearray | np.ndarray, count: int) -> int:
+    def write_encoded(self, rows: bytes | bytearray | np.ndarray,
+                      count: int, layout: BamxLayout | None = None) -> int:
+        """Append *count* rows already encoded (``encode_batch``,
+        ``encode_slab``) under *layout* — by default, and at most,
+        :attr:`layout`; returns the index of the first."""
+        if layout is not None:
+            rows = self.layout.restride(rows, count, layout)
         self._fh.write(rows)  # file or, for BAMZ, BGZF stream
         first = self.records_written
         self.records_written += count

@@ -7,9 +7,12 @@ headers alone, BGZF supports *virtual offsets*::
 
     voffset = (compressed_block_start << 16) | offset_within_block
 
-which BAI/BAIX indices use for random access.  Crucially, without an index
-a BGZF stream can only be decoded front-to-back — the property that forces
-the paper's sequential-preprocessing phase for BAM input.
+which BAI/BAIX indices use for random access.  The blocks themselves are
+independent: ``BSIZE`` in every header (and ``ISIZE`` in every trailer)
+gives all block boundaries and inflated offsets without inflating
+anything (:func:`scan_blocks`), so any block range can be decoded on its
+own (``BgzfReader(path, start, stop)``).  What is sequential in a BAM is
+the record chain *inside* the inflated stream, not the BGZF layer.
 """
 
 from __future__ import annotations
@@ -106,6 +109,31 @@ def decompress_block(block: bytes) -> bytes:
     return data
 
 
+def scan_blocks(path: str | os.PathLike[str],
+                ) -> tuple[list[int], list[int]]:
+    """``(starts, sizes)`` from the block headers and trailers alone:
+    the compressed offset of every block plus the end of the file, and
+    every block's ``ISIZE``.  Nothing is inflated, and nothing is sized
+    from a ``BSIZE`` or ``ISIZE`` that cannot be true."""
+    starts, sizes = [0], []
+    with open(path, "rb", buffering=0) as fh:
+        end = os.fstat(fh.fileno()).st_size
+        while (at := starts[-1]) < end:
+            total = _read_block_size(os.pread(fh.fileno(), 18, at))
+            if total < len(EOF_MARKER):
+                raise BgzfError(f"BGZF block of {total} bytes is smaller "
+                                f"than an empty block")
+            if at + total > end:
+                raise BgzfError("truncated BGZF block")
+            (isize,) = struct.unpack(
+                "<I", os.pread(fh.fileno(), 4, at + total - 4))
+            if isize > 1 << 16:
+                raise BgzfError(f"BGZF ISIZE {isize} exceeds 64 KiB")
+            starts.append(at + total)
+            sizes.append(isize)
+    return starts, sizes
+
+
 class BgzfWriter(io.RawIOBase):
     """File-like object writing a BGZF-compressed stream.
 
@@ -180,10 +208,13 @@ class BgzfWriter(io.RawIOBase):
 
 class BgzfReader(io.RawIOBase):
     """File-like object reading a BGZF-compressed stream sequentially,
-    with random access via :meth:`seek_virtual`.
+    with random access via :meth:`seek_virtual`.  *start* and *stop*
+    (compressed block offsets, e.g. from :func:`scan_blocks`) confine
+    the stream to one block range.
     """
 
-    def __init__(self, source: str | os.PathLike[str] | io.RawIOBase) -> None:
+    def __init__(self, source: str | os.PathLike[str] | io.RawIOBase,
+                 start: int = 0, stop: int | None = None) -> None:
         if isinstance(source, (str, os.PathLike)):
             self._raw: io.RawIOBase = open(source, "rb")  # noqa: SIM115
             self._owns = True
@@ -193,7 +224,8 @@ class BgzfReader(io.RawIOBase):
         self._block_start = 0   # compressed offset of the loaded block
         self._block_data = b""
         self._within = 0        # cursor within the loaded block
-        self._next_start = 0    # compressed offset of the next block
+        self._next_start = start  # compressed offset of the next block
+        self._stop = stop
         self._eof = False
         self._load_next_block()
 
@@ -201,36 +233,26 @@ class BgzfReader(io.RawIOBase):
         return True
 
     def _load_next_block(self) -> None:
-        self._raw.seek(self._next_start)
-        header = self._raw.read(18)
-        if not header:
-            self._eof = True
-            self._block_data = b""
-            self._within = 0
-            return
-        total = _read_block_size(header)
-        body = self._raw.read(total - 18)
-        if len(body) != total - 18:
-            raise BgzfError("truncated BGZF block")
-        self._block_start = self._next_start
-        self._next_start += total
+        """Load the next block that holds data: an empty block is legal
+        mid-stream and mandatory at EOF, and read() wants a contiguous
+        byte stream."""
+        self._block_data, self._within = b"", 0
         tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span("decompress", "bgzf",
-                             args={"bytes": total}):
-                self._block_data = decompress_block(header + body)
-        else:
-            self._block_data = decompress_block(header + body)
-        self._within = 0
-        if not self._block_data:
-            # An empty block is legal mid-stream and mandatory at EOF;
-            # keep reading so read() sees a contiguous byte stream.
-            pos = self._raw.tell()
-            if not self._raw.read(1):
+        while not self._block_data:
+            self._raw.seek(self._next_start)
+            header = b"" if self._next_start == self._stop \
+                else self._raw.read(18)
+            if not header:
                 self._eof = True
-            else:
-                self._raw.seek(pos)
-                self._load_next_block()
+                return
+            total = _read_block_size(header)
+            body = self._raw.read(total - 18)
+            if len(body) != total - 18:
+                raise BgzfError("truncated BGZF block")
+            self._block_start = self._next_start
+            self._next_start += total
+            with tracer.span("decompress", "bgzf", args={"bytes": total}):
+                self._block_data = decompress_block(header + body)
 
     def read(self, n: int = -1) -> bytes:  # type: ignore[override]
         """Read up to *n* uncompressed bytes (all remaining if n < 0)."""

@@ -8,16 +8,17 @@ that depends on the physical format lives here too, one row per store:
 * :func:`chunk_protocol` / :func:`column_slabs` — how an opened store
   feeds the converters' chunk loop and the statistics kernels: as
   column slabs, which BAMC holds and BAMX/BAMZ rows decode to;
-* :func:`open_store_writer` / :func:`write_store_records` /
-  :func:`write_indexes` / :func:`publishing` — how the preprocessors
-  write a store and its BAIX/BAIX2 sidecars, and make them appear
-  atomically;
+* :func:`open_store_writer` / :func:`encode_slab_part` /
+  :func:`write_store_records` / :func:`write_indexes` /
+  :func:`publishing` — how the preprocessors write a store and its
+  BAIX/BAIX2 sidecars, and make them appear atomically;
 * :func:`index_path_for` / :func:`region_locator` — how partial
   conversion finds a store's index and queries it.
 """
 
 from __future__ import annotations
 
+import glob
 import os
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, suppress
@@ -182,6 +183,17 @@ def open_store_writer(path: str | os.PathLike[str], header: SamHeader,
     return BamxWriter(path, header, layout)
 
 
+def encode_slab_part(slab: _bamc.ColumnSlab, store_format: str = "bamx",
+                     ) -> tuple[bytes | np.ndarray, BamxLayout]:
+    """A slab as *store_format* bytes — BAMX/BAMZ rows, or one BAMC
+    slab — under the tightest layout that holds it, and that layout:
+    what a preprocessing rank can encode before anyone knows the
+    store's, and the writer's ``write_encoded`` takes."""
+    need = _bamx.slab_layout(slab)
+    return (_bamc.encode_slab(slab, need) if store_format == "bamc"
+            else need.encode_slab(slab)), need
+
+
 def write_store_records(writer: BamxWriter | BamzWriter | BamcWriter,
                         records: Iterable[AlignmentRecord],
                         batch_size: int) -> tuple:
@@ -205,8 +217,10 @@ def publishing(store_path: str | os.PathLike[str],
                ) -> Iterator[str]:
     """Yield a temporary sibling path to write a store (and beside it
     its ``.bzi``/``.baix``/``.baix2`` sidecars) under; move them into
-    place on a clean exit — sidecars first, the store last — and unlink
-    them on an exception: a failed run leaves nothing ``--bamx`` takes."""
+    place on a clean exit — sidecars first, the store last.  Whatever
+    is still there under the temporary name afterwards goes: a failed
+    run's store and sidecars — it leaves nothing ``--bamx`` takes — and
+    any scratch file kept as ``<tmp>.<suffix>`` (a spool, a part)."""
     store_path = os.fspath(store_path)
     tmp = f"{store_path}.tmp{os.getpid()}"
     moves = ((_bamz.index_path_for(tmp), _bamz.index_path_for(store_path)),
@@ -221,9 +235,9 @@ def publishing(store_path: str | os.PathLike[str],
             if os.path.exists(written):
                 os.replace(written, final)
     finally:
-        for written, _ in moves:
+        for left in (tmp, *glob.glob(glob.escape(tmp) + ".*")):
             with suppress(FileNotFoundError):
-                os.unlink(written)
+                os.unlink(left)
 
 
 def index_path_for(store_path: str | os.PathLike[str],

@@ -1,39 +1,26 @@
 """Parallel runtime substrate: communicators, SPMD launch, partitioning,
-buffered metered I/O, and the simulated-cluster performance model."""
+buffered metered I/O, and the simulated-cluster performance model.
+Exports resolve on first use (PEP 562)."""
 
-from .buffers import BufferedBinaryWriter, BufferedTextWriter, \
-    RangeLineReader
-from .comm import Communicator, SerialComm, ThreadComm
-from .executor import DEFAULT_IDLE_TIMEOUT, POOL_KINDS, \
-    ExecutorFailure, SharedExecutor, get_shared_executor, \
-    reset_shared_executor, resolve_start_method, \
-    shared_executor_stats, simulate_schedule
-from .metrics import DEFAULT_CLUSTER, ClusterModel, RankMetrics, \
-    ServiceMetrics, SpeedupCurve, SpeedupPoint, \
-    format_metrics_snapshot, merge_all, modeled_parallel_time, \
-    modeled_speedup
-from .partition import Partition, even_split, partition_bytes, \
-    partition_rank_spmd, partition_records, partition_text_file
-from .spmd import BACKENDS, SpmdFailure, run_spmd
-from .tracing import Span, Tracer, format_summary, format_tree, \
-    get_tracer, install, read_jsonl, to_chrome_events, traced, \
-    write_chrome, write_jsonl, write_trace
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Communicator", "SerialComm", "ThreadComm",
-    "run_spmd", "SpmdFailure", "BACKENDS",
-    "SharedExecutor", "ExecutorFailure", "get_shared_executor",
-    "reset_shared_executor", "shared_executor_stats",
-    "resolve_start_method", "simulate_schedule",
-    "POOL_KINDS", "DEFAULT_IDLE_TIMEOUT",
-    "Span", "Tracer", "get_tracer", "install", "traced",
-    "read_jsonl", "write_jsonl", "to_chrome_events", "write_chrome",
-    "write_trace", "format_tree", "format_summary",
-    "Partition", "even_split", "partition_bytes", "partition_text_file",
-    "partition_rank_spmd", "partition_records",
-    "RangeLineReader", "BufferedTextWriter", "BufferedBinaryWriter",
-    "RankMetrics", "ServiceMetrics", "format_metrics_snapshot",
-    "ClusterModel", "DEFAULT_CLUSTER", "merge_all",
-    "modeled_parallel_time", "modeled_speedup",
-    "SpeedupCurve", "SpeedupPoint",
-]
+__all__, __getattr__ = lazy_exports(globals(), {
+    "buffers": ("BufferedBinaryWriter", "BufferedTextWriter",
+                "RangeLineReader"),
+    "comm": ("Communicator", "SerialComm", "ThreadComm"),
+    "executor": ("DEFAULT_IDLE_TIMEOUT", "POOL_KINDS", "ExecutorFailure",
+                 "SharedExecutor", "get_shared_executor",
+                 "reset_shared_executor", "resolve_start_method",
+                 "shared_executor_stats", "simulate_schedule"),
+    "metrics": ("DEFAULT_CLUSTER", "ClusterModel", "RankMetrics",
+                "ServiceMetrics", "SpeedupCurve", "SpeedupPoint",
+                "format_metrics_snapshot", "merge_all",
+                "modeled_parallel_time", "modeled_speedup"),
+    "partition": ("Partition", "even_split", "partition_bytes",
+                  "partition_rank_spmd", "partition_records",
+                  "partition_text_file"),
+    "spmd": ("BACKENDS", "SpmdFailure", "run_spmd"),
+    "tracing": ("Span", "Tracer", "format_summary", "format_tree",
+                "get_tracer", "install", "read_jsonl", "to_chrome_events",
+                "traced", "write_chrome", "write_jsonl", "write_trace"),
+})

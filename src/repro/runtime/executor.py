@@ -38,16 +38,17 @@ machinery itself breaking under a task.
 from __future__ import annotations
 
 import heapq
-import multiprocessing as mp
 import os
 import threading
 import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import FIRST_EXCEPTION, BrokenExecutor, \
-    Future, ProcessPoolExecutor, ThreadPoolExecutor, wait
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..errors import RuntimeLayerError
+
+if TYPE_CHECKING:  # the pool machinery loads where a pool is first built
+    from concurrent.futures import Future, ProcessPoolExecutor, \
+        ThreadPoolExecutor
 
 __all__ = [
     "ExecutorFailure", "SharedExecutor", "get_shared_executor",
@@ -129,6 +130,7 @@ def resolve_start_method(start_method: str | None = None) -> str:
     if start_method is None:
         start_method = os.environ.get("REPRO_EXECUTOR_START_METHOD") \
             or None
+    import multiprocessing as mp
     available = mp.get_all_start_methods()
     if start_method is None:
         return "fork" if "fork" in available else "spawn"
@@ -192,6 +194,7 @@ class SharedExecutor:
 
     def _get_pool(self, kind: str):
         # Called with the lock held.
+        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
         if kind == "thread":
             if self._thread_pool is None:
                 self._thread_pool = ThreadPoolExecutor(
@@ -200,7 +203,8 @@ class SharedExecutor:
                 self._counters["thread_pool_starts"] += 1
             return self._thread_pool
         if self._process_pool is None:
-            ctx = mp.get_context(self.start_method)
+            import multiprocessing
+            ctx = multiprocessing.get_context(self.start_method)
             self._process_pool = ProcessPoolExecutor(
                 max_workers=self.max_workers, mp_context=ctx,
                 initializer=_pool_worker_init)
@@ -291,6 +295,7 @@ class SharedExecutor:
         first affected item's label; the broken pool is discarded so
         the executor survives for the next call.
         """
+        from concurrent.futures import FIRST_EXCEPTION, BrokenExecutor, wait
         if kind not in POOL_KINDS:
             raise RuntimeLayerError(
                 f"unknown pool kind {kind!r}; choose from {POOL_KINDS}")

@@ -58,6 +58,7 @@ POINTS = (
     "scheduler.attempt",  # WorkerPool, at the start of each attempt
     "gateway.dispatch",   # Dispatcher.dispatch, before op routing
     "shard.batch",        # SAM batch pipeline, once per record batch
+    "preprocess.rank",    # BAM preprocessing, each inflate/encode rank
 )
 
 #: Fault kinds a point can be armed with.

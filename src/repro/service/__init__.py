@@ -15,30 +15,16 @@ Exports resolve on first use (PEP 562): ``from repro.service import
 ServiceClient`` loads the client and the wire protocol only.
 """
 
-import importlib
+from .._lazy import lazy_exports
 
-#: Export name -> the submodule that defines it.
-_EXPORTS = {
-    "Job": "jobs", "JobState": "jobs", "seed_job_counter": "jobs",
-    "WorkerPool": "scheduler",
-    "JobJournal": "journal", "replay": "journal",
-    "high_water_mark": "journal",
-    "ArtifactCache": "cache", "CacheEntry": "cache",
-    "cache_key": "cache", "content_digest": "cache",
-    "file_digests": "cache",
-    "ConversionService": "server", "ServiceDaemon": "server",
-    "ServiceClient": "client",
-    "AdmissionController": "gateway", "Dispatcher": "gateway",
-    "FrameError": "gateway", "FrameReader": "gateway",
-    "GatewayConfig": "gateway", "GatewayServer": "gateway",
-    "Session": "gateway",
-}
-
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    if name in _EXPORTS:
-        module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__ = lazy_exports(globals(), {
+    "jobs": ("Job", "JobState", "seed_job_counter"),
+    "scheduler": ("WorkerPool",),
+    "journal": ("JobJournal", "replay", "high_water_mark"),
+    "cache": ("ArtifactCache", "CacheEntry", "cache_key", "content_digest",
+              "file_digests"),
+    "server": ("ConversionService", "ServiceDaemon"),
+    "client": ("ServiceClient",),
+    "gateway": ("AdmissionController", "Dispatcher", "FrameError",
+                "FrameReader", "GatewayConfig", "GatewayServer", "Session"),
+})

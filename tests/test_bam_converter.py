@@ -49,10 +49,9 @@ def test_preprocess_builds_sorted_index(preprocessed, workload):
     assert len(index) == placed
 
 
-def test_preprocess_metrics_account_for_two_passes(preprocessed,
-                                                   bam_file):
+def test_preprocess_metrics_account_for_one_pass(preprocessed, bam_file):
     _, _, metrics = preprocessed
-    assert metrics.bytes_read == 2 * os.path.getsize(bam_file)
+    assert metrics.bytes_read == os.path.getsize(bam_file)
     assert metrics.bytes_written > 0
 
 

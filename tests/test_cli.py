@@ -312,11 +312,45 @@ def test_client_verbs_do_not_import_the_converter_stack():
 
 def test_package_exports_resolve_lazily_and_completely():
     import repro
+    import repro.core
+    import repro.formats
+    import repro.runtime
     import repro.service
-    for package in (repro, repro.service):
+    for package in (repro, repro.service, repro.core, repro.formats,
+                    repro.runtime):
+        assert len(set(package.__all__)) == len(package.__all__)
         for name in package.__all__:
             assert getattr(package, name) is not None
+    assert repro.formats.BamReader.__module__ == "repro.formats.bam"
+    with pytest.raises(AttributeError):
+        repro.core.no_such_export
     assert repro.service.ServiceClient.__module__ == \
         "repro.service.client"
     with pytest.raises(AttributeError):
         repro.service.no_such_export
+
+
+def test_bam_convert_and_region_leave_cold_path_modules_out(tmp_path,
+                                                            bam_file):
+    """The one-shot user pays for what a BAM convert uses: the first
+    ``np.unique`` would import ``numpy.ma`` (~12 ms), ``--executor
+    simulate`` builds no pool, and the package ``__init__``s resolve
+    their exports lazily."""
+    import subprocess
+    import sys
+    code = f"""
+import sys
+from repro.cli import main
+work, out = {str(tmp_path / "w")!r}, {str(tmp_path / "o")!r}
+assert main(["convert", {bam_file!r}, "--target", "bed", "--out-dir", out,
+             "--work-dir", work]) == 0
+assert main(["region", work + "/sample.bamx", "--region", "chr1:1-30000",
+             "--target", "bed", "--out-dir", out, "--mode", "overlap"]) == 0
+unwanted = [name for name in (
+    "numpy.ma", "multiprocessing", "concurrent.futures",
+    "repro.core.sort", "repro.core.samp_converter", "repro.core.dataset",
+    "repro.runtime.spmd", "repro.formats.bgzf_threads",
+    "repro.formats.fasta") if name in sys.modules]
+assert not unwanted, unwanted
+"""
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)

@@ -278,6 +278,134 @@ def test_failed_preprocess_leaves_no_store_behind(tmp_path, kwargs,
     assert os.listdir(work) == []
 
 
+# --- A hostile BGZF container under parallel preprocessing ----------------
+
+def _container():
+    """A 12-record BAM in 150-byte blocks and its block starts."""
+    from tests import rawbam
+    records = [rawbam.record(b"read%d" % i, pos=100 + i)
+               for i in range(12)]
+    blob = rawbam.bgzf(rawbam.stream(records), block=150)
+    starts, at = [], 0
+    while at < len(blob):
+        starts.append(at)
+        at += int.from_bytes(blob[at + 16:at + 18], "little") + 1
+    return blob, starts
+
+
+def _patched(at, value, width=2):
+    def defect(blob, starts):
+        at_ = at(starts) if callable(at) else at
+        return blob[:at_] + value.to_bytes(width, "little") \
+            + blob[at_ + width:]
+    return defect
+
+
+#: defect -> (blob, block starts) -> damaged blob.  The first four are
+#: refused by the scan (no spool is sized from them), the rest by the
+#: rank that inflates the block — the last data block, rank 1's.
+HOSTILE_CONTAINERS = {
+    "BSIZE past EOF": _patched(lambda s: s[-2] + 16, 0xFFFF),
+    "BSIZE below an empty block": _patched(lambda s: s[2] + 16, 19),
+    "BSIZE into the next block": lambda blob, s: _patched(
+        s[1] + 16, s[2] - s[1] + 30 - 1)(blob, s),
+    "ISIZE above 64 KiB": _patched(lambda s: s[-1] - 4, 70_000, 4),
+    "ISIZE off by one": _patched(lambda s: s[-1] - 4, 99, 4),
+    "CRC flip in rank 1": lambda blob, s: blob[:s[-1] - 8] + bytes(
+        [blob[s[-1] - 8] ^ 1]) + blob[s[-1] - 7:],
+    "truncated last block": lambda blob, s: blob[:-9],
+    "garbage after EOF": lambda blob, s: blob + b"\x00garbage",
+}
+
+
+@pytest.mark.parametrize("nprocs, executor", [
+    (1, "simulate"), (2, "thread"), (2, "process")])
+@pytest.mark.parametrize("defect", sorted(HOSTILE_CONTAINERS))
+def test_hostile_container_gives_typed_errors(tmp_path, defect, nprocs,
+                                              executor):
+    """Lying ``BSIZE``/``ISIZE``, a bad CRC, a cut-off or over-long file:
+    ``BgzfError`` at any rank count, quickly, with nothing left in the
+    work dir — no store, no sidecar, no spool, no part — and the shared
+    pool good for the next run."""
+    import time
+
+    from repro.core.bam_converter import preprocess_bam
+    blob, starts = _container()
+    bam = tmp_path / "in.bam"
+    bam.write_bytes(HOSTILE_CONTAINERS[defect](blob, starts))
+    work = tmp_path / "work"
+    work.mkdir()
+    t0 = time.perf_counter()
+    for kwargs in ({}, {"compress": True}, {"store_format": "bamc"}):
+        with pytest.raises(BgzfError):
+            preprocess_bam(bam, work / "in.store", batch_size=4,
+                           nprocs=nprocs, executor=executor, **kwargs)
+        assert os.listdir(work) == []
+    assert time.perf_counter() - t0 < 5.0
+    bam.write_bytes(blob)
+    metrics = preprocess_bam(bam, work / "in.bamx", batch_size=4,
+                             nprocs=nprocs, executor=executor)
+    assert metrics.records == 12
+    assert sorted(os.listdir(work)) == [
+        "in.bamx", "in.bamx.baix", "in.bamx.baix2"]
+
+
+@pytest.mark.parametrize("nprocs", [1, 2])
+def test_huge_l_seq_in_a_late_slab_sizes_nothing(tmp_path, nprocs):
+    """A length field that lies is refused before any capacity — a
+    rank's, or the store's — is taken from it: the honest slabs must
+    not be laid out in 2 GiB rows first."""
+    import time
+
+    from repro.core.bam_converter import preprocess_bam
+    bam = _mutated_bam(tmp_path / "lie.bam", l_seq=(1 << 31) - 1)
+    t0 = time.perf_counter()
+    for kwargs in ({}, {"compress": True}, {"store_format": "bamc"}):
+        with pytest.raises(BamFormatError, match="l_seq"):
+            preprocess_bam(bam, tmp_path / "s.store", batch_size=2,
+                           nprocs=nprocs, **kwargs)
+    assert time.perf_counter() - t0 < 5.0
+    assert sorted(os.listdir(tmp_path)) == ["lie.bam"]
+
+
+_FLIP_BLOB, _ = _container()
+
+
+@given(st.integers(0, len(_FLIP_BLOB) - 1), st.integers(1, 255),
+       st.sampled_from([(1, "simulate"), (2, "thread")]))
+@settings(max_examples=300, deadline=None)
+def test_flipped_container_bytes_give_an_error_or_identical_stores(
+        offset, mask, ranks):
+    """Any one byte of the *compressed* file flipped: a typed error, or
+    (a header field nobody reads: MTIME, XFL, OS) the same stores."""
+    import tempfile
+
+    from repro.core.bam_converter import preprocess_bam
+    nprocs, executor = ranks
+    blob = bytearray(_FLIP_BLOB)
+    blob[offset] ^= mask
+    with tempfile.TemporaryDirectory() as work:
+        bams = {"good": _FLIP_BLOB, "flipped": bytes(blob)}
+        stores = {}
+        for name, data in bams.items():
+            os.mkdir(os.path.join(work, name))
+            with open(os.path.join(work, name + ".bam"), "wb") as fh:
+                fh.write(data)
+            try:
+                preprocess_bam(os.path.join(work, name + ".bam"),
+                               os.path.join(work, name, "s.bamx"),
+                               batch_size=4, nprocs=nprocs,
+                               executor=executor)
+            except (BgzfError, BamFormatError):
+                assert name == "flipped"
+                assert os.listdir(os.path.join(work, name)) == []
+                return
+            stores[name] = {
+                f: open(os.path.join(work, name, f), "rb").read()
+                for f in sorted(os.listdir(os.path.join(work, name)))}
+        assert stores["flipped"] == stores["good"]
+
+
 # --- BAMX / BAMZ rows whose length fields lie -----------------------------
 
 #: field -> (byte offset in the 32-byte row prefix, struct code, value)
@@ -318,7 +446,7 @@ def test_row_store_lying_length_fields_give_typed_errors(
         path.write_bytes(bytes(blob))
     else:
         with BamzWriter(path, header, layout) as writer:
-            writer._write_rows(blob[data_offset:], 20)
+            writer.write_encoded(blob[data_offset:], 20)
     named = rf"bad\.{kind}: record 13: "
     with open_record_store(path) as reader:
         assert len(reader) == 20

@@ -16,6 +16,7 @@ import pytest
 import repro
 from repro.errors import FaultInjectedError, ReproError
 from repro.runtime import faults
+from repro.runtime.executor import ExecutorFailure, reset_shared_executor
 from repro.runtime.metrics import ServiceMetrics
 from repro.service import protocol
 from repro.service.cache import ArtifactCache
@@ -363,3 +364,37 @@ def test_gateway_dispatch_fault_is_structured():
             sock.close()
     finally:
         daemon.stop()
+
+
+# ---------------------------------------------------------------------
+# preprocess.rank: a BAM preprocessing rank fails or dies mid-stage
+
+
+@pytest.mark.parametrize("kind, executor, error, names", [
+    ("exception", "thread", FaultInjectedError, "preprocess.rank"),
+    ("exception", "process", FaultInjectedError, "preprocess.rank"),
+    ("crash", "process", ExecutorFailure, r"\[rank \d\]"),
+])
+def test_preprocess_rank_fault_leaves_a_clean_work_dir(
+        tmp_path, bam_file, kind, executor, error, names):
+    """A rank raising — or, in a pool process, dying the way SIGKILL
+    would — fails the preprocess with an error naming the rank, leaves
+    no store, sidecar, spool or part behind, and the next preprocess on
+    the shared pool succeeds."""
+    from repro.core import BamConverter
+    work = tmp_path / "work"
+    faults.arm(f"preprocess.rank:{kind}")
+    reset_shared_executor()  # fork the pool's workers armed
+    try:
+        with pytest.raises(error, match=names):
+            BamConverter().preprocess(bam_file, work, nprocs=2,
+                                      executor=executor)
+        assert os.listdir(work) == []
+    finally:
+        faults.disarm()
+        reset_shared_executor()
+    store, baix, metrics = BamConverter().preprocess(
+        bam_file, work, nprocs=2, executor=executor)
+    assert metrics.records > 0
+    assert sorted(os.listdir(work)) == sorted(
+        os.path.basename(path) for path in (store, baix, baix + "2"))

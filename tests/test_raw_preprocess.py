@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.bam_converter import preprocess_bam
 from repro.errors import ReproError
+from repro.formats import bgzf
 from repro.formats.baix import BaixIndex
 from repro.formats.baix2 import BaixOverlapIndex
 from repro.formats.bam import BamReader, write_bam
@@ -35,11 +36,12 @@ def _files(directory):
             for name in sorted(os.listdir(directory))}
 
 
-def raw_path(bam, out_dir, kind, batch_size):
-    """``preprocess_bam``; returns ``(files, fallbacks)``."""
+def raw_path(bam, out_dir, kind, batch_size, **ranks):
+    """``preprocess_bam`` (on *ranks*: ``nprocs``, ``executor``);
+    returns ``(files, fallbacks)``."""
     os.makedirs(out_dir)
     metrics = preprocess_bam(bam, os.path.join(out_dir, f"s.{kind}"),
-                             batch_size=batch_size, **KINDS[kind])
+                             batch_size=batch_size, **KINDS[kind], **ranks)
     return _files(out_dir), metrics.fallbacks
 
 
@@ -61,17 +63,18 @@ def record_path(bam, out_dir, kind, batch_size):
     return _files(out_dir)
 
 
-def outcome(fn, *args):
+def outcome(fn, *args, **kwargs):
     """The files a path wrote, or how it refused."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except ReproError:
         return "ReproError"
 
 
-def assert_equivalent(work, blob, batch_size, fallbacks=None):
-    """Both paths agree on *blob* (a whole BAM file) for every store;
-    returns the raw path's outcome for the last store."""
+def assert_equivalent(work, blob, batch_size, fallbacks=None, **ranks):
+    """Both paths agree on *blob* (a whole BAM file) for every store,
+    the raw path running on *ranks*; returns the raw path's outcome for
+    the last store."""
     bam = os.path.join(work, "in.bam")
     with open(bam, "wb") as fh:
         fh.write(blob)
@@ -80,7 +83,7 @@ def assert_equivalent(work, blob, batch_size, fallbacks=None):
         expected = outcome(record_path, bam, os.path.join(
             work, f"rec-{tag}"), kind, batch_size)
         got = outcome(raw_path, bam, os.path.join(work, f"raw-{tag}"),
-                      kind, batch_size)
+                      kind, batch_size, **ranks)
         if expected == "ReproError":
             assert got == "ReproError", kind
             assert os.listdir(os.path.join(work, f"raw-{tag}")) == []
@@ -203,16 +206,18 @@ def test_records_straddling_bgzf_blocks(tmp_path, batch_size):
     assert_equivalent(str(tmp_path), blob, batch_size, fallbacks=0)
 
 
-def test_records_straddling_read_chunks(tmp_path):
-    """Records of ~0.4 MiB: each 1 MiB read of ``iter_raw_slabs`` ends
-    inside one, and a slab of two spans three reads."""
-    n = 280_001
-    long_reads = [
+def _long_reads(count, n=280_001):
+    return [
         rawbam.record(b"long%d" % i, seq=bytes([0x12 + i]) * ((n + 1) // 2),
                       l_seq=n, qual=bytes([i + 1]) * n,
                       cigar=rawbam.cigar_words(f"{n}M"), pos=i)
-        for i in range(7)]
-    blob = rawbam.bgzf(rawbam.stream(long_reads + CANONICAL))
+        for i in range(count)]
+
+
+def test_records_straddling_read_chunks(tmp_path):
+    """Records of ~0.4 MiB: each 1 MiB read of ``iter_raw_slabs`` ends
+    inside one, and a slab of two spans three reads."""
+    blob = rawbam.bgzf(rawbam.stream(_long_reads(7) + CANONICAL))
     for batch_size in (2, 4096):
         assert_equivalent(str(tmp_path), blob, batch_size, fallbacks=0)
 
@@ -233,6 +238,154 @@ def test_truncated_tail_is_refused(tmp_path):
         work.mkdir()
         assert assert_equivalent(
             str(work), rawbam.bgzf(data[:-cut]), 3) == "ReproError"
+
+
+# -- ranks: every cut between two of them is a seam --------------------
+
+EXECUTORS = ["simulate", "thread", "process"]
+
+
+def _blocks(data, cuts, empty_at=None, eof=True):
+    """*data* as BGZF blocks cut exactly at *cuts*, with an empty block
+    in front of block number *empty_at*."""
+    bounds = [0, *cuts, len(data)]
+    blocks = [bgzf.compress_block(data[a:b])
+              for a, b in zip(bounds, bounds[1:])]
+    if empty_at is not None:
+        blocks.insert(empty_at, bgzf.EOF_MARKER)
+    return b"".join(blocks) + (bgzf.EOF_MARKER if eof else b"")
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("nprocs", [1, 2, 3, 5])
+def test_rank_matrix_writes_identical_stores(tmp_path, nprocs, executor):
+    """3 stores x ranks x executors x slab sizes x block sizes: the
+    same bytes as the record path.  113-byte blocks put every rank cut
+    inside a record, with an empty block mid-stream and no EOF marker;
+    64 KiB blocks leave fewer blocks (one) than ranks."""
+    data = rawbam.stream(CANONICAL * 3)
+    for block, extra in ((113, {"empty_after": 7, "eof": False}),
+                         (0xFF00, {})):
+        for batch_size in (3, 4096):
+            work = tmp_path / f"{block}-{batch_size}"
+            work.mkdir()
+            assert_equivalent(str(work), rawbam.bgzf(data, block, **extra),
+                              batch_size, fallbacks=0, nprocs=nprocs,
+                              executor=executor)
+
+
+_SEAM_DATA = rawbam.stream(CANONICAL * 3)
+_SEAM_RECORD = rawbam.record_starts(_SEAM_DATA)[16]
+#: name -> (block cuts, empty block in front of block, EOF marker, ranks)
+SEAMS = {
+    "between two records": ([_SEAM_RECORD], None, True, 2),
+    "inside a block_size": ([_SEAM_RECORD + 2], None, True, 2),
+    "inside the fixed prefix": ([_SEAM_RECORD + 20], None, True, 2),
+    "inside a record body": ([_SEAM_RECORD + 50], None, True, 2),
+    "on an empty block": ([_SEAM_RECORD + 20], 1, True, 3),
+    "inside a multi-block header": (
+        [10, 41, rawbam.record_starts(_SEAM_DATA)[0] - 3], None, True, 4),
+    "more ranks than blocks": ([_SEAM_RECORD + 20], None, True, 5),
+    "no EOF marker": ([_SEAM_RECORD + 2], None, False, 2),
+}
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("seam", sorted(SEAMS))
+def test_cut_between_ranks_can_fall_anywhere(tmp_path, seam, executor):
+    cuts, empty_at, eof, nprocs = SEAMS[seam]
+    blob = _blocks(_SEAM_DATA, cuts, empty_at, eof)
+    for batch_size in (3, 4096):
+        work = tmp_path / str(batch_size)
+        work.mkdir()
+        assert_equivalent(str(work), blob, batch_size, fallbacks=0,
+                          nprocs=nprocs, executor=executor)
+
+
+def test_record_longer_than_a_rank_range(tmp_path):
+    """16 ranks over ~1.3 MiB of 64 KiB blocks: every 0.4 MiB record
+    is spread over the ranges of five ranks."""
+    blob = rawbam.bgzf(rawbam.stream(_long_reads(3) + CANONICAL))
+    assert_equivalent(str(tmp_path), blob, 2, fallbacks=0, nprocs=16,
+                      executor="thread")
+
+
+def test_fallback_slabs_are_counted_across_ranks(tmp_path):
+    odd = NON_CANONICAL["i-coded small int"]
+    records = [odd] + CANONICAL[:5] + [odd, odd] + CANONICAL[5:9] + [odd]
+    blob = rawbam.bgzf(rawbam.stream(records), block=113)
+    # Slabs of 3 over 3 ranks: [odd c c] [c c c] | [odd odd c] [c c c]
+    # | [odd].
+    assert_equivalent(str(tmp_path), blob, 3, fallbacks=3, nprocs=3,
+                      executor="process")
+
+
+# -- capacities: each slab under its own, the store under everyone's ----
+
+def _inflations(monkeypatch):
+    """Count ``decompress_block`` calls from here on."""
+    calls = []
+    real = bgzf.decompress_block
+
+    def counting(block):
+        calls.append(len(block))
+        return real(block)
+
+    monkeypatch.setattr(bgzf, "decompress_block", counting)
+    return calls
+
+
+def _growing(count, grow):
+    """Records whose name, CIGAR, sequence and tags are longest where
+    ``grow(i)`` is largest."""
+    def record(i):
+        k = grow(i)
+        return rawbam.record(
+            b"n" * (1 + k), pos=100 + i, seq=rawbam.pack_seq("ACGT" * (2 + k)),
+            l_seq=8 + 4 * k, cigar=rawbam.cigar_words("1M1I" * k + "6M"),
+            qual=bytes([30]) * (8 + 4 * k), tags=b"XZZ" + b"t" * k + b"\x00")
+    return [record(i) for i in range(count)]
+
+
+@pytest.mark.parametrize("nprocs, executor", [(1, "simulate"), (2, "thread")])
+@pytest.mark.parametrize("case", ["slab 0 holds the maxima",
+                                  "first grow in the last slab",
+                                  "grow in every slab",
+                                  "the longest tags shrink in a fallback"])
+def test_capacities_and_inflations(tmp_path, monkeypatch, case, nprocs,
+                                   executor):
+    """Wherever the maxima sit, the stores are the record path's — rows
+    encoded under their slab's capacities are re-laid under the
+    store's — and every BGZF block is inflated exactly once to get
+    there, for every store."""
+    records = _growing(12, {
+        "slab 0 holds the maxima": lambda i: 11 - i,
+        "first grow in the last slab": lambda i: 5 * (i == 10),
+        "grow in every slab": lambda i: i,
+        "the longest tags shrink in a fallback": lambda i: 0}[case])
+    fallbacks = 0
+    if case == "the longest tags shrink in a fallback":
+        # The longest tag block is i-coded; re-encoded it is c-coded,
+        # three bytes shorter, and no longer the longest.
+        records[7] = rawbam.record(tags=_int_tag(b"NM", b"i", "i", 5))
+        fallbacks = 1
+    blob = rawbam.bgzf(rawbam.stream(records), block=113)
+    n_blocks = len(bgzf.scan_blocks(_write(tmp_path / "probe.bam", blob))[1])
+    assert_equivalent(str(tmp_path), blob, 3, fallbacks=fallbacks,
+                      nprocs=nprocs, executor=executor)
+    for kind in KINDS:
+        calls = _inflations(monkeypatch)
+        metrics = preprocess_bam(
+            tmp_path / "in.bam", tmp_path / f"counted.{kind}", batch_size=3,
+            nprocs=nprocs, executor=executor, **KINDS[kind])
+        assert len(calls) == n_blocks, kind
+        assert metrics.bytes_read == len(blob)
+        monkeypatch.undo()
+
+
+def _write(path, blob):
+    path.write_bytes(blob)
+    return path
 
 
 # -- hypothesis: generated records, then flipped bytes -------------------
@@ -318,3 +471,25 @@ def test_peak_memory_is_bounded_by_a_slab_not_by_the_file(
             tracemalloc.stop()
 
     assert peak(40_000) <= 1.3 * peak(10_000)
+
+
+def test_peak_memory_is_bounded_by_a_slab_a_rank(tmp_path, workload):
+    """Two thread ranks at once hold two slabs, not the file: no stage
+    buffers its whole input, and what a rank returns is four integers a
+    record.  (Both sizes give each rank full slabs; below 16 384 records
+    the second rank's would be short.)"""
+    _, header, records = workload
+
+    def peak(n):
+        bam = str(tmp_path / f"n{n}.bam")
+        write_bam(bam, header, (records * (n // len(records) + 1))[:n],
+                  level=1)
+        tracemalloc.start()
+        try:
+            preprocess_bam(bam, str(tmp_path / f"n{n}.bamx"), nprocs=2,
+                           executor="thread")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(80_000) <= 1.3 * peak(20_000)

@@ -101,6 +101,26 @@ def _same(a, b):
     return repr(a) == repr(b)
 
 
+# -- restride -----------------------------------------------------------------
+
+@given(st.lists(records(), min_size=1, max_size=7),
+       st.tuples(*[st.integers(0, 9)] * 4))
+@settings(max_examples=100, deadline=None)
+def test_restride_is_encoding_under_the_wider_layout(batch, slack):
+    """Rows encoded under the layout a batch needs, re-laid under one
+    with room to spare in any field, are the rows encoded under that
+    one; under the same layout they come back untouched."""
+    tight = plan_layout(batch)
+    slab = slab_from_records(batch, HDR)
+    rows = tight.encode_slab(slab).tobytes()
+    wide = tight.merge(BamxLayout(
+        min(tight.name_cap + slack[0], 254), tight.cigar_cap + slack[1],
+        tight.seq_cap + slack[2], tight.tag_cap + slack[3]))
+    assert bytes(wide.restride(rows, len(batch), tight)) == bytes(
+        wide.encode_slab(slab))
+    assert tight.restride(rows, len(batch), tight) is rows
+
+
 # -- decode_slab ------------------------------------------------------------
 
 @given(st.lists(records(), max_size=7), st.integers(0, 99))

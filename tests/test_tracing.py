@@ -292,8 +292,8 @@ def test_bam_pipeline_spans(installed_tracer, bam_file, tmp_path):
         store, _, _ = converter.preprocess(bam_file, str(tmp_path / "w"))
         converter.convert(store, "bed", str(tmp_path / "out"), nprocs=2)
     names = _span_names(installed_tracer)
-    assert {"cli.convert", "preprocess", "plan", "write", "index",
-            "convert", "rank", "decompress"} <= names
+    assert {"cli.convert", "preprocess", "scan", "inflate", "walk", "write",
+            "encode", "index", "convert", "rank", "decompress"} <= names
     spans = installed_tracer.spans()
     root = next(s for s in spans if s.name == "cli.convert")
     phases = [s for s in spans if s.parent_id == root.span_id]
