@@ -8,14 +8,22 @@ larger r scales slightly better (more compute per replicated byte).
 
 Scaled here: bin count reduced so each sweep runs in seconds; the
 per-rank work model is unchanged.
+
+Beside the modelled curves (``simulate`` executor: ranks timed one at a
+time, fed to the cluster model) the report prints the measured wall of
+the same call on 1 and 2 real ranks (``thread`` / ``process``), every
+cell checked bitwise against the sequential kernel.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.simdata import build_histogram
+from repro.stats.nlmeans import nlmeans
 from repro.stats.nlmeans_parallel import nlmeans_parallel
 
-from .common import CONVERSION_CORES, best_of, report, \
+from .common import CONVERSION_CORES, best_of, measured_walls, report, \
     sequential_reference, speedup_curve
 
 #: Scaled histogram size (paper: 16M bp / 25 bp = 640k bins).
@@ -24,6 +32,23 @@ N_BINS = 40_000
 RADII = (20, 80, 320)
 HALF_PATCH = 15
 SIGMA = 10.0
+
+#: The measured cell: r = 80 over enough bins for >= 1 s sequential.
+MEASURED_BINS = 200_000
+MEASURED_RADIUS = 80
+
+
+def _measured():
+    histogram = build_histogram(MEASURED_BINS, seed=99)
+    expected = nlmeans(histogram, MEASURED_RADIUS, HALF_PATCH, SIGMA)
+
+    def run(_series, nprocs, executor):
+        out, _ = nlmeans_parallel(histogram, nprocs, MEASURED_RADIUS,
+                                  HALF_PATCH, SIGMA, executor)
+        assert np.array_equal(out, expected), (executor, nprocs)
+
+    return measured_walls(run, (f"r={MEASURED_RADIUS}, "
+                                f"{MEASURED_BINS} bins",))
 
 
 def _sweep():
@@ -47,6 +72,7 @@ def test_fig11_nlmeans_speedup(benchmark):
     text = "\n\n".join(c.format_table() for c in curves.values())
     text += (f"\n\nscaling note: {N_BINS} bins here vs 640k bins "
              "(16 Mbp / 25 bp) in the paper; work per bin is identical")
+    text += "\n\n" + _measured()
     report("fig11_nlmeans", text)
 
     for radius, curve in curves.items():

@@ -9,14 +9,19 @@ Algorithm 2 saving a global synchronization).
 Scaled here: fewer bins, same B = 80 simulations.  The fused-vs-unfused
 ablation quantifies the summation-permutation optimization the paper
 credits for the extra speedup.
+
+Beside the modelled curves (``simulate`` executor) the report prints the
+measured wall of the same calls, fused and unfused, on 1 and 2 real
+ranks (``thread`` / ``process``), every cell checked against
+``fdr_vectorized``.
 """
 
 from __future__ import annotations
 
 from repro.simdata import build_histogram, build_simulations
-from repro.stats.fdr import fdr_parallel
+from repro.stats.fdr import fdr_parallel, fdr_vectorized
 
-from .common import FDR_CORES, format_rows, report, \
+from .common import FDR_CORES, format_rows, measured_walls, report, \
     sequential_reference, speedup_curve
 
 N_BINS = 40_000
@@ -44,12 +49,21 @@ def _sweep():
                                 fused_runs)
     unfused_curve = speedup_curve("FDR (unfused two-pass)", seq,
                                   unfused_runs)
-    return fused_curve, unfused_curve, value
+    expected = fdr_vectorized(histogram, sims, P_T)
+
+    def run(series, nprocs, executor):
+        result, _ = fdr_parallel(histogram, sims, P_T, nprocs,
+                                 fused=series == "fused",
+                                 executor=executor)
+        assert result == expected, (series, executor, nprocs)
+
+    return fused_curve, unfused_curve, value, \
+        measured_walls(run, ("fused", "unfused"))
 
 
 def test_fig12_fdr_speedup(benchmark):
-    fused, unfused, value = benchmark.pedantic(_sweep, rounds=1,
-                                               iterations=1)
+    fused, unfused, value, measured = benchmark.pedantic(
+        _sweep, rounds=1, iterations=1)
     rows = []
     for f_point, u_point in zip(fused.points, unfused.points):
         rows.append([f_point.nprocs, f_point.par_seconds,
@@ -62,6 +76,7 @@ def test_fig12_fdr_speedup(benchmark):
              "16.60 / 33.15 / 66.16 / 132.14 / 263.94 at 8..256 cores\n"
              f"scaling note: {N_BINS} bins x {N_SIMULATIONS} simulations "
              "here vs 16M bins x 80 in the paper")
+    text += "\n\n" + measured
     report("fig12_fdr", text)
 
     speedups = fused.speedups()

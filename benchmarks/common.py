@@ -22,6 +22,7 @@ import contextlib
 import functools
 import json
 import os
+import statistics
 import tempfile
 import time
 
@@ -228,6 +229,36 @@ def best_seconds(run, repeats: int | None = None) -> float:
         metrics = run()
         best = min(best, merge_all(metrics).total_seconds)
     return best
+
+
+def measured_walls(run, series: tuple[str, ...],
+                   repeats: int | None = None) -> str:
+    """Measured wall-clock table to print beside a modelled curve.
+
+    ``run(series, nprocs, executor)`` does one whole parallel call (and
+    asserts its own result) on *real* ranks: 1 and 2 ranks of the
+    ``thread`` and ``process`` executors.  Every cell is timed N times
+    (:func:`bench_repeats`), the repetitions interleaved across cells so
+    drift on a shared host falls on all of them alike; the table gives
+    median and min..max seconds.  Nothing here is gated: the box decides
+    how many cores those two ranks really get.
+    """
+    if repeats is None:
+        repeats = bench_repeats()
+    cells = [(name, executor, nprocs) for name in series
+             for executor in ("thread", "process") for nprocs in (1, 2)]
+    walls: dict[tuple, list[float]] = {cell: [] for cell in cells}
+    for _ in range(repeats):
+        for name, executor, nprocs in cells:
+            t0 = time.perf_counter()
+            run(name, nprocs, executor)
+            walls[name, executor, nprocs].append(time.perf_counter() - t0)
+    rows = [[*cell, statistics.median(w), min(w), max(w)]
+            for cell, w in walls.items()]
+    return (f"measured wall, whole call, this host ({os.cpu_count()} "
+            f"cpus), {repeats} interleaved repetitions:\n"
+            + format_rows(["series", "executor", "ranks", "median (s)",
+                           "min (s)", "max (s)"], rows))
 
 
 def curve_payload(curves: dict[str, SpeedupCurve]) -> dict:

@@ -7,7 +7,7 @@ Huang — IPDPS workshops 2014): three parallel converter instances (SAM,
 BAM, preprocessing-optimized SAM) over the paper's BAMX/BAIX random-
 access formats, partial (region) conversion, and parallelized NL-means
 denoising and FDR computation, together with every substrate they need
-(SAM/BAM/BGZF/BAI codecs, an MPI-style runtime, a read simulator and
+(SAM/BAM/BGZF/BAI codecs, a rank-parallel runtime, a read simulator and
 aligner, and a Picard-like sequential baseline).
 
 Quick start::

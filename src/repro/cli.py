@@ -40,6 +40,14 @@ def _batch_size_value(text: str):
     return _knob_value(text, "batch_size")
 
 
+def _nprocs_value(text: str) -> int:
+    """argparse type for ``--nprocs``: a rank count >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"nprocs {text!r} must be an integer >= 1")
+    return int(text)
+
+
 def _maybe_tuner(args: argparse.Namespace):
     """Build an AutoTuner when auto-tuning is in play, else None.
 
@@ -234,18 +242,24 @@ def _load_series(path: str) -> np.ndarray:
 
 
 def _cmd_nlmeans(args: argparse.Namespace) -> int:
+    import time
+
     import numpy as np
 
     from .stats import nlmeans_parallel
     values = _load_series(args.input)
+    t0 = time.perf_counter()
     denoised, metrics = nlmeans_parallel(values, args.nprocs,
                                          args.search_radius,
-                                         args.half_patch, args.sigma)
+                                         args.half_patch, args.sigma,
+                                         args.executor)
+    wall = time.perf_counter() - t0
     np.save(args.output, denoised)
     busy = max(m.compute_seconds for m in metrics)
     print(f"denoised {len(values)} bins with r={args.search_radius}, "
           f"l={args.half_patch}, sigma={args.sigma} on {args.nprocs} "
-          f"ranks (slowest rank {busy:.2f}s) -> {args.output}")
+          f"ranks (slowest rank {busy:.2f}s, wall {wall:.2f}s) "
+          f"-> {args.output}")
     return 0
 
 
@@ -259,7 +273,8 @@ def _cmd_fdr(args: argparse.Namespace) -> int:
         sims = np.load(args.simulations)
     else:
         sims = build_simulations(hist, args.n_simulations, seed=args.seed)
-    result, _ = fdr_parallel(hist, sims, args.threshold, args.nprocs)
+    result, _ = fdr_parallel(hist, sims, args.threshold, args.nprocs,
+                             executor=args.executor)
     print(f"FDR(p_t={args.threshold}) = {result.fdr:.6f} "
           f"(numerator {result.numerator:.2f}, "
           f"denominator {result.denominator:.0f}, "
@@ -281,7 +296,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     elif args.nprocs > 1:
         work = args.work_dir or tempfile.mkdtemp(prefix="repro-sort-")
         result, rank_metrics = parallel_sort_sam(
-            args.input, args.output, args.nprocs, work)
+            args.input, args.output, args.nprocs, work, args.executor)
         print(f"sorted {result.records} records with {args.nprocs} "
               f"run-generation ranks -> {result.output}")
     else:
@@ -296,7 +311,8 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 def _cmd_flagstat(args: argparse.Namespace) -> int:
     from .tools import flagstat, flagstat_parallel
     if args.nprocs > 1 and args.input.lower().endswith(".sam"):
-        stats, _ = flagstat_parallel(args.input, args.nprocs)
+        stats, _ = flagstat_parallel(args.input, args.nprocs,
+                                     args.executor)
     else:
         stats = flagstat(args.input)
     print(stats.format_report())
@@ -326,7 +342,7 @@ def _cmd_peaks(args: argparse.Namespace) -> int:
                         search_radius=args.search_radius,
                         half_patch=args.half_patch,
                         nprocs=args.nprocs, min_width=args.min_width,
-                        merge_gap=args.merge_gap)
+                        merge_gap=args.merge_gap, executor=args.executor)
     print(f"selected p_t={result.threshold} "
           f"(FDR {result.fdr.fdr:.4f}, "
           f"{result.fdr.denominator:.0f} candidate bins)")
@@ -543,6 +559,20 @@ def _add_service_endpoint_arguments(p: argparse.ArgumentParser) -> None:
                        help="service TCP address")
 
 
+def _add_rank_arguments(p: argparse.ArgumentParser,
+                        nprocs_help: str = "ranks the work is "
+                                           "partitioned over") -> None:
+    """--nprocs/--executor pair shared by every rank-parallel verb."""
+    from .defaults import EXECUTORS
+    p.add_argument("--nprocs", type=_nprocs_value, default=1,
+                   help=f"{nprocs_help} (default 1)")
+    p.add_argument("--executor", default="simulate", choices=EXECUTORS,
+                   help="how the ranks run: 'simulate' (default) one "
+                        "after another in this process, 'thread' or "
+                        "'process' concurrently on the shared worker "
+                        "pool (results are identical)")
+
+
 def _add_pipeline_arguments(p: argparse.ArgumentParser) -> None:
     """Batched-pipeline knobs shared by the conversion commands."""
     from .defaults import DEFAULT_BATCH_SIZE, PIPELINES
@@ -617,9 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--work-dir", default=None,
                    help="where BAM preprocessing writes BAMX/BAIX")
-    p.add_argument("--nprocs", type=int, default=1)
-    p.add_argument("--executor", default="simulate",
-                   choices=("simulate", "thread", "process"))
+    _add_rank_arguments(p)
     p.add_argument("--filter", default=None,
                    help="record filter, e.g. 'q=30,F=0x400,primary'")
     p.add_argument("--bamx", default=None,
@@ -635,13 +663,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="BAMX/BAIX preprocessing only")
     p.add_argument("input", help=".sam or .bam input")
     p.add_argument("--work-dir", required=True)
-    p.add_argument("--nprocs", type=int, default=1,
-                   help="preprocessing ranks")
+    _add_rank_arguments(p, "preprocessing ranks")
     p.add_argument("--compress", action="store_true",
                    help="write BGZF-compressed BAMZ instead of BAMX "
                         "(BAM input only)")
-    p.add_argument("--executor", default="simulate",
-                   choices=("simulate", "thread", "process"))
     _add_store_format_argument(p)
     _add_shards_argument(p)
     _add_cost_model_argument(p)
@@ -654,8 +679,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output path (same format as input)")
     p.add_argument("--chunk-records", type=int, default=250_000,
                    help="records per in-memory run")
-    p.add_argument("--nprocs", type=int, default=1,
-                   help="parallel run-generation ranks (SAM input only)")
+    _add_rank_arguments(p, "parallel run-generation ranks (SAM input "
+                           "only)")
     p.add_argument("--work-dir", default=None,
                    help="where intermediate runs are written")
     p.set_defaults(fn=_cmd_sort)
@@ -665,8 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help=".sam, .bam, .bamx, .bamz or .bamc "
                                  "input (columnar stores use the "
                                  "vectorized kernel)")
-    p.add_argument("--nprocs", type=int, default=1,
-                   help="parallel counting ranks (SAM input only)")
+    _add_rank_arguments(p, "parallel counting ranks (SAM input only)")
     p.set_defaults(fn=_cmd_flagstat)
 
     p = sub.add_parser("validate", help="structural validation "
@@ -685,9 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="samtools-style region, e.g. chr1:1000-2000")
     p.add_argument("--target", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--nprocs", type=int, default=1)
-    p.add_argument("--executor", default="simulate",
-                   choices=("simulate", "thread", "process"))
+    _add_rank_arguments(p)
     p.add_argument("--mode", default="start",
                    choices=("start", "overlap"),
                    help="select records starting in (paper semantics) "
@@ -716,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search-radius", "-r", type=int, default=20)
     p.add_argument("--half-patch", "-l", type=int, default=15)
     p.add_argument("--sigma", type=float, default=10.0)
-    p.add_argument("--nprocs", type=int, default=1)
+    _add_rank_arguments(p)
     p.set_defaults(fn=_cmd_nlmeans)
 
     p = sub.add_parser("fdr", help="false discovery rate for a peak "
@@ -729,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", "-t", type=float, required=True,
                    help="candidate threshold p_t")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nprocs", type=int, default=1)
+    _add_rank_arguments(p)
     p.set_defaults(fn=_cmd_fdr)
 
     p = sub.add_parser("peaks", help="FDR-controlled peak calling on a "
@@ -744,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--half-patch", "-l", type=int, default=15)
     p.add_argument("--min-width", type=int, default=1)
     p.add_argument("--merge-gap", type=int, default=0)
-    p.add_argument("--nprocs", type=int, default=1)
+    _add_rank_arguments(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--limit", type=int, default=20,
                    help="max regions printed")
@@ -805,9 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="start",
                    choices=("start", "overlap"),
                    help="region selection semantics")
-    p.add_argument("--nprocs", type=int, default=1)
-    p.add_argument("--executor", default="simulate",
-                   choices=("simulate", "thread", "process"))
+    _add_rank_arguments(p)
     p.add_argument("--filter", default=None,
                    help="record filter, e.g. 'q=30,F=0x400,primary'")
     _add_store_format_argument(p)
@@ -899,6 +919,11 @@ def main(argv: list[str] | None = None) -> int:
             return args.fn(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # A missing, unreadable or wrongly-typed path from any verb.
+        where = f": {exc.filename!r}" if exc.filename is not None else ""
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
         return 1
 
 

@@ -31,6 +31,7 @@ from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+from ..defaults import EXECUTORS
 from ..errors import BamxFormatError, ConversionError, RuntimeLayerError
 from ..formats.batch import DEFAULT_BATCH_SIZE, PIPELINES
 from ..formats.header import SamHeader
@@ -42,9 +43,6 @@ from ..runtime.executor import get_shared_executor
 from ..runtime.metrics import RankMetrics
 from ..runtime.tracing import Tracer, get_tracer
 from .targets import TargetFormat, get_target
-
-#: Executors accepted by the converters.
-EXECUTORS = ("simulate", "thread", "process")
 
 
 def validate_knob(value: Any, name: str,

@@ -16,8 +16,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from ..formats.batch import DEFAULT_BATCH_SIZE, convert_records, \
-    convert_sam_lines, sam_fastpath_for
+    convert_sam_lines, parse_sam_lines, sam_fastpath_for
 from ..formats.header import SamHeader
+from ..formats.record import AlignmentRecord
 from ..formats.sam import parse_alignment
 from ..runtime import faults
 from ..runtime.autotune import AutoTuner
@@ -66,6 +67,15 @@ def partition_alignments(path: str | os.PathLike[str], nprocs: int,
     """Algorithm 1 over the alignment region ``[header_end, EOF)``."""
     return partition_range(path, header_end, os.path.getsize(path),
                            nprocs)
+
+
+def range_records(sam_path: str, start: int, end: int,
+                  metrics: RankMetrics) -> Iterator[AlignmentRecord]:
+    """Parse the alignment lines of the SAM byte range ``[start, end)``
+    (blank and ``@`` lines skipped); read I/O is metered into *metrics*."""
+    reader = RangeLineReader(sam_path, start, end, metrics=metrics)
+    for lines in reader.iter_batches(DEFAULT_BATCH_SIZE):
+        yield from parse_sam_lines(lines)
 
 
 @dataclass(frozen=True, slots=True)

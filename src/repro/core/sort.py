@@ -33,7 +33,8 @@ from ..formats.sam import SamReader, SamWriter, format_alignment, \
     parse_alignment
 from ..runtime.metrics import RankMetrics
 from .base import execute_rank_tasks, finish_rank_metrics
-from .sam_converter import partition_alignments, scan_header
+from .sam_converter import partition_alignments, range_records, \
+    scan_header
 
 #: Default number of records held in memory per run.
 DEFAULT_CHUNK_RECORDS = 250_000
@@ -192,12 +193,9 @@ class SortRankSpec:
 def _sort_rank_task(spec: SortRankSpec) -> RankMetrics:
     t0 = time.perf_counter()
     metrics = RankMetrics()
-    from ..runtime.buffers import RangeLineReader
     header = SamHeader.from_text(spec.header_text)
-    reader = RangeLineReader(spec.sam_path, spec.start, spec.end,
-                             metrics=metrics)
-    records = [parse_alignment(line) for line in reader
-               if line and not line.startswith("@")]
+    records = list(range_records(spec.sam_path, spec.start, spec.end,
+                                 metrics))
     records.sort(key=lambda r: sort_key(r, header))
     with open(spec.run_path, "w", encoding="ascii") as fh:
         for record in records:
@@ -212,15 +210,11 @@ def parallel_sort_sam(in_path: str | os.PathLike[str],
                       out_path: str | os.PathLike[str], nprocs: int,
                       work_dir: str | os.PathLike[str],
                       executor: str = "simulate",
-                      shards_per_rank: int = 1,
                       ) -> tuple[SortResult, list[RankMetrics]]:
     """Sort with parallel run generation (one sorted run per rank,
     Algorithm 1 partitioning) and a sequential k-way merge.
 
     Returns the overall result plus per-rank run-generation metrics.
-    *shards_per_rank* is accepted for interface symmetry with the
-    converters; sort run specs don't decompose (a run must be sorted
-    whole), so the schedule stays static.
     """
     if nprocs < 1:
         raise ConversionError(f"nprocs {nprocs} must be >= 1")
@@ -235,8 +229,7 @@ def parallel_sort_sam(in_path: str | os.PathLike[str],
                      header.to_text())
         for p in partitions
     ]
-    rank_metrics = execute_rank_tasks(_sort_rank_task, specs, executor,
-                                      shards_per_rank=shards_per_rank)
+    rank_metrics = execute_rank_tasks(_sort_rank_task, specs, executor)
     merge_metrics = RankMetrics()
     t_merge = time.perf_counter()
     out_header = header.with_sort_order("coordinate")

@@ -12,3 +12,6 @@ DEFAULT_BATCH_SIZE = 4096
 
 #: Record-store formats a converter can write.
 STORE_FORMATS = ("bamx", "bamc")
+
+#: Executors a rank-parallel call can run its ranks on.
+EXECUTORS = ("simulate", "thread", "process")

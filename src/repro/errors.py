@@ -64,7 +64,8 @@ class RegionError(ReproError):
 
 
 class RuntimeLayerError(ReproError):
-    """The parallel runtime was misused (bad rank, size, or topology)."""
+    """The parallel runtime was misused (unknown executor, no rank
+    specs, bad shard count) or a pool worker died."""
 
 
 class PartitionError(RuntimeLayerError):

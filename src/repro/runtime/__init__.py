@@ -1,13 +1,12 @@
-"""Parallel runtime substrate: communicators, SPMD launch, partitioning,
-buffered metered I/O, and the simulated-cluster performance model.
-Exports resolve on first use (PEP 562)."""
+"""Parallel runtime substrate: the shared rank executor, partitioning,
+buffered metered I/O, tracing, and the simulated-cluster performance
+model.  Exports resolve on first use (PEP 562)."""
 
 from .._lazy import lazy_exports
 
 __all__, __getattr__ = lazy_exports(globals(), {
     "buffers": ("BufferedBinaryWriter", "BufferedTextWriter",
                 "RangeLineReader"),
-    "comm": ("Communicator", "SerialComm", "ThreadComm"),
     "executor": ("DEFAULT_IDLE_TIMEOUT", "POOL_KINDS", "ExecutorFailure",
                  "SharedExecutor", "get_shared_executor",
                  "reset_shared_executor", "resolve_start_method",
@@ -17,9 +16,7 @@ __all__, __getattr__ = lazy_exports(globals(), {
                 "format_metrics_snapshot", "merge_all",
                 "modeled_parallel_time", "modeled_speedup"),
     "partition": ("Partition", "even_split", "partition_bytes",
-                  "partition_rank_spmd", "partition_records",
-                  "partition_text_file"),
-    "spmd": ("BACKENDS", "SpmdFailure", "run_spmd"),
+                  "partition_records", "partition_text_file"),
     "tracing": ("Span", "Tracer", "format_summary", "format_tree",
                 "get_tracer", "install", "read_jsonl", "to_chrome_events",
                 "traced", "write_chrome", "write_jsonl", "write_trace"),

@@ -67,9 +67,9 @@ DEFAULT_IDLE_TIMEOUT = 120.0
 class ExecutorFailure(RuntimeLayerError):
     """A pool worker died (or the pool broke) while running a task.
 
-    Mirrors :class:`~repro.runtime.spmd.SpmdFailure`: the message names
-    the failing work item (its rank/shard label) and the underlying
-    cause, so a crash inside one shard of one rank is attributable.
+    The message names the failing work item (its rank/shard label) and
+    the underlying cause, so a crash inside one shard of one rank is
+    attributable.
     """
 
     def __init__(self, label: str, detail: str) -> None:

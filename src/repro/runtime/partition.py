@@ -16,10 +16,9 @@ file exactly, each partition begins immediately after a ``\\n`` (or at
 offset 0), and a rank whose tentative slice contains no newline ends up
 with an *empty* partition — records are never split or duplicated.
 
-This module offers the algorithm in two forms: a pure function computing
-all boundaries at once (what the converters use), and a per-rank SPMD
-form exchanging boundary values over a communicator exactly as the
-pseudo-code does (used to validate the distributed protocol).
+The algorithm has one implementation, :func:`partition_bytes_source`: a
+pure function computing every rank's boundaries at once, so step 3's
+boundary exchange is a list lookup and step 4's barrier its return.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import os
 from dataclasses import dataclass
 
 from ..errors import PartitionError
-from .comm import Communicator
 from .tracing import get_tracer
 
 #: Default number of bytes to read per probe while scanning for a
@@ -139,34 +137,6 @@ def partition_bytes_source(read_at, length: int, nparts: int,
         start = min(starts[rank], end)
         partitions.append(Partition(rank, start, end))
     return partitions
-
-
-def partition_rank_spmd(comm: Communicator, path: str | os.PathLike[str],
-                        probe_size: int = PROBE_SIZE) -> Partition:
-    """Algorithm 1 as each rank executes it, boundary exchange included.
-
-    This mirrors the pseudo-code line by line: rank ``i > 0`` finds its
-    adjusted start and sends it to rank ``i - 1``, which uses it as its
-    end; a barrier separates adjustment from length computation.
-    """
-    with get_tracer().span("partition.rank_spmd", "partition",
-                           rank=comm.rank):
-        length = os.path.getsize(path)
-        tentative = even_split(length, comm.size)
-        start = tentative[comm.rank][0]
-        if comm.rank != 0:
-            with open(path, "rb") as fh:
-                def read_at(offset: int, size: int) -> bytes:
-                    fh.seek(offset)
-                    return fh.read(size)
-                start = _scan_forward(read_at, start, length, probe_size)
-            comm.send(start, comm.rank - 1, tag=1)
-        if comm.rank != comm.size - 1:
-            end = comm.recv(comm.rank + 1, tag=1)
-        else:
-            end = length
-        comm.barrier()
-        return Partition(comm.rank, min(start, end), end)
 
 
 def partition_records(count: int, nparts: int) -> list[tuple[int, int]]:

@@ -19,11 +19,11 @@ Design constraints, in order:
 2. **Thread-safe nesting.**  The span stack is per-(tracer, thread), so
    rank tasks on the thread executor each build their own correct
    subtree of one shared tracer.
-3. **Works across processes.**  Child ranks (process executor, SPMD
-   process backend) record into a fresh tracer sharing the parent's
-   epoch — ``time.perf_counter()`` is CLOCK_MONOTONIC, shared across
-   ``fork`` — and their spans are *gathered to rank 0* with
-   :meth:`Tracer.ingest`, which re-maps span ids.
+3. **Works across processes.**  Child ranks (process executor) record
+   into a fresh tracer sharing the parent's epoch —
+   ``time.perf_counter()`` is CLOCK_MONOTONIC, shared across ``fork`` —
+   and their spans are *gathered to rank 0* with :meth:`Tracer.ingest`,
+   which re-maps span ids.
 
 Typical use::
 

@@ -17,7 +17,10 @@ Implementations, slowest to fastest:
   partitioning, fused local sums ``sum_diamond`` / ``sum_star``
   computed concurrently, a single global reduction.  The *unfused*
   two-step variant (separate numerator and denominator reductions, one
-  extra barrier) is provided for the Fig. 12 ablation.
+  extra barrier) is provided for the Fig. 12 ablation.  Its ranks run
+  through :func:`repro.core.base.execute_rank_tasks`: the spec handed to
+  a rank is the scatter, summing the ordered results the reduction, the
+  call returning the barrier.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.base import execute_rank_tasks
 from ..errors import ReproError
-from ..runtime.comm import Communicator
 from ..runtime.metrics import RankMetrics
 from ..runtime.partition import even_split
 
@@ -161,6 +164,17 @@ def fdr_sorted(histogram: np.ndarray, simulations: np.ndarray,
 # -- Algorithm 2: parallel FDR ------------------------------------------
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class FdrRankSpec:
+    """One rank's bin partition (picklable for the process executor):
+    views of the histogram and of every simulation over the same bins."""
+
+    hist_part: np.ndarray
+    sims_part: np.ndarray
+    p_t: float
+    method: str
+
+
 @dataclass(slots=True)
 class FdrRankSums:
     """One rank's local sums and measured work."""
@@ -170,19 +184,20 @@ class FdrRankSums:
     metrics: RankMetrics
 
 
-def fdr_rank_work(hist_part: np.ndarray, sims_part: np.ndarray,
-                  p_t: float, method: str = "quadratic") -> FdrRankSums:
-    """Compute one bin partition's fused local sums (Eqs. 7-8)."""
+def fdr_rank_work(spec: FdrRankSpec) -> FdrRankSums:
+    """Compute one bin partition's fused local sums (Eqs. 7-8): the
+    rank task of every executor."""
     t0 = time.perf_counter()
     metrics = RankMetrics()
-    local_sums = _local_sums_quadratic if method == "quadratic" \
+    hist_part, sims_part = spec.hist_part, spec.sims_part
+    local_sums = _local_sums_quadratic if spec.method == "quadratic" \
         else _local_sums_sorted
     sum_diamond = 0.0
     sum_star = 0.0
     for start in range(0, len(hist_part), CHUNK_BINS):
         stop = min(start + CHUNK_BINS, len(hist_part))
         d, s = local_sums(hist_part[start:stop],
-                          sims_part[:, start:stop], p_t)
+                          sims_part[:, start:stop], spec.p_t)
         sum_diamond += d
         sum_star += s
     metrics.compute_seconds = time.perf_counter() - t0
@@ -193,75 +208,33 @@ def fdr_rank_work(hist_part: np.ndarray, sims_part: np.ndarray,
 
 def fdr_parallel(histogram: np.ndarray, simulations: np.ndarray,
                  p_t: float, nprocs: int, method: str = "quadratic",
-                 fused: bool = True,
+                 fused: bool = True, executor: str = "simulate",
                  ) -> tuple[FdrResult, list[RankMetrics]]:
-    """Algorithm 2 with ranks executed in sequence (simulated cluster).
+    """Algorithm 2 on *nprocs* ranks (``simulate``: one after another,
+    feeding the cluster model; ``thread`` / ``process``: concurrently).
 
     *fused* selects the paper's optimization: compute ``sum_diamond``
-    and ``sum_star`` concurrently and reduce once.  ``fused=False``
-    models the unoptimized two-step schedule — numerator pass, global
-    synchronization, denominator pass — whose extra barrier/reduction
-    cost is charged by the cluster model (the Fig. 12 ablation).
+    and ``sum_star`` concurrently and reduce once.  ``fused=False`` is
+    the unoptimized two-step schedule of the Fig. 12 ablation — a
+    numerator pass, a global synchronization, a denominator pass: the
+    ranks run twice, and the first run returning is that barrier.
     """
     hist, sims = _validate(histogram, simulations)
     if nprocs < 1:
         raise ReproError(f"nprocs {nprocs} must be >= 1")
-    n_sims = sims.shape[0]
-    rank_sums: list[FdrRankSums] = []
-    for start, stop in even_split(len(hist), nprocs):
-        rank_sums.append(fdr_rank_work(hist[start:stop],
-                                       sims[:, start:stop], p_t, method))
+    specs = [FdrRankSpec(hist[a:b], sims[:, a:b], p_t, method)
+             for a, b in even_split(len(hist), nprocs)]
+    rank_sums = execute_rank_tasks(fdr_rank_work, specs, executor)
+    metrics = [r.metrics for r in rank_sums]
     if not fused:
         # The two-pass schedule does the same arithmetic twice over the
         # partition (one pass per sum); charge the second sweep's rank
         # time so the model sees the real cost difference.
-        second_pass = []
-        for (start, stop), sums in zip(even_split(len(hist), nprocs),
-                                       rank_sums):
-            repeat = fdr_rank_work(hist[start:stop], sims[:, start:stop],
-                                   p_t, method)
-            merged = sums.metrics.merge(repeat.metrics)
-            second_pass.append(FdrRankSums(sums.sum_diamond, sums.sum_star,
-                                           merged))
-        rank_sums = second_pass
+        second = execute_rank_tasks(fdr_rank_work, specs, executor)
+        metrics = [m.merge(r.metrics) for m, r in zip(metrics, second)]
     sum_diamond = sum(r.sum_diamond for r in rank_sums)
     sum_star = sum(r.sum_star for r in rank_sums)
-    numerator = sum_diamond / n_sims
+    numerator = sum_diamond / sims.shape[0]
     result = FdrResult(_safe_ratio(numerator, sum_star), numerator,
                        sum_star, p_t)
-    return result, [r.metrics for r in rank_sums]
-
-
-def fdr_spmd(comm: Communicator, histogram: np.ndarray | None,
-             simulations: np.ndarray | None, p_t: float,
-             method: str = "quadratic") -> FdrResult | None:
-    """Algorithm 2 verbatim over a communicator.
-
-    Rank 0 scatters bin-direction partitions, every rank computes its
-    fused local sums, a barrier separates the local and global phases,
-    and rank 0 (the master) reduces and computes the FDR value.
-    Returns the result on rank 0, None elsewhere.
-    """
-    if comm.rank == 0:
-        if histogram is None or simulations is None:
-            raise ReproError("rank 0 must provide histogram and "
-                             "simulations")
-        hist, sims = _validate(histogram, simulations)
-        bounds = even_split(len(hist), comm.size)
-        parts = [(hist[a:b], sims[:, a:b]) for a, b in bounds]
-        n_sims = sims.shape[0]
-    else:
-        parts = None
-        n_sims = 0
-    hist_part, sims_part = comm.scatter(parts, root=0)
-    sums = fdr_rank_work(hist_part, sims_part, p_t, method)
-    comm.barrier()
-    gathered = comm.gather((sums.sum_diamond, sums.sum_star), root=0)
-    if comm.rank != 0:
-        return None
-    assert gathered is not None
-    sum_diamond = sum(d for d, _ in gathered)
-    sum_star = sum(s for _, s in gathered)
-    numerator = sum_diamond / n_sims
-    return FdrResult(_safe_ratio(numerator, sum_star), numerator,
-                     sum_star, p_t)
+    return result, metrics

@@ -18,12 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.base import execute_rank_tasks, finish_rank_metrics
-from ..core.sam_converter import partition_alignments, scan_header
+from ..core.sam_converter import partition_alignments, range_records, \
+    scan_header
 from ..errors import ReproError
 from ..formats.header import SamHeader
-from ..formats.sam import parse_alignment
-from ..runtime.buffers import RangeLineReader
-from ..runtime.comm import Communicator
 from ..runtime.metrics import RankMetrics
 from .histogram import bin_coverage, coverage_depth
 
@@ -37,47 +35,31 @@ class _HistogramSpec:
     bin_size: int
 
 
-def _partial_histogram(records, header: SamHeader, bin_size: int,
-                       ) -> dict[str, np.ndarray]:
-    records = list(records)
-    out = {}
-    for ref in header.references:
-        depth = coverage_depth(records, ref.name, ref.length)
-        out[ref.name] = bin_coverage(depth, bin_size)
-    return out
-
-
 def _histogram_rank_task(spec: _HistogramSpec,
                          ) -> tuple[RankMetrics, dict[str, np.ndarray]]:
     t0 = time.perf_counter()
     metrics = RankMetrics()
     header = SamHeader.from_text(spec.header_text)
-    reader = RangeLineReader(spec.sam_path, spec.start, spec.end,
-                             metrics=metrics)
-
-    def records():
-        for line in reader:
-            if not line or line.startswith("@"):
-                continue
-            metrics.records += 1
-            yield parse_alignment(line)
-
-    partial = _partial_histogram(records(), header, spec.bin_size)
+    records = list(range_records(spec.sam_path, spec.start, spec.end,
+                                 metrics))
+    metrics.records = len(records)
+    partial = {}
+    for ref in header.references:
+        depth = coverage_depth(records, ref.name, ref.length)
+        partial[ref.name] = bin_coverage(depth, spec.bin_size)
     return finish_rank_metrics(metrics, t0), partial
 
 
 def histogram_parallel(sam_path: str | os.PathLike[str],
                        bin_size: int = 25, nprocs: int = 1,
                        executor: str = "simulate",
-                       shards_per_rank: int = 1,
                        ) -> tuple[dict[str, np.ndarray],
                                   list[RankMetrics]]:
     """Binned coverage histograms for every reference, in parallel.
 
     Returns ``({chrom: bins}, per-rank metrics)``; identical to
     :func:`repro.stats.histogram.histogram_from_records` over the same
-    file.  *shards_per_rank* is accepted for interface symmetry;
-    histogram specs don't decompose, so the schedule stays static.
+    file.
     """
     if nprocs < 1:
         raise ReproError(f"nprocs {nprocs} must be >= 1")
@@ -89,8 +71,7 @@ def histogram_parallel(sam_path: str | os.PathLike[str],
     partitions = partition_alignments(sam_path, nprocs, header_end)
     specs = [_HistogramSpec(sam_path, p.start, p.end, header.to_text(),
                             bin_size) for p in partitions]
-    outcomes = execute_rank_tasks(_histogram_rank_task, specs, executor,
-                                  shards_per_rank=shards_per_rank)
+    outcomes = execute_rank_tasks(_histogram_rank_task, specs, executor)
     totals: dict[str, np.ndarray] = {}
     metrics = []
     for rank_metrics, partial in outcomes:
@@ -101,30 +82,3 @@ def histogram_parallel(sam_path: str | os.PathLike[str],
             else:
                 totals[chrom] = bins.copy()
     return totals, metrics
-
-
-def histogram_spmd(comm: Communicator,
-                   sam_path: str | os.PathLike[str],
-                   bin_size: int = 25,
-                   ) -> dict[str, np.ndarray] | None:
-    """SPMD variant: every rank takes its Algorithm-1 partition, builds
-    partials, and rank 0 reduces them (returned on rank 0 only)."""
-    sam_path = os.fspath(sam_path)
-    header, header_end = scan_header(sam_path)
-    partitions = partition_alignments(sam_path, comm.size, header_end)
-    spec = _HistogramSpec(sam_path, partitions[comm.rank].start,
-                          partitions[comm.rank].end, header.to_text(),
-                          bin_size)
-    _, partial = _histogram_rank_task(spec)
-    gathered = comm.gather(partial, root=0)
-    if comm.rank != 0:
-        return None
-    assert gathered is not None
-    totals: dict[str, np.ndarray] = {}
-    for part in gathered:
-        for chrom, bins in part.items():
-            if chrom in totals:
-                totals[chrom] += bins
-            else:
-                totals[chrom] = bins.copy()
-    return totals

@@ -12,6 +12,10 @@ The paper's three-step strategy:
 Because :func:`repro.stats.nlmeans.nlmeans_core` is partition-invariant,
 the concatenated rank outputs are bitwise identical to the sequential
 result — asserted in the tests.
+
+The ranks run through :func:`repro.core.base.execute_rank_tasks`: the
+spec handed to a rank *is* the scatter (its enlarged partition), the
+ordered results placed by ``core_start`` are the gather.
 """
 
 from __future__ import annotations
@@ -21,11 +25,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.base import execute_rank_tasks
 from ..errors import ReproError
-from ..runtime.comm import Communicator
 from ..runtime.metrics import RankMetrics
 from ..runtime.partition import even_split
 from .nlmeans import _validate, nlmeans_core
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class NlmeansRankSpec:
+    """Everything one rank needs (picklable for the process executor):
+    where its core sits, the enlarged partition, the kernel parameters."""
+
+    core_start: int
+    core_len: int
+    enlarged: np.ndarray
+    search_radius: int
+    half_patch: int
+    sigma: float
 
 
 @dataclass(slots=True)
@@ -57,78 +74,45 @@ def halo_partition(values: np.ndarray, nparts: int, halo: int,
     return parts
 
 
-def nlmeans_rank_work(core_start: int, core_len: int,
-                      enlarged: np.ndarray, search_radius: int,
-                      half_patch: int, sigma: float) -> NlmeansRankResult:
-    """Denoise one enlarged partition; used by all execution modes."""
+def nlmeans_rank_work(spec: NlmeansRankSpec) -> NlmeansRankResult:
+    """Denoise one enlarged partition: the rank task of every executor."""
     t0 = time.perf_counter()
     metrics = RankMetrics()
-    if core_len == 0:
+    if spec.core_len == 0:
         values = np.empty(0)
     else:
-        halo = search_radius + half_patch
-        values = nlmeans_core(enlarged, halo, core_len, search_radius,
-                              half_patch, sigma)
+        halo = spec.search_radius + spec.half_patch
+        values = nlmeans_core(spec.enlarged, halo, spec.core_len,
+                              spec.search_radius, spec.half_patch,
+                              spec.sigma)
     metrics.compute_seconds = time.perf_counter() - t0
-    metrics.records = core_len
-    metrics.bytes_read = enlarged.nbytes
+    metrics.records = spec.core_len
+    metrics.bytes_read = spec.enlarged.nbytes
     metrics.bytes_written = values.nbytes
-    return NlmeansRankResult(core_start, values, metrics)
+    return NlmeansRankResult(spec.core_start, values, metrics)
 
 
 def nlmeans_parallel(values: np.ndarray, nprocs: int,
                      search_radius: int = 20, half_patch: int = 15,
-                     sigma: float = 10.0,
+                     sigma: float = 10.0, executor: str = "simulate",
                      ) -> tuple[np.ndarray, list[RankMetrics]]:
-    """Run the halo-partitioned NL-means, ranks executed in sequence.
+    """Run the halo-partitioned NL-means on *nprocs* ranks.
 
-    Returns the reassembled result and per-rank metrics (feeding the
-    simulated-cluster model).  Output is bitwise identical to
-    :func:`repro.stats.nlmeans.nlmeans`.
+    Returns the reassembled result and per-rank metrics (under
+    ``simulate`` they feed the simulated-cluster model; ``thread`` and
+    ``process`` run the ranks concurrently on the shared pool).  Output
+    is bitwise identical to :func:`repro.stats.nlmeans.nlmeans` on
+    every executor.
     """
     v = _validate(values, search_radius, half_patch, sigma)
     if nprocs < 1:
         raise ReproError(f"nprocs {nprocs} must be >= 1")
     halo = search_radius + half_patch
+    specs = [NlmeansRankSpec(*part, search_radius, half_patch, sigma)
+             for part in halo_partition(v, nprocs, halo)]
     out = np.empty(len(v))
     metrics = []
-    for core_start, core_len, enlarged in halo_partition(v, nprocs, halo):
-        result = nlmeans_rank_work(core_start, core_len, enlarged,
-                                   search_radius, half_patch, sigma)
-        out[core_start:core_start + core_len] = result.values
+    for result in execute_rank_tasks(nlmeans_rank_work, specs, executor):
+        out[result.start:result.start + len(result.values)] = result.values
         metrics.append(result.metrics)
     return out, metrics
-
-
-def nlmeans_spmd(comm: Communicator, values: np.ndarray | None,
-                 search_radius: int = 20, half_patch: int = 15,
-                 sigma: float = 10.0) -> np.ndarray | None:
-    """True SPMD variant: rank 0 scatters enlarged partitions, every
-    rank denoises its core, rank 0 gathers and reassembles.
-
-    Demonstrates the distributed protocol (scatter / compute / gather)
-    over any communicator backend.  Returns the full denoised histogram
-    on rank 0, None elsewhere.
-    """
-    if comm.rank == 0:
-        if values is None:
-            raise ReproError("rank 0 must provide the histogram")
-        v = _validate(values, search_radius, half_patch, sigma)
-        halo = search_radius + half_patch
-        parts = halo_partition(v, comm.size, halo)
-        total_len = len(v)
-    else:
-        parts = None
-        total_len = 0
-    my_part = comm.scatter(parts, root=0)
-    core_start, core_len, enlarged = my_part
-    result = nlmeans_rank_work(core_start, core_len, enlarged,
-                               search_radius, half_patch, sigma)
-    gathered = comm.gather((core_start, result.values), root=0)
-    if comm.rank != 0:
-        return None
-    out = np.empty(total_len)
-    assert gathered is not None
-    for start, piece in gathered:
-        out[start:start + len(piece)] = piece
-    return out

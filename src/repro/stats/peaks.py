@@ -98,14 +98,16 @@ def call_peaks(histogram: np.ndarray, simulations: np.ndarray,
                denoise: bool = True, search_radius: int = 20,
                half_patch: int = 15, sigma: float | None = None,
                nprocs: int = 1, min_width: int = 1,
-               merge_gap: int = 0) -> PeakCallResult:
+               merge_gap: int = 0,
+               executor: str = "simulate") -> PeakCallResult:
     """Full pipeline: (optionally) denoise, sweep p_t, call regions.
 
     Parameters mirror the paper's: NL-means uses ``(r, l, sigma)``
     (sigma defaults to a patch-scaled noise estimate); FDR uses the
     given *simulations* (shape ``(B, M)``); the loosest threshold whose
     FDR stays at or below *target_fdr* is selected, falling back to the
-    strictest candidate when none qualifies.
+    strictest candidate when none qualifies.  Both steps run their
+    *nprocs* ranks under *executor*.
     """
     histogram = np.asarray(histogram, dtype=np.float64)
     if not 0.0 <= target_fdr <= 1.0:
@@ -116,7 +118,7 @@ def call_peaks(histogram: np.ndarray, simulations: np.ndarray,
             noise = float(np.std(np.diff(histogram))) or 1.0
             sigma = noise * (2 * half_patch + 1) ** 0.5
         signal, _ = nlmeans_parallel(histogram, nprocs, search_radius,
-                                     half_patch, sigma)
+                                     half_patch, sigma, executor)
     n_sims = simulations.shape[0]
     if thresholds is None:
         thresholds = sorted({0.0, 1.0, 2.0,
@@ -127,7 +129,8 @@ def call_peaks(histogram: np.ndarray, simulations: np.ndarray,
     sweep: list[FdrResult] = []
     chosen: FdrResult | None = None
     for p_t in thresholds:
-        result, _ = fdr_parallel(signal, simulations, p_t, nprocs)
+        result, _ = fdr_parallel(signal, simulations, p_t, nprocs,
+                                 executor=executor)
         sweep.append(result)
         if result.fdr <= target_fdr and result.denominator > 0:
             if chosen is None or p_t > chosen.threshold:

@@ -14,11 +14,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 from ..core.base import execute_rank_tasks, finish_rank_metrics
-from ..core.sam_converter import partition_alignments, scan_header
+from ..core.sam_converter import partition_alignments, range_records, \
+    scan_header
 from ..formats.flags import Flag
 from ..formats.record import AlignmentRecord
-from ..formats.sam import parse_alignment
-from ..runtime.buffers import RangeLineReader
 from ..runtime.metrics import RankMetrics
 
 
@@ -159,31 +158,22 @@ def _flagstat_rank_task(spec: _FlagstatSpec,
                         ) -> tuple[RankMetrics, FlagStats]:
     t0 = time.perf_counter()
     metrics = RankMetrics()
-    reader = RangeLineReader(spec.sam_path, spec.start, spec.end,
-                             metrics=metrics)
-    stats = FlagStats()
-    for line in reader:
-        if not line or line.startswith("@"):
-            continue
-        stats.add(parse_alignment(line))
+    stats = flagstat_records(range_records(spec.sam_path, spec.start,
+                                           spec.end, metrics))
     metrics.records = stats.total
     return finish_rank_metrics(metrics, t0), stats
 
 
 def flagstat_parallel(sam_path: str | os.PathLike[str], nprocs: int = 1,
                       executor: str = "simulate",
-                      shards_per_rank: int = 1,
                       ) -> tuple[FlagStats, list[RankMetrics]]:
     """Parallel flagstat over a SAM file: Algorithm-1 partitions,
-    per-rank counting, element-wise reduction.  *shards_per_rank* is
-    accepted for interface symmetry; flagstat specs don't decompose,
-    so the schedule stays static."""
+    per-rank counting, element-wise reduction."""
     sam_path = os.fspath(sam_path)
     _, header_end = scan_header(sam_path)
     partitions = partition_alignments(sam_path, nprocs, header_end)
     specs = [_FlagstatSpec(sam_path, p.start, p.end) for p in partitions]
-    outcomes = execute_rank_tasks(_flagstat_rank_task, specs, executor,
-                                  shards_per_rank=shards_per_rank)
+    outcomes = execute_rank_tasks(_flagstat_rank_task, specs, executor)
     total = FlagStats()
     metrics = []
     for rank_metrics, stats in outcomes:

@@ -202,6 +202,134 @@ def test_peaks_subcommand(sim_sam, tmp_path, capsys):
     read_bed(bed)  # parses cleanly
 
 
+#: Required arguments after the input path ({tmp} = the test's tmp_path).
+VERB_ARGS = {
+    "convert": ["--target", "bed", "--out-dir", "{tmp}/o"],
+    "preprocess": ["--work-dir", "{tmp}/w"],
+    "sort": ["--output", "{tmp}/y.sam"],
+    "flagstat": [],
+    "validate": [],
+    "region": ["--region", "chr1:1-9", "--target", "bed", "--out-dir",
+               "{tmp}/o"],
+    "histogram": ["--output", "{tmp}/h.bedgraph"],
+    "nlmeans": ["--output", "{tmp}/y.npy"],
+    "fdr": ["-t", "2"],
+    "peaks": [],
+    "submit": ["--socket", "{tmp}/s", "--target", "bed", "--out-dir",
+               "{tmp}/o"],
+}
+RANK_VERBS = sorted(set(VERB_ARGS) - {"validate", "histogram"})
+
+
+def _verb(verb, path, tmp_path):
+    return [verb, str(path),
+            *(a.format(tmp=tmp_path) for a in VERB_ARGS[verb])]
+
+
+def test_every_nprocs_verb_is_a_rank_verb():
+    """RANK_VERBS is the whole set: every verb with --nprocs also takes
+    --executor with the runtime's choices, from the shared helper."""
+    from repro.cli import build_parser
+    from repro.core import EXECUTORS
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    with_nprocs = []
+    for verb, parser in sub.choices.items():
+        options = {a.dest: a for a in parser._actions}
+        if "nprocs" in options:
+            with_nprocs.append(verb)
+            assert tuple(options["executor"].choices) == EXECUTORS
+    assert sorted(with_nprocs) == RANK_VERBS
+
+
+@pytest.mark.parametrize("verb", RANK_VERBS)
+@pytest.mark.parametrize("bad", ["0", "-2", "two"])
+def test_bad_nprocs_refused_at_parse_time(verb, bad, tmp_path, capsys):
+    """`flagstat --nprocs 0` and `sort --nprocs 0` used to exit 0 after
+    silently running sequentially; no verb touches its input now."""
+    with pytest.raises(SystemExit) as exit_info:
+        run([*_verb(verb, "x.sam", tmp_path), "--nprocs", bad])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --nprocs" in err and bad in err
+
+
+@pytest.mark.parametrize("executor", ["simulate", "thread", "process"])
+def test_executor_reaches_sort_flagstat_and_stats_verbs(
+        sim_sam, tmp_path, capsys, executor):
+    """The five verbs that used to ignore the pool give the same
+    answers on every executor."""
+    def out_of(args):
+        capsys.readouterr()
+        assert run(args) == 0
+        return capsys.readouterr().out
+
+    ranks = ["--nprocs", "2", "--executor", executor]
+    assert out_of(["flagstat", str(sim_sam), *ranks]) == \
+        out_of(["flagstat", str(sim_sam)])
+    run(["sort", str(sim_sam), "--output", str(tmp_path / "seq.sam")])
+    assert run(["sort", str(sim_sam), "--output", str(tmp_path / "par.sam"),
+                "--work-dir", str(tmp_path / "w"), *ranks]) == 0
+    assert (tmp_path / "par.sam").read_bytes() == \
+        (tmp_path / "seq.sam").read_bytes()
+    npy = tmp_path / "h.npy"
+    run(["histogram", str(sim_sam), "--output", str(tmp_path / "h.bg"),
+         "--npy", str(npy)])
+    for name, extra in (("seq", []), ("par", ranks)):
+        assert run(["nlmeans", str(npy), "--output",
+                    str(tmp_path / f"{name}.npy"), "-r", "5", "-l", "2",
+                    *extra]) == 0
+    assert np.array_equal(np.load(tmp_path / "par.npy"),
+                          np.load(tmp_path / "seq.npy"))
+    fdr = ["fdr", str(npy), "-t", "2.5", "--n-simulations", "10"]
+    assert out_of(fdr + ranks) == out_of(fdr)
+    peaks = ["peaks", str(npy), "--n-simulations", "15",
+             "--target-fdr", "0.25"]
+    assert out_of(peaks + ranks) == out_of(peaks)
+
+
+def _one_line_error(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err, err
+
+
+@pytest.mark.parametrize("verb, ext", [
+    ("convert", "sam"), ("convert", "bam"), ("convert", "bamx"),
+    ("preprocess", "sam"), ("preprocess", "bam"), ("sort", "sam"),
+    ("sort", "bam"), ("flagstat", "sam"), ("flagstat", "bam"),
+    ("flagstat", "bamx"), ("validate", "sam"), ("region", "bamx"),
+    ("histogram", "sam"), ("histogram", "bamx"), ("nlmeans", "npy"),
+    ("nlmeans", "bedgraph"), ("fdr", "npy"), ("peaks", "npy")])
+def test_missing_input_is_a_one_line_error(verb, ext, tmp_path, capsys):
+    """Every verb used to end in a raw FileNotFoundError traceback; the
+    extension picks the reader that meets the missing file."""
+    missing = tmp_path / f"absent.{ext}"
+    assert run(_verb(verb, missing, tmp_path)) == 1
+    _one_line_error(capsys, "No such file or directory", str(missing))
+
+
+@pytest.mark.parametrize("verb", ["convert", "flagstat", "histogram",
+                                  "nlmeans", "fdr"])
+def test_directory_as_input_is_a_one_line_error(verb, tmp_path, capsys):
+    """An OSError even when the suite runs as root."""
+    folder = tmp_path / "folder.sam"
+    folder.mkdir()
+    assert run(_verb(verb, folder, tmp_path)) == 1
+    _one_line_error(capsys, "Is a directory", str(folder))
+
+
+def test_out_dir_under_a_regular_file_is_a_one_line_error(sim_sam,
+                                                          tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    capsys.readouterr()
+    assert run(["convert", str(sim_sam), "--target", "bed", "--out-dir",
+                str(blocker / "out")]) == 1
+    _one_line_error(capsys, str(blocker))
+
+
 def test_convert_reuses_supplied_artifacts(tmp_path, capsys):
     bam = tmp_path / "s.bam"
     run(["simulate", str(bam), "--templates", "25"])
@@ -349,7 +477,7 @@ assert main(["region", work + "/sample.bamx", "--region", "chr1:1-30000",
 unwanted = [name for name in (
     "numpy.ma", "multiprocessing", "concurrent.futures",
     "repro.core.sort", "repro.core.samp_converter", "repro.core.dataset",
-    "repro.runtime.spmd", "repro.formats.bgzf_threads",
+    "repro.formats.bgzf_threads",
     "repro.formats.fasta") if name in sys.modules]
 assert not unwanted, unwanted
 """

@@ -1,15 +1,14 @@
 """Robustness tests for the rank executors: pickling of every spec
-shape, message stress on the communicators, and cross-backend
-equivalence with the newest features (filters, BAMZ, overlap mode)."""
+shape, failing rank tasks, and cross-backend equivalence with the
+newest features (filters, BAMZ, overlap mode)."""
 
 import os
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core import BamConverter, RecordFilter, SamConverter
-from repro.runtime.comm import ThreadComm
-from repro.runtime.spmd import run_spmd
 
 
 def cat(result):
@@ -59,92 +58,37 @@ def test_bamz_region_across_executors(bam_file, tmp_path, executor):
     assert cat(sim) == cat(other)
 
 
-def test_thread_comm_message_stress():
-    """Hundreds of interleaved tagged messages keep FIFO-per-pair
-    ordering."""
-    n_messages = 300
+@pytest.mark.parametrize("executor", ["simulate", "thread", "process"])
+def test_failing_stats_rank_raises_and_pool_serves_next_call(executor):
+    """A rank task that raises propagates its error out of
+    execute_rank_tasks on every executor, and the shared pool runs the
+    next (healthy) call."""
+    from dataclasses import replace
 
-    def fn(comm):
-        if comm.rank == 0:
-            for i in range(n_messages):
-                comm.send(i, dest=1, tag=i % 3)
-            return None
-        got = {0: [], 1: [], 2: []}
-        # Drain tag by tag; per-pair FIFO must preserve per-tag order.
-        for tag in (0, 1, 2):
-            for _ in range(n_messages // 3):
-                got[tag].append(comm.recv(0, tag=tag))
-        return got
+    from repro.core.base import execute_rank_tasks
+    from repro.errors import ReproError
+    from repro.stats.fdr import FdrRankSpec, fdr_parallel, \
+        fdr_rank_work, fdr_vectorized
+    from repro.stats.nlmeans import nlmeans
+    from repro.stats.nlmeans_parallel import NlmeansRankSpec, \
+        halo_partition, nlmeans_parallel, nlmeans_rank_work
+    values = np.arange(40, dtype=float)
+    specs = [NlmeansRankSpec(*part, 2, 1, 1.0)
+             for part in halo_partition(values, 3, 3)]
+    # Rank 1 lost its halo: the kernel refuses the partition.
+    specs[1] = replace(specs[1], enlarged=specs[1].enlarged[:4])
+    with pytest.raises(ReproError, match="context"):
+        execute_rank_tasks(nlmeans_rank_work, specs, executor)
+    par, _ = nlmeans_parallel(values, 3, 2, 1, 1.0, executor=executor)
+    assert np.array_equal(par, nlmeans(values, 2, 1, 1.0))
 
-    # Tags interleave in send order, so a strict-tag recv on ThreadComm
-    # (which enforces tag matching on a single FIFO) raises instead of
-    # silently reordering; verify that protocol-mismatch detection.
-    from repro.runtime.spmd import SpmdFailure
-    with pytest.raises(SpmdFailure):
-        run_spmd(fn, 2, backend="thread")
-
-
-def test_thread_comm_single_tag_stress():
-    n_messages = 500
-
-    def fn(comm):
-        if comm.rank == 0:
-            for i in range(n_messages):
-                comm.send(i, dest=1)
-            return None
-        return [comm.recv(0) for _ in range(n_messages)]
-
-    results = run_spmd(fn, 2, backend="thread")
-    assert results[1] == list(range(n_messages))
-
-
-def test_process_comm_multi_tag_stress():
-    """The pipe communicator buffers out-of-order tags, so the same
-    interleaved pattern succeeds there."""
-    n_messages = 90
-
-    def fn(comm):
-        if comm.rank == 0:
-            for i in range(n_messages):
-                comm.send(i, dest=1, tag=i % 3)
-            return None
-        got = []
-        for tag in (2, 0, 1):
-            for _ in range(n_messages // 3):
-                got.append((tag, comm.recv(0, tag=tag)))
-        return got
-
-    results = run_spmd(fn, 2, backend="process")
-    by_tag = {0: [], 1: [], 2: []}
-    for tag, value in results[1]:
-        by_tag[tag].append(value)
-    for tag in (0, 1, 2):
-        assert by_tag[tag] == [i for i in range(n_messages)
-                               if i % 3 == tag]
-
-
-def test_collectives_stress_many_ranks():
-    def fn(comm):
-        total = comm.allreduce(comm.rank, lambda a, b: a + b)
-        gathered = comm.allgather(comm.rank * 2)
-        return total, gathered
-
-    size = 12
-    results = run_spmd(fn, size, backend="thread")
-    expected_sum = size * (size - 1) // 2
-    for total, gathered in results:
-        assert total == expected_sum
-        assert gathered == [r * 2 for r in range(size)]
-
-
-def test_thread_world_isolated_instances():
-    """Two worlds built back-to-back must not share mailboxes."""
-    a = ThreadComm.create_world(2)
-    b = ThreadComm.create_world(2)
-    a[0].send("for-a", dest=1)
-    b[0].send("for-b", dest=1)
-    assert b[1].recv(0) == "for-b"
-    assert a[1].recv(0) == "for-a"
+    sims = np.arange(120, dtype=float).reshape(3, 40) % 7
+    bad = [FdrRankSpec(values[:20], sims[:, :20], 1.0, "quadratic"),
+           FdrRankSpec(values[20:], sims[:, 25:], 1.0, "quadratic")]
+    with pytest.raises(ValueError):     # 20 bins against 15 columns
+        execute_rank_tasks(fdr_rank_work, bad, executor)
+    par, _ = fdr_parallel(values, sims, 1.0, 2, executor=executor)
+    assert par == fdr_vectorized(values, sims, 1.0)
 
 
 # -- shard-level robustness (dynamic-shard schedule) -----------------

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.runtime.spmd import run_spmd
 from repro.simdata import build_histogram, build_simulations
 from repro.stats.fdr import fdr_parallel, fdr_reference, fdr_sorted, \
-    fdr_spmd, fdr_vectorized
+    fdr_vectorized
 
 
 @pytest.fixture(scope="module")
@@ -76,19 +75,22 @@ def test_parallel_sorted_method(dataset):
     assert quad.fdr == srt.fdr
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_spmd_matches_sequential(dataset, backend):
+@pytest.mark.parametrize("nprocs", [1, 2, 3, 7, 300])
+@pytest.mark.parametrize("executor", ["simulate", "thread", "process"])
+def test_executors_match_sequential(dataset, executor, nprocs):
+    """300 ranks > 250 bins: the surplus ranks sum empty partitions."""
     hist, sims = dataset
     vec = fdr_vectorized(hist, sims, 3.0)
-
-    def rank_fn(comm):
-        return fdr_spmd(comm,
-                        hist if comm.rank == 0 else None,
-                        sims if comm.rank == 0 else None, 3.0)
-
-    results = run_spmd(rank_fn, 4, backend=backend)
-    assert results[0].fdr == vec.fdr
-    assert all(r is None for r in results[1:])
+    for method in ("quadratic", "sorted"):
+        for fused in (True, False):
+            par, metrics = fdr_parallel(hist, sims, 3.0, nprocs, method,
+                                        fused, executor)
+            assert par.numerator == vec.numerator
+            assert par.denominator == vec.denominator
+            assert par.fdr == vec.fdr
+            assert len(metrics) == nprocs
+            assert sum(m.records for m in metrics) == \
+                (1 if fused else 2) * len(hist)
 
 
 def test_zero_denominator_convention():

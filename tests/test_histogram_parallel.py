@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.runtime.spmd import run_spmd
 from repro.stats.histogram import histogram_from_records
-from repro.stats.histogram_parallel import histogram_parallel, \
-    histogram_spmd
+from repro.stats.histogram_parallel import histogram_parallel
 
 
 @pytest.fixture(scope="module")
@@ -54,11 +52,25 @@ def test_headerless_sam_rejected(tmp_path):
         histogram_parallel(path)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_spmd_matches_sequential(sam_file, sequential, backend):
-    results = run_spmd(
-        lambda comm: histogram_spmd(comm, sam_file, bin_size=25),
-        3, backend=backend)
-    assert results[1] is None and results[2] is None
+@pytest.fixture(scope="module")
+def small_sam(tmp_path_factory):
+    """A 40-record SAM file, its records and sequential histograms."""
+    from repro.simdata import build_sam_dataset
+    path = tmp_path_factory.mktemp("hist") / "small.sam"
+    wl = build_sam_dataset(path, 20, [("chr1", 4000), ("chr2", 3000)],
+                           seed=5)
+    return str(path), wl.records, \
+        histogram_from_records(wl.records, wl.header, bin_size=25)
+
+
+@pytest.mark.parametrize("nprocs", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("executor", ["simulate", "thread", "process"])
+def test_executors_match_sequential(small_sam, executor, nprocs):
+    """64 ranks > 40 records: the surplus ranks get empty partitions."""
+    path, records, sequential = small_sam
+    parallel, metrics = histogram_parallel(path, 25, nprocs, executor)
+    assert set(parallel) == set(sequential)
     for chrom in sequential:
-        assert np.array_equal(results[0][chrom], sequential[chrom])
+        assert np.array_equal(parallel[chrom], sequential[chrom]), chrom
+    assert len(metrics) == nprocs
+    assert sum(m.records for m in metrics) == len(records)

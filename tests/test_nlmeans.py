@@ -1,4 +1,5 @@
-"""Tests for NL-means: reference vs vectorized vs parallel vs SPMD."""
+"""Tests for NL-means: reference vs vectorized vs parallel on every
+executor."""
 
 import numpy as np
 import pytest
@@ -7,10 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import ReproError
-from repro.runtime.spmd import run_spmd
 from repro.stats.nlmeans import nlmeans, nlmeans_core, nlmeans_reference
-from repro.stats.nlmeans_parallel import halo_partition, nlmeans_parallel, \
-    nlmeans_spmd
+from repro.stats.nlmeans_parallel import halo_partition, nlmeans_parallel
 
 
 @pytest.fixture(scope="module")
@@ -101,17 +100,16 @@ def test_halo_partition_edge_replication():
     assert first[0] == v[0] and first[1] == v[0]  # edge-replicated
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_spmd_matches_sequential(signal, backend):
+@pytest.mark.parametrize("nprocs", [1, 2, 3, 7, 250])
+@pytest.mark.parametrize("executor", ["simulate", "thread", "process"])
+def test_executors_match_sequential(signal, executor, nprocs):
+    """250 ranks > 200 bins: the surplus ranks get empty cores."""
     seq = nlmeans(signal, 6, 2, 8.0)
-
-    def rank_fn(comm):
-        return nlmeans_spmd(comm, signal if comm.rank == 0 else None,
-                            6, 2, 8.0)
-
-    results = run_spmd(rank_fn, 3, backend=backend)
-    assert np.array_equal(results[0], seq)
-    assert results[1] is None and results[2] is None
+    par, metrics = nlmeans_parallel(signal, nprocs, 6, 2, 8.0,
+                                    executor=executor)
+    assert np.array_equal(par, seq)
+    assert len(metrics) == nprocs
+    assert sum(m.records for m in metrics) == len(signal)
 
 
 @given(arrays(np.float64, st.integers(4, 80),

@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import PartitionError
 from repro.runtime.partition import Partition, even_split, \
-    partition_bytes, partition_records, partition_rank_spmd, \
-    partition_text_file
-from repro.runtime.spmd import run_spmd
+    partition_bytes, partition_records, partition_text_file
 
 
 def test_even_split_tiles_range():
@@ -106,18 +104,6 @@ def test_partition_text_file_matches_bytes(tmp_path):
         from_file = partition_text_file(path, nparts)
         from_bytes = partition_bytes(data, nparts)
         assert from_file == from_bytes
-
-
-def test_partition_rank_spmd_agrees_with_pure_function(tmp_path):
-    data = b"".join(b"record-%04d\n" % i for i in range(200))
-    path = tmp_path / "t.txt"
-    path.write_bytes(data)
-    for backend in ("thread", "process"):
-        for size in (1, 2, 5):
-            spmd = run_spmd(partition_rank_spmd, size, str(path),
-                            backend=backend)
-            pure = partition_text_file(path, size)
-            assert spmd == pure, (backend, size)
 
 
 def test_partition_records_is_even_split():

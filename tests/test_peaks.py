@@ -89,6 +89,23 @@ def test_call_peaks_sweep_recorded():
     assert result.denoised is not None
 
 
+@pytest.mark.parametrize("nprocs", [1, 2, 3, 7, 400])
+@pytest.mark.parametrize("executor", ["simulate", "thread", "process"])
+def test_call_peaks_same_on_every_executor(executor, nprocs):
+    """Denoised signal bitwise, sweep, threshold and regions equal to
+    the one-rank run (400 ranks > 300 bins)."""
+    signal, _ = planted_signal(seed=4, n_bins=300, n_peaks=2)
+    sims = build_simulations(signal, 12, seed=10)
+    kwargs = dict(thresholds=[0.0, 1.0, 3.0], search_radius=6,
+                  half_patch=2)
+    one = call_peaks(signal, sims, **kwargs)
+    par = call_peaks(signal, sims, nprocs=nprocs, executor=executor,
+                     **kwargs)
+    assert np.array_equal(par.denoised, one.denoised)
+    assert par.sweep == one.sweep
+    assert par.threshold == one.threshold and par.peaks == one.peaks
+
+
 def test_call_peaks_without_denoising():
     signal, _ = planted_signal(seed=5, n_bins=800, n_peaks=2)
     sims = build_simulations(signal, 15, seed=11)

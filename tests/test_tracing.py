@@ -355,21 +355,27 @@ def test_region_conversion_spans(installed_tracer, bam_file, tmp_path):
     assert {"convert.region", "locate"} <= names
 
 
-def test_spmd_process_backend_gathers_spans(installed_tracer):
-    from repro.runtime.spmd import run_spmd
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_stats_ranks_are_rank_spans_under_the_caller(installed_tracer,
+                                                     sam_file, executor):
+    import numpy as np
+
+    from repro.stats import fdr_parallel, histogram_parallel, \
+        nlmeans_parallel
+    values = np.arange(60, dtype=float) % 9
+    sims = np.arange(240, dtype=float).reshape(4, 60) % 11
     with installed_tracer.span("launch") as launch:
-        run_spmd(_spmd_rank_fn, 3, backend="process")
+        nlmeans_parallel(values, 3, 4, 2, 5.0, executor=executor)
+        fdr_parallel(values, sims, 2.0, 3, executor=executor)
+        histogram_parallel(sam_file, 25, 3, executor)
     spans = installed_tracer.spans()
-    rank_spans = [s for s in spans if s.name == "spmd.rank"]
-    assert sorted(s.rank for s in rank_spans) == [0, 1, 2]
-    for span in rank_spans:
-        assert span.parent_id == launch.span_id
-
-
-def _spmd_rank_fn(comm):
-    # Module-level so the process backend can pickle it.
-    comm.barrier()
-    return comm.rank
+    for task in ("nlmeans_rank_work", "fdr_rank_work",
+                 "_histogram_rank_task"):
+        ranks = [s for s in spans
+                 if s.name == "rank" and s.args["task"] == task]
+        assert sorted(s.rank for s in ranks) == [0, 1, 2], task
+        for span in ranks:
+            assert span.parent_id == launch.span_id
 
 
 def test_partition_spans(installed_tracer, sam_file):
