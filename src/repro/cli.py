@@ -23,21 +23,22 @@ if TYPE_CHECKING:       # handlers import numpy when they run
     import numpy as np
 
 
-def _knob_value(text: str, name: str):
-    """argparse type for ``--shards``/``--batch-size``: int or 'auto'."""
+def _knob_value(text: str, name: str, auto: bool):
+    """argparse type for ``--shards`` (int or 'auto') and
+    ``--batch-size`` (int)."""
     from .core.base import validate_knob
     try:
-        return validate_knob(text, name)
+        return validate_knob(text, name, auto=auto)
     except ReproError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _shards_value(text: str):
-    return _knob_value(text, "shards")
+    return _knob_value(text, "shards", auto=True)
 
 
 def _batch_size_value(text: str):
-    return _knob_value(text, "batch_size")
+    return _knob_value(text, "batch_size", auto=False)
 
 
 def _nprocs_value(text: str) -> int:
@@ -51,23 +52,24 @@ def _nprocs_value(text: str) -> int:
 def _maybe_tuner(args: argparse.Namespace):
     """Build an AutoTuner when auto-tuning is in play, else None.
 
-    A persistent tuner is wanted when any knob is ``auto`` or the user
-    named a model file; otherwise the converters run the static path
-    (a converter given ``auto`` knobs and no tuner still learns in
-    memory, but without a ``--cost-model`` there is nothing durable to
-    show for it).
+    A persistent tuner is wanted when ``--shards`` is ``auto`` or the
+    user named a model file; otherwise the converters run the static
+    path.
     """
-    explicit = getattr(args, "cost_model", None)
-    knobs = (getattr(args, "shards", 1), getattr(args, "batch_size", 0))
-    if explicit is None and "auto" not in knobs:
+    if args.cost_model is None and args.shards != "auto":
         return None
     from .runtime.autotune import AutoTuner, CostModel, \
         resolve_model_path
-    model = CostModel(resolve_model_path(explicit))
-    if model.load_error:
-        print(f"warning: ignoring damaged cost model "
-              f"{model.path}: {model.load_error}", file=sys.stderr)
+    model = CostModel(resolve_model_path(args.cost_model))
+    _warn_damaged(model)
     return AutoTuner(model)
+
+
+def _warn_damaged(model) -> None:
+    """Say on stderr what a cost-model file lost at load, if anything."""
+    if model.load_error:
+        print(f"warning: damaged cost model {model.path}: "
+              f"{model.load_error}", file=sys.stderr)
 
 
 def _parse_chroms(text: str) -> list[tuple[str, int]]:
@@ -521,9 +523,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         model.reset()
         print(f"cleared {n} cost-model keys ({path})")
         return 0
-    if model.load_error:
-        print(f"warning: damaged cost model treated as empty: "
-              f"{model.load_error}", file=sys.stderr)
+    _warn_damaged(model)
     snap = model.snapshot()
     if not snap:
         print(f"cost model {path}: empty (cold); auto runs fall back "
@@ -579,8 +579,8 @@ def _add_pipeline_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-size", type=_batch_size_value,
                    default=DEFAULT_BATCH_SIZE,
                    help="records per batch through the chunk-level "
-                        f"codecs (default {DEFAULT_BATCH_SIZE}), or "
-                        f"'auto' to let the cost model choose")
+                        f"codecs, an integer >= 1 (default "
+                        f"{DEFAULT_BATCH_SIZE})")
     p.add_argument("--pipeline", default="batch", choices=PIPELINES,
                    help="'batch' (default) uses the chunk-level codecs "
                         "and per-target fastpaths; 'record' keeps the "
@@ -610,13 +610,15 @@ def _add_shards_argument(p: argparse.ArgumentParser) -> None:
                         "(outputs are byte-identical)")
 
 
-def _add_cost_model_argument(p: argparse.ArgumentParser) -> None:
-    """The persistent cost-model path used by 'auto' knobs."""
+def _add_cost_model_argument(
+        p: argparse.ArgumentParser,
+        default: str = "$REPRO_COST_MODEL, then "
+                       "~/.cache/repro/cost-model.json") -> None:
+    """The persistent cost-model path used by ``--shards auto``."""
     p.add_argument("--cost-model", default=None, metavar="PATH",
-                   help="persistent cost-model profile backing the "
-                        "'auto' knobs and straggler re-splitting "
-                        "(default: $REPRO_COST_MODEL, then "
-                        "~/.cache/repro/cost-model.json)")
+                   help="persistent cost-model profile behind "
+                        "'--shards auto'; every run given one feeds it "
+                        f"(default: {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -811,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "'always' (default), 'never', or a sample "
                         "probability like 0.1")
     _add_shards_argument(p)
-    _add_cost_model_argument(p)
+    _add_cost_model_argument(p, "<work-dir>/cost_model.json")
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser("submit", help="submit a conversion job to a "
@@ -833,8 +835,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_format_argument(p)
     _add_shards_argument(p)
     p.add_argument("--batch-size", type=_batch_size_value, default=None,
-                   help="records per batch, or 'auto' (default: the "
-                        "service's own default)")
+                   help="records per batch, an integer >= 1 (default: "
+                        "the service's own default)")
     p.add_argument("--priority", type=int, default=0,
                    help="higher runs first (default 0)")
     p.add_argument("--timeout", type=float, default=None,
@@ -862,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_cancel)
 
     p = sub.add_parser("tune", help="inspect or reset the persistent "
-                                    "cost model behind 'auto' knobs")
+                                    "cost model behind '--shards auto'")
     p.add_argument("action", choices=("show", "reset"),
                    help="'show' prints every learned key; 'reset' "
                         "forgets them and removes the model file")

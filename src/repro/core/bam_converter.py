@@ -47,7 +47,7 @@ from ..formats.store import chunk_protocol, concat_columns, \
     open_store_writer, publishing, region_locator, store_extension, \
     write_indexes
 from ..runtime import faults
-from ..runtime.autotune import AUTO, AutoTuner
+from ..runtime.autotune import AutoTuner
 from ..runtime.metrics import RankMetrics
 from ..runtime.partition import partition_records
 from ..runtime.tracing import get_tracer
@@ -98,6 +98,8 @@ def preprocess_bam(bam_path: str | os.PathLike[str],
         with tracer.span("scan", "bam"):
             starts, sizes = scan_blocks(bam_path)
             places = [0, *accumulate(sizes)]
+        # Only now, so an input the scan refuses leaves no directory.
+        os.makedirs(os.path.dirname(bamx_path) or ".", exist_ok=True)
         with open(spool_path, "wb") as spool:
             spool.truncate(places[-1])
         # (An empty file, a header-only BAM: one rank with nothing.)
@@ -348,12 +350,13 @@ class BamConverter:
         ``"bamc"`` (slab-columnar).  Conversion itself dispatches on
         the store's magic, so either converter reads either store.
     tuner:
-        :class:`~repro.runtime.autotune.AutoTuner` resolving ``"auto"``
-        knobs and learning from every run; auto-created in-memory when
-        omitted but a knob is ``"auto"``.
+        :class:`~repro.runtime.autotune.AutoTuner` resolving
+        ``shards_per_rank="auto"`` and learning from every run;
+        auto-created in-memory when omitted but *shards_per_rank* is
+        ``"auto"``.
     """
 
-    def __init__(self, batch_size: int | str = DEFAULT_BATCH_SIZE,
+    def __init__(self, batch_size: int = DEFAULT_BATCH_SIZE,
                  pipeline: str = "batch",
                  shards_per_rank: int | str = 1,
                  store_format: str = "bamx",
@@ -382,16 +385,13 @@ class BamConverter:
         when the converter was built with ``store_format="bamc"``.
         """
         work_dir = os.fspath(work_dir)
-        os.makedirs(work_dir, exist_ok=True)
         stem = os.path.splitext(os.path.basename(os.fspath(bam_path)))[0]
         bamx_path = os.path.join(
             work_dir, stem + store_extension(compress, self.store_format))
         baix_path = index_path_for(bamx_path)
-        batch_size = DEFAULT_BATCH_SIZE if self.batch_size == AUTO \
-            else self.batch_size
         metrics = preprocess_bam(bam_path, bamx_path, baix_path,
                                  compress=compress,
-                                 batch_size=batch_size,
+                                 batch_size=self.batch_size,
                                  store_format=self.store_format,
                                  nprocs=nprocs, executor=executor)
         return bamx_path, baix_path, metrics

@@ -33,11 +33,11 @@ from typing import Any
 
 from ..defaults import EXECUTORS
 from ..errors import BamxFormatError, ConversionError, RuntimeLayerError
-from ..formats.batch import DEFAULT_BATCH_SIZE, PIPELINES
+from ..formats.batch import PIPELINES
 from ..formats.header import SamHeader
 from ..formats.record import AlignmentRecord
 from ..formats.store import store_extension
-from ..runtime.autotune import AUTO, JobTuning, MAX_RESPLIT_ROUNDS
+from ..runtime.autotune import AUTO, JobTuning
 from ..runtime.buffers import BufferedTextWriter
 from ..runtime.executor import get_shared_executor
 from ..runtime.metrics import RankMetrics
@@ -46,26 +46,29 @@ from .targets import TargetFormat, get_target
 
 
 def validate_knob(value: Any, name: str,
-                  error: type[Exception] = ConversionError) -> int | str:
-    """Validate a tuning knob that accepts a positive int or ``"auto"``.
+                  error: type[Exception] = ConversionError,
+                  auto: bool = True) -> int | str:
+    """Validate a tuning knob: a positive int, or — where *auto* allows
+    it (shard counts; a batch size is always an integer) — ``"auto"``.
 
     Returns the int or the canonical :data:`~repro.runtime.autotune.AUTO`
     sentinel; anything else raises *error* naming the bad value (no raw
     ``int()`` tracebacks).  The one validator behind the converter
     constructors, the service's job parameters and the CLI flags.
     """
+    or_auto = " or 'auto'" if auto else ""
     if isinstance(value, str):
-        if value.strip().lower() == AUTO:
+        if auto and value.strip().lower() == AUTO:
             return AUTO
         with suppress(ValueError):
             value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(
             f"invalid {name} value {value!r}: expected a positive "
-            f"integer or 'auto'")
+            f"integer{or_auto}")
     if value < 1:
         raise error(
-            f"invalid {name} value {value}: must be >= 1 (or 'auto')")
+            f"invalid {name} value {value}: must be >= 1{or_auto}")
     return value
 
 
@@ -75,7 +78,7 @@ def converter_options(batch_size: int | str, pipeline: str,
     """Validate the constructor options the three converters share.
 
     Returns ``(batch_size, shards_per_rank, tuner)`` — the validated
-    knobs and the tuner that resolves them when one is ``"auto"``; a
+    knobs and the tuner that resolves ``shards_per_rank="auto"``; a
     bad *pipeline* or *store_format* raises
     :class:`~repro.errors.ConversionError` before the converter touches
     any file.
@@ -88,33 +91,16 @@ def converter_options(batch_size: int | str, pipeline: str,
         store_extension(False, store_format)
     except BamxFormatError as exc:
         raise ConversionError(str(exc)) from None
-    batch_size = validate_knob(batch_size, "batch_size")
+    batch_size = validate_knob(batch_size, "batch_size", auto=False)
     shards_per_rank = validate_knob(shards_per_rank, "shards_per_rank")
-    if tuner is None and AUTO in (batch_size, shards_per_rank):
-        # No explicit tuner but an "auto" knob: a private in-memory
-        # tuner (cold -> defaults, warming across this converter
-        # instance's calls).  Fully manual knobs keep ``None`` and pay
-        # zero tuning overhead.
+    if tuner is None and shards_per_rank == AUTO:
+        # "auto" without an explicit tuner: a private in-memory tuner
+        # (cold -> defaults, warming across this converter instance's
+        # calls).  Manual knobs keep ``None`` and pay zero tuning
+        # overhead.
         from ..runtime.autotune import AutoTuner, CostModel
         tuner = AutoTuner(CostModel())
     return batch_size, shards_per_rank, tuner
-
-
-@dataclass(slots=True)
-class ShardRemainder:
-    """A budgeted shard task yielded early: partial results plus the
-    spec covering its unconsumed input.
-
-    Cooperative straggler handling: a spec carrying ``budget_seconds``
-    checks its elapsed time at batch boundaries and, once over budget,
-    stops cleanly (output written so far stays valid) and returns this
-    instead of plain metrics.  The scheduler re-splits ``tail_spec``
-    and dispatches the pieces across the pool; the ordered per-rank
-    reduction keeps the final output byte-identical.
-    """
-
-    metrics: RankMetrics
-    tail_spec: Any
 
 
 @dataclass(slots=True)
@@ -166,31 +152,34 @@ def run_conversion(converter: Any, task_fn: Callable[[Any], Any],
     — inside the span, so partitioning/locating is traced under it —
     for ``(store_kind, pipeline, total_units, specs)``: the cost-model
     key parts, the job size in the specs' ``cost_hint`` units, and one
-    spec per rank (``out_path`` names its output).  The knobs of
-    *converter* (``tuner``, ``shards_per_rank``, ``batch_size``) are
-    then resolved for that job, the tuned batch size is filled into the
-    specs, and the rank tasks run under *executor*.
+    spec per rank (``out_path`` names its output).  *out_dir* is
+    created once the plan stands, so a missing input or unknown target
+    leaves nothing behind.  ``shards_per_rank`` of *converter* is then
+    resolved for that job (by its ``tuner`` when ``"auto"``), its
+    ``batch_size`` is filled into the specs, and the rank tasks run
+    under *executor*.
     """
     if nprocs < 1:
         raise ConversionError(f"nprocs {nprocs} must be >= 1")
     out_dir = os.fspath(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     tracer = get_tracer()
     span_name, category, span_args = span
     with tracer.span(span_name, category, args=span_args):
         store_kind, pipeline, total_units, specs = plan(out_dir)
-        # Without a tuner the knobs are plain ints (see
-        # converter_options): no budgets, no observations.
-        shards, batch_size = converter.shards_per_rank, converter.batch_size
+        os.makedirs(out_dir, exist_ok=True)
+        # Without a tuner shards_per_rank is a plain int (see
+        # converter_options) and nothing is observed.
+        shards = converter.shards_per_rank
         tuning = None
         if converter.tuner is not None:
             tuning = converter.tuner.begin_job(
                 target=target, store_format=store_kind, pipeline=pipeline,
                 total_units=total_units, nprocs=nprocs, shards=shards,
-                batch_size=batch_size, default_batch=DEFAULT_BATCH_SIZE)
-            shards, batch_size = tuning.shards_per_rank, tuning.batch_size
-        specs = [replace(spec, batch_size=batch_size) for spec in specs]
+                batch_size=converter.batch_size)
+            shards = tuning.shards_per_rank
+        specs = [replace(spec, batch_size=converter.batch_size)
+                 for spec in specs]
         rank_metrics = execute_rank_tasks(
             task_fn, specs, executor, shards_per_rank=shards,
             tuning=tuning)
@@ -220,22 +209,25 @@ def execute_rank_tasks(task_fn: Callable[[Any], RankMetrics],
                        tuning: JobTuning | None = None,
                        span_name: str = "rank",
                        ) -> list[RankMetrics]:
-    """Run ``task_fn(spec)`` once per rank spec; return per-rank metrics.
-    A whole-rank task runs under a span called *span_name*.
+    """Run ``task_fn(spec)`` once per rank spec; return per-rank results.
+
+    Every rank-parallel call is the same three steps: **split** each
+    spec, **dispatch** all pieces once, **merge** each rank's pieces in
+    shard order.  A piece, once dispatched, runs to completion.
 
     Executors
     ---------
     ``simulate``
-        Ranks run one after another in this process.  Per-rank timings
+        Pieces run one after another in this process.  Per-rank timings
         are undistorted by contention, which is what the simulated-
         cluster model needs; this is the default and what the benches
         use.
     ``thread``
-        Ranks run on the shared persistent thread pool (real
+        Pieces run on the shared persistent thread pool (real
         concurrency, shared memory), capped at ``os.cpu_count()``
         workers.
     ``process``
-        Ranks run on the shared persistent process pool (true
+        Pieces run on the shared persistent process pool (true
         parallelism; *task_fn* and specs must be picklable).  Workers
         are forked where the platform supports it and spawned
         otherwise.
@@ -243,30 +235,17 @@ def execute_rank_tasks(task_fn: Callable[[Any], RankMetrics],
     Sharding
     --------
     With ``shards_per_rank > 1`` every spec that implements ``split(n)``
-    is over-decomposed into up to *n* shards, which the shared pool
-    pulls dynamically longest-first; per-shard results are folded back
-    to per-rank results via each spec's ``merge_shards`` (an ordered
-    reducer, so outputs stay byte-identical to the static run).  The
-    static one-task-per-rank schedule is the same schedule with
-    one-piece groups: specs without ``split`` — and calls where nothing
-    decomposes — run as ``rank`` tasks instead of ``shard`` tasks.
+    is over-decomposed into up to *n* shards; the shards of all ranks
+    form one work list the shared pool pulls longest-first, and each
+    rank's results are folded back by its spec's ``merge_shards`` (an
+    ordered reducer, so outputs stay byte-identical to the static run).
+    The static one-task-per-rank schedule is the same schedule with
+    one-piece groups: where nothing decomposes, pieces run under a span
+    called *span_name* instead of ``shard``.
 
-    Shards of all ranks are flattened into one work list; with
-    *tuning* (a :class:`~repro.runtime.autotune.JobTuning`) a
-    decomposed schedule becomes *adaptive* and runs in waves: shards
-    carry straggler budgets (model prediction x straggler factor, or —
-    dispatched inline with a cold model — the median of completed
-    siblings), budget-blown shards yield a :class:`ShardRemainder`
-    whose tail is re-split (``tuning.resplit_factor`` pieces) and
-    re-dispatched in the next wave; after
-    :data:`~repro.runtime.autotune.MAX_RESPLIT_ROUNDS` waves budgets
-    are dropped so the schedule always terminates.  Every piece is
-    keyed by its split path (original shard 2's first tail piece is
-    ``(2, 0)``), and the per-rank reduction sorts pieces by path — the
-    ordered reducer that keeps concatenated outputs byte-identical
-    regardless of how many times a shard was re-split.  Measured
-    ``(units, seconds)`` pairs flow back into the cost model from
-    decomposed and static schedules alike.
+    *tuning* (a :class:`~repro.runtime.autotune.JobTuning`) is handed
+    the measured ``(units, seconds)`` pair of every piece and the
+    dispatch's wall; it changes nothing about the schedule.
     """
     if executor not in EXECUTORS:
         raise RuntimeLayerError(
@@ -276,7 +255,6 @@ def execute_rank_tasks(task_fn: Callable[[Any], RankMetrics],
     if shards_per_rank < 1:
         raise RuntimeLayerError(
             f"shards_per_rank must be >= 1, got {shards_per_rank}")
-    tracer = get_tracer()
     # Specs opt in to sharding by implementing ``split(n) -> list[spec]``
     # and may return ``[self]`` to decline (single record, binary
     # target, ...); sort/histogram/flagstat specs and ``--shards 1``
@@ -289,65 +267,25 @@ def execute_rank_tasks(task_fn: Callable[[Any], RankMetrics],
             raise RuntimeLayerError(
                 f"split() of {type(spec).__name__} returned no shards")
     sharded = any(len(group) > 1 for group in groups)
-    # Budgets, re-split waves and makespan tracking belong to the
-    # decomposed schedule; on the static one (no shard files distinct
-    # from the rank outputs, so nothing may yield) tuning only learns.
-    wave_tuning = tuning if sharded else None
-    entries: list[tuple[int, tuple[int, ...], Any, bool]] = []
-    for rank, group in enumerate(groups):
-        # A one-piece group's shard IS the rank spec (same out_path), so
-        # it must not yield a tail to merge into itself; budgets apply
-        # only where shard files are distinct from the rank output.
-        budget_ok = len(group) > 1
-        for shard_idx, shard in enumerate(group):
-            entries.append((rank, (shard_idx,) if sharded else (),
-                            _with_budget(shard, wave_tuning) if budget_ok
-                            else shard, budget_ok))
-    caller = tracer.current_span()
-    parent_id = caller.span_id if caller is not None else None
-    pieces: dict[tuple[int, tuple[int, ...]], tuple[Any, Any]] = {}
-    rounds = 0
-    while entries:
-        budgets_live = wave_tuning is not None \
-            and rounds < MAX_RESPLIT_ROUNDS
-        results = _dispatch(task_fn, entries, executor, tracer,
-                            parent_id, wave_tuning, budgets_live, span_name)
-        next_entries: list[tuple[int, tuple[int, ...], Any, bool]] = []
-        for (rank, path, spec, _), result in zip(entries, results):
-            if not isinstance(result, ShardRemainder):
-                pieces[(rank, path)] = (spec, result)
-                continue
-            pieces[(rank, path)] = (spec, result.metrics)
-            subs = result.tail_spec.split(
-                wave_tuning.resplit_factor if wave_tuning is not None
-                else 2)
-            if wave_tuning is not None:
-                wave_tuning.note_resplit(len(subs))
-            for sub_idx, sub in enumerate(subs):
-                next_entries.append((rank, path + (sub_idx,),
-                                     _with_budget(sub, wave_tuning)
-                                     if budgets_live else sub, True))
-        entries = next_entries
-        rounds += 1
-    out = []
-    for rank, spec in enumerate(specs):
-        ordered = sorted((path, piece) for (r, path), piece
-                         in pieces.items() if r == rank)
-        if len(ordered) == 1:
-            out.append(ordered[0][1][1])
-        else:
-            out.append(spec.merge_shards(
-                [piece[0] for _, piece in ordered],
-                [piece[1] for _, piece in ordered]))
+    work = [(rank, shard if sharded else None, piece)
+            for rank, group in enumerate(groups)
+            for shard, piece in enumerate(group)]
+    t0 = time.perf_counter()
+    results = _dispatch(task_fn, work, executor, span_name)
+    wall = time.perf_counter() - t0
+    out, at = [], 0
+    for spec, group in zip(specs, groups):
+        done = results[at:at + len(group)]
+        at += len(group)
+        out.append(done[0] if len(group) == 1
+                   else spec.merge_shards(group, done))
     if tuning is not None:
-        # Measured (units, seconds) pairs for the cost model.  Results
-        # that are not RankMetrics-shaped (preprocess parse shards
-        # return tuples) are skipped: it only learns from timed work.
-        pairs = [(_cost_hint(spec), float(result.total_seconds))
-                 for spec, result in pieces.values()
-                 if hasattr(result, "total_seconds")]
-        if pairs:
-            tuning.observe(pairs)
+        # Results that are not RankMetrics-shaped (preprocess parse
+        # shards return tuples) are skipped: the cost model only learns
+        # from timed work.
+        tuning.observe([(_cost_hint(piece), float(result.total_seconds))
+                        for (_, _, piece), result in zip(work, results)
+                        if hasattr(result, "total_seconds")], wall)
     return out
 
 
@@ -357,94 +295,36 @@ def _cost_hint(spec: Any) -> float:
     return float(hint()) if hint is not None else 1.0
 
 
-def _shard_label(path: tuple[int, ...]) -> int | str | None:
-    """Span/label id of a shard: ``None`` for a whole rank (static
-    schedule), the plain index for first-wave shards (back-compat with
-    trace consumers), dotted for re-split pieces (``2.1`` = second
-    sub-shard of original shard 2)."""
-    if not path:
-        return None
-    if len(path) == 1:
-        return path[0]
-    return ".".join(str(p) for p in path)
-
-
-def _supports_budget(spec: Any) -> bool:
-    return getattr(spec, "budget_seconds", "absent") != "absent" \
-        and getattr(spec, "split", None) is not None
-
-
-def _with_budget(spec: Any, tuning: JobTuning | None) -> Any:
-    """Price a shard's straggler budget from the cost model.
-
-    Leaves the spec untouched when there is no tuning, the spec cannot
-    yield, or the model is cold (inline dispatch then falls back to
-    sibling-median budgets mid-wave).
-    """
-    if tuning is None or not _supports_budget(spec):
-        return spec
-    budget = tuning.budget_for(_cost_hint(spec))
-    if budget is None:
-        return spec
-    return replace(spec, budget_seconds=budget)
-
-
 def _dispatch(task_fn: Callable[[Any], Any],
-              entries: Sequence[tuple[int, tuple[int, ...], Any, bool]],
-              executor: str, tracer: Tracer, parent_id: int | None,
-              tuning: JobTuning | None, budgets_live: bool,
+              work: Sequence[tuple[int, int | None, Any]], executor: str,
               span_name: str) -> list[Any]:
-    """Dispatch one wave of rank/shard entries; results in entry order.
-
-    Two arms.  *Inline* (``simulate``, or a single entry): entries run
-    one after another on the calling thread, where a cold cost model
-    still gets straggler detection — completed siblings' durations
-    price the budget of each not-yet-budgeted shard (k x median), which
-    is the deterministic flavor the tests pin down.  *Pool* (``thread``
-    / ``process``): the shared executor pulls entries longest-first and
-    budgets apply at submit time only — shards run concurrently, so
-    there is no well-defined "completed siblings" set to consult.
-    """
-    shard_ids = [_shard_label(path) for _, path, _, _ in entries]
-    if executor == "simulate" or len(entries) == 1:
-        gathered = []
-        durations: list[float] = []
-        wave_start = time.perf_counter()
-        for (rank, _, spec, budget_ok), shard in zip(entries, shard_ids):
-            if budgets_live and budget_ok \
-                    and getattr(spec, "budget_seconds", None) is None \
-                    and _supports_budget(spec):
-                budget = tuning.sibling_budget(durations)
-                if budget is not None:
-                    spec = replace(spec, budget_seconds=budget)
-            t0 = time.perf_counter()
-            gathered.append(_run_entry((task_fn, spec, rank, shard,
-                                        tracer, parent_id, span_name)))
-            durations.append(time.perf_counter() - t0)
-            if tuning is not None:
-                tuning.note_completion(time.perf_counter() - wave_start)
+    """Run every ``(rank, shard, spec)`` of *work*; results in *work*
+    order.  ``simulate`` (or a single piece) runs inline on the calling
+    thread; ``thread``/``process`` is one ``map_tasks`` call on the
+    shared executor, which pulls the pieces longest-first."""
+    tracer = get_tracer()
+    caller = tracer.current_span()
+    parent_id = caller.span_id if caller is not None else None
+    # Threads record straight into the shared tracer (its span stack is
+    # per-thread); a process worker rebuilds a child tracer on the
+    # parent's timeline from (enabled, epoch).
+    inline = executor == "simulate" or len(work) == 1
+    trace = tracer if inline or executor == "thread" \
+        else (tracer.enabled, tracer.epoch)
+    payloads = [(task_fn, spec, rank, shard, trace, parent_id, span_name)
+                for rank, shard, spec in work]
+    if inline:
+        gathered = [_run_entry(payload) for payload in payloads]
     else:
-        # Threads record straight into the shared tracer (its span
-        # stack is per-thread); a process worker rebuilds a child
-        # tracer on the parent's timeline from (enabled, epoch).
-        trace = tracer if executor == "thread" \
-            else (tracer.enabled, tracer.epoch)
         gathered = get_shared_executor().map_tasks(
-            _run_entry,
-            [(task_fn, spec, rank, shard, trace, parent_id, span_name)
-             for (rank, _, spec, _), shard in zip(entries, shard_ids)],
-            executor,
+            _run_entry, payloads, executor,
             labels=[f"rank {rank}" if shard is None
                     else f"rank {rank} shard {shard}"
-                    for (rank, _, _, _), shard in zip(entries, shard_ids)],
-            costs=[_cost_hint(spec) for _, _, spec, _ in entries],
-            progress=None if tuning is None else
-            (lambda _i, _result, elapsed: tuning.note_completion(elapsed)))
-    results = []
-    for (rank, _, _, _), (result, span_dicts) in zip(entries, gathered):
+                    for rank, shard, _ in work],
+            costs=[_cost_hint(spec) for _, _, spec in work])
+    for (rank, _, _), (_, span_dicts) in zip(work, gathered):
         tracer.ingest(span_dicts, rank=rank, parent_id=parent_id)
-        results.append(result)
-    return results
+    return [result for result, _ in gathered]
 
 
 def _run_entry(payload: tuple) -> tuple[Any, list[dict[str, Any]]]:
@@ -453,7 +333,7 @@ def _run_entry(payload: tuple) -> tuple[Any, list[dict[str, Any]]]:
 
     *payload* is ``(task_fn, spec, rank, shard, trace, parent_id,
     span_name)``: *shard* is ``None`` for a whole-rank task (span
-    *span_name*) or the shard label (span ``shard``); *trace* is the
+    *span_name*) or the shard index (span ``shard``); *trace* is the
     shared tracer in-process, or ``(enabled, epoch)`` in a pool process,
     which records into a child tracer and returns its spans for the
     parent to :meth:`~repro.runtime.tracing.Tracer.ingest` under *parent_id*.
@@ -496,10 +376,9 @@ class ShardableSpec:
 
         Each shard writes its own ``.shardNN`` part file that
         :meth:`merge_shards` concatenates back.  Only shard 0 of a
-        header-carrying spec writes the file header: re-splitting a
-        headerless spec (a straggler's remainder) must not resurrect
-        it.  Binary targets decline — each part would be a complete
-        BAM file.
+        header-carrying spec writes the file header; a headerless spec
+        stays headerless.  Binary targets decline — each part would be
+        a complete BAM file.
         """
         if n <= 1 or self.cost_hint() <= 1 \
                 or get_target(self.target).mode == "binary":
@@ -557,10 +436,8 @@ def write_text_chunks(spec: Any, target: TargetFormat, header: SamHeader,
     metrics, and the ``batch.pipeline`` span.
 
     *span_args* are the source's span arguments (``fastpath`` or
-    ``kernel``); entries the chunk source adds while the loop runs (a
-    straggler's ``yielded``/``resume_offset``) are recorded when it
-    ends.  ``None`` — the ``pipeline="record"`` oracle — records no
-    pipeline span.  *fallback_field* names the :class:`RankMetrics`
+    ``kernel``); ``None`` — the ``pipeline="record"`` oracle — records
+    no pipeline span.  *fallback_field* names the :class:`RankMetrics`
     counter the chunks' fallbacks accumulate into (and puts them on the
     span); sources without such a counter pass ``None``.
 
@@ -596,7 +473,6 @@ def write_text_chunks(spec: Any, target: TargetFormat, header: SamHeader,
             span.args.update(batches=batches, records=seen)
             if fallback_field is not None:
                 span.args["fallbacks"] = fallbacks
-            span.args.update(span_args)
     metrics.records += seen
     metrics.emitted += emitted
     if fallback_field is not None:

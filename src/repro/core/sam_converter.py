@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..formats.batch import DEFAULT_BATCH_SIZE, convert_records, \
     convert_sam_lines, parse_sam_lines, sam_fastpath_for
@@ -26,10 +26,9 @@ from ..runtime.buffers import RangeLineReader
 from ..runtime.metrics import RankMetrics
 from ..runtime.partition import Partition, partition_bytes_source
 from ..runtime.tracing import get_tracer
-from .base import ConversionResult, ShardableSpec, ShardRemainder, \
-    bind_target, converter_options, finish_rank_metrics, \
-    make_output_path, run_conversion, write_bam_records, \
-    write_text_chunks
+from .base import ConversionResult, ShardableSpec, bind_target, \
+    converter_options, finish_rank_metrics, make_output_path, \
+    run_conversion, write_bam_records, write_text_chunks
 from .filters import ACCEPT_ALL, RecordFilter
 from .targets import get_target
 
@@ -94,11 +93,6 @@ class SamRankSpec(ShardableSpec):
     batch_size: int = DEFAULT_BATCH_SIZE
     pipeline: str = "batch"
     write_header: bool = True
-    #: Straggler budget: a batched task over this many seconds stops at
-    #: the next batch boundary and yields its remaining range as a
-    #: :class:`~repro.core.base.ShardRemainder` for re-splitting.
-    #: ``None`` (default) never yields.
-    budget_seconds: float | None = None
 
     def cost_hint(self) -> float:
         """Relative shard size: bytes of SAM text to parse."""
@@ -111,43 +105,8 @@ class SamRankSpec(ShardableSpec):
                                          self.end, n) if p.length > 0]
 
 
-def _budgeted_batches(spec: SamRankSpec, reader: RangeLineReader,
-                      t_start: float, span_args: dict) -> Iterator[list]:
-    """Feed the spec's line batches until its straggler budget runs out.
-
-    With ``spec.budget_seconds`` set, elapsed time is checked after
-    every batch; once over budget the generator stops at the batch
-    boundary (everything converted so far is a valid output prefix) and
-    records ``yielded``/``resume_offset`` in the pipeline span's
-    *span_args*; the task hands the *remaining* byte range — a
-    headerless, un-budgeted sibling writing ``<out_path>.tail`` — to
-    the scheduler to re-split.  Consumed bytes are exact: every line
-    the reader yields cost ``len(line) + 1`` (the stripped newline),
-    and the only line without one is the file's last, in which case the
-    resume offset lands at/past ``end`` and the task is complete.
-    """
-    deadline = None if spec.budget_seconds is None \
-        else t_start + spec.budget_seconds
-    consumed = 0
-    for lines in reader.iter_batches(spec.batch_size):
-        faults.fire("shard.batch")
-        yield lines
-        consumed += sum(len(line) for line in lines) + len(lines)
-        if deadline is not None and time.perf_counter() > deadline \
-                and spec.start + consumed < spec.end:
-            span_args.update(yielded=True,
-                             resume_offset=spec.start + consumed)
-            return
-
-
-def _sam_rank_task(spec: SamRankSpec) \
-        -> RankMetrics | ShardRemainder:
-    """One rank of the SAM converter: read range -> parse -> emit.
-
-    Only the batched text pipeline honors ``budget_seconds`` (its batch
-    boundaries are the natural yield points); the record pipeline and
-    binary targets always run to completion.
-    """
+def _sam_rank_task(spec: SamRankSpec) -> RankMetrics:
+    """One rank of the SAM converter: read range -> parse -> emit."""
     t0 = time.perf_counter()
     metrics = RankMetrics()
     header = SamHeader.from_text(spec.header_text)
@@ -169,19 +128,19 @@ def _sam_rank_task(spec: SamRankSpec) \
                           metrics)
     elif spec.pipeline == "batch":
         fast_emit = sam_fastpath_for(target)
-        span_args = {"fastpath": fast_emit is not None}
+
+        def batches():
+            for lines in reader.iter_batches(spec.batch_size):
+                faults.fire("shard.batch")
+                yield lines
+
         write_text_chunks(
-            spec, target, header,
-            _budgeted_batches(spec, reader, t0, span_args),
+            spec, target, header, batches(),
             record_chunk if fast_emit is None else
             lambda lines, out: convert_sam_lines(
                 lines, target, fast_emit, spec.record_filter, out),
-            metrics, "sam", span_args, "fallbacks")
-        if "resume_offset" in span_args:
-            tail = replace(spec, start=span_args["resume_offset"],
-                           out_path=spec.out_path + ".tail",
-                           write_header=False, budget_seconds=None)
-            return ShardRemainder(finish_rank_metrics(metrics, t0), tail)
+            metrics, "sam", {"fastpath": fast_emit is not None},
+            "fallbacks")
     else:
         write_text_chunks(spec, target, header,
                           reader.iter_batches(spec.batch_size),
@@ -208,15 +167,15 @@ class SamConverter:
         pool.  ``1`` (default) is the paper-faithful static schedule;
         ``"auto"`` lets the cost model pick per job.
     tuner:
-        :class:`~repro.runtime.autotune.AutoTuner` resolving ``"auto"``
-        knobs, pricing straggler budgets, and learning from every run.
-        When omitted and a knob is ``"auto"``, a private in-memory
-        tuner is created (cold -> defaults, warming across this
-        instance's calls).
+        :class:`~repro.runtime.autotune.AutoTuner` resolving
+        ``shards_per_rank="auto"`` and learning from every run.  When
+        omitted and *shards_per_rank* is ``"auto"``, a private
+        in-memory tuner is created (cold -> defaults, warming across
+        this instance's calls).
     """
 
     def __init__(self, read_chunk: int = 4 << 20,
-                 batch_size: int | str = DEFAULT_BATCH_SIZE,
+                 batch_size: int = DEFAULT_BATCH_SIZE,
                  pipeline: str = "batch",
                  shards_per_rank: int | str = 1,
                  tuner: AutoTuner | None = None) -> None:

@@ -155,7 +155,7 @@ class PreprocSamConverter:
     """SAM -> * converter with a *parallel* BAMX preprocessing phase."""
 
     def __init__(self, read_chunk: int = 4 << 20,
-                 batch_size: int | str = DEFAULT_BATCH_SIZE,
+                 batch_size: int = DEFAULT_BATCH_SIZE,
                  pipeline: str = "batch",
                  shards_per_rank: int | str = 1,
                  store_format: str = "bamx",

@@ -5,8 +5,7 @@ model.  Exports resolve on first use (PEP 562)."""
 from .._lazy import lazy_exports
 
 __all__, __getattr__ = lazy_exports(globals(), {
-    "buffers": ("BufferedBinaryWriter", "BufferedTextWriter",
-                "RangeLineReader"),
+    "buffers": ("BufferedTextWriter", "RangeLineReader"),
     "executor": ("DEFAULT_IDLE_TIMEOUT", "POOL_KINDS", "ExecutorFailure",
                  "SharedExecutor", "get_shared_executor",
                  "reset_shared_executor", "resolve_start_method",
@@ -19,5 +18,5 @@ __all__, __getattr__ = lazy_exports(globals(), {
                   "partition_records", "partition_text_file"),
     "tracing": ("Span", "Tracer", "format_summary", "format_tree",
                 "get_tracer", "install", "read_jsonl", "to_chrome_events",
-                "traced", "write_chrome", "write_jsonl", "write_trace"),
+                "write_chrome", "write_jsonl", "write_trace"),
 })

@@ -1,35 +1,24 @@
 """Self-tuning scheduler: the persistent cost model behind ``--shards
-auto`` and mid-job straggler re-splitting.
-
-The repo has had every ingredient of adaptive scheduling except the
-feedback loop: span tracing measures per-shard durations,
-:func:`~repro.runtime.executor.simulate_schedule` models LPT makespans,
-and ``--shards``/``--batch-size`` are hand-tuned knobs.  This module
-closes the loop:
+auto``.
 
 * :class:`CostModel` — a small persistent profile of *observed*
   conversion cost, keyed by ``(target, store format, pipeline,
   input-size bucket)``.  Every observation folds into per-key EWMA
   statistics (mean seconds-per-unit, hottest shard's rate, the unit
-  fraction carried by hot shards, per-batch-size rates), so the file
-  stays a few KiB no matter how many jobs feed it.  Updates are atomic
-  (tmp + ``os.replace``) and the key count is bounded (oldest keys
-  evicted), so a crash mid-save or years of use cannot corrupt or
-  bloat it.
+  fraction carried by hot shards), so the file stays a few KiB no
+  matter how many jobs feed it.  Updates are atomic (tmp +
+  ``os.replace``) and the key count is bounded (oldest keys evicted),
+  so a crash mid-save or years of use cannot corrupt or bloat it.
 
-* :class:`AutoTuner` — turns the model into decisions.
-  :meth:`AutoTuner.begin_job` resolves ``"auto"`` knobs: it rebuilds
-  the learned two-class cost distribution for every candidate
-  ``shards_per_rank`` and asks :func:`simulate_schedule` which split
-  has the best predicted makespan (a cold model falls back to the
-  converter defaults, so un-profiled workloads never regress).  The
-  returned :class:`JobTuning` also prices each shard so the executor
-  layer can detect *stragglers* — a shard whose observed elapsed time
-  exceeds ``straggler_factor`` x the model's prediction (or, on the
-  sequential executor, x the median of completed siblings) is asked to
-  yield its remaining byte range, which is re-split through the
-  existing ``split``/``merge_shards`` reducer path.  Outputs stay
-  byte-identical; only the schedule changes.
+* :class:`AutoTuner` — turns the model into one decision.
+  :meth:`AutoTuner.begin_job` resolves ``shards_per_rank="auto"``: it
+  rebuilds the learned two-class cost distribution for every candidate
+  shard count and asks :func:`simulate_schedule` which split has the
+  best predicted makespan (a cold model falls back to the static
+  schedule, so un-profiled workloads never regress).  The returned
+  :class:`JobTuning` collects the job's measured ``(units, seconds)``
+  pairs; the schedule itself is fixed once dispatched.  Outputs stay
+  byte-identical; only the shard count changes.
 
 The service shares one tuner (and one model file) across all jobs and
 mirrors its activity as ``autotune_*`` counters; the CLI builds a tuner
@@ -44,8 +33,8 @@ from __future__ import annotations
 import json
 import math
 import os
-import statistics
 import threading
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -56,7 +45,6 @@ __all__ = [
     "CostModel", "AutoTuner", "JobTuning", "make_key", "size_bucket",
     "resolve_model_path", "AUTO", "DEFAULT_ALPHA", "DEFAULT_MAX_KEYS",
     "SHARD_CANDIDATES", "SHARD_OVERHEAD_SECONDS",
-    "DEFAULT_STRAGGLER_FACTOR", "MIN_STRAGGLER_BUDGET",
 ]
 
 #: The sentinel value of an auto-tuned knob (``--shards auto``).
@@ -76,22 +64,6 @@ SHARD_CANDIDATES = (1, 2, 4, 8, 16, 32)
 #: predicted makespan from improving forever as shards shrink.
 SHARD_OVERHEAD_SECONDS = 1e-3
 
-#: A shard is a straggler once its elapsed time exceeds this factor
-#: times the model's prediction (or the median of completed siblings).
-DEFAULT_STRAGGLER_FACTOR = 4.0
-
-#: Floor under straggler budgets so sub-millisecond predictions cannot
-#: make every shard "late" and thrash the re-split path.
-MIN_STRAGGLER_BUDGET = 0.05
-
-#: Re-split fan-out: a straggler's remaining range splits into up to
-#: this many sub-shards.
-DEFAULT_RESPLIT_FACTOR = 4
-
-#: Re-split waves per job; the final wave runs un-budgeted so a job
-#: always terminates even when every shard keeps missing its budget.
-MAX_RESPLIT_ROUNDS = 2
-
 #: Environment variable naming the default cost-model file.
 MODEL_PATH_ENV = "REPRO_COST_MODEL"
 
@@ -106,11 +78,8 @@ def resolve_model_path(explicit: str | os.PathLike[str] | None = None,
     """
     if explicit is not None:
         return os.fspath(explicit)
-    env = os.environ.get(MODEL_PATH_ENV)
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro",
-                        "cost-model.json")
+    return os.environ.get(MODEL_PATH_ENV) or os.path.join(
+        os.path.expanduser("~"), ".cache", "repro", "cost-model.json")
 
 
 def size_bucket(units: float) -> int:
@@ -132,11 +101,6 @@ def make_key(target: str, store_format: str, pipeline: str,
     return f"{target}|{store_format}|{pipeline}|b{size_bucket(units)}"
 
 
-def _split_key(key: str) -> tuple[str, str, str, int]:
-    target, store, pipeline, bucket = key.split("|")
-    return target, store, pipeline, int(bucket[1:])
-
-
 class CostModel:
     """Persistent EWMA profile of observed per-unit conversion cost.
 
@@ -146,8 +110,9 @@ class CostModel:
         JSON file holding the profile; ``None`` keeps the model
         in-memory only (used by converters that auto-create a private
         tuner).  An existing file is loaded eagerly; a corrupt file is
-        treated as empty and remembered in :attr:`load_error` rather
-        than raised — a damaged profile must never break a conversion.
+        treated as empty, an entry without its statistics is dropped,
+        and either is remembered in :attr:`load_error` rather than
+        raised — a damaged profile must never break a conversion.
     alpha:
         EWMA weight of the newest observation (0 < alpha <= 1).
     max_keys:
@@ -167,20 +132,15 @@ class CostModel:
         shards.  ``rate``/``rate_max``/``hot_frac`` together describe a
         two-class cost distribution the tuner can re-simulate at any
         candidate shard count.
-    ``batches``
-        Mean rate per observed ``batch_size``, for ``--batch-size
-        auto``.
     """
 
     def __init__(self, path: str | os.PathLike[str] | None = None,
                  alpha: float = DEFAULT_ALPHA,
                  max_keys: int = DEFAULT_MAX_KEYS) -> None:
         if not 0.0 < alpha <= 1.0:
-            raise RuntimeLayerError(
-                f"alpha {alpha} must be in (0, 1]")
+            raise RuntimeLayerError(f"alpha {alpha} must be in (0, 1]")
         if max_keys < 1:
-            raise RuntimeLayerError(
-                f"max_keys {max_keys} must be >= 1")
+            raise RuntimeLayerError(f"max_keys {max_keys} must be >= 1")
         self.path = None if path is None else os.fspath(path)
         self.alpha = alpha
         self.max_keys = max_keys
@@ -203,13 +163,20 @@ class CostModel:
         except FileNotFoundError:
             return
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            self.load_error = f"{type(exc).__name__}: {exc}"
+            self.load_error = \
+                f"unreadable, treated as empty ({type(exc).__name__}: {exc})"
             return
+        loaded = {str(k): _clean_entry(v) for k, v in keys.items()}
+        dropped = sorted(k for k, entry in loaded.items() if entry is None)
+        if dropped:
+            self.load_error = (
+                f"dropped entries without finite rate/rate_max/hot_frac: "
+                f"{', '.join(dropped)}")
         with self._lock:
-            self._keys = {str(k): dict(v) for k, v in keys.items()}
+            self._keys = {k: entry for k, entry in loaded.items()
+                          if entry is not None}
             self._clock = max(
-                (int(e.get("updated", 0)) for e in self._keys.values()),
-                default=0)
+                (e["updated"] for e in self._keys.values()), default=0)
 
     def save(self) -> None:
         """Atomically persist the profile (no-op for in-memory models).
@@ -241,23 +208,21 @@ class CostModel:
             self._keys.clear()
             self._clock = 0
         if self.path is not None:
-            try:
+            with suppress(FileNotFoundError):
                 os.remove(self.path)
-            except FileNotFoundError:
-                pass
 
     def _evict_locked(self) -> None:
         if len(self._keys) <= self.max_keys:
             return
         ordered = sorted(self._keys,
-                         key=lambda k: self._keys[k].get("updated", 0))
+                         key=lambda k: self._keys[k]["updated"])
         for key in ordered[:len(self._keys) - self.max_keys]:
             del self._keys[key]
 
     # -- observation -------------------------------------------------
 
-    def observe(self, key: str, pairs: list[tuple[float, float]],
-                batch_size: int | None = None) -> None:
+    def observe(self, key: str,
+                pairs: list[tuple[float, float]]) -> None:
         """Fold one job's per-shard ``(units, seconds)`` pairs into the
         key's EWMA statistics.
 
@@ -281,19 +246,14 @@ class CostModel:
             if entry is None:
                 entry = self._keys[key] = {
                     "rate": rate, "rate_max": rate_max,
-                    "hot_frac": hot_frac, "count": 0, "batches": {},
+                    "hot_frac": hot_frac, "count": 0,
                 }
             a = self.alpha
             entry["rate"] = (1 - a) * entry["rate"] + a * rate
             entry["rate_max"] = (1 - a) * entry["rate_max"] + a * rate_max
             entry["hot_frac"] = (1 - a) * entry["hot_frac"] + a * hot_frac
-            entry["count"] = int(entry.get("count", 0)) + 1
+            entry["count"] += 1
             entry["updated"] = self._clock
-            if batch_size is not None:
-                batches = entry.setdefault("batches", {})
-                prev = batches.get(str(int(batch_size)))
-                batches[str(int(batch_size))] = rate if prev is None \
-                    else (1 - a) * prev + a * rate
             self._evict_locked()
 
     # -- lookup ------------------------------------------------------
@@ -309,11 +269,10 @@ class CostModel:
         and pipeline, bucket off by one) — per-unit rates transfer well
         across a factor-of-4 size difference, so a near miss still
         beats flying blind."""
-        target, store, pipeline, bucket = _split_key(key)
+        workload, _, bucket = key.rpartition("|b")
         with self._lock:
             for delta in (-1, 1):
-                candidate = f"{target}|{store}|{pipeline}|b{bucket + delta}"
-                entry = self._keys.get(candidate)
+                entry = self._keys.get(f"{workload}|b{int(bucket) + delta}")
                 if entry is not None:
                     return dict(entry)
         return None
@@ -328,6 +287,28 @@ class CostModel:
             return len(self._keys)
 
 
+def _clean_entry(entry: Any) -> dict[str, Any] | None:
+    """A loaded model entry cut down to the fields this module keeps
+    (a legacy ``batches`` block goes), or ``None`` unless ``rate``,
+    ``rate_max`` and ``hot_frac`` are all finite numbers."""
+    def number(name: str, kind: type | tuple) -> Any:
+        value = entry.get(name)
+        return value if isinstance(value, kind) \
+            and not isinstance(value, bool) and math.isfinite(value) \
+            else None
+
+    if not isinstance(entry, dict):
+        return None
+    clean: dict[str, Any] = {
+        name: number(name, (int, float))
+        for name in ("rate", "rate_max", "hot_frac")}
+    if None in clean.values():
+        return None
+    for name in ("count", "updated"):
+        clean[name] = number(name, int) or 0
+    return clean
+
+
 def _candidate_costs(entry: dict[str, Any], total_units: float,
                      tasks: int) -> list[float]:
     """Per-task cost list of the learned two-class distribution.
@@ -338,9 +319,9 @@ def _candidate_costs(entry: dict[str, Any], total_units: float,
     enough to make skew visible to :func:`simulate_schedule` without
     storing per-shard history.
     """
-    rate = float(entry["rate"])
-    rate_max = max(float(entry["rate_max"]), rate)
-    hot_frac = min(max(float(entry["hot_frac"]), 0.0), 1.0)
+    rate = entry["rate"]
+    rate_max = max(entry["rate_max"], rate)
+    hot_frac = min(max(entry["hot_frac"], 0.0), 1.0)
     unit = total_units / tasks
     n_hot = min(tasks, round(hot_frac * tasks))
     if 0 < n_hot < tasks:
@@ -365,7 +346,6 @@ class TuneDecision:
     hit: bool                      #: exact model key was warm
     borrowed: bool = False         #: a neighbour bucket supplied stats
     auto_shards: bool = False
-    auto_batch: bool = False
     predicted_makespan: float | None = None
     predicted_static: float | None = None
     workers: int = 1
@@ -380,61 +360,38 @@ class AutoTuner:
         The cost model consulted and updated by every job.
     metrics:
         Optional :class:`~repro.runtime.metrics.ServiceMetrics`; when
-        given (the service), decisions and re-splits are mirrored as
-        ``autotune_*`` counters and gauges.
+        given (the service), decisions are mirrored as ``autotune_*``
+        counters and gauges.
     workers:
         Worker count the candidate makespans are modeled over;
         defaults to the shared executor's cap.
     shard_candidates:
         ``shards_per_rank`` values evaluated for ``--shards auto``.
-    straggler_factor:
-        ``k`` in the straggler predicate ``elapsed > k x expected``.
-    budget_override:
-        Fixed straggler budget in seconds, bypassing the model —
-        deterministic-test hook.
-    resplit_factor:
-        Sub-shards a straggler's remaining range is split into.
     """
 
     def __init__(self, model: CostModel,
                  metrics: Any | None = None,
                  workers: int | None = None,
                  shard_candidates: tuple[int, ...] = SHARD_CANDIDATES,
-                 straggler_factor: float = DEFAULT_STRAGGLER_FACTOR,
-                 budget_override: float | None = None,
-                 resplit_factor: int = DEFAULT_RESPLIT_FACTOR) -> None:
-        if straggler_factor <= 1.0:
-            raise RuntimeLayerError(
-                f"straggler_factor {straggler_factor} must be > 1")
-        if resplit_factor < 2:
-            raise RuntimeLayerError(
-                f"resplit_factor {resplit_factor} must be >= 2")
+                 ) -> None:
         self.model = model
         self.metrics = metrics
         self.workers = default_worker_count() if workers is None \
             else workers
         self.shard_candidates = tuple(sorted(set(shard_candidates)))
-        self.straggler_factor = straggler_factor
-        self.budget_override = budget_override
-        self.resplit_factor = resplit_factor
 
     # -- decisions ---------------------------------------------------
 
     def begin_job(self, target: str, store_format: str, pipeline: str,
                   total_units: float, nprocs: int,
                   shards: int | str = 1,
-                  batch_size: int | str = 0,
-                  default_batch: int | None = None) -> "JobTuning":
-        """Resolve a job's knobs and return its :class:`JobTuning`.
+                  batch_size: int = 0) -> "JobTuning":
+        """Resolve a job's shard count and return its :class:`JobTuning`.
 
-        ``shards``/``batch_size`` may be concrete values (kept as-is;
-        the tuner still prices shards and records observations) or
-        :data:`AUTO`.  *default_batch* is the fallback for a cold
-        ``batch_size auto`` (the converter's default).
+        *shards* may be a concrete value (kept as-is; the tuner still
+        records observations) or :data:`AUTO`.  *batch_size* is what
+        the job runs with, recorded for the provenance block only.
         """
-        if default_batch is None:
-            from ..formats.batch import DEFAULT_BATCH_SIZE
-            default_batch = DEFAULT_BATCH_SIZE
         key = make_key(target, store_format, pipeline, total_units)
         entry = self.model.lookup(key)
         hit = entry is not None
@@ -445,29 +402,22 @@ class AutoTuner:
         decision = TuneDecision(
             key=key,
             shards_per_rank=1 if shards == AUTO else int(shards),
-            batch_size=default_batch if batch_size == AUTO
-            else int(batch_size),
-            hit=hit, borrowed=borrowed,
-            auto_shards=shards == AUTO, auto_batch=batch_size == AUTO,
-            workers=self.workers)
+            batch_size=int(batch_size), hit=hit, borrowed=borrowed,
+            auto_shards=shards == AUTO, workers=self.workers)
         if entry is not None:
-            static = simulate_schedule(
+            decision.predicted_static = simulate_schedule(
                 _candidate_costs(entry, total_units, nprocs),
                 self.workers)
-            decision.predicted_static = static
             if shards == AUTO:
                 decision.shards_per_rank, decision.predicted_makespan = \
                     self._choose_shards(entry, total_units, nprocs)
-            if batch_size == AUTO:
-                decision.batch_size = self._choose_batch(
-                    entry, default_batch)
         if self.metrics is not None:
             self.metrics.inc("autotune_jobs")
             self.metrics.inc("autotune_model_hits" if hit
                              else "autotune_model_misses")
-            if decision.auto_shards or decision.auto_batch:
+            if decision.auto_shards:
                 self.metrics.inc("autotune_auto_jobs")
-        return JobTuning(self, decision, entry, total_units)
+        return JobTuning(self, decision)
 
     def _choose_shards(self, entry: dict[str, Any], total_units: float,
                        nprocs: int) -> tuple[int, float]:
@@ -477,68 +427,28 @@ class AutoTuner:
         extra decomposition that buys nothing just costs dispatch
         overhead and trace noise.
         """
-        makespans: dict[int, float] = {}
-        for n in self.shard_candidates:
-            costs = _candidate_costs(entry, total_units, nprocs * n)
-            makespans[n] = simulate_schedule(costs, self.workers)
+        makespans = {
+            n: simulate_schedule(
+                _candidate_costs(entry, total_units, nprocs * n),
+                self.workers)
+            for n in self.shard_candidates}
         best = min(makespans.values())
-        for n in self.shard_candidates:
-            if makespans[n] <= best * 1.05:
-                return n, makespans[n]
-        return 1, makespans[1]
-
-    @staticmethod
-    def _choose_batch(entry: dict[str, Any], default_batch: int) -> int:
-        batches = entry.get("batches") or {}
-        rated = [(rate, int(size)) for size, rate in batches.items()]
-        if not rated:
-            return default_batch
-        return min(rated)[1]
-
-    # -- straggler pricing -------------------------------------------
-
-    def shard_budget(self, entry: dict[str, Any] | None,
-                     units: float) -> float | None:
-        """Seconds a shard of *units* may run before it is a straggler.
-
-        ``None`` (cold model, no override) defers to the sibling-median
-        fallback where the executor supports it.
-        """
-        if self.budget_override is not None:
-            return self.budget_override
-        if entry is None:
-            return None
-        predicted = float(entry["rate_max"]) * units \
-            + SHARD_OVERHEAD_SECONDS
-        return max(self.straggler_factor * predicted,
-                   MIN_STRAGGLER_BUDGET)
-
-    def sibling_budget(self, completed: list[float]) -> float | None:
-        """Straggler budget from completed siblings' durations
-        (sequential-executor fallback for a cold model)."""
-        if self.budget_override is not None:
-            return self.budget_override
-        if not completed:
-            return None
-        return max(self.straggler_factor * statistics.median(completed),
-                   MIN_STRAGGLER_BUDGET)
+        return next((n, makespan) for n, makespan in makespans.items()
+                    if makespan <= best * 1.05)
 
 
 @dataclass(slots=True)
 class JobTuning:
-    """One job's resolved knobs, straggler pricing, and feedback sink.
+    """One job's resolved shard count and feedback sink.
 
-    Converters create this via :meth:`AutoTuner.begin_job`, build their
-    specs with :attr:`shards_per_rank`/:attr:`batch_size`, pass it to
-    ``execute_rank_tasks``, and call :meth:`finish` when done.
+    ``run_conversion`` creates this via :meth:`AutoTuner.begin_job`,
+    splits with :attr:`shards_per_rank`, passes it to
+    ``execute_rank_tasks`` (which calls :meth:`observe`), and calls
+    :meth:`finish` when done.
     """
 
     tuner: AutoTuner
     decision: TuneDecision
-    entry: dict[str, Any] | None
-    total_units: float
-    resplits: int = 0
-    resplit_shards: int = 0
     observed: list[tuple[float, float]] = field(default_factory=list)
     observed_makespan: float = 0.0
 
@@ -547,52 +457,22 @@ class JobTuning:
         """The resolved over-decomposition factor."""
         return self.decision.shards_per_rank
 
-    @property
-    def batch_size(self) -> int:
-        """The resolved batch size."""
-        return self.decision.batch_size
-
-    @property
-    def resplit_factor(self) -> int:
-        """Sub-shards a straggler's remainder splits into."""
-        return self.tuner.resplit_factor
-
-    def budget_for(self, units: float) -> float | None:
-        """Model-predicted straggler budget for a shard of *units*."""
-        return self.tuner.shard_budget(self.entry, units)
-
-    def sibling_budget(self, completed: list[float]) -> float | None:
-        """Sibling-median straggler budget (see :class:`AutoTuner`)."""
-        return self.tuner.sibling_budget(completed)
-
-    def note_resplit(self, sub_shards: int) -> None:
-        """Count one straggler re-split producing *sub_shards* pieces."""
-        self.resplits += 1
-        self.resplit_shards += sub_shards
-        if self.tuner.metrics is not None:
-            self.tuner.metrics.inc("autotune_resplits")
-
-    def note_completion(self, elapsed: float) -> None:
-        """Record one shard's completion time since dispatch started."""
-        if elapsed > self.observed_makespan:
-            self.observed_makespan = elapsed
-
-    def observe(self, pairs: list[tuple[float, float]]) -> None:
-        """Collect measured ``(units, seconds)`` pairs for the model."""
+    def observe(self, pairs: list[tuple[float, float]],
+                wall: float = 0.0) -> None:
+        """Collect one dispatch's measured ``(units, seconds)`` pairs
+        for the model, and its *wall* as the observed makespan."""
         self.observed.extend(pairs)
+        self.observed_makespan += wall
 
     def finish(self) -> None:
         """Fold the job's observations into the model and persist it."""
         if self.observed:
-            self.tuner.model.observe(self.decision.key, self.observed,
-                                     batch_size=self.decision.batch_size)
+            self.tuner.model.observe(self.decision.key, self.observed)
             self.observed.clear()
-            try:
+            # A read-only or vanished model directory must not fail the
+            # conversion that produced correct output.
+            with suppress(OSError):
                 self.tuner.model.save()
-            except OSError:
-                # A read-only or vanished model directory must not
-                # fail the conversion that produced correct output.
-                pass
         if self.tuner.metrics is not None:
             self.tuner.metrics.set_gauge("autotune_model_keys",
                                          len(self.tuner.model))
@@ -608,9 +488,7 @@ class JobTuning:
             "shards_per_rank": d.shards_per_rank,
             "batch_size": d.batch_size,
             "auto_shards": d.auto_shards,
-            "auto_batch": d.auto_batch,
             "workers": d.workers,
-            "resplits": self.resplits,
         }
         if d.predicted_makespan is not None:
             block["predicted_makespan"] = round(d.predicted_makespan, 6)

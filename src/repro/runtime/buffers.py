@@ -171,53 +171,3 @@ class BufferedTextWriter:
             return
         self.flush()
         self._fh.close()
-
-
-class BufferedBinaryWriter:
-    """Binary sibling of :class:`BufferedTextWriter` (BAMX output)."""
-
-    def __init__(self, path: str | os.PathLike[str],
-                 chunk_size: int = DEFAULT_WRITE_CHUNK,
-                 metrics: RankMetrics | None = None) -> None:
-        self.path = os.fspath(path)
-        self.chunk_size = chunk_size
-        self.metrics = metrics or RankMetrics()
-        self._fh = open(self.path, "wb")  # noqa: SIM115
-        self._buffer: list[bytes] = []
-        self._buffered = 0
-
-    def __enter__(self) -> "BufferedBinaryWriter":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def write(self, data: bytes) -> None:
-        """Queue bytes for the next flush."""
-        self._buffer.append(data)
-        self._buffered += len(data)
-        if self._buffered >= self.chunk_size:
-            self.flush()
-
-    def flush(self) -> None:
-        """Write queued bytes in one OS call, metering it."""
-        if not self._buffer:
-            return
-        blob = b"".join(self._buffer)
-        self._buffer.clear()
-        self._buffered = 0
-        t0 = time.perf_counter()
-        self._fh.write(blob)
-        self.metrics.io_seconds += time.perf_counter() - t0
-        self.metrics.bytes_written += len(blob)
-
-    def tell(self) -> int:
-        """Logical write position including still-buffered bytes."""
-        return self._fh.tell() + self._buffered
-
-    def close(self) -> None:
-        """Flush and close the file."""
-        if self._fh.closed:
-            return
-        self.flush()
-        self._fh.close()

@@ -269,9 +269,7 @@ class SharedExecutor:
 
     def map_tasks(self, fn: Callable[[Any], Any], items: Sequence[Any],
                   kind: str, labels: Sequence[str] | None = None,
-                  costs: Sequence[float] | None = None,
-                  progress: Callable[[int, Any, float], None] | None
-                  = None) -> list[Any]:
+                  costs: Sequence[float] | None = None) -> list[Any]:
         """Run ``fn(item)`` for every item on the *kind* pool.
 
         Items are submitted in descending *costs* order
@@ -279,15 +277,6 @@ class SharedExecutor:
         LPT schedule: whichever worker frees up pulls the largest
         remaining item.  Results come back in **input order**
         regardless.
-
-        *progress*, when given, is invoked as ``progress(index, result,
-        elapsed)`` once per successfully completed item — *index* is
-        the item's input position and *elapsed* the seconds since
-        dispatch began.  Callbacks run on pool/callback threads as
-        items finish (not in input order) and must be cheap and
-        exception-free; the autotuner uses them to watch a wave
-        complete in real time.  Failed or cancelled items produce no
-        callback.
 
         A task raising an ordinary exception propagates that exception
         unchanged after the remaining futures settle.  A worker *crash*
@@ -312,26 +301,11 @@ class SharedExecutor:
             pool = self._get_pool(kind)
             self._active_calls += 1
             self._counters["calls"] += 1
-        dispatch_start = time.monotonic()
-
-        def _notify(index: int) -> Callable[[Future], None]:
-            def _done(future: Future) -> None:
-                if future.cancelled() or future.exception() is not None:
-                    return
-                try:
-                    progress(index, future.result(),
-                             time.monotonic() - dispatch_start)
-                except Exception:
-                    pass  # observer must never poison the schedule
-            return _done
-
         try:
             futures: dict[int, Future] = {}
             try:
                 for i in order:
                     futures[i] = pool.submit(fn, items[i])
-                    if progress is not None:
-                        futures[i].add_done_callback(_notify(i))
             except BrokenExecutor as exc:
                 for future in futures.values():
                     future.cancel()

@@ -88,24 +88,6 @@ class RankMetrics:
             kernel_fallbacks=sum(m.kernel_fallbacks for m in shards),
         )
 
-    @contextmanager
-    def timed_compute(self):
-        """Context manager attributing the enclosed wall time to compute."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.compute_seconds += time.perf_counter() - t0
-
-    @contextmanager
-    def timed_io(self):
-        """Context manager attributing the enclosed wall time to I/O."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.io_seconds += time.perf_counter() - t0
-
 
 def merge_all(metrics: list[RankMetrics]) -> RankMetrics:
     """Sum a list of metrics into one aggregate."""
@@ -145,11 +127,6 @@ class ServiceMetrics:
         """Set gauge *name* to *value*."""
         with self._lock:
             self._gauges[name] = value
-
-    def add_gauge(self, name: str, delta: float) -> None:
-        """Adjust gauge *name* by *delta* (creating it at zero)."""
-        with self._lock:
-            self._gauges[name] = self._gauges.get(name, 0.0) + delta
 
     def observe(self, name: str, seconds: float) -> None:
         """Record one duration under timer *name*."""

@@ -48,13 +48,12 @@ import time
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import wraps
 from typing import Any, Callable, Iterable
 
 from ..errors import RuntimeLayerError
 
 __all__ = [
-    "Span", "Tracer", "get_tracer", "install", "traced",
+    "Span", "Tracer", "get_tracer", "install",
     "spans_from_dicts", "read_jsonl", "write_jsonl",
     "to_chrome_events", "write_chrome", "write_trace",
     "format_tree", "format_summary",
@@ -326,24 +325,6 @@ def install(tracer: Tracer) -> Tracer:
     return prev
 
 
-def traced(name: str, category: str = "") -> Callable:
-    """Decorator tracing every call of a function under *name*.
-
-    Resolves the current tracer at call time, so decorated module-level
-    functions respect whatever tracer the CLI or service installs.
-    """
-    def decorate(fn: Callable) -> Callable:
-        @wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            tracer = get_tracer()
-            if not tracer.enabled:
-                return fn(*args, **kwargs)
-            with tracer.span(name, category):
-                return fn(*args, **kwargs)
-        return wrapper
-    return decorate
-
-
 def spans_from_dicts(dicts: Iterable[dict[str, Any]]) -> list[Span]:
     """Rebuild :class:`Span` objects from their dict form."""
     return [Span.from_dict(d) for d in dicts]
@@ -497,8 +478,8 @@ def format_tree(spans: Iterable[Span]) -> str:
             block = span.args.get("cost_model")
             if isinstance(block, dict):
                 parts = [f"{k}={block[k]}" for k in
-                         ("key", "hit", "shards_per_rank",
-                          "batch_size", "resplits") if k in block]
+                         ("key", "hit", "shards_per_rank", "batch_size")
+                         if k in block]
                 extra = " " + " ".join(parts)
         return f"{span.name}{cat}{rank}{extra}"
 

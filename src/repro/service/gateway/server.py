@@ -409,8 +409,8 @@ class GatewayServer:
         for server in self._servers:
             with contextlib.suppress(Exception):
                 await server.wait_closed()
-        # Let dispatched ops finish, then cancel stragglers (e.g.
-        # indefinite long-poll waits).
+        # Let dispatched ops finish, then cancel what is still open
+        # (e.g. indefinite long-poll waits).
         if self._inflight_ops:
             await asyncio.wait(set(self._inflight_ops),
                                timeout=timeout)

@@ -20,6 +20,7 @@ imports.
 from __future__ import annotations
 
 import os
+import warnings
 from typing import Any
 
 from ..core import BamConverter, SamConverter, parse_filter_expr
@@ -68,7 +69,8 @@ class ConversionService:
     shards_per_rank:
         Default over-decomposition factor for converter jobs; a job's
         ``shards`` parameter overrides it, and either may be ``"auto"``
-        to let the shared cost model pick per job.  All jobs share one
+        to let the shared cost model pick per job (a job's
+        ``batch_size`` is always an integer).  All jobs share one
         process-global :class:`~repro.runtime.executor.SharedExecutor`
         — no per-job pool forking.
     cost_model_path:
@@ -77,7 +79,8 @@ class ConversionService:
         :class:`~repro.runtime.autotune.AutoTuner` wraps it for the
         whole service, so every job — tuned or manual — feeds the model
         and ``autotune_*`` counters appear in ``repro status
-        --metrics``.
+        --metrics``.  A damaged file never fails a job: what could not
+        be loaded is dropped with one :class:`RuntimeWarning` here.
     journal_path:
         Optional write-ahead job journal file.  When set, every
         submission and state transition is logged durably, and this
@@ -118,6 +121,10 @@ class ConversionService:
                       else os.path.join(self.work_dir,
                                         "cost_model.json")),
             metrics=self.metrics)
+        if self.tuner.model.load_error:
+            warnings.warn(f"damaged cost model {self.tuner.model.path}: "
+                          f"{self.tuner.model.load_error}", RuntimeWarning,
+                          stacklevel=2)
         self.metrics.set_gauge("autotune_model_keys",
                                len(self.tuner.model))
         self.cache = ArtifactCache(
@@ -176,9 +183,9 @@ class ConversionService:
             raise ServiceError("region job needs a 'region' parameter")
         # Reject malformed tuning knobs at the door — a bad value must
         # fail the submission, not a worker thread minutes later.
-        for knob in ("shards", "batch_size"):
+        for knob, auto in (("shards", True), ("batch_size", False)):
             if knob in params:
-                validate_knob(params[knob], knob, ServiceError)
+                validate_knob(params[knob], knob, ServiceError, auto)
         job = Job(kind=kind, params=dict(params), priority=priority,
                   timeout=timeout, max_retries=max_retries,
                   backoff=backoff)
@@ -234,7 +241,8 @@ class ConversionService:
         }
         if "batch_size" in params:
             knobs["batch_size"] = validate_knob(
-                params["batch_size"], "batch_size", ServiceError)
+                params["batch_size"], "batch_size", ServiceError,
+                auto=False)
         source = os.fspath(params["input"])
         lowered = source.lower()
         if job.kind == "preprocess":

@@ -1,7 +1,7 @@
 """Tests for the self-tuning scheduler (:mod:`repro.runtime.autotune`):
-the persistent cost model, auto knob resolution, deterministic mid-job
-straggler re-splitting, provenance spans, service counters and the CLI
-surface."""
+the persistent cost model (and what a damaged or older file does to
+it), ``shards_per_rank="auto"`` resolution, provenance spans, service
+counters and the CLI surface."""
 
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ import os
 import pytest
 
 from repro.core import SamConverter
-from repro.errors import ConversionError, RuntimeLayerError, \
-    ServiceError
+from repro.errors import ConversionError, ServiceError
 from repro.runtime import faults
 from repro.runtime.autotune import (
     AUTO,
@@ -22,7 +21,6 @@ from repro.runtime.autotune import (
     resolve_model_path,
     size_bucket,
 )
-from repro.runtime.metrics import ServiceMetrics
 from repro.runtime.tracing import Tracer, install
 
 
@@ -99,6 +97,64 @@ def test_corrupt_model_file_reads_as_empty(tmp_path):
     assert CostModel(path).load_error is None
 
 
+GOOD_ENTRY = {"rate": 2.4e-08, "rate_max": 2.5e-08, "hot_frac": 0.5,
+              "count": 2, "updated": 2}
+
+
+def write_model(path, keys):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"version": 1, "alpha": 0.3,
+                                "keys": keys}), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("bad", [
+    {"count": 3},
+    {**GOOD_ENTRY, "rate": "fast"},
+    {**GOOD_ENTRY, "rate_max": float("nan")},
+    {**GOOD_ENTRY, "hot_frac": True},
+    7,
+], ids=["no-statistics", "text-rate", "nan-rate-max", "bool-hot-frac",
+        "not-an-object"])
+def test_entries_without_statistics_are_dropped_at_load(tmp_path, bad):
+    """Valid JSON, but one entry lacks a finite numeric
+    rate/rate_max/hot_frac: it goes (named in ``load_error``), its
+    neighbours stay, and every reader of the model keeps working."""
+    path = write_model(tmp_path / "m.json", {
+        "bed|sam|batch|b12": bad, "bed|sam|batch|b5": GOOD_ENTRY})
+    model = CostModel(path)
+    assert "bed|sam|batch|b12" in model.load_error
+    assert "bed|sam|batch|b5" not in model.load_error
+    assert model.snapshot() == {"bed|sam|batch|b5": GOOD_ENTRY}
+    tuner = AutoTuner(model, workers=2)
+    for bucket in (12, 11, 5):      # exact key, its neighbour, a good key
+        tuner.begin_job("bed", "sam", "batch", 4 ** bucket, nprocs=2,
+                        shards=AUTO)
+    model.observe("bed|sam|batch|b12", [(1.0, 1.0)])
+    model.save()
+    assert CostModel(path).load_error is None
+
+
+def test_model_file_of_the_previous_format_loads(tmp_path):
+    """A file as the commit before ``--batch-size auto`` went wrote it
+    (per-batch-size rates under ``batches``) loads without complaint;
+    the block is ignored and gone after the next save."""
+    key = "bed|sam|batch|b8"
+    path = write_model(tmp_path / "m.json", {key: {
+        "batches": {"4096": 2.363739825780166e-08}, "count": 2,
+        "hot_frac": 0.5010016330254606, "rate": 2.363739825780166e-08,
+        "rate_max": 2.466252342692987e-08, "updated": 2}})
+    model = CostModel(path)
+    assert model.load_error is None
+    assert model.lookup(key) == {
+        "count": 2, "hot_frac": 0.5010016330254606,
+        "rate": 2.363739825780166e-08,
+        "rate_max": 2.466252342692987e-08, "updated": 2}
+    model.observe(key, [(100.0, 1.0)])
+    model.save()
+    assert "batches" not in path.read_text(encoding="utf-8")
+
+
 def test_bounded_history_evicts_least_recently_updated(tmp_path):
     model = CostModel(tmp_path / "m.json", max_keys=3)
     for i in range(6):
@@ -156,11 +212,10 @@ def test_resolve_model_path_precedence(tmp_path, monkeypatch):
 def test_cold_model_falls_back_to_defaults(tmp_path):
     tuner = AutoTuner(CostModel(tmp_path / "m.json"), workers=4)
     tuning = tuner.begin_job("bed", "sam", "batch", 4000, nprocs=4,
-                             shards=AUTO, batch_size=AUTO,
-                             default_batch=4096)
+                             shards=AUTO, batch_size=4096)
     assert tuning.decision.hit is False
     assert tuning.shards_per_rank == 1
-    assert tuning.batch_size == 4096
+    assert tuning.provenance()["batch_size"] == 4096
 
 
 def test_warm_skewed_model_chooses_extra_shards(tmp_path):
@@ -176,40 +231,6 @@ def test_warm_skewed_model_chooses_extra_shards(tmp_path):
     assert tuning.shards_per_rank > 1
     assert tuning.decision.predicted_makespan < \
         tuning.decision.predicted_static
-
-
-def test_warm_model_chooses_best_rated_batch(tmp_path):
-    model = CostModel(tmp_path / "m.json")
-    key = make_key("bed", "sam", "batch", 4000)
-    model.observe(key, [(100.0, 1.0)], batch_size=1024)
-    model.observe(key, [(100.0, 0.2)], batch_size=8192)
-    tuner = AutoTuner(model, workers=2)
-    tuning = tuner.begin_job("bed", "sam", "batch", 4000, nprocs=2,
-                             batch_size=AUTO, default_batch=4096)
-    assert tuning.batch_size == 8192
-
-
-def test_budget_override_beats_the_model(tmp_path):
-    tuner = AutoTuner(CostModel(tmp_path / "m.json"),
-                      budget_override=0.123)
-    assert tuner.shard_budget(None, 1000.0) == 0.123
-    assert tuner.sibling_budget([5.0, 5.0]) == 0.123
-
-
-def test_sibling_budget_is_k_times_median(tmp_path):
-    tuner = AutoTuner(CostModel(tmp_path / "m.json"),
-                      straggler_factor=4.0)
-    assert tuner.sibling_budget([]) is None
-    assert tuner.sibling_budget([1.0, 2.0, 3.0]) == pytest.approx(8.0)
-    # ... floored so micro-tasks never trip the predicate on noise.
-    assert tuner.sibling_budget([1e-6]) == pytest.approx(0.05)
-
-
-def test_tuner_rejects_bad_parameters(tmp_path):
-    with pytest.raises(RuntimeLayerError, match="straggler_factor"):
-        AutoTuner(CostModel(tmp_path / "m.json"), straggler_factor=1.0)
-    with pytest.raises(RuntimeLayerError, match="resplit_factor"):
-        AutoTuner(CostModel(tmp_path / "m.json"), resplit_factor=1)
 
 
 def test_finish_persists_observations(tmp_path):
@@ -249,6 +270,15 @@ def test_converter_rejects_bad_shards_naming_value():
         SamConverter(batch_size="-3")
 
 
+@pytest.mark.parametrize("converter", ["SamConverter", "BamConverter",
+                                       "PreprocSamConverter"])
+def test_converters_refuse_batch_size_auto(converter):
+    import repro.core
+    with pytest.raises(ConversionError,
+                       match=r"batch_size value 'auto'.*positive integer$"):
+        getattr(repro.core, converter)(batch_size="auto")
+
+
 def test_converter_accepts_auto_and_numeric_strings():
     converter = SamConverter(shards_per_rank="AUTO", batch_size="512")
     assert converter.shards_per_rank == AUTO
@@ -257,55 +287,13 @@ def test_converter_accepts_auto_and_numeric_strings():
 
 
 # ---------------------------------------------------------------------
-# end-to-end: auto knobs + deterministic straggler re-splitting
+# end-to-end: shards_per_rank="auto"
 
 
-def _convert(sam_file, out_dir, tuner=None, shards=1, batch=4096,
+def _convert(sam_file, out_dir, tuner=None, shards=1,
              executor="simulate"):
-    return SamConverter(shards_per_rank=shards, batch_size=batch,
-                        tuner=tuner).convert(
+    return SamConverter(shards_per_rank=shards, tuner=tuner).convert(
         sam_file, "bed", out_dir, nprocs=2, executor=executor)
-
-
-@pytest.mark.parametrize("executor", ["simulate", "thread"])
-def test_forced_resplit_is_byte_identical(sam_file, tmp_path, executor):
-    """A fault-injected delay makes every shard blow its (overridden)
-    budget; the remaining ranges re-split mid-job and the final bytes
-    must still equal the static run's."""
-    static = _convert(sam_file, tmp_path / "static")
-    metrics = ServiceMetrics()
-    tuner = AutoTuner(CostModel(tmp_path / "m.json"), metrics=metrics,
-                      budget_override=0.001)
-    faults.arm("shard.batch:delay")
-    try:
-        resplit = _convert(sam_file, tmp_path / f"re-{executor}",
-                           tuner=tuner, shards=3, batch=32,
-                           executor=executor)
-    finally:
-        faults.disarm()
-    assert read_parts(resplit) == read_parts(static)
-    assert metrics.counter("autotune_resplits") >= 1
-    leftovers = [n for n in os.listdir(tmp_path / f"re-{executor}")
-                 if ".shard" in n or ".tail" in n]
-    assert leftovers == []
-
-
-def test_resplit_rounds_are_bounded(sam_file, tmp_path):
-    """Budgets come off after MAX_RESPLIT_ROUNDS waves, so a job whose
-    every shard 'straggles' forever still terminates."""
-    from repro.runtime.autotune import MAX_RESPLIT_ROUNDS
-    metrics = ServiceMetrics()
-    tuner = AutoTuner(CostModel(tmp_path / "m.json"), metrics=metrics,
-                      budget_override=1e-9, resplit_factor=2)
-    faults.arm("shard.batch:delay")
-    try:
-        result = _convert(sam_file, tmp_path / "out", tuner=tuner,
-                          shards=2, batch=16)
-    finally:
-        faults.disarm()
-    static = _convert(sam_file, tmp_path / "static")
-    assert read_parts(result) == read_parts(static)
-    assert MAX_RESPLIT_ROUNDS == 2
 
 
 def test_auto_shards_warm_run_is_byte_identical(sam_file, tmp_path):
@@ -315,15 +303,33 @@ def test_auto_shards_warm_run_is_byte_identical(sam_file, tmp_path):
     path = tmp_path / "m.json"
     cold = _convert(sam_file, tmp_path / "cold",
                     tuner=AutoTuner(CostModel(path), workers=2),
-                    shards="auto", batch="auto")
+                    shards="auto")
     warm = _convert(sam_file, tmp_path / "warm",
                     tuner=AutoTuner(CostModel(path), workers=2),
-                    shards="auto", batch="auto", executor="thread")
+                    shards="auto", executor="thread")
     assert read_parts(cold) == read_parts(static)
     assert read_parts(warm) == read_parts(static)
     assert CostModel(path).lookup(
         make_key("bed", "sam", "batch",
                  os.path.getsize(sam_file))) is not None
+
+
+def test_auto_shards_over_a_previous_format_model(sam_file, tmp_path):
+    """``--shards auto`` warmed by a model file of the previous format
+    (skewed, so it really shards) still writes the static bytes, and
+    so does the run after it, which reads what this code saved."""
+    static = _convert(sam_file, tmp_path / "static")
+    key = make_key("bed", "sam", "batch", os.path.getsize(sam_file))
+    path = write_model(tmp_path / "m.json", {key: {
+        "batches": {"4096": 1e-06}, "count": 3, "hot_frac": 0.25,
+        "rate": 1e-06, "rate_max": 3e-06, "updated": 3}})
+    for run, executor in (("first", "simulate"), ("second", "thread")):
+        tuner = AutoTuner(CostModel(path), workers=2)
+        assert tuner.model.load_error is None
+        auto = _convert(sam_file, tmp_path / run, tuner=tuner,
+                        shards="auto", executor=executor)
+        assert read_parts(auto) == read_parts(static), run
+    assert CostModel(path).lookup(key)["count"] == 5
 
 
 # ---------------------------------------------------------------------
@@ -350,7 +356,7 @@ def test_autotune_span_explains_the_decision(sam_file, tmp_path):
     assert cold["key"] == warm["key"]
     assert cold["key"].startswith("bed|sam|batch|b")
     assert cold["auto_shards"] is True
-    assert cold["resplits"] == 0
+    assert "resplits" not in cold and "auto_batch" not in cold
     assert warm["path"] == str(path)
 
 
@@ -420,13 +426,45 @@ def test_service_rejects_bad_knobs_at_submit(sam_file, tmp_path):
             service.submit("convert", {
                 "input": str(sam_file), "target": "bed",
                 "out_dir": str(tmp_path / "out"), "shards": "turbo"})
-        with pytest.raises(ServiceError,
-                           match=r"batch_size value 0"):
-            service.submit("convert", {
-                "input": str(sam_file), "target": "bed",
-                "out_dir": str(tmp_path / "out"), "batch_size": 0})
+        for bad in (0, "auto"):
+            with pytest.raises(ServiceError,
+                               match=rf"batch_size value {bad!r}"):
+                service.submit("convert", {
+                    "input": str(sam_file), "target": "bed",
+                    "out_dir": str(tmp_path / "out"), "batch_size": bad})
     finally:
         service.close()
+
+
+def test_service_jobs_survive_a_damaged_shared_model(sam_file, tmp_path):
+    """The service attaches its one tuner to every job, so a
+    ``cost_model.json`` whose entry for this very workload has no
+    statistics must cost a warning at start-up and nothing else."""
+    import warnings
+
+    from repro.service.server import ConversionService
+    key = make_key("bed", "sam", "batch", os.path.getsize(sam_file))
+    write_model(tmp_path / "svc" / "cost_model.json", {key: {"count": 3}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        service = ConversionService(tmp_path / "svc", workers=1)
+        try:
+            jobs = [service.submit("convert", {
+                "input": str(sam_file), "target": "bed",
+                "out_dir": str(tmp_path / f"out{i}"), "nprocs": 2,
+                "shards": shards})
+                for i, shards in enumerate((1, "auto"))]
+            for job in jobs:
+                final = service.wait(job.job_id, 60)
+                assert final["state"] == "done", final["error"]
+        finally:
+            service.close()
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, RuntimeWarning)] == [
+        f"damaged cost model {tmp_path / 'svc' / 'cost_model.json'}: "
+        f"dropped entries without finite rate/rate_max/hot_frac: {key}"]
+    assert CostModel(tmp_path / "svc" / "cost_model.json").lookup(key)[
+        "count"] == 2
 
 
 def test_service_ctor_rejects_bad_default_shards(tmp_path):
@@ -455,12 +493,38 @@ def test_cli_tune_show_and_reset(tmp_path, capsys):
     assert "empty (cold)" in capsys.readouterr().out
 
 
+def test_cli_survives_an_entry_without_statistics(sam_file, tmp_path,
+                                                  capsys):
+    """`tune show` and `convert --shards auto` over a model whose entry
+    for this workload is `{"count": 3}` used to die on KeyError 'rate'."""
+    from repro.cli import main
+    key = make_key("bed", "sam", "batch", os.path.getsize(sam_file))
+    path = write_model(tmp_path / "m.json", {
+        key: {"count": 3}, "fasta|sam|batch|b5": GOOD_ENTRY})
+    warning = (f"warning: damaged cost model {path}: dropped entries "
+               f"without finite rate/rate_max/hot_frac: {key}\n")
+    assert main(["tune", "show", "--cost-model", str(path)]) == 0
+    shown = capsys.readouterr()
+    assert shown.err == warning
+    assert "fasta|sam|batch|b5" in shown.out and "1 keys" in shown.out
+    assert key not in shown.out
+    assert main(["convert", str(sam_file), "--target", "bed", "--nprocs",
+                 "2", "--shards", "auto", "--cost-model", str(path),
+                 "--out-dir", str(tmp_path / "auto")]) == 0
+    assert capsys.readouterr().err == warning
+    assert main(["convert", str(sam_file), "--target", "bed", "--nprocs",
+                 "2", "--out-dir", str(tmp_path / "static")]) == 0
+    for name in os.listdir(tmp_path / "static"):
+        assert (tmp_path / "auto" / name).read_bytes() == \
+            (tmp_path / "static" / name).read_bytes()
+    assert CostModel(path).load_error is None      # the run repaired it
+
+
 def test_cli_auto_convert_warms_model(sam_file, tmp_path, capsys):
     from repro.cli import main
     path = str(tmp_path / "m.json")
     args = ["convert", str(sam_file), "--target", "bed",
-            "--nprocs", "2", "--shards", "auto", "--batch-size",
-            "auto", "--cost-model", path]
+            "--nprocs", "2", "--shards", "auto", "--cost-model", path]
     assert main(args + ["--out-dir", str(tmp_path / "o1")]) == 0
     assert main(args + ["--out-dir", str(tmp_path / "o2")]) == 0
     capsys.readouterr()
@@ -480,3 +544,13 @@ def test_cli_rejects_bad_shards_naming_value(capsys):
         main(["convert", "x.sam", "--target", "bed", "--out-dir", "o",
               "--shards", "many"])
     assert "invalid shards value 'many'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["convert", "region", "submit"])
+def test_cli_refuses_batch_size_auto_at_parse_time(verb, capsys):
+    from repro.cli import main
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, "x.sam", "--batch-size", "auto"])
+    assert exit_info.value.code == 2
+    assert "argument --batch-size: invalid batch_size value 'auto': " \
+        "expected a positive integer\n" in capsys.readouterr().err

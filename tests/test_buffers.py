@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import PartitionError
-from repro.runtime.buffers import BufferedBinaryWriter, \
-    BufferedTextWriter, RangeLineReader
+from repro.runtime.buffers import BufferedTextWriter, RangeLineReader
 from repro.runtime.metrics import RankMetrics
 
 
@@ -86,14 +85,3 @@ def test_text_writer_close_idempotent(tmp_path):
     w.close()
     w.close()
     assert path.read_text() == "x\n"
-
-
-def test_binary_writer(tmp_path):
-    path = tmp_path / "out.bin"
-    metrics = RankMetrics()
-    with BufferedBinaryWriter(path, chunk_size=8, metrics=metrics) as w:
-        w.write(b"\x01\x02")
-        assert w.tell() == 2
-        w.write(b"\x03" * 20)
-    assert path.read_bytes() == b"\x01\x02" + b"\x03" * 20
-    assert metrics.bytes_written == 22

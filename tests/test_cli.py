@@ -304,10 +304,21 @@ def _one_line_error(capsys, *needles):
     ("nlmeans", "bedgraph"), ("fdr", "npy"), ("peaks", "npy")])
 def test_missing_input_is_a_one_line_error(verb, ext, tmp_path, capsys):
     """Every verb used to end in a raw FileNotFoundError traceback; the
-    extension picks the reader that meets the missing file."""
+    extension picks the reader that meets the missing file.  Nothing is
+    left behind: `convert`/`region` used to create --out-dir (and
+    `preprocess` --work-dir) before looking at the input."""
     missing = tmp_path / f"absent.{ext}"
     assert run(_verb(verb, missing, tmp_path)) == 1
     _one_line_error(capsys, "No such file or directory", str(missing))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unknown_target_leaves_no_out_dir(sim_sam, tmp_path, capsys):
+    capsys.readouterr()
+    assert run(["convert", str(sim_sam), "--target", "nope", "--out-dir",
+                str(tmp_path / "o")]) == 1
+    _one_line_error(capsys, "nope")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("verb", ["convert", "flagstat", "histogram",

@@ -383,37 +383,6 @@ def test_simulate_schedule_single_worker_is_total_work():
     assert simulate_schedule(costs, 1) == pytest.approx(sum(costs))
 
 
-# -- progress callbacks (autotune's completion feed) -----------------
-
-def test_map_tasks_progress_reports_every_item(executor):
-    seen = {}
-
-    def progress(index, result, elapsed):
-        seen[index] = (result, elapsed)
-
-    out = executor.map_tasks(_double, [5, 6, 7], "thread",
-                             progress=progress)
-    assert out == [10, 12, 14]
-    assert {i: r for i, (r, _) in seen.items()} == {0: 10, 1: 12, 2: 14}
-    assert all(elapsed >= 0.0 for _, elapsed in seen.values())
-
-
-def test_map_tasks_progress_exceptions_do_not_poison_results(executor):
-    def progress(_index, _result, _elapsed):
-        raise RuntimeError("observer bug")
-
-    assert executor.map_tasks(_double, [1, 2], "thread",
-                              progress=progress) == [2, 4]
-
-
-def test_map_tasks_progress_skips_failed_items(executor):
-    calls = []
-    with pytest.raises(ValueError):
-        executor.map_tasks(_boom, [1], "thread",
-                           progress=lambda *a: calls.append(a))
-    assert calls == []
-
-
 # -- friendly REPRO_EXECUTOR_WORKERS validation (satellite) ----------
 
 def test_worker_env_non_integer_names_the_value(monkeypatch):

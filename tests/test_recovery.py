@@ -373,3 +373,29 @@ def test_service_restart_reruns_interrupted_job(tmp_path, sam_file):
             "out_dir": str(out_dir / "fresh")}).job_id == "job-000008"
     finally:
         svc.close()
+
+
+def test_recovered_job_with_batch_size_auto_fails_with_the_message(
+        tmp_path, sam_file):
+    """A journal written while ``"batch_size": "auto"`` was still a
+    value: the recovered job bypasses ``submit`` and must fail with the
+    validator's sentence, not a traceback from inside a converter."""
+    import json
+
+    journal = tmp_path / "journal.jsonl"
+    journal.write_text(json.dumps({"event": "submit", "job": spec(
+        "job-000003", kind="convert",
+        params={"input": sam_file, "target": "bed",
+                "out_dir": str(tmp_path / "out"),
+                "batch_size": "auto"})}) + "\n")
+    svc = ConversionService(tmp_path / "svc", workers=1,
+                            journal_path=journal)
+    try:
+        final = svc.wait("job-000003", 30)
+    finally:
+        svc.close()
+    assert final["state"] == "failed"
+    assert final["error"].endswith("invalid batch_size value 'auto': "
+                                   "expected a positive integer")
+    assert "Traceback" not in final["error"]
+    assert not (tmp_path / "out").exists()

@@ -42,7 +42,7 @@ def read_tree(root):
 def assert_no_shard_leftovers(root):
     for _dirpath, _dirnames, filenames in os.walk(root):
         for name in filenames:
-            assert ".shard" not in name, \
+            assert ".shard" not in name and ".tail" not in name, \
                 f"leftover shard temporary {name}"
 
 
@@ -78,8 +78,8 @@ def test_binary_targets_decline_to_split(sam_file, tmp_path):
 @pytest.mark.parametrize("kind", ["sam", "range", "pick"])
 def test_resplit_never_resurrects_the_header(sam_file, bam_file,
                                              tmp_path, kind):
-    """Shard 0 of a headerless spec (a straggler's tail) stays
-    headerless, whichever spec class is re-split."""
+    """Shard 0 of a headerless spec stays headerless, whichever spec
+    class is split."""
     from dataclasses import replace
 
     from repro.core.bam_converter import BamxPickSpec, BamxRangeSpec
@@ -205,6 +205,46 @@ def test_sharded_metrics_conserve_record_counts(sam_file, tmp_path):
     assert sharded.emitted == static.emitted
 
 
+# -- One dispatch per call -------------------------------------------
+
+@pytest.mark.parametrize("tuned", [False, True], ids=["plain", "tuned"])
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_one_map_tasks_call_of_ranks_times_shards_items(
+        sam_file, tmp_path, monkeypatch, executor, tuned):
+    """A sharded call is one ``map_tasks`` over ranks x shards pieces —
+    with or without a tuner watching — and shards are numbered by plain
+    integers, in labels and spans alike."""
+    from repro.runtime.autotune import AutoTuner, CostModel
+    from repro.runtime.executor import SharedExecutor
+    from repro.runtime.tracing import Tracer, install
+
+    calls = []
+    real = SharedExecutor.map_tasks
+
+    def counting(self, fn, items, kind, **kwargs):
+        calls.append((kind, len(items), kwargs["labels"]))
+        return real(self, fn, items, kind, **kwargs)
+
+    monkeypatch.setattr(SharedExecutor, "map_tasks", counting)
+    tuner = AutoTuner(CostModel(tmp_path / "m.json")) if tuned else None
+    tracer = Tracer(enabled=True)
+    prev = install(tracer)
+    try:
+        SamConverter(shards_per_rank=3, tuner=tuner).convert(
+            sam_file, "bed", tmp_path / "out", nprocs=2,
+            executor=executor)
+    finally:
+        install(prev)
+    assert calls == [(executor, 6, [f"rank {rank} shard {shard}"
+                                    for rank in range(2)
+                                    for shard in range(3)])]
+    shards = [(s.rank, s.args["shard"]) for s in tracer.spans()
+              if s.name == "shard"]
+    assert sorted(shards) == [(rank, shard) for rank in range(2)
+                              for shard in range(3)]
+    assert all(type(shard) is int for _, shard in shards)
+
+
 # -- CLI and service surfaces ----------------------------------------
 
 def test_cli_shards_flag_byte_identical(sam_file, tmp_path, capsys):
@@ -325,15 +365,16 @@ def test_preproc_sam_converter_bamc_parts(sam_file, tmp_path):
     assert read_parts(columnar) == read_parts(static)
 
 
-# -- Straggler re-splitting: every target, forced mid-job ------------
+# -- A dispatched shard runs to completion, slow or not --------------
 
 @pytest.mark.parametrize("target", target_names())
-def test_resplit_identity_all_targets(sam_file, tmp_path, target):
-    """With a tiny budget override and an injected per-batch delay,
-    every splittable shard yields mid-job and re-splits its remaining
-    range; the final bytes must equal the static single-shard run for
-    every registered target (binary targets decline to split and just
-    run static)."""
+def test_delayed_shards_with_tuner_identity_all_targets(sam_file,
+                                                        tmp_path, target):
+    """With an injected per-batch delay, a tuner attached and three
+    shards per rank, every shard still runs to completion where it was
+    dispatched: the bytes equal the static single-shard run for every
+    registered target (binary targets decline to split and just run
+    static) and no ``.shardNN``/``.tail`` file survives."""
     from repro.runtime import faults
     from repro.runtime.autotune import AutoTuner, CostModel
 
@@ -342,15 +383,14 @@ def test_resplit_identity_all_targets(sam_file, tmp_path, target):
     faults.arm("shard.batch:delay")
     try:
         for executor in ("simulate", "thread"):
-            tuner = AutoTuner(CostModel(tmp_path / f"m-{executor}.json"),
-                              budget_override=0.001)
-            resplit = SamConverter(
+            tuner = AutoTuner(CostModel(tmp_path / f"m-{executor}.json"))
+            slow = SamConverter(
                 shards_per_rank=3, batch_size=32, tuner=tuner).convert(
-                sam_file, target, tmp_path / f"re-{executor}", nprocs=2,
+                sam_file, target, tmp_path / f"slow-{executor}", nprocs=2,
                 executor=executor)
-            assert read_parts(resplit) == read_parts(static), \
+            assert read_parts(slow) == read_parts(static), \
                 f"{target} via {executor}"
-            assert_no_shard_leftovers(tmp_path / f"re-{executor}")
+            assert_no_shard_leftovers(tmp_path / f"slow-{executor}")
     finally:
         faults.disarm()
 
@@ -398,18 +438,6 @@ GOLDEN_SPANS = {
         ("convert", "sam", "input,nprocs,target", False, 1),
         ("shard", "rank", "rank,shard,task", True, 6),
     ],
-    ("sam", "resplit"): [
-        ("autotune", "autotune", "cost_model", True, 1),
-        ("batch.pipeline", "sam",
-         "batch_size,batches,fallbacks,fastpath,records,resume_offset,"
-         "target,yielded",
-         True, 6),
-        ("batch.pipeline", "sam",
-         "batch_size,batches,fallbacks,fastpath,records,target",
-         True, 16),
-        ("convert", "sam", "input,nprocs,target", False, 1),
-        ("shard", "rank", "rank,shard,task", True, 22),
-    ],
     ("bamx", "static"): [
         ("batch.pipeline", "bam",
          "batch_size,batches,fallbacks,kernel,records,target",
@@ -426,15 +454,6 @@ GOLDEN_SPANS = {
         ("shard", "rank", "rank,shard,task", True, 6),
         ("write", "io", "out", True, 6),
     ],
-    ("bamx", "resplit"): [
-        ("autotune", "autotune", "cost_model", True, 1),
-        ("batch.pipeline", "bam",
-         "batch_size,batches,fallbacks,kernel,records,target",
-         True, 6),
-        ("convert", "bam", "nprocs,store,target", False, 1),
-        ("shard", "rank", "rank,shard,task", True, 6),
-        ("write", "io", "out", True, 6),
-    ],
     ("bamc", "static"): [
         ("batch.pipeline", "bam",
          "batch_size,batches,fallbacks,kernel,records,target",
@@ -444,15 +463,6 @@ GOLDEN_SPANS = {
         ("write", "io", "out", True, 2),
     ],
     ("bamc", "shards3"): [
-        ("batch.pipeline", "bam",
-         "batch_size,batches,fallbacks,kernel,records,target",
-         True, 6),
-        ("convert", "bam", "nprocs,store,target", False, 1),
-        ("shard", "rank", "rank,shard,task", True, 6),
-        ("write", "io", "out", True, 6),
-    ],
-    ("bamc", "resplit"): [
-        ("autotune", "autotune", "cost_model", True, 1),
         ("batch.pipeline", "bam",
          "batch_size,batches,fallbacks,kernel,records,target",
          True, 6),
@@ -495,7 +505,7 @@ def fold_sources(sam_file, bam_file, tmp_path_factory):
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("target", ["bed", "json"])
-@pytest.mark.parametrize("schedule", ["static", "shards3", "resplit"])
+@pytest.mark.parametrize("schedule", ["static", "shards3"])
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("source", ["sam", "bamx", "bamc"])
 def test_folded_paths_match_record_oracle_and_span_shape(
@@ -504,23 +514,11 @@ def test_folded_paths_match_record_oracle_and_span_shape(
     """Every executor x schedule x tracer x source combination runs the
     same task runner and chunk loop: bytes equal the record-pipeline
     single-rank oracle, and a traced run shows the golden span shape."""
-    from repro.runtime import faults
-    from repro.runtime.autotune import AutoTuner, CostModel
-    from repro.runtime.executor import reset_shared_executor
     from repro.runtime.tracing import Tracer, install
 
     sources, oracles = fold_sources
     cls, path = sources[source]
-    knobs = {}
-    if schedule != "static":
-        knobs["shards_per_rank"] = 3
-    if schedule == "resplit":
-        knobs.update(batch_size=64, tuner=AutoTuner(
-            CostModel(tmp_path / "m.json"), budget_override=0.001))
-        faults.arm("shard.batch:delay")
-        # Pool workers must fork after arming to see the fault (and be
-        # discarded afterwards so they do not leak it).
-        reset_shared_executor()
+    knobs = {} if schedule == "static" else {"shards_per_rank": 3}
     tracer = Tracer(enabled=traced)
     prev = install(tracer)
     try:
@@ -528,9 +526,6 @@ def test_folded_paths_match_record_oracle_and_span_shape(
                                       nprocs=2, executor=executor)
     finally:
         install(prev)
-        if schedule == "resplit":
-            faults.disarm()
-            reset_shared_executor()
     produced = b"".join(open(p, "rb").read() for p in result.outputs)
     assert produced == oracles[source, target]
     assert_no_shard_leftovers(tmp_path / "out")

@@ -12,8 +12,8 @@ import pytest
 from repro.errors import RuntimeLayerError
 from repro.runtime.tracing import Span, Tracer, _NULL_SPAN, \
     format_summary, format_tree, get_tracer, install, read_jsonl, \
-    spans_from_dicts, to_chrome_events, traced, write_chrome, \
-    write_jsonl, write_trace
+    spans_from_dicts, to_chrome_events, write_chrome, write_jsonl, \
+    write_trace
 
 
 # ---------------------------------------------------------------------
@@ -144,23 +144,6 @@ def test_install_returns_previous():
     finally:
         assert install(prev) is tracer
     assert get_tracer() is prev
-
-
-def test_traced_decorator_resolves_at_call_time():
-    @traced("fn.work", "test")
-    def work(x):
-        return x * 2
-
-    tracer = Tracer()
-    prev = install(tracer)
-    try:
-        assert work(21) == 42
-    finally:
-        install(prev)
-    assert work(1) == 2                  # disabled path after restore
-    spans = tracer.spans()
-    assert [s.name for s in spans] == ["fn.work"]
-    assert spans[0].category == "test"
 
 
 def test_ingest_remaps_ids_and_attaches_parent():
