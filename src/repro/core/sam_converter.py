@@ -2,10 +2,12 @@
 
 Execution flow: the input SAM dataset is partitioned by byte range with
 Algorithm 1 (every partition starts at a record boundary), each rank
-streams its partition through the read buffer, parses SAM text lines
-into alignment objects, hands them to the user program (a target
-plugin), and writes the converted target objects to its own output
-file.  After partitioning there is no inter-rank communication.
+streams its partition through the read buffer, parses SAM text —
+a slab of lines at a time into columns (:func:`~repro.formats.sam.
+slab_columns`), or, on the record pipeline, line by line into
+alignment objects — hands it to the user program (a target plugin),
+and writes the converted target objects to its own output file.  After
+partitioning there is no inter-rank communication.
 """
 
 from __future__ import annotations
@@ -15,11 +17,14 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+import numpy as np
+
+from ..errors import SamFormatError
 from ..formats.batch import DEFAULT_BATCH_SIZE, convert_records, \
     convert_sam_lines, parse_sam_lines, sam_fastpath_for
 from ..formats.header import SamHeader
 from ..formats.record import AlignmentRecord
-from ..formats.sam import parse_alignment
+from ..formats.sam import parse_alignment, slab_columns, slab_emitter_for
 from ..runtime import faults
 from ..runtime.autotune import AutoTuner
 from ..runtime.buffers import RangeLineReader
@@ -105,46 +110,88 @@ class SamRankSpec(ShardableSpec):
                                          self.end, n) if p.length > 0]
 
 
+def _line_slabs(reader: RangeLineReader,
+                batch_size: int) -> Iterator[tuple[int, bytes]]:
+    """Cut the reader's blocks by newline position into ``(file
+    offset, bytes)`` slabs of up to *batch_size* whole lines: what one
+    ``slab_columns`` call takes — its temporaries are several times
+    the slab's bytes, so never a whole read chunk."""
+    for offset, block in reader.iter_blocks():
+        newlines = np.flatnonzero(np.frombuffer(block, np.uint8) == 10)
+        cuts = [0, *(newlines[batch_size - 1::batch_size] + 1).tolist()]
+        if cuts[-1] != len(block):
+            cuts.append(len(block))
+        for lo, hi in zip(cuts, cuts[1:]):
+            faults.fire("shard.batch")
+            yield offset + lo, block[lo:hi]
+
+
+def _slab_lines(data: bytes) -> list[str]:
+    return data.decode("ascii").removesuffix("\n").split("\n")
+
+
 def _sam_rank_task(spec: SamRankSpec) -> RankMetrics:
-    """One rank of the SAM converter: read range -> parse -> emit."""
+    """One rank of the SAM converter: read range -> slabs of lines ->
+    columns (or, where a slab is not proven canonical, lines) -> emit."""
     t0 = time.perf_counter()
     metrics = RankMetrics()
     header = SamHeader.from_text(spec.header_text)
     target = bind_target(get_target(spec.target), header)
     reader = RangeLineReader(spec.sam_path, spec.start, spec.end,
                              chunk_size=spec.read_chunk, metrics=metrics)
+    emit = slab_emitter_for(target) if spec.pipeline == "batch" else None
 
-    def parsed(lines):
-        return (parse_alignment(line) for line in lines
+    def parsed(data):
+        return (parse_alignment(line) for line in _slab_lines(data)
                 if line and line[0] != "@")
 
-    def record_chunk(lines, out):
-        return *convert_records(parsed(lines), target,
-                                spec.record_filter, out), 0
+    def convert(data, out):
+        if target.mode == "binary":
+            out.extend(parsed(data))
+            return 0, 0, 0
+        if emit is None:
+            return *convert_records(parsed(data), target,
+                                    spec.record_filter, out), 1
+        slab = slab_columns(data)
+        if slab is None:    # not proven: line by line, and counted
+            return *convert_sam_lines(
+                _slab_lines(data), target, sam_fastpath_for(target),
+                spec.record_filter, out)[:2], 1
+        lines, seen = emit(slab, spec.record_filter)
+        out.extend(lines)
+        return seen, len(lines), 0
 
+    def convert_chunk(chunk, out):
+        offset, data = chunk
+        try:
+            return convert(data, out)
+        except SamFormatError:
+            # Say where: re-walk the failing slab line by line.
+            for line in data.split(b"\n"):
+                try:
+                    convert(line, [])
+                except SamFormatError as exc:
+                    raise SamFormatError(
+                        f"line at byte offset {offset}: {exc}",
+                        source=spec.sam_path) from None
+                offset += len(line) + 1
+            raise
+
+    slabs = _line_slabs(reader, spec.batch_size)
     if target.mode == "binary":
+        def records():
+            for chunk in slabs:
+                batch: list[AlignmentRecord] = []
+                convert_chunk(chunk, batch)
+                yield from batch
         write_bam_records(spec.out_path, header,
-                          spec.record_filter.apply(parsed(reader)),
-                          metrics)
-    elif spec.pipeline == "batch":
-        fast_emit = sam_fastpath_for(target)
-
-        def batches():
-            for lines in reader.iter_batches(spec.batch_size):
-                faults.fire("shard.batch")
-                yield lines
-
-        write_text_chunks(
-            spec, target, header, batches(),
-            record_chunk if fast_emit is None else
-            lambda lines, out: convert_sam_lines(
-                lines, target, fast_emit, spec.record_filter, out),
-            metrics, "sam", {"fastpath": fast_emit is not None},
-            "fallbacks")
+                          spec.record_filter.apply(records()), metrics)
     else:
-        write_text_chunks(spec, target, header,
-                          reader.iter_batches(spec.batch_size),
-                          record_chunk, metrics, "sam", None)
+        batch = spec.pipeline == "batch"
+        write_text_chunks(
+            spec, target, header, slabs, convert_chunk, metrics, "sam",
+            {"kernel": emit is not None} if batch else None,
+            "fallbacks" if batch else None)
     return finish_rank_metrics(metrics, t0)
 
 
@@ -158,9 +205,10 @@ class SamConverter:
     batch_size:
         Records per batch through the chunk-level codecs.
     pipeline:
-        ``"batch"`` (default) runs the chunk-level codecs with
-        per-target fastpaths; ``"record"`` keeps the strict
-        record-at-a-time path.  Outputs are byte-identical.
+        ``"batch"`` (default) converts slabs of lines from their
+        columns, line by line where a slab is not provably canonical;
+        ``"record"`` keeps the strict record-at-a-time path.  Outputs
+        are byte-identical.
     shards_per_rank:
         Over-decomposition factor: each rank's range is split into up
         to this many shards pulled dynamically by the shared worker

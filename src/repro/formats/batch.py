@@ -3,10 +3,12 @@
 The per-record pipeline materializes every alignment as an
 :class:`~repro.formats.record.AlignmentRecord` — a dataclass built from
 a fully parsed CIGAR and tag list — even when the target format needs
-three of its eleven columns.  This module is the batched alternative the
-converters' hot loops run by default (``pipeline="batch"``):
+three of its eleven columns.  This module is the batched layer under
+the converters' hot loops (``pipeline="batch"``):
 
-* **SAM column fastpaths** — one tab-split per line, then a per-target
+* **SAM column fastpaths** — the per-line tier a slab of SAM text
+  takes when :func:`~.sam.slab_columns` cannot prove it canonical:
+  one tab-split per line, then a per-target
   emitter over the raw columns.  Only the columns the target consumes
   are converted (``int`` on FLAG/POS, a span scan over the CIGAR text);
   no record object is built.  Anything the fast emitter cannot prove it

@@ -11,11 +11,18 @@ from __future__ import annotations
 import io
 import os
 from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from ..errors import SamFormatError
-from .cigar import format_cigar, parse_cigar
+from .cigar import CIGAR_OPS, REF_CONSUMING, format_cigar, parse_cigar
 from .header import SamHeader
+from .kernels import MATE_SUFFIX, slab_filter_mask
+from .ragged import ragged_index, segment_sums
 from .record import UNMAPPED_POS, AlignmentRecord
+from .seq import reverse_complement
 from .tags import format_tags, parse_tags
 
 #: Number of mandatory columns in a SAM alignment line.
@@ -112,16 +119,28 @@ class SamReader:
             self.source_name = getattr(source, "name", "<stream>")
         self._validate = validate
         self._lineno = 0
-        self._pending: str | None = None
+        self._lines = self._read_lines()
+        self._pending: list[str] = []
         header_lines = []
-        for line in self._stream:
-            self._lineno += 1
+        for line in self._lines:
             if line.startswith("@"):
                 header_lines.append(line)
             else:
-                self._pending = line
+                self._pending = [line]
                 break
         self.header = SamHeader.from_text("".join(header_lines))
+
+    def _read_lines(self) -> Iterator[str]:
+        """The stream's lines, counted; a non-ASCII byte is a typed
+        error, not the codec's."""
+        try:
+            for line in self._stream:
+                self._lineno += 1
+                yield line
+        except UnicodeDecodeError as exc:
+            raise SamFormatError(
+                f"non-ASCII byte 0x{exc.object[exc.start]:02x} after "
+                f"line {self._lineno}", source=self.source_name) from None
 
     def __enter__(self) -> "SamReader":
         return self
@@ -135,17 +154,11 @@ class SamReader:
             self._stream.close()
 
     def __iter__(self) -> Iterator[AlignmentRecord]:
-        if self._pending is not None:
-            line, self._pending = self._pending, None
+        pending, self._pending = self._pending, []
+        for line in chain(pending, self._lines):
             if line.strip():
                 yield parse_alignment(line, lineno=self._lineno,
                                       validate=self._validate)
-        for line in self._stream:
-            self._lineno += 1
-            if not line.strip():
-                continue
-            yield parse_alignment(line, lineno=self._lineno,
-                                  validate=self._validate)
 
 
 class SamWriter:
@@ -207,3 +220,276 @@ def write_sam(path: str | os.PathLike[str], header: SamHeader | None,
     """Write *records* (with optional header) to *path*; return count."""
     with SamWriter(path, header) as writer:
         return writer.write_all(records)
+
+
+# --------------------------------------------------------------------------
+# SAM text -> columns without records
+# --------------------------------------------------------------------------
+
+@dataclass(slots=True)
+class TextSlab:
+    """A block of proven-canonical alignment lines as columns.
+
+    *text* is the block (every line newline-terminated); column *c* of
+    line *i* is ``text[lo[c][i]:hi[c][i]]`` for the eleven mandatory
+    columns, its tags (tab-joined, maybe empty)
+    ``text[tags_lo[i]:line_hi[i]]`` and the whole line
+    ``text[lo[0][i]:line_hi[i]]``.  The numeric columns are ``int64``
+    arrays with the record's conventions: 0-based *pos* / *pnext*
+    (-1 unplaced), *end_pos* = ``AlignmentRecord.end``, *l_seq* 0
+    for a ``*`` SEQ.
+    """
+
+    text: str
+    count: int
+    flag: np.ndarray
+    pos: np.ndarray
+    mapq: np.ndarray
+    pnext: np.ndarray
+    tlen: np.ndarray
+    end_pos: np.ndarray
+    l_seq: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    tags_lo: np.ndarray
+    line_hi: np.ndarray
+
+    def column(self, c: int, idx: np.ndarray | None = None) -> list[str]:
+        """Texts of mandatory column *c* (of the lines *idx*)."""
+        lo, hi = self.lo[c], self.hi[c]
+        if idx is not None:
+            lo, hi = lo[idx], hi[idx]
+        text = self.text
+        return [text[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
+
+
+#: Byte classes of CIGAR text: 1 digit, 2 operation, 3 operation that
+#: consumes the reference, 0 anything else.
+_CIGAR_CLASS = np.zeros(256, np.uint8)
+_CIGAR_CLASS[48:58] = 1
+for _op in CIGAR_OPS:
+    _CIGAR_CLASS[ord(_op)] = 3 if _op in REF_CONSUMING else 2
+#: ``_ALNUM[b]``: 1 letter, 2 digit, 0 other; ``_HEX``: uppercase hex.
+_ALNUM = np.zeros(256, np.uint8)
+_ALNUM[48:58] = 2
+_ALNUM[65:91] = _ALNUM[97:123] = 1
+_HEX = np.zeros(256, bool)
+_HEX[48:58] = _HEX[65:71] = True
+_TAG_TYPE = np.zeros(256, bool)
+_TAG_TYPE[[65, 72, 90, 105]] = True          # A H Z i
+_POW10 = 10 ** np.arange(10, dtype=np.int64)
+
+
+def _decimals(a: np.ndarray, lo: np.ndarray,
+              hi: np.ndarray) -> np.ndarray | None:
+    """Values of the decimals ``a[lo:hi]``; ``None`` unless each is
+    1-10 digits with no leading zero (so ``str(value)`` is the text)."""
+    width = hi - lo
+    if width.min() < 1 or width.max() > 10 \
+            or ((a[lo] == 48) & (width > 1)).any():
+        return None
+    value = np.zeros(lo.shape, np.int64)
+    for k in range(int(width.max())):
+        at = hi - (k + 1)
+        live = at >= lo
+        digit = a[np.where(live, at, lo)] - np.uint8(48)  # wraps below "0"
+        if ((digit > 9) & live).any():
+            return None
+        value += np.where(live, digit, 0) * _POW10[k]
+    return value
+
+
+def _cigar_spans(a: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> np.ndarray | None:
+    """Reference span of every CIGAR ``a[lo:hi]`` (``*`` spans 0), or
+    ``None`` unless each is ``*`` or ``([1-9][0-9]{0,7}[MIDNSHP=X])+``:
+    one walk over all CIGAR bytes of the block, a digit weighing
+    ``10 ** (distance to its operation - 1)``."""
+    width = hi - lo
+    if width.min() < 1:
+        return None
+    width = np.where((width == 1) & (a[lo] == 42), 0, width)
+    ends = np.cumsum(width)
+    total = int(ends[-1])
+    if not total:
+        return np.zeros(lo.shape, np.int64)
+    c = a[ragged_index(lo, width, np.int64)]
+    cls = _CIGAR_CLASS[c]
+    is_op = cls > 1
+    # Every CIGAR ends in an operation, so digit runs never span two.
+    if not cls.all() or not is_op[ends[width > 0] - 1].all():
+        return None
+    ops = np.flatnonzero(is_op)
+    run = np.diff(ops, prepend=-1) - 1       # digits before each op
+    if run.min() < 1 or run.max() > 8 or (c[ops - run] == 48).any():
+        return None
+    nxt = ops[np.cumsum(is_op) - is_op]      # each byte's operation
+    weight = np.where(is_op | (cls[nxt] != 3), 0,
+                      _POW10[nxt - np.arange(total) - 1])
+    return segment_sums((c - np.uint8(48)) * weight, width)
+
+
+def _canonical_tags(a: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray) -> bool:
+    """Whether every tag field ``a[lo:hi]`` is one :func:`parse_tag` /
+    ``to_sam`` round-trips: ``XX:A:c``, ``XX:i:`` canonical integer,
+    ``XX:Z:`` anything printable, ``XX:H:`` uppercase hex pairs."""
+    if not len(lo):
+        return True
+    if (hi - lo).min() < 5:
+        return False
+    kind = a[lo + 3]
+    if not ((_ALNUM[a[lo]] == 1) & (_ALNUM[a[lo + 1]] > 0)
+            & (a[lo + 2] == 58) & (a[lo + 4] == 58)
+            & _TAG_TYPE[kind]).all() \
+            or ((kind == 65) & (hi - lo != 6)).any():
+        return False
+    ints = kind == 105
+    vlo, vhi = lo[ints] + 5, hi[ints]
+    if (vlo >= vhi).any():
+        return False
+    signed = a[vlo] == 45
+    vlo = vlo + signed
+    if (vlo >= vhi).any() or (_ALNUM[a[ragged_index(
+            vlo, vhi - vlo, np.int64)]] != 2).any() \
+            or ((a[vlo] == 48) & (signed | (vhi - vlo > 1))).any():
+        return False
+    hexes = kind == 72
+    vlo, width = lo[hexes] + 5, hi[hexes] - lo[hexes] - 5
+    return not (width & 1).any() \
+        and bool(_HEX[a[ragged_index(vlo, width, np.int64)]].all())
+
+
+def slab_columns(buf: bytes) -> TextSlab | None:
+    """A block of whole SAM alignment lines as a :class:`TextSlab` — or
+    ``None`` unless every line is proven *canonical*, i.e.
+    ``format_alignment(parse_alignment(line)) == line`` (the rules are
+    tabled in ``docs/formats.md``): then a line is its own SAM output
+    and its columns are the record's fields.  On ``None`` the caller
+    takes the per-line path, which reproduces the record pipeline's
+    output or its typed error.
+    """
+    if not buf.endswith(b"\n"):
+        buf += b"\n"
+    a = np.frombuffer(buf, np.uint8)
+    sep = np.flatnonzero(a < 32)
+    kind = a[sep]
+    if a.max() > 126 or ((kind != 9) & (kind != 10)).any():
+        return None
+    eol = np.flatnonzero(kind == 10)         # index in sep of each "\n"
+    first = np.concatenate(([0], eol[:-1] + 1))   # ... of its first sep
+    line_hi = sep[eol]
+    line_lo = np.concatenate(([0], line_hi[:-1] + 1))
+    if (eol - first).min() < MANDATORY_COLUMNS - 1 \
+            or (a[line_lo] == 64).any():
+        return None       # a short or blank line, or a header line
+    hi = sep[first + np.arange(MANDATORY_COLUMNS)[:, None]]
+    lo = np.concatenate((line_lo[None], hi[:-1] + 1))
+    numbers = (1, 3, 4, 7, 8)                # FLAG POS MAPQ PNEXT TLEN
+    num_lo, num_hi = lo[numbers, :], hi[numbers, :]
+    negative = a[num_lo[4]] == 45            # "-" only on TLEN
+    num_lo[4] += negative
+    value = _decimals(a, num_lo, num_hi)
+    if value is None or (negative & (value[4] == 0)).any():
+        return None
+    span = _cigar_spans(a, lo[5], hi[5])
+    l_seq, qual_width = hi[9] - lo[9], hi[10] - lo[10]
+    tag_tab = ragged_index(first + MANDATORY_COLUMNS - 1,
+                           eol - first - (MANDATORY_COLUMNS - 1),
+                           np.int64)
+    # SEQ is not empty; QUAL is "*" or as long as SEQ.
+    if span is None or l_seq.min() < 1 \
+            or ((qual_width != l_seq)
+                & ((qual_width != 1) | (a[lo[10]] != 42))).any() \
+            or not _canonical_tags(a, sep[tag_tab] + 1, sep[tag_tab + 1]):
+        return None
+    flag, pos1, mapq, pnext1, tlen = value
+    pos = np.where(pos1 > 0, pos1 - 1, UNMAPPED_POS)
+    return TextSlab(
+        buf.decode("ascii"), len(eol), flag, pos, mapq,
+        np.where(pnext1 > 0, pnext1 - 1, UNMAPPED_POS),
+        np.where(negative, -tlen, tlen),
+        np.where(pos < 0, UNMAPPED_POS, pos + np.where(span > 0, span, 1)),
+        np.where((l_seq == 1) & (a[lo[9]] == 42), 0, l_seq),
+        lo, hi, np.minimum(hi[10] + 1, line_hi), line_hi)
+
+
+# Emitters over a TextSlab: ``fn(slab, record_filter) -> (lines, seen)``,
+# the contract of the :mod:`.kernels` emitters.
+
+def _kept(slab: TextSlab, record_filter,
+          keep: np.ndarray | None = None) -> tuple[np.ndarray | None, int]:
+    """Indices of the lines to emit — those passing *record_filter*
+    and the target's own *keep* mask, ``None`` meaning all — and how
+    many passed the filter."""
+    seen = slab.count
+    base = slab_filter_mask(slab, record_filter)  # reads flag and mapq
+    if base is not None:
+        seen = int(np.count_nonzero(base))
+        keep = base if keep is None else keep & base
+    return None if keep is None else np.flatnonzero(keep), seen
+
+
+def _emit_bed(slab: TextSlab, record_filter) -> tuple[list[str], int]:
+    idx, seen = _kept(slab, record_filter,
+                      ((slab.flag & 0x4) == 0) & (slab.pos >= 0))
+    return [f"{r}\t{p}\t{e}\t{n}\t{q}\t{'-' if f & 0x10 else '+'}"
+            for r, p, e, n, q, f in zip(
+                slab.column(2, idx), slab.pos[idx].tolist(),
+                slab.end_pos[idx].tolist(), slab.column(0, idx),
+                np.minimum(slab.mapq[idx], 1000).tolist(),
+                slab.flag[idx].tolist())], seen
+
+
+def _emit_bedgraph(slab: TextSlab, record_filter) -> tuple[list[str], int]:
+    idx, seen = _kept(slab, record_filter,
+                      ((slab.flag & 0x4) == 0) & (slab.pos >= 0))
+    return [f"{r}\t{p}\t{e}\t1" for r, p, e in zip(
+        slab.column(2, idx), slab.pos[idx].tolist(),
+        slab.end_pos[idx].tolist())], seen
+
+
+def _emit_fasta(slab: TextSlab, record_filter) -> tuple[list[str], int]:
+    idx, seen = _kept(slab, record_filter, slab.l_seq > 0)
+    return [f">{n}{MATE_SUFFIX[(f >> 6) & 3]}\n"
+            f"{reverse_complement(s) if f & 0x10 else s}"
+            for n, f, s in zip(slab.column(0, idx),
+                               slab.flag[idx].tolist(),
+                               slab.column(9, idx))], seen
+
+
+def _emit_fastq(slab: TextSlab, record_filter) -> tuple[list[str], int]:
+    idx, seen = _kept(slab, record_filter,
+                      ((slab.flag & 0x900) == 0) & (slab.l_seq > 0))
+    lines = []
+    for n, f, s, q in zip(slab.column(0, idx), slab.flag[idx].tolist(),
+                          slab.column(9, idx), slab.column(10, idx)):
+        if q == "*":
+            q = "!" * len(s)
+        if f & 0x10:
+            s, q = reverse_complement(s), q[::-1]
+        lines.append(f"@{n}{MATE_SUFFIX[(f >> 6) & 3]}\n{s}\n+\n{q}")
+    return lines, seen
+
+
+def _emit_sam(slab: TextSlab, record_filter) -> tuple[list[str], int]:
+    """A proven line is its own output."""
+    idx, seen = _kept(slab, record_filter)
+    if idx is None:
+        return slab.text[:-1].split("\n"), seen
+    text = slab.text
+    return [text[a:b] for a, b in zip(slab.lo[0][idx].tolist(),
+                                      slab.line_hi[idx].tolist())], seen
+
+
+_SLAB_EMITTERS = {"bed": _emit_bed, "bedgraph": _emit_bedgraph,
+                  "fasta": _emit_fasta, "fastq": _emit_fastq,
+                  "sam": _emit_sam}
+
+
+def slab_emitter_for(target):
+    """The :class:`TextSlab` emitter of *target*, or ``None`` if it
+    needs records."""
+    if getattr(target, "mode", "text") != "text":
+        return None
+    return _SLAB_EMITTERS.get(getattr(target, "name", None))

@@ -14,7 +14,7 @@ import os
 import time
 from collections.abc import Iterator
 
-from ..errors import PartitionError
+from ..errors import PartitionError, SamFormatError
 from .metrics import RankMetrics
 
 #: Default read-buffer capacity (4 MiB).
@@ -43,11 +43,15 @@ class RangeLineReader:
         self.chunk_size = chunk_size
         self.metrics = metrics or RankMetrics()
 
-    def __iter__(self) -> Iterator[str]:
+    def iter_blocks(self) -> Iterator[tuple[int, bytes]]:
+        """Yield ``(file offset, block)`` pairs: consecutive blocks of
+        whole lines, each ending in its newline — one per disk chunk
+        that completes a line — except a final unterminated line.
+        The one read loop: metered reads, the unfinished tail carried
+        into the next block, and the check that SAM text is ASCII.
+        """
         remaining = self.end - self.start
-        if remaining == 0:
-            return
-        tail = b""
+        offset, tail = self.start, b""
         with open(self.path, "rb") as fh:
             fh.seek(self.start)
             while remaining > 0:
@@ -58,48 +62,54 @@ class RangeLineReader:
                     break
                 self.metrics.bytes_read += len(chunk)
                 remaining -= len(chunk)
-                data = tail + chunk
-                lines = data.split(b"\n")
-                tail = lines.pop()
-                for line in lines:
-                    yield line.decode("ascii")
+                cut = chunk.rfind(b"\n") + 1
+                if not cut:
+                    tail += chunk
+                    continue
+                # One copy of the data alive at a time, not three: a
+                # rank's peak memory is a gated benchmark metric.
+                block = b"".join((tail, memoryview(chunk)[:cut]))
+                tail = chunk[cut:]
+                del chunk
+                yield offset, self._ascii(offset, block)
+                offset += len(block)
+                del block
         if tail:
-            yield tail.decode("ascii")
+            yield offset, self._ascii(offset, tail)
+
+    def _ascii(self, offset: int, block: bytes) -> bytes:
+        if not block.isascii():
+            at = next(i for i, b in enumerate(block) if b > 0x7F)
+            raise SamFormatError(
+                f"non-ASCII byte 0x{block[at]:02x} at offset {offset + at}",
+                source=self.path)
+        return block
+
+    def _line_lists(self) -> Iterator[list[str]]:
+        """The lines of each block, decoded and split in one pass."""
+        for _, block in self.iter_blocks():
+            lines = block.decode("ascii").split("\n")
+            if not lines[-1]:
+                lines.pop()     # the block ended in its newline
+            yield lines
+
+    def __iter__(self) -> Iterator[str]:
+        for lines in self._line_lists():
+            yield from lines
 
     def iter_batches(self, batch_size: int) -> Iterator[list[str]]:
-        """Yield lists of up to *batch_size* complete lines.
-
-        The batched counterpart of ``__iter__``: each disk chunk is
-        decoded and split in one pass (both C-speed) instead of
-        decoding line by line, and lines reach the caller in lists so
-        the per-line Python iteration happens once, in the codec.
-        """
+        """Yield lists of up to *batch_size* complete lines (only the
+        last may be short), so the per-line Python iteration happens
+        once, in the codec."""
         if batch_size < 1:
             raise PartitionError(f"batch size must be >= 1, "
                                  f"got {batch_size}")
-        remaining = self.end - self.start
-        if remaining == 0:
-            return
-        tail = ""
         pending: list[str] = []
-        with open(self.path, "rb") as fh:
-            fh.seek(self.start)
-            while remaining > 0:
-                t0 = time.perf_counter()
-                chunk = fh.read(min(self.chunk_size, remaining))
-                self.metrics.io_seconds += time.perf_counter() - t0
-                if not chunk:
-                    break
-                self.metrics.bytes_read += len(chunk)
-                remaining -= len(chunk)
-                lines = (tail + chunk.decode("ascii")).split("\n")
-                tail = lines.pop()
-                pending.extend(lines)
-                while len(pending) >= batch_size:
-                    yield pending[:batch_size]
-                    del pending[:batch_size]
-        if tail:
-            pending.append(tail)
+        for lines in self._line_lists():
+            pending.extend(lines)
+            while len(pending) >= batch_size:
+                yield pending[:batch_size]
+                del pending[:batch_size]
         if pending:
             yield pending
 

@@ -57,7 +57,7 @@ POINTS = (
     "journal.append",     # JobJournal.append, around the write
     "scheduler.attempt",  # WorkerPool, at the start of each attempt
     "gateway.dispatch",   # Dispatcher.dispatch, before op routing
-    "shard.batch",        # SAM batch pipeline, once per record batch
+    "shard.batch",        # SAM converter, once per slab of lines
     "preprocess.rank",    # BAM preprocessing, each inflate/encode rank
 )
 

@@ -40,7 +40,8 @@ class RankMetrics:
     bytes_written: int = 0
     records: int = 0
     emitted: int = 0
-    #: Lines the batch pipeline degraded to the per-record path.
+    #: Slabs the batch pipeline degraded: SAM text to the per-line path,
+    #: BAM preprocessing to decoded records.
     fallbacks: int = 0
     #: Columnar slabs the kernel layer degraded to the record path.
     kernel_fallbacks: int = 0

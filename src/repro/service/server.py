@@ -275,8 +275,8 @@ class ConversionService:
     def _note_fallbacks(self, result: ConversionResult) -> None:
         """Roll a job's pipeline degradations into the service counters.
 
-        ``batch_fallbacks`` counts lines the SAM batch pipeline pushed
-        through the per-record path; ``kernel_fallbacks`` counts
+        ``batch_fallbacks`` counts slabs of SAM lines the batch pipeline
+        converted line by line; ``kernel_fallbacks`` counts
         columnar slabs the kernel layer handed to the record driver.
         Both show up in ``repro status --metrics``.
         """

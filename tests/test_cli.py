@@ -313,6 +313,23 @@ def test_missing_input_is_a_one_line_error(verb, ext, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [
+    ["convert"], ["convert", "--target", "sam", "--pipeline", "record"],
+    ["convert", "--target", "bam", "--nprocs", "2"],
+    ["flagstat"], ["flagstat", "--nprocs", "2"], ["sort", "--nprocs", "2"],
+    ["sort"], ["histogram"]])
+def test_non_ascii_input_is_a_one_line_error(args, sim_sam, tmp_path,
+                                             capsys):
+    """A stray UTF-8 read name used to end in a raw UnicodeDecodeError
+    traceback from whichever reader met it."""
+    with open(sim_sam, "ab") as fh:
+        fh.write(b"r\xc3\xa9ad\t0\tchrA\t5\t60\t4M\t*\t0\t0\tACGT\tIIII\n")
+    capsys.readouterr()
+    verb, *extra = args
+    assert run([*_verb(verb, sim_sam, tmp_path), *extra]) == 1
+    _one_line_error(capsys, str(sim_sam), "non-ASCII byte 0xc3")
+
+
 def test_unknown_target_leaves_no_out_dir(sim_sam, tmp_path, capsys):
     capsys.readouterr()
     assert run(["convert", str(sim_sam), "--target", "nope", "--out-dir",

@@ -147,3 +147,26 @@ def test_invalid_target_rejected_before_work(tmp_path, sam_file):
 def test_convenience_wrapper(tmp_path, sam_file):
     result = convert_sam(sam_file, "bed", tmp_path / "o", nprocs=2)
     assert result.nprocs == 2
+
+
+@pytest.mark.parametrize("pipeline", ["batch", "record"])
+@pytest.mark.parametrize("target", ["bed", "sam", "bam"])
+def test_malformed_line_is_located(tmp_path, workload, pipeline, target):
+    """Errors say where: the bad line sits in rank 1 of 3 and the
+    message carries its file offset, identically from both pipelines."""
+    from repro.errors import SamFormatError
+    from repro.formats.sam import format_alignment
+    _, header, records = workload
+    lines = [format_alignment(r) for r in records[:90]]
+    lines[45] = "\t".join(lines[45].split("\t")[:10])
+    text = header.to_text() + "".join(line + "\n" for line in lines)
+    path = tmp_path / "bad.sam"
+    path.write_bytes(text.encode("ascii"))
+    at = text.index(lines[45])
+    assert len(text) // 3 < at < 2 * len(text) // 3
+    with pytest.raises(SamFormatError) as info:
+        SamConverter(pipeline=pipeline).convert(
+            str(path), target, tmp_path / "out", nprocs=3)
+    assert str(info.value) == (
+        f"{path}: line at byte offset {at}: alignment line has 10 "
+        f"columns, expected >= 11")

@@ -426,14 +426,14 @@ _SHAPE_SPANS = ("rank", "shard", "write", "batch.pipeline", "autotune")
 GOLDEN_SPANS = {
     ("sam", "static"): [
         ("batch.pipeline", "sam",
-         "batch_size,batches,fallbacks,fastpath,records,target",
+         "batch_size,batches,fallbacks,kernel,records,target",
          True, 2),
         ("convert", "sam", "input,nprocs,target", False, 1),
         ("rank", "rank", "task", True, 2),
     ],
     ("sam", "shards3"): [
         ("batch.pipeline", "sam",
-         "batch_size,batches,fallbacks,fastpath,records,target",
+         "batch_size,batches,fallbacks,kernel,records,target",
          True, 6),
         ("convert", "sam", "input,nprocs,target", False, 1),
         ("shard", "rank", "rank,shard,task", True, 6),
