@@ -6,13 +6,16 @@ radius r in {20, 80, 320}; sequential times 10213 s / 41010 s /
 parallelization overhead is replicating the small (r + l) halo — and
 larger r scales slightly better (more compute per replicated byte).
 
-Scaled here: bin count reduced so each sweep runs in seconds; the
-per-rank work model is unchanged.
-
-Beside the modelled curves (``simulate`` executor: ranks timed one at a
-time, fed to the cluster model) the report prints the measured wall of
-the same call on 1 and 2 real ranks (``thread`` / ``process``), every
-cell checked bitwise against the sequential kernel.
+Here: one :class:`~.common.Series` per radius, every cell bitwise equal
+to the sequential kernel.  The work per bin is the paper's; the bin
+count is scaled *per radius* (:data:`BINS`) so that one call is ~0.5 s
+whatever r — at one size for all three, r = 320 costs sixteen times
+r = 20 and either r = 20 is under the 0.2 s floor or r = 320 takes the
+whole time budget.  The price: a rank at 128 cores holds 160 bins of
+r = 320 under a 335-bin halo on each side (the paper: 5000), so the
+curves flatten in radius order at the high end and the paper's
+"larger r scales slightly better" cannot be read off them; what is
+asserted is that every radius scales through the compute-bound range.
 """
 
 from __future__ import annotations
@@ -23,74 +26,49 @@ from repro.simdata import build_histogram
 from repro.stats.nlmeans import nlmeans
 from repro.stats.nlmeans_parallel import nlmeans_parallel
 
-from .common import CONVERSION_CORES, best_of, measured_walls, report, \
-    sequential_reference, speedup_curve
+from .common import CONVERSION_CORES, Bench, assert_scales, sized, \
+    smoke_mode
 
-#: Scaled histogram size (paper: 16M bp / 25 bp = 640k bins).
-N_BINS = 40_000
-
-RADII = (20, 80, 320)
+#: Bins per search radius (paper: 16 Mbp / 25 bp = 640k for all three).
+BINS = {20: 300_000, 80: 80_000, 320: 20_000}
 HALF_PATCH = 15
 SIGMA = 10.0
 
-#: The measured cell: r = 80 over enough bins for >= 1 s sequential.
-MEASURED_BINS = 200_000
-MEASURED_RADIUS = 80
+PAPER_SEQUENTIAL_SECONDS = {20: 10213, 80: 41010, 320: 163231}
 
 
-def _measured():
-    histogram = build_histogram(MEASURED_BINS, seed=99)
-    expected = nlmeans(histogram, MEASURED_RADIUS, HALF_PATCH, SIGMA)
+def test_fig11_nlmeans_speedup():
+    bench = Bench("fig11_nlmeans")
+    series = {}
+    for radius, bins in BINS.items():
+        histogram = build_histogram(sized(bins), seed=99)
 
-    def run(_series, nprocs, executor):
-        out, _ = nlmeans_parallel(histogram, nprocs, MEASURED_RADIUS,
-                                  HALF_PATCH, SIGMA, executor)
-        assert np.array_equal(out, expected), (executor, nprocs)
+        def run(nprocs, executor):
+            out, metrics = nlmeans_parallel(histogram, nprocs, radius,
+                                            HALF_PATCH, SIGMA, executor)
+            return metrics, out
 
-    return measured_walls(run, (f"r={MEASURED_RADIUS}, "
-                                f"{MEASURED_BINS} bins",))
+        series[radius] = bench.series(
+            f"NL-means r={radius}, {len(histogram)} bins", run,
+            CONVERSION_CORES, np.ndarray.tobytes)
+        assert series[radius].fingerprint == nlmeans(
+            histogram, radius, HALF_PATCH, SIGMA).tobytes()
+    per_bin = {r: s.real["thread", 1] / sized(BINS[r])
+               for r, s in series.items()}
+    bench.report(
+        "\n\n".join(s.table() for s in series.values())
+        + "\n\nmeasured sequential cost per bin, relative to r=20: "
+        + ", ".join(f"r={r} {per_bin[r] / per_bin[20]:.1f}x"
+                    for r in series)
+        + "\npaper: sequential " + " / ".join(
+            f"{s} s" for s in PAPER_SEQUENTIAL_SECONDS.values())
+        + " (4.0x per step, Theta(N (2r+1)(2l+1))); near-linear speedup "
+          "to 128 cores")
 
-
-def _sweep():
-    histogram = build_histogram(N_BINS, seed=99)
-    # Warm up the numpy allocator before timing anything.
-    nlmeans_parallel(histogram[:4_000], 1, 20, HALF_PATCH, SIGMA)
-    curves = {}
-    for radius in RADII:
-        runs = {}
-        for nprocs in CONVERSION_CORES:
-            runs[nprocs] = best_of(
-                lambda: nlmeans_parallel(histogram, nprocs, radius,
-                                         HALF_PATCH, SIGMA)[1])
-        seq = sequential_reference(runs[1])
-        curves[radius] = speedup_curve(f"NL-means r={radius}", seq, runs)
-    return curves
-
-
-def test_fig11_nlmeans_speedup(benchmark):
-    curves = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-    text = "\n\n".join(c.format_table() for c in curves.values())
-    text += (f"\n\nscaling note: {N_BINS} bins here vs 640k bins "
-             "(16 Mbp / 25 bp) in the paper; work per bin is identical")
-    text += "\n\n" + _measured()
-    report("fig11_nlmeans", text)
-
-    for radius, curve in curves.items():
-        speedups = curve.speedups()
-        assert speedups[0] == 1.0
-        assert speedups[3] > 5.0, (radius, speedups)    # 8 cores
-        assert speedups[4] > 9.0, (radius, speedups)    # 16 cores
-        # Monotone (within 2% timing tolerance) while compute-bound.
-        for a, b in zip(speedups[:5], speedups[1:5]):
-            assert b > 0.98 * a, (radius, speedups)
-    # Larger search radii (more compute per halo byte) sustain at least
-    # comparable efficiency at scale.
-    assert curves[320].speedups()[-1] >= 0.8 * curves[20].speedups()[-1]
+    if smoke_mode():
+        return
+    for curve in series.values():
+        assert_scales(curve)
     # Sequential cost ordering matches the paper: r=320 >> r=80 >> r=20
-    # (theoretical ratios 4.0 each from Theta(N(2r+1)(2l+1)); asserted
-    # with generous slack because long kernels absorb proportionally
-    # more allocator/cache noise when the whole suite runs together).
-    assert curves[320].points[0].seq_seconds > \
-        1.5 * curves[80].points[0].seq_seconds
-    assert curves[80].points[0].seq_seconds > \
-        1.5 * curves[20].points[0].seq_seconds
+    # (theoretical ratio 4.0 a step; the measured one is printed).
+    assert per_bin[320] > 2 * per_bin[80] > 4 * per_bin[20]

@@ -6,14 +6,9 @@ cores; sequential time 1164 s; measured speedups 8.30 / 16.60 / 33.15 /
 the authors attribute in part to the fused summation permutation of
 Algorithm 2 saving a global synchronization).
 
-Scaled here: fewer bins, same B = 80 simulations.  The fused-vs-unfused
-ablation quantifies the summation-permutation optimization the paper
-credits for the extra speedup.
-
-Beside the modelled curves (``simulate`` executor) the report prints the
-measured wall of the same calls, fused and unfused, on 1 and 2 real
-ranks (``thread`` / ``process``), every cell checked against
-``fdr_vectorized``.
+Here: fewer bins, same B = 80 simulations; the fused schedule and the
+unfused two-pass one as two :class:`~.common.Series`, every cell's
+result equal to ``fdr_vectorized``.
 """
 
 from __future__ import annotations
@@ -21,72 +16,51 @@ from __future__ import annotations
 from repro.simdata import build_histogram, build_simulations
 from repro.stats.fdr import fdr_parallel, fdr_vectorized
 
-from .common import FDR_CORES, format_rows, measured_walls, report, \
-    sequential_reference, speedup_curve
+from .common import Bench, assert_scales, sized, smoke_mode
 
-N_BINS = 40_000
+#: Core counts of the FDR figure (paper: 8..256; 1 and 2 sit beside the
+#: measured ranks).
+FDR_CORES = (1, 2, 8, 16, 32, 64, 128, 256)
+
+#: Scaled bin count: the fastest cell (fused, 2 ranks) is ~0.28 s.
+N_BINS = 64_000
 N_SIMULATIONS = 80
 P_T = 3.0
 
+PAPER_SPEEDUPS = dict(zip(FDR_CORES[2:],
+                          (8.30, 16.60, 33.15, 66.16, 132.14, 263.94)))
 
-def _sweep():
-    histogram = build_histogram(N_BINS, seed=5)
+
+def test_fig12_fdr_speedup():
+    histogram = build_histogram(sized(N_BINS), seed=5)
     sims = build_simulations(histogram, N_SIMULATIONS, seed=6)
-    fused_runs = {}
-    unfused_runs = {}
-    value = None
-    for nprocs in FDR_CORES:
-        result, metrics = fdr_parallel(histogram, sims, P_T, nprocs,
-                                       fused=True)
-        fused_runs[nprocs] = metrics
-        result2, metrics2 = fdr_parallel(histogram, sims, P_T, nprocs,
-                                         fused=False)
-        unfused_runs[nprocs] = metrics2
-        assert result.fdr == result2.fdr
-        value = result.fdr
-    seq = sequential_reference(fused_runs[1])
-    fused_curve = speedup_curve("FDR (fused, Algorithm 2)", seq,
-                                fused_runs)
-    unfused_curve = speedup_curve("FDR (unfused two-pass)", seq,
-                                  unfused_runs)
-    expected = fdr_vectorized(histogram, sims, P_T)
+    bench = Bench("fig12_fdr")
 
-    def run(series, nprocs, executor):
-        result, _ = fdr_parallel(histogram, sims, P_T, nprocs,
-                                 fused=series == "fused",
-                                 executor=executor)
-        assert result == expected, (series, executor, nprocs)
+    def schedule(fused):
+        def run(nprocs, executor):
+            return fdr_parallel(histogram, sims, P_T, nprocs, fused=fused,
+                                executor=executor)[::-1]
+        return run
 
-    return fused_curve, unfused_curve, value, \
-        measured_walls(run, ("fused", "unfused"))
+    fused = bench.series("FDR (fused, Algorithm 2)", schedule(True),
+                         FDR_CORES)
+    unfused = bench.series("FDR (unfused two-pass)", schedule(False),
+                           FDR_CORES)
+    assert fused.fingerprint == unfused.fingerprint \
+        == fdr_vectorized(histogram, sims, P_T)
+    bench.report(
+        f"{len(histogram)} bins x {N_SIMULATIONS} simulations (paper: 16M "
+        f"x 80, sequential 1164 s); FDR(p_t={P_T}) = "
+        f"{fused.fingerprint.fdr:.6f}\n\n"
+        f"{fused.table(PAPER_SPEEDUPS)}\n\n{unfused.table()}")
 
-
-def test_fig12_fdr_speedup(benchmark):
-    fused, unfused, value, measured = benchmark.pedantic(
-        _sweep, rounds=1, iterations=1)
-    rows = []
-    for f_point, u_point in zip(fused.points, unfused.points):
-        rows.append([f_point.nprocs, f_point.par_seconds,
-                     f_point.speedup, u_point.par_seconds,
-                     u_point.speedup])
-    text = format_rows(
-        ["cores", "fused T (s)", "fused speedup", "unfused T (s)",
-         "unfused speedup"], rows)
-    text += (f"\nFDR(p_t={P_T}) = {value:.6f}; paper speedups: 8.30 / "
-             "16.60 / 33.15 / 66.16 / 132.14 / 263.94 at 8..256 cores\n"
-             f"scaling note: {N_BINS} bins x {N_SIMULATIONS} simulations "
-             "here vs 16M bins x 80 in the paper")
-    text += "\n\n" + measured
-    report("fig12_fdr", text)
-
-    speedups = fused.speedups()
-    assert speedups[0] == 1.0
-    assert speedups[1] > 5.5      # 8 cores
-    assert speedups[2] > 10.0     # 16 cores
-    assert speedups[3] > 18.0     # 32 cores
-    for a, b in zip(speedups[:5], speedups[1:5]):
-        assert b > a
+    if smoke_mode():
+        return
     # The summation permutation (fused reduction) beats the two-pass
-    # schedule at every core count.
-    for f_point, u_point in zip(fused.points[1:], unfused.points[1:]):
-        assert f_point.par_seconds < u_point.par_seconds
+    # schedule on every real cell and on the modelled 1, 2 and 8 cores
+    # (ranks of >= 60 ms; the rest of the curve is printed).
+    assert_scales(fused)
+    for nprocs in (1, 2, 8):
+        assert fused.modelled[nprocs] < unfused.modelled[nprocs], nprocs
+    for cell, seconds in fused.real.items():
+        assert seconds < unfused.real[cell], cell

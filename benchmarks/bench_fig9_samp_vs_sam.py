@@ -5,13 +5,21 @@ from preprocessed BAMX, preprocessing cost excluded) scale better and
 run faster than the original SAM converter — on 128 cores the paper
 measures 30.8% / 24.0% / 31.0% improvements for BED / BEDGRAPH / FASTA.
 
-Both converters are pinned to the record-at-a-time pipeline: the figure
-isolates the *preprocessing* effect (binary records skip text parsing),
-which is what the paper measures.  With the batched pipeline the SAM
-converter's column fastpaths skip most of the parsing too — e.g.
-SAM -> FASTA becomes a near-passthrough of the SEQ column — so batching
-erodes the preprocessing advantage; that interaction is measured by
-fig6/fig7's pipeline comparisons, not here.
+Here: two :class:`~.common.Series`, the original converter on the SAM
+and the ``_P`` converter on its M = 8 BAMX parts, both on the default
+pipeline (the path a user takes).  A cell is the figure's whole
+workload — the file converted to BED, BEDGRAPH and FASTA in turn —
+because that is how preprocessing pays off (several conversions of one
+store) and because BAMX -> BEDGRAPH alone is under the 0.2 s floor at
+any size whose SAM preprocessing this script can afford.  Both
+converters must write byte-identical files.
+
+Two claims, two tests.  The figure's own — the ``_P`` conversion phase
+is faster — holds.  The one the figure rests on — preprocessing is
+worth doing, i.e. it is amortised within about as many conversions as
+in the paper — does not hold until SAM preprocessing joins the slab
+pipeline (ROADMAP item 3), and is a strict xfail so that it is stated
+here and fails loudly the day it starts passing.
 """
 
 from __future__ import annotations
@@ -19,108 +27,106 @@ from __future__ import annotations
 import functools
 import os
 
+import pytest
+
 from repro.core import PreprocSamConverter, SamConverter
-from repro.runtime.metrics import modeled_parallel_time
+from repro.runtime.metrics import merge_all
 
-from .common import CONVERSION_CORES, best_of, dataset_dir, \
-    format_rows, report, report_json, sam_dataset, smoke_mode
+from .common import CONVERSION_CORES, Bench, Series, dataset_dir, \
+    format_rows, parts_digest, sam_dataset, sized, smoke_mode
 
-CORES = CONVERSION_CORES
+TARGETS = ("bed", "bedgraph", "fasta")
 
-#: Shortest modelled time a side must reach before the per-point
-#: "no substantial regression" ratio is asserted on it.
-RESOLVABLE_SECONDS = 0.05
+#: Records in the SAM: the fastest cell (_P on 2 process ranks) is
+#: ~0.4 s; preprocessing them costs ~23 us a record.
+RECORDS = 260_000
+
+#: Conversions after which the paper's preprocessing has paid for
+#: itself, sequentially: 2187 s for 15.7 GB (Fig. 10), so 5224 s for
+#: the 37.5 GB of Table I, over the 3214 - 2804 = 410 s it saves per
+#: SAM -> FASTQ conversion there.
+PAPER_BREAK_EVEN = 13
 
 
 @functools.lru_cache(maxsize=None)
-def preprocessed_parts(nprocs: int = 8) -> tuple[str, ...]:
-    """Parallel-preprocess the bench SAM once (M = 8 BAMX files)."""
-    paths, _ = PreprocSamConverter().preprocess(
-        sam_dataset(), os.path.join(dataset_dir(), "samp"), nprocs)
-    return tuple(paths)
+def preprocessed_parts(records: int) -> tuple[tuple[str, ...], float]:
+    """Parallel-preprocess the bench SAM once into M = 8 BAMX files
+    (shared with the Table I script): ``(paths, sequential seconds)``."""
+    paths, metrics = PreprocSamConverter().preprocess(
+        sam_dataset(records), os.path.join(dataset_dir(), f"samp{records}"),
+        8)
+    return tuple(paths), sum(m.total_seconds for m in metrics)
 
 
-def _sweep(out_root: str):
-    sam_path = sam_dataset()
-    original = SamConverter(pipeline="record")
-    optimized = PreprocSamConverter(pipeline="record")
-    bamx_paths = list(preprocessed_parts())
-    table = {}
-    for target in ("bed", "bedgraph", "fasta"):
-        times = {}
-        for nprocs in CORES:
-            orig = best_of(lambda: original.convert(
-                sam_path, target,
-                os.path.join(out_root, f"o_{target}_{nprocs}"),
-                nprocs).rank_metrics, repeats=3)
-            opt = best_of(lambda: optimized.convert(
-                bamx_paths, target,
-                os.path.join(out_root, f"p_{target}_{nprocs}"),
-                nprocs).rank_metrics, repeats=3)
-            times[nprocs] = (modeled_parallel_time(orig),
-                             modeled_parallel_time(opt))
-        table[target] = times
-    return table
+def _three_targets(convert, out_root):
+    """``run(nprocs, executor)`` converting to every target in turn:
+    rank *i*'s metrics are its three conversions merged."""
+    def run(nprocs, executor):
+        results = [convert(target, os.path.join(out_root, target), nprocs,
+                           executor) for target in TARGETS]
+        ranks = zip(*(r.rank_metrics for r in results))
+        return [merge_all(list(rank)) for rank in ranks], \
+            [path for r in results for path in r.outputs]
+    return run
 
 
-def test_fig9_preproc_optimized_vs_original(benchmark, tmp_path):
-    table = benchmark.pedantic(_sweep, args=(str(tmp_path),),
-                               rounds=1, iterations=1)
-    rows = []
-    for target, times in table.items():
-        for nprocs, (orig, opt) in sorted(times.items()):
-            rows.append([target, nprocs, orig, opt,
-                         f"{(orig - opt) / orig:+.1%}"])
-    text = format_rows(
-        ["target", "cores", "original (s)", "preproc-opt _P (s)",
-         "improvement"], rows)
-    text += ("\npaper @128 cores: BED +30.8%, BEDGRAPH +24.0%, "
-             "FASTA +31.0%")
-    report("fig9_samp_vs_sam", text)
-    report_json("fig9_samp_vs_sam", {
-        "pipeline": "record",
-        "targets": {
-            target: {str(nprocs): {"original_seconds": round(orig, 4),
-                                   "preproc_opt_seconds": round(opt, 4)}
-                     for nprocs, (orig, opt) in sorted(times.items())}
-            for target, times in table.items()
-        },
-    })
+@functools.lru_cache(maxsize=None)
+def _sweep() -> tuple[Series, Series, float]:
+    records = sized(RECORDS)
+    sam_path = sam_dataset(records)
+    parts, preprocess_seconds = preprocessed_parts(records)
+    original, optimized = SamConverter(), PreprocSamConverter()
+    out_root = os.path.join(dataset_dir(), "fig9")
+    bench = Bench("fig9_samp_vs_sam")
+    sam = bench.series(
+        "SAM -> BED + BEDGRAPH + FASTA (original)",
+        _three_targets(lambda *a: original.convert(sam_path, *a),
+                       os.path.join(out_root, "o")),
+        CONVERSION_CORES, parts_digest)
+    samp = bench.series(
+        "8 x BAMX -> BED + BEDGRAPH + FASTA (_P)",
+        _three_targets(lambda *a: optimized.convert(list(parts), *a),
+                       os.path.join(out_root, "p")),
+        CONVERSION_CORES, parts_digest)
+    assert samp.fingerprint == sam.fingerprint
+    rows = [[n, sam.modelled[n], samp.modelled[n],
+             f"{1 - samp.modelled[n] / sam.modelled[n]:+.1%}"]
+            for n in sam.modelled]
+    bench.report(
+        f"{records} records, sequential SAM preprocessing "
+        f"{preprocess_seconds:.3f} s (not in the cells)\n\n"
+        f"{sam.table()}\n\n{samp.table()}\n\n"
+        + format_rows(["cores", "original modelled (s)",
+                       "_P modelled (s)", "improvement"], rows)
+        + "\npaper @128 cores: BED +30.8%, BEDGRAPH +24.0%, FASTA +31.0%"
+        + f"\n\npreprocessing is amortised after "
+          f"{_break_even(sam, samp, preprocess_seconds):.1f} conversions "
+          f"(paper: ~{PAPER_BREAK_EVEN})")
+    return sam, samp, preprocess_seconds
 
-    orig_total = sum(times[n][0] for times in table.values()
-                     for n in (1, 2, 4, 8))
-    opt_total = sum(times[n][1] for times in table.values()
-                    for n in (1, 2, 4, 8))
+
+def _break_even(sam: Series, samp: Series,
+                preprocess_seconds: float) -> float:
+    """Conversions until sequential preprocessing has paid for itself,
+    on the measured 1-rank walls."""
+    saved = (sam.real["thread", 1] - samp.real["thread", 1]) / len(TARGETS)
+    return preprocess_seconds / saved if saved > 0 else float("inf")
+
+
+def test_fig9_conversion_phase_is_faster_preprocessed():
+    sam, samp, _ = _sweep()
     if smoke_mode():
-        # The smoke dataset is 1/8 the size, still cut into 8 BAMX
-        # parts: every point is under 100 ms, where two best-of-3
-        # timings of the same code differ by up to 1.4x on a shared
-        # host, and the fixed cost of opening 8 stores per conversion
-        # is most of the _P side, so the win is not there to assert
-        # (measured: aggregate 0.41-0.42 s vs 0.44 s, 2 wins of 24 —
-        # the same at the commit before this gate).  Hold "no
-        # substantial regression" on the aggregate only; the table
-        # above still prints every point's absolute seconds.
-        assert opt_total < 1.25 * orig_total, (orig_total, opt_total)
         return
-    # The optimized converter's conversion phase beats the original
-    # throughout the compute-bound range (it skips text parsing), and
-    # wins overall; the highest core counts sit at millisecond scales
-    # where individual points are noise-limited.
-    for target, times in table.items():
-        # No substantial regression anywhere in the compute-bound range
-        # — at points long enough to resolve one.
-        for nprocs in (1, 2, 4, 8):
-            orig, opt = times[nprocs]
-            if min(orig, opt) >= RESOLVABLE_SECONDS:
-                assert opt < 1.25 * orig, (target, nprocs, orig, opt)
-    # The preprocessing win is asserted on the aggregate, where it is
-    # statistically stable on this host: summed over all targets and
-    # the compute-bound core range, the _P conversion phase is faster.
-    # (Per-point margins are ~5-10% in Python — str.split is already
-    # C-speed — versus the paper's 24-31%; see EXPERIMENTS.md.)
-    assert opt_total < orig_total, (orig_total, opt_total)
-    wins = sum(1 for times in table.values()
-               for orig, opt in times.values() if opt < orig)
-    total_points = sum(len(times) for times in table.values())
-    assert wins > total_points // 2, (wins, total_points)
+    # Faster on every measured cell and on the modelled 1 and 2 cores
+    # (ranks of >= 0.3 s; the rest of the curve is printed).
+    for cell, seconds in samp.real.items():
+        assert seconds < sam.real[cell], (cell, samp.real, sam.real)
+    for nprocs in (1, 2):
+        assert samp.modelled[nprocs] < sam.modelled[nprocs], \
+            (nprocs, samp.modelled, sam.modelled)
+
+
+@pytest.mark.xfail(strict=True, reason="SAM preprocessing is still "
+                   "record-at-a-time (~23 us a record): ROADMAP item 3")
+def test_fig9_preprocessing_is_amortised_as_in_the_paper():
+    assert _break_even(*_sweep()) <= PAPER_BREAK_EVEN

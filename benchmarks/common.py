@@ -1,273 +1,267 @@
-"""Shared infrastructure for the paper-reproduction benchmarks.
+"""Shared harness of the eight paper-reproduction scripts.
 
-Every bench module regenerates one table or figure from §V of the paper.
-Datasets are synthetic (see DESIGN.md's substitution table) and scaled so
-the whole suite runs in minutes; record counts are printed with every
-result so the scaling is explicit.
+Each ``bench_*.py`` here regenerates one table or figure of §V of the
+paper and prints **seconds**.  Performance claims about this code base
+come from ``benchmarks/e2e`` (``python -m benchmarks.e2e run``) and from
+nowhere else; these scripts show that the paper's experiments still
+have the paper's *shape*, on the same generated alignment files the
+end-to-end benchmark uses (``benchmarks/e2e/gen.py``).
 
-Speedup methodology (1-core host): each rank's work is executed and
-measured one rank at a time (the ``simulate`` executor), then
-:func:`repro.runtime.metrics.modeled_parallel_time` converts the per-rank
-measurements into a modeled wall time for the paper's cluster (8-core
-nodes, shared storage saturating at ``io_streams`` concurrent streams).
-Curve *shapes* — who scales, where I/O flattens the curve — come from the
-measured work distribution.
+One :class:`Series` is one line of a figure.  Its ``run(nprocs,
+executor)`` does one whole parallel call and is timed two ways:
 
-Results are printed and appended to ``benchmarks/results/<name>.txt``.
+* **measured** — the wall clock of the call on 1 and 2 *real* ranks of
+  the ``thread`` and ``process`` executors (:data:`REAL_CELLS`), the
+  best of interleaved repetitions (a stall on a shared host only ever
+  adds time).  A single rank runs inline on the
+  calling thread whatever the executor (``core/base.py: _dispatch``),
+  so the 1-rank cell is timed once and stands under both.  The box
+  decides how many cores two ranks really get, so nothing is asserted
+  about these ratios.
+* **modelled** — the same call on the ``simulate`` executor (ranks run
+  and are timed one at a time), its per-rank metrics fed to
+  :func:`repro.runtime.metrics.modeled_parallel_time` for the paper's
+  cluster (8-core nodes, shared storage saturating at ``io_streams``
+  concurrent streams).  That is the only way a 2-cpu host can say
+  anything about 128 cores; it is printed beside the measured seconds,
+  never instead of them.
+
+Every call, whatever the executor, is one *timed cell*.  A cell under
+:data:`MIN_CELL_SECONDS` measures the interpreter, not the work, so at
+full size :meth:`Bench.report` fails the script until its dataset is
+made larger.  Every cell's output is also fingerprinted and must equal
+the first cell's.  ``REPRO_BENCH_SMOKE=1`` (the CI step) shrinks the
+datasets tenfold and the sweep to three core counts and keeps only the
+output-identity assertions; nothing is written to
+``benchmarks/results/`` then.
 """
 
 from __future__ import annotations
 
-import contextlib
+import atexit
 import functools
-import json
+import hashlib
 import os
-import statistics
+import shutil
 import tempfile
 import time
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
-from repro.formats.bam import write_bam
-from repro.runtime.metrics import ClusterModel, RankMetrics, \
-    SpeedupCurve, merge_all, modeled_parallel_time
-from repro.simdata import build_sam_dataset
+from repro.runtime.metrics import RankMetrics, modeled_parallel_time
 
-#: Core counts used by the conversion figures (paper: 1..128).
-CONVERSION_CORES = (1, 2, 4, 8, 16, 32, 64, 128)
+from .e2e.gen import Dataset
 
-#: Core counts used by the FDR figure (paper: up to 256).
-FDR_CORES = (1, 8, 16, 32, 64, 128, 256)
+#: No timed cell may be shorter than this at full size.
+MIN_CELL_SECONDS = 0.2
 
-#: The modeled cluster (see ClusterModel defaults: 8-core nodes).
-CLUSTER = ClusterModel()
+#: The real ranks every series is reported on: ``(executor, ranks)``.
+REAL_CELLS = (("thread", 1), ("thread", 2), ("process", 1), ("process", 2))
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-#: Repo root: machine-readable BENCH_<name>.json results land here so
-#: the perf trajectory is tracked across PRs.
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
 
 def smoke_mode() -> bool:
-    """True when ``REPRO_BENCH_SMOKE`` is set: shrink datasets, skip the
-    multi-core sweeps, keep the batched-vs-record assertions (the CI
-    perf-smoke job runs in this mode)."""
+    """True when ``REPRO_BENCH_SMOKE`` is set (the CI perf-smoke step)."""
     return bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
 
-def default_templates(full: int = 16_000, smoke: int = 2_000) -> int:
-    """Bench dataset size: ``REPRO_BENCH_TEMPLATES`` env override, else
-    *smoke* in smoke mode, else *full*."""
-    env = os.environ.get("REPRO_BENCH_TEMPLATES")
-    if env:
-        return int(env)
-    return smoke if smoke_mode() else full
+def sized(full: int) -> int:
+    """A dataset size: *full*, a tenth of it in smoke mode (kept even,
+    as the generator wants)."""
+    return full // 20 * 2 if smoke_mode() else full
+
+
+def cores(full: tuple[int, ...]) -> tuple[int, ...]:
+    """The modelled sweep: *full* (the paper's core counts), its first
+    three in smoke mode."""
+    return full[:3] if smoke_mode() else full
+
+
+#: Core counts of the conversion and NL-means figures: the paper's
+#: 1..128 at every other doubling (one node is 8 cores), so a sweep is
+#: five calls of >= 0.2 s and the eight scripts fit in minutes.
+CONVERSION_CORES = (1, 2, 8, 32, 128)
 
 
 @functools.lru_cache(maxsize=None)
 def dataset_dir() -> str:
-    """One temp directory shared by all bench datasets this session."""
-    return tempfile.mkdtemp(prefix="repro-bench-")
-
-
-@functools.lru_cache(maxsize=None)
-def sam_dataset(n_templates: int | None = None, seed: int = 1234) -> str:
-    """Build (once) and return the bench SAM dataset path."""
-    if n_templates is None:
-        n_templates = default_templates()
-    path = os.path.join(dataset_dir(), f"bench{n_templates}.sam")
-    build_sam_dataset(path, n_templates,
-                      chromosomes=[("chr1", 600_000), ("chr2", 400_000)],
-                      seed=seed)
+    """One temp directory shared by all bench datasets this session,
+    removed when the interpreter exits."""
+    path = tempfile.mkdtemp(prefix="repro-bench-")
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
     return path
 
 
 @functools.lru_cache(maxsize=None)
-def bam_dataset(n_templates: int | None = None, seed: int = 1234) -> str:
-    """Build (once) and return the bench BAM dataset path."""
-    from repro.formats.sam import read_sam
-    if n_templates is None:
-        n_templates = default_templates()
-    sam_path = sam_dataset(n_templates, seed)
-    path = os.path.join(dataset_dir(), f"bench{n_templates}.bam")
-    header, records = read_sam(sam_path)
-    write_bam(path, header, records)
+def _dataset(n_records: int) -> Dataset:
+    return Dataset(1234, n_records)
+
+
+@functools.lru_cache(maxsize=None)
+def sam_dataset(n_records: int) -> str:
+    """Build (once) and return a coordinate-sorted SAM of *n_records*."""
+    path = os.path.join(dataset_dir(), f"bench{n_records}.sam")
+    _dataset(n_records).write_sam(path)
     return path
 
 
-def sequential_reference(rank_metrics: list[RankMetrics]) -> RankMetrics:
-    """Collapse a 1-rank run's metrics into the sequential reference."""
-    return merge_all(rank_metrics)
-
-
-def speedup_curve(label: str, seq: RankMetrics,
-                  runs: dict[int, list[RankMetrics]],
-                  model: ClusterModel = CLUSTER) -> SpeedupCurve:
-    """Build a speedup curve from per-core-count rank metrics."""
-    curve = SpeedupCurve(label)
-    for nprocs in sorted(runs):
-        t_par = modeled_parallel_time(runs[nprocs], model)
-        curve.add(nprocs, seq.total_seconds, t_par)
-    return curve
-
-
-def bench_repeats(default: int = 3) -> int:
-    """Best-of-N repeat count: ``REPRO_BENCH_REPEATS`` env override,
-    else *default* (3)."""
-    env = os.environ.get("REPRO_BENCH_REPEATS")
-    if env:
-        return max(1, int(env))
-    return default
-
-
-def best_of(run, repeats: int | None = None,
-            model: ClusterModel = CLUSTER) -> list[RankMetrics]:
-    """Run *run()* (returning per-rank metrics) N times and keep the
-    attempt with the smallest modeled parallel time.
-
-    Single-shot max-over-ranks timing is sensitive to GC/allocator
-    hiccups on a shared host; best-of-N is the standard way to measure
-    the intrinsic cost.  N defaults to :func:`bench_repeats`.
-    """
-    if repeats is None:
-        repeats = bench_repeats()
-    best = None
-    best_time = float("inf")
-    for _ in range(repeats):
-        metrics = run()
-        t = modeled_parallel_time(metrics, model)
-        if t < best_time:
-            best, best_time = metrics, t
-    assert best is not None
-    return best
-
-
-@contextlib.contextmanager
-def maybe_trace(name: str):
-    """Trace one bench section when ``REPRO_BENCH_TRACE_DIR`` is set.
-
-    With the variable unset this is a no-op, so timing-sensitive bench
-    loops pay nothing.  Otherwise the section's spans are written to
-    ``$REPRO_BENCH_TRACE_DIR/<name>.json`` (Chrome trace format) and a
-    tree summary is printed, giving every figure a profile to explain
-    its numbers with.
-    """
-    trace_dir = os.environ.get("REPRO_BENCH_TRACE_DIR")
-    if not trace_dir:
-        yield
-        return
-    from repro.runtime.tracing import Tracer, format_tree, install, \
-        write_trace
-    tracer = Tracer(enabled=True)
-    prev = install(tracer)
-    try:
-        with tracer.span(f"bench.{name}", "bench"):
-            yield
-    finally:
-        install(prev)
-        os.makedirs(trace_dir, exist_ok=True)
-        path = os.path.join(trace_dir, f"{name}.json")
-        spans = tracer.spans()
-        write_trace(spans, path)
-        print(f"[trace] {len(spans)} spans -> {path}")
-        print(format_tree(spans))
-
-
-def report(name: str, text: str) -> None:
-    """Print a bench report and persist it under benchmarks/results/."""
-    banner = f"\n===== {name} =====\n{text}\n"
-    print(banner)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(banner)
-
-
-def report_json(name: str, payload: dict) -> str:
-    """Write machine-readable results to ``BENCH_<name>.json`` at the
-    repo root (alongside the human-readable results/ text).
-
-    The timestamp comes from ``REPRO_BENCH_TIMESTAMP`` when set (so CI
-    runs are attributable to a commit time) and the wall clock
-    otherwise.  A host-environment block (python/numpy versions, core
-    count) makes cross-machine comparisons of committed numbers
-    explicit.  Returns the path written.
-    """
-    import platform
-
-    import numpy
-    env_ts = os.environ.get("REPRO_BENCH_TIMESTAMP")
-    doc = {
-        "bench": name,
-        "timestamp": float(env_ts) if env_ts else time.time(),
-        "smoke": smoke_mode(),
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "cpu_count": os.cpu_count(),
-        },
-        **payload,
-    }
-    path = os.path.join(REPO_ROOT, f"BENCH_{name}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"[bench-json] -> {path}")
+@functools.lru_cache(maxsize=None)
+def bam_dataset(n_records: int) -> str:
+    """Build (once) and return the BAM twin of :func:`sam_dataset`."""
+    path = os.path.join(dataset_dir(), f"bench{n_records}.bam")
+    _dataset(n_records).write_bam(path)
     return path
 
 
-def best_seconds(run, repeats: int | None = None) -> float:
-    """Best-of-N measured seconds of ``run()`` returning rank metrics.
-
-    Sums each attempt's per-rank wall time (compute + I/O), so for a
-    single-rank run this is the rank task's wall clock.  N defaults to
-    :func:`bench_repeats`.
-    """
-    if repeats is None:
-        repeats = bench_repeats()
-    best = float("inf")
-    for _ in range(repeats):
-        metrics = run()
-        best = min(best, merge_all(metrics).total_seconds)
-    return best
-
-
-def measured_walls(run, series: tuple[str, ...],
-                   repeats: int | None = None) -> str:
-    """Measured wall-clock table to print beside a modelled curve.
-
-    ``run(series, nprocs, executor)`` does one whole parallel call (and
-    asserts its own result) on *real* ranks: 1 and 2 ranks of the
-    ``thread`` and ``process`` executors.  Every cell is timed N times
-    (:func:`bench_repeats`), the repetitions interleaved across cells so
-    drift on a shared host falls on all of them alike; the table gives
-    median and min..max seconds.  Nothing here is gated: the box decides
-    how many cores those two ranks really get.
-    """
-    if repeats is None:
-        repeats = bench_repeats()
-    cells = [(name, executor, nprocs) for name in series
-             for executor in ("thread", "process") for nprocs in (1, 2)]
-    walls: dict[tuple, list[float]] = {cell: [] for cell in cells}
-    for _ in range(repeats):
-        for name, executor, nprocs in cells:
-            t0 = time.perf_counter()
-            run(name, nprocs, executor)
-            walls[name, executor, nprocs].append(time.perf_counter() - t0)
-    rows = [[*cell, statistics.median(w), min(w), max(w)]
-            for cell, w in walls.items()]
-    return (f"measured wall, whole call, this host ({os.cpu_count()} "
-            f"cpus), {repeats} interleaved repetitions:\n"
-            + format_rows(["series", "executor", "ranks", "median (s)",
-                           "min (s)", "max (s)"], rows))
+def parts_digest(paths: list[str]) -> str:
+    """SHA-256 of the part files' concatenation in rank order; the
+    ``@`` header every rank repeats in a SAM part is left out."""
+    digest = hashlib.sha256()
+    for path in paths:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        start = 0
+        if path.endswith(".sam"):
+            while data.startswith(b"@", start):
+                start = data.index(b"\n", start) + 1
+        digest.update(data[start:])
+    return digest.hexdigest()
 
 
-def curve_payload(curves: dict[str, SpeedupCurve]) -> dict:
-    """JSON-friendly rendering of per-target speedup curves."""
-    return {
-        target: {str(p.nprocs): round(p.speedup, 3)
-                 for p in curve.points}
-        for target, curve in curves.items()
-    }
+@dataclass
+class Series:
+    """One figure line: modelled seconds per core count, measured
+    seconds per real cell, and the fingerprint all its cells share."""
+
+    label: str
+    modelled: dict[int, float] = field(default_factory=dict)
+    real: dict[tuple[str, int], float] = field(default_factory=dict)
+    fingerprint: Any = None
+
+    def speedup(self, nprocs: int) -> float:
+        """Modelled speedup over the modelled 1-core time."""
+        return self.modelled[1] / self.modelled[nprocs]
+
+    def real_row(self) -> list[float]:
+        """The measured seconds in :data:`REAL_CELLS` order."""
+        return [self.real[cell] for cell in REAL_CELLS]
+
+    def table(self, paper: dict[int, object] | None = None) -> str:
+        """cores | modelled T | modelled speedup | thread | process
+        (| paper): measured seconds sit in the rows of 1 and 2 cores."""
+        headers = ["cores", "modelled (s)", "modelled speedup",
+                   "thread (s)", "process (s)"]
+        rows = []
+        for n, seconds in self.modelled.items():
+            row = [n, seconds, f"{self.speedup(n):.2f}",
+                   self.real.get(("thread", n), "-"),
+                   self.real.get(("process", n), "-")]
+            rows.append(row + [paper.get(n, "-")] if paper else row)
+        if paper:
+            headers.append("paper")
+        return f"series: {self.label}\n" + format_rows(headers, rows)
+
+
+class Bench:
+    """The timed cells of one script and the report they end in."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.cell_seconds: list[float] = []
+
+    def timed(self, fn: Callable[[], Any]) -> tuple[Any, float]:
+        """Run *fn* as one timed cell: ``(its result, wall seconds)``."""
+        t0 = time.perf_counter()
+        out = fn()
+        wall = time.perf_counter() - t0
+        self.cell_seconds.append(wall)
+        return out, wall
+
+    def series(self, label: str,
+               run: Callable[[int, str], tuple[list[RankMetrics], Any]],
+               sweep: tuple[int, ...],
+               fingerprint: Callable[[Any], Any] = lambda value: value,
+               repeats: int = 2) -> Series:
+        """Time ``run(nprocs, executor) -> (rank metrics, value)`` over
+        the modelled *sweep* and the real cells.
+
+        ``fingerprint(value)`` is taken outside the timed region; every
+        cell's must equal the first's (the 1-core ``simulate`` call).
+        A modelled point is one call — except the top one, a max over
+        the most and shortest ranks, which a single stall moves most:
+        the best of *repeats*.  A real cell is the best of *repeats*
+        calls too, the repetitions interleaved across the cells so
+        drift on a shared host falls on all of them alike.  Smoke mode
+        runs every cell once.
+        """
+        if smoke_mode():
+            repeats = 1
+        out = Series(label)
+
+        def cell(nprocs: int, executor: str) -> tuple[float, float]:
+            (metrics, value), wall = self.timed(
+                lambda: run(nprocs, executor))
+            mark = fingerprint(value)
+            if out.fingerprint is None:
+                out.fingerprint = mark
+            assert mark == out.fingerprint, \
+                f"{label}: {executor} x{nprocs} changed the output"
+            return modeled_parallel_time(metrics), wall
+
+        sweep = cores(sweep)
+        for nprocs in sweep:
+            out.modelled[nprocs] = min(
+                cell(nprocs, "simulate")[0]
+                for _ in range(repeats if nprocs == sweep[-1] else 1))
+        walls: dict[tuple[str, int], list[float]] = \
+            {real: [] for real in REAL_CELLS if real != ("process", 1)}
+        for _ in range(repeats):
+            for executor, nprocs in walls:
+                walls[executor, nprocs].append(cell(nprocs, executor)[1])
+        out.real = {real: min(w) for real, w in walls.items()}
+        out.real["process", 1] = out.real["thread", 1]    # inline alike
+        return out
+
+    def report(self, text: str) -> None:
+        """Print the report and, at full size, persist it under
+        ``benchmarks/results/`` — after checking that no timed cell was
+        too short to mean anything."""
+        shortest = min(self.cell_seconds)
+        text += (f"\n\n{len(self.cell_seconds)} timed cells on this host "
+                 f"({os.cpu_count()} cpus), shortest {shortest:.3f} s; "
+                 "measured = best wall of one whole call on real ranks "
+                 "(one rank runs inline whatever the executor: one "
+                 "measurement under both), modelled = simulate-executor "
+                 "rank times through the cluster model")
+        banner = f"\n===== {self.name} =====\n{text}\n"
+        print(banner)
+        if smoke_mode():
+            return
+        assert shortest >= MIN_CELL_SECONDS, \
+            (f"{self.name}: a timed cell took {shortest:.3f} s "
+             f"(< {MIN_CELL_SECONDS}); enlarge the dataset")
+        os.makedirs(RESULTS_DIR, exist_ok=True)
+        with open(os.path.join(RESULTS_DIR, f"{self.name}.txt"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(banner)
+
+
+def assert_scales(series: Series, upto: int = 8,
+                  tolerance: float = 0.10) -> None:
+    """The shape every speedup figure shares, on modelled seconds: more
+    cores never cost more than *tolerance* through the compute-bound
+    range (1..*upto* cores, where a rank is tens of milliseconds and
+    the bound survives a 0.1 s stall), and the largest machine beats
+    *upto* cores."""
+    counts = list(series.modelled)
+    for few, many in zip(counts, counts[1:]):
+        if many <= upto:
+            assert series.modelled[many] < \
+                (1 + tolerance) * series.modelled[few], \
+                (series.label, few, many, series.modelled)
+    assert series.modelled[counts[-1]] < series.modelled[upto], \
+        (series.label, series.modelled)
 
 
 def format_rows(headers: list[str], rows: list[list[object]]) -> str:

@@ -368,7 +368,7 @@ def _cmd_peaks(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import ConversionService, GatewayConfig, \
-        ServiceDaemon, protocol
+        GatewayServer, protocol
     if not args.socket and not args.listen:
         print("serve needs --socket PATH and/or --listen HOST:PORT",
               file=sys.stderr)
@@ -396,8 +396,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         recovered = int(service.metrics.gauge("journal_recovered_jobs"))
         print(f"journal {args.journal}: {recovered} jobs recovered",
               flush=True)
-    daemon = ServiceDaemon(service, socket_path=args.socket,
-                           listen=listen, config=config)
+    daemon = GatewayServer(service, unix_path=args.socket,
+                           tcp_address=listen, config=config)
     try:
         daemon.start()
         endpoints = []
@@ -408,7 +408,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"repro service listening on {' and '.join(endpoints)} "
               f"({args.workers} workers, cache at "
               f"{service.cache.cache_dir})", flush=True)
-        daemon.wait()
+        daemon.join()
     except KeyboardInterrupt:
         print("shutting down")
         daemon.stop()

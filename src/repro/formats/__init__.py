@@ -21,7 +21,6 @@ __all__, __getattr__ = lazy_exports(globals(), {
     "bedgraph": ("BedGraphInterval", "compress_runs", "read_bedgraph",
                  "write_bedgraph"),
     "bgzf": ("BgzfReader", "BgzfWriter"),
-    "bgzf_threads": ("ThreadedBgzfWriter",),
     "binning": ("reg2bin", "reg2bins"),
     "fasta": ("FastaIndex", "FastaRecord", "read_fasta", "write_fasta"),
     "fastq": ("FastqRecord", "read_fastq", "write_fastq"),

@@ -11,9 +11,8 @@ __all__, __getattr__ = lazy_exports(globals(), {
                  "reset_shared_executor", "resolve_start_method",
                  "shared_executor_stats", "simulate_schedule"),
     "metrics": ("DEFAULT_CLUSTER", "ClusterModel", "RankMetrics",
-                "ServiceMetrics", "SpeedupCurve", "SpeedupPoint",
-                "format_metrics_snapshot", "merge_all",
-                "modeled_parallel_time", "modeled_speedup"),
+                "ServiceMetrics", "format_metrics_snapshot", "merge_all",
+                "modeled_parallel_time"),
     "partition": ("Partition", "even_split", "partition_bytes",
                   "partition_records", "partition_text_file"),
     "tracing": ("Span", "Tracer", "format_summary", "format_tree",

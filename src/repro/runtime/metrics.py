@@ -25,7 +25,7 @@ import math
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import RuntimeLayerError
 
@@ -242,59 +242,3 @@ def modeled_parallel_time(rank_metrics: list[RankMetrics],
     collective = 0.0 if n == 1 \
         else model.collective_alpha * math.ceil(math.log2(n))
     return compute + io_time + collective
-
-
-def modeled_speedup(sequential: RankMetrics,
-                    rank_metrics: list[RankMetrics],
-                    model: ClusterModel = DEFAULT_CLUSTER) -> float:
-    """Speedup of the modeled parallel run over the sequential run."""
-    t_par = modeled_parallel_time(rank_metrics, model)
-    if t_par <= 0:
-        raise RuntimeLayerError("modeled parallel time is not positive")
-    return sequential.total_seconds / t_par
-
-
-@dataclass(slots=True)
-class SpeedupPoint:
-    """One point of a speedup curve."""
-
-    nprocs: int
-    seq_seconds: float
-    par_seconds: float
-
-    @property
-    def speedup(self) -> float:
-        """Sequential over parallel time."""
-        return self.seq_seconds / self.par_seconds
-
-    @property
-    def efficiency(self) -> float:
-        """Speedup divided by rank count."""
-        return self.speedup / self.nprocs
-
-
-@dataclass(slots=True)
-class SpeedupCurve:
-    """A labelled series of :class:`SpeedupPoint` (one figure series)."""
-
-    label: str
-    points: list[SpeedupPoint] = field(default_factory=list)
-
-    def add(self, nprocs: int, seq_seconds: float,
-            par_seconds: float) -> None:
-        """Append one measurement."""
-        self.points.append(SpeedupPoint(nprocs, seq_seconds, par_seconds))
-
-    def speedups(self) -> list[float]:
-        """The speedup values in order."""
-        return [p.speedup for p in self.points]
-
-    def format_table(self) -> str:
-        """Human-readable table, one row per core count."""
-        lines = [f"series: {self.label}",
-                 f"{'cores':>6} {'T_par(s)':>12} {'speedup':>9} "
-                 f"{'efficiency':>11}"]
-        for p in self.points:
-            lines.append(f"{p.nprocs:>6} {p.par_seconds:>12.4f} "
-                         f"{p.speedup:>9.2f} {p.efficiency:>11.2%}")
-        return "\n".join(lines)

@@ -23,7 +23,7 @@ __all__, __getattr__ = lazy_exports(globals(), {
     "journal": ("JobJournal", "replay", "high_water_mark"),
     "cache": ("ArtifactCache", "CacheEntry", "cache_key", "content_digest",
               "file_digests"),
-    "server": ("ConversionService", "ServiceDaemon"),
+    "server": ("ConversionService",),
     "client": ("ServiceClient",),
     "gateway": ("AdmissionController", "Dispatcher", "FrameError",
                 "FrameReader", "GatewayConfig", "GatewayServer", "Session"),

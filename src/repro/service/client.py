@@ -24,7 +24,7 @@ _TERMINAL_STATES = ("done", "failed", "cancelled")
 
 
 class ServiceClient:
-    """Blocking line-JSON client for a :class:`ServiceDaemon`.
+    """Blocking line-JSON client for a :class:`GatewayServer`.
 
     Parameters
     ----------

@@ -2,11 +2,10 @@
 
 Two entry points share one op switch:
 
-* :meth:`Dispatcher.handle_message` — the synchronous dispatch used by
-  the in-process compatibility path (``ServiceDaemon.handle_message``)
-  and, via ``run_in_executor``, by the async path for ops that touch
-  service locks.  It never raises; service errors become failure
-  envelopes.
+* :meth:`Dispatcher.handle_message` — the synchronous dispatch, for
+  in-process callers and, via ``run_in_executor``, for the async path's
+  ops that touch service locks.  It never raises; service errors
+  become failure envelopes.
 * :meth:`Dispatcher.dispatch` — the async path the gateway sessions
   call.  Quick ops answer inline; blocking ops run on a dedicated
   executor so the event loop never stalls; ``wait`` parks on one
@@ -27,10 +26,9 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable
+from typing import Any
 
 from ...errors import FaultInjectedError, JobNotFoundError, ReproError
 from ...runtime import faults
@@ -52,19 +50,15 @@ class Dispatcher:
         metrics_snapshot`` surface plus a ``pool`` attribute).
     admission:
         The gateway's :class:`AdmissionController`.
-    stop_callback:
-        Called (on a fresh thread) when a ``shutdown`` op is accepted.
     executor_threads:
         Size of the dispatch thread pool backing ``run_in_executor``.
     """
 
     def __init__(self, service: Any, admission: AdmissionController,
-                 stop_callback: Callable[[], None] | None = None,
                  executor_threads: int = 8) -> None:
         self.service = service
         self.admission = admission
         self.metrics: ServiceMetrics = service.metrics
-        self._stop_callback = stop_callback
         self._executor = ThreadPoolExecutor(
             max_workers=executor_threads,
             thread_name_prefix="repro-gateway-dispatch")
@@ -104,10 +98,6 @@ class Dispatcher:
             return protocol.ok_response(pong=True)
         if op == "wait":
             return await self._wait(message)
-        if op == "shutdown":
-            # The session writes the response first, then triggers
-            # request_stop() — see the gateway's write loop.
-            return protocol.ok_response(stopping=True)
         if op == "submit":
             refusal = self.admission.try_admit()
             if refusal is not None:
@@ -168,23 +158,14 @@ class Dispatcher:
                                      time.time() - job.finished_at)
         return protocol.ok_response(job=job.to_dict())
 
-    def request_stop(self) -> None:
-        """Run the stop callback on its own thread (a shutdown op must
-        not stop the gateway from inside the event loop)."""
-        if self._stop_callback is not None:
-            threading.Thread(target=self._stop_callback,
-                             name="repro-gateway-stop",
-                             daemon=True).start()
-
     # -- sync path (compat + executor target) -----------------------
 
     def handle_message(self,
                        message: dict[str, Any]) -> dict[str, Any]:
         """Dispatch one protocol request synchronously; never raises.
 
-        This is the original ``ServiceDaemon.handle_message`` contract:
-        ``wait`` blocks the calling thread and ``shutdown`` fires the
-        stop callback directly.
+        ``wait`` blocks the calling thread; ``shutdown`` only answers
+        ``stopping`` — whoever owns the listeners acts on it.
         """
         op = message.get("op")
         try:
@@ -215,7 +196,8 @@ class Dispatcher:
                 return protocol.ok_response(
                     metrics=self.service.metrics_snapshot())
             if op == "shutdown":
-                self.request_stop()
+                # The session writes this response first, then stops
+                # the gateway — see its write loop.
                 return protocol.ok_response(stopping=True)
             return protocol.error_response(
                 f"unknown op {op!r}; choose from {protocol.OPS}",

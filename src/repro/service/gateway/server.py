@@ -102,17 +102,12 @@ class GatewayServer:
         :attr:`tcp_address` after :meth:`start`.
     config:
         :class:`GatewayConfig` tunables.
-    stop_callback:
-        Invoked (on a fresh thread) when a client sends ``shutdown``;
-        defaults to :meth:`stop`.  The daemon passes its own stop so
-        the service and socket file are torn down too.
     """
 
     def __init__(self, service: Any,
                  unix_path: str | os.PathLike[str] | None = None,
                  tcp_address: tuple[str, int] | None = None,
-                 config: GatewayConfig | None = None,
-                 stop_callback=None) -> None:
+                 config: GatewayConfig | None = None) -> None:
         if unix_path is None and tcp_address is None:
             raise ServiceError(
                 "gateway needs a unix socket path and/or a TCP "
@@ -128,15 +123,12 @@ class GatewayServer:
             self._queued_count, self.metrics)
         self.dispatcher = Dispatcher(
             service, self.admission,
-            stop_callback=(stop_callback if stop_callback is not None
-                           else self.stop),
             executor_threads=self.config.dispatch_threads)
 
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
         self._finished = threading.Event()
-        self._stopped = threading.Event()
         self._startup_error: BaseException | None = None
         self._stop_lock = threading.Lock()
         self._stop_requested = False
@@ -197,12 +189,20 @@ class GatewayServer:
             self.start()
         self.join()
 
+    def request_stop(self) -> None:
+        """:meth:`stop` on its own thread: a ``shutdown`` op must not
+        stop the gateway from inside the event loop."""
+        threading.Thread(target=self.stop, name="repro-gateway-stop",
+                         daemon=True).start()
+
     def stop(self) -> None:
         """Graceful drain: stop accepting, refuse new submits, finish
-        in-flight ops and jobs (bounded by ``drain_timeout``), close.
+        in-flight ops and jobs (bounded by ``drain_timeout``), close
+        the listeners (unlinking the socket file), then close the
+        service.
 
         Idempotent and callable from any thread except the event-loop
-        thread itself (the shutdown op hops to a fresh thread first).
+        thread itself (:meth:`request_stop` hops to a fresh one).
         """
         with self._stop_lock:
             if self._stop_requested:
@@ -216,7 +216,7 @@ class GatewayServer:
             with contextlib.suppress(RuntimeError):
                 loop.call_soon_threadsafe(self._stop_event.set)
         self.join(timeout=self.config.drain_timeout + 5)
-        self._stopped.set()
+        self.service.close()
 
     # -- event loop body --------------------------------------------
 
@@ -391,7 +391,7 @@ class GatewayServer:
                                        self.config.write_timeout)
                 session.responses += 1
                 if response.get("ok") and response.get("stopping"):
-                    self.dispatcher.request_stop()
+                    self.request_stop()
                     return
         except (ConnectionError, OSError, asyncio.TimeoutError):
             return

@@ -1,4 +1,4 @@
-"""The conversion service: in-process façade and daemon.
+"""The conversion service: the in-process façade.
 
 :class:`ConversionService` wires the worker pool, the artifact cache
 and the existing converters into one long-lived object.  Submitting a
@@ -8,11 +8,11 @@ content-addressed cache, so repeated full or partial-region
 conversions of the same input skip the preprocessing phase entirely —
 the warm path is an O(1) cache lookup plus the BAIX binary search.
 
-:class:`ServiceDaemon` exposes the façade over a local unix socket
-and/or a TCP listener through the async gateway subsystem
-(:mod:`repro.service.gateway`): transport, session, dispatch and
-admission-control layers multiplexing many concurrent submitters
-without blocking each other.  The matching blocking client lives in
+:class:`~repro.service.gateway.GatewayServer` exposes the façade over
+a local unix socket and/or a TCP listener: transport, session, dispatch
+and admission-control layers multiplexing many concurrent submitters
+without blocking each other; its ``stop()`` drains and then closes the
+service.  The matching blocking client lives in
 :mod:`repro.service.client`, apart from the converter stack this module
 imports.
 """
@@ -31,7 +31,6 @@ from ..runtime.autotune import AutoTuner, CostModel
 from ..runtime.metrics import ServiceMetrics
 from . import journal as journal_mod
 from .cache import ArtifactCache, CacheEntry
-from .gateway import GatewayConfig, GatewayServer
 from .jobs import Job, seed_job_counter
 from .journal import JobJournal
 from .scheduler import WorkerPool
@@ -341,68 +340,3 @@ class ConversionService:
                 return path
         raise ServiceError(
             f"cache entry {entry.key} holds no record store")
-
-
-class ServiceDaemon:
-    """Line-JSON daemon serving a :class:`ConversionService` through
-    the async gateway, over a local unix socket and/or TCP.
-
-    Parameters
-    ----------
-    service:
-        The façade to expose.
-    socket_path:
-        Unix socket to listen on (``None`` = no unix listener).
-    listen:
-        ``(host, port)`` TCP address to listen on (``None`` = no TCP
-        listener); port 0 binds an ephemeral port reported by
-        :attr:`tcp_address` after :meth:`start`.
-    config:
-        Optional :class:`~repro.service.gateway.GatewayConfig`.
-    """
-
-    def __init__(self, service: ConversionService,
-                 socket_path: str | os.PathLike[str] | None = None,
-                 listen: tuple[str, int] | None = None,
-                 config: GatewayConfig | None = None) -> None:
-        self.service = service
-        self.socket_path = None if socket_path is None \
-            else os.fspath(socket_path)
-        self._gateway = GatewayServer(
-            service, unix_path=self.socket_path, tcp_address=listen,
-            config=config, stop_callback=self.stop)
-        self._stopped = False
-
-    @property
-    def gateway(self) -> GatewayServer:
-        """The underlying gateway (metrics, sessions, config)."""
-        return self._gateway
-
-    @property
-    def tcp_address(self) -> tuple[str, int] | None:
-        """Bound ``(host, port)`` once started with a TCP listener."""
-        return self._gateway.tcp_address
-
-    def handle_message(self, message: dict[str, Any]) -> dict[str, Any]:
-        """Dispatch one protocol request in-process; never raises."""
-        return self._gateway.dispatcher.handle_message(message)
-
-    def start(self) -> None:
-        """Serve on a background thread (returns once listening)."""
-        self._gateway.start()
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`stop`."""
-        self._gateway.serve_forever()
-
-    def wait(self, timeout: float | None = None) -> None:
-        """Block until the daemon stops."""
-        self._gateway.join(timeout)
-
-    def stop(self) -> None:
-        """Drain the gateway, then shut the service down (idempotent)."""
-        self._gateway.stop()
-        if self._stopped:
-            return
-        self._stopped = True
-        self.service.close()

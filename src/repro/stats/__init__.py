@@ -9,7 +9,6 @@ from .histogram import bedgraph_to_histogram, bin_coverage, \
     histogram_to_bedgraph
 from .histogram_parallel import histogram_parallel
 from .nlmeans import nlmeans, nlmeans_core, nlmeans_reference
-from .nlmeans_fast import nlmeans_auto, nlmeans_fast
 from .nlmeans_parallel import halo_partition, nlmeans_parallel
 from .peaks import Peak, PeakCallResult, call_peaks, empirical_pvalues, \
     regions_from_mask
@@ -20,7 +19,6 @@ __all__ = [
     "histogram_to_bedgraph", "bedgraph_to_histogram",
     "histogram_parallel",
     "nlmeans", "nlmeans_core", "nlmeans_reference",
-    "nlmeans_fast", "nlmeans_auto",
     "halo_partition", "nlmeans_parallel",
     "FdrResult", "fdr_reference", "fdr_vectorized", "fdr_sorted",
     "fdr_parallel",

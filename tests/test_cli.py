@@ -375,11 +375,11 @@ def test_convert_reuses_supplied_artifacts(tmp_path, capsys):
 
 @pytest.fixture()
 def service_socket(tmp_path):
-    from repro.service import ConversionService, ServiceDaemon
+    from repro.service import ConversionService, GatewayServer
     service = ConversionService(tmp_path / "svc", workers=1)
-    daemon = ServiceDaemon(service, tmp_path / "repro.sock")
+    daemon = GatewayServer(service, tmp_path / "repro.sock")
     daemon.start()
-    yield str(daemon.socket_path)
+    yield str(daemon.unix_path)
     daemon.stop()
 
 
@@ -505,7 +505,6 @@ assert main(["region", work + "/sample.bamx", "--region", "chr1:1-30000",
 unwanted = [name for name in (
     "numpy.ma", "multiprocessing", "concurrent.futures",
     "repro.core.sort", "repro.core.samp_converter", "repro.core.dataset",
-    "repro.formats.bgzf_threads",
     "repro.formats.fasta") if name in sys.modules]
 assert not unwanted, unwanted
 """

@@ -20,10 +20,10 @@ from repro.runtime.executor import ExecutorFailure, reset_shared_executor
 from repro.runtime.metrics import ServiceMetrics
 from repro.service import protocol
 from repro.service.cache import ArtifactCache
+from repro.service.gateway import GatewayServer
 from repro.service.jobs import Job, JobState
 from repro.service.journal import JobJournal, replay
 from repro.service.scheduler import WorkerPool
-from repro.service.server import ServiceDaemon
 
 
 @pytest.fixture(autouse=True)
@@ -340,7 +340,7 @@ class _TinyService:
 
 def test_gateway_dispatch_fault_is_structured():
     service = _TinyService()
-    daemon = ServiceDaemon(service, listen=("127.0.0.1", 0))
+    daemon = GatewayServer(service, tcp_address=("127.0.0.1", 0))
     daemon.start()
     try:
         sock = socketlib.create_connection(daemon.tcp_address)

@@ -17,8 +17,8 @@ import pytest
 from repro.errors import ProtocolError, ServiceError, \
     ServiceOverloadedError
 from repro.runtime.metrics import ServiceMetrics
-from repro.service import ConversionService, GatewayConfig, Job, \
-    ServiceClient, ServiceDaemon, WorkerPool
+from repro.service import ConversionService, GatewayConfig, \
+    GatewayServer, Job, ServiceClient, WorkerPool
 from repro.service import protocol
 from repro.service.gateway.framing import FrameError, FrameReader
 
@@ -142,11 +142,11 @@ class EchoService:
 
 
 def start_daemon(tmp_path, service, *, unix=True, tcp=True,
-                 config: GatewayConfig | None = None) -> ServiceDaemon:
-    daemon = ServiceDaemon(
+                 config: GatewayConfig | None = None) -> GatewayServer:
+    daemon = GatewayServer(
         service,
-        socket_path=str(tmp_path / "gw.sock") if unix else None,
-        listen=("127.0.0.1", 0) if tcp else None,
+        unix_path=str(tmp_path / "gw.sock") if unix else None,
+        tcp_address=("127.0.0.1", 0) if tcp else None,
         config=config)
     daemon.start()
     return daemon
@@ -157,7 +157,7 @@ def raw_connect(daemon, transport: str):
     if transport == "unix":
         sock = socketlib.socket(socketlib.AF_UNIX,
                                 socketlib.SOCK_STREAM)
-        sock.connect(daemon.socket_path)
+        sock.connect(daemon.unix_path)
     else:
         sock = socketlib.create_connection(daemon.tcp_address)
     sock.settimeout(10)
@@ -183,7 +183,7 @@ def test_tcp_and_unix_roundtrip(tmp_path):
     daemon = start_daemon(tmp_path, service)
     try:
         assert daemon.tcp_address is not None
-        for address in (daemon.socket_path, daemon.tcp_address):
+        for address in (daemon.unix_path, daemon.tcp_address):
             with ServiceClient(address) as client:
                 assert client.ping()
                 job = client.submit("k", {"x": 1})
@@ -354,15 +354,15 @@ def test_stop_survives_corrupted_thread_join_state(tmp_path):
     instead of trusting ``Thread.join``."""
     service = EchoService()
     daemon = start_daemon(tmp_path, service)
-    socket_path = daemon.socket_path
-    thread = daemon.gateway._thread
+    socket_path = daemon.unix_path
+    thread = daemon._thread
     # Simulate the corruption: the interrupted join released the
     # tstate lock and called _stop() on a live thread.
     thread._tstate_lock.release()
     thread._stop()
     assert not thread.is_alive()        # the lie stop() must survive
     daemon.stop()
-    assert daemon.gateway._finished.is_set()
+    assert daemon._finished.is_set()
     assert not os.path.exists(socket_path)
 
 
@@ -393,7 +393,7 @@ def test_connect_retry_bridges_startup_race(tmp_path):
     with socketlib.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
-    daemon = ServiceDaemon(service, listen=("127.0.0.1", port))
+    daemon = GatewayServer(service, tcp_address=("127.0.0.1", port))
     started = threading.Timer(0.3, daemon.start)
     started.start()
     try:
@@ -695,7 +695,7 @@ def test_stress_200_concurrent_tcp_submitters(tmp_path, bam_file):
     multiplexes all sessions on one event loop."""
     service = ConversionService(tmp_path / "svc", workers=4)
     config = GatewayConfig(max_pending_jobs=None)
-    daemon = ServiceDaemon(service, listen=("127.0.0.1", 0),
+    daemon = GatewayServer(service, tcp_address=("127.0.0.1", 0),
                            config=config)
     daemon.start()
     results: list = [None] * N_SUBMITTERS
@@ -742,14 +742,14 @@ def test_tcp_results_byte_identical_to_unix(tmp_path, bam_file):
     """The transport must not change a single output byte."""
     from .test_service import part_bytes
     service = ConversionService(tmp_path / "svc", workers=2)
-    daemon = ServiceDaemon(service,
-                           socket_path=str(tmp_path / "gw.sock"),
-                           listen=("127.0.0.1", 0))
+    daemon = GatewayServer(service,
+                           unix_path=str(tmp_path / "gw.sock"),
+                           tcp_address=("127.0.0.1", 0))
     daemon.start()
     try:
         outputs = {}
         for transport, address in (
-                ("unix", daemon.socket_path),
+                ("unix", daemon.unix_path),
                 ("tcp", daemon.tcp_address)):
             out_dir = tmp_path / f"out-{transport}"
             with ServiceClient(address) as client:
@@ -772,7 +772,7 @@ def test_tcp_results_byte_identical_to_unix(tmp_path, bam_file):
 def test_cli_submit_status_cancel_over_tcp(tmp_path, sam_file):
     from repro.cli import main
     service = ConversionService(tmp_path / "svc", workers=1)
-    daemon = ServiceDaemon(service, listen=("127.0.0.1", 0))
+    daemon = GatewayServer(service, tcp_address=("127.0.0.1", 0))
     daemon.start()
     connect = "%s:%d" % daemon.tcp_address
     try:

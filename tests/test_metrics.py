@@ -6,8 +6,7 @@ import pytest
 
 from repro.errors import RuntimeLayerError
 from repro.runtime.metrics import DEFAULT_CLUSTER, ClusterModel, \
-    RankMetrics, SpeedupCurve, merge_all, modeled_parallel_time, \
-    modeled_speedup
+    RankMetrics, merge_all, modeled_parallel_time
 
 
 def test_merge_adds_fields():
@@ -33,10 +32,9 @@ def test_merge_all():
 
 def test_modeled_time_compute_bound_scales_linearly():
     model = ClusterModel(io_streams=1000, collective_alpha=0.0)
-    seq = RankMetrics(compute_seconds=8.0)
-    ranks = [RankMetrics(compute_seconds=1.0) for _ in range(8)]
-    assert modeled_parallel_time(ranks, model) == pytest.approx(1.0)
-    assert modeled_speedup(seq, ranks, model) == pytest.approx(8.0)
+    for n in (4, 8):        # 8 s of work, evenly spread
+        ranks = [RankMetrics(compute_seconds=8.0 / n) for _ in range(n)]
+        assert modeled_parallel_time(ranks, model) == pytest.approx(8.0 / n)
 
 
 def test_modeled_time_dominated_by_slowest_rank():
@@ -81,18 +79,6 @@ def test_nodes_for():
     assert DEFAULT_CLUSTER.nodes_for(8) == 1
     assert DEFAULT_CLUSTER.nodes_for(9) == 2
     assert DEFAULT_CLUSTER.nodes_for(256) == 32
-
-
-def test_speedup_curve_table():
-    curve = SpeedupCurve("sam->bed")
-    curve.add(1, 10.0, 10.0)
-    curve.add(4, 10.0, 2.5)
-    assert curve.speedups() == [1.0, 4.0]
-    table = curve.format_table()
-    assert "sam->bed" in table
-    assert "4.00" in table
-    point = curve.points[1]
-    assert point.efficiency == pytest.approx(1.0)
 
 
 def test_service_metrics_counters_gauges_timers():

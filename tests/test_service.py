@@ -11,8 +11,8 @@ import time
 import pytest
 
 from repro.errors import JobNotFoundError, ServiceError
-from repro.service import ArtifactCache, ConversionService, Job, \
-    JobState, ServiceClient, ServiceDaemon, WorkerPool, cache_key
+from repro.service import ArtifactCache, ConversionService, \
+    GatewayServer, Job, JobState, ServiceClient, WorkerPool, cache_key
 
 
 def wait_terminal(job: Job, timeout: float = 30.0) -> Job:
@@ -567,14 +567,14 @@ def test_service_preprocess_job_warms_cache(service, bam_file,
 def daemon(tmp_path):
     svc = ConversionService(tmp_path / "svc", workers=2)
     sock = str(tmp_path / "repro.sock")
-    d = ServiceDaemon(svc, sock)
+    d = GatewayServer(svc, sock)
     d.start()
     yield d
     d.stop()
 
 
 def test_daemon_roundtrip(daemon, bam_file, tmp_path):
-    with ServiceClient(daemon.socket_path) as client:
+    with ServiceClient(daemon.unix_path) as client:
         assert client.ping()
         job = client.submit("convert", {
             "input": bam_file, "target": "bed",
@@ -591,7 +591,7 @@ def test_daemon_roundtrip(daemon, bam_file, tmp_path):
 
 
 def test_daemon_error_paths(daemon):
-    with ServiceClient(daemon.socket_path) as client:
+    with ServiceClient(daemon.unix_path) as client:
         with pytest.raises(ServiceError, match="unknown op"):
             client.request("explode")
         with pytest.raises(JobNotFoundError):
@@ -605,7 +605,7 @@ def test_daemon_error_paths(daemon):
 def test_daemon_rejects_malformed_line(daemon):
     import socket as socketlib
     sock = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
-    sock.connect(daemon.socket_path)
+    sock.connect(daemon.unix_path)
     try:
         sock.sendall(b"this is not json\n")
         data = sock.makefile("rb").readline()
@@ -697,7 +697,7 @@ def test_retry_during_shutdown_is_cancelled_not_parked():
 
 
 def test_pool_records_job_trace_and_span_timers():
-    from repro.runtime.tracing import Tracer, get_tracer, install
+    from repro.runtime.tracing import get_tracer
 
     def runner(job: Job):
         with get_tracer().span("step", "test"):
@@ -749,7 +749,7 @@ def test_failed_attempts_keep_their_spans():
 
 
 def test_daemon_trace_op(daemon, bam_file, tmp_path):
-    with ServiceClient(daemon.socket_path) as client:
+    with ServiceClient(daemon.unix_path) as client:
         job = client.submit("convert", {
             "input": bam_file, "target": "bed",
             "out_dir": str(tmp_path / "out")})

@@ -7,7 +7,6 @@ from repro.core.targets import BedGraphTarget, BedTarget, FastaTarget, \
     get_target, register_target, target_names
 from repro.errors import ConversionError
 from repro.formats.header import SamHeader
-from repro.formats.record import UNMAPPED_POS
 from repro.formats.sam import format_alignment, parse_alignment
 
 HDR = SamHeader.from_references([("chr1", 100_000)])

@@ -367,23 +367,19 @@ def test_partition_spans(installed_tracer, sam_file):
     assert "partition.algorithm1" in _span_names(installed_tracer)
 
 
-def test_bgzf_threaded_writer_spans(installed_tracer, tmp_path):
-    from repro.formats.bgzf import BgzfReader
-    from repro.formats.bgzf_threads import ThreadedBgzfWriter
+def test_bgzf_block_spans_parent_to_the_caller(installed_tracer, tmp_path):
+    from repro.formats.bgzf import BgzfReader, BgzfWriter
     data = bytes(range(256)) * 1024       # 4 full blocks
-    writer = ThreadedBgzfWriter(tmp_path / "t.bgzf", threads=2)
     with installed_tracer.span("emit") as emit:
-        writer.write(data)
-        writer.close()
-    with BgzfReader(tmp_path / "t.bgzf") as reader:
-        assert reader.read(-1) == data
-    compress = [s for s in installed_tracer.spans()
-                if s.name == "compress"]
-    assert len(compress) >= 4
-    assert all(s.parent_id == emit.span_id for s in compress)
-    decompress = [s for s in installed_tracer.spans()
-                  if s.name == "decompress"]
-    assert len(decompress) >= 4
+        with BgzfWriter(tmp_path / "t.bgzf") as writer:
+            writer.write(data)
+    with installed_tracer.span("load") as load:
+        with BgzfReader(tmp_path / "t.bgzf") as reader:
+            assert reader.read(-1) == data
+    for name, caller in (("compress", emit), ("decompress", load)):
+        blocks = [s for s in installed_tracer.spans() if s.name == name]
+        assert len(blocks) >= 4, name
+        assert all(s.parent_id == caller.span_id for s in blocks), name
 
 
 # ---------------------------------------------------------------------
