@@ -20,9 +20,10 @@ auto``.
   pairs; the schedule itself is fixed once dispatched.  Outputs stay
   byte-identical; only the shard count changes.
 
-The service shares one tuner (and one model file) across all jobs and
-mirrors its activity as ``autotune_*`` counters; the CLI builds a tuner
-per command from ``--cost-model``/``REPRO_COST_MODEL``.  Every auto
+The service shares one model *file* across all jobs — each job body
+builds its tuner from it in a pool process, and the ``autotune_*``
+counters ride home with the job's result; the CLI builds a tuner per
+command from ``--cost-model``/``REPRO_COST_MODEL``.  Every auto
 decision is recorded as a ``cost_model`` provenance block on an
 ``autotune`` span inside the job's trace, so ``repro status --trace
 JOB`` explains what was chosen and why.
@@ -181,8 +182,10 @@ class CostModel:
     def save(self) -> None:
         """Atomically persist the profile (no-op for in-memory models).
 
-        The document is written to ``<path>.tmp`` and moved into place
-        with ``os.replace``, so readers never see a torn file.
+        The document is written to ``<path>.tmp<pid>`` and moved into
+        place with ``os.replace``, so readers never see a torn file —
+        also when several processes (the service's pool workers) save
+        the same model at once; the last one in wins.
         """
         if self.path is None:
             return
@@ -193,13 +196,16 @@ class CostModel:
                 "alpha": self.alpha,
                 "keys": {k: dict(v) for k, v in self._keys.items()},
             }
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        # No ``indent``: it forces the pure-Python encoder, once per job.
+        text = json.dumps(doc, sort_keys=True) + "\n"
+        tmp = f"{self.path}.tmp{os.getpid()}"
+        try:
+            fh = open(tmp, "w", encoding="utf-8")
+        except FileNotFoundError:       # first save: no directory yet
+            os.makedirs(os.path.dirname(self.path), exist_ok=True)
+            fh = open(tmp, "w", encoding="utf-8")
+        with fh:
+            fh.write(text)
         os.replace(tmp, self.path)
 
     def reset(self) -> None:

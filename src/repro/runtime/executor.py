@@ -38,10 +38,12 @@ machinery itself breaking under a task.
 from __future__ import annotations
 
 import heapq
+import math
 import os
 import threading
 import time
 from collections.abc import Callable, Sequence
+from contextlib import suppress
 from typing import TYPE_CHECKING, Any
 
 from ..errors import RuntimeLayerError
@@ -77,9 +79,14 @@ class ExecutorFailure(RuntimeLayerError):
         self.detail = detail
         super().__init__(f"worker pool task [{label}] failed: {detail}")
 
+    def __reduce__(self) -> tuple:
+        # A pool worker that ran its own ranks sends this home pickled.
+        return ExecutorFailure, (self.label, self.detail)
 
-def _pool_worker_init() -> None:
-    """Worker initializer: disabled tracer, SIGINT ignored.
+
+def _pool_worker_init(owner_pid: int | None) -> None:
+    """Worker initializer: disabled tracer, SIGINT ignored, no inherited
+    executor, and no life after the parent.
 
     A forked worker inherits whatever tracer the parent had installed
     at pool-creation time; traced runs always ship spans explicitly
@@ -87,13 +94,32 @@ def _pool_worker_init() -> None:
     not also record.  Ctrl-C is the parent's to handle: a terminal
     SIGINT reaches the whole foreground process group, and an idle
     warm worker would die printing a KeyboardInterrupt traceback while
-    the parent shuts the pool down cleanly.  Module-level so ``spawn``
-    can pickle it.
+    the parent shuts the pool down cleanly.  The inherited ``_SHARED``
+    handle points at the *parent's* pools: a task that itself asks for
+    ``thread``/``process`` ranks (a service job) must build its own.
+    And a worker whose parent was SIGKILLed would wait on the call
+    queue forever — siblings hold its write end, so EOF never comes —
+    so a daemon thread compares ``os.getppid()`` once a second and
+    exits the worker, mid-task or idle, once it is no longer
+    *owner_pid* (``None`` under ``forkserver``: the parent is the fork
+    server, which dies with its owner).  Module-level so ``spawn`` can
+    pickle it.
     """
+    global _SHARED, _SHARED_LOCK
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     from .tracing import Tracer, install
     install(Tracer(enabled=False))
+    _SHARED, _SHARED_LOCK = None, threading.Lock()
+    parent = owner_pid or os.getppid()
+
+    def exit_when_orphaned() -> None:
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=exit_when_orphaned, name="repro-orphan-watch",
+                     daemon=True).start()
 
 
 def default_worker_count() -> int:
@@ -171,7 +197,12 @@ class SharedExecutor:
                 f"max_workers {max_workers} must be >= 1")
         if idle_timeout is None:
             env = os.environ.get("REPRO_EXECUTOR_IDLE_TIMEOUT")
-            idle_timeout = float(env) if env else DEFAULT_IDLE_TIMEOUT
+            with suppress(ValueError):
+                idle_timeout = float(env) if env else DEFAULT_IDLE_TIMEOUT
+            if idle_timeout is None or not math.isfinite(idle_timeout):
+                raise RuntimeLayerError(
+                    f"invalid REPRO_EXECUTOR_IDLE_TIMEOUT value {env!r}: "
+                    f"expected a number of seconds")
         self.max_workers = max_workers
         self.idle_timeout = idle_timeout
         self.start_method = resolve_start_method(start_method)
@@ -207,7 +238,9 @@ class SharedExecutor:
             ctx = multiprocessing.get_context(self.start_method)
             self._process_pool = ProcessPoolExecutor(
                 max_workers=self.max_workers, mp_context=ctx,
-                initializer=_pool_worker_init)
+                initializer=_pool_worker_init, initargs=(
+                    None if self.start_method == "forkserver"
+                    else os.getpid(),))
             self._counters["process_pool_starts"] += 1
         return self._process_pool
 
@@ -219,41 +252,35 @@ class SharedExecutor:
         self._process_pool = None
         return pools
 
-    def _discard_process_pool(self) -> None:
-        """Drop a broken process pool so the next call starts fresh."""
+    def _arm_idle_timer(self, delay: float | None = None) -> None:
+        # One pending check serves any number of calls (a service job
+        # ends one every few ms): it re-arms itself for the time left.
         with self._lock:
-            pool, self._process_pool = self._process_pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
-
-    def _arm_idle_timer(self) -> None:
-        with self._lock:
-            if self._timer is not None:
-                self._timer.cancel()
-                self._timer = None
-            if not self.idle_timeout or self.idle_timeout <= 0:
+            if self._timer is not None or not self.idle_timeout \
+                    or self.idle_timeout <= 0:
                 return
             if self._thread_pool is None and self._process_pool is None:
                 return
-            timer = threading.Timer(self.idle_timeout, self._idle_check)
+            timer = threading.Timer(delay or self.idle_timeout,
+                                    self._idle_check)
             timer.daemon = True
             timer.start()
             self._timer = timer
 
     def _idle_check(self) -> None:
         with self._lock:
+            self._timer = None
             idle_for = time.monotonic() - self._last_used
-            expired = (self._active_calls == 0
-                       and idle_for >= self.idle_timeout)
-            pools = self._take_pools() if expired else []
+            if self._active_calls:     # the call's end arms the next one
+                return
+            pools = self._take_pools() \
+                if idle_for >= self.idle_timeout else []
             if pools:
                 self._counters["idle_shutdowns"] += 1
-                self._timer = None
-        if pools:
-            for pool in pools:
-                pool.shutdown(wait=False)
-        else:
-            self._arm_idle_timer()
+        for pool in pools:
+            pool.shutdown(wait=False)
+        if not pools:
+            self._arm_idle_timer(self.idle_timeout - idle_for)
 
     def shutdown(self, wait_for_tasks: bool = True) -> None:
         """Stop both pools (they are recreated lazily if used again)."""
@@ -309,7 +336,7 @@ class SharedExecutor:
             except BrokenExecutor as exc:
                 for future in futures.values():
                     future.cancel()
-                self._fail(kind, self._label(labels, order[len(futures)]),
+                self._fail(pool, self._label(labels, order[len(futures)]),
                            exc)
             wait(futures.values(), return_when=FIRST_EXCEPTION)
             failed = [i for i in order
@@ -323,7 +350,7 @@ class SharedExecutor:
                 exc = futures[first].exception()
                 assert exc is not None
                 if isinstance(exc, BrokenExecutor):
-                    self._fail(kind, self._label(labels, first), exc)
+                    self._fail(pool, self._label(labels, first), exc)
                 raise exc
             results = [futures[i].result() for i in range(len(items))]
             with self._lock:
@@ -335,11 +362,15 @@ class SharedExecutor:
                 self._last_used = time.monotonic()
             self._arm_idle_timer()
 
-    def _fail(self, kind: str, label: str, exc: BaseException) -> None:
+    def _fail(self, pool: Any, label: str, exc: BaseException) -> None:
+        # A broken process pool is dropped so the next call starts a
+        # fresh one; a second caller that saw the same pool break finds
+        # it gone and leaves the replacement alone.
         with self._lock:
             self._counters["tasks_failed"] += 1
-        if kind == "process":
-            self._discard_process_pool()
+            if self._process_pool is pool:
+                self._process_pool = None
+                pool.shutdown(wait=False)
         raise ExecutorFailure(
             label, f"{type(exc).__name__}: {exc}") from exc
 

@@ -167,6 +167,18 @@ class ServiceMetrics:
                 },
             }
 
+    def absorb(self, snap: dict) -> None:
+        """Fold in a :meth:`snapshot` taken in another process (a job
+        body's deltas): counters and timers add, gauges overwrite."""
+        with self._lock:
+            for name, amount in snap["counters"].items():
+                self._counters[name] = self._counters.get(name, 0) + amount
+            self._gauges.update(snap["gauges"])
+            for name, timer in snap["timers"].items():
+                count, total = self._timers.get(name, (0, 0.0))
+                self._timers[name] = (count + timer["count"],
+                                      total + timer["total_seconds"])
+
     def format_report(self) -> str:
         """Human-readable metrics table (``repro status --metrics``)."""
         return format_metrics_snapshot(self.snapshot())

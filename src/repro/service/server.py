@@ -1,12 +1,16 @@
 """The conversion service: the in-process façade.
 
-:class:`ConversionService` wires the worker pool, the artifact cache
-and the existing converters into one long-lived object.  Submitting a
-job returns immediately; the scheduler runs it on a worker thread.
-BAM inputs route their sequential preprocessing through the
-content-addressed cache, so repeated full or partial-region
-conversions of the same input skip the preprocessing phase entirely —
-the warm path is an O(1) cache lookup plus the BAIX binary search.
+:class:`ConversionService` wires the scheduler, the artifact cache and
+the existing converters into one long-lived object.  Submitting a job
+returns immediately; a scheduler thread resolves its inputs and then
+*waits* while a process of the warm shared pool *works*: the job body
+is a module-level function of one picklable payload, so the process
+holding gateway, journal, scheduler and cache runs no conversion code
+and N jobs use N cores instead of one GIL.  BAM inputs route their
+sequential preprocessing through the content-addressed cache, so
+repeated full or partial-region conversions of the same input skip
+that phase entirely — the warm path is an O(1) cache lookup plus the
+BAIX binary search.
 
 :class:`~repro.service.gateway.GatewayServer` exposes the façade over
 a local unix socket and/or a TCP listener: transport, session, dispatch
@@ -24,11 +28,14 @@ import warnings
 from typing import Any
 
 from ..core import BamConverter, SamConverter, parse_filter_expr
-from ..core.base import ConversionResult, validate_knob
+from ..core.base import _run_entry, validate_knob
 from ..errors import ServiceError
 from ..formats.store import index_path_for
 from ..runtime.autotune import AutoTuner, CostModel
+from ..runtime.executor import get_shared_executor, \
+    reset_shared_executor, shared_executor_stats
 from ..runtime.metrics import ServiceMetrics
+from ..runtime.tracing import get_tracer
 from . import journal as journal_mod
 from .cache import ArtifactCache, CacheEntry
 from .jobs import Job, seed_job_counter
@@ -39,18 +46,59 @@ from .scheduler import WorkerPool
 JOB_KINDS = ("convert", "region", "preprocess")
 
 
-def _result_dict(result: ConversionResult,
-                 cache_state: str | None) -> dict[str, Any]:
-    """Shrink a ConversionResult to the JSON-safe job result."""
-    return {
-        "target": result.target,
-        "outputs": result.outputs,
-        "records": result.records,
-        "emitted": result.emitted,
-        "nprocs": result.nprocs,
-        "wall_seconds": result.wall_seconds,
-        "cache": cache_state,
-    }
+# -- job bodies: run in a pool process; one picklable payload in,
+# ``(result, metric deltas)`` out, the deltas being the snapshot of a
+# ServiceMetrics that lived for the call (ServiceMetrics.absorb).
+
+def _convert_body(payload: dict[str, Any]) -> tuple[dict[str, Any], dict]:
+    """A ``convert`` or ``region`` job on ``payload["store"]``, the
+    store the daemon resolved (``None``: the input is SAM text)."""
+    params, metrics = payload["params"], ServiceMetrics()
+    converter = BamConverter if payload["store"] else SamConverter
+    knobs = dict(payload["knobs"], tuner=AutoTuner(
+        CostModel(payload["cost_model"]), metrics=metrics))
+    record_filter = parse_filter_expr(params["filter"]) \
+        if params.get("filter") else None
+    ranks = (int(params.get("nprocs", 1)),
+             params.get("executor", "simulate"))
+    try:
+        if payload["kind"] == "region":
+            result = converter(**knobs).convert_region(
+                payload["store"], payload["baix"], params["region"],
+                params["target"], params["out_dir"], *ranks,
+                mode=params.get("mode", "start"),
+                record_filter=record_filter)
+        else:
+            result = converter(**knobs).convert(
+                payload["store"] or os.fspath(params["input"]),
+                params["target"], params["out_dir"], *ranks,
+                record_filter=record_filter)
+    finally:
+        # Pools a job with thread/process ranks built in this worker.
+        reset_shared_executor()
+    # Slabs of SAM lines converted line by line; columnar slabs the
+    # kernel layer handed to the record driver.
+    for name, field in (("batch_fallbacks", "fallbacks"),
+                        ("kernel_fallbacks", "kernel_fallbacks")):
+        count = sum(getattr(m, field) for m in result.rank_metrics)
+        if count:
+            metrics.inc(name, count)
+    return {"target": result.target, "outputs": result.outputs,
+            "records": result.records, "emitted": result.emitted,
+            "nprocs": result.nprocs, "wall_seconds": result.wall_seconds,
+            "cache": payload["cache"]}, metrics.snapshot()
+
+
+def _preprocess_body(payload: dict[str, Any]) -> tuple[None, dict]:
+    """The cache builder: a BAM into the entry directory."""
+    metrics = ServiceMetrics()
+    _, _, rank = BamConverter(
+        store_format=payload["store_format"]).preprocess(
+        payload["bam"], payload["entry_dir"],
+        compress=payload["compress"])
+    metrics.inc("preprocess_runs")
+    metrics.observe("preprocess_seconds", rank.total_seconds)
+    return None, metrics.snapshot()
 
 
 class ConversionService:
@@ -62,24 +110,30 @@ class ConversionService:
         Root for service state; the artifact cache lives in
         ``<work_dir>/cache`` unless *cache_dir* overrides it.
     workers:
-        Worker threads draining the job queue.
+        Jobs in flight at once: scheduler threads that resolve a job's
+        inputs through the cache, then wait for its body to finish in a
+        process of the shared pool (``REPRO_EXECUTOR_WORKERS``, else
+        ``os.cpu_count()``, wide; started here, before any thread).
     cache_max_bytes:
         LRU size cap for the artifact cache (``None`` = unbounded).
     shards_per_rank:
         Default over-decomposition factor for converter jobs; a job's
         ``shards`` parameter overrides it, and either may be ``"auto"``
         to let the shared cost model pick per job (a job's
-        ``batch_size`` is always an integer).  All jobs share one
-        process-global :class:`~repro.runtime.executor.SharedExecutor`
-        — no per-job pool forking.
+        ``batch_size`` is always an integer).  Shards spread only
+        where the job asks for real ranks (``executor``): on pools its
+        worker process builds for it and drops when it ends.
     cost_model_path:
         Where the persistent autotune cost model lives; defaults to
-        ``<work_dir>/cost_model.json``.  One
-        :class:`~repro.runtime.autotune.AutoTuner` wraps it for the
-        whole service, so every job — tuned or manual — feeds the model
-        and ``autotune_*`` counters appear in ``repro status
-        --metrics``.  A damaged file never fails a job: what could not
-        be loaded is dropped with one :class:`RuntimeWarning` here.
+        ``<work_dir>/cost_model.json``.  The *file* is what jobs share:
+        each body builds ``AutoTuner(CostModel(path))`` in its worker,
+        so every job — tuned or manual — loads, feeds and atomically
+        replaces it, and its ``autotune_*`` counters come home with the
+        result (``repro status --metrics``).  Of two jobs finishing at
+        once the later save wins and the other observation is lost,
+        which an EWMA absorbs.  A damaged file never fails a job: what
+        could not be loaded is dropped with one :class:`RuntimeWarning`
+        here.
     journal_path:
         Optional write-ahead job journal file.  When set, every
         submission and state transition is logged durably, and this
@@ -109,23 +163,23 @@ class ConversionService:
                  cache_verify: str | float = "always",
                  cost_model_path: str | os.PathLike[str] | None = None,
                  ) -> None:
-        from ..runtime.executor import shared_executor_stats
         self.work_dir = os.fspath(work_dir)
         os.makedirs(self.work_dir, exist_ok=True)
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.shards_per_rank = validate_knob(
             shards_per_rank, "shards_per_rank", ServiceError)
-        self.tuner = AutoTuner(
-            CostModel(cost_model_path if cost_model_path is not None
-                      else os.path.join(self.work_dir,
-                                        "cost_model.json")),
-            metrics=self.metrics)
-        if self.tuner.model.load_error:
-            warnings.warn(f"damaged cost model {self.tuner.model.path}: "
-                          f"{self.tuner.model.load_error}", RuntimeWarning,
+        # Fork the pool's workers while no scheduler, journal or
+        # gateway thread exists to be caught holding a lock.
+        get_shared_executor().map_tasks(abs, [0], "process")
+        model = CostModel(cost_model_path if cost_model_path is not None
+                          else os.path.join(self.work_dir,
+                                            "cost_model.json"))
+        self.cost_model_path = model.path
+        if model.load_error:
+            warnings.warn(f"damaged cost model {model.path}: "
+                          f"{model.load_error}", RuntimeWarning,
                           stacklevel=2)
-        self.metrics.set_gauge("autotune_model_keys",
-                               len(self.tuner.model))
+        self.metrics.set_gauge("autotune_model_keys", len(model))
         self.cache = ArtifactCache(
             cache_dir if cache_dir is not None
             else os.path.join(self.work_dir, "cache"),
@@ -222,69 +276,56 @@ class ConversionService:
         if self.journal is not None:
             self.journal.close()
 
-    # -- the job runner (executes on worker threads) -----------------
+    # -- the job runner (scheduler threads wait, pool processes work) --
 
     def _run_job(self, job: Job) -> dict[str, Any]:
         params = job.params
-        record_filter = parse_filter_expr(params["filter"]) \
-            if params.get("filter") else None
-        nprocs = int(params.get("nprocs", 1))
-        executor = params.get("executor", "simulate")
         # Journal-recovered jobs bypass submit(), so knobs are
         # re-validated here with the same friendly errors.
-        knobs: dict[str, Any] = {
-            "shards_per_rank": validate_knob(
-                params.get("shards", self.shards_per_rank), "shards",
-                ServiceError),
-            "tuner": self.tuner,
-        }
+        knobs: dict[str, Any] = {"shards_per_rank": validate_knob(
+            params.get("shards", self.shards_per_rank), "shards",
+            ServiceError)}
         if "batch_size" in params:
             knobs["batch_size"] = validate_knob(
                 params["batch_size"], "batch_size", ServiceError,
                 auto=False)
         source = os.fspath(params["input"])
-        lowered = source.lower()
         if job.kind == "preprocess":
-            entry, hit = self._preprocessed(
-                source, compress=bool(params.get("compress", False)),
-                store_format=params.get("store_format", "bamx"))
+            entry, hit = self._preprocessed(source, params)
             return {"artifacts": entry.files(),
                     "cache": "hit" if hit else "miss"}
-        cache_state = None
-        if job.kind == "region":
+        store_path = baix_path = cache_state = None
+        if job.kind == "region" or not source.lower().endswith(".sam"):
             store_path, baix_path, cache_state = self._store_for(
                 source, params)
-            result = BamConverter(**knobs).convert_region(
-                store_path, baix_path, params["region"],
-                params["target"], params["out_dir"], nprocs, executor,
-                mode=params.get("mode", "start"),
-                record_filter=record_filter)
-        elif lowered.endswith(".sam"):
-            result = SamConverter(**knobs).convert(
-                source, params["target"], params["out_dir"], nprocs,
-                executor, record_filter=record_filter)
-        else:
-            store_path, _, cache_state = self._store_for(source, params)
-            result = BamConverter(**knobs).convert(
-                store_path, params["target"], params["out_dir"], nprocs,
-                executor, record_filter=record_filter)
-        self._note_fallbacks(result)
-        return _result_dict(result, cache_state)
+        return self._in_pool(_convert_body, {
+            "kind": job.kind, "params": params, "store": store_path,
+            "baix": baix_path, "cache": cache_state, "knobs": knobs,
+            "cost_model": self.cost_model_path,
+        }, f"{job.job_id} {job.kind}")
 
-    def _note_fallbacks(self, result: ConversionResult) -> None:
-        """Roll a job's pipeline degradations into the service counters.
+    def _in_pool(self, body: Any, payload: dict[str, Any],
+                 label: str) -> Any:
+        """Run ``body(payload)`` in a process of the shared pool — the
+        one place the service crosses the process boundary.
 
-        ``batch_fallbacks`` counts slabs of SAM lines the batch pipeline
-        converted line by line; ``kernel_fallbacks`` counts
-        columnar slabs the kernel layer handed to the record driver.
-        Both show up in ``repro status --metrics``.
+        The calling thread waits.  Back come the body's result, its
+        metric deltas (folded into :attr:`metrics`) and its spans,
+        which land under the caller's open span — the attempt's
+        ``job.<kind>`` — the way rank spans do.  A body that takes its
+        interpreter down surfaces as ``ExecutorFailure`` naming
+        *label*; the next call rebuilds the pool.
         """
-        batch = sum(m.fallbacks for m in result.rank_metrics)
-        kernel = sum(m.kernel_fallbacks for m in result.rank_metrics)
-        if batch:
-            self.metrics.inc("batch_fallbacks", batch)
-        if kernel:
-            self.metrics.inc("kernel_fallbacks", kernel)
+        tracer = get_tracer()
+        caller = tracer.current_span()
+        parent_id = caller.span_id if caller is not None else None
+        ((result, deltas), span_dicts), = get_shared_executor().map_tasks(
+            _run_entry, [(body, payload, None, None,
+                          (tracer.enabled, tracer.epoch), parent_id,
+                          "job.body")], "process", labels=[label])
+        tracer.ingest(span_dicts, parent_id=parent_id)
+        self.metrics.absorb(deltas)
+        return result
 
     def _store_for(self, source: str, params: dict[str, Any],
                    ) -> tuple[str, str | None, str | None]:
@@ -304,39 +345,29 @@ class ConversionService:
             raise ServiceError(
                 f"cannot tell the source format of {source!r}; expected "
                 f"a .sam, .bam, .bamx, .bamz or .bamc file")
-        entry, hit = self._preprocessed(
-            source, compress=bool(params.get("compress", False)),
-            store_format=params.get("store_format", "bamx"))
-        store_path = self._entry_store(entry)
+        entry, hit = self._preprocessed(source, params)
+        store_path = next((path for path in entry.files() if path.endswith(
+            (".bamx", ".bamz", ".bamc"))), None)
+        if store_path is None:
+            raise ServiceError(
+                f"cache entry {entry.key} holds no record store")
         return store_path, \
             index_path_for(store_path, params.get("mode", "start")), \
             "hit" if hit else "miss"
 
-    def _preprocessed(self, bam_path: str, compress: bool,
-                      store_format: str = "bamx",
+    def _preprocessed(self, bam_path: str, params: dict[str, Any],
                       ) -> tuple[CacheEntry, bool]:
-        """Fetch-or-build the preprocessing artifacts for a BAM."""
-        params = {"op": "preprocess_bam", "compress": compress}
-        if store_format != "bamx":
+        """Fetch-or-build the preprocessing artifacts for a BAM, in the
+        ``store_format`` / ``compress`` the job's *params* ask for."""
+        build = {"bam": bam_path,
+                 "store_format": params.get("store_format", "bamx"),
+                 "compress": bool(params.get("compress", False))}
+        key = {"op": "preprocess_bam", "compress": build["compress"]}
+        if build["store_format"] != "bamx":
             # Appended only for non-default formats so cache entries
             # built before BAMC existed keep their keys.
-            params["store_format"] = store_format
-
-        def builder(entry_dir: str) -> None:
-            _, _, metrics = BamConverter(
-                store_format=store_format).preprocess(
-                bam_path, entry_dir, compress=compress)
-            self.metrics.inc("preprocess_runs")
-            self.metrics.observe("preprocess_seconds",
-                                 metrics.total_seconds)
-
-        return self.cache.get_or_build(bam_path, params, builder)
-
-    @staticmethod
-    def _entry_store(entry: CacheEntry) -> str:
-        """The record-store artifact inside a cache entry."""
-        for path in entry.files():
-            if path.endswith((".bamx", ".bamz", ".bamc")):
-                return path
-        raise ServiceError(
-            f"cache entry {entry.key} holds no record store")
+            key["store_format"] = build["store_format"]
+        return self.cache.get_or_build(
+            bam_path, key, lambda entry_dir: self._in_pool(
+                _preprocess_body, dict(build, entry_dir=entry_dir),
+                f"preprocess {os.path.basename(bam_path)}"))

@@ -85,6 +85,50 @@ def test_persistence_round_trip_is_atomic(tmp_path):
     assert reloaded.lookup(key)["rate"] == pytest.approx(0.01)
 
 
+def _observe_and_save(job):
+    """What one service job body does to the shared model file."""
+    path, key, rounds = job
+    for _ in range(rounds):
+        model = CostModel(path)
+        assert model.load_error is None, model.load_error
+        model.observe(key, [(100.0, 1.0)])
+        model.save()
+    return os.getpid()
+
+
+def test_concurrent_processes_never_tear_the_model_file(tmp_path):
+    """The service's pool workers share the model as a file: four
+    writers replacing it at once may lose each other's observations
+    (last save wins) but no reader — here the writers themselves and
+    this process — ever loads a torn or half-written document."""
+    from repro.runtime.executor import SharedExecutor
+    path = str(tmp_path / "svc" / "cost_model.json")
+    keys = [make_key("bed", "sam", "batch", 4 ** (i + 2)) for i in range(4)]
+    executor = SharedExecutor(max_workers=4, idle_timeout=0)
+    done = []
+
+    def writers():
+        done.extend(executor.map_tasks(
+            _observe_and_save, [(path, key, 60) for key in keys],
+            "process"))
+
+    import threading
+    thread = threading.Thread(target=writers)
+    thread.start()
+    try:
+        reads = 0
+        while thread.is_alive():
+            assert CostModel(path).load_error is None
+            reads += 1
+    finally:
+        thread.join(60)
+        executor.shutdown()
+    assert not thread.is_alive() and len(done) == 4 and reads > 0
+    final = CostModel(path)
+    assert final.load_error is None and 1 <= len(final) <= 4
+    assert os.listdir(tmp_path / "svc") == ["cost_model.json"]
+
+
 def test_corrupt_model_file_reads_as_empty(tmp_path):
     path = tmp_path / "m.json"
     path.write_text("{not json", encoding="utf-8")

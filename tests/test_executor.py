@@ -175,6 +175,33 @@ def test_idle_timeout_reclaims_and_recreates_pools():
         ex.shutdown()
 
 
+def test_one_idle_check_serves_a_burst_of_calls():
+    """Ending a call used to cancel the pending idle timer and start a
+    new one — a thread per call.  One pending check is kept instead; if
+    it finds the pools used since, it waits out the time that is left,
+    so reclamation still comes ``idle_timeout`` after the *last* use."""
+    ex = SharedExecutor(max_workers=1, idle_timeout=0.25)
+    try:
+        ex.map_tasks(_double, [1], "thread")
+        first = ex._timer
+        assert first is not None
+        for _ in range(10):
+            ex.map_tasks(_double, [1], "thread")
+            assert ex._timer is first
+        time.sleep(0.15)
+        ex.map_tasks(_double, [1], "thread")    # before the check fires
+        last_use = time.monotonic()
+        deadline = last_use + 3.0
+        while ex.stats()["idle_shutdowns"] < 1 \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert ex.stats()["idle_shutdowns"] == 1
+        assert time.monotonic() - last_use >= 0.25 * 0.9
+        assert ex.stats()["thread_pool_alive"] == 0 and ex._timer is None
+    finally:
+        ex.shutdown()
+
+
 def test_shutdown_then_reuse(executor):
     executor.map_tasks(_double, [1], "thread")
     executor.shutdown()
@@ -398,3 +425,29 @@ def test_worker_env_non_positive_names_the_value(monkeypatch):
     monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "0")
     with pytest.raises(RuntimeLayerError, match=r"'0'.*>= 1"):
         SharedExecutor(idle_timeout=0)
+
+
+# -- friendly REPRO_EXECUTOR_IDLE_TIMEOUT validation -----------------
+
+@pytest.mark.parametrize("bad", ["abc", "nan", "inf", "1,5"])
+def test_idle_timeout_env_non_numeric_names_the_value(monkeypatch, bad):
+    monkeypatch.setenv("REPRO_EXECUTOR_IDLE_TIMEOUT", bad)
+    with pytest.raises(
+            RuntimeLayerError,
+            match=rf"REPRO_EXECUTOR_IDLE_TIMEOUT value '{bad}'"):
+        SharedExecutor(max_workers=1)
+
+
+@pytest.mark.parametrize("value, seconds", [
+    ("2.5", 2.5), ("0", 0.0), ("-1", -1.0), ("", 120.0)])
+def test_idle_timeout_env_values(monkeypatch, value, seconds):
+    """A number is taken as given; ``<= 0`` keeps meaning "no reaping"
+    (no timer is armed); empty falls back to the default."""
+    monkeypatch.setenv("REPRO_EXECUTOR_IDLE_TIMEOUT", value)
+    ex = SharedExecutor(max_workers=1)
+    try:
+        assert ex.idle_timeout == seconds
+        assert ex.map_tasks(_double, [2], "thread") == [4]
+        assert (ex._timer is not None) == (seconds > 0)
+    finally:
+        ex.shutdown()

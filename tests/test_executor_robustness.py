@@ -156,3 +156,41 @@ def test_sharded_specs_are_picklable(sam_file, tmp_path):
     assert shards[0].write_header and not shards[1].write_header
     pre_shards = pre_spec.split(3)
     assert all(s.parse_only for s in pre_shards)
+
+
+def pid_alive(pid: int) -> bool:
+    """Whether *pid* is a live (not zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def test_pool_workers_do_not_outlive_their_parent():
+    """A parent that dies the way SIGKILL kills it (no shutdown, no
+    atexit) must not leave its warm pool workers behind: they notice
+    the changed parent pid and exit, here within 3 s."""
+    import subprocess
+    import sys
+    import time
+
+    import repro
+    code = ("import os\n"
+            "from repro.runtime.executor import get_shared_executor\n"
+            "def pid(_):\n"
+            "    return os.getpid()\n"
+            "pids = get_shared_executor().map_tasks(pid, range(8), 'process')\n"
+            "print(*sorted(set(pids)), flush=True)\n"
+            "os._exit(0)\n")
+    env = dict(os.environ, REPRO_EXECUTOR_WORKERS="2",
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    pids = [int(word) for word in done.stdout.split()]
+    assert pids and os.getpid() not in pids
+    deadline = time.monotonic() + 3.0
+    while any(map(pid_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(pid_alive, pids)), pids

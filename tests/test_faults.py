@@ -398,3 +398,82 @@ def test_preprocess_rank_fault_leaves_a_clean_work_dir(
     assert metrics.records > 0
     assert sorted(os.listdir(work)) == sorted(
         os.path.basename(path) for path in (store, baix, baix + "2"))
+
+
+# ---------------------------------------------------------------------
+# shard.batch:crash under the service: the job body's interpreter dies
+
+
+@pytest.fixture()
+def crashing_sam_daemon(tmp_path):
+    """A gateway over a service whose pool workers were forked with
+    ``shard.batch:crash`` armed: any SAM job body ``os._exit``s the
+    process it runs in, the way an OOM kill or a C-level fault would."""
+    from repro.service import ConversionService
+    faults.arm("shard.batch:crash")
+    reset_shared_executor()  # the service's pool is #1, forked armed
+    service = ConversionService(tmp_path / "svc", workers=2)
+    daemon = GatewayServer(service, tcp_address=("127.0.0.1", 0))
+    daemon.start()
+    try:
+        yield daemon
+    finally:
+        daemon.stop()
+        faults.disarm()
+        reset_shared_executor()
+
+
+def test_crashing_job_body_fails_that_job_only(crashing_sam_daemon,
+                                               sam_file, bam_file,
+                                               tmp_path):
+    """Crash containment: the job whose body died is ``failed`` with the
+    executor's text, the daemon still answers, and the next job runs on
+    a rebuilt pool."""
+    from repro.service import ServiceClient
+    with ServiceClient(crashing_sam_daemon.tcp_address) as client:
+        doomed = client.submit("convert", {
+            "input": sam_file, "target": "bed",
+            "out_dir": str(tmp_path / "doomed")})
+        final = client.wait(doomed["job_id"], timeout=60)
+        assert final["state"] == "failed" and final["attempts"] == 1
+        assert "ExecutorFailure: worker pool task " \
+            f"[{doomed['job_id']} convert] failed" in final["error"]
+        assert client.ping()
+        assert client.status(doomed["job_id"])["state"] == "failed"
+        gauges = client.metrics()["gauges"]
+        assert gauges["executor_process_pool_alive"] == 0
+        assert gauges["executor_tasks_failed"] == 1
+        # A BAM job never reaches shard.batch: it completes, on pool #2.
+        job = client.submit("convert", {
+            "input": bam_file, "target": "bed",
+            "out_dir": str(tmp_path / "next")})
+        final = client.wait(job["job_id"], timeout=60)
+        assert final["state"] == "done", final["error"]
+        assert final["result"]["records"] > 0
+        snap = client.metrics()
+        assert snap["gauges"]["executor_process_pool_starts"] == 2
+        assert snap["gauges"]["executor_process_pool_alive"] == 1
+        assert snap["counters"]["jobs_failed"] == 1
+        assert snap["counters"]["jobs_done"] == 1
+
+
+def test_crashing_job_body_is_retried_on_a_rebuilt_pool(
+        crashing_sam_daemon, sam_file, tmp_path):
+    from repro.service import ServiceClient
+    with ServiceClient(crashing_sam_daemon.tcp_address) as client:
+        doomed = client.submit("convert", {
+            "input": sam_file, "target": "bed",
+            "out_dir": str(tmp_path / "doomed")}, max_retries=1)
+        final = client.wait(doomed["job_id"], timeout=60)
+        assert final["state"] == "failed" and final["attempts"] == 2
+        assert "worker pool task " in final["error"]
+        roots = [s for s in client.trace(doomed["job_id"])
+                 if s["name"] == "job.convert"]
+        assert [s["args"]["attempt"] for s in roots] == [1, 2]
+        assert all(s["args"]["error"] == "ExecutorFailure" for s in roots)
+        # Attempt 2 ran — and died — on pool #2; the daemon lives.
+        snap = client.metrics()
+        assert snap["gauges"]["executor_process_pool_starts"] == 2
+        assert snap["gauges"]["executor_tasks_failed"] == 2
+        assert snap["counters"]["jobs_retried"] == 1
+        assert client.ping()

@@ -11,6 +11,8 @@ import time
 import pytest
 
 from repro.errors import JobNotFoundError, ServiceError
+from repro.runtime.executor import reset_shared_executor, \
+    shared_executor_stats
 from repro.service import ArtifactCache, ConversionService, \
     GatewayServer, Job, JobState, ServiceClient, WorkerPool, cache_key
 
@@ -557,6 +559,124 @@ def test_service_preprocess_job_warms_cache(service, bam_file,
     snap2 = service.wait(follow.job_id, timeout=60)
     assert snap2["result"]["cache"] == "hit"
     assert service.metrics.counter("preprocess_runs") == 1
+
+
+# ---------------------------------------------------------------------
+# the process boundary: job bodies run in the shared pool
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pool_bodies_match_in_process_converters(bam_file, sam_file,
+                                                 tmp_path, workers):
+    """Every job shape, run in a pool process, writes the bytes the
+    converter writes when called in this process with the same
+    arguments."""
+    from repro.core import BamConverter, SamConverter
+    store, baix, _ = BamConverter().preprocess(bam_file, tmp_path / "work")
+    want = {
+        "first-sight": BamConverter().convert(
+            store, "sam", tmp_path / "want-first-sight"),
+        "seen": BamConverter().convert(store, "bed", tmp_path / "want-seen"),
+        "region-bed": BamConverter().convert_region(
+            store, baix, "chr1:1-30000", "bed", tmp_path / "want-region-bed"),
+        "region-fastq": BamConverter().convert_region(
+            store, baix, "chr2:1-20000", "fastq",
+            tmp_path / "want-region-fastq"),
+        "sam": SamConverter().convert(sam_file, "bed", tmp_path / "want-sam",
+                                      nprocs=2),
+    }
+    reset_shared_executor()     # so the pool the service starts is #1
+    svc = ConversionService(tmp_path / "svc", workers=workers)
+    try:
+        def submit(name, kind, **params):
+            return name, svc.submit(kind, {
+                "out_dir": str(tmp_path / f"got-{name}"), **params})
+
+        first = submit("first-sight", "convert", input=bam_file,
+                       target="sam")
+        assert svc.wait(first[1].job_id, 60)["result"]["cache"] == "miss"
+        jobs = [first,
+                submit("seen", "convert", input=bam_file, target="bed"),
+                submit("region-bed", "region", input=bam_file,
+                       region="chr1:1-30000", target="bed"),
+                submit("region-fastq", "region", input=bam_file,
+                       region="chr2:1-20000", target="fastq"),
+                submit("sam", "convert", input=sam_file, target="bed",
+                       nprocs=2)]
+        for name, job in jobs:
+            snap = svc.wait(job.job_id, 60)
+            assert snap["state"] == "done", (name, snap["error"])
+            assert snap["result"]["records"] == want[name].records
+            got = part_bytes(tmp_path / f"got-{name}")
+            assert got and got == part_bytes(tmp_path / f"want-{name}"), name
+        assert svc.metrics.counter("preprocess_runs") == 1
+        assert svc.metrics.gauge("executor_process_pool_starts") == 1
+    finally:
+        svc.close()
+
+
+def test_job_with_process_ranks_builds_its_own_pool(service, sam_file,
+                                                    tmp_path):
+    """A job body already runs in a pool process; one that itself asks
+    for ``nprocs=2, executor="process"`` must not touch the pool it was
+    forked from."""
+    before = shared_executor_stats()
+    snaps = {}
+    for executor in ("simulate", "process"):
+        job = service.submit("convert", {
+            "input": sam_file, "target": "bed", "nprocs": 2,
+            "shards": 2, "executor": executor,
+            "out_dir": str(tmp_path / executor)})
+        snaps[executor] = service.wait(job.job_id, 60)
+        assert snaps[executor]["state"] == "done", snaps[executor]["error"]
+    assert part_bytes(tmp_path / "process") == \
+        part_bytes(tmp_path / "simulate")
+    assert len(part_bytes(tmp_path / "process")) == 2
+    shards = [s for s in service.trace(snaps["process"]["job_id"])
+              if s["name"] == "shard"]
+    assert len(shards) == 4         # ran as 2 ranks x 2 shards, traced
+    # The daemon's pool saw one call per job and nothing else.
+    after = shared_executor_stats()
+    assert after["calls"] == before["calls"] + 2
+    assert after["tasks_completed"] == before["tasks_completed"] + 2
+    assert after["process_pool_starts"] == before["process_pool_starts"]
+
+
+def test_job_trace_spans_cross_the_process_boundary(service, bam_file,
+                                                    tmp_path):
+    """One tree per attempt: the spans a body records in its pool
+    process hang off the attempt's ``job.<kind>`` span."""
+    for out in ("prime", "traced"):
+        job = service.submit("region", {
+            "input": bam_file, "region": "chr1:1-30000", "target": "bed",
+            "out_dir": str(tmp_path / out)})
+        assert service.wait(job.job_id, 60)["state"] == "done"
+    spans = service.trace(job.job_id)
+    by_id = {s["span_id"]: s for s in spans}
+    assert len(by_id) == len(spans)
+
+    def path(name):
+        (span,) = [s for s in spans if s["name"] == name]
+        names = [name]
+        while span["parent_id"] is not None:
+            span = by_id[span["parent_id"]]
+            names.append(span["name"])
+        return names[::-1]
+
+    assert path("job.body") == ["job.region", "job.body"]
+    assert path("locate") == ["job.region", "job.body", "convert.region",
+                              "locate"]
+    assert path("write") == ["job.region", "job.body", "convert.region",
+                             "rank", "write"]
+    assert path("autotune")[:-1] == path("convert.region")
+    (tune,) = [s for s in spans if s["name"] == "autotune"]
+    assert tune["args"]["cost_model"]["hit"] is True
+    (body,) = [s for s in spans if s["name"] == "job.body"]
+    assert body["args"]["task"] == "_convert_body"
+    # Worker-side spans sit on the daemon's timeline, inside the attempt.
+    root = by_id[body["parent_id"]]
+    assert root["start"] <= body["start"] <= body["end"] <= root["end"]
+    assert service.metrics.snapshot()["timers"]["span.job.body"]["count"] >= 2
 
 
 # ---------------------------------------------------------------------

@@ -13,7 +13,9 @@ contract end to end:
 * no quarantined or partially-built cache entry is ever served
   (``cache_quarantined`` stays 0 and the quarantine dir stays empty);
 * recovered job ids keep answering status queries and new submissions
-  never collide with them.
+  never collide with them;
+* the killed daemon's pool workers are gone within 3 s — no process is
+  left whose command line is the dead daemon's.
 
 The post-recovery metrics snapshot is written to
 ``CRASH_SMOKE_metrics.json`` at the repo root (uploaded as a CI
@@ -82,6 +84,33 @@ def start_daemon(work_dir: str, journal: str,
     address = protocol.parse_address(hostport)
     print(f"[smoke] daemon pid={proc.pid} listening on tcp://{hostport}")
     return proc, address
+
+
+def daemon_processes(work_dir: str) -> list[int]:
+    """Pids whose command line names *work_dir*: a daemon serving it
+    and the pool workers forked from that daemon."""
+    pids = []
+    for name in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{name}/cmdline", "rb") as fh:
+                if work_dir.encode() in fh.read().split(b"\0"):
+                    pids.append(int(name))
+        except OSError:
+            continue        # exited while we looked
+    return pids
+
+
+def assert_no_orphans(work_dir: str) -> None:
+    """After an induced crash: the dead daemon's pool workers must
+    notice they lost their parent and exit (the orphan rule of
+    docs/robustness.md), here within 3 s."""
+    deadline = time.monotonic() + 3.0
+    while (pids := daemon_processes(work_dir)) \
+            and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if pids:
+        fail(f"pool workers outlived the killed daemon: pids {pids}")
+    print("[smoke] no pool worker outlived the killed daemon")
 
 
 def submit_burst(address: tuple[str, int], bam_path: str,
@@ -206,6 +235,7 @@ def crash_mid_burst(work: str, bam_path: str, n_jobs: int,
         killed = True
         proc.wait(10)
         thread.join(10)
+        assert_no_orphans(work_dir)
         print(f"[smoke] SIGKILLed daemon mid-burst "
               f"(states at kill: {sorted(set(states))}, "
               f"{len(submitted)}/{n_jobs} submits acked)")
