@@ -44,7 +44,7 @@ from ..formats.bgzf import BgzfReader, scan_blocks
 from ..formats.header import SamHeader
 from ..formats.store import chunk_protocol, concat_columns, \
     encode_slab_part, index_path_for, open_record_store, \
-    open_store_writer, publishing, region_locator, store_extension, \
+    open_store_writer, publishing, store_extension, store_meta, \
     write_indexes
 from ..runtime import faults
 from ..runtime.autotune import AutoTuner
@@ -236,6 +236,17 @@ class PreprocArtifacts:
         return self
 
 
+def _first_seen(found: np.ndarray) -> np.ndarray:
+    """*found* without its repeats, in first-seen order (``np.unique``
+    sorts by value; this keeps each value's first place)."""
+    if len(found) < 2 or (np.diff(found) > 0).all():
+        return found
+    order = np.argsort(found, kind="stable")
+    ranked = found[order]
+    new = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    return found[np.sort(order[new])]
+
+
 def _count_pieces(count: int, n: int) -> list[tuple[int, int]]:
     """Non-empty ``(start, stop)`` parts of an exact split of *count*
     fixed-size records into <= *n* pieces."""
@@ -367,11 +378,6 @@ class BamConverter:
         self.pipeline = pipeline
         self.store_format = store_format
 
-    def _store_kind(self, store_path: str) -> str:
-        """Cost-model store component, from the store's extension."""
-        ext = os.path.splitext(store_path)[1].lstrip(".").lower()
-        return ext or self.store_format
-
     def preprocess(self, bam_path: str | os.PathLike[str],
                    work_dir: str | os.PathLike[str],
                    compress: bool = False, nprocs: int = 1,
@@ -429,7 +435,7 @@ class BamConverter:
 
         def plan(out_dir: str) -> tuple:
             with open_record_store(bamx_path) as reader:
-                count = len(reader)
+                kind, count = reader.kind, len(reader)
             target_plugin = get_target(target)
             stem = os.path.splitext(os.path.basename(bamx_path))[0]
             specs = [
@@ -441,7 +447,7 @@ class BamConverter:
                 for rank, (start, stop)
                 in enumerate(partition_records(count, nprocs))
             ]
-            return self._store_kind(bamx_path), self.pipeline, count, specs
+            return kind, self.pipeline, count, specs
 
         return run_conversion(
             self, _bamx_task,
@@ -507,31 +513,34 @@ class BamConverter:
         bamx_path = os.fspath(bamx_path)
 
         def plan(out_dir: str) -> tuple:
-            with open_record_store(bamx_path) as reader:
-                header = reader.header
+            kind, header, locate = store_meta(bamx_path, mode, baix_path)
             parsed = [GenomicRegion.parse(r, header)
                       if isinstance(r, str) else r for r in regions]
             with get_tracer().span("locate", "bam", args={"mode": mode}):
-                locate = region_locator(bamx_path, mode, baix_path)
-                found = np.concatenate([
+                picks = _first_seen(np.concatenate([
                     np.asarray(locate(header.ref_id(r.chrom), r.start,
                                       r.end), dtype=np.int64)
-                    for r in parsed])
-            # Union without duplicates, preserving first-seen order.
-            indices = list(dict.fromkeys(found.tolist()))
+                    for r in parsed]))
+            # One ascending run — every start-mode query of a coordinate-
+            # sorted store — is a record range: zero-copy windows where
+            # scattered picks gather.
+            first = int(picks[0]) if len(picks) else 0
+            is_run = bool((np.diff(picks) == 1).all())
             target_plugin = get_target(target)
             stem = os.path.splitext(os.path.basename(bamx_path))[0]
-            specs = [
-                BamxPickSpec(bamx_path, tuple(indices[start:stop]), target,
-                             make_output_path(out_dir, f"{stem}.{suffix}",
-                                              rank, target_plugin),
-                             record_filter or ACCEPT_ALL,
-                             pipeline=self.pipeline)
-                for rank, (start, stop)
-                in enumerate(partition_records(len(indices), nprocs))
-            ]
-            return (self._store_kind(bamx_path), f"{self.pipeline}.pick",
-                    len(indices), specs)
+            specs = []
+            for rank, (a, b) in enumerate(
+                    partition_records(len(picks), nprocs)):
+                rest = dict(
+                    target=target, out_path=make_output_path(
+                        out_dir, f"{stem}.{suffix}", rank, target_plugin),
+                    record_filter=record_filter or ACCEPT_ALL,
+                    pipeline=self.pipeline)
+                specs.append(
+                    BamxRangeSpec(bamx_path, first + a, first + b, **rest)
+                    if is_run else BamxPickSpec(
+                        bamx_path, tuple(picks[a:b].tolist()), **rest))
+            return kind, f"{self.pipeline}.pick", len(picks), specs
 
         return run_conversion(
             self, _bamx_task,

@@ -202,18 +202,17 @@ class RecordStoreHandle:
               ) -> list[AlignmentRecord]:
         """Records of one region, in coordinate order."""
         from ..formats.store import DEFAULT_BATCH_SIZE, chunk_protocol, \
-            open_record_store, region_locator
+            open_record_store, store_meta
         if mode not in ("start", "overlap"):
             raise ConversionError(f"unknown fetch mode {mode!r}")
+        _, header, locate = store_meta(
+            self.store_path, mode,
+            self.baix_path if mode == "start" else None)
+        if isinstance(region, str):
+            region = GenomicRegion.parse(region, header)
         with open_record_store(self.store_path) as reader:
-            header = reader.header
-            if isinstance(region, str):
-                region = GenomicRegion.parse(region, header)
-            locate = region_locator(
-                self.store_path, mode,
-                self.baix_path if mode == "start" else None)
             _, pick_chunks, decode_chunk, _ = chunk_protocol(reader)
             return [record for slab in pick_chunks(
-                [int(i) for i in locate(header.ref_id(region.chrom),
-                                        region.start, region.end)],
+                locate(header.ref_id(region.chrom), region.start,
+                       region.end).tolist(),
                 DEFAULT_BATCH_SIZE) for record in decode_chunk(slab)]

@@ -13,8 +13,11 @@ from dataclasses import dataclass
 from ..errors import RegionError
 from ..formats.header import SamHeader
 
+# A number is ASCII digits with thousands commas, one digit at least
+# (``\d`` would take any Unicode digit, ``[\d,]+`` a lone comma).
+_NUMBER = r"[0-9,]*[0-9][0-9,]*"
 _REGION_RE = re.compile(
-    r"^(?P<chrom>[^:]+?)(?::(?P<start>[\d,]+)(?:-(?P<end>[\d,]+))?)?$")
+    rf"^(?P<chrom>[^:]+?)(?::(?P<start>{_NUMBER})(?:-(?P<end>{_NUMBER}))?)?$")
 
 
 @dataclass(frozen=True, slots=True)

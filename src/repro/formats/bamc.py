@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BamxFormatError
-from .bamx import BamxLayout, plan_layout
+from .bamx import BamxLayout, open_source, plan_layout
 from .cigar import decode_ops, encode_ops
 from .header import SamHeader
 from .ragged import ragged_index
@@ -375,12 +375,15 @@ class BamcReader:
     :meth:`read_column_batches` (contiguous ranges) and
     :meth:`read_column_picks` (explicit indices, order-preserving).
     It deliberately does *not* provide ``read_raw_batches``: raw-slab
-    consumers assume the v1 row layout.
+    consumers assume the v1 row layout.  *source* and *header* are
+    :class:`~repro.formats.bamx.BamxReader`'s.
     """
 
-    def __init__(self, source: str | os.PathLike[str]) -> None:
-        self.source_name = os.fspath(source)
-        self._fh: io.BufferedReader = open(source, "rb")  # noqa: SIM115
+    kind = "bamc"
+
+    def __init__(self, source: str | os.PathLike[str] | io.BufferedReader,
+                 header: SamHeader | None = None) -> None:
+        self._fh, self.source_name = open_source(source)
         magic = self._fh.read(len(MAGIC))
         if magic != MAGIC:
             raise BamxFormatError("bad BAMC magic",
@@ -389,8 +392,9 @@ class BamcReader:
          self._count, self.slab_records, footer_offset,
          text_len) = _HEADER.unpack(self._fh.read(_HEADER.size))
         self.layout = BamxLayout(name_cap, cigar_cap, seq_cap, tag_cap)
-        text = self._fh.read(text_len).decode("ascii")
-        self.header = SamHeader.from_text(text)
+        text = self._fh.read(text_len)
+        self.header = header if header is not None \
+            else SamHeader.from_text(text.decode("ascii"))
         size = os.fstat(self._fh.fileno()).st_size
         if footer_offset < self._data_offset or footer_offset + 4 > size:
             raise BamxFormatError("bad BAMC footer offset",

@@ -437,12 +437,29 @@ class BamxWriter:
         self._fh.close()
 
 
-class BamxReader:
-    """Random-access BAMX reader: ``len()``, ``[i]``, slices, iteration."""
+def open_source(source: str | os.PathLike[str] | io.BufferedReader,
+                ) -> tuple[io.BufferedReader, str]:
+    """``(handle at byte 0, name)`` of a reader's *source*: a path is
+    opened; an open binary file — the handle
+    :func:`~.store.open_record_store` read the magic on — is rewound
+    and becomes the reader's to close."""
+    if isinstance(source, (str, os.PathLike)):
+        return open(source, "rb"), os.fspath(source)  # noqa: SIM115
+    source.seek(0)
+    return source, source.name
 
-    def __init__(self, source: str | os.PathLike[str]) -> None:
-        self.source_name = os.fspath(source)
-        self._fh: io.BufferedReader = open(source, "rb")  # noqa: SIM115
+
+class BamxReader:
+    """Random-access BAMX reader: ``len()``, ``[i]``, slices, iteration.
+
+    *source* is a path or an open binary file (:func:`open_source`);
+    *header*, the file's header already parsed, saves parsing its text."""
+
+    kind = "bamx"
+
+    def __init__(self, source: str | os.PathLike[str] | io.BufferedReader,
+                 header: SamHeader | None = None) -> None:
+        self._fh, self.source_name = open_source(source)
         magic = self._fh.read(len(MAGIC))
         if magic != MAGIC:
             raise BamxFormatError("bad BAMX magic", source=self.source_name)
@@ -450,8 +467,9 @@ class BamxReader:
          self._count, text_len) = struct.unpack(
             "<IIIIIQI", self._fh.read(struct.calcsize("<IIIIIQI")))
         self.layout = BamxLayout(name_cap, cigar_cap, seq_cap, tag_cap)
-        text = self._fh.read(text_len).decode("ascii")
-        self.header = SamHeader.from_text(text)
+        text = self._fh.read(text_len)
+        self.header = header if header is not None \
+            else SamHeader.from_text(text.decode("ascii"))
         size = os.fstat(self._fh.fileno()).st_size
         expected = self._data_offset + self._count * self.layout.record_size
         if size < expected:

@@ -31,6 +31,7 @@ use either store interchangeably.
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 from collections.abc import Iterator
@@ -38,7 +39,8 @@ from collections.abc import Iterator
 import numpy as np
 
 from ..errors import BamxFormatError, IndexError_
-from .bamx import BamxLayout, BamxWriter, decode_range, plan_layout
+from .bamx import BamxLayout, BamxWriter, decode_range, open_source, \
+    plan_layout
 from .bgzf import MAX_BLOCK_DATA, BgzfReader, BgzfWriter
 from .header import SamHeader
 from .record import AlignmentRecord
@@ -97,12 +99,16 @@ class BamzWriter(BamxWriter):
 
 
 class BamzReader:
-    """Random-access BAMZ reader (BamxReader-compatible interface)."""
+    """Random-access BAMZ reader (BamxReader-compatible interface,
+    *source* and *header* included)."""
 
-    def __init__(self, source: str | os.PathLike[str],
+    kind = "bamz"
+
+    def __init__(self, source: str | os.PathLike[str] | io.BufferedReader,
+                 header: SamHeader | None = None,
                  index_path: str | os.PathLike[str] | None = None) -> None:
-        self.source_name = os.fspath(source)
-        self._bgzf = BgzfReader(source)
+        self._fh, self.source_name = open_source(source)
+        self._bgzf = BgzfReader(self._fh)
         magic = self._bgzf.read(len(MAGIC))
         if magic != MAGIC:
             raise BamxFormatError("bad BAMZ magic",
@@ -110,11 +116,12 @@ class BamzReader:
         (name_cap, cigar_cap, seq_cap, tag_cap, _count,
          text_len) = _HEAD.unpack(self._bgzf.read_exactly(_HEAD.size))
         self.layout = BamxLayout(name_cap, cigar_cap, seq_cap, tag_cap)
-        text = self._bgzf.read_exactly(text_len).decode("ascii")
-        self.header = SamHeader.from_text(text)
+        text = self._bgzf.read_exactly(text_len)
+        self.header = header if header is not None \
+            else SamHeader.from_text(text.decode("ascii"))
         self._first_voffset = self._bgzf.tell()
         if index_path is None:
-            index_path = index_path_for(source)
+            index_path = index_path_for(self.source_name)
         self._voffsets = _load_index(index_path)
         self._count = len(self._voffsets)
         if self._count and self._voffsets[0] != self._first_voffset:
@@ -129,8 +136,9 @@ class BamzReader:
         self.close()
 
     def close(self) -> None:
-        """Close the underlying BGZF stream."""
+        """Close the underlying BGZF stream and its file."""
         self._bgzf.close()
+        self._fh.close()
 
     def __len__(self) -> int:
         return self._count

@@ -309,10 +309,14 @@ class BgzfReader(io.RawIOBase):
         super().close()
 
 
-def is_bgzf(path: str | os.PathLike[str]) -> bool:
-    """Cheap sniff: does *path* start with a BGZF block header?"""
-    with open(path, "rb") as fh:
-        header = fh.read(18)
+def is_bgzf(source: str | os.PathLike[str] | bytes) -> bool:
+    """Cheap sniff: does the file at *source* — or do its first 18
+    bytes, handed over as ``bytes`` — start with a BGZF block header?"""
+    if isinstance(source, bytes):
+        header = source
+    else:
+        with open(source, "rb") as fh:
+            header = fh.read(18)
     try:
         _read_block_size(header)
     except BgzfError:

@@ -33,8 +33,7 @@ from ..errors import FormatError
 from .bamc import ColumnSlab
 from .cigar import decode_ops, format_cigar
 from .header import SamHeader
-from .seq import qual_blob_to_text, reverse_complement, \
-    unpack_sequence_blob
+from .seq import qual_blob_to_text, unpack_sequence_blob
 from .tags import tag_block_to_sam
 
 
@@ -239,12 +238,29 @@ def _make_bedgraph(header: SamHeader):
 
 
 def _sequences(slab: ColumnSlab, idx: np.ndarray,
-               lengths: list[int]) -> list[str]:
-    """Decode the selected packed sequences with one blob-wide pass."""
-    lo = slab.seq_lo[idx]
-    hi = slab.seq_hi[idx]
-    return unpack_sequence_blob(slab.seq_blob, lo.tolist(), hi.tolist(),
-                                lengths)
+               reverse: np.ndarray | None = None) -> list[str]:
+    """Decode the selected packed sequences with one blob-wide pass,
+    those *reverse* marks reverse-complemented."""
+    return unpack_sequence_blob(slab.seq_blob, slab.seq_lo[idx],
+                                slab.seq_hi[idx], slab.l_seq[idx], reverse)
+
+
+def _quals(slab: ColumnSlab, idx: np.ndarray,
+           reverse: np.ndarray | None = None) -> tuple[list[str], list[int]]:
+    """Phred+33 text of the selected QUAL runs, those *reverse* marks
+    back to front, and the places of the runs that are all ``0xFF`` —
+    absent QUAL, exactly the BAMX decode rule; only a run starting with
+    ``0xFF`` can be one, and only those are looked at in full."""
+    lo, hi = slab.qual_lo[idx], slab.qual_hi[idx]
+    some = np.flatnonzero(hi > lo)
+    raw = np.frombuffer(slab.qual_blob, np.uint8)
+    return qual_blob_to_text(slab.qual_blob, lo, hi, reverse), [
+        i for i in some[raw[lo[some]] == 0xFF].tolist()
+        if not slab.qual_blob[lo[i]:hi[i]].strip(b"\xff")]
+
+
+def _mate_suffixes(flag: np.ndarray) -> list[str]:
+    return [MATE_SUFFIX[m] for m in ((flag >> 6) & 3).tolist()]
 
 
 def _make_fasta(header: SamHeader):
@@ -256,14 +272,10 @@ def _make_fasta(header: SamHeader):
         idx = np.flatnonzero(keep)
         if not idx.size:
             return [], seen
-        lengths = slab.l_seq[idx].tolist()
-        seqs = _sequences(slab, idx, lengths)
-        names = _names(slab, idx)
-        flags = slab.flag[idx].tolist()
-        return [
-            f">{n}{MATE_SUFFIX[(f >> 6) & 3]}\n"
-            f"{reverse_complement(s) if f & 0x10 else s}"
-            for n, f, s in zip(names, flags, seqs)], seen
+        flag = slab.flag[idx]
+        return [f">{n}{m}\n{s}" for n, m, s in zip(
+            _names(slab, idx), _mate_suffixes(flag),
+            _sequences(slab, idx, (flag & 0x10) != 0))], seen
 
     return emit
 
@@ -277,28 +289,14 @@ def _make_fastq(header: SamHeader):
         idx = np.flatnonzero(keep)
         if not idx.size:
             return [], seen
-        lengths = slab.l_seq[idx].tolist()
-        seqs = _sequences(slab, idx, lengths)
-        lo = slab.qual_lo[idx].tolist()
-        hi = slab.qual_hi[idx].tolist()
-        quals = qual_blob_to_text(slab.qual_blob, lo, hi)
-        names = _names(slab, idx)
-        flags = slab.flag[idx].tolist()
-        lines = []
-        qual_blob = slab.qual_blob
-        for i, (n, f, s, q) in enumerate(zip(names, flags, seqs,
-                                             quals)):
-            # 0xFF translates to "\xff": all-0xFF means absent quals,
-            # exactly the BAMX decode rule.
-            if q[0] == "\xff" \
-                    and not qual_blob[lo[i]:hi[i]].strip(b"\xff"):
-                q = "!" * len(s)
-            elif f & 0x10:
-                q = q[::-1]
-            if f & 0x10:
-                s = reverse_complement(s)
-            lines.append(f"@{n}{MATE_SUFFIX[(f >> 6) & 3]}\n{s}\n+\n{q}")
-        return lines, seen
+        flag = slab.flag[idx]
+        reverse = (flag & 0x10) != 0
+        seqs = _sequences(slab, idx, reverse)
+        quals, absent = _quals(slab, idx, reverse)
+        for i in absent:
+            quals[i] = "!" * len(seqs[i])
+        return [f"@{n}{m}\n{s}\n+\n{q}" for n, m, s, q in zip(
+            _names(slab, idx), _mate_suffixes(flag), seqs, quals)], seen
 
     return emit
 
@@ -314,27 +312,24 @@ def _make_sam(header: SamHeader):
             return [], seen
         ref_id = slab.ref_id[idx].tolist()
         next_ref = slab.next_ref[idx].tolist()
-        lengths = slab.l_seq[idx].tolist()
-        lo, hi = slab.qual_lo[idx].tolist(), slab.qual_hi[idx].tolist()
+        quals, absent = _quals(slab, idx)
+        for i in absent:
+            quals[i] = "*"
         lines = []
-        for i, (name, flag, rname, pos, mapq, cigar, mate, own, pnext,
-                tlen, seq, qual, tags) in enumerate(zip(
+        for (name, flag, rname, pos, mapq, cigar, mate, own, pnext, tlen,
+             seq, qual, tags) in zip(
                 _names(slab, idx), slab.flag[idx].tolist(),
                 _rnames(refs, ref_id), slab.pos[idx].tolist(),
                 slab.mapq[idx].tolist(),
                 _field_texts(slab.cigar_blob, slab.cigar_lo[idx],
                              slab.cigar_hi[idx], _cigar_text),
                 next_ref, ref_id, slab.next_pos[idx].tolist(),
-                slab.tlen[idx].tolist(), _sequences(slab, idx, lengths),
-                qual_blob_to_text(slab.qual_blob, lo, hi),
+                slab.tlen[idx].tolist(), _sequences(slab, idx), quals,
                 _field_texts(slab.tag_blob, slab.tag_lo[idx],
-                             slab.tag_hi[idx], tag_block_to_sam))):
+                             slab.tag_hi[idx], tag_block_to_sam)):
             # The BAMX decode rule: no SEQ, or all-0xFF QUAL, is "*".
             if not seq:
                 seq = qual = "*"
-            elif qual.startswith("\xff") \
-                    and not slab.qual_blob[lo[i]:hi[i]].strip(b"\xff"):
-                qual = "*"
             rnext = "*" if mate < 0 else "=" if mate == own else refs[mate]
             lines.append(
                 f"{name}\t{flag}\t{rname}\t{pos + 1 if pos >= 0 else 0}\t"

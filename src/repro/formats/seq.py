@@ -9,6 +9,8 @@ Covers the three encodings the toolchain needs:
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import FormatError
 
 #: BAM nybble alphabet: index in this string == 4-bit code.
@@ -115,8 +117,22 @@ def qual_text_to_bytes(text: str) -> bytes:
     return text.encode("latin-1").translate(_PHRED33_SUB)
 
 
-def unpack_sequence_blob(blob: bytes, lo: list[int], hi: list[int],
-                         lengths: list[int]) -> list[str]:
+def _strand_slices(text: str, a: np.ndarray, b: np.ndarray,
+                   reverse: np.ndarray | None, mirror) -> list[str]:
+    """``text[a[i]:b[i]]`` per read, read off the other strand where
+    ``reverse[i]``: ``mirror(text)`` — the whole text back to front —
+    is made once, and such a read is the mirrored slice
+    ``[n - b[i], n - a[i])`` of it."""
+    if reverse is not None and reverse.any():
+        end = 2 * len(text)
+        a, b = np.where(reverse, end - b, a), np.where(reverse, end - a, b)
+        text += mirror(text)
+    return [text[x:y] for x, y in zip(a.tolist(), b.tolist())]
+
+
+def unpack_sequence_blob(blob: bytes, lo: np.ndarray, hi: np.ndarray,
+                         lengths: np.ndarray,
+                         reverse: np.ndarray | None = None) -> list[str]:
     """Decode many packed sequences out of one blob in a single pass.
 
     ``blob[lo[i]:hi[i]]`` holds record *i*'s packed bases
@@ -125,29 +141,37 @@ def unpack_sequence_blob(blob: bytes, lo: list[int], hi: list[int],
     sequence is a string slice — the columnar FASTA/FASTQ kernels'
     per-slab replacement for calling :func:`unpack_sequence` per
     record.  The records may come in any order (a gathered slab).
+    Where the boolean *reverse* is set the read comes back as
+    :func:`reverse_complement` would make it, from one complemented and
+    reversed copy of the text (:func:`_strand_slices`).
     """
-    if not lo:
+    if not len(lo):
         return []
-    base = min(lo)
-    text = memoryview(blob)[base:max(hi)].hex().translate(_HEX_TO_BASE)
-    return [text[2 * (a - base):2 * (a - base) + n]
-            for a, n in zip(lo, lengths)]
+    base = int(lo.min())
+    text = memoryview(blob)[base:int(hi.max())].hex().translate(_HEX_TO_BASE)
+    a = 2 * (lo.astype(np.int64) - base)
+    return _strand_slices(text, a, a + lengths, reverse,
+                          lambda t: t.translate(_COMPLEMENT)[::-1])
 
 
-def qual_blob_to_text(blob: bytes, lo: list[int],
-                      hi: list[int]) -> list[str]:
+def qual_blob_to_text(blob: bytes, lo: np.ndarray, hi: np.ndarray,
+                      reverse: np.ndarray | None = None) -> list[str]:
     """Decode many raw Phred runs out of one blob in a single pass.
 
-    One translate + decode over the covered range, then string slices;
+    One translate + decode over the covered range, then string slices
+    — back to front where *reverse* is set, from one reversed copy;
     the batch counterpart of :func:`qual_bytes_to_text`.  ``0xFF``
-    bytes come out as ``"\\xff"`` characters — callers that honour the
-    all-``0xFF``-means-absent convention check the first character.
+    bytes come out as ``"\\xff"`` characters; which runs are all
+    ``0xFF`` — absent QUAL — is the caller's to ask of the blob.
     """
-    if not lo:
+    if not len(lo):
         return []
-    base = min(lo)
-    text = blob[base:max(hi)].translate(_RAW_TO_PHRED33).decode("latin-1")
-    return [text[a - base:b - base] for a, b in zip(lo, hi)]
+    base = int(lo.min())
+    text = blob[base:int(hi.max())].translate(_RAW_TO_PHRED33).decode(
+        "latin-1")
+    return _strand_slices(text, lo.astype(np.int64) - base,
+                          hi.astype(np.int64) - base, reverse,
+                          lambda t: t[::-1])
 
 
 def validate_seq(seq: str) -> str:

@@ -12,17 +12,21 @@ that depends on the physical format lives here too, one row per store:
   :func:`write_store_records` / :func:`write_indexes` /
   :func:`publishing` — how the preprocessors write a store and its
   BAIX/BAIX2 sidecars, and make them appear atomically;
-* :func:`index_path_for` / :func:`region_locator` — how partial
-  conversion finds a store's index and queries it.
+* :func:`index_path_for` / :func:`store_meta` — how partial conversion
+  finds a store's index and queries it: header and index stay resident
+  per file identity, so a warm query pays for its records only.
 """
 
 from __future__ import annotations
 
 import glob
 import os
+import threading
+import time
+from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, suppress
-from typing import Union
+from typing import Any, NamedTuple, Union
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from .bamc import BamcReader, BamcWriter
 from .bamx import BamxLayout, BamxReader, BamxWriter
 from .bamz import BamzReader, BamzWriter
 from .batch import DEFAULT_BATCH_SIZE, batched, convert_records
+from .bgzf import is_bgzf
 from .header import SamHeader
 from .kernels import KernelFallback, kernel_emitter_for
 from .record import AlignmentRecord
@@ -46,21 +51,88 @@ from .record import AlignmentRecord
 RecordStore = Union[BamxReader, BamzReader, BamcReader]
 
 
-def open_record_store(path: str | os.PathLike[str]) -> RecordStore:
-    """Open a BAMX, BAMC or BAMZ file, dispatching on its magic bytes."""
-    with open(path, "rb") as fh:
-        head = fh.read(len(_bamx.MAGIC))
-    if head == _bamx.MAGIC:
-        return BamxReader(path)
-    if head == _bamc.MAGIC:
-        return BamcReader(path)
+#: Files whose parsed form stays resident (stores and indexes alike).
+RESIDENT_FILES = 8
+#: Identities younger than this are not remembered: a coarse-clock
+#: filesystem (tick <= 10 ms) may stamp a second write the same.
+_SETTLE_NS = 20_000_000
+
+# What this process parsed of a file — of a store (``what="store"``) its
+# ``(reader class, header)``, of an index (``what`` = the query mode) its
+# locator — under the file's identity ``(st_dev, st_ino, st_size,
+# st_mtime_ns, st_ctime_ns)``, the rule ArtifactCache verifies hits by:
+# stores and sidecars are published by ``os.replace``, so a rebuild is
+# another inode, and ``ctime`` shows a rewrite in place.
+_resident: OrderedDict[tuple, Any] = OrderedDict()
+_resident_lock = threading.Lock()
+
+
+def _fresh_lock() -> None:
+    # A pool worker forked while a thread held the lock must not wait
+    # for it; what is resident is the worker's to keep.
+    global _resident_lock
+    _resident_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_lock)
+
+
+def _identity(what: str, st: os.stat_result) -> tuple:
+    return (what, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns,
+            st.st_ctime_ns)
+
+
+def _recall(what: str, st: os.stat_result) -> Any:
+    """The resident *what* of the file *st* describes, or ``None``."""
+    key = _identity(what, st)
+    with _resident_lock:
+        if key not in _resident:
+            return None
+        _resident.move_to_end(key)
+        return _resident[key]
+
+
+def _remember(what: str, st: os.stat_result, value: Any) -> Any:
+    """Keep *value* resident — once the file has settled — among the
+    :data:`RESIDENT_FILES` most recently used; returns *value*."""
+    if max(st.st_mtime_ns, st.st_ctime_ns) < time.time_ns() - _SETTLE_NS:
+        with _resident_lock:
+            _resident[_identity(what, st)] = value
+            while len(_resident) > RESIDENT_FILES:
+                _resident.popitem(last=False)
+    return value
+
+
+def _sniff(head: bytes, path: str) -> type:
+    for module, reader in ((_bamx, BamxReader), (_bamc, BamcReader)):
+        if head.startswith(module.MAGIC):
+            return reader
     # BAMZ files are BGZF streams; their magic is inside the first
-    # block, so sniff by extension/BGZF framing instead.
-    from .bgzf import is_bgzf
-    if is_bgzf(path):
-        return BamzReader(path)
-    raise BamxFormatError(
-        "not a BAMX, BAMC or BAMZ file", source=os.fspath(path))
+    # block, so sniff by BGZF framing instead.
+    if is_bgzf(head):
+        return BamzReader
+    raise BamxFormatError("not a BAMX, BAMC or BAMZ file", source=path)
+
+
+def open_record_store(path: str | os.PathLike[str]) -> RecordStore:
+    """Open a BAMX, BAMC or BAMZ file, dispatching on its magic bytes,
+    read on the handle the reader keeps.  A file this process has opened
+    before (same identity, see :func:`store_meta`) is neither sniffed
+    nor its header parsed again: readers of one file share one
+    :class:`~.header.SamHeader`, which nobody may alter."""
+    path = os.fspath(path)
+    fh = open(path, "rb")  # noqa: SIM115 - the reader owns it
+    try:
+        st = os.fstat(fh.fileno())
+        reader_type, header = _recall("store", st) \
+            or (_sniff(fh.read(18), path), None)
+        reader = reader_type(fh, header)
+    except BaseException:
+        fh.close()
+        raise
+    if header is None:
+        _remember("store", st, (reader_type, reader.header))
+    return reader
 
 
 def store_extension(compress: bool,
@@ -258,19 +330,45 @@ def write_indexes(ref_ids, starts, ends, indices,
         index_path_for(store_path, "overlap"))
 
 
-def region_locator(store_path: str | os.PathLike[str], mode: str,
-                   index_path: str | os.PathLike[str] | None = None,
-                   ) -> Callable[[int, int, int], Iterable[int]]:
-    """``locate(ref_id, start, end) -> record indices`` over a store's
-    sidecar index.
+class StoreMeta(NamedTuple):
+    """What a region query needs of a store before it reads a record."""
 
-    ``mode="start"`` (the paper's semantics) selects records whose
+    #: ``"bamx"``, ``"bamc"`` or ``"bamz"``, by the store's magic.
+    kind: str
+    header: SamHeader
+    #: ``locate(ref_id, start, end) -> record indices`` (an array).
+    locate: Callable[[int, int, int], np.ndarray]
+
+
+def store_meta(store_path: str | os.PathLike[str], mode: str = "start",
+               index_path: str | os.PathLike[str] | None = None,
+               ) -> StoreMeta:
+    """Kind, header and region locator of a store, resident per file
+    identity: a warm call is one ``stat`` of the store and one of its
+    index, and opens neither.
+
+    ``mode="start"`` (the paper's semantics) locates records whose
     starting position lies in the region, by binary search over the v1
-    BAIX; ``mode="overlap"`` selects records whose alignment span
-    overlaps it, via the v2 overlap index.
+    BAIX; ``mode="overlap"`` records whose alignment span overlaps it,
+    via the v2 overlap index.  A resident index holds 24 (BAIX) or 28
+    (BAIX2) bytes per placed record.
     """
+    store_path = os.fspath(store_path)
+    reader_type, header = _recall("store", os.stat(store_path)) \
+        or (None, None)
+    if header is None:
+        with open_record_store(store_path) as reader:
+            reader_type, header = type(reader), reader.header
     if index_path is None:
         index_path = index_path_for(store_path, mode)
+    st = os.stat(index_path)
+    locate = _recall(mode, st) \
+        or _remember(mode, st, _load_locator(mode, index_path))
+    return StoreMeta(reader_type.kind, header, locate)
+
+
+def _load_locator(mode: str, index_path: str | os.PathLike[str],
+                  ) -> Callable[[int, int, int], np.ndarray]:
     if mode == "overlap":
         return BaixOverlapIndex.load(index_path).locate_overlaps
     index = BaixIndex.load(index_path)

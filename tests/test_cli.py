@@ -330,6 +330,18 @@ def test_non_ascii_input_is_a_one_line_error(args, sim_sam, tmp_path,
     _one_line_error(capsys, str(sim_sam), "non-ASCII byte 0xc3")
 
 
+def test_unparsable_region_is_a_one_line_error(sim_sam, tmp_path, capsys):
+    """`--region 'chrA:,'` used to end in int('')'s ValueError traceback."""
+    work = tmp_path / "work"
+    assert run(["preprocess", str(sim_sam), "--work-dir", str(work)]) == 0
+    capsys.readouterr()
+    assert run(["region", str(next(work.glob("*.bamx"))), "--region",
+                "chrA:,", "--target", "bed",
+                "--out-dir", str(tmp_path / "o")]) == 1
+    _one_line_error(capsys, "cannot parse region 'chrA:,'")
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_target_leaves_no_out_dir(sim_sam, tmp_path, capsys):
     capsys.readouterr()
     assert run(["convert", str(sim_sam), "--target", "nope", "--out-dir",

@@ -63,6 +63,22 @@ def test_invalid_coordinates_rejected(bad):
         GenomicRegion.parse(bad, HDR)
 
 
+@pytest.mark.parametrize("bad", [
+    "chr1:,", "chr1:,-5", "chr1:1-,", "chr1:,,-,", "chr1:\uff11\uff12",
+    "chr1:1-\u0663"])
+def test_number_without_an_ascii_digit_is_a_region_error(bad):
+    """A lone comma used to reach ``int("")`` (a bare ValueError), and
+    ``\\d`` read full-width and Arabic-Indic digits as coordinates."""
+    for header in (HDR, None):
+        with pytest.raises(RegionError, match="cannot parse region"):
+            GenomicRegion.parse(bad, header)
+
+
+def test_commas_may_lead_or_trail_the_digits():
+    assert GenomicRegion.parse("chr1:,5-1,0,", HDR) \
+        == GenomicRegion("chr1", 4, 10)
+
+
 def test_str_renders_one_based():
     assert str(GenomicRegion("chr1", 999, 2000)) == "chr1:1000-2000"
 
