@@ -99,35 +99,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _converter_knobs(args: argparse.Namespace) -> dict:
+    """The constructor arguments every converter shares."""
+    return {"batch_size": args.batch_size, "pipeline": args.pipeline,
+            "shards_per_rank": args.shards, "tuner": _maybe_tuner(args)}
+
+
 def _cmd_convert(args: argparse.Namespace) -> int:
     from .core import BamConverter, SamConverter, parse_filter_expr
+    from .formats.registry import source_kind
+    kind = source_kind(args.input, "repro convert")
     record_filter = parse_filter_expr(args.filter) if args.filter \
         else None
-    source = args.input.lower()
-    tuner = _maybe_tuner(args)
-    if source.endswith(".sam"):
-        result = SamConverter(
-            batch_size=args.batch_size,
-            pipeline=args.pipeline,
-            shards_per_rank=args.shards,
-            tuner=tuner).convert(
-                args.input, args.target, args.out_dir, args.nprocs,
-                args.executor, record_filter=record_filter)
-    elif source.endswith((".bamx", ".bamz", ".bamc")):
-        result = BamConverter(
-            batch_size=args.batch_size,
-            pipeline=args.pipeline,
-            shards_per_rank=args.shards,
-            tuner=tuner).convert(
-                args.input, args.target, args.out_dir, args.nprocs,
-                args.executor, record_filter=record_filter)
-    elif source.endswith(".bam"):
+    knobs = _converter_knobs(args)
+    if kind == "sam":
+        converter, source = SamConverter(**knobs), args.input
+    elif kind == "bam":
         from .core import PreprocArtifacts
-        converter = BamConverter(batch_size=args.batch_size,
-                                 pipeline=args.pipeline,
-                                 shards_per_rank=args.shards,
-                                 store_format=args.store_format,
-                                 tuner=tuner)
+        converter = BamConverter(store_format=args.store_format, **knobs)
         supplied = PreprocArtifacts.for_store(args.bamx, args.baix) \
             if args.bamx else None
         artifacts, pre = converter.ensure_preprocessed(
@@ -140,14 +129,12 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         else:
             print(f"reusing preprocessing artifacts "
                   f"{artifacts.store_path}")
-        result = converter.convert(artifacts.store_path, args.target,
-                                   args.out_dir, args.nprocs,
-                                   args.executor,
-                                   record_filter=record_filter)
+        source = artifacts.store_path
     else:
-        raise ReproError(
-            f"cannot tell the source format of {args.input!r}; expected a "
-            f".sam, .bam, .bamx, .bamz or .bamc file")
+        converter, source = BamConverter(**knobs), args.input
+    result = converter.convert(source, args.target, args.out_dir,
+                               args.nprocs, args.executor,
+                               record_filter=record_filter)
     print(f"converted {result.records} records -> {result.emitted} "
           f"{result.target} objects in {len(result.outputs)} part files "
           f"({result.wall_seconds:.2f}s, {result.nprocs} ranks)")
@@ -156,15 +143,15 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
     from .core import BamConverter, PreprocSamConverter
-    source = args.input.lower()
-    if source.endswith(".bam"):
+    from .formats.registry import source_kind
+    if source_kind(args.input, "repro preprocess", ("sam", "bam")) == "bam":
         bamx, baix, metrics = BamConverter(
             store_format=args.store_format).preprocess(
             args.input, args.work_dir, compress=args.compress,
             nprocs=args.nprocs, executor=args.executor)
         print(f"preprocessing ({args.nprocs} ranks): {metrics.records} "
               f"records, {metrics.total_seconds:.2f}s\n  {bamx}\n  {baix}")
-    elif source.endswith(".sam"):
+    else:
         paths, metrics = PreprocSamConverter(
             shards_per_rank=args.shards,
             store_format=args.store_format,
@@ -175,8 +162,6 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
               f"{total} records")
         for path in paths:
             print(f"  {path}")
-    else:
-        raise ReproError(f"expected a .sam or .bam input, got {args.input!r}")
     return 0
 
 
@@ -184,11 +169,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
     from .core import BamConverter, parse_filter_expr
     record_filter = parse_filter_expr(args.filter) if args.filter \
         else None
-    result = BamConverter(
-        batch_size=args.batch_size,
-        pipeline=args.pipeline,
-        shards_per_rank=args.shards,
-        tuner=_maybe_tuner(args)).convert_region(
+    result = BamConverter(**_converter_knobs(args)).convert_region(
         args.bamx, args.baix, args.region, args.target, args.out_dir,
         args.nprocs, args.executor, mode=args.mode,
         record_filter=record_filter)
@@ -202,10 +183,12 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .formats.bedgraph import write_bedgraph
+    from .formats.registry import STORE_KINDS, source_kind
     from .formats.sam import SamReader
     from .stats import histogram_from_records, histogram_from_store, \
         histogram_to_bedgraph
-    if args.input.lower().endswith((".bamx", ".bamz", ".bamc")):
+    if source_kind(args.input, "repro histogram",
+                   ("sam", *STORE_KINDS)) != "sam":
         from .formats.store import open_record_store
         with open_record_store(args.input) as reader:
             histos = histogram_from_store(reader, args.bin_size)
@@ -288,22 +271,17 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     import tempfile
 
     from .core.sort import parallel_sort_sam, sort_bam, sort_sam
-    lowered = args.input.lower()
-    if lowered.endswith(".bam"):
-        result = sort_bam(args.input, args.output, args.chunk_records,
-                          args.work_dir)
-        print(f"sorted {result.records} records ({result.runs} spill "
-              f"runs, {result.metrics.total_seconds:.2f}s) -> "
-              f"{result.output}")
-    elif args.nprocs > 1:
+    from .formats.registry import source_kind
+    kind = source_kind(args.input, "repro sort", ("sam", "bam"))
+    if kind == "sam" and args.nprocs > 1:
         work = args.work_dir or tempfile.mkdtemp(prefix="repro-sort-")
         result, rank_metrics = parallel_sort_sam(
             args.input, args.output, args.nprocs, work, args.executor)
         print(f"sorted {result.records} records with {args.nprocs} "
               f"run-generation ranks -> {result.output}")
     else:
-        result = sort_sam(args.input, args.output, args.chunk_records,
-                          args.work_dir)
+        result = (sort_bam if kind == "bam" else sort_sam)(
+            args.input, args.output, args.chunk_records, args.work_dir)
         print(f"sorted {result.records} records ({result.runs} spill "
               f"runs, {result.metrics.total_seconds:.2f}s) -> "
               f"{result.output}")

@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -38,23 +40,20 @@ from ..formats.bam import BamReader, raw_slabs, read_header, \
     slab_columns, slab_records
 from ..formats.bamc import slab_from_records
 from ..formats.bamx import BamxLayout
-from ..formats.batch import DEFAULT_BATCH_SIZE, batched, \
-    convert_records
+from ..formats.batch import DEFAULT_BATCH_SIZE, batched
 from ..formats.bgzf import BgzfReader, scan_blocks
 from ..formats.header import SamHeader
-from ..formats.store import chunk_protocol, concat_columns, \
-    encode_slab_part, index_path_for, open_record_store, \
-    open_store_writer, publishing, store_extension, store_meta, \
-    write_indexes
+from ..formats.store import concat_columns, encode_slab_part, \
+    index_path_for, open_record_store, open_store_writer, publishing, \
+    store_extension, store_meta, write_indexes
 from ..runtime import faults
 from ..runtime.autotune import AutoTuner
 from ..runtime.metrics import RankMetrics
 from ..runtime.partition import partition_records
 from ..runtime.tracing import get_tracer
-from .base import ConversionResult, ShardableSpec, bind_target, \
-    converter_options, execute_rank_tasks, finish_rank_metrics, \
-    make_output_path, run_conversion, write_bam_records, \
-    write_text_chunks
+from .base import ConversionResult, ShardableSpec, Source, \
+    convert_rank, converter_options, execute_rank_tasks, \
+    finish_rank_metrics, make_output_path, run_conversion
 from .filters import ACCEPT_ALL, RecordFilter
 from .region import GenomicRegion
 from .targets import get_target
@@ -253,6 +252,25 @@ def _count_pieces(count: int, n: int) -> list[tuple[int, int]]:
     return [(s, e) for s, e in partition_records(count, n) if e > s]
 
 
+@contextmanager
+def _store_source(spec, metrics: RankMetrics, select) -> Iterator[Source]:
+    """A spec's selection of a BAMX/BAMZ/BAMC store — ``select(reader)``
+    yields it as column slabs, the chunks and the columns at once; a
+    slab a kernel declines is counted in ``kernel_fallbacks``."""
+    with open_record_store(spec.bamx_path) as reader, _write_span(spec):
+        # cost_hint() is the spec's record count.
+        metrics.bytes_read += int(spec.cost_hint()) \
+            * reader.layout.record_size
+        header = reader.header
+        yield Source(header, select(reader), lambda slab: slab,
+                     lambda slab: slab.decode_all(header))
+
+
+def _write_span(spec):
+    return get_tracer().span(
+        "write", "io", args={"out": os.path.basename(spec.out_path)})
+
+
 @dataclass(frozen=True, slots=True)
 class BamxRangeSpec(ShardableSpec):
     """One rank's contiguous BAMX record range (full conversion)."""
@@ -276,9 +294,10 @@ class BamxRangeSpec(ShardableSpec):
         return [{"start": self.start + s, "stop": self.start + e}
                 for s, e in _count_pieces(self.stop - self.start, n)]
 
-    def select(self, range_chunks, pick_chunks):
-        """This spec's records as chunks of an opened store."""
-        return range_chunks(self.start, self.stop, self.batch_size)
+    def open(self, metrics: RankMetrics):
+        return _store_source(
+            self, metrics, lambda reader: reader.read_column_batches(
+                self.start, self.stop, self.batch_size))
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,41 +321,10 @@ class BamxPickSpec(ShardableSpec):
         return [{"indices": self.indices[s:e]}
                 for s, e in _count_pieces(len(self.indices), n)]
 
-    def select(self, range_chunks, pick_chunks):
-        """This spec's records as chunks of an opened store."""
-        return pick_chunks(self.indices, self.batch_size)
-
-
-def _bamx_task(spec: BamxRangeSpec | BamxPickSpec) -> RankMetrics:
-    """Convert one spec's selection — a record range or an index tuple
-    — of a BAMX/BAMZ/BAMC store."""
-    t0 = time.perf_counter()
-    metrics = RankMetrics()
-    with open_record_store(spec.bamx_path) as reader:
-        header = reader.header
-        target = bind_target(get_target(spec.target), header)
-        # cost_hint() is the spec's record count.
-        metrics.bytes_read += int(spec.cost_hint()) \
-            * reader.layout.record_size
-        range_chunks, pick_chunks, decode_chunk, make_convert_chunk = \
-            chunk_protocol(reader)
-        chunks = spec.select(range_chunks, pick_chunks)
-        with get_tracer().span(
-                "write", "io",
-                args={"out": os.path.basename(spec.out_path)}):
-            if target.mode == "binary":
-                write_bam_records(
-                    spec.out_path, header, spec.record_filter.apply(
-                        chain.from_iterable(map(decode_chunk, chunks))),
-                    metrics)
-            else:
-                convert_chunk, span_args, fallback_field = \
-                    make_convert_chunk(target, spec.record_filter,
-                                       spec.pipeline)
-                write_text_chunks(spec, target, header, chunks,
-                                  convert_chunk, metrics, "bam",
-                                  span_args, fallback_field)
-    return finish_rank_metrics(metrics, t0)
+    def open(self, metrics: RankMetrics):
+        return _store_source(
+            self, metrics, lambda reader: reader.read_column_picks(
+                self.indices, self.batch_size))
 
 
 class BamConverter:
@@ -450,7 +438,7 @@ class BamConverter:
             return kind, self.pipeline, count, specs
 
         return run_conversion(
-            self, _bamx_task,
+            self, convert_rank,
             ("convert", "bam", {"store": os.path.basename(bamx_path),
                                 "target": target, "nprocs": nprocs}),
             target, out_dir, nprocs, executor, plan)
@@ -543,11 +531,31 @@ class BamConverter:
             return kind, f"{self.pipeline}.pick", len(picks), specs
 
         return run_conversion(
-            self, _bamx_task,
+            self, convert_rank,
             (span_name, "bam", {"store": os.path.basename(bamx_path),
                                 "target": target, "nprocs": nprocs,
                                 **span_args, "mode": mode}),
             target, out_dir, nprocs, executor, plan)
+
+
+@dataclass(frozen=True, slots=True)
+class _DirectSpec:
+    """A whole BAM as one rank: decoded records, no columns."""
+
+    bam_path: str
+    target: str
+    out_path: str
+    record_filter: RecordFilter = ACCEPT_ALL
+    batch_size: int = DEFAULT_BATCH_SIZE
+    pipeline: str = "record"
+    write_header: bool = True
+
+    @contextmanager
+    def open(self, metrics: RankMetrics) -> Iterator[Source]:
+        with BamReader(self.bam_path) as reader, _write_span(self):
+            metrics.bytes_read += os.path.getsize(self.bam_path)
+            yield Source(reader.header, batched(reader, self.batch_size),
+                         None, lambda records: records)
 
 
 def convert_bam_direct(bam_path: str | os.PathLike[str], target: str,
@@ -559,30 +567,11 @@ def convert_bam_direct(bam_path: str | os.PathLike[str], target: str,
     fly.
     """
     t0 = time.perf_counter()
-    metrics = RankMetrics()
-    bam_path = os.fspath(bam_path)
-    # The whole file as one rank: no selection, just the output fields.
-    spec = BamxRangeSpec(bam_path, 0, 0, target, os.fspath(out_path))
-    tracer = get_tracer()
-    with tracer.span("convert.direct", "bam",
-                     args={"input": os.path.basename(bam_path),
-                           "target": target}), \
-            BamReader(bam_path) as reader, \
-            tracer.span("write", "io",
-                        args={"out": os.path.basename(spec.out_path)}):
-        plugin = bind_target(get_target(target), reader.header)
-        metrics.bytes_read += os.path.getsize(bam_path)
-        if plugin.mode == "binary":
-            write_bam_records(spec.out_path, reader.header, reader,
-                              metrics)
-        else:
-            write_text_chunks(
-                spec, plugin, reader.header,
-                batched(reader, spec.batch_size),
-                lambda chunk, out: (*convert_records(chunk, plugin, None,
-                                                     out), 0),
-                metrics, "bam", None)
-    rank = finish_rank_metrics(metrics, t0)
+    spec = _DirectSpec(os.fspath(bam_path), target, os.fspath(out_path))
+    with get_tracer().span("convert.direct", "bam",
+                           args={"input": os.path.basename(spec.bam_path),
+                                 "target": target}):
+        rank = convert_rank(spec)
     return ConversionResult(
         target=target,
         outputs=[spec.out_path],

@@ -10,15 +10,17 @@ common machinery, each job done once:
 * :func:`execute_rank_tasks` — run one task per rank (or per shard of a
   rank) under the chosen executor (``simulate`` / ``thread`` /
   ``process``), always inside a ``rank``/``shard`` span;
-* :func:`write_text_chunks` / :func:`write_bam_records` — the one loop
-  that turns a source's chunks into a text part file, and the one that
-  writes records into a binary BAM part;
+* :class:`Source` / :func:`convert_rank` — a source is a value
+  (header, chunks, columns, records) a rank spec opens, and this one
+  rank task converts every one of them: kernel emitters over a chunk's
+  columns, the slow path where they cannot take it, records into a
+  binary target (:func:`write_text_chunks` / :func:`write_bam_records`
+  are its two loops);
 * :class:`ConversionResult` — what every converter returns: output
   paths, per-rank metrics (feeding the cluster model), record counts.
 
-A new source or store plugs in by supplying an iterator of chunks and a
-``convert_chunk`` closure (see :func:`write_text_chunks`); nothing here
-changes.
+A new source or store plugs in by giving its rank spec an
+``open(metrics)`` that yields a :class:`Source`; nothing here changes.
 """
 
 from __future__ import annotations
@@ -29,12 +31,14 @@ import time
 from collections.abc import Callable, Iterable, Sequence
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, replace
-from typing import Any
+from itertools import chain
+from typing import Any, NamedTuple
 
 from ..defaults import EXECUTORS
 from ..errors import BamxFormatError, ConversionError, RuntimeLayerError
-from ..formats.batch import PIPELINES
+from ..formats.batch import PIPELINES, convert_records
 from ..formats.header import SamHeader
+from ..formats.kernels import KernelFallback, kernel_emitter_for
 from ..formats.record import AlignmentRecord
 from ..formats.store import store_extension
 from ..runtime.autotune import AUTO, JobTuning
@@ -280,12 +284,9 @@ def execute_rank_tasks(task_fn: Callable[[Any], RankMetrics],
         out.append(done[0] if len(group) == 1
                    else spec.merge_shards(group, done))
     if tuning is not None:
-        # Results that are not RankMetrics-shaped (preprocess parse
-        # shards return tuples) are skipped: the cost model only learns
-        # from timed work.
         tuning.observe([(_cost_hint(piece), float(result.total_seconds))
-                        for (_, _, piece), result in zip(work, results)
-                        if hasattr(result, "total_seconds")], wall)
+                        for (_, _, piece), result in zip(work, results)],
+                       wall)
     return out
 
 
@@ -416,6 +417,86 @@ def merge_shard_outputs(out_path: str, shard_specs: Sequence[Any],
     return RankMetrics.merge_shards(list(shard_metrics))
 
 
+class Source(NamedTuple):
+    """An opened source: all :func:`convert_rank` knows of where a
+    rank's records come from.  A rank spec's ``open(metrics)`` is a
+    context manager yielding one (reads metered into *metrics*)."""
+
+    header: SamHeader
+    #: The rank's share, in record order, a chunk per pass of the loop
+    #: (a store's column slab, a block of SAM lines, a list of records).
+    chunks: Iterable[Any]
+    #: ``columns(chunk) -> slab | None``: the chunk as a slab the kernel
+    #: emitters take, ``None`` where this chunk needs the slow path; no
+    #: function at all for a source without columns.
+    columns: Callable[[Any], Any] | None
+    #: ``records(chunk)``: the chunk's alignment records — what a binary
+    #: target, ``pipeline="record"`` and the slow path read.
+    records: Callable[[Any], Iterable[AlignmentRecord]]
+    #: A slow path cheaper than records, for a chunk the kernels were
+    #: offered and could not take: ``slow(chunk, target, record_filter,
+    #: out) -> (seen, emitted)``.
+    slow: Callable[..., tuple[int, int]] | None = None
+    #: Category of the ``batch.pipeline`` span, and the
+    #: :class:`RankMetrics` counter of chunks that took the slow path.
+    category: str = "bam"
+    fallback_field: str = "kernel_fallbacks"
+
+
+def convert_rank(spec: Any) -> RankMetrics:
+    """One rank of every converter (module-level, so the process pool
+    can pickle it).  *spec* names the ``target``, ``out_path``,
+    ``record_filter``, ``pipeline``, ``batch_size`` and ``write_header``
+    and opens the :class:`Source`: a binary target is written from its
+    records; a text target from each chunk's columns through the
+    target's kernel emitter, and — no kernel for the target, no columns
+    for the chunk, a slab the kernel declines (:class:`~repro.formats.
+    kernels.KernelFallback`), ``pipeline="record"`` — from the slow
+    path, by default its records through :func:`~repro.formats.batch.
+    convert_records`."""
+    t0 = time.perf_counter()
+    metrics = RankMetrics()
+    with spec.open(metrics) as source:
+        header, record_filter = source.header, spec.record_filter
+        target = get_target(spec.target)
+        if hasattr(target, "bind_header"):    # BAM: the reference dictionary
+            target.bind_header(header)
+        batch = spec.pipeline == "batch"
+        emit = kernel_emitter_for(target, header) \
+            if batch and source.columns is not None else None
+
+        def convert_chunk(chunk: Any,
+                          out: list[str]) -> tuple[int, int, int]:
+            if emit is not None:
+                slab = source.columns(chunk)
+                if slab is not None:
+                    try:
+                        lines, seen = emit(slab, record_filter)
+                    except KernelFallback:
+                        pass
+                    else:
+                        out.extend(lines)
+                        return seen, len(lines), 0
+                if source.slow is not None:
+                    return *source.slow(chunk, target, record_filter,
+                                        out), 1
+            return *convert_records(source.records(chunk), target,
+                                    record_filter, out), 1
+
+        if target.mode == "binary":
+            write_bam_records(
+                spec.out_path, header, record_filter.apply(
+                    chain.from_iterable(map(source.records,
+                                            source.chunks))), metrics)
+        else:
+            write_text_chunks(
+                spec, target, header, source.chunks, convert_chunk,
+                metrics, source.category,
+                {"kernel": emit is not None} if batch else None,
+                source.fallback_field if batch else None)
+    return finish_rank_metrics(metrics, t0)
+
+
 def write_text_chunks(spec: Any, target: TargetFormat, header: SamHeader,
                       chunks: Iterable[Any],
                       convert_chunk: Callable[[Any, list[str]],
@@ -426,20 +507,18 @@ def write_text_chunks(spec: Any, target: TargetFormat, header: SamHeader,
     """The chunk loop: drive a source's *chunks* through *target* into
     the text part file ``spec.out_path``.
 
-    A source is an iterator of chunks (SAM line batches, a store's
-    column slabs, lists of records) plus
-    ``convert_chunk(chunk, out_lines) -> (seen, emitted, fallbacks)``,
-    which appends the chunk's emitted lines to *out_lines*; *seen*
-    counts post-filter records.  The loop owns everything else: the
-    file header (only where ``spec.write_header``), flushing once
-    ``spec.batch_size`` lines are pending, the ``records``/``emitted``
-    metrics, and the ``batch.pipeline`` span.
+    ``convert_chunk(chunk, out_lines) -> (seen, emitted, fallbacks)``
+    (see :func:`convert_rank`) appends the chunk's emitted lines to
+    *out_lines*; *seen* counts post-filter records.  The loop owns
+    everything else: the file header (only where ``spec.write_header``),
+    flushing once ``spec.batch_size`` lines are pending, the
+    ``records``/``emitted`` metrics, and the ``batch.pipeline`` span.
 
-    *span_args* are the source's span arguments (``fastpath`` or
-    ``kernel``); ``None`` — the ``pipeline="record"`` oracle — records
-    no pipeline span.  *fallback_field* names the :class:`RankMetrics`
-    counter the chunks' fallbacks accumulate into (and puts them on the
-    span); sources without such a counter pass ``None``.
+    *span_args* are the pipeline span's own arguments (``kernel``);
+    ``None`` — the ``pipeline="record"`` oracle — records no pipeline
+    span.  *fallback_field* names the :class:`RankMetrics` counter the
+    chunks' fallbacks accumulate into (and puts them on the span);
+    ``None`` counts nothing.
 
     No fine-grained timing happens here: rank tasks measure their total
     wall time and subtract the writer/reader-metered I/O to get compute
@@ -507,11 +586,3 @@ def make_output_path(out_dir: str, stem: str, rank: int,
                      target: TargetFormat) -> str:
     """Standard part-file naming: ``<stem>.part<rank><ext>``."""
     return f"{out_dir}/{stem}.part{rank:04d}{target.extension}"
-
-
-def bind_target(target: TargetFormat, header: SamHeader) -> TargetFormat:
-    """Give header-aware plugins (BAM) their reference dictionary."""
-    binder = getattr(target, "bind_header", None)
-    if binder is not None:
-        binder(header)
-    return target

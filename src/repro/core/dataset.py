@@ -45,13 +45,9 @@ class AlignmentDataset:
     @classmethod
     def open(cls, path: str | os.PathLike[str]) -> "AlignmentDataset":
         """Open an existing .sam or .bam file."""
-        lowered = os.fspath(path).lower()
-        if lowered.endswith(".sam"):
-            return cls(path, "sam")
-        if lowered.endswith(".bam"):
-            return cls(path, "bam")
-        raise ConversionError(
-            f"cannot open {os.fspath(path)!r}: expected .sam or .bam")
+        from ..formats.registry import source_kind
+        return cls(path, source_kind(path, "AlignmentDataset.open",
+                                     ("sam", "bam")))
 
     @classmethod
     def simulate(cls, path: str | os.PathLike[str], n_templates: int,
@@ -201,8 +197,7 @@ class RecordStoreHandle:
     def fetch(self, region: GenomicRegion | str, mode: str = "start",
               ) -> list[AlignmentRecord]:
         """Records of one region, in coordinate order."""
-        from ..formats.store import DEFAULT_BATCH_SIZE, chunk_protocol, \
-            open_record_store, store_meta
+        from ..formats.store import open_record_store, store_meta
         if mode not in ("start", "overlap"):
             raise ConversionError(f"unknown fetch mode {mode!r}")
         _, header, locate = store_meta(
@@ -211,8 +206,7 @@ class RecordStoreHandle:
         if isinstance(region, str):
             region = GenomicRegion.parse(region, header)
         with open_record_store(self.store_path) as reader:
-            _, pick_chunks, decode_chunk, _ = chunk_protocol(reader)
-            return [record for slab in pick_chunks(
+            return [record for slab in reader.read_column_picks(
                 locate(header.ref_id(region.chrom), region.start,
-                       region.end).tolist(),
-                DEFAULT_BATCH_SIZE) for record in decode_chunk(slab)]
+                       region.end).tolist())
+                for record in slab.decode_all(header)]

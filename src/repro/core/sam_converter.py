@@ -13,27 +13,26 @@ partitioning there is no inter-rank communication.
 from __future__ import annotations
 
 import os
-import time
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import SamFormatError
-from ..formats.batch import DEFAULT_BATCH_SIZE, convert_records, \
-    convert_sam_lines, parse_sam_lines, sam_fastpath_for
+from ..formats.batch import DEFAULT_BATCH_SIZE, convert_sam_lines, \
+    parse_sam_lines, sam_fastpath_for
 from ..formats.header import SamHeader
 from ..formats.record import AlignmentRecord
-from ..formats.sam import parse_alignment, slab_columns, slab_emitter_for
+from ..formats.sam import slab_columns
 from ..runtime import faults
 from ..runtime.autotune import AutoTuner
 from ..runtime.buffers import RangeLineReader
 from ..runtime.metrics import RankMetrics
 from ..runtime.partition import Partition, partition_bytes_source
 from ..runtime.tracing import get_tracer
-from .base import ConversionResult, ShardableSpec, bind_target, \
-    converter_options, finish_rank_metrics, make_output_path, \
-    run_conversion, write_bam_records, write_text_chunks
+from .base import ConversionResult, ShardableSpec, Source, \
+    convert_rank, converter_options, make_output_path, run_conversion
 from .filters import ACCEPT_ALL, RecordFilter
 from .targets import get_target
 
@@ -82,6 +81,40 @@ def range_records(sam_path: str, start: int, end: int,
         yield from parse_sam_lines(lines)
 
 
+def _line_slabs(reader: RangeLineReader,
+                batch_size: int) -> Iterator[tuple[int, bytes]]:
+    """Cut the reader's blocks by newline position into ``(file
+    offset, bytes)`` slabs of up to *batch_size* whole lines: what one
+    ``slab_columns`` call takes — its temporaries are several times
+    the slab's bytes, so never a whole read chunk."""
+    for offset, block in reader.iter_blocks():
+        newlines = np.flatnonzero(np.frombuffer(block, np.uint8) == 10)
+        cuts = [0, *(newlines[batch_size - 1::batch_size] + 1).tolist()]
+        if cuts[-1] != len(block):
+            cuts.append(len(block))
+        for lo, hi in zip(cuts, cuts[1:]):
+            faults.fire("shard.batch")
+            yield offset + lo, block[lo:hi]
+
+
+def _slab_lines(data: bytes) -> list[str]:
+    return data.decode("ascii").removesuffix("\n").split("\n")
+
+
+def _parsed(data: bytes) -> list[AlignmentRecord]:
+    return parse_sam_lines(_slab_lines(data))
+
+
+def _per_line(data: bytes, target, record_filter,
+              out: list[str]) -> tuple[int, int]:
+    """The tier under the columns: a slab not proven canonical goes
+    line by line through the target's column fastpath, the record path
+    for the lines that cannot take."""
+    return convert_sam_lines(_slab_lines(data), target,
+                             sam_fastpath_for(target), record_filter,
+                             out)[:2]
+
+
 @dataclass(frozen=True, slots=True)
 class SamRankSpec(ShardableSpec):
     """Everything one conversion rank needs (picklable for the process
@@ -109,90 +142,38 @@ class SamRankSpec(ShardableSpec):
                 for p in partition_range(self.sam_path, self.start,
                                          self.end, n) if p.length > 0]
 
-
-def _line_slabs(reader: RangeLineReader,
-                batch_size: int) -> Iterator[tuple[int, bytes]]:
-    """Cut the reader's blocks by newline position into ``(file
-    offset, bytes)`` slabs of up to *batch_size* whole lines: what one
-    ``slab_columns`` call takes — its temporaries are several times
-    the slab's bytes, so never a whole read chunk."""
-    for offset, block in reader.iter_blocks():
-        newlines = np.flatnonzero(np.frombuffer(block, np.uint8) == 10)
-        cuts = [0, *(newlines[batch_size - 1::batch_size] + 1).tolist()]
-        if cuts[-1] != len(block):
-            cuts.append(len(block))
-        for lo, hi in zip(cuts, cuts[1:]):
-            faults.fire("shard.batch")
-            yield offset + lo, block[lo:hi]
-
-
-def _slab_lines(data: bytes) -> list[str]:
-    return data.decode("ascii").removesuffix("\n").split("\n")
-
-
-def _sam_rank_task(spec: SamRankSpec) -> RankMetrics:
-    """One rank of the SAM converter: read range -> slabs of lines ->
-    columns (or, where a slab is not proven canonical, lines) -> emit."""
-    t0 = time.perf_counter()
-    metrics = RankMetrics()
-    header = SamHeader.from_text(spec.header_text)
-    target = bind_target(get_target(spec.target), header)
-    reader = RangeLineReader(spec.sam_path, spec.start, spec.end,
-                             chunk_size=spec.read_chunk, metrics=metrics)
-    emit = slab_emitter_for(target) if spec.pipeline == "batch" else None
-
-    def parsed(data):
-        return (parse_alignment(line) for line in _slab_lines(data)
-                if line and line[0] != "@")
-
-    def convert(data, out):
-        if target.mode == "binary":
-            out.extend(parsed(data))
-            return 0, 0, 0
-        if emit is None:
-            return *convert_records(parsed(data), target,
-                                    spec.record_filter, out), 1
-        slab = slab_columns(data)
-        if slab is None:    # not proven: line by line, and counted
-            return *convert_sam_lines(
-                _slab_lines(data), target, sam_fastpath_for(target),
-                spec.record_filter, out)[:2], 1
-        lines, seen = emit(slab, spec.record_filter)
-        out.extend(lines)
-        return seen, len(lines), 0
-
-    def convert_chunk(chunk, out):
-        offset, data = chunk
-        try:
-            return convert(data, out)
-        except SamFormatError:
-            # Say where: re-walk the failing slab line by line.
-            for line in data.split(b"\n"):
+    @contextmanager
+    def open(self, metrics: RankMetrics) -> Iterator[Source]:
+        """The byte range as slabs of lines: columns where a slab is
+        proven canonical (:func:`~repro.formats.sam.slab_columns`), the
+        per-line tier where not (counted as ``fallbacks``), parsed
+        records for the rest."""
+        def located(convert):
+            def run(chunk, *rest):
+                offset, data = chunk
                 try:
-                    convert(line, [])
-                except SamFormatError as exc:
-                    raise SamFormatError(
-                        f"line at byte offset {offset}: {exc}",
-                        source=spec.sam_path) from None
-                offset += len(line) + 1
-            raise
+                    return convert(data, *rest)
+                except SamFormatError:
+                    # Say where: re-walk the failing slab line by line.
+                    for line in data.split(b"\n"):
+                        try:
+                            convert(line, *rest)
+                        except SamFormatError as exc:
+                            raise SamFormatError(
+                                f"line at byte offset {offset}: {exc}",
+                                source=self.sam_path) from None
+                        offset += len(line) + 1
+                    raise
+            return run
 
-    slabs = _line_slabs(reader, spec.batch_size)
-    if target.mode == "binary":
-        def records():
-            for chunk in slabs:
-                batch: list[AlignmentRecord] = []
-                convert_chunk(chunk, batch)
-                yield from batch
-        write_bam_records(spec.out_path, header,
-                          spec.record_filter.apply(records()), metrics)
-    else:
-        batch = spec.pipeline == "batch"
-        write_text_chunks(
-            spec, target, header, slabs, convert_chunk, metrics, "sam",
-            {"kernel": emit is not None} if batch else None,
-            "fallbacks" if batch else None)
-    return finish_rank_metrics(metrics, t0)
+        reader = RangeLineReader(self.sam_path, self.start, self.end,
+                                 chunk_size=self.read_chunk,
+                                 metrics=metrics)
+        yield Source(SamHeader.from_text(self.header_text),
+                     _line_slabs(reader, self.batch_size),
+                     lambda chunk: slab_columns(chunk[1]),
+                     located(_parsed), located(_per_line),
+                     "sam", "fallbacks")
 
 
 class SamConverter:
@@ -274,7 +255,7 @@ class SamConverter:
                     os.path.getsize(sam_path) - header_end, specs)
 
         return run_conversion(
-            self, _sam_rank_task,
+            self, convert_rank,
             ("convert", "sam", {"input": os.path.basename(sam_path),
                                 "target": target, "nprocs": nprocs}),
             target, out_dir, nprocs, executor, plan)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import ConversionError
 from ..formats.bamx import plan_layout
@@ -31,13 +31,17 @@ from ..runtime.tracing import get_tracer
 from .base import ConversionResult, converter_options, \
     finish_rank_metrics, run_conversion
 from .bam_converter import BamConverter
-from .sam_converter import partition_alignments, partition_range, \
-    scan_header
+from .sam_converter import partition_alignments, scan_header
 
 
 @dataclass(frozen=True, slots=True)
 class PreprocessSpec:
-    """One preprocessing rank: SAM byte range -> one BAMX/BAIX pair."""
+    """One preprocessing rank: SAM byte range -> one BAMX/BAIX pair.
+
+    It offers no ``split``: the store's layout is planned over the
+    whole rank, so shards could only parse and send their records home
+    to be written serially — measured slower on every executor
+    (``docs/parallelization.md``)."""
 
     sam_path: str
     start: int
@@ -46,7 +50,6 @@ class PreprocessSpec:
     header_text: str
     read_chunk: int
     batch_size: int = DEFAULT_BATCH_SIZE
-    parse_only: bool = False
     store_format: str = "bamx"
 
     @property
@@ -58,56 +61,27 @@ class PreprocessSpec:
         """Relative shard size: bytes of SAM text to parse."""
         return float(self.end - self.start)
 
-    def split(self, n: int) -> "list[PreprocessSpec]":
-        """Over-decompose this rank's byte range into <= *n* shards.
 
-        The BAMX layout is planned over *all* of the rank's records, so
-        shards cannot write independent store fragments; they run the
-        parse phase only (returning their record lists) and
-        :meth:`merge_shards` concatenates the records in shard order
-        before running the layout/write/index phase exactly as the
-        unsharded task would — byte-identical BAMX/BAIX output.
-        """
-        if n <= 1 or self.end - self.start <= 1:
-            return [self]
-        parts = [p for p in partition_range(self.sam_path, self.start,
-                                            self.end, n) if p.length > 0]
-        if len(parts) <= 1:
-            return [self]
-        return [replace(self, start=p.start, end=p.end, parse_only=True)
-                for p in parts]
+def _preprocess_rank_task(spec: PreprocessSpec) -> RankMetrics:
+    """Parse one SAM partition and write it as an aligned BAMX file
+    with its indexes.
 
-    def merge_shards(self, shard_specs: "list[PreprocessSpec]",
-                     shard_results: list[tuple]) -> RankMetrics:
-        """Reduce parse-only shard results to one BAMX/BAIX pair."""
-        parse_metrics = RankMetrics.merge_shards(
-            [metrics for metrics, _ in shard_results])
-        records = [record for _, shard_records in shard_results
-                   for record in shard_records]
-        t0 = time.perf_counter()
-        write_metrics = RankMetrics()
-        _write_rank_store(self, records, write_metrics)
-        finish_rank_metrics(write_metrics, t0)
-        return parse_metrics.merge(write_metrics)
-
-
-def _parse_rank_records(spec: PreprocessSpec,
-                        metrics: RankMetrics) -> list:
-    """Parse the spec's SAM byte range into alignment records."""
+    The rank's records are held in memory between the layout-planning
+    pass and the write pass; with the even partitioning of Algorithm 1
+    each rank holds ~1/M of the dataset, which is the same working-set
+    assumption the paper's in-memory buffers make.
+    """
+    t0 = time.perf_counter()
+    metrics = RankMetrics()
+    tracer = get_tracer()
     reader = RangeLineReader(spec.sam_path, spec.start, spec.end,
                              chunk_size=spec.read_chunk, metrics=metrics)
     records: list = []
-    with get_tracer().span("parse", "samp",
-                           args={"batch_size": spec.batch_size}):
+    with tracer.span("parse", "samp",
+                     args={"batch_size": spec.batch_size}):
         for lines in reader.iter_batches(spec.batch_size):
             records.extend(parse_sam_lines(lines))
-    return records
-
-
-def _write_rank_store(spec: PreprocessSpec, records: list,
-                      metrics: RankMetrics) -> None:
-    """Plan the layout over *records* and write the BAMX/BAIX pair."""
-    tracer = get_tracer()
+    metrics.records = metrics.emitted = len(records)
     header = SamHeader.from_text(spec.header_text)
     layout = plan_layout(records)
     with publishing(spec.bamx_path) as tmp_path:
@@ -126,28 +100,6 @@ def _write_rank_store(spec: PreprocessSpec, records: list,
     metrics.bytes_written += (
         os.path.getsize(spec.bamx_path)
         + os.path.getsize(index_path_for(spec.bamx_path)))
-
-
-def _preprocess_rank_task(spec: PreprocessSpec):
-    """Parse one SAM partition and write it as an aligned BAMX file.
-
-    The rank's records are held in memory between the layout-planning
-    pass and the write pass; with the even partitioning of Algorithm 1
-    each rank holds ~1/M of the dataset, which is the same working-set
-    assumption the paper's in-memory buffers make.
-
-    A ``parse_only`` shard stops after the parse phase and returns
-    ``(metrics, records)`` for the driver-side reduction
-    (:meth:`PreprocessSpec.merge_shards`).
-    """
-    t0 = time.perf_counter()
-    metrics = RankMetrics()
-    records = _parse_rank_records(spec, metrics)
-    metrics.records = len(records)
-    metrics.emitted = len(records)
-    if spec.parse_only:
-        return finish_rank_metrics(metrics, t0), records
-    _write_rank_store(spec, records, metrics)
     return finish_rank_metrics(metrics, t0)
 
 

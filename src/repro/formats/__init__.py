@@ -26,8 +26,9 @@ __all__, __getattr__ = lazy_exports(globals(), {
     "fastq": ("FastqRecord", "read_fastq", "write_fastq"),
     "header": ("HeaderLine", "Reference", "SamHeader"),
     "record": ("UNMAPPED_POS", "AlignmentRecord"),
-    "registry": ("SOURCE_FORMATS", "TARGET_FORMATS", "detect_format",
-                 "get_format", "list_formats"),
+    "registry": ("SOURCE_FORMATS", "STORE_KINDS", "TARGET_FORMATS",
+                 "detect_format", "get_format", "list_formats",
+                 "source_kind"),
     "sam": ("SamReader", "SamWriter", "format_alignment",
             "parse_alignment", "read_sam", "write_sam"),
     "store": ("open_record_store",),

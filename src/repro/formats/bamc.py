@@ -63,13 +63,13 @@ import numpy as np
 
 from ..errors import BamxFormatError
 from .bamx import BamxLayout, open_source, plan_layout
-from .cigar import decode_ops, encode_ops
+from .cigar import decode_ops, encode_ops, format_cigar
 from .header import SamHeader
 from .ragged import ragged_index
 from .record import UNMAPPED_POS, AlignmentRecord
-from .seq import pack_sequence, qual_bytes_to_text, qual_text_to_bytes, \
-    unpack_sequence
-from .tags import decode_tags, encode_tags
+from .seq import pack_sequence, qual_blob_to_text, qual_bytes_to_text, \
+    qual_text_to_bytes, unpack_sequence, unpack_sequence_blob
+from .tags import decode_tags, encode_tags, tag_block_to_sam
 
 MAGIC = b"BAMC\x01"
 
@@ -166,6 +166,82 @@ class ColumnSlab:
         """
         return self._select(idx, -1, len(idx))
 
+    # -- the text accessors the kernel emitters read of any slab -------
+
+    def names(self, idx: np.ndarray) -> list[str]:
+        """Read names of the records *idx*: one blob decode, then
+        string slices."""
+        text = self.name_blob.decode("ascii")
+        return [text[a:b] for a, b in zip(self.name_lo[idx].tolist(),
+                                          self.name_hi[idx].tolist())]
+
+    def rnames(self, idx: np.ndarray, refs: list[str]) -> list[str]:
+        """Reference names (``*`` where there is none) out of *refs*,
+        the header's."""
+        return [refs[r] if r >= 0 else "*"
+                for r in self.ref_id[idx].tolist()]
+
+    def _reverse(self, idx: np.ndarray, stranded: bool) -> np.ndarray | None:
+        return (self.flag[idx] & 0x10) != 0 if stranded else None
+
+    def sequences(self, idx: np.ndarray, stranded: bool = True) -> list[str]:
+        """The selected sequences as the reads were sequenced (reverse-
+        strand ones reverse-complemented; as stored if not *stranded*),
+        decoded with one blob-wide pass."""
+        return unpack_sequence_blob(
+            self.seq_blob, self.seq_lo[idx], self.seq_hi[idx],
+            self.l_seq[idx], self._reverse(idx, stranded))
+
+    def quals(self, idx: np.ndarray, stranded: bool = True,
+              ) -> tuple[list[str], list[int]]:
+        """Phred+33 text of the selected QUAL runs, in the order of
+        :meth:`sequences`, and the places of the runs that are all
+        ``0xFF`` — absent QUAL, exactly the BAMX decode rule; only a run
+        starting with ``0xFF`` can be one, and only those are looked at
+        in full."""
+        lo, hi = self.qual_lo[idx], self.qual_hi[idx]
+        some = np.flatnonzero(hi > lo)
+        raw = np.frombuffer(self.qual_blob, np.uint8)
+        return qual_blob_to_text(
+            self.qual_blob, lo, hi, self._reverse(idx, stranded)), [
+            i for i in some[raw[lo[some]] == 0xFF].tolist()
+            if not self.qual_blob[lo[i]:hi[i]].strip(b"\xff")]
+
+    def sam_lines(self, idx: np.ndarray | None,
+                  refs: list[str]) -> list[str]:
+        """The records *idx* (``None``: all) rendered as SAM lines,
+        CIGAR and tag text straight from the BAM-encoded bytes, each
+        distinct value once.  A value the renderers reject raises their
+        :class:`~repro.errors.FormatError` or a ``ValueError``."""
+        if idx is None:
+            idx = np.arange(self.count)
+        ref_id = self.ref_id[idx].tolist()
+        quals, absent = self.quals(idx, stranded=False)
+        for i in absent:
+            quals[i] = "*"
+        lines = []
+        for (name, flag, own, pos, mapq, cigar, mate, pnext, tlen, seq,
+             qual, tags) in zip(
+                self.names(idx), self.flag[idx].tolist(), ref_id,
+                self.pos[idx].tolist(), self.mapq[idx].tolist(),
+                _field_texts(self.cigar_blob, self.cigar_lo[idx],
+                             self.cigar_hi[idx], _cigar_text),
+                self.next_ref[idx].tolist(), self.next_pos[idx].tolist(),
+                self.tlen[idx].tolist(),
+                self.sequences(idx, stranded=False), quals,
+                _field_texts(self.tag_blob, self.tag_lo[idx],
+                             self.tag_hi[idx], tag_block_to_sam)):
+            # The BAMX decode rule: no SEQ, or all-0xFF QUAL, is "*".
+            if not seq:
+                seq = qual = "*"
+            rnext = "*" if mate < 0 else "=" if mate == own else refs[mate]
+            lines.append(
+                f"{name}\t{flag}\t{refs[own] if own >= 0 else '*'}\t"
+                f"{pos + 1 if pos >= 0 else 0}\t{mapq}\t{cigar}\t{rnext}\t"
+                f"{pnext + 1 if pnext >= 0 else 0}\t{tlen}\t{seq}\t{qual}"
+                + (tags and "\t" + tags))
+        return lines
+
     def decode(self, i: int, header: SamHeader) -> AlignmentRecord:
         """Decode record *i* of this slab, matching BAMX decode exactly."""
         return next(self.window(i, i + 1, -1).decode_all(header))
@@ -193,6 +269,24 @@ class ColumnSlab:
                 rnext=rnext,
                 pnext=next_pos if next_pos >= 0 else UNMAPPED_POS,
                 tlen=tlen, seq=seq, qual=qual, tags=decode_tags(tags))
+
+
+def _cigar_text(raw: bytes) -> str:
+    return format_cigar(decode_ops(np.frombuffer(raw, "<u4").tolist()))
+
+
+def _field_texts(blob: bytes, lo: np.ndarray, hi: np.ndarray,
+                 render) -> list[str]:
+    """``render(blob[lo[i]:hi[i]])`` per record, rendering each distinct
+    field value once."""
+    cache: dict[bytes, str] = {}
+    out = []
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        raw = blob[a:b]
+        if raw not in cache:
+            cache[raw] = render(raw)
+        out.append(cache[raw])
+    return out
 
 
 def _parse_slab(buf: bytes, start: int, count: int) -> ColumnSlab:
@@ -468,11 +562,12 @@ class BamcReader:
         return slab.decode(index - slab.start, self.header)
 
     def read_column_batches(self, start: int, stop: int,
+                            batch_size: int | None = None,
                             ) -> Iterator[ColumnSlab]:
-        """Yield :class:`ColumnSlab` windows covering ``[start, stop)``.
-
-        The columnar analogue of ``BamxReader.read_raw_batches``: the
-        fixed columns of each yielded slab are zero-copy numpy views.
+        """Yield :class:`ColumnSlab` windows covering ``[start, stop)``,
+        cut where the file's slabs are (*batch_size*, which sizes a row
+        store's slabs, is not consulted): the fixed columns of each
+        yielded slab are zero-copy numpy views.
         """
         if not 0 <= start <= stop <= self._count:
             raise BamxFormatError(
@@ -489,6 +584,7 @@ class BamcReader:
             index = slab.start + b
 
     def read_column_picks(self, indices: Sequence[int],
+                          batch_size: int | None = None,
                           ) -> Iterator[ColumnSlab]:
         """Yield gathered slabs for explicit *indices*, in order.
 

@@ -27,12 +27,13 @@ from __future__ import annotations
 import io
 import os
 import struct
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..defaults import DEFAULT_BATCH_SIZE
 from ..errors import BamxFormatError, CapacityError
 from .cigar import REF_CONSUMING_CODE, decode_ops, encode_ops
 from .header import SamHeader
@@ -44,7 +45,6 @@ from .tags import decode_tags, encode_tags
 
 if TYPE_CHECKING:
     from .bamc import ColumnSlab
-    from .bamz import BamzReader
 
 MAGIC = b"BAMX\x01"
 
@@ -449,7 +449,71 @@ def open_source(source: str | os.PathLike[str] | io.BufferedReader,
     return source, source.name
 
 
-class BamxReader:
+class RowStoreReader:
+    """What the readers of fixed rows share — BAMX and its BGZF-
+    compressed twin BAMZ differ in ``read_raw_batches`` alone: rows
+    decode to column slabs a batch at a time
+    (:meth:`BamxLayout.decode_slab`), the way every store feeds the
+    converters and kernels, and to records."""
+
+    def _batch_counts(self, start: int, stop: int,
+                      batch_size: int) -> list[int]:
+        """Record counts of the slabs ``read_raw_batches`` cuts a valid
+        ``[start, stop)`` into."""
+        if not 0 <= start <= stop <= len(self):
+            raise BamxFormatError(
+                f"record range [{start}, {stop}) outside [0, {len(self)})")
+        per_slab = batch_size if batch_size > 0 \
+            else max(1, (4 << 20) // max(self.layout.record_size, 1))
+        return [min(per_slab, stop - at)
+                for at in range(start, stop, per_slab)]
+
+    def read_column_batches(self, start: int, stop: int,
+                            batch_size: int = DEFAULT_BATCH_SIZE,
+                            ) -> Iterator["ColumnSlab"]:
+        """Yield the records ``[start, stop)`` as slabs of up to
+        *batch_size* rows."""
+        for rows, count in self.read_raw_batches(start, stop, batch_size):
+            yield self.layout.decode_slab(rows, count, start,
+                                          self.source_name)
+            start += count
+
+    def read_column_picks(self, indices: Sequence[int],
+                          batch_size: int = DEFAULT_BATCH_SIZE,
+                          ) -> Iterator["ColumnSlab"]:
+        """Yield gathered slabs of up to *batch_size* of the explicit
+        *indices*, in their order: one read per run of consecutive
+        indices; the joined rows are already in pick order, so the slab
+        needs no gather."""
+        for off in range(0, len(indices), batch_size):
+            part = np.asarray(indices[off:off + batch_size], np.int64)
+            runs = np.split(part, np.flatnonzero(np.diff(part) != 1) + 1)
+            rows = b"".join(
+                rows for run in runs for rows, _ in self.read_raw_batches(
+                    int(run[0]), int(run[0]) + len(run), len(run)))
+            yield self.layout.decode_slab(rows, len(part), part,
+                                          self.source_name)
+
+    def read_range(self, start: int, stop: int,
+                   ) -> Iterator[AlignmentRecord]:
+        """Yield records ``start <= i < stop``, slab by slab from one
+        seek."""
+        layout, rsize = self.layout, self.layout.record_size
+        for data, n in self.read_raw_batches(start, stop):
+            # Full decode touches every field: materializing the slab
+            # once makes the per-field slices cheap bytes slices (small
+            # memoryview slices are slower than the one big copy).
+            data = bytes(data)
+            for i in range(n):
+                yield layout.decode(data, self.header, i * rsize,
+                                    start + i, self.source_name)
+            start += n
+
+    def __iter__(self) -> Iterator[AlignmentRecord]:
+        return self.read_range(0, len(self))
+
+
+class BamxReader(RowStoreReader):
     """Random-access BAMX reader: ``len()``, ``[i]``, slices, iteration.
 
     *source* is a path or an open binary file (:func:`open_source`);
@@ -526,45 +590,15 @@ class BamxReader:
         copying.  ``batch_size`` is records per slab; 0 picks a slab of
         roughly 4 MiB (the historical read_range behaviour).
         """
-        if not 0 <= start <= stop <= self._count:
-            raise BamxFormatError(
-                f"record range [{start}, {stop}) outside [0, {self._count})")
+        counts = self._batch_counts(start, stop, batch_size)
         rsize = self.layout.record_size
-        per_slab = batch_size if batch_size > 0 \
-            else max(1, (4 << 20) // max(rsize, 1))
         self._fh.seek(self._data_offset + start * rsize)
-        remaining = stop - start
-        while remaining > 0:
-            n = min(per_slab, remaining)
+        for n in counts:
             data = self._fh.read(n * rsize)
             if len(data) != n * rsize:
                 raise BamxFormatError("truncated BAMX data region",
                                       source=self.source_name)
             yield memoryview(data), n
-            remaining -= n
-
-    def read_range(self, start: int, stop: int,
-                   ) -> Iterator[AlignmentRecord]:
-        """Yield records ``start <= i < stop`` with one buffered scan."""
-        return decode_range(self, start, stop)
-
-    def __iter__(self) -> Iterator[AlignmentRecord]:
-        return self.read_range(0, self._count)
-
-
-def decode_range(reader: "BamxReader | BamzReader", start: int, stop: int,
-                 ) -> Iterator[AlignmentRecord]:
-    """Records ``start <= i < stop`` of a row store, slab by slab."""
-    layout, rsize = reader.layout, reader.layout.record_size
-    for data, n in reader.read_raw_batches(start, stop):
-        # Full decode touches every field: materializing the slab once
-        # makes the per-field slices cheap bytes slices (small
-        # memoryview slices are slower than the one big copy).
-        data = bytes(data)
-        for i in range(n):
-            yield layout.decode(data, reader.header, i * rsize, start + i,
-                                reader.source_name)
-        start += n
 
 
 def write_bamx(path: str | os.PathLike[str], header: SamHeader,

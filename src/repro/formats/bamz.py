@@ -39,7 +39,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from ..errors import BamxFormatError, IndexError_
-from .bamx import BamxLayout, BamxWriter, decode_range, open_source, \
+from .bamx import BamxLayout, BamxWriter, RowStoreReader, open_source, \
     plan_layout
 from .bgzf import MAX_BLOCK_DATA, BgzfReader, BgzfWriter
 from .header import SamHeader
@@ -98,7 +98,7 @@ class BamzWriter(BamxWriter):
             fh.write(voffsets.astype("<u8").tobytes())
 
 
-class BamzReader:
+class BamzReader(RowStoreReader):
     """Random-access BAMZ reader (BamxReader-compatible interface,
     *source* and *header* included)."""
 
@@ -173,30 +173,12 @@ class BamzReader:
         records are contiguous in the decompressed stream, so one seek
         plus sequential slab reads suffices.
         """
-        if not 0 <= start <= stop <= self._count:
-            raise BamxFormatError(
-                f"record range [{start}, {stop}) outside "
-                f"[0, {self._count})")
-        if start == stop:
-            return
-        rsize = self.layout.record_size
-        per_slab = batch_size if batch_size > 0 \
-            else max(1, (4 << 20) // max(rsize, 1))
-        self._bgzf.seek_virtual(int(self._voffsets[start]))
-        remaining = stop - start
-        while remaining > 0:
-            n = min(per_slab, remaining)
-            yield memoryview(self._bgzf.read_exactly(n * rsize)), n
-            remaining -= n
-
-    def read_range(self, start: int, stop: int,
-                   ) -> Iterator[AlignmentRecord]:
-        """Yield records ``start <= i < stop``, decoding sequentially
-        from one seek."""
-        return decode_range(self, start, stop)
-
-    def __iter__(self) -> Iterator[AlignmentRecord]:
-        return self.read_range(0, self._count)
+        counts = self._batch_counts(start, stop, batch_size)
+        if counts:
+            self._bgzf.seek_virtual(int(self._voffsets[start]))
+        for n in counts:
+            yield memoryview(self._bgzf.read_exactly(
+                n * self.layout.record_size)), n
 
 
 def _load_index(path: str | os.PathLike[str]) -> np.ndarray:

@@ -1,5 +1,7 @@
-"""Vectorized numpy kernels over column slabs — what every store
-yields: BAMC reads them, BAMX/BAMZ rows decode to them.
+"""Vectorized numpy kernels over slabs of columns — what every source
+but a decoded BAM yields: BAMC reads :class:`~.bamc.ColumnSlab`s,
+BAMX/BAMZ rows decode to them, a block of canonical SAM lines parses to
+a :class:`~.sam.TextSlab`.
 
 Every operation the converter hot loops run per record — filter
 predicates, flagstat category counts, coverage/MAPQ histograms, target
@@ -13,10 +15,12 @@ at once.  The contracts are strict:
   use the ``next_ref``/``ref_id`` columns, which is the integer form
   of the record path's ``rnext not in ("=", "*", rname)`` test —
   reference names are unique, so the two are equivalent).
-* **Emitters** produce byte-identical lines to the per-record
-  pipeline; the interval targets read the ``end_pos`` column instead
-  of re-walking CIGARs, and the SAM emitter renders CIGAR and tag text
-  straight from the BAM-encoded bytes.
+* **Emitters** — one per target, for either kind of slab — produce
+  byte-identical lines to the per-record pipeline from the columns both
+  kinds share and the text accessors each implements its own way; the
+  interval targets read the ``end_pos`` column instead of re-walking
+  CIGARs, and the SAM lines are the slab's to make (a proven line is
+  its own output; a binary row is rendered from the BAM-encoded bytes).
 
 Targets without a kernel (GFF needs tags; JSON/YAML need everything)
 and slabs an emitter declines (:class:`KernelFallback`) go per slab to
@@ -27,14 +31,13 @@ service metrics.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..errors import FormatError
 from .bamc import ColumnSlab
-from .cigar import decode_ops, format_cigar
 from .header import SamHeader
-from .seq import qual_blob_to_text, unpack_sequence_blob
-from .tags import tag_block_to_sam
 
 
 class KernelFallback(Exception):
@@ -167,219 +170,102 @@ def coverage_depth_columns(slabs, ref_id: int,
 
 
 # --------------------------------------------------------------------------
-# Columnar target emitters.  Each maker returns
-# ``fn(slab, record_filter) -> (lines, seen)`` where *seen* counts
-# post-filter records (matching the record pipeline's metrics) and
-# *lines* are byte-identical to the record pipeline's output.
+# Target emitters, one per target for every kind of slab:
+# ``fn(refs, slab, record_filter) -> (lines, seen)`` — *refs* the
+# header's reference names, *seen* the post-filter record count
+# (matching the record pipeline's metrics), *lines* byte-identical to
+# the record pipeline's output.  They read the columns every slab has —
+# ``count``, ``flag``, ``mapq``, ``pos``, ``end_pos``, ``l_seq`` — and
+# its text through the accessors each slab implements its own way (a
+# ColumnSlab over BAM-encoded blobs, a TextSlab by slicing its lines):
+# ``names(idx)``, ``rnames(idx, refs)``, ``sequences(idx)`` /
+# ``quals(idx)`` as the read was sequenced (``quals`` also lists the
+# absent ones) and ``sam_lines(idx, refs)``.
 # --------------------------------------------------------------------------
 
-def _base_and_seen(slab: ColumnSlab, record_filter,
-                   ) -> tuple[np.ndarray | None, int]:
+def _selected(slab, record_filter, keep: np.ndarray | None = None,
+              ) -> tuple[np.ndarray | None, int]:
+    """Indices of the records to emit — those passing *record_filter*
+    and the target's own *keep* mask, ``None`` meaning all — and how
+    many passed the filter."""
     base = slab_filter_mask(slab, record_filter)
-    seen = slab.count if base is None else int(np.count_nonzero(base))
-    return base, seen
+    if base is None:
+        return None if keep is None else np.flatnonzero(keep), slab.count
+    return np.flatnonzero(base if keep is None else keep & base), \
+        int(np.count_nonzero(base))
 
 
-def _names(slab: ColumnSlab, idx: np.ndarray) -> list[str]:
-    """Read names for *idx*: one blob decode, then string slices."""
-    text = slab.name_blob.decode("ascii")
-    lo = slab.name_lo[idx].tolist()
-    hi = slab.name_hi[idx].tolist()
-    return [text[a:b] for a, b in zip(lo, hi)]
+def _placed(slab) -> np.ndarray:
+    """The interval targets' own mask: mapped, with a position."""
+    return ((slab.flag & 0x4) == 0) & (slab.pos >= 0)
 
 
-def _rnames(refs: list[str], ref_id: list[int]) -> list[str]:
-    return [refs[r] if r >= 0 else "*" for r in ref_id]
+#: BED caps the score column (an int64, so a ``u1`` MAPQ column widens).
+_BED_MAX_SCORE = np.int64(1000)
 
 
-def _make_bed(header: SamHeader):
-    refs = [r.name for r in header.references]
-
-    def emit(slab: ColumnSlab, record_filter) -> tuple[list[str], int]:
-        base, seen = _base_and_seen(slab, record_filter)
-        keep = ((slab.flag & 0x4) == 0) & (slab.pos >= 0)
-        if base is not None:
-            keep &= base
-        idx = np.flatnonzero(keep)
-        if not idx.size:
-            return [], seen
-        names = _names(slab, idx)
-        rnames = _rnames(refs, slab.ref_id[idx].tolist())
-        pos = slab.pos[idx].tolist()
-        end = slab.end_pos[idx].tolist()
-        mapq = slab.mapq[idx].tolist()  # u8: min(mapq, 1000) == mapq
-        flag = slab.flag[idx].tolist()
-        return [f"{r}\t{p}\t{e}\t{n}\t{q}\t"
-                f"{'-' if f & 0x10 else '+'}"
-                for r, p, e, n, q, f
-                in zip(rnames, pos, end, names, mapq, flag)], seen
-
-    return emit
+def _emit_bed(refs, slab, record_filter) -> tuple[list[str], int]:
+    idx, seen = _selected(slab, record_filter, _placed(slab))
+    return [f"{r}\t{p}\t{e}\t{n}\t{q}\t{'-' if f & 0x10 else '+'}"
+            for r, p, e, n, q, f in zip(
+                slab.rnames(idx, refs), slab.pos[idx].tolist(),
+                slab.end_pos[idx].tolist(), slab.names(idx),
+                np.minimum(slab.mapq[idx], _BED_MAX_SCORE).tolist(),
+                slab.flag[idx].tolist())], seen
 
 
-def _make_bedgraph(header: SamHeader):
-    refs = [r.name for r in header.references]
-
-    def emit(slab: ColumnSlab, record_filter) -> tuple[list[str], int]:
-        base, seen = _base_and_seen(slab, record_filter)
-        keep = ((slab.flag & 0x4) == 0) & (slab.pos >= 0)
-        if base is not None:
-            keep &= base
-        idx = np.flatnonzero(keep)
-        if not idx.size:
-            return [], seen
-        rnames = _rnames(refs, slab.ref_id[idx].tolist())
-        pos = slab.pos[idx].tolist()
-        end = slab.end_pos[idx].tolist()
-        return [f"{r}\t{p}\t{e}\t1"
-                for r, p, e in zip(rnames, pos, end)], seen
-
-    return emit
-
-
-def _sequences(slab: ColumnSlab, idx: np.ndarray,
-               reverse: np.ndarray | None = None) -> list[str]:
-    """Decode the selected packed sequences with one blob-wide pass,
-    those *reverse* marks reverse-complemented."""
-    return unpack_sequence_blob(slab.seq_blob, slab.seq_lo[idx],
-                                slab.seq_hi[idx], slab.l_seq[idx], reverse)
-
-
-def _quals(slab: ColumnSlab, idx: np.ndarray,
-           reverse: np.ndarray | None = None) -> tuple[list[str], list[int]]:
-    """Phred+33 text of the selected QUAL runs, those *reverse* marks
-    back to front, and the places of the runs that are all ``0xFF`` —
-    absent QUAL, exactly the BAMX decode rule; only a run starting with
-    ``0xFF`` can be one, and only those are looked at in full."""
-    lo, hi = slab.qual_lo[idx], slab.qual_hi[idx]
-    some = np.flatnonzero(hi > lo)
-    raw = np.frombuffer(slab.qual_blob, np.uint8)
-    return qual_blob_to_text(slab.qual_blob, lo, hi, reverse), [
-        i for i in some[raw[lo[some]] == 0xFF].tolist()
-        if not slab.qual_blob[lo[i]:hi[i]].strip(b"\xff")]
+def _emit_bedgraph(refs, slab, record_filter) -> tuple[list[str], int]:
+    idx, seen = _selected(slab, record_filter, _placed(slab))
+    return [f"{r}\t{p}\t{e}\t1" for r, p, e in zip(
+        slab.rnames(idx, refs), slab.pos[idx].tolist(),
+        slab.end_pos[idx].tolist())], seen
 
 
 def _mate_suffixes(flag: np.ndarray) -> list[str]:
     return [MATE_SUFFIX[m] for m in ((flag >> 6) & 3).tolist()]
 
 
-def _make_fasta(header: SamHeader):
-    def emit(slab: ColumnSlab, record_filter) -> tuple[list[str], int]:
-        base, seen = _base_and_seen(slab, record_filter)
-        keep = slab.l_seq > 0
-        if base is not None:
-            keep &= base
-        idx = np.flatnonzero(keep)
-        if not idx.size:
-            return [], seen
-        flag = slab.flag[idx]
-        return [f">{n}{m}\n{s}" for n, m, s in zip(
-            _names(slab, idx), _mate_suffixes(flag),
-            _sequences(slab, idx, (flag & 0x10) != 0))], seen
-
-    return emit
+def _emit_fasta(refs, slab, record_filter) -> tuple[list[str], int]:
+    idx, seen = _selected(slab, record_filter, slab.l_seq > 0)
+    return [f">{n}{m}\n{s}" for n, m, s in zip(
+        slab.names(idx), _mate_suffixes(slab.flag[idx]),
+        slab.sequences(idx))], seen
 
 
-def _make_fastq(header: SamHeader):
-    def emit(slab: ColumnSlab, record_filter) -> tuple[list[str], int]:
-        base, seen = _base_and_seen(slab, record_filter)
-        keep = ((slab.flag & 0x900) == 0) & (slab.l_seq > 0)
-        if base is not None:
-            keep &= base
-        idx = np.flatnonzero(keep)
-        if not idx.size:
-            return [], seen
-        flag = slab.flag[idx]
-        reverse = (flag & 0x10) != 0
-        seqs = _sequences(slab, idx, reverse)
-        quals, absent = _quals(slab, idx, reverse)
-        for i in absent:
-            quals[i] = "!" * len(seqs[i])
-        return [f"@{n}{m}\n{s}\n+\n{q}" for n, m, s, q in zip(
-            _names(slab, idx), _mate_suffixes(flag), seqs, quals)], seen
-
-    return emit
+def _emit_fastq(refs, slab, record_filter) -> tuple[list[str], int]:
+    idx, seen = _selected(slab, record_filter,
+                          ((slab.flag & 0x900) == 0) & (slab.l_seq > 0))
+    seqs = slab.sequences(idx)
+    quals, absent = slab.quals(idx)
+    for i in absent:
+        quals[i] = "!" * len(seqs[i])
+    return [f"@{n}{m}\n{s}\n+\n{q}" for n, m, s, q in zip(
+        slab.names(idx), _mate_suffixes(slab.flag[idx]), seqs,
+        quals)], seen
 
 
-def _make_sam(header: SamHeader):
-    refs = [r.name for r in header.references]
-
-    def emit(slab: ColumnSlab, record_filter) -> tuple[list[str], int]:
-        base, seen = _base_and_seen(slab, record_filter)
-        idx = np.arange(slab.count) if base is None \
-            else np.flatnonzero(base)
-        if not idx.size:
-            return [], seen
-        ref_id = slab.ref_id[idx].tolist()
-        next_ref = slab.next_ref[idx].tolist()
-        quals, absent = _quals(slab, idx)
-        for i in absent:
-            quals[i] = "*"
-        lines = []
-        for (name, flag, rname, pos, mapq, cigar, mate, own, pnext, tlen,
-             seq, qual, tags) in zip(
-                _names(slab, idx), slab.flag[idx].tolist(),
-                _rnames(refs, ref_id), slab.pos[idx].tolist(),
-                slab.mapq[idx].tolist(),
-                _field_texts(slab.cigar_blob, slab.cigar_lo[idx],
-                             slab.cigar_hi[idx], _cigar_text),
-                next_ref, ref_id, slab.next_pos[idx].tolist(),
-                slab.tlen[idx].tolist(), _sequences(slab, idx), quals,
-                _field_texts(slab.tag_blob, slab.tag_lo[idx],
-                             slab.tag_hi[idx], tag_block_to_sam)):
-            # The BAMX decode rule: no SEQ, or all-0xFF QUAL, is "*".
-            if not seq:
-                seq = qual = "*"
-            rnext = "*" if mate < 0 else "=" if mate == own else refs[mate]
-            lines.append(
-                f"{name}\t{flag}\t{rname}\t{pos + 1 if pos >= 0 else 0}\t"
-                f"{mapq}\t{cigar}\t{rnext}\t"
-                f"{pnext + 1 if pnext >= 0 else 0}\t{tlen}\t{seq}\t{qual}"
-                + (tags and "\t" + tags))
-        return lines, seen
-
-    return emit
-
-
-def _cigar_text(raw: bytes) -> str:
-    return format_cigar(decode_ops(np.frombuffer(raw, "<u4").tolist()))
-
-
-def _field_texts(blob: bytes, lo: np.ndarray, hi: np.ndarray,
-                 render) -> list[str]:
-    """``render(blob[lo[i]:hi[i]])`` per record, rendering each distinct
-    field value once; a value *render* rejects sends the slab to the
-    record path, which raises the typed error."""
-    cache: dict[bytes, str] = {}
-    out = []
+def _emit_sam(refs, slab, record_filter) -> tuple[list[str], int]:
+    """The one target whose lines the slab makes itself: a proven line
+    of text is its own output, a binary row is rendered."""
+    idx, seen = _selected(slab, record_filter)
     try:
-        for a, b in zip(lo.tolist(), hi.tolist()):
-            raw = blob[a:b]
-            if raw not in cache:
-                cache[raw] = render(raw)
-            out.append(cache[raw])
+        return slab.sam_lines(idx, refs), seen
     except (FormatError, ValueError):   # ValueError: a ragged CIGAR blob
+        # The record path raises the typed error.
         raise KernelFallback from None
-    return out
 
 
-_KERNEL_MAKERS = {
-    "bed": _make_bed,
-    "bedgraph": _make_bedgraph,
-    "fasta": _make_fasta,
-    "fastq": _make_fastq,
-    "sam": _make_sam,
-}
+_KERNELS = {"bed": _emit_bed, "bedgraph": _emit_bedgraph,
+            "fasta": _emit_fasta, "fastq": _emit_fastq, "sam": _emit_sam}
 
-#: Target names with a columnar kernel emitter.
-KERNEL_TARGETS = tuple(sorted(_KERNEL_MAKERS))
+#: Target names with a kernel emitter.
+KERNEL_TARGETS = tuple(sorted(_KERNELS))
 
 
 def kernel_emitter_for(target, header: SamHeader):
-    """Columnar emitter for *target*, or ``None`` if it needs records."""
-    if getattr(target, "mode", "text") != "text":
+    """The emitter ``fn(slab, record_filter) -> (lines, seen)`` of
+    *target* over any slab, or ``None`` if it needs records."""
+    emit = _KERNELS.get(getattr(target, "name", None))
+    if emit is None or getattr(target, "mode", "text") != "text":
         return None
-    maker = _KERNEL_MAKERS.get(getattr(target, "name", None))
-    if maker is None:
-        return None
-    return maker(header)
+    return partial(emit, [r.name for r in header.references])

@@ -6,6 +6,8 @@ format names ("sam", "bed", ...) through this table.
 
 from __future__ import annotations
 
+import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..errors import ConversionError
@@ -29,6 +31,8 @@ _FORMATS = {
                    "Binary Alignment/Map (BGZF-compressed)"),
         FormatInfo("bamx", (".bamx",), True,
                    "BAM eXtended: fixed-record-length random-access binary"),
+        FormatInfo("bamz", (".bamz",), True,
+                   "BGZF-compressed BAMX with a record-offset index"),
         FormatInfo("bamc", (".bamc",), True,
                    "BAM Columnar: slab-columnar BAMX v2 read through "
                    "vectorized kernels"),
@@ -49,8 +53,11 @@ _FORMATS = {
     )
 }
 
+#: The preprocessed record stores.
+STORE_KINDS = ("bamx", "bamz", "bamc")
+
 #: Formats a converter can read alignments from.
-SOURCE_FORMATS = ("sam", "bam", "bamx", "bamc")
+SOURCE_FORMATS = ("sam", "bam", *STORE_KINDS)
 
 #: Formats a converter can write (the paper's §I list plus GFF).
 TARGET_FORMATS = ("sam", "bam", "bed", "bedgraph", "fasta", "fastq",
@@ -74,6 +81,25 @@ def detect_format(path: str) -> FormatInfo:
         if any(lowered.endswith(ext) for ext in info.extensions):
             return info
     raise ConversionError(f"cannot detect format of {path!r} from extension")
+
+
+def source_kind(path: str | os.PathLike[str], reader: str,
+                reads: Sequence[str] = SOURCE_FORMATS,
+                error: type[Exception] = ConversionError) -> str:
+    """The format name of the alignment file *path*, by its extension
+    (:func:`detect_format`) — which must be one *reader* (a verb, a job
+    kind) *reads*, else one *error* line naming them.  The one answer
+    to "what is this path" behind every verb and the service."""
+    path = os.fspath(path)
+    try:
+        kind = detect_format(path).name
+    except ConversionError:
+        kind = None
+    if kind not in reads:
+        raise error(f"{reader} reads "
+                    f"{', '.join('.' + name for name in reads)}; "
+                    f"got {path!r}")
+    return kind
 
 
 def list_formats() -> list[FormatInfo]:

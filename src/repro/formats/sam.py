@@ -4,6 +4,11 @@ The parser maps each tab-delimited alignment line onto the canonical
 :class:`~repro.formats.record.AlignmentRecord`; the writer is its exact
 inverse, so ``format_alignment(parse_alignment(line)) == line`` for any
 spec-conforming line (this round-trip is property-tested).
+
+:func:`slab_columns` is the way past records: a block of lines proven
+canonical becomes a :class:`TextSlab` — numeric columns as arrays, and
+the text accessors the :mod:`.kernels` emitters read of any slab,
+answered by slicing the block.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import numpy as np
 from ..errors import SamFormatError
 from .cigar import CIGAR_OPS, REF_CONSUMING, format_cigar, parse_cigar
 from .header import SamHeader
-from .kernels import MATE_SUFFIX, slab_filter_mask
 from .ragged import ragged_index, segment_sums
 from .record import UNMAPPED_POS, AlignmentRecord
 from .seq import reverse_complement
@@ -262,6 +266,39 @@ class TextSlab:
         text = self.text
         return [text[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
 
+    # -- the text accessors the kernel emitters read of any slab -------
+
+    def names(self, idx: np.ndarray) -> list[str]:
+        return self.column(0, idx)
+
+    def rnames(self, idx: np.ndarray, refs: list[str]) -> list[str]:
+        return self.column(2, idx)
+
+    def sequences(self, idx: np.ndarray) -> list[str]:
+        """SEQ as the reads were sequenced: reverse-strand ones
+        reverse-complemented, each on its own (one mirrored copy of the
+        whole block, what a store's blob gets, measured slower here)."""
+        return [reverse_complement(s) if f & 0x10 else s for s, f in zip(
+            self.column(9, idx), self.flag[idx].tolist())]
+
+    def quals(self, idx: np.ndarray) -> tuple[list[str], list[int]]:
+        """QUAL in the order of :meth:`sequences`, and the places of the
+        absent (``*``) ones."""
+        quals = [q[::-1] if f & 0x10 else q for q, f in zip(
+            self.column(10, idx), self.flag[idx].tolist())]
+        return quals, [i for i in np.flatnonzero(
+            self.hi[10][idx] - self.lo[10][idx] == 1).tolist()
+            if quals[i] == "*"]
+
+    def sam_lines(self, idx: np.ndarray | None,
+                  refs: list[str]) -> list[str]:
+        """A proven line is its own output (*idx* ``None``: all)."""
+        text = self.text
+        if idx is None:
+            return text[:-1].split("\n")
+        return [text[a:b] for a, b in zip(self.lo[0][idx].tolist(),
+                                          self.line_hi[idx].tolist())]
+
 
 #: Byte classes of CIGAR text: 1 digit, 2 operation, 3 operation that
 #: consumes the reference, 0 anything else.
@@ -412,84 +449,3 @@ def slab_columns(buf: bytes) -> TextSlab | None:
         np.where(pos < 0, UNMAPPED_POS, pos + np.where(span > 0, span, 1)),
         np.where((l_seq == 1) & (a[lo[9]] == 42), 0, l_seq),
         lo, hi, np.minimum(hi[10] + 1, line_hi), line_hi)
-
-
-# Emitters over a TextSlab: ``fn(slab, record_filter) -> (lines, seen)``,
-# the contract of the :mod:`.kernels` emitters.
-
-def _kept(slab: TextSlab, record_filter,
-          keep: np.ndarray | None = None) -> tuple[np.ndarray | None, int]:
-    """Indices of the lines to emit — those passing *record_filter*
-    and the target's own *keep* mask, ``None`` meaning all — and how
-    many passed the filter."""
-    seen = slab.count
-    base = slab_filter_mask(slab, record_filter)  # reads flag and mapq
-    if base is not None:
-        seen = int(np.count_nonzero(base))
-        keep = base if keep is None else keep & base
-    return None if keep is None else np.flatnonzero(keep), seen
-
-
-def _emit_bed(slab: TextSlab, record_filter) -> tuple[list[str], int]:
-    idx, seen = _kept(slab, record_filter,
-                      ((slab.flag & 0x4) == 0) & (slab.pos >= 0))
-    return [f"{r}\t{p}\t{e}\t{n}\t{q}\t{'-' if f & 0x10 else '+'}"
-            for r, p, e, n, q, f in zip(
-                slab.column(2, idx), slab.pos[idx].tolist(),
-                slab.end_pos[idx].tolist(), slab.column(0, idx),
-                np.minimum(slab.mapq[idx], 1000).tolist(),
-                slab.flag[idx].tolist())], seen
-
-
-def _emit_bedgraph(slab: TextSlab, record_filter) -> tuple[list[str], int]:
-    idx, seen = _kept(slab, record_filter,
-                      ((slab.flag & 0x4) == 0) & (slab.pos >= 0))
-    return [f"{r}\t{p}\t{e}\t1" for r, p, e in zip(
-        slab.column(2, idx), slab.pos[idx].tolist(),
-        slab.end_pos[idx].tolist())], seen
-
-
-def _emit_fasta(slab: TextSlab, record_filter) -> tuple[list[str], int]:
-    idx, seen = _kept(slab, record_filter, slab.l_seq > 0)
-    return [f">{n}{MATE_SUFFIX[(f >> 6) & 3]}\n"
-            f"{reverse_complement(s) if f & 0x10 else s}"
-            for n, f, s in zip(slab.column(0, idx),
-                               slab.flag[idx].tolist(),
-                               slab.column(9, idx))], seen
-
-
-def _emit_fastq(slab: TextSlab, record_filter) -> tuple[list[str], int]:
-    idx, seen = _kept(slab, record_filter,
-                      ((slab.flag & 0x900) == 0) & (slab.l_seq > 0))
-    lines = []
-    for n, f, s, q in zip(slab.column(0, idx), slab.flag[idx].tolist(),
-                          slab.column(9, idx), slab.column(10, idx)):
-        if q == "*":
-            q = "!" * len(s)
-        if f & 0x10:
-            s, q = reverse_complement(s), q[::-1]
-        lines.append(f"@{n}{MATE_SUFFIX[(f >> 6) & 3]}\n{s}\n+\n{q}")
-    return lines, seen
-
-
-def _emit_sam(slab: TextSlab, record_filter) -> tuple[list[str], int]:
-    """A proven line is its own output."""
-    idx, seen = _kept(slab, record_filter)
-    if idx is None:
-        return slab.text[:-1].split("\n"), seen
-    text = slab.text
-    return [text[a:b] for a, b in zip(slab.lo[0][idx].tolist(),
-                                      slab.line_hi[idx].tolist())], seen
-
-
-_SLAB_EMITTERS = {"bed": _emit_bed, "bedgraph": _emit_bedgraph,
-                  "fasta": _emit_fasta, "fastq": _emit_fastq,
-                  "sam": _emit_sam}
-
-
-def slab_emitter_for(target):
-    """The :class:`TextSlab` emitter of *target*, or ``None`` if it
-    needs records."""
-    if getattr(target, "mode", "text") != "text":
-        return None
-    return _SLAB_EMITTERS.get(getattr(target, "name", None))

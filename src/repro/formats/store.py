@@ -1,13 +1,14 @@
 """Record stores behind one interface: BAMX, BAMZ and BAMC.
 
 All readers expose ``len``, ``[i]``, ``read_range``, iteration,
-``.header`` and ``.layout``; converters call :func:`open_record_store`
-and never care which physical format backs the store.  Everything else
-that depends on the physical format lives here too, one row per store:
+``.header``, ``.layout`` and — what the converters' one rank task and
+the statistics kernels read — ``read_column_batches(start, stop,
+batch_size)`` / ``read_column_picks(indices, batch_size)``: column
+slabs, which BAMC holds and BAMX/BAMZ rows decode to.  Callers use
+:func:`open_record_store` and never care which physical format backs
+the store.  Everything else that depends on the physical format lives
+here too, one row per store:
 
-* :func:`chunk_protocol` / :func:`column_slabs` — how an opened store
-  feeds the converters' chunk loop and the statistics kernels: as
-  column slabs, which BAMC holds and BAMX/BAMZ rows decode to;
 * :func:`open_store_writer` / :func:`encode_slab_part` /
   :func:`write_store_records` / :func:`write_indexes` /
   :func:`publishing` — how the preprocessors write a store and its
@@ -22,7 +23,6 @@ from __future__ import annotations
 import glob
 import os
 import threading
-import time
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, suppress
@@ -32,6 +32,7 @@ import numpy as np
 
 from ..defaults import STORE_FORMATS
 from ..errors import BamxFormatError
+from ..runtime.buffers import file_identity, settled
 from . import baix as _baix
 from . import baix2 as _baix2
 from . import bamc as _bamc
@@ -42,10 +43,9 @@ from .baix2 import BaixOverlapIndex, record_columns
 from .bamc import BamcReader, BamcWriter
 from .bamx import BamxLayout, BamxReader, BamxWriter
 from .bamz import BamzReader, BamzWriter
-from .batch import DEFAULT_BATCH_SIZE, batched, convert_records
+from .batch import DEFAULT_BATCH_SIZE, batched
 from .bgzf import is_bgzf
 from .header import SamHeader
-from .kernels import KernelFallback, kernel_emitter_for
 from .record import AlignmentRecord
 
 RecordStore = Union[BamxReader, BamzReader, BamcReader]
@@ -53,16 +53,11 @@ RecordStore = Union[BamxReader, BamzReader, BamcReader]
 
 #: Files whose parsed form stays resident (stores and indexes alike).
 RESIDENT_FILES = 8
-#: Identities younger than this are not remembered: a coarse-clock
-#: filesystem (tick <= 10 ms) may stamp a second write the same.
-_SETTLE_NS = 20_000_000
 
 # What this process parsed of a file — of a store (``what="store"``) its
 # ``(reader class, header)``, of an index (``what`` = the query mode) its
-# locator — under the file's identity ``(st_dev, st_ino, st_size,
-# st_mtime_ns, st_ctime_ns)``, the rule ArtifactCache verifies hits by:
-# stores and sidecars are published by ``os.replace``, so a rebuild is
-# another inode, and ``ctime`` shows a rewrite in place.
+# locator — under ``(what, *file_identity)``, the rule ArtifactCache
+# verifies hits by: stores and sidecars are published by ``os.replace``.
 _resident: OrderedDict[tuple, Any] = OrderedDict()
 _resident_lock = threading.Lock()
 
@@ -77,14 +72,9 @@ def _fresh_lock() -> None:
 os.register_at_fork(after_in_child=_fresh_lock)
 
 
-def _identity(what: str, st: os.stat_result) -> tuple:
-    return (what, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns,
-            st.st_ctime_ns)
-
-
 def _recall(what: str, st: os.stat_result) -> Any:
     """The resident *what* of the file *st* describes, or ``None``."""
-    key = _identity(what, st)
+    key = (what, *file_identity(st))
     with _resident_lock:
         if key not in _resident:
             return None
@@ -95,9 +85,9 @@ def _recall(what: str, st: os.stat_result) -> Any:
 def _remember(what: str, st: os.stat_result, value: Any) -> Any:
     """Keep *value* resident — once the file has settled — among the
     :data:`RESIDENT_FILES` most recently used; returns *value*."""
-    if max(st.st_mtime_ns, st.st_ctime_ns) < time.time_ns() - _SETTLE_NS:
+    if settled(st):
         with _resident_lock:
-            _resident[_identity(what, st)] = value
+            _resident[(what, *file_identity(st))] = value
             while len(_resident) > RESIDENT_FILES:
                 _resident.popitem(last=False)
     return value
@@ -151,92 +141,10 @@ def store_extension(compress: bool,
     return ".bamz" if compress else ".bamx"
 
 
-# -- reading: the chunk protocol ------------------------------------
-
-def _row_slabs(reader: BamxReader | BamzReader) -> tuple:
-    """BAMX/BAMZ speak columns by decoding their fixed rows a slab at a
-    time (:meth:`~.bamx.BamxLayout.decode_slab`): ``(range_chunks,
-    pick_chunks)`` with the signatures of :func:`chunk_protocol`."""
-    decode_slab, source = reader.layout.decode_slab, reader.source_name
-
-    def range_chunks(start, stop, batch_size):
-        for rows, count in reader.read_raw_batches(start, stop, batch_size):
-            yield decode_slab(rows, count, start, source)
-            start += count
-
-    def pick_chunks(indices, batch_size):
-        # One read per run of consecutive indices; the joined rows are
-        # already in pick order, so the slab needs no gather.
-        for off in range(0, len(indices), batch_size):
-            part = np.asarray(indices[off:off + batch_size], np.int64)
-            runs = np.split(part, np.flatnonzero(np.diff(part) != 1) + 1)
-            rows = b"".join(
-                rows for run in runs for rows, _ in reader.read_raw_batches(
-                    int(run[0]), int(run[0]) + len(run), len(run)))
-            yield decode_slab(rows, len(part), part, source)
-
-    return range_chunks, pick_chunks
-
-
-def chunk_protocol(reader: RecordStore) -> tuple:
-    """How an opened store feeds the converters' one chunk loop: every
-    store yields :class:`~.bamc.ColumnSlab`s — BAMC natively, BAMX/BAMZ
-    through :func:`_row_slabs`.
-
-    Returns ``(range_chunks, pick_chunks, decode_chunk,
-    make_convert_chunk)``:
-
-    * ``range_chunks(start, stop, batch_size)`` / ``pick_chunks(indices,
-      batch_size)`` iterate the selection as slabs in record order;
-    * ``decode_chunk(slab)`` yields the slab's alignment records (the
-      binary-target and record-pipeline path);
-    * ``make_convert_chunk(target, record_filter, pipeline)`` returns
-      ``(convert_chunk, span_args, fallback_field)`` for
-      :func:`repro.core.base.write_text_chunks` — the target's kernel
-      emitter when ``pipeline == "batch"`` and it has one, else
-      :func:`~.batch.convert_records` over ``decode_chunk``.  A slab a
-      kernel declines degrades to the record driver and is counted in
-      ``metrics.kernel_fallbacks``.
-    """
-    header = reader.header
-    if isinstance(reader, BamcReader):
-        def range_chunks(start, stop, batch_size):
-            return reader.read_column_batches(start, stop)
-
-        def pick_chunks(indices, batch_size):
-            return reader.read_column_picks(indices)
-    else:
-        range_chunks, pick_chunks = _row_slabs(reader)
-
-    def decode_chunk(slab):
-        return slab.decode_all(header)
-
-    def make_convert_chunk(target, record_filter, pipeline):
-        def record_chunk(slab, out):
-            seen, emitted = convert_records(decode_chunk(slab), target,
-                                            record_filter, out)
-            return seen, emitted, 1
-        if pipeline != "batch":
-            return record_chunk, None, None
-        emit = kernel_emitter_for(target, header)
-
-        def convert_chunk(slab, out):
-            try:
-                lines, seen = emit(slab, record_filter)
-            except KernelFallback:
-                return record_chunk(slab, out)
-            out.extend(lines)
-            return seen, len(lines), 0
-        return (convert_chunk if emit else record_chunk,
-                {"kernel": emit is not None}, "kernel_fallbacks")
-
-    return range_chunks, pick_chunks, decode_chunk, make_convert_chunk
-
-
 def column_slabs(reader: RecordStore) -> Iterator:
     """Every :class:`~.bamc.ColumnSlab` of a store, in record order:
     what the flagstat/histogram kernels run on."""
-    return chunk_protocol(reader)[0](0, len(reader), DEFAULT_BATCH_SIZE)
+    return reader.read_column_batches(0, len(reader), DEFAULT_BATCH_SIZE)
 
 
 # -- writing: store + index sidecars --------------------------------

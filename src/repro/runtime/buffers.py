@@ -23,6 +23,26 @@ DEFAULT_READ_CHUNK = 4 << 20
 #: Default write-buffer flush threshold (4 MiB).
 DEFAULT_WRITE_CHUNK = 4 << 20
 
+#: Files changed more recently than this are not yet :func:`settled`: a
+#: coarse-clock filesystem (tick <= 10 ms) may stamp a second write the
+#: same.
+SETTLE_NS = 20_000_000
+
+
+def file_identity(st: os.stat_result) -> tuple[int, ...]:
+    """What tells one state of a file from the next without reading it —
+    the key the artifact cache remembers digests under and the stores
+    keep parsed metadata under: publishing by ``os.replace`` changes the
+    inode, a rewrite in place the ``ctime``."""
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns,
+            st.st_ctime_ns)
+
+
+def settled(st: os.stat_result) -> bool:
+    """Whether *st*'s timestamps are old enough (:data:`SETTLE_NS`) for
+    its :func:`file_identity` to be remembered."""
+    return max(st.st_mtime_ns, st.st_ctime_ns) < time.time_ns() - SETTLE_NS
+
 
 class RangeLineReader:
     """Iterate the complete text lines of a byte range of a file.

@@ -63,6 +63,7 @@ from typing import Callable, Iterator
 
 from ..errors import CacheIntegrityError, ServiceError
 from ..runtime import faults
+from ..runtime.buffers import file_identity, settled
 from ..runtime.metrics import ServiceMetrics
 
 _CHUNK = 1 << 20
@@ -72,9 +73,6 @@ _QUARANTINE = "quarantine"
 FULL_DIGEST_SECONDS = 3600.0
 #: Most recently used files whose (identity, digest) is remembered.
 DIGEST_MEMO_ROWS = 1024
-#: Identities younger than this are not remembered: a coarse-clock
-#: filesystem (tick <= 10 ms) may stamp a second write the same.
-_SETTLE_NS = 20_000_000
 
 
 def content_digest(path: str | os.PathLike[str]) -> str:
@@ -260,8 +258,7 @@ class ArtifactCache:
         """
         path = os.path.abspath(path)
         st = os.stat(path)
-        identity = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns,
-                    st.st_ctime_ns)
+        identity = file_identity(st)
         now = time.monotonic()
         with self._lock:
             row = self._digests.pop(path, None)
@@ -270,8 +267,7 @@ class ArtifactCache:
                 self._digests[path] = row       # most recently used
                 return row[1], False
         digest = content_digest(path)
-        if max(st.st_mtime_ns, st.st_ctime_ns) \
-                < time.time_ns() - _SETTLE_NS:
+        if settled(st):
             with self._lock:
                 self._digests[path] = (identity, digest, now)
                 while len(self._digests) > DIGEST_MEMO_ROWS:

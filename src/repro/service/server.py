@@ -30,6 +30,7 @@ from typing import Any
 from ..core import BamConverter, SamConverter, parse_filter_expr
 from ..core.base import _run_entry, validate_knob
 from ..errors import ServiceError
+from ..formats.registry import SOURCE_FORMATS, STORE_KINDS, source_kind
 from ..formats.store import index_path_for
 from ..runtime.autotune import AutoTuner, CostModel
 from ..runtime.executor import get_shared_executor, \
@@ -42,8 +43,17 @@ from .jobs import Job, seed_job_counter
 from .journal import JobJournal
 from .scheduler import WorkerPool
 
-#: Job kinds the service runner dispatches on.
+#: Job kinds the service runner dispatches on, and what each reads.
 JOB_KINDS = ("convert", "region", "preprocess")
+_JOB_READS = {"convert": SOURCE_FORMATS, "region": ("bam", *STORE_KINDS),
+              "preprocess": ("bam",)}
+
+
+def _source_format(kind: str, params: dict[str, Any]) -> str:
+    """The format of a job's input, by its extension — checked at
+    submission, asked again when the job runs."""
+    return source_kind(params["input"], f"a {kind} job",
+                       _JOB_READS[kind], ServiceError)
 
 
 # -- job bodies: run in a pool process; one picklable payload in,
@@ -239,6 +249,7 @@ class ConversionService:
         for knob, auto in (("shards", True), ("batch_size", False)):
             if knob in params:
                 validate_knob(params[knob], knob, ServiceError, auto)
+        _source_format(kind, params)
         job = Job(kind=kind, params=dict(params), priority=priority,
                   timeout=timeout, max_retries=max_retries,
                   backoff=backoff)
@@ -290,14 +301,15 @@ class ConversionService:
                 params["batch_size"], "batch_size", ServiceError,
                 auto=False)
         source = os.fspath(params["input"])
+        source_format = _source_format(job.kind, params)
         if job.kind == "preprocess":
             entry, hit = self._preprocessed(source, params)
             return {"artifacts": entry.files(),
                     "cache": "hit" if hit else "miss"}
         store_path = baix_path = cache_state = None
-        if job.kind == "region" or not source.lower().endswith(".sam"):
+        if source_format != "sam":
             store_path, baix_path, cache_state = self._store_for(
-                source, params)
+                source, source_format, params)
         return self._in_pool(_convert_body, {
             "kind": job.kind, "params": params, "store": store_path,
             "baix": baix_path, "cache": cache_state, "knobs": knobs,
@@ -327,7 +339,8 @@ class ConversionService:
         self.metrics.absorb(deltas)
         return result
 
-    def _store_for(self, source: str, params: dict[str, Any],
+    def _store_for(self, source: str, source_format: str,
+                   params: dict[str, Any],
                    ) -> tuple[str, str | None, str | None]:
         """Resolve (store path, index path, cache state) for a job.
 
@@ -337,14 +350,8 @@ class ConversionService:
         BAM; the ``store_format`` parameter is part of the cache key,
         so row and columnar artifacts of one BAM coexist.
         """
-        lowered = source.lower()
-        if lowered.endswith((".bamx", ".bamz", ".bamc")):
-            baix = params.get("baix")
-            return source, baix, None
-        if not lowered.endswith(".bam"):
-            raise ServiceError(
-                f"cannot tell the source format of {source!r}; expected "
-                f"a .sam, .bam, .bamx, .bamz or .bamc file")
+        if source_format != "bam":
+            return source, params.get("baix"), None
         entry, hit = self._preprocessed(source, params)
         store_path = next((path for path in entry.files() if path.endswith(
             (".bamx", ".bamz", ".bamc"))), None)

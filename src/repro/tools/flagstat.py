@@ -133,12 +133,13 @@ def flagstat_store(reader) -> FlagStats:
 
 def flagstat(path: str | os.PathLike[str]) -> FlagStats:
     """Sequential flag statistics over a SAM, BAM or record-store file."""
-    lowered = os.fspath(path).lower()
-    if lowered.endswith(".bam"):
+    from ..formats.registry import source_kind
+    kind = source_kind(path, "repro flagstat")
+    if kind == "bam":
         from ..formats.bam import BamReader
         with BamReader(path) as reader:
             return flagstat_records(reader)
-    if lowered.endswith((".bamx", ".bamz", ".bamc")):
+    if kind != "sam":
         from ..formats.store import open_record_store
         with open_record_store(path) as reader:
             return flagstat_store(reader)

@@ -184,8 +184,8 @@ def _check_mate_pair(record: AlignmentRecord, other: _MateInfo,
 def validate_file(path: str | os.PathLike[str],
                   check_mates: bool = True) -> ValidationReport:
     """Validate a SAM or BAM file on disk."""
-    lowered = os.fspath(path).lower()
-    if lowered.endswith(".bam"):
+    from ..formats.registry import source_kind
+    if source_kind(path, "repro validate", ("sam", "bam")) == "bam":
         from ..formats.bam import BamReader
         with BamReader(path) as reader:
             return validate_records(reader, reader.header, check_mates)

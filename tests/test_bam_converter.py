@@ -144,6 +144,46 @@ def test_direct_conversion_matches_preprocessed(tmp_path, bam_file,
     assert cat(direct.outputs) == cat(via_bamx.outputs)
 
 
+def test_a_new_source_plugs_into_the_one_rank_task(tmp_path, bam_file,
+                                                   workload):
+    """``core/base.py``'s claim, executed: a source is a value its rank
+    spec opens — here a list of record batches, no columns — and the
+    one rank task every converter runs converts it, filter, binary
+    target and all; nothing in ``src/`` knows this source."""
+    from contextlib import contextmanager
+    from dataclasses import dataclass
+
+    from repro.core import RecordFilter
+    from repro.core.base import Source, convert_rank
+    from repro.formats.batch import batched
+    _, header, records = workload
+
+    @dataclass(frozen=True)
+    class ListSpec:
+        target: str
+        out_path: str
+        record_filter: RecordFilter = RecordFilter()
+        batch_size: int = 100
+        pipeline: str = "batch"
+        write_header: bool = True
+
+        @contextmanager
+        def open(self, metrics):
+            yield Source(header, batched(records, self.batch_size), None,
+                         lambda batch: batch)
+
+    for target in ("bed", "fastq", "json", "bam"):
+        want = convert_bam_direct(bam_file, target, tmp_path / "want")
+        metrics = convert_rank(ListSpec(target, str(tmp_path / "got")))
+        assert cat([tmp_path / "got"]) == cat(want.outputs), target
+        assert metrics.records == want.records == len(records)
+        assert metrics.kernel_fallbacks == (target != "bam") \
+            * -(-len(records) // 100)
+    mapped = RecordFilter(mapped_only=True, min_mapq=30)
+    kept = convert_rank(ListSpec("bed", str(tmp_path / "kept"), mapped))
+    assert kept.records == sum(map(mapped.matches, records)) > 0
+
+
 def test_preprocess_bam_function(tmp_path, bam_file, workload):
     _, _, records = workload
     bamx = tmp_path / "x.bamx"

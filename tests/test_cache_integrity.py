@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.errors import ServiceError
+from repro.runtime.buffers import SETTLE_NS
 from repro.runtime.metrics import ServiceMetrics
 from repro.service import cache as cache_mod
 from repro.service.cache import ArtifactCache, cache_key, \
@@ -242,7 +243,7 @@ def test_cache_key_is_content_addressed(tmp_path):
 
 def settle() -> None:
     """Let file timestamps age past the racy-identity window."""
-    time.sleep(2.5 * cache_mod._SETTLE_NS / 1e9)
+    time.sleep(2.5 * SETTLE_NS / 1e9)
 
 
 @pytest.fixture

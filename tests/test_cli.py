@@ -118,7 +118,7 @@ def test_nlmeans_accepts_bedgraph_input(sim_sam, tmp_path):
 def test_formats_listing(capsys):
     assert run(["formats"]) == 0
     out = capsys.readouterr().out
-    assert "bamx" in out and "bedgraph" in out
+    assert "bamx" in out and "bamz" in out and "bedgraph" in out
 
 
 def test_sort_subcommand(tmp_path, capsys):
@@ -311,6 +311,26 @@ def test_missing_input_is_a_one_line_error(verb, ext, tmp_path, capsys):
     assert run(_verb(verb, missing, tmp_path)) == 1
     _one_line_error(capsys, "No such file or directory", str(missing))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("verb, ext, reads", [
+    ("convert", "vcf", ".sam, .bam, .bamx, .bamz, .bamc"),
+    ("preprocess", "bamx", ".sam, .bam"),
+    ("histogram", "bam", ".sam, .bamx, .bamz, .bamc"),
+    ("sort", "bamx", ".sam, .bam"),
+    ("flagstat", "bed", ".sam, .bam, .bamx, .bamz, .bamc"),
+    ("validate", "bamx", ".sam, .bam")])
+def test_wrong_kind_of_input_is_a_one_line_error(verb, ext, reads,
+                                                 tmp_path, capsys):
+    """Each verb used to spell its own extension ladder and hand what it
+    did not know to the SAM reader (`histogram x.bam`: "non-ASCII byte
+    0x8b after line 0"); the kind is resolved once, by the registry, and
+    a verb says what it reads before it opens or creates anything."""
+    wrong = tmp_path / f"x.{ext}"
+    wrong.write_bytes(b"\x1f\x8b\x08\x04")
+    assert run(_verb(verb, wrong, tmp_path)) == 1
+    _one_line_error(capsys, f"repro {verb} reads {reads}; got '{wrong}'")
+    assert list(tmp_path.iterdir()) == [wrong]
 
 
 @pytest.mark.parametrize("args", [

@@ -138,8 +138,9 @@ def test_conversion_survives_prior_pool_crash(sam_file, tmp_path):
 
 
 def test_sharded_specs_are_picklable(sam_file, tmp_path):
-    """split() products (with write_header / parse_only fields) must
-    survive pickling just like their parent rank specs."""
+    """split() products (with their write_header field) must survive
+    pickling just like their parent rank specs; a preprocessing spec
+    offers no split."""
     from repro.core.sam_converter import SamRankSpec, scan_header
     from repro.core.samp_converter import PreprocessSpec
     _, header_end = scan_header(sam_file)
@@ -149,13 +150,12 @@ def test_sharded_specs_are_picklable(sam_file, tmp_path):
                            RecordFilter())
     pre_spec = PreprocessSpec(sam_file, header_end, end,
                               str(tmp_path / "x.bamx"), "", 4096)
-    for spec in (*sam_spec.split(3), *pre_spec.split(3)):
+    for spec in (*sam_spec.split(3), pre_spec):
         assert pickle.loads(pickle.dumps(spec)) == spec
     shards = sam_spec.split(3)
     assert len(shards) > 1
     assert shards[0].write_header and not shards[1].write_header
-    pre_shards = pre_spec.split(3)
-    assert all(s.parse_only for s in pre_shards)
+    assert not hasattr(pre_spec, "split")
 
 
 def pid_alive(pid: int) -> bool:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core import BamConverter, parse_filter_expr
 from repro.core import bam_converter
 from repro.core.bam_converter import BamxPickSpec, BamxRangeSpec, \
-    _bamx_task
+    convert_rank
 from repro.core.targets import get_target
 from repro.formats.bam import write_bam
 from repro.formats.bamc import slab_from_records
@@ -136,7 +136,7 @@ def _pick_parts(store, indices, target, record_filter, nprocs, pipeline,
     parts = []
     for rank, (a, b) in enumerate(partition_records(len(indices), nprocs)):
         out = out_dir / f"pick{rank}"
-        _bamx_task(BamxPickSpec(
+        convert_rank(BamxPickSpec(
             store, tuple(indices[a:b]), target, str(out),
             record_filter or bam_converter.ACCEPT_ALL, pipeline=pipeline))
         parts.append(out.read_bytes())
@@ -185,9 +185,9 @@ def planned(monkeypatch):
 
     def task(spec):
         seen.append(spec)
-        return _bamx_task(spec)
-    task.__name__ = _bamx_task.__name__
-    monkeypatch.setattr(bam_converter, "_bamx_task", task)
+        return convert_rank(spec)
+    task.__name__ = convert_rank.__name__
+    monkeypatch.setattr(bam_converter, "convert_rank", task)
     return seen
 
 

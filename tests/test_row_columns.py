@@ -220,7 +220,7 @@ def test_unsorted_duplicate_picks_keep_caller_order(stores, tmp_path):
     """Explicit picks in any order, with repeats: every store gathers
     them as asked (BAMC's FASTA/FASTQ kernels used to misread a slab
     gathered out of order)."""
-    from repro.core.bam_converter import BamxPickSpec, _bamx_task
+    from repro.core.bam_converter import BamxPickSpec, convert_rank
     picks = tuple(np.random.default_rng(5).permutation(400)[:150]) \
         + (7, 7, 8, 3)
     for target in ("bed", "fasta", "fastq", "sam"):
@@ -228,11 +228,59 @@ def test_unsorted_duplicate_picks_keep_caller_order(stores, tmp_path):
         for kind, store in stores.items():
             for pipeline in ("record", "batch"):
                 out = tmp_path / f"{kind}.{pipeline}.{target}"
-                _bamx_task(BamxPickSpec(store, tuple(map(int, picks)),
+                convert_rank(BamxPickSpec(store, tuple(map(int, picks)),
                                         target, str(out),
                                         pipeline=pipeline, batch_size=64))
                 want = want or out.read_bytes()
                 assert out.read_bytes() == want, (kind, pipeline, target)
+
+
+# -- the readers' own column reads --------------------------------------------
+
+def _flat(slabs):
+    """``(columns and fields of all the slabs' records, slab sizes)``."""
+    slabs = list(slabs)
+    return ([np.concatenate([getattr(s, name) for s in slabs]).tolist()
+             for name in COLUMNS],
+            [field for s in slabs for field in zip(*_fields(s))]), \
+        [s.count for s in slabs]
+
+
+def test_every_reader_yields_the_same_column_slabs(bam_file, tmp_path):
+    """``read_column_batches`` / ``read_column_picks`` are each reader's
+    own: BAMX and BAMZ rows decode to what BAMC holds — for ranges that
+    straddle a batch boundary, and for picks out of order and repeated —
+    cut every *batch_size* records where BAMC cuts at its slabs."""
+    readers = {kind: open_record_store(BamConverter(
+        batch_size=64, store_format="bamc" if kind == "bamc" else "bamx",
+        ).preprocess(bam_file, tmp_path / kind, **kwargs)[0])
+        for kind, kwargs in STORES.items()}
+    try:
+        n = len(readers["bamc"])
+        assert n > 200
+        for a, b in ((0, n), (60, 70), (63, 65), (64, 128), (n - 1, n)):
+            want, cuts = _flat(readers["bamc"].read_column_batches(a, b))
+            assert len(cuts) == -(-b // 64) - a // 64
+            for kind in ("bamx", "bamz"):
+                got, sizes = _flat(
+                    readers[kind].read_column_batches(a, b, 64))
+                assert got == want, (kind, a, b)
+                assert sizes == [min(64, b - at)
+                                 for at in range(a, b, 64)]
+        picks = [150, 3, 64, 63, 3, 199, 65, 64, 64, 0, n - 1]
+        want, _ = _flat(readers["bamc"].read_column_picks(picks))
+        for kind in ("bamx", "bamz"):
+            got, sizes = _flat(readers[kind].read_column_picks(picks, 4))
+            assert got == want, kind
+            assert sizes == [4, 4, 3]
+        for reader in readers.values():
+            assert list(reader.read_column_batches(5, 5)) == []
+            assert list(reader.read_column_picks([])) == []
+            with pytest.raises(ReproError):
+                list(reader.read_column_batches(0, n + 1))
+    finally:
+        for reader in readers.values():
+            reader.close()
 
 
 # -- scans --------------------------------------------------------------------

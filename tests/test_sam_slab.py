@@ -16,10 +16,13 @@ from repro.core.filters import parse_filter_expr
 from repro.core.targets import get_target
 from repro.errors import SamFormatError
 from repro.formats import batch as batch_codec
+from repro.formats.bamc import slab_from_records
 from repro.formats.cigar import format_cigar
+from repro.formats.kernels import kernel_emitter_for
+from repro.formats.record import UNMAPPED_POS, AlignmentRecord
 from repro.formats.sam import format_alignment, parse_alignment, \
     slab_columns, write_sam
-from repro.formats.tags import format_tags
+from repro.formats.tags import Tag, format_tags
 from tests.test_properties_records import HDR
 from tests.test_properties_records import records as record_strategy
 
@@ -57,6 +60,49 @@ def test_batch_equals_record_oracle(sam_file, tmp_path, target, filtered):
                     record_filter=record_filter)
                 assert got == oracle, (nprocs, batch_size, executor)
                 assert fallbacks(result) == 0
+
+
+def _read(name, flag, mapq=60, qual="IIIIFFFF", seq="ACGTTGCA", pos=99,
+          rname="chr1", **rest):
+    return AlignmentRecord(
+        name, flag, rname, pos, mapq, [(8, "M")] if pos >= 0 else [],
+        rest.pop("rnext", "*"), rest.pop("pnext", UNMAPPED_POS), 0, seq,
+        qual, **rest)
+
+
+#: Both strands, absent QUAL, ``*`` SEQ, MAPQ 255, unplaced reads, both
+#: and neither mate bit, secondary/supplementary, tags.
+MIXED = [
+    _read("fwd1", 99, rnext="=", pnext=300,
+          tags=[Tag("NM", "i", 2), Tag("RG", "Z", "g 1")]),
+    _read("rev2", 147, mapq=255, qual="ABCDEFGH", rnext="chr2", pnext=7),
+    _read("rev.noqual", 16, mapq=30, qual="*", seq="AACCGGTN"),
+    _read("noseq", 0, mapq=0, seq="*", qual="*"),
+    _read("unplaced", 4, mapq=0, pos=UNMAPPED_POS, rname="*"),
+    _read("unmapped.placed", 4 | 16, mapq=0, rname="chr2", pos=5),
+    _read("both.mates", 1 | 64 | 128, mapq=29),
+    _read("neither.mate", 1, mapq=30, tags=[Tag("XA", "A", "q")]),
+    _read("secondary", 256 | 16, qual="*"),
+    _read("supplementary", 2048, pos=0, tags=[Tag("XH", "H", b"\x1a\xff")]),
+]
+
+
+@pytest.mark.parametrize("filtered", FILTERS)
+@pytest.mark.parametrize("target", TARGETS)
+def test_one_emitter_serves_text_and_binary_slabs(target, filtered):
+    """The same records as a block of SAM lines and as a store's slab,
+    through the same emitter object: equal lines, equal ``seen``, and
+    both the record oracle's."""
+    emit = kernel_emitter_for(get_target(target), HDR)
+    text = slab_columns("".join(
+        format_alignment(r) + "\n" for r in MIXED).encode("ascii"))
+    assert text is not None and text.count == len(MIXED)
+    got = emit(text, FILTERS[filtered])
+    assert got == emit(slab_from_records(MIXED, HDR), FILTERS[filtered])
+    oracle = []
+    seen, _ = batch_codec.convert_records(MIXED, get_target(target),
+                                          FILTERS[filtered], oracle)
+    assert got == (oracle, seen) and 0 < len(oracle) <= seen
 
 
 @given(st.lists(record_strategy(), min_size=1, max_size=12),

@@ -458,6 +458,20 @@ def test_service_validates_submissions(service, bam_file):
         service.status("job-999999")
 
 
+def test_region_job_on_sam_says_what_a_region_job_reads(service, sam_file):
+    """It used to be told "cannot tell the source format ... expected a
+    .sam, ..." by the worker; now the door says what a region job
+    reads, with the registry's one rule."""
+    with pytest.raises(ServiceError, match=(
+            r"a region job reads \.bam, \.bamx, \.bamz, \.bamc; got '"
+            + sam_file)):
+        service.submit("region", {"input": sam_file, "target": "bed",
+                                  "region": "chr1:1-100",
+                                  "out_dir": "/tmp/x"})
+    with pytest.raises(ServiceError, match=r"a preprocess job reads \.bam;"):
+        service.submit("preprocess", {"input": sam_file})
+
+
 def test_service_convert_matches_batch_cli(service, bam_file, tmp_path):
     from repro.cli import main
     cli_out = tmp_path / "cli-out"
