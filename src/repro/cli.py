@@ -184,18 +184,9 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
 
     from .formats.bedgraph import write_bedgraph
     from .formats.registry import STORE_KINDS, source_kind
-    from .formats.sam import SamReader
-    from .stats import histogram_from_records, histogram_from_store, \
-        histogram_to_bedgraph
-    if source_kind(args.input, "repro histogram",
-                   ("sam", *STORE_KINDS)) != "sam":
-        from .formats.store import open_record_store
-        with open_record_store(args.input) as reader:
-            histos = histogram_from_store(reader, args.bin_size)
-    else:
-        with SamReader(args.input) as reader:
-            histos = histogram_from_records(reader, reader.header,
-                                            args.bin_size)
+    from .stats import histogram_parallel, histogram_to_bedgraph
+    source_kind(args.input, "repro histogram", ("sam", *STORE_KINDS))
+    histos, _ = histogram_parallel(args.input, args.bin_size)
     intervals = []
     for chrom, histo in histos.items():
         intervals.extend(histogram_to_bedgraph(histo, chrom,
@@ -289,12 +280,8 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 
 
 def _cmd_flagstat(args: argparse.Namespace) -> int:
-    from .tools import flagstat, flagstat_parallel
-    if args.nprocs > 1 and args.input.lower().endswith(".sam"):
-        stats, _ = flagstat_parallel(args.input, args.nprocs,
-                                     args.executor)
-    else:
-        stats = flagstat(args.input)
+    from .tools import flagstat_parallel
+    stats, _ = flagstat_parallel(args.input, args.nprocs, args.executor)
     print(stats.format_report())
     return 0
 
@@ -667,10 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flagstat", help="flag statistics "
                                         "(samtools flagstat)")
-    p.add_argument("input", help=".sam, .bam, .bamx, .bamz or .bamc "
-                                 "input (columnar stores use the "
-                                 "vectorized kernel)")
-    _add_rank_arguments(p, "parallel counting ranks (SAM input only)")
+    p.add_argument("input", help=".sam, .bam, .bamx, .bamz or .bamc input")
+    _add_rank_arguments(p, "parallel counting ranks (SAM and stores; a "
+                           "BAM is one rank)")
     p.set_defaults(fn=_cmd_flagstat)
 
     p = sub.add_parser("validate", help="structural validation "
@@ -702,9 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("histogram", help="binned coverage histogram from "
                                          "a SAM file or record store")
-    p.add_argument("input", help=".sam, .bamx, .bamz or .bamc input "
-                                 "(columnar stores use the vectorized "
-                                 "kernel)")
+    p.add_argument("input", help=".sam, .bamx, .bamz or .bamc input")
     p.add_argument("--bin-size", type=int, default=25)
     p.add_argument("--output", required=True, help=".bedgraph output")
     p.add_argument("--npy", default=None,

@@ -253,22 +253,43 @@ def _count_pieces(count: int, n: int) -> list[tuple[int, int]]:
 
 
 @contextmanager
-def _store_source(spec, metrics: RankMetrics, select) -> Iterator[Source]:
-    """A spec's selection of a BAMX/BAMZ/BAMC store — ``select(reader)``
-    yields it as column slabs, the chunks and the columns at once; a
-    slab a kernel declines is counted in ``kernel_fallbacks``."""
-    with open_record_store(spec.bamx_path) as reader, _write_span(spec):
-        # cost_hint() is the spec's record count.
-        metrics.bytes_read += int(spec.cost_hint()) \
-            * reader.layout.record_size
+def _store_source(store_path: str, count: int, select,
+                  metrics: RankMetrics) -> Iterator[Source]:
+    """*count* records of a BAMX/BAMZ/BAMC store, which
+    ``select(reader)`` yields as column slabs — the chunks and the
+    columns at once; a slab a kernel declines is counted in
+    ``kernel_fallbacks``."""
+    with open_record_store(store_path) as reader:
+        metrics.bytes_read += count * reader.layout.record_size
         header = reader.header
         yield Source(header, select(reader), lambda slab: slab,
                      lambda slab: slab.decode_all(header))
 
 
-def _write_span(spec):
-    return get_tracer().span(
-        "write", "io", args={"out": os.path.basename(spec.out_path)})
+def store_range_source(store_path: str, start: int, stop: int,
+                       batch_size: int, metrics: RankMetrics):
+    """Records ``[start, stop)`` of a store as a :class:`Source`."""
+    return _store_source(store_path, stop - start,
+                         lambda reader: reader.read_column_batches(
+                             start, stop, batch_size), metrics)
+
+
+@contextmanager
+def bam_source(bam_path: str, batch_size: int,
+               metrics: RankMetrics) -> Iterator[Source]:
+    """A whole BAM as batches of decoded records, no columns."""
+    with BamReader(bam_path) as reader:
+        metrics.bytes_read += os.path.getsize(bam_path)
+        yield Source(reader.header, batched(reader, batch_size), None,
+                     lambda records: records)
+
+
+@contextmanager
+def _writing(spec, source) -> Iterator[Source]:
+    """A conversion rank's opened *source*, under its ``write`` span."""
+    with source as opened, get_tracer().span(
+            "write", "io", args={"out": os.path.basename(spec.out_path)}):
+        yield opened
 
 
 @dataclass(frozen=True, slots=True)
@@ -295,9 +316,9 @@ class BamxRangeSpec(ShardableSpec):
                 for s, e in _count_pieces(self.stop - self.start, n)]
 
     def open(self, metrics: RankMetrics):
-        return _store_source(
-            self, metrics, lambda reader: reader.read_column_batches(
-                self.start, self.stop, self.batch_size))
+        return _writing(self, store_range_source(
+            self.bamx_path, self.start, self.stop, self.batch_size,
+            metrics))
 
 
 @dataclass(frozen=True, slots=True)
@@ -322,9 +343,11 @@ class BamxPickSpec(ShardableSpec):
                 for s, e in _count_pieces(len(self.indices), n)]
 
     def open(self, metrics: RankMetrics):
-        return _store_source(
-            self, metrics, lambda reader: reader.read_column_picks(
-                self.indices, self.batch_size))
+        return _writing(self, _store_source(
+            self.bamx_path, len(self.indices),
+            lambda reader: reader.read_column_picks(self.indices,
+                                                    self.batch_size),
+            metrics))
 
 
 class BamConverter:
@@ -550,12 +573,9 @@ class _DirectSpec:
     pipeline: str = "record"
     write_header: bool = True
 
-    @contextmanager
-    def open(self, metrics: RankMetrics) -> Iterator[Source]:
-        with BamReader(self.bam_path) as reader, _write_span(self):
-            metrics.bytes_read += os.path.getsize(self.bam_path)
-            yield Source(reader.header, batched(reader, self.batch_size),
-                         None, lambda records: records)
+    def open(self, metrics: RankMetrics):
+        return _writing(self, bam_source(self.bam_path, self.batch_size,
+                                         metrics))
 
 
 def convert_bam_direct(bam_path: str | os.PathLike[str], target: str,

@@ -16,6 +16,8 @@ common machinery, each job done once:
   columns, the slow path where they cannot take it, records into a
   binary target (:func:`write_text_chunks` / :func:`write_bam_records`
   are its two loops);
+* :func:`run_fold` / :func:`fold_rank` — the same sources, folded into
+  a statistic (flagstat, the coverage histogram) instead of converted;
 * :class:`ConversionResult` — what every converter returns: output
   paths, per-rank metrics (feeding the cluster model), record counts.
 
@@ -31,20 +33,26 @@ import time
 from collections.abc import Callable, Iterable, Sequence
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain
+from types import SimpleNamespace
 from typing import Any, NamedTuple
 
-from ..defaults import EXECUTORS
+import numpy as np
+
+from ..defaults import DEFAULT_BATCH_SIZE, EXECUTORS
 from ..errors import BamxFormatError, ConversionError, RuntimeLayerError
 from ..formats.batch import PIPELINES, convert_records
 from ..formats.header import SamHeader
 from ..formats.kernels import KernelFallback, kernel_emitter_for
 from ..formats.record import AlignmentRecord
-from ..formats.store import store_extension
+from ..formats.registry import source_kind
+from ..formats.store import open_record_store, store_extension
 from ..runtime.autotune import AUTO, JobTuning
 from ..runtime.buffers import BufferedTextWriter
 from ..runtime.executor import get_shared_executor
 from ..runtime.metrics import RankMetrics
+from ..runtime.partition import partition_records
 from ..runtime.tracing import Tracer, get_tracer
 from .targets import TargetFormat, get_target
 
@@ -495,6 +503,92 @@ def convert_rank(spec: Any) -> RankMetrics:
                 {"kernel": emit is not None} if batch else None,
                 source.fallback_field if batch else None)
     return finish_rank_metrics(metrics, t0)
+
+
+def fold_rank(spec: tuple) -> tuple[RankMetrics, Any]:
+    """One rank of every statistic (module-level, so the process pool
+    can pickle it).  *spec* is ``(source, fold)``: ``source(metrics)``
+    opens the rank's :class:`Source`, and ``fold(slabs, header)``
+    consumes its chunks as slabs of the statistics columns — ``flag``,
+    ``mapq``, ``ref_id``, ``next_ref``, ``pos``, ``end_pos`` — into
+    what the rank returns beside its metrics.  A store's slab has them;
+    proven SAM text and a chunk's records resolve the ids from RNAME /
+    RNEXT: ``=`` is the read's own, ``*`` -1, and a name missing from
+    ``@SQ`` an id of its own past the dictionary — so a mate there is on
+    a different chr, and no coverage array takes the read."""
+    t0 = time.perf_counter()
+    metrics = RankMetrics()
+    open_source, fold = spec
+    with open_source(metrics) as source:
+        refs = source.header.references
+        ids = {"*": -1, **{ref.name: i for i, ref in enumerate(refs)}}
+
+        def ref_id(name: str) -> int:
+            return ids.setdefault(name, len(refs) + len(ids))
+
+        def stats(flag, mapq, pos, end_pos, rnames, rnexts):
+            own = [ref_id(name) for name in rnames]
+            return SimpleNamespace(
+                count=len(own), flag=flag, mapq=mapq, pos=pos,
+                end_pos=end_pos, ref_id=np.array(own, np.int64),
+                next_ref=np.array([o if name == "=" else ref_id(name)
+                                   for o, name in zip(own, rnexts)],
+                                  np.int64))
+
+        def slabs():
+            for chunk in source.chunks:
+                slab = source.columns(chunk) if source.columns else None
+                if slab is None:
+                    records = list(source.records(chunk))
+                    slab = stats(*np.array(
+                        [(r.flag, r.mapq, r.pos, r.end) for r in records],
+                        np.int64).reshape(-1, 4).T,
+                        [r.rname for r in records],
+                        [r.rnext for r in records])
+                elif not hasattr(slab, "ref_id"):   # proven SAM text
+                    slab = stats(slab.flag, slab.mapq, slab.pos,
+                                 slab.end_pos, slab.column(2),
+                                 slab.column(6))
+                metrics.records += slab.count
+                yield slab
+
+        result = fold(slabs(), source.header)
+    return finish_rank_metrics(metrics, t0), result
+
+
+def run_fold(path: str | os.PathLike[str], fold: Callable[..., Any],
+             nprocs: int, executor: str, reader: str,
+             ) -> tuple[list, list[RankMetrics]]:
+    """The planner every statistic shares: :func:`fold_rank` with *fold*
+    over the alignment file *path* on *nprocs* ranks — Algorithm-1
+    partitions of a SAM, record ranges of a store, a BAM whole on one
+    rank; *reader* names the caller in the error for any other kind
+    (:func:`~repro.formats.registry.source_kind`).  Returns the per-rank
+    results and metrics."""
+    if nprocs < 1:
+        raise ConversionError(f"nprocs {nprocs} must be >= 1")
+    path = os.fspath(path)
+    kind = source_kind(path, reader)
+    if kind == "sam":
+        from .sam_converter import partition_alignments, sam_source, \
+            scan_header
+        header, header_end = scan_header(path)
+        sources = [partial(sam_source, path, p.start, p.end,
+                           header.to_text())
+                   for p in partition_alignments(path, nprocs, header_end)]
+    elif kind == "bam":
+        from .bam_converter import bam_source
+        sources = [partial(bam_source, path, DEFAULT_BATCH_SIZE)]
+    else:
+        from .bam_converter import store_range_source
+        with open_record_store(path) as store:
+            count = len(store)
+        sources = [partial(store_range_source, path, start, stop,
+                           DEFAULT_BATCH_SIZE)
+                   for start, stop in partition_records(count, nprocs)]
+    done = execute_rank_tasks(fold_rank, [(source, fold)
+                                          for source in sources], executor)
+    return [result for _, result in done], [metrics for metrics, _ in done]
 
 
 def write_text_chunks(spec: Any, target: TargetFormat, header: SamHeader,

@@ -102,14 +102,9 @@ class AlignmentDataset:
 
     def histogram(self, bin_size: int = 25, nprocs: int = 1,
                   ) -> dict[str, np.ndarray]:
-        """Binned coverage histograms per reference."""
-        if self.kind == "sam" and nprocs > 1:
-            from ..stats.histogram_parallel import histogram_parallel
-            histos, _ = histogram_parallel(self.path, bin_size, nprocs)
-            return histos
-        from ..stats.histogram import histogram_from_records
-        return histogram_from_records(self.records(), self.header,
-                                      bin_size)
+        """Binned coverage histograms per reference (a BAM is one rank)."""
+        from ..stats.histogram import histogram_parallel
+        return histogram_parallel(self.path, bin_size, nprocs)[0]
 
     # -- lifecycle ----------------------------------------------------------
 

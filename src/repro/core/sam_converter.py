@@ -27,7 +27,7 @@ from ..formats.record import AlignmentRecord
 from ..formats.sam import slab_columns
 from ..runtime import faults
 from ..runtime.autotune import AutoTuner
-from ..runtime.buffers import RangeLineReader
+from ..runtime.buffers import DEFAULT_READ_CHUNK, RangeLineReader
 from ..runtime.metrics import RankMetrics
 from ..runtime.partition import Partition, partition_bytes_source
 from ..runtime.tracing import get_tracer
@@ -72,15 +72,6 @@ def partition_alignments(path: str | os.PathLike[str], nprocs: int,
                            nprocs)
 
 
-def range_records(sam_path: str, start: int, end: int,
-                  metrics: RankMetrics) -> Iterator[AlignmentRecord]:
-    """Parse the alignment lines of the SAM byte range ``[start, end)``
-    (blank and ``@`` lines skipped); read I/O is metered into *metrics*."""
-    reader = RangeLineReader(sam_path, start, end, metrics=metrics)
-    for lines in reader.iter_batches(DEFAULT_BATCH_SIZE):
-        yield from parse_sam_lines(lines)
-
-
 def _line_slabs(reader: RangeLineReader,
                 batch_size: int) -> Iterator[tuple[int, bytes]]:
     """Cut the reader's blocks by newline position into ``(file
@@ -115,6 +106,40 @@ def _per_line(data: bytes, target, record_filter,
                              out)[:2]
 
 
+@contextmanager
+def sam_source(sam_path: str, start: int, end: int, header_text: str,
+               metrics: RankMetrics, read_chunk: int = DEFAULT_READ_CHUNK,
+               batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[Source]:
+    """The SAM byte range ``[start, end)`` as slabs of lines: columns
+    where a slab is proven canonical (:func:`~repro.formats.sam.
+    slab_columns`), the per-line tier where not (counted as
+    ``fallbacks``), parsed records for the rest — a slow path that
+    fails re-walks its slab line by line to say where."""
+    def located(convert):
+        def run(chunk, *rest):
+            offset, data = chunk
+            try:
+                return convert(data, *rest)
+            except SamFormatError:
+                for line in data.split(b"\n"):
+                    try:
+                        convert(line, *rest)
+                    except SamFormatError as exc:
+                        raise SamFormatError(
+                            f"line at byte offset {offset}: {exc}",
+                            source=sam_path) from None
+                    offset += len(line) + 1
+                raise
+        return run
+
+    reader = RangeLineReader(sam_path, start, end, chunk_size=read_chunk,
+                             metrics=metrics)
+    yield Source(SamHeader.from_text(header_text),
+                 _line_slabs(reader, batch_size),
+                 lambda chunk: slab_columns(chunk[1]),
+                 located(_parsed), located(_per_line), "sam", "fallbacks")
+
+
 @dataclass(frozen=True, slots=True)
 class SamRankSpec(ShardableSpec):
     """Everything one conversion rank needs (picklable for the process
@@ -142,38 +167,11 @@ class SamRankSpec(ShardableSpec):
                 for p in partition_range(self.sam_path, self.start,
                                          self.end, n) if p.length > 0]
 
-    @contextmanager
-    def open(self, metrics: RankMetrics) -> Iterator[Source]:
-        """The byte range as slabs of lines: columns where a slab is
-        proven canonical (:func:`~repro.formats.sam.slab_columns`), the
-        per-line tier where not (counted as ``fallbacks``), parsed
-        records for the rest."""
-        def located(convert):
-            def run(chunk, *rest):
-                offset, data = chunk
-                try:
-                    return convert(data, *rest)
-                except SamFormatError:
-                    # Say where: re-walk the failing slab line by line.
-                    for line in data.split(b"\n"):
-                        try:
-                            convert(line, *rest)
-                        except SamFormatError as exc:
-                            raise SamFormatError(
-                                f"line at byte offset {offset}: {exc}",
-                                source=self.sam_path) from None
-                        offset += len(line) + 1
-                    raise
-            return run
-
-        reader = RangeLineReader(self.sam_path, self.start, self.end,
-                                 chunk_size=self.read_chunk,
-                                 metrics=metrics)
-        yield Source(SamHeader.from_text(self.header_text),
-                     _line_slabs(reader, self.batch_size),
-                     lambda chunk: slab_columns(chunk[1]),
-                     located(_parsed), located(_per_line),
-                     "sam", "fallbacks")
+    def open(self, metrics: RankMetrics):
+        """The byte range as a :func:`sam_source`."""
+        return sam_source(self.sam_path, self.start, self.end,
+                          self.header_text, metrics, self.read_chunk,
+                          self.batch_size)
 
 
 class SamConverter:

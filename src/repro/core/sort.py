@@ -12,8 +12,9 @@ in input order — a stable sort, like samtools), spill each run as an
 intermediate SAM file, then k-way heap-merge the runs into the output.
 
 The run-generation phase can be parallelized with the same Algorithm-1
-partitioning the converters use (each rank sorts its byte range into
-runs); the final merge is sequential, as in classic external sorting.
+partitioning the converters use (each rank reads its byte range through
+the SAM converter's source and sorts it into a run); the final merge is
+sequential, as in classic external sorting.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from ..formats.sam import SamReader, SamWriter, format_alignment, \
     parse_alignment
 from ..runtime.metrics import RankMetrics
 from .base import execute_rank_tasks, finish_rank_metrics
-from .sam_converter import partition_alignments, range_records, \
-    scan_header
+from .sam_converter import partition_alignments, sam_source, scan_header
 
 #: Default number of records held in memory per run.
 DEFAULT_CHUNK_RECORDS = 250_000
@@ -193,9 +193,11 @@ class SortRankSpec:
 def _sort_rank_task(spec: SortRankSpec) -> RankMetrics:
     t0 = time.perf_counter()
     metrics = RankMetrics()
-    header = SamHeader.from_text(spec.header_text)
-    records = list(range_records(spec.sam_path, spec.start, spec.end,
-                                 metrics))
+    with sam_source(spec.sam_path, spec.start, spec.end, spec.header_text,
+                    metrics) as source:
+        header = source.header
+        records = [record for chunk in source.chunks
+                   for record in source.records(chunk)]
     records.sort(key=lambda r: sort_key(r, header))
     with open(spec.run_path, "w", encoding="ascii") as fh:
         for record in records:

@@ -4,7 +4,7 @@ BAMX/BAMZ rows decode to them, a block of canonical SAM lines parses to
 a :class:`~.sam.TextSlab`.
 
 Every operation the converter hot loops run per record — filter
-predicates, flagstat category counts, coverage/MAPQ histograms, target
+predicates, flagstat category counts, coverage histograms, target
 emission — has a columnar formulation here that touches whole arrays
 at once.  The contracts are strict:
 
@@ -14,7 +14,8 @@ at once.  The contracts are strict:
   accumulate record by record (the mate-on-different-chr categories
   use the ``next_ref``/``ref_id`` columns, which is the integer form
   of the record path's ``rnext not in ("=", "*", rname)`` test —
-  reference names are unique, so the two are equivalent).
+  reference names are unique, and a name missing from ``@SQ`` gets an
+  id of its own past the dictionary, so the two are equivalent).
 * **Emitters** — one per target, for either kind of slab — produce
   byte-identical lines to the per-record pipeline from the columns both
   kinds share and the text accessors each implements its own way; the
@@ -83,23 +84,23 @@ def slab_filter_mask(slab: ColumnSlab, record_filter) -> np.ndarray | None:
 # Flagstat
 # --------------------------------------------------------------------------
 
-def flagstat_counts(flag: np.ndarray, mapq: np.ndarray,
-                    ref_id: np.ndarray, next_ref: np.ndarray,
-                    ) -> dict[str, int]:
-    """samtools-flagstat category counts from columns.
+def flagstat_slab(slab: ColumnSlab) -> dict[str, int]:
+    """samtools-flagstat category counts of one slab's ``flag``,
+    ``mapq``, ``ref_id`` and ``next_ref`` columns.
 
     Field-for-field mirror of :meth:`repro.tools.flagstat.FlagStats.add`
     accumulated over the whole slab at once.
     """
-    n = len(flag)
+    flag = slab.flag
     mapped = (flag & 0x4) == 0
     primary = (flag & 0x900) == 0
     paired = primary & ((flag & 0x1) != 0)
     paired_mapped = paired & mapped
     mate_mapped = paired_mapped & ((flag & 0x8) == 0)
-    diff_chr = mate_mapped & (next_ref >= 0) & (next_ref != ref_id)
+    diff_chr = mate_mapped & (slab.next_ref >= 0) \
+        & (slab.next_ref != slab.ref_id)
     return {
-        "total": n,
+        "total": len(flag),
         "secondary": int(np.count_nonzero((flag & 0x100) != 0)),
         "supplementary": int(np.count_nonzero((flag & 0x800) != 0)),
         "duplicates": int(np.count_nonzero((flag & 0x400) != 0)),
@@ -114,26 +115,13 @@ def flagstat_counts(flag: np.ndarray, mapq: np.ndarray,
             paired_mapped & ((flag & 0x8) != 0))),
         "mate_on_different_chr": int(np.count_nonzero(diff_chr)),
         "mate_on_different_chr_mapq5": int(np.count_nonzero(
-            diff_chr & (mapq >= 5))),
+            diff_chr & (slab.mapq >= 5))),
     }
-
-
-def flagstat_slab(slab: ColumnSlab) -> dict[str, int]:
-    """:func:`flagstat_counts` over one slab."""
-    return flagstat_counts(slab.flag, slab.mapq, slab.ref_id,
-                           slab.next_ref)
 
 
 # --------------------------------------------------------------------------
 # Histograms
 # --------------------------------------------------------------------------
-
-def mapq_histogram(slab: ColumnSlab,
-                   mask: np.ndarray | None = None) -> np.ndarray:
-    """256-bin MAPQ histogram of one slab (optionally masked)."""
-    mapq = slab.mapq if mask is None else slab.mapq[mask]
-    return np.bincount(mapq, minlength=256)
-
 
 def add_coverage_events(slab: ColumnSlab, ref_id: int, length: int,
                         diff: np.ndarray) -> None:
@@ -158,15 +146,6 @@ def add_coverage_events(slab: ColumnSlab, ref_id: int, length: int,
     diff[:length + 1] += np.bincount(starts[valid],
                                      minlength=length + 1)
     diff[:length + 1] -= np.bincount(ends[valid], minlength=length + 1)
-
-
-def coverage_depth_columns(slabs, ref_id: int,
-                           length: int) -> np.ndarray:
-    """Per-base depth over ``[0, length)`` from an iterable of slabs."""
-    diff = np.zeros(length + 1, dtype=np.int64)
-    for slab in slabs:
-        add_coverage_events(slab, ref_id, length, diff)
-    return np.cumsum(diff[:-1])
 
 
 # --------------------------------------------------------------------------

@@ -6,8 +6,7 @@ from .fdr import FdrResult, fdr_parallel, fdr_reference, fdr_sorted, \
     fdr_vectorized
 from .histogram import bedgraph_to_histogram, bin_coverage, \
     coverage_depth, histogram_from_records, histogram_from_store, \
-    histogram_to_bedgraph
-from .histogram_parallel import histogram_parallel
+    histogram_parallel, histogram_to_bedgraph
 from .nlmeans import nlmeans, nlmeans_core, nlmeans_reference
 from .nlmeans_parallel import halo_partition, nlmeans_parallel
 from .peaks import Peak, PeakCallResult, call_peaks, empirical_pvalues, \

@@ -11,14 +11,20 @@ converter emits.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable
+from functools import partial
 
 import numpy as np
 
+from ..core.base import run_fold
 from ..errors import ReproError
 from ..formats.bedgraph import BedGraphInterval, compress_runs
 from ..formats.header import SamHeader
+from ..formats.kernels import add_coverage_events
 from ..formats.record import AlignmentRecord
+from ..formats.store import column_slabs
+from ..runtime.metrics import RankMetrics
 
 
 def coverage_depth(records: Iterable[AlignmentRecord], chrom: str,
@@ -72,28 +78,52 @@ def histogram_from_records(records: Iterable[AlignmentRecord],
     return out
 
 
+def histogram_from_slabs(slabs: Iterable, header: SamHeader,
+                         bin_size: int = 25) -> dict[str, np.ndarray]:
+    """Binned coverage for every reference in *header* from slabs of
+    columns: one difference array per ``@SQ`` reference fed by
+    :func:`~repro.formats.kernels.add_coverage_events` — no record is
+    ever decoded — binned at the end, so a rank of
+    :func:`histogram_parallel` pickles nothing genome-sized.  Without an
+    ``@SQ`` dictionary there is nothing to accumulate into."""
+    if not header.references:
+        raise ReproError(
+            "histogram construction needs an @SQ reference dictionary")
+    diffs = [np.zeros(ref.length + 1, dtype=np.int64)
+             for ref in header.references]
+    for slab in slabs:
+        for ref_id, (ref, diff) in enumerate(zip(header.references, diffs)):
+            add_coverage_events(slab, ref_id, ref.length, diff)
+    return {ref.name: bin_coverage(np.cumsum(diff[:-1]), bin_size)
+            for ref, diff in zip(header.references, diffs)}
+
+
 def histogram_from_store(reader, bin_size: int = 25,
                          ) -> dict[str, np.ndarray]:
-    """Binned coverage for every reference of an open record store.
+    """Binned coverage for every reference of an open record store."""
+    return histogram_from_slabs(column_slabs(reader), reader.header,
+                                bin_size)
 
-    The difference arrays accumulate straight from the position/end
-    columns of the store's slabs via
-    :func:`repro.formats.kernels.add_coverage_events` — no record is
-    ever decoded.
+
+def histogram_parallel(path: str | os.PathLike[str], bin_size: int = 25,
+                       nprocs: int = 1, executor: str = "simulate",
+                       ) -> tuple[dict[str, np.ndarray],
+                                  list[RankMetrics]]:
+    """Binned coverage histograms for every reference of a SAM, BAM or
+    record-store file, on *nprocs* ranks (a BAM is one).
+
+    §IV: "convert aligned sequence data in SAM/BAM format into histogram
+    data ... in parallel".  Each rank folds its share into binned
+    partials (:func:`histogram_from_slabs`) and the partials are summed —
+    coverage accumulation is a commutative reduction, so the result is
+    exactly :func:`histogram_from_records` over the same file.  Returns
+    ``({chrom: bins}, per-rank metrics)``.
     """
-    from ..formats.kernels import add_coverage_events
-    from ..formats.store import column_slabs
-    header = reader.header
-    diffs = {ref.name: np.zeros(ref.length + 1, dtype=np.int64)
-             for ref in header.references}
-    ref_ids = {ref.name: header.ref_id(ref.name)
-               for ref in header.references}
-    lengths = {ref.name: ref.length for ref in header.references}
-    for slab in column_slabs(reader):
-        for name, diff in diffs.items():
-            add_coverage_events(slab, ref_ids[name], lengths[name], diff)
-    return {name: bin_coverage(np.cumsum(diff[:-1]), bin_size)
-            for name, diff in diffs.items()}
+    partials, metrics = run_fold(path, partial(histogram_from_slabs,
+                                               bin_size=bin_size),
+                                 nprocs, executor, "histogram_parallel")
+    return {chrom: sum(part[chrom] for part in partials)
+            for chrom in partials[0]}, metrics
 
 
 def histogram_to_bedgraph(histogram: np.ndarray, chrom: str,

@@ -1,23 +1,25 @@
 """Flag statistics: the ``samtools flagstat`` equivalent.
 
-Counts the standard thirteen categories over a SAM/BAM dataset, and —
-in the spirit of the paper — offers a parallel version built on the
-same Algorithm-1 partitioning as the SAM converter, with a final
-element-wise reduction (flagstat is a pure map-reduce).
+Counts the standard thirteen categories over a SAM, BAM or record-store
+file — in the spirit of the paper, on the converters' own ranks and
+sources (:func:`~repro.core.base.run_fold`): each rank sums the
+vectorized kernel over its chunks, and an element-wise reduction joins
+the ranks (flagstat is a pure map-reduce).
 """
 
 from __future__ import annotations
 
 import os
-import time
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
+from functools import reduce
 
-from ..core.base import execute_rank_tasks, finish_rank_metrics
-from ..core.sam_converter import partition_alignments, range_records, \
-    scan_header
+from ..core.base import run_fold
 from ..formats.flags import Flag
+from ..formats.header import SamHeader
+from ..formats.kernels import flagstat_slab
 from ..formats.record import AlignmentRecord
+from ..formats.store import column_slabs
 from ..runtime.metrics import RankMetrics
 
 
@@ -115,69 +117,33 @@ def flagstat_records(records: Iterable[AlignmentRecord]) -> FlagStats:
     return stats
 
 
-def flagstat_store(reader) -> FlagStats:
-    """Flag statistics over an open record store.
-
-    Every store is counted slab by slab with the vectorized
-    :func:`repro.formats.kernels.flagstat_slab` kernel — no record ever
-    materializes.
-    """
-    from ..formats.kernels import flagstat_slab
-    from ..formats.store import column_slabs
+def flagstat_slabs(slabs: Iterable, header: SamHeader | None = None,
+                   ) -> FlagStats:
+    """Flag statistics summed over slabs of columns with
+    :func:`~repro.formats.kernels.flagstat_slab`, no record ever
+    materialized: :func:`flagstat_parallel`'s fold (*header* unused)."""
     stats = FlagStats()
-    for slab in column_slabs(reader):
+    for slab in slabs:
         for name, value in flagstat_slab(slab).items():
             setattr(stats, name, getattr(stats, name) + value)
     return stats
 
 
+def flagstat_store(reader) -> FlagStats:
+    """Flag statistics over an open record store, slab by slab."""
+    return flagstat_slabs(column_slabs(reader))
+
+
 def flagstat(path: str | os.PathLike[str]) -> FlagStats:
-    """Sequential flag statistics over a SAM, BAM or record-store file."""
-    from ..formats.registry import source_kind
-    kind = source_kind(path, "repro flagstat")
-    if kind == "bam":
-        from ..formats.bam import BamReader
-        with BamReader(path) as reader:
-            return flagstat_records(reader)
-    if kind != "sam":
-        from ..formats.store import open_record_store
-        with open_record_store(path) as reader:
-            return flagstat_store(reader)
-    from ..formats.sam import SamReader
-    with SamReader(path) as reader:
-        return flagstat_records(reader)
+    """Flag statistics over a SAM, BAM or record-store file, one rank."""
+    return flagstat_parallel(path)[0]
 
 
-@dataclass(frozen=True, slots=True)
-class _FlagstatSpec:
-    sam_path: str
-    start: int
-    end: int
-
-
-def _flagstat_rank_task(spec: _FlagstatSpec,
-                        ) -> tuple[RankMetrics, FlagStats]:
-    t0 = time.perf_counter()
-    metrics = RankMetrics()
-    stats = flagstat_records(range_records(spec.sam_path, spec.start,
-                                           spec.end, metrics))
-    metrics.records = stats.total
-    return finish_rank_metrics(metrics, t0), stats
-
-
-def flagstat_parallel(sam_path: str | os.PathLike[str], nprocs: int = 1,
+def flagstat_parallel(path: str | os.PathLike[str], nprocs: int = 1,
                       executor: str = "simulate",
                       ) -> tuple[FlagStats, list[RankMetrics]]:
-    """Parallel flagstat over a SAM file: Algorithm-1 partitions,
-    per-rank counting, element-wise reduction."""
-    sam_path = os.fspath(sam_path)
-    _, header_end = scan_header(sam_path)
-    partitions = partition_alignments(sam_path, nprocs, header_end)
-    specs = [_FlagstatSpec(sam_path, p.start, p.end) for p in partitions]
-    outcomes = execute_rank_tasks(_flagstat_rank_task, specs, executor)
-    total = FlagStats()
-    metrics = []
-    for rank_metrics, stats in outcomes:
-        total = total.merge(stats)
-        metrics.append(rank_metrics)
-    return total, metrics
+    """Flag statistics over a SAM, BAM or record-store file on *nprocs*
+    ranks (a BAM is one): per-rank counting, element-wise reduction."""
+    results, metrics = run_fold(path, flagstat_slabs, nprocs, executor,
+                                "repro flagstat")
+    return reduce(FlagStats.merge, results, FlagStats()), metrics

@@ -329,19 +329,6 @@ def test_filter_mask_matches_scalar_filter(tmp_path, workload):
             assert slab_filter_mask(slab, RecordFilter()) is None
 
 
-def test_mapq_histogram_kernel(tmp_path, workload):
-    from repro.formats.kernels import mapq_histogram
-    _genome, header, records = workload
-    path = tmp_path / "t.bamc"
-    write_bamc(path, header, records)
-    with BamcReader(path) as reader:
-        total = np.zeros(256, dtype=np.int64)
-        for slab in reader.read_column_batches(0, len(reader)):
-            total += mapq_histogram(slab)
-    expect = np.bincount([r.mapq for r in records], minlength=256)
-    assert np.array_equal(total, expect)
-
-
 # -- service-layer integration ---------------------------------------
 
 def test_service_store_format_param(bam_file, tmp_path):

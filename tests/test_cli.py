@@ -350,6 +350,44 @@ def test_non_ascii_input_is_a_one_line_error(args, sim_sam, tmp_path,
     _one_line_error(capsys, str(sim_sam), "non-ASCII byte 0xc3")
 
 
+@pytest.mark.parametrize("args", [
+    ["convert"], ["sort", "--nprocs", "2"], ["flagstat", "--nprocs", "2"],
+    ["histogram"]])
+def test_malformed_line_is_a_located_one_line_error(args, sim_sam, tmp_path,
+                                                    capsys):
+    """`sort --nprocs 2`, `flagstat --nprocs 2` and `histogram` used to
+    say only "malformed CIGAR string 'ZZ'"; every verb reads SAM through
+    the same source now, which names the file and the line's offset."""
+    offset = sim_sam.stat().st_size
+    with open(sim_sam, "ab") as fh:
+        fh.write(b"bad\t0\tchrA\t5\t60\tZZ\t*\t0\t0\tACGT\tIIII\n")
+    capsys.readouterr()
+    verb, *extra = args
+    assert run([*_verb(verb, sim_sam, tmp_path), *extra]) == 1
+    _one_line_error(capsys, f"error: {sim_sam}: line at byte offset "
+                            f"{offset}: malformed CIGAR string 'ZZ'\n")
+
+
+@pytest.mark.parametrize("ext", ["sam", "bamx"])
+def test_histogram_without_sq_is_a_one_line_error(ext, tmp_path, capsys):
+    """A SAM without @SQ used to write an empty bedgraph and then die in
+    np.concatenate; a store without one, the same.  One rule now."""
+    sam = tmp_path / "nosq.sam"
+    sam.write_text("@HD\tVN:1.6\n"
+                   "r1\t4\t*\t0\t0\t*\t*\t0\t0\tACGT\tIIII\n")
+    path = sam
+    if ext == "bamx":
+        assert run(["preprocess", str(sam), "--work-dir",
+                    str(tmp_path / "w")]) == 0
+        (path,) = (tmp_path / "w").glob("*.bamx")
+    capsys.readouterr()
+    bedgraph, npy = tmp_path / "h.bedgraph", tmp_path / "h.npy"
+    assert run(["histogram", str(path), "--output", str(bedgraph),
+                "--npy", str(npy)]) == 1
+    _one_line_error(capsys, "needs an @SQ reference dictionary")
+    assert not bedgraph.exists() and not npy.exists()
+
+
 def test_unparsable_region_is_a_one_line_error(sim_sam, tmp_path, capsys):
     """`--region 'chrA:,'` used to end in int('')'s ValueError traceback."""
     work = tmp_path / "work"

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.stats.histogram import histogram_from_records
-from repro.stats.histogram_parallel import histogram_parallel
+from repro.stats.histogram import histogram_from_records, histogram_parallel
 
 
 @pytest.fixture(scope="module")

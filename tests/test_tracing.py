@@ -352,8 +352,7 @@ def test_stats_ranks_are_rank_spans_under_the_caller(installed_tracer,
         fdr_parallel(values, sims, 2.0, 3, executor=executor)
         histogram_parallel(sam_file, 25, 3, executor)
     spans = installed_tracer.spans()
-    for task in ("nlmeans_rank_work", "fdr_rank_work",
-                 "_histogram_rank_task"):
+    for task in ("nlmeans_rank_work", "fdr_rank_work", "fold_rank"):
         ranks = [s for s in spans
                  if s.name == "rank" and s.args["task"] == task]
         assert sorted(s.rank for s in ranks) == [0, 1, 2], task
