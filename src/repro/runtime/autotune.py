@@ -20,10 +20,12 @@ auto``.
   pairs; the schedule itself is fixed once dispatched.  Outputs stay
   byte-identical; only the shard count changes.
 
-The service shares one model *file* across all jobs — each job body
-builds its tuner from it in a pool process, and the ``autotune_*``
-counters ride home with the job's result; the CLI builds a tuner per
-command from ``--cost-model``/``REPRO_COST_MODEL``.  Every auto
+The service keeps one model in the daemon: a job body builds its
+tuner over a copy of the daemon's entries (:meth:`CostModel.restore`)
+in a pool process, and its observations and ``autotune_*`` counters
+ride home with the job's result for the daemon to fold in and save;
+the CLI builds a tuner per command from
+``--cost-model``/``REPRO_COST_MODEL``.  Every auto
 decision is recorded as a ``cost_model`` provenance block on an
 ``autotune`` span inside the job's trace, so ``repro status --trace
 JOB`` explains what was chosen and why.
@@ -173,19 +175,26 @@ class CostModel:
             self.load_error = (
                 f"dropped entries without finite rate/rate_max/hot_frac: "
                 f"{', '.join(dropped)}")
+        self.restore({k: entry for k, entry in loaded.items()
+                      if entry is not None})
+
+    def restore(self, keys: dict[str, dict[str, Any]]) -> None:
+        """Replace the profile by *keys*, entries as :meth:`snapshot`
+        returns them (so already clean): how a service job body sees
+        the daemon's model without opening its file."""
         with self._lock:
-            self._keys = {k: entry for k, entry in loaded.items()
-                          if entry is not None}
+            self._keys = keys
             self._clock = max(
-                (e["updated"] for e in self._keys.values()), default=0)
+                (e["updated"] for e in keys.values()), default=0)
 
     def save(self) -> None:
         """Atomically persist the profile (no-op for in-memory models).
 
         The document is written to ``<path>.tmp<pid>`` and moved into
         place with ``os.replace``, so readers never see a torn file —
-        also when several processes (the service's pool workers) save
-        the same model at once; the last one in wins.
+        also when several processes (CLI commands sharing
+        ``--cost-model``) save the same model at once; the last one in
+        wins.
         """
         if self.path is None:
             return

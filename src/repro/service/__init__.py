@@ -7,8 +7,8 @@ for crash recovery (:mod:`journal`), a content-addressed cache of
 preprocessing artifacts with LRU eviction and digest-verified
 integrity (:mod:`cache`), a line-JSON wire protocol (:mod:`protocol`),
 and the async gateway front door (:mod:`gateway`) multiplexing
-unix-socket and TCP clients with per-connection sessions,
-executor-backed dispatch and admission control (:mod:`server` wires it
+unix-socket and TCP clients with per-connection sessions, dispatch
+on its event loop and admission control (:mod:`server` wires it
 all together; :mod:`client` is the blocking client).
 
 Exports resolve on first use (PEP 562): ``from repro.service import

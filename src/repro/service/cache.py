@@ -28,13 +28,18 @@ instead of ever being served, then rebuilt from the source input.
 
 Hash once, then verify by identity: a file's digest is remembered
 against its ``(st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns)``
-(:meth:`ArtifactCache._digest`), for inputs and artifacts alike, so a
-fetch re-reads ``meta.json``, lists the entry and stats its files, but
-reads a file's bytes only when its identity changed (``ctime`` cannot
-be set from userland, so a rewrite that restores size and ``mtime``
-still shows), when this process has not hashed it yet — a fresh build,
-the first fetch after a restart — or when its last hash is older than
-:data:`FULL_DIGEST_SECONDS` (bounding exposure to silent media rot).
+(:meth:`ArtifactCache._digest`), for inputs and artifacts alike, and a
+verified entry's file names and digests against the identities of its
+directory and its ``meta.json`` (:meth:`ArtifactCache._check_entry`).
+While both hold — adding or removing a file changes the directory's,
+rewriting ``meta.json`` that file's — a fetch only stats the entry and
+its files.  It reads ``meta.json`` and lists the entry when either
+identity changed, and reads a file's bytes only when its identity
+changed (``ctime`` cannot be set from userland, so a rewrite that
+restores size and ``mtime`` still shows), when this process has not
+hashed it yet — a fresh build, the first fetch after a restart — or
+when its last hash is older than :data:`FULL_DIGEST_SECONDS`
+(bounding exposure to silent media rot).
 Startup adopts surviving entries, sweeps stale ``.build-*`` temp dirs
 left by crashed builds, and quarantines entries whose ``meta.json`` is
 corrupt rather than refusing to start.
@@ -172,6 +177,9 @@ class ArtifactCache:
         #: path -> (identity, digest, monotonic time hashed), LRU.
         self._digests: OrderedDict[str, tuple[tuple, str, float]] \
             = OrderedDict()
+        #: key -> ((entry dir, meta.json identities), artifact digests)
+        #: of a verified entry; dropped with the entry.
+        self._verified: dict[str, tuple[tuple, dict[str, str]]] = {}
         os.makedirs(self.cache_dir, exist_ok=True)
         self._scan()
 
@@ -240,6 +248,15 @@ class ArtifactCache:
         with self._lock:
             return list(self._entries)
 
+    def artifacts(self, entry: CacheEntry) -> list[str]:
+        """Paths of *entry*'s artifacts: the names its verification
+        remembered, else :meth:`CacheEntry.files` lists them."""
+        with self._lock:
+            row = self._verified.get(entry.key)
+        if row is None:
+            return entry.files()
+        return [entry.file(name) for name in sorted(row[1])]
+
     def quarantined(self) -> list[str]:
         """Paths currently held in the quarantine directory."""
         qdir = os.path.join(self.cache_dir, _QUARANTINE)
@@ -278,22 +295,36 @@ class ArtifactCache:
         """Digest-verify one entry; returns a failure detail or
         ``None`` when the entry is intact (counted as
         ``cache_verify_ok`` when any byte was read for it, else as
-        ``cache_verify_identity``)."""
+        ``cache_verify_identity``).  A verified entry's digests stand
+        in for its ``meta.json`` and listing while the identities of
+        both, taken before either is read and remembered once
+        :func:`settled`, are unchanged."""
         meta_path = os.path.join(entry.path, _META)
         try:
-            with open(meta_path, encoding="utf-8") as fh:
-                meta = json.load(fh)
-            if not isinstance(meta, dict):
-                return "meta.json is not an object"
-        except (OSError, ValueError, UnicodeDecodeError) as exc:
+            stats = (os.stat(entry.path), os.stat(meta_path))
+        except OSError as exc:
             return f"unreadable meta.json: {exc}"
-        digests = meta.get("files")
-        if not isinstance(digests, dict):
-            # Entry predates digest recording: nothing to verify
-            # against.  Served as-is for compatibility, but counted so
-            # operators can see unverifiable entries exist.
-            self.metrics.inc("cache_verify_skipped")
-            return None
+        identities = tuple(file_identity(st) for st in stats)
+        with self._lock:
+            row = self._verified.get(entry.key)
+        remembered = row is not None and row[0] == identities
+        if remembered:
+            digests = row[1]
+        else:
+            try:
+                with open(meta_path, encoding="utf-8") as fh:
+                    meta = json.load(fh)
+                if not isinstance(meta, dict):
+                    return "meta.json is not an object"
+            except (OSError, ValueError, UnicodeDecodeError) as exc:
+                return f"unreadable meta.json: {exc}"
+            digests = meta.get("files")
+            if not isinstance(digests, dict):
+                # Entry predates digest recording: nothing to verify
+                # against.  Served as-is for compatibility, but counted
+                # so operators can see unverifiable entries exist.
+                self.metrics.inc("cache_verify_skipped")
+                return None
         hashed = False
         for name, want in sorted(digests.items()):
             path = os.path.join(entry.path, name)
@@ -305,9 +336,13 @@ class ArtifactCache:
             if got != want:
                 return (f"artifact {name} digest mismatch "
                         f"(want {want[:12]}..., got {got[:12]}...)")
-        extra = set(os.listdir(entry.path)) - set(digests) - {_META}
-        if extra:
-            return f"unexpected files in entry: {sorted(extra)}"
+        if not remembered:
+            extra = set(os.listdir(entry.path)) - set(digests) - {_META}
+            if extra:
+                return f"unexpected files in entry: {sorted(extra)}"
+            if all(settled(st) for st in stats):
+                with self._lock:
+                    self._verified[entry.key] = (identities, digests)
         self.metrics.inc("cache_verify_ok" if hashed
                          else "cache_verify_identity")
         return None
@@ -390,6 +425,7 @@ class ArtifactCache:
             shutil.rmtree(path, ignore_errors=True)
         with self._lock:
             self._entries.pop(key, None)
+            self._verified.pop(key, None)
             self._publish_gauges()
         self.metrics.inc("cache_quarantined")
 
@@ -506,6 +542,7 @@ class ArtifactCache:
                 if key == keep:
                     continue
                 entry = self._entries.pop(key)
+                self._verified.pop(key, None)
                 total -= entry.size_bytes
                 doomed.append(entry)
             self._publish_gauges()

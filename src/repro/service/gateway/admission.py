@@ -12,8 +12,8 @@ It is also the drain switch for graceful shutdown: once
 :meth:`start_draining` is called, every new submit is refused (again
 explicitly) while already-admitted work runs to completion.
 
-Thread-safe: admission decisions happen on the event loop while
-releases arrive from executor threads.
+Thread-safe: the gateway admits and releases on its event loop, while
+the pending count it reads moves on the scheduler's threads.
 """
 
 from __future__ import annotations

@@ -1,19 +1,21 @@
 """Op dispatch: protocol requests -> :class:`ConversionService` calls.
 
-Two entry points share one op switch:
+The gateway sessions call :meth:`Dispatcher.dispatch`.  Every op but
+``wait`` answers inline on the event loop, through the synchronous op
+switch :meth:`Dispatcher.handle_message`, which never raises (service
+errors become failure envelopes): none of them blocks for longer than
+the scheduler lock and, for ``submit``, one journal append, which is
+less than a hop to a thread and back costs.  Submits take turns, one
+per pass of the loop, so a burst of them holds a ``ping``, a woken
+``wait`` or a new connection for one submit, not for all of them, and
+each first passes admission control, which refuses it with an
+explicit ``overloaded`` error at the limit.  ``wait`` parks on one
+:class:`asyncio.Event` that the scheduler sets the moment the job's
+terminal record is journaled (completion notification: no polling,
+no thread per waiter).
 
-* :meth:`Dispatcher.handle_message` — the synchronous dispatch, for
-  in-process callers and, via ``run_in_executor``, for the async path's
-  ops that touch service locks.  It never raises; service errors
-  become failure envelopes.
-* :meth:`Dispatcher.dispatch` — the async path the gateway sessions
-  call.  Quick ops answer inline; blocking ops run on a dedicated
-  executor so the event loop never stalls; ``wait`` parks on one
-  :class:`asyncio.Event` that the scheduler sets the moment the job's
-  terminal record is journaled (completion notification: no polling,
-  no thread per waiter); ``submit`` passes through admission control
-  first and is refused with an explicit ``overloaded`` error at the
-  limit.
+A request field of the wrong type is a ``bad_request`` naming the
+field, checked here where the request is decoded (:func:`_field`).
 
 Every async request is wrapped in a ``gateway.<op>`` tracing span
 (free when tracing is disabled) and timed into the
@@ -26,17 +28,48 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
-from ...errors import FaultInjectedError, JobNotFoundError, ReproError
+from ...errors import FaultInjectedError, JobNotFoundError, \
+    ProtocolError, ReproError
 from ...runtime import faults
 from ...runtime.metrics import ServiceMetrics
 from ...runtime.tracing import get_tracer
 from .. import protocol
 from .admission import AdmissionController
 from .session import Session
+
+#: What a request field may hold, by the words its error names it with.
+_KINDS: dict[str, type | tuple[type, ...]] = {
+    "an integer": int,
+    "a number": (int, float),
+    "a number or null": (int, float, type(None)),
+    "a string": str,
+    "a string or null": (str, type(None)),
+    "an object": dict,
+}
+_REQUIRED = object()
+
+
+def _field(message: dict[str, Any], name: str, kind: str,
+           default: Any = _REQUIRED) -> Any:
+    """Field *name* of a request (*default* when absent; ``KeyError``
+    when required), refused with :class:`ProtocolError` unless it is
+    *kind*: JSON ``true`` is no number, and a number is finite."""
+    value = message[name] if default is _REQUIRED \
+        else message.get(name, default)
+    if isinstance(value, _KINDS[kind]) and not isinstance(value, bool) \
+            and not (isinstance(value, float) and not math.isfinite(value)):
+        return value
+    raise ProtocolError(f"field {name!r} must be {kind}, got {value!r:.60}")
+
+
+def _bad_request(exc: KeyError | ProtocolError) -> dict[str, Any]:
+    detail = f"request is missing field {exc.args[0]!r}" \
+        if isinstance(exc, KeyError) else str(exc)
+    return protocol.error_response(detail, code=protocol.CODE_BAD_REQUEST)
 
 
 class Dispatcher:
@@ -50,22 +83,13 @@ class Dispatcher:
         metrics_snapshot`` surface plus a ``pool`` attribute).
     admission:
         The gateway's :class:`AdmissionController`.
-    executor_threads:
-        Size of the dispatch thread pool backing ``run_in_executor``.
     """
 
-    def __init__(self, service: Any, admission: AdmissionController,
-                 executor_threads: int = 8) -> None:
+    def __init__(self, service: Any, admission: AdmissionController) -> None:
         self.service = service
         self.admission = admission
         self.metrics: ServiceMetrics = service.metrics
-        self._executor = ThreadPoolExecutor(
-            max_workers=executor_threads,
-            thread_name_prefix="repro-gateway-dispatch")
-
-    def close(self) -> None:
-        """Release the dispatch thread pool."""
-        self._executor.shutdown(wait=False)
+        self._submit_turn = asyncio.Lock()
 
     # -- async path (gateway sessions) ------------------------------
 
@@ -81,7 +105,21 @@ class Dispatcher:
                           "transport": session.transport}):
             try:
                 faults.fire("gateway.dispatch")
-                return await self._dispatch_op(op, message)
+                if op == "wait":
+                    return await self._wait(message)
+                if op != "submit":
+                    return self.handle_message(message)
+                refusal = self.admission.try_admit()
+                if refusal is not None:
+                    return protocol.overloaded_response(refusal)
+                try:
+                    # One submit per pass of the loop: the I/O that
+                    # became ready meanwhile is served in between.
+                    async with self._submit_turn:
+                        await asyncio.sleep(0)
+                        return self.handle_message(message)
+                finally:
+                    self.admission.release()
             except FaultInjectedError as exc:
                 # Structured surface for armed faults: the client gets
                 # a machine-readable code, the session stays alive.
@@ -92,46 +130,20 @@ class Dispatcher:
                     f"internal error handling {op!r}: "
                     f"{type(exc).__name__}: {exc}")
 
-    async def _dispatch_op(self, op: str | None,
-                           message: dict[str, Any]) -> dict[str, Any]:
-        if op == "ping":
-            return protocol.ok_response(pong=True)
-        if op == "wait":
-            return await self._wait(message)
-        if op == "submit":
-            refusal = self.admission.try_admit()
-            if refusal is not None:
-                return protocol.overloaded_response(refusal)
-            try:
-                return await self._in_executor(message)
-            finally:
-                self.admission.release()
-        return await self._in_executor(message)
-
-    async def _in_executor(self,
-                           message: dict[str, Any]) -> dict[str, Any]:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._executor, self.handle_message, message)
-
     async def _wait(self, message: dict[str, Any]) -> dict[str, Any]:
         """Server-side long poll: resolve on the event loop, cheaply.
 
         Holds the request until the job is terminal or *timeout*
         elapses, then returns the snapshot either way (mirroring
-        ``ConversionService.wait``).  No executor thread is parked —
-        the waiter is one event, set by the scheduler's completion
-        callback; an already-terminal job answers at once.
+        ``ConversionService.wait``).  No thread is parked — the waiter
+        is one event, set by the scheduler's completion callback; an
+        already-terminal job answers at once.
         """
         try:
-            job_id = message["job_id"]
-        except KeyError:
-            return protocol.error_response(
-                "request is missing field 'job_id'",
-                code=protocol.CODE_BAD_REQUEST)
-        timeout = message.get("timeout")
-        if timeout is not None:
-            timeout = float(timeout)
+            job_id = _field(message, "job_id", "a string")
+            timeout = _field(message, "timeout", "a number or null", None)
+        except (KeyError, ProtocolError) as exc:
+            return _bad_request(exc)
         loop = asyncio.get_running_loop()
         finished = asyncio.Event()
 
@@ -158,14 +170,13 @@ class Dispatcher:
                                      time.time() - job.finished_at)
         return protocol.ok_response(job=job.to_dict())
 
-    # -- sync path (compat + executor target) -----------------------
+    # -- sync path (every op but wait) -------------------------------
 
     def handle_message(self,
                        message: dict[str, Any]) -> dict[str, Any]:
-        """Dispatch one protocol request synchronously; never raises.
-
-        ``wait`` blocks the calling thread; ``shutdown`` only answers
-        ``stopping`` — whoever owns the listeners acts on it.
+        """Dispatch one protocol request but ``wait`` synchronously;
+        never raises.  ``shutdown`` only answers ``stopping`` — whoever
+        owns the listeners acts on it.
         """
         op = message.get("op")
         try:
@@ -173,25 +184,24 @@ class Dispatcher:
                 return protocol.ok_response(pong=True)
             if op == "submit":
                 job = self.service.submit(
-                    kind=message.get("kind", "convert"),
-                    params=message.get("params", {}),
-                    priority=int(message.get("priority", 0)),
-                    timeout=message.get("timeout"),
-                    max_retries=int(message.get("max_retries", 0)),
-                    backoff=float(message.get("backoff", 0.1)))
+                    kind=_field(message, "kind", "a string", "convert"),
+                    params=_field(message, "params", "an object", {}),
+                    priority=_field(message, "priority", "an integer", 0),
+                    timeout=_field(message, "timeout", "a number or null",
+                                   None),
+                    max_retries=_field(message, "max_retries",
+                                       "an integer", 0),
+                    backoff=_field(message, "backoff", "a number", 0.1))
                 return protocol.ok_response(job=job.to_dict())
             if op == "status":
-                return protocol.ok_response(
-                    jobs=self.service.status(message.get("job_id")))
-            if op == "wait":
-                return protocol.ok_response(job=self.service.wait(
-                    message["job_id"], message.get("timeout")))
+                return protocol.ok_response(jobs=self.service.status(
+                    _field(message, "job_id", "a string or null", None)))
             if op == "cancel":
-                return protocol.ok_response(
-                    cancelled=self.service.cancel(message["job_id"]))
+                return protocol.ok_response(cancelled=self.service.cancel(
+                    _field(message, "job_id", "a string")))
             if op == "trace":
-                return protocol.ok_response(
-                    spans=self.service.trace(message["job_id"]))
+                return protocol.ok_response(spans=self.service.trace(
+                    _field(message, "job_id", "a string")))
             if op == "metrics":
                 return protocol.ok_response(
                     metrics=self.service.metrics_snapshot())
@@ -202,10 +212,8 @@ class Dispatcher:
             return protocol.error_response(
                 f"unknown op {op!r}; choose from {protocol.OPS}",
                 code=protocol.CODE_UNKNOWN_OP)
-        except KeyError as exc:
-            return protocol.error_response(
-                f"request is missing field {exc.args[0]!r}",
-                code=protocol.CODE_BAD_REQUEST)
+        except (KeyError, ProtocolError) as exc:
+            return _bad_request(exc)
         except JobNotFoundError as exc:
             return protocol.error_response(
                 str(exc), code=protocol.CODE_JOB_NOT_FOUND)

@@ -15,9 +15,9 @@ and processing (worker pool) never block each other.
   ``max_inflight_per_conn`` bound enforced by *not reading* further
   frames — backpressure instead of buffering.  Ops on one connection
   run concurrently but responses are written in request order.
-* **Dispatch** — :class:`~.dispatch.Dispatcher` routes ops; blocking
-  service calls run on a thread pool via ``run_in_executor`` so the
-  event loop never stalls.
+* **Dispatch** — :class:`~.dispatch.Dispatcher` routes ops; each
+  answers inline on the loop except ``wait``, which parks until its
+  job finishes.
 * **Admission** — :class:`~.admission.AdmissionController` bounds
   pending jobs and turns overload into explicit ``overloaded``
   responses.  :meth:`GatewayServer.stop` drains gracefully: stop
@@ -73,8 +73,6 @@ class GatewayConfig:
     drain_timeout:
         Upper bound on waiting for in-flight ops and jobs during
         graceful shutdown.
-    dispatch_threads:
-        Thread-pool size backing ``run_in_executor`` dispatch.
     """
 
     max_inflight_per_conn: int = 32
@@ -83,7 +81,6 @@ class GatewayConfig:
     idle_timeout: float | None = None
     write_timeout: float = 30.0
     drain_timeout: float = 10.0
-    dispatch_threads: int = 8
 
 
 class GatewayServer:
@@ -121,9 +118,7 @@ class GatewayServer:
         self.admission = AdmissionController(
             self.config.max_pending_jobs,
             self._queued_count, self.metrics)
-        self.dispatcher = Dispatcher(
-            service, self.admission,
-            executor_threads=self.config.dispatch_threads)
+        self.dispatcher = Dispatcher(service, self.admission)
 
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
@@ -418,15 +413,13 @@ class GatewayServer:
             task.cancel()
         # Finish in-flight jobs: every job already admitted to the
         # pool runs to a terminal state (bounded by the drain budget).
+        # The one blocking wait of a drain, on a thread of its own.
         pool = getattr(self.service, "pool", None)
         if pool is not None and hasattr(pool, "wait_all"):
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(
-                None, lambda: pool.wait_all(timeout=timeout))
+            await asyncio.to_thread(pool.wait_all, timeout)
         for queue in list(self._session_queues.values()):
             queue.put_nowait(_CLOSE)
         if self._conn_tasks:
             await asyncio.wait(set(self._conn_tasks), timeout=5)
         for task in list(self._conn_tasks):
             task.cancel()
-        self.dispatcher.close()

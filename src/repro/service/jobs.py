@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import secrets
 import threading
 import time
@@ -150,9 +151,12 @@ class Job:
         if self.max_retries < 0:
             raise ServiceError(
                 f"job {self.job_id}: max_retries must be >= 0")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ServiceError(
-                f"job {self.job_id}: timeout must be positive")
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise ServiceError(f"job {self.job_id}: timeout must be "
+                               f"positive and finite")
+        if not 0 <= self.backoff < math.inf:  # NaN poisons the retry heap
+            raise ServiceError(f"job {self.job_id}: backoff must be "
+                               f">= 0 and finite")
 
     @property
     def attempts_left(self) -> int:

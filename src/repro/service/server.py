@@ -23,7 +23,10 @@ imports.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import threading
+import time
 import warnings
 from typing import Any
 
@@ -47,6 +50,8 @@ from .scheduler import WorkerPool
 JOB_KINDS = ("convert", "region", "preprocess")
 _JOB_READS = {"convert": SOURCE_FORMATS, "region": ("bam", *STORE_KINDS),
               "preprocess": ("bam",)}
+#: Least time between two saves of the daemon's cost model.
+MODEL_SAVE_SECONDS = 1.0
 
 
 def _source_format(kind: str, params: dict[str, Any]) -> str:
@@ -57,16 +62,37 @@ def _source_format(kind: str, params: dict[str, Any]) -> str:
 
 
 # -- job bodies: run in a pool process; one picklable payload in,
-# ``(result, metric deltas)`` out, the deltas being the snapshot of a
-# ServiceMetrics that lived for the call (ServiceMetrics.absorb).
+# ``(result, metric deltas, cost-model observations)`` out, the deltas
+# being the snapshot of a ServiceMetrics that lived for the call
+# (ServiceMetrics.absorb).
 
-def _convert_body(payload: dict[str, Any]) -> tuple[dict[str, Any], dict]:
+class _JobModel(CostModel):
+    """A job body's copy of the daemon's cost model: its path and
+    entries, in memory.  Only the daemon writes the file; what the job
+    observes is kept in :attr:`observed` for the daemon to fold in."""
+
+    def __init__(self, path: str, entries: dict[str, dict]) -> None:
+        super().__init__()
+        self.path = path
+        self.observed: list[tuple[str, list]] = []
+        self.restore(entries)
+
+    def save(self) -> None:
+        """The daemon saves (:meth:`ConversionService._learn`)."""
+
+    def observe(self, key: str, pairs: list[tuple[float, float]]) -> None:
+        self.observed.append((key, list(pairs)))
+        super().observe(key, pairs)
+
+
+def _convert_body(payload: dict[str, Any]) -> tuple[dict[str, Any], dict,
+                                                    list]:
     """A ``convert`` or ``region`` job on ``payload["store"]``, the
     store the daemon resolved (``None``: the input is SAM text)."""
     params, metrics = payload["params"], ServiceMetrics()
     converter = BamConverter if payload["store"] else SamConverter
-    knobs = dict(payload["knobs"], tuner=AutoTuner(
-        CostModel(payload["cost_model"]), metrics=metrics))
+    model = _JobModel(*payload["cost_model"])
+    knobs = dict(payload["knobs"], tuner=AutoTuner(model, metrics=metrics))
     record_filter = parse_filter_expr(params["filter"]) \
         if params.get("filter") else None
     ranks = (int(params.get("nprocs", 1)),
@@ -96,10 +122,10 @@ def _convert_body(payload: dict[str, Any]) -> tuple[dict[str, Any], dict]:
     return {"target": result.target, "outputs": result.outputs,
             "records": result.records, "emitted": result.emitted,
             "nprocs": result.nprocs, "wall_seconds": result.wall_seconds,
-            "cache": payload["cache"]}, metrics.snapshot()
+            "cache": payload["cache"]}, metrics.snapshot(), model.observed
 
 
-def _preprocess_body(payload: dict[str, Any]) -> tuple[None, dict]:
+def _preprocess_body(payload: dict[str, Any]) -> tuple[None, dict, list]:
     """The cache builder: a BAM into the entry directory."""
     metrics = ServiceMetrics()
     _, _, rank = BamConverter(
@@ -108,7 +134,7 @@ def _preprocess_body(payload: dict[str, Any]) -> tuple[None, dict]:
         compress=payload["compress"])
     metrics.inc("preprocess_runs")
     metrics.observe("preprocess_seconds", rank.total_seconds)
-    return None, metrics.snapshot()
+    return None, metrics.snapshot(), []
 
 
 class ConversionService:
@@ -135,15 +161,16 @@ class ConversionService:
         worker process builds for it and drops when it ends.
     cost_model_path:
         Where the persistent autotune cost model lives; defaults to
-        ``<work_dir>/cost_model.json``.  The *file* is what jobs share:
-        each body builds ``AutoTuner(CostModel(path))`` in its worker,
-        so every job — tuned or manual — loads, feeds and atomically
-        replaces it, and its ``autotune_*`` counters come home with the
-        result (``repro status --metrics``).  Of two jobs finishing at
-        once the later save wins and the other observation is lost,
-        which an EWMA absorbs.  A damaged file never fails a job: what
-        could not be loaded is dropped with one :class:`RuntimeWarning`
-        here.
+        ``<work_dir>/cost_model.json``.  It is loaded once, here, into
+        :attr:`cost_model`, the one model every job — tuned or manual —
+        reads and feeds: a job's payload carries its entries, and the
+        job's observations come home with its result and ``autotune_*``
+        counters (``repro status --metrics``) to be folded in before
+        the job finishes, so none is lost.  Only the daemon writes the
+        file: at the first fold, then at most once per
+        :data:`MODEL_SAVE_SECONDS`, and once more on :meth:`close`.  A
+        damaged file never fails a job: what could not be loaded is
+        dropped with one :class:`RuntimeWarning` here.
     journal_path:
         Optional write-ahead job journal file.  When set, every
         submission and state transition is logged durably, and this
@@ -184,7 +211,10 @@ class ConversionService:
         model = CostModel(cost_model_path if cost_model_path is not None
                           else os.path.join(self.work_dir,
                                             "cost_model.json"))
-        self.cost_model_path = model.path
+        self.cost_model = model
+        self._model_lock = threading.Lock()
+        self._model_dirty = False
+        self._model_saved = -float("inf")
         if model.load_error:
             warnings.warn(f"damaged cost model {model.path}: "
                           f"{model.load_error}", RuntimeWarning,
@@ -282,8 +312,12 @@ class ConversionService:
 
     def close(self) -> None:
         """Stop the worker pool (queued jobs are left unrun; with a
-        journal they are recovered by the next incarnation)."""
+        journal they are recovered by the next incarnation) and save
+        what the cost model learned since its last save."""
         self.pool.shutdown()
+        with self._model_lock:
+            if self._model_dirty:
+                self._save_model()
         if self.journal is not None:
             self.journal.close()
 
@@ -304,7 +338,7 @@ class ConversionService:
         source_format = _source_format(job.kind, params)
         if job.kind == "preprocess":
             entry, hit = self._preprocessed(source, params)
-            return {"artifacts": entry.files(),
+            return {"artifacts": self.cache.artifacts(entry),
                     "cache": "hit" if hit else "miss"}
         store_path = baix_path = cache_state = None
         if source_format != "sam":
@@ -313,7 +347,8 @@ class ConversionService:
         return self._in_pool(_convert_body, {
             "kind": job.kind, "params": params, "store": store_path,
             "baix": baix_path, "cache": cache_state, "knobs": knobs,
-            "cost_model": self.cost_model_path,
+            "cost_model": (self.cost_model.path,
+                           self.cost_model.snapshot()),
         }, f"{job.job_id} {job.kind}")
 
     def _in_pool(self, body: Any, payload: dict[str, Any],
@@ -322,7 +357,8 @@ class ConversionService:
         one place the service crosses the process boundary.
 
         The calling thread waits.  Back come the body's result, its
-        metric deltas (folded into :attr:`metrics`) and its spans,
+        metric deltas (folded into :attr:`metrics`), its cost-model
+        observations (folded into :attr:`cost_model`) and its spans,
         which land under the caller's open span — the attempt's
         ``job.<kind>`` — the way rank spans do.  A body that takes its
         interpreter down surfaces as ``ExecutorFailure`` naming
@@ -331,13 +367,37 @@ class ConversionService:
         tracer = get_tracer()
         caller = tracer.current_span()
         parent_id = caller.span_id if caller is not None else None
-        ((result, deltas), span_dicts), = get_shared_executor().map_tasks(
-            _run_entry, [(body, payload, None, None,
-                          (tracer.enabled, tracer.epoch), parent_id,
-                          "job.body")], "process", labels=[label])
+        ((result, deltas, observed), span_dicts), = \
+            get_shared_executor().map_tasks(
+                _run_entry, [(body, payload, None, None,
+                              (tracer.enabled, tracer.epoch), parent_id,
+                              "job.body")], "process", labels=[label])
         tracer.ingest(span_dicts, parent_id=parent_id)
         self.metrics.absorb(deltas)
+        self._learn(observed)
         return result
+
+    def _learn(self, observed: list[tuple[str, list]]) -> None:
+        """Fold a body's observations into :attr:`cost_model` and save
+        it unless the last save is under :data:`MODEL_SAVE_SECONDS`
+        old (:meth:`close` writes what that leaves)."""
+        if not observed:
+            return
+        for key, pairs in observed:
+            self.cost_model.observe(key, pairs)
+        self.metrics.set_gauge("autotune_model_keys", len(self.cost_model))
+        with self._model_lock:
+            self._model_dirty = True
+            if time.monotonic() - self._model_saved >= MODEL_SAVE_SECONDS:
+                self._save_model()
+
+    def _save_model(self) -> None:
+        # Called with _model_lock held: one thread writes the file, and
+        # an unwritable work dir fails no job.
+        self._model_dirty = False
+        self._model_saved = time.monotonic()
+        with contextlib.suppress(OSError):
+            self.cost_model.save()
 
     def _store_for(self, source: str, source_format: str,
                    params: dict[str, Any],
@@ -353,8 +413,9 @@ class ConversionService:
         if source_format != "bam":
             return source, params.get("baix"), None
         entry, hit = self._preprocessed(source, params)
-        store_path = next((path for path in entry.files() if path.endswith(
-            (".bamx", ".bamz", ".bamc"))), None)
+        store_path = next((path for path in self.cache.artifacts(entry)
+                           if path.endswith((".bamx", ".bamz", ".bamc"))),
+                          None)
         if store_path is None:
             raise ServiceError(
                 f"cache entry {entry.key} holds no record store")

@@ -97,7 +97,7 @@ def _observe_and_save(job):
 
 
 def test_concurrent_processes_never_tear_the_model_file(tmp_path):
-    """The service's pool workers share the model as a file: four
+    """CLI commands given one ``--cost-model`` share it as a file: four
     writers replacing it at once may lose each other's observations
     (last save wins) but no reader — here the writers themselves and
     this process — ever loads a torn or half-written document."""

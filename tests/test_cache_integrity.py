@@ -360,6 +360,50 @@ def test_tampered_warm_entry_is_quarantined_never_served(tmp_path, how):
         assert fh.read() == PAYLOAD
 
 
+#: tamper -> (file it touches, how), each after hits settled by identity
+IDENTITY_TAMPERS = {
+    "meta-rewritten-in-place": ("meta.json", edit_meta),
+    "stray-file": ("smuggled.bin", lambda path: open(path, "wb").close()),
+    "artifact-deleted": ("data.bamx.baix", os.unlink),
+    "artifact-truncated": ("data.bamx", lambda path: os.truncate(path, 3)),
+    "artifact-rewritten-same-size-mtime":
+        ("data.bamx", overwrite_keeping_size_and_mtime),
+}
+
+
+@pytest.mark.parametrize("how", sorted(IDENTITY_TAMPERS))
+def test_settled_hits_only_stat_and_tampers_still_quarantine(
+        tmp_path, monkeypatch, how):
+    """Once an entry's directory and ``meta.json`` identities are
+    remembered, a hit opens no file and lists no directory; every
+    tamper still quarantines on the next fetch."""
+    cache, source, entry, metrics = warm(tmp_path)
+    opened: list[str] = []
+    listed: list[str] = []
+    real_listdir = os.listdir
+
+    def spy_open(path, *args, **kwargs):
+        opened.append(os.fspath(path))
+        return open(path, *args, **kwargs)
+
+    def spy_listdir(path="."):
+        listed.append(os.fspath(path))
+        return real_listdir(path)
+
+    monkeypatch.setattr(cache_mod, "open", spy_open, raising=False)
+    monkeypatch.setattr(cache_mod.os, "listdir", spy_listdir)
+    for _ in range(20):
+        found, hit = cache.get_or_build(source, {"op": "x"}, builder)
+        assert hit and found.key == entry.key
+    assert (opened, listed) == ([], [])
+    assert metrics.counter("cache_verify_identity") == 20
+    name, tamper = IDENTITY_TAMPERS[how]
+    tamper(entry.file(name))
+    assert cache.lookup(source, {"op": "x"}) is None
+    assert len(cache.quarantined()) == 1
+    assert metrics.counter("cache_verify_failed") == 1
+
+
 def test_input_rewritten_in_place_at_same_size_gets_new_key(tmp_path):
     cache, source, entry, _ = warm(tmp_path)
     before = os.stat(source)

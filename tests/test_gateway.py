@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import socket as socketlib
 import threading
@@ -658,7 +659,6 @@ def test_wake_into_a_closed_loop_is_swallowed_by_the_worker():
         assert service.submit("k", {}).wait(10)
     finally:
         gate.set()
-        dispatcher.close()
         service.close()
 
 
@@ -736,6 +736,115 @@ def test_stress_200_concurrent_tcp_submitters(tmp_path, bam_file):
         assert snap["counters"]["preprocess_runs"] == 1
     finally:
         daemon.stop()
+
+
+class SlowSubmits(EchoService):
+    """Every submit holds the scheduler lock for 2 ms, as a slow journal
+    append would: a 200-submit burst then queues for ~0.4 s."""
+
+    def submit(self, *args, **kwargs):
+        with self.pool._cond:
+            time.sleep(0.002)
+            return super().submit(*args, **kwargs)
+
+
+def test_daemon_thread_count_does_not_depend_on_load(tmp_path):
+    """Every op but ``wait`` answers on the loop: a burst of submits
+    starts no thread, and a ping sent mid-burst is answered between
+    them, not after them."""
+    service = SlowSubmits(runner=lambda job: job.params)
+    daemon = start_daemon(tmp_path, service, unix=False,
+                          config=GatewayConfig(max_pending_jobs=None))
+    socks = [socketlib.create_connection(daemon.tcp_address, timeout=30)
+             for _ in range(N_SUBMITTERS)]
+    side, side_stream = raw_connect(daemon, "tcp")
+    try:
+        streams = [sock.makefile("rwb") for sock in socks]
+        wait_for(lambda: len(daemon.sessions) == N_SUBMITTERS + 1)
+        before = threading.active_count()
+        for i, stream in enumerate(streams):
+            stream.write(protocol.encode(
+                {"op": "submit", "kind": "k", "params": {"i": i}}))
+            stream.flush()
+        side_stream.write(protocol.encode({"op": "ping"}))
+        side_stream.flush()
+        assert read_response(side_stream) == {"ok": True, "pong": True}
+        # The pong came back while submits still waited their turn.
+        assert len(service.pool.jobs()) < N_SUBMITTERS
+        during = [threading.active_count()]
+        names = [thread.name for thread in threading.enumerate()]
+        jobs = []
+        for stream in streams:
+            jobs.append(read_response(stream)["job"]["job_id"])
+            during.append(threading.active_count())
+        assert len(set(jobs)) == N_SUBMITTERS
+        assert during == [before] * len(during)
+        assert not [name for name in names
+                    if name.startswith("repro-gateway-dispatch")]
+    finally:
+        for sock in [*socks, side]:
+            sock.close()
+        daemon.stop()
+
+
+#: case -> (raw request line, the field its bad_request names)
+BAD_REQUESTS = {
+    "priority-text": ({"op": "submit", "kind": "k", "params": {},
+                       "priority": "high"}, "priority"),
+    "timeout-text": ({"op": "submit", "kind": "k", "params": {},
+                      "timeout": "soon"}, "timeout"),
+    "backoff-text-nan": ({"op": "submit", "kind": "k", "params": {},
+                          "backoff": "nan"}, "backoff"),
+    "backoff-json-nan": (b'{"op":"submit","kind":"k","params":{},'
+                         b'"backoff":NaN}\n', "backoff"),
+    "timeout-json-infinity": (b'{"op":"submit","kind":"k","params":{},'
+                              b'"timeout":Infinity}\n', "timeout"),
+    "params-not-object": ({"op": "submit", "kind": "convert",
+                           "params": "notadict"}, "params"),
+    "max-retries-bool": ({"op": "submit", "kind": "k", "params": {},
+                          "max_retries": True}, "max_retries"),
+    "wait-timeout-text": ({"op": "wait", "job_id": "job-000001",
+                           "timeout": "abc"}, "timeout"),
+    "status-job-id-number": ({"op": "status", "job_id": 5}, "job_id"),
+    "cancel-job-id-list": ({"op": "cancel", "job_id": ["a"]}, "job_id"),
+    "trace-job-id-null": ({"op": "trace", "job_id": None}, "job_id"),
+}
+
+
+def test_malformed_request_fields_are_bad_requests(tmp_path):
+    """Each field of the wrong type answers ``bad_request`` naming the
+    field — never an internal error, never an accepted job — and the
+    session keeps serving."""
+    service = EchoService()
+    daemon = start_daemon(tmp_path, service, tcp=False)
+    try:
+        sock, stream = raw_connect(daemon, "unix")
+        try:
+            for case, (request, field) in sorted(BAD_REQUESTS.items()):
+                stream.write(request if isinstance(request, bytes)
+                             else protocol.encode(request))
+                stream.flush()
+                response = read_response(stream)
+                assert response["ok"] is False, case
+                assert response["code"] == "bad_request", (case, response)
+                assert f"field {field!r}" in response["error"], \
+                    (case, response)
+            stream.write(protocol.encode({"op": "ping"}))
+            stream.flush()
+            assert read_response(stream) == {"ok": True, "pong": True}
+        finally:
+            sock.close()
+        assert service.pool.jobs() == []
+    finally:
+        daemon.stop()
+
+
+def test_job_refuses_a_non_finite_timeout_or_backoff():
+    for bad in ({"timeout": math.inf}, {"timeout": math.nan},
+                {"backoff": -0.1}, {"backoff": math.nan},
+                {"backoff": math.inf}):
+        with pytest.raises(ServiceError, match=next(iter(bad))):
+            Job(kind="k", **bad)
 
 
 def test_tcp_results_byte_identical_to_unix(tmp_path, bam_file):

@@ -693,6 +693,70 @@ def test_job_trace_spans_cross_the_process_boundary(service, bam_file,
     assert service.metrics.snapshot()["timers"]["span.job.body"]["count"] >= 2
 
 
+def test_daemon_folds_every_observation_and_owns_the_model_file(
+        bam_file, tmp_path, monkeypatch):
+    """K same-key region jobs from two clients on two workers advance
+    the daemon's model entry by exactly K, and only the daemon process
+    ever opens ``cost_model.json``: a spy on ``CostModel`` load and
+    save, inherited by the pool's forked workers, logs each caller's
+    pid."""
+    from repro.runtime import autotune
+    log = tmp_path / "model-opens.log"
+
+    def spied(method):
+        def spy(self, *args):
+            if self.path is not None:
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()} {method.__name__}\n")
+            return method(self, *args)
+        return spy
+
+    for name in ("_load", "save"):
+        monkeypatch.setattr(autotune.CostModel, name,
+                            spied(getattr(autotune.CostModel, name)))
+    reset_shared_executor()         # fork the pool with the spies armed
+    svc = ConversionService(tmp_path / "svc", workers=2)
+    daemon = GatewayServer(svc, tcp_address=("127.0.0.1", 0))
+    daemon.start()
+    k = 8
+    try:
+        def region(client, tag):
+            job = client.submit("region", {
+                "input": bam_file, "region": "chr1:1-30000",
+                "target": "bed", "out_dir": str(tmp_path / tag)})
+            return client.wait(job["job_id"], timeout=60)
+
+        with ServiceClient(daemon.tcp_address) as client:
+            assert region(client, "prime")["state"] == "done"
+        (key, before), = svc.cost_model.snapshot().items()
+        finals: list = []
+
+        def client_loop(c):
+            with ServiceClient(daemon.tcp_address) as client:
+                finals.extend(region(client, f"c{c}-{i}")
+                              for i in range(k // 2))
+
+        threads = [threading.Thread(target=client_loop, args=(c,))
+                   for c in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+        assert [f["state"] for f in finals] == ["done"] * k
+        after = svc.cost_model.lookup(key)
+        assert after["count"] == before["count"] + k
+        assert after["updated"] == before["updated"] + k
+    finally:
+        daemon.stop()               # drains, then closes the service
+        reset_shared_executor()
+    path = tmp_path / "svc" / "cost_model.json"
+    assert autotune.CostModel(path).snapshot() == svc.cost_model.snapshot()
+    assert [name for name in os.listdir(tmp_path / "svc")
+            if name.startswith("cost_model.json.tmp")] == []
+    pids = {line.split()[0] for line in log.read_text().splitlines()}
+    assert pids == {str(os.getpid())}
+
+
 # ---------------------------------------------------------------------
 # daemon + protocol
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """End-to-end smoke test of the TCP gateway front door.
 
-Boots a real ``repro serve --listen 127.0.0.1:0`` subprocess, fires a
-burst of concurrent conversion submits over TCP, and fails loudly on
-any dropped or hung request.  This is the CI gateway-smoke job: it
+Boots a real ``repro serve --listen 127.0.0.1:0 --journal PATH
+--journal-fsync always`` subprocess, fires a burst of concurrent
+conversion submits over TCP, and fails loudly on any dropped or hung
+request.  This is the CI gateway-smoke job: it
 exercises the daemon exactly the way a remote deployment would — over
 the network, through argv, with the startup race bridged by the
 client's connect retry rather than a sleep.
@@ -13,6 +14,10 @@ Checks enforced:
 * every submitter gets a job id and a terminal ``done`` snapshot
   (no lost jobs, no hang — a global deadline aborts the run);
 * no submit is rejected (the burst stays under the admission bound);
+* the event loop stays responsive while it acknowledges submits: every
+  submit answers on the loop after one journal fsync, so a side
+  connection pings every 10 ms during the burst and the p90 round
+  trip must stay under :data:`PING_P90_LIMIT_MS`;
 * a deliberately oversized frame gets a ``bad_frame`` error and the
   connection stays usable;
 * results land on disk for every job;
@@ -22,8 +27,8 @@ Checks enforced:
   :data:`OVERHEAD_LIMIT_MS` — the guard against a poll tick (or any
   other fixed per-job wait) coming back.
 
-The service metrics snapshot and the overhead median/p90 are written
-to ``GATEWAY_SMOKE_metrics.json`` at the repo root (uploaded as a CI
+The service metrics snapshot, the overhead median/p90 and the burst's
+ping round trips are written to ``GATEWAY_SMOKE_metrics.json`` at the repo root (uploaded as a CI
 artifact) so gateway counters are inspectable per run.
 
 Usage::
@@ -56,6 +61,10 @@ from repro.simdata import build_sam_dataset  # noqa: E402
 OVERHEAD_LIMIT_MS = 10.0
 #: Back-to-back jobs of the overhead probe.
 OVERHEAD_JOBS = 40
+#: Ceiling on the p90 ping round trip during the submit burst.
+PING_P90_LIMIT_MS = 25.0
+#: Pause between two pings of the side connection.
+PING_INTERVAL_S = 0.010
 
 
 def fail(message: str) -> None:
@@ -71,7 +80,9 @@ def start_daemon(work_dir: str) -> tuple[subprocess.Popen, tuple[str, int]]:
         [sys.executable, "-m", "repro.cli", "serve",
          "--listen", "127.0.0.1:0",
          "--work-dir", os.path.join(work_dir, "svc"),
-         "--workers", "4"],
+         "--workers", "4",
+         "--journal", os.path.join(work_dir, "journal.jsonl"),
+         "--journal-fsync", "always"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, env=env, cwd=ROOT)
     # The daemon prints "repro service listening on ... tcp://H:P ..."
@@ -114,11 +125,29 @@ def check_bad_frame(address: tuple[str, int]) -> None:
     print("[smoke] bad_frame handling OK (session survived)")
 
 
+def percentile(values: list[float], q: float) -> float:
+    ordered = sorted(values)
+    return ordered[min(len(ordered) - 1, int(len(ordered) * q))]
+
+
 def run_burst(address: tuple[str, int], sam_path: str, out_root: str,
-              n_clients: int, deadline_s: float) -> list[dict]:
-    """N concurrent TCP submitters; returns final job snapshots."""
+              n_clients: int, deadline_s: float,
+              ) -> tuple[list[dict], dict]:
+    """N concurrent TCP submitters, pinged past from a side connection
+    every :data:`PING_INTERVAL_S`; returns the final job snapshots and
+    the ping report."""
     results: list = [None] * n_clients
     errors: list = [None] * n_clients
+    rtts: list[float] = []
+    stop = threading.Event()
+
+    def pinger() -> None:
+        with ServiceClient(address, timeout=deadline_s) as client:
+            while not stop.is_set():
+                t0 = time.perf_counter()
+                client.ping()
+                rtts.append((time.perf_counter() - t0) * 1e3)
+                stop.wait(PING_INTERVAL_S)
 
     def one(i: int) -> None:
         try:
@@ -136,12 +165,16 @@ def run_burst(address: tuple[str, int], sam_path: str, out_root: str,
 
     threads = [threading.Thread(target=one, args=(i,), daemon=True)
                for i in range(n_clients)]
+    side = threading.Thread(target=pinger, daemon=True)
+    side.start()
     t0 = time.monotonic()
     for t in threads:
         t.start()
     for t in threads:
         t.join(deadline_s)
     elapsed = time.monotonic() - t0
+    stop.set()
+    side.join(deadline_s)
     if any(t.is_alive() for t in threads):
         hung = sum(t.is_alive() for t in threads)
         fail(f"{hung}/{n_clients} submitters hung after {deadline_s}s")
@@ -151,7 +184,17 @@ def run_burst(address: tuple[str, int], sam_path: str, out_root: str,
              f"{bad[:3]}")
     print(f"[smoke] {n_clients} concurrent submitters done "
           f"in {elapsed:.1f}s")
-    return results
+    if not rtts:
+        fail("no ping answered during the burst")
+    pings = {"pings": len(rtts), "median_ms": statistics.median(rtts),
+             "p90_ms": percentile(rtts, 0.9)}
+    print(f"[smoke] ping during the burst: median "
+          f"{pings['median_ms']:.2f} ms, p90 {pings['p90_ms']:.2f} ms "
+          f"over {pings['pings']} pings")
+    if pings["p90_ms"] > PING_P90_LIMIT_MS:
+        fail(f"p90 ping round trip {pings['p90_ms']:.2f} ms during the "
+             f"burst exceeds {PING_P90_LIMIT_MS} ms")
+    return results, pings
 
 
 def measure_overhead(address: tuple[str, int], sam_path: str,
@@ -171,10 +214,9 @@ def measure_overhead(address: tuple[str, int], sam_path: str,
             overheads.append(
                 (latency - (job["finished_at"] - job["started_at"]))
                 * 1e3)
-    overheads.sort()
     report = {"jobs": len(overheads),
               "median_ms": statistics.median(overheads),
-              "p90_ms": overheads[int(len(overheads) * 0.9)]}
+              "p90_ms": percentile(overheads, 0.9)}
     print(f"[smoke] gateway overhead per job: median "
           f"{report['median_ms']:.2f} ms, p90 {report['p90_ms']:.2f} ms")
     if report["median_ms"] > OVERHEAD_LIMIT_MS:
@@ -205,9 +247,9 @@ def main(argv: list[str] | None = None) -> int:
         proc, address = start_daemon(work)
         try:
             check_bad_frame(address)
-            results = run_burst(address, sam_path,
-                                os.path.join(work, "out"),
-                                args.clients, args.deadline)
+            results, pings = run_burst(address, sam_path,
+                                       os.path.join(work, "out"),
+                                       args.clients, args.deadline)
             job_ids = {r["job_id"] for r in results}
             if len(job_ids) != args.clients:
                 fail(f"{args.clients} submits produced only "
@@ -245,6 +287,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(out_path, "w", encoding="utf-8") as fh:
                 json.dump({"smoke": True, "clients": args.clients,
                            "gateway_overhead": overhead,
+                           "burst_ping": pings,
                            "metrics": snapshot}, fh, indent=2,
                           sort_keys=True)
                 fh.write("\n")
