@@ -21,9 +21,9 @@ from repro.core import PreprocSamConverter
 from .common import CONVERSION_CORES, Bench, assert_scales, parts_digest, \
     sam_dataset, sized, smoke_mode
 
-#: Records in the SAM: ~22 us a record; the 2-process-rank cell is
-#: ~0.28 s once the pool is warm.
-RECORDS = 24_000
+#: Records in the SAM: ~8 us a record; the 2-process-rank cell is
+#: ~0.35 s once the pool is warm.
+RECORDS = 60_000
 
 
 def test_fig10_preprocessing_speedup(tmp_path):

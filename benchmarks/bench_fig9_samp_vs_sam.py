@@ -15,19 +15,16 @@ any size whose SAM preprocessing this script can afford.  Both
 converters must write byte-identical files.
 
 Two claims, two tests.  The figure's own — the ``_P`` conversion phase
-is faster — holds.  The one the figure rests on — preprocessing is
-worth doing, i.e. it is amortised within about as many conversions as
-in the paper — does not hold until SAM preprocessing joins the slab
-pipeline (ROADMAP item 3), and is a strict xfail so that it is stated
-here and fails loudly the day it starts passing.
+is faster — holds.  So does the one the figure rests on — preprocessing
+is worth doing, i.e. it is amortised within about as many conversions
+as in the paper — now that SAM preprocessing writes its stores from
+column slabs, not records.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-
-import pytest
 
 from repro.core import PreprocSamConverter, SamConverter
 from repro.runtime.metrics import merge_all
@@ -38,7 +35,7 @@ from .common import CONVERSION_CORES, Bench, Series, dataset_dir, \
 TARGETS = ("bed", "bedgraph", "fasta")
 
 #: Records in the SAM: the fastest cell (_P on 2 process ranks) is
-#: ~0.4 s; preprocessing them costs ~23 us a record.
+#: ~0.4 s.
 RECORDS = 260_000
 
 #: Conversions after which the paper's preprocessing has paid for
@@ -126,7 +123,8 @@ def test_fig9_conversion_phase_is_faster_preprocessed():
             (nprocs, samp.modelled, sam.modelled)
 
 
-@pytest.mark.xfail(strict=True, reason="SAM preprocessing is still "
-                   "record-at-a-time (~23 us a record): ROADMAP item 3")
 def test_fig9_preprocessing_is_amortised_as_in_the_paper():
-    assert _break_even(*_sweep()) <= PAPER_BREAK_EVEN
+    sweep = _sweep()
+    if smoke_mode():
+        return
+    assert _break_even(*sweep) <= PAPER_BREAK_EVEN

@@ -259,23 +259,12 @@ def _cmd_fdr(args: argparse.Namespace) -> int:
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from .core.sort import parallel_sort_sam, sort_bam, sort_sam
-    from .formats.registry import source_kind
-    kind = source_kind(args.input, "repro sort", ("sam", "bam"))
-    if kind == "sam" and args.nprocs > 1:
-        work = args.work_dir or tempfile.mkdtemp(prefix="repro-sort-")
-        result, rank_metrics = parallel_sort_sam(
-            args.input, args.output, args.nprocs, work, args.executor)
-        print(f"sorted {result.records} records with {args.nprocs} "
-              f"run-generation ranks -> {result.output}")
-    else:
-        result = (sort_bam if kind == "bam" else sort_sam)(
-            args.input, args.output, args.chunk_records, args.work_dir)
-        print(f"sorted {result.records} records ({result.runs} spill "
-              f"runs, {result.metrics.total_seconds:.2f}s) -> "
-              f"{result.output}")
+    from .core.sort import sort_file
+    result, _ = sort_file(args.input, args.output, args.nprocs,
+                          args.executor, args.work_dir, args.chunk_records)
+    print(f"sorted {result.records} records with {args.nprocs} "
+          f"run-generation ranks, {result.runs} parts joined "
+          f"({result.metrics.total_seconds:.2f}s) -> {result.output}")
     return 0
 
 
@@ -640,16 +629,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_preprocess)
 
     p = sub.add_parser("sort", help="coordinate-sort a SAM/BAM file "
-                                    "(external merge sort)")
+                                    "(through a store's index)")
     p.add_argument("input", help=".sam or .bam input")
     p.add_argument("--output", required=True,
                    help="output path (same format as input)")
     p.add_argument("--chunk-records", type=int, default=250_000,
-                   help="records per in-memory run")
-    _add_rank_arguments(p, "parallel run-generation ranks (SAM input "
-                           "only)")
+                   help="records per part of the sorted output")
+    _add_rank_arguments(p, "ranks writing the scratch store and the "
+                           "sorted parts")
     p.add_argument("--work-dir", default=None,
-                   help="where intermediate runs are written")
+                   help="where the scratch store and parts are written")
     p.set_defaults(fn=_cmd_sort)
 
     p = sub.add_parser("flagstat", help="flag statistics "

@@ -13,7 +13,8 @@ __all__, __getattr__ = lazy_exports(globals(), {
     "filters": ("ACCEPT_ALL", "RecordFilter", "parse_filter_expr"),
     "region": ("GenomicRegion",),
     "sam_converter": ("SamConverter", "convert_sam", "scan_header"),
-    "sort": ("SortResult", "parallel_sort_sam", "sort_bam", "sort_sam"),
+    "sort": ("SortResult", "parallel_sort_sam", "sort_bam", "sort_file",
+             "sort_sam"),
     "samp_converter": ("PreprocSamConverter",),
     "targets": ("TargetFormat", "get_target", "register_target",
                 "target_names"),

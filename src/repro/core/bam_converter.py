@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -38,21 +38,18 @@ import numpy as np
 from ..errors import ConversionError
 from ..formats.bam import BamReader, raw_slabs, read_header, \
     slab_columns, slab_records
-from ..formats.bamc import slab_from_records
-from ..formats.bamx import BamxLayout
 from ..formats.batch import DEFAULT_BATCH_SIZE, batched
 from ..formats.bgzf import BgzfReader, scan_blocks
 from ..formats.header import SamHeader
-from ..formats.store import concat_columns, encode_slab_part, \
-    index_path_for, open_record_store, open_store_writer, publishing, \
-    store_extension, store_meta, write_indexes
+from ..formats.store import index_path_for, join_store_parts, \
+    open_record_store, publishing, store_extension, store_meta
 from ..runtime import faults
 from ..runtime.autotune import AutoTuner
 from ..runtime.metrics import RankMetrics
 from ..runtime.partition import partition_records
 from ..runtime.tracing import get_tracer
 from .base import ConversionResult, ShardableSpec, Source, \
-    convert_rank, converter_options, execute_rank_tasks, \
+    convert_rank, converter_options, encode_rank, execute_rank_tasks, \
     finish_rank_metrics, make_output_path, run_conversion
 from .filters import ACCEPT_ALL, RecordFilter
 from .region import GenomicRegion
@@ -67,16 +64,15 @@ def preprocess_bam(bam_path: str | os.PathLike[str],
                    store_format: str = "bamx", nprocs: int = 1,
                    executor: str = "simulate") -> RankMetrics:
     """Preprocessing: BAM -> BAMX/BAMZ/BAMC + BAIX on *nprocs* ranks,
-    every BGZF block inflated once (``docs/parallelization.md``):
-    ``scan`` the block boundaries; ``inflate`` block ranges, a rank
-    each, into a spool file beside the store; ``walk`` the
-    ``block_size`` chain over the spool — the serial residue — for the
-    slab cuts every *batch_size* records; ``write``: ``encode`` runs of
-    whole slabs, a rank each — column views over the raw bytes where a
-    slab is provably canonical, decoded records where not
-    (``metrics.fallbacks``), under the capacities the slab itself needs
-    — then append the parts in order under the capacities all of them
-    need; ``index``.  One rank runs the same stages in this process.
+    every BGZF block inflated once (``docs/parallelization.md``): the
+    BAM opened as a spool of slabs (:func:`bam_spool`: ``scan``,
+    ``inflate``, ``walk``); ``encode`` runs of whole slabs, a rank each
+    (:func:`~repro.core.base.encode_rank`: column views over the raw
+    bytes where a slab is provably canonical, decoded records where not
+    — ``metrics.fallbacks``); then ``write`` — the parts appended in
+    order under the capacities all of them need — and ``index``
+    (:func:`~repro.formats.store.join_store_parts`).  One rank runs the
+    same stages in this process.
     Store and sidecars get their final names once all are complete;
     spool and parts never outlive the call.  ``compress=True`` writes
     BGZF-compressed BAMZ (the paper's future-work extension),
@@ -94,62 +90,61 @@ def preprocess_bam(bam_path: str | os.PathLike[str],
                            "store_format": store_format}), \
             publishing(bamx_path, baix_path) as tmp_path:
         spool_path = tmp_path + ".spool"
-        with tracer.span("scan", "bam"):
-            starts, sizes = scan_blocks(bam_path)
-            places = [0, *accumulate(sizes)]
-        # Only now, so an input the scan refuses leaves no directory.
-        os.makedirs(os.path.dirname(bamx_path) or ".", exist_ok=True)
-        with open(spool_path, "wb") as spool:
-            spool.truncate(places[-1])
-        # (An empty file, a header-only BAM: one rank with nothing.)
-        execute_rank_tasks(_inflate_task, [
-            _InflateSpec(bam_path, starts[a], starts[b], spool_path,
-                         places[a])
-            for a, b in _count_pieces(len(sizes), nprocs) or [(0, 0)]],
-            executor, span_name="inflate")
-        with tracer.span("walk", "bam"), open(spool_path, "rb") as spool:
-            # A header length that lies must not size a read.
-            header = read_header(
-                lambda n: spool.read(max(0, min(n, places[-1]))), bam_path)
-            slabs, at = [], spool.tell()
-            for _, offsets in raw_slabs(spool.read, batch_size, bam_path):
-                slabs.append((len(slabs) * batch_size, at, offsets))
-                at += int(offsets[-1])
-        with tracer.span("write", "bam") as span:
-            specs = [
-                _EncodeSpec(spool_path, tuple(slabs[a:b]), header,
-                            store_format, f"{tmp_path}.part{rank:04d}")
-                for rank, (a, b) in enumerate(
-                    _count_pieces(len(slabs), nprocs) or [(0, 0)])]
-            results = execute_rank_tasks(_encode_task, specs, executor,
-                                         span_name="encode")
-            os.unlink(spool_path)
-            layout = reduce(BamxLayout.merge, (
-                need for done in results for *_, need in done),
-                BamxLayout(0, 0, 0, 0))
-            columns = []
-            with open_store_writer(tmp_path, header, layout, store_format,
-                                   compress, level, batch_size) as writer:
-                for spec, done in zip(specs, results):
-                    with open(spec.out_path, "rb") as part:
-                        for nbytes, count, fell_back, placed, need in done:
-                            writer.write_encoded(part.read(nbytes), count,
-                                                 need)
-                            columns.append(placed)
-                            metrics.fallbacks += fell_back
-                    os.unlink(spec.out_path)
-                metrics.records = writer.records_written
-            if span is not None:
-                span.args.update(records=metrics.records,
-                                 fallbacks=metrics.fallbacks)
-        columns = concat_columns(columns)
-        with tracer.span("index", "bam",
-                         args={"entries": len(columns[-1])}):
-            write_indexes(*columns, tmp_path)
+        header, sources = bam_spool(bam_path, spool_path, nprocs, executor,
+                                    batch_size)
+        done = execute_rank_tasks(
+            encode_rank, [(source, f"{tmp_path}.part{rank:04d}",
+                           store_format)
+                          for rank, source in enumerate(sources)],
+            executor, span_name="encode")
+        os.unlink(spool_path)
+        join_store_parts(tmp_path, header, [
+            (f"{tmp_path}.part{rank:04d}", slabs)
+            for rank, (_, slabs) in enumerate(done)],
+            store_format, compress, level, batch_size)
+        for rank_metrics, _ in done:
+            metrics.records += rank_metrics.records
+            metrics.fallbacks += rank_metrics.fallbacks
     metrics.bytes_read = os.path.getsize(bam_path)
     metrics.bytes_written = os.path.getsize(bamx_path) + os.path.getsize(
         baix_path if baix_path is not None else index_path_for(bamx_path))
     return finish_rank_metrics(metrics, t0)
+
+
+def bam_spool(bam_path: str, spool_path: str, nprocs: int, executor: str,
+              batch_size: int = DEFAULT_BATCH_SIZE,
+              ) -> tuple[SamHeader, list[Callable]]:
+    """A BAM opened as *nprocs* sources, every BGZF block inflated
+    once: ``scan`` the block boundaries; ``inflate`` block ranges, a
+    rank each, into the file *spool_path*; ``walk`` the ``block_size``
+    chain over it — the serial residue — for slab cuts every
+    *batch_size* records.  Returns the header and one
+    :func:`spool_source` opener per rank (runs of whole slabs); the
+    spool is the caller's to remove."""
+    tracer = get_tracer()
+    with tracer.span("scan", "bam"):
+        starts, sizes = scan_blocks(bam_path)
+        places = [0, *accumulate(sizes)]
+    # Only now, so an input the scan refuses leaves no directory.
+    os.makedirs(os.path.dirname(spool_path) or ".", exist_ok=True)
+    with open(spool_path, "wb") as spool:
+        spool.truncate(places[-1])
+    # (An empty file, a header-only BAM: one rank with nothing.)
+    execute_rank_tasks(_inflate_task, [
+        _InflateSpec(bam_path, starts[a], starts[b], spool_path, places[a])
+        for a, b in _count_pieces(len(sizes), nprocs) or [(0, 0)]],
+        executor, span_name="inflate")
+    with tracer.span("walk", "bam"), open(spool_path, "rb") as spool:
+        # A header length that lies must not size a read.
+        header = read_header(
+            lambda n: spool.read(max(0, min(n, places[-1]))), bam_path)
+        slabs, at = [], spool.tell()
+        for _, offsets in raw_slabs(spool.read, batch_size, bam_path):
+            slabs.append((at, offsets))
+            at += int(offsets[-1])
+    return header, [
+        partial(spool_source, spool_path, tuple(slabs[a:b]), header)
+        for a, b in _count_pieces(len(slabs), nprocs) or [(0, 0)]]
 
 
 class _InflateSpec(NamedTuple):
@@ -171,38 +166,28 @@ def _inflate_task(spec: _InflateSpec) -> None:
             spool.write(chunk)
 
 
-class _EncodeSpec(NamedTuple):
-    """One rank's run of whole slabs — ``(first record index, spool
-    offset, record offsets)`` each — to encode into a part file."""
-
-    spool_path: str
-    slabs: tuple
-    header: SamHeader
-    store_format: str
-    out_path: str
-
-
-def _encode_task(spec: _EncodeSpec) -> list[tuple]:
-    """Returns, per slab, ``(part bytes, records, fell back, index
-    columns, capacities encoded under)``."""
+@contextmanager
+def spool_source(spool_path: str, slabs: tuple, header: SamHeader,
+                 metrics: RankMetrics) -> Iterator[Source]:
+    """Slabs of an inflated BAM's records — ``(spool offset, record
+    offsets)`` each, as the walk cut them — as a :class:`Source`: the
+    raw records as column views where a slab is provably canonical
+    (:func:`~repro.formats.bam.slab_columns`), decoded where not."""
     faults.fire("preprocess.rank")
-    done = []
-    with open(spec.spool_path, "rb") as spool, \
-            open(spec.out_path, "wb") as part:
-        for first, at, offsets in spec.slabs:
-            buf = np.empty(int(offsets[-1]), np.uint8)
-            spool.seek(at)
-            if spool.readinto(buf) != len(buf):
-                raise ConversionError("preprocessing spool is truncated")
-            slab = slab_columns(buf, offsets, len(spec.header.references))
-            fell_back = slab is None
-            if fell_back:
-                slab = slab_from_records(
-                    slab_records(buf, offsets, spec.header), spec.header)
-            data, need = encode_slab_part(slab, spec.store_format)
-            done.append((part.write(data), slab.count, fell_back,
-                         slab.placed(first), need))
-    return done
+    n_ref = len(header.references)
+    with open(spool_path, "rb") as spool:
+        def chunks() -> Iterator[tuple]:
+            for at, offsets in slabs:
+                buf = np.empty(int(offsets[-1]), np.uint8)
+                spool.seek(at)
+                if spool.readinto(buf) != len(buf):
+                    raise ConversionError("preprocessing spool is truncated")
+                metrics.bytes_read += len(buf)
+                yield buf, offsets
+
+        yield Source(header, chunks(),
+                     lambda chunk: slab_columns(*chunk, n_ref),
+                     lambda chunk: slab_records(*chunk, header))
 
 
 @dataclass(frozen=True, slots=True)
@@ -323,10 +308,11 @@ class BamxRangeSpec(ShardableSpec):
 
 @dataclass(frozen=True, slots=True)
 class BamxPickSpec(ShardableSpec):
-    """One rank's explicit record indices (partial conversion)."""
+    """One rank's explicit record indices, in output order (partial
+    conversion; a sort's gather, whose indices are an array)."""
 
     bamx_path: str
-    indices: tuple[int, ...]
+    indices: Sequence[int]
     target: str
     out_path: str
     record_filter: RecordFilter = ACCEPT_ALL

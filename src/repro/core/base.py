@@ -18,6 +18,9 @@ common machinery, each job done once:
   are its two loops);
 * :func:`run_fold` / :func:`fold_rank` — the same sources, folded into
   a statistic (flagstat, the coverage histogram) instead of converted;
+* :func:`encode_rank` — the same sources, encoded into the ordered part
+  files of a store that :func:`~repro.formats.store.join_store_parts`
+  joins: the one way a store is written (preprocessing, sort);
 * :class:`ConversionResult` — what every converter returns: output
   paths, per-rank metrics (feeding the cluster model), record counts.
 
@@ -42,12 +45,16 @@ import numpy as np
 
 from ..defaults import DEFAULT_BATCH_SIZE, EXECUTORS
 from ..errors import BamxFormatError, ConversionError, RuntimeLayerError
+from ..formats.bamc import slab_from_records
 from ..formats.batch import PIPELINES, convert_records
+from ..formats.bgzf import EOF_MARKER
 from ..formats.header import SamHeader
 from ..formats.kernels import KernelFallback, kernel_emitter_for
 from ..formats.record import AlignmentRecord
 from ..formats.registry import source_kind
-from ..formats.store import open_record_store, store_extension
+from ..formats.sam import TextSlab
+from ..formats.store import encode_slab_part, open_record_store, \
+    store_extension
 from ..runtime.autotune import AUTO, JobTuning
 from ..runtime.buffers import BufferedTextWriter
 from ..runtime.executor import get_shared_executor
@@ -410,17 +417,25 @@ class ShardableSpec:
 def merge_shard_outputs(out_path: str, shard_specs: Sequence[Any],
                         shard_metrics: Sequence[RankMetrics],
                         ) -> RankMetrics:
-    """Ordered reducer: concatenate shard part files into *out_path*.
+    """The one reducer of part files: concatenate them into *out_path*.
 
-    Shard files are appended in shard order (shard 0 carries the header)
-    and removed afterwards, so the rank's output file is byte-identical
-    to the one an unsharded rank task would have written.  Returns the
-    rank-level metrics fold of *shard_metrics*.
+    Parts are appended in order (the first carries the header) and
+    removed afterwards, so a rank's sharded text output is
+    byte-identical to the one an unsharded rank task would have
+    written.  A binary target's part is a BGZF stream, and BGZF members
+    concatenate: every part but the last loses its EOF marker.  Returns
+    the metrics fold of *shard_metrics*.
     """
+    last = len(shard_specs) - 1
     with open(out_path, "wb") as dst:
-        for shard in shard_specs:
+        for i, shard in enumerate(shard_specs):
             with open(shard.out_path, "rb") as src:
                 shutil.copyfileobj(src, dst)
+                if i < last and src.tell() >= len(EOF_MARKER):
+                    src.seek(-len(EOF_MARKER), os.SEEK_END)
+                    if src.read() == EOF_MARKER:
+                        dst.seek(-len(EOF_MARKER), os.SEEK_END)
+                        dst.truncate()
             os.remove(shard.out_path)
     return RankMetrics.merge_shards(list(shard_metrics))
 
@@ -495,7 +510,8 @@ def convert_rank(spec: Any) -> RankMetrics:
             write_bam_records(
                 spec.out_path, header, record_filter.apply(
                     chain.from_iterable(map(source.records,
-                                            source.chunks))), metrics)
+                                            source.chunks))), metrics,
+                spec.write_header)
         else:
             write_text_chunks(
                 spec, target, header, source.chunks, convert_chunk,
@@ -503,6 +519,38 @@ def convert_rank(spec: Any) -> RankMetrics:
                 {"kernel": emit is not None} if batch else None,
                 source.fallback_field if batch else None)
     return finish_rank_metrics(metrics, t0)
+
+
+def encode_rank(spec: tuple) -> tuple[RankMetrics, list[tuple]]:
+    """One rank of every store write (module-level, so the process pool
+    can pickle it).  *spec* is ``(source, part_path, store_format)``:
+    ``source(metrics)`` opens the rank's :class:`Source`, and each chunk
+    — as the source's column slab, a proven SAM text slab BAM-encoded
+    (:meth:`~repro.formats.sam.TextSlab.column_slab`), or else its
+    records (counted in ``fallbacks``) — is encoded under the tightest
+    layout that holds it and appended to the part file *part_path*.
+    Returns the metrics and, per slab, ``(bytes, records, index
+    columns, layout)``: what :func:`~repro.formats.store.
+    join_store_parts` joins the parts of all ranks with."""
+    t0 = time.perf_counter()
+    metrics = RankMetrics()
+    open_source, part_path, store_format = spec
+    done = []
+    with open_source(metrics) as source, open(part_path, "wb") as part:
+        header = source.header
+        for chunk in source.chunks:
+            slab = source.columns(chunk) if source.columns else None
+            if isinstance(slab, TextSlab):
+                slab = slab.column_slab(header)
+            if slab is None:
+                metrics.fallbacks += 1
+                slab = slab_from_records(list(source.records(chunk)),
+                                         header)
+            data, need = encode_slab_part(slab, store_format)
+            done.append((part.write(data), slab.count, slab.placed(0),
+                         need))
+            metrics.records += slab.count
+    return finish_rank_metrics(metrics, t0), done
 
 
 def fold_rank(spec: tuple) -> tuple[RankMetrics, Any]:
@@ -655,10 +703,13 @@ def write_text_chunks(spec: Any, target: TargetFormat, header: SamHeader,
 
 def write_bam_records(out_path: str, header: SamHeader,
                       records: Iterable[AlignmentRecord],
-                      metrics: RankMetrics) -> None:
-    """Write *records* as one complete binary BAM part file."""
+                      metrics: RankMetrics, write_header: bool = True,
+                      ) -> None:
+    """Write *records* as one binary BAM part file: a complete BAM, or
+    without *write_header* the BGZF blocks of records that join after
+    a part that has it (:func:`merge_shard_outputs`)."""
     from ..formats.bam import BamWriter
-    writer = BamWriter(out_path, header)
+    writer = BamWriter(out_path, header, write_header=write_header)
     emitted = 0
     for record in records:
         writer.write(record)

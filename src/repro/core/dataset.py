@@ -111,11 +111,8 @@ class AlignmentDataset:
     def sorted(self, out_path: str | os.PathLike[str],
                chunk_records: int = 250_000) -> "AlignmentDataset":
         """Coordinate-sort into *out_path*; returns the new dataset."""
-        from .sort import sort_bam, sort_sam
-        if self.kind == "bam":
-            sort_bam(self.path, out_path, chunk_records)
-        else:
-            sort_sam(self.path, out_path, chunk_records)
+        from .sort import sort_file
+        sort_file(self.path, out_path, chunk_records=chunk_records)
         return AlignmentDataset.open(out_path)
 
     def convert(self, target: str, out_dir: str | os.PathLike[str],

@@ -75,17 +75,26 @@ def partition_alignments(path: str | os.PathLike[str], nprocs: int,
 def _line_slabs(reader: RangeLineReader,
                 batch_size: int) -> Iterator[tuple[int, bytes]]:
     """Cut the reader's blocks by newline position into ``(file
-    offset, bytes)`` slabs of up to *batch_size* whole lines: what one
+    offset, bytes)`` slabs of *batch_size* whole lines (the last may be
+    short; a block's tail is carried into the next): what one
     ``slab_columns`` call takes — its temporaries are several times
-    the slab's bytes, so never a whole read chunk."""
+    the slab's bytes, so never a whole read chunk — and, cut the same
+    way as a BAM's, the slabs of a store written from the range."""
+    pending, at, lines = b"", 0, 0
     for offset, block in reader.iter_blocks():
-        newlines = np.flatnonzero(np.frombuffer(block, np.uint8) == 10)
-        cuts = [0, *(newlines[batch_size - 1::batch_size] + 1).tolist()]
-        if cuts[-1] != len(block):
-            cuts.append(len(block))
-        for lo, hi in zip(cuts, cuts[1:]):
+        if not pending:
+            at = offset
+        ends = np.flatnonzero(np.frombuffer(block, np.uint8) == 10) + 1
+        lo = 0
+        for hi in ends[batch_size - lines - 1::batch_size].tolist():
             faults.fire("shard.batch")
-            yield offset + lo, block[lo:hi]
+            yield at, pending + block[lo:hi]
+            pending, lo, at = b"", hi, offset + hi
+        pending += block[lo:]
+        lines = (lines + len(ends)) % batch_size
+    if pending:
+        faults.fire("shard.batch")
+        yield at, pending
 
 
 def _slab_lines(data: bytes) -> list[str]:

@@ -19,29 +19,26 @@ import time
 from dataclasses import dataclass
 
 from ..errors import ConversionError
-from ..formats.bamx import plan_layout
-from ..formats.batch import DEFAULT_BATCH_SIZE, parse_sam_lines
+from ..formats.batch import DEFAULT_BATCH_SIZE
 from ..formats.header import SamHeader
-from ..formats.store import index_path_for, open_store_writer, \
-    publishing, store_extension, write_indexes, write_store_records
+from ..formats.store import index_path_for, join_store_parts, \
+    publishing, store_extension
 from ..runtime.autotune import AutoTuner
-from ..runtime.buffers import RangeLineReader
 from ..runtime.metrics import RankMetrics
 from ..runtime.tracing import get_tracer
-from .base import ConversionResult, converter_options, \
+from .base import ConversionResult, converter_options, encode_rank, \
     finish_rank_metrics, run_conversion
 from .bam_converter import BamConverter
-from .sam_converter import partition_alignments, scan_header
+from .sam_converter import partition_alignments, sam_source, scan_header
 
 
 @dataclass(frozen=True, slots=True)
 class PreprocessSpec:
-    """One preprocessing rank: SAM byte range -> one BAMX/BAIX pair.
+    """One preprocessing rank: SAM byte range -> one store + BAIX pair.
 
-    It offers no ``split``: the store's layout is planned over the
-    whole rank, so shards could only parse and send their records home
-    to be written serially — measured slower on every executor
-    (``docs/parallelization.md``)."""
+    It offers no ``split``: the rank's store is joined from its one
+    part, and shards that parsed and sent their records home measured
+    slower on every executor (``docs/parallelization.md``)."""
 
     sam_path: str
     start: int
@@ -61,42 +58,29 @@ class PreprocessSpec:
         """Relative shard size: bytes of SAM text to parse."""
         return float(self.end - self.start)
 
+    def open(self, metrics: RankMetrics):
+        """The byte range as a :func:`sam_source`."""
+        return sam_source(self.sam_path, self.start, self.end,
+                          self.header_text, metrics, self.read_chunk,
+                          self.batch_size)
+
 
 def _preprocess_rank_task(spec: PreprocessSpec) -> RankMetrics:
-    """Parse one SAM partition and write it as an aligned BAMX file
-    with its indexes.
-
-    The rank's records are held in memory between the layout-planning
-    pass and the write pass; with the even partitioning of Algorithm 1
-    each rank holds ~1/M of the dataset, which is the same working-set
-    assumption the paper's in-memory buffers make.
-    """
+    """Write one SAM partition as a store of its own (Fig. 5): the
+    store write every preprocessor shares, with this rank as its only
+    encoder — :func:`~repro.core.base.encode_rank` into a part, then
+    :func:`~repro.formats.store.join_store_parts`."""
     t0 = time.perf_counter()
-    metrics = RankMetrics()
-    tracer = get_tracer()
-    reader = RangeLineReader(spec.sam_path, spec.start, spec.end,
-                             chunk_size=spec.read_chunk, metrics=metrics)
-    records: list = []
-    with tracer.span("parse", "samp",
-                     args={"batch_size": spec.batch_size}):
-        for lines in reader.iter_batches(spec.batch_size):
-            records.extend(parse_sam_lines(lines))
-    metrics.records = metrics.emitted = len(records)
-    header = SamHeader.from_text(spec.header_text)
-    layout = plan_layout(records)
     with publishing(spec.bamx_path) as tmp_path:
-        with tracer.span("write", "samp",
-                         args={"records": len(records)}), \
-                open_store_writer(tmp_path, header, layout,
-                                  spec.store_format,
-                                  slab_records=spec.batch_size) as writer, \
-                tracer.span("batch.encode", "samp",
-                            args={"batch_size": spec.batch_size}):
-            columns = write_store_records(writer, records,
-                                          spec.batch_size)
-        with tracer.span("index", "samp",
-                         args={"entries": len(columns[-1])}):
-            write_indexes(*columns, tmp_path)
+        part = tmp_path + ".part"
+        with get_tracer().span("parse", "samp",
+                               args={"batch_size": spec.batch_size}):
+            metrics, slabs = encode_rank((spec.open, part,
+                                          spec.store_format))
+        join_store_parts(tmp_path, SamHeader.from_text(spec.header_text),
+                         [(part, slabs)], spec.store_format,
+                         slab_records=spec.batch_size)
+    metrics.emitted = metrics.records
     metrics.bytes_written += (
         os.path.getsize(spec.bamx_path)
         + os.path.getsize(index_path_for(spec.bamx_path)))

@@ -156,9 +156,12 @@ class BamWriter:
     """Write a BAM file: header block, then alignments in call order."""
 
     def __init__(self, target: str | os.PathLike[str], header: SamHeader,
-                 level: int = 6) -> None:
+                 level: int = 6, write_header: bool = True) -> None:
         self._bgzf = BgzfWriter(target, level=level)
         self.header = header
+        self.records_written = 0
+        if not write_header:    # a part to be joined after one that has it
+            return
         text = header.to_text().encode("ascii")
         out = bytearray(MAGIC)
         out += struct.pack("<i", len(text))
@@ -170,7 +173,6 @@ class BamWriter:
             out += name
             out += struct.pack("<i", ref.length)
         self._bgzf.write(bytes(out))
-        self.records_written = 0
 
     def __enter__(self) -> "BamWriter":
         return self

@@ -8,7 +8,8 @@ spec-conforming line (this round-trip is property-tested).
 :func:`slab_columns` is the way past records: a block of lines proven
 canonical becomes a :class:`TextSlab` — numeric columns as arrays, and
 the text accessors the :mod:`.kernels` emitters read of any slab,
-answered by slicing the block.
+answered by slicing the block — which :meth:`TextSlab.column_slab`
+BAM-encodes into the slab a store is written from.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from itertools import chain
 import numpy as np
 
 from ..errors import SamFormatError
+from .bamc import ColumnSlab
 from .cigar import CIGAR_OPS, REF_CONSUMING, format_cigar, parse_cigar
 from .header import SamHeader
 from .ragged import ragged_index, segment_sums
 from .record import UNMAPPED_POS, AlignmentRecord
-from .seq import reverse_complement
-from .tags import format_tags, parse_tags
+from .seq import NYBBLE_ALPHABET, reverse_complement
+from .tags import encode_tag, format_tags, parse_tag, parse_tags
 
 #: Number of mandatory columns in a SAM alignment line.
 MANDATORY_COLUMNS = 11
@@ -299,6 +301,88 @@ class TextSlab:
         return [text[a:b] for a, b in zip(self.lo[0][idx].tolist(),
                                           self.line_hi[idx].tolist())]
 
+    def column_slab(self, header: SamHeader) -> ColumnSlab | None:
+        """The lines BAM-encoded: the :class:`~.bamc.ColumnSlab`
+        ``slab_from_records`` makes of their records, the text read
+        through table lookups — or ``None`` where a value has no BAM
+        encoding (a reference missing from *header*, a SEQ byte outside
+        ``=ACMGRSVTWYHKDBN``, a number wider than its field), for the
+        record path to report."""
+        raw = self.text.encode("ascii")
+        a = np.frombuffer(raw, np.uint8)
+        ids = {"*": -1, **{ref.name: i
+                           for i, ref in enumerate(header.references)}}
+        try:
+            own = [ids[name] for name in self.column(2)]
+            mate = [o if name == "=" else ids[name]
+                    for o, name in zip(own, self.column(6))]
+            tags = _tag_blocks(self.text, self.tags_lo, self.line_hi)
+        except (KeyError, SamFormatError):
+            return None
+        wide = (self.pos, self.end_pos, self.pnext, self.tlen)
+        if max(int(c.max()) for c in wide) > _INT32_MAX \
+                or int(self.tlen.min()) < -_INT32_MAX - 1 \
+                or int(self.flag.max()) > 0xFFFF \
+                or int(self.mapq.max()) > 0xFF:
+            return None
+        l_seq, packed = self.l_seq, (self.l_seq + 1) // 2
+        bases = _NYBBLE[a[ragged_index(self.lo[9], l_seq, np.int64)]]
+        if (bases > 15).any():
+            return None
+        seq_hi = np.cumsum(packed)
+        nybbles = np.zeros(2 * int(seq_hi[-1]), np.uint8)
+        nybbles[ragged_index(2 * (seq_hi - packed), l_seq, np.int64)] = bases
+        qlo = self.lo[10]
+        given = ~((self.hi[10] - qlo == 1) & (a[qlo] == 42))
+        qual = np.full(int(l_seq.sum()), 0xFF, np.uint8)
+        qual[np.repeat(given, l_seq)] = a[ragged_index(
+            qlo[given], l_seq[given], np.int64)].clip(33) - 33
+        words, n_ops = _cigar_words(a, self.lo[5], self.hi[5])
+        tag_len = [len(block) for block in tags]
+        if int(n_ops.max()) > 0xFFFF or max(tag_len) > 0xFFFF:
+            return None
+        bounds = [np.concatenate(([0], np.cumsum(n)))
+                  for n in (4 * n_ops, packed, l_seq, tag_len)]
+        return ColumnSlab(
+            -1, self.count, np.array(own, np.int32), self.pos, self.end_pos,
+            np.array(mate, np.int32), self.pnext, self.tlen, l_seq,
+            self.flag, self.mapq, self.lo[0], self.hi[0],
+            *(edge for b in bounds for edge in (b[:-1], b[1:])), raw,
+            words.tobytes(), (nybbles[0::2] << 4 | nybbles[1::2]).tobytes(),
+            qual.tobytes(), b"".join(tags))
+
+
+def _tag_blocks(text: str, lo: np.ndarray, hi: np.ndarray) -> list[bytes]:
+    """BAM tag block of each tab-joined tag text ``text[lo:hi]``, every
+    distinct field encoded once."""
+    encoded: dict[str, bytes] = {}
+
+    def field(f: str) -> bytes:
+        if f not in encoded:
+            encoded[f] = encode_tag(parse_tag(f))
+        return encoded[f]
+
+    return [b"".join([field(f) for f in text[a:b].split("\t")]) if b > a
+            else b"" for a, b in zip(lo.tolist(), hi.tolist())]
+
+
+def _cigar_words(a: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """BAM-packed words (``len << 4 | op``) of the proven CIGARs
+    ``a[lo:hi]``, and each one's operation count (``*``: none)."""
+    width = np.where((hi - lo == 1) & (a[lo] == 42), 0, hi - lo)
+    c = a[ragged_index(lo, width, np.int64)]
+    is_op = _CIGAR_CLASS[c] > 1
+    ops = np.flatnonzero(is_op)
+    if not len(ops):
+        return np.zeros(0, "<u4"), np.zeros(len(lo), np.int64)
+    nxt = ops[np.cumsum(is_op) - is_op]      # each byte's operation
+    digits = np.where(is_op, 0, c.astype(np.int64) - 48) \
+        * _POW10[np.maximum(nxt - np.arange(len(c)) - 1, 0)]
+    lengths = np.add.reduceat(digits, np.concatenate(([0], ops[:-1] + 1)))
+    return ((lengths << 4) | _OP_CODE[c[ops]]).astype("<u4"), \
+        segment_sums(is_op, width)
+
 
 #: Byte classes of CIGAR text: 1 digit, 2 operation, 3 operation that
 #: consumes the reference, 0 anything else.
@@ -315,6 +399,14 @@ _HEX[48:58] = _HEX[65:71] = True
 _TAG_TYPE = np.zeros(256, bool)
 _TAG_TYPE[[65, 72, 90, 105]] = True          # A H Z i
 _POW10 = 10 ** np.arange(10, dtype=np.int64)
+#: BAM code of each CIGAR operation byte; 4-bit code of each SEQ byte
+#: (either case), 16 for a byte that has none.
+_OP_CODE = np.zeros(256, np.int64)
+_OP_CODE[[ord(op) for op in CIGAR_OPS]] = np.arange(len(CIGAR_OPS))
+_NYBBLE = np.full(256, 16, np.uint8)
+for _code, _base in enumerate(NYBBLE_ALPHABET):
+    _NYBBLE[[ord(_base), ord(_base.lower())]] = _code
+_INT32_MAX = (1 << 31) - 1
 
 
 def _decimals(a: np.ndarray, lo: np.ndarray,

@@ -9,10 +9,11 @@ slabs, which BAMC holds and BAMX/BAMZ rows decode to.  Callers use
 the store.  Everything else that depends on the physical format lives
 here too, one row per store:
 
-* :func:`open_store_writer` / :func:`encode_slab_part` /
-  :func:`write_store_records` / :func:`write_indexes` /
-  :func:`publishing` — how the preprocessors write a store and its
-  BAIX/BAIX2 sidecars, and make them appear atomically;
+* :func:`encode_slab_part` / :func:`join_store_parts` /
+  :func:`publishing` — the one way a store and its BAIX/BAIX2 sidecars
+  are written: ranks encode slabs into ordered part files, one reducer
+  appends them under the capacities all need, and the files appear
+  atomically;
 * :func:`index_path_for` / :func:`store_meta` — how partial conversion
   finds a store's index and queries it: header and index stay resident
   per file identity, so a warm query pays for its records only.
@@ -26,27 +27,27 @@ import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, suppress
+from functools import reduce
 from typing import Any, NamedTuple, Union
 
 import numpy as np
 
-from ..defaults import STORE_FORMATS
+from ..defaults import DEFAULT_BATCH_SIZE, STORE_FORMATS
 from ..errors import BamxFormatError
 from ..runtime.buffers import file_identity, settled
+from ..runtime.tracing import get_tracer
 from . import baix as _baix
 from . import baix2 as _baix2
 from . import bamc as _bamc
 from . import bamx as _bamx
 from . import bamz as _bamz
 from .baix import BaixIndex
-from .baix2 import BaixOverlapIndex, record_columns
+from .baix2 import BaixOverlapIndex
 from .bamc import BamcReader, BamcWriter
 from .bamx import BamxLayout, BamxReader, BamxWriter
 from .bamz import BamzReader, BamzWriter
-from .batch import DEFAULT_BATCH_SIZE, batched
 from .bgzf import is_bgzf
 from .header import SamHeader
-from .record import AlignmentRecord
 
 RecordStore = Union[BamxReader, BamzReader, BamcReader]
 
@@ -174,21 +175,39 @@ def encode_slab_part(slab: _bamc.ColumnSlab, store_format: str = "bamx",
             else need.encode_slab(slab)), need
 
 
-def write_store_records(writer: BamxWriter | BamzWriter | BamcWriter,
-                        records: Iterable[AlignmentRecord],
-                        batch_size: int) -> tuple:
-    """Append *records* in batches of *batch_size*; returns the
-    ``(ref_ids, starts, ends, indices)`` columns of the placed ones,
-    which is all :func:`write_indexes` needs of them."""
-    return concat_columns([record_columns(
-        enumerate(chunk, writer.write_batch(chunk)), writer.header)
-        for chunk in batched(records, batch_size)])
-
-
-def concat_columns(parts: list[tuple]) -> tuple:
-    """Join per-batch ``(ref_ids, starts, ends, indices)`` columns."""
-    return tuple(np.concatenate(column) for column in zip(*parts)) \
-        if parts else ((), (), (), ())
+def join_store_parts(store_path: str, header: SamHeader,
+                     parts: Iterable[tuple[str, list[tuple]]],
+                     store_format: str = "bamx", compress: bool = False,
+                     level: int = 6,
+                     slab_records: int = DEFAULT_BATCH_SIZE) -> int:
+    """The reducer of every store write: append the part files of
+    *parts* — ``(path, slabs)`` in record order, each slab ``(bytes,
+    records, index columns, layout)`` as :func:`encode_slab_part` made
+    it — into one store at *store_path* under the capacities all the
+    slabs need, removing each part once copied; then build the
+    BAIX/BAIX2 sidecars from the slabs' index columns (numbered from 0
+    in their slab).  Returns the records written."""
+    parts = list(parts)
+    layout = reduce(BamxLayout.merge, (need for _, slabs in parts
+                                       for *_, need in slabs),
+                    BamxLayout(0, 0, 0, 0))
+    columns = []
+    tracer = get_tracer()
+    with tracer.span("write", "store", args={"parts": len(parts)}), \
+            open_store_writer(store_path, header, layout, store_format,
+                              compress, level, slab_records) as writer:
+        for path, slabs in parts:
+            with open(path, "rb") as part:
+                for nbytes, count, placed, need in slabs:
+                    first = writer.write_encoded(part.read(nbytes), count,
+                                                 need)
+                    columns.append((*placed[:3], placed[3] + first))
+            os.unlink(path)
+    columns = tuple(np.concatenate(column) for column in zip(*columns)) \
+        if columns else ((), (), (), ())
+    with tracer.span("index", "store", args={"entries": len(columns[-1])}):
+        write_indexes(*columns, store_path)
+    return writer.records_written
 
 
 @contextmanager

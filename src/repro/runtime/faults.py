@@ -58,7 +58,7 @@ POINTS = (
     "scheduler.attempt",  # WorkerPool, at the start of each attempt
     "gateway.dispatch",   # Dispatcher.dispatch, before op routing
     "shard.batch",        # SAM converter, once per slab of lines
-    "preprocess.rank",    # BAM preprocessing, each inflate/encode rank
+    "preprocess.rank",    # a BAM opened on ranks, each inflate/encode rank
 )
 
 #: Fault kinds a point can be armed with.

@@ -20,14 +20,12 @@ def test_all_rank_specs_are_picklable(sam_file, bam_file, tmp_path):
     from repro.core.bam_converter import BamxPickSpec, BamxRangeSpec
     from repro.core.sam_converter import SamRankSpec
     from repro.core.samp_converter import PreprocessSpec
-    from repro.core.sort import SortRankSpec
     f = RecordFilter(min_mapq=30, primary_only=True)
     specs = [
         SamRankSpec(sam_file, 0, 10, "bed", "/tmp/x.bed", "", 4096, f),
         BamxRangeSpec("x.bamx", 0, 5, "sam", "/tmp/x.sam", f),
         BamxPickSpec("x.bamx", (1, 2, 3), "sam", "/tmp/x.sam", f),
         PreprocessSpec(sam_file, 0, 10, "/tmp/x.bamx", "", 4096),
-        SortRankSpec(sam_file, 0, 10, "/tmp/run.sam", ""),
     ]
     for spec in specs:
         assert pickle.loads(pickle.dumps(spec)) == spec

@@ -1,11 +1,16 @@
 """Tests for the external coordinate sort (samtools-sort substitute)."""
 
+import gzip
+import os
+
 import pytest
 
-from repro.core.sort import merge_runs, parallel_sort_sam, sort_bam, \
+from repro.core import EXECUTORS
+from repro.core.sort import parallel_sort_sam, sort_bam, sort_file, \
     sort_key, sort_sam
 from repro.errors import ConversionError
 from repro.formats.bam import read_bam, write_bam
+from repro.formats.bgzf import EOF_MARKER
 from repro.formats.sam import read_sam, write_sam
 
 
@@ -99,20 +104,61 @@ def test_parallel_sort_matches_sequential(unsorted_sam, tmp_path):
         assert open(par.output).read() == open(seq.output).read()
 
 
-def test_merge_runs_order(tmp_path, header):
-    from repro.formats.sam import SamWriter, parse_alignment
-    run_a = tmp_path / "a.sam"
-    run_b = tmp_path / "b.sam"
-    with SamWriter(run_a) as w:
-        w.write(parse_alignment(
-            "a\t0\tchr1\t10\t60\t4M\t*\t0\t0\tACGT\tIIII"))
-        w.write(parse_alignment(
-            "c\t0\tchr1\t30\t60\t4M\t*\t0\t0\tACGT\tIIII"))
-    with SamWriter(run_b) as w:
-        w.write(parse_alignment(
-            "b\t0\tchr1\t20\t60\t4M\t*\t0\t0\tACGT\tIIII"))
-    merged = list(merge_runs([str(run_a), str(run_b)], header))
-    assert [r.qname for r in merged] == ["a", "b", "c"]
+def test_one_sort_for_every_input(unsorted_workload, tmp_path):
+    """SAM and BAM input through the one planner, nprocs {1, 2, 3} x
+    executors x part sizes: a SAM sorts to the same bytes, a BAM to the
+    same records, both the stable sort of the input; a BAM's parts join
+    into one BGZF stream with one EOF marker that stdlib gzip reads
+    whole; the scratch directory goes."""
+    _, header, records = unsorted_workload
+    want = sorted(records, key=lambda r: sort_key(r, header))
+    sam, bam = tmp_path / "u.sam", tmp_path / "u.bam"
+    write_sam(sam, header, records)
+    write_bam(bam, header, records)
+    base = sort_sam(sam, tmp_path / "base.sam").output
+    assert read_sam(base)[1] == want
+    work = tmp_path / "w"
+    for nprocs in (1, 2, 3):
+        for executor in EXECUTORS:
+            for chunk in (7, 10 ** 6):
+                out = tmp_path / "s.sam"
+                sort_file(sam, out, nprocs, executor, work, chunk)
+                assert out.read_bytes() == open(base, "rb").read()
+                out = tmp_path / "s.bam"
+                result, _ = sort_file(bam, out, nprocs, executor, work,
+                                      chunk)
+                assert result.runs == (0 if chunk > len(records)
+                                       and nprocs == 1 else
+                                       max(nprocs, -(-len(records) // chunk)))
+                out_header, got = read_bam(out)
+                assert got == want and out_header.sort_order == "coordinate"
+                raw = out.read_bytes()
+                assert raw.endswith(EOF_MARKER)
+                assert raw.count(EOF_MARKER) == 1
+                assert gzip.decompress(raw).startswith(b"BAM\x01")
+                assert os.listdir(work) == []
+
+
+def test_a_failed_sort_leaves_no_output(unsorted_sam, tmp_path):
+    """A record the store cannot hold fails the sort with the typed
+    error; no output, temporary name or scratch file is left, and an
+    output already there is untouched."""
+    from repro.errors import SamFormatError
+    path, _, _ = unsorted_sam
+    bad = tmp_path / "bad.sam"
+    bad.write_text(open(path).read()
+                   + "x\t0\tchrNone\t5\t60\t4M\t*\t0\t0\tACGT\tIIII\n")
+    out, work = tmp_path / "out", tmp_path / "w"
+    out.mkdir()
+    for nprocs in (1, 3):
+        with pytest.raises(SamFormatError, match="chrNone"):
+            sort_file(bad, out / "s.sam", nprocs, work_dir=work)
+        assert os.listdir(out) == [] and os.listdir(work) == []
+    (out / "s.sam").write_text("kept")
+    with pytest.raises(SamFormatError):
+        sort_file(bad, out / "s.sam", 2, work_dir=work)
+    assert os.listdir(out) == ["s.sam"]
+    assert (out / "s.sam").read_text() == "kept"
 
 
 def test_invalid_parameters(unsorted_sam, tmp_path):

@@ -11,8 +11,9 @@ runs first or last.  Every measurement is its own subprocess (fresh
 interpreter; imports, numpy and the worker pool warmed on a small BAM
 before the clock starts) and runs the phase twice: untraced for the
 phase seconds, traced for the stage split — ``scan``, ``inflate``,
-``walk``, ``encode``, ``append`` (the ``write`` stage less its
-``encode`` ranks), ``index`` — as measured wall, a rank stage taken
+``walk``, ``encode``, ``append`` (the ``write`` stage, less the
+``encode`` ranks in a tree whose ``write`` holds them), ``index`` — as
+measured wall, a rank stage taken
 from its first rank's start to its last rank's end.  Nothing is
 modelled.
 
@@ -69,14 +70,17 @@ def _stage_split(spans: list) -> dict[str, float]:
     """Measured wall of every stage of one traced preprocess (a tree
     without these stages — the parent's two passes — gives its own
     ``plan``/``write``/``index``)."""
+    def first(name: str) -> float:
+        return min(s.start for s in spans if s.name == name)
+
     def wall(name: str) -> float:
-        found = [s for s in spans if s.name == name]
-        return max(s.end for s in found) - min(s.start for s in found)
+        return max(s.end for s in spans if s.name == name) - first(name)
     names = {s.name for s in spans}
     split = {name: wall(name) for name in (*STAGES, "plan", "write")
              if name in names}
     if "encode" in split:
-        split["append"] = split.pop("write") - split["encode"]
+        nested = first("write") <= first("encode")
+        split["append"] = split.pop("write") - nested * split["encode"]
     return split
 
 
