@@ -644,8 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flagstat", help="flag statistics "
                                         "(samtools flagstat)")
     p.add_argument("input", help=".sam, .bam, .bamx, .bamz or .bamc input")
-    _add_rank_arguments(p, "parallel counting ranks (SAM and stores; a "
-                           "BAM is one rank)")
+    _add_rank_arguments(p, "parallel counting ranks (a BAM's ranks "
+                           "take runs of whole slabs of its spool)")
     p.set_defaults(fn=_cmd_flagstat)
 
     p = sub.add_parser("validate", help="structural validation "

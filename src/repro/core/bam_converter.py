@@ -19,14 +19,14 @@ binary-searched to a contiguous BAIX subrange, which is split evenly
 across ranks (§III-B, Fig. 4).
 
 For the Table I baseline, :func:`convert_bam_direct` converts straight
-from BAM without preprocessing (necessarily one rank).
+from BAM without preprocessing: one rank, no scratch file.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -38,7 +38,7 @@ import numpy as np
 from ..errors import ConversionError
 from ..formats.bam import BamReader, raw_slabs, read_header, \
     slab_columns, slab_records
-from ..formats.batch import DEFAULT_BATCH_SIZE, batched
+from ..formats.batch import DEFAULT_BATCH_SIZE
 from ..formats.bgzf import BgzfReader, scan_blocks
 from ..formats.header import SamHeader
 from ..formats.store import index_path_for, join_store_parts, \
@@ -166,15 +166,23 @@ def _inflate_task(spec: _InflateSpec) -> None:
             spool.write(chunk)
 
 
+def raw_slab_source(header: SamHeader, chunks: Iterable[tuple]) -> Source:
+    """A BAM's raw ``(buf, offsets)`` slabs as a :class:`Source`: column
+    views where a slab is provably canonical (:func:`~repro.formats.bam.
+    slab_columns`), decoded records where not — every BAM source."""
+    n_ref = len(header.references)
+    return Source(header, chunks,
+                  lambda chunk: slab_columns(*chunk, n_ref),
+                  lambda chunk: slab_records(*chunk, header))
+
+
 @contextmanager
 def spool_source(spool_path: str, slabs: tuple, header: SamHeader,
                  metrics: RankMetrics) -> Iterator[Source]:
     """Slabs of an inflated BAM's records — ``(spool offset, record
-    offsets)`` each, as the walk cut them — as a :class:`Source`: the
-    raw records as column views where a slab is provably canonical
-    (:func:`~repro.formats.bam.slab_columns`), decoded where not."""
+    offsets)`` each, as the walk cut them — as a
+    :func:`raw_slab_source`."""
     faults.fire("preprocess.rank")
-    n_ref = len(header.references)
     with open(spool_path, "rb") as spool:
         def chunks() -> Iterator[tuple]:
             for at, offsets in slabs:
@@ -185,9 +193,18 @@ def spool_source(spool_path: str, slabs: tuple, header: SamHeader,
                 metrics.bytes_read += len(buf)
                 yield buf, offsets
 
-        yield Source(header, chunks(),
-                     lambda chunk: slab_columns(*chunk, n_ref),
-                     lambda chunk: slab_records(*chunk, header))
+        yield raw_slab_source(header, chunks())
+
+
+@contextmanager
+def bam_stream_source(bam_path: str, batch_size: int,
+                      metrics: RankMetrics) -> Iterator[Source]:
+    """A whole BAM in one pass, no scratch: the BGZF stream walked into
+    slabs of *batch_size* raw records as a :func:`raw_slab_source`."""
+    with BamReader(bam_path) as reader:
+        metrics.bytes_read += os.path.getsize(bam_path)
+        yield raw_slab_source(reader.header,
+                              reader.iter_raw_slabs(batch_size))
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,16 +274,6 @@ def store_range_source(store_path: str, start: int, stop: int,
     return _store_source(store_path, stop - start,
                          lambda reader: reader.read_column_batches(
                              start, stop, batch_size), metrics)
-
-
-@contextmanager
-def bam_source(bam_path: str, batch_size: int,
-               metrics: RankMetrics) -> Iterator[Source]:
-    """A whole BAM as batches of decoded records, no columns."""
-    with BamReader(bam_path) as reader:
-        metrics.bytes_read += os.path.getsize(bam_path)
-        yield Source(reader.header, batched(reader, batch_size), None,
-                     lambda records: records)
 
 
 @contextmanager
@@ -549,19 +556,19 @@ class BamConverter:
 
 @dataclass(frozen=True, slots=True)
 class _DirectSpec:
-    """A whole BAM as one rank: decoded records, no columns."""
+    """A whole BAM as one rank, streamed (:func:`bam_stream_source`)."""
 
     bam_path: str
     target: str
     out_path: str
     record_filter: RecordFilter = ACCEPT_ALL
     batch_size: int = DEFAULT_BATCH_SIZE
-    pipeline: str = "record"
+    pipeline: str = "batch"
     write_header: bool = True
 
     def open(self, metrics: RankMetrics):
-        return _writing(self, bam_source(self.bam_path, self.batch_size,
-                                         metrics))
+        return _writing(self, bam_stream_source(
+            self.bam_path, self.batch_size, metrics))
 
 
 def convert_bam_direct(bam_path: str | os.PathLike[str], target: str,
@@ -570,7 +577,7 @@ def convert_bam_direct(bam_path: str | os.PathLike[str], target: str,
 
     This is "our system without preprocessing" in Table I: the BGZF
     stream is decoded front-to-back on one core and converted on the
-    fly.
+    fly (:func:`bam_stream_source`).
     """
     t0 = time.perf_counter()
     spec = _DirectSpec(os.fspath(bam_path), target, os.fspath(out_path))

@@ -12,10 +12,9 @@ common machinery, each job done once:
   ``process``), always inside a ``rank``/``shard`` span;
 * :class:`Source` / :func:`convert_rank` — a source is a value
   (header, chunks, columns, records) a rank spec opens, and this one
-  rank task converts every one of them: kernel emitters over a chunk's
-  columns, the slow path where they cannot take it, records into a
-  binary target (:func:`write_text_chunks` / :func:`write_bam_records`
-  are its two loops);
+  rank task converts every one of them, text and BAM targets alike:
+  kernel emitters over a chunk's columns, the slow path where they
+  cannot take it (:func:`write_chunks` is its loop);
 * :func:`run_fold` / :func:`fold_rank` — the same sources, folded into
   a statistic (flagstat, the coverage histogram) instead of converted;
 * :func:`encode_rank` — the same sources, encoded into the ordered part
@@ -32,12 +31,12 @@ from __future__ import annotations
 
 import os
 import shutil
+import tempfile
 import time
-from collections.abc import Callable, Iterable, Sequence
-from contextlib import nullcontext, suppress
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import chain
 from types import SimpleNamespace
 from typing import Any, NamedTuple
 
@@ -47,7 +46,7 @@ from ..defaults import DEFAULT_BATCH_SIZE, EXECUTORS
 from ..errors import BamxFormatError, ConversionError, RuntimeLayerError
 from ..formats.bamc import slab_from_records
 from ..formats.batch import PIPELINES, convert_records
-from ..formats.bgzf import EOF_MARKER
+from ..formats.bgzf import EOF_MARKER, BgzfWriter
 from ..formats.header import SamHeader
 from ..formats.kernels import KernelFallback, kernel_emitter_for
 from ..formats.record import AlignmentRecord
@@ -55,6 +54,7 @@ from ..formats.registry import source_kind
 from ..formats.sam import TextSlab
 from ..formats.store import encode_slab_part, open_record_store, \
     store_extension
+from ..runtime import faults
 from ..runtime.autotune import AUTO, JobTuning
 from ..runtime.buffers import BufferedTextWriter
 from ..runtime.executor import get_shared_executor
@@ -275,9 +275,9 @@ def execute_rank_tasks(task_fn: Callable[[Any], RankMetrics],
         raise RuntimeLayerError(
             f"shards_per_rank must be >= 1, got {shards_per_rank}")
     # Specs opt in to sharding by implementing ``split(n) -> list[spec]``
-    # and may return ``[self]`` to decline (single record, binary
-    # target, ...); sort/histogram/flagstat specs and ``--shards 1``
-    # give one-piece groups, i.e. the static schedule.
+    # and may return ``[self]`` to decline (a single record, ...);
+    # sort/histogram/flagstat specs and ``--shards 1`` give one-piece
+    # groups, i.e. the static schedule.
     groups = [spec.split(shards_per_rank)
               if shards_per_rank > 1 and hasattr(spec, "split") else [spec]
               for spec in specs]
@@ -376,7 +376,7 @@ def _run_entry(payload: tuple) -> tuple[Any, list[dict[str, Any]]]:
 
 
 class ShardableSpec:
-    """Mixin for rank specs that write one text part file.
+    """Mixin for rank specs that write one part file.
 
     Subclasses are frozen dataclasses with ``target``, ``out_path`` and
     ``write_header`` fields, a :meth:`cost_hint`, and a ``_pieces(n)``
@@ -393,11 +393,9 @@ class ShardableSpec:
         Each shard writes its own ``.shardNN`` part file that
         :meth:`merge_shards` concatenates back.  Only shard 0 of a
         header-carrying spec writes the file header; a headerless spec
-        stays headerless.  Binary targets decline — each part would be
-        a complete BAM file.
+        stays headerless.
         """
-        if n <= 1 or self.cost_hint() <= 1 \
-                or get_target(self.target).mode == "binary":
+        if n <= 1 or self.cost_hint() <= 1:
             return [self]
         pieces = self._pieces(n)
         if len(pieces) <= 1:
@@ -419,24 +417,31 @@ def merge_shard_outputs(out_path: str, shard_specs: Sequence[Any],
                         ) -> RankMetrics:
     """The one reducer of part files: concatenate them into *out_path*.
 
-    Parts are appended in order (the first carries the header) and
-    removed afterwards, so a rank's sharded text output is
-    byte-identical to the one an unsharded rank task would have
-    written.  A binary target's part is a BGZF stream, and BGZF members
-    concatenate: every part but the last loses its EOF marker.  Returns
-    the metrics fold of *shard_metrics*.
+    Parts are appended in order (the first carries the header), so a
+    rank's sharded text output is byte-identical to the one an
+    unsharded rank task would have written.  A binary target's part is
+    a BGZF stream, and BGZF members concatenate: every part but the
+    last loses its EOF marker.  The join is written under a temporary
+    name that replaces *out_path* only once complete; the parts are
+    removed either way.  Returns the metrics fold of *shard_metrics*.
     """
-    last = len(shard_specs) - 1
-    with open(out_path, "wb") as dst:
-        for i, shard in enumerate(shard_specs):
-            with open(shard.out_path, "rb") as src:
-                shutil.copyfileobj(src, dst)
-                if i < last and src.tell() >= len(EOF_MARKER):
-                    src.seek(-len(EOF_MARKER), os.SEEK_END)
-                    if src.read() == EOF_MARKER:
-                        dst.seek(-len(EOF_MARKER), os.SEEK_END)
-                        dst.truncate()
-            os.remove(shard.out_path)
+    last, tmp = len(shard_specs) - 1, f"{out_path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as dst:
+            for i, shard in enumerate(shard_specs):
+                faults.fire("merge.copy")
+                with open(shard.out_path, "rb") as src:
+                    shutil.copyfileobj(src, dst)
+                    if i < last and src.tell() >= len(EOF_MARKER):
+                        src.seek(-len(EOF_MARKER), os.SEEK_END)
+                        if src.read() == EOF_MARKER:
+                            dst.seek(-len(EOF_MARKER), os.SEEK_END)
+                            dst.truncate()
+        os.replace(tmp, out_path)
+    finally:
+        for path in (tmp, *(shard.out_path for shard in shard_specs)):
+            with suppress(FileNotFoundError):
+                os.remove(path)
     return RankMetrics.merge_shards(list(shard_metrics))
 
 
@@ -447,14 +452,14 @@ class Source(NamedTuple):
 
     header: SamHeader
     #: The rank's share, in record order, a chunk per pass of the loop
-    #: (a store's column slab, a block of SAM lines, a list of records).
+    #: (a store's column slab, a block of SAM lines, a BAM's raw slab).
     chunks: Iterable[Any]
     #: ``columns(chunk) -> slab | None``: the chunk as a slab the kernel
     #: emitters take, ``None`` where this chunk needs the slow path; no
     #: function at all for a source without columns.
     columns: Callable[[Any], Any] | None
-    #: ``records(chunk)``: the chunk's alignment records — what a binary
-    #: target, ``pipeline="record"`` and the slow path read.
+    #: ``records(chunk)``: the chunk's alignment records — what
+    #: ``pipeline="record"`` and the slow path read.
     records: Callable[[Any], Iterable[AlignmentRecord]]
     #: A slow path cheaper than records, for a chunk the kernels were
     #: offered and could not take: ``slow(chunk, target, record_filter,
@@ -470,26 +475,23 @@ def convert_rank(spec: Any) -> RankMetrics:
     """One rank of every converter (module-level, so the process pool
     can pickle it).  *spec* names the ``target``, ``out_path``,
     ``record_filter``, ``pipeline``, ``batch_size`` and ``write_header``
-    and opens the :class:`Source`: a binary target is written from its
-    records; a text target from each chunk's columns through the
-    target's kernel emitter, and — no kernel for the target, no columns
-    for the chunk, a slab the kernel declines (:class:`~repro.formats.
-    kernels.KernelFallback`), ``pipeline="record"`` — from the slow
-    path, by default its records through :func:`~repro.formats.batch.
-    convert_records`."""
+    and opens the :class:`Source`.  The target, text or BAM, is written
+    from each chunk's columns through its kernel emitter, or — no
+    kernel for the target, no columns for the chunk, a slab the kernel
+    declines (:class:`~repro.formats.kernels.KernelFallback`),
+    ``pipeline="record"`` — from the slow path, by default its records
+    through :func:`~repro.formats.batch.convert_records`."""
     t0 = time.perf_counter()
     metrics = RankMetrics()
     with spec.open(metrics) as source:
         header, record_filter = source.header, spec.record_filter
         target = get_target(spec.target)
-        if hasattr(target, "bind_header"):    # BAM: the reference dictionary
-            target.bind_header(header)
         batch = spec.pipeline == "batch"
         emit = kernel_emitter_for(target, header) \
             if batch and source.columns is not None else None
 
         def convert_chunk(chunk: Any,
-                          out: list[str]) -> tuple[int, int, int]:
+                          out: list) -> tuple[int, int, int]:
             if emit is not None:
                 slab = source.columns(chunk)
                 if slab is not None:
@@ -506,18 +508,10 @@ def convert_rank(spec: Any) -> RankMetrics:
             return *convert_records(source.records(chunk), target,
                                     record_filter, out), 1
 
-        if target.mode == "binary":
-            write_bam_records(
-                spec.out_path, header, record_filter.apply(
-                    chain.from_iterable(map(source.records,
-                                            source.chunks))), metrics,
-                spec.write_header)
-        else:
-            write_text_chunks(
-                spec, target, header, source.chunks, convert_chunk,
-                metrics, source.category,
-                {"kernel": emit is not None} if batch else None,
-                source.fallback_field if batch else None)
+        write_chunks(spec, target, header, source.chunks, convert_chunk,
+                     metrics, source.category,
+                     {"kernel": emit is not None} if batch else None,
+                     source.fallback_field if batch else None)
     return finish_rank_metrics(metrics, t0)
 
 
@@ -609,52 +603,57 @@ def run_fold(path: str | os.PathLike[str], fold: Callable[..., Any],
              ) -> tuple[list, list[RankMetrics]]:
     """The planner every statistic shares: :func:`fold_rank` with *fold*
     over the alignment file *path* on *nprocs* ranks — Algorithm-1
-    partitions of a SAM, record ranges of a store, a BAM whole on one
-    rank; *reader* names the caller in the error for any other kind
-    (:func:`~repro.formats.registry.source_kind`).  Returns the per-rank
-    results and metrics."""
+    partitions of a SAM, record ranges of a store, runs of whole slabs
+    of a BAM spooled (:func:`~.bam_converter.bam_spool`) into a scratch
+    directory the call removes; *reader* names the caller in the error
+    for any other kind (:func:`~repro.formats.registry.source_kind`).
+    Returns the per-rank results and metrics."""
     if nprocs < 1:
         raise ConversionError(f"nprocs {nprocs} must be >= 1")
     path = os.fspath(path)
     kind = source_kind(path, reader)
-    if kind == "sam":
-        from .sam_converter import partition_alignments, sam_source, \
-            scan_header
-        header, header_end = scan_header(path)
-        sources = [partial(sam_source, path, p.start, p.end,
-                           header.to_text())
-                   for p in partition_alignments(path, nprocs, header_end)]
-    elif kind == "bam":
-        from .bam_converter import bam_source
-        sources = [partial(bam_source, path, DEFAULT_BATCH_SIZE)]
-    else:
-        from .bam_converter import store_range_source
-        with open_record_store(path) as store:
-            count = len(store)
-        sources = [partial(store_range_source, path, start, stop,
-                           DEFAULT_BATCH_SIZE)
-                   for start, stop in partition_records(count, nprocs)]
-    done = execute_rank_tasks(fold_rank, [(source, fold)
-                                          for source in sources], executor)
+    with tempfile.TemporaryDirectory(prefix="repro-fold-") as scratch:
+        if kind == "sam":
+            from .sam_converter import partition_alignments, sam_source, \
+                scan_header
+            header, header_end = scan_header(path)
+            sources = [partial(sam_source, path, p.start, p.end,
+                               header.to_text())
+                       for p in partition_alignments(path, nprocs,
+                                                     header_end)]
+        elif kind == "bam":
+            from .bam_converter import bam_spool
+            _, sources = bam_spool(path, os.path.join(scratch, "spool"),
+                                   nprocs, executor)
+        else:
+            from .bam_converter import store_range_source
+            with open_record_store(path) as store:
+                count = len(store)
+            sources = [partial(store_range_source, path, start, stop,
+                               DEFAULT_BATCH_SIZE)
+                       for start, stop in partition_records(count, nprocs)]
+        done = execute_rank_tasks(fold_rank, [(source, fold)
+                                              for source in sources],
+                                  executor)
     return [result for _, result in done], [metrics for metrics, _ in done]
 
 
-def write_text_chunks(spec: Any, target: TargetFormat, header: SamHeader,
-                      chunks: Iterable[Any],
-                      convert_chunk: Callable[[Any, list[str]],
-                                              tuple[int, int, int]],
-                      metrics: RankMetrics, span_category: str,
-                      span_args: dict[str, Any] | None,
-                      fallback_field: str | None = None) -> None:
+def write_chunks(spec: Any, target: TargetFormat, header: SamHeader,
+                 chunks: Iterable[Any],
+                 convert_chunk: Callable[[Any, list], tuple[int, int, int]],
+                 metrics: RankMetrics, span_category: str,
+                 span_args: dict[str, Any] | None,
+                 fallback_field: str | None = None) -> None:
     """The chunk loop: drive a source's *chunks* through *target* into
-    the text part file ``spec.out_path``.
+    the part file ``spec.out_path`` (:func:`_part_writer`).
 
-    ``convert_chunk(chunk, out_lines) -> (seen, emitted, fallbacks)``
-    (see :func:`convert_rank`) appends the chunk's emitted lines to
-    *out_lines*; *seen* counts post-filter records.  The loop owns
-    everything else: the file header (only where ``spec.write_header``),
-    flushing once ``spec.batch_size`` lines are pending, the
-    ``records``/``emitted`` metrics, and the ``batch.pipeline`` span.
+    ``convert_chunk(chunk, out) -> (seen, emitted, fallbacks)`` (see
+    :func:`convert_rank`) appends the chunk's emitted lines (a BAM's
+    records' bytes) to *out*; *seen* counts post-filter records.  The
+    loop owns everything else: ``target.file_header`` (only where
+    ``spec.write_header``), flushing once ``spec.batch_size`` lines are
+    pending, the ``records``/``emitted`` metrics, and the
+    ``batch.pipeline`` span.
 
     *span_args* are the pipeline span's own arguments (``kernel``);
     ``None`` — the ``pipeline="record"`` oracle — records no pipeline
@@ -674,22 +673,22 @@ def write_text_chunks(spec: Any, target: TargetFormat, header: SamHeader,
                   "target": spec.target})
     seen = emitted = fallbacks = batches = 0
     with pipeline_span as span, \
-            BufferedTextWriter(spec.out_path, metrics=metrics) as writer:
-        head = target.file_header(header)
-        if head and spec.write_header:
-            writer.write_text(head)
-        out_lines: list[str] = []
+            _part_writer(spec.out_path, target, metrics) as (head, write):
+        text = target.file_header(header)
+        if text and spec.write_header:
+            head(text)
+        out: list = []
         for chunk in chunks:
-            s, e, f = convert_chunk(chunk, out_lines)
+            s, e, f = convert_chunk(chunk, out)
             seen += s
             emitted += e
             fallbacks += f
             batches += 1
-            if len(out_lines) >= spec.batch_size:
-                writer.write_lines(out_lines)
-                out_lines = []
-        if out_lines:
-            writer.write_lines(out_lines)
+            if len(out) >= spec.batch_size:
+                write(out)
+                out = []
+        if out:
+            write(out)
         if span is not None:
             span.args.update(batches=batches, records=seen)
             if fallback_field is not None:
@@ -701,23 +700,28 @@ def write_text_chunks(spec: Any, target: TargetFormat, header: SamHeader,
                 getattr(metrics, fallback_field) + fallbacks)
 
 
-def write_bam_records(out_path: str, header: SamHeader,
-                      records: Iterable[AlignmentRecord],
-                      metrics: RankMetrics, write_header: bool = True,
-                      ) -> None:
-    """Write *records* as one binary BAM part file: a complete BAM, or
-    without *write_header* the BGZF blocks of records that join after
-    a part that has it (:func:`merge_shard_outputs`)."""
-    from ..formats.bam import BamWriter
-    writer = BamWriter(out_path, header, write_header=write_header)
-    emitted = 0
-    for record in records:
-        writer.write(record)
-        emitted += 1
-    writer.close()
-    metrics.records += emitted
-    metrics.emitted += emitted
-    metrics.bytes_written += os.path.getsize(out_path)
+@contextmanager
+def _part_writer(path: str, target: TargetFormat, metrics: RankMetrics,
+                 ) -> Iterator[tuple[Callable, Callable]]:
+    """``(head, write)`` over the part file *path*: *head* takes the
+    file header, *write* a list of lines — or, for a binary target,
+    records' bytes, compressed into BGZF blocks.  The file is
+    ``<path>.tmp<pid>`` until a clean exit moves it into place; a
+    failure removes it."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        if target.mode == "binary":
+            with BgzfWriter(tmp) as bgzf:
+                yield bgzf.write, lambda out: bgzf.write(b"".join(out))
+            metrics.bytes_written += os.path.getsize(tmp)
+        else:
+            with BufferedTextWriter(tmp, metrics=metrics) as writer:
+                yield writer.write_text, writer.write_lines
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def finish_rank_metrics(metrics: RankMetrics, t_start: float) -> RankMetrics:

@@ -102,7 +102,7 @@ class AlignmentDataset:
 
     def histogram(self, bin_size: int = 25, nprocs: int = 1,
                   ) -> dict[str, np.ndarray]:
-        """Binned coverage histograms per reference (a BAM is one rank)."""
+        """Binned coverage histograms per reference."""
         from ..stats.histogram import histogram_parallel
         return histogram_parallel(self.path, bin_size, nprocs)[0]
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SamFormatError
-from ..formats.batch import DEFAULT_BATCH_SIZE, convert_sam_lines, \
-    parse_sam_lines, sam_fastpath_for
+from ..formats.batch import DEFAULT_BATCH_SIZE, convert_records, \
+    convert_sam_lines, parse_sam_lines, sam_fastpath_for
 from ..formats.header import SamHeader
 from ..formats.record import AlignmentRecord
 from ..formats.sam import slab_columns
@@ -109,10 +109,13 @@ def _per_line(data: bytes, target, record_filter,
               out: list[str]) -> tuple[int, int]:
     """The tier under the columns: a slab not proven canonical goes
     line by line through the target's column fastpath, the record path
-    for the lines that cannot take."""
-    return convert_sam_lines(_slab_lines(data), target,
-                             sam_fastpath_for(target), record_filter,
-                             out)[:2]
+    for the lines that cannot take — all of them, for a target without
+    one (BAM)."""
+    fast_emit = sam_fastpath_for(target)
+    if fast_emit is None:
+        return convert_records(_parsed(data), target, record_filter, out)
+    return convert_sam_lines(_slab_lines(data), target, fast_emit,
+                             record_filter, out)[:2]
 
 
 @contextmanager

@@ -34,7 +34,8 @@ class TargetFormat(ABC):
     mode: str = "text"
 
     def file_header(self, header: SamHeader) -> str:
-        """Text to place at the top of each output file ("" if none)."""
+        """Text (bytes, for a binary target) to place at the top of each
+        output file ("" if none)."""
         return ""
 
     @abstractmethod
@@ -180,9 +181,9 @@ class YamlTarget(TargetFormat):
 
 
 class BamTarget(TargetFormat):
-    """Binary BAM records (each output part is a complete BAM file:
-    the converter writes the header via a BAM writer, records stream
-    through :meth:`emit_binary`)."""
+    """Binary BAM records, written into BGZF blocks: the header block
+    is the file header, a slab of records the BAM emitter's
+    (:mod:`~repro.formats.kernels`), a record the slow path's."""
 
     name = "bam"
     extension = ".bam"
@@ -191,18 +192,23 @@ class BamTarget(TargetFormat):
     def __init__(self) -> None:
         self._header: SamHeader | None = None
 
+    def file_header(self, header: SamHeader) -> bytes:
+        """The BAM header block; *header* also resolves the reference
+        ids of every record :meth:`emit` encodes after it."""
+        self.bind_header(header)
+        return _bam.header_bytes(header)
+
     def bind_header(self, header: SamHeader) -> None:
         """Attach the header needed to resolve reference ids."""
         self._header = header
 
-    def emit(self, record: AlignmentRecord) -> str | None:
-        raise ConversionError("BAM is a binary target; use emit_binary")
-
-    def emit_binary(self, record: AlignmentRecord) -> bytes:
+    def emit(self, record: AlignmentRecord) -> bytes:
         """Encode one record to BAM bytes."""
         if self._header is None:
             raise ConversionError("BamTarget used before bind_header()")
         return _bam.encode_record(record, self._header)
+
+    emit_binary = emit
 
 
 _TARGETS: dict[str, type[TargetFormat]] = {

@@ -26,7 +26,7 @@ import numpy as np
 from ..errors import BamFormatError, BgzfError
 from .bamc import ColumnSlab
 from .bgzf import BgzfReader, BgzfWriter
-from .binning import reg2bin
+from .binning import reg2bin, reg2bin_array
 from .cigar import REF_CONSUMING_CODE, decode_ops, encode_ops
 from .header import Reference, SamHeader
 from .ragged import ragged_index, segment_sums
@@ -152,27 +152,25 @@ def decode_record(body: bytes, header: SamHeader) -> AlignmentRecord:
     )
 
 
+def header_bytes(header: SamHeader) -> bytes:
+    """The BAM header block: magic, header text, reference list."""
+    text = header.to_text().encode("ascii")
+    return b"".join([
+        MAGIC, struct.pack("<i", len(text)), text,
+        struct.pack("<i", len(header.references)),
+        *(struct.pack("<i", len(ref.name) + 1) + ref.name.encode("ascii")
+          + b"\0" + struct.pack("<i", ref.length)
+          for ref in header.references)])
+
+
 class BamWriter:
     """Write a BAM file: header block, then alignments in call order."""
 
     def __init__(self, target: str | os.PathLike[str], header: SamHeader,
-                 level: int = 6, write_header: bool = True) -> None:
+                 level: int = 6) -> None:
         self._bgzf = BgzfWriter(target, level=level)
         self.header = header
-        self.records_written = 0
-        if not write_header:    # a part to be joined after one that has it
-            return
-        text = header.to_text().encode("ascii")
-        out = bytearray(MAGIC)
-        out += struct.pack("<i", len(text))
-        out += text
-        out += struct.pack("<i", len(header.references))
-        for ref in header.references:
-            name = ref.name.encode("ascii") + b"\x00"
-            out += struct.pack("<i", len(name))
-            out += name
-            out += struct.pack("<i", ref.length)
-        self._bgzf.write(bytes(out))
+        self._bgzf.write(header_bytes(header))
 
     def __enter__(self) -> "BamWriter":
         return self
@@ -180,15 +178,10 @@ class BamWriter:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    def tell(self) -> int:
-        """Virtual offset at which the next record will start."""
-        return self._bgzf.tell()
-
     def write(self, record: AlignmentRecord) -> int:
         """Append one record; return the virtual offset where it starts."""
         voffset = self._bgzf.tell()
         self._bgzf.write(encode_record(record, self.header))
-        self.records_written += 1
         return voffset
 
     def write_all(self, records: Iterable[AlignmentRecord]) -> int:
@@ -350,14 +343,14 @@ def slab_records(buf: np.ndarray, offsets: np.ndarray,
 
 def slab_columns(buf: np.ndarray, offsets: np.ndarray,
                  n_ref: int) -> ColumnSlab | None:
-    """A raw slab as a :class:`ColumnSlab` of views over *buf* — or
-    ``None`` unless every record is proven *canonical*: well-formed,
-    and encoded exactly as :func:`decode_record` followed by a store's
-    ``write_batch`` would re-encode it (``docs/formats.md`` lists the
-    rules; the few same-size normalizations are applied to *buf*).  On
-    ``None`` the caller takes :func:`slab_records`, which raises the
-    typed error or yields the normalized records.
-    """
+    """A raw slab as a :class:`ColumnSlab` over *buf* (its read names
+    in a blob of their own) — or ``None`` unless every record is proven
+    *canonical*: well-formed, and encoded exactly as
+    :func:`decode_record` followed by a store's ``write_batch`` would
+    re-encode it (``docs/formats.md`` lists the rules; the few
+    same-size normalizations are applied to *buf*).  On ``None`` the
+    caller takes :func:`slab_records`, which raises the typed error or
+    yields the normalized records."""
     n, start = len(offsets) - 1, offsets[:-1]
     fixed = buf[start[:, None] + np.arange(
         _RAW_DTYPE.itemsize, dtype=np.int32)].view(_RAW_DTYPE).reshape(n)
@@ -372,8 +365,10 @@ def slab_columns(buf: np.ndarray, offsets: np.ndarray,
     tag_lo, tag_hi = qual_lo + l_seq, offsets[1:]
     if ((name_len < 1) | (l_seq < 0) | (tag_lo > tag_hi)
             | (tag_hi - tag_lo > 0xFFFF)).any() \
-            or buf[cigar_lo - 1].any() \
-            or (buf[ragged_index(name_lo, name_len)] & 0x80).any() \
+            or buf[cigar_lo - 1].any():
+        return None
+    names = buf[ragged_index(name_lo, name_len - 1)]
+    if (names & 0x80).any() \
             or max(fixed["ref_id"].max(), fixed["next_ref"].max()) >= n_ref:
         return None
     qual_lo, tag_lo = qual_lo.astype(np.int32), tag_lo.astype(np.int32)
@@ -397,13 +392,52 @@ def slab_columns(buf: np.ndarray, offsets: np.ndarray,
         return None
     if not canonical_tag_blocks(buf, tag_lo, tag_hi):
         return None
+    name_hi = np.cumsum(name_len - 1, dtype=np.int32)
     return ColumnSlab(
         -1, n, np.maximum(fixed["ref_id"], -1), pos,
         end_pos.astype(np.int32), np.maximum(fixed["next_ref"], -1),
         np.maximum(fixed["next_pos"], -1), fixed["tlen"], l_seq,
-        fixed["flag"], fixed["mapq"], name_lo, cigar_lo - 1, cigar_lo,
-        seq_lo, seq_lo, qual_lo, qual_lo, tag_lo, tag_lo, tag_hi,
-        *[buf.tobytes()] * 5)
+        fixed["flag"], fixed["mapq"], name_hi - (name_len - 1), name_hi,
+        cigar_lo, seq_lo, seq_lo, qual_lo, qual_lo, tag_lo, tag_lo, tag_hi,
+        names.tobytes(), *[buf.tobytes()] * 4)
+
+
+def slab_bytes(slab: ColumnSlab) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of :func:`slab_columns`: a slab's records as BAM,
+    ``(buf, offsets)`` as :func:`raw_slabs` yields them, byte-for-byte
+    what :func:`encode_record` makes of each record the slab decodes
+    to.  The fixed fields go through the 36-byte dtype, the bins
+    through :func:`~.binning.reg2bin_array`, and the five blobs, which
+    every slab holds BAM-encoded, through one ragged copy each.  A
+    field the format cannot hold (a read name over 254 bytes, more
+    than 65535 CIGAR operations, a bin past 16 bits) raises
+    :class:`~repro.errors.BamFormatError`."""
+    sections = slab.sections()
+    sizes = [(hi - lo).astype(np.int64) for lo, hi, _ in sections]
+    widths = [sizes[0] + 1, *sizes[1:]]     # the read name's NUL
+    bins = reg2bin_array(slab.pos, slab.end_pos)
+    if slab.count and (widths[0].max() > 255 or sizes[1].max() > 4 * 0xFFFF
+                       or bins.max() > 0xFFFF):
+        raise BamFormatError("a record of the slab does not fit BAM's "
+                             "fixed fields")
+    fixed = np.empty(slab.count, _RAW_DTYPE)
+    fixed["block_size"] = _FIXED.size + sum(widths)
+    for name in ("ref_id", "pos", "mapq", "flag", "l_seq", "next_ref",
+                 "next_pos", "tlen"):
+        fixed[name] = getattr(slab, name)
+    fixed["l_read_name"], fixed["bin"] = widths[0], bins
+    fixed["n_cigar"] = sizes[1] // 4
+    offsets = np.zeros(slab.count + 1, np.int64)
+    np.cumsum(fixed["block_size"] + 4, out=offsets[1:])
+    buf = np.zeros(int(offsets[-1]), np.uint8)
+    at = offsets[:-1] + _RAW_DTYPE.itemsize
+    buf[ragged_index(offsets[:-1], np.full(slab.count, _RAW_DTYPE.itemsize),
+                     np.int64)] = fixed.view(np.uint8)
+    for (lo, _, blob), size, width in zip(sections, sizes, widths):
+        buf[ragged_index(at, size, np.int64)] = np.frombuffer(
+            blob, np.uint8)[ragged_index(lo, size, np.int64)]
+        at = at + width
+    return buf, offsets
 
 
 def read_bam(path: str | os.PathLike[str],

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from itertools import islice
 
 from ..defaults import DEFAULT_BATCH_SIZE, PIPELINES  # noqa: F401
 from .bamx import BamxLayout
@@ -254,14 +253,6 @@ def convert_records(records: Iterable[AlignmentRecord], target,
             out.append(res)
             emitted += 1
     return seen, emitted
-
-
-def batched(items: Iterable, n: int):
-    """Yield lists of up to *n* consecutive *items* (the
-    ``itertools.batched`` of Python 3.12)."""
-    items = iter(items)
-    while chunk := list(islice(items, n)):
-        yield chunk
 
 
 def parse_sam_lines(lines: Iterable[str]) -> list[AlignmentRecord]:

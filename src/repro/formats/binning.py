@@ -9,6 +9,8 @@ Both follow the C reference code in the SAM specification appendix.
 
 from __future__ import annotations
 
+import numpy as np
+
 #: Largest coordinate the 6-level scheme supports (2^29).
 MAX_BIN_COORD = 1 << 29
 
@@ -48,6 +50,19 @@ def reg2bin(beg: int, end: int) -> int:
     if beg >> 26 == end >> 26:
         return ((1 << 3) - 1) // 7 + (beg >> 26)
     return 0
+
+
+def reg2bin_array(beg: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """:func:`reg2bin` of every interval ``[beg[i], end[i])`` at once:
+    coarsest level to finest, each level whose window holds both ends
+    overwrites the bin, so the finest such level wins."""
+    beg = np.asarray(beg, np.int64)
+    end = np.maximum(np.asarray(end, np.int64) - 1, beg)
+    bins = np.zeros(len(beg), np.int64)
+    for start, shift in zip(LEVEL_STARTS[1:], LEVEL_SHIFTS[1:]):
+        bins = np.where(beg >> shift == end >> shift, start + (beg >> shift),
+                        bins)
+    return np.where(beg < 0, 4680, bins)
 
 
 def reg2bins(beg: int, end: int) -> list[int]:

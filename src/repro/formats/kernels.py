@@ -1,7 +1,7 @@
 """Vectorized numpy kernels over slabs of columns — what every source
-but a decoded BAM yields: BAMC reads :class:`~.bamc.ColumnSlab`s,
-BAMX/BAMZ rows decode to them, a block of canonical SAM lines parses to
-a :class:`~.sam.TextSlab`.
+yields: BAMC reads :class:`~.bamc.ColumnSlab`s, BAMX/BAMZ rows and a
+BAM's raw records decode to them, a block of canonical SAM lines parses
+to a :class:`~.sam.TextSlab`.
 
 Every operation the converter hot loops run per record — filter
 predicates, flagstat category counts, coverage histograms, target
@@ -21,7 +21,8 @@ at once.  The contracts are strict:
   kinds share and the text accessors each implements its own way; the
   interval targets read the ``end_pos`` column instead of re-walking
   CIGARs, and the SAM lines are the slab's to make (a proven line is
-  its own output; a binary row is rendered from the BAM-encoded bytes).
+  its own output; a binary row is rendered from the BAM-encoded bytes),
+  as are BAM records (:func:`~.bam.slab_bytes`).
 
 Targets without a kernel (GFF needs tags; JSON/YAML need everything)
 and slabs an emitter declines (:class:`KernelFallback`) go per slab to
@@ -36,7 +37,8 @@ from functools import partial
 
 import numpy as np
 
-from ..errors import FormatError
+from ..errors import BamFormatError, FormatError
+from .bam import slab_bytes
 from .bamc import ColumnSlab
 from .header import SamHeader
 
@@ -153,13 +155,14 @@ def add_coverage_events(slab: ColumnSlab, ref_id: int, length: int,
 # ``fn(refs, slab, record_filter) -> (lines, seen)`` — *refs* the
 # header's reference names, *seen* the post-filter record count
 # (matching the record pipeline's metrics), *lines* byte-identical to
-# the record pipeline's output.  They read the columns every slab has —
-# ``count``, ``flag``, ``mapq``, ``pos``, ``end_pos``, ``l_seq`` — and
-# its text through the accessors each slab implements its own way (a
-# ColumnSlab over BAM-encoded blobs, a TextSlab by slicing its lines):
-# ``names(idx)``, ``rnames(idx, refs)``, ``sequences(idx)`` /
-# ``quals(idx)`` as the read was sequenced (``quals`` also lists the
-# absent ones) and ``sam_lines(idx, refs)``.
+# the record pipeline's output (a BAM record's bytes, for BAM).  They
+# read the columns every slab has — ``count``, ``flag``, ``mapq``,
+# ``pos``, ``end_pos``, ``l_seq`` — and its text through the accessors
+# each slab implements its own way (a ColumnSlab over BAM-encoded
+# blobs, a TextSlab by slicing its lines): ``names(idx)``,
+# ``rnames(idx, refs)``, ``sequences(idx)`` / ``quals(idx)`` as the
+# read was sequenced (``quals`` also lists the absent ones) and
+# ``sam_lines(idx, refs)``.
 # --------------------------------------------------------------------------
 
 def _selected(slab, record_filter, keep: np.ndarray | None = None,
@@ -234,8 +237,26 @@ def _emit_sam(refs, slab, record_filter) -> tuple[list[str], int]:
         raise KernelFallback from None
 
 
+def _emit_bam(header, slab, record_filter) -> tuple[list[bytes], int]:
+    """The records as BAM (:func:`~.bam.slab_bytes`), a proven text
+    slab BAM-encoded first; a slab either step refuses goes to the
+    record path, which raises the typed error."""
+    if not isinstance(slab, ColumnSlab):
+        slab = slab.column_slab(header)
+        if slab is None:
+            raise KernelFallback
+    idx, seen = _selected(slab, record_filter)
+    try:
+        buf, offsets = slab_bytes(slab if idx is None else slab.take(idx))
+    except BamFormatError:
+        raise KernelFallback from None
+    data, bounds = buf.tobytes(), offsets.tolist()
+    return [data[a:b] for a, b in zip(bounds, bounds[1:])], seen
+
+
 _KERNELS = {"bed": _emit_bed, "bedgraph": _emit_bedgraph,
-            "fasta": _emit_fasta, "fastq": _emit_fastq, "sam": _emit_sam}
+            "fasta": _emit_fasta, "fastq": _emit_fastq, "sam": _emit_sam,
+            "bam": _emit_bam}
 
 #: Target names with a kernel emitter.
 KERNEL_TARGETS = tuple(sorted(_KERNELS))
@@ -243,8 +264,11 @@ KERNEL_TARGETS = tuple(sorted(_KERNELS))
 
 def kernel_emitter_for(target, header: SamHeader):
     """The emitter ``fn(slab, record_filter) -> (lines, seen)`` of
-    *target* over any slab, or ``None`` if it needs records."""
+    *target* over any slab, or ``None`` if it needs records.  The BAM
+    emitter is handed *header*, to BAM-encode text against; the others
+    the reference names."""
     emit = _KERNELS.get(getattr(target, "name", None))
-    if emit is None or getattr(target, "mode", "text") != "text":
+    if emit is None:
         return None
-    return partial(emit, [r.name for r in header.references])
+    return partial(emit, header if emit is _emit_bam
+                   else [r.name for r in header.references])

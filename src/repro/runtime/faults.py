@@ -59,6 +59,7 @@ POINTS = (
     "gateway.dispatch",   # Dispatcher.dispatch, before op routing
     "shard.batch",        # SAM converter, once per slab of lines
     "preprocess.rank",    # a BAM opened on ranks, each inflate/encode rank
+    "merge.copy",         # merge_shard_outputs, before each part it joins
 )
 
 #: Fault kinds a point can be armed with.

@@ -110,7 +110,7 @@ def histogram_parallel(path: str | os.PathLike[str], bin_size: int = 25,
                        ) -> tuple[dict[str, np.ndarray],
                                   list[RankMetrics]]:
     """Binned coverage histograms for every reference of a SAM, BAM or
-    record-store file, on *nprocs* ranks (a BAM is one).
+    record-store file, on *nprocs* ranks.
 
     §IV: "convert aligned sequence data in SAM/BAM format into histogram
     data ... in parallel".  Each rank folds its share into binned

@@ -143,7 +143,7 @@ def flagstat_parallel(path: str | os.PathLike[str], nprocs: int = 1,
                       executor: str = "simulate",
                       ) -> tuple[FlagStats, list[RankMetrics]]:
     """Flag statistics over a SAM, BAM or record-store file on *nprocs*
-    ranks (a BAM is one): per-rank counting, element-wise reduction."""
+    ranks: per-rank counting, element-wise reduction."""
     results, metrics = run_fold(path, flagstat_slabs, nprocs, executor,
                                 "repro flagstat")
     return reduce(FlagStats.merge, results, FlagStats()), metrics

@@ -1,11 +1,12 @@
 """Unit and property tests for the UCSC binning scheme."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.formats.binning import BIN_COUNT, MAX_BIN_COORD, bin_interval, \
-    bin_level, linear_window, reg2bin, reg2bins
+from repro.formats.binning import BIN_COUNT, LEVEL_SHIFTS, MAX_BIN_COORD, \
+    bin_interval, bin_level, linear_window, reg2bin, reg2bin_array, reg2bins
 
 
 def _reg2bin_spec(beg, end):
@@ -30,6 +31,17 @@ def test_known_bins():
     assert reg2bin(1 << 14, (1 << 14) + 1) == 4682
     assert reg2bin(0, (1 << 14) + 1) == 585  # spans two leaves -> level 4
     assert reg2bin(0, MAX_BIN_COORD) == 0    # whole-genome bin
+
+
+def test_reg2bin_array_matches_reg2bin_at_every_level_boundary():
+    """Every pair of coordinates around a window edge of every level —
+    an interval ending on, before or past one — and the unplaced."""
+    edges = sorted({max(0, (k << shift) + d) for shift in LEVEL_SHIFTS
+                    for k in (1, 2, 3) for d in (-2, -1, 0, 1, 2)} | {0, 1})
+    beg, end = zip(*[(a, b) for a in edges for b in edges if b >= a],
+                   *[(-1, b) for b in edges])
+    assert reg2bin_array(np.array(beg), np.array(end)).tolist() == [
+        reg2bin(a, b) for a, b in zip(beg, end)]
 
 
 def test_unmapped_convention():

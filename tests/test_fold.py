@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.bam_converter import preprocess_bam
 from repro.core.sort import parallel_sort_sam, sort_sam
+from repro.defaults import DEFAULT_BATCH_SIZE
 from repro.formats.bam import read_bam, write_bam
 from repro.formats.sam import read_sam
 from repro.simdata import build_sam_dataset
@@ -19,7 +20,7 @@ CHRZ = ("zr\t97\tchrZ\t100\t60\t4M\tchr1\t200\t0\tACGT\tIIII\n"
 #: A tag the slab proof refuses: its slab takes the records path.
 FLOAT = "ft\t0\tchr2\t50\t60\t4M\t*\t0\t0\tACGT\tIIII\tXX:f:1.5\n"
 
-KINDS = ["sam", "sam_refused", "bam", "bamx", "bamz", "bamc"]
+KINDS = ["sam", "sam_refused", "bam", "bam_slabs", "bamx", "bamz", "bamc"]
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,8 @@ def inputs(tmp_path_factory):
     """``{kind: (path, records)}``: 40 simulated records on chr1/chr2 —
     the SAMs with the CHRZ lines (and FLOAT) appended, the stores
     preprocessed from the BAM in 7-record slabs, so slab boundaries fall
-    inside a chromosome."""
+    inside a chromosome; ``bam_slabs`` the 40 records 250 times over,
+    three slabs of a BAM."""
     root = tmp_path_factory.mktemp("fold")
     sam = root / "base.sam"
     wl = build_sam_dataset(sam, 20, [("chr1", 4000), ("chr2", 3000)],
@@ -40,6 +42,9 @@ def inputs(tmp_path_factory):
     bam = str(root / "in.bam")
     write_bam(bam, wl.header, wl.records)
     out["bam"] = bam, read_bam(bam)[1]
+    many = str(root / "many.bam")
+    write_bam(many, wl.header, wl.records * 250)
+    out["bam_slabs"] = many, read_bam(many)[1]
     for kind, store_format, compress in (("bamx", "bamx", False),
                                          ("bamz", "bamx", True),
                                          ("bamc", "bamc", False)):
@@ -50,8 +55,12 @@ def inputs(tmp_path_factory):
     return out, wl.header
 
 
-def _ranks(kind, nprocs):
-    return 1 if kind == "bam" else nprocs
+def _ranks(kind, nprocs, records):
+    """A BAM is spooled into slabs of DEFAULT_BATCH_SIZE records, and a
+    rank takes a run of whole slabs; a SAM or a store splits any way."""
+    if kind in ("bam", "bam_slabs"):
+        return min(nprocs, -(-len(records) // DEFAULT_BATCH_SIZE))
+    return nprocs
 
 
 @pytest.mark.parametrize("executor", ["simulate", "thread", "process"])
@@ -61,7 +70,7 @@ def test_flagstat_equals_the_record_oracle(inputs, kind, nprocs, executor):
     (path, records), _ = inputs[0][kind], inputs[1]
     stats, metrics = flagstat_parallel(path, nprocs, executor)
     assert stats == flagstat_records(records)
-    assert len(metrics) == _ranks(kind, nprocs)
+    assert len(metrics) == _ranks(kind, nprocs, records)
     assert sum(m.records for m in metrics) == len(records)
 
 
@@ -75,7 +84,7 @@ def test_histogram_equals_the_record_oracle(inputs, kind, nprocs, executor):
     assert list(got) == list(want)
     for chrom in want:
         assert np.array_equal(got[chrom], want[chrom]), chrom
-    assert len(metrics) == _ranks(kind, nprocs)
+    assert len(metrics) == _ranks(kind, nprocs, records)
 
 
 @pytest.mark.parametrize("tag", ["", "\tXX:f:1.5"])
@@ -119,3 +128,24 @@ def test_parallel_sort_is_byte_identical_to_sort_sam(tmp_path, nprocs,
     par, _ = parallel_sort_sam(path, tmp_path / "par.sam", nprocs,
                                tmp_path / "w", executor)
     assert open(par.output, "rb").read() == open(seq.output, "rb").read()
+
+
+def test_a_bam_fold_removes_its_spool(inputs, tmp_path, monkeypatch):
+    """The spool of a folded BAM lives in a scratch directory that is
+    gone after the fold, and after a fold that failed."""
+    import tempfile
+
+    from repro.errors import FormatError
+    from repro.formats.bgzf import scan_blocks
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    path, records = inputs[0]["bam_slabs"]
+    stats, _ = flagstat_parallel(path, 2, "thread")
+    assert stats == flagstat_records(records)
+    cut = tmp_path / "cut.bam"
+    with open(path, "rb") as fh:    # whole blocks, the last record cut
+        cut.write_bytes(fh.read()[:scan_blocks(path)[0][3]])
+    with pytest.raises(FormatError):
+        flagstat_parallel(cut, 2, "thread")
+    assert list(scratch.iterdir()) == []

@@ -223,7 +223,7 @@ def test_unsorted_duplicate_picks_keep_caller_order(stores, tmp_path):
     from repro.core.bam_converter import BamxPickSpec, convert_rank
     picks = tuple(np.random.default_rng(5).permutation(400)[:150]) \
         + (7, 7, 8, 3)
-    for target in ("bed", "fasta", "fastq", "sam"):
+    for target in ("bed", "fasta", "fastq", "sam", "bam"):
         want = None
         for kind, store in stores.items():
             for pipeline in ("record", "batch"):

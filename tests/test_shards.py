@@ -5,9 +5,11 @@ every registered target, ``shards_per_rank > 1`` produces *exactly* the
 bytes of the static single-shard run, on every executor.  The shard
 reducer concatenates shard outputs in range order (only shard 0 writes
 the header), so equality is checked per part file, not just in
-aggregate.
+aggregate.  A BAM part is compared inflated: shards cut its BGZF blocks
+in other places, and the stream the blocks hold is the output.
 """
 
+import gzip
 import os
 
 import pytest
@@ -24,9 +26,20 @@ EXECUTORS = ["simulate", "thread", "process"]
 
 
 def read_parts(result):
-    """``{basename: bytes}`` of a conversion result's output parts."""
-    return {os.path.basename(p): open(p, "rb").read()
-            for p in result.outputs}
+    """``{basename: bytes}`` of a conversion result's output parts, a
+    BAM part inflated — once it is checked to end in the one BGZF EOF
+    marker it holds."""
+    from repro.formats.bgzf import EOF_MARKER
+    parts = {}
+    for path in result.outputs:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if path.endswith(".bam"):
+            assert data.endswith(EOF_MARKER), path
+            assert data.count(EOF_MARKER) == 1, path
+            data = gzip.decompress(data)
+        parts[os.path.basename(path)] = data
+    return parts
 
 
 def read_tree(root):
@@ -62,17 +75,21 @@ def test_sam_converter_sharded_identity_all_targets(sam_file, tmp_path,
         assert_no_shard_leftovers(tmp_path / f"dyn-{executor}")
 
 
-def test_binary_targets_decline_to_split(sam_file, tmp_path):
-    """Targets with a binary payload (BAM) can't be concatenated
-    text-wise; their specs must refuse split() and run static —
-    outputs still identical, schedule just not decomposed."""
+def test_binary_targets_split_like_text(sam_file, tmp_path):
+    """BGZF members concatenate, so a BAM spec splits like a text one:
+    shard 0 alone writes the header block, and the reducer keeps the
+    last part's EOF marker only."""
     from repro.core.sam_converter import SamRankSpec, scan_header
     _, header_end = scan_header(sam_file)
     spec = SamRankSpec(sam_file, header_end, os.path.getsize(sam_file),
                        "bam", str(tmp_path / "x.bam"), "", 4096,
                        RecordFilter())
     assert get_target("bam").mode == "binary"
-    assert spec.split(4) == [spec]
+    shards = spec.split(4)
+    assert len(shards) == 4
+    assert [s.write_header for s in shards] == [True, False, False, False]
+    assert [s.out_path for s in shards] == [
+        f"{spec.out_path}.shard{i:02d}" for i in range(4)]
 
 
 @pytest.mark.parametrize("kind", ["sam", "range", "pick"])
@@ -373,8 +390,8 @@ def test_delayed_shards_with_tuner_identity_all_targets(sam_file,
     """With an injected per-batch delay, a tuner attached and three
     shards per rank, every shard still runs to completion where it was
     dispatched: the bytes equal the static single-shard run for every
-    registered target (binary targets decline to split and just run
-    static) and no ``.shardNN``/``.tail`` file survives."""
+    registered target (a BAM's inflated) and no ``.shardNN``/``.tail``
+    file survives."""
     from repro.runtime import faults
     from repro.runtime.autotune import AutoTuner, CostModel
 

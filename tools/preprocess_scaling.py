@@ -22,9 +22,13 @@ e.g. the parent commit) that tree's ``preprocess`` — sequential,
 whatever it is — is measured the same way beside them, and its stores
 must have the same digests.
 
+Every measurement also sorts the BAM (``sort_file``, same ranks) and
+runs ``flagstat`` on it, each once, timed.
+
 The stores and indexes of all cells must be byte-identical (sha-256
-over ``.bamx``/``.bamc``, ``.baix``, ``.baix2``): the tool exits 1 if
-not.  With ``REPRO_BENCH_SMOKE=1`` (the CI ``perf-smoke`` job) that
+over ``.bamx``/``.bamc``, ``.baix``, ``.baix2``), and so must the sorted
+BAMs inflated (each rank writes its own BGZF blocks) and the flagstat
+reports: the tool exits 1 if not.  With ``REPRO_BENCH_SMOKE=1`` (the CI ``perf-smoke`` job) that
 check is all it does — a small BAM, one repetition, no file written;
 otherwise the table goes to ``benchmarks/results/`` as JSON.
 
@@ -37,6 +41,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gzip
 import hashlib
 import json
 import os
@@ -89,7 +94,9 @@ def worker(bam: str, warm_bam: str, work: str, store: str, nprocs: int,
     """One measurement, in this (fresh) process; *sys.path* already
     leads to the tree under test."""
     from repro.core import BamConverter
+    from repro.core.sort import sort_file
     from repro.runtime.tracing import Tracer, install
+    from repro.tools.flagstat import flagstat_parallel
     converter = BamConverter(store_format=store)
     ranks = {"nprocs": nprocs, "executor": executor} if nprocs > 1 else {}
 
@@ -109,8 +116,20 @@ def worker(bam: str, warm_bam: str, work: str, store: str, nprocs: int,
         run(bam, "traced")
     finally:
         install(previous)
+    sorted_bam = os.path.join(work, "sorted.bam")
+    t0 = time.perf_counter()
+    sort_file(bam, sorted_bam, nprocs, executor, work_dir=work)
+    sort_seconds = time.perf_counter() - t0
+    stats, _ = flagstat_parallel(bam, nprocs, executor)
+    flagstat_seconds = time.perf_counter() - t0 - sort_seconds
+    with gzip.open(sorted_bam) as fh:
+        sort_digest = hashlib.sha256(fh.read()).hexdigest()
     return {"seconds": seconds, "digest": digest,
-            "stages": _stage_split(tracer.spans())}
+            "stages": _stage_split(tracer.spans()),
+            "sort_seconds": sort_seconds,
+            "flagstat_seconds": flagstat_seconds,
+            "sort_digest": sort_digest,
+            "flagstat": stats.format_report()}
 
 
 def _measure(src: str, *args: object) -> dict:
@@ -168,6 +187,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"FAIL {store}: {len(digests)} different digests "
                   f"across cells")
             failed = True
+    for key, what in (("sort_digest", "sorted BAMs"),
+                      ("flagstat", "flagstat reports")):
+        seen = {run[key] for cell in runs.values() for run in cell}
+        if len(seen) != 1:
+            print(f"FAIL: {len(seen)} different {what} across cells")
+            failed = True
     for (label, store), cell in runs.items():
         seconds = [run["seconds"] for run in cell]
         stages = {name: statistics.median(
@@ -176,11 +201,16 @@ def main(argv: list[str] | None = None) -> int:
             "cell": label, "store": store, "seconds": seconds,
             "median_seconds": statistics.median(seconds),
             "records_per_s": args.records / statistics.median(seconds),
-            "stage_seconds": stages, "digest": cell[0]["digest"]})
+            "stage_seconds": stages, "digest": cell[0]["digest"],
+            "sort_seconds": statistics.median(
+                run["sort_seconds"] for run in cell),
+            "flagstat_seconds": statistics.median(
+                run["flagstat_seconds"] for run in cell)})
     print(f"{args.records} records, {args.reps} repetitions "
           f"(seconds: median [min..max]; stages: median of traced runs)")
     print(f"{'cell':10s} {'store':5s} {'phase s':>22s} {'rec/s':>9s}  "
-          + " ".join(f"{name:>7s}" for name in STAGES))
+          + " ".join(f"{name:>7s}" for name in STAGES)
+          + f" {'sort':>7s} {'flagst':>7s}")
     for row in table:
         s = row["seconds"]
         print(f"{row['cell']:10s} {row['store']:5s} "
@@ -189,7 +219,8 @@ def main(argv: list[str] | None = None) -> int:
                   f"{row['stage_seconds'][name]:7.3f}" for name in STAGES)
                   if row["cell"] != "parent" else "  ".join(
                       f"{name} {seconds:.3f}" for name, seconds
-                      in row["stage_seconds"].items())))
+                      in row["stage_seconds"].items()))
+              + f" {row['sort_seconds']:7.3f} {row['flagstat_seconds']:7.3f}")
     by_cell = {(row["cell"], row["store"]): row for row in table}
     for store in STORES:
         one, two = (by_cell[label, store]
