@@ -366,9 +366,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("shutting down")
         daemon.stop()
-    finally:
-        from .runtime.executor import reset_shared_executor
-        reset_shared_executor()  # don't leave warm workers behind
     return 0
 
 

@@ -199,7 +199,7 @@ def format_metrics_snapshot(snap: dict) -> str:
         t = snap["timers"][name]
         lines.append(f"{name:<28} count={t['count']} "
                      f"total={t['total_seconds']:.3f}s "
-                     f"mean={t['mean_seconds']:.3f}s")
+                     f"mean={t['mean_seconds']:.6f}s")
     return "\n".join(lines) if lines else "(no metrics recorded)"
 
 

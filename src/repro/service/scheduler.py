@@ -65,12 +65,6 @@ class WorkerPool:
         mirror span durations into ``span.<name>`` metric timers.  On
         by default; disable for benchmark pools where the per-span
         bookkeeping would distort measurements.
-    stats_source:
-        Optional zero-argument callable returning a flat name->number
-        dict (e.g. :func:`~repro.runtime.executor.shared_executor_stats`);
-        after every job attempt its values are mirrored into
-        ``executor_<name>`` gauges, so the metrics snapshot shows the
-        shared worker pool's reuse counters.
     journal:
         Optional :class:`~repro.service.journal.JobJournal`.  When
         set, every submission is journaled *before* it is enqueued
@@ -85,13 +79,11 @@ class WorkerPool:
     def __init__(self, runner: Callable[[Job], Any], workers: int = 2,
                  metrics: ServiceMetrics | None = None,
                  trace_jobs: bool = True,
-                 stats_source: Callable[[], dict] | None = None,
                  journal: JobJournal | None = None) -> None:
         if workers < 1:
             raise ServiceError(f"workers {workers} must be >= 1")
         self._runner = runner
         self._trace_jobs = trace_jobs
-        self._stats_source = stats_source
         self._journal = journal
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self._cond = threading.Condition()
@@ -490,9 +482,6 @@ class WorkerPool:
                 except ReproError:
                     self.metrics.inc("journal_compact_errors")
             result, exc, timed_out, spans = self._run_attempt(job)
-            if self._stats_source is not None:
-                for name, value in self._stats_source().items():
-                    self.metrics.set_gauge(f"executor_{name}", value)
             with self._cond:
                 if spans:
                     job.trace.extend(spans)

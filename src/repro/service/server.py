@@ -3,14 +3,14 @@
 :class:`ConversionService` wires the scheduler, the artifact cache and
 the existing converters into one long-lived object.  Submitting a job
 returns immediately; a scheduler thread resolves its inputs and then
-*waits* while a process of the warm shared pool *works*: the job body
-is a module-level function of one picklable payload, so the process
-holding gateway, journal, scheduler and cache runs no conversion code
-and N jobs use N cores instead of one GIL.  BAM inputs route their
-sequential preprocessing through the content-addressed cache, so
-repeated full or partial-region conversions of the same input skip
-that phase entirely — the warm path is an O(1) cache lookup plus the
-BAIX binary search.
+*waits* while a body worker process *works*: the job body is a
+module-level function of one picklable payload, sent down the worker's
+pipe, so the process holding gateway, journal, scheduler and cache
+runs no conversion code and N jobs use N cores instead of one GIL.
+BAM inputs route their sequential preprocessing through the
+content-addressed cache, so repeated full or partial-region
+conversions of the same input skip that phase entirely — the warm path
+is an O(1) cache lookup plus the BAIX binary search.
 
 :class:`~repro.service.gateway.GatewayServer` exposes the façade over
 a local unix socket and/or a TCP listener: transport, session, dispatch
@@ -24,10 +24,13 @@ imports.
 from __future__ import annotations
 
 import contextlib
+import multiprocessing
 import os
+import queue
 import threading
 import time
 import warnings
+from multiprocessing.util import Finalize
 from typing import Any
 
 from ..core import BamConverter, SamConverter, parse_filter_expr
@@ -36,8 +39,8 @@ from ..errors import ServiceError
 from ..formats.registry import SOURCE_FORMATS, STORE_KINDS, source_kind
 from ..formats.store import index_path_for
 from ..runtime.autotune import AutoTuner, CostModel
-from ..runtime.executor import get_shared_executor, \
-    reset_shared_executor, shared_executor_stats
+from ..runtime.executor import ExecutorFailure, _pool_worker_init, \
+    reset_shared_executor, resolve_start_method
 from ..runtime.metrics import ServiceMetrics
 from ..runtime.tracing import get_tracer
 from . import journal as journal_mod
@@ -137,6 +140,127 @@ def _preprocess_body(payload: dict[str, Any]) -> tuple[None, dict, list]:
     return None, metrics.snapshot(), []
 
 
+# -- body workers: the daemon's processes that run the bodies above
+
+def _body_worker(conn: Any, owner_pid: int | None,
+                 inherited: list[Any]) -> None:
+    """A body worker's loop: a ``_run_entry`` tuple in, ``(True,
+    reply)`` or ``(False, exception)`` out, until the daemon sends
+    ``None`` or its end of the pipe is gone (a reply that cannot be
+    pickled ends the worker, which the daemon reports as its death).
+
+    *inherited* are the daemon's ends of the pipes that existed at the
+    fork — its siblings' and this worker's own — closed here so that
+    each worker sees EOF once the daemon's copy is gone."""
+    for other in inherited:
+        other.close()
+    _pool_worker_init(owner_pid)
+    with contextlib.suppress(EOFError, OSError):
+        while (entry := conn.recv()) is not None:
+            try:
+                reply = (True, _run_entry(entry))
+            except Exception as exc:  # noqa: BLE001 — sent home
+                reply = (False, exc)
+            conn.send(reply)
+
+
+def _stop_workers(slots: list[list[Any]]) -> None:
+    """Ask every worker to exit, wait for each (a body still running
+    finishes first), then close the daemon's ends."""
+    for _, conn in slots:
+        with contextlib.suppress(OSError):
+            conn.send(None)
+    for proc, conn in slots:
+        proc.join()
+        conn.close()
+
+
+class BodyWorkers:
+    """*n* processes, one duplex pipe each, that run job bodies.
+
+    The constructor forks them (``resolve_start_method()``), so build
+    this before any thread exists.  :meth:`run` takes a free worker, sends it one
+    ``_run_entry`` tuple and receives the reply: a job body is one send
+    and one receive, with no relay thread between them.  A worker that
+    dies under a body fails that call with :class:`ExecutorFailure`
+    and is re-forked alone; the others, and the bodies they run, are
+    untouched.  ``body_worker_{starts,alive,tasks_completed,
+    tasks_failed}`` gauges count them in *metrics*.
+    """
+
+    def __init__(self, n: int, metrics: ServiceMetrics) -> None:
+        method = resolve_start_method()
+        self._ctx = multiprocessing.get_context(method)
+        self._owner = None if method == "forkserver" else os.getpid()
+        self._metrics = metrics
+        self._lock = threading.Lock()
+        self._counts = dict.fromkeys(
+            ("starts", "alive", "tasks_completed", "tasks_failed"), 0)
+        self._slots: list[list[Any]] = []     # [process, daemon's end]
+        self._free: queue.SimpleQueue[int] = queue.SimpleQueue()
+        for i in range(n):
+            self._slots.append(self._fork())
+            self._free.put(i)
+        # Also at interpreter exit, before multiprocessing joins them.
+        self._stop = Finalize(self, _stop_workers, args=(self._slots,),
+                              exitpriority=10)
+
+    def close(self) -> None:
+        """Stop every worker; a body still running finishes first."""
+        self._stop()
+
+    @property
+    def pids(self) -> list[int]:
+        """The workers' process ids, in slot order."""
+        return [proc.pid for proc, _ in self._slots]
+
+    def _fork(self) -> list[Any]:
+        ours, theirs = self._ctx.Pipe()
+        inherited = [conn for _, conn in self._slots if not conn.closed]
+        proc = self._ctx.Process(
+            target=_body_worker, name="repro-body",
+            args=(theirs, self._owner, [*inherited, ours]))
+        proc.start()
+        theirs.close()
+        self._count(starts=1, alive=1)
+        return [proc, ours]
+
+    def _count(self, **deltas: int) -> None:
+        with self._lock:
+            for name, delta in deltas.items():
+                self._counts[name] += delta
+            for name, value in self._counts.items():
+                self._metrics.set_gauge(f"body_worker_{name}", value)
+
+    def run(self, entry: tuple, label: str) -> tuple[Any, float]:
+        """``_run_entry(entry)`` in a free worker; returns its reply and
+        the seconds from send to receive.  The body's exception is
+        re-raised here; a worker that died is :class:`ExecutorFailure`
+        naming *label*."""
+        i = self._free.get()
+        proc, conn = self._slots[i]
+        try:
+            t0 = time.perf_counter()
+            conn.send(entry)
+            ok, reply = conn.recv()
+            seconds = time.perf_counter() - t0
+        except (EOFError, BrokenPipeError, ConnectionResetError) as exc:
+            conn.close()
+            proc.kill()
+            proc.join()
+            self._count(alive=-1, tasks_failed=1)
+            self._slots[i] = self._fork()
+            raise ExecutorFailure(
+                label, f"{type(exc).__name__}: body worker {proc.pid} "
+                       f"died (exit code {proc.exitcode})") from exc
+        finally:
+            self._free.put(i)
+        if not ok:
+            raise reply
+        self._count(tasks_completed=1)
+        return reply, seconds
+
+
 class ConversionService:
     """Long-lived conversion job service (in-process façade).
 
@@ -147,9 +271,10 @@ class ConversionService:
         ``<work_dir>/cache`` unless *cache_dir* overrides it.
     workers:
         Jobs in flight at once: scheduler threads that resolve a job's
-        inputs through the cache, then wait for its body to finish in a
-        process of the shared pool (``REPRO_EXECUTOR_WORKERS``, else
-        ``os.cpu_count()``, wide; started here, before any thread).
+        inputs through the cache, then wait for its body to finish in
+        one of as many :class:`BodyWorkers` processes (forked here,
+        before any thread; ``REPRO_EXECUTOR_WORKERS`` does not size
+        them).
     cache_max_bytes:
         LRU size cap for the artifact cache (``None`` = unbounded).
     shards_per_rank:
@@ -205,9 +330,9 @@ class ConversionService:
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.shards_per_rank = validate_knob(
             shards_per_rank, "shards_per_rank", ServiceError)
-        # Fork the pool's workers while no scheduler, journal or
-        # gateway thread exists to be caught holding a lock.
-        get_shared_executor().map_tasks(abs, [0], "process")
+        # Fork the body workers while no scheduler, journal or gateway
+        # thread exists to be caught holding a lock.
+        self.bodies = BodyWorkers(workers, self.metrics)
         model = CostModel(cost_model_path if cost_model_path is not None
                           else os.path.join(self.work_dir,
                                             "cost_model.json"))
@@ -243,9 +368,7 @@ class ConversionService:
             recovered = list(specs.values())
             id_floor = stats["id_floor"]
         self.pool = WorkerPool(self._run_job, workers=workers,
-                               metrics=self.metrics,
-                               stats_source=shared_executor_stats,
-                               journal=self.journal)
+                               metrics=self.metrics, journal=self.journal)
         if recovered:
             counts = self.pool.recover(recovered, id_floor)
             # The replayed log has served its purpose; snapshotting it
@@ -311,17 +434,19 @@ class ConversionService:
         return self.metrics.snapshot()
 
     def close(self) -> None:
-        """Stop the worker pool (queued jobs are left unrun; with a
-        journal they are recovered by the next incarnation) and save
-        what the cost model learned since its last save."""
+        """Stop the worker pool and the body workers (queued jobs are
+        left unrun; with a journal they are recovered by the next
+        incarnation) and save what the cost model learned since its
+        last save."""
         self.pool.shutdown()
+        self.bodies.close()
         with self._model_lock:
             if self._model_dirty:
                 self._save_model()
         if self.journal is not None:
             self.journal.close()
 
-    # -- the job runner (scheduler threads wait, pool processes work) --
+    # -- the job runner (scheduler threads wait, body workers work) --
 
     def _run_job(self, job: Job) -> dict[str, Any]:
         params = job.params
@@ -353,25 +478,31 @@ class ConversionService:
 
     def _in_pool(self, body: Any, payload: dict[str, Any],
                  label: str) -> Any:
-        """Run ``body(payload)`` in a process of the shared pool — the
-        one place the service crosses the process boundary.
+        """Run ``body(payload)`` in a body worker — the one place the
+        service crosses the process boundary.
 
         The calling thread waits.  Back come the body's result, its
         metric deltas (folded into :attr:`metrics`), its cost-model
         observations (folded into :attr:`cost_model`) and its spans,
         which land under the caller's open span — the attempt's
-        ``job.<kind>`` — the way rank spans do.  A body that takes its
-        interpreter down surfaces as ``ExecutorFailure`` naming
-        *label*; the next call rebuilds the pool.
+        ``job.<kind>`` — the way rank spans do; the send → receive wall
+        less the ``job.body`` span is the ``body_roundtrip_seconds``
+        timer.  A body that takes its interpreter down surfaces as
+        ``ExecutorFailure`` naming *label*, and only its worker is
+        re-forked.
         """
         tracer = get_tracer()
         caller = tracer.current_span()
         parent_id = caller.span_id if caller is not None else None
-        ((result, deltas, observed), span_dicts), = \
-            get_shared_executor().map_tasks(
-                _run_entry, [(body, payload, None, None,
-                              (tracer.enabled, tracer.epoch), parent_id,
-                              "job.body")], "process", labels=[label])
+        ((result, deltas, observed), span_dicts), seconds = \
+            self.bodies.run((body, payload, None, None,
+                             (tracer.enabled, tracer.epoch), parent_id,
+                             "job.body"), label)
+        for span in span_dicts:
+            if span["name"] == "job.body":
+                self.metrics.observe(
+                    "body_roundtrip_seconds",
+                    seconds - (span["end"] - span["start"]))
         tracer.ingest(span_dicts, parent_id=parent_id)
         self.metrics.absorb(deltas)
         self._learn(observed)

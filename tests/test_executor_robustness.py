@@ -192,3 +192,49 @@ def test_pool_workers_do_not_outlive_their_parent():
     while any(map(pid_alive, pids)) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not any(map(pid_alive, pids)), pids
+
+
+def test_body_workers_do_not_outlive_repro_serve(tmp_path):
+    """The orphan rule for the service: once a ``repro serve`` daemon is
+    SIGKILLed, its body workers (the children it forked at start-up,
+    one per ``--workers``) notice and exit, here within 3 s."""
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    import repro
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    env.pop("REPRO_FAULTS", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--listen",
+         "127.0.0.1:0", "--work-dir", str(tmp_path / "svc"),
+         "--workers", "2"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True)
+    try:
+        assert "listening" in proc.stdout.readline()
+
+        def children() -> list[int]:
+            pids = []
+            for name in filter(str.isdigit, os.listdir("/proc")):
+                try:
+                    with open(f"/proc/{name}/stat") as fh:
+                        fields = fh.read().rsplit(")", 1)[1].split()
+                except OSError:
+                    continue
+                if int(fields[1]) == proc.pid:
+                    pids.append(int(name))
+            return pids
+
+        pids = children()
+        assert len(pids) == 2
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(30)
+        proc.stdout.close()
+    deadline = time.monotonic() + 3.0
+    while any(map(pid_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(pid_alive, pids)), pids

@@ -406,12 +406,11 @@ def test_preprocess_rank_fault_leaves_a_clean_work_dir(
 
 @pytest.fixture()
 def crashing_sam_daemon(tmp_path):
-    """A gateway over a service whose pool workers were forked with
+    """A gateway over a service whose body workers were forked with
     ``shard.batch:crash`` armed: any SAM job body ``os._exit``s the
     process it runs in, the way an OOM kill or a C-level fault would."""
     from repro.service import ConversionService
     faults.arm("shard.batch:crash")
-    reset_shared_executor()  # the service's pool is #1, forked armed
     service = ConversionService(tmp_path / "svc", workers=2)
     daemon = GatewayServer(service, tcp_address=("127.0.0.1", 0))
     daemon.start()
@@ -420,15 +419,14 @@ def crashing_sam_daemon(tmp_path):
     finally:
         daemon.stop()
         faults.disarm()
-        reset_shared_executor()
 
 
 def test_crashing_job_body_fails_that_job_only(crashing_sam_daemon,
                                                sam_file, bam_file,
                                                tmp_path):
     """Crash containment: the job whose body died is ``failed`` with the
-    executor's text, the daemon still answers, and the next job runs on
-    a rebuilt pool."""
+    executor's text, the daemon still answers, the dead body worker
+    alone is re-forked, and the next job runs."""
     from repro.service import ServiceClient
     with ServiceClient(crashing_sam_daemon.tcp_address) as client:
         doomed = client.submit("convert", {
@@ -441,9 +439,9 @@ def test_crashing_job_body_fails_that_job_only(crashing_sam_daemon,
         assert client.ping()
         assert client.status(doomed["job_id"])["state"] == "failed"
         gauges = client.metrics()["gauges"]
-        assert gauges["executor_process_pool_alive"] == 0
-        assert gauges["executor_tasks_failed"] == 1
-        # A BAM job never reaches shard.batch: it completes, on pool #2.
+        assert gauges["body_worker_alive"] == 2
+        assert gauges["body_worker_tasks_failed"] == 1
+        # A BAM job never reaches shard.batch: it completes.
         job = client.submit("convert", {
             "input": bam_file, "target": "bed",
             "out_dir": str(tmp_path / "next")})
@@ -451,8 +449,8 @@ def test_crashing_job_body_fails_that_job_only(crashing_sam_daemon,
         assert final["state"] == "done", final["error"]
         assert final["result"]["records"] > 0
         snap = client.metrics()
-        assert snap["gauges"]["executor_process_pool_starts"] == 2
-        assert snap["gauges"]["executor_process_pool_alive"] == 1
+        assert snap["gauges"]["body_worker_starts"] == 3    # 2 + 1 re-fork
+        assert snap["gauges"]["body_worker_alive"] == 2
         assert snap["counters"]["jobs_failed"] == 1
         assert snap["counters"]["jobs_done"] == 1
 
@@ -471,9 +469,52 @@ def test_crashing_job_body_is_retried_on_a_rebuilt_pool(
                  if s["name"] == "job.convert"]
         assert [s["args"]["attempt"] for s in roots] == [1, 2]
         assert all(s["args"]["error"] == "ExecutorFailure" for s in roots)
-        # Attempt 2 ran — and died — on pool #2; the daemon lives.
+        # Attempt 2 ran — and died — on a live worker; the daemon lives.
         snap = client.metrics()
-        assert snap["gauges"]["executor_process_pool_starts"] == 2
-        assert snap["gauges"]["executor_tasks_failed"] == 2
+        assert snap["gauges"]["body_worker_starts"] == 4    # 2 + 2 re-forks
+        assert snap["gauges"]["body_worker_tasks_failed"] == 2
         assert snap["counters"]["jobs_retried"] == 1
         assert client.ping()
+
+
+def test_a_crashing_body_spares_the_body_beside_it(tmp_path, monkeypatch,
+                                                   sam_file, bam_file):
+    """Per-worker containment: a SAM body dies to ``shard.batch:crash``
+    while a BAM body, held by a ``preprocess.rank`` delay, runs in the
+    other worker.  Only the dead worker is re-forked: the BAM job ends
+    ``done`` on attempt 1, and its worker's pid does not change."""
+    from repro.service import ConversionService
+    monkeypatch.setattr(faults, "DELAY_SECONDS", 1.0)  # forked workers too
+    faults.arm("shard.batch:crash,preprocess.rank:delay")
+    service = ConversionService(tmp_path / "svc", workers=2)
+    try:
+        pids = service.bodies.pids
+        held = service.submit("convert", {
+            "input": bam_file, "target": "bed",
+            "out_dir": str(tmp_path / "held")})
+        deadline = time.monotonic() + 30
+        while service.status(held.job_id)["state"] == "queued" \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.3)     # its cache build is now asleep in a worker
+        doomed = service.submit("convert", {
+            "input": sam_file, "target": "bed",
+            "out_dir": str(tmp_path / "doomed")})
+        final = service.wait(doomed.job_id, 60)
+        assert final["state"] == "failed"
+        assert "ExecutorFailure: worker pool task " \
+            f"[{doomed.job_id} convert] failed" in final["error"]
+        assert service.status(held.job_id)["state"] == "running"
+        final = service.wait(held.job_id, 60)
+        assert final["state"] == "done", final["error"]
+        assert final["attempts"] == 1
+        assert final["result"]["records"] > 0
+        # Both bodies were in flight at once, one per worker: the one
+        # original pid left is the BAM body's worker.
+        survivors = set(pids) & set(service.bodies.pids)
+        assert len(survivors) == 1, (pids, service.bodies.pids)
+        gauges = service.metrics.snapshot()["gauges"]
+        assert gauges["body_worker_starts"] == 3
+        assert gauges["body_worker_tasks_failed"] == 1
+    finally:
+        service.close()

@@ -11,8 +11,7 @@ import time
 import pytest
 
 from repro.errors import JobNotFoundError, ServiceError
-from repro.runtime.executor import reset_shared_executor, \
-    shared_executor_stats
+from repro.runtime.executor import shared_executor_stats
 from repro.service import ArtifactCache, ConversionService, \
     GatewayServer, Job, JobState, ServiceClient, WorkerPool, cache_key
 
@@ -576,13 +575,13 @@ def test_service_preprocess_job_warms_cache(service, bam_file,
 
 
 # ---------------------------------------------------------------------
-# the process boundary: job bodies run in the shared pool
+# the process boundary: job bodies run in the service's body workers
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_pool_bodies_match_in_process_converters(bam_file, sam_file,
                                                  tmp_path, workers):
-    """Every job shape, run in a pool process, writes the bytes the
+    """Every job shape, run in a body worker, writes the bytes the
     converter writes when called in this process with the same
     arguments."""
     from repro.core import BamConverter, SamConverter
@@ -599,7 +598,6 @@ def test_pool_bodies_match_in_process_converters(bam_file, sam_file,
         "sam": SamConverter().convert(sam_file, "bed", tmp_path / "want-sam",
                                       nprocs=2),
     }
-    reset_shared_executor()     # so the pool the service starts is #1
     svc = ConversionService(tmp_path / "svc", workers=workers)
     try:
         def submit(name, kind, **params):
@@ -624,17 +622,18 @@ def test_pool_bodies_match_in_process_converters(bam_file, sam_file,
             got = part_bytes(tmp_path / f"got-{name}")
             assert got and got == part_bytes(tmp_path / f"want-{name}"), name
         assert svc.metrics.counter("preprocess_runs") == 1
-        assert svc.metrics.gauge("executor_process_pool_starts") == 1
+        assert svc.metrics.gauge("body_worker_starts") == workers
     finally:
         svc.close()
 
 
 def test_job_with_process_ranks_builds_its_own_pool(service, sam_file,
                                                     tmp_path):
-    """A job body already runs in a pool process; one that itself asks
-    for ``nprocs=2, executor="process"`` must not touch the pool it was
-    forked from."""
+    """A job body already runs in a body worker; one that itself asks
+    for ``nprocs=2, executor="process"`` builds its own pool, and the
+    daemon's shared executor is never touched."""
     before = shared_executor_stats()
+    bodies = service.metrics.gauge("body_worker_tasks_completed")
     snaps = {}
     for executor in ("simulate", "process"):
         job = service.submit("convert", {
@@ -649,11 +648,12 @@ def test_job_with_process_ranks_builds_its_own_pool(service, sam_file,
     shards = [s for s in service.trace(snaps["process"]["job_id"])
               if s["name"] == "shard"]
     assert len(shards) == 4         # ran as 2 ranks x 2 shards, traced
-    # The daemon's pool saw one call per job and nothing else.
-    after = shared_executor_stats()
-    assert after["calls"] == before["calls"] + 2
-    assert after["tasks_completed"] == before["tasks_completed"] + 2
-    assert after["process_pool_starts"] == before["process_pool_starts"]
+    # The body workers ran one body per job; the shared executor of
+    # this process saw none of them.
+    assert service.metrics.gauge("body_worker_tasks_completed") \
+        == bodies + 2
+    assert service.metrics.gauge("body_worker_starts") == 2
+    assert shared_executor_stats().get("calls", 0) == before.get("calls", 0)
 
 
 def test_job_trace_spans_cross_the_process_boundary(service, bam_file,
@@ -698,8 +698,8 @@ def test_daemon_folds_every_observation_and_owns_the_model_file(
     """K same-key region jobs from two clients on two workers advance
     the daemon's model entry by exactly K, and only the daemon process
     ever opens ``cost_model.json``: a spy on ``CostModel`` load and
-    save, inherited by the pool's forked workers, logs each caller's
-    pid."""
+    save, inherited by the body workers forked after it, logs each
+    caller's pid."""
     from repro.runtime import autotune
     log = tmp_path / "model-opens.log"
 
@@ -714,7 +714,6 @@ def test_daemon_folds_every_observation_and_owns_the_model_file(
     for name in ("_load", "save"):
         monkeypatch.setattr(autotune.CostModel, name,
                             spied(getattr(autotune.CostModel, name)))
-    reset_shared_executor()         # fork the pool with the spies armed
     svc = ConversionService(tmp_path / "svc", workers=2)
     daemon = GatewayServer(svc, tcp_address=("127.0.0.1", 0))
     daemon.start()
@@ -748,7 +747,6 @@ def test_daemon_folds_every_observation_and_owns_the_model_file(
         assert after["updated"] == before["updated"] + k
     finally:
         daemon.stop()               # drains, then closes the service
-        reset_shared_executor()
     path = tmp_path / "svc" / "cost_model.json"
     assert autotune.CostModel(path).snapshot() == svc.cost_model.snapshot()
     assert [name for name in os.listdir(tmp_path / "svc")

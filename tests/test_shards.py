@@ -281,8 +281,7 @@ def test_cli_shards_flag_byte_identical(sam_file, tmp_path, capsys):
 
 
 def test_service_job_with_shards_param(sam_file, tmp_path):
-    from repro.runtime.executor import reset_shared_executor, \
-        shared_executor_stats
+    from repro.runtime.executor import reset_shared_executor
     from repro.service.server import ConversionService
     reset_shared_executor()
     service = ConversionService(tmp_path / "svc", workers=1)
@@ -304,11 +303,9 @@ def test_service_job_with_shards_param(sam_file, tmp_path):
             return {os.path.basename(p): open(p, "rb").read()
                     for p in job.result["outputs"]}
         assert job_bytes(dynamic_job) == job_bytes(static_job)
-        # The scheduler mirrors shared-pool stats into gauges.
-        snapshot = service.metrics.snapshot()
-        gauges = snapshot["gauges"]
-        assert "executor_calls" in gauges
-        assert shared_executor_stats()["calls"] >= 1
+        # Both bodies ran in the service's body workers.
+        gauges = service.metrics.snapshot()["gauges"]
+        assert gauges["body_worker_tasks_completed"] == 2
     finally:
         service.close()
         reset_shared_executor()

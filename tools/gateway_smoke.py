@@ -27,8 +27,9 @@ Checks enforced:
   :data:`OVERHEAD_LIMIT_MS` — the guard against a poll tick (or any
   other fixed per-job wait) coming back.
 
-The service metrics snapshot, the overhead median/p90 and the burst's
-ping round trips are written to ``GATEWAY_SMOKE_metrics.json`` at the repo root (uploaded as a CI
+The service metrics snapshot (whose ``gateway_wait_wake_seconds`` and
+``body_roundtrip_seconds`` timers must be present), the overhead
+median/p90 and the burst's ping round trips are written to ``GATEWAY_SMOKE_metrics.json`` at the repo root (uploaded as a CI
 artifact) so gateway counters are inspectable per run.
 
 Usage::
@@ -279,9 +280,13 @@ def main(argv: list[str] | None = None) -> int:
             if counters.get("jobs_done", 0) < args.clients:
                 fail(f"jobs_done={counters.get('jobs_done')} < "
                      f"{args.clients}")
-            if "gateway_wait_wake_seconds" not in snapshot["timers"]:
-                fail("no gateway_wait_wake_seconds timer in the "
-                     "metrics snapshot")
+            for name in ("gateway_wait_wake_seconds",
+                         "body_roundtrip_seconds"):
+                if name not in snapshot["timers"]:
+                    fail(f"no {name} timer in the metrics snapshot")
+            roundtrip = snapshot["timers"]["body_roundtrip_seconds"]
+            print(f"[smoke] body round trip (send -> receive less the "
+                  f"body) mean {roundtrip['mean_seconds'] * 1e3:.3f} ms")
 
             out_path = os.path.join(ROOT, "GATEWAY_SMOKE_metrics.json")
             with open(out_path, "w", encoding="utf-8") as fh:
