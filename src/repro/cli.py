@@ -106,18 +106,18 @@ def _converter_knobs(args: argparse.Namespace) -> dict:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    from .core import BamConverter, SamConverter, parse_filter_expr
+    from . import core      # the converter for the input's kind only
     from .formats.registry import source_kind
     kind = source_kind(args.input, "repro convert")
-    record_filter = parse_filter_expr(args.filter) if args.filter \
+    record_filter = core.parse_filter_expr(args.filter) if args.filter \
         else None
     knobs = _converter_knobs(args)
     if kind == "sam":
-        converter, source = SamConverter(**knobs), args.input
+        converter, source = core.SamConverter(**knobs), args.input
     elif kind == "bam":
-        from .core import PreprocArtifacts
-        converter = BamConverter(store_format=args.store_format, **knobs)
-        supplied = PreprocArtifacts.for_store(args.bamx, args.baix) \
+        converter = core.BamConverter(store_format=args.store_format,
+                                      **knobs)
+        supplied = core.PreprocArtifacts.for_store(args.bamx, args.baix) \
             if args.bamx else None
         artifacts, pre = converter.ensure_preprocessed(
             args.input, args.work_dir or args.out_dir,
@@ -131,7 +131,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
                   f"{artifacts.store_path}")
         source = artifacts.store_path
     else:
-        converter, source = BamConverter(**knobs), args.input
+        converter, source = core.BamConverter(**knobs), args.input
     result = converter.convert(source, args.target, args.out_dir,
                                args.nprocs, args.executor,
                                record_filter=record_filter)

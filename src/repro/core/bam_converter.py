@@ -31,20 +31,19 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from ..defaults import DEFAULT_BATCH_SIZE
 from ..errors import ConversionError
 from ..formats.bam import BamReader, raw_slabs, read_header, \
     slab_columns, slab_records
-from ..formats.batch import DEFAULT_BATCH_SIZE
 from ..formats.bgzf import BgzfReader, scan_blocks
 from ..formats.header import SamHeader
 from ..formats.store import index_path_for, join_store_parts, \
     open_record_store, publishing, store_extension, store_meta
 from ..runtime import faults
-from ..runtime.autotune import AutoTuner
 from ..runtime.metrics import RankMetrics
 from ..runtime.partition import partition_records
 from ..runtime.tracing import get_tracer
@@ -52,8 +51,11 @@ from .base import ConversionResult, ShardableSpec, Source, \
     convert_rank, converter_options, encode_rank, execute_rank_tasks, \
     finish_rank_metrics, make_output_path, run_conversion
 from .filters import ACCEPT_ALL, RecordFilter
-from .region import GenomicRegion
 from .targets import get_target
+
+if TYPE_CHECKING:
+    from ..runtime.autotune import AutoTuner
+    from .region import GenomicRegion
 
 
 def preprocess_bam(bam_path: str | os.PathLike[str],
@@ -517,6 +519,7 @@ class BamConverter:
         bamx_path = os.fspath(bamx_path)
 
         def plan(out_dir: str) -> tuple:
+            from .region import GenomicRegion
             kind, header, locate = store_meta(bamx_path, mode, baix_path)
             parsed = [GenomicRegion.parse(r, header)
                       if isinstance(r, str) else r for r in regions]

@@ -38,30 +38,27 @@ from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field, replace
 from functools import partial
 from types import SimpleNamespace
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
-from ..defaults import DEFAULT_BATCH_SIZE, EXECUTORS
-from ..errors import BamxFormatError, ConversionError, RuntimeLayerError
-from ..formats.bamc import slab_from_records
-from ..formats.batch import PIPELINES, convert_records
-from ..formats.bgzf import EOF_MARKER, BgzfWriter
+from ..defaults import AUTO, DEFAULT_BATCH_SIZE, EXECUTORS, PIPELINES, \
+    STORE_FORMATS
+from ..errors import ConversionError, FaultInjectedError, RuntimeLayerError
 from ..formats.header import SamHeader
-from ..formats.kernels import KernelFallback, kernel_emitter_for
+from ..formats.kernels import KERNEL_TARGETS, KernelFallback, \
+    kernel_emitter_for
 from ..formats.record import AlignmentRecord
 from ..formats.registry import source_kind
-from ..formats.sam import TextSlab
-from ..formats.store import encode_slab_part, open_record_store, \
-    store_extension
 from ..runtime import faults
-from ..runtime.autotune import AUTO, JobTuning
 from ..runtime.buffers import BufferedTextWriter
-from ..runtime.executor import get_shared_executor
 from ..runtime.metrics import RankMetrics
 from ..runtime.partition import partition_records
 from ..runtime.tracing import Tracer, get_tracer
 from .targets import TargetFormat, get_target
+
+if TYPE_CHECKING:
+    from ..runtime.autotune import JobTuning
 
 
 def validate_knob(value: Any, name: str,
@@ -70,7 +67,7 @@ def validate_knob(value: Any, name: str,
     """Validate a tuning knob: a positive int, or — where *auto* allows
     it (shard counts; a batch size is always an integer) — ``"auto"``.
 
-    Returns the int or the canonical :data:`~repro.runtime.autotune.AUTO`
+    Returns the int or the canonical :data:`~repro.defaults.AUTO`
     sentinel; anything else raises *error* naming the bad value (no raw
     ``int()`` tracebacks).  The one validator behind the converter
     constructors, the service's job parameters and the CLI flags.
@@ -102,14 +99,11 @@ def converter_options(batch_size: int | str, pipeline: str,
     :class:`~repro.errors.ConversionError` before the converter touches
     any file.
     """
-    if pipeline not in PIPELINES:
-        raise ConversionError(
-            f"unknown pipeline {pipeline!r}; choose one of "
-            f"{PIPELINES}")
-    try:
-        store_extension(False, store_format)
-    except BamxFormatError as exc:
-        raise ConversionError(str(exc)) from None
+    for name, value, known in (("pipeline", pipeline, PIPELINES),
+                               ("store format", store_format, STORE_FORMATS)):
+        if value not in known:
+            raise ConversionError(
+                f"unknown {name} {value!r}; choose one of {known}")
     batch_size = validate_knob(batch_size, "batch_size", auto=False)
     shards_per_rank = validate_knob(shards_per_rank, "shards_per_rank")
     if tuner is None and shards_per_rank == AUTO:
@@ -186,6 +180,9 @@ def run_conversion(converter: Any, task_fn: Callable[[Any], Any],
     span_name, category, span_args = span
     with tracer.span(span_name, category, args=span_args):
         store_kind, pipeline, total_units, specs = plan(out_dir)
+        if pipeline.startswith("record") or target not in KERNEL_TARGETS:
+            # Every rank runs the record tier: load it before a pool forks.
+            from ..formats import batch  # noqa: F401
         os.makedirs(out_dir, exist_ok=True)
         # Without a tuner shards_per_rank is a plain int (see
         # converter_options) and nothing is observed.
@@ -332,6 +329,7 @@ def _dispatch(task_fn: Callable[[Any], Any],
     if inline:
         gathered = [_run_entry(payload) for payload in payloads]
     else:
+        from ..runtime.executor import get_shared_executor
         gathered = get_shared_executor().map_tasks(
             _run_entry, payloads, executor,
             labels=[f"rank {rank}" if shard is None
@@ -425,6 +423,7 @@ def merge_shard_outputs(out_path: str, shard_specs: Sequence[Any],
     name that replaces *out_path* only once complete; the parts are
     removed either way.  Returns the metrics fold of *shard_metrics*.
     """
+    from ..formats.bgzf import EOF_MARKER
     last, tmp = len(shard_specs) - 1, f"{out_path}.tmp{os.getpid()}"
     try:
         with open(tmp, "wb") as dst:
@@ -505,6 +504,7 @@ def convert_rank(spec: Any) -> RankMetrics:
                 if source.slow is not None:
                     return *source.slow(chunk, target, record_filter,
                                         out), 1
+            from ..formats.batch import convert_records
             return *convert_records(source.records(chunk), target,
                                     record_filter, out), 1
 
@@ -526,6 +526,7 @@ def encode_rank(spec: tuple) -> tuple[RankMetrics, list[tuple]]:
     Returns the metrics and, per slab, ``(bytes, records, index
     columns, layout)``: what :func:`~repro.formats.store.
     join_store_parts` joins the parts of all ranks with."""
+    from ..formats import bamc, store
     t0 = time.perf_counter()
     metrics = RankMetrics()
     open_source, part_path, store_format = spec
@@ -534,13 +535,13 @@ def encode_rank(spec: tuple) -> tuple[RankMetrics, list[tuple]]:
         header = source.header
         for chunk in source.chunks:
             slab = source.columns(chunk) if source.columns else None
-            if isinstance(slab, TextSlab):
+            if hasattr(slab, "column_slab"):    # proven SAM text
                 slab = slab.column_slab(header)
             if slab is None:
                 metrics.fallbacks += 1
-                slab = slab_from_records(list(source.records(chunk)),
-                                         header)
-            data, need = encode_slab_part(slab, store_format)
+                slab = bamc.slab_from_records(list(source.records(chunk)),
+                                              header)
+            data, need = store.encode_slab_part(slab, store_format)
             done.append((part.write(data), slab.count, slab.placed(0),
                          need))
             metrics.records += slab.count
@@ -626,6 +627,7 @@ def run_fold(path: str | os.PathLike[str], fold: Callable[..., Any],
             _, sources = bam_spool(path, os.path.join(scratch, "spool"),
                                    nprocs, executor)
         else:
+            from ..formats.store import open_record_store
             from .bam_converter import store_range_source
             with open_record_store(path) as store:
                 count = len(store)
@@ -711,12 +713,17 @@ def _part_writer(path: str, target: TargetFormat, metrics: RankMetrics,
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         if target.mode == "binary":
+            from ..formats.bgzf import BgzfWriter
             with BgzfWriter(tmp) as bgzf:
                 yield bgzf.write, lambda out: bgzf.write(b"".join(out))
             metrics.bytes_written += os.path.getsize(tmp)
         else:
             with BufferedTextWriter(tmp, metrics=metrics) as writer:
                 yield writer.write_text, writer.write_lines
+        if faults.should_corrupt("output.write"):   # a short write
+            os.truncate(tmp, os.path.getsize(tmp) // 2)
+            raise FaultInjectedError("injected short write at output.write")
+        faults.fire("output.write")
         os.replace(tmp, path)
     except BaseException:
         with suppress(FileNotFoundError):

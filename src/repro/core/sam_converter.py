@@ -16,17 +16,16 @@ import os
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..defaults import DEFAULT_BATCH_SIZE
 from ..errors import SamFormatError
-from ..formats.batch import DEFAULT_BATCH_SIZE, convert_records, \
-    convert_sam_lines, parse_sam_lines, sam_fastpath_for
 from ..formats.header import SamHeader
 from ..formats.record import AlignmentRecord
 from ..formats.sam import slab_columns
 from ..runtime import faults
-from ..runtime.autotune import AutoTuner
 from ..runtime.buffers import DEFAULT_READ_CHUNK, RangeLineReader
 from ..runtime.metrics import RankMetrics
 from ..runtime.partition import Partition, partition_bytes_source
@@ -35,6 +34,9 @@ from .base import ConversionResult, ShardableSpec, Source, \
     convert_rank, converter_options, make_output_path, run_conversion
 from .filters import ACCEPT_ALL, RecordFilter
 from .targets import get_target
+
+if TYPE_CHECKING:
+    from ..runtime.autotune import AutoTuner
 
 
 def scan_header(path: str | os.PathLike[str]) -> tuple[SamHeader, int]:
@@ -102,6 +104,7 @@ def _slab_lines(data: bytes) -> list[str]:
 
 
 def _parsed(data: bytes) -> list[AlignmentRecord]:
+    from ..formats.batch import parse_sam_lines
     return parse_sam_lines(_slab_lines(data))
 
 
@@ -111,6 +114,8 @@ def _per_line(data: bytes, target, record_filter,
     line by line through the target's column fastpath, the record path
     for the lines that cannot take — all of them, for a target without
     one (BAM)."""
+    from ..formats.batch import convert_records, convert_sam_lines, \
+        sam_fastpath_for
     fast_emit = sam_fastpath_for(target)
     if fast_emit is None:
         return convert_records(_parsed(data), target, record_filter, out)

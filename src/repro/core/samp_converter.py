@@ -18,8 +18,8 @@ import os
 import time
 from dataclasses import dataclass
 
+from ..defaults import DEFAULT_BATCH_SIZE
 from ..errors import ConversionError
-from ..formats.batch import DEFAULT_BATCH_SIZE
 from ..formats.header import SamHeader
 from ..formats.store import index_path_for, join_store_parts, \
     publishing, store_extension

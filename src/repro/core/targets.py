@@ -16,11 +16,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from ..errors import ConversionError
-from ..formats import bam as _bam
-from ..formats import json_fmt, yaml_fmt
 from ..formats.header import SamHeader
 from ..formats.record import UNMAPPED_POS, AlignmentRecord
-from ..formats.sam import format_alignment
 
 
 class TargetFormat(ABC):
@@ -50,11 +47,15 @@ class SamTarget(TargetFormat):
     name = "sam"
     extension = ".sam"
 
+    def __init__(self) -> None:
+        from ..formats.sam import format_alignment
+        self._format = format_alignment
+
     def file_header(self, header: SamHeader) -> str:
         return header.to_text()
 
     def emit(self, record: AlignmentRecord) -> str | None:
-        return format_alignment(record)
+        return self._format(record)
 
 
 class BedTarget(TargetFormat):
@@ -164,8 +165,12 @@ class JsonTarget(TargetFormat):
     name = "json"
     extension = ".jsonl"
 
+    def __init__(self) -> None:
+        from ..formats.json_fmt import format_record
+        self._format = format_record
+
     def emit(self, record: AlignmentRecord) -> str | None:
-        return json_fmt.format_record(record)
+        return self._format(record)
 
 
 class YamlTarget(TargetFormat):
@@ -174,10 +179,14 @@ class YamlTarget(TargetFormat):
     name = "yaml"
     extension = ".yaml"
 
+    def __init__(self) -> None:
+        from ..formats.yaml_fmt import format_record
+        self._format = format_record
+
     def emit(self, record: AlignmentRecord) -> str | None:
         # format_record ends with a newline already; strip the final one
         # because the writer appends it back per line protocol.
-        return yaml_fmt.format_record(record).rstrip("\n")
+        return self._format(record).rstrip("\n")
 
 
 class BamTarget(TargetFormat):
@@ -190,13 +199,15 @@ class BamTarget(TargetFormat):
     mode = "binary"
 
     def __init__(self) -> None:
+        from ..formats.bam import encode_record, header_bytes
+        self._encode, self._header_bytes = encode_record, header_bytes
         self._header: SamHeader | None = None
 
     def file_header(self, header: SamHeader) -> bytes:
         """The BAM header block; *header* also resolves the reference
         ids of every record :meth:`emit` encodes after it."""
         self.bind_header(header)
-        return _bam.header_bytes(header)
+        return self._header_bytes(header)
 
     def bind_header(self, header: SamHeader) -> None:
         """Attach the header needed to resolve reference ids."""
@@ -206,7 +217,7 @@ class BamTarget(TargetFormat):
         """Encode one record to BAM bytes."""
         if self._header is None:
             raise ConversionError("BamTarget used before bind_header()")
-        return _bam.encode_record(record, self._header)
+        return self._encode(record, self._header)
 
     emit_binary = emit
 

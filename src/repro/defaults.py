@@ -1,11 +1,13 @@
-"""Knob choices and defaults that the CLI parser shows.
-
-They live apart from :mod:`repro.formats` (which re-exports them) so
-building the parser does not import numpy and every codec.
-"""
+"""Knob choices and defaults that the CLI parser and the converters
+check: apart from the layers that own them (the codecs, the store, the
+tuner), so neither the parser nor a converter's checks load a layer
+just for a name (``DESIGN.md``, "What a call loads")."""
 
 #: Pipeline names accepted by the converters.
 PIPELINES = ("batch", "record")
+
+#: The sentinel value of an auto-tuned knob (``--shards auto``).
+AUTO = "auto"
 
 #: Default records per batch through the converter hot loops.
 DEFAULT_BATCH_SIZE = 4096

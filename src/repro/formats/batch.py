@@ -46,7 +46,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 
-from ..defaults import DEFAULT_BATCH_SIZE, PIPELINES  # noqa: F401
+from ..defaults import DEFAULT_BATCH_SIZE  # noqa: F401
 from .bamx import BamxLayout
 from .cigar import REF_CONSUMING
 from .header import SamHeader

@@ -38,8 +38,6 @@ from functools import partial
 import numpy as np
 
 from ..errors import BamFormatError, FormatError
-from .bam import slab_bytes
-from .bamc import ColumnSlab
 from .header import SamHeader
 
 
@@ -75,7 +73,7 @@ def filter_mask(flag: np.ndarray, mapq: np.ndarray,
     return mask
 
 
-def slab_filter_mask(slab: ColumnSlab, record_filter) -> np.ndarray | None:
+def slab_filter_mask(slab, record_filter) -> np.ndarray | None:
     """:func:`filter_mask` over a slab, or ``None`` for a no-op filter."""
     if record_filter is None or record_filter.is_noop:
         return None
@@ -86,7 +84,7 @@ def slab_filter_mask(slab: ColumnSlab, record_filter) -> np.ndarray | None:
 # Flagstat
 # --------------------------------------------------------------------------
 
-def flagstat_slab(slab: ColumnSlab) -> dict[str, int]:
+def flagstat_slab(slab) -> dict[str, int]:
     """samtools-flagstat category counts of one slab's ``flag``,
     ``mapq``, ``ref_id`` and ``next_ref`` columns.
 
@@ -125,7 +123,7 @@ def flagstat_slab(slab: ColumnSlab) -> dict[str, int]:
 # Histograms
 # --------------------------------------------------------------------------
 
-def add_coverage_events(slab: ColumnSlab, ref_id: int, length: int,
+def add_coverage_events(slab, ref_id: int, length: int,
                         diff: np.ndarray) -> None:
     """Accumulate one slab's coverage starts/ends into *diff*.
 
@@ -241,7 +239,8 @@ def _emit_bam(header, slab, record_filter) -> tuple[list[bytes], int]:
     """The records as BAM (:func:`~.bam.slab_bytes`), a proven text
     slab BAM-encoded first; a slab either step refuses goes to the
     record path, which raises the typed error."""
-    if not isinstance(slab, ColumnSlab):
+    from .bam import slab_bytes
+    if hasattr(slab, "column_slab"):    # proven SAM text
         slab = slab.column_slab(header)
         if slab is None:
             raise KernelFallback

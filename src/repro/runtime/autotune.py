@@ -41,6 +41,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..defaults import AUTO
 from ..errors import RuntimeLayerError
 from .executor import default_worker_count, simulate_schedule
 
@@ -49,9 +50,6 @@ __all__ = [
     "resolve_model_path", "AUTO", "DEFAULT_ALPHA", "DEFAULT_MAX_KEYS",
     "SHARD_CANDIDATES", "SHARD_OVERHEAD_SECONDS",
 ]
-
-#: The sentinel value of an auto-tuned knob (``--shards auto``).
-AUTO = "auto"
 
 #: EWMA weight of the newest observation.
 DEFAULT_ALPHA = 0.3

@@ -60,6 +60,7 @@ POINTS = (
     "shard.batch",        # SAM converter, once per slab of lines
     "preprocess.rank",    # a BAM opened on ranks, each inflate/encode rank
     "merge.copy",         # merge_shard_outputs, before each part it joins
+    "output.write",       # a part file, before its publish (short write)
 )
 
 #: Fault kinds a point can be armed with.

@@ -569,26 +569,89 @@ def test_package_exports_resolve_lazily_and_completely():
         repro.service.no_such_export
 
 
-def test_bam_convert_and_region_leave_cold_path_modules_out(tmp_path,
-                                                            bam_file):
-    """The one-shot user pays for what a BAM convert uses: the first
-    ``np.unique`` would import ``numpy.ma`` (~12 ms), ``--executor
-    simulate`` builds no pool, and the package ``__init__``s resolve
-    their exports lazily."""
+_BAM_STACK = tuple(f"repro.formats.{name}" for name in (
+    "bam", "bamc", "bamx", "bamz", "bgzf", "baix", "baix2", "store"))
+_NOT_ONE_SHOT = ("numpy.ma", "repro.core.sort", "repro.core.samp_converter",
+                 "repro.core.dataset", "repro.formats.fasta")
+_NO_POOL = ("repro.runtime.executor", "multiprocessing", "concurrent.futures")
+
+
+def _loaded_by(argv: list[str], importtime: bool = False,
+               ) -> tuple[set[str], list[str]]:
+    """The modules ``repro <argv>`` leaves loaded, run in a fresh
+    interpreter, and (under ``-X importtime``) every ``repro`` module
+    an import statement loaded in it or in a process forked from it."""
+    import json
+    import os
     import subprocess
     import sys
-    code = f"""
-import sys
-from repro.cli import main
-work, out = {str(tmp_path / "w")!r}, {str(tmp_path / "o")!r}
-assert main(["convert", {bam_file!r}, "--target", "bed", "--out-dir", out,
-             "--work-dir", work]) == 0
-assert main(["region", work + "/sample.bamx", "--region", "chr1:1-30000",
-             "--target", "bed", "--out-dir", out, "--mode", "overlap"]) == 0
-unwanted = [name for name in (
-    "numpy.ma", "multiprocessing", "concurrent.futures",
-    "repro.core.sort", "repro.core.samp_converter", "repro.core.dataset",
-    "repro.formats.fasta") if name in sys.modules]
-assert not unwanted, unwanted
-"""
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+
+    import repro
+    code = ("import json, sys\nfrom repro.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, *(["-X", "importtime"] if importtime else []),
+         "-c", code, *argv], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    imported = [line.rsplit("|", 1)[1].strip()
+                for line in done.stderr.splitlines()
+                if line.startswith("import time:")]
+    return set(json.loads(done.stdout.splitlines()[-1])), \
+        [name for name in imported if name.startswith("repro")]
+
+
+def test_bam_convert_and_region_leave_cold_path_modules_out(tmp_path,
+                                                            sam_file,
+                                                            bam_file):
+    """A one-shot call loads only the code its plan runs (``DESIGN.md``,
+    "What a call loads"), each case in a fresh interpreter: a SAM
+    conversion on process ranks none of the BAM, store, record-tier or
+    tuner stack — and no rank imports a module its parent had not (a
+    forked rank would compile it once more); a cold BAM conversion no
+    pool, no SAM converter, no region parser and no JSON/YAML renderer;
+    and none of them ``numpy.ma`` (the first ``np.unique`` would import
+    it) or a verb they do not run.  Positive controls show each module
+    does load where it is used."""
+    from repro.core import BamConverter
+    store, _, _ = BamConverter().preprocess(bam_file, tmp_path / "store")
+    floats = tmp_path / "floats.sam"
+    with open(sam_file, encoding="ascii") as fh:
+        floats.write_text(fh.read() + "f\t0\tchr1\t5\t60\t4M\t*\t0\t0"
+                          "\tACGT\tIIII\tXX:f:1.5\n")
+    out = str(tmp_path / "out")
+    cases = [   # (argv, modules left out, modules loaded)
+        (["convert", sam_file, "--target", "bed", "--nprocs", "2",
+          "--executor", "process"],
+         (*_BAM_STACK, "repro.formats.batch", "repro.runtime.autotune",
+          "repro.core.bam_converter", "repro.formats.json_fmt",
+          *_NOT_ONE_SHOT), ("repro.runtime.executor",)),
+        (["convert", bam_file, "--target", "bed", "--work-dir",
+          str(tmp_path / "w")],
+         ("repro.runtime.autotune", "repro.formats.batch",
+          "repro.formats.json_fmt", "repro.formats.yaml_fmt",
+          "repro.core.sam_converter", "repro.core.region", *_NO_POOL,
+          *_NOT_ONE_SHOT), ("repro.formats.store",)),
+        (["region", store, "--region", "chr1:1-30000", "--target", "bed",
+          "--mode", "overlap"],
+         ("repro.formats.batch", "repro.core.sam_converter", *_NO_POOL,
+          *_NOT_ONE_SHOT),
+         ("repro.core.region",)),
+        (["convert", sam_file, "--target", "json"], (),
+         ("repro.formats.json_fmt",)),
+        (["convert", sam_file, "--target", "bed", "--shards", "auto",
+          "--cost-model", str(tmp_path / "model.json")], (),
+         ("repro.runtime.autotune",)),
+        (["convert", str(floats), "--target", "bed"], (),
+         ("repro.formats.batch",)),
+    ]
+    for argv, left_out, loaded in cases:
+        modules, _ = _loaded_by([*argv, "--out-dir", out])
+        assert not modules & set(left_out), (argv, modules & set(left_out))
+        assert set(loaded) <= modules, (argv, set(loaded) - modules)
+    modules, imported = _loaded_by([*cases[0][0], "--out-dir", out],
+                                   importtime=True)
+    assert not {name for name in imported if imported.count(name) > 1}
+    assert set(imported) <= modules, set(imported) - modules

@@ -97,3 +97,24 @@ def test_a_failed_join_publishes_nothing(tmp_path, sam_file, bam_file,
     result = convert(path, target, tmp_path / "out", nprocs=1)
     assert os.listdir(tmp_path / "out") == [
         os.path.basename(p) for p in result.outputs]
+
+
+@pytest.mark.parametrize("kind", ["exception", "partial-write"])
+@pytest.mark.parametrize("target", ["sam", "bam"])
+def test_a_failed_part_write_publishes_nothing(tmp_path, sam_file,
+                                               disarmed, kind, target):
+    """``output.write`` armed at p=1.0 fails a part file at its publish
+    — raised there, or a short write that cut the file first: no
+    final-named part and no temporary is left, and the next run
+    publishes every part."""
+    faults.arm(f"output.write:{kind}")
+    with pytest.raises(FaultInjectedError, match="output.write"):
+        SamConverter().convert(sam_file, target, tmp_path / "out",
+                               nprocs=2)
+    assert faults.snapshot()["output.write"]["fires"] == 1
+    assert os.listdir(tmp_path / "out") == []
+    faults.disarm()
+    result = SamConverter().convert(sam_file, target, tmp_path / "out",
+                                    nprocs=2)
+    assert sorted(os.listdir(tmp_path / "out")) == [
+        os.path.basename(p) for p in result.outputs]
