@@ -183,9 +183,9 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .formats.bedgraph import write_bedgraph
-    from .formats.registry import STORE_KINDS, source_kind
+    from .formats.registry import source_kind
     from .stats import histogram_parallel, histogram_to_bedgraph
-    source_kind(args.input, "repro histogram", ("sam", *STORE_KINDS))
+    source_kind(args.input, "repro histogram")
     histos, _ = histogram_parallel(args.input, args.bin_size)
     intervals = []
     for chrom, histo in histos.items():
@@ -625,11 +625,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cost_model_argument(p)
     p.set_defaults(fn=_cmd_preprocess)
 
-    p = sub.add_parser("sort", help="coordinate-sort a SAM/BAM file "
+    p = sub.add_parser("sort", help="coordinate-sort an alignment file "
                                     "(through a store's index)")
-    p.add_argument("input", help=".sam or .bam input")
+    p.add_argument("input", help=".sam, .bam, .bamx, .bamz or .bamc input")
     p.add_argument("--output", required=True,
-                   help="output path (same format as input)")
+                   help=".sam or .bam output")
     p.add_argument("--chunk-records", type=int, default=250_000,
                    help="records per part of the sorted output")
     _add_rank_arguments(p, "ranks writing the scratch store and the "
@@ -647,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="structural validation "
                                         "(Picard ValidateSamFile)")
-    p.add_argument("input", help=".sam or .bam input")
+    p.add_argument("input", help=".sam, .bam, .bamx, .bamz or .bamc input")
     p.add_argument("--no-mates", action="store_true",
                    help="skip mate cross-checks")
     p.set_defaults(fn=_cmd_validate)
@@ -673,8 +673,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_region)
 
     p = sub.add_parser("histogram", help="binned coverage histogram from "
-                                         "a SAM file or record store")
-    p.add_argument("input", help=".sam, .bamx, .bamz or .bamc input")
+                                         "an alignment file")
+    p.add_argument("input", help=".sam, .bam, .bamx, .bamz or .bamc input")
     p.add_argument("--bin-size", type=int, default=25)
     p.add_argument("--output", required=True, help=".bedgraph output")
     p.add_argument("--npy", default=None,

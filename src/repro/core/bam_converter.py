@@ -41,15 +41,16 @@ from ..formats.bam import BamReader, raw_slabs, read_header, \
     slab_columns, slab_records
 from ..formats.bgzf import BgzfReader, scan_blocks
 from ..formats.header import SamHeader
+from ..formats.registry import STORE_KINDS
 from ..formats.store import index_path_for, join_store_parts, \
     open_record_store, publishing, store_extension, store_meta
 from ..runtime import faults
 from ..runtime.metrics import RankMetrics
 from ..runtime.partition import partition_records
 from ..runtime.tracing import get_tracer
-from .base import ConversionResult, ShardableSpec, Source, \
+from .base import ConversionResult, PartSpec, ShardableSpec, Source, \
     convert_rank, converter_options, encode_rank, execute_rank_tasks, \
-    finish_rank_metrics, make_output_path, run_conversion
+    finish_rank_metrics, make_output_path, plan_sources, run_conversion
 from .filters import ACCEPT_ALL, RecordFilter
 from .targets import get_target
 
@@ -85,25 +86,23 @@ def preprocess_bam(bam_path: str | os.PathLike[str],
     metrics = RankMetrics()
     bam_path = os.fspath(bam_path)
     bamx_path = os.fspath(bamx_path)
-    tracer = get_tracer()
-    with tracer.span("preprocess", "bam",
-                     args={"input": os.path.basename(bam_path),
-                           "compress": compress, "nprocs": nprocs,
-                           "store_format": store_format}), \
+    with get_tracer().span("preprocess", "bam",
+                           args={"input": os.path.basename(bam_path),
+                                 "compress": compress, "nprocs": nprocs,
+                                 "store_format": store_format}), \
             publishing(bamx_path, baix_path) as tmp_path:
-        spool_path = tmp_path + ".spool"
-        header, sources = bam_spool(bam_path, spool_path, nprocs, executor,
-                                    batch_size)
+        header, _, openers = plan_sources(
+            bam_path, nprocs, executor, tmp_path, reader="preprocess_bam",
+            reads=("bam",), batch_size=batch_size)
+        parts = [f"{tmp_path}.part{rank:04d}" for rank in range(len(openers))]
         done = execute_rank_tasks(
-            encode_rank, [(source, f"{tmp_path}.part{rank:04d}",
-                           store_format)
-                          for rank, source in enumerate(sources)],
+            encode_rank, [(opener, part, store_format)
+                          for opener, part in zip(openers, parts)],
             executor, span_name="encode")
-        os.unlink(spool_path)
-        join_store_parts(tmp_path, header, [
-            (f"{tmp_path}.part{rank:04d}", slabs)
-            for rank, (_, slabs) in enumerate(done)],
-            store_format, compress, level, batch_size)
+        os.unlink(tmp_path + ".spool")
+        join_store_parts(tmp_path, header, zip(parts, (slabs for _, slabs
+                                                       in done)),
+                         store_format, compress, level, batch_size)
         for rank_metrics, _ in done:
             metrics.records += rank_metrics.records
             metrics.fallbacks += rank_metrics.fallbacks
@@ -120,9 +119,9 @@ def bam_spool(bam_path: str, spool_path: str, nprocs: int, executor: str,
     once: ``scan`` the block boundaries; ``inflate`` block ranges, a
     rank each, into the file *spool_path*; ``walk`` the ``block_size``
     chain over it — the serial residue — for slab cuts every
-    *batch_size* records.  Returns the header and one
-    :func:`spool_source` opener per rank (runs of whole slabs); the
-    spool is the caller's to remove."""
+    *batch_size* records.  Returns the header and one :class:`SpoolRun`
+    per rank (runs of whole slabs); the spool is the caller's to
+    remove."""
     tracer = get_tracer()
     with tracer.span("scan", "bam"):
         starts, sizes = scan_blocks(bam_path)
@@ -145,7 +144,7 @@ def bam_spool(bam_path: str, spool_path: str, nprocs: int, executor: str,
             slabs.append((at, offsets))
             at += int(offsets[-1])
     return header, [
-        partial(spool_source, spool_path, tuple(slabs[a:b]), header)
+        SpoolRun(spool_path, tuple(slabs[a:b]), header)
         for a, b in _count_pieces(len(slabs), nprocs) or [(0, 0)]]
 
 
@@ -178,35 +177,44 @@ def raw_slab_source(header: SamHeader, chunks: Iterable[tuple]) -> Source:
                   lambda chunk: slab_records(*chunk, header))
 
 
-@contextmanager
-def spool_source(spool_path: str, slabs: tuple, header: SamHeader,
-                 metrics: RankMetrics) -> Iterator[Source]:
-    """Slabs of an inflated BAM's records — ``(spool offset, record
-    offsets)`` each, as the walk cut them — as a
+class SpoolRun(NamedTuple):
+    """A rank's run of slabs of an inflated BAM's records — ``(spool
+    offset, record offsets)`` each, as the walk cut them; called, a
     :func:`raw_slab_source`."""
-    faults.fire("preprocess.rank")
-    with open(spool_path, "rb") as spool:
-        def chunks() -> Iterator[tuple]:
-            for at, offsets in slabs:
-                buf = np.empty(int(offsets[-1]), np.uint8)
-                spool.seek(at)
-                if spool.readinto(buf) != len(buf):
-                    raise ConversionError("preprocessing spool is truncated")
-                metrics.bytes_read += len(buf)
-                yield buf, offsets
 
-        yield raw_slab_source(header, chunks())
+    spool_path: str
+    slabs: tuple
+    header: SamHeader
+
+    @contextmanager
+    def __call__(self, metrics: RankMetrics) -> Iterator[Source]:
+        faults.fire("preprocess.rank")
+        with open(self.spool_path, "rb") as spool:
+            def chunks() -> Iterator[tuple]:
+                for at, offsets in self.slabs:
+                    buf = np.empty(int(offsets[-1]), np.uint8)
+                    spool.seek(at)
+                    if spool.readinto(buf) != len(buf):
+                        raise ConversionError(
+                            "preprocessing spool is truncated")
+                    metrics.bytes_read += len(buf)
+                    yield buf, offsets
+
+            yield raw_slab_source(self.header, chunks())
 
 
-@contextmanager
-def bam_stream_source(bam_path: str, batch_size: int,
-                      metrics: RankMetrics) -> Iterator[Source]:
-    """A whole BAM in one pass, no scratch: the BGZF stream walked into
-    slabs of *batch_size* raw records as a :func:`raw_slab_source`."""
-    with BamReader(bam_path) as reader:
-        metrics.bytes_read += os.path.getsize(bam_path)
-        yield raw_slab_source(reader.header,
-                              reader.iter_raw_slabs(batch_size))
+class BamStream(NamedTuple):
+    """A whole BAM in one pass, no scratch; called, its BGZF stream
+    walked into slabs of raw records as a :func:`raw_slab_source`."""
+
+    bam_path: str
+
+    @contextmanager
+    def __call__(self, metrics: RankMetrics) -> Iterator[Source]:
+        with BamReader(self.bam_path) as reader:
+            metrics.bytes_read += os.path.getsize(self.bam_path)
+            yield raw_slab_source(reader.header,
+                                  reader.iter_raw_slabs(DEFAULT_BATCH_SIZE))
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,33 +264,38 @@ def _count_pieces(count: int, n: int) -> list[tuple[int, int]]:
     return [(s, e) for s, e in partition_records(count, n) if e > s]
 
 
+class StoreCut(NamedTuple):
+    """A rank's records of a BAMX/BAMZ/BAMC store — ``[start, stop)``,
+    or the *picks* indices in output order — as
+    :func:`~repro.core.base.plan_sources` cuts them; called, they are
+    read as column slabs (gathered, for picks): the chunks and the
+    columns at once."""
+
+    path: str
+    start: int = 0
+    stop: int = 0
+    picks: Sequence[int] | None = None
+
+    @contextmanager
+    def __call__(self, metrics: RankMetrics,
+                 batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[Source]:
+        with open_record_store(self.path) as reader:
+            header, picks = reader.header, self.picks
+            metrics.bytes_read += reader.layout.record_size * (
+                self.stop - self.start if picks is None else len(picks))
+            yield Source(header, reader.read_column_batches(
+                self.start, self.stop, batch_size) if picks is None
+                else reader.read_column_picks(picks, batch_size),
+                lambda slab: slab, lambda slab: slab.decode_all(header))
+
+
 @contextmanager
-def _store_source(store_path: str, count: int, select,
-                  metrics: RankMetrics) -> Iterator[Source]:
-    """*count* records of a BAMX/BAMZ/BAMC store, which
-    ``select(reader)`` yields as column slabs — the chunks and the
-    columns at once; a slab a kernel declines is counted in
-    ``kernel_fallbacks``."""
-    with open_record_store(store_path) as reader:
-        metrics.bytes_read += count * reader.layout.record_size
-        header = reader.header
-        yield Source(header, select(reader), lambda slab: slab,
-                     lambda slab: slab.decode_all(header))
-
-
-def store_range_source(store_path: str, start: int, stop: int,
-                       batch_size: int, metrics: RankMetrics):
-    """Records ``[start, stop)`` of a store as a :class:`Source`."""
-    return _store_source(store_path, stop - start,
-                         lambda reader: reader.read_column_batches(
-                             start, stop, batch_size), metrics)
-
-
-@contextmanager
-def _writing(spec, source) -> Iterator[Source]:
-    """A conversion rank's opened *source*, under its ``write`` span."""
-    with source as opened, get_tracer().span(
-            "write", "io", args={"out": os.path.basename(spec.out_path)}):
+def writing(out_path: str, opener: Callable, metrics: RankMetrics,
+            *args) -> Iterator[Source]:
+    """A conversion rank's source — ``opener(metrics, *args)`` — opened
+    under its ``write`` span."""
+    with opener(metrics, *args) as opened, get_tracer().span(
+            "write", "io", args={"out": os.path.basename(out_path)}):
         yield opened
 
 
@@ -310,9 +323,9 @@ class BamxRangeSpec(ShardableSpec):
                 for s, e in _count_pieces(self.stop - self.start, n)]
 
     def open(self, metrics: RankMetrics):
-        return _writing(self, store_range_source(
-            self.bamx_path, self.start, self.stop, self.batch_size,
-            metrics))
+        return writing(self.out_path, StoreCut(
+            self.bamx_path, self.start, self.stop), metrics,
+            self.batch_size)
 
 
 @dataclass(frozen=True, slots=True)
@@ -338,11 +351,8 @@ class BamxPickSpec(ShardableSpec):
                 for s, e in _count_pieces(len(self.indices), n)]
 
     def open(self, metrics: RankMetrics):
-        return _writing(self, _store_source(
-            self.bamx_path, len(self.indices),
-            lambda reader: reader.read_column_picks(self.indices,
-                                                    self.batch_size),
-            metrics))
+        return writing(self.out_path, StoreCut(
+            self.bamx_path, picks=self.indices), metrics, self.batch_size)
 
 
 class BamConverter:
@@ -437,29 +447,8 @@ class BamConverter:
 
         *record_filter* restricts which records are emitted.
         """
-        bamx_path = os.fspath(bamx_path)
-
-        def plan(out_dir: str) -> tuple:
-            with open_record_store(bamx_path) as reader:
-                kind, count = reader.kind, len(reader)
-            target_plugin = get_target(target)
-            stem = os.path.splitext(os.path.basename(bamx_path))[0]
-            specs = [
-                BamxRangeSpec(bamx_path, start, stop, target,
-                              make_output_path(out_dir, stem, rank,
-                                               target_plugin),
-                              record_filter or ACCEPT_ALL,
-                              pipeline=self.pipeline)
-                for rank, (start, stop)
-                in enumerate(partition_records(count, nprocs))
-            ]
-            return kind, self.pipeline, count, specs
-
-        return run_conversion(
-            self, convert_rank,
-            ("convert", "bam", {"store": os.path.basename(bamx_path),
-                                "target": target, "nprocs": nprocs}),
-            target, out_dir, nprocs, executor, plan)
+        return self._convert("convert", {}, "", bamx_path, None, target,
+                             out_dir, nprocs, executor, record_filter)
 
     def convert_region(self, bamx_path: str | os.PathLike[str],
                        baix_path: str | os.PathLike[str] | None,
@@ -480,7 +469,7 @@ class BamConverter:
         (§III-B).  *record_filter* further restricts by flags/MAPQ.
         """
         return self._convert_picks(
-            "convert.region", {}, "region", bamx_path, baix_path,
+            "convert.region", {}, ".region", bamx_path, baix_path,
             [region], target, out_dir, nprocs, executor, mode,
             record_filter)
 
@@ -501,7 +490,7 @@ class BamConverter:
         if not regions:
             raise ConversionError("convert_regions needs >= 1 region")
         return self._convert_picks(
-            "convert.regions", {"regions": len(regions)}, "regions",
+            "convert.regions", {"regions": len(regions)}, ".regions",
             bamx_path, baix_path, regions, target, out_dir, nprocs,
             executor, mode, record_filter)
 
@@ -511,67 +500,62 @@ class BamConverter:
                        record_filter: RecordFilter | None,
                        ) -> ConversionResult:
         """Locate *regions* in the store's index and convert the union
-        of the selected records; part files are ``<stem>.<suffix>.*``."""
+        of the selected records; part files are ``<stem><suffix>.*``."""
         if mode not in ("start", "overlap"):
             raise ConversionError(
                 f"unknown partial-conversion mode {mode!r}; choose "
                 f"'start' or 'overlap'")
-        bamx_path = os.fspath(bamx_path)
 
-        def plan(out_dir: str) -> tuple:
+        def picks() -> np.ndarray:
             from .region import GenomicRegion
-            kind, header, locate = store_meta(bamx_path, mode, baix_path)
+            _, header, locate = store_meta(bamx_path, mode, baix_path)
             parsed = [GenomicRegion.parse(r, header)
                       if isinstance(r, str) else r for r in regions]
             with get_tracer().span("locate", "bam", args={"mode": mode}):
-                picks = _first_seen(np.concatenate([
+                return _first_seen(np.concatenate([
                     np.asarray(locate(header.ref_id(r.chrom), r.start,
                                       r.end), dtype=np.int64)
                     for r in parsed]))
-            # One ascending run — every start-mode query of a coordinate-
-            # sorted store — is a record range: zero-copy windows where
-            # scattered picks gather.
-            first = int(picks[0]) if len(picks) else 0
-            is_run = bool((np.diff(picks) == 1).all())
+
+        return self._convert(span_name, {**span_args, "mode": mode}, suffix,
+                             bamx_path, picks, target, out_dir, nprocs,
+                             executor, record_filter)
+
+    def _convert(self, span_name: str, span_args: dict, suffix: str,
+                 bamx_path, picks: Callable[[], np.ndarray] | None,
+                 target: str, out_dir, nprocs: int, executor: str,
+                 record_filter: RecordFilter | None) -> ConversionResult:
+        """Convert the store's records — all of them, or ``picks()`` —
+        on the ranks :func:`~repro.core.base.plan_sources` cuts: a
+        range where they run (zero-copy windows), the picks where not
+        (a gather); part files are ``<stem><suffix>.*``."""
+        bamx_path = os.fspath(bamx_path)
+
+        def plan(out_dir: str) -> tuple:
+            _, kind, cuts = plan_sources(
+                bamx_path, nprocs, reader="BamConverter", reads=STORE_KINDS,
+                picks=None if picks is None else picks())
             target_plugin = get_target(target)
-            stem = os.path.splitext(os.path.basename(bamx_path))[0]
+            stem = os.path.splitext(os.path.basename(bamx_path))[0] + suffix
             specs = []
-            for rank, (a, b) in enumerate(
-                    partition_records(len(picks), nprocs)):
-                rest = dict(
-                    target=target, out_path=make_output_path(
-                        out_dir, f"{stem}.{suffix}", rank, target_plugin),
+            for rank, cut in enumerate(cuts):
+                rest = dict(target=target, out_path=make_output_path(
+                    out_dir, stem, rank, target_plugin),
                     record_filter=record_filter or ACCEPT_ALL,
                     pipeline=self.pipeline)
                 specs.append(
-                    BamxRangeSpec(bamx_path, first + a, first + b, **rest)
-                    if is_run else BamxPickSpec(
-                        bamx_path, tuple(picks[a:b].tolist()), **rest))
-            return kind, f"{self.pipeline}.pick", len(picks), specs
+                    BamxRangeSpec(bamx_path, cut.start, cut.stop, **rest)
+                    if cut.picks is None else BamxPickSpec(
+                        bamx_path, tuple(cut.picks.tolist()), **rest))
+            return (kind, self.pipeline + ("" if picks is None else ".pick"),
+                    specs)
 
         return run_conversion(
             self, convert_rank,
             (span_name, "bam", {"store": os.path.basename(bamx_path),
                                 "target": target, "nprocs": nprocs,
-                                **span_args, "mode": mode}),
+                                **span_args}),
             target, out_dir, nprocs, executor, plan)
-
-
-@dataclass(frozen=True, slots=True)
-class _DirectSpec:
-    """A whole BAM as one rank, streamed (:func:`bam_stream_source`)."""
-
-    bam_path: str
-    target: str
-    out_path: str
-    record_filter: RecordFilter = ACCEPT_ALL
-    batch_size: int = DEFAULT_BATCH_SIZE
-    pipeline: str = "batch"
-    write_header: bool = True
-
-    def open(self, metrics: RankMetrics):
-        return _writing(self, bam_stream_source(
-            self.bam_path, self.batch_size, metrics))
 
 
 def convert_bam_direct(bam_path: str | os.PathLike[str], target: str,
@@ -580,17 +564,21 @@ def convert_bam_direct(bam_path: str | os.PathLike[str], target: str,
 
     This is "our system without preprocessing" in Table I: the BGZF
     stream is decoded front-to-back on one core and converted on the
-    fly (:func:`bam_stream_source`).
+    fly (:class:`BamStream`, planned without scratch).
     """
     t0 = time.perf_counter()
-    spec = _DirectSpec(os.fspath(bam_path), target, os.fspath(out_path))
+    bam_path, out_path = os.fspath(bam_path), os.fspath(out_path)
     with get_tracer().span("convert.direct", "bam",
-                           args={"input": os.path.basename(spec.bam_path),
+                           args={"input": os.path.basename(bam_path),
                                  "target": target}):
-        rank = convert_rank(spec)
+        _, _, (opener,) = plan_sources(bam_path, 1,
+                                       reader="convert_bam_direct",
+                                       reads=("bam",))
+        rank = convert_rank(PartSpec(partial(writing, out_path, opener),
+                                     target, out_path))
     return ConversionResult(
         target=target,
-        outputs=[spec.out_path],
+        outputs=[out_path],
         rank_metrics=[rank],
         records=rank.records,
         emitted=rank.emitted,

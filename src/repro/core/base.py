@@ -5,26 +5,23 @@ parallel execution, resource management) from the *user program* (the
 per-record conversion function).  This module is the runtime system's
 common machinery, each job done once:
 
+* :func:`plan_sources` — the one planner: how any input (SAM, BAM,
+  store) is cut into one :class:`Source` opener per rank;
+* :func:`convert_rank` — the one rank task and its one slab loop, into
+  one of three sinks: a target's part file (:class:`PartSink`), a
+  store's part file (:class:`StoreSink`, :func:`encode_rank`; joined
+  by :func:`~repro.formats.store.join_store_parts`) or a statistic
+  (:class:`FoldSink`, :func:`fold_rank`, :func:`run_fold`);
 * :func:`run_conversion` — the driver every ``convert*`` method shares:
   resolve the tuning knobs, run one task per rank, fold the result;
 * :func:`execute_rank_tasks` — run one task per rank (or per shard of a
   rank) under the chosen executor (``simulate`` / ``thread`` /
   ``process``), always inside a ``rank``/``shard`` span;
-* :class:`Source` / :func:`convert_rank` — a source is a value
-  (header, chunks, columns, records) a rank spec opens, and this one
-  rank task converts every one of them, text and BAM targets alike:
-  kernel emitters over a chunk's columns, the slow path where they
-  cannot take it (:func:`write_chunks` is its loop);
-* :func:`run_fold` / :func:`fold_rank` — the same sources, folded into
-  a statistic (flagstat, the coverage histogram) instead of converted;
-* :func:`encode_rank` — the same sources, encoded into the ordered part
-  files of a store that :func:`~repro.formats.store.join_store_parts`
-  joins: the one way a store is written (preprocessing, sort);
 * :class:`ConversionResult` — what every converter returns: output
   paths, per-rank metrics (feeding the cluster model), record counts.
 
-A new source or store plugs in by giving its rank spec an
-``open(metrics)`` that yields a :class:`Source`; nothing here changes.
+A new input kind plugs in by a :func:`plan_sources` branch whose
+openers yield a :class:`Source`; no verb and no sink changes.
 """
 
 from __future__ import annotations
@@ -49,12 +46,13 @@ from ..formats.header import SamHeader
 from ..formats.kernels import KERNEL_TARGETS, KernelFallback, \
     kernel_emitter_for
 from ..formats.record import AlignmentRecord
-from ..formats.registry import source_kind
+from ..formats.registry import SOURCE_FORMATS, source_kind
 from ..runtime import faults
 from ..runtime.buffers import BufferedTextWriter
 from ..runtime.metrics import RankMetrics
 from ..runtime.partition import partition_records
 from ..runtime.tracing import Tracer, get_tracer
+from .filters import ACCEPT_ALL, RecordFilter
 from .targets import TargetFormat, get_target
 
 if TYPE_CHECKING:
@@ -157,15 +155,15 @@ def run_conversion(converter: Any, task_fn: Callable[[Any], Any],
                    span: tuple[str, str, dict[str, Any]], target: str,
                    out_dir: str | os.PathLike[str], nprocs: int,
                    executor: str,
-                   plan: Callable[[str], tuple[str, str, float, list]],
+                   plan: Callable[[str], tuple[str, str, list]],
                    ) -> ConversionResult:
     """The driver every ``convert*`` method shares.
 
     Opens the *span* ``(name, category, args)``, asks ``plan(out_dir)``
     — inside the span, so partitioning/locating is traced under it —
-    for ``(store_kind, pipeline, total_units, specs)``: the cost-model
-    key parts, the job size in the specs' ``cost_hint`` units, and one
-    spec per rank (``out_path`` names its output).  *out_dir* is
+    for ``(store_kind, pipeline, specs)``: the cost-model key parts and
+    one spec per rank (``out_path`` names its output; the job's size
+    is the sum of their ``cost_hint``).  *out_dir* is
     created once the plan stands, so a missing input or unknown target
     leaves nothing behind.  ``shards_per_rank`` of *converter* is then
     resolved for that job (by its ``tuner`` when ``"auto"``), its
@@ -179,7 +177,7 @@ def run_conversion(converter: Any, task_fn: Callable[[Any], Any],
     tracer = get_tracer()
     span_name, category, span_args = span
     with tracer.span(span_name, category, args=span_args):
-        store_kind, pipeline, total_units, specs = plan(out_dir)
+        store_kind, pipeline, specs = plan(out_dir)
         if pipeline.startswith("record") or target not in KERNEL_TARGETS:
             # Every rank runs the record tier: load it before a pool forks.
             from ..formats import batch  # noqa: F401
@@ -191,7 +189,8 @@ def run_conversion(converter: Any, task_fn: Callable[[Any], Any],
         if converter.tuner is not None:
             tuning = converter.tuner.begin_job(
                 target=target, store_format=store_kind, pipeline=pipeline,
-                total_units=total_units, nprocs=nprocs, shards=shards,
+                total_units=sum(spec.cost_hint() for spec in specs),
+                nprocs=nprocs, shards=shards,
                 batch_size=converter.batch_size)
             shards = tuning.shards_per_rank
         specs = [replace(spec, batch_size=converter.batch_size)
@@ -426,6 +425,8 @@ def merge_shard_outputs(out_path: str, shard_specs: Sequence[Any],
     from ..formats.bgzf import EOF_MARKER
     last, tmp = len(shard_specs) - 1, f"{out_path}.tmp{os.getpid()}"
     try:
+        for _ in shard_specs:
+            faults.fire("shard.done")
         with open(tmp, "wb") as dst:
             for i, shard in enumerate(shard_specs):
                 faults.fire("merge.copy")
@@ -446,260 +447,376 @@ def merge_shard_outputs(out_path: str, shard_specs: Sequence[Any],
 
 class Source(NamedTuple):
     """An opened source: all :func:`convert_rank` knows of where a
-    rank's records come from.  A rank spec's ``open(metrics)`` is a
-    context manager yielding one (reads metered into *metrics*)."""
+    rank's records come from.  An opener of :func:`plan_sources` (or a
+    rank spec's ``open(metrics)``) is a context manager yielding one
+    (reads metered into *metrics*)."""
 
     header: SamHeader
     #: The rank's share, in record order, a chunk per pass of the loop
     #: (a store's column slab, a block of SAM lines, a BAM's raw slab).
     chunks: Iterable[Any]
-    #: ``columns(chunk) -> slab | None``: the chunk as a slab the kernel
-    #: emitters take, ``None`` where this chunk needs the slow path; no
-    #: function at all for a source without columns.
+    #: ``columns(chunk) -> slab | None``: the chunk as a slab — a
+    #: store's or a BAM's :class:`~repro.formats.bamc.ColumnSlab`, or
+    #: proven SAM text (:class:`~repro.formats.sam.TextSlab`) — ``None``
+    #: where this chunk needs its records; no function at all for a
+    #: source without columns.
     columns: Callable[[Any], Any] | None
     #: ``records(chunk)``: the chunk's alignment records — what
-    #: ``pipeline="record"`` and the slow path read.
+    #: ``pipeline="record"`` and every fallback read.
     records: Callable[[Any], Iterable[AlignmentRecord]]
-    #: A slow path cheaper than records, for a chunk the kernels were
-    #: offered and could not take: ``slow(chunk, target, record_filter,
-    #: out) -> (seen, emitted)``.
+    #: A conversion fallback cheaper than records, for a chunk the
+    #: kernels were offered and could not take: ``slow(chunk, target,
+    #: record_filter, out) -> (seen, emitted)``.
     slow: Callable[..., tuple[int, int]] | None = None
     #: Category of the ``batch.pipeline`` span, and the
-    #: :class:`RankMetrics` counter of chunks that took the slow path.
+    #: :class:`RankMetrics` counter of a conversion's fallbacks.
     category: str = "bam"
     fallback_field: str = "kernel_fallbacks"
 
 
-def convert_rank(spec: Any) -> RankMetrics:
-    """One rank of every converter (module-level, so the process pool
-    can pickle it).  *spec* names the ``target``, ``out_path``,
-    ``record_filter``, ``pipeline``, ``batch_size`` and ``write_header``
-    and opens the :class:`Source`.  The target, text or BAM, is written
-    from each chunk's columns through its kernel emitter, or — no
-    kernel for the target, no columns for the chunk, a slab the kernel
-    declines (:class:`~repro.formats.kernels.KernelFallback`),
-    ``pipeline="record"`` — from the slow path, by default its records
-    through :func:`~repro.formats.batch.convert_records`."""
+def plan_sources(path: str | os.PathLike[str], nprocs: int,
+                 executor: str = "simulate", scratch: str | None = None,
+                 *, reader: str = "plan_sources",
+                 reads: Sequence[str] = SOURCE_FORMATS,
+                 picks: np.ndarray | None = None,
+                 batch_size: int = DEFAULT_BATCH_SIZE,
+                 ) -> tuple[SamHeader, str, list[Callable]]:
+    """The one planner: how the alignment file *path* is cut into the
+    sources of *nprocs* ranks, by its kind (:func:`~repro.formats.
+    registry.source_kind`, refusing in one line any kind but *reads*
+    of *reader*, the caller):
+
+    * a SAM — Algorithm-1 partitions (:class:`~.sam_converter.SamCut`);
+    * a BAM — given a *scratch* path prefix, runs of whole slabs of the
+      spool ``<scratch>.spool``, cut every *batch_size* records
+      (:func:`~.bam_converter.bam_spool`, its inflate ranks on
+      *executor*; the spool is the caller's to remove); without one,
+      the whole BAM as one rank streamed from its BGZF blocks
+      (:class:`~.bam_converter.BamStream`);
+    * a BAMX, BAMC or BAMZ store — even record ranges; or, given
+      *picks* (record indices in output order), even shares of them:
+      ranges where they are one ascending run, the picks where not
+      (:class:`~.bam_converter.StoreCut`).
+
+    Returns ``(header, kind, openers)`` — a store's *kind* is the one
+    its magic names — with one picklable opener per rank:
+    ``opener(metrics)`` is a context manager yielding its
+    :class:`Source`."""
+    if nprocs < 1:
+        raise ConversionError(f"nprocs {nprocs} must be >= 1")
+    path = os.fspath(path)
+    kind = source_kind(path, reader, reads)
+    if kind == "sam":
+        from .sam_converter import SamCut, partition_alignments, scan_header
+        header, header_end = scan_header(path)
+        return header, kind, [
+            SamCut(path, p.start, p.end, header.to_text())
+            for p in partition_alignments(path, nprocs, header_end)]
+    if kind == "bam":
+        from .bam_converter import BamStream, bam_spool
+        if scratch is not None:
+            header, openers = bam_spool(path, scratch + ".spool", nprocs,
+                                        executor, batch_size)
+            return header, kind, openers
+        from ..formats.bam import BamReader
+        with BamReader(path) as bam:
+            return bam.header, kind, [BamStream(path)]
+    from ..formats.store import open_record_store, store_header
+    from .bam_converter import StoreCut
+    if picks is None:
+        with open_record_store(path) as store:
+            header, kind, count = store.header, store.kind, len(store)
+        return header, kind, [StoreCut(path, a, b)
+                              for a, b in partition_records(count, nprocs)]
+    kind, header = store_header(path)
+    # One ascending run?  A slice at a time: a sort's picks are as many
+    # as the store's records.
+    first, step = int(picks[0]) if len(picks) else 0, 1 << 20
+    run = all((np.diff(picks[a:a + step + 1]) == 1).all()
+              for a in range(0, len(picks), step))
+    return header, kind, [
+        StoreCut(path, first + a, first + b) if run
+        else StoreCut(path, picks=picks[a:b])
+        for a, b in partition_records(len(picks), nprocs)]
+
+
+@dataclass(frozen=True, slots=True)
+class PartSpec:
+    """A conversion rank of any source: what the opener *open* yields,
+    converted into the part file *out_path* (:class:`PartSink`)."""
+
+    open: Callable[[RankMetrics], Any]
+    target: str
+    out_path: str
+    record_filter: RecordFilter = ACCEPT_ALL
+    batch_size: int = DEFAULT_BATCH_SIZE
+    pipeline: str = "batch"
+    write_header: bool = True
+
+
+class SinkSpec(NamedTuple):
+    """A rank whose slabs go to ``sink(source)`` — a
+    :class:`StoreSink` or a :class:`FoldSink` — not to a part file."""
+
+    open: Callable[[RankMetrics], Any]
+    sink: Callable[[Source], Any]
+
+
+def convert_rank(spec: Any) -> Any:
+    """The one rank task (module-level, so the process pool can pickle
+    it) and its one slab loop.  *spec* opens the rank's
+    :class:`Source`; each chunk goes down one ladder — its column slab
+    (a store's or a BAM's :class:`~repro.formats.bamc.ColumnSlab`, else
+    proven SAM text) where the sink takes it, else the chunk's records,
+    a fallback counted in the sink's ``fallback_field`` — into one of
+    three sinks:
+
+    * :class:`PartSink` — for a conversion spec (``target``,
+      ``out_path``, ``record_filter``, ``pipeline``, ``batch_size``,
+      ``write_header``): the target's part file; returns the metrics;
+    * :class:`StoreSink` (:func:`encode_rank`): a store's part file;
+      returns ``(metrics, slabs)``;
+    * :class:`FoldSink` (:func:`fold_rank`): a statistic; returns
+      ``(metrics, result)``."""
     t0 = time.perf_counter()
     metrics = RankMetrics()
     with spec.open(metrics) as source:
-        header, record_filter = source.header, spec.record_filter
-        target = get_target(spec.target)
-        batch = spec.pipeline == "batch"
-        emit = kernel_emitter_for(target, header) \
-            if batch and source.columns is not None else None
+        sink = spec.sink(source) if hasattr(spec, "sink") \
+            else PartSink(spec, source)
+        columns, field = sink.columns, sink.fallback_field
 
-        def convert_chunk(chunk: Any,
-                          out: list) -> tuple[int, int, int]:
-            if emit is not None:
-                slab = source.columns(chunk)
-                if slab is not None:
-                    try:
-                        lines, seen = emit(slab, record_filter)
-                    except KernelFallback:
-                        pass
-                    else:
-                        out.extend(lines)
-                        return seen, len(lines), 0
-                if source.slow is not None:
-                    return *source.slow(chunk, target, record_filter,
-                                        out), 1
+        def ladder(chunk: Any) -> Any:
+            # A function, not a generator: no slab outlives its chunk.
+            slab = columns(chunk) if columns is not None else None
+            taken = None if slab is None else sink.take(slab)
+            if taken is None:
+                if field is not None:
+                    setattr(metrics, field, getattr(metrics, field) + 1)
+                taken = sink.fallback(chunk)
+            return taken
+
+        result = sink.drain(map(ladder, source.chunks), metrics)
+    finish_rank_metrics(metrics, t0)
+    return result
+
+
+class _Sink:
+    """Where a rank's slabs go, bound to its opened *source*: the
+    ``columns`` it reads slabs with (``None``: records only), ``take``
+    of a slab (``None`` declines it), ``fallback`` of a chunk, and
+    ``drain`` of what they made into the rank's result."""
+
+    fallback_field: str | None = None
+
+    def __init__(self, source: Source) -> None:
+        self.source, self.header = source, source.header
+        self.columns = source.columns
+
+
+class PartSink(_Sink):
+    """A target's part file ``spec.out_path`` (:func:`_part_writer`): a
+    slab through the target's kernel emitter, a fallback through the
+    source's ``slow`` path where the kernels were offered, else its
+    records (:func:`~repro.formats.batch.convert_records`) — all of
+    them under ``pipeline="record"``, the oracle, which records no
+    ``batch.pipeline`` span and counts no fallback."""
+
+    def __init__(self, spec: Any, source: Source) -> None:
+        super().__init__(source)
+        self.spec, self.target = spec, get_target(spec.target)
+        self.batch = spec.pipeline == "batch"
+        self.emit = kernel_emitter_for(self.target, self.header) \
+            if self.batch and self.columns is not None else None
+        if self.emit is None:
+            self.columns = None
+        if self.batch:
+            self.fallback_field = source.fallback_field
+
+    def take(self, slab: Any) -> tuple | None:
+        try:
+            lines, seen = self.emit(slab, self.spec.record_filter)
+        except KernelFallback:
+            return None
+        return lines, seen, len(lines)
+
+    def fallback(self, chunk: Any) -> tuple:
+        out: list = []
+        if self.emit is not None and self.source.slow is not None:
+            seen, emitted = self.source.slow(chunk, self.target,
+                                             self.spec.record_filter, out)
+        else:
             from ..formats.batch import convert_records
-            return *convert_records(source.records(chunk), target,
-                                    record_filter, out), 1
+            seen, emitted = convert_records(self.source.records(chunk),
+                                            self.target,
+                                            self.spec.record_filter, out)
+        return out, seen, emitted
 
-        write_chunks(spec, target, header, source.chunks, convert_chunk,
-                     metrics, source.category,
-                     {"kernel": emit is not None} if batch else None,
-                     source.fallback_field if batch else None)
-    return finish_rank_metrics(metrics, t0)
+    def drain(self, items: Iterable[tuple], metrics: RankMetrics,
+              ) -> RankMetrics:
+        """Write *items* ``(lines, seen, emitted)`` — a BAM's records'
+        bytes for lines — under the file header (only where
+        ``spec.write_header``), flushing once ``spec.batch_size`` lines
+        are pending.  No timer runs here: compute seconds are the
+        rank's wall minus its metered I/O (:func:`finish_rank_metrics`)."""
+        spec, field = self.spec, self.fallback_field
+        span = get_tracer().span(
+            "batch.pipeline", self.source.category,
+            args={"batch_size": spec.batch_size,
+                  "kernel": self.emit is not None, "target": spec.target}) \
+            if self.batch else nullcontext()
+        seen = emitted = batches = 0
+        with span as traced, \
+                _part_writer(spec.out_path, self.target, metrics) \
+                as (head, write):
+            text = self.target.file_header(self.header)
+            if text and spec.write_header:
+                head(text)
+            out: list = []
+            for lines, s, e in items:
+                out.extend(lines)
+                seen, emitted, batches = seen + s, emitted + e, batches + 1
+                if len(out) >= spec.batch_size:
+                    write(out)
+                    out = []
+            if out:
+                write(out)
+            if traced is not None:
+                traced.args.update(batches=batches, records=seen)
+                if field is not None:
+                    traced.args["fallbacks"] = getattr(metrics, field)
+        metrics.records += seen
+        metrics.emitted += emitted
+        return metrics
+
+
+class StoreSink(_Sink):
+    """A store's part file *part_path*: each slab encoded under the
+    tightest *store_format* layout that holds it (:func:`~repro.formats.
+    store.encode_slab_part`) — proven SAM text BAM-encoded first
+    (:meth:`~repro.formats.sam.TextSlab.column_slab`), a fallback's
+    records packed (``fallbacks``).  Drains to the metrics and, per
+    slab, ``(bytes, records, index columns, layout)``: what
+    :func:`~repro.formats.store.join_store_parts` joins the parts of all
+    ranks with."""
+
+    fallback_field = "fallbacks"
+
+    def __init__(self, part_path: str, store_format: str,
+                 source: Source) -> None:
+        super().__init__(source)
+        self.part_path, self.store_format = part_path, store_format
+
+    def take(self, slab: Any) -> Any:
+        return slab.column_slab(self.header) \
+            if hasattr(slab, "column_slab") else slab
+
+    def fallback(self, chunk: Any) -> Any:
+        from ..formats.bamc import slab_from_records
+        return slab_from_records(list(self.source.records(chunk)),
+                                 self.header)
+
+    def drain(self, slabs: Iterable[Any], metrics: RankMetrics,
+              ) -> tuple[RankMetrics, list[tuple]]:
+        from ..formats.store import encode_slab_part
+        done = []
+        with open(self.part_path, "wb") as part:
+            for slab in slabs:
+                data, need = encode_slab_part(slab, self.store_format)
+                done.append((part.write(data), slab.count, slab.placed(0),
+                             need))
+                metrics.records += slab.count
+        return metrics, done
+
+
+class FoldSink(_Sink):
+    """A statistic: ``fold(slabs, header)`` consumes slabs of the
+    statistics columns — ``flag``, ``mapq``, ``ref_id``, ``next_ref``,
+    ``pos``, ``end_pos``.  A store's or a BAM's slab has them; proven
+    SAM text and a fallback's records resolve the ids from RNAME /
+    RNEXT: ``=`` is the read's own, ``*`` -1, and a name missing from
+    ``@SQ`` an id of its own past the dictionary — so a mate there is
+    on a different chr, and no coverage array takes the read.  Drains
+    to ``(metrics, what the fold returns)``."""
+
+    def __init__(self, fold: Callable[..., Any], source: Source) -> None:
+        super().__init__(source)
+        self.fold = fold
+        self.ids = {"*": -1, **{ref.name: i for i, ref
+                                in enumerate(self.header.references)}}
+
+    def _stats(self, flag, mapq, pos, end_pos, rnames, rnexts):
+        ids, past = self.ids, len(self.header.references)
+
+        def ref_id(name: str) -> int:
+            return ids.setdefault(name, past + len(ids))
+        own = [ref_id(name) for name in rnames]
+        return SimpleNamespace(
+            count=len(own), flag=flag, mapq=mapq, pos=pos, end_pos=end_pos,
+            ref_id=np.array(own, np.int64),
+            next_ref=np.array([o if name == "=" else ref_id(name)
+                               for o, name in zip(own, rnexts)], np.int64))
+
+    def take(self, slab: Any) -> Any:
+        return slab if hasattr(slab, "ref_id") else self._stats(
+            slab.flag, slab.mapq, slab.pos, slab.end_pos, slab.column(2),
+            slab.column(6))
+
+    def fallback(self, chunk: Any) -> Any:
+        records = list(self.source.records(chunk))
+        return self._stats(*np.array(
+            [(r.flag, r.mapq, r.pos, r.end) for r in records],
+            np.int64).reshape(-1, 4).T,
+            [r.rname for r in records], [r.rnext for r in records])
+
+    def drain(self, slabs: Iterable[Any], metrics: RankMetrics,
+              ) -> tuple[RankMetrics, Any]:
+        def counted() -> Iterator[Any]:
+            for slab in slabs:
+                metrics.records += slab.count
+                yield slab
+        return metrics, self.fold(counted(), self.header)
 
 
 def encode_rank(spec: tuple) -> tuple[RankMetrics, list[tuple]]:
-    """One rank of every store write (module-level, so the process pool
-    can pickle it).  *spec* is ``(source, part_path, store_format)``:
-    ``source(metrics)`` opens the rank's :class:`Source`, and each chunk
-    — as the source's column slab, a proven SAM text slab BAM-encoded
-    (:meth:`~repro.formats.sam.TextSlab.column_slab`), or else its
-    records (counted in ``fallbacks``) — is encoded under the tightest
-    layout that holds it and appended to the part file *part_path*.
-    Returns the metrics and, per slab, ``(bytes, records, index
-    columns, layout)``: what :func:`~repro.formats.store.
-    join_store_parts` joins the parts of all ranks with."""
-    from ..formats import bamc, store
-    t0 = time.perf_counter()
-    metrics = RankMetrics()
-    open_source, part_path, store_format = spec
-    done = []
-    with open_source(metrics) as source, open(part_path, "wb") as part:
-        header = source.header
-        for chunk in source.chunks:
-            slab = source.columns(chunk) if source.columns else None
-            if hasattr(slab, "column_slab"):    # proven SAM text
-                slab = slab.column_slab(header)
-            if slab is None:
-                metrics.fallbacks += 1
-                slab = bamc.slab_from_records(list(source.records(chunk)),
-                                              header)
-            data, need = store.encode_slab_part(slab, store_format)
-            done.append((part.write(data), slab.count, slab.placed(0),
-                         need))
-            metrics.records += slab.count
-    return finish_rank_metrics(metrics, t0), done
+    """``(opener, part_path, store_format)``: :func:`convert_rank` into
+    a :class:`StoreSink` — one rank of every store write."""
+    return convert_rank(SinkSpec(spec[0], partial(StoreSink, *spec[1:])))
 
 
 def fold_rank(spec: tuple) -> tuple[RankMetrics, Any]:
-    """One rank of every statistic (module-level, so the process pool
-    can pickle it).  *spec* is ``(source, fold)``: ``source(metrics)``
-    opens the rank's :class:`Source`, and ``fold(slabs, header)``
-    consumes its chunks as slabs of the statistics columns — ``flag``,
-    ``mapq``, ``ref_id``, ``next_ref``, ``pos``, ``end_pos`` — into
-    what the rank returns beside its metrics.  A store's slab has them;
-    proven SAM text and a chunk's records resolve the ids from RNAME /
-    RNEXT: ``=`` is the read's own, ``*`` -1, and a name missing from
-    ``@SQ`` an id of its own past the dictionary — so a mate there is on
-    a different chr, and no coverage array takes the read."""
-    t0 = time.perf_counter()
-    metrics = RankMetrics()
-    open_source, fold = spec
-    with open_source(metrics) as source:
-        refs = source.header.references
-        ids = {"*": -1, **{ref.name: i for i, ref in enumerate(refs)}}
+    """``(opener, fold)``: :func:`convert_rank` into a :class:`FoldSink`
+    — one rank of every statistic."""
+    return convert_rank(SinkSpec(spec[0], partial(FoldSink, spec[1])))
 
-        def ref_id(name: str) -> int:
-            return ids.setdefault(name, len(refs) + len(ids))
 
-        def stats(flag, mapq, pos, end_pos, rnames, rnexts):
-            own = [ref_id(name) for name in rnames]
-            return SimpleNamespace(
-                count=len(own), flag=flag, mapq=mapq, pos=pos,
-                end_pos=end_pos, ref_id=np.array(own, np.int64),
-                next_ref=np.array([o if name == "=" else ref_id(name)
-                                   for o, name in zip(own, rnexts)],
-                                  np.int64))
-
-        def slabs():
-            for chunk in source.chunks:
-                slab = source.columns(chunk) if source.columns else None
-                if slab is None:
-                    records = list(source.records(chunk))
-                    slab = stats(*np.array(
-                        [(r.flag, r.mapq, r.pos, r.end) for r in records],
-                        np.int64).reshape(-1, 4).T,
-                        [r.rname for r in records],
-                        [r.rnext for r in records])
-                elif not hasattr(slab, "ref_id"):   # proven SAM text
-                    slab = stats(slab.flag, slab.mapq, slab.pos,
-                                 slab.end_pos, slab.column(2),
-                                 slab.column(6))
-                metrics.records += slab.count
-                yield slab
-
-        result = fold(slabs(), source.header)
-    return finish_rank_metrics(metrics, t0), result
+@contextmanager
+def open_records(path: str | os.PathLike[str], reader: str,
+                 ) -> Iterator[tuple[SamHeader, Iterator[AlignmentRecord]]]:
+    """``(header, records)``: every record of the alignment file *path*
+    in order, read from the one source :func:`plan_sources` opens for
+    one rank without scratch (*reader* names the caller)."""
+    header, _, (opener,) = plan_sources(path, 1, reader=reader)
+    with opener(RankMetrics()) as source:
+        yield header, (record for chunk in source.chunks
+                       for record in source.records(chunk))
 
 
 def run_fold(path: str | os.PathLike[str], fold: Callable[..., Any],
              nprocs: int, executor: str, reader: str,
              ) -> tuple[list, list[RankMetrics]]:
-    """The planner every statistic shares: :func:`fold_rank` with *fold*
-    over the alignment file *path* on *nprocs* ranks — Algorithm-1
-    partitions of a SAM, record ranges of a store, runs of whole slabs
-    of a BAM spooled (:func:`~.bam_converter.bam_spool`) into a scratch
-    directory the call removes; *reader* names the caller in the error
-    for any other kind (:func:`~repro.formats.registry.source_kind`).
-    Returns the per-rank results and metrics."""
-    if nprocs < 1:
-        raise ConversionError(f"nprocs {nprocs} must be >= 1")
-    path = os.fspath(path)
-    kind = source_kind(path, reader)
+    """:func:`fold_rank` with *fold* over the sources
+    :func:`plan_sources` cuts the alignment file *path* into for
+    *nprocs* ranks (a BAM's spool in a scratch directory the call
+    removes; *reader* names the caller in a refusal).  Returns the
+    per-rank results and metrics."""
     with tempfile.TemporaryDirectory(prefix="repro-fold-") as scratch:
-        if kind == "sam":
-            from .sam_converter import partition_alignments, sam_source, \
-                scan_header
-            header, header_end = scan_header(path)
-            sources = [partial(sam_source, path, p.start, p.end,
-                               header.to_text())
-                       for p in partition_alignments(path, nprocs,
-                                                     header_end)]
-        elif kind == "bam":
-            from .bam_converter import bam_spool
-            _, sources = bam_spool(path, os.path.join(scratch, "spool"),
-                                   nprocs, executor)
-        else:
-            from ..formats.store import open_record_store
-            from .bam_converter import store_range_source
-            with open_record_store(path) as store:
-                count = len(store)
-            sources = [partial(store_range_source, path, start, stop,
-                               DEFAULT_BATCH_SIZE)
-                       for start, stop in partition_records(count, nprocs)]
-        done = execute_rank_tasks(fold_rank, [(source, fold)
-                                              for source in sources],
+        _, _, openers = plan_sources(path, nprocs, executor,
+                                     os.path.join(scratch, "input"),
+                                     reader=reader)
+        done = execute_rank_tasks(fold_rank, [(opener, fold)
+                                              for opener in openers],
                                   executor)
     return [result for _, result in done], [metrics for metrics, _ in done]
-
-
-def write_chunks(spec: Any, target: TargetFormat, header: SamHeader,
-                 chunks: Iterable[Any],
-                 convert_chunk: Callable[[Any, list], tuple[int, int, int]],
-                 metrics: RankMetrics, span_category: str,
-                 span_args: dict[str, Any] | None,
-                 fallback_field: str | None = None) -> None:
-    """The chunk loop: drive a source's *chunks* through *target* into
-    the part file ``spec.out_path`` (:func:`_part_writer`).
-
-    ``convert_chunk(chunk, out) -> (seen, emitted, fallbacks)`` (see
-    :func:`convert_rank`) appends the chunk's emitted lines (a BAM's
-    records' bytes) to *out*; *seen* counts post-filter records.  The
-    loop owns everything else: ``target.file_header`` (only where
-    ``spec.write_header``), flushing once ``spec.batch_size`` lines are
-    pending, the ``records``/``emitted`` metrics, and the
-    ``batch.pipeline`` span.
-
-    *span_args* are the pipeline span's own arguments (``kernel``);
-    ``None`` — the ``pipeline="record"`` oracle — records no pipeline
-    span.  *fallback_field* names the :class:`RankMetrics` counter the
-    chunks' fallbacks accumulate into (and puts them on the span);
-    ``None`` counts nothing.
-
-    No fine-grained timing happens here: rank tasks measure their total
-    wall time and subtract the writer/reader-metered I/O to get compute
-    seconds (see :func:`finish_rank_metrics`), which keeps the loop
-    free of timer calls.
-    """
-    pipeline_span = nullcontext() if span_args is None \
-        else get_tracer().span(
-            "batch.pipeline", span_category,
-            args={"batch_size": spec.batch_size, **span_args,
-                  "target": spec.target})
-    seen = emitted = fallbacks = batches = 0
-    with pipeline_span as span, \
-            _part_writer(spec.out_path, target, metrics) as (head, write):
-        text = target.file_header(header)
-        if text and spec.write_header:
-            head(text)
-        out: list = []
-        for chunk in chunks:
-            s, e, f = convert_chunk(chunk, out)
-            seen += s
-            emitted += e
-            fallbacks += f
-            batches += 1
-            if len(out) >= spec.batch_size:
-                write(out)
-                out = []
-        if out:
-            write(out)
-        if span is not None:
-            span.args.update(batches=batches, records=seen)
-            if fallback_field is not None:
-                span.args["fallbacks"] = fallbacks
-    metrics.records += seen
-    metrics.emitted += emitted
-    if fallback_field is not None:
-        setattr(metrics, fallback_field,
-                getattr(metrics, fallback_field) + fallbacks)
 
 
 @contextmanager

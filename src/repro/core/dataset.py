@@ -26,7 +26,7 @@ import numpy as np
 from ..errors import ConversionError
 from ..formats.header import SamHeader
 from ..formats.record import AlignmentRecord
-from .base import ConversionResult
+from .base import ConversionResult, open_records, plan_sources
 from .filters import RecordFilter
 from .region import GenomicRegion
 
@@ -66,24 +66,12 @@ class AlignmentDataset:
     @property
     def header(self) -> SamHeader:
         """The dataset's SAM header."""
-        if self.kind == "bam":
-            from ..formats.bam import BamReader
-            with BamReader(self.path) as reader:
-                return reader.header
-        from ..formats.sam import SamReader
-        with SamReader(self.path) as reader:
-            return reader.header
+        return plan_sources(self.path, 1, reader="AlignmentDataset")[0]
 
     def records(self) -> Iterator[AlignmentRecord]:
         """Stream every record (sequential read)."""
-        if self.kind == "bam":
-            from ..formats.bam import BamReader
-            with BamReader(self.path) as reader:
-                yield from reader
-        else:
-            from ..formats.sam import SamReader
-            with SamReader(self.path) as reader:
-                yield from reader
+        with open_records(self.path, "AlignmentDataset") as (_, records):
+            yield from records
 
     def count(self) -> int:
         """Number of records (full scan)."""

@@ -16,7 +16,7 @@ import os
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -31,7 +31,8 @@ from ..runtime.metrics import RankMetrics
 from ..runtime.partition import Partition, partition_bytes_source
 from ..runtime.tracing import get_tracer
 from .base import ConversionResult, ShardableSpec, Source, \
-    convert_rank, converter_options, make_output_path, run_conversion
+    convert_rank, converter_options, make_output_path, plan_sources, \
+    run_conversion
 from .filters import ACCEPT_ALL, RecordFilter
 from .targets import get_target
 
@@ -123,38 +124,48 @@ def _per_line(data: bytes, target, record_filter,
                              record_filter, out)[:2]
 
 
-@contextmanager
-def sam_source(sam_path: str, start: int, end: int, header_text: str,
-               metrics: RankMetrics, read_chunk: int = DEFAULT_READ_CHUNK,
-               batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[Source]:
-    """The SAM byte range ``[start, end)`` as slabs of lines: columns
-    where a slab is proven canonical (:func:`~repro.formats.sam.
-    slab_columns`), the per-line tier where not (counted as
-    ``fallbacks``), parsed records for the rest — a slow path that
-    fails re-walks its slab line by line to say where."""
-    def located(convert):
-        def run(chunk, *rest):
-            offset, data = chunk
-            try:
-                return convert(data, *rest)
-            except SamFormatError:
-                for line in data.split(b"\n"):
-                    try:
-                        convert(line, *rest)
-                    except SamFormatError as exc:
-                        raise SamFormatError(
-                            f"line at byte offset {offset}: {exc}",
-                            source=sam_path) from None
-                    offset += len(line) + 1
-                raise
-        return run
+class SamCut(NamedTuple):
+    """An Algorithm-1 partition ``[start, end)`` of a SAM, as
+    :func:`~repro.core.base.plan_sources` cuts it.  Called, it opens
+    the range as slabs of lines: columns where a slab is proven
+    canonical (:func:`~repro.formats.sam.slab_columns`), the per-line
+    tier where not (counted as ``fallbacks``), parsed records for the
+    rest — a slow path that fails re-walks its slab line by line to
+    say where."""
 
-    reader = RangeLineReader(sam_path, start, end, chunk_size=read_chunk,
-                             metrics=metrics)
-    yield Source(SamHeader.from_text(header_text),
-                 _line_slabs(reader, batch_size),
-                 lambda chunk: slab_columns(chunk[1]),
-                 located(_parsed), located(_per_line), "sam", "fallbacks")
+    path: str
+    start: int
+    end: int
+    header_text: str
+
+    @contextmanager
+    def __call__(self, metrics: RankMetrics,
+                 read_chunk: int = DEFAULT_READ_CHUNK,
+                 batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[Source]:
+        def located(convert):
+            def run(chunk, *rest):
+                offset, data = chunk
+                try:
+                    return convert(data, *rest)
+                except SamFormatError:
+                    for line in data.split(b"\n"):
+                        try:
+                            convert(line, *rest)
+                        except SamFormatError as exc:
+                            raise SamFormatError(
+                                f"line at byte offset {offset}: {exc}",
+                                source=self.path) from None
+                        offset += len(line) + 1
+                    raise
+            return run
+
+        reader = RangeLineReader(self.path, self.start, self.end,
+                                 chunk_size=read_chunk, metrics=metrics)
+        yield Source(SamHeader.from_text(self.header_text),
+                     _line_slabs(reader, batch_size),
+                     lambda chunk: slab_columns(chunk[1]),
+                     located(_parsed), located(_per_line), "sam",
+                     "fallbacks")
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,10 +196,10 @@ class SamRankSpec(ShardableSpec):
                                          self.end, n) if p.length > 0]
 
     def open(self, metrics: RankMetrics):
-        """The byte range as a :func:`sam_source`."""
-        return sam_source(self.sam_path, self.start, self.end,
-                          self.header_text, metrics, self.read_chunk,
-                          self.batch_size)
+        """The byte range as a :class:`SamCut`."""
+        return SamCut(self.sam_path, self.start, self.end,
+                      self.header_text)(metrics, self.read_chunk,
+                                        self.batch_size)
 
 
 class SamConverter:
@@ -246,28 +257,19 @@ class SamConverter:
 
         def plan(out_dir: str) -> tuple:
             with get_tracer().span("partition", "sam"):
-                header, header_end = scan_header(sam_path)
-                partitions = partition_alignments(sam_path, nprocs,
-                                                  header_end)
+                _, kind, cuts = plan_sources(
+                    sam_path, nprocs, reader="SamConverter.convert",
+                    reads=("sam",))
             target_plugin = get_target(target)  # validates the name early
             stem = os.path.splitext(os.path.basename(sam_path))[0]
-            specs = [
-                SamRankSpec(
-                    sam_path=sam_path,
-                    start=p.start,
-                    end=p.end,
-                    target=target,
-                    out_path=make_output_path(out_dir, stem, p.rank,
-                                              target_plugin),
-                    header_text=header.to_text(),
-                    read_chunk=self.read_chunk,
-                    record_filter=record_filter or ACCEPT_ALL,
-                    pipeline=self.pipeline,
-                )
-                for p in partitions
-            ]
-            return ("sam", self.pipeline,
-                    os.path.getsize(sam_path) - header_end, specs)
+            return kind, self.pipeline, [
+                SamRankSpec(sam_path, cut.start, cut.end, target,
+                            make_output_path(out_dir, stem, rank,
+                                             target_plugin),
+                            cut.header_text, self.read_chunk,
+                            record_filter or ACCEPT_ALL,
+                            pipeline=self.pipeline)
+                for rank, cut in enumerate(cuts)]
 
         return run_conversion(
             self, convert_rank,

@@ -27,9 +27,9 @@ from ..runtime.autotune import AutoTuner
 from ..runtime.metrics import RankMetrics
 from ..runtime.tracing import get_tracer
 from .base import ConversionResult, converter_options, encode_rank, \
-    finish_rank_metrics, run_conversion
+    finish_rank_metrics, plan_sources, run_conversion
 from .bam_converter import BamConverter
-from .sam_converter import partition_alignments, sam_source, scan_header
+from .sam_converter import SamCut
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,10 +59,10 @@ class PreprocessSpec:
         return float(self.end - self.start)
 
     def open(self, metrics: RankMetrics):
-        """The byte range as a :func:`sam_source`."""
-        return sam_source(self.sam_path, self.start, self.end,
-                          self.header_text, metrics, self.read_chunk,
-                          self.batch_size)
+        """The byte range as a :class:`~.sam_converter.SamCut`."""
+        return SamCut(self.sam_path, self.start, self.end,
+                      self.header_text)(metrics, self.read_chunk,
+                                        self.batch_size)
 
 
 def _preprocess_rank_task(spec: PreprocessSpec) -> RankMetrics:
@@ -115,26 +115,17 @@ class PreprocSamConverter:
 
         def plan(work_dir: str) -> tuple:
             with get_tracer().span("partition", "samp"):
-                header, header_end = scan_header(sam_path)
-                partitions = partition_alignments(sam_path, nprocs,
-                                                  header_end)
+                _, _, cuts = plan_sources(
+                    sam_path, nprocs, reader="PreprocSamConverter",
+                    reads=("sam",))
             stem = os.path.splitext(os.path.basename(sam_path))[0]
             ext = store_extension(False, self.store_format)
-            specs = [
-                PreprocessSpec(
-                    sam_path=sam_path,
-                    start=p.start,
-                    end=p.end,
-                    bamx_path=os.path.join(
-                        work_dir, f"{stem}.part{p.rank:04d}{ext}"),
-                    header_text=header.to_text(),
-                    read_chunk=self.read_chunk,
-                    store_format=self.store_format,
-                )
-                for p in partitions
-            ]
-            return (self.store_format, "parse",
-                    os.path.getsize(sam_path) - header_end, specs)
+            return self.store_format, "parse", [
+                PreprocessSpec(sam_path, cut.start, cut.end, os.path.join(
+                    work_dir, f"{stem}.part{rank:04d}{ext}"),
+                    cut.header_text, self.read_chunk,
+                    store_format=self.store_format)
+                for rank, cut in enumerate(cuts)]
 
         result = run_conversion(
             self, _preprocess_rank_task,

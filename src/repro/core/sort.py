@@ -5,14 +5,16 @@ assume coordinate-sorted input; real pipelines get that from
 ``samtools sort``.  This module provides the equivalent out of two
 writes the converters already make, each the one way it is made:
 
-1. **a store** — the input, opened as the converters open it
-   (Algorithm-1 partitions of a SAM, slab runs of an inflated BAM),
-   is written by ranks as ordered parts and joined by one reducer into
-   a scratch BAMX (:func:`~repro.core.base.encode_rank`,
-   :func:`~repro.formats.store.join_store_parts`).  Its BAIX *is* the
-   sort: the placed records ordered by (reference id, position, record
-   index) — ties in input order, a stable sort like samtools'; the
-   unplaced records follow, in input order;
+1. **a store** — a SAM or BAM input, cut as every verb cuts it
+   (:func:`~repro.core.base.plan_sources`: Algorithm-1 partitions of a
+   SAM, slab runs of an inflated BAM), is written by ranks as ordered
+   parts and joined by one reducer into a scratch BAMX
+   (:func:`~repro.core.base.encode_rank`,
+   :func:`~repro.formats.store.join_store_parts`); a store input is
+   that store already.  Its BAIX *is* the sort: the placed records
+   ordered by (reference id, position, record index) — ties in input
+   order, a stable sort like samtools'; the unplaced records follow,
+   in input order;
 2. **a sorted file** — ranks gather the records in that order from the
    store and write them as ordered parts of the output through the
    ``sam`` or ``bam`` target (:func:`~repro.core.base.convert_rank`),
@@ -30,7 +32,8 @@ import os
 import shutil
 import tempfile
 import time
-from contextlib import suppress
+from collections.abc import Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import partial
 
@@ -41,13 +44,13 @@ from ..formats.baix import BaixIndex
 from ..formats.header import SamHeader
 from ..formats.record import AlignmentRecord
 from ..formats.registry import source_kind
-from ..formats.store import index_path_for, join_store_parts
+from ..formats.store import index_path_for, join_store_parts, \
+    open_record_store
 from ..runtime.metrics import RankMetrics
-from ..runtime.partition import partition_records
-from .base import convert_rank, encode_rank, execute_rank_tasks, \
-    finish_rank_metrics, merge_shard_outputs
-from .bam_converter import BamxPickSpec, bam_spool
-from .sam_converter import partition_alignments, sam_source, scan_header
+from .base import PartSpec, Source, convert_rank, encode_rank, \
+    execute_rank_tasks, finish_rank_metrics, merge_shard_outputs, \
+    plan_sources
+from .bam_converter import writing
 
 #: Default records per part of the sorted output.
 DEFAULT_CHUNK_RECORDS = 250_000
@@ -83,59 +86,65 @@ def sort_file(in_path: str | os.PathLike[str],
               work_dir: str | os.PathLike[str] | None = None,
               chunk_records: int = DEFAULT_CHUNK_RECORDS,
               ) -> tuple[SortResult, list[RankMetrics]]:
-    """Coordinate-sort the SAM or BAM *in_path* into *out_path*, of the
-    same kind, on *nprocs* ranks under *executor*.
+    """Coordinate-sort the SAM, BAM or record store *in_path* into
+    *out_path*, a SAM or a BAM by its extension, on *nprocs* ranks
+    under *executor*.
 
-    The output is written as parts of at most *chunk_records* records
-    (at least one a rank), joined in order under a temporary name
-    beside *out_path* that becomes it only once complete.  Scratch
-    files live in a directory under *work_dir* (the system's temporary
-    directory by default) that the call removes.  Returns the result — its metrics
-    the gather-and-join phase's, timed over the whole call — and the
-    per-rank metrics of the store write.
+    A SAM or a BAM is first written as a scratch store, on the ranks
+    :func:`~repro.core.base.plan_sources` cuts it into; a store is
+    gathered from as it is, by its own BAIX.  The output is written as
+    parts of at most *chunk_records* records (at least one a rank),
+    joined in order under a temporary name beside *out_path* that
+    becomes it only once complete.  Scratch files live in a directory
+    under *work_dir* (the system's temporary directory by default)
+    that the call removes.  Returns the result — its metrics the
+    gather-and-join phase's, timed over the whole call — and the
+    per-rank metrics of the store write (none for a store).
     """
-    if nprocs < 1:
-        raise ConversionError(f"nprocs {nprocs} must be >= 1")
-    if chunk_records < 1:
-        raise ConversionError(
-            f"chunk_records {chunk_records} must be >= 1")
+    if nprocs < 1 or chunk_records < 1:
+        raise ConversionError(f"nprocs {nprocs} and chunk_records "
+                              f"{chunk_records} must be >= 1")
     t0 = time.perf_counter()
     in_path, out_path = os.fspath(in_path), os.fspath(out_path)
-    kind = source_kind(in_path, "repro sort", ("sam", "bam"))
+    source_kind(in_path, "repro sort")     # before any file is made
+    kind = os.path.splitext(out_path)[1].lower()[1:]
+    if kind not in ("sam", "bam"):
+        raise ConversionError(f"repro sort writes .sam or .bam; "
+                              f"got {out_path!r}")
     if work_dir is not None:
         os.makedirs(work_dir, exist_ok=True)
     scratch = tempfile.mkdtemp(prefix="repro-sort-", dir=work_dir)
     joined = f"{out_path}.tmp{os.getpid()}"
+    done = []
     try:
         store = os.path.join(scratch, "input.bamx")
-        if kind == "bam":
-            header, sources = bam_spool(in_path, store + ".spool", nprocs,
-                                        executor)
+        header, in_kind, openers = plan_sources(
+            in_path, nprocs, executor, store, reader="repro sort")
+        if in_kind in ("sam", "bam"):
+            parts = [f"{store}.part{rank:04d}"
+                     for rank in range(len(openers))]
+            done = execute_rank_tasks(encode_rank, [
+                (opener, part, "bamx")
+                for opener, part in zip(openers, parts)], executor)
+            count = join_store_parts(store, header, zip(
+                parts, (slabs for _, slabs in done)))
         else:
-            header, header_end = scan_header(in_path)
-            sources = [partial(sam_source, in_path, p.start, p.end,
-                               header.to_text())
-                       for p in partition_alignments(in_path, nprocs,
-                                                     header_end)]
-        parts = [f"{store}.part{rank:04d}" for rank in range(len(sources))]
-        done = execute_rank_tasks(encode_rank, [
-            (source, part, "bamx") for source, part in zip(sources, parts)],
-            executor)
-        count = join_store_parts(
-            store, header.with_sort_order("coordinate"),
-            zip(parts, (slabs for _, slabs in done)))
+            store = in_path
+            with open_record_store(store) as reader:
+                count = len(reader)
         placed = BaixIndex.load(index_path_for(store)).indices
         unplaced = np.ones(count, bool)
         unplaced[placed] = False
         order = np.concatenate((placed, np.flatnonzero(unplaced)))
-        cuts = [(a, b) for a, b in partition_records(
-            count, max(nprocs, -(-count // chunk_records))) if b > a] \
-            or [(0, 0)]
-        specs = [BamxPickSpec(
-            store, order[a:b], kind,
-            joined if len(cuts) == 1
-            else os.path.join(scratch, f"part{i:05d}.{kind}"),
-            write_header=i == 0) for i, (a, b) in enumerate(cuts)]
+        _, _, cuts = plan_sources(
+            store, max(nprocs, -(-count // chunk_records)),
+            picks=order, reader="repro sort")
+        outs = [joined] if len(cuts) == 1 else [
+            os.path.join(scratch, f"part{i:05d}.{kind}")
+            for i in range(len(cuts))]
+        specs = [PartSpec(partial(writing, out, partial(_coordinate, cut)),
+                          kind, out, write_header=i == 0)
+                 for i, (cut, out) in enumerate(zip(cuts, outs))]
         written = execute_rank_tasks(convert_rank, specs, executor)
         metrics = written[0] if len(specs) == 1 \
             else merge_shard_outputs(joined, specs, written)
@@ -149,6 +158,14 @@ def sort_file(in_path: str | os.PathLike[str],
     return (SortResult(out_path, count,
                        0 if len(specs) == 1 else len(specs), metrics),
             [rank for rank, _ in done])
+
+
+@contextmanager
+def _coordinate(opener, metrics: RankMetrics, *args) -> Iterator[Source]:
+    """What *opener* yields, under its header marked coordinate-sorted."""
+    with opener(metrics, *args) as source:
+        yield source._replace(
+            header=source.header.with_sort_order("coordinate"))
 
 
 def sort_sam(in_path: str | os.PathLike[str],

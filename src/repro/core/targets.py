@@ -139,24 +139,27 @@ class GffTarget(TargetFormat):
     name = "gff"
     extension = ".gff3"
 
+    def __init__(self) -> None:
+        from ..formats.gff import GffFeature, format_feature
+        self._feature, self._format = GffFeature, format_feature
+
     def file_header(self, header: SamHeader) -> str:
         return "##gff-version 3\n"
 
     def emit(self, record: AlignmentRecord) -> str | None:
-        from ..formats.gff import GffFeature, format_feature
         if not record.is_mapped or record.pos == UNMAPPED_POS:
             return None
         attributes = {"ID": record.qname}
         nm = record.get_tag("NM")
         if nm is not None:
             attributes["nm"] = str(nm.value)
-        feature = GffFeature(
+        feature = self._feature(
             seqid=record.rname, source="repro", type="read_alignment",
             start=record.pos, end=record.end,
             score=float(record.mapq),
             strand="-" if record.is_reverse else "+",
             attributes=attributes)
-        return format_feature(feature)
+        return self._format(feature)
 
 
 class JsonTarget(TargetFormat):

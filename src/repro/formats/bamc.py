@@ -533,15 +533,19 @@ class BamcReader:
         return int(np.searchsorted(self._slab_starts, index,
                                    side="right")) - 1
 
+    def _span(self, slab_index: int) -> tuple[int, int]:
+        """Byte range ``[start, end)`` of slab *slab_index*."""
+        end = int(self._slab_offsets[slab_index + 1]) \
+            if slab_index + 1 < len(self._slab_offsets) \
+            else self._footer_offset
+        return int(self._slab_offsets[slab_index]), end
+
     def _load_slab(self, slab_index: int) -> ColumnSlab:
         """Parse (and cache) slab *slab_index*."""
         if slab_index == self._cached_index \
                 and self._cached_slab is not None:
             return self._cached_slab
-        offset = int(self._slab_offsets[slab_index])
-        end = int(self._slab_offsets[slab_index + 1]) \
-            if slab_index + 1 < len(self._slab_offsets) \
-            else self._footer_offset
+        offset, end = self._span(slab_index)
         self._fh.seek(offset)
         buf = self._fh.read(end - offset)
         if len(buf) != end - offset:
@@ -551,6 +555,40 @@ class BamcReader:
                            int(self._slab_counts[slab_index]))
         self._cached_slab, self._cached_index = slab, slab_index
         return slab
+
+    def _read_window(self, slab_index: int, a: int, b: int) -> ColumnSlab:
+        """Records ``[a, b)`` of slab *slab_index*, reading only their
+        bytes — each fixed column's run, each section's offsets and
+        blob range — with ``os.pread`` (no shared file position, so
+        safe across forks); its offsets count from its own blobs."""
+        at, end = self._span(slab_index)
+        n, fd = int(self._slab_counts[slab_index]), self._fh.fileno()
+
+        def read(offset: int, size: int) -> bytes:
+            buf = os.pread(fd, size, at + offset) \
+                if 0 <= size and at + offset + size <= end else b""
+            if len(buf) != size:
+                raise BamxFormatError("truncated BAMC slab",
+                                      source=self.source_name)
+            return buf
+
+        columns, off = [], 0
+        for _, dtype in _COLUMNS:
+            size = np.dtype(dtype).itemsize
+            columns.append(np.frombuffer(
+                read(off + a * size, (b - a) * size), dtype))
+            off += n * size
+        bounds, blobs = [], []
+        for _ in range(5):
+            offsets = np.frombuffer(read(off + 4 * a, 4 * (b - a + 1)), "<u4")
+            off += 4 * (n + 1)
+            blobs.append(read(off + int(offsets[0]),
+                              int(offsets[-1]) - int(offsets[0])))
+            off += struct.unpack("<I", read(off - 4, 4))[0]
+            offsets = offsets - offsets[0]
+            bounds += [offsets[:-1], offsets[1:]]
+        return ColumnSlab(int(self._slab_starts[slab_index]) + a, b - a,
+                          *columns, *bounds, *blobs)
 
     def __getitem__(self, index: int) -> AlignmentRecord:
         if index < 0:
@@ -566,8 +604,9 @@ class BamcReader:
                             ) -> Iterator[ColumnSlab]:
         """Yield :class:`ColumnSlab` windows covering ``[start, stop)``,
         cut where the file's slabs are (*batch_size*, which sizes a row
-        store's slabs, is not consulted): the fixed columns of each
-        yielded slab are zero-copy numpy views.
+        store's slabs, is not consulted): a whole slab parsed once,
+        its fixed columns zero-copy numpy views; part of a slab read
+        alone (:meth:`_read_window`).
         """
         if not 0 <= start <= stop <= self._count:
             raise BamxFormatError(
@@ -576,12 +615,12 @@ class BamcReader:
         index = start
         while index < stop:
             slab_index = self._slab_of(index)
-            slab = self._load_slab(slab_index)
-            a = index - slab.start
-            b = min(stop - slab.start, slab.count)
-            yield slab if (a == 0 and b == slab.count) \
-                else slab.window(a, b, index)
-            index = slab.start + b
+            first = int(self._slab_starts[slab_index])
+            count = int(self._slab_counts[slab_index])
+            a, b = index - first, min(stop - first, count)
+            yield self._load_slab(slab_index) if (a == 0 and b == count) \
+                else self._read_window(slab_index, a, b)
+            index = first + b
 
     def read_column_picks(self, indices: Sequence[int],
                           batch_size: int | None = None,

@@ -34,6 +34,7 @@ import numpy as np
 
 from ..defaults import DEFAULT_BATCH_SIZE, STORE_FORMATS
 from ..errors import BamxFormatError
+from ..runtime import faults
 from ..runtime.buffers import file_identity, settled
 from ..runtime.tracing import get_tracer
 from . import baix as _baix
@@ -230,6 +231,7 @@ def publishing(store_path: str | os.PathLike[str],
              (tmp, store_path))
     try:
         yield tmp
+        faults.fire("store.publish")
         for written, final in moves:
             if os.path.exists(written):
                 os.replace(written, final)
@@ -280,18 +282,25 @@ def store_meta(store_path: str | os.PathLike[str], mode: str = "start",
     via the v2 overlap index.  A resident index holds 24 (BAIX) or 28
     (BAIX2) bytes per placed record.
     """
-    store_path = os.fspath(store_path)
-    reader_type, header = _recall("store", os.stat(store_path)) \
-        or (None, None)
-    if header is None:
-        with open_record_store(store_path) as reader:
-            reader_type, header = type(reader), reader.header
+    kind, header = store_header(store_path)
     if index_path is None:
         index_path = index_path_for(store_path, mode)
     st = os.stat(index_path)
     locate = _recall(mode, st) \
         or _remember(mode, st, _load_locator(mode, index_path))
-    return StoreMeta(reader_type.kind, header, locate)
+    return StoreMeta(kind, header, locate)
+
+
+def store_header(store_path: str | os.PathLike[str],
+                 ) -> tuple[str, SamHeader]:
+    """Kind and header of a store, resident per file identity like
+    :func:`store_meta`'s: a warm call is one ``stat``."""
+    reader_type, header = _recall("store", os.stat(store_path)) \
+        or (None, None)
+    if header is None:
+        with open_record_store(store_path) as reader:
+            reader_type, header = type(reader), reader.header
+    return reader_type.kind, header
 
 
 def _load_locator(mode: str, index_path: str | os.PathLike[str],

@@ -61,6 +61,8 @@ POINTS = (
     "preprocess.rank",    # a BAM opened on ranks, each inflate/encode rank
     "merge.copy",         # merge_shard_outputs, before each part it joins
     "output.write",       # a part file, before its publish (short write)
+    "shard.done",         # merge_shard_outputs, each complete shard part
+    "store.publish",      # publishing, before a store's moves
 )
 
 #: Fault kinds a point can be armed with.

@@ -34,6 +34,9 @@ from multiprocessing.util import Finalize
 from typing import Any
 
 from ..core import BamConverter, SamConverter, parse_filter_expr
+# Region jobs parse their region in a body worker: load the parser
+# before BodyWorkers forks them, not once in each worker.
+from ..core import region as _region  # noqa: F401
 from ..core.base import _run_entry, validate_knob
 from ..errors import ServiceError
 from ..formats.registry import SOURCE_FORMATS, STORE_KINDS, source_kind

@@ -1,4 +1,4 @@
-"""Structural validation of SAM/BAM datasets (Picard ValidateSamFile
+"""Structural validation of alignment files (Picard ValidateSamFile
 equivalent).
 
 Checks performed, each yielding a coded :class:`ValidationIssue`:
@@ -183,12 +183,7 @@ def _check_mate_pair(record: AlignmentRecord, other: _MateInfo,
 
 def validate_file(path: str | os.PathLike[str],
                   check_mates: bool = True) -> ValidationReport:
-    """Validate a SAM or BAM file on disk."""
-    from ..formats.registry import source_kind
-    if source_kind(path, "repro validate", ("sam", "bam")) == "bam":
-        from ..formats.bam import BamReader
-        with BamReader(path) as reader:
-            return validate_records(reader, reader.header, check_mates)
-    from ..formats.sam import SamReader
-    with SamReader(path) as reader:
-        return validate_records(reader, reader.header, check_mates)
+    """Validate a SAM, BAM or record-store file on disk."""
+    from ..core.base import open_records
+    with open_records(path, "repro validate") as (header, records):
+        return validate_records(records, header, check_mates)

@@ -163,6 +163,44 @@ def test_truncated_file_is_rejected(tmp_path):
         BamcReader(clipped)
 
 
+def _fields(slab):
+    """A slab's per-record values: every fixed column, and every
+    variable field's bytes record by record."""
+    fixed = {f.name: getattr(slab, f.name).tolist()
+             for f in dataclasses.fields(slab)
+             if f.name.endswith(("_id", "pos", "tlen", "l_seq", "flag",
+                                 "mapq"))}
+    return fixed, [[blob[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
+                   for lo, hi, blob in slab.sections()]
+
+
+def test_every_window_reads_as_the_slice_of_its_slab(tmp_path):
+    """A window that is part of a slab is read alone (its columns, its
+    offsets, its blob ranges): field by field it is the same window
+    sliced from the whole slab; cut the file under an open reader and
+    the window read is the typed error."""
+    records = [dataclasses.replace(r, qname=f"r{i}{r.qname[:200]}")
+               for i, r in enumerate(EDGE_RECORDS * 3)]
+    path = tmp_path / "t.bamc"
+    write_bamc(path, HDR, records, slab_records=7)
+    with BamcReader(path) as reader:
+        for first in range(0, len(records), 7):
+            whole = reader._load_slab(first // 7)
+            for a in range(whole.count):
+                for b in range(a + 1, whole.count + 1):
+                    (got,) = reader.read_column_batches(first + a,
+                                                        first + b)
+                    want = whole.window(a, b, first + a)
+                    assert (got.start, got.count) == (want.start, b - a)
+                    assert _fields(got) == _fields(want), (first, a, b)
+                    assert list(got.decode_all(HDR)) == \
+                        records[first + a:first + b]
+        os.truncate(path, os.path.getsize(path) // 2)
+        with pytest.raises(BamxFormatError, match="truncated"):
+            list(reader.read_column_batches(len(records) - 3,
+                                            len(records) - 1))
+
+
 # -- property fuzz ----------------------------------------------------
 
 _qname = st.from_regex(r"[!-?A-~]{1,24}", fullmatch=True)

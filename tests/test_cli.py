@@ -316,10 +316,10 @@ def test_missing_input_is_a_one_line_error(verb, ext, tmp_path, capsys):
 @pytest.mark.parametrize("verb, ext, reads", [
     ("convert", "vcf", ".sam, .bam, .bamx, .bamz, .bamc"),
     ("preprocess", "bamx", ".sam, .bam"),
-    ("histogram", "bam", ".sam, .bamx, .bamz, .bamc"),
-    ("sort", "bamx", ".sam, .bam"),
+    ("histogram", "vcf", ".sam, .bam, .bamx, .bamz, .bamc"),
+    ("sort", "vcf", ".sam, .bam, .bamx, .bamz, .bamc"),
     ("flagstat", "bed", ".sam, .bam, .bamx, .bamz, .bamc"),
-    ("validate", "bamx", ".sam, .bam")])
+    ("validate", "fastq", ".sam, .bam, .bamx, .bamz, .bamc")])
 def test_wrong_kind_of_input_is_a_one_line_error(verb, ext, reads,
                                                  tmp_path, capsys):
     """Each verb used to spell its own extension ladder and hand what it
@@ -646,12 +646,16 @@ def test_bam_convert_and_region_leave_cold_path_modules_out(tmp_path,
          ("repro.runtime.autotune",)),
         (["convert", str(floats), "--target", "bed"], (),
          ("repro.formats.batch",)),
+        (["convert", sam_file, "--target", "gff", "--nprocs", "2",
+          "--executor", "process"], _NOT_ONE_SHOT,
+         ("repro.formats.gff", "repro.formats.batch")),
     ]
     for argv, left_out, loaded in cases:
         modules, _ = _loaded_by([*argv, "--out-dir", out])
         assert not modules & set(left_out), (argv, modules & set(left_out))
         assert set(loaded) <= modules, (argv, set(loaded) - modules)
-    modules, imported = _loaded_by([*cases[0][0], "--out-dir", out],
-                                   importtime=True)
-    assert not {name for name in imported if imported.count(name) > 1}
-    assert set(imported) <= modules, set(imported) - modules
+    for argv in (cases[0][0], cases[-1][0]):    # the process-rank rows
+        modules, imported = _loaded_by([*argv, "--out-dir", out],
+                                       importtime=True)
+        assert not {name for name in imported if imported.count(name) > 1}
+        assert set(imported) <= modules, (argv, set(imported) - modules)

@@ -118,3 +118,58 @@ def test_a_failed_part_write_publishes_nothing(tmp_path, sam_file,
                                     nprocs=2)
     assert sorted(os.listdir(tmp_path / "out")) == [
         os.path.basename(p) for p in result.outputs]
+
+
+def _publish_cells():
+    """``(point, cell)``: every call that joins shard parts (fires
+    ``shard.done``) or publishes a store (``store.publish``)."""
+    from repro.core import PreprocSamConverter
+    from repro.core.sort import sort_file
+
+    def sort(key):
+        return lambda p, out: sort_file(p[key], out / "s.bam", 2,
+                                        work_dir=out / "w", chunk_records=50)
+
+    def cold(p, out):       # what `repro convert x.bam --work-dir W` runs
+        converter = BamConverter()
+        store = converter.ensure_preprocessed(p["bam"], out / "w")[0]
+        converter.convert(store.store_path, "bed", out / "o")
+    return {
+        ("shard.done", "convert-sam"): lambda p, out: SamConverter(
+            shards_per_rank=3).convert(p["sam"], "bed", out),
+        ("shard.done", "convert-store-bam"): lambda p, out: BamConverter(
+            shards_per_rank=3).convert(p["bamx"], "bam", out),
+        ("shard.done", "sort-sam"): sort("sam"),
+        ("shard.done", "sort-bam"): sort("bam"),
+        ("shard.done", "sort-store"): sort("bamc"),
+        ("store.publish", "preprocess-bam"): lambda p, out: BamConverter()
+        .preprocess(p["bam"], out, nprocs=2),
+        ("store.publish", "preprocess-bam-bamc"): lambda p, out: BamConverter(
+            store_format="bamc").preprocess(p["bam"], out),
+        ("store.publish", "preprocess-bam-bamz"): lambda p, out: BamConverter()
+        .preprocess(p["bam"], out, compress=True),
+        ("store.publish", "preprocess-sam"): lambda p, out:
+        PreprocSamConverter().preprocess(p["sam"], out, nprocs=2),
+        ("store.publish", "convert-bam-cold"): cold,
+    }
+
+
+@pytest.mark.parametrize("point, cell", list(_publish_cells()))
+def test_a_failed_shard_join_or_store_publish_leaves_nothing(
+        tmp_path, sam_file, bam_file, disarmed, point, cell):
+    """``shard.done`` (a complete shard part, before its join) and
+    ``store.publish`` (a written store, before its moves) armed as
+    ``exception``: the call fails, and no output, store or sidecar —
+    final-named or not — is left under its directory."""
+    paths = {"sam": sam_file, "bam": bam_file,
+             "bamc": BamConverter(store_format="bamc").preprocess(
+                 bam_file, tmp_path / "in")[0],
+             "bamx": BamConverter().preprocess(bam_file, tmp_path / "in")[0]}
+    out = tmp_path / "out"
+    out.mkdir()
+    faults.arm(f"{point}:exception")
+    with pytest.raises(FaultInjectedError):
+        _publish_cells()[point, cell](paths, out)
+    assert faults.snapshot()[point]["fires"] >= 1
+    faults.disarm()
+    assert [name for _, _, names in os.walk(out) for name in names] == []
