@@ -26,16 +26,15 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from ..defaults import DEFAULT_BATCH_SIZE
+from ..defaults import DEFAULT_BATCH_SIZE, REGION_MODES
 from ..errors import ConversionError
 from ..formats.bam import BamReader, raw_slabs, read_header, \
     slab_columns, slab_records
@@ -48,11 +47,10 @@ from ..runtime import faults
 from ..runtime.metrics import RankMetrics
 from ..runtime.partition import partition_records
 from ..runtime.tracing import get_tracer
-from .base import ConversionResult, PartSpec, ShardableSpec, Source, \
-    convert_rank, converter_options, encode_rank, execute_rank_tasks, \
-    finish_rank_metrics, make_output_path, plan_sources, run_conversion
+from .base import ConversionResult, PartSpec, Source, convert_rank, \
+    converter_options, encode_rank, execute_rank_tasks, \
+    finish_rank_metrics, part_specs, plan_sources, run_conversion
 from .filters import ACCEPT_ALL, RecordFilter
-from .targets import get_target
 
 if TYPE_CHECKING:
     from ..runtime.autotune import AutoTuner
@@ -132,7 +130,7 @@ def bam_spool(bam_path: str, spool_path: str, nprocs: int, executor: str,
         spool.truncate(places[-1])
     # (An empty file, a header-only BAM: one rank with nothing.)
     execute_rank_tasks(_inflate_task, [
-        _InflateSpec(bam_path, starts[a], starts[b], spool_path, places[a])
+        _InflateRange(bam_path, starts[a], starts[b], spool_path, places[a])
         for a, b in _count_pieces(len(sizes), nprocs) or [(0, 0)]],
         executor, span_name="inflate")
     with tracer.span("walk", "bam"), open(spool_path, "rb") as spool:
@@ -148,7 +146,7 @@ def bam_spool(bam_path: str, spool_path: str, nprocs: int, executor: str,
         for a, b in _count_pieces(len(slabs), nprocs) or [(0, 0)]]
 
 
-class _InflateSpec(NamedTuple):
+class _InflateRange(NamedTuple):
     """A rank's blocks (compressed ``[start, stop)``), their spool place."""
 
     bam_path: str
@@ -158,7 +156,7 @@ class _InflateSpec(NamedTuple):
     place: int
 
 
-def _inflate_task(spec: _InflateSpec) -> None:
+def _inflate_task(spec: _InflateRange) -> None:
     faults.fire("preprocess.rank")
     with BgzfReader(spec.bam_path, spec.start, spec.stop) as reader, \
             open(spec.spool_path, "r+b") as spool:
@@ -187,7 +185,9 @@ class SpoolRun(NamedTuple):
     header: SamHeader
 
     @contextmanager
-    def __call__(self, metrics: RankMetrics) -> Iterator[Source]:
+    def __call__(self, metrics: RankMetrics,
+                 batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[Source]:
+        # The walk cut the slabs: *batch_size* is the spool's already.
         faults.fire("preprocess.rank")
         with open(self.spool_path, "rb") as spool:
             def chunks() -> Iterator[tuple]:
@@ -210,11 +210,12 @@ class BamStream(NamedTuple):
     bam_path: str
 
     @contextmanager
-    def __call__(self, metrics: RankMetrics) -> Iterator[Source]:
+    def __call__(self, metrics: RankMetrics,
+                 batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[Source]:
         with BamReader(self.bam_path) as reader:
             metrics.bytes_read += os.path.getsize(self.bam_path)
             yield raw_slab_source(reader.header,
-                                  reader.iter_raw_slabs(DEFAULT_BATCH_SIZE))
+                                  reader.iter_raw_slabs(batch_size))
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,12 +270,26 @@ class StoreCut(NamedTuple):
     or the *picks* indices in output order — as
     :func:`~repro.core.base.plan_sources` cuts them; called, they are
     read as column slabs (gathered, for picks): the chunks and the
-    columns at once."""
+    columns at once.  Records are fixed-size, so it splits by an exact
+    count split of its range or its picks."""
 
     path: str
     start: int = 0
     stop: int = 0
-    picks: Sequence[int] | None = None
+    picks: np.ndarray | None = None
+
+    def cost_hint(self) -> float:
+        """Relative size: records to read (random-access, for picks)."""
+        return float(self.stop - self.start if self.picks is None
+                     else len(self.picks))
+
+    def split(self, n: int) -> list[StoreCut]:
+        """The records as <= *n* non-empty even pieces."""
+        if self.picks is None:
+            return [self._replace(start=self.start + a, stop=self.start + b)
+                    for a, b in _count_pieces(self.stop - self.start, n)]
+        return [self._replace(picks=self.picks[a:b])
+                for a, b in _count_pieces(len(self.picks), n)]
 
     @contextmanager
     def __call__(self, metrics: RankMetrics,
@@ -287,72 +302,6 @@ class StoreCut(NamedTuple):
                 self.start, self.stop, batch_size) if picks is None
                 else reader.read_column_picks(picks, batch_size),
                 lambda slab: slab, lambda slab: slab.decode_all(header))
-
-
-@contextmanager
-def writing(out_path: str, opener: Callable, metrics: RankMetrics,
-            *args) -> Iterator[Source]:
-    """A conversion rank's source — ``opener(metrics, *args)`` — opened
-    under its ``write`` span."""
-    with opener(metrics, *args) as opened, get_tracer().span(
-            "write", "io", args={"out": os.path.basename(out_path)}):
-        yield opened
-
-
-@dataclass(frozen=True, slots=True)
-class BamxRangeSpec(ShardableSpec):
-    """One rank's contiguous BAMX record range (full conversion)."""
-
-    bamx_path: str
-    start: int
-    stop: int
-    target: str
-    out_path: str
-    record_filter: RecordFilter = ACCEPT_ALL
-    batch_size: int = DEFAULT_BATCH_SIZE
-    pipeline: str = "batch"
-    write_header: bool = True
-
-    def cost_hint(self) -> float:
-        """Relative shard size: BAMX records to convert."""
-        return float(self.stop - self.start)
-
-    def _pieces(self, n: int) -> list[dict]:
-        # BAMX records are fixed-size, so this is an exact count split.
-        return [{"start": self.start + s, "stop": self.start + e}
-                for s, e in _count_pieces(self.stop - self.start, n)]
-
-    def open(self, metrics: RankMetrics):
-        return writing(self.out_path, StoreCut(
-            self.bamx_path, self.start, self.stop), metrics,
-            self.batch_size)
-
-
-@dataclass(frozen=True, slots=True)
-class BamxPickSpec(ShardableSpec):
-    """One rank's explicit record indices, in output order (partial
-    conversion; a sort's gather, whose indices are an array)."""
-
-    bamx_path: str
-    indices: Sequence[int]
-    target: str
-    out_path: str
-    record_filter: RecordFilter = ACCEPT_ALL
-    batch_size: int = DEFAULT_BATCH_SIZE
-    pipeline: str = "batch"
-    write_header: bool = True
-
-    def cost_hint(self) -> float:
-        """Relative shard size: records to random-access."""
-        return float(len(self.indices))
-
-    def _pieces(self, n: int) -> list[dict]:
-        return [{"indices": self.indices[s:e]}
-                for s, e in _count_pieces(len(self.indices), n)]
-
-    def open(self, metrics: RankMetrics):
-        return writing(self.out_path, StoreCut(
-            self.bamx_path, picks=self.indices), metrics, self.batch_size)
 
 
 class BamConverter:
@@ -501,7 +450,7 @@ class BamConverter:
                        ) -> ConversionResult:
         """Locate *regions* in the store's index and convert the union
         of the selected records; part files are ``<stem><suffix>.*``."""
-        if mode not in ("start", "overlap"):
+        if mode not in REGION_MODES:
             raise ConversionError(
                 f"unknown partial-conversion mode {mode!r}; choose "
                 f"'start' or 'overlap'")
@@ -535,20 +484,11 @@ class BamConverter:
             _, kind, cuts = plan_sources(
                 bamx_path, nprocs, reader="BamConverter", reads=STORE_KINDS,
                 picks=None if picks is None else picks())
-            target_plugin = get_target(target)
             stem = os.path.splitext(os.path.basename(bamx_path))[0] + suffix
-            specs = []
-            for rank, cut in enumerate(cuts):
-                rest = dict(target=target, out_path=make_output_path(
-                    out_dir, stem, rank, target_plugin),
-                    record_filter=record_filter or ACCEPT_ALL,
-                    pipeline=self.pipeline)
-                specs.append(
-                    BamxRangeSpec(bamx_path, cut.start, cut.stop, **rest)
-                    if cut.picks is None else BamxPickSpec(
-                        bamx_path, tuple(cut.picks.tolist()), **rest))
             return (kind, self.pipeline + ("" if picks is None else ".pick"),
-                    specs)
+                    part_specs(cuts, out_dir, stem, target,
+                               record_filter=record_filter or ACCEPT_ALL,
+                               pipeline=self.pipeline))
 
         return run_conversion(
             self, convert_rank,
@@ -574,8 +514,7 @@ def convert_bam_direct(bam_path: str | os.PathLike[str], target: str,
         _, _, (opener,) = plan_sources(bam_path, 1,
                                        reader="convert_bam_direct",
                                        reads=("bam",))
-        rank = convert_rank(PartSpec(partial(writing, out_path, opener),
-                                     target, out_path))
+        rank = convert_rank(PartSpec(opener, target, out_path))
     return ConversionResult(
         target=target,
         outputs=[out_path],

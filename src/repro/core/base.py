@@ -48,7 +48,7 @@ from ..formats.kernels import KERNEL_TARGETS, KernelFallback, \
 from ..formats.record import AlignmentRecord
 from ..formats.registry import SOURCE_FORMATS, source_kind
 from ..runtime import faults
-from ..runtime.buffers import BufferedTextWriter
+from ..runtime.buffers import DEFAULT_READ_CHUNK, BufferedTextWriter
 from ..runtime.metrics import RankMetrics
 from ..runtime.partition import partition_records
 from ..runtime.tracing import Tracer, get_tracer
@@ -372,43 +372,6 @@ def _run_entry(payload: tuple) -> tuple[Any, list[dict[str, Any]]]:
         else [s.to_dict() for s in child.spans()]
 
 
-class ShardableSpec:
-    """Mixin for rank specs that write one part file.
-
-    Subclasses are frozen dataclasses with ``target``, ``out_path`` and
-    ``write_header`` fields, a :meth:`cost_hint`, and a ``_pieces(n)``
-    returning the field overrides of up to *n* non-empty sub-ranges;
-    this supplies the ``split`` / ``merge_shards`` pair
-    :func:`execute_rank_tasks` looks for.
-    """
-
-    __slots__ = ()
-
-    def split(self, n: int) -> list:
-        """Over-decompose this spec into <= *n* shards.
-
-        Each shard writes its own ``.shardNN`` part file that
-        :meth:`merge_shards` concatenates back.  Only shard 0 of a
-        header-carrying spec writes the file header; a headerless spec
-        stays headerless.
-        """
-        if n <= 1 or self.cost_hint() <= 1:
-            return [self]
-        pieces = self._pieces(n)
-        if len(pieces) <= 1:
-            return [self]
-        return [replace(self, out_path=f"{self.out_path}.shard{i:02d}",
-                        write_header=(i == 0 and self.write_header),
-                        **piece)
-                for i, piece in enumerate(pieces)]
-
-    def merge_shards(self, shard_specs: Sequence[Any],
-                     shard_results: Sequence[RankMetrics]) -> RankMetrics:
-        """Ordered reducer: concatenate shard files into ``out_path``."""
-        return merge_shard_outputs(self.out_path, shard_specs,
-                                   shard_results)
-
-
 def merge_shard_outputs(out_path: str, shard_specs: Sequence[Any],
                         shard_metrics: Sequence[RankMetrics],
                         ) -> RankMetrics:
@@ -447,9 +410,10 @@ def merge_shard_outputs(out_path: str, shard_specs: Sequence[Any],
 
 class Source(NamedTuple):
     """An opened source: all :func:`convert_rank` knows of where a
-    rank's records come from.  An opener of :func:`plan_sources` (or a
-    rank spec's ``open(metrics)``) is a context manager yielding one
-    (reads metered into *metrics*)."""
+    rank's records come from.  An opener of :func:`plan_sources` —
+    ``opener(metrics, batch_size)``, every kind alike — is a context
+    manager yielding one (reads metered into *metrics*, chunks of about
+    *batch_size* records)."""
 
     header: SamHeader
     #: The rank's share, in record order, a chunk per pass of the loop
@@ -480,13 +444,15 @@ def plan_sources(path: str | os.PathLike[str], nprocs: int,
                  reads: Sequence[str] = SOURCE_FORMATS,
                  picks: np.ndarray | None = None,
                  batch_size: int = DEFAULT_BATCH_SIZE,
+                 read_chunk: int = DEFAULT_READ_CHUNK,
                  ) -> tuple[SamHeader, str, list[Callable]]:
     """The one planner: how the alignment file *path* is cut into the
     sources of *nprocs* ranks, by its kind (:func:`~repro.formats.
     registry.source_kind`, refusing in one line any kind but *reads*
     of *reader*, the caller):
 
-    * a SAM — Algorithm-1 partitions (:class:`~.sam_converter.SamCut`);
+    * a SAM — Algorithm-1 partitions (:class:`~.sam_converter.SamCut`,
+      read *read_chunk* bytes at a time);
     * a BAM — given a *scratch* path prefix, runs of whole slabs of the
       spool ``<scratch>.spool``, cut every *batch_size* records
       (:func:`~.bam_converter.bam_spool`, its inflate ranks on
@@ -499,9 +465,11 @@ def plan_sources(path: str | os.PathLike[str], nprocs: int,
       (:class:`~.bam_converter.StoreCut`).
 
     Returns ``(header, kind, openers)`` — a store's *kind* is the one
-    its magic names — with one picklable opener per rank:
-    ``opener(metrics)`` is a context manager yielding its
-    :class:`Source`."""
+    its magic names — with one picklable opener per rank: a context
+    manager yielding its :class:`Source`.  A SAM's or a store's cut
+    also has ``cost_hint()`` and ``split(n)``, its own cut again into
+    <= *n* non-empty pieces (:meth:`PartSpec.split`); a BAM's does not
+    split."""
     if nprocs < 1:
         raise ConversionError(f"nprocs {nprocs} must be >= 1")
     path = os.fspath(path)
@@ -510,7 +478,7 @@ def plan_sources(path: str | os.PathLike[str], nprocs: int,
         from .sam_converter import SamCut, partition_alignments, scan_header
         header, header_end = scan_header(path)
         return header, kind, [
-            SamCut(path, p.start, p.end, header.to_text())
+            SamCut(path, p.start, p.end, header.to_text(), read_chunk)
             for p in partition_alignments(path, nprocs, header_end)]
     if kind == "bam":
         from .bam_converter import BamStream, bam_spool
@@ -542,10 +510,13 @@ def plan_sources(path: str | os.PathLike[str], nprocs: int,
 
 @dataclass(frozen=True, slots=True)
 class PartSpec:
-    """A conversion rank of any source: what the opener *open* yields,
-    converted into the part file *out_path* (:class:`PartSink`)."""
+    """A conversion rank, whatever the input: the cut *open* of
+    :func:`plan_sources` converted into the part file *out_path* of the
+    format *target* (:class:`PartSink`; a store format, for a SAM
+    preprocessing rank).  :meth:`split` and :meth:`merge_shards` are
+    how :func:`execute_rank_tasks` shards it."""
 
-    open: Callable[[RankMetrics], Any]
+    open: Callable[..., Any]
     target: str
     out_path: str
     record_filter: RecordFilter = ACCEPT_ALL
@@ -553,34 +524,77 @@ class PartSpec:
     pipeline: str = "batch"
     write_header: bool = True
 
+    def cost_hint(self) -> float:
+        """Relative size of the rank: its cut's, else 1."""
+        return _cost_hint(self.open)
+
+    def split(self, n: int) -> list[PartSpec]:
+        """Over-decompose this rank into a shard per piece of its cut's
+        ``split(n)``, each writing its own ``.shardNN`` part file that
+        :meth:`merge_shards` concatenates back.  Only shard 0 of a
+        header-carrying spec writes the file header.  A cut that does
+        not split (a BAM's), and a store part — joined from its one
+        part, not concatenated — stay whole."""
+        split = getattr(self.open, "split", None)
+        if n <= 1 or split is None or self.cost_hint() <= 1 \
+                or self.target in STORE_FORMATS:
+            return [self]
+        pieces = split(n)
+        if len(pieces) <= 1:
+            return [self]
+        return [replace(self, open=piece,
+                        out_path=f"{self.out_path}.shard{i:02d}",
+                        write_header=(i == 0 and self.write_header))
+                for i, piece in enumerate(pieces)]
+
+    def merge_shards(self, shard_specs: Sequence[PartSpec],
+                     shard_results: Sequence[RankMetrics]) -> RankMetrics:
+        """Ordered reducer: concatenate shard files into ``out_path``."""
+        return merge_shard_outputs(self.out_path, shard_specs,
+                                   shard_results)
+
+
+def part_specs(openers: Sequence[Callable], out_dir: str, stem: str,
+               target: str, **fields: Any) -> list[PartSpec]:
+    """The ranks of a conversion: one :class:`PartSpec` per opener, into
+    the part file ``<out_dir>/<stem>.part<rank><ext>`` — *ext* the
+    target's, or ``.<format>`` for a store format (a bad target name
+    raises here, before any file is made); *fields* fill the rest."""
+    ext = f".{target}" if target in STORE_FORMATS \
+        else get_target(target).extension
+    return [PartSpec(opener, target, f"{out_dir}/{stem}.part{rank:04d}{ext}",
+                     **fields)
+            for rank, opener in enumerate(openers)]
+
 
 class SinkSpec(NamedTuple):
     """A rank whose slabs go to ``sink(source)`` — a
     :class:`StoreSink` or a :class:`FoldSink` — not to a part file."""
 
-    open: Callable[[RankMetrics], Any]
+    open: Callable[..., Any]
     sink: Callable[[Source], Any]
+    batch_size: int = DEFAULT_BATCH_SIZE
 
 
 def convert_rank(spec: Any) -> Any:
     """The one rank task (module-level, so the process pool can pickle
     it) and its one slab loop.  *spec* opens the rank's
-    :class:`Source`; each chunk goes down one ladder — its column slab
+    :class:`Source` (``spec.open(metrics, spec.batch_size)``); each
+    chunk goes down one ladder — its column slab
     (a store's or a BAM's :class:`~repro.formats.bamc.ColumnSlab`, else
     proven SAM text) where the sink takes it, else the chunk's records,
     a fallback counted in the sink's ``fallback_field`` — into one of
     three sinks:
 
-    * :class:`PartSink` — for a conversion spec (``target``,
-      ``out_path``, ``record_filter``, ``pipeline``, ``batch_size``,
-      ``write_header``): the target's part file; returns the metrics;
+    * :class:`PartSink` — for a :class:`PartSpec`: the target's part
+      file; returns the metrics;
     * :class:`StoreSink` (:func:`encode_rank`): a store's part file;
       returns ``(metrics, slabs)``;
     * :class:`FoldSink` (:func:`fold_rank`): a statistic; returns
       ``(metrics, result)``."""
     t0 = time.perf_counter()
     metrics = RankMetrics()
-    with spec.open(metrics) as source:
+    with spec.open(metrics, spec.batch_size) as source:
         sink = spec.sink(source) if hasattr(spec, "sink") \
             else PartSink(spec, source)
         columns, field = sink.columns, sink.fallback_field
@@ -656,16 +670,20 @@ class PartSink(_Sink):
         """Write *items* ``(lines, seen, emitted)`` — a BAM's records'
         bytes for lines — under the file header (only where
         ``spec.write_header``), flushing once ``spec.batch_size`` lines
-        are pending.  No timer runs here: compute seconds are the
-        rank's wall minus its metered I/O (:func:`finish_rank_metrics`)."""
-        spec, field = self.spec, self.fallback_field
-        span = get_tracer().span(
+        are pending, all under a ``write`` span unless the source is SAM
+        text.  No timer runs here: compute seconds are the rank's wall
+        minus its metered I/O (:func:`finish_rank_metrics`)."""
+        spec, field, tracer = self.spec, self.fallback_field, get_tracer()
+        write = nullcontext() if self.source.category == "sam" \
+            else tracer.span("write", "io", args={
+                "out": os.path.basename(spec.out_path)})
+        span = tracer.span(
             "batch.pipeline", self.source.category,
             args={"batch_size": spec.batch_size,
                   "kernel": self.emit is not None, "target": spec.target}) \
             if self.batch else nullcontext()
         seen = emitted = batches = 0
-        with span as traced, \
+        with write, span as traced, \
                 _part_writer(spec.out_path, self.target, metrics) \
                 as (head, write):
             text = self.target.file_header(self.header)
@@ -853,9 +871,3 @@ def finish_rank_metrics(metrics: RankMetrics, t_start: float) -> RankMetrics:
     wall = time.perf_counter() - t_start
     metrics.compute_seconds = max(0.0, wall - metrics.io_seconds)
     return metrics
-
-
-def make_output_path(out_dir: str, stem: str, rank: int,
-                     target: TargetFormat) -> str:
-    """Standard part-file naming: ``<stem>.part<rank><ext>``."""
-    return f"{out_dir}/{stem}.part{rank:04d}{target.extension}"

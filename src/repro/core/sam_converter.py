@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -30,11 +29,9 @@ from ..runtime.buffers import DEFAULT_READ_CHUNK, RangeLineReader
 from ..runtime.metrics import RankMetrics
 from ..runtime.partition import Partition, partition_bytes_source
 from ..runtime.tracing import get_tracer
-from .base import ConversionResult, ShardableSpec, Source, \
-    convert_rank, converter_options, make_output_path, plan_sources, \
-    run_conversion
+from .base import ConversionResult, Source, convert_rank, \
+    converter_options, part_specs, plan_sources, run_conversion
 from .filters import ACCEPT_ALL, RecordFilter
-from .targets import get_target
 
 if TYPE_CHECKING:
     from ..runtime.autotune import AutoTuner
@@ -131,16 +128,27 @@ class SamCut(NamedTuple):
     canonical (:func:`~repro.formats.sam.slab_columns`), the per-line
     tier where not (counted as ``fallbacks``), parsed records for the
     rest — a slow path that fails re-walks its slab line by line to
-    say where."""
+    say where.  It splits by Algorithm 1 again, so every piece starts
+    at a record boundary."""
 
     path: str
     start: int
     end: int
     header_text: str
+    read_chunk: int = DEFAULT_READ_CHUNK
+
+    def cost_hint(self) -> float:
+        """Relative size: bytes of SAM text to parse."""
+        return float(self.end - self.start)
+
+    def split(self, n: int) -> list[SamCut]:
+        """The range as <= *n* non-empty Algorithm-1 pieces."""
+        return [self._replace(start=p.start, end=p.end)
+                for p in partition_range(self.path, self.start, self.end, n)
+                if p.length > 0]
 
     @contextmanager
     def __call__(self, metrics: RankMetrics,
-                 read_chunk: int = DEFAULT_READ_CHUNK,
                  batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[Source]:
         def located(convert):
             def run(chunk, *rest):
@@ -160,46 +168,12 @@ class SamCut(NamedTuple):
             return run
 
         reader = RangeLineReader(self.path, self.start, self.end,
-                                 chunk_size=read_chunk, metrics=metrics)
+                                 chunk_size=self.read_chunk, metrics=metrics)
         yield Source(SamHeader.from_text(self.header_text),
                      _line_slabs(reader, batch_size),
                      lambda chunk: slab_columns(chunk[1]),
                      located(_parsed), located(_per_line), "sam",
                      "fallbacks")
-
-
-@dataclass(frozen=True, slots=True)
-class SamRankSpec(ShardableSpec):
-    """Everything one conversion rank needs (picklable for the process
-    executor)."""
-
-    sam_path: str
-    start: int
-    end: int
-    target: str
-    out_path: str
-    header_text: str
-    read_chunk: int
-    record_filter: RecordFilter = ACCEPT_ALL
-    batch_size: int = DEFAULT_BATCH_SIZE
-    pipeline: str = "batch"
-    write_header: bool = True
-
-    def cost_hint(self) -> float:
-        """Relative shard size: bytes of SAM text to parse."""
-        return float(self.end - self.start)
-
-    def _pieces(self, n: int) -> list[dict]:
-        # Algorithm 1 again, so every shard starts at a record boundary.
-        return [{"start": p.start, "end": p.end}
-                for p in partition_range(self.sam_path, self.start,
-                                         self.end, n) if p.length > 0]
-
-    def open(self, metrics: RankMetrics):
-        """The byte range as a :class:`SamCut`."""
-        return SamCut(self.sam_path, self.start, self.end,
-                      self.header_text)(metrics, self.read_chunk,
-                                        self.batch_size)
 
 
 class SamConverter:
@@ -259,17 +233,11 @@ class SamConverter:
             with get_tracer().span("partition", "sam"):
                 _, kind, cuts = plan_sources(
                     sam_path, nprocs, reader="SamConverter.convert",
-                    reads=("sam",))
-            target_plugin = get_target(target)  # validates the name early
-            stem = os.path.splitext(os.path.basename(sam_path))[0]
-            return kind, self.pipeline, [
-                SamRankSpec(sam_path, cut.start, cut.end, target,
-                            make_output_path(out_dir, stem, rank,
-                                             target_plugin),
-                            cut.header_text, self.read_chunk,
-                            record_filter or ACCEPT_ALL,
-                            pipeline=self.pipeline)
-                for rank, cut in enumerate(cuts)]
+                    reads=("sam",), read_chunk=self.read_chunk)
+            return kind, self.pipeline, part_specs(
+                cuts, out_dir, os.path.splitext(os.path.basename(sam_path))[0],
+                target, record_filter=record_filter or ACCEPT_ALL,
+                pipeline=self.pipeline)
 
         return run_conversion(
             self, convert_rank,

@@ -16,74 +16,43 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from functools import partial
 
 from ..defaults import DEFAULT_BATCH_SIZE
 from ..errors import ConversionError
 from ..formats.header import SamHeader
-from ..formats.store import index_path_for, join_store_parts, \
-    publishing, store_extension
+from ..formats.store import index_path_for, join_store_parts, publishing
 from ..runtime.autotune import AutoTuner
 from ..runtime.metrics import RankMetrics
 from ..runtime.tracing import get_tracer
-from .base import ConversionResult, converter_options, encode_rank, \
-    finish_rank_metrics, plan_sources, run_conversion
+from .base import ConversionResult, PartSpec, SinkSpec, StoreSink, \
+    convert_rank, converter_options, finish_rank_metrics, part_specs, \
+    plan_sources, run_conversion
 from .bam_converter import BamConverter
-from .sam_converter import SamCut
 
 
-@dataclass(frozen=True, slots=True)
-class PreprocessSpec:
-    """One preprocessing rank: SAM byte range -> one store + BAIX pair.
-
-    It offers no ``split``: the rank's store is joined from its one
-    part, and shards that parsed and sent their records home measured
-    slower on every executor (``docs/parallelization.md``)."""
-
-    sam_path: str
-    start: int
-    end: int
-    bamx_path: str
-    header_text: str
-    read_chunk: int
-    batch_size: int = DEFAULT_BATCH_SIZE
-    store_format: str = "bamx"
-
-    @property
-    def out_path(self) -> str:
-        """The rank's output, as the conversion driver names it."""
-        return self.bamx_path
-
-    def cost_hint(self) -> float:
-        """Relative shard size: bytes of SAM text to parse."""
-        return float(self.end - self.start)
-
-    def open(self, metrics: RankMetrics):
-        """The byte range as a :class:`~.sam_converter.SamCut`."""
-        return SamCut(self.sam_path, self.start, self.end,
-                      self.header_text)(metrics, self.read_chunk,
-                                        self.batch_size)
-
-
-def _preprocess_rank_task(spec: PreprocessSpec) -> RankMetrics:
-    """Write one SAM partition as a store of its own (Fig. 5): the
-    store write every preprocessor shares, with this rank as its only
-    encoder — :func:`~repro.core.base.encode_rank` into a part, then
+def _preprocess_rank_task(spec: PartSpec) -> RankMetrics:
+    """Write one SAM partition, the cut ``spec.open``, as the store
+    ``spec.out_path`` of format ``spec.target`` (Fig. 5): the store
+    write every preprocessor shares, with this rank as its only
+    encoder — :func:`~repro.core.base.convert_rank` into a
+    :class:`~repro.core.base.StoreSink` part, then
     :func:`~repro.formats.store.join_store_parts`."""
     t0 = time.perf_counter()
-    with publishing(spec.bamx_path) as tmp_path:
+    with publishing(spec.out_path) as tmp_path:
         part = tmp_path + ".part"
         with get_tracer().span("parse", "samp",
                                args={"batch_size": spec.batch_size}):
-            metrics, slabs = encode_rank((spec.open, part,
-                                          spec.store_format))
-        join_store_parts(tmp_path, SamHeader.from_text(spec.header_text),
-                         [(part, slabs)], spec.store_format,
+            metrics, slabs = convert_rank(SinkSpec(
+                spec.open, partial(StoreSink, part, spec.target),
+                spec.batch_size))
+        join_store_parts(tmp_path, SamHeader.from_text(spec.open.header_text),
+                         [(part, slabs)], spec.target,
                          slab_records=spec.batch_size)
     metrics.emitted = metrics.records
     metrics.bytes_written += (
-        os.path.getsize(spec.bamx_path)
-        + os.path.getsize(index_path_for(spec.bamx_path)))
+        os.path.getsize(spec.out_path)
+        + os.path.getsize(index_path_for(spec.out_path)))
     return finish_rank_metrics(metrics, t0)
 
 
@@ -117,15 +86,10 @@ class PreprocSamConverter:
             with get_tracer().span("partition", "samp"):
                 _, _, cuts = plan_sources(
                     sam_path, nprocs, reader="PreprocSamConverter",
-                    reads=("sam",))
-            stem = os.path.splitext(os.path.basename(sam_path))[0]
-            ext = store_extension(False, self.store_format)
-            return self.store_format, "parse", [
-                PreprocessSpec(sam_path, cut.start, cut.end, os.path.join(
-                    work_dir, f"{stem}.part{rank:04d}{ext}"),
-                    cut.header_text, self.read_chunk,
-                    store_format=self.store_format)
-                for rank, cut in enumerate(cuts)]
+                    reads=("sam",), read_chunk=self.read_chunk)
+            return self.store_format, "parse", part_specs(
+                cuts, work_dir, os.path.splitext(os.path.basename(sam_path))[0],
+                self.store_format)
 
         result = run_conversion(
             self, _preprocess_rank_task,

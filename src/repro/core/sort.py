@@ -34,7 +34,7 @@ import tempfile
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -47,10 +47,8 @@ from ..formats.registry import source_kind
 from ..formats.store import index_path_for, join_store_parts, \
     open_record_store
 from ..runtime.metrics import RankMetrics
-from .base import PartSpec, Source, convert_rank, encode_rank, \
-    execute_rank_tasks, finish_rank_metrics, merge_shard_outputs, \
-    plan_sources
-from .bam_converter import writing
+from .base import Source, convert_rank, encode_rank, execute_rank_tasks, \
+    finish_rank_metrics, merge_shard_outputs, part_specs, plan_sources
 
 #: Default records per part of the sorted output.
 DEFAULT_CHUNK_RECORDS = 250_000
@@ -139,12 +137,13 @@ def sort_file(in_path: str | os.PathLike[str],
         _, _, cuts = plan_sources(
             store, max(nprocs, -(-count // chunk_records)),
             picks=order, reader="repro sort")
-        outs = [joined] if len(cuts) == 1 else [
-            os.path.join(scratch, f"part{i:05d}.{kind}")
-            for i in range(len(cuts))]
-        specs = [PartSpec(partial(writing, out, partial(_coordinate, cut)),
-                          kind, out, write_header=i == 0)
-                 for i, (cut, out) in enumerate(zip(cuts, outs))]
+        # The parts of one output: the first alone carries the header,
+        # and one rank writes the output whole.
+        specs = part_specs([partial(_coordinate, cut) for cut in cuts],
+                           scratch, "part", kind)
+        specs = [replace(spec, write_header=i == 0, out_path=joined
+                         if len(specs) == 1 else spec.out_path)
+                 for i, spec in enumerate(specs)]
         written = execute_rank_tasks(convert_rank, specs, executor)
         metrics = written[0] if len(specs) == 1 \
             else merge_shard_outputs(joined, specs, written)
@@ -161,9 +160,10 @@ def sort_file(in_path: str | os.PathLike[str],
 
 
 @contextmanager
-def _coordinate(opener, metrics: RankMetrics, *args) -> Iterator[Source]:
+def _coordinate(opener, metrics: RankMetrics,
+                batch_size: int) -> Iterator[Source]:
     """What *opener* yields, under its header marked coordinate-sorted."""
-    with opener(metrics, *args) as source:
+    with opener(metrics, batch_size) as source:
         yield source._replace(
             header=source.header.with_sort_order("coordinate"))
 

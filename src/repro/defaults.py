@@ -17,3 +17,7 @@ STORE_FORMATS = ("bamx", "bamc")
 
 #: Executors a rank-parallel call can run its ranks on.
 EXECUTORS = ("simulate", "thread", "process")
+
+#: Region selection modes of partial conversion: a record's start in the
+#: region (the paper's), or its alignment span overlapping it.
+REGION_MODES = ("start", "overlap")

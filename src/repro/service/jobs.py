@@ -146,6 +146,9 @@ class Job:
     #: Wake-up callables parked by :meth:`WorkerPool.watch`; the pool
     #: runs and clears them once the terminal record is journaled.
     waiters: list = field(default_factory=list, repr=False)
+    #: When the running attempt must end (``time.monotonic()``), set by
+    #: the pool as it starts one; ``None`` without a *timeout*.
+    deadline: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:

@@ -3,9 +3,12 @@
 The pool drains a priority queue (higher :attr:`Job.priority` first,
 FIFO among equals) with N worker threads.  An attempt with a *timeout*
 runs on its own thread so the limit can be enforced with
-``join(timeout)`` (one without runs on the worker thread itself); a
-timed-out attempt's thread is abandoned (daemon) and the job either
-retries with exponential backoff or fails.  Retries
+``join(timeout)`` (one without runs on the worker thread itself); the
+runner is handed the same limit as :attr:`Job.deadline` — the service
+kills the body worker of an attempt still running at it — and a
+timed-out attempt's thread is abandoned (daemon).  An attempt timed
+out, or one that raised :class:`TimeoutError`, either retries with
+exponential backoff or fails.  Retries
 are parked in a delay heap and become eligible again at
 ``backoff * 2**(attempt-1)`` seconds.
 
@@ -455,14 +458,16 @@ class WorkerPool:
             # Nothing to enforce: run on the worker thread itself.
             call()
             return box[0], box[1], False, box[2]
+        job.deadline = time.monotonic() + job.timeout
         thread = threading.Thread(target=call, daemon=True,
                                   name=f"{job.job_id}-attempt"
                                        f"{job.attempts}")
         thread.start()
         thread.join(job.timeout)
-        if thread.is_alive():
-            # The attempt thread is abandoned; it cannot be killed
-            # (and its span list must not be read while it still runs).
+        if thread.is_alive() or isinstance(box[1], TimeoutError):
+            # An attempt thread still running is abandoned (its span
+            # list must not be read while it runs); its runner is held
+            # to job.deadline, which falls before the join's end.
             return None, None, True, []
         return box[0], box[1], False, box[2]
 

@@ -33,14 +33,16 @@ import warnings
 from multiprocessing.util import Finalize
 from typing import Any
 
-from ..core import BamConverter, SamConverter, parse_filter_expr
+from ..core import BamConverter, SamConverter, get_target, \
+    parse_filter_expr
 # Region jobs parse their region in a body worker: load the parser
 # before BodyWorkers forks them, not once in each worker.
 from ..core import region as _region  # noqa: F401
 from ..core.base import _run_entry, validate_knob
-from ..errors import ServiceError
+from ..defaults import EXECUTORS, REGION_MODES
+from ..errors import ReproError, ServiceError
 from ..formats.registry import SOURCE_FORMATS, STORE_KINDS, source_kind
-from ..formats.store import index_path_for
+from ..formats.store import index_path_for, store_extension
 from ..runtime.autotune import AutoTuner, CostModel
 from ..runtime.executor import ExecutorFailure, _pool_worker_init, \
     reset_shared_executor, resolve_start_method
@@ -60,11 +62,49 @@ _JOB_READS = {"convert": SOURCE_FORMATS, "region": ("bam", *STORE_KINDS),
 MODEL_SAVE_SECONDS = 1.0
 
 
-def _source_format(kind: str, params: dict[str, Any]) -> str:
-    """The format of a job's input, by its extension — checked at
-    submission, asked again when the job runs."""
-    return source_kind(params["input"], f"a {kind} job",
-                       _JOB_READS[kind], ServiceError)
+def _check_job(kind: str, params: dict[str, Any],
+               shards: int | str) -> tuple[str, dict[str, Any]]:
+    """Check a job's parameters with the converters' own validators,
+    raising :class:`ServiceError` naming the first bad one — at
+    submission, so that a bad job is never journaled, and again when
+    the job runs, for a job recovered from the journal.  Returns the
+    input's format, by its extension, and the converter knobs (a job's
+    ``shards``, else the service's *shards*, and its ``batch_size``)."""
+    if kind not in JOB_KINDS:
+        raise ServiceError(
+            f"unknown job kind {kind!r}; choose from {JOB_KINDS}")
+    needs = {"convert": ("input", "target", "out_dir"),
+             "region": ("input", "target", "out_dir", "region"),
+             "preprocess": ("input",)}[kind]
+    for name in needs:
+        if name not in params:
+            raise ServiceError(f"{kind} job needs the {name!r} parameter")
+    validate_knob(params.get("nprocs", 1), "nprocs", ServiceError,
+                  auto=False)
+    knobs = {"shards_per_rank": validate_knob(
+        params.get("shards", shards), "shards", ServiceError)}
+    if "batch_size" in params:
+        knobs["batch_size"] = validate_knob(
+            params["batch_size"], "batch_size", ServiceError, auto=False)
+    for name, known in (("executor", EXECUTORS), ("mode", REGION_MODES)):
+        if params.get(name, known[0]) not in known:
+            raise ServiceError(f"invalid {name} value {params[name]!r}; "
+                               f"choose one of {known}")
+    if not isinstance(params.get("compress", False), bool):
+        raise ServiceError(f"invalid compress value {params['compress']!r}: "
+                           f"expected true or false")
+    try:
+        store_extension(params.get("compress", False),
+                        params.get("store_format", "bamx"))
+        # str(): a value of the wrong type is refused by name too.
+        if "target" in params:
+            get_target(str(params["target"]))
+        if params.get("filter"):
+            parse_filter_expr(str(params["filter"]))
+    except ReproError as exc:
+        raise ServiceError(str(exc)) from None
+    return source_kind(params["input"], f"a {kind} job", _JOB_READS[kind],
+                       ServiceError), knobs
 
 
 # -- job bodies: run in a pool process; one picklable payload in,
@@ -228,6 +268,16 @@ class BodyWorkers:
         self._count(starts=1, alive=1)
         return [proc, ours]
 
+    def _refork(self, i: int) -> None:
+        """Kill slot *i*'s worker, whatever it is doing, and fork its
+        successor."""
+        proc, conn = self._slots[i]
+        conn.close()
+        proc.kill()
+        proc.join()
+        self._count(alive=-1, tasks_failed=1)
+        self._slots[i] = self._fork()
+
     def _count(self, **deltas: int) -> None:
         with self._lock:
             for name, delta in deltas.items():
@@ -235,24 +285,29 @@ class BodyWorkers:
             for name, value in self._counts.items():
                 self._metrics.set_gauge(f"body_worker_{name}", value)
 
-    def run(self, entry: tuple, label: str) -> tuple[Any, float]:
+    def run(self, entry: tuple, label: str,
+            deadline: float | None = None) -> tuple[Any, float]:
         """``_run_entry(entry)`` in a free worker; returns its reply and
         the seconds from send to receive.  The body's exception is
         re-raised here; a worker that died is :class:`ExecutorFailure`
-        naming *label*."""
+        naming *label*.  A body still running at *deadline*
+        (``time.monotonic()``) is :class:`TimeoutError`: its worker is
+        killed and re-forked like a dead one, so the slot is free again
+        at once."""
         i = self._free.get()
         proc, conn = self._slots[i]
         try:
             t0 = time.perf_counter()
             conn.send(entry)
+            if deadline is not None and not conn.poll(
+                    max(0.0, deadline - time.monotonic())):
+                self._refork(i)
+                raise TimeoutError(f"[{label}] body worker {proc.pid} "
+                                   f"killed at the attempt's deadline")
             ok, reply = conn.recv()
             seconds = time.perf_counter() - t0
         except (EOFError, BrokenPipeError, ConnectionResetError) as exc:
-            conn.close()
-            proc.kill()
-            proc.join()
-            self._count(alive=-1, tasks_failed=1)
-            self._slots[i] = self._fork()
+            self._refork(i)
             raise ExecutorFailure(
                 label, f"{type(exc).__name__}: body worker {proc.pid} "
                        f"died (exit code {proc.exitcode})") from exc
@@ -387,25 +442,10 @@ class ConversionService:
     def submit(self, kind: str, params: dict[str, Any],
                priority: int = 0, timeout: float | None = None,
                max_retries: int = 0, backoff: float = 0.1) -> Job:
-        """Validate and enqueue one job; returns the queued job."""
-        if kind not in JOB_KINDS:
-            raise ServiceError(
-                f"unknown job kind {kind!r}; choose from {JOB_KINDS}")
-        if "input" not in params:
-            raise ServiceError(f"{kind} job needs an 'input' parameter")
-        if kind in ("convert", "region"):
-            for field in ("target", "out_dir"):
-                if field not in params:
-                    raise ServiceError(
-                        f"{kind} job needs a {field!r} parameter")
-        if kind == "region" and "region" not in params:
-            raise ServiceError("region job needs a 'region' parameter")
-        # Reject malformed tuning knobs at the door — a bad value must
-        # fail the submission, not a worker thread minutes later.
-        for knob, auto in (("shards", True), ("batch_size", False)):
-            if knob in params:
-                validate_knob(params[knob], knob, ServiceError, auto)
-        _source_format(kind, params)
+        """Validate and enqueue one job; returns the queued job.  A bad
+        parameter fails the submission (:func:`_check_job`), not every
+        attempt of the job in a body worker."""
+        _check_job(kind, params, self.shards_per_rank)
         job = Job(kind=kind, params=dict(params), priority=priority,
                   timeout=timeout, max_retries=max_retries,
                   backoff=backoff)
@@ -453,34 +493,26 @@ class ConversionService:
 
     def _run_job(self, job: Job) -> dict[str, Any]:
         params = job.params
-        # Journal-recovered jobs bypass submit(), so knobs are
-        # re-validated here with the same friendly errors.
-        knobs: dict[str, Any] = {"shards_per_rank": validate_knob(
-            params.get("shards", self.shards_per_rank), "shards",
-            ServiceError)}
-        if "batch_size" in params:
-            knobs["batch_size"] = validate_knob(
-                params["batch_size"], "batch_size", ServiceError,
-                auto=False)
+        source_format, knobs = _check_job(job.kind, params,
+                                          self.shards_per_rank)
         source = os.fspath(params["input"])
-        source_format = _source_format(job.kind, params)
         if job.kind == "preprocess":
-            entry, hit = self._preprocessed(source, params)
+            entry, hit = self._preprocessed(source, job)
             return {"artifacts": self.cache.artifacts(entry),
                     "cache": "hit" if hit else "miss"}
         store_path = baix_path = cache_state = None
         if source_format != "sam":
             store_path, baix_path, cache_state = self._store_for(
-                source, source_format, params)
+                source, source_format, job)
         return self._in_pool(_convert_body, {
             "kind": job.kind, "params": params, "store": store_path,
             "baix": baix_path, "cache": cache_state, "knobs": knobs,
             "cost_model": (self.cost_model.path,
                            self.cost_model.snapshot()),
-        }, f"{job.job_id} {job.kind}")
+        }, f"{job.job_id} {job.kind}", job.deadline)
 
     def _in_pool(self, body: Any, payload: dict[str, Any],
-                 label: str) -> Any:
+                 label: str, deadline: float | None) -> Any:
         """Run ``body(payload)`` in a body worker — the one place the
         service crosses the process boundary.
 
@@ -492,7 +524,9 @@ class ConversionService:
         less the ``job.body`` span is the ``body_roundtrip_seconds``
         timer.  A body that takes its interpreter down surfaces as
         ``ExecutorFailure`` naming *label*, and only its worker is
-        re-forked.
+        re-forked; so is the worker of a body still running at the
+        attempt's *deadline* (:class:`TimeoutError`), and nothing of
+        that body is folded in.
         """
         tracer = get_tracer()
         caller = tracer.current_span()
@@ -500,7 +534,7 @@ class ConversionService:
         ((result, deltas, observed), span_dicts), seconds = \
             self.bodies.run((body, payload, None, None,
                              (tracer.enabled, tracer.epoch), parent_id,
-                             "job.body"), label)
+                             "job.body"), label, deadline)
         for span in span_dicts:
             if span["name"] == "job.body":
                 self.metrics.observe(
@@ -533,8 +567,7 @@ class ConversionService:
         with contextlib.suppress(OSError):
             self.cost_model.save()
 
-    def _store_for(self, source: str, source_format: str,
-                   params: dict[str, Any],
+    def _store_for(self, source: str, source_format: str, job: Job,
                    ) -> tuple[str, str | None, str | None]:
         """Resolve (store path, index path, cache state) for a job.
 
@@ -544,9 +577,10 @@ class ConversionService:
         BAM; the ``store_format`` parameter is part of the cache key,
         so row and columnar artifacts of one BAM coexist.
         """
+        params = job.params
         if source_format != "bam":
             return source, params.get("baix"), None
-        entry, hit = self._preprocessed(source, params)
+        entry, hit = self._preprocessed(source, job)
         store_path = next((path for path in self.cache.artifacts(entry)
                            if path.endswith((".bamx", ".bamz", ".bamc"))),
                           None)
@@ -557,13 +591,15 @@ class ConversionService:
             index_path_for(store_path, params.get("mode", "start")), \
             "hit" if hit else "miss"
 
-    def _preprocessed(self, bam_path: str, params: dict[str, Any],
+    def _preprocessed(self, bam_path: str, job: Job,
                       ) -> tuple[CacheEntry, bool]:
         """Fetch-or-build the preprocessing artifacts for a BAM, in the
-        ``store_format`` / ``compress`` the job's *params* ask for."""
+        ``store_format`` / ``compress`` *job* asks for, by its
+        deadline."""
+        params = job.params
         build = {"bam": bam_path,
                  "store_format": params.get("store_format", "bamx"),
-                 "compress": bool(params.get("compress", False))}
+                 "compress": params.get("compress", False)}
         key = {"op": "preprocess_bam", "compress": build["compress"]}
         if build["store_format"] != "bamx":
             # Appended only for non-default formats so cache entries
@@ -572,4 +608,4 @@ class ConversionService:
         return self.cache.get_or_build(
             bam_path, key, lambda entry_dir: self._in_pool(
                 _preprocess_body, dict(build, entry_dir=entry_dir),
-                f"preprocess {os.path.basename(bam_path)}"))
+                f"preprocess {os.path.basename(bam_path)}", job.deadline))

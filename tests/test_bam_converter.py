@@ -167,8 +167,8 @@ def test_a_new_source_plugs_into_the_one_rank_task(tmp_path, bam_file,
         write_header: bool = True
 
         @contextmanager
-        def open(self, metrics):
-            n = self.batch_size
+        def open(self, metrics, n):
+            # Opened as every opener is: (metrics, batch_size).
             yield Source(header, (records[i:i + n]
                                   for i in range(0, len(records), n)),
                          None, lambda batch: batch)

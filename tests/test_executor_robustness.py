@@ -16,19 +16,26 @@ def cat(result):
 
 
 def test_all_rank_specs_are_picklable(sam_file, bam_file, tmp_path):
-    """Every spec dataclass must survive pickling (process executor)."""
-    from repro.core.bam_converter import BamxPickSpec, BamxRangeSpec
-    from repro.core.sam_converter import SamRankSpec
-    from repro.core.samp_converter import PreprocessSpec
+    """Every rank spec — a PartSpec over each kind of cut — must
+    survive pickling (process executor)."""
+    from repro.core.bam_converter import StoreCut
+    from repro.core.base import PartSpec
+    from repro.core.sam_converter import SamCut
     f = RecordFilter(min_mapq=30, primary_only=True)
     specs = [
-        SamRankSpec(sam_file, 0, 10, "bed", "/tmp/x.bed", "", 4096, f),
-        BamxRangeSpec("x.bamx", 0, 5, "sam", "/tmp/x.sam", f),
-        BamxPickSpec("x.bamx", (1, 2, 3), "sam", "/tmp/x.sam", f),
-        PreprocessSpec(sam_file, 0, 10, "/tmp/x.bamx", "", 4096),
+        PartSpec(SamCut(sam_file, 0, 10, "", 4096), "bed", "/tmp/x.bed", f),
+        PartSpec(StoreCut("x.bamx", 0, 5), "sam", "/tmp/x.sam", f),
+        PartSpec(SamCut(sam_file, 0, 10, "", 4096), "bamx", "/tmp/x.bamx"),
     ]
     for spec in specs:
         assert pickle.loads(pickle.dumps(spec)) == spec
+    picks = PartSpec(StoreCut("x.bamx", picks=np.array([1, 2, 3])), "sam",
+                     "/tmp/x.sam", f)
+    back = pickle.loads(pickle.dumps(picks))
+    assert back.open.picks.tolist() == [1, 2, 3]
+    assert back.open.picks.dtype == picks.open.picks.dtype
+    assert (back.target, back.out_path, back.record_filter) == \
+        (picks.target, picks.out_path, f)
 
 
 @pytest.mark.parametrize("executor", ["thread", "process"])
@@ -138,22 +145,17 @@ def test_conversion_survives_prior_pool_crash(sam_file, tmp_path):
 def test_sharded_specs_are_picklable(sam_file, tmp_path):
     """split() products (with their write_header field) must survive
     pickling just like their parent rank specs; a preprocessing spec
-    offers no split."""
-    from repro.core.sam_converter import SamRankSpec, scan_header
-    from repro.core.samp_converter import PreprocessSpec
-    _, header_end = scan_header(sam_file)
-    end = os.path.getsize(sam_file)
-    sam_spec = SamRankSpec(sam_file, header_end, end, "bed",
-                           str(tmp_path / "x.bed"), "", 4096,
-                           RecordFilter())
-    pre_spec = PreprocessSpec(sam_file, header_end, end,
-                              str(tmp_path / "x.bamx"), "", 4096)
+    (a store-format target) does not split."""
+    from repro.core.base import PartSpec, plan_sources
+    _, _, (cut,) = plan_sources(sam_file, 1)
+    sam_spec = PartSpec(cut, "bed", str(tmp_path / "x.bed"), RecordFilter())
+    pre_spec = PartSpec(cut, "bamx", str(tmp_path / "x.bamx"))
     for spec in (*sam_spec.split(3), pre_spec):
         assert pickle.loads(pickle.dumps(spec)) == spec
     shards = sam_spec.split(3)
     assert len(shards) > 1
     assert shards[0].write_header and not shards[1].write_header
-    assert not hasattr(pre_spec, "split")
+    assert pre_spec.split(3) == [pre_spec]
 
 
 def pid_alive(pid: int) -> bool:

@@ -518,3 +518,42 @@ def test_a_crashing_body_spares_the_body_beside_it(tmp_path, monkeypatch,
         assert gauges["body_worker_tasks_failed"] == 1
     finally:
         service.close()
+
+
+def test_a_timed_out_body_frees_its_worker(tmp_path, monkeypatch, sam_file,
+                                           bam_file):
+    """A job body that outlives its attempt's timeout T is killed at T:
+    the job ends ``failed`` within T + 0.2 s, its body worker is
+    re-forked (the pid changes), the next job runs at once instead of
+    behind the abandoned body, and nothing of the late body is folded
+    into the daemon's counters."""
+    from repro.service import ConversionService
+    monkeypatch.setattr(faults, "DELAY_SECONDS", 3.0)  # forked workers too
+    faults.arm("shard.batch:delay")
+    service = ConversionService(tmp_path / "svc", workers=1)
+    try:
+        pids = service.bodies.pids
+        t0 = time.monotonic()
+        slow = service.submit("convert", {
+            "input": sam_file, "target": "bed",
+            "out_dir": str(tmp_path / "slow")}, timeout=0.3)
+        # A BAM job never reaches shard.batch: it is quick.
+        nxt = service.submit("convert", {
+            "input": bam_file, "target": "bed",
+            "out_dir": str(tmp_path / "next")})
+        final = service.wait(slow.job_id, 30)
+        assert time.monotonic() - t0 < 0.3 + 0.2
+        assert final["state"] == "failed"
+        assert "timed out after 0.3s" in final["error"]
+        final = service.wait(nxt.job_id, 30)
+        assert final["state"] == "done", final["error"]
+        assert time.monotonic() - t0 < 2.5     # not behind the 3 s body
+        assert service.bodies.pids != pids
+        gauges = service.metrics.snapshot()["gauges"]
+        assert gauges["body_worker_starts"] == 2
+        assert gauges["body_worker_alive"] == 1
+        assert gauges["body_worker_tasks_failed"] == 1
+        # Two bodies ran to a reply: the BAM job's build and conversion.
+        assert gauges["body_worker_tasks_completed"] == 2
+    finally:
+        service.close()

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from repro.core import BamConverter, parse_filter_expr
 from repro.core import bam_converter
-from repro.core.bam_converter import BamxPickSpec, BamxRangeSpec, \
-    convert_rank
+from repro.core.bam_converter import StoreCut, convert_rank
+from repro.core.base import PartSpec
 from repro.core.targets import get_target
 from repro.formats.bam import write_bam
 from repro.formats.bamc import slab_from_records
@@ -136,9 +136,10 @@ def _pick_parts(store, indices, target, record_filter, nprocs, pipeline,
     parts = []
     for rank, (a, b) in enumerate(partition_records(len(indices), nprocs)):
         out = out_dir / f"pick{rank}"
-        convert_rank(BamxPickSpec(
-            store, tuple(indices[a:b]), target, str(out),
-            record_filter or bam_converter.ACCEPT_ALL, pipeline=pipeline))
+        convert_rank(PartSpec(
+            StoreCut(store, picks=np.array(indices[a:b], np.int64)), target,
+            str(out), record_filter or bam_converter.ACCEPT_ALL,
+            pipeline=pipeline))
         parts.append(out.read_bytes())
     return parts
 
@@ -199,8 +200,8 @@ def test_a_run_reads_as_ranges_and_the_rest_as_picks(data, tmp_path, planned):
         got = converter.convert_region(store, None, "chr2:30001-40000",
                                        "bed", tmp_path / kind, nprocs=3)
         indices = _selected(records, ("chr2", 30_000, 40_000), "start")
-        assert [type(s) for s in planned] == [BamxRangeSpec] * 3
-        assert [(s.start, s.stop) for s in planned] == [
+        assert [s.open.picks is None for s in planned] == [True] * 3
+        assert [(s.open.start, s.open.stop) for s in planned] == [
             (indices[0] + a, indices[0] + b)
             for a, b in partition_records(len(indices), 3)]
         assert got.records == len(indices)
@@ -214,8 +215,7 @@ def test_a_run_reads_as_ranges_and_the_rest_as_picks(data, tmp_path, planned):
         del planned[:]
         converter.convert_region(store, None, f"chr1:{start + 1}-{start + 300}",
                                  "bed", tmp_path / kind, mode="overlap")
-        assert [(type(s), s.indices) for s in planned] == [
-            (BamxPickSpec, tuple(indices))]
+        assert [s.open.picks.tolist() for s in planned] == [indices]
 
 
 def test_unsorted_store_takes_the_pick_path(tmp_path, planned):
@@ -238,7 +238,7 @@ def test_unsorted_store_takes_the_pick_path(tmp_path, planned):
                 key=lambda i: (records[i].pos, i))
             assert _parts(got) == _pick_parts(
                 store, indices, target, None, 2, "record", tmp_path / "w")
-        assert {type(s) for s in planned} == {BamxPickSpec}
+        assert {s.open.picks is None for s in planned} == {False}
 
 
 @pytest.mark.parametrize("regions, is_run", [
@@ -264,8 +264,7 @@ def test_regions_keep_first_seen_order(data, tmp_path, planned, regions,
             assert _parts(got) == _pick_parts(
                 stores["bamx"], indices, target, None, 2, "record",
                 tmp_path / "want"), (kind, target)
-        assert {type(s) for s in planned} == {
-            BamxRangeSpec if is_run else BamxPickSpec}
+        assert {s.open.picks is None for s in planned} == {is_run}
 
 
 def test_first_seen_is_a_stable_dedupe():

@@ -220,7 +220,8 @@ def test_unsorted_duplicate_picks_keep_caller_order(stores, tmp_path):
     """Explicit picks in any order, with repeats: every store gathers
     them as asked (BAMC's FASTA/FASTQ kernels used to misread a slab
     gathered out of order)."""
-    from repro.core.bam_converter import BamxPickSpec, convert_rank
+    from repro.core.bam_converter import StoreCut, convert_rank
+    from repro.core.base import PartSpec
     picks = tuple(np.random.default_rng(5).permutation(400)[:150]) \
         + (7, 7, 8, 3)
     for target in ("bed", "fasta", "fastq", "sam", "bam"):
@@ -228,9 +229,9 @@ def test_unsorted_duplicate_picks_keep_caller_order(stores, tmp_path):
         for kind, store in stores.items():
             for pipeline in ("record", "batch"):
                 out = tmp_path / f"{kind}.{pipeline}.{target}"
-                convert_rank(BamxPickSpec(store, tuple(map(int, picks)),
-                                        target, str(out),
-                                        pipeline=pipeline, batch_size=64))
+                convert_rank(PartSpec(StoreCut(store, picks=np.array(picks)),
+                                      target, str(out), pipeline=pipeline,
+                                      batch_size=64))
                 want = want or out.read_bytes()
                 assert out.read_bytes() == want, (kind, pipeline, target)
 

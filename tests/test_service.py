@@ -5,6 +5,7 @@ line-JSON daemon protocol."""
 from __future__ import annotations
 
 import os
+import re
 import threading
 import time
 
@@ -14,6 +15,7 @@ from repro.errors import JobNotFoundError, ServiceError
 from repro.runtime.executor import shared_executor_stats
 from repro.service import ArtifactCache, ConversionService, \
     GatewayServer, Job, JobState, ServiceClient, WorkerPool, cache_key
+from repro.service.journal import replay
 
 
 def wait_terminal(job: Job, timeout: float = 30.0) -> Job:
@@ -445,7 +447,8 @@ def part_bytes(out_dir) -> dict[str, bytes]:
             if ".part" in name}
 
 
-def test_service_validates_submissions(service, bam_file):
+def test_service_validates_submissions(service, bam_file, sam_file,
+                                      tmp_path):
     with pytest.raises(ServiceError, match="unknown job kind"):
         service.submit("frobnicate", {"input": bam_file})
     with pytest.raises(ServiceError, match="'input'"):
@@ -455,6 +458,31 @@ def test_service_validates_submissions(service, bam_file):
                                   "out_dir": "/tmp/x"})
     with pytest.raises(JobNotFoundError):
         service.status("job-999999")
+    # Every other bad parameter fails the submission too, and no job is
+    # journaled: it used to fail in a body worker on every attempt, or
+    # be misread (nprocs true -> 1, 2.7 -> 2; compress "false" -> a
+    # compressed store).
+    journaled = ConversionService(tmp_path / "j", workers=1,
+                                  journal_path=tmp_path / "j.log")
+    base = {"target": "bed", "out_dir": str(tmp_path / "o")}
+    try:
+        for params, detail in [
+                ({"input": sam_file, "nprocs": 0}, "nprocs"),
+                ({"input": sam_file, "nprocs": "two"}, "nprocs"),
+                ({"input": sam_file, "nprocs": True}, "nprocs"),
+                ({"input": sam_file, "nprocs": 2.7}, "nprocs"),
+                ({"input": sam_file, "executor": "gpu"}, "executor"),
+                ({"input": sam_file, "target": "bogus"}, "bogus"),
+                ({"input": sam_file, "filter": "((("}, "((("),
+                ({"input": bam_file, "store_format": "zip"}, "zip"),
+                ({"input": bam_file, "mode": "sideways"}, "sideways"),
+                ({"input": bam_file, "compress": "false"}, "compress")]:
+            with pytest.raises(ServiceError, match=re.escape(detail)):
+                journaled.submit("convert", {**base, **params}, max_retries=2)
+        assert journaled.status() == []
+    finally:
+        journaled.close()
+    assert replay(tmp_path / "j.log")[0] == {}
 
 
 def test_region_job_on_sam_says_what_a_region_job_reads(service, sam_file):

@@ -79,11 +79,9 @@ def test_binary_targets_split_like_text(sam_file, tmp_path):
     """BGZF members concatenate, so a BAM spec splits like a text one:
     shard 0 alone writes the header block, and the reducer keeps the
     last part's EOF marker only."""
-    from repro.core.sam_converter import SamRankSpec, scan_header
-    _, header_end = scan_header(sam_file)
-    spec = SamRankSpec(sam_file, header_end, os.path.getsize(sam_file),
-                       "bam", str(tmp_path / "x.bam"), "", 4096,
-                       RecordFilter())
+    from repro.core.base import PartSpec, plan_sources
+    _, _, (cut,) = plan_sources(sam_file, 1)
+    spec = PartSpec(cut, "bam", str(tmp_path / "x.bam"), RecordFilter())
     assert get_target("bam").mode == "binary"
     shards = spec.split(4)
     assert len(shards) == 4
@@ -95,23 +93,21 @@ def test_binary_targets_split_like_text(sam_file, tmp_path):
 @pytest.mark.parametrize("kind", ["sam", "range", "pick"])
 def test_resplit_never_resurrects_the_header(sam_file, bam_file,
                                              tmp_path, kind):
-    """Shard 0 of a headerless spec stays headerless, whichever spec
-    class is split."""
+    """Shard 0 of a headerless spec stays headerless, whichever kind
+    of cut is split."""
     from dataclasses import replace
 
-    from repro.core.bam_converter import BamxPickSpec, BamxRangeSpec
-    from repro.core.sam_converter import SamRankSpec, scan_header
+    import numpy as np
+
+    from repro.core.bam_converter import StoreCut
+    from repro.core.base import PartSpec, plan_sources
     if kind == "sam":
-        _, header_end = scan_header(sam_file)
-        spec = SamRankSpec(sam_file, header_end,
-                           os.path.getsize(sam_file), "sam",
-                           str(tmp_path / "x.sam"), "", 4096)
+        _, _, (cut,) = plan_sources(sam_file, 1)
     else:
         bamx, _, _ = BamConverter().preprocess(bam_file, tmp_path / "w")
-        spec = BamxRangeSpec(bamx, 0, 90, "sam", str(tmp_path / "x.sam")) \
-            if kind == "range" else \
-            BamxPickSpec(bamx, tuple(range(90)), "sam",
-                         str(tmp_path / "x.sam"))
+        cut = StoreCut(bamx, 0, 90) if kind == "range" \
+            else StoreCut(bamx, picks=np.arange(90))
+    spec = PartSpec(cut, "sam", str(tmp_path / "x.sam"))
     shards = spec.split(3)
     assert [s.write_header for s in shards] == [True, False, False]
     tails = replace(spec, write_header=False).split(3)
