@@ -15,38 +15,13 @@ import argparse
 import contextlib
 import os
 import sys
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .errors import ReproError
 
 if TYPE_CHECKING:       # handlers import numpy when they run
     import numpy as np
-
-
-def _knob_value(text: str, name: str, auto: bool):
-    """argparse type for ``--shards`` (int or 'auto') and
-    ``--batch-size`` (int)."""
-    from .core.base import validate_knob
-    try:
-        return validate_knob(text, name, auto=auto)
-    except ReproError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _shards_value(text: str):
-    return _knob_value(text, "shards", auto=True)
-
-
-def _batch_size_value(text: str):
-    return _knob_value(text, "batch_size", auto=False)
-
-
-def _nprocs_value(text: str) -> int:
-    """argparse type for ``--nprocs``: a rank count >= 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"nprocs {text!r} must be an integer >= 1")
-    return int(text)
 
 
 def _maybe_tuner(args: argparse.Namespace):
@@ -151,6 +126,9 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
             nprocs=args.nprocs, executor=args.executor)
         print(f"preprocessing ({args.nprocs} ranks): {metrics.records} "
               f"records, {metrics.total_seconds:.2f}s\n  {bamx}\n  {baix}")
+    elif args.compress:
+        raise ReproError(f"--compress writes BAMZ from BAM input only; "
+                         f"got {args.input!r}")
     else:
         paths, metrics = PreprocSamConverter(
             shards_per_rank=args.shards,
@@ -330,21 +308,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     listen = protocol.parse_address(args.listen) if args.listen \
         else None
     config = GatewayConfig(max_pending_jobs=args.max_pending_jobs)
-    cache_verify: object = args.cache_verify
-    if cache_verify not in ("always", "never"):
-        try:
-            cache_verify = float(cache_verify)
-        except ValueError:
-            # Leave the raw string; ArtifactCache._parse_verify
-            # reports it as a friendly ServiceError.
-            pass
     service = ConversionService(args.work_dir, workers=args.workers,
                                 cache_dir=args.cache_dir,
                                 cache_max_bytes=args.cache_max_bytes,
                                 shards_per_rank=args.shards,
                                 journal_path=args.journal,
                                 journal_fsync=args.journal_fsync,
-                                cache_verify=cache_verify,
+                                cache_verify=args.cache_verify,
                                 cost_model_path=args.cost_model)
     if args.journal:
         recovered = int(service.metrics.gauge("journal_recovered_jobs"))
@@ -391,22 +361,13 @@ def _format_job_line(job: dict) -> str:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    params = {"input": args.input, "target": args.target,
-              "out_dir": args.out_dir, "nprocs": args.nprocs,
-              "executor": args.executor}
-    if args.shards != 1:
-        params["shards"] = args.shards
-    if args.batch_size is not None:
-        params["batch_size"] = args.batch_size
-    if args.filter:
-        params["filter"] = args.filter
-    if args.store_format != "bamx":
-        params["store_format"] = args.store_format
-    kind = "convert"
-    if args.region:
-        kind = "region"
-        params["region"] = args.region
-        params["mode"] = args.mode
+    from .defaults import verb_knobs
+    kind = "region" if args.region else "convert"
+    # The job parameters this verb was given; a default is the
+    # service's own.
+    params = {knob.name: getattr(args, knob.name)
+              for knob in verb_knobs("submit") if kind in knob.jobs.split()
+              and getattr(args, knob.name) != knob.default}
     with _service_client(args) as client:
         job = client.submit(kind, params, priority=args.priority,
                             timeout=args.timeout,
@@ -501,336 +462,69 @@ def _cmd_formats(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_service_endpoint_arguments(p: argparse.ArgumentParser) -> None:
-    """--socket/--connect pair shared by the service client verbs."""
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--socket", default=None,
-                       help="service unix socket path")
-    group.add_argument("--connect", default=None, metavar="HOST:PORT",
-                       help="service TCP address")
-
-
-def _add_rank_arguments(p: argparse.ArgumentParser,
-                        nprocs_help: str = "ranks the work is "
-                                           "partitioned over") -> None:
-    """--nprocs/--executor pair shared by every rank-parallel verb."""
-    from .defaults import EXECUTORS
-    p.add_argument("--nprocs", type=_nprocs_value, default=1,
-                   help=f"{nprocs_help} (default 1)")
-    p.add_argument("--executor", default="simulate", choices=EXECUTORS,
-                   help="how the ranks run: 'simulate' (default) one "
-                        "after another in this process, 'thread' or "
-                        "'process' concurrently on the shared worker "
-                        "pool (results are identical)")
-
-
-def _add_pipeline_arguments(p: argparse.ArgumentParser) -> None:
-    """Batched-pipeline knobs shared by the conversion commands."""
-    from .defaults import DEFAULT_BATCH_SIZE, PIPELINES
-    p.add_argument("--batch-size", type=_batch_size_value,
-                   default=DEFAULT_BATCH_SIZE,
-                   help="records per batch through the chunk-level "
-                        f"codecs, an integer >= 1 (default "
-                        f"{DEFAULT_BATCH_SIZE})")
-    p.add_argument("--pipeline", default="batch", choices=PIPELINES,
-                   help="'batch' (default) uses the chunk-level codecs "
-                        "and per-target fastpaths; 'record' keeps the "
-                        "record-at-a-time path (outputs are "
-                        "byte-identical)")
-    _add_shards_argument(p)
-
-
-def _add_store_format_argument(p: argparse.ArgumentParser) -> None:
-    """The preprocessing record-store format knob."""
-    from .defaults import STORE_FORMATS
-    p.add_argument("--store-format", default="bamx",
-                   choices=STORE_FORMATS,
-                   help="record store written by preprocessing: 'bamx' "
-                        "(default; row-major fixed records) or 'bamc' "
-                        "(slab-columnar, converted through vectorized "
-                        "kernels; outputs are byte-identical)")
-
-
-def _add_shards_argument(p: argparse.ArgumentParser) -> None:
-    """The dynamic over-decomposition knob."""
-    p.add_argument("--shards", type=_shards_value, default=1,
-                   help="shards per rank for dynamic load balancing on "
-                        "the shared worker pool; 1 (default) keeps the "
-                        "paper-faithful static one-task-per-rank "
-                        "schedule, 'auto' lets the cost model pick "
-                        "(outputs are byte-identical)")
-
-
-def _add_cost_model_argument(
-        p: argparse.ArgumentParser,
-        default: str = "$REPRO_COST_MODEL, then "
-                       "~/.cache/repro/cost-model.json") -> None:
-    """The persistent cost-model path used by ``--shards auto``."""
-    p.add_argument("--cost-model", default=None, metavar="PATH",
-                   help="persistent cost-model profile behind "
-                        "'--shards auto'; every run given one feeds it "
-                        f"(default: {default})")
+#: Every verb, in ``repro --help`` order: its one-line help and handler.
+#: Its flags are its rows of the knob table (``defaults.verb_knobs``).
+_VERBS = {
+    "simulate": ("generate a synthetic SAM/BAM dataset", _cmd_simulate),
+    "convert": ("convert SAM/BAM/BAMX to another format in parallel",
+                _cmd_convert),
+    "preprocess": ("BAMX/BAIX preprocessing only", _cmd_preprocess),
+    "sort": ("coordinate-sort an alignment file (through a store's "
+             "index)", _cmd_sort),
+    "flagstat": ("flag statistics (samtools flagstat)", _cmd_flagstat),
+    "validate": ("structural validation (Picard ValidateSamFile)",
+                 _cmd_validate),
+    "region": ("partial conversion of one chromosome region", _cmd_region),
+    "histogram": ("binned coverage histogram from an alignment file",
+                  _cmd_histogram),
+    "nlmeans": ("denoise a histogram with parallel NL-means", _cmd_nlmeans),
+    "fdr": ("false discovery rate for a peak threshold", _cmd_fdr),
+    "peaks": ("FDR-controlled peak calling on a histogram", _cmd_peaks),
+    "serve": ("run the conversion job service daemon", _cmd_serve),
+    "submit": ("submit a conversion job to a running service",
+               _cmd_submit),
+    "status": ("job status / service metrics of a running service",
+               _cmd_status),
+    "cancel": ("cancel a queued or running service job", _cmd_cancel),
+    "tune": ("inspect or reset the persistent cost model behind "
+             "'--shards auto'", _cmd_tune),
+    "formats": ("list supported formats", _cmd_formats),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the top-level argument parser."""
+    """Construct the top-level argument parser: each verb's flags from
+    the knob table, each value checked by its row's rule (a lazy rule,
+    which loads a converter module, where the value is used)."""
+    from .defaults import verb_knobs
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Parallel NGS format conversion and statistics "
                     "(IPDPSW 2014 reproduction)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate a synthetic SAM/BAM "
-                                        "dataset")
-    p.add_argument("output", help="output path (.sam or .bam)")
-    p.add_argument("--templates", type=int, default=1000,
-                   help="number of read pairs (default 1000)")
-    p.add_argument("--chromosomes", default="chr1:60000,chr2:40000",
-                   help="comma-separated name:length list")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--unsorted", action="store_true",
-                   help="keep template order instead of coordinate sort")
-    p.set_defaults(fn=_cmd_simulate)
-
-    p = sub.add_parser("convert", help="convert SAM/BAM/BAMX to another "
-                                       "format in parallel")
-    p.add_argument("input", help=".sam, .bam or .bamx input")
-    p.add_argument("--target", required=True,
-                   help="target format (see 'repro formats')")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--work-dir", default=None,
-                   help="where BAM preprocessing writes BAMX/BAIX")
-    _add_rank_arguments(p)
-    p.add_argument("--filter", default=None,
-                   help="record filter, e.g. 'q=30,F=0x400,primary'")
-    p.add_argument("--bamx", default=None,
-                   help="reuse this BAMX instead of preprocessing "
-                        "(BAM input only)")
-    p.add_argument("--baix", default=None,
-                   help="index for --bamx (default <bamx>.baix)")
-    _add_store_format_argument(p)
-    _add_pipeline_arguments(p)
-    _add_cost_model_argument(p)
-    p.set_defaults(fn=_cmd_convert)
-
-    p = sub.add_parser("preprocess", help="BAMX/BAIX preprocessing only")
-    p.add_argument("input", help=".sam or .bam input")
-    p.add_argument("--work-dir", required=True)
-    _add_rank_arguments(p, "preprocessing ranks")
-    p.add_argument("--compress", action="store_true",
-                   help="write BGZF-compressed BAMZ instead of BAMX "
-                        "(BAM input only)")
-    _add_store_format_argument(p)
-    _add_shards_argument(p)
-    _add_cost_model_argument(p)
-    p.set_defaults(fn=_cmd_preprocess)
-
-    p = sub.add_parser("sort", help="coordinate-sort an alignment file "
-                                    "(through a store's index)")
-    p.add_argument("input", help=".sam, .bam, .bamx, .bamz or .bamc input")
-    p.add_argument("--output", required=True,
-                   help=".sam or .bam output")
-    p.add_argument("--chunk-records", type=int, default=250_000,
-                   help="records per part of the sorted output")
-    _add_rank_arguments(p, "ranks writing the scratch store and the "
-                           "sorted parts")
-    p.add_argument("--work-dir", default=None,
-                   help="where the scratch store and parts are written")
-    p.set_defaults(fn=_cmd_sort)
-
-    p = sub.add_parser("flagstat", help="flag statistics "
-                                        "(samtools flagstat)")
-    p.add_argument("input", help=".sam, .bam, .bamx, .bamz or .bamc input")
-    _add_rank_arguments(p, "parallel counting ranks (a BAM's ranks "
-                           "take runs of whole slabs of its spool)")
-    p.set_defaults(fn=_cmd_flagstat)
-
-    p = sub.add_parser("validate", help="structural validation "
-                                        "(Picard ValidateSamFile)")
-    p.add_argument("input", help=".sam, .bam, .bamx, .bamz or .bamc input")
-    p.add_argument("--no-mates", action="store_true",
-                   help="skip mate cross-checks")
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("region", help="partial conversion of one "
-                                      "chromosome region")
-    p.add_argument("bamx", help="preprocessed .bamx file")
-    p.add_argument("--baix", dest="baix", default=None,
-                   help="index path (default <bamx>.baix)")
-    p.add_argument("--region", required=True,
-                   help="samtools-style region, e.g. chr1:1000-2000")
-    p.add_argument("--target", required=True)
-    p.add_argument("--out-dir", required=True)
-    _add_rank_arguments(p)
-    p.add_argument("--mode", default="start",
-                   choices=("start", "overlap"),
-                   help="select records starting in (paper semantics) "
-                        "or overlapping the region")
-    p.add_argument("--filter", default=None,
-                   help="record filter, e.g. 'q=30,F=0x400,primary'")
-    _add_pipeline_arguments(p)
-    _add_cost_model_argument(p)
-    p.set_defaults(fn=_cmd_region)
-
-    p = sub.add_parser("histogram", help="binned coverage histogram from "
-                                         "an alignment file")
-    p.add_argument("input", help=".sam, .bam, .bamx, .bamz or .bamc input")
-    p.add_argument("--bin-size", type=int, default=25)
-    p.add_argument("--output", required=True, help=".bedgraph output")
-    p.add_argument("--npy", default=None,
-                   help="also save the dense array as .npy")
-    p.set_defaults(fn=_cmd_histogram)
-
-    p = sub.add_parser("nlmeans", help="denoise a histogram with parallel "
-                                       "NL-means")
-    p.add_argument("input", help=".npy or .bedgraph histogram")
-    p.add_argument("--output", required=True, help=".npy output")
-    p.add_argument("--search-radius", "-r", type=int, default=20)
-    p.add_argument("--half-patch", "-l", type=int, default=15)
-    p.add_argument("--sigma", type=float, default=10.0)
-    _add_rank_arguments(p)
-    p.set_defaults(fn=_cmd_nlmeans)
-
-    p = sub.add_parser("fdr", help="false discovery rate for a peak "
-                                   "threshold")
-    p.add_argument("histogram", help=".npy or .bedgraph histogram")
-    p.add_argument("--simulations", default=None,
-                   help=".npy (B, M) simulation array; generated by "
-                        "permutation when omitted")
-    p.add_argument("--n-simulations", type=int, default=80)
-    p.add_argument("--threshold", "-t", type=float, required=True,
-                   help="candidate threshold p_t")
-    p.add_argument("--seed", type=int, default=0)
-    _add_rank_arguments(p)
-    p.set_defaults(fn=_cmd_fdr)
-
-    p = sub.add_parser("peaks", help="FDR-controlled peak calling on a "
-                                     "histogram")
-    p.add_argument("histogram", help=".npy or .bedgraph histogram")
-    p.add_argument("--simulations", default=None,
-                   help=".npy (B, M) simulation array")
-    p.add_argument("--n-simulations", type=int, default=60)
-    p.add_argument("--target-fdr", type=float, default=0.05)
-    p.add_argument("--no-denoise", action="store_true")
-    p.add_argument("--search-radius", "-r", type=int, default=20)
-    p.add_argument("--half-patch", "-l", type=int, default=15)
-    p.add_argument("--min-width", type=int, default=1)
-    p.add_argument("--merge-gap", type=int, default=0)
-    _add_rank_arguments(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--limit", type=int, default=20,
-                   help="max regions printed")
-    p.add_argument("--bed", default=None,
-                   help="also write regions as BED to this path")
-    p.add_argument("--chrom", default="chr1",
-                   help="chromosome name used in the BED output")
-    p.add_argument("--bin-size", type=int, default=25,
-                   help="bin size for BED coordinates")
-    p.set_defaults(fn=_cmd_peaks)
-
-    p = sub.add_parser("serve", help="run the conversion job service "
-                                     "daemon")
-    p.add_argument("--socket", default=None,
-                   help="unix socket path to listen on")
-    p.add_argument("--listen", default=None, metavar="HOST:PORT",
-                   help="also (or only) listen on TCP; port 0 binds "
-                        "an ephemeral port and reports it")
-    p.add_argument("--work-dir", required=True,
-                   help="service state root (cache lives below it)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="worker threads draining the job queue")
-    p.add_argument("--cache-dir", default=None,
-                   help="artifact cache dir (default <work-dir>/cache)")
-    p.add_argument("--cache-max-bytes", type=int, default=None,
-                   help="LRU size cap for the artifact cache")
-    p.add_argument("--max-pending-jobs", type=int, default=1024,
-                   help="admission-control cap on queued jobs; "
-                        "submits beyond it get explicit 'overloaded' "
-                        "errors (default 1024)")
-    p.add_argument("--journal", default=None, metavar="PATH",
-                   help="write-ahead job journal; an existing journal "
-                        "is replayed on startup, re-queueing jobs the "
-                        "previous daemon lost to a crash")
-    p.add_argument("--journal-fsync", default="interval",
-                   choices=("always", "interval", "never"),
-                   help="journal durability: fsync every append, "
-                        "at a bounded interval (default), or never")
-    p.add_argument("--cache-verify", default="always",
-                   metavar="POLICY",
-                   help="artifact digest verification on cache fetch: "
-                        "'always' (default), 'never', or a sample "
-                        "probability like 0.1")
-    _add_shards_argument(p)
-    _add_cost_model_argument(p, "<work-dir>/cost_model.json")
-    p.set_defaults(fn=_cmd_serve)
-
-    p = sub.add_parser("submit", help="submit a conversion job to a "
-                                      "running service")
-    p.add_argument("input", help=".sam, .bam, .bamx, .bamz or .bamc "
-                                 "input")
-    _add_service_endpoint_arguments(p)
-    p.add_argument("--target", required=True,
-                   help="target format (see 'repro formats')")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--region", default=None,
-                   help="submit a partial conversion of this region")
-    p.add_argument("--mode", default="start",
-                   choices=("start", "overlap"),
-                   help="region selection semantics")
-    _add_rank_arguments(p)
-    p.add_argument("--filter", default=None,
-                   help="record filter, e.g. 'q=30,F=0x400,primary'")
-    _add_store_format_argument(p)
-    _add_shards_argument(p)
-    p.add_argument("--batch-size", type=_batch_size_value, default=None,
-                   help="records per batch, an integer >= 1 (default: "
-                        "the service's own default)")
-    p.add_argument("--priority", type=int, default=0,
-                   help="higher runs first (default 0)")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-attempt wall-clock limit in seconds")
-    p.add_argument("--max-retries", type=int, default=0)
-    p.add_argument("--wait", action="store_true",
-                   help="block until the job finishes")
-    p.set_defaults(fn=_cmd_submit)
-
-    p = sub.add_parser("status", help="job status / service metrics of "
-                                      "a running service")
-    p.add_argument("job", nargs="?", default=None,
-                   help="job id (all jobs when omitted)")
-    _add_service_endpoint_arguments(p)
-    p.add_argument("--metrics", action="store_true",
-                   help="print the service metrics snapshot instead")
-    p.add_argument("--trace", metavar="JOB", default=None,
-                   help="print the span tree recorded for this job")
-    p.set_defaults(fn=_cmd_status)
-
-    p = sub.add_parser("cancel", help="cancel a queued or running "
-                                      "service job")
-    p.add_argument("job", help="job id")
-    _add_service_endpoint_arguments(p)
-    p.set_defaults(fn=_cmd_cancel)
-
-    p = sub.add_parser("tune", help="inspect or reset the persistent "
-                                    "cost model behind '--shards auto'")
-    p.add_argument("action", choices=("show", "reset"),
-                   help="'show' prints every learned key; 'reset' "
-                        "forgets them and removes the model file")
-    _add_cost_model_argument(p)
-    p.set_defaults(fn=_cmd_tune)
-
-    p = sub.add_parser("formats", help="list supported formats")
-    p.set_defaults(fn=_cmd_formats)
-
-    # Every command can dump a trace of its run; "status" is excluded
-    # because its --trace flag queries a *service job's* trace instead.
-    for name, command_parser in sub.choices.items():
-        if name != "status":
-            command_parser.add_argument(
-                "--trace", metavar="FILE", default=None,
-                help="write a span trace of this run (.json = Chrome "
-                     "trace format, anything else = JSON lines); "
-                     "REPRO_TRACE=FILE does the same")
+    for verb, (text, fn) in _VERBS.items():
+        p = sub.add_parser(verb, help=text)
+        p.set_defaults(fn=fn)
+        groups: dict = {}
+        for knob in verb_knobs(verb):
+            if knob.group and knob.group not in groups:
+                groups[knob.group] = p.add_mutually_exclusive_group(
+                    required=True)
+            options = {"help": knob.help, "default": knob.default,
+                       "choices": knob.choices, "metavar": knob.metavar,
+                       "action": knob.action, "nargs": knob.nargs,
+                       "required": knob.required and not knob.positional}
+            if knob.rule and not (knob.lazy or knob.action):
+                options["type"] = partial(
+                    knob.check, error=argparse.ArgumentTypeError)
+            flags = [knob.name] if knob.positional else \
+                [f"--{knob.name.replace('_', '-')}", knob.short]
+            # None and False are argparse's own defaults: leave them
+            # out (a store_true action takes no default=None).
+            groups.get(knob.group, p).add_argument(
+                *filter(None, flags),
+                **{key: value for key, value in options.items()
+                   if value is not None and value is not False})
     return parser
 
 

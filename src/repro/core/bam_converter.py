@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from ..defaults import DEFAULT_BATCH_SIZE, REGION_MODES
+from ..defaults import DEFAULT_BATCH_SIZE, KNOBS
 from ..errors import ConversionError
 from ..formats.bam import BamReader, raw_slabs, read_header, \
     slab_columns, slab_records
@@ -450,10 +450,7 @@ class BamConverter:
                        ) -> ConversionResult:
         """Locate *regions* in the store's index and convert the union
         of the selected records; part files are ``<stem><suffix>.*``."""
-        if mode not in REGION_MODES:
-            raise ConversionError(
-                f"unknown partial-conversion mode {mode!r}; choose "
-                f"'start' or 'overlap'")
+        KNOBS["mode"].check(mode, ConversionError)
 
         def picks() -> np.ndarray:
             from .region import GenomicRegion

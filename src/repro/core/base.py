@@ -39,8 +39,8 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
-from ..defaults import AUTO, DEFAULT_BATCH_SIZE, EXECUTORS, PIPELINES, \
-    STORE_FORMATS
+from ..defaults import AUTO, DEFAULT_BATCH_SIZE, KNOBS, STORE_FORMATS
+from ..defaults import EXECUTORS  # noqa: F401 (exported by repro.core)
 from ..errors import ConversionError, FaultInjectedError, RuntimeLayerError
 from ..formats.header import SamHeader
 from ..formats.kernels import KERNEL_TARGETS, KernelFallback, \
@@ -59,33 +59,6 @@ if TYPE_CHECKING:
     from ..runtime.autotune import JobTuning
 
 
-def validate_knob(value: Any, name: str,
-                  error: type[Exception] = ConversionError,
-                  auto: bool = True) -> int | str:
-    """Validate a tuning knob: a positive int, or — where *auto* allows
-    it (shard counts; a batch size is always an integer) — ``"auto"``.
-
-    Returns the int or the canonical :data:`~repro.defaults.AUTO`
-    sentinel; anything else raises *error* naming the bad value (no raw
-    ``int()`` tracebacks).  The one validator behind the converter
-    constructors, the service's job parameters and the CLI flags.
-    """
-    or_auto = " or 'auto'" if auto else ""
-    if isinstance(value, str):
-        if auto and value.strip().lower() == AUTO:
-            return AUTO
-        with suppress(ValueError):
-            value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise error(
-            f"invalid {name} value {value!r}: expected a positive "
-            f"integer{or_auto}")
-    if value < 1:
-        raise error(
-            f"invalid {name} value {value}: must be >= 1{or_auto}")
-    return value
-
-
 def converter_options(batch_size: int | str, pipeline: str,
                       shards_per_rank: int | str, tuner: Any,
                       store_format: str = "bamx") -> tuple:
@@ -97,13 +70,11 @@ def converter_options(batch_size: int | str, pipeline: str,
     :class:`~repro.errors.ConversionError` before the converter touches
     any file.
     """
-    for name, value, known in (("pipeline", pipeline, PIPELINES),
-                               ("store format", store_format, STORE_FORMATS)):
-        if value not in known:
-            raise ConversionError(
-                f"unknown {name} {value!r}; choose one of {known}")
-    batch_size = validate_knob(batch_size, "batch_size", auto=False)
-    shards_per_rank = validate_knob(shards_per_rank, "shards_per_rank")
+    KNOBS["pipeline"].check(pipeline, ConversionError)
+    KNOBS["store_format"].check(store_format, ConversionError)
+    batch_size = KNOBS["batch_size"].check(batch_size, ConversionError)
+    shards_per_rank = KNOBS["shards"].check(shards_per_rank, ConversionError,
+                                            "shards_per_rank")
     if tuner is None and shards_per_rank == AUTO:
         # "auto" without an explicit tuner: a private in-memory tuner
         # (cold -> defaults, warming across this converter instance's
@@ -262,9 +233,7 @@ def execute_rank_tasks(task_fn: Callable[[Any], RankMetrics],
     the measured ``(units, seconds)`` pair of every piece and the
     dispatch's wall; it changes nothing about the schedule.
     """
-    if executor not in EXECUTORS:
-        raise RuntimeLayerError(
-            f"unknown executor {executor!r}; choose from {EXECUTORS}")
+    KNOBS["executor"].check(executor, RuntimeLayerError)
     if not specs:
         raise RuntimeLayerError("no rank specs to execute")
     if shards_per_rank < 1:

@@ -32,7 +32,7 @@ from typing import Any, NamedTuple, Union
 
 import numpy as np
 
-from ..defaults import DEFAULT_BATCH_SIZE, STORE_FORMATS
+from ..defaults import DEFAULT_BATCH_SIZE, KNOBS
 from ..errors import BamxFormatError
 from ..runtime import faults
 from ..runtime.buffers import file_identity, settled
@@ -130,10 +130,7 @@ def open_record_store(path: str | os.PathLike[str]) -> RecordStore:
 def store_extension(compress: bool,
                     store_format: str = "bamx") -> str:
     """Canonical extension for a record store."""
-    if store_format not in STORE_FORMATS:
-        raise BamxFormatError(
-            f"unknown store format {store_format!r}; choose one of "
-            f"{STORE_FORMATS}")
+    KNOBS["store_format"].check(store_format, BamxFormatError)
     if store_format == "bamc":
         if compress:
             raise BamxFormatError(

@@ -47,12 +47,10 @@ import threading
 import time
 from typing import Any
 
+from ..defaults import FSYNC_POLICIES
 from ..errors import JournalError
 from ..runtime import faults
 from .jobs import Job, job_id_sequence
-
-#: Accepted fsync policies.
-FSYNC_POLICIES = ("always", "interval", "never")
 
 
 class JobJournal:

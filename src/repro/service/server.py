@@ -33,16 +33,15 @@ import warnings
 from multiprocessing.util import Finalize
 from typing import Any
 
-from ..core import BamConverter, SamConverter, get_target, \
-    parse_filter_expr
+from ..core import BamConverter, SamConverter, parse_filter_expr
 # Region jobs parse their region in a body worker: load the parser
 # before BodyWorkers forks them, not once in each worker.
 from ..core import region as _region  # noqa: F401
-from ..core.base import _run_entry, validate_knob
-from ..defaults import EXECUTORS, REGION_MODES
+from ..core.base import _run_entry
+from ..defaults import JOB_KINDS, job_knobs, validate_knob
 from ..errors import ReproError, ServiceError
 from ..formats.registry import SOURCE_FORMATS, STORE_KINDS, source_kind
-from ..formats.store import index_path_for, store_extension
+from ..formats.store import store_extension
 from ..runtime.autotune import AutoTuner, CostModel
 from ..runtime.executor import ExecutorFailure, _pool_worker_init, \
     reset_shared_executor, resolve_start_method
@@ -54,8 +53,7 @@ from .jobs import Job, seed_job_counter
 from .journal import JobJournal
 from .scheduler import WorkerPool
 
-#: Job kinds the service runner dispatches on, and what each reads.
-JOB_KINDS = ("convert", "region", "preprocess")
+#: What each job kind reads.
 _JOB_READS = {"convert": SOURCE_FORMATS, "region": ("bam", *STORE_KINDS),
               "preprocess": ("bam",)}
 #: Least time between two saves of the daemon's cost model.
@@ -64,47 +62,38 @@ MODEL_SAVE_SECONDS = 1.0
 
 def _check_job(kind: str, params: dict[str, Any],
                shards: int | str) -> tuple[str, dict[str, Any]]:
-    """Check a job's parameters with the converters' own validators,
-    raising :class:`ServiceError` naming the first bad one — at
+    """Check a job against its kind's rows of the knob table, raising
+    :class:`ServiceError` naming the first bad parameter — at
     submission, so that a bad job is never journaled, and again when
     the job runs, for a job recovered from the journal.  Returns the
-    input's format, by its extension, and the converter knobs (a job's
-    ``shards``, else the service's *shards*, and its ``batch_size``)."""
+    input's format, by its extension, and the parameters, checked and
+    completed with their defaults (``shards``: the service's
+    *shards*)."""
     if kind not in JOB_KINDS:
         raise ServiceError(
             f"unknown job kind {kind!r}; choose from {JOB_KINDS}")
-    needs = {"convert": ("input", "target", "out_dir"),
-             "region": ("input", "target", "out_dir", "region"),
-             "preprocess": ("input",)}[kind]
-    for name in needs:
-        if name not in params:
+    knobs = {knob.name: knob for knob in job_knobs(kind)}
+    for name, value in params.items():
+        if name not in knobs:
+            raise ServiceError(
+                f"a {kind} job takes no {name!r} parameter (given "
+                f"{value!r}); it takes {', '.join(knobs)}")
+    checked = {"shards": shards} if "shards" in knobs else {}
+    for name, knob in knobs.items():
+        if name in params:
+            value = params[name]
+            checked[name] = value if value is None and knob.default is None \
+                else knob.check(value, ServiceError)
+        elif knob.required:
             raise ServiceError(f"{kind} job needs the {name!r} parameter")
-    validate_knob(params.get("nprocs", 1), "nprocs", ServiceError,
-                  auto=False)
-    knobs = {"shards_per_rank": validate_knob(
-        params.get("shards", shards), "shards", ServiceError)}
-    if "batch_size" in params:
-        knobs["batch_size"] = validate_knob(
-            params["batch_size"], "batch_size", ServiceError, auto=False)
-    for name, known in (("executor", EXECUTORS), ("mode", REGION_MODES)):
-        if params.get(name, known[0]) not in known:
-            raise ServiceError(f"invalid {name} value {params[name]!r}; "
-                               f"choose one of {known}")
-    if not isinstance(params.get("compress", False), bool):
-        raise ServiceError(f"invalid compress value {params['compress']!r}: "
-                           f"expected true or false")
+        else:
+            checked.setdefault(name, knob.default)
     try:
-        store_extension(params.get("compress", False),
-                        params.get("store_format", "bamx"))
-        # str(): a value of the wrong type is refused by name too.
-        if "target" in params:
-            get_target(str(params["target"]))
-        if params.get("filter"):
-            parse_filter_expr(str(params["filter"]))
+        store_extension(checked["compress"], checked["store_format"])
     except ReproError as exc:
         raise ServiceError(str(exc)) from None
-    return source_kind(params["input"], f"a {kind} job", _JOB_READS[kind],
-                       ServiceError), knobs
+    return source_kind(checked["input"], f"a {kind} job", _JOB_READS[kind],
+                       ServiceError), checked
 
 
 # -- job bodies: run in a pool process; one picklable payload in,
@@ -136,25 +125,23 @@ def _convert_body(payload: dict[str, Any]) -> tuple[dict[str, Any], dict,
     """A ``convert`` or ``region`` job on ``payload["store"]``, the
     store the daemon resolved (``None``: the input is SAM text)."""
     params, metrics = payload["params"], ServiceMetrics()
-    converter = BamConverter if payload["store"] else SamConverter
     model = _JobModel(*payload["cost_model"])
-    knobs = dict(payload["knobs"], tuner=AutoTuner(model, metrics=metrics))
+    converter = (BamConverter if payload["store"] else SamConverter)(
+        batch_size=params["batch_size"], shards_per_rank=params["shards"],
+        tuner=AutoTuner(model, metrics=metrics))
     record_filter = parse_filter_expr(params["filter"]) \
-        if params.get("filter") else None
-    ranks = (int(params.get("nprocs", 1)),
-             params.get("executor", "simulate"))
+        if params["filter"] else None
+    ranks = params["nprocs"], params["executor"]
     try:
         if payload["kind"] == "region":
-            result = converter(**knobs).convert_region(
-                payload["store"], payload["baix"], params["region"],
+            result = converter.convert_region(
+                payload["store"], params["baix"], params["region"],
                 params["target"], params["out_dir"], *ranks,
-                mode=params.get("mode", "start"),
-                record_filter=record_filter)
+                mode=params["mode"], record_filter=record_filter)
         else:
-            result = converter(**knobs).convert(
-                payload["store"] or os.fspath(params["input"]),
-                params["target"], params["out_dir"], *ranks,
-                record_filter=record_filter)
+            result = converter.convert(
+                payload["store"] or params["input"], params["target"],
+                params["out_dir"], *ranks, record_filter=record_filter)
     finally:
         # Pools a job with thread/process ranks built in this worker.
         reset_shared_executor()
@@ -492,21 +479,22 @@ class ConversionService:
     # -- the job runner (scheduler threads wait, body workers work) --
 
     def _run_job(self, job: Job) -> dict[str, Any]:
-        params = job.params
-        source_format, knobs = _check_job(job.kind, params,
-                                          self.shards_per_rank)
-        source = os.fspath(params["input"])
+        source_format, params = _check_job(job.kind, job.params,
+                                           self.shards_per_rank)
+        source = params["input"]
         if job.kind == "preprocess":
-            entry, hit = self._preprocessed(source, job)
+            entry, hit = self._preprocessed(source, params, job.deadline)
             return {"artifacts": self.cache.artifacts(entry),
                     "cache": "hit" if hit else "miss"}
-        store_path = baix_path = cache_state = None
-        if source_format != "sam":
-            store_path, baix_path, cache_state = self._store_for(
-                source, source_format, job)
+        store_path, cache_state = None, None
+        if source_format == "bam":
+            store_path, cache_state = self._store_for(source, params,
+                                                      job.deadline)
+        elif source_format != "sam":
+            store_path = source
         return self._in_pool(_convert_body, {
             "kind": job.kind, "params": params, "store": store_path,
-            "baix": baix_path, "cache": cache_state, "knobs": knobs,
+            "cache": cache_state,
             "cost_model": (self.cost_model.path,
                            self.cost_model.snapshot()),
         }, f"{job.job_id} {job.kind}", job.deadline)
@@ -567,39 +555,29 @@ class ConversionService:
         with contextlib.suppress(OSError):
             self.cost_model.save()
 
-    def _store_for(self, source: str, source_format: str, job: Job,
-                   ) -> tuple[str, str | None, str | None]:
-        """Resolve (store path, index path, cache state) for a job.
-
-        BAMX/BAMZ/BAMC inputs are already preprocessed — they pass
-        through untouched.  BAM inputs go through the artifact cache: a
-        warm cache returns the stored store/BAIX without re-reading the
+    def _store_for(self, bam_path: str, params: dict[str, Any],
+                   deadline: float | None) -> tuple[str, str]:
+        """The store preprocessing made of a BAM, through the artifact
+        cache, and the cache state (``hit`` or ``miss``): a warm cache
+        returns the stored store and its indexes without re-reading the
         BAM; the ``store_format`` parameter is part of the cache key,
-        so row and columnar artifacts of one BAM coexist.
-        """
-        params = job.params
-        if source_format != "bam":
-            return source, params.get("baix"), None
-        entry, hit = self._preprocessed(source, job)
+        so row and columnar artifacts of one BAM coexist."""
+        entry, hit = self._preprocessed(bam_path, params, deadline)
         store_path = next((path for path in self.cache.artifacts(entry)
                            if path.endswith((".bamx", ".bamz", ".bamc"))),
                           None)
         if store_path is None:
             raise ServiceError(
                 f"cache entry {entry.key} holds no record store")
-        return store_path, \
-            index_path_for(store_path, params.get("mode", "start")), \
-            "hit" if hit else "miss"
+        return store_path, "hit" if hit else "miss"
 
-    def _preprocessed(self, bam_path: str, job: Job,
-                      ) -> tuple[CacheEntry, bool]:
+    def _preprocessed(self, bam_path: str, params: dict[str, Any],
+                      deadline: float | None) -> tuple[CacheEntry, bool]:
         """Fetch-or-build the preprocessing artifacts for a BAM, in the
-        ``store_format`` / ``compress`` *job* asks for, by its
-        deadline."""
-        params = job.params
-        build = {"bam": bam_path,
-                 "store_format": params.get("store_format", "bamx"),
-                 "compress": params.get("compress", False)}
+        ``store_format`` / ``compress`` *params* ask for, by
+        *deadline*."""
+        build = {"bam": bam_path, "store_format": params["store_format"],
+                 "compress": params["compress"]}
         key = {"op": "preprocess_bam", "compress": build["compress"]}
         if build["store_format"] != "bamx":
             # Appended only for non-default formats so cache entries
@@ -608,4 +586,4 @@ class ConversionService:
         return self.cache.get_or_build(
             bam_path, key, lambda entry_dir: self._in_pool(
                 _preprocess_body, dict(build, entry_dir=entry_dir),
-                f"preprocess {os.path.basename(bam_path)}", job.deadline))
+                f"preprocess {os.path.basename(bam_path)}", deadline))

@@ -505,6 +505,93 @@ def test_serve_bad_cache_verify_is_friendly(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad", ["0", "-3"])
+def test_serve_refuses_a_pending_cap_below_one(bad, tmp_path, capsys):
+    """`--max-pending-jobs 0` used to start a daemon that refused every
+    submit as overloaded."""
+    from repro.cli import build_parser
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args([
+            "serve", "--socket", str(tmp_path / "s.sock"), "--work-dir",
+            str(tmp_path / "w"), "--max-pending-jobs", bad])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-pending-jobs" in err and bad in err
+
+
+def test_preprocess_refuses_compress_on_sam_input(sim_sam, tmp_path,
+                                                  capsys):
+    """It used to exit 0 and write uncompressed .bamx parts."""
+    work = tmp_path / "w"
+    assert run(["preprocess", str(sim_sam), "--work-dir", str(work),
+                "--compress"]) == 1
+    _one_line_error(capsys, "--compress", str(sim_sam))
+    assert not work.exists()
+
+
+#: Bad values of each knob both the CLI and a service job take, and the
+#: verb (and job kind) they are given to.
+CROSS_SURFACE = [
+    ("nprocs", ["0", "-2", "two"], "convert"),
+    ("executor", ["gpu"], "convert"),
+    ("shards", ["0", "many"], "convert"),
+    ("batch_size", ["0", "auto"], "convert"),
+    ("store_format", ["zip"], "convert"),
+    ("mode", ["sideways"], "region"),
+    ("target", ["bogus"], "convert"),
+    ("filter", ["((("], "convert"),
+    ("region", ["chr1:,,", "chr1:5-2"], "region"),
+]
+
+
+def test_cli_and_service_refuse_a_bad_knob_in_one_sentence(
+        sam_file, bam_file, service_socket, tmp_path, capsys):
+    """Every knob is checked by its one row of the knob table: ``repro
+    convert|region`` (at parse time, exit 2, or where the value is
+    used, exit 1), ``repro submit`` and ``ConversionService.submit``
+    give the same sentence, and nothing is journaled or written."""
+    import os
+
+    from repro.core import BamConverter
+    from repro.defaults import KNOBS
+    from repro.errors import ServiceError
+    from repro.service import ConversionService
+    from repro.service.journal import replay
+    store, _, _ = BamConverter().preprocess(bam_file, tmp_path / "store")
+    out = str(tmp_path / "out")
+    batch = {"convert": ["convert", sam_file],
+             "region": ["region", store, "--region", "chr1:1-100"]}
+    client = {"convert": ["submit", sam_file],
+              "region": ["submit", store, "--region", "chr1:1-100"]}
+    jobs = {"convert": {"input": sam_file},
+            "region": {"input": store, "region": "chr1:1-100"}}
+    service = ConversionService(tmp_path / "svc", workers=1,
+                                journal_path=tmp_path / "j.log")
+    try:
+        for name, values, verb in CROSS_SURFACE:
+            for value in values:
+                with pytest.raises(ServiceError) as refused:
+                    service.submit(verb, {**jobs[verb], "target": "bed",
+                                          "out_dir": out, name: value})
+                for argv in batch[verb], [*client[verb], "--socket",
+                                          service_socket]:
+                    try:
+                        code = main([*argv, "--target", "bed", "--out-dir",
+                                     out, f"--{name.replace('_', '-')}",
+                                     value])
+                    except SystemExit as exc:
+                        code = exc.code
+                    err = capsys.readouterr().err
+                    assert code == (1 if KNOBS[name].lazy else 2), \
+                        (argv, name, value, err)
+                    assert str(refused.value) in err, (argv, name, value)
+        assert service.status() == []
+    finally:
+        service.close()
+    assert replay(tmp_path / "j.log")[0] == {}
+    assert not os.path.exists(out)
+
+
 def test_submit_unreachable_socket(tmp_path, sim_sam):
     assert run(["submit", str(sim_sam), "--socket",
                 str(tmp_path / "no.sock"), "--target", "bed",
@@ -533,11 +620,15 @@ def test_client_verbs_do_not_import_the_converter_stack():
         "import sys\n"
         "import repro.service.client\n"
         "from repro.service import ServiceClient, protocol\n"
-        "from repro.cli import main\n"
+        "from repro.cli import build_parser, main\n"
         "try:\n"
         "    main(['status', '--help'])\n"
         "except SystemExit:\n"
         "    pass\n"
+        "build_parser().parse_args([\n"
+        "    'submit', 'x.bam', '--socket', 's', '--target', 'bed',\n"
+        "    '--out-dir', 'o', '--shards', '2', '--batch-size', '8',\n"
+        "    '--filter', 'q=30', '--region', 'chr1:1-100'])\n"
         "heavy = [m for m in ('numpy', 'repro.core', 'repro.formats')\n"
         "         if m in sys.modules]\n"
         "print('HEAVY', heavy)\n")

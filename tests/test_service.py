@@ -479,6 +479,20 @@ def test_service_validates_submissions(service, bam_file, sam_file,
                 ({"input": bam_file, "compress": "false"}, "compress")]:
             with pytest.raises(ServiceError, match=re.escape(detail)):
                 journaled.submit("convert", {**base, **params}, max_retries=2)
+        # Admitted and journaled before the knob table: the first
+        # two failed in the body on every attempt, the third with a bare
+        # TypeError, the last two finished "done" with the typo or the
+        # pipeline ignored.
+        region, sam = {**base, "input": bam_file}, {**base, "input": sam_file}
+        for kind, params, detail in [
+                ("region", {**region, "region": "chr1:,,"},
+                 "region 'chr1:,,'"),
+                ("region", {**region, "region": 5}, "region value 5"),
+                ("convert", {**sam, "out_dir": 5}, "out_dir value 5"),
+                ("convert", {**sam, "nproc": 4}, "'nproc'"),
+                ("convert", {**sam, "pipeline": "record"}, "'pipeline'")]:
+            with pytest.raises(ServiceError, match=re.escape(detail)):
+                journaled.submit(kind, params)
         assert journaled.status() == []
     finally:
         journaled.close()
