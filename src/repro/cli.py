@@ -24,29 +24,6 @@ if TYPE_CHECKING:       # handlers import numpy when they run
     import numpy as np
 
 
-def _maybe_tuner(args: argparse.Namespace):
-    """Build an AutoTuner when auto-tuning is in play, else None.
-
-    A persistent tuner is wanted when ``--shards`` is ``auto`` or the
-    user named a model file; otherwise the converters run the static
-    path.
-    """
-    if args.cost_model is None and args.shards != "auto":
-        return None
-    from .runtime.autotune import AutoTuner, CostModel, \
-        resolve_model_path
-    model = CostModel(resolve_model_path(args.cost_model))
-    _warn_damaged(model)
-    return AutoTuner(model)
-
-
-def _warn_damaged(model) -> None:
-    """Say on stderr what a cost-model file lost at load, if anything."""
-    if model.load_error:
-        print(f"warning: damaged cost model {model.path}: "
-              f"{model.load_error}", file=sys.stderr)
-
-
 def _parse_chroms(text: str) -> list[tuple[str, int]]:
     """Parse ``chr1:60000,chr2:40000`` into [(name, length), ...]."""
     out = []
@@ -77,13 +54,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _converter_knobs(args: argparse.Namespace) -> dict:
     """The constructor arguments every converter shares."""
     return {"batch_size": args.batch_size, "pipeline": args.pipeline,
-            "shards_per_rank": args.shards, "tuner": _maybe_tuner(args)}
+            "shards_per_rank": args.shards}
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     from . import core      # the converter for the input's kind only
+    from .defaults import KNOBS
     from .formats.registry import source_kind
     kind = source_kind(args.input, "repro convert")
+    if kind != "bam":
+        # These steer preprocessing, which only a BAM input has.
+        for name in ("bamx", "baix", "store_format"):
+            if getattr(args, name) != KNOBS[name].default:
+                raise ReproError(
+                    f"--{name.replace('_', '-')} applies to BAM input "
+                    f"only; got {args.input!r}")
     record_filter = core.parse_filter_expr(args.filter) if args.filter \
         else None
     knobs = _converter_knobs(args)
@@ -132,8 +117,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     else:
         paths, metrics = PreprocSamConverter(
             shards_per_rank=args.shards,
-            store_format=args.store_format,
-            tuner=_maybe_tuner(args)).preprocess(
+            store_format=args.store_format).preprocess(
             args.input, args.work_dir, args.nprocs, args.executor)
         total = sum(m.records for m in metrics)
         print(f"parallel preprocessing ({args.nprocs} ranks): "
@@ -314,8 +298,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                 shards_per_rank=args.shards,
                                 journal_path=args.journal,
                                 journal_fsync=args.journal_fsync,
-                                cache_verify=args.cache_verify,
-                                cost_model_path=args.cost_model)
+                                cache_verify=args.cache_verify)
     if args.journal:
         recovered = int(service.metrics.gauge("journal_recovered_jobs"))
         print(f"journal {args.journal}: {recovered} jobs recovered",
@@ -361,13 +344,20 @@ def _format_job_line(job: dict) -> str:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from .defaults import verb_knobs
+    from .defaults import KNOBS, verb_knobs
     kind = "region" if args.region else "convert"
     # The job parameters this verb was given; a default is the
     # service's own.
     params = {knob.name: getattr(args, knob.name)
-              for knob in verb_knobs("submit") if kind in knob.jobs.split()
+              for knob in verb_knobs("submit") if knob.jobs
               and getattr(args, knob.name) != knob.default}
+    for name in params:
+        jobs = KNOBS[name].jobs.split()
+        if kind not in jobs:    # a region job takes every one
+            print(f"error: --{name.replace('_', '-')} applies to "
+                  f"{' and '.join(jobs)} jobs only; without --region this "
+                  f"submit is a {kind} job", file=sys.stderr)
+            return 2
     with _service_client(args) as client:
         job = client.submit(kind, params, priority=args.priority,
                             timeout=args.timeout,
@@ -426,33 +416,6 @@ def _cmd_cancel(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
-    from .runtime.autotune import CostModel, resolve_model_path
-    path = resolve_model_path(args.cost_model)
-    model = CostModel(path)
-    if args.action == "reset":
-        n = len(model)
-        model.reset()
-        print(f"cleared {n} cost-model keys ({path})")
-        return 0
-    _warn_damaged(model)
-    snap = model.snapshot()
-    if not snap:
-        print(f"cost model {path}: empty (cold); auto runs fall back "
-              f"to the static defaults until it warms up")
-        return 0
-    print(f"cost model {path}: {len(snap)} keys")
-    print(f"{'key':<36} {'rate s/unit':>12} {'hottest':>12} "
-          f"{'hot%':>5} {'obs':>4}")
-    for key in sorted(snap):
-        entry = snap[key]
-        print(f"{key:<36} {entry['rate']:>12.3e} "
-              f"{entry['rate_max']:>12.3e} "
-              f"{100 * entry['hot_frac']:>4.0f}% "
-              f"{entry['count']:>4d}")
-    return 0
-
-
 def _cmd_formats(_args: argparse.Namespace) -> int:
     from .formats.registry import list_formats
     for info in list_formats():
@@ -486,8 +449,6 @@ _VERBS = {
     "status": ("job status / service metrics of a running service",
                _cmd_status),
     "cancel": ("cancel a queued or running service job", _cmd_cancel),
-    "tune": ("inspect or reset the persistent cost model behind "
-             "'--shards auto'", _cmd_tune),
     "formats": ("list supported formats", _cmd_formats),
 }
 

@@ -17,18 +17,21 @@ from __future__ import annotations
 import os
 import time
 from functools import partial
+from typing import TYPE_CHECKING
 
 from ..defaults import DEFAULT_BATCH_SIZE
 from ..errors import ConversionError
 from ..formats.header import SamHeader
 from ..formats.store import index_path_for, join_store_parts, publishing
-from ..runtime.autotune import AutoTuner
 from ..runtime.metrics import RankMetrics
 from ..runtime.tracing import get_tracer
 from .base import ConversionResult, PartSpec, SinkSpec, StoreSink, \
     convert_rank, converter_options, finish_rank_metrics, part_specs, \
     plan_sources, run_conversion
 from .bam_converter import BamConverter
+
+if TYPE_CHECKING:
+    from ..runtime.autotune import AutoTuner
 
 
 def _preprocess_rank_task(spec: PartSpec) -> RankMetrics:

@@ -1,9 +1,9 @@
 """Knob choices and defaults, and the knob table (:data:`KNOBS`): every
 CLI flag and service job parameter, declared once, by which the CLI
 parser, the service's door and the converters check them.  Kept apart
-from the layers that own the knobs (the codecs, the store, the tuner)
-and free of numpy, so that neither the parser nor a converter's checks
-load a layer just for a name (``DESIGN.md``, "What a call loads")."""
+from the layers that own the knobs (the codecs, the store) and free of
+numpy, so that neither the parser nor a converter's checks load a
+layer just for a name (``DESIGN.md``, "What a call loads")."""
 
 from __future__ import annotations
 
@@ -20,7 +20,8 @@ from .errors import ConversionError, ReproError
 #: Pipeline names accepted by the converters.
 PIPELINES = ("batch", "record")
 
-#: The sentinel value of an auto-tuned knob (``--shards auto``).
+#: The sentinel value of an auto-tuned knob: the library's
+#: ``shards_per_rank="auto"`` (``core.base.converter_options``).
 AUTO = "auto"
 
 #: Default records per batch through the converter hot loops.
@@ -47,12 +48,12 @@ def validate_knob(value: Any, name: str,
                   error: type[Exception] = ConversionError,
                   auto: bool = True) -> int | str:
     """Validate a tuning knob: a positive int, or — where *auto* allows
-    it (shard counts; a batch size is always an integer) — ``"auto"``.
+    it (a converter's ``shards_per_rank``) — ``"auto"``.
 
     Returns the int or the canonical :data:`AUTO` sentinel; anything
     else raises *error* naming the bad value (no raw ``int()``
-    tracebacks).  The rule of the ``nprocs``, ``shards`` and
-    ``batch_size`` rows of :data:`KNOBS`.
+    tracebacks).  Without *auto*, the rule of the ``nprocs``,
+    ``shards`` and ``batch_size`` rows of :data:`KNOBS`.
     """
     or_auto = " or 'auto'" if auto else ""
     if isinstance(value, str):
@@ -170,8 +171,6 @@ _TARGET = _parsed_by("repro.core.targets", "get_target")
 _FILTER = _parsed_by("repro.core.filters", "parse_filter_expr")
 _RANKS = "convert preprocess sort flagstat region nlmeans fdr peaks submit"
 _CLIENT = "submit status cancel"
-_COST_MODEL = "persistent cost-model profile behind '--shards auto'; " \
-    "every run given one feeds it (default: {})"
 
 #: Every CLI flag and service job parameter, declared once; a verb's
 #: flags come in table order.  ``cli.build_parser`` builds each verb
@@ -200,9 +199,6 @@ KNOBS = {knob.name: knob for knob in (
     Knob("job", positional=True, help="job id", verbs="status cancel",
          per_verb={"status": {"nargs": "?",
                               "help": "job id (all jobs when omitted)"}}),
-    Knob("action", positional=True, choices=("show", "reset"), verbs="tune",
-         help="'show' prints every learned key; 'reset' forgets them "
-              "and removes the model file"),
     Knob("templates", rule=_INT, default=1000, verbs="simulate",
          help="number of read pairs (default 1000)"),
     Knob("chromosomes", default="chr1:60000,chr2:40000", verbs="simulate",
@@ -288,18 +284,11 @@ KNOBS = {knob.name: knob for knob in (
          help="'batch' (default) uses the chunk-level codecs and "
               "per-target fastpaths; 'record' keeps the "
               "record-at-a-time path (outputs are byte-identical)"),
-    Knob("shards", rule=validate_knob, default=1, jobs="convert region",
+    Knob("shards", rule=_count, default=1, jobs="convert region",
          verbs="convert region preprocess serve submit",
          help="shards per rank for dynamic load balancing on the shared "
               "worker pool; 1 (default) keeps the paper-faithful static "
-              "one-task-per-rank schedule, 'auto' lets the cost model "
-              "pick (outputs are byte-identical)"),
-    Knob("cost_model", metavar="PATH",
-         verbs="convert region preprocess serve tune",
-         help=_COST_MODEL.format(
-             "$REPRO_COST_MODEL, then ~/.cache/repro/cost-model.json"),
-         per_verb={"serve": {
-             "help": _COST_MODEL.format("<work-dir>/cost_model.json")}}),
+              "one-task-per-rank schedule (outputs are byte-identical)"),
     Knob("no_mates", action="store_true", verbs="validate",
          help="skip mate cross-checks"),
     Knob("bin_size", rule=_INT, default=25, verbs="histogram peaks",
@@ -359,7 +348,7 @@ KNOBS = {knob.name: knob for knob in (
     Knob("trace", metavar="FILE",
          verbs="simulate convert preprocess sort flagstat validate "
                "region histogram nlmeans fdr peaks serve submit status "
-               "cancel tune formats",
+               "cancel formats",
          help="write a span trace of this run (.json = Chrome trace "
               "format, anything else = JSON lines); REPRO_TRACE=FILE "
               "does the same",

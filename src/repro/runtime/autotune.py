@@ -1,5 +1,5 @@
-"""Self-tuning scheduler: the persistent cost model behind ``--shards
-auto``.
+"""Self-tuning scheduler: the persistent cost model behind a
+converter's ``shards_per_rank="auto"``.
 
 * :class:`CostModel` — a small persistent profile of *observed*
   conversion cost, keyed by ``(target, store format, pipeline,
@@ -20,15 +20,11 @@ auto``.
   pairs; the schedule itself is fixed once dispatched.  Outputs stay
   byte-identical; only the shard count changes.
 
-The service keeps one model in the daemon: a job body builds its
-tuner over a copy of the daemon's entries (:meth:`CostModel.restore`)
-in a pool process, and its observations and ``autotune_*`` counters
-ride home with the job's result for the daemon to fold in and save;
-the CLI builds a tuner per command from
-``--cost-model``/``REPRO_COST_MODEL``.  Every auto
-decision is recorded as a ``cost_model`` provenance block on an
-``autotune`` span inside the job's trace, so ``repro status --trace
-JOB`` explains what was chosen and why.
+Only the library uses it (a converter given ``tuner=`` or
+``shards_per_rank="auto"``); the CLI and the service run the shard
+count they are given.  Every decision is recorded as a ``cost_model``
+provenance block on an ``autotune`` span inside the conversion's
+trace, which explains what was chosen and why.
 """
 
 from __future__ import annotations
@@ -47,8 +43,8 @@ from .executor import default_worker_count, simulate_schedule
 
 __all__ = [
     "CostModel", "AutoTuner", "JobTuning", "make_key", "size_bucket",
-    "resolve_model_path", "AUTO", "DEFAULT_ALPHA", "DEFAULT_MAX_KEYS",
-    "SHARD_CANDIDATES", "SHARD_OVERHEAD_SECONDS",
+    "AUTO", "DEFAULT_ALPHA", "DEFAULT_MAX_KEYS", "SHARD_CANDIDATES",
+    "SHARD_OVERHEAD_SECONDS",
 ]
 
 #: EWMA weight of the newest observation.
@@ -64,24 +60,6 @@ SHARD_CANDIDATES = (1, 2, 4, 8, 16, 32)
 #: (submit + pickle + span bookkeeping).  This is what stops the
 #: predicted makespan from improving forever as shards shrink.
 SHARD_OVERHEAD_SECONDS = 1e-3
-
-#: Environment variable naming the default cost-model file.
-MODEL_PATH_ENV = "REPRO_COST_MODEL"
-
-
-def resolve_model_path(explicit: str | os.PathLike[str] | None = None,
-                       ) -> str:
-    """The cost-model file a CLI command should use.
-
-    Preference order: explicit ``--cost-model`` argument, the
-    ``REPRO_COST_MODEL`` environment variable, then the per-user
-    default under ``~/.cache/repro/``.
-    """
-    if explicit is not None:
-        return os.fspath(explicit)
-    return os.environ.get(MODEL_PATH_ENV) or os.path.join(
-        os.path.expanduser("~"), ".cache", "repro", "cost-model.json")
-
 
 def size_bucket(units: float) -> int:
     """Bucket an input size into power-of-4 classes.
@@ -173,26 +151,18 @@ class CostModel:
             self.load_error = (
                 f"dropped entries without finite rate/rate_max/hot_frac: "
                 f"{', '.join(dropped)}")
-        self.restore({k: entry for k, entry in loaded.items()
-                      if entry is not None})
-
-    def restore(self, keys: dict[str, dict[str, Any]]) -> None:
-        """Replace the profile by *keys*, entries as :meth:`snapshot`
-        returns them (so already clean): how a service job body sees
-        the daemon's model without opening its file."""
-        with self._lock:
-            self._keys = keys
-            self._clock = max(
-                (e["updated"] for e in keys.values()), default=0)
+        self._keys = {k: entry for k, entry in loaded.items()
+                      if entry is not None}
+        self._clock = max((e["updated"] for e in self._keys.values()),
+                          default=0)
 
     def save(self) -> None:
         """Atomically persist the profile (no-op for in-memory models).
 
         The document is written to ``<path>.tmp<pid>`` and moved into
         place with ``os.replace``, so readers never see a torn file —
-        also when several processes (CLI commands sharing
-        ``--cost-model``) save the same model at once; the last one in
-        wins.
+        also when several processes save the same model at once; the
+        last one in wins.
         """
         if self.path is None:
             return
@@ -214,15 +184,6 @@ class CostModel:
         with fh:
             fh.write(text)
         os.replace(tmp, self.path)
-
-    def reset(self) -> None:
-        """Forget every key and remove the model file."""
-        with self._lock:
-            self._keys.clear()
-            self._clock = 0
-        if self.path is not None:
-            with suppress(FileNotFoundError):
-                os.remove(self.path)
 
     def _evict_locked(self) -> None:
         if len(self._keys) <= self.max_keys:
@@ -291,7 +252,7 @@ class CostModel:
         return None
 
     def snapshot(self) -> dict[str, dict[str, Any]]:
-        """Every key's statistics (for ``repro tune show`` and tests)."""
+        """Every key's statistics."""
         with self._lock:
             return {k: dict(v) for k, v in self._keys.items()}
 
@@ -371,10 +332,6 @@ class AutoTuner:
     ----------
     model:
         The cost model consulted and updated by every job.
-    metrics:
-        Optional :class:`~repro.runtime.metrics.ServiceMetrics`; when
-        given (the service), decisions are mirrored as ``autotune_*``
-        counters and gauges.
     workers:
         Worker count the candidate makespans are modeled over;
         defaults to the shared executor's cap.
@@ -383,12 +340,10 @@ class AutoTuner:
     """
 
     def __init__(self, model: CostModel,
-                 metrics: Any | None = None,
                  workers: int | None = None,
                  shard_candidates: tuple[int, ...] = SHARD_CANDIDATES,
                  ) -> None:
         self.model = model
-        self.metrics = metrics
         self.workers = default_worker_count() if workers is None \
             else workers
         self.shard_candidates = tuple(sorted(set(shard_candidates)))
@@ -424,12 +379,6 @@ class AutoTuner:
             if shards == AUTO:
                 decision.shards_per_rank, decision.predicted_makespan = \
                     self._choose_shards(entry, total_units, nprocs)
-        if self.metrics is not None:
-            self.metrics.inc("autotune_jobs")
-            self.metrics.inc("autotune_model_hits" if hit
-                             else "autotune_model_misses")
-            if decision.auto_shards:
-                self.metrics.inc("autotune_auto_jobs")
         return JobTuning(self, decision)
 
     def _choose_shards(self, entry: dict[str, Any], total_units: float,
@@ -486,9 +435,6 @@ class JobTuning:
             # conversion that produced correct output.
             with suppress(OSError):
                 self.tuner.model.save()
-        if self.tuner.metrics is not None:
-            self.tuner.metrics.set_gauge("autotune_model_keys",
-                                         len(self.tuner.model))
 
     def provenance(self) -> dict[str, Any]:
         """The ``cost_model`` block recorded in traced job spans."""

@@ -29,7 +29,6 @@ import os
 import queue
 import threading
 import time
-import warnings
 from multiprocessing.util import Finalize
 from typing import Any
 
@@ -38,11 +37,10 @@ from ..core import BamConverter, SamConverter, parse_filter_expr
 # before BodyWorkers forks them, not once in each worker.
 from ..core import region as _region  # noqa: F401
 from ..core.base import _run_entry
-from ..defaults import JOB_KINDS, job_knobs, validate_knob
+from ..defaults import JOB_KINDS, KNOBS, job_knobs
 from ..errors import ReproError, ServiceError
 from ..formats.registry import SOURCE_FORMATS, STORE_KINDS, source_kind
 from ..formats.store import store_extension
-from ..runtime.autotune import AutoTuner, CostModel
 from ..runtime.executor import ExecutorFailure, _pool_worker_init, \
     reset_shared_executor, resolve_start_method
 from ..runtime.metrics import ServiceMetrics
@@ -56,12 +54,10 @@ from .scheduler import WorkerPool
 #: What each job kind reads.
 _JOB_READS = {"convert": SOURCE_FORMATS, "region": ("bam", *STORE_KINDS),
               "preprocess": ("bam",)}
-#: Least time between two saves of the daemon's cost model.
-MODEL_SAVE_SECONDS = 1.0
 
 
 def _check_job(kind: str, params: dict[str, Any],
-               shards: int | str) -> tuple[str, dict[str, Any]]:
+               shards: int) -> tuple[str, dict[str, Any]]:
     """Check a job against its kind's rows of the knob table, raising
     :class:`ServiceError` naming the first bad parameter — at
     submission, so that a bad job is never journaled, and again when
@@ -97,38 +93,15 @@ def _check_job(kind: str, params: dict[str, Any],
 
 
 # -- job bodies: run in a pool process; one picklable payload in,
-# ``(result, metric deltas, cost-model observations)`` out, the deltas
-# being the snapshot of a ServiceMetrics that lived for the call
-# (ServiceMetrics.absorb).
+# ``(result, metric deltas)`` out, the deltas being the snapshot of a
+# ServiceMetrics that lived for the call (ServiceMetrics.absorb).
 
-class _JobModel(CostModel):
-    """A job body's copy of the daemon's cost model: its path and
-    entries, in memory.  Only the daemon writes the file; what the job
-    observes is kept in :attr:`observed` for the daemon to fold in."""
-
-    def __init__(self, path: str, entries: dict[str, dict]) -> None:
-        super().__init__()
-        self.path = path
-        self.observed: list[tuple[str, list]] = []
-        self.restore(entries)
-
-    def save(self) -> None:
-        """The daemon saves (:meth:`ConversionService._learn`)."""
-
-    def observe(self, key: str, pairs: list[tuple[float, float]]) -> None:
-        self.observed.append((key, list(pairs)))
-        super().observe(key, pairs)
-
-
-def _convert_body(payload: dict[str, Any]) -> tuple[dict[str, Any], dict,
-                                                    list]:
+def _convert_body(payload: dict[str, Any]) -> tuple[dict[str, Any], dict]:
     """A ``convert`` or ``region`` job on ``payload["store"]``, the
     store the daemon resolved (``None``: the input is SAM text)."""
     params, metrics = payload["params"], ServiceMetrics()
-    model = _JobModel(*payload["cost_model"])
     converter = (BamConverter if payload["store"] else SamConverter)(
-        batch_size=params["batch_size"], shards_per_rank=params["shards"],
-        tuner=AutoTuner(model, metrics=metrics))
+        batch_size=params["batch_size"], shards_per_rank=params["shards"])
     record_filter = parse_filter_expr(params["filter"]) \
         if params["filter"] else None
     ranks = params["nprocs"], params["executor"]
@@ -155,10 +128,10 @@ def _convert_body(payload: dict[str, Any]) -> tuple[dict[str, Any], dict,
     return {"target": result.target, "outputs": result.outputs,
             "records": result.records, "emitted": result.emitted,
             "nprocs": result.nprocs, "wall_seconds": result.wall_seconds,
-            "cache": payload["cache"]}, metrics.snapshot(), model.observed
+            "cache": payload["cache"]}, metrics.snapshot()
 
 
-def _preprocess_body(payload: dict[str, Any]) -> tuple[None, dict, list]:
+def _preprocess_body(payload: dict[str, Any]) -> tuple[None, dict]:
     """The cache builder: a BAM into the entry directory."""
     metrics = ServiceMetrics()
     _, _, rank = BamConverter(
@@ -167,7 +140,7 @@ def _preprocess_body(payload: dict[str, Any]) -> tuple[None, dict, list]:
         compress=payload["compress"])
     metrics.inc("preprocess_runs")
     metrics.observe("preprocess_seconds", rank.total_seconds)
-    return None, metrics.snapshot(), []
+    return None, metrics.snapshot()
 
 
 # -- body workers: the daemon's processes that run the bodies above
@@ -323,24 +296,11 @@ class ConversionService:
     cache_max_bytes:
         LRU size cap for the artifact cache (``None`` = unbounded).
     shards_per_rank:
-        Default over-decomposition factor for converter jobs; a job's
-        ``shards`` parameter overrides it, and either may be ``"auto"``
-        to let the shared cost model pick per job (a job's
-        ``batch_size`` is always an integer).  Shards spread only
-        where the job asks for real ranks (``executor``): on pools its
-        worker process builds for it and drops when it ends.
-    cost_model_path:
-        Where the persistent autotune cost model lives; defaults to
-        ``<work_dir>/cost_model.json``.  It is loaded once, here, into
-        :attr:`cost_model`, the one model every job — tuned or manual —
-        reads and feeds: a job's payload carries its entries, and the
-        job's observations come home with its result and ``autotune_*``
-        counters (``repro status --metrics``) to be folded in before
-        the job finishes, so none is lost.  Only the daemon writes the
-        file: at the first fold, then at most once per
-        :data:`MODEL_SAVE_SECONDS`, and once more on :meth:`close`.  A
-        damaged file never fails a job: what could not be loaded is
-        dropped with one :class:`RuntimeWarning` here.
+        Default over-decomposition factor for converter jobs, an
+        integer >= 1; a job's ``shards`` parameter overrides it.
+        Shards spread only where the job asks for real ranks
+        (``executor``): on pools its worker process builds for it and
+        drops when it ends.
     journal_path:
         Optional write-ahead job journal file.  When set, every
         submission and state transition is logged durably, and this
@@ -364,32 +324,18 @@ class ConversionService:
                  cache_dir: str | os.PathLike[str] | None = None,
                  cache_max_bytes: int | None = None,
                  metrics: ServiceMetrics | None = None,
-                 shards_per_rank: int | str = 1,
+                 shards_per_rank: int = 1,
                  journal_path: str | os.PathLike[str] | None = None,
                  journal_fsync: str = "interval",
-                 cache_verify: str | float = "always",
-                 cost_model_path: str | os.PathLike[str] | None = None,
-                 ) -> None:
+                 cache_verify: str | float = "always") -> None:
         self.work_dir = os.fspath(work_dir)
         os.makedirs(self.work_dir, exist_ok=True)
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self.shards_per_rank = validate_knob(
-            shards_per_rank, "shards_per_rank", ServiceError)
+        self.shards_per_rank = KNOBS["shards"].check(
+            shards_per_rank, ServiceError, "shards_per_rank")
         # Fork the body workers while no scheduler, journal or gateway
         # thread exists to be caught holding a lock.
         self.bodies = BodyWorkers(workers, self.metrics)
-        model = CostModel(cost_model_path if cost_model_path is not None
-                          else os.path.join(self.work_dir,
-                                            "cost_model.json"))
-        self.cost_model = model
-        self._model_lock = threading.Lock()
-        self._model_dirty = False
-        self._model_saved = -float("inf")
-        if model.load_error:
-            warnings.warn(f"damaged cost model {model.path}: "
-                          f"{model.load_error}", RuntimeWarning,
-                          stacklevel=2)
-        self.metrics.set_gauge("autotune_model_keys", len(model))
         self.cache = ArtifactCache(
             cache_dir if cache_dir is not None
             else os.path.join(self.work_dir, "cache"),
@@ -466,13 +412,9 @@ class ConversionService:
     def close(self) -> None:
         """Stop the worker pool and the body workers (queued jobs are
         left unrun; with a journal they are recovered by the next
-        incarnation) and save what the cost model learned since its
-        last save."""
+        incarnation)."""
         self.pool.shutdown()
         self.bodies.close()
-        with self._model_lock:
-            if self._model_dirty:
-                self._save_model()
         if self.journal is not None:
             self.journal.close()
 
@@ -495,8 +437,6 @@ class ConversionService:
         return self._in_pool(_convert_body, {
             "kind": job.kind, "params": params, "store": store_path,
             "cache": cache_state,
-            "cost_model": (self.cost_model.path,
-                           self.cost_model.snapshot()),
         }, f"{job.job_id} {job.kind}", job.deadline)
 
     def _in_pool(self, body: Any, payload: dict[str, Any],
@@ -505,8 +445,7 @@ class ConversionService:
         service crosses the process boundary.
 
         The calling thread waits.  Back come the body's result, its
-        metric deltas (folded into :attr:`metrics`), its cost-model
-        observations (folded into :attr:`cost_model`) and its spans,
+        metric deltas (folded into :attr:`metrics`) and its spans,
         which land under the caller's open span — the attempt's
         ``job.<kind>`` — the way rank spans do; the send → receive wall
         less the ``job.body`` span is the ``body_roundtrip_seconds``
@@ -519,7 +458,7 @@ class ConversionService:
         tracer = get_tracer()
         caller = tracer.current_span()
         parent_id = caller.span_id if caller is not None else None
-        ((result, deltas, observed), span_dicts), seconds = \
+        ((result, deltas), span_dicts), seconds = \
             self.bodies.run((body, payload, None, None,
                              (tracer.enabled, tracer.epoch), parent_id,
                              "job.body"), label, deadline)
@@ -530,30 +469,7 @@ class ConversionService:
                     seconds - (span["end"] - span["start"]))
         tracer.ingest(span_dicts, parent_id=parent_id)
         self.metrics.absorb(deltas)
-        self._learn(observed)
         return result
-
-    def _learn(self, observed: list[tuple[str, list]]) -> None:
-        """Fold a body's observations into :attr:`cost_model` and save
-        it unless the last save is under :data:`MODEL_SAVE_SECONDS`
-        old (:meth:`close` writes what that leaves)."""
-        if not observed:
-            return
-        for key, pairs in observed:
-            self.cost_model.observe(key, pairs)
-        self.metrics.set_gauge("autotune_model_keys", len(self.cost_model))
-        with self._model_lock:
-            self._model_dirty = True
-            if time.monotonic() - self._model_saved >= MODEL_SAVE_SECONDS:
-                self._save_model()
-
-    def _save_model(self) -> None:
-        # Called with _model_lock held: one thread writes the file, and
-        # an unwritable work dir fails no job.
-        self._model_dirty = False
-        self._model_saved = time.monotonic()
-        with contextlib.suppress(OSError):
-            self.cost_model.save()
 
     def _store_for(self, bam_path: str, params: dict[str, Any],
                    deadline: float | None) -> tuple[str, str]:

@@ -1,7 +1,7 @@
 """Tests for the self-tuning scheduler (:mod:`repro.runtime.autotune`):
 the persistent cost model (and what a damaged or older file does to
-it), ``shards_per_rank="auto"`` resolution, provenance spans, service
-counters and the CLI surface."""
+it), ``shards_per_rank="auto"`` resolution and provenance spans in the
+library, and the CLI and the service refusing ``auto`` shard counts."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from repro.runtime.autotune import (
     AutoTuner,
     CostModel,
     make_key,
-    resolve_model_path,
     size_bucket,
 )
 from repro.runtime.tracing import Tracer, install
@@ -86,7 +85,7 @@ def test_persistence_round_trip_is_atomic(tmp_path):
 
 
 def _observe_and_save(job):
-    """What one service job body does to the shared model file."""
+    """What one tuned conversion does to its model file."""
     path, key, rounds = job
     for _ in range(rounds):
         model = CostModel(path)
@@ -97,7 +96,7 @@ def _observe_and_save(job):
 
 
 def test_concurrent_processes_never_tear_the_model_file(tmp_path):
-    """CLI commands given one ``--cost-model`` share it as a file: four
+    """Processes given one model path share it as a file: four
     writers replacing it at once may lose each other's observations
     (last save wins) but no reader — here the writers themselves and
     this process — ever loads a torn or half-written document."""
@@ -210,15 +209,6 @@ def test_bounded_history_evicts_least_recently_updated(tmp_path):
         assert reloaded.lookup(f"t{i}|sam|batch|b0") is not None
 
 
-def test_reset_forgets_and_removes_file(tmp_path):
-    path = tmp_path / "m.json"
-    model = CostModel(path)
-    model.observe("a|sam|batch|b0", [(1.0, 1.0)])
-    model.save()
-    model.reset()
-    assert len(model) == 0 and not path.exists()
-
-
 def test_size_buckets_group_similar_inputs():
     assert size_bucket(1) == 0
     assert size_bucket(3) == 0
@@ -238,15 +228,6 @@ def test_nearest_borrows_adjacent_bucket_only(tmp_path):
                                   4 ** 8)) is None
     assert model.nearest(make_key("fasta", "sam", "batch",
                                   4 ** 5)) is None
-
-
-def test_resolve_model_path_precedence(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_COST_MODEL", str(tmp_path / "env.json"))
-    assert resolve_model_path(str(tmp_path / "cli.json")) == \
-        str(tmp_path / "cli.json")
-    assert resolve_model_path() == str(tmp_path / "env.json")
-    monkeypatch.delenv("REPRO_COST_MODEL")
-    assert resolve_model_path().endswith("cost-model.json")
 
 
 # ---------------------------------------------------------------------
@@ -424,52 +405,16 @@ def test_format_tree_renders_cost_model_inline(sam_file, tmp_path):
 # service integration
 
 
-def test_service_auto_job_and_counters(sam_file, tmp_path):
-    from repro.runtime.executor import reset_shared_executor
-    from repro.service.server import ConversionService
-    reset_shared_executor()
-    service = ConversionService(tmp_path / "svc", workers=1)
-    try:
-        static = service.submit("convert", {
-            "input": str(sam_file), "target": "bed",
-            "out_dir": str(tmp_path / "static"), "nprocs": 2})
-        auto = service.submit("convert", {
-            "input": str(sam_file), "target": "bed",
-            "out_dir": str(tmp_path / "auto"), "nprocs": 2,
-            "shards": "auto"})
-        assert service.pool.wait_all(timeout=60)
-        static_job = service.pool.get(static.job_id)
-        auto_job = service.pool.get(auto.job_id)
-        assert static_job.state.value == "done", static_job.error
-        assert auto_job.state.value == "done", auto_job.error
-
-        def job_bytes(job):
-            return {os.path.basename(p): open(p, "rb").read()
-                    for p in job.result["outputs"]}
-        assert job_bytes(auto_job) == job_bytes(static_job)
-
-        assert service.metrics.counter("autotune_jobs") >= 2
-        assert service.metrics.counter("autotune_auto_jobs") >= 1
-        assert service.metrics.gauge("autotune_model_keys") >= 1
-        # The model is the service's own file, shared across jobs.
-        assert os.path.exists(tmp_path / "svc" / "cost_model.json")
-        # The job trace carries the autotune provenance span.
-        spans = service.trace(auto.job_id)
-        tune = [s for s in spans if s["name"] == "autotune"]
-        assert tune and "cost_model" in tune[0]["args"]
-    finally:
-        service.close()
-        reset_shared_executor()
-
-
 def test_service_rejects_bad_knobs_at_submit(sam_file, tmp_path):
     from repro.service.server import ConversionService
     service = ConversionService(tmp_path / "svc", workers=1)
     try:
-        with pytest.raises(ServiceError, match=r"shards value 'turbo'"):
-            service.submit("convert", {
-                "input": str(sam_file), "target": "bed",
-                "out_dir": str(tmp_path / "out"), "shards": "turbo"})
+        for bad in ("turbo", "auto"):
+            with pytest.raises(ServiceError, match=rf"shards value {bad!r}: "
+                               r"expected a positive integer$"):
+                service.submit("convert", {
+                    "input": str(sam_file), "target": "bed",
+                    "out_dir": str(tmp_path / "out"), "shards": bad})
         for bad in (0, "auto"):
             with pytest.raises(ServiceError,
                                match=rf"batch_size value {bad!r}"):
@@ -480,106 +425,18 @@ def test_service_rejects_bad_knobs_at_submit(sam_file, tmp_path):
         service.close()
 
 
-def test_service_jobs_survive_a_damaged_shared_model(sam_file, tmp_path):
-    """The service attaches its one tuner to every job, so a
-    ``cost_model.json`` whose entry for this very workload has no
-    statistics must cost a warning at start-up and nothing else."""
-    import warnings
-
-    from repro.service.server import ConversionService
-    key = make_key("bed", "sam", "batch", os.path.getsize(sam_file))
-    write_model(tmp_path / "svc" / "cost_model.json", {key: {"count": 3}})
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        service = ConversionService(tmp_path / "svc", workers=1)
-        try:
-            jobs = [service.submit("convert", {
-                "input": str(sam_file), "target": "bed",
-                "out_dir": str(tmp_path / f"out{i}"), "nprocs": 2,
-                "shards": shards})
-                for i, shards in enumerate((1, "auto"))]
-            for job in jobs:
-                final = service.wait(job.job_id, 60)
-                assert final["state"] == "done", final["error"]
-        finally:
-            service.close()
-    assert [str(w.message) for w in caught
-            if issubclass(w.category, RuntimeWarning)] == [
-        f"damaged cost model {tmp_path / 'svc' / 'cost_model.json'}: "
-        f"dropped entries without finite rate/rate_max/hot_frac: {key}"]
-    assert CostModel(tmp_path / "svc" / "cost_model.json").lookup(key)[
-        "count"] == 2
-
-
 def test_service_ctor_rejects_bad_default_shards(tmp_path):
     from repro.service.server import ConversionService
-    with pytest.raises(ServiceError, match=r"shards_per_rank value"):
-        ConversionService(tmp_path / "svc", workers=1,
-                          shards_per_rank="warp")
+    for bad in ("warp", "auto"):
+        with pytest.raises(ServiceError,
+                           match=rf"shards_per_rank value {bad!r}: "
+                                 r"expected a positive integer$"):
+            ConversionService(tmp_path / "svc", workers=1,
+                              shards_per_rank=bad)
 
 
 # ---------------------------------------------------------------------
 # CLI surface
-
-
-def test_cli_tune_show_and_reset(tmp_path, capsys):
-    from repro.cli import main
-    path = str(tmp_path / "m.json")
-    model = CostModel(path)
-    model.observe("bed|sam|batch|b5", [(100.0, 1.0)])
-    model.save()
-    assert main(["tune", "show", "--cost-model", path]) == 0
-    out = capsys.readouterr().out
-    assert "bed|sam|batch|b5" in out and "1 keys" in out
-    assert main(["tune", "reset", "--cost-model", path]) == 0
-    assert not os.path.exists(path)
-    assert main(["tune", "show", "--cost-model", path]) == 0
-    assert "empty (cold)" in capsys.readouterr().out
-
-
-def test_cli_survives_an_entry_without_statistics(sam_file, tmp_path,
-                                                  capsys):
-    """`tune show` and `convert --shards auto` over a model whose entry
-    for this workload is `{"count": 3}` used to die on KeyError 'rate'."""
-    from repro.cli import main
-    key = make_key("bed", "sam", "batch", os.path.getsize(sam_file))
-    path = write_model(tmp_path / "m.json", {
-        key: {"count": 3}, "fasta|sam|batch|b5": GOOD_ENTRY})
-    warning = (f"warning: damaged cost model {path}: dropped entries "
-               f"without finite rate/rate_max/hot_frac: {key}\n")
-    assert main(["tune", "show", "--cost-model", str(path)]) == 0
-    shown = capsys.readouterr()
-    assert shown.err == warning
-    assert "fasta|sam|batch|b5" in shown.out and "1 keys" in shown.out
-    assert key not in shown.out
-    assert main(["convert", str(sam_file), "--target", "bed", "--nprocs",
-                 "2", "--shards", "auto", "--cost-model", str(path),
-                 "--out-dir", str(tmp_path / "auto")]) == 0
-    assert capsys.readouterr().err == warning
-    assert main(["convert", str(sam_file), "--target", "bed", "--nprocs",
-                 "2", "--out-dir", str(tmp_path / "static")]) == 0
-    for name in os.listdir(tmp_path / "static"):
-        assert (tmp_path / "auto" / name).read_bytes() == \
-            (tmp_path / "static" / name).read_bytes()
-    assert CostModel(path).load_error is None      # the run repaired it
-
-
-def test_cli_auto_convert_warms_model(sam_file, tmp_path, capsys):
-    from repro.cli import main
-    path = str(tmp_path / "m.json")
-    args = ["convert", str(sam_file), "--target", "bed",
-            "--nprocs", "2", "--shards", "auto", "--cost-model", path]
-    assert main(args + ["--out-dir", str(tmp_path / "o1")]) == 0
-    assert main(args + ["--out-dir", str(tmp_path / "o2")]) == 0
-    capsys.readouterr()
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    assert any(k.startswith("bed|sam|batch|") for k in doc["keys"])
-    o1 = sorted(os.listdir(tmp_path / "o1"))
-    assert o1 == sorted(os.listdir(tmp_path / "o2"))
-    for name in o1:
-        assert (tmp_path / "o1" / name).read_bytes() == \
-            (tmp_path / "o2" / name).read_bytes()
 
 
 def test_cli_rejects_bad_shards_naming_value(capsys):
@@ -598,3 +455,20 @@ def test_cli_refuses_batch_size_auto_at_parse_time(verb, capsys):
     assert exit_info.value.code == 2
     assert "argument --batch-size: invalid batch_size value 'auto': " \
         "expected a positive integer\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["preprocess", "x.sam"], ["serve"]],
+                         ids=lambda argv: argv[0])
+def test_cli_refuses_shards_auto_at_parse_time(argv, capsys):
+    """A shard count on the command line is an integer: the cost model
+    behind ``auto`` is the library's alone.  (``convert``, ``region``
+    and ``submit`` are rows of ``test_cli.CROSS_SURFACE``.)"""
+    from repro.cli import main
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--shards", "auto"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"{argv[0]}: error: argument --shards: invalid "
+                        f"shards value 'auto': expected a positive "
+                        f"integer\n")
+    assert "Traceback" not in err

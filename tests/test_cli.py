@@ -529,12 +529,51 @@ def test_preprocess_refuses_compress_on_sam_input(sim_sam, tmp_path,
     assert not work.exists()
 
 
+def test_convert_refuses_bam_only_flags_on_sam_and_store_input(
+        sim_sam, tmp_path, capsys):
+    """``--bamx``, ``--baix`` and ``--store-format`` steer a BAM's
+    preprocessing; on other input they used to be ignored (exit 0,
+    even with a ``--bamx`` that does not exist)."""
+    bam = tmp_path / "s.bam"
+    assert run(["simulate", str(bam), "--templates", "25"]) == 0
+    assert run(["preprocess", str(bam), "--work-dir",
+                str(tmp_path / "w")]) == 0
+    (store,) = sorted((tmp_path / "w").glob("*.bamx"))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    for source in (sim_sam, store):
+        for flag in (["--bamx", "nope.bamx"], ["--baix", "nope.baix"],
+                     ["--store-format", "bamc"]):
+            assert run(["convert", str(source), "--target", "bed",
+                        "--out-dir", str(out), *flag]) == 1
+            _one_line_error(capsys, flag[0], "BAM input only",
+                            str(source))
+            assert not out.exists()
+    # The default store format, and a work dir, are no refusal.
+    assert run(["convert", str(sim_sam), "--target", "bed", "--out-dir",
+                str(out), "--store-format", "bamx", "--work-dir",
+                str(tmp_path / "w2")]) == 0
+
+
+def test_submit_refuses_mode_without_region(service_socket, sim_sam,
+                                            tmp_path, capsys):
+    """``--mode`` belongs to region jobs: without ``--region`` it used
+    to be dropped from a convert job without a word."""
+    assert run(["submit", str(sim_sam), "--socket", service_socket,
+                "--target", "bed", "--out-dir", str(tmp_path / "o"),
+                "--mode", "overlap", "--wait"]) == 2
+    _one_line_error(capsys, "--mode", "region jobs only")
+    assert run(["status", "--socket", service_socket]) == 0
+    assert capsys.readouterr().out == "no jobs\n"
+    assert not (tmp_path / "o").exists()
+
+
 #: Bad values of each knob both the CLI and a service job take, and the
 #: verb (and job kind) they are given to.
 CROSS_SURFACE = [
     ("nprocs", ["0", "-2", "two"], "convert"),
     ("executor", ["gpu"], "convert"),
-    ("shards", ["0", "many"], "convert"),
+    ("shards", ["0", "many", "auto"], "convert"),
     ("batch_size", ["0", "auto"], "convert"),
     ("store_format", ["zip"], "convert"),
     ("mode", ["sideways"], "region"),
@@ -732,9 +771,6 @@ def test_bam_convert_and_region_leave_cold_path_modules_out(tmp_path,
          ("repro.core.region",)),
         (["convert", sam_file, "--target", "json"], (),
          ("repro.formats.json_fmt",)),
-        (["convert", sam_file, "--target", "bed", "--shards", "auto",
-          "--cost-model", str(tmp_path / "model.json")], (),
-         ("repro.runtime.autotune",)),
         (["convert", str(floats), "--target", "bed"], (),
          ("repro.formats.batch",)),
         (["convert", sam_file, "--target", "gff", "--nprocs", "2",

@@ -375,19 +375,18 @@ def test_service_restart_reruns_interrupted_job(tmp_path, sam_file):
         svc.close()
 
 
-def test_recovered_job_with_batch_size_auto_fails_with_the_message(
-        tmp_path, sam_file):
-    """A journal written while ``"batch_size": "auto"`` was still a
-    value: the recovered job bypasses ``submit`` and must fail with the
-    validator's sentence, not a traceback from inside a converter."""
+def _recover_an_auto_job(tmp_path, sam_file, name):
+    """Recover a journaled convert job whose *name* parameter is
+    ``"auto"``: it bypasses ``submit`` and must fail with the door's
+    sentence, not a traceback from inside a converter, and write
+    nothing."""
     import json
 
     journal = tmp_path / "journal.jsonl"
     journal.write_text(json.dumps({"event": "submit", "job": spec(
         "job-000003", kind="convert",
         params={"input": sam_file, "target": "bed",
-                "out_dir": str(tmp_path / "out"),
-                "batch_size": "auto"})}) + "\n")
+                "out_dir": str(tmp_path / "out"), name: "auto"})}) + "\n")
     svc = ConversionService(tmp_path / "svc", workers=1,
                             journal_path=journal)
     try:
@@ -395,7 +394,21 @@ def test_recovered_job_with_batch_size_auto_fails_with_the_message(
     finally:
         svc.close()
     assert final["state"] == "failed"
-    assert final["error"].endswith("invalid batch_size value 'auto': "
-                                   "expected a positive integer")
+    assert final["error"].endswith(f"invalid {name} value 'auto': "
+                                   f"expected a positive integer")
     assert "Traceback" not in final["error"]
     assert not (tmp_path / "out").exists()
+
+
+def test_recovered_job_with_batch_size_auto_fails_with_the_message(
+        tmp_path, sam_file):
+    """A journal written while ``"batch_size": "auto"`` was still a
+    value."""
+    _recover_an_auto_job(tmp_path, sam_file, "batch_size")
+
+
+def test_recovered_job_with_shards_auto_fails_with_the_message(
+        tmp_path, sam_file):
+    """A journal written while ``"shards": "auto"`` was still a
+    value."""
+    _recover_an_auto_job(tmp_path, sam_file, "shards")

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import os
 import re
+import subprocess
+import sys
 import threading
 import time
 
@@ -724,9 +726,6 @@ def test_job_trace_spans_cross_the_process_boundary(service, bam_file,
                               "locate"]
     assert path("write") == ["job.region", "job.body", "convert.region",
                              "rank", "write"]
-    assert path("autotune")[:-1] == path("convert.region")
-    (tune,) = [s for s in spans if s["name"] == "autotune"]
-    assert tune["args"]["cost_model"]["hit"] is True
     (body,) = [s for s in spans if s["name"] == "job.body"]
     assert body["args"]["task"] == "_convert_body"
     # Worker-side spans sit on the daemon's timeline, inside the attempt.
@@ -735,66 +734,33 @@ def test_job_trace_spans_cross_the_process_boundary(service, bam_file,
     assert service.metrics.snapshot()["timers"]["span.job.body"]["count"] >= 2
 
 
-def test_daemon_folds_every_observation_and_owns_the_model_file(
-        bam_file, tmp_path, monkeypatch):
-    """K same-key region jobs from two clients on two workers advance
-    the daemon's model entry by exactly K, and only the daemon process
-    ever opens ``cost_model.json``: a spy on ``CostModel`` load and
-    save, inherited by the body workers forked after it, logs each
-    caller's pid."""
-    from repro.runtime import autotune
-    log = tmp_path / "model-opens.log"
-
-    def spied(method):
-        def spy(self, *args):
-            if self.path is not None:
-                with open(log, "a", encoding="utf-8") as fh:
-                    fh.write(f"{os.getpid()} {method.__name__}\n")
-            return method(self, *args)
-        return spy
-
-    for name in ("_load", "save"):
-        monkeypatch.setattr(autotune.CostModel, name,
-                            spied(getattr(autotune.CostModel, name)))
-    svc = ConversionService(tmp_path / "svc", workers=2)
-    daemon = GatewayServer(svc, tcp_address=("127.0.0.1", 0))
-    daemon.start()
-    k = 8
-    try:
-        def region(client, tag):
-            job = client.submit("region", {
-                "input": bam_file, "region": "chr1:1-30000",
-                "target": "bed", "out_dir": str(tmp_path / tag)})
-            return client.wait(job["job_id"], timeout=60)
-
-        with ServiceClient(daemon.tcp_address) as client:
-            assert region(client, "prime")["state"] == "done"
-        (key, before), = svc.cost_model.snapshot().items()
-        finals: list = []
-
-        def client_loop(c):
-            with ServiceClient(daemon.tcp_address) as client:
-                finals.extend(region(client, f"c{c}-{i}")
-                              for i in range(k // 2))
-
-        threads = [threading.Thread(target=client_loop, args=(c,))
-                   for c in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(120)
-        assert [f["state"] for f in finals] == ["done"] * k
-        after = svc.cost_model.lookup(key)
-        assert after["count"] == before["count"] + k
-        assert after["updated"] == before["updated"] + k
-    finally:
-        daemon.stop()               # drains, then closes the service
-    path = tmp_path / "svc" / "cost_model.json"
-    assert autotune.CostModel(path).snapshot() == svc.cost_model.snapshot()
-    assert [name for name in os.listdir(tmp_path / "svc")
-            if name.startswith("cost_model.json.tmp")] == []
-    pids = {line.split()[0] for line in log.read_text().splitlines()}
-    assert pids == {str(os.getpid())}
+def test_a_service_never_loads_the_tuner(sam_file, bam_file, tmp_path):
+    """A job runs the shard count it is given: a daemon that has run a
+    SAM convert and a BAM region job has not imported the cost
+    model."""
+    import repro
+    probe = (
+        "import sys\n"
+        "from repro.service import ConversionService\n"
+        f"svc = ConversionService({str(tmp_path / 'svc')!r}, workers=1)\n"
+        "try:\n"
+        "    for kind, params in (\n"
+        f"            ('convert', {{'input': {sam_file!r}, 'shards': 2}}),\n"
+        f"            ('region', {{'input': {bam_file!r},\n"
+        "                         'region': 'chr1:1-30000'})):\n"
+        "        job = svc.submit(kind, dict(params, target='bed',\n"
+        f"                         out_dir={str(tmp_path / 'o')!r} + kind))\n"
+        "        final = svc.wait(job.job_id, 60)\n"
+        "        assert final['state'] == 'done', final['error']\n"
+        "finally:\n"
+        "    svc.close()\n"
+        "print('LOADED', 'repro.runtime.autotune' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    done = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().endswith("LOADED False"), done.stdout
 
 
 # ---------------------------------------------------------------------
