@@ -7,7 +7,7 @@ from .._lazy import lazy_exports
 __all__, __getattr__ = lazy_exports(globals(), {
     "buffers": ("BufferedTextWriter", "RangeLineReader"),
     "executor": ("DEFAULT_IDLE_TIMEOUT", "POOL_KINDS", "ExecutorFailure",
-                 "SharedExecutor", "get_shared_executor",
+                 "PipeWorkers", "SharedExecutor", "get_shared_executor",
                  "reset_shared_executor", "resolve_start_method",
                  "shared_executor_stats", "simulate_schedule"),
     "metrics": ("DEFAULT_CLUSTER", "ClusterModel", "RankMetrics",

@@ -11,28 +11,27 @@ across calls, many small work items pulled dynamically.
 
 :class:`SharedExecutor` provides exactly that:
 
-* lazily-created thread *and* forked-process pools, reused across
-  calls (``stats()["process_pool_starts"]`` stays at 1 over a burst of
-  conversions);
+* lazily-created thread and process (:class:`PipeWorkers`) pools,
+  reused across calls (``stats()["process_pool_starts"]`` stays at 1
+  over a burst of conversions);
 * worker counts capped at ``os.cpu_count()`` by default — never one
   thread per rank;
 * ``fork`` start method where the platform has it, transparent
-  fallback to ``spawn`` elsewhere (work is always submitted as
-  ``fn(item)`` with picklable module-level functions, which both
-  start methods can ship);
+  fallback to ``spawn`` elsewhere (work is always ``fn(item)`` with
+  picklable module-level functions, which both can ship);
 * idle-timeout shutdown: pools that sit unused are torn down by a
   timer and lazily recreated on the next call;
-* dynamic dispatch: :meth:`SharedExecutor.map_tasks` submits items in
-  descending cost order (longest-shard-first), so whichever worker
+* dynamic dispatch: :meth:`SharedExecutor.map_tasks` hands items out
+  in descending cost order (longest-shard-first), so whichever worker
   frees up pulls the next-largest remaining item — the classic LPT
   greedy schedule;
-* crash containment: a worker dying mid-task surfaces as
-  :class:`ExecutorFailure` naming the task's label (shard id), the
-  broken pool is discarded, and the next call gets a fresh one.
+* crash containment: a worker dying mid-task fails that task alone
+  with :class:`ExecutorFailure` naming its label (shard id); only that
+  worker is re-forked, and the tasks beside it run to their end.
 
 Ordinary exceptions *raised by* a task propagate unchanged (the pool
-is unharmed); :class:`ExecutorFailure` is reserved for the pool
-machinery itself breaking under a task.
+is unharmed); :class:`ExecutorFailure` is reserved for a worker dying
+under a task.
 """
 
 from __future__ import annotations
@@ -40,22 +39,25 @@ from __future__ import annotations
 import heapq
 import math
 import os
+import queue
 import threading
 import time
 from collections.abc import Callable, Sequence
 from contextlib import suppress
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from ..errors import RuntimeLayerError
 
 if TYPE_CHECKING:  # the pool machinery loads where a pool is first built
-    from concurrent.futures import Future, ProcessPoolExecutor, \
-        ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
+
+    from .metrics import ServiceMetrics
 
 __all__ = [
-    "ExecutorFailure", "SharedExecutor", "get_shared_executor",
-    "reset_shared_executor", "shared_executor_stats",
-    "resolve_start_method", "simulate_schedule",
+    "ExecutorFailure", "PipeWorkers", "SharedExecutor",
+    "get_shared_executor", "reset_shared_executor",
+    "shared_executor_stats", "resolve_start_method", "simulate_schedule",
     "default_worker_count", "DEFAULT_IDLE_TIMEOUT", "POOL_KINDS",
 ]
 
@@ -67,7 +69,7 @@ DEFAULT_IDLE_TIMEOUT = 120.0
 
 
 class ExecutorFailure(RuntimeLayerError):
-    """A pool worker died (or the pool broke) while running a task.
+    """A pool worker died while running a task.
 
     The message names the failing work item (its rank/shard label) and
     the underlying cause, so a crash inside one shard of one rank is
@@ -85,7 +87,7 @@ class ExecutorFailure(RuntimeLayerError):
 
 
 def _pool_worker_init(owner_pid: int | None) -> None:
-    """Worker initializer: disabled tracer, SIGINT ignored, no inherited
+    """Worker set-up: disabled tracer, SIGINT ignored, no inherited
     executor, and no life after the parent.
 
     A forked worker inherits whatever tracer the parent had installed
@@ -97,13 +99,12 @@ def _pool_worker_init(owner_pid: int | None) -> None:
     the parent shuts the pool down cleanly.  The inherited ``_SHARED``
     handle points at the *parent's* pools: a task that itself asks for
     ``thread``/``process`` ranks (a service job) must build its own.
-    And a worker whose parent was SIGKILLed would wait on the call
-    queue forever — siblings hold its write end, so EOF never comes —
-    so a daemon thread compares ``os.getppid()`` once a second and
-    exits the worker, mid-task or idle, once it is no longer
-    *owner_pid* (``None`` under ``forkserver``: the parent is the fork
-    server, which dies with its owner).  Module-level so ``spawn`` can
-    pickle it.
+    And a worker whose parent was SIGKILLed must not finish its task,
+    nor wait on a pipe another child of the parent may hold open — so
+    a daemon thread compares ``os.getppid()`` once a second and exits
+    the worker, mid-task or idle, once it is no longer *owner_pid*
+    (``None`` under ``forkserver``: the parent is the fork server,
+    which dies with its owner).
     """
     global _SHARED, _SHARED_LOCK
     import signal
@@ -167,6 +168,176 @@ def resolve_start_method(start_method: str | None = None) -> str:
     return start_method
 
 
+# -- the process pool -------------------------------------------------
+
+def _pipe_worker(conn: Any, owner_pid: int | None,
+                 inherited: list[Any]) -> None:
+    """A worker's loop: ``(fn, item)`` in, ``(True, fn(item))`` or
+    ``(False, exception)`` out, until ``None`` or EOF (a reply that
+    does not pickle ends the worker).  *inherited*, the parent's ends
+    of the pipes at the fork, are closed so that EOF can come."""
+    for other in inherited:
+        other.close()
+    _pool_worker_init(owner_pid)
+    with suppress(EOFError, OSError):
+        while (task := conn.recv()) is not None:
+            fn, item = task
+            try:
+                reply = (True, fn(item))
+            except Exception as exc:  # noqa: BLE001 — sent home
+                reply = (False, exc)
+            conn.send(reply)
+
+
+def _stop_workers(slots: list[list[Any]], lock: threading.Lock) -> None:
+    """Stop every worker of *slots*; a task still running finishes."""
+    with lock:      # a fork under way ends first; none starts after
+        for _, conn in slots:
+            with suppress(OSError):
+                conn.send(None)
+    for proc, conn in slots:
+        proc.join()
+        conn.close()
+
+
+class PipeWorkers:
+    """*n* worker processes, one duplex pipe each: the process pool.
+
+    The constructor forks them, so the service builds it before any
+    thread exists.  A task is one ``(fn, item)`` send and one receive,
+    with no relay thread.  A worker that dies under a task fails that
+    task with :class:`ExecutorFailure` and is re-forked alone.
+    :attr:`counts` (``starts``, ``alive``, ``tasks_completed``,
+    ``tasks_failed``) are also *metrics*' ``body_worker_*`` gauges.
+    """
+
+    def __init__(self, n: int, start_method: str | None = None,
+                 metrics: ServiceMetrics | None = None) -> None:
+        import multiprocessing
+        from multiprocessing.util import Finalize
+        method = resolve_start_method(start_method)
+        self._ctx = multiprocessing.get_context(method)
+        self._owner = None if method == "forkserver" else os.getpid()
+        self._metrics = metrics
+        self._lock = threading.Lock()
+        self.counts = dict.fromkeys(
+            ("starts", "alive", "tasks_completed", "tasks_failed"), 0)
+        self._slots: list[list[Any]] = []     # [process, parent's end]
+        self._free: queue.SimpleQueue[int] = queue.SimpleQueue()
+        # Also at interpreter exit, before multiprocessing joins them.
+        self._stop = Finalize(self, _stop_workers, exitpriority=10,
+                              args=(self._slots, self._lock))
+        for i in range(n):
+            self._fork(i)
+            self._free.put(i)
+
+    def close(self) -> None:
+        """Stop every worker; a task still running finishes first."""
+        self._stop()
+
+    @property
+    def pids(self) -> list[int]:
+        """The workers' process ids, in slot order."""
+        return [proc.pid for proc, _ in self._slots]
+
+    def _fork(self, i: int) -> None:
+        """Fork slot *i*'s worker, killing the one there — but none once
+        the pool is closed.  One fork at a time: a worker must not
+        inherit another's end of its pipe."""
+        if i < len(self._slots):
+            proc, conn = self._slots[i]
+            conn.close()
+            proc.kill()
+            proc.join()
+            self._count(alive=-1, tasks_failed=1)
+        with self._lock:
+            if not self._stop.still_active():
+                return
+            ours, theirs = self._ctx.Pipe()
+            inherited = [conn for _, conn in self._slots if not conn.closed]
+            proc = self._ctx.Process(target=_pipe_worker, args=(
+                theirs, self._owner, [*inherited, ours]))
+            proc.start()
+            theirs.close()
+            self._slots[i:i + 1] = [[proc, ours]]
+        self._count(starts=1, alive=1)
+
+    def _count(self, **deltas: int) -> None:
+        with self._lock:
+            for name, delta in deltas.items():
+                self.counts[name] += delta
+            if self._metrics is not None:
+                for name, value in self.counts.items():
+                    self._metrics.set_gauge(f"body_worker_{name}", value)
+
+    def run(self, fn: Callable[[Any], Any], item: Any, label: str,
+            deadline: float | None = None) -> tuple[Any, float]:
+        """:meth:`map` of one item: its reply and the seconds it took."""
+        t0 = time.perf_counter()
+        (reply,) = self.map(fn, [item], [label], deadline=deadline)
+        return reply, time.perf_counter() - t0
+
+    def map(self, fn: Callable[[Any], Any], items: Sequence[Any],
+            labels: Sequence[str], order: Sequence[int] | None = None,
+            deadline: float | None = None) -> list[Any]:
+        """``fn(item)`` for every item, sent in *order* to whichever
+        worker is free; results in input order.  After a failure no
+        more is sent, the tasks in flight settle, and the first failure
+        is raised: the task's exception, or :class:`ExecutorFailure`
+        naming its label if its worker died.  A call waits for a worker
+        only while it holds none, so concurrent calls cannot deadlock.
+        A call cut short — :class:`TimeoutError` at *deadline*
+        (``time.monotonic()``) — kills and re-forks its busy workers.
+        """
+        from multiprocessing.connection import wait
+        results: list[Any] = [None] * len(items)
+        todo = list(range(len(items)) if order is None else order)[::-1]
+        busy: dict[Any, tuple[int, int]] = {}   # parent's end -> slot, item
+        failure: BaseException | None = None
+        try:
+            while busy or todo and failure is None:
+                while todo and failure is None:
+                    try:
+                        slot = self._free.get(block=not busy)
+                    except queue.Empty:
+                        break
+                    index = todo.pop()
+                    conn = self._slots[slot][1]
+                    busy[conn] = slot, index
+                    with suppress(OSError):   # a dead worker shows at recv
+                        conn.send((fn, items[index]))
+                ready = wait(list(busy), None if deadline is None
+                             else max(0.0, deadline - time.monotonic()))
+                if not ready:
+                    index = next(iter(busy.values()))[1]
+                    raise TimeoutError(f"[{labels[index]}] killed with "
+                                       f"its worker at the deadline")
+                for conn in ready:
+                    slot, index = busy[conn]
+                    try:
+                        ok, reply = conn.recv()
+                    except (EOFError, OSError) as exc:
+                        proc = self._slots[slot][0]
+                        self._fork(slot)
+                        ok, reply = False, ExecutorFailure(
+                            labels[index], f"{type(exc).__name__}: worker "
+                            f"{proc.pid} died (exit code {proc.exitcode})")
+                    del busy[conn]
+                    self._free.put(slot)
+                    if ok:
+                        results[index] = reply
+                        self._count(tasks_completed=1)
+                    elif failure is None:
+                        failure = reply
+        finally:
+            for slot, _ in busy.values():
+                self._fork(slot)
+                self._free.put(slot)
+        if failure is not None:
+            raise failure
+        return results
+
+
 class SharedExecutor:
     """Lazily-started, reusable thread + process pools behind one front.
 
@@ -174,8 +345,8 @@ class SharedExecutor:
     ----------
     max_workers:
         Worker cap per pool; defaults to ``REPRO_EXECUTOR_WORKERS`` or
-        ``os.cpu_count()``.  Ranks/shards beyond the cap queue inside
-        the pool — never one thread per spec.
+        ``os.cpu_count()``.  Ranks/shards beyond the cap wait for a
+        free worker — never one thread per spec.
     idle_timeout:
         Seconds of disuse after which live pools are shut down (they
         are recreated lazily on the next call).  ``None`` or ``<= 0``
@@ -208,7 +379,7 @@ class SharedExecutor:
         self.start_method = resolve_start_method(start_method)
         self._lock = threading.RLock()
         self._thread_pool: ThreadPoolExecutor | None = None
-        self._process_pool: ProcessPoolExecutor | None = None
+        self._process_pool: PipeWorkers | None = None
         self._timer: threading.Timer | None = None
         self._active_calls = 0
         self._last_used = time.monotonic()
@@ -223,34 +394,31 @@ class SharedExecutor:
 
     # -- pool lifecycle ----------------------------------------------
 
-    def _get_pool(self, kind: str):
+    def _get_pool(self, kind: str) -> Any:
         # Called with the lock held.
-        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
         if kind == "thread":
             if self._thread_pool is None:
+                from concurrent.futures import ThreadPoolExecutor
                 self._thread_pool = ThreadPoolExecutor(
                     max_workers=self.max_workers,
                     thread_name_prefix="repro-exec")
                 self._counters["thread_pool_starts"] += 1
             return self._thread_pool
         if self._process_pool is None:
-            import multiprocessing
-            ctx = multiprocessing.get_context(self.start_method)
-            self._process_pool = ProcessPoolExecutor(
-                max_workers=self.max_workers, mp_context=ctx,
-                initializer=_pool_worker_init, initargs=(
-                    None if self.start_method == "forkserver"
-                    else os.getpid(),))
+            self._process_pool = PipeWorkers(self.max_workers,
+                                             self.start_method)
             self._counters["process_pool_starts"] += 1
         return self._process_pool
 
-    def _take_pools(self) -> list[Any]:
-        # Called with the lock held; detaches live pools for shutdown.
-        pools = [p for p in (self._thread_pool, self._process_pool)
-                 if p is not None]
-        self._thread_pool = None
-        self._process_pool = None
-        return pools
+    def _take_pools(self, wait: bool) -> list[Callable[[], None]]:
+        # Called with the lock held; detaches the live pools for shutdown.
+        stops: list[Callable[[], None]] = []
+        if self._thread_pool is not None:
+            stops.append(partial(self._thread_pool.shutdown, wait=wait))
+        if self._process_pool is not None:
+            stops.append(self._process_pool.close)
+        self._thread_pool = self._process_pool = None
+        return stops
 
     def _arm_idle_timer(self, delay: float | None = None) -> None:
         # One pending check serves any number of calls (a service job
@@ -273,13 +441,13 @@ class SharedExecutor:
             idle_for = time.monotonic() - self._last_used
             if self._active_calls:     # the call's end arms the next one
                 return
-            pools = self._take_pools() \
+            stops = self._take_pools(wait=False) \
                 if idle_for >= self.idle_timeout else []
-            if pools:
+            if stops:
                 self._counters["idle_shutdowns"] += 1
-        for pool in pools:
-            pool.shutdown(wait=False)
-        if not pools:
+        for stop in stops:
+            stop()
+        if not stops:
             self._arm_idle_timer(self.idle_timeout - idle_for)
 
     def shutdown(self, wait_for_tasks: bool = True) -> None:
@@ -288,9 +456,9 @@ class SharedExecutor:
             if self._timer is not None:
                 self._timer.cancel()
                 self._timer = None
-            pools = self._take_pools()
-        for pool in pools:
-            pool.shutdown(wait=wait_for_tasks)
+            stops = self._take_pools(wait=wait_for_tasks)
+        for stop in stops:
+            stop()
 
     # -- dispatch ----------------------------------------------------
 
@@ -299,19 +467,17 @@ class SharedExecutor:
                   costs: Sequence[float] | None = None) -> list[Any]:
         """Run ``fn(item)`` for every item on the *kind* pool.
 
-        Items are submitted in descending *costs* order
-        (longest-first), so the pool's work queue realizes a dynamic
-        LPT schedule: whichever worker frees up pulls the largest
-        remaining item.  Results come back in **input order**
-        regardless.
+        Items are handed out in descending *costs* order
+        (longest-first), whichever worker frees up taking the largest
+        remaining item: a dynamic LPT schedule.  Results come back in
+        **input order** regardless.
 
         A task raising an ordinary exception propagates that exception
-        unchanged after the remaining futures settle.  A worker *crash*
-        (broken pool) raises :class:`ExecutorFailure` carrying the
-        first affected item's label; the broken pool is discarded so
-        the executor survives for the next call.
+        unchanged after the tasks in flight settle.  A worker dying
+        under a task raises :class:`ExecutorFailure` carrying that
+        task's label (``task <i>`` without *labels*); only that worker
+        is re-forked, so the executor serves the next call.
         """
-        from concurrent.futures import FIRST_EXCEPTION, BrokenExecutor, wait
         if kind not in POOL_KINDS:
             raise RuntimeLayerError(
                 f"unknown pool kind {kind!r}; choose from {POOL_KINDS}")
@@ -329,56 +495,32 @@ class SharedExecutor:
             self._active_calls += 1
             self._counters["calls"] += 1
         try:
-            futures: dict[int, Future] = {}
-            try:
-                for i in order:
-                    futures[i] = pool.submit(fn, items[i])
-            except BrokenExecutor as exc:
-                for future in futures.values():
-                    future.cancel()
-                self._fail(pool, self._label(labels, order[len(futures)]),
-                           exc)
-            wait(futures.values(), return_when=FIRST_EXCEPTION)
-            failed = [i for i in order
-                      if futures[i].done() and not futures[i].cancelled()
-                      and futures[i].exception() is not None]
-            if failed:
-                for future in futures.values():
-                    future.cancel()
-                wait(futures.values())  # let in-flight tasks settle
-                first = failed[0]
-                exc = futures[first].exception()
-                assert exc is not None
-                if isinstance(exc, BrokenExecutor):
-                    self._fail(pool, self._label(labels, first), exc)
-                raise exc
-            results = [futures[i].result() for i in range(len(items))]
+            if kind == "process":
+                results = pool.map(fn, items, [
+                    labels[i] if labels is not None and i < len(labels)
+                    else f"task {i}" for i in range(len(items))], order)
+            else:
+                from concurrent.futures import FIRST_EXCEPTION, wait
+                futures = [pool.submit(fn, items[i]) for i in order]
+                wait(futures, return_when=FIRST_EXCEPTION)
+                for future in futures:
+                    future.cancel()     # those not started; the rest settle
+                wait(futures)
+                results = [None] * len(items)
+                for i, future in zip(order, futures):  # FIFO: a failed one
+                    results[i] = future.result()       # precedes a cancel
             with self._lock:
                 self._counters["tasks_completed"] += len(items)
             return results
+        except ExecutorFailure:
+            with self._lock:
+                self._counters["tasks_failed"] += 1
+            raise
         finally:
             with self._lock:
                 self._active_calls -= 1
                 self._last_used = time.monotonic()
             self._arm_idle_timer()
-
-    def _fail(self, pool: Any, label: str, exc: BaseException) -> None:
-        # A broken process pool is dropped so the next call starts a
-        # fresh one; a second caller that saw the same pool break finds
-        # it gone and leaves the replacement alone.
-        with self._lock:
-            self._counters["tasks_failed"] += 1
-            if self._process_pool is pool:
-                self._process_pool = None
-                pool.shutdown(wait=False)
-        raise ExecutorFailure(
-            label, f"{type(exc).__name__}: {exc}") from exc
-
-    @staticmethod
-    def _label(labels: Sequence[str] | None, index: int) -> str:
-        if labels is not None and index < len(labels):
-            return labels[index]
-        return f"task {index}"
 
     # -- introspection -----------------------------------------------
 

@@ -23,26 +23,19 @@ imports.
 
 from __future__ import annotations
 
-import contextlib
-import multiprocessing
 import os
-import queue
-import threading
-import time
-from multiprocessing.util import Finalize
 from typing import Any
 
 from ..core import BamConverter, SamConverter, parse_filter_expr
 # Region jobs parse their region in a body worker: load the parser
-# before BodyWorkers forks them, not once in each worker.
+# before the body workers are forked, not once in each worker.
 from ..core import region as _region  # noqa: F401
 from ..core.base import _run_entry
 from ..defaults import JOB_KINDS, KNOBS, job_knobs
 from ..errors import ReproError, ServiceError
 from ..formats.registry import SOURCE_FORMATS, STORE_KINDS, source_kind
 from ..formats.store import store_extension
-from ..runtime.executor import ExecutorFailure, _pool_worker_init, \
-    reset_shared_executor, resolve_start_method
+from ..runtime.executor import PipeWorkers, reset_shared_executor
 from ..runtime.metrics import ServiceMetrics
 from ..runtime.tracing import get_tracer
 from . import journal as journal_mod
@@ -143,142 +136,6 @@ def _preprocess_body(payload: dict[str, Any]) -> tuple[None, dict]:
     return None, metrics.snapshot()
 
 
-# -- body workers: the daemon's processes that run the bodies above
-
-def _body_worker(conn: Any, owner_pid: int | None,
-                 inherited: list[Any]) -> None:
-    """A body worker's loop: a ``_run_entry`` tuple in, ``(True,
-    reply)`` or ``(False, exception)`` out, until the daemon sends
-    ``None`` or its end of the pipe is gone (a reply that cannot be
-    pickled ends the worker, which the daemon reports as its death).
-
-    *inherited* are the daemon's ends of the pipes that existed at the
-    fork — its siblings' and this worker's own — closed here so that
-    each worker sees EOF once the daemon's copy is gone."""
-    for other in inherited:
-        other.close()
-    _pool_worker_init(owner_pid)
-    with contextlib.suppress(EOFError, OSError):
-        while (entry := conn.recv()) is not None:
-            try:
-                reply = (True, _run_entry(entry))
-            except Exception as exc:  # noqa: BLE001 — sent home
-                reply = (False, exc)
-            conn.send(reply)
-
-
-def _stop_workers(slots: list[list[Any]]) -> None:
-    """Ask every worker to exit, wait for each (a body still running
-    finishes first), then close the daemon's ends."""
-    for _, conn in slots:
-        with contextlib.suppress(OSError):
-            conn.send(None)
-    for proc, conn in slots:
-        proc.join()
-        conn.close()
-
-
-class BodyWorkers:
-    """*n* processes, one duplex pipe each, that run job bodies.
-
-    The constructor forks them (``resolve_start_method()``), so build
-    this before any thread exists.  :meth:`run` takes a free worker, sends it one
-    ``_run_entry`` tuple and receives the reply: a job body is one send
-    and one receive, with no relay thread between them.  A worker that
-    dies under a body fails that call with :class:`ExecutorFailure`
-    and is re-forked alone; the others, and the bodies they run, are
-    untouched.  ``body_worker_{starts,alive,tasks_completed,
-    tasks_failed}`` gauges count them in *metrics*.
-    """
-
-    def __init__(self, n: int, metrics: ServiceMetrics) -> None:
-        method = resolve_start_method()
-        self._ctx = multiprocessing.get_context(method)
-        self._owner = None if method == "forkserver" else os.getpid()
-        self._metrics = metrics
-        self._lock = threading.Lock()
-        self._counts = dict.fromkeys(
-            ("starts", "alive", "tasks_completed", "tasks_failed"), 0)
-        self._slots: list[list[Any]] = []     # [process, daemon's end]
-        self._free: queue.SimpleQueue[int] = queue.SimpleQueue()
-        for i in range(n):
-            self._slots.append(self._fork())
-            self._free.put(i)
-        # Also at interpreter exit, before multiprocessing joins them.
-        self._stop = Finalize(self, _stop_workers, args=(self._slots,),
-                              exitpriority=10)
-
-    def close(self) -> None:
-        """Stop every worker; a body still running finishes first."""
-        self._stop()
-
-    @property
-    def pids(self) -> list[int]:
-        """The workers' process ids, in slot order."""
-        return [proc.pid for proc, _ in self._slots]
-
-    def _fork(self) -> list[Any]:
-        ours, theirs = self._ctx.Pipe()
-        inherited = [conn for _, conn in self._slots if not conn.closed]
-        proc = self._ctx.Process(
-            target=_body_worker, name="repro-body",
-            args=(theirs, self._owner, [*inherited, ours]))
-        proc.start()
-        theirs.close()
-        self._count(starts=1, alive=1)
-        return [proc, ours]
-
-    def _refork(self, i: int) -> None:
-        """Kill slot *i*'s worker, whatever it is doing, and fork its
-        successor."""
-        proc, conn = self._slots[i]
-        conn.close()
-        proc.kill()
-        proc.join()
-        self._count(alive=-1, tasks_failed=1)
-        self._slots[i] = self._fork()
-
-    def _count(self, **deltas: int) -> None:
-        with self._lock:
-            for name, delta in deltas.items():
-                self._counts[name] += delta
-            for name, value in self._counts.items():
-                self._metrics.set_gauge(f"body_worker_{name}", value)
-
-    def run(self, entry: tuple, label: str,
-            deadline: float | None = None) -> tuple[Any, float]:
-        """``_run_entry(entry)`` in a free worker; returns its reply and
-        the seconds from send to receive.  The body's exception is
-        re-raised here; a worker that died is :class:`ExecutorFailure`
-        naming *label*.  A body still running at *deadline*
-        (``time.monotonic()``) is :class:`TimeoutError`: its worker is
-        killed and re-forked like a dead one, so the slot is free again
-        at once."""
-        i = self._free.get()
-        proc, conn = self._slots[i]
-        try:
-            t0 = time.perf_counter()
-            conn.send(entry)
-            if deadline is not None and not conn.poll(
-                    max(0.0, deadline - time.monotonic())):
-                self._refork(i)
-                raise TimeoutError(f"[{label}] body worker {proc.pid} "
-                                   f"killed at the attempt's deadline")
-            ok, reply = conn.recv()
-            seconds = time.perf_counter() - t0
-        except (EOFError, BrokenPipeError, ConnectionResetError) as exc:
-            self._refork(i)
-            raise ExecutorFailure(
-                label, f"{type(exc).__name__}: body worker {proc.pid} "
-                       f"died (exit code {proc.exitcode})") from exc
-        finally:
-            self._free.put(i)
-        if not ok:
-            raise reply
-        self._count(tasks_completed=1)
-        return reply, seconds
-
-
 class ConversionService:
     """Long-lived conversion job service (in-process façade).
 
@@ -290,7 +147,7 @@ class ConversionService:
     workers:
         Jobs in flight at once: scheduler threads that resolve a job's
         inputs through the cache, then wait for its body to finish in
-        one of as many :class:`BodyWorkers` processes (forked here,
+        one of as many body workers (:class:`PipeWorkers`, forked here,
         before any thread; ``REPRO_EXECUTOR_WORKERS`` does not size
         them).
     cache_max_bytes:
@@ -335,7 +192,7 @@ class ConversionService:
             shards_per_rank, ServiceError, "shards_per_rank")
         # Fork the body workers while no scheduler, journal or gateway
         # thread exists to be caught holding a lock.
-        self.bodies = BodyWorkers(workers, self.metrics)
+        self.bodies = PipeWorkers(workers, metrics=self.metrics)
         self.cache = ArtifactCache(
             cache_dir if cache_dir is not None
             else os.path.join(self.work_dir, "cache"),
@@ -447,21 +304,18 @@ class ConversionService:
         The calling thread waits.  Back come the body's result, its
         metric deltas (folded into :attr:`metrics`) and its spans,
         which land under the caller's open span — the attempt's
-        ``job.<kind>`` — the way rank spans do; the send → receive wall
-        less the ``job.body`` span is the ``body_roundtrip_seconds``
-        timer.  A body that takes its interpreter down surfaces as
-        ``ExecutorFailure`` naming *label*, and only its worker is
-        re-forked; so is the worker of a body still running at the
-        attempt's *deadline* (:class:`TimeoutError`), and nothing of
-        that body is folded in.
+        ``job.<kind>`` — the way rank spans do; the round trip less
+        the ``job.body`` span is the ``body_roundtrip_seconds`` timer.
+        A body whose worker dies, or that runs past *deadline*, fails
+        as :meth:`PipeWorkers.map` says, and nothing of it is folded in.
         """
         tracer = get_tracer()
         caller = tracer.current_span()
         parent_id = caller.span_id if caller is not None else None
+        entry = (body, payload, None, None, (tracer.enabled, tracer.epoch),
+                 parent_id, "job.body")
         ((result, deltas), span_dicts), seconds = \
-            self.bodies.run((body, payload, None, None,
-                             (tracer.enabled, tracer.epoch), parent_id,
-                             "job.body"), label, deadline)
+            self.bodies.run(_run_entry, entry, label, deadline)
         for span in span_dicts:
             if span["name"] == "job.body":
                 self.metrics.observe(

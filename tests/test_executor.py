@@ -2,6 +2,7 @@
 (:mod:`repro.runtime.executor`) and the shard-metrics fold."""
 
 import os
+import sys
 import threading
 import time
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from repro.errors import RuntimeLayerError
 from repro.runtime.executor import (
     ExecutorFailure,
+    PipeWorkers,
     SharedExecutor,
     get_shared_executor,
     reset_shared_executor,
@@ -47,12 +49,25 @@ def _thread_name(_x):
     return threading.current_thread().name
 
 
+def _crash_or_sleep(x):
+    if x < 0:
+        os._exit(3)
+    time.sleep(0.3)
+    return x
+
+
+def _pid(_x):
+    return os.getpid()
+
+
 _ORDER_LOG: list[int] = []
 
 
 def _log_order(x):
+    """The position at which *x* ran: the log is per process, and a
+    process pool's worker starts it empty."""
     _ORDER_LOG.append(x)
-    return x
+    return len(_ORDER_LOG)
 
 
 @pytest.fixture()
@@ -88,21 +103,35 @@ def test_costs_length_mismatch_rejected(executor):
         executor.map_tasks(_double, [1, 2], "thread", costs=[1.0])
 
 
-def test_longest_first_submission_order():
+@pytest.mark.parametrize("kind", ["thread", "process"])
+def test_longest_first_submission_order(kind):
     # One worker makes the pool's execution order equal the submission
     # order, exposing the LPT (descending cost) sort.
     ex = SharedExecutor(max_workers=1, idle_timeout=0)
     try:
         _ORDER_LOG.clear()
-        ex.map_tasks(_log_order, [10, 30, 20], "thread",
-                     costs=[1.0, 3.0, 2.0])
-        assert _ORDER_LOG == [30, 20, 10]
+        items = [10, 30, 20]
+        ran_at = ex.map_tasks(_log_order, items, kind,
+                              costs=[1.0, 3.0, 2.0])
+        assert [x for _, x in sorted(zip(ran_at, items))] == [30, 20, 10]
     finally:
         ex.shutdown()
 
 
 def test_process_pool_runs_tasks(executor):
     assert executor.map_tasks(_double, [1, 2, 3], "process") == [2, 4, 6]
+
+
+def test_process_map_leaves_no_helper_thread():
+    """The process pool is pipes and processes: a map starts no thread
+    in the parent (no queue feeder, no manager)."""
+    before = threading.active_count()
+    ex = SharedExecutor(max_workers=2, idle_timeout=0)
+    try:
+        assert ex.map_tasks(_double, [1, 2, 3], "process") == [2, 4, 6]
+        assert threading.active_count() == before, threading.enumerate()
+    finally:
+        ex.shutdown()
 
 
 # -- oversubscription guard (satellite 1) ----------------------------
@@ -270,11 +299,73 @@ def test_worker_crash_raises_executor_failure_with_label(executor):
 def test_pool_survives_worker_crash(executor):
     with pytest.raises(ExecutorFailure):
         executor.map_tasks(_crash, [0], "process")
-    # The broken pool was discarded; the next call gets a fresh one.
+    # The pool lives on; only the dead worker was re-forked.
     assert executor.map_tasks(_double, [4], "process") == [8]
     stats = executor.stats()
-    assert stats["process_pool_starts"] == 2
+    assert stats["process_pool_starts"] == 1
+    assert executor._process_pool.counts["starts"] == \
+        executor.max_workers + 1
     assert stats["tasks_failed"] == 1
+
+
+@pytest.mark.parametrize("items, dying", [([1, -1], "item 1"),
+                                          ([1, 2, 3, -1], "item 3")])
+def test_crash_names_the_dying_item_and_spares_its_neighbour(items, dying):
+    """The label is the piece whose worker died, not the first piece
+    submitted; the other worker and the piece it ran live on."""
+    ex = SharedExecutor(max_workers=2, idle_timeout=0)
+    try:
+        before = set(ex.map_tasks(_pid, [0, 1], "process"))
+        assert len(before) == 2
+        with pytest.raises(ExecutorFailure) as err:
+            ex.map_tasks(_crash_or_sleep, items, "process",
+                         labels=[f"item {i}" for i in range(len(items))])
+        assert err.value.label == dying
+        after = set(ex.map_tasks(_pid, [0, 1], "process"))
+        assert len(before & after) == 1, (before, after)
+        assert ex.stats()["process_pool_starts"] == 1
+    finally:
+        ex.shutdown()
+
+
+def test_concurrent_callers_share_the_process_pool():
+    """Six threads — three calling ``run`` piece by piece, three
+    ``map`` — on a pool of two workers all finish with their own
+    results and no count lost: a call waits for a worker only while it
+    holds none, so callers cannot deadlock one another."""
+    pool = PipeWorkers(2)
+    results, errors = {}, []
+
+    def caller(k):
+        items = list(range(10 * k, 10 * k + 5))
+        try:
+            if k % 2:
+                results[k] = pool.map(_double, items, ["piece"] * 5,
+                                      order=[4, 3, 2, 1, 0])
+            else:
+                results[k] = [pool.run(_double, x, "piece")[0]
+                              for x in items]
+        except Exception as exc:  # noqa: BLE001 — asserted below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,), daemon=True)
+                   for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == {k: [2 * x for x in range(10 * k, 10 * k + 5)]
+                           for k in range(6)}
+        assert pool.counts["tasks_completed"] == 30
+        assert pool.counts["starts"] == 2
+    finally:
+        sys.setswitchinterval(interval)
+        pool.close()
 
 
 def test_crash_in_one_item_of_many(executor):
