@@ -287,11 +287,16 @@ class PipeWorkers:
         naming its label if its worker died.  A call waits for a worker
         only while it holds none, so concurrent calls cannot deadlock.
         A call cut short — :class:`TimeoutError` at *deadline*
-        (``time.monotonic()``) — kills and re-forks its busy workers.
+        (``time.monotonic()``) — kills and re-forks its busy workers; a
+        call whose deadline has passed claims none.  A task that does
+        not pickle is a failure that leaves its worker untouched.
         """
         from multiprocessing.connection import wait
         results: list[Any] = [None] * len(items)
         todo = list(range(len(items)) if order is None else order)[::-1]
+        if todo and deadline is not None and time.monotonic() >= deadline:
+            raise TimeoutError(f"[{labels[todo[-1]]}] past its deadline "
+                               f"before it started")
         busy: dict[Any, tuple[int, int]] = {}   # parent's end -> slot, item
         failure: BaseException | None = None
         try:
@@ -303,9 +308,17 @@ class PipeWorkers:
                         break
                     index = todo.pop()
                     conn = self._slots[slot][1]
+                    try:
+                        with suppress(OSError):  # a dead worker shows at recv
+                            conn.send((fn, items[index]))
+                    except Exception as exc:  # noqa: BLE001 — pickling
+                        # fails before a byte is written: no harm done.
+                        self._free.put(slot)
+                        failure = exc
+                        break
                     busy[conn] = slot, index
-                    with suppress(OSError):   # a dead worker shows at recv
-                        conn.send((fn, items[index]))
+                if not busy:
+                    break
                 ready = wait(list(busy), None if deadline is None
                              else max(0.0, deadline - time.monotonic()))
                 if not ready:

@@ -205,6 +205,7 @@ class ArtifactCache:
     def get_or_build(self, input_path: str | os.PathLike[str],
                      params: dict,
                      builder: Callable[[str], None],
+                     deadline: float | None = None,
                      ) -> tuple[CacheEntry, bool]:
         """Return the entry for (*input_path*, *params*), building it
         on a miss.
@@ -212,14 +213,15 @@ class ArtifactCache:
         *builder(entry_dir)* must populate *entry_dir* with the
         artifacts; it runs at most once per key even under concurrent
         submission.  An entry that fails digest verification is
-        quarantined and rebuilt transparently.  Returns
-        ``(entry, hit)``.
+        quarantined and rebuilt transparently.  Waiting for another
+        thread's build of the key ends in :class:`TimeoutError` at
+        *deadline* (``time.monotonic()``).  Returns ``(entry, hit)``.
         """
         key = _keyed(self._digest(input_path)[0], params)
         entry = self._fetch(key)
         if entry is not None:
             return entry, True
-        with self._building(key):
+        with self._building(key, deadline):
             # Re-check: another thread may have built while we waited.
             entry = self._fetch(key)
             if entry is not None:
@@ -358,16 +360,24 @@ class ArtifactCache:
         return entry
 
     @contextlib.contextmanager
-    def _building(self, key: str) -> Iterator[None]:
+    def _building(self, key: str,
+                  deadline: float | None) -> Iterator[None]:
         """Hold *key*'s build lock, which exists only while some thread
-        is in here: the table cannot outgrow the builds in flight."""
+        is in here (the table cannot outgrow the builds in flight), or
+        raise :class:`TimeoutError` if it is not free by *deadline*."""
         with self._lock:
             slot = self._build_locks.setdefault(
                 key, [threading.Lock(), 0])
             slot[1] += 1
         try:
-            with slot[0]:
+            if not slot[0].acquire(timeout=-1 if deadline is None else max(
+                    0.0, deadline - time.monotonic())):
+                raise TimeoutError(f"gave up waiting at the deadline for "
+                                   f"the build of cache entry {key}")
+            try:
                 yield
+            finally:
+                slot[0].release()
         finally:
             with self._lock:
                 slot[1] -= 1

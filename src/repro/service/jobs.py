@@ -147,7 +147,9 @@ class Job:
     #: runs and clears them once the terminal record is journaled.
     waiters: list = field(default_factory=list, repr=False)
     #: When the running attempt must end (``time.monotonic()``), set by
-    #: the pool as it starts one; ``None`` without a *timeout*.
+    #: the pool as it starts one; ``None`` without a *timeout*.  The
+    #: runner bounds its waits by it; the pool times out an attempt
+    #: that comes back after it.
     deadline: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:

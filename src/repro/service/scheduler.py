@@ -1,16 +1,14 @@
 """Thread-based job scheduler: priority queue + worker pool.
 
 The pool drains a priority queue (higher :attr:`Job.priority` first,
-FIFO among equals) with N worker threads.  An attempt with a *timeout*
-runs on its own thread so the limit can be enforced with
-``join(timeout)`` (one without runs on the worker thread itself); the
-runner is handed the same limit as :attr:`Job.deadline` — the service
-kills the body worker of an attempt still running at it — and a
-timed-out attempt's thread is abandoned (daemon).  An attempt timed
-out, or one that raised :class:`TimeoutError`, either retries with
-exponential backoff or fails.  Retries
-are parked in a delay heap and become eligible again at
-``backoff * 2**(attempt-1)`` seconds.
+FIFO among equals) with N scheduler threads; each runs its attempts
+inline, and the pool starts no other thread.  An attempt with a
+*timeout* hands the runner :attr:`Job.deadline`, which bounds the
+runner's own waits (the service kills a body still running at it), and
+is timed out when the runner raises :class:`TimeoutError` or returns
+after it.  A timed-out or failed attempt retries with exponential
+backoff or fails; retries are parked in a delay heap and become
+eligible again at ``backoff * 2**(attempt-1)`` seconds.
 
 Cancellation is immediate for queued jobs.  For running jobs the
 :attr:`Job.cancel_requested` event is set; the runner may poll it
@@ -52,22 +50,22 @@ RETAINED_TERMINAL_JOBS = 1000
 class WorkerPool:
     """Priority-queue scheduler executing jobs on worker threads.
 
+    Each attempt records a span tree into :attr:`Job.trace` and
+    mirrors span durations into ``span.<name>`` metric timers.
+
     Parameters
     ----------
     runner:
-        ``runner(job) -> result`` callable doing the actual work.  It
-        runs outside the scheduler lock and may raise; the exception
-        text becomes the job error.
+        ``runner(job) -> result`` callable doing the actual work, on a
+        worker thread.  It runs outside the scheduler lock and may
+        raise; the exception text becomes the job error.  A job with a
+        *timeout* must not outlast :attr:`Job.deadline` by much: its
+        worker thread is the runner's until it returns.
     workers:
         Number of concurrent worker threads.
     metrics:
         Optional shared :class:`ServiceMetrics`; one is created when
         omitted.
-    trace_jobs:
-        Record a span tree per job attempt into :attr:`Job.trace` and
-        mirror span durations into ``span.<name>`` metric timers.  On
-        by default; disable for benchmark pools where the per-span
-        bookkeeping would distort measurements.
     journal:
         Optional :class:`~repro.service.journal.JobJournal`.  When
         set, every submission is journaled *before* it is enqueued
@@ -81,12 +79,10 @@ class WorkerPool:
 
     def __init__(self, runner: Callable[[Job], Any], workers: int = 2,
                  metrics: ServiceMetrics | None = None,
-                 trace_jobs: bool = True,
                  journal: JobJournal | None = None) -> None:
         if workers < 1:
             raise ServiceError(f"workers {workers} must be >= 1")
         self._runner = runner
-        self._trace_jobs = trace_jobs
         self._journal = journal
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self._cond = threading.Condition()
@@ -419,63 +415,8 @@ class WorkerPool:
                     wait = max(0.0, self._delayed[0][0] - now)
                 self._cond.wait(wait)
 
-    def _run_attempt(self, job: Job) -> tuple[Any, BaseException | None,
-                                              bool, list[dict]]:
-        """Run one attempt; returns (result, exception, timed_out,
-        span_dicts)."""
-        box: list[Any] = [None, None, []]
-
-        def invoke() -> Any:
-            # The attempt-level fault point: armed ``exception`` makes
-            # the retry/backoff path real, armed ``crash`` dies
-            # mid-RUNNING so journal replay re-queues this job.
-            faults.fire("scheduler.attempt")
-            return self._runner(job)
-
-        def call() -> None:
-            if not self._trace_jobs:
-                try:
-                    box[0] = invoke()
-                except BaseException as exc:  # noqa: BLE001 — reported
-                    box[1] = exc
-                return
-            # One tracer per attempt: the converter/runtime spans of
-            # this job land in an isolated tree (activate() is
-            # thread-local, so concurrent jobs do not interleave).
-            tracer = Tracer(enabled=True)
-            try:
-                with tracer.activate(), \
-                        tracer.span(f"job.{job.kind}", "service",
-                                    args={"job_id": job.job_id,
-                                          "attempt": job.attempts}):
-                    box[0] = invoke()
-            except BaseException as exc:  # noqa: BLE001 — reported
-                box[1] = exc
-            finally:
-                box[2] = [s.to_dict() for s in tracer.spans()]
-
-        if job.timeout is None:
-            # Nothing to enforce: run on the worker thread itself.
-            call()
-            return box[0], box[1], False, box[2]
-        job.deadline = time.monotonic() + job.timeout
-        thread = threading.Thread(target=call, daemon=True,
-                                  name=f"{job.job_id}-attempt"
-                                       f"{job.attempts}")
-        thread.start()
-        thread.join(job.timeout)
-        if thread.is_alive() or isinstance(box[1], TimeoutError):
-            # An attempt thread still running is abandoned (its span
-            # list must not be read while it runs); its runner is held
-            # to job.deadline, which falls before the join's end.
-            return None, None, True, []
-        return box[0], box[1], False, box[2]
-
     def _worker_loop(self) -> None:
-        while True:
-            job = self._next_job()
-            if job is None:
-                return
+        while (job := self._next_job()) is not None:
             if self._journal is not None \
                     and self._journal.needs_compact():
                 # Opportunistic compaction between attempts.  The
@@ -486,15 +427,38 @@ class WorkerPool:
                     self.compact_journal()
                 except ReproError:
                     self.metrics.inc("journal_compact_errors")
-            result, exc, timed_out, spans = self._run_attempt(job)
+            if job.timeout is not None:
+                job.deadline = time.monotonic() + job.timeout
+            # One tracer per attempt: the converter/runtime spans of
+            # this job land in an isolated tree (activate() is
+            # thread-local, so concurrent jobs do not interleave).
+            tracer = Tracer(enabled=True)
+            result, exc = None, None
+            try:
+                with tracer.activate(), \
+                        tracer.span(f"job.{job.kind}", "service",
+                                    args={"job_id": job.job_id,
+                                          "attempt": job.attempts}):
+                    # The attempt-level fault point: armed
+                    # ``exception`` makes the retry/backoff path real,
+                    # armed ``crash`` dies mid-RUNNING so journal
+                    # replay re-queues this job.
+                    faults.fire("scheduler.attempt")
+                    result = self._runner(job)
+            except BaseException as error:  # noqa: BLE001 — reported
+                exc = error
+            # Timed out: the runner gave up at the deadline (the body's
+            # worker is killed there) or came back after it.
+            timed_out = job.deadline is not None and (
+                isinstance(exc, TimeoutError)
+                or time.monotonic() > job.deadline)
+            spans = [span.to_dict() for span in tracer.spans()]
             with self._cond:
-                if spans:
-                    job.trace.extend(spans)
-                    for span in spans:
-                        if span.get("end") is not None:
-                            self.metrics.observe(
-                                f"span.{span['name']}",
-                                span["end"] - span["start"])
+                job.trace.extend(spans)
+                for span in spans:
+                    if span.get("end") is not None:
+                        self.metrics.observe(f"span.{span['name']}",
+                                             span["end"] - span["start"])
                 if job.cancel_requested.is_set():
                     self._finish(job, JobState.CANCELLED)
                     continue

@@ -356,4 +356,5 @@ class ConversionService:
         return self.cache.get_or_build(
             bam_path, key, lambda entry_dir: self._in_pool(
                 _preprocess_body, dict(build, entry_dir=entry_dir),
-                f"preprocess {os.path.basename(bam_path)}", deadline))
+                f"preprocess {os.path.basename(bam_path)}", deadline),
+            deadline)

@@ -387,6 +387,54 @@ def test_ordinary_task_exception_propagates_unwrapped(executor):
     assert executor.map_tasks(_double, [1], "process") == [2]
 
 
+def _unpicklable(case):
+    """A task that cannot be sent, and what sending it raises."""
+    from multiprocessing.reduction import ForkingPickler
+    fn, items = {"function": (lambda x: x, [1, 2]),
+                 "item": (_double, [1, threading.Lock()])}[case]
+    for item in items:
+        try:
+            ForkingPickler.dumps((fn, item))
+        except Exception as exc:  # noqa: BLE001 — the expected failure
+            return fn, items, exc
+    raise AssertionError(f"every {case} task pickles")
+
+
+@pytest.mark.parametrize("case", ["function", "item"])
+def test_a_task_that_does_not_pickle_costs_no_worker(case):
+    """Pickling ends before a byte is sent: the call raises the pickling
+    error once the tasks in flight settle, and no worker is killed."""
+    fn, items, expected = _unpicklable(case)
+    ex = SharedExecutor(max_workers=2, idle_timeout=0)
+    try:
+        ex.map_tasks(_pid, [0, 1], "process")
+        pool = ex._process_pool
+        pids = pool.pids
+        with pytest.raises(type(expected)) as err:
+            ex.map_tasks(fn, items, "process")
+        assert str(err.value) == str(expected)
+        assert pool.counts["starts"] == 2
+        assert pool.counts["tasks_failed"] == 0
+        assert pool.pids == pids
+        assert ex.map_tasks(_double, [1, 2], "process") == [2, 4]
+    finally:
+        ex.shutdown()
+
+
+def test_a_call_past_its_deadline_claims_no_worker():
+    pool = PipeWorkers(1)
+    try:
+        pids = pool.pids
+        with pytest.raises(TimeoutError, match="late"):
+            pool.run(abs, -1, "late", deadline=time.monotonic() - 1)
+        assert pool.counts["starts"] == 1
+        assert pool.counts["tasks_failed"] == 0
+        assert pool.pids == pids
+        assert pool.run(abs, -1, "on time")[0] == 1
+    finally:
+        pool.close()
+
+
 # -- the process-global instance -------------------------------------
 
 def test_global_executor_is_shared_and_resettable():

@@ -4,11 +4,13 @@ successful recovery — never as an unhandled crash."""
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import socket as socketlib
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -305,8 +307,7 @@ class _TinyService:
     def __init__(self) -> None:
         self.metrics = ServiceMetrics()
         self.pool = WorkerPool(lambda job: dict(job.params),
-                               workers=1, metrics=self.metrics,
-                               trace_jobs=False)
+                               workers=1, metrics=self.metrics)
 
     def submit(self, kind, params, priority=0, timeout=None,
                max_retries=0, backoff=0.1):
@@ -555,5 +556,69 @@ def test_a_timed_out_body_frees_its_worker(tmp_path, monkeypatch, sam_file,
         assert gauges["body_worker_tasks_failed"] == 1
         # Two bodies ran to a reply: the BAM job's build and conversion.
         assert gauges["body_worker_tasks_completed"] == 2
+    finally:
+        service.close()
+
+
+def test_a_timed_out_attempt_leaves_nothing_running(tmp_path, monkeypatch,
+                                                     sam_file):
+    """Attempt 1 sleeps past its timeout in ``scheduler.attempt`` and
+    is timed out; attempt 2 finishes the job.  Nothing of attempt 1
+    runs afterwards: the output is not rewritten, one body ran, no
+    worker was killed, and no attempt thread is left."""
+    from repro.service import ConversionService
+    monkeypatch.setattr(faults, "DELAY_SECONDS", 1.2)
+    # seed 1 at prob 0.5 fires on the first evaluation and not the
+    # second: attempt 1 is delayed, attempt 2 is not.
+    faults.arm("scheduler.attempt:delay:0.5:1")
+    service = ConversionService(tmp_path / "svc", workers=2)
+    try:
+        out_dir = tmp_path / "out"
+        job = service.submit("convert", {
+            "input": sam_file, "target": "bed", "out_dir": str(out_dir)},
+            timeout=1.0, max_retries=1, backoff=0.01)
+        final = service.wait(job.job_id, 30)
+        assert final["state"] == "done", final["error"]
+        assert final["attempts"] == 2
+        (part,) = glob.glob(str(out_dir / "*.part0000.bed"))
+        mtime = os.stat(part).st_mtime_ns
+        time.sleep(1.5)
+        assert os.stat(part).st_mtime_ns == mtime
+        gauges = service.metrics.snapshot()["gauges"]
+        assert gauges["body_worker_tasks_completed"] == 1
+        assert gauges["body_worker_tasks_failed"] == 0
+        assert not [thread.name for thread in threading.enumerate()
+                    if "attempt" in thread.name]
+    finally:
+        service.close()
+
+
+def test_a_wait_for_another_jobs_build_ends_at_the_timeout(
+        tmp_path, monkeypatch, bam_file):
+    """A job with ``timeout=0.3`` queued behind another job's slow
+    build of the same BAM's store is ``failed`` ("timed out") within
+    0.5 s, not when that build ends."""
+    from repro.service import ConversionService
+    monkeypatch.setattr(faults, "DELAY_SECONDS", 2.0)  # forked workers too
+    faults.arm("preprocess.rank:delay")
+    service = ConversionService(tmp_path / "svc", workers=2)
+    try:
+        builder = service.submit("convert", {
+            "input": bam_file, "target": "bed",
+            "out_dir": str(tmp_path / "first")})
+        deadline = time.monotonic() + 30
+        while service.status(builder.job_id)["state"] == "queued" \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.3)     # its cache build is now asleep in a worker
+        t0 = time.monotonic()
+        waiter = service.submit("convert", {
+            "input": bam_file, "target": "bed",
+            "out_dir": str(tmp_path / "second")}, timeout=0.3)
+        final = service.wait(waiter.job_id, 30)
+        assert time.monotonic() - t0 < 0.5
+        assert final["state"] == "failed"
+        assert "timed out" in final["error"]
+        assert service.wait(builder.job_id, 30)["state"] == "done"
     finally:
         service.close()

@@ -111,7 +111,7 @@ class EchoService:
         self.pool = WorkerPool(
             runner if runner is not None else
             (lambda job: dict(job.params)),
-            workers=workers, metrics=self.metrics, trace_jobs=False)
+            workers=workers, metrics=self.metrics)
 
     def submit(self, kind, params, priority=0, timeout=None,
                max_retries=0, backoff=0.1):
@@ -462,6 +462,8 @@ def scripted_runner(gate: threading.Event):
         mode = job.params.get("mode")
         if mode == "block":
             gate.wait(30)
+        elif mode == "overrun":     # back 50 ms after its deadline
+            time.sleep(job.timeout + 0.05)
         elif mode == "spin":
             while not job.cancel_requested.is_set():
                 time.sleep(0.001)
@@ -490,7 +492,7 @@ WAKE_CASES = {
     "failed": ({"mode": "fail"}, {}, False, "failed"),
     "cancelled-queued": ({}, {}, True, "cancelled"),
     "cancelled-running": ({"mode": "spin"}, {}, True, "cancelled"),
-    "attempt-timeout": ({"mode": "block"}, {"timeout": 0.05}, False,
+    "attempt-timeout": ({"mode": "overrun"}, {"timeout": 0.05}, False,
                         "failed"),
     "retry-then-done": ({"mode": "flaky"},
                         {"max_retries": 1, "backoff": 0.02}, False,
@@ -784,6 +786,31 @@ def test_daemon_thread_count_does_not_depend_on_load(tmp_path):
     finally:
         for sock in [*socks, side]:
             sock.close()
+        daemon.stop()
+
+
+def test_daemon_thread_count_does_not_depend_on_running_jobs(tmp_path):
+    """An attempt with a timeout runs on its scheduler thread: while two
+    such jobs run, the daemon has as many threads as when idle."""
+    gate = threading.Event()
+    service = EchoService(runner=lambda job: gate.wait(job.timeout))
+    daemon = start_daemon(tmp_path, service, unix=False)
+    try:
+        with ServiceClient(daemon.tcp_address) as client:
+            wait_for(lambda: len(daemon.sessions) == 1)
+            idle = threading.active_count()
+            jobs = [client.submit("k", {}, timeout=30)["job_id"]
+                    for _ in range(2)]
+            wait_for(lambda: all(client.status(job)["state"] == "running"
+                                 for job in jobs))
+            assert threading.active_count() == idle
+            assert not [thread.name for thread in threading.enumerate()
+                        if "attempt" in thread.name]
+            gate.set()
+            for job in jobs:
+                assert client.wait(job, timeout=10)["state"] == "done"
+    finally:
+        gate.set()
         daemon.stop()
 
 

@@ -67,8 +67,9 @@ def test_pool_success():
 
 
 def test_pool_timeout_fails_job():
-    release = threading.Event()
-    pool = WorkerPool(lambda job: release.wait(10), workers=1)
+    # The runner comes back 50 ms after its deadline.
+    pool = WorkerPool(lambda job: time.sleep(job.timeout + 0.05),
+                      workers=1)
     try:
         job = pool.submit(Job(kind="k", timeout=0.2))
         wait_terminal(job)
@@ -76,7 +77,6 @@ def test_pool_timeout_fails_job():
         assert "timed out" in job.error
         assert pool.metrics.counter("jobs_timed_out") == 1
     finally:
-        release.set()
         pool.shutdown()
 
 
@@ -922,16 +922,6 @@ def test_pool_records_job_trace_and_span_timers():
         assert "span.step" in snap["timers"]
         # Trace stays out of the wire dict (can be large).
         assert "trace" not in job.to_dict()
-    finally:
-        pool.shutdown()
-
-
-def test_pool_trace_disabled():
-    pool = WorkerPool(lambda job: "ok", workers=1, trace_jobs=False)
-    try:
-        job = wait_terminal(pool.submit(Job(kind="work")))
-        assert job.trace == []
-        assert "span.job.work" not in pool.metrics.snapshot()["timers"]
     finally:
         pool.shutdown()
 
