@@ -54,6 +54,7 @@ from ..errors import FaultInjectedError, ReproError
 POINTS = (
     "cache.build",        # ArtifactCache._build, after the builder ran
     "cache.fetch",        # ArtifactCache verification on every fetch
+    "cache.digest",       # ArtifactCache._digest, before reading a file
     "journal.append",     # JobJournal.append, around the write
     "scheduler.attempt",  # WorkerPool, at the start of each attempt
     "gateway.dispatch",   # Dispatcher.dispatch, before op routing

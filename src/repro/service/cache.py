@@ -1,5 +1,6 @@
 """Content-addressed preprocessing-artifact cache with LRU eviction
-and digest-verified integrity.
+and digest-verified integrity, shared through its directory by every
+process that opens it.
 
 The paper's partial-conversion result (Fig. 8) only pays off when the
 sequential preprocessing products (BAMX/BAIX) are built once and reused
@@ -15,6 +16,8 @@ Layout on disk::
         <stem>.bamx             whatever the builder writes
         <stem>.bamx.baix
         meta.json               key, input, params, per-file digests
+    <cache_dir>/<key>.lock      the key's build lock and last-use stamp
+    <cache_dir>/.build-<key>/   the key's build in flight
     <cache_dir>/quarantine/     entries that failed integrity checks
 
 Entries are built in a temp directory and published with one
@@ -26,35 +29,41 @@ default, or sampled), and an entry whose bytes no longer match — bit
 rot, torn writes, manual tampering — is moved to ``quarantine/``
 instead of ever being served, then rebuilt from the source input.
 
+The directory is the only shared state: processes (the service's body
+workers) and threads share a cache through it.  A key's build holds an
+``fcntl.flock`` on its lock file, taken through a fresh ``open`` by
+each caller, so it excludes other processes and threads alike and dies
+with its holder; only the holder unlinks the file.  The file outlives
+the build as the entry's last-use stamp (``os.utime`` on every hit).
+Eviction — size-capped LRU after each build, never evicting the entry
+just requested — orders the listed entries by stamp and renames each
+victim out of sight under its lock before deleting it.  An entry that
+vanished under a fetch is a plain miss, never a verification failure.
+
 Hash once, then verify by identity: a file's digest is remembered
 against its ``(st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns)``
 (:meth:`ArtifactCache._digest`), for inputs and artifacts alike, and a
 verified entry's file names and digests against the identities of its
 directory and its ``meta.json`` (:meth:`ArtifactCache._check_entry`).
-While both hold — adding or removing a file changes the directory's,
-rewriting ``meta.json`` that file's — a fetch only stats the entry and
-its files.  It reads ``meta.json`` and lists the entry when either
-identity changed, and reads a file's bytes only when its identity
-changed (``ctime`` cannot be set from userland, so a rewrite that
-restores size and ``mtime`` still shows), when this process has not
-hashed it yet — a fresh build, the first fetch after a restart — or
-when its last hash is older than :data:`FULL_DIGEST_SECONDS`
-(bounding exposure to silent media rot).
-Startup adopts surviving entries, sweeps stale ``.build-*`` temp dirs
-left by crashed builds, and quarantines entries whose ``meta.json`` is
-corrupt rather than refusing to start.
-
-A global lock guards the LRU book-keeping; per-key build locks (kept
-only while a build of that key is in flight) let concurrent submitters
-of the *same* input share one build while different keys build in
-parallel.  Eviction is size-capped LRU: after
-each build the total size is trimmed to ``max_bytes``, never evicting
-the entry that was just requested.
+Both memos live in the process: each process hashes a file at most
+once while its identity holds.  While both hold — adding or removing
+a file changes the directory's, rewriting ``meta.json`` that file's — a
+fetch only stats the entry and its files.  It reads ``meta.json`` and
+lists the entry when either identity changed, and reads a file's bytes
+only when its identity changed (``ctime`` cannot be set from userland,
+so a rewrite that restores size and ``mtime`` still shows), when this
+process has not hashed it yet — a fresh build, the first fetch after a
+restart — or when its last hash is older than
+:data:`FULL_DIGEST_SECONDS` (bounding exposure to silent media rot).
+Startup adopts surviving entries, sweeps ``.build-*`` temp dirs whose
+key nobody holds (left by crashed builds), and quarantines entries
+whose ``meta.json`` is corrupt rather than refusing to start.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import json
 import os
@@ -73,6 +82,8 @@ from ..runtime.metrics import ServiceMetrics
 
 _CHUNK = 1 << 20
 _META = "meta.json"
+_LOCK = ".lock"
+_BUILD = ".build-"
 _QUARANTINE = "quarantine"
 #: Longest a remembered digest stands in for re-reading the bytes.
 FULL_DIGEST_SECONDS = 3600.0
@@ -104,10 +115,8 @@ def _keyed(input_digest: str, params: dict) -> str:
 
 
 def _dir_bytes(path: str) -> int:
-    total = 0
-    for name in os.listdir(path):
-        total += os.path.getsize(os.path.join(path, name))
-    return total
+    return sum(os.path.getsize(os.path.join(path, name))
+               for name in os.listdir(path))
 
 
 def file_digests(entry_dir: str) -> dict[str, str]:
@@ -124,7 +133,6 @@ class CacheEntry:
 
     key: str
     path: str
-    size_bytes: int
 
     def file(self, name: str) -> str:
         """Absolute path of artifact *name* inside the entry."""
@@ -172,13 +180,11 @@ class ArtifactCache:
         self.verify_prob = self._parse_verify(verify)
         self._verify_rng = random.Random(0x5EED)
         self._lock = threading.Lock()
-        self._build_locks: dict[str, list] = {}     # key -> [lock, users]
-        self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
         #: path -> (identity, digest, monotonic time hashed), LRU.
         self._digests: OrderedDict[str, tuple[tuple, str, float]] \
             = OrderedDict()
         #: key -> ((entry dir, meta.json identities), artifact digests)
-        #: of a verified entry; dropped with the entry.
+        #: of a verified entry; a rebuilt entry fails the identities.
         self._verified: dict[str, tuple[tuple, dict[str, str]]] = {}
         os.makedirs(self.cache_dir, exist_ok=True)
         self._scan()
@@ -205,24 +211,21 @@ class ArtifactCache:
     def get_or_build(self, input_path: str | os.PathLike[str],
                      params: dict,
                      builder: Callable[[str], None],
-                     deadline: float | None = None,
                      ) -> tuple[CacheEntry, bool]:
         """Return the entry for (*input_path*, *params*), building it
         on a miss.
 
         *builder(entry_dir)* must populate *entry_dir* with the
         artifacts; it runs at most once per key even under concurrent
-        submission.  An entry that fails digest verification is
-        quarantined and rebuilt transparently.  Waiting for another
-        thread's build of the key ends in :class:`TimeoutError` at
-        *deadline* (``time.monotonic()``).  Returns ``(entry, hit)``.
-        """
+        submission, from threads or processes.  An entry that fails
+        digest verification is quarantined and rebuilt transparently.
+        Returns ``(entry, hit)``."""
         key = _keyed(self._digest(input_path)[0], params)
         entry = self._fetch(key)
         if entry is not None:
             return entry, True
-        with self._building(key, deadline):
-            # Re-check: another thread may have built while we waited.
+        with self._locked(key):
+            # Re-check: another builder may have published meanwhile.
             entry = self._fetch(key)
             if entry is not None:
                 return entry, True
@@ -240,15 +243,9 @@ class ArtifactCache:
             self.metrics.inc("cache_misses")
         return entry
 
-    def total_bytes(self) -> int:
-        """Sum of all entry sizes."""
-        with self._lock:
-            return sum(e.size_bytes for e in self._entries.values())
-
     def keys(self) -> list[str]:
-        """Keys in LRU order (least recently used first)."""
-        with self._lock:
-            return list(self._entries)
+        """Keys on disk in LRU order (least recently used first)."""
+        return [key for _, key, _ in sorted(self._listed())]
 
     def artifacts(self, entry: CacheEntry) -> list[str]:
         """Paths of *entry*'s artifacts: the names its verification
@@ -285,6 +282,7 @@ class ArtifactCache:
                     and now - row[2] < FULL_DIGEST_SECONDS:
                 self._digests[path] = row       # most recently used
                 return row[1], False
+        faults.fire("cache.digest")
         digest = content_digest(path)
         if settled(st):
             with self._lock:
@@ -293,17 +291,18 @@ class ArtifactCache:
                     self._digests.popitem(last=False)
         return digest, True
 
-    def _check_entry(self, entry: CacheEntry) -> str | None:
-        """Digest-verify one entry; returns a failure detail or
-        ``None`` when the entry is intact (counted as
-        ``cache_verify_ok`` when any byte was read for it, else as
-        ``cache_verify_identity``).  A verified entry's digests stand
-        in for its ``meta.json`` and listing while the identities of
-        both, taken before either is read and remembered once
+    def _check_entry(self, entry: CacheEntry,
+                     dir_stat: os.stat_result) -> str | None:
+        """Digest-verify one entry, whose directory stat is *dir_stat*;
+        returns a failure detail or ``None`` when the entry is intact
+        (counted as ``cache_verify_ok`` when any byte was read for it,
+        else as ``cache_verify_identity``).  A verified entry's digests
+        stand in for its ``meta.json`` and listing while the identities
+        of both, taken before either is read and remembered once
         :func:`settled`, are unchanged."""
         meta_path = os.path.join(entry.path, _META)
         try:
-            stats = (os.stat(entry.path), os.stat(meta_path))
+            stats = (dir_stat, os.stat(meta_path))
         except OSError as exc:
             return f"unreadable meta.json: {exc}"
         identities = tuple(file_identity(st) for st in stats)
@@ -350,62 +349,68 @@ class ArtifactCache:
         return None
 
     def _fetch(self, key: str) -> CacheEntry | None:
-        """The entry under *key* if cached and verified (a hit)."""
-        with self._lock:
-            entry = self._touch(key)
-        if entry is not None:
-            entry = self._verified_or_quarantined(entry)
-            if entry is not None:
-                self.metrics.inc("cache_hits")
-        return entry
-
-    @contextlib.contextmanager
-    def _building(self, key: str,
-                  deadline: float | None) -> Iterator[None]:
-        """Hold *key*'s build lock, which exists only while some thread
-        is in here (the table cannot outgrow the builds in flight), or
-        raise :class:`TimeoutError` if it is not free by *deadline*."""
-        with self._lock:
-            slot = self._build_locks.setdefault(
-                key, [threading.Lock(), 0])
-            slot[1] += 1
+        """The entry under *key* if it is on disk and passes the
+        fetch-time verification policy (a hit, stamped as just used);
+        else ``None``, after quarantining an entry that failed.  An
+        entry removed before or during the fetch is a plain miss."""
+        entry = CacheEntry(key, os.path.join(self.cache_dir, key))
         try:
-            if not slot[0].acquire(timeout=-1 if deadline is None else max(
-                    0.0, deadline - time.monotonic())):
-                raise TimeoutError(f"gave up waiting at the deadline for "
-                                   f"the build of cache entry {key}")
-            try:
-                yield
-            finally:
-                slot[0].release()
-        finally:
-            with self._lock:
-                slot[1] -= 1
-                if not slot[1]:
-                    del self._build_locks[key]
-
-    def _verified_or_quarantined(self,
-                                 entry: CacheEntry) -> CacheEntry | None:
-        """Apply the fetch-time verification policy to *entry*.
-
-        Returns the entry when it passes (or verification is skipped
-        by policy), or ``None`` after quarantining a failing entry —
-        the caller treats that as a miss and rebuilds.
-        """
+            dir_stat = os.stat(entry.path)
+        except FileNotFoundError:
+            return None
         faults.fire("cache.fetch")
         if faults.should_corrupt("cache.fetch"):
             self._corrupt_one_artifact(entry)
-        if self.verify_prob <= 0.0:
-            return entry
-        if self.verify_prob < 1.0 \
-                and self._verify_rng.random() >= self.verify_prob:
-            return entry
-        detail = self._check_entry(entry)
-        if detail is None:
-            return entry
-        self.metrics.inc("cache_verify_failed")
-        self._quarantine(entry.key, entry.path, detail)
-        return None
+        if self.verify_prob >= 1.0 or self.verify_prob > 0.0 \
+                and self._verify_rng.random() < self.verify_prob:
+            detail = self._check_entry(entry, dir_stat)
+            if detail is not None:
+                if os.path.isdir(entry.path):   # else: removed meanwhile
+                    self.metrics.inc("cache_verify_failed")
+                    self._quarantine(key, entry.path, detail)
+                return None
+        self._stamp(key)
+        self.metrics.inc("cache_hits")
+        return entry
+
+    def _lock_path(self, key: str) -> str:
+        return os.path.join(self.cache_dir, key + _LOCK)
+
+    def _stamp(self, key: str, ns: int | None = None) -> None:
+        """Set *key*'s last use to *ns*, by default now (finer than
+        the clock that stamps a file)."""
+        ns = time.time_ns() if ns is None else ns
+        with contextlib.suppress(FileNotFoundError):
+            os.utime(self._lock_path(key), ns=(ns, ns))
+
+    @contextlib.contextmanager
+    def _locked(self, key: str, wait: bool = True) -> Iterator[None]:
+        """Hold *key*'s lock — an ``flock`` on a fresh descriptor of its
+        lock file, so it excludes other threads of this process too —
+        or, unless *wait*, raise :class:`BlockingIOError` when another
+        holds it.  On leaving, a key with no entry loses its lock file:
+        only the holder unlinks it, and a waiter that then wins the
+        lock of the unlinked file locks the name afresh."""
+        path = self._lock_path(key)
+        while True:
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX if wait
+                            else fcntl.LOCK_EX | fcntl.LOCK_NB)
+                with contextlib.suppress(FileNotFoundError):
+                    if os.path.samestat(os.fstat(fd), os.stat(path)):
+                        break
+            except BaseException:
+                os.close(fd)
+                raise
+            os.close(fd)
+        try:
+            yield
+        finally:
+            if not os.path.isdir(os.path.join(self.cache_dir, key)):
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(path)
+            os.close(fd)
 
     @staticmethod
     def _corrupt_one_artifact(entry: CacheEntry) -> None:
@@ -434,36 +439,46 @@ class ArtifactCache:
             # as quarantining — the entry just must not be served.
             shutil.rmtree(path, ignore_errors=True)
         with self._lock:
-            self._entries.pop(key, None)
             self._verified.pop(key, None)
-            self._publish_gauges()
         self.metrics.inc("cache_quarantined")
+        self._publish_gauges(self._listed())
 
     # -- internals ---------------------------------------------------
 
-    def _touch(self, key: str) -> CacheEntry | None:
-        # Called with the lock held: mark *key* most recently used.
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
+    def _listed(self) -> list[tuple[int, str, int]]:
+        """``(last use, key, bytes)`` of every entry on disk; an entry
+        with no stamp counts as used longest ago."""
+        rows = []
+        for key in os.listdir(self.cache_dir):
+            path, lock = os.path.join(self.cache_dir, key), \
+                self._lock_path(key)
+            with contextlib.suppress(OSError):      # removed while listed
+                if not key.startswith(".") \
+                        and os.path.isfile(os.path.join(path, _META)):
+                    rows.append((os.stat(lock).st_mtime_ns
+                                 if os.path.exists(lock) else 0,
+                                 key, _dir_bytes(path)))
+        return rows
 
     def _scan(self) -> None:
-        """Adopt entries already on disk (service restart).
+        """Adopt entries already on disk (a restart, another process).
 
-        Stale ``.build-*`` temp dirs — the residue of builds a crash
-        interrupted before publication — are swept.  Entries whose
-        ``meta.json`` is truncated or corrupt are quarantined instead
+        ``.build-*`` temp dirs and lock files of keys nobody holds and
+        no entry has — the residue of builds a crash interrupted — are
+        swept; an entry without a stamp is stamped at its build time.
+        Entries whose ``meta.json`` is corrupt are quarantined instead
         of crashing the whole daemon on startup.
         """
-        found = []
         for name in os.listdir(self.cache_dir):
             path = os.path.join(self.cache_dir, name)
-            if name == _QUARANTINE:
-                continue
-            if name.startswith(".build-") and os.path.isdir(path):
-                shutil.rmtree(path, ignore_errors=True)
-                self.metrics.inc("cache_tmp_swept")
+            if name.startswith(_BUILD) or name.endswith(_LOCK):
+                swept = name.startswith(_BUILD)
+                key = name[len(_BUILD):] if swept else name[:-len(_LOCK)]
+                with contextlib.suppress(BlockingIOError), \
+                        self._locked(key, wait=False):
+                    if swept:
+                        shutil.rmtree(path, ignore_errors=True)
+                        self.metrics.inc("cache_tmp_swept")
                 continue
             meta_path = os.path.join(path, _META)
             if not os.path.isfile(meta_path):
@@ -478,18 +493,20 @@ class ArtifactCache:
                 self._quarantine(name, path,
                                  f"corrupt meta.json at startup: {exc}")
                 continue
-            found.append((meta.get("last_used", 0.0),
-                          CacheEntry(name, path, _dir_bytes(path))))
-        for _, entry in sorted(found, key=lambda pair: pair[0]):
-            self._entries[entry.key] = entry
-        self._publish_gauges()
+            if not os.path.exists(self._lock_path(name)):
+                os.close(os.open(self._lock_path(name),
+                                 os.O_WRONLY | os.O_CREAT, 0o644))
+                self._stamp(name, int(meta.get("last_used", 0.0) * 1e9))
+        self._publish_gauges(self._listed())
 
     def _build(self, key: str, input_path: str | os.PathLike[str],
                params: dict, builder: Callable[[str], None]) -> CacheEntry:
+        # Called holding the key's lock, so a temp dir under its name
+        # is a dead builder's: start afresh.
         final_dir = os.path.join(self.cache_dir, key)
-        tmp_dir = os.path.join(self.cache_dir,
-                               f".build-{key[:16]}-{os.getpid()}")
-        os.makedirs(tmp_dir, exist_ok=True)
+        tmp_dir = os.path.join(self.cache_dir, _BUILD + key)
+        shutil.rmtree(tmp_dir, ignore_errors=True)
+        os.makedirs(tmp_dir)
         try:
             builder(tmp_dir)
             faults.fire("cache.build")
@@ -505,16 +522,16 @@ class ArtifactCache:
                       encoding="utf-8") as fh:
                 json.dump(meta, fh)
             if faults.should_corrupt("cache.build"):
-                self._corrupt_one_artifact(
-                    CacheEntry(key, tmp_dir, 0))
+                self._corrupt_one_artifact(CacheEntry(key, tmp_dir))
             try:
                 os.rename(tmp_dir, final_dir)
             except OSError:
-                # Lost the publish race: a concurrent process already
-                # renamed this key into place (ENOTEMPTY/EEXIST).
-                # Its entry is byte-equivalent by construction — the
-                # key is content-addressed — so adopt it as a hit
-                # instead of failing the build.
+                # Lost the publish race: a publisher that does not
+                # take the key's lock already renamed this key into
+                # place (ENOTEMPTY/EEXIST).  Its entry is
+                # byte-equivalent by construction — the key is
+                # content-addressed — so adopt it as a hit instead of
+                # failing the build.
                 if not os.path.isfile(os.path.join(final_dir, _META)):
                     raise
                 shutil.rmtree(tmp_dir, ignore_errors=True)
@@ -522,47 +539,45 @@ class ArtifactCache:
         except BaseException:
             shutil.rmtree(tmp_dir, ignore_errors=True)
             raise
-        entry = CacheEntry(key, final_dir, _dir_bytes(final_dir))
+        entry = CacheEntry(key, final_dir)
         # A just-built entry is always verified before being served:
         # a torn write (crash, full disk, injected fault) must surface
         # as a structured error now, not as corrupt conversions later.
-        detail = self._check_entry(entry)
+        detail = self._check_entry(entry, os.stat(final_dir))
         if detail is not None:
             self.metrics.inc("cache_verify_failed")
             self._quarantine(key, final_dir, detail)
             raise CacheIntegrityError(
                 f"cache entry {key[:16]}... failed verification "
                 f"after build ({detail}); entry quarantined")
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            self._publish_gauges()
+        self._stamp(key)
         return entry
 
     def _evict(self, keep: str) -> None:
-        """Trim total size to ``max_bytes``, sparing entry *keep*."""
-        if self.max_bytes is None:
-            return
-        doomed: list[CacheEntry] = []
-        with self._lock:
-            total = sum(e.size_bytes for e in self._entries.values())
-            for key in list(self._entries):
-                if total <= self.max_bytes:
-                    break
-                if key == keep:
-                    continue
-                entry = self._entries.pop(key)
-                self._verified.pop(key, None)
-                total -= entry.size_bytes
-                doomed.append(entry)
-            self._publish_gauges()
-        for entry in doomed:
-            shutil.rmtree(entry.path, ignore_errors=True)
-            self.metrics.inc("cache_evictions")
+        """Trim total size to ``max_bytes``, least recently used entry
+        first, sparing entry *keep* and any entry whose key another
+        caller holds."""
+        listed = self._listed()
+        total = sum(size for *_, size in listed)
+        for _, key, size in sorted(listed):
+            if self.max_bytes is None or total <= self.max_bytes:
+                break
+            if key == keep:
+                continue
+            trash = os.path.join(self.cache_dir, _BUILD + key)
+            with contextlib.suppress(BlockingIOError, FileNotFoundError), \
+                    self._locked(key, wait=False):
+                shutil.rmtree(trash, ignore_errors=True)
+                # Out of sight in one step, then deleted at leisure.
+                os.rename(os.path.join(self.cache_dir, key), trash)
+                shutil.rmtree(trash, ignore_errors=True)
+                with self._lock:
+                    self._verified.pop(key, None)
+                total -= size
+                self.metrics.inc("cache_evictions")
+        self._publish_gauges(self._listed())
 
-    def _publish_gauges(self) -> None:
-        # Called with the lock held.
-        self.metrics.set_gauge(
-            "cache_bytes",
-            sum(e.size_bytes for e in self._entries.values()))
-        self.metrics.set_gauge("cache_entries", len(self._entries))
+    def _publish_gauges(self, listed: list[tuple[int, str, int]]) -> None:
+        self.metrics.set_gauge("cache_bytes",
+                               sum(size for *_, size in listed))
+        self.metrics.set_gauge("cache_entries", len(listed))

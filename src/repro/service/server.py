@@ -2,15 +2,18 @@
 
 :class:`ConversionService` wires the scheduler, the artifact cache and
 the existing converters into one long-lived object.  Submitting a job
-returns immediately; a scheduler thread resolves its inputs and then
-*waits* while a body worker process *works*: the job body is a
-module-level function of one picklable payload, sent down the worker's
-pipe, so the process holding gateway, journal, scheduler and cache
-runs no conversion code and N jobs use N cores instead of one GIL.
-BAM inputs route their sequential preprocessing through the
-content-addressed cache, so repeated full or partial-region
-conversions of the same input skip that phase entirely — the warm path
-is an O(1) cache lookup plus the BAIX binary search.
+returns immediately; a scheduler thread sends the whole attempt to a
+body worker process and *waits* while the worker *works*: the job body
+(:func:`_job_body`) is a module-level function of one picklable
+payload, sent down the worker's pipe, which checks the job, digests
+its input, fetches or builds its cache entry and converts.  So the
+process holding gateway, journal and scheduler does no job work, the
+attempt's deadline bounds all of it, and N jobs use N cores instead of
+one GIL.  BAM inputs route their sequential preprocessing through the
+content-addressed cache, which the workers share through its
+directory, so repeated full or partial-region conversions of the same
+input skip that phase entirely — the warm path is an O(1) cache lookup
+plus the BAIX binary search.
 
 :class:`~repro.service.gateway.GatewayServer` exposes the façade over
 a local unix socket and/or a TCP listener: transport, session, dispatch
@@ -39,7 +42,7 @@ from ..runtime.executor import PipeWorkers, reset_shared_executor
 from ..runtime.metrics import ServiceMetrics
 from ..runtime.tracing import get_tracer
 from . import journal as journal_mod
-from .cache import ArtifactCache, CacheEntry
+from .cache import ArtifactCache
 from .jobs import Job, seed_job_counter
 from .journal import JobJournal
 from .scheduler import WorkerPool
@@ -85,28 +88,65 @@ def _check_job(kind: str, params: dict[str, Any],
                        ServiceError), checked
 
 
-# -- job bodies: run in a pool process; one picklable payload in,
-# ``(result, metric deltas)`` out, the deltas being the snapshot of a
-# ServiceMetrics that lived for the call (ServiceMetrics.absorb).
+#: A body worker's artifact cache per cache directory, opened on its
+#: first BAM job with the settings the payload carries.
+_CACHES: dict[str, ArtifactCache] = {}
 
-def _convert_body(payload: dict[str, Any]) -> tuple[dict[str, Any], dict]:
-    """A ``convert`` or ``region`` job on ``payload["store"]``, the
-    store the daemon resolved (``None``: the input is SAM text)."""
-    params, metrics = payload["params"], ServiceMetrics()
-    converter = (BamConverter if payload["store"] else SamConverter)(
+
+def _job_body(payload: dict[str, Any]) -> tuple[dict[str, Any], dict]:
+    """One attempt of a job, whole, in a body worker: the check; for a
+    BAM input, its store fetched from or built into the artifact cache
+    (where a ``preprocess`` job ends); the conversion.  One picklable
+    payload in, ``(result, metric deltas)`` out, the deltas being the
+    snapshot of a ServiceMetrics that lived for the call."""
+    kind, metrics = payload["kind"], ServiceMetrics()
+    source_format, params = _check_job(kind, payload["params"],
+                                       payload["shards"])
+    store, state = None if source_format == "sam" else params["input"], None
+    if source_format == "bam":
+        settings = payload["cache"]
+        cache = _CACHES.get(settings["cache_dir"])
+        if cache is None:
+            cache = _CACHES[settings["cache_dir"]] = ArtifactCache(
+                **settings, metrics=metrics)
+        cache.metrics = metrics
+
+        def build(entry_dir: str) -> None:
+            _, _, rank = BamConverter(
+                store_format=params["store_format"]).preprocess(
+                params["input"], entry_dir, compress=params["compress"])
+            metrics.inc("preprocess_runs")
+            metrics.observe("preprocess_seconds", rank.total_seconds)
+
+        key = {"op": "preprocess_bam", "compress": params["compress"]}
+        if params["store_format"] != "bamx":
+            # Appended only for non-default formats so cache entries
+            # built before BAMC existed keep their keys.
+            key["store_format"] = params["store_format"]
+        entry, hit = cache.get_or_build(params["input"], key, build)
+        artifacts, state = cache.artifacts(entry), "hit" if hit else "miss"
+        if kind == "preprocess":
+            return {"artifacts": artifacts, "cache": state}, \
+                metrics.snapshot()
+        store = next((path for path in artifacts
+                      if path.endswith((".bamx", ".bamz", ".bamc"))), None)
+        if store is None:
+            raise ServiceError(
+                f"cache entry {entry.key} holds no record store")
+    converter = (BamConverter if store else SamConverter)(
         batch_size=params["batch_size"], shards_per_rank=params["shards"])
     record_filter = parse_filter_expr(params["filter"]) \
         if params["filter"] else None
     ranks = params["nprocs"], params["executor"]
     try:
-        if payload["kind"] == "region":
+        if kind == "region":
             result = converter.convert_region(
-                payload["store"], params["baix"], params["region"],
+                store, params["baix"], params["region"],
                 params["target"], params["out_dir"], *ranks,
                 mode=params["mode"], record_filter=record_filter)
         else:
             result = converter.convert(
-                payload["store"] or params["input"], params["target"],
+                store or params["input"], params["target"],
                 params["out_dir"], *ranks, record_filter=record_filter)
     finally:
         # Pools a job with thread/process ranks built in this worker.
@@ -121,19 +161,7 @@ def _convert_body(payload: dict[str, Any]) -> tuple[dict[str, Any], dict]:
     return {"target": result.target, "outputs": result.outputs,
             "records": result.records, "emitted": result.emitted,
             "nprocs": result.nprocs, "wall_seconds": result.wall_seconds,
-            "cache": payload["cache"]}, metrics.snapshot()
-
-
-def _preprocess_body(payload: dict[str, Any]) -> tuple[None, dict]:
-    """The cache builder: a BAM into the entry directory."""
-    metrics = ServiceMetrics()
-    _, _, rank = BamConverter(
-        store_format=payload["store_format"]).preprocess(
-        payload["bam"], payload["entry_dir"],
-        compress=payload["compress"])
-    metrics.inc("preprocess_runs")
-    metrics.observe("preprocess_seconds", rank.total_seconds)
-    return None, metrics.snapshot()
+            "cache": state}, metrics.snapshot()
 
 
 class ConversionService:
@@ -145,11 +173,10 @@ class ConversionService:
         Root for service state; the artifact cache lives in
         ``<work_dir>/cache`` unless *cache_dir* overrides it.
     workers:
-        Jobs in flight at once: scheduler threads that resolve a job's
-        inputs through the cache, then wait for its body to finish in
-        one of as many body workers (:class:`PipeWorkers`, forked here,
-        before any thread; ``REPRO_EXECUTOR_WORKERS`` does not size
-        them).
+        Jobs in flight at once: scheduler threads that each wait for
+        one attempt's body to finish in one of as many body workers
+        (:class:`PipeWorkers`, forked here, before any thread;
+        ``REPRO_EXECUTOR_WORKERS`` does not size them).
     cache_max_bytes:
         LRU size cap for the artifact cache (``None`` = unbounded).
     shards_per_rank:
@@ -193,11 +220,14 @@ class ConversionService:
         # Fork the body workers while no scheduler, journal or gateway
         # thread exists to be caught holding a lock.
         self.bodies = PipeWorkers(workers, metrics=self.metrics)
-        self.cache = ArtifactCache(
-            cache_dir if cache_dir is not None
-            else os.path.join(self.work_dir, "cache"),
-            max_bytes=cache_max_bytes, metrics=self.metrics,
-            verify=cache_verify)
+        # The daemon's cache only scans the directory at start-up; each
+        # body worker opens its own on these settings.
+        self._cache_settings = dict(
+            cache_dir=os.path.join(self.work_dir, "cache")
+            if cache_dir is None else os.fspath(cache_dir),
+            max_bytes=cache_max_bytes, verify=cache_verify)
+        self.cache = ArtifactCache(**self._cache_settings,
+                                   metrics=self.metrics)
         self.journal: JobJournal | None = None
         recovered: list[dict] = []
         id_floor = 0
@@ -278,22 +308,9 @@ class ConversionService:
     # -- the job runner (scheduler threads wait, body workers work) --
 
     def _run_job(self, job: Job) -> dict[str, Any]:
-        source_format, params = _check_job(job.kind, job.params,
-                                           self.shards_per_rank)
-        source = params["input"]
-        if job.kind == "preprocess":
-            entry, hit = self._preprocessed(source, params, job.deadline)
-            return {"artifacts": self.cache.artifacts(entry),
-                    "cache": "hit" if hit else "miss"}
-        store_path, cache_state = None, None
-        if source_format == "bam":
-            store_path, cache_state = self._store_for(source, params,
-                                                      job.deadline)
-        elif source_format != "sam":
-            store_path = source
-        return self._in_pool(_convert_body, {
-            "kind": job.kind, "params": params, "store": store_path,
-            "cache": cache_state,
+        return self._in_pool(_job_body, {
+            "kind": job.kind, "params": job.params,
+            "shards": self.shards_per_rank, "cache": self._cache_settings,
         }, f"{job.job_id} {job.kind}", job.deadline)
 
     def _in_pool(self, body: Any, payload: dict[str, Any],
@@ -324,37 +341,3 @@ class ConversionService:
         tracer.ingest(span_dicts, parent_id=parent_id)
         self.metrics.absorb(deltas)
         return result
-
-    def _store_for(self, bam_path: str, params: dict[str, Any],
-                   deadline: float | None) -> tuple[str, str]:
-        """The store preprocessing made of a BAM, through the artifact
-        cache, and the cache state (``hit`` or ``miss``): a warm cache
-        returns the stored store and its indexes without re-reading the
-        BAM; the ``store_format`` parameter is part of the cache key,
-        so row and columnar artifacts of one BAM coexist."""
-        entry, hit = self._preprocessed(bam_path, params, deadline)
-        store_path = next((path for path in self.cache.artifacts(entry)
-                           if path.endswith((".bamx", ".bamz", ".bamc"))),
-                          None)
-        if store_path is None:
-            raise ServiceError(
-                f"cache entry {entry.key} holds no record store")
-        return store_path, "hit" if hit else "miss"
-
-    def _preprocessed(self, bam_path: str, params: dict[str, Any],
-                      deadline: float | None) -> tuple[CacheEntry, bool]:
-        """Fetch-or-build the preprocessing artifacts for a BAM, in the
-        ``store_format`` / ``compress`` *params* ask for, by
-        *deadline*."""
-        build = {"bam": bam_path, "store_format": params["store_format"],
-                 "compress": params["compress"]}
-        key = {"op": "preprocess_bam", "compress": build["compress"]}
-        if build["store_format"] != "bamx":
-            # Appended only for non-default formats so cache entries
-            # built before BAMC existed keep their keys.
-            key["store_format"] = build["store_format"]
-        return self.cache.get_or_build(
-            bam_path, key, lambda entry_dir: self._in_pool(
-                _preprocess_body, dict(build, entry_dir=entry_dir),
-                f"preprocess {os.path.basename(bam_path)}", deadline),
-            deadline)

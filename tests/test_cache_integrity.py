@@ -215,9 +215,18 @@ def test_lost_publish_race_is_a_hit(tmp_path):
     loser = ArtifactCache(tmp_path / "cache", metrics=metrics)
     entry_w, hit_w = winner.get_or_build(source, {"op": "x"}, builder)
     assert not hit_w
-    # The loser's in-memory index predates the publish, so it builds —
-    # and collides with the already-published directory.
-    entry_l, hit_l = loser.get_or_build(source, {"op": "x"}, builder)
+    # The winner's entry is out of sight when the loser looks, so the
+    # loser builds; it comes back while the loser builds, the way a
+    # publisher that does not take the key's lock would put it there,
+    # and the loser's publish collides with it.
+    aside = tmp_path / "aside"
+    os.rename(entry_w.path, aside)
+
+    def racing_builder(entry_dir):
+        builder(entry_dir)
+        os.rename(aside, entry_w.path)
+
+    entry_l, hit_l = loser.get_or_build(source, {"op": "x"}, racing_builder)
     assert not hit_l
     assert entry_l.path == entry_w.path
     assert metrics.counter("cache_publish_races") == 1
@@ -417,7 +426,8 @@ def test_input_rewritten_in_place_at_same_size_gets_new_key(tmp_path):
 
 
 def test_locks_and_memo_rows_stay_bounded(tmp_path, monkeypatch):
-    """Regression: one build lock per key ever requested, forever."""
+    """Regression: one build lock per key ever requested, forever.  A
+    key's lock file lasts only as long as its entry."""
     monkeypatch.setattr(cache_mod, "DIGEST_MEMO_ROWS", 16)
     size = len(PAYLOAD) + len(b"index-bytes") + 400     # ~ one entry
     cache = ArtifactCache(tmp_path / "cache", max_bytes=3 * size)
@@ -429,5 +439,122 @@ def test_locks_and_memo_rows_stay_bounded(tmp_path, monkeypatch):
     for i, source in enumerate(sources):
         cache.get_or_build(source, {"op": i}, builder)
     assert len(cache.keys()) <= 3
-    assert cache._build_locks == {}
+    locks = [name[:-len(".lock")] for name in os.listdir(cache.cache_dir)
+             if name.endswith(".lock")]
+    assert sorted(locks) == sorted(cache.keys())
     assert len(cache._digests) == 16
+
+
+# ---------------------------------------------------------------------
+# one directory, many processes: the directory is the only shared state
+
+
+def test_one_build_across_processes_and_threads(tmp_path):
+    """Two forked processes and a thread ask for one key at once with a
+    slow builder: it runs once, and the other two callers hit."""
+    import multiprocessing
+    import threading
+    source = make_input(tmp_path)
+    marker = tmp_path / "builds"
+
+    def slow_builder(entry_dir):
+        with open(marker, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        time.sleep(0.3)
+        builder(entry_dir)
+
+    def fetch():
+        cache = ArtifactCache(tmp_path / "cache")
+        return cache.get_or_build(source, {"op": "x"}, slow_builder)[1]
+
+    def child():
+        raise SystemExit(0 if fetch() else 7)      # 0: hit, 7: built
+
+    ctx = multiprocessing.get_context("fork")
+    procs = [ctx.Process(target=child) for _ in range(2)]
+    hits = []
+    thread = threading.Thread(target=lambda: hits.append(fetch()))
+    for proc in procs:
+        proc.start()
+    thread.start()
+    for proc in procs:
+        proc.join(30)
+    thread.join(30)
+    outcomes = sorted([proc.exitcode == 0 for proc in procs] + hits)
+    assert sorted(proc.exitcode for proc in procs) in ([0, 0], [0, 7])
+    assert outcomes == [False, True, True]
+    assert len(marker.read_text().splitlines()) == 1
+
+
+def blob_builder(entry_dir):
+    with open(os.path.join(entry_dir, "blob"), "wb") as fh:
+        fh.write(b"x" * 1000)
+
+
+def test_a_hit_in_one_instance_orders_eviction_in_another(tmp_path):
+    """``test_cache_lru_eviction``'s sequence with the builds in A and
+    the hits in B: B's hit makes entry 1 the newest in A's eyes."""
+    a = ArtifactCache(tmp_path / "cache", max_bytes=3000)
+    b = ArtifactCache(tmp_path / "cache")
+    srcs = []
+    for i in range(4):
+        srcs.append(tmp_path / f"in{i}.bam")
+        srcs[-1].write_bytes(bytes([i]) * 8)
+    for src in srcs[:3]:
+        a.get_or_build(src, {}, blob_builder)
+    assert a.metrics.counter("cache_evictions") == 1
+    assert b.lookup(srcs[0], {}) is None
+    assert b.lookup(srcs[1], {}) is not None
+    assert b.lookup(srcs[2], {}) is not None
+    assert b.get_or_build(srcs[1], {}, blob_builder)[1]
+    a.get_or_build(srcs[3], {}, blob_builder)
+    assert b.lookup(srcs[2], {}) is None
+    assert b.lookup(srcs[1], {}) is not None
+
+
+def test_an_entry_another_instance_evicted_is_a_clean_miss(tmp_path):
+    metrics = ServiceMetrics()
+    a = ArtifactCache(tmp_path / "cache", metrics=metrics)
+    source = make_input(tmp_path)
+    a.get_or_build(source, {"op": "x"}, builder)
+    assert a.lookup(source, {"op": "x"}) is not None
+    b = ArtifactCache(tmp_path / "cache", max_bytes=1)
+    other = tmp_path / "other.bam"
+    other.write_bytes(b"other")
+    b.get_or_build(other, {"op": "x"}, builder)
+    assert b.metrics.counter("cache_evictions") == 1
+    entry, hit = a.get_or_build(source, {"op": "x"}, builder)
+    assert not hit
+    assert metrics.counter("cache_verify_failed") == 0
+    assert metrics.counter("cache_quarantined") == 0
+    assert a.quarantined() == []
+    with open(entry.file("data.bamx"), "rb") as fh:
+        assert fh.read() == PAYLOAD
+
+
+def test_a_build_in_flight_survives_another_instances_startup(tmp_path):
+    import threading
+    started, go = threading.Event(), threading.Event()
+
+    def held_builder(entry_dir):
+        builder(entry_dir)
+        started.set()
+        assert go.wait(10)
+
+    a = ArtifactCache(tmp_path / "cache")
+    source = make_input(tmp_path)
+    results = []
+    thread = threading.Thread(target=lambda: results.append(
+        a.get_or_build(source, {"op": "x"}, held_builder)))
+    thread.start()
+    try:
+        assert started.wait(10)
+        metrics = ServiceMetrics()
+        b = ArtifactCache(tmp_path / "cache", metrics=metrics)
+        assert metrics.counter("cache_tmp_swept") == 0
+    finally:
+        go.set()
+        thread.join(10)
+    ((entry, hit),) = results
+    assert not hit
+    assert b.lookup(source, {"op": "x"}) == entry

@@ -554,8 +554,38 @@ def test_a_timed_out_body_frees_its_worker(tmp_path, monkeypatch, sam_file,
         assert gauges["body_worker_starts"] == 2
         assert gauges["body_worker_alive"] == 1
         assert gauges["body_worker_tasks_failed"] == 1
-        # Two bodies ran to a reply: the BAM job's build and conversion.
-        assert gauges["body_worker_tasks_completed"] == 2
+        # One body ran to a reply: the BAM job's build and conversion.
+        assert gauges["body_worker_tasks_completed"] == 1
+    finally:
+        service.close()
+
+
+def test_a_timed_out_digest_frees_its_worker(tmp_path, monkeypatch,
+                                             sam_file, bam_file):
+    """The first digest of an input runs in the job's body, so the
+    attempt's deadline bounds it: a first-sight BAM job whose digest
+    sleeps 1 s past its ``timeout=0.3`` is ``failed`` ("timed out")
+    within 0.8 s, its worker is re-forked, and the next job runs."""
+    from repro.service import ConversionService
+    monkeypatch.setattr(faults, "DELAY_SECONDS", 1.0)  # forked workers too
+    faults.arm("cache.digest:delay")
+    service = ConversionService(tmp_path / "svc", workers=2)
+    try:
+        t0 = time.monotonic()
+        slow = service.submit("convert", {
+            "input": bam_file, "target": "bed",
+            "out_dir": str(tmp_path / "slow")}, timeout=0.3)
+        final = service.wait(slow.job_id, 30)
+        assert time.monotonic() - t0 < 0.8
+        assert final["state"] == "failed"
+        assert "timed out" in final["error"]
+        assert service.metrics.gauge("body_worker_starts") == 3
+        # SAM input is not digested: it converts.
+        nxt = service.submit("convert", {
+            "input": sam_file, "target": "bed",
+            "out_dir": str(tmp_path / "next")})
+        final = service.wait(nxt.job_id, 30)
+        assert final["state"] == "done", final["error"]
     finally:
         service.close()
 

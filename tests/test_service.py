@@ -700,15 +700,44 @@ def test_job_with_process_ranks_builds_its_own_pool(service, sam_file,
     assert shared_executor_stats().get("calls", 0) == before.get("calls", 0)
 
 
+def test_two_workers_build_one_new_bam_once(service, bam_file, tmp_path):
+    """Two converts of one new BAM at once, one per body worker: the
+    cache's lock file lets one build the store while the other waits
+    for it and hits."""
+    jobs = [service.submit("convert", {
+        "input": bam_file, "target": "bed",
+        "out_dir": str(tmp_path / f"out{i}")}) for i in range(2)]
+    finals = [service.wait(job.job_id, 60) for job in jobs]
+    assert [final["state"] for final in finals] == ["done", "done"], finals
+    assert sorted(final["result"]["cache"] for final in finals) \
+        == ["hit", "miss"]
+    assert service.metrics.counter("preprocess_runs") == 1
+
+
 def test_job_trace_spans_cross_the_process_boundary(service, bam_file,
                                                     tmp_path):
     """One tree per attempt: the spans a body records in its pool
     process hang off the attempt's ``job.<kind>`` span."""
+    jobs = []
     for out in ("prime", "traced"):
-        job = service.submit("region", {
+        jobs.append(service.submit("region", {
             "input": bam_file, "region": "chr1:1-30000", "target": "bed",
-            "out_dir": str(tmp_path / out)})
-        assert service.wait(job.job_id, 60)["state"] == "done"
+            "out_dir": str(tmp_path / out)}))
+        assert service.wait(jobs[-1].job_id, 60)["state"] == "done"
+    # The cold job built its cache entry inside its one body: every
+    # span but the attempt's root lies under ``job.body``.
+    cold = service.trace(jobs[0].job_id)
+    assert service.status(jobs[0].job_id)["result"]["cache"] == "miss"
+    assert any(s["name"] == "preprocess" for s in cold)
+    parents = {s["span_id"]: s["parent_id"] for s in cold}
+    (body_id,) = [s["span_id"] for s in cold if s["name"] == "job.body"]
+    for span in cold:
+        if span["name"] != "job.region":
+            ancestor = span["parent_id"]
+            while ancestor not in (body_id, None):
+                ancestor = parents[ancestor]
+            assert span["span_id"] == body_id or ancestor == body_id, span
+    job = jobs[1]
     spans = service.trace(job.job_id)
     by_id = {s["span_id"]: s for s in spans}
     assert len(by_id) == len(spans)
@@ -727,7 +756,7 @@ def test_job_trace_spans_cross_the_process_boundary(service, bam_file,
     assert path("write") == ["job.region", "job.body", "convert.region",
                              "rank", "write"]
     (body,) = [s for s in spans if s["name"] == "job.body"]
-    assert body["args"]["task"] == "_convert_body"
+    assert body["args"]["task"] == "_job_body"
     # Worker-side spans sit on the daemon's timeline, inside the attempt.
     root = by_id[body["parent_id"]]
     assert root["start"] <= body["start"] <= body["end"] <= root["end"]
