@@ -317,7 +317,7 @@ KNOBS = {knob.name: knob for knob in (
     Knob("chrom", default="chr1", verbs="peaks",
          help="chromosome name used in the BED output"),
     Knob("workers", rule=_INT, default=2, verbs="serve",
-         help="worker threads draining the job queue"),
+         help="jobs run at once, one body worker process each"),
     Knob("cache_dir", verbs="serve",
          help="artifact cache dir (default <work-dir>/cache)"),
     Knob("cache_max_bytes", rule=_INT, verbs="serve",

@@ -205,8 +205,10 @@ class PipeWorkers:
 
     The constructor forks them, so the service builds it before any
     thread exists.  A task is one ``(fn, item)`` send and one receive,
-    with no relay thread.  A worker that dies under a task fails that
-    task with :class:`ExecutorFailure` and is re-forked alone.
+    with no relay thread: :meth:`map` waits on the pipes of a batch of
+    rank pieces, and :meth:`call` awaits one on an event loop.  A
+    worker that dies under a task fails that task with
+    :class:`ExecutorFailure` and is re-forked alone.
     :attr:`counts` (``starts``, ``alive``, ``tasks_completed``,
     ``tasks_failed``) are also *metrics*' ``body_worker_*`` gauges.
     """
@@ -270,33 +272,80 @@ class PipeWorkers:
                 for name, value in self.counts.items():
                     self._metrics.set_gauge(f"body_worker_{name}", value)
 
-    def run(self, fn: Callable[[Any], Any], item: Any, label: str,
-            deadline: float | None = None) -> tuple[Any, float]:
-        """:meth:`map` of one item: its reply and the seconds it took."""
-        t0 = time.perf_counter()
-        (reply,) = self.map(fn, [item], [label], deadline=deadline)
-        return reply, time.perf_counter() - t0
+    def _send(self, slot: int, fn: Callable[[Any], Any], item: Any) -> None:
+        """Send ``fn(item)`` to busy *slot*'s worker.  A task that does
+        not pickle frees the slot and raises: pickling fails before a
+        byte is written, so the worker is unharmed."""
+        try:
+            with suppress(OSError):     # a dead worker shows at the receive
+                self._slots[slot][1].send((fn, item))
+        except Exception:
+            self._free.put(slot)
+            raise
+
+    def _receive(self, slot: int, label: str) -> tuple[bool, Any]:
+        """Busy *slot*'s reply, ``(True, result)`` or ``(False,
+        exception)``, and the slot freed.  A worker that died is
+        :class:`ExecutorFailure` naming *label*, and is re-forked."""
+        proc, conn = self._slots[slot]
+        try:
+            ok, reply = conn.recv()
+        except (EOFError, OSError) as exc:
+            self._abandon(slot)
+            return False, ExecutorFailure(
+                label, f"{type(exc).__name__}: worker {proc.pid} died "
+                f"(exit code {proc.exitcode})")
+        self._free.put(slot)
+        if ok:
+            self._count(tasks_completed=1)
+        return ok, reply
+
+    def _abandon(self, slot: int) -> None:
+        """Kill busy *slot*'s worker, re-fork it and free the slot."""
+        self._fork(slot)
+        self._free.put(slot)
+
+    async def call(self, fn: Callable[[Any], Any], item: Any,
+                   label: str) -> Any:
+        """``fn(item)`` on a free worker, awaited on the running loop,
+        which watches the worker's pipe: no thread waits.  It fails as
+        :meth:`map` says.  The caller keeps no more calls in flight than
+        there are workers, so a free one is there.  A call cancelled
+        (an attempt's timeout) kills and re-forks its worker."""
+        import asyncio
+        loop = asyncio.get_running_loop()
+        slot = self._free.get_nowait()
+        self._send(slot, fn, item)
+        fd, readable = self._slots[slot][1].fileno(), loop.create_future()
+        loop.add_reader(fd, lambda: readable.done()
+                        or readable.set_result(None))
+        try:
+            await readable
+        except BaseException:
+            loop.remove_reader(fd)
+            self._abandon(slot)
+            raise
+        loop.remove_reader(fd)
+        ok, reply = self._receive(slot, label)
+        if not ok:
+            raise reply
+        return reply
 
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any],
-            labels: Sequence[str], order: Sequence[int] | None = None,
-            deadline: float | None = None) -> list[Any]:
+            labels: Sequence[str],
+            order: Sequence[int] | None = None) -> list[Any]:
         """``fn(item)`` for every item, sent in *order* to whichever
         worker is free; results in input order.  After a failure no
         more is sent, the tasks in flight settle, and the first failure
         is raised: the task's exception, or :class:`ExecutorFailure`
         naming its label if its worker died.  A call waits for a worker
         only while it holds none, so concurrent calls cannot deadlock.
-        A call cut short — :class:`TimeoutError` at *deadline*
-        (``time.monotonic()``) — kills and re-forks its busy workers; a
-        call whose deadline has passed claims none.  A task that does
-        not pickle is a failure that leaves its worker untouched.
+        A task that does not pickle is a failure that leaves its worker
+        untouched.
         """
         from multiprocessing.connection import wait
         results: list[Any] = [None] * len(items)
         todo = list(range(len(items)) if order is None else order)[::-1]
-        if todo and deadline is not None and time.monotonic() >= deadline:
-            raise TimeoutError(f"[{labels[todo[-1]]}] past its deadline "
-                               f"before it started")
         busy: dict[Any, tuple[int, int]] = {}   # parent's end -> slot, item
         failure: BaseException | None = None
         try:
@@ -307,45 +356,24 @@ class PipeWorkers:
                     except queue.Empty:
                         break
                     index = todo.pop()
-                    conn = self._slots[slot][1]
                     try:
-                        with suppress(OSError):  # a dead worker shows at recv
-                            conn.send((fn, items[index]))
+                        self._send(slot, fn, items[index])
                     except Exception as exc:  # noqa: BLE001 — pickling
-                        # fails before a byte is written: no harm done.
-                        self._free.put(slot)
                         failure = exc
                         break
-                    busy[conn] = slot, index
+                    busy[self._slots[slot][1]] = slot, index
                 if not busy:
                     break
-                ready = wait(list(busy), None if deadline is None
-                             else max(0.0, deadline - time.monotonic()))
-                if not ready:
-                    index = next(iter(busy.values()))[1]
-                    raise TimeoutError(f"[{labels[index]}] killed with "
-                                       f"its worker at the deadline")
-                for conn in ready:
-                    slot, index = busy[conn]
-                    try:
-                        ok, reply = conn.recv()
-                    except (EOFError, OSError) as exc:
-                        proc = self._slots[slot][0]
-                        self._fork(slot)
-                        ok, reply = False, ExecutorFailure(
-                            labels[index], f"{type(exc).__name__}: worker "
-                            f"{proc.pid} died (exit code {proc.exitcode})")
-                    del busy[conn]
-                    self._free.put(slot)
+                for conn in wait(list(busy)):
+                    slot, index = busy.pop(conn)
+                    ok, reply = self._receive(slot, labels[index])
                     if ok:
                         results[index] = reply
-                        self._count(tasks_completed=1)
                     elif failure is None:
                         failure = reply
         finally:
             for slot, _ in busy.values():
-                self._fork(slot)
-                self._free.put(slot)
+                self._abandon(slot)
         if failure is not None:
             raise failure
         return results

@@ -16,9 +16,11 @@ Design constraints, in order:
    disabled path allocates nothing (a shared null context manager is
    returned) and converters produce byte-identical output with and
    without tracing.
-2. **Thread-safe nesting.**  The span stack is per-(tracer, thread), so
-   rank tasks on the thread executor each build their own correct
-   subtree of one shared tracer.
+2. **Thread- and task-safe nesting.**  The open spans are per thread
+   and per asyncio task (a context variable), so rank tasks on the
+   thread executor, and attempts on the service's loop, each build
+   their own correct subtree of one shared tracer; a thread started by
+   ``asyncio.to_thread`` nests under the span that started it.
 3. **Works across processes.**  Child ranks (process executor) record
    into a fresh tracer sharing the parent's epoch —
    ``time.perf_counter()`` is CLOCK_MONOTONIC, shared across ``fork`` —
@@ -40,6 +42,7 @@ or, from the command line, ``repro convert --trace out.trace ...``
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import json
 import os
@@ -193,7 +196,7 @@ class Tracer:
 
         Yields the live :class:`Span` (or ``None`` when disabled) so
         callers may attach ``args`` entries mid-flight.  *parent_id*
-        overrides the implicit (per-thread stack) parent — used when a
+        overrides the implicit (innermost open span) parent — used when a
         span logically nests under a span opened by another thread.
         """
         if not self.enabled:
@@ -201,24 +204,19 @@ class Tracer:
         return _SpanHandle(self, name, category, rank, args, parent_id)
 
     def current_span(self) -> Span | None:
-        """The calling thread's innermost open span, if any."""
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else None
-
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
+        """The calling thread's or task's innermost open span of this
+        tracer, if any."""
+        return next((span for tracer, span in reversed(_OPEN.get())
+                     if tracer is self), None)
 
     def _begin(self, name: str, category: str, rank: int | None,
                args: dict[str, Any] | None,
                parent_id: int | None = None) -> Span:
-        stack = self._stack()
         if rank is None:
             rank = getattr(self._local, "rank", None)
         if parent_id is None:
-            parent_id = stack[-1].span_id if stack else None
+            parent = self.current_span()
+            parent_id = parent.span_id if parent is not None else None
         span = Span(
             span_id=next(self._ids),
             parent_id=parent_id,
@@ -229,18 +227,16 @@ class Tracer:
             thread_id=threading.get_ident(),
             args=dict(args) if args else {},
         )
-        stack.append(span)
+        _OPEN.set(_OPEN.get() + ((self, span),))
         return span
 
     def _end(self, span: Span, exc: Any = None) -> None:
         span.end = time.perf_counter() - self.epoch
         if exc is not None:
             span.args.setdefault("error", type(exc).__name__)
-        stack = self._stack()
-        if stack and stack[-1] is span:
-            stack.pop()
-        elif span in stack:          # tolerate out-of-order exits
-            stack.remove(span)
+        # Out-of-order exits are tolerated.
+        _OPEN.set(tuple(entry for entry in _OPEN.get()
+                        if entry[1] is not span))
         with self._lock:
             self._spans.append(span)
 
@@ -256,13 +252,13 @@ class Tracer:
 
     @contextmanager
     def activate(self):
-        """Make this tracer the calling thread's current tracer."""
-        prev = getattr(_ACTIVE, "tracer", None)
-        _ACTIVE.tracer = self
+        """Make this tracer the current one of the calling thread or,
+        on an event loop, of the calling task."""
+        token = _ACTIVE.set(self)
         try:
             yield self
         finally:
-            _ACTIVE.tracer = prev
+            _ACTIVE.reset(token)
 
     # -- collection --------------------------------------------------
 
@@ -305,14 +301,21 @@ class Tracer:
 
 # -- current-tracer plumbing ----------------------------------------
 
-_ACTIVE = threading.local()
+_ACTIVE: contextvars.ContextVar[Tracer | None] = contextvars.ContextVar(
+    "repro_active_tracer", default=None)
+#: The open spans of the calling thread or task, innermost last, each
+#: with its tracer.  A context copied from another (a new task,
+#: ``asyncio.to_thread``) starts under the other's open spans.
+_OPEN: contextvars.ContextVar[tuple[tuple[Tracer, Span], ...]] = \
+    contextvars.ContextVar("repro_open_spans", default=())
 _GLOBAL = Tracer(enabled=False)
 
 
 def get_tracer() -> Tracer:
-    """The calling thread's active tracer (thread-local override wins,
-    then the process-global tracer; disabled by default)."""
-    tracer = getattr(_ACTIVE, "tracer", None)
+    """The active tracer of the calling thread or task (an
+    :meth:`Tracer.activate` override wins, then the process-global
+    tracer; disabled by default)."""
+    tracer = _ACTIVE.get()
     return tracer if tracer is not None else _GLOBAL
 
 

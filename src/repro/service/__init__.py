@@ -1,7 +1,7 @@
 """Long-lived conversion job service.
 
 Turns the one-shot converters into a service: jobs with priorities,
-timeouts and retries (:mod:`jobs`), a thread worker pool draining a
+timeouts and retries (:mod:`jobs`), an event-loop pool draining a
 priority queue (:mod:`scheduler`), a write-ahead job journal replayed
 for crash recovery (:mod:`journal`), a content-addressed cache of
 preprocessing artifacts with LRU eviction and digest-verified

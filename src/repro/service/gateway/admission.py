@@ -12,13 +12,12 @@ It is also the drain switch for graceful shutdown: once
 :meth:`start_draining` is called, every new submit is refused (again
 explicitly) while already-admitted work runs to completion.
 
-Thread-safe: the gateway admits and releases on its event loop, while
-the pending count it reads moves on the scheduler's threads.
+It runs on the scheduler's event loop, which admits, releases and
+moves the pending count it reads; :meth:`start_draining`, called by
+the thread that stops the gateway, only sets a flag.
 """
 
 from __future__ import annotations
-
-import threading
 
 from ...runtime.metrics import ServiceMetrics
 
@@ -45,7 +44,6 @@ class AdmissionController:
         self.max_pending_jobs = max_pending_jobs
         self._queued_count = queued_count
         self.metrics = metrics
-        self._lock = threading.Lock()
         self._inflight_submits = 0
         self._draining = False
         self.metrics.set_gauge("gateway_draining", 0)
@@ -53,13 +51,11 @@ class AdmissionController:
     @property
     def draining(self) -> bool:
         """Whether the gateway is refusing new work for shutdown."""
-        with self._lock:
-            return self._draining
+        return self._draining
 
     def start_draining(self) -> None:
         """Refuse all new submits from now on (graceful shutdown)."""
-        with self._lock:
-            self._draining = True
+        self._draining = True
         self.metrics.set_gauge("gateway_draining", 1)
 
     def try_admit(self) -> str | None:
@@ -71,25 +67,23 @@ class AdmissionController:
         concurrent submitters — two submits admitted together both
         count against the bound even before either reaches the pool.
         """
-        with self._lock:
-            if self._draining:
-                self.metrics.inc("gateway_rejected_overloaded")
-                return ("service is draining for shutdown; "
-                        "not accepting new jobs")
-            pending = self._queued_count() + self._inflight_submits
-            if self.max_pending_jobs is not None \
-                    and pending >= self.max_pending_jobs:
-                self.metrics.inc("gateway_rejected_overloaded")
-                return (f"{pending} jobs pending >= limit "
-                        f"{self.max_pending_jobs}; retry later")
-            self._inflight_submits += 1
-            self.metrics.set_gauge("gateway_pending_jobs", pending + 1)
-            return None
+        if self._draining:
+            self.metrics.inc("gateway_rejected_overloaded")
+            return ("service is draining for shutdown; "
+                    "not accepting new jobs")
+        pending = self._queued_count() + self._inflight_submits
+        if self.max_pending_jobs is not None \
+                and pending >= self.max_pending_jobs:
+            self.metrics.inc("gateway_rejected_overloaded")
+            return (f"{pending} jobs pending >= limit "
+                    f"{self.max_pending_jobs}; retry later")
+        self._inflight_submits += 1
+        self.metrics.set_gauge("gateway_pending_jobs", pending + 1)
+        return None
 
     def release(self) -> None:
         """One admitted submit has reached (or failed to reach) the
         pool; it no longer counts as gateway-in-flight."""
-        with self._lock:
-            self._inflight_submits = max(0, self._inflight_submits - 1)
-            pending = self._queued_count() + self._inflight_submits
-            self.metrics.set_gauge("gateway_pending_jobs", pending)
+        self._inflight_submits = max(0, self._inflight_submits - 1)
+        self.metrics.set_gauge("gateway_pending_jobs",
+                               self._queued_count() + self._inflight_submits)

@@ -1,18 +1,19 @@
 """Op dispatch: protocol requests -> :class:`ConversionService` calls.
 
-The gateway sessions call :meth:`Dispatcher.dispatch`.  Every op but
-``wait`` answers inline on the event loop, through the synchronous op
-switch :meth:`Dispatcher.handle_message`, which never raises (service
-errors become failure envelopes): none of them blocks for longer than
-the scheduler lock and, for ``submit``, one journal append, which is
-less than a hop to a thread and back costs.  Submits take turns, one
-per pass of the loop, so a burst of them holds a ``ping``, a woken
+The gateway sessions call :meth:`Dispatcher.dispatch` on the
+scheduler's event loop, the one the job attempts run on.  Every op but
+``wait`` answers inline, through the synchronous op switch
+:meth:`Dispatcher.handle_message`, which never raises (service errors
+become failure envelopes): none of them blocks for longer than the
+scheduler lock and, for ``submit``, one journal append, which is less
+than a hop to a thread and back costs.  Submits take turns, one per
+pass of the loop, so a burst of them holds a ``ping``, a woken
 ``wait`` or a new connection for one submit, not for all of them, and
 each first passes admission control, which refuses it with an
 explicit ``overloaded`` error at the limit.  ``wait`` parks on one
-:class:`asyncio.Event` that the scheduler sets the moment the job's
-terminal record is journaled (completion notification: no polling,
-no thread per waiter).
+future that the loop resolves once the job's terminal record is
+journaled (completion notification: no polling, no thread per
+waiter).
 
 A request field of the wrong type is a ``bad_request`` naming the
 field, checked here where the request is decoded (:func:`_field`).
@@ -131,44 +132,46 @@ class Dispatcher:
                     f"{type(exc).__name__}: {exc}")
 
     async def _wait(self, message: dict[str, Any]) -> dict[str, Any]:
-        """Server-side long poll: resolve on the event loop, cheaply.
-
-        Holds the request until the job is terminal or *timeout*
-        elapses, then returns the snapshot either way (mirroring
-        ``ConversionService.wait``).  No thread is parked — the waiter
-        is one event, set by the scheduler's completion callback; an
-        already-terminal job answers at once.
-        """
+        """Server-side long poll: holds the request until the job is
+        terminal or *timeout* elapses, then returns the snapshot either
+        way (mirroring ``ConversionService.wait``)."""
         try:
             job_id = _field(message, "job_id", "a string")
             timeout = _field(message, "timeout", "a number or null", None)
+            job, parked = await self.finished(job_id, timeout)
         except (KeyError, ProtocolError) as exc:
             return _bad_request(exc)
-        loop = asyncio.get_running_loop()
-        finished = asyncio.Event()
-
-        def wake() -> None:
-            # Worker thread.  A loop a drain already closed has nobody
-            # left to tell.
-            with contextlib.suppress(RuntimeError):
-                loop.call_soon_threadsafe(finished.set)
-
-        try:
-            job, parked = self.service.pool.watch(job_id, wake)
         except JobNotFoundError as exc:
             return protocol.error_response(
                 str(exc), code=protocol.CODE_JOB_NOT_FOUND)
+        if parked and job.state.terminal:
+            self.metrics.observe("gateway_wait_wake_seconds",
+                                 time.time() - job.finished_at)
+        return protocol.ok_response(job=job.to_dict())
+
+    async def finished(self, job_id: str,
+                       timeout: float | None) -> tuple[Any, bool]:
+        """The job once it is terminal or *timeout* elapsed, and whether
+        it had to be waited for.  No thread is parked — the waiter is
+        one future, which the scheduler's completion callback resolves
+        on the loop; an already-terminal job answers at once."""
+        finished = asyncio.get_running_loop().create_future()
+
+        def wake() -> None:
+            # A loop a drain already closed has nobody left to tell.
+            if not finished.done():
+                with contextlib.suppress(RuntimeError):
+                    finished.set_result(None)
+
+        job, parked = self.service.pool.watch(job_id, wake)
         if parked:
             try:
-                await asyncio.wait_for(finished.wait(), timeout)
+                await asyncio.wait_for(finished, timeout)
             except asyncio.TimeoutError:
                 pass
             finally:        # timeout, session close and drain alike
                 self.service.pool.unwatch(job, wake)
-            if job.state.terminal:
-                self.metrics.observe("gateway_wait_wake_seconds",
-                                     time.time() - job.finished_at)
-        return protocol.ok_response(job=job.to_dict())
+        return job, parked
 
     # -- sync path (every op but wait) -------------------------------
 

@@ -2,10 +2,11 @@
 
 One :class:`GatewayServer` multiplexes every client connection —
 over the local unix socket, over TCP (``--listen HOST:PORT``), or
-both — onto a single event loop running on a background thread.  The
-design follows the paper's decomposition discipline applied to the
-service's front door: ingest (frame reading), dispatch (op handling)
-and processing (worker pool) never block each other.
+both — onto the scheduler's event loop (:attr:`WorkerPool.loop`), the
+one the job attempts run on; the gateway starts no thread and no loop
+of its own.  The design follows the paper's decomposition discipline
+applied to the service's front door: ingest (frame reading), dispatch
+(op handling) and processing (body workers) never block each other.
 
 * **Transport** — ``asyncio.start_server`` / ``start_unix_server``
   behind the shared line-JSON framing codec
@@ -33,13 +34,15 @@ spans.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import contextlib
 import os
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
-from ...errors import ServiceError
+from ...errors import JobNotFoundError, ServiceError
 from .. import protocol
 from .admission import AdmissionController
 from .dispatch import Dispatcher
@@ -90,7 +93,8 @@ class GatewayServer:
     Parameters
     ----------
     service:
-        The service façade ops are routed to.
+        The service façade ops are routed to; its ``pool.loop`` serves
+        the connections.
     unix_path:
         Unix socket path to listen on (``None`` = no unix listener).
     tcp_address:
@@ -117,76 +121,47 @@ class GatewayServer:
         self.metrics = service.metrics
         self.admission = AdmissionController(
             self.config.max_pending_jobs,
-            self._queued_count, self.metrics)
+            service.pool.queued_count, self.metrics)
         self.dispatcher = Dispatcher(service, self.admission)
 
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
         self._finished = threading.Event()
-        self._startup_error: BaseException | None = None
         self._stop_lock = threading.Lock()
-        self._stop_requested = False
-        self._stop_event: asyncio.Event | None = None
         self._servers: list[asyncio.AbstractServer] = []
         self._conn_tasks: set[asyncio.Task] = set()
         self._inflight_ops: set[asyncio.Task] = set()
         self._session_queues: dict[str, asyncio.Queue] = {}
         self.sessions: dict[str, Session] = {}
 
-    def _queued_count(self) -> int:
-        pool = getattr(self.service, "pool", None)
-        return pool.queued_count() if pool is not None else 0
-
     # -- lifecycle ---------------------------------------------------
 
     def start(self) -> None:
-        """Bind the listeners and serve on a background thread.
+        """Bind the listeners on the service's loop.
 
         Returns once every requested listener is bound (so an
         in-process client can connect immediately) or raises the
         startup error.
         """
-        if self._thread is not None:
+        if self._loop is not None:
             raise ServiceError("gateway already started")
-        self._thread = threading.Thread(target=self._loop_main,
-                                        name="repro-gateway",
-                                        daemon=True)
-        self._thread.start()
-        self._started.wait()
-        if self._startup_error is not None:
-            self._finished.wait(5)
-            raise ServiceError(
-                f"gateway failed to start: {self._startup_error}") \
-                from self._startup_error
+        loop = self.service.pool.loop
+        try:
+            asyncio.run_coroutine_threadsafe(self._listen(), loop).result()
+        except OSError as exc:
+            raise ServiceError(f"gateway failed to start: {exc}") from exc
+        self._loop = loop
 
-    def join(self, timeout: float | None = None) -> None:
-        """Block until the gateway stops (KeyboardInterrupt-friendly).
-
-        Waits on an Event the loop thread sets *after* its cleanup
-        (socket unlink) rather than on ``Thread.join``: a
-        KeyboardInterrupt landing inside an earlier ``Thread.join``
-        can falsely mark a live thread as stopped (bpo-45274's
-        interrupted-``_wait_for_tstate_lock`` recovery), which would
-        make every later join return before shutdown actually ran.
-        """
-        if self._thread is None:
-            return
-        if timeout is not None:
-            self._finished.wait(timeout)
-            return
-        while not self._finished.wait(0.2):
+    def join(self) -> None:
+        """Block until the gateway stopped and closed the service
+        (KeyboardInterrupt-friendly: it waits on an Event in short
+        slices, never in ``Thread.join``, which an interrupt can leave
+        believing a live thread stopped — bpo-45274)."""
+        while self._loop is not None and not self._finished.wait(0.2):
             pass
 
-    def serve_forever(self) -> None:
-        """Start (if needed) and serve until :meth:`stop`."""
-        if self._thread is None:
-            self.start()
-        self.join()
-
     def request_stop(self) -> None:
-        """:meth:`stop` on its own thread: a ``shutdown`` op must not
-        stop the gateway from inside the event loop."""
+        """:meth:`stop` on a one-shot thread of its own: a ``shutdown``
+        op must not block the event loop it is answered on."""
         threading.Thread(target=self.stop, name="repro-gateway-stop",
                          daemon=True).start()
 
@@ -196,73 +171,48 @@ class GatewayServer:
         the listeners (unlinking the socket file), then close the
         service.
 
-        Idempotent and callable from any thread except the event-loop
-        thread itself (:meth:`request_stop` hops to a fresh one).
+        Idempotent (a second caller waits for the first) and callable
+        from any thread except the event-loop thread itself
+        (:meth:`request_stop` hops to a fresh one).
         """
         with self._stop_lock:
-            if self._stop_requested:
-                self.join(timeout=self.config.drain_timeout + 5)
+            if self._finished.is_set():
                 return
-            self._stop_requested = True
-        self.admission.start_draining()
-        loop = self._loop
-        if loop is not None and self._stop_event is not None \
-                and not loop.is_closed():
-            with contextlib.suppress(RuntimeError):
-                loop.call_soon_threadsafe(self._stop_event.set)
-        self.join(timeout=self.config.drain_timeout + 5)
-        self.service.close()
+            self.admission.start_draining()
+            try:
+                if self._loop is not None:
+                    drain = asyncio.run_coroutine_threadsafe(
+                        self._shutdown(), self._loop)
+                    with contextlib.suppress(
+                            concurrent.futures.TimeoutError):
+                        drain.result(self.config.drain_timeout + 5)
+                self.service.close()
+            finally:
+                self._finished.set()
 
     # -- event loop body --------------------------------------------
 
-    def _loop_main(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._main())
-        finally:
-            with contextlib.suppress(Exception):
-                loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-            if self.unix_path and os.path.exists(self.unix_path):
-                with contextlib.suppress(OSError):
-                    os.unlink(self.unix_path)
-            # Signals join()/stop() that shutdown fully completed —
-            # set strictly after the unlink above.
-            self._finished.set()
-
-    async def _main(self) -> None:
-        self._stop_event = asyncio.Event()
+    async def _listen(self) -> None:
         try:
             if self.unix_path is not None:
                 if os.path.exists(self.unix_path):
                     os.unlink(self.unix_path)
                 server = await asyncio.start_unix_server(
-                    self._accept_unix, path=self.unix_path,
-                    backlog=512)
+                    partial(self._accept, transport="unix"),
+                    path=self.unix_path, backlog=512)
                 self._servers.append(server)
             if self._tcp_requested is not None:
                 host, port = self._tcp_requested
                 server = await asyncio.start_server(
-                    self._accept_tcp, host=host, port=port,
-                    backlog=512)
+                    partial(self._accept, transport="tcp"), host=host,
+                    port=port, backlog=512)
                 self._servers.append(server)
                 bound = server.sockets[0].getsockname()
                 self.tcp_address = (bound[0], bound[1])
-        except OSError as exc:
-            self._startup_error = exc
-            self._started.set()
-            return
-        self._started.set()
-        await self._stop_event.wait()
-        await self._shutdown()
-
-    def _accept_unix(self, reader, writer) -> None:
-        self._accept(reader, writer, "unix")
-
-    def _accept_tcp(self, reader, writer) -> None:
-        self._accept(reader, writer, "tcp")
+        except OSError:
+            for server in self._servers:
+                server.close()
+            raise
 
     def _accept(self, reader, writer, transport: str) -> None:
         task = asyncio.ensure_future(
@@ -413,13 +363,18 @@ class GatewayServer:
             task.cancel()
         # Finish in-flight jobs: every job already admitted to the
         # pool runs to a terminal state (bounded by the drain budget).
-        # The one blocking wait of a drain, on a thread of its own.
-        pool = getattr(self.service, "pool", None)
-        if pool is not None and hasattr(pool, "wait_all"):
-            await asyncio.to_thread(pool.wait_all, timeout)
+        end = asyncio.get_running_loop().time() + timeout
+        for job in self.service.pool.jobs():
+            with contextlib.suppress(JobNotFoundError):     # forgotten
+                await self.dispatcher.finished(
+                    job.job_id,
+                    max(0.0, end - asyncio.get_running_loop().time()))
         for queue in list(self._session_queues.values()):
             queue.put_nowait(_CLOSE)
         if self._conn_tasks:
             await asyncio.wait(set(self._conn_tasks), timeout=5)
         for task in list(self._conn_tasks):
             task.cancel()
+        if self.unix_path and os.path.exists(self.unix_path):
+            with contextlib.suppress(OSError):
+                os.unlink(self.unix_path)

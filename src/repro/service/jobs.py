@@ -144,13 +144,9 @@ class Job:
     #: and are fetched on demand through the ``trace`` protocol op.
     trace: list = field(default_factory=list, repr=False)
     #: Wake-up callables parked by :meth:`WorkerPool.watch`; the pool
-    #: runs and clears them once the terminal record is journaled.
+    #: hands them to its loop and clears them once the terminal record
+    #: is journaled.
     waiters: list = field(default_factory=list, repr=False)
-    #: When the running attempt must end (``time.monotonic()``), set by
-    #: the pool as it starts one; ``None`` without a *timeout*.  The
-    #: runner bounds its waits by it; the pool times out an attempt
-    #: that comes back after it.
-    deadline: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:

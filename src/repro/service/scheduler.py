@@ -1,39 +1,42 @@
-"""Thread-based job scheduler: priority queue + worker pool.
+"""Event-loop job scheduler: priority queue + attempt tasks.
 
-The pool drains a priority queue (higher :attr:`Job.priority` first,
-FIFO among equals) with N scheduler threads; each runs its attempts
-inline, and the pool starts no other thread.  An attempt with a
-*timeout* hands the runner :attr:`Job.deadline`, which bounds the
-runner's own waits (the service kills a body still running at it), and
-is timed out when the runner raises :class:`TimeoutError` or returns
-after it.  A timed-out or failed attempt retries with exponential
-backoff or fails; retries are parked in a delay heap and become
-eligible again at ``backoff * 2**(attempt-1)`` seconds.
+The pool's one thread runs one asyncio loop (:attr:`WorkerPool.loop`),
+which the gateway serves on too.  Up to N attempts run on it as tasks,
+started from a priority queue (higher :attr:`Job.priority` first, FIFO
+among equals); each awaits the runner, so the loop waits for no one.
+A *timeout* is :func:`asyncio.wait_for` on the attempt, whose runner
+is cancelled at it.  A timed-out or failed attempt retries with
+exponential backoff or fails; a retry is a ``call_later`` that makes
+the job ready again after ``backoff * 2**(attempt-1)`` seconds.
 
 Cancellation is immediate for queued jobs.  For running jobs the
 :attr:`Job.cancel_requested` event is set; the runner may poll it
 cooperatively, and whatever the attempt produces is discarded — the job
 lands in ``CANCELLED`` rather than ``DONE``/``FAILED``.
 
-All queue/state mutation happens under one condition variable; the
-runner itself executes outside the lock.  Every state change goes
-through :meth:`WorkerPool._transition`, which journals it and keeps the
+Queue and state mutation happens under one lock, taken on the loop and
+by in-process callers on other threads; the runner runs outside it.
+Every state change goes through
+:meth:`WorkerPool._transition`, which journals it and keeps the
 queued/running counts, so gauges and admission checks never rescan the
 job table.  Every terminal one goes on through
-:meth:`WorkerPool._finish`, which runs the callbacks parked by
-:meth:`WorkerPool.watch` and forgets the oldest-finished jobs beyond
-:data:`RETAINED_TERMINAL_JOBS` — memory, journal compaction and status
-listings stay bounded however long the daemon lives.
+:meth:`WorkerPool._finish`, which hands the callbacks parked by
+:meth:`WorkerPool.watch` to the loop and forgets the oldest-finished
+jobs beyond :data:`RETAINED_TERMINAL_JOBS` — memory, journal
+compaction and status listings stay bounded however long the daemon
+lives.
 """
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import heapq
 import itertools
 import threading
 import time
 from collections import deque
-from typing import Any, Callable
+from typing import Any, Awaitable, Callable
 
 from ..errors import JobNotFoundError, ReproError, ServiceError
 from ..runtime import faults
@@ -48,7 +51,8 @@ RETAINED_TERMINAL_JOBS = 1000
 
 
 class WorkerPool:
-    """Priority-queue scheduler executing jobs on worker threads.
+    """Priority-queue scheduler running job attempts as tasks on one
+    event loop.
 
     Each attempt records a span tree into :attr:`Job.trace` and
     mirrors span durations into ``span.<name>`` metric timers.
@@ -56,13 +60,12 @@ class WorkerPool:
     Parameters
     ----------
     runner:
-        ``runner(job) -> result`` callable doing the actual work, on a
-        worker thread.  It runs outside the scheduler lock and may
-        raise; the exception text becomes the job error.  A job with a
-        *timeout* must not outlast :attr:`Job.deadline` by much: its
-        worker thread is the runner's until it returns.
+        ``async def runner(job) -> result``, awaited on the loop outside
+        the scheduler lock; it hands the work to a process (or thread)
+        rather than block the loop.  It may raise; the exception text
+        becomes the job error.
     workers:
-        Number of concurrent worker threads.
+        Number of attempts running at once.
     metrics:
         Optional shared :class:`ServiceMetrics`; one is created when
         omitted.
@@ -72,41 +75,40 @@ class WorkerPool:
         (write-ahead: a journal failure fails the submit) and every
         state transition is journaled as it happens (best-effort: a
         transition-append failure increments
-        ``journal_append_errors`` instead of killing the worker —
-        the worst case is a replay re-running an already-finished
-        job).
+        ``journal_append_errors`` instead of ending the attempt — the
+        worst case is a replay re-running an already-finished job).
     """
 
-    def __init__(self, runner: Callable[[Job], Any], workers: int = 2,
-                 metrics: ServiceMetrics | None = None,
+    def __init__(self, runner: Callable[[Job], Awaitable[Any]],
+                 workers: int = 2, metrics: ServiceMetrics | None = None,
                  journal: JobJournal | None = None) -> None:
         if workers < 1:
             raise ServiceError(f"workers {workers} must be >= 1")
         self._runner = runner
+        self._workers = workers
         self._journal = journal
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self._cond = threading.Condition()
+        self._lock = threading.RLock()
         self._seq = itertools.count()
         self._ready: list[tuple[int, int, Job]] = []     # (-prio, seq, job)
-        self._delayed: list[tuple[float, int, Job]] = []  # (due, seq, job)
+        self._delayed: list[Job] = []            # retries not yet due
         self._jobs: dict[str, Job] = {}
         self._live = {JobState.QUEUED: 0, JobState.RUNNING: 0}
         self._finished: deque[Job] = deque()     # oldest-finished first
         self._expired_seq = 0        # highest id sequence forgotten
         self._stopping = False
-        self._threads = [
-            threading.Thread(target=self._worker_loop,
-                             name=f"repro-worker-{i}", daemon=True)
-            for i in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
+        self._attempts: set[asyncio.Task] = set()
+        #: The loop every attempt runs on; the gateway serves on it too.
+        self.loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self._serve,
+                                        name="repro-loop", daemon=True)
+        self._thread.start()
 
     # -- submission and queries -------------------------------------
 
     def submit(self, job: Job) -> Job:
         """Enqueue *job*; returns it for chaining."""
-        with self._cond:
+        with self._lock:
             if self._stopping:
                 raise ServiceError("worker pool is shut down")
             if job.job_id in self._jobs:
@@ -125,12 +127,12 @@ class WorkerPool:
             heapq.heappush(self._ready,
                            (-job.priority, next(self._seq), job))
             self.metrics.inc("jobs_submitted")
-            self._cond.notify()
+        self.loop.call_soon_threadsafe(self._pump)
         return job
 
     def get(self, job_id: str) -> Job:
         """The job named *job_id*, or raise :class:`JobNotFoundError`."""
-        with self._cond:
+        with self._lock:
             job = self._jobs.get(job_id)
             if job is not None:
                 return job
@@ -145,12 +147,11 @@ class WorkerPool:
               wake: Callable[[], None]) -> tuple[Job, bool]:
         """Park *wake* on a job until it finishes: ``(job, parked)``.
 
-        A parked *wake* runs once, on the finishing thread with the
-        scheduler lock held, after the terminal record is journaled —
-        so it must only hand off.  A job that is already terminal parks
+        A parked *wake* runs once, on the loop, after the terminal
+        record is journaled.  A job that is already terminal parks
         nothing.  Callers that stop waiting early :meth:`unwatch`.
         """
-        with self._cond:
+        with self._lock:
             job = self.get(job_id)
             parked = not job.state.terminal
             if parked:
@@ -159,14 +160,14 @@ class WorkerPool:
 
     def unwatch(self, job: Job, wake: Callable[[], None]) -> None:
         """Withdraw a parked *wake* (no-op once it ran)."""
-        with self._cond:
+        with self._lock:
             if wake in job.waiters:
                 job.waiters.remove(wake)
 
     def jobs(self) -> list[Job]:
         """Every retained job (live or recently finished), in
         submission order."""
-        with self._cond:
+        with self._lock:
             return sorted(self._jobs.values(),
                           key=lambda j: j.submitted_at)
 
@@ -182,18 +183,22 @@ class WorkerPool:
         when the current attempt returns.  Returns ``False`` when the
         job had already finished.
         """
-        with self._cond:
+        with self._lock:
             job = self.get(job_id)
             if job.state.terminal:
                 return False
             job.cancel_requested.set()
             if job.state is JobState.QUEUED:
-                self._discard(job)
+                # Its heap entry is skipped when popped, its retry
+                # timer finds it gone.
+                with contextlib.suppress(ValueError):
+                    self._delayed.remove(job)
                 self._finish(job, JobState.CANCELLED)
             return True
 
     def wait_all(self, timeout: float | None = None) -> bool:
-        """Block until every submitted job is terminal."""
+        """Block until every submitted job is terminal (not on the
+        loop)."""
         deadline = None if timeout is None \
             else time.monotonic() + timeout
         for job in self.jobs():
@@ -205,24 +210,24 @@ class WorkerPool:
 
     def shutdown(self, wait: bool = True,
                  timeout: float | None = None) -> None:
-        """Stop the workers; queued jobs that never ran stay QUEUED.
+        """Start no more attempts and stop the loop once the running
+        ones end (*wait*: block until then, or *timeout*); queued jobs
+        that never ran stay QUEUED.
 
-        Parked retries are different: their delay-heap entries would
-        never become due for a worker again, leaving them orphaned in
-        ``QUEUED`` and hanging any :meth:`wait_all` caller.  The heap
-        is therefore drained deterministically — every still-queued
-        parked retry is finished as ``CANCELLED``.
+        Parked retries are different: they would never become due
+        again, leaving them orphaned in ``QUEUED`` and hanging any
+        :meth:`wait_all` caller.  Every parked retry is therefore
+        finished as ``CANCELLED``.
         """
-        with self._cond:
+        with self._lock:
             self._stopping = True
-            while self._delayed:
-                _, _, job = heapq.heappop(self._delayed)
-                if job.state is JobState.QUEUED:
-                    self._finish(job, JobState.CANCELLED)
-            self._cond.notify_all()
+            for job in self._delayed:
+                self._finish(job, JobState.CANCELLED)
+            self._delayed.clear()
+        with contextlib.suppress(RuntimeError):     # closed: stopped before
+            self.loop.call_soon_threadsafe(self.loop.stop)
         if wait:
-            for thread in self._threads:
-                thread.join(timeout)
+            self._thread.join(timeout)
 
     # -- crash recovery ---------------------------------------------
 
@@ -250,7 +255,7 @@ class WorkerPool:
             return (done if isinstance(done, (int, float))
                     else float("inf"), spec.get("submitted_at", 0))
 
-        with self._cond:
+        with self._lock:
             self._expired_seq = max(self._expired_seq, id_floor)
             for spec in sorted(specs, key=order):
                 try:
@@ -280,17 +285,13 @@ class WorkerPool:
                 job.error = (f"attempt {job.attempts} interrupted by "
                              f"service restart")
                 if job.attempts_left > 0:
-                    delay = job.backoff * 2 ** (job.attempts - 1)
                     self._transition(job, JobState.QUEUED)
-                    heapq.heappush(
-                        self._delayed,
-                        (time.monotonic() + delay, next(self._seq),
-                         job))
+                    self._park(job)
                     counts["rerun"] += 1
                 else:
                     self._finish(job, JobState.FAILED)
                     counts["failed"] += 1
-            self._cond.notify_all()
+        self.loop.call_soon_threadsafe(self._pump)
         recovered = counts["requeued"] + counts["rerun"]
         self.metrics.inc("jobs_recovered", recovered)
         self.metrics.inc("jobs_recovered_failed", counts["failed"])
@@ -304,7 +305,7 @@ class WorkerPool:
         The snapshot and the rewrite happen inside one critical
         section holding the scheduler lock first and the journal lock
         second — the same order every append site uses (submit and
-        transition appends run under ``self._cond``).  Holding the
+        transition appends run under ``self._lock``).  Holding the
         scheduler lock across the rewrite is what makes the snapshot
         safe: a concurrent :meth:`submit` cannot append its record to
         the old file after the snapshot was taken, so compaction can
@@ -313,14 +314,14 @@ class WorkerPool:
         """
         if self._journal is None:
             return False
-        with self._cond:
+        with self._lock:
             if force:
                 self._journal.compact(self.jobs(), self._expired_seq)
                 return True
             return self._journal.maybe_compact(self.jobs(),
                                                self._expired_seq)
 
-    # -- worker internals -------------------------------------------
+    # -- internals ----------------------------------------------------
 
     def _register(self, job: Job) -> None:
         # Called with the lock held: adopt a submitted/recovered job.
@@ -333,8 +334,8 @@ class WorkerPool:
 
     def _transition(self, job: Job, to: JobState) -> None:
         # Called with the lock held: the one place a registered job
-        # changes state.  Journaling is best-effort on purpose: a
-        # worker thread must survive a journal write failure.
+        # changes state.  Journaling is best-effort on purpose: an
+        # attempt must survive a journal write failure.
         was = job.state
         job.transition(to)
         self._live[was] -= 1
@@ -358,19 +359,6 @@ class WorkerPool:
             self._expired_seq = max(self._expired_seq,
                                     job_id_sequence(old.job_id))
 
-    def _discard(self, job: Job) -> None:
-        # Called with the lock held: drop *job*'s entries from both
-        # heaps so a cancelled job cannot linger as a stale retry.
-        ready = [entry for entry in self._ready if entry[2] is not job]
-        if len(ready) != len(self._ready):
-            self._ready[:] = ready
-            heapq.heapify(self._ready)
-        delayed = [entry for entry in self._delayed
-                   if entry[2] is not job]
-        if len(delayed) != len(self._delayed):
-            self._delayed[:] = delayed
-            heapq.heapify(self._delayed)
-
     def _publish_gauges(self) -> None:
         # Called with the lock held.
         self.metrics.set_gauge("queue_depth",
@@ -380,109 +368,129 @@ class WorkerPool:
 
     def _finish(self, job: Job, state: JobState) -> None:
         # Called with the lock held; records terminal state + metrics,
-        # then wakes the waiters — strictly after the journal append,
-        # so a client never sees a state the journal lacks.
+        # then hands the waiters to the loop — strictly after the
+        # journal append, so a client never sees a state the journal
+        # lacks.
         self._transition(job, state)
         self.metrics.inc(f"jobs_{state.value}")
         self.metrics.observe("job_wall_seconds",
                              job.finished_at - job.submitted_at)
         self._retire(job)
         waiters, job.waiters = job.waiters, []
-        for wake in waiters:
-            wake()
-        self._cond.notify_all()
+        with contextlib.suppress(RuntimeError):  # closed: no one to wake
+            for wake in waiters:
+                self.loop.call_soon_threadsafe(wake)
 
-    def _next_job(self) -> Job | None:
-        """Pop the next runnable job, or ``None`` when shutting down."""
-        with self._cond:
-            while True:
-                now = time.monotonic()
-                while self._delayed and self._delayed[0][0] <= now:
-                    _, _, job = heapq.heappop(self._delayed)
-                    heapq.heappush(self._ready,
-                                   (-job.priority, next(self._seq), job))
-                while self._ready:
-                    _, _, job = heapq.heappop(self._ready)
-                    if job.state is JobState.QUEUED:
-                        job.attempts += 1
-                        self._transition(job, JobState.RUNNING)
-                        return job
-                    # Cancelled while queued: stale heap entry, skip.
-                if self._stopping:
-                    return None
-                wait = None
-                if self._delayed:
-                    wait = max(0.0, self._delayed[0][0] - now)
-                self._cond.wait(wait)
+    def _park(self, job: Job) -> None:
+        # Called with the lock held, for a QUEUED job whose attempt
+        # failed: it becomes ready again after its backoff.
+        self._delayed.append(job)
+        self.loop.call_soon_threadsafe(
+            self.loop.call_later, job.backoff * 2 ** (job.attempts - 1),
+            self._due, job)
 
-    def _worker_loop(self) -> None:
-        while (job := self._next_job()) is not None:
-            if self._journal is not None \
-                    and self._journal.needs_compact():
-                # Opportunistic compaction between attempts.  The
-                # cheap threshold pre-check keeps the common path off
-                # the scheduler lock; compact_journal re-checks under
-                # the lock, so two racing workers compact only once.
-                try:
-                    self.compact_journal()
-                except ReproError:
-                    self.metrics.inc("journal_compact_errors")
-            if job.timeout is not None:
-                job.deadline = time.monotonic() + job.timeout
-            # One tracer per attempt: the converter/runtime spans of
-            # this job land in an isolated tree (activate() is
-            # thread-local, so concurrent jobs do not interleave).
-            tracer = Tracer(enabled=True)
-            result, exc = None, None
+    def _due(self, job: Job) -> None:
+        with self._lock:
             try:
-                with tracer.activate(), \
-                        tracer.span(f"job.{job.kind}", "service",
-                                    args={"job_id": job.job_id,
-                                          "attempt": job.attempts}):
-                    # The attempt-level fault point: armed
-                    # ``exception`` makes the retry/backoff path real,
-                    # armed ``crash`` dies mid-RUNNING so journal
-                    # replay re-queues this job.
-                    faults.fire("scheduler.attempt")
-                    result = self._runner(job)
-            except BaseException as error:  # noqa: BLE001 — reported
-                exc = error
-            # Timed out: the runner gave up at the deadline (the body's
-            # worker is killed there) or came back after it.
-            timed_out = job.deadline is not None and (
-                isinstance(exc, TimeoutError)
-                or time.monotonic() > job.deadline)
-            spans = [span.to_dict() for span in tracer.spans()]
-            with self._cond:
-                job.trace.extend(spans)
-                for span in spans:
-                    if span.get("end") is not None:
-                        self.metrics.observe(f"span.{span['name']}",
-                                             span["end"] - span["start"])
-                if job.cancel_requested.is_set():
-                    self._finish(job, JobState.CANCELLED)
-                    continue
-                if timed_out:
-                    self.metrics.inc("jobs_timed_out")
-                    job.error = (f"attempt {job.attempts} timed out "
-                                 f"after {job.timeout:g}s")
-                elif exc is not None:
-                    job.error = f"{type(exc).__name__}: {exc}"
-                else:
-                    job.result = result
-                    job.error = None
-                    self._finish(job, JobState.DONE)
-                    continue
-                if job.attempts_left > 0 and not self._stopping:
-                    delay = job.backoff * 2 ** (job.attempts - 1)
-                    self._transition(job, JobState.QUEUED)
-                    self.metrics.inc("jobs_retried")
-                    heapq.heappush(
-                        self._delayed,
-                        (time.monotonic() + delay, next(self._seq), job))
-                    self._cond.notify_all()
-                elif job.attempts_left > 0:
-                    # Pool is stopping: parking a retry would orphan it.
-                    self._finish(job, JobState.CANCELLED)
-                else:
-                    self._finish(job, JobState.FAILED)
+                self._delayed.remove(job)
+            except ValueError:
+                return      # cancelled, or finished by shutdown
+            heapq.heappush(self._ready,
+                           (-job.priority, next(self._seq), job))
+        self._pump()
+
+    def _pump(self) -> None:
+        # On the loop: start the best queued jobs while fewer than
+        # *workers* attempts run.
+        with self._lock:
+            while self._ready and not self._stopping \
+                    and len(self._attempts) < self._workers:
+                _, _, job = heapq.heappop(self._ready)
+                if job.state is not JobState.QUEUED:
+                    continue        # cancelled while queued
+                job.attempts += 1
+                self._transition(job, JobState.RUNNING)
+                task = self.loop.create_task(self._attempt(job))
+                self._attempts.add(task)
+                task.add_done_callback(self._attempt_done)
+
+    def _attempt_done(self, task: asyncio.Task) -> None:
+        self._attempts.discard(task)
+        self._pump()
+
+    def _serve(self) -> None:
+        # The loop thread: serve until shutdown, then let the attempts
+        # in flight end.
+        self.loop.run_forever()
+        if self._attempts:
+            self.loop.run_until_complete(asyncio.wait(self._attempts))
+        self.loop.run_until_complete(self.loop.shutdown_default_executor())
+        self.loop.close()
+
+    async def _run(self, job: Job) -> Any:
+        # Inside the attempt's timeout.  The attempt-level fault point:
+        # armed ``exception`` makes the retry/backoff path real, armed
+        # ``crash`` dies mid-RUNNING so journal replay re-queues this
+        # job; a ``delay`` stalls the loop, and an attempt it held past
+        # its timeout sends nothing and waits for the timeout to end it.
+        started = self.loop.time()
+        faults.fire("scheduler.attempt")
+        if job.timeout is not None \
+                and self.loop.time() - started >= job.timeout:
+            await self.loop.create_future()
+        return await self._runner(job)
+
+    async def _attempt(self, job: Job) -> None:
+        if self._journal is not None and self._journal.needs_compact():
+            # Opportunistic compaction between attempts; compact_journal
+            # re-checks the threshold under the lock.
+            try:
+                self.compact_journal()
+            except ReproError:
+                self.metrics.inc("journal_compact_errors")
+        # One tracer per attempt: the converter/runtime spans of this
+        # job land in an isolated tree (activate() is task-local, so
+        # concurrent attempts do not interleave).
+        tracer = Tracer(enabled=True)
+        result, exc = None, None
+        try:
+            with tracer.activate(), \
+                    tracer.span(f"job.{job.kind}", "service",
+                                args={"job_id": job.job_id,
+                                      "attempt": job.attempts}):
+                result = await asyncio.wait_for(self._run(job),
+                                                job.timeout)
+        except Exception as error:  # noqa: BLE001 — reported
+            exc = error
+        timed_out = job.timeout is not None \
+            and isinstance(exc, asyncio.TimeoutError)
+        spans = [span.to_dict() for span in tracer.spans()]
+        with self._lock:
+            job.trace.extend(spans)
+            for span in spans:
+                if span.get("end") is not None:
+                    self.metrics.observe(f"span.{span['name']}",
+                                         span["end"] - span["start"])
+            if job.cancel_requested.is_set():
+                self._finish(job, JobState.CANCELLED)
+                return
+            if timed_out:
+                self.metrics.inc("jobs_timed_out")
+                job.error = (f"attempt {job.attempts} timed out "
+                             f"after {job.timeout:g}s")
+            elif exc is not None:
+                job.error = f"{type(exc).__name__}: {exc}"
+            else:
+                job.result = result
+                job.error = None
+                self._finish(job, JobState.DONE)
+                return
+            if job.attempts_left > 0 and not self._stopping:
+                self._transition(job, JobState.QUEUED)
+                self.metrics.inc("jobs_retried")
+                self._park(job)
+            elif job.attempts_left > 0:
+                # Pool is stopping: parking a retry would orphan it.
+                self._finish(job, JobState.CANCELLED)
+            else:
+                self._finish(job, JobState.FAILED)

@@ -2,31 +2,33 @@
 
 :class:`ConversionService` wires the scheduler, the artifact cache and
 the existing converters into one long-lived object.  Submitting a job
-returns immediately; a scheduler thread sends the whole attempt to a
-body worker process and *waits* while the worker *works*: the job body
-(:func:`_job_body`) is a module-level function of one picklable
-payload, sent down the worker's pipe, which checks the job, digests
-its input, fetches or builds its cache entry and converts.  So the
-process holding gateway, journal and scheduler does no job work, the
-attempt's deadline bounds all of it, and N jobs use N cores instead of
-one GIL.  BAM inputs route their sequential preprocessing through the
+returns immediately; an attempt, a task on the scheduler's event loop,
+sends the whole job to a body worker process and *awaits* its reply
+while the worker *works*: the job body (:func:`_job_body`) is a
+module-level function of one picklable payload, sent down the worker's
+pipe, which checks the job, digests its input, fetches or builds its
+cache entry and converts.  So the process holding gateway, journal and
+scheduler does no job work and parks no thread on a job, the attempt's
+timeout bounds all of it, and N jobs use N cores instead of one GIL.
+BAM inputs route their sequential preprocessing through the
 content-addressed cache, which the workers share through its
 directory, so repeated full or partial-region conversions of the same
 input skip that phase entirely — the warm path is an O(1) cache lookup
 plus the BAIX binary search.
 
 :class:`~repro.service.gateway.GatewayServer` exposes the façade over
-a local unix socket and/or a TCP listener: transport, session, dispatch
-and admission-control layers multiplexing many concurrent submitters
-without blocking each other; its ``stop()`` drains and then closes the
-service.  The matching blocking client lives in
-:mod:`repro.service.client`, apart from the converter stack this module
-imports.
+a local unix socket and/or a TCP listener, on the same loop:
+transport, session, dispatch and admission-control layers multiplexing
+many concurrent submitters without blocking each other; its ``stop()``
+drains and then closes the service.  The matching blocking client
+lives in :mod:`repro.service.client`, apart from the converter stack
+this module imports.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from typing import Any
 
 from ..core import BamConverter, SamConverter, parse_filter_expr
@@ -173,8 +175,8 @@ class ConversionService:
         Root for service state; the artifact cache lives in
         ``<work_dir>/cache`` unless *cache_dir* overrides it.
     workers:
-        Jobs in flight at once: scheduler threads that each wait for
-        one attempt's body to finish in one of as many body workers
+        Jobs in flight at once: attempts on the scheduler's loop that
+        each await one body in one of as many body workers
         (:class:`PipeWorkers`, forked here, before any thread;
         ``REPRO_EXECUTOR_WORKERS`` does not size them).
     cache_max_bytes:
@@ -217,7 +219,7 @@ class ConversionService:
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.shards_per_rank = KNOBS["shards"].check(
             shards_per_rank, ServiceError, "shards_per_rank")
-        # Fork the body workers while no scheduler, journal or gateway
+        # Fork the body workers while no loop, journal or gateway
         # thread exists to be caught holding a lock.
         self.bodies = PipeWorkers(workers, metrics=self.metrics)
         # The daemon's cache only scans the directory at start-up; each
@@ -250,8 +252,8 @@ class ConversionService:
         if recovered:
             counts = self.pool.recover(recovered, id_floor)
             # The replayed log has served its purpose; snapshotting it
-            # now bounds growth across restart cycles.  Workers are
-            # already draining recovered jobs, so the snapshot must go
+            # now bounds growth across restart cycles.  The loop is
+            # already running recovered jobs, so the snapshot must go
             # through the pool's lock-ordered compaction.
             self.pool.compact_journal(force=True)
             self.metrics.set_gauge("journal_recovered_jobs",
@@ -305,34 +307,28 @@ class ConversionService:
         if self.journal is not None:
             self.journal.close()
 
-    # -- the job runner (scheduler threads wait, body workers work) --
+    # -- the job runner (the loop awaits, body workers work) ----------
 
-    def _run_job(self, job: Job) -> dict[str, Any]:
-        return self._in_pool(_job_body, {
-            "kind": job.kind, "params": job.params,
-            "shards": self.shards_per_rank, "cache": self._cache_settings,
-        }, f"{job.job_id} {job.kind}", job.deadline)
-
-    def _in_pool(self, body: Any, payload: dict[str, Any],
-                 label: str, deadline: float | None) -> Any:
-        """Run ``body(payload)`` in a body worker — the one place the
-        service crosses the process boundary.
-
-        The calling thread waits.  Back come the body's result, its
-        metric deltas (folded into :attr:`metrics`) and its spans,
-        which land under the caller's open span — the attempt's
-        ``job.<kind>`` — the way rank spans do; the round trip less
-        the ``job.body`` span is the ``body_roundtrip_seconds`` timer.
-        A body whose worker dies, or that runs past *deadline*, fails
-        as :meth:`PipeWorkers.map` says, and nothing of it is folded in.
-        """
+    async def _run_job(self, job: Job) -> dict[str, Any]:
+        """One attempt: :func:`_job_body` awaited in a body worker, the
+        one place the service crosses the process boundary.  Back come
+        the body's result, its metric deltas (folded into
+        :attr:`metrics`) and its spans, which land under the attempt's
+        ``job.<kind>`` span; the round trip less the ``job.body`` span
+        is the ``body_roundtrip_seconds`` timer.  A body that fails as
+        :meth:`PipeWorkers.call` says folds nothing in."""
         tracer = get_tracer()
         caller = tracer.current_span()
         parent_id = caller.span_id if caller is not None else None
-        entry = (body, payload, None, None, (tracer.enabled, tracer.epoch),
-                 parent_id, "job.body")
-        ((result, deltas), span_dicts), seconds = \
-            self.bodies.run(_run_entry, entry, label, deadline)
+        entry = (_job_body, {
+            "kind": job.kind, "params": job.params,
+            "shards": self.shards_per_rank, "cache": self._cache_settings,
+        }, None, None, (tracer.enabled, tracer.epoch), parent_id,
+            "job.body")
+        t0 = time.perf_counter()
+        (result, deltas), span_dicts = await self.bodies.call(
+            _run_entry, entry, f"{job.job_id} {job.kind}")
+        seconds = time.perf_counter() - t0
         for span in span_dicts:
             if span["name"] == "job.body":
                 self.metrics.observe(

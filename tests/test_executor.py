@@ -329,8 +329,8 @@ def test_crash_names_the_dying_item_and_spares_its_neighbour(items, dying):
 
 
 def test_concurrent_callers_share_the_process_pool():
-    """Six threads — three calling ``run`` piece by piece, three
-    ``map`` — on a pool of two workers all finish with their own
+    """Six threads — three calling ``map`` piece by piece, three on
+    all five pieces — on a pool of two workers all finish with their own
     results and no count lost: a call waits for a worker only while it
     holds none, so callers cannot deadlock one another."""
     pool = PipeWorkers(2)
@@ -343,7 +343,7 @@ def test_concurrent_callers_share_the_process_pool():
                 results[k] = pool.map(_double, items, ["piece"] * 5,
                                       order=[4, 3, 2, 1, 0])
             else:
-                results[k] = [pool.run(_double, x, "piece")[0]
+                results[k] = [pool.map(_double, [x], ["piece"])[0]
                               for x in items]
         except Exception as exc:  # noqa: BLE001 — asserted below
             errors.append(exc)
@@ -419,20 +419,6 @@ def test_a_task_that_does_not_pickle_costs_no_worker(case):
         assert ex.map_tasks(_double, [1, 2], "process") == [2, 4]
     finally:
         ex.shutdown()
-
-
-def test_a_call_past_its_deadline_claims_no_worker():
-    pool = PipeWorkers(1)
-    try:
-        pids = pool.pids
-        with pytest.raises(TimeoutError, match="late"):
-            pool.run(abs, -1, "late", deadline=time.monotonic() - 1)
-        assert pool.counts["starts"] == 1
-        assert pool.counts["tasks_failed"] == 0
-        assert pool.pids == pids
-        assert pool.run(abs, -1, "on time")[0] == 1
-    finally:
-        pool.close()
 
 
 # -- the process-global instance -------------------------------------

@@ -27,6 +27,8 @@ from repro.service.jobs import Job, JobState
 from repro.service.journal import JobJournal, replay
 from repro.service.scheduler import WorkerPool
 
+from .runners import threaded
+
 
 @pytest.fixture(autouse=True)
 def disarmed():
@@ -187,7 +189,7 @@ def test_disarmed_fire_is_cheap():
 
 def test_scheduler_attempt_exception_exhausts_retries():
     faults.arm("scheduler.attempt:exception")
-    pool = WorkerPool(lambda job: {"ok": True}, workers=1)
+    pool = WorkerPool(threaded(lambda job: {"ok": True}), workers=1)
     try:
         job = pool.submit(Job(kind="k", max_retries=1, backoff=0.01))
         assert job.wait(10)
@@ -203,7 +205,7 @@ def test_scheduler_attempt_fault_recovers_via_retry():
     # seed 1 at prob 0.5 fires on the first evaluation and not the
     # second: the first attempt fails, the retry succeeds.
     faults.arm("scheduler.attempt:exception:0.5:1")
-    pool = WorkerPool(lambda job: {"ok": True}, workers=1)
+    pool = WorkerPool(threaded(lambda job: {"ok": True}), workers=1)
     try:
         job = pool.submit(Job(kind="k", max_retries=2, backoff=0.01))
         assert job.wait(10)
@@ -217,7 +219,7 @@ def test_scheduler_attempt_fault_recovers_via_retry():
 
 def test_journal_append_fault_refuses_submit(tmp_path):
     journal = JobJournal(tmp_path / "jobs.jsonl", fsync="never")
-    pool = WorkerPool(lambda job: {"ok": True}, workers=1,
+    pool = WorkerPool(threaded(lambda job: {"ok": True}), workers=1,
                       journal=journal)
     try:
         faults.arm("journal.append:exception")
@@ -306,7 +308,7 @@ class _TinyService:
 
     def __init__(self) -> None:
         self.metrics = ServiceMetrics()
-        self.pool = WorkerPool(lambda job: dict(job.params),
+        self.pool = WorkerPool(threaded(lambda job: dict(job.params)),
                                workers=1, metrics=self.metrics)
 
     def submit(self, kind, params, priority=0, timeout=None,

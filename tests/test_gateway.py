@@ -6,6 +6,7 @@ and the ≥200-concurrent-submitter stress acceptance test."""
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
 import math
 import os
@@ -22,6 +23,8 @@ from repro.service import ConversionService, GatewayConfig, \
     GatewayServer, Job, ServiceClient, WorkerPool
 from repro.service import protocol
 from repro.service.gateway.framing import FrameError, FrameReader
+
+from .runners import threaded
 
 
 # ---------------------------------------------------------------------
@@ -104,13 +107,14 @@ def test_parse_address_rejects_garbage():
 
 
 class EchoService:
-    """Minimal ConversionService stand-in: pool + metrics + façade."""
+    """Minimal ConversionService stand-in: pool + metrics + façade.  A
+    plain *runner* runs on a thread (:func:`threaded`)."""
 
     def __init__(self, runner=None, workers: int = 2) -> None:
         self.metrics = ServiceMetrics()
         self.pool = WorkerPool(
-            runner if runner is not None else
-            (lambda job: dict(job.params)),
+            runner if inspect.iscoroutinefunction(runner)
+            else threaded(runner or (lambda job: dict(job.params))),
             workers=workers, metrics=self.metrics)
 
     def submit(self, kind, params, priority=0, timeout=None,
@@ -356,7 +360,7 @@ def test_stop_survives_corrupted_thread_join_state(tmp_path):
     service = EchoService()
     daemon = start_daemon(tmp_path, service)
     socket_path = daemon.unix_path
-    thread = daemon._thread
+    thread = service.pool._thread
     # Simulate the corruption: the interrupted join released the
     # tstate lock and called _stop() on a live thread.
     thread._tstate_lock.release()
@@ -745,16 +749,20 @@ class SlowSubmits(EchoService):
     append would: a 200-submit burst then queues for ~0.4 s."""
 
     def submit(self, *args, **kwargs):
-        with self.pool._cond:
+        with self.pool._lock:
             time.sleep(0.002)
             return super().submit(*args, **kwargs)
+
+
+async def echo(job):
+    return job.params
 
 
 def test_daemon_thread_count_does_not_depend_on_load(tmp_path):
     """Every op but ``wait`` answers on the loop: a burst of submits
     starts no thread, and a ping sent mid-burst is answered between
     them, not after them."""
-    service = SlowSubmits(runner=lambda job: job.params)
+    service = SlowSubmits(runner=echo)
     daemon = start_daemon(tmp_path, service, unix=False,
                           config=GatewayConfig(max_pending_jobs=None))
     socks = [socketlib.create_connection(daemon.tcp_address, timeout=30)
@@ -790,28 +798,43 @@ def test_daemon_thread_count_does_not_depend_on_load(tmp_path):
 
 
 def test_daemon_thread_count_does_not_depend_on_running_jobs(tmp_path):
-    """An attempt with a timeout runs on its scheduler thread: while two
-    such jobs run, the daemon has as many threads as when idle."""
-    gate = threading.Event()
-    service = EchoService(runner=lambda job: gate.wait(job.timeout))
-    daemon = start_daemon(tmp_path, service, unix=False)
-    try:
-        with ServiceClient(daemon.tcp_address) as client:
-            wait_for(lambda: len(daemon.sessions) == 1)
-            idle = threading.active_count()
-            jobs = [client.submit("k", {}, timeout=30)["job_id"]
-                    for _ in range(2)]
-            wait_for(lambda: all(client.status(job)["state"] == "running"
-                                 for job in jobs))
-            assert threading.active_count() == idle
-            assert not [thread.name for thread in threading.enumerate()
-                        if "attempt" in thread.name]
+    """Attempts are tasks on the daemon's one loop: while serving, the
+    daemon holds as many threads with 2 workers as with 6, idle and
+    while two jobs run, with and without a timeout."""
+    counts = {}
+    for workers in (2, 6):
+        gate = threading.Event()
+
+        async def runner(job):
+            while not gate.is_set():
+                await asyncio.sleep(0.005)
+            return "ok"
+
+        service = EchoService(runner=runner, workers=workers)
+        daemon = start_daemon(tmp_path, service, unix=False)
+        try:
+            with ServiceClient(daemon.tcp_address) as client:
+                wait_for(lambda: len(daemon.sessions) == 1)
+                counts[workers, "idle"] = threading.active_count()
+                for timeout in (None, 30):
+                    gate.clear()
+                    jobs = [client.submit("k", {}, timeout=timeout)
+                            ["job_id"] for _ in range(2)]
+                    wait_for(lambda: all(
+                        client.status(job)["state"] == "running"
+                        for job in jobs))
+                    counts[workers, timeout] = threading.active_count()
+                    assert not [thread.name
+                                for thread in threading.enumerate()
+                                if "attempt" in thread.name]
+                    gate.set()
+                    for job in jobs:
+                        assert client.wait(job, timeout=10)["state"] \
+                            == "done"
+        finally:
             gate.set()
-            for job in jobs:
-                assert client.wait(job, timeout=10)["state"] == "done"
-    finally:
-        gate.set()
-        daemon.stop()
+            daemon.stop()
+    assert len(set(counts.values())) == 1, counts
 
 
 #: case -> (raw request line, the field its bad_request names)

@@ -17,6 +17,8 @@ from repro.service.jobs import Job, JobState, next_job_id, \
 from repro.service.journal import JobJournal, replay
 from repro.service.scheduler import WorkerPool
 
+from .runners import threaded
+
 
 @pytest.fixture(autouse=True)
 def fresh_id_nonce():
@@ -46,7 +48,7 @@ def spec(job_id, state="queued", attempts=0, max_retries=0,
 
 
 def test_recover_categories():
-    pool = WorkerPool(lambda job: {"ran": job.job_id}, workers=2)
+    pool = WorkerPool(threaded(lambda job: {"ran": job.job_id}), workers=2)
     try:
         counts = pool.recover([
             spec("job-000001", state="queued"),
@@ -84,7 +86,7 @@ def test_recover_skips_invalid_specs():
     """A journal record that is valid JSON but semantically bad
     (unknown state, missing kind) must not abort recovery — the
     daemon still starts, the bad spec is counted and skipped."""
-    pool = WorkerPool(lambda job: {"ran": job.job_id}, workers=1)
+    pool = WorkerPool(threaded(lambda job: {"ran": job.job_id}), workers=1)
     try:
         bad_state = spec("job-000001", state="bogus")
         missing_kind = spec("job-000002")
@@ -103,7 +105,7 @@ def test_recover_skips_invalid_specs():
 
 
 def test_recover_rejects_duplicate_ids():
-    pool = WorkerPool(lambda job: None, workers=1)
+    pool = WorkerPool(threaded(lambda job: None), workers=1)
     try:
         pool.recover([spec("job-000001")])
         with pytest.raises(ServiceError, match="duplicate job id"):
@@ -114,7 +116,7 @@ def test_recover_rejects_duplicate_ids():
 
 def test_recovered_job_can_be_cancelled():
     gate = threading.Event()
-    pool = WorkerPool(lambda job: gate.wait(30), workers=1)
+    pool = WorkerPool(threaded(lambda job: gate.wait(30)), workers=1)
     try:
         # The high-priority job pins the single worker; the other
         # recovered job is still queued and must cancel immediately.
@@ -139,7 +141,7 @@ def test_pool_restart_with_journal_finishes_everything(tmp_path):
     path = tmp_path / "jobs.jsonl"
     gate = threading.Event()
     journal1 = JobJournal(path, fsync="never")
-    pool1 = WorkerPool(lambda job: gate.wait(30), workers=1,
+    pool1 = WorkerPool(threaded(lambda job: gate.wait(30)), workers=1,
                        journal=journal1)
     running = pool1.submit(Job(kind="k", max_retries=1, backoff=0.01))
     queued = pool1.submit(Job(kind="k", max_retries=1, backoff=0.01))
@@ -156,7 +158,7 @@ def test_pool_restart_with_journal_finishes_everything(tmp_path):
     assert specs[queued.job_id]["state"] == "queued"
 
     journal2 = JobJournal(path, fsync="never")
-    pool2 = WorkerPool(lambda job: {"done": job.job_id}, workers=1,
+    pool2 = WorkerPool(threaded(lambda job: {"done": job.job_id}), workers=1,
                        journal=journal2)
     try:
         counts = pool2.recover(list(specs.values()))
@@ -180,7 +182,7 @@ def test_compaction_never_loses_racing_submits(tmp_path):
     check every acknowledged submit survives replay."""
     path = tmp_path / "jobs.jsonl"
     journal = JobJournal(path, fsync="never", compact_threshold=2)
-    pool = WorkerPool(lambda job: None, workers=1, journal=journal)
+    pool = WorkerPool(threaded(lambda job: None), workers=1, journal=journal)
     submitted: list[str] = []
     stop = threading.Event()
 
@@ -216,7 +218,7 @@ def test_compaction_and_replay_round_trip_the_retained_set(
     path = tmp_path / "jobs.jsonl"
     gate = threading.Event()
     journal = JobJournal(path, fsync="never")
-    pool = WorkerPool(lambda job: gate.wait(30), workers=1,
+    pool = WorkerPool(threaded(lambda job: gate.wait(30)), workers=1,
                       journal=journal)
     try:
         jobs = [pool.submit(Job(kind="k", job_id=f"job-{i:06d}"))
@@ -257,7 +259,7 @@ def test_recover_applies_the_retention_bound_oldest_finished_first(
         monkeypatch):
     from repro.service import scheduler
     monkeypatch.setattr(scheduler, "RETAINED_TERMINAL_JOBS", 3)
-    pool = WorkerPool(lambda job: None, workers=1)
+    pool = WorkerPool(threaded(lambda job: None), workers=1)
     try:
         now = time.time()
         # Submission order is the reverse of finishing order.

@@ -19,6 +19,8 @@ from repro.service import ArtifactCache, ConversionService, \
     GatewayServer, Job, JobState, ServiceClient, WorkerPool, cache_key
 from repro.service.journal import replay
 
+from .runners import threaded
+
 
 def wait_terminal(job: Job, timeout: float = 30.0) -> Job:
     assert job.wait(timeout), f"{job.job_id} not terminal in {timeout}s"
@@ -56,7 +58,7 @@ def test_job_bad_policy_rejected():
 
 
 def test_pool_success():
-    pool = WorkerPool(lambda job: job.params["x"] * 2, workers=2)
+    pool = WorkerPool(threaded(lambda job: job.params["x"] * 2), workers=2)
     try:
         job = wait_terminal(pool.submit(Job(kind="k", params={"x": 21})))
         assert job.state is JobState.DONE
@@ -68,7 +70,7 @@ def test_pool_success():
 
 def test_pool_timeout_fails_job():
     # The runner comes back 50 ms after its deadline.
-    pool = WorkerPool(lambda job: time.sleep(job.timeout + 0.05),
+    pool = WorkerPool(threaded(lambda job: time.sleep(job.timeout + 0.05)),
                       workers=1)
     try:
         job = pool.submit(Job(kind="k", timeout=0.2))
@@ -81,7 +83,7 @@ def test_pool_timeout_fails_job():
 
 
 def test_pool_retry_then_fail():
-    pool = WorkerPool(lambda job: 1 / 0, workers=1)
+    pool = WorkerPool(threaded(lambda job: 1 / 0), workers=1)
     try:
         job = pool.submit(Job(kind="k", max_retries=2, backoff=0.01))
         wait_terminal(job)
@@ -100,7 +102,7 @@ def test_pool_retry_then_succeed():
             raise RuntimeError("transient")
         return "recovered"
 
-    pool = WorkerPool(flaky, workers=1)
+    pool = WorkerPool(threaded(flaky), workers=1)
     try:
         job = pool.submit(Job(kind="k", max_retries=3, backoff=0.01))
         wait_terminal(job)
@@ -112,7 +114,7 @@ def test_pool_retry_then_succeed():
 
 def test_pool_cancel_queued_job():
     gate = threading.Event()
-    pool = WorkerPool(lambda job: gate.wait(10), workers=1)
+    pool = WorkerPool(threaded(lambda job: gate.wait(10)), workers=1)
     try:
         blocker = pool.submit(Job(kind="k"))
         queued = pool.submit(Job(kind="k"))
@@ -138,7 +140,7 @@ def test_pool_cancel_running_job():
             time.sleep(0.01)
         return "ignored"
 
-    pool = WorkerPool(runner, workers=1)
+    pool = WorkerPool(threaded(runner), workers=1)
     try:
         job = pool.submit(Job(kind="k"))
         assert started.wait(5)
@@ -151,7 +153,7 @@ def test_pool_cancel_running_job():
 
 
 def test_pool_cancel_finished_job_returns_false():
-    pool = WorkerPool(lambda job: None, workers=1)
+    pool = WorkerPool(threaded(lambda job: None), workers=1)
     try:
         job = wait_terminal(pool.submit(Job(kind="k")))
         assert pool.cancel(job.job_id) is False
@@ -171,7 +173,7 @@ def test_pool_priority_order():
         else:
             order.append(job.params["tag"])
 
-    pool = WorkerPool(runner, workers=1)
+    pool = WorkerPool(threaded(runner), workers=1)
     try:
         pool.submit(Job(kind="k", params={"blocker": True}))
         time.sleep(0.05)  # let the blocker occupy the worker
@@ -192,7 +194,7 @@ def test_pool_priority_order():
 
 def test_pool_queue_depth_gauge_and_duplicate_submit():
     gate = threading.Event()
-    pool = WorkerPool(lambda job: gate.wait(10), workers=1)
+    pool = WorkerPool(threaded(lambda job: gate.wait(10)), workers=1)
     try:
         first = pool.submit(Job(kind="k"))
         time.sleep(0.05)
@@ -233,7 +235,7 @@ def test_gauges_equal_a_recount_through_a_mixed_run():
             raise RuntimeError("again")
         return mode
 
-    pool = WorkerPool(runner, workers=2)
+    pool = WorkerPool(threaded(runner), workers=2)
     try:
         now = time.time()
         pool.recover([
@@ -258,12 +260,12 @@ def test_gauges_equal_a_recount_through_a_mixed_run():
         while any(j.state is not JobState.RUNNING for j in pinned):
             assert time.monotonic() < deadline
             time.sleep(0.005)
-        with pool._cond:
+        with pool._lock:
             assert gauges(pool) == recount(pool)
             assert pool.queued_count() == recount(pool)[0] >= 5
         assert pool.cancel(queued[0].job_id)        # queued
         assert pool.cancel(spinner.job_id)          # running
-        with pool._cond:
+        with pool._lock:
             assert gauges(pool) == recount(pool)
         gate.set()
         assert pool.wait_all(20)
@@ -282,8 +284,8 @@ def test_pool_keeps_a_bounded_number_of_finished_jobs(monkeypatch):
     from repro.service import scheduler
     monkeypatch.setattr(scheduler, "RETAINED_TERMINAL_JOBS", 20)
     gate = threading.Event()
-    pool = WorkerPool(
-        lambda job: gate.wait(30) if job.params.get("block") else None,
+    pool = WorkerPool(threaded(
+        lambda job: gate.wait(30) if job.params.get("block") else None),
         workers=2)
     try:
         running = [pool.submit(Job(kind="k", params={"block": True}))
@@ -862,21 +864,21 @@ def test_client_connection_refused(tmp_path):
 def test_cancel_parked_retry_drains_delay_heap():
     """Cancelling a job parked in the retry delay-heap must remove it
     from the heap — a stale entry would resurrect the job later."""
-    pool = WorkerPool(lambda job: 1 / 0, workers=1)
+    pool = WorkerPool(threaded(lambda job: 1 / 0), workers=1)
     try:
         job = pool.submit(Job(kind="k", max_retries=3, backoff=30.0))
         deadline = time.monotonic() + 5
         while time.monotonic() < deadline:
-            with pool._cond:
+            with pool._lock:
                 if pool._delayed:
                     break
             time.sleep(0.01)
-        with pool._cond:
+        with pool._lock:
             assert pool._delayed, "job never parked for retry"
         assert pool.cancel(job.job_id) is True
         wait_terminal(job, 5)
         assert job.state is JobState.CANCELLED
-        with pool._cond:
+        with pool._lock:
             assert pool._delayed == [] and pool._ready == []
         # With the heap drained, wait_all returns immediately instead
         # of blocking until the 30 s backoff would have fired.
@@ -889,11 +891,11 @@ def test_cancel_parked_retry_drains_delay_heap():
 def test_shutdown_finishes_parked_retries_as_cancelled():
     """shutdown() must not orphan retries parked in the delay heap:
     they finish CANCELLED instead of hanging QUEUED forever."""
-    pool = WorkerPool(lambda job: 1 / 0, workers=1)
+    pool = WorkerPool(threaded(lambda job: 1 / 0), workers=1)
     job = pool.submit(Job(kind="k", max_retries=3, backoff=30.0))
     deadline = time.monotonic() + 5
     while time.monotonic() < deadline:
-        with pool._cond:
+        with pool._lock:
             if pool._delayed:
                 break
         time.sleep(0.01)
@@ -912,7 +914,7 @@ def test_retry_during_shutdown_is_cancelled_not_parked():
         release.wait(10)
         raise RuntimeError("fail after shutdown began")
 
-    pool = WorkerPool(runner, workers=1)
+    pool = WorkerPool(threaded(runner), workers=1)
     job = pool.submit(Job(kind="k", max_retries=3, backoff=0.01))
     time.sleep(0.05)                    # let the attempt start
     stopper = threading.Thread(target=pool.shutdown)
@@ -937,7 +939,7 @@ def test_pool_records_job_trace_and_span_timers():
             time.sleep(0.002)
         return "ok"
 
-    pool = WorkerPool(runner, workers=1)
+    pool = WorkerPool(threaded(runner), workers=1)
     try:
         job = wait_terminal(pool.submit(Job(kind="work")))
         assert job.state is JobState.DONE
@@ -956,7 +958,7 @@ def test_pool_records_job_trace_and_span_timers():
 
 
 def test_failed_attempts_keep_their_spans():
-    pool = WorkerPool(lambda job: 1 / 0, workers=1)
+    pool = WorkerPool(threaded(lambda job: 1 / 0), workers=1)
     try:
         job = pool.submit(Job(kind="k", max_retries=2, backoff=0.01))
         wait_terminal(job)

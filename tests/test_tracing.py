@@ -3,6 +3,7 @@ converter / runtime / CLI paths."""
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 import time
@@ -134,6 +135,30 @@ def test_activate_is_thread_local():
         t.join()
     assert seen["here"] is tracer
     assert seen["other"] is not tracer
+
+
+def test_activate_is_task_local():
+    """Two tasks on one loop each activate their own tracer and await
+    in between: each still sees its own and records its spans there."""
+    tracers = {name: Tracer() for name in ("a", "b")}
+    seen: dict[str, list[Tracer]] = {"a": [], "b": []}
+
+    async def attempt(name: str) -> None:
+        with tracers[name].activate():
+            for step in range(3):
+                with get_tracer().span(f"{name}.{step}"):
+                    await asyncio.sleep(0.001)
+                seen[name].append(get_tracer())
+
+    async def both() -> None:
+        await asyncio.gather(attempt("a"), attempt("b"))
+
+    asyncio.run(both())
+    for name, tracer in tracers.items():
+        assert seen[name] == [tracer] * 3
+        assert [span.name for span in tracer.spans()] == \
+            [f"{name}.{step}" for step in range(3)]
+    assert get_tracer() not in tracers.values()
 
 
 def test_install_returns_previous():
