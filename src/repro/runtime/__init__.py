@@ -6,10 +6,10 @@ from .._lazy import lazy_exports
 
 __all__, __getattr__ = lazy_exports(globals(), {
     "buffers": ("BufferedTextWriter", "RangeLineReader"),
-    "executor": ("DEFAULT_IDLE_TIMEOUT", "POOL_KINDS", "ExecutorFailure",
-                 "PipeWorkers", "SharedExecutor", "get_shared_executor",
+    "executor": ("POOL_KINDS", "ExecutorFailure", "PipeWorkers",
+                 "SharedExecutor", "get_shared_executor",
                  "reset_shared_executor", "resolve_start_method",
-                 "shared_executor_stats", "simulate_schedule"),
+                 "simulate_schedule"),
     "metrics": ("DEFAULT_CLUSTER", "ClusterModel", "RankMetrics",
                 "ServiceMetrics", "format_metrics_snapshot", "merge_all",
                 "modeled_parallel_time"),

@@ -12,15 +12,13 @@ across calls, many small work items pulled dynamically.
 :class:`SharedExecutor` provides exactly that:
 
 * lazily-created thread and process (:class:`PipeWorkers`) pools,
-  reused across calls (``stats()["process_pool_starts"]`` stays at 1
-  over a burst of conversions);
+  reused across calls and kept until :meth:`SharedExecutor.shutdown`
+  or exit — nothing watches them idle;
 * worker counts capped at ``os.cpu_count()`` by default — never one
   thread per rank;
 * ``fork`` start method where the platform has it, transparent
   fallback to ``spawn`` elsewhere (work is always ``fn(item)`` with
   picklable module-level functions, which both can ship);
-* idle-timeout shutdown: pools that sit unused are torn down by a
-  timer and lazily recreated on the next call;
 * dynamic dispatch: :meth:`SharedExecutor.map_tasks` hands items out
   in descending cost order (longest-shard-first), so whichever worker
   frees up pulls the next-largest remaining item — the classic LPT
@@ -37,14 +35,12 @@ under a task.
 from __future__ import annotations
 
 import heapq
-import math
 import os
 import queue
 import threading
 import time
 from collections.abc import Callable, Sequence
 from contextlib import suppress
-from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from ..errors import RuntimeLayerError
@@ -57,15 +53,12 @@ if TYPE_CHECKING:  # the pool machinery loads where a pool is first built
 __all__ = [
     "ExecutorFailure", "PipeWorkers", "SharedExecutor",
     "get_shared_executor", "reset_shared_executor",
-    "shared_executor_stats", "resolve_start_method", "simulate_schedule",
-    "default_worker_count", "DEFAULT_IDLE_TIMEOUT", "POOL_KINDS",
+    "resolve_start_method", "simulate_schedule", "default_worker_count",
+    "POOL_KINDS",
 ]
 
 #: Pool kinds :meth:`SharedExecutor.map_tasks` accepts.
 POOL_KINDS = ("thread", "process")
-
-#: Seconds an unused pool survives before the idle timer reclaims it.
-DEFAULT_IDLE_TIMEOUT = 120.0
 
 
 class ExecutorFailure(RuntimeLayerError):
@@ -380,7 +373,7 @@ class PipeWorkers:
 
 
 class SharedExecutor:
-    """Lazily-started, reusable thread + process pools behind one front.
+    """Lazily-started, reusable thread + process pools behind one lock.
 
     Parameters
     ----------
@@ -388,17 +381,11 @@ class SharedExecutor:
         Worker cap per pool; defaults to ``REPRO_EXECUTOR_WORKERS`` or
         ``os.cpu_count()``.  Ranks/shards beyond the cap wait for a
         free worker — never one thread per spec.
-    idle_timeout:
-        Seconds of disuse after which live pools are shut down (they
-        are recreated lazily on the next call).  ``None`` or ``<= 0``
-        disables the timer; defaults to ``REPRO_EXECUTOR_IDLE_TIMEOUT``
-        or :data:`DEFAULT_IDLE_TIMEOUT`.
     start_method:
         Multiprocessing start method; see :func:`resolve_start_method`.
     """
 
     def __init__(self, max_workers: int | None = None,
-                 idle_timeout: float | None = None,
                  start_method: str | None = None) -> None:
         if max_workers is None:
             # Validates REPRO_EXECUTOR_WORKERS with a friendly error
@@ -407,33 +394,11 @@ class SharedExecutor:
         if max_workers < 1:
             raise RuntimeLayerError(
                 f"max_workers {max_workers} must be >= 1")
-        if idle_timeout is None:
-            env = os.environ.get("REPRO_EXECUTOR_IDLE_TIMEOUT")
-            with suppress(ValueError):
-                idle_timeout = float(env) if env else DEFAULT_IDLE_TIMEOUT
-            if idle_timeout is None or not math.isfinite(idle_timeout):
-                raise RuntimeLayerError(
-                    f"invalid REPRO_EXECUTOR_IDLE_TIMEOUT value {env!r}: "
-                    f"expected a number of seconds")
         self.max_workers = max_workers
-        self.idle_timeout = idle_timeout
         self.start_method = resolve_start_method(start_method)
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._thread_pool: ThreadPoolExecutor | None = None
         self._process_pool: PipeWorkers | None = None
-        self._timer: threading.Timer | None = None
-        self._active_calls = 0
-        self._last_used = time.monotonic()
-        self._counters = {
-            "calls": 0,
-            "tasks_completed": 0,
-            "tasks_failed": 0,
-            "thread_pool_starts": 0,
-            "process_pool_starts": 0,
-            "idle_shutdowns": 0,
-        }
-
-    # -- pool lifecycle ----------------------------------------------
 
     def _get_pool(self, kind: str) -> Any:
         # Called with the lock held.
@@ -443,65 +408,21 @@ class SharedExecutor:
                 self._thread_pool = ThreadPoolExecutor(
                     max_workers=self.max_workers,
                     thread_name_prefix="repro-exec")
-                self._counters["thread_pool_starts"] += 1
             return self._thread_pool
         if self._process_pool is None:
             self._process_pool = PipeWorkers(self.max_workers,
                                              self.start_method)
-            self._counters["process_pool_starts"] += 1
         return self._process_pool
-
-    def _take_pools(self, wait: bool) -> list[Callable[[], None]]:
-        # Called with the lock held; detaches the live pools for shutdown.
-        stops: list[Callable[[], None]] = []
-        if self._thread_pool is not None:
-            stops.append(partial(self._thread_pool.shutdown, wait=wait))
-        if self._process_pool is not None:
-            stops.append(self._process_pool.close)
-        self._thread_pool = self._process_pool = None
-        return stops
-
-    def _arm_idle_timer(self, delay: float | None = None) -> None:
-        # One pending check serves any number of calls (a service job
-        # ends one every few ms): it re-arms itself for the time left.
-        with self._lock:
-            if self._timer is not None or not self.idle_timeout \
-                    or self.idle_timeout <= 0:
-                return
-            if self._thread_pool is None and self._process_pool is None:
-                return
-            timer = threading.Timer(delay or self.idle_timeout,
-                                    self._idle_check)
-            timer.daemon = True
-            timer.start()
-            self._timer = timer
-
-    def _idle_check(self) -> None:
-        with self._lock:
-            self._timer = None
-            idle_for = time.monotonic() - self._last_used
-            if self._active_calls:     # the call's end arms the next one
-                return
-            stops = self._take_pools(wait=False) \
-                if idle_for >= self.idle_timeout else []
-            if stops:
-                self._counters["idle_shutdowns"] += 1
-        for stop in stops:
-            stop()
-        if not stops:
-            self._arm_idle_timer(self.idle_timeout - idle_for)
 
     def shutdown(self, wait_for_tasks: bool = True) -> None:
         """Stop both pools (they are recreated lazily if used again)."""
         with self._lock:
-            if self._timer is not None:
-                self._timer.cancel()
-                self._timer = None
-            stops = self._take_pools(wait=wait_for_tasks)
-        for stop in stops:
-            stop()
-
-    # -- dispatch ----------------------------------------------------
+            threads, processes = self._thread_pool, self._process_pool
+            self._thread_pool = self._process_pool = None
+        if threads is not None:
+            threads.shutdown(wait=wait_for_tasks)
+        if processes is not None:
+            processes.close()
 
     def map_tasks(self, fn: Callable[[Any], Any], items: Sequence[Any],
                   kind: str, labels: Sequence[str] | None = None,
@@ -533,49 +454,20 @@ class SharedExecutor:
             order.sort(key=lambda i: -costs[i])
         with self._lock:
             pool = self._get_pool(kind)
-            self._active_calls += 1
-            self._counters["calls"] += 1
-        try:
-            if kind == "process":
-                results = pool.map(fn, items, [
-                    labels[i] if labels is not None and i < len(labels)
-                    else f"task {i}" for i in range(len(items))], order)
-            else:
-                from concurrent.futures import FIRST_EXCEPTION, wait
-                futures = [pool.submit(fn, items[i]) for i in order]
-                wait(futures, return_when=FIRST_EXCEPTION)
-                for future in futures:
-                    future.cancel()     # those not started; the rest settle
-                wait(futures)
-                results = [None] * len(items)
-                for i, future in zip(order, futures):  # FIFO: a failed one
-                    results[i] = future.result()       # precedes a cancel
-            with self._lock:
-                self._counters["tasks_completed"] += len(items)
-            return results
-        except ExecutorFailure:
-            with self._lock:
-                self._counters["tasks_failed"] += 1
-            raise
-        finally:
-            with self._lock:
-                self._active_calls -= 1
-                self._last_used = time.monotonic()
-            self._arm_idle_timer()
-
-    # -- introspection -----------------------------------------------
-
-    def stats(self) -> dict[str, float]:
-        """Counters plus live-pool gauges (for tests and service
-        metrics)."""
-        with self._lock:
-            out: dict[str, float] = dict(self._counters)
-            out["max_workers"] = self.max_workers
-            out["thread_pool_alive"] = int(self._thread_pool is not None)
-            out["process_pool_alive"] = int(
-                self._process_pool is not None)
-            out["active_calls"] = self._active_calls
-        return out
+        if kind == "process":
+            return pool.map(fn, items, [
+                labels[i] if labels is not None and i < len(labels)
+                else f"task {i}" for i in range(len(items))], order)
+        from concurrent.futures import FIRST_EXCEPTION, wait
+        futures = [pool.submit(fn, items[i]) for i in order]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        for future in futures:
+            future.cancel()     # those not started; the rest settle
+        wait(futures)
+        results: list[Any] = [None] * len(items)
+        for i, future in zip(order, futures):   # FIFO: a failed one
+            results[i] = future.result()        # precedes a cancel
+        return results
 
 
 # -- the process-global instance ------------------------------------
@@ -604,14 +496,6 @@ def reset_shared_executor() -> None:
         shared, _SHARED = _SHARED, None
     if shared is not None:
         shared.shutdown()
-
-
-def shared_executor_stats() -> dict[str, float]:
-    """Stats of the global executor *without* creating it (empty dict
-    when no call has started it yet)."""
-    with _SHARED_LOCK:
-        shared = _SHARED
-    return shared.stats() if shared is not None else {}
 
 
 # -- schedule modeling ----------------------------------------------

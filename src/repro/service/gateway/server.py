@@ -12,10 +12,10 @@ applied to the service's front door: ingest (frame reading), dispatch
   behind the shared line-JSON framing codec
   (:mod:`repro.service.gateway.framing`).
 * **Session** — per-connection state (:mod:`.session`): keepalive
-  ping events on idle, optional idle disconnect, and a
-  ``max_inflight_per_conn`` bound enforced by *not reading* further
-  frames — backpressure instead of buffering.  Ops on one connection
-  run concurrently but responses are written in request order.
+  ping events on idle and a ``max_inflight_per_conn`` bound enforced
+  by *not reading* further frames — backpressure instead of
+  buffering.  Ops on one connection run concurrently but responses
+  are written in request order.
 * **Dispatch** — :class:`~.dispatch.Dispatcher` routes ops; each
   answers inline on the loop except ``wait``, which parks until its
   job finishes.
@@ -67,9 +67,6 @@ class GatewayConfig:
     keepalive_interval:
         Seconds of read idleness before the session emits a
         ``{"event": "ping"}`` keepalive frame; ``None`` disables.
-    idle_timeout:
-        Close a connection after this many seconds without a complete
-        frame; ``None`` keeps idle connections forever.
     write_timeout:
         Per-response write/drain deadline; a peer that stops reading
         is disconnected instead of wedging the session.
@@ -81,7 +78,6 @@ class GatewayConfig:
     max_inflight_per_conn: int = 32
     max_pending_jobs: int | None = 1024
     keepalive_interval: float | None = 15.0
-    idle_timeout: float | None = None
     write_timeout: float = 30.0
     drain_timeout: float = 10.0
 
@@ -130,8 +126,8 @@ class GatewayServer:
         self._servers: list[asyncio.AbstractServer] = []
         self._conn_tasks: set[asyncio.Task] = set()
         self._inflight_ops: set[asyncio.Task] = set()
-        self._session_queues: dict[str, asyncio.Queue] = {}
-        self.sessions: dict[str, Session] = {}
+        #: Each open session's response queue, by session id.
+        self.sessions: dict[str, asyncio.Queue] = {}
 
     # -- lifecycle ---------------------------------------------------
 
@@ -225,18 +221,13 @@ class GatewayServer:
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter,
                                 transport: str) -> None:
-        peer = writer.get_extra_info("peername")
-        session = Session(
-            transport=transport,
-            peer="" if peer is None else str(peer),
-            max_inflight=self.config.max_inflight_per_conn)
-        self.sessions[session.session_id] = session
+        session = Session(transport)
+        responses: asyncio.Queue = asyncio.Queue()
+        self.sessions[session.session_id] = responses
         self.metrics.inc("gateway_connections_total")
         self.metrics.set_gauge("gateway_connections_open",
                                len(self.sessions))
         frames = FrameReader(reader)
-        responses: asyncio.Queue = asyncio.Queue()
-        self._session_queues[session.session_id] = responses
         inflight = asyncio.Semaphore(self.config.max_inflight_per_conn)
         write_task = asyncio.ensure_future(
             self._write_loop(session, writer, responses))
@@ -249,43 +240,24 @@ class GatewayServer:
                     write_task, self.config.write_timeout * 2)
             write_task.cancel()
             session.closed = True
-            self._session_queues.pop(session.session_id, None)
             self.sessions.pop(session.session_id, None)
             self.metrics.set_gauge("gateway_connections_open",
                                    len(self.sessions))
             with contextlib.suppress(Exception):
                 writer.close()
 
-    def _read_tick(self) -> float | None:
-        """Read timeout slicing idleness into keepalive/idle checks."""
-        ticks = [t for t in (self.config.keepalive_interval,
-                             self.config.idle_timeout) if t is not None]
-        return min(ticks) if ticks else None
-
     async def _read_loop(self, session: Session, frames: FrameReader,
                          responses: asyncio.Queue,
                          inflight: asyncio.Semaphore) -> None:
-        tick = self._read_tick()
         while not session.closed:
             try:
-                if tick is None:
-                    frame = await frames.read_frame()
-                else:
-                    frame = await asyncio.wait_for(frames.read_frame(),
-                                                   tick)
+                frame = await asyncio.wait_for(
+                    frames.read_frame(), self.config.keepalive_interval)
             except asyncio.TimeoutError:
-                idle = session.idle_for()
-                if self.config.idle_timeout is not None \
-                        and idle >= self.config.idle_timeout:
-                    self.metrics.inc("gateway_idle_disconnects")
-                    return
-                if self.config.keepalive_interval is not None:
-                    session.pings_sent += 1
-                    self.metrics.inc("gateway_keepalive_pings")
-                    await responses.put(protocol.event("ping"))
+                self.metrics.inc("gateway_keepalive_pings")
+                await responses.put(protocol.event("ping"))
                 continue
             except FrameError as exc:
-                session.bad_frames += 1
                 self.metrics.inc("gateway_bad_frames")
                 await responses.put(
                     protocol.bad_frame_response(str(exc)))
@@ -294,7 +266,6 @@ class GatewayServer:
                 return
             if frame is None:                    # clean EOF
                 return
-            session.note_frame()
             await inflight.acquire()
             task = asyncio.ensure_future(
                 self._run_op(session, frame, inflight))
@@ -334,7 +305,6 @@ class GatewayServer:
                 writer.write(protocol.encode(response))
                 await asyncio.wait_for(writer.drain(),
                                        self.config.write_timeout)
-                session.responses += 1
                 if response.get("ok") and response.get("stopping"):
                     self.request_stop()
                     return
@@ -369,7 +339,7 @@ class GatewayServer:
                 await self.dispatcher.finished(
                     job.job_id,
                     max(0.0, end - asyncio.get_running_loop().time()))
-        for queue in list(self._session_queues.values()):
+        for queue in list(self.sessions.values()):
             queue.put_nowait(_CLOSE)
         if self._conn_tasks:
             await asyncio.wait(set(self._conn_tasks), timeout=5)

@@ -1,27 +1,22 @@
-"""Per-connection session state for the gateway.
+"""Per-connection identity for the gateway.
 
-A :class:`Session` tracks one accepted connection — unix-socket or
-TCP — for the life of the connection: identity (id, transport, peer),
-activity timestamps driving keepalive pings and the idle timeout, and
-counters that feed the ``gateway_*`` metrics.  The gateway's
-connection handler owns the I/O; the session is plain bookkeeping so
-it can be snapshotted for diagnostics without touching the event
-loop.
+A :class:`Session` names one accepted connection — unix-socket or
+TCP — for the ``gateway.<op>`` tracing spans, and marks when either
+side of it has closed.  The gateway's connection handler owns the I/O
+and the ``gateway_*`` metrics carry the counts.
 
 Request pipelining is bounded per connection: the handler stops
-reading new frames once ``max_inflight`` ops are being processed, so
-one greedy connection exerts TCP backpressure on itself instead of
-flooding the dispatcher.  Responses are always written in request
-order — the wire contract stays strict request/response even when the
-ops behind it run concurrently.
+reading new frames once ``max_inflight_per_conn`` ops are being
+processed, so one greedy connection exerts TCP backpressure on itself
+instead of flooding the dispatcher.  Responses are always written in
+request order — the wire contract stays strict request/response even
+when the ops behind it run concurrently.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
-from typing import Any
 
 _session_counter = itertools.count(1)
 
@@ -33,41 +28,8 @@ def next_session_id() -> str:
 
 @dataclass
 class Session:
-    """Bookkeeping for one gateway connection."""
+    """One gateway connection."""
 
     transport: str                      # "unix" | "tcp"
-    peer: str = ""
-    max_inflight: int = 1
     session_id: str = field(default_factory=next_session_id)
-    opened_at: float = field(default_factory=time.time)
-
-    #: Monotonic time of the last complete frame received.
-    last_frame_at: float = field(default_factory=time.monotonic)
-    requests: int = 0
-    responses: int = 0
-    bad_frames: int = 0
-    pings_sent: int = 0
     closed: bool = False
-
-    def note_frame(self) -> None:
-        """Record arrival of one well-formed frame."""
-        self.requests += 1
-        self.last_frame_at = time.monotonic()
-
-    def idle_for(self) -> float:
-        """Seconds since the last complete frame."""
-        return time.monotonic() - self.last_frame_at
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe snapshot for diagnostics."""
-        return {
-            "session_id": self.session_id,
-            "transport": self.transport,
-            "peer": self.peer,
-            "opened_at": self.opened_at,
-            "requests": self.requests,
-            "responses": self.responses,
-            "bad_frames": self.bad_frames,
-            "pings_sent": self.pings_sent,
-            "closed": self.closed,
-        }

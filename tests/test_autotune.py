@@ -103,7 +103,7 @@ def test_concurrent_processes_never_tear_the_model_file(tmp_path):
     from repro.runtime.executor import SharedExecutor
     path = str(tmp_path / "svc" / "cost_model.json")
     keys = [make_key("bed", "sam", "batch", 4 ** (i + 2)) for i in range(4)]
-    executor = SharedExecutor(max_workers=4, idle_timeout=0)
+    executor = SharedExecutor(max_workers=4)
     done = []
 
     def writers():

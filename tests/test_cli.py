@@ -418,19 +418,6 @@ def test_directory_as_input_is_a_one_line_error(verb, tmp_path, capsys):
     _one_line_error(capsys, "Is a directory", str(folder))
 
 
-def test_bad_idle_timeout_env_is_a_one_line_error(sim_sam, tmp_path,
-                                                  capsys, monkeypatch):
-    """``float(env)`` used to end in a raw ValueError traceback."""
-    from repro.runtime.executor import reset_shared_executor
-    reset_shared_executor()         # the next process job builds one
-    monkeypatch.setenv("REPRO_EXECUTOR_IDLE_TIMEOUT", "abc")
-    capsys.readouterr()
-    assert run(["convert", str(sim_sam), "--target", "bed", "--out-dir",
-                str(tmp_path / "o"), "--nprocs", "2", "--executor",
-                "process"]) == 1
-    _one_line_error(capsys, "REPRO_EXECUTOR_IDLE_TIMEOUT", "'abc'")
-
-
 def test_out_dir_under_a_regular_file_is_a_one_line_error(sim_sam,
                                                           tmp_path, capsys):
     blocker = tmp_path / "file"

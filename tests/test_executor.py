@@ -18,7 +18,6 @@ from repro.runtime.executor import (
     get_shared_executor,
     reset_shared_executor,
     resolve_start_method,
-    shared_executor_stats,
     simulate_schedule,
 )
 from repro.runtime.metrics import RankMetrics
@@ -72,7 +71,7 @@ def _log_order(x):
 
 @pytest.fixture()
 def executor():
-    ex = SharedExecutor(idle_timeout=0)
+    ex = SharedExecutor()
     yield ex
     ex.shutdown()
 
@@ -90,7 +89,7 @@ def test_results_come_back_in_input_order(executor):
 
 def test_empty_items_short_circuit(executor):
     assert executor.map_tasks(_double, [], "thread") == []
-    assert executor.stats()["calls"] == 0
+    assert executor._thread_pool is None
 
 
 def test_unknown_pool_kind_rejected(executor):
@@ -107,7 +106,7 @@ def test_costs_length_mismatch_rejected(executor):
 def test_longest_first_submission_order(kind):
     # One worker makes the pool's execution order equal the submission
     # order, exposing the LPT (descending cost) sort.
-    ex = SharedExecutor(max_workers=1, idle_timeout=0)
+    ex = SharedExecutor(max_workers=1)
     try:
         _ORDER_LOG.clear()
         items = [10, 30, 20]
@@ -124,21 +123,26 @@ def test_process_pool_runs_tasks(executor):
 
 def test_process_map_leaves_no_helper_thread():
     """The process pool is pipes and processes: a map starts no thread
-    in the parent (no queue feeder, no manager)."""
+    in the parent (no queue feeder, no manager, no idle timer), on an
+    executor built either way callers build one."""
+    reset_shared_executor()
     before = threading.active_count()
-    ex = SharedExecutor(max_workers=2, idle_timeout=0)
-    try:
-        assert ex.map_tasks(_double, [1, 2, 3], "process") == [2, 4, 6]
-        assert threading.active_count() == before, threading.enumerate()
-    finally:
-        ex.shutdown()
+    for build in (lambda: SharedExecutor(max_workers=2),
+                  get_shared_executor):
+        ex = build()
+        try:
+            assert ex.map_tasks(_double, [1, 2, 3], "process") == [2, 4, 6]
+            assert threading.active_count() == before, threading.enumerate()
+        finally:
+            ex.shutdown()
+    reset_shared_executor()
 
 
 # -- oversubscription guard (satellite 1) ----------------------------
 
 def test_worker_cap_defaults_to_cpu_count(monkeypatch):
     monkeypatch.delenv("REPRO_EXECUTOR_WORKERS", raising=False)
-    ex = SharedExecutor(idle_timeout=0)
+    ex = SharedExecutor()
     try:
         assert ex.max_workers == (os.cpu_count() or 1)
     finally:
@@ -148,7 +152,7 @@ def test_worker_cap_defaults_to_cpu_count(monkeypatch):
 def test_no_thread_per_task_oversubscription():
     """Many more tasks than workers must reuse the capped thread set
     (the old executor spawned ``len(specs)`` threads unconditionally)."""
-    ex = SharedExecutor(max_workers=2, idle_timeout=0)
+    ex = SharedExecutor(max_workers=2)
     try:
         names = ex.map_tasks(_thread_name, list(range(16)), "thread")
         assert len(set(names)) <= 2
@@ -159,7 +163,7 @@ def test_no_thread_per_task_oversubscription():
 
 def test_worker_count_env_override(monkeypatch):
     monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "3")
-    ex = SharedExecutor(idle_timeout=0)
+    ex = SharedExecutor()
     try:
         assert ex.max_workers == 3
     finally:
@@ -171,64 +175,19 @@ def test_invalid_worker_count_rejected():
         SharedExecutor(max_workers=0)
 
 
-# -- warm reuse and idle timeout -------------------------------------
+# -- warm reuse ------------------------------------------------------
 
 def test_pools_are_reused_across_calls(executor):
-    for _ in range(4):
+    executor.map_tasks(_double, [1, 2], "thread")
+    executor.map_tasks(_double, [1, 2], "process")
+    threads, processes = executor._thread_pool, executor._process_pool
+    for _ in range(3):
         executor.map_tasks(_double, [1, 2], "thread")
         executor.map_tasks(_double, [1, 2], "process")
-    stats = executor.stats()
-    assert stats["thread_pool_starts"] == 1
-    assert stats["process_pool_starts"] == 1
-    assert stats["calls"] == 8
-    assert stats["tasks_completed"] == 16
-
-
-def test_idle_timeout_reclaims_and_recreates_pools():
-    ex = SharedExecutor(idle_timeout=0.05)
-    try:
-        ex.map_tasks(_double, [1], "thread")
-        deadline = time.monotonic() + 2.0
-        while time.monotonic() < deadline:
-            stats = ex.stats()
-            if stats["idle_shutdowns"] >= 1:
-                break
-            time.sleep(0.02)
-        stats = ex.stats()
-        assert stats["idle_shutdowns"] >= 1
-        assert stats["thread_pool_alive"] == 0
-        # The executor survives reclamation: the next call restarts.
-        assert ex.map_tasks(_double, [2], "thread") == [4]
-        assert ex.stats()["thread_pool_starts"] == 2
-    finally:
-        ex.shutdown()
-
-
-def test_one_idle_check_serves_a_burst_of_calls():
-    """Ending a call used to cancel the pending idle timer and start a
-    new one — a thread per call.  One pending check is kept instead; if
-    it finds the pools used since, it waits out the time that is left,
-    so reclamation still comes ``idle_timeout`` after the *last* use."""
-    ex = SharedExecutor(max_workers=1, idle_timeout=0.25)
-    try:
-        ex.map_tasks(_double, [1], "thread")
-        first = ex._timer
-        assert first is not None
-        for _ in range(10):
-            ex.map_tasks(_double, [1], "thread")
-            assert ex._timer is first
-        time.sleep(0.15)
-        ex.map_tasks(_double, [1], "thread")    # before the check fires
-        last_use = time.monotonic()
-        deadline = last_use + 3.0
-        while ex.stats()["idle_shutdowns"] < 1 \
-                and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert ex.stats()["idle_shutdowns"] == 1
-        assert time.monotonic() - last_use >= 0.25 * 0.9
-        assert ex.stats()["thread_pool_alive"] == 0 and ex._timer is None
-    finally:
-        ex.shutdown()
+    assert executor._thread_pool is threads
+    assert executor._process_pool is processes
+    assert processes.counts["starts"] == executor.max_workers
+    assert processes.counts["tasks_completed"] == 8
 
 
 def test_shutdown_then_reuse(executor):
@@ -258,8 +217,7 @@ def test_resolve_start_method_rejects_unavailable():
 def test_forced_spawn_context_runs_tasks():
     """The fork-unsafe-platform fallback: a spawn pool must run the
     same picklable ``fn(item)`` work items."""
-    ex = SharedExecutor(max_workers=2, idle_timeout=0,
-                        start_method="spawn")
+    ex = SharedExecutor(max_workers=2, start_method="spawn")
     try:
         assert ex.start_method == "spawn"
         assert ex.map_tasks(_double, [1, 2, 3], "process") == [2, 4, 6]
@@ -299,13 +257,12 @@ def test_worker_crash_raises_executor_failure_with_label(executor):
 def test_pool_survives_worker_crash(executor):
     with pytest.raises(ExecutorFailure):
         executor.map_tasks(_crash, [0], "process")
+    pool = executor._process_pool
     # The pool lives on; only the dead worker was re-forked.
     assert executor.map_tasks(_double, [4], "process") == [8]
-    stats = executor.stats()
-    assert stats["process_pool_starts"] == 1
-    assert executor._process_pool.counts["starts"] == \
-        executor.max_workers + 1
-    assert stats["tasks_failed"] == 1
+    assert executor._process_pool is pool
+    assert pool.counts["starts"] == executor.max_workers + 1
+    assert pool.counts["tasks_failed"] == 1
 
 
 @pytest.mark.parametrize("items, dying", [([1, -1], "item 1"),
@@ -313,17 +270,18 @@ def test_pool_survives_worker_crash(executor):
 def test_crash_names_the_dying_item_and_spares_its_neighbour(items, dying):
     """The label is the piece whose worker died, not the first piece
     submitted; the other worker and the piece it ran live on."""
-    ex = SharedExecutor(max_workers=2, idle_timeout=0)
+    ex = SharedExecutor(max_workers=2)
     try:
         before = set(ex.map_tasks(_pid, [0, 1], "process"))
         assert len(before) == 2
+        pool = ex._process_pool
         with pytest.raises(ExecutorFailure) as err:
             ex.map_tasks(_crash_or_sleep, items, "process",
                          labels=[f"item {i}" for i in range(len(items))])
         assert err.value.label == dying
         after = set(ex.map_tasks(_pid, [0, 1], "process"))
         assert len(before & after) == 1, (before, after)
-        assert ex.stats()["process_pool_starts"] == 1
+        assert ex._process_pool is pool
     finally:
         ex.shutdown()
 
@@ -380,11 +338,11 @@ def test_ordinary_task_exception_propagates_unwrapped(executor):
     through unchanged and the pool stays healthy."""
     with pytest.raises(ValueError, match="bad item 7"):
         executor.map_tasks(_boom, [7], "process")
+    pool = executor._process_pool
     with pytest.raises(ValueError, match="bad item 7"):
         executor.map_tasks(_boom, [7], "thread")
-    stats = executor.stats()
-    assert stats["process_pool_starts"] == 1
     assert executor.map_tasks(_double, [1], "process") == [2]
+    assert executor._process_pool is pool
 
 
 def _unpicklable(case):
@@ -405,7 +363,7 @@ def test_a_task_that_does_not_pickle_costs_no_worker(case):
     """Pickling ends before a byte is sent: the call raises the pickling
     error once the tasks in flight settle, and no worker is killed."""
     fn, items, expected = _unpicklable(case)
-    ex = SharedExecutor(max_workers=2, idle_timeout=0)
+    ex = SharedExecutor(max_workers=2)
     try:
         ex.map_tasks(_pid, [0, 1], "process")
         pool = ex._process_pool
@@ -424,14 +382,15 @@ def test_a_task_that_does_not_pickle_costs_no_worker(case):
 # -- the process-global instance -------------------------------------
 
 def test_global_executor_is_shared_and_resettable():
+    from repro.runtime import executor as executor_mod
     reset_shared_executor()
-    assert shared_executor_stats() == {}
+    assert executor_mod._SHARED is None
     ex = get_shared_executor()
     assert ex is get_shared_executor()
     ex.map_tasks(_double, [1], "thread")
-    assert shared_executor_stats()["calls"] >= 1
+    assert executor_mod._SHARED is ex
     reset_shared_executor()
-    assert shared_executor_stats() == {}
+    assert executor_mod._SHARED is None
 
 
 # -- RankMetrics.merge_shards (satellite 3) --------------------------
@@ -549,30 +508,4 @@ def test_worker_env_non_positive_names_the_value(monkeypatch):
     from repro.runtime.executor import default_worker_count
     monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "0")
     with pytest.raises(RuntimeLayerError, match=r"'0'.*>= 1"):
-        SharedExecutor(idle_timeout=0)
-
-
-# -- friendly REPRO_EXECUTOR_IDLE_TIMEOUT validation -----------------
-
-@pytest.mark.parametrize("bad", ["abc", "nan", "inf", "1,5"])
-def test_idle_timeout_env_non_numeric_names_the_value(monkeypatch, bad):
-    monkeypatch.setenv("REPRO_EXECUTOR_IDLE_TIMEOUT", bad)
-    with pytest.raises(
-            RuntimeLayerError,
-            match=rf"REPRO_EXECUTOR_IDLE_TIMEOUT value '{bad}'"):
-        SharedExecutor(max_workers=1)
-
-
-@pytest.mark.parametrize("value, seconds", [
-    ("2.5", 2.5), ("0", 0.0), ("-1", -1.0), ("", 120.0)])
-def test_idle_timeout_env_values(monkeypatch, value, seconds):
-    """A number is taken as given; ``<= 0`` keeps meaning "no reaping"
-    (no timer is armed); empty falls back to the default."""
-    monkeypatch.setenv("REPRO_EXECUTOR_IDLE_TIMEOUT", value)
-    ex = SharedExecutor(max_workers=1)
-    try:
-        assert ex.idle_timeout == seconds
-        assert ex.map_tasks(_double, [2], "thread") == [4]
-        assert (ex._timer is not None) == (seconds > 0)
-    finally:
-        ex.shutdown()
+        SharedExecutor()

@@ -107,16 +107,17 @@ def test_worker_crash_mid_shard_names_the_shard():
     ExecutorFailure naming that shard, and the shared pool must
     survive to serve the next call."""
     from repro.runtime.executor import ExecutorFailure, SharedExecutor
-    ex = SharedExecutor(max_workers=2, idle_timeout=0)
+    ex = SharedExecutor(max_workers=2)
     try:
         with pytest.raises(ExecutorFailure) as err:
             ex.map_tasks(_shard_crash, [0], "process",
                          labels=["rank 1 shard 3"])
         assert "rank 1 shard 3" in str(err.value)
+        pool = ex._process_pool
         # The next call runs on the same pool: one worker re-forked.
         assert ex.map_tasks(len, [[1, 2]], "process") == [2]
-        assert ex.stats()["process_pool_starts"] == 1
-        assert ex._process_pool.counts["starts"] == 3
+        assert ex._process_pool is pool
+        assert pool.counts["starts"] == 3
     finally:
         ex.shutdown()
 
