@@ -283,28 +283,26 @@ def _cmd_peaks(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service import ConversionService, GatewayConfig, \
-        GatewayServer, protocol
+    from .service import ConversionService, GatewayServer, protocol
     if not args.socket and not args.listen:
         print("serve needs --socket PATH and/or --listen HOST:PORT",
               file=sys.stderr)
         return 2
     listen = protocol.parse_address(args.listen) if args.listen \
         else None
-    config = GatewayConfig(max_pending_jobs=args.max_pending_jobs)
     service = ConversionService(args.work_dir, workers=args.workers,
                                 cache_dir=args.cache_dir,
                                 cache_max_bytes=args.cache_max_bytes,
                                 shards_per_rank=args.shards,
                                 journal_path=args.journal,
-                                journal_fsync=args.journal_fsync,
-                                cache_verify=args.cache_verify)
+                                journal_fsync=args.journal_fsync)
     if args.journal:
         recovered = int(service.metrics.gauge("journal_recovered_jobs"))
         print(f"journal {args.journal}: {recovered} jobs recovered",
               flush=True)
     daemon = GatewayServer(service, unix_path=args.socket,
-                           tcp_address=listen, config=config)
+                           tcp_address=listen,
+                           max_pending_jobs=args.max_pending_jobs)
     try:
         daemon.start()
         endpoints = []

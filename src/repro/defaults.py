@@ -333,9 +333,6 @@ KNOBS = {knob.name: knob for knob in (
          verbs="serve",
          help="journal durability: fsync every append, at a bounded "
               "interval (default), or never"),
-    Knob("cache_verify", default="always", metavar="POLICY", verbs="serve",
-         help="artifact digest verification on cache fetch: 'always' "
-              "(default), 'never', or a sample probability like 0.1"),
     Knob("priority", rule=_INT, default=0, verbs="submit",
          help="higher runs first (default 0)"),
     Knob("timeout", rule=_FLOAT, verbs="submit",

@@ -7,9 +7,9 @@ for crash recovery (:mod:`journal`), a content-addressed cache of
 preprocessing artifacts with LRU eviction and digest-verified
 integrity (:mod:`cache`), a line-JSON wire protocol (:mod:`protocol`),
 and the async gateway front door (:mod:`gateway`) multiplexing
-unix-socket and TCP clients with per-connection sessions, dispatch
-on its event loop and admission control (:mod:`server` wires it
-all together; :mod:`client` is the blocking client).
+unix-socket and TCP clients on the scheduler's event loop, refusing
+submits beyond its queue bound (:mod:`server` wires it all together;
+:mod:`client` is the blocking client).
 
 Exports resolve on first use (PEP 562): ``from repro.service import
 ServiceClient`` loads the client and the wire protocol only.
@@ -25,6 +25,5 @@ __all__, __getattr__ = lazy_exports(globals(), {
               "file_digests"),
     "server": ("ConversionService",),
     "client": ("ServiceClient",),
-    "gateway": ("AdmissionController", "Dispatcher", "FrameError",
-                "FrameReader", "GatewayConfig", "GatewayServer", "Session"),
+    "gateway": ("Dispatcher", "GatewayServer"),
 })

@@ -24,10 +24,10 @@ Entries are built in a temp directory and published with one
 ``os.rename`` so readers never observe a half-written entry; losing
 that rename race to a concurrent publisher of the same key is treated
 as a hit of the existing entry.  ``meta.json`` records a SHA-256
-digest per artifact file; fetches re-verify those digests (always by
-default, or sampled), and an entry whose bytes no longer match — bit
-rot, torn writes, manual tampering — is moved to ``quarantine/``
-instead of ever being served, then rebuilt from the source input.
+digest per artifact file; every fetch re-verifies those digests, and
+an entry whose bytes no longer match — bit rot, torn writes, manual
+tampering — is moved to ``quarantine/`` instead of ever being served,
+then rebuilt from the source input.
 
 The directory is the only shared state: processes (the service's body
 workers) and threads share a cache through it.  A key's build holds an
@@ -67,7 +67,6 @@ import fcntl
 import hashlib
 import json
 import os
-import random
 import shutil
 import threading
 import time
@@ -160,25 +159,16 @@ class ArtifactCache:
     metrics:
         Optional shared :class:`ServiceMetrics` for hit/miss/eviction/
         verification counters and size gauges.
-    verify:
-        Digest verification policy on fetch: ``"always"`` (default),
-        ``"never"``, or a float sample probability in ``[0, 1]``.
-        Freshly built entries are always verified before being
-        returned regardless of this policy — a partially written
-        build must never be served even once.
     """
 
     def __init__(self, cache_dir: str | os.PathLike[str],
                  max_bytes: int | None = None,
-                 metrics: ServiceMetrics | None = None,
-                 verify: str | float = "always") -> None:
+                 metrics: ServiceMetrics | None = None) -> None:
         if max_bytes is not None and max_bytes <= 0:
             raise ServiceError(f"max_bytes {max_bytes} must be positive")
         self.cache_dir = os.fspath(cache_dir)
         self.max_bytes = max_bytes
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self.verify_prob = self._parse_verify(verify)
-        self._verify_rng = random.Random(0x5EED)
         self._lock = threading.Lock()
         #: path -> (identity, digest, monotonic time hashed), LRU.
         self._digests: OrderedDict[str, tuple[tuple, str, float]] \
@@ -188,23 +178,6 @@ class ArtifactCache:
         self._verified: dict[str, tuple[tuple, dict[str, str]]] = {}
         os.makedirs(self.cache_dir, exist_ok=True)
         self._scan()
-
-    @staticmethod
-    def _parse_verify(verify: str | float) -> float:
-        if verify == "always":
-            return 1.0
-        if verify == "never":
-            return 0.0
-        try:
-            prob = float(verify)
-        except (TypeError, ValueError):
-            raise ServiceError(
-                f"bad cache verify policy {verify!r}; want 'always', "
-                f"'never' or a probability") from None
-        if not 0.0 <= prob <= 1.0:
-            raise ServiceError(
-                f"cache verify probability {prob} not in [0, 1]")
-        return prob
 
     # -- public API --------------------------------------------------
 
@@ -349,8 +322,8 @@ class ArtifactCache:
         return None
 
     def _fetch(self, key: str) -> CacheEntry | None:
-        """The entry under *key* if it is on disk and passes the
-        fetch-time verification policy (a hit, stamped as just used);
+        """The entry under *key* if it is on disk and passes
+        verification (a hit, stamped as just used);
         else ``None``, after quarantining an entry that failed.  An
         entry removed before or during the fetch is a plain miss."""
         entry = CacheEntry(key, os.path.join(self.cache_dir, key))
@@ -361,14 +334,12 @@ class ArtifactCache:
         faults.fire("cache.fetch")
         if faults.should_corrupt("cache.fetch"):
             self._corrupt_one_artifact(entry)
-        if self.verify_prob >= 1.0 or self.verify_prob > 0.0 \
-                and self._verify_rng.random() < self.verify_prob:
-            detail = self._check_entry(entry, dir_stat)
-            if detail is not None:
-                if os.path.isdir(entry.path):   # else: removed meanwhile
-                    self.metrics.inc("cache_verify_failed")
-                    self._quarantine(key, entry.path, detail)
-                return None
+        detail = self._check_entry(entry, dir_stat)
+        if detail is not None:
+            if os.path.isdir(entry.path):       # else: removed meanwhile
+                self.metrics.inc("cache_verify_failed")
+                self._quarantine(key, entry.path, detail)
+            return None
         self._stamp(key)
         self.metrics.inc("cache_hits")
         return entry

@@ -1,22 +1,14 @@
 """Async gateway subsystem for the conversion service.
 
-Layered front door replacing the blocking thread-per-connection
-daemon: transport (:mod:`.framing` + the asyncio servers in
-:mod:`.server`), session (:mod:`.session`), dispatch
-(:mod:`.dispatch`) and admission control (:mod:`.admission`).  See
-``docs/service.md`` for the architecture and backpressure semantics.
+The front door of ``repro serve``: :class:`GatewayServer` (listeners
+and one handler per connection on the scheduler's event loop, in
+:mod:`.server`) and :class:`Dispatcher` (op routing and the submit
+refusals, in :mod:`.dispatch`).  The wire format, asyncio frame reader
+included, is :mod:`repro.service.protocol`.  See ``docs/service.md``
+for the architecture and backpressure semantics.
 """
 
-from .admission import AdmissionController
 from .dispatch import Dispatcher
-from .framing import FrameError, FrameReader
-from .server import GatewayConfig, GatewayServer
-from .session import Session
+from .server import GatewayServer
 
-__all__ = [
-    "AdmissionController",
-    "Dispatcher",
-    "FrameError", "FrameReader",
-    "GatewayConfig", "GatewayServer",
-    "Session",
-]
+__all__ = ["Dispatcher", "GatewayServer"]

@@ -1,18 +1,20 @@
 """Op dispatch: protocol requests -> :class:`ConversionService` calls.
 
-The gateway sessions call :meth:`Dispatcher.dispatch` on the
-scheduler's event loop, the one the job attempts run on.  Every op but
-``wait`` answers inline, through the synchronous op switch
+The gateway's connection handler calls :meth:`Dispatcher.dispatch` on
+the scheduler's event loop, the one the job attempts run on.  Every op
+but ``wait`` answers inline, through the synchronous op switch
 :meth:`Dispatcher.handle_message`, which never raises (service errors
 become failure envelopes): none of them blocks for longer than the
 scheduler lock and, for ``submit``, one journal append, which is less
 than a hop to a thread and back costs.  Submits take turns, one per
 pass of the loop, so a burst of them holds a ``ping``, a woken
-``wait`` or a new connection for one submit, not for all of them, and
-each first passes admission control, which refuses it with an
-explicit ``overloaded`` error at the limit.  ``wait`` parks on one
-future that the loop resolves once the job's terminal record is
-journaled (completion notification: no polling, no thread per
+``wait`` or a new connection for one submit, not for all of them.
+Admission is decided at the turn, where the pool's queued count is
+exact: a submit is refused with an explicit ``overloaded`` error while
+the gateway drains or when ``max_pending_jobs`` jobs are queued.  A
+refused submit still waits for the turns ahead of it.  ``wait`` parks
+on one future that the loop resolves once the job's terminal record
+is journaled (completion notification: no polling, no thread per
 waiter).
 
 A request field of the wrong type is a ``bad_request`` naming the
@@ -39,8 +41,6 @@ from ...runtime import faults
 from ...runtime.metrics import ServiceMetrics
 from ...runtime.tracing import get_tracer
 from .. import protocol
-from .admission import AdmissionController
-from .session import Session
 
 #: What a request field may hold, by the words its error names it with.
 _KINDS: dict[str, type | tuple[type, ...]] = {
@@ -74,7 +74,8 @@ def _bad_request(exc: KeyError | ProtocolError) -> dict[str, Any]:
 
 
 class Dispatcher:
-    """Routes protocol ops to a service behind admission control.
+    """Routes protocol ops to a service, refusing submits it cannot
+    take.
 
     Parameters
     ----------
@@ -82,45 +83,46 @@ class Dispatcher:
         A :class:`~repro.service.server.ConversionService` (or any
         object with its ``submit/status/wait/cancel/trace/
         metrics_snapshot`` surface plus a ``pool`` attribute).
-    admission:
-        The gateway's :class:`AdmissionController`.
+    max_pending_jobs:
+        Queued jobs at which a submit is refused; ``None`` = no bound.
     """
 
-    def __init__(self, service: Any, admission: AdmissionController) -> None:
+    def __init__(self, service: Any,
+                 max_pending_jobs: int | None = None) -> None:
         self.service = service
-        self.admission = admission
+        self.max_pending_jobs = max_pending_jobs
         self.metrics: ServiceMetrics = service.metrics
+        #: Set once the gateway drains for shutdown: submits are refused.
+        self.draining = False
         self._submit_turn = asyncio.Lock()
 
-    # -- async path (gateway sessions) ------------------------------
+    # -- async path (gateway connections) ----------------------------
 
-    async def dispatch(self, session: Session,
-                       message: dict[str, Any]) -> dict[str, Any]:
-        """Handle one request frame; never raises."""
+    async def dispatch(self, message: dict[str, Any], session_id: str,
+                       transport: str) -> dict[str, Any]:
+        """Handle one request frame of connection *session_id*; never
+        raises."""
         op = message.get("op")
         self.metrics.inc("gateway_requests_total")
         with self.metrics.timed("gateway_request_seconds"), \
                 get_tracer().span(
                     f"gateway.{op or 'unknown'}", "gateway",
-                    args={"session": session.session_id,
-                          "transport": session.transport}):
+                    args={"session": session_id, "transport": transport}):
             try:
                 faults.fire("gateway.dispatch")
                 if op == "wait":
                     return await self._wait(message)
                 if op != "submit":
                     return self.handle_message(message)
-                refusal = self.admission.try_admit()
-                if refusal is not None:
-                    return protocol.overloaded_response(refusal)
-                try:
-                    # One submit per pass of the loop: the I/O that
-                    # became ready meanwhile is served in between.
-                    async with self._submit_turn:
-                        await asyncio.sleep(0)
-                        return self.handle_message(message)
-                finally:
-                    self.admission.release()
+                # One submit per pass of the loop: the I/O that became
+                # ready meanwhile is served in between.
+                async with self._submit_turn:
+                    await asyncio.sleep(0)
+                    refusal = self._refusal()
+                    if refusal is not None:
+                        self.metrics.inc("gateway_rejected_overloaded")
+                        return protocol.overloaded_response(refusal)
+                    return self.handle_message(message)
             except FaultInjectedError as exc:
                 # Structured surface for armed faults: the client gets
                 # a machine-readable code, the session stays alive.
@@ -130,6 +132,17 @@ class Dispatcher:
                 return protocol.error_response(
                     f"internal error handling {op!r}: "
                     f"{type(exc).__name__}: {exc}")
+
+    def _refusal(self) -> str | None:
+        """Why a submit cannot be taken now, or ``None``."""
+        if self.draining:
+            return "service is draining for shutdown; not accepting new jobs"
+        queued = self.service.pool.queued_count()
+        if self.max_pending_jobs is not None \
+                and queued >= self.max_pending_jobs:
+            return (f"{queued} jobs pending >= limit "
+                    f"{self.max_pending_jobs}; retry later")
+        return None
 
     async def _wait(self, message: dict[str, Any]) -> dict[str, Any]:
         """Server-side long poll: holds the request until the job is

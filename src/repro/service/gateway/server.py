@@ -1,29 +1,30 @@
 """The async gateway: asyncio front door for the conversion service.
 
-One :class:`GatewayServer` multiplexes every client connection —
-over the local unix socket, over TCP (``--listen HOST:PORT``), or
-both — onto the scheduler's event loop (:attr:`WorkerPool.loop`), the
-one the job attempts run on; the gateway starts no thread and no loop
-of its own.  The design follows the paper's decomposition discipline
-applied to the service's front door: ingest (frame reading), dispatch
-(op handling) and processing (body workers) never block each other.
+One :class:`GatewayServer` serves every client connection — over the
+local unix socket, over TCP (``--listen HOST:PORT``), or both — on the
+scheduler's event loop (:attr:`WorkerPool.loop`), the one the job
+attempts run on; the gateway starts no thread and no loop of its own.
+Ingest (frame reading), dispatch (op handling) and processing (body
+workers) never block each other.
 
-* **Transport** — ``asyncio.start_server`` / ``start_unix_server``
-  behind the shared line-JSON framing codec
-  (:mod:`repro.service.gateway.framing`).
-* **Session** — per-connection state (:mod:`.session`): keepalive
-  ping events on idle and a ``max_inflight_per_conn`` bound enforced
-  by *not reading* further frames — backpressure instead of
-  buffering.  Ops on one connection run concurrently but responses
-  are written in request order.
-* **Dispatch** — :class:`~.dispatch.Dispatcher` routes ops; each
-  answers inline on the loop except ``wait``, which parks until its
-  job finishes.
-* **Admission** — :class:`~.admission.AdmissionController` bounds
-  pending jobs and turns overload into explicit ``overloaded``
-  responses.  :meth:`GatewayServer.stop` drains gracefully: stop
-  accepting, refuse new submits, finish in-flight ops and jobs, then
-  close.
+Each connection is one handler over asyncio's ``StreamReader`` and
+``StreamWriter``, the listeners' buffers capped at
+:data:`protocol.MAX_LINE`:
+
+* it reads frames with :func:`protocol.read_frame` through one pending
+  read, never cancelled while the connection lives; every
+  :data:`KEEPALIVE_SECONDS` without a frame it sends a
+  ``{"event": "ping"}`` keepalive (always on);
+* it runs each frame through :class:`~.dispatch.Dispatcher` as a task
+  and stops reading while :data:`MAX_INFLIGHT_PER_CONN` of them are
+  open — backpressure instead of buffering;
+* it writes the responses in request order, each within
+  :data:`WRITE_TIMEOUT_SECONDS`: a peer that stops reading is
+  disconnected instead of wedging the connection.
+
+:meth:`GatewayServer.stop` drains gracefully: stop accepting, refuse
+new submits, finish in-flight ops and jobs (within
+:data:`DRAIN_TIMEOUT_SECONDS`), then close.
 
 Gateway state is surfaced through the shared
 :class:`~repro.runtime.metrics.ServiceMetrics` (``gateway_*``
@@ -36,50 +37,28 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import contextlib
+import itertools
 import os
 import threading
-from dataclasses import dataclass
 from functools import partial
 from typing import Any
 
 from ...errors import JobNotFoundError, ServiceError
 from .. import protocol
-from .admission import AdmissionController
 from .dispatch import Dispatcher
-from .framing import FrameError, FrameReader
-from .session import Session
 
-#: Queue sentinel closing a session's write loop.
+#: Ops run at once per connection before its handler stops reading.
+MAX_INFLIGHT_PER_CONN = 32
+#: Seconds without a frame after which a connection gets a keepalive.
+KEEPALIVE_SECONDS = 15.0
+#: Deadline of one response's write; a peer that misses it is dropped.
+WRITE_TIMEOUT_SECONDS = 30.0
+#: Bound on waiting for in-flight ops and jobs in a graceful drain.
+DRAIN_TIMEOUT_SECONDS = 10.0
+
+#: Queue sentinel closing a connection's write loop.
 _CLOSE = object()
-
-
-@dataclass(frozen=True)
-class GatewayConfig:
-    """Tunables of the gateway front door.
-
-    Attributes
-    ----------
-    max_inflight_per_conn:
-        Ops processed concurrently per connection before the session
-        stops reading further frames (pipelining bound).
-    max_pending_jobs:
-        Admission bound on pending jobs; ``None`` = unbounded.
-    keepalive_interval:
-        Seconds of read idleness before the session emits a
-        ``{"event": "ping"}`` keepalive frame; ``None`` disables.
-    write_timeout:
-        Per-response write/drain deadline; a peer that stops reading
-        is disconnected instead of wedging the session.
-    drain_timeout:
-        Upper bound on waiting for in-flight ops and jobs during
-        graceful shutdown.
-    """
-
-    max_inflight_per_conn: int = 32
-    max_pending_jobs: int | None = 1024
-    keepalive_interval: float | None = 15.0
-    write_timeout: float = 30.0
-    drain_timeout: float = 10.0
+_session_ids = itertools.count(1)
 
 
 class GatewayServer:
@@ -97,28 +76,26 @@ class GatewayServer:
         ``(host, port)`` to listen on (``None`` = no TCP listener).
         Port 0 binds an ephemeral port; read it back from
         :attr:`tcp_address` after :meth:`start`.
-    config:
-        :class:`GatewayConfig` tunables.
+    max_pending_jobs:
+        Queued jobs at which a submit is refused with an explicit
+        ``overloaded`` error; ``None`` = no bound.
     """
 
     def __init__(self, service: Any,
                  unix_path: str | os.PathLike[str] | None = None,
                  tcp_address: tuple[str, int] | None = None,
-                 config: GatewayConfig | None = None) -> None:
+                 max_pending_jobs: int | None = 1024) -> None:
         if unix_path is None and tcp_address is None:
             raise ServiceError(
                 "gateway needs a unix socket path and/or a TCP "
                 "address to listen on")
         self.service = service
-        self.config = config if config is not None else GatewayConfig()
         self.unix_path = None if unix_path is None else os.fspath(unix_path)
         self._tcp_requested = tcp_address
         self.tcp_address: tuple[str, int] | None = None
         self.metrics = service.metrics
-        self.admission = AdmissionController(
-            self.config.max_pending_jobs,
-            service.pool.queued_count, self.metrics)
-        self.dispatcher = Dispatcher(service, self.admission)
+        self.metrics.set_gauge("gateway_draining", 0)
+        self.dispatcher = Dispatcher(service, max_pending_jobs)
 
         self._loop: asyncio.AbstractEventLoop | None = None
         self._finished = threading.Event()
@@ -126,7 +103,7 @@ class GatewayServer:
         self._servers: list[asyncio.AbstractServer] = []
         self._conn_tasks: set[asyncio.Task] = set()
         self._inflight_ops: set[asyncio.Task] = set()
-        #: Each open session's response queue, by session id.
+        #: Each open connection's response queue, by session id.
         self.sessions: dict[str, asyncio.Queue] = {}
 
     # -- lifecycle ---------------------------------------------------
@@ -163,8 +140,8 @@ class GatewayServer:
 
     def stop(self) -> None:
         """Graceful drain: stop accepting, refuse new submits, finish
-        in-flight ops and jobs (bounded by ``drain_timeout``), close
-        the listeners (unlinking the socket file), then close the
+        in-flight ops and jobs (bounded by :data:`DRAIN_TIMEOUT_SECONDS`),
+        close the listeners (unlinking the socket file), then close the
         service.
 
         Idempotent (a second caller waits for the first) and callable
@@ -174,14 +151,15 @@ class GatewayServer:
         with self._stop_lock:
             if self._finished.is_set():
                 return
-            self.admission.start_draining()
+            self.dispatcher.draining = True
+            self.metrics.set_gauge("gateway_draining", 1)
             try:
                 if self._loop is not None:
                     drain = asyncio.run_coroutine_threadsafe(
                         self._shutdown(), self._loop)
                     with contextlib.suppress(
                             concurrent.futures.TimeoutError):
-                        drain.result(self.config.drain_timeout + 5)
+                        drain.result(DRAIN_TIMEOUT_SECONDS + 5)
                 self.service.close()
             finally:
                 self._finished.set()
@@ -195,13 +173,14 @@ class GatewayServer:
                     os.unlink(self.unix_path)
                 server = await asyncio.start_unix_server(
                     partial(self._accept, transport="unix"),
-                    path=self.unix_path, backlog=512)
+                    path=self.unix_path, backlog=512,
+                    limit=protocol.MAX_LINE)
                 self._servers.append(server)
             if self._tcp_requested is not None:
                 host, port = self._tcp_requested
                 server = await asyncio.start_server(
                     partial(self._accept, transport="tcp"), host=host,
-                    port=port, backlog=512)
+                    port=port, backlog=512, limit=protocol.MAX_LINE)
                 self._servers.append(server)
                 bound = server.sockets[0].getsockname()
                 self.tcp_address = (bound[0], bound[1])
@@ -221,74 +200,78 @@ class GatewayServer:
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter,
                                 transport: str) -> None:
-        session = Session(transport)
+        session_id = f"sess-{next(_session_ids):06d}"
         responses: asyncio.Queue = asyncio.Queue()
-        self.sessions[session.session_id] = responses
+        self.sessions[session_id] = responses
         self.metrics.inc("gateway_connections_total")
         self.metrics.set_gauge("gateway_connections_open",
                                len(self.sessions))
-        frames = FrameReader(reader)
-        inflight = asyncio.Semaphore(self.config.max_inflight_per_conn)
-        write_task = asyncio.ensure_future(
-            self._write_loop(session, writer, responses))
+        inflight = asyncio.Semaphore(MAX_INFLIGHT_PER_CONN)
+        writing = asyncio.ensure_future(self._write_loop(writer, responses))
+        read = None
         try:
-            await self._read_loop(session, frames, responses, inflight)
+            # The connection is closed once its writer has stopped.
+            while not writing.done():
+                # One read spans keepalive intervals: it is never
+                # cancelled in the middle of a line.
+                if read is None:
+                    read = asyncio.ensure_future(protocol.read_frame(reader))
+                done, _ = await asyncio.wait(
+                    {read, writing}, timeout=KEEPALIVE_SECONDS,
+                    return_when=asyncio.FIRST_COMPLETED)
+                if read not in done:
+                    if not done:
+                        self.metrics.inc("gateway_keepalive_pings")
+                        responses.put_nowait(protocol.event("ping"))
+                    continue
+                finished, read = read, None
+                try:
+                    frame = finished.result()
+                except protocol.FrameError as exc:
+                    self.metrics.inc("gateway_bad_frames")
+                    responses.put_nowait(
+                        protocol.bad_frame_response(str(exc)))
+                    continue
+                except (ConnectionError, OSError):
+                    return
+                if frame is None:                    # clean EOF
+                    return
+                await inflight.acquire()
+                op = asyncio.ensure_future(self._run_op(
+                    frame, inflight, session_id, transport))
+                self._inflight_ops.add(op)
+                self.metrics.set_gauge("gateway_inflight_ops",
+                                       len(self._inflight_ops))
+                op.add_done_callback(self._op_done)
+                responses.put_nowait(op)
         finally:
-            await responses.put(_CLOSE)
+            if read is not None:
+                read.cancel()
+            responses.put_nowait(_CLOSE)
             with contextlib.suppress(Exception):
-                await asyncio.wait_for(
-                    write_task, self.config.write_timeout * 2)
-            write_task.cancel()
-            session.closed = True
-            self.sessions.pop(session.session_id, None)
+                await asyncio.wait_for(writing, WRITE_TIMEOUT_SECONDS * 2)
+            writing.cancel()
+            self.sessions.pop(session_id, None)
             self.metrics.set_gauge("gateway_connections_open",
                                    len(self.sessions))
             with contextlib.suppress(Exception):
                 writer.close()
-
-    async def _read_loop(self, session: Session, frames: FrameReader,
-                         responses: asyncio.Queue,
-                         inflight: asyncio.Semaphore) -> None:
-        while not session.closed:
-            try:
-                frame = await asyncio.wait_for(
-                    frames.read_frame(), self.config.keepalive_interval)
-            except asyncio.TimeoutError:
-                self.metrics.inc("gateway_keepalive_pings")
-                await responses.put(protocol.event("ping"))
-                continue
-            except FrameError as exc:
-                self.metrics.inc("gateway_bad_frames")
-                await responses.put(
-                    protocol.bad_frame_response(str(exc)))
-                continue
-            except (ConnectionError, OSError):
-                return
-            if frame is None:                    # clean EOF
-                return
-            await inflight.acquire()
-            task = asyncio.ensure_future(
-                self._run_op(session, frame, inflight))
-            self._inflight_ops.add(task)
-            self.metrics.set_gauge("gateway_inflight_ops",
-                                   len(self._inflight_ops))
-            task.add_done_callback(self._op_done)
-            await responses.put(task)
 
     def _op_done(self, task: asyncio.Task) -> None:
         self._inflight_ops.discard(task)
         self.metrics.set_gauge("gateway_inflight_ops",
                                len(self._inflight_ops))
 
-    async def _run_op(self, session: Session, frame: dict[str, Any],
-                      inflight: asyncio.Semaphore) -> dict[str, Any]:
+    async def _run_op(self, frame: dict[str, Any],
+                      inflight: asyncio.Semaphore, session_id: str,
+                      transport: str) -> dict[str, Any]:
         try:
-            return await self.dispatcher.dispatch(session, frame)
+            return await self.dispatcher.dispatch(frame, session_id,
+                                                  transport)
         finally:
             inflight.release()
 
-    async def _write_loop(self, session: Session,
-                          writer: asyncio.StreamWriter,
+    async def _write_loop(self, writer: asyncio.StreamWriter,
                           responses: asyncio.Queue) -> None:
         try:
             while True:
@@ -304,21 +287,20 @@ class GatewayServer:
                     response = item
                 writer.write(protocol.encode(response))
                 await asyncio.wait_for(writer.drain(),
-                                       self.config.write_timeout)
+                                       WRITE_TIMEOUT_SECONDS)
                 if response.get("ok") and response.get("stopping"):
                     self.request_stop()
                     return
         except (ConnectionError, OSError, asyncio.TimeoutError):
             return
         finally:
-            session.closed = True
             with contextlib.suppress(Exception):
                 writer.close()
 
     # -- graceful drain ---------------------------------------------
 
     async def _shutdown(self) -> None:
-        timeout = self.config.drain_timeout
+        timeout = DRAIN_TIMEOUT_SECONDS
         for server in self._servers:
             server.close()
         for server in self._servers:

@@ -17,7 +17,10 @@ that has an ``event`` field and no ``ok`` field.
 
 The same framing runs over the local unix socket and over TCP
 (``repro serve --listen HOST:PORT``); :func:`parse_address` parses the
-``HOST:PORT`` notation used by the CLI flags.
+``HOST:PORT`` notation used by the CLI flags.  :func:`read_message`
+is the blocking reader, :func:`read_frame` the asyncio one: a
+malformed or oversized line costs a ``bad_frame`` error for that line
+only, and the next line reads as usual.
 """
 
 from __future__ import annotations
@@ -67,6 +70,42 @@ def decode(line: bytes) -> dict[str, Any]:
             f"protocol message must be a JSON object, got "
             f"{type(message).__name__}")
     return message
+
+
+class FrameError(Exception):
+    """One frame was oversized or malformed; the stream is still
+    synchronized and the next :func:`read_frame` reads the line after
+    it."""
+
+
+async def read_frame(reader) -> dict[str, Any] | None:
+    """One message from an :class:`asyncio.StreamReader` opened with
+    ``limit=MAX_LINE``; ``None`` on clean EOF.  A partial last line
+    decodes if it is valid JSON.  A line longer than the reader's limit
+    is dropped through its newline and, like a malformed one, raises
+    :class:`FrameError`; cancelling the read while it drops such a line
+    would leave the line's tail to be read as a frame of its own."""
+    import asyncio      # here: a blocking client never loads it
+    dropped = 0
+    while True:
+        try:
+            line = (await reader.readuntil(b"\n"))[:-1]
+            break
+        except asyncio.IncompleteReadError as exc:          # EOF
+            if not exc.partial and not dropped:
+                return None
+            line = exc.partial
+            break
+        except asyncio.LimitOverrunError as exc:            # oversized
+            await reader.readexactly(exc.consumed)
+            dropped += exc.consumed
+    if dropped:
+        raise FrameError(f"frame of {dropped + len(line)} bytes exceeds "
+                         f"the line cap")
+    try:
+        return decode(line)
+    except ProtocolError as exc:
+        raise FrameError(str(exc)) from None
 
 
 def read_message(stream: BinaryIO) -> dict[str, Any] | None:

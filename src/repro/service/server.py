@@ -199,10 +199,6 @@ class ConversionService:
     journal_fsync:
         Journal durability policy (``always``/``interval``/``never``),
         see :data:`repro.service.journal.FSYNC_POLICIES`.
-    cache_verify:
-        Artifact digest verification policy passed to
-        :class:`ArtifactCache` (``always``/``never`` or a sample
-        probability).
     """
 
     def __init__(self, work_dir: str | os.PathLike[str],
@@ -212,8 +208,7 @@ class ConversionService:
                  metrics: ServiceMetrics | None = None,
                  shards_per_rank: int = 1,
                  journal_path: str | os.PathLike[str] | None = None,
-                 journal_fsync: str = "interval",
-                 cache_verify: str | float = "always") -> None:
+                 journal_fsync: str = "interval") -> None:
         self.work_dir = os.fspath(work_dir)
         os.makedirs(self.work_dir, exist_ok=True)
         self.metrics = metrics if metrics is not None else ServiceMetrics()
@@ -227,7 +222,7 @@ class ConversionService:
         self._cache_settings = dict(
             cache_dir=os.path.join(self.work_dir, "cache")
             if cache_dir is None else os.fspath(cache_dir),
-            max_bytes=cache_max_bytes, verify=cache_verify)
+            max_bytes=cache_max_bytes)
         self.cache = ArtifactCache(**self._cache_settings,
                                    metrics=self.metrics)
         self.journal: JobJournal | None = None

@@ -11,7 +11,6 @@ import time
 
 import pytest
 
-from repro.errors import ServiceError
 from repro.runtime.buffers import SETTLE_NS
 from repro.runtime.metrics import ServiceMetrics
 from repro.service import cache as cache_mod
@@ -158,47 +157,6 @@ def test_legacy_entry_without_digests_is_served(tmp_path):
     assert found is not None and found.key == entry.key
     assert metrics.counter("cache_verify_skipped") == 1
     assert reopened.quarantined() == []
-
-
-# ---------------------------------------------------------------------
-# verification policies
-
-
-def test_verify_never_skips_digest_checks(tmp_path):
-    metrics = ServiceMetrics()
-    cache, source, entry = build_one(tmp_path)
-    with open(entry.file("data.bamx"), "ab") as fh:
-        fh.write(b"rot")
-    lax = ArtifactCache(tmp_path / "cache", metrics=metrics,
-                        verify="never")
-    # Policy "never" trusts the entry (the operator's trade-off).
-    assert lax.lookup(source, {"op": "x"}) is not None
-    assert metrics.counter("cache_verify_failed") == 0
-
-
-def test_verify_policy_validation(tmp_path):
-    with pytest.raises(ServiceError, match="bad cache verify policy"):
-        ArtifactCache(tmp_path / "a", verify="bogus")
-    with pytest.raises(ServiceError, match="not in \\[0, 1\\]"):
-        ArtifactCache(tmp_path / "b", verify=1.5)
-    assert ArtifactCache(tmp_path / "c", verify=0.5).verify_prob == 0.5
-    assert ArtifactCache(tmp_path / "d", verify="never").verify_prob \
-        == 0.0
-
-
-def test_sampled_verification_still_catches_rot(tmp_path):
-    # With p=0.5 the deterministic sampler must verify some fetches;
-    # repeated lookups of a rotted entry eventually quarantine it.
-    metrics = ServiceMetrics()
-    cache, source, entry = build_one(tmp_path)
-    with open(entry.file("data.bamx"), "ab") as fh:
-        fh.write(b"rot")
-    sampled = ArtifactCache(tmp_path / "cache", metrics=metrics,
-                            verify=0.5)
-    for _ in range(32):
-        if sampled.lookup(source, {"op": "x"}) is None:
-            break
-    assert metrics.counter("cache_quarantined") == 1
 
 
 # ---------------------------------------------------------------------

@@ -481,17 +481,6 @@ def test_service_cli_cancel_finished_job(service_socket, sim_sam,
     assert "had already finished" in capsys.readouterr().out
 
 
-def test_serve_bad_cache_verify_is_friendly(tmp_path, capsys):
-    # Regression: `--cache-verify bogus` used to crash with a raw
-    # ValueError traceback instead of the ServiceError message.
-    assert run(["serve", "--socket", str(tmp_path / "s.sock"),
-                "--work-dir", str(tmp_path / "work"),
-                "--cache-verify", "bogus"]) == 1
-    err = capsys.readouterr().err
-    assert "bad cache verify policy" in err
-    assert "Traceback" not in err
-
-
 @pytest.mark.parametrize("bad", ["0", "-3"])
 def test_serve_refuses_a_pending_cap_below_one(bad, tmp_path, capsys):
     """`--max-pending-jobs 0` used to start a daemon that refused every

@@ -19,10 +19,11 @@ import pytest
 from repro.errors import ProtocolError, ServiceError, \
     ServiceOverloadedError
 from repro.runtime.metrics import ServiceMetrics
-from repro.service import ConversionService, GatewayConfig, \
-    GatewayServer, Job, ServiceClient, WorkerPool
+from repro.service import ConversionService, GatewayServer, Job, \
+    ServiceClient, WorkerPool
 from repro.service import protocol
-from repro.service.gateway.framing import FrameError, FrameReader
+from repro.service.gateway import server as gateway_server
+from repro.service.protocol import FrameError
 
 from .runners import threaded
 
@@ -32,17 +33,17 @@ from .runners import threaded
 
 
 def run_frames(payload: bytes, max_line: int = protocol.MAX_LINE):
-    """Feed *payload* through a FrameReader; collect frames/errors."""
+    """Feed *payload* through :func:`protocol.read_frame`; collect
+    frames/errors."""
 
     async def drive():
-        reader = asyncio.StreamReader()
+        reader = asyncio.StreamReader(limit=max_line)
         reader.feed_data(payload)
         reader.feed_eof()
-        frames = FrameReader(reader, max_line=max_line)
         out = []
         while True:
             try:
-                frame = await frames.read_frame()
+                frame = await protocol.read_frame(reader)
             except FrameError as exc:
                 out.append(exc)
                 continue
@@ -147,12 +148,12 @@ class EchoService:
 
 
 def start_daemon(tmp_path, service, *, unix=True, tcp=True,
-                 config: GatewayConfig | None = None) -> GatewayServer:
+                 max_pending_jobs: int | None = 1024) -> GatewayServer:
     daemon = GatewayServer(
         service,
         unix_path=str(tmp_path / "gw.sock") if unix else None,
         tcp_address=("127.0.0.1", 0) if tcp else None,
-        config=config)
+        max_pending_jobs=max_pending_jobs)
     daemon.start()
     return daemon
 
@@ -261,22 +262,41 @@ def test_pipelined_requests_answered_in_order(tmp_path):
         daemon.stop()
 
 
-def test_keepalive_ping_events_on_idle(tmp_path):
-    config = GatewayConfig(keepalive_interval=0.05)
+def test_keepalive_ping_events_on_idle(tmp_path, monkeypatch):
+    """Keepalives go out on idle, and a frame that straddles one —
+    a partial request, an oversized line — reads as if none came."""
+    monkeypatch.setattr(gateway_server, "KEEPALIVE_SECONDS", 0.05)
     service = EchoService()
-    daemon = start_daemon(tmp_path, service, unix=False,
-                          config=config)
+    daemon = start_daemon(tmp_path, service, unix=False)
     try:
         sock, stream = raw_connect(daemon, "tcp")
+
+        def send(data: bytes) -> None:
+            stream.write(data)
+            stream.flush()
+
         try:
             line = stream.readline()      # server speaks first: ping
             assert json.loads(line) == {"event": "ping"}
-            stream.write(protocol.encode({"op": "ping"}))
-            stream.flush()
+            send(protocol.encode({"op": "ping"}))
             assert read_response(stream)["pong"] is True
+            # A request cut by a keepalive.
+            send(b'{"op":')
+            assert json.loads(stream.readline()) == {"event": "ping"}
+            send(b'"ping"}\n')
+            assert read_response(stream) == {"ok": True, "pong": True}
+            # An oversized line cut by a keepalive: one bad frame.
+            send(b"y" * (protocol.MAX_LINE + 64))
+            assert json.loads(stream.readline()) == {"event": "ping"}
+            send(b"yyyy\n" + protocol.encode({"op": "ping"}))
+            response = read_response(stream)
+            assert response["code"] == "bad_frame"
+            assert "line cap" in response["error"]
+            assert read_response(stream) == {"ok": True, "pong": True}
         finally:
             sock.close()
-        assert service.metrics.counter("gateway_keepalive_pings") >= 1
+        assert service.metrics.counter("gateway_keepalive_pings") >= 3
+        assert service.metrics.counter("gateway_bad_frames") == 1
     finally:
         daemon.stop()
 
@@ -289,9 +309,8 @@ def test_overload_is_explicit_never_silent(tmp_path):
     gate = threading.Event()
     service = EchoService(runner=lambda job: gate.wait(30),
                           workers=1)
-    config = GatewayConfig(max_pending_jobs=2)
     daemon = start_daemon(tmp_path, service, unix=False,
-                          config=config)
+                          max_pending_jobs=2)
     try:
         with ServiceClient(daemon.tcp_address) as client:
             admitted = []
@@ -550,11 +569,11 @@ def test_wait_timeout_answers_on_time_and_unparks(tmp_path):
         daemon.stop()
 
 
-def test_500_concurrent_waiters_on_one_job_all_wake(tmp_path):
+def test_500_concurrent_waiters_on_one_job_all_wake(tmp_path, monkeypatch):
+    monkeypatch.setattr(gateway_server, "MAX_INFLIGHT_PER_CONN", 64)
     gate = threading.Event()
     service = EchoService(runner=lambda job: gate.wait(30) and "ok")
-    daemon = start_daemon(tmp_path, service, unix=False,
-                          config=GatewayConfig(max_inflight_per_conn=64))
+    daemon = start_daemon(tmp_path, service, unix=False)
     conns = []
     try:
         job = service.submit("k", {})
@@ -577,11 +596,11 @@ def test_500_concurrent_waiters_on_one_job_all_wake(tmp_path):
         daemon.stop()
 
 
-def test_disconnect_mid_wait_unparks_the_waiter(tmp_path):
+def test_disconnect_mid_wait_unparks_the_waiter(tmp_path, monkeypatch):
+    monkeypatch.setattr(gateway_server, "WRITE_TIMEOUT_SECONDS", 0.1)
     gate = threading.Event()
     service = EchoService(runner=lambda job: gate.wait(30) and "ok")
-    daemon = start_daemon(tmp_path, service, unix=False,
-                          config=GatewayConfig(write_timeout=0.1))
+    daemon = start_daemon(tmp_path, service, unix=False)
     try:
         job = service.submit("k", {})
         sock, stream = raw_connect(daemon, "tcp")
@@ -599,11 +618,12 @@ def test_disconnect_mid_wait_unparks_the_waiter(tmp_path):
         daemon.stop()
 
 
-def test_drain_with_parked_waiters_leaves_nothing_registered(tmp_path):
+def test_drain_with_parked_waiters_leaves_nothing_registered(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(gateway_server, "DRAIN_TIMEOUT_SECONDS", 0.3)
     gate = threading.Event()
     service = EchoService(runner=lambda job: gate.wait(30) and "ok")
-    daemon = start_daemon(tmp_path, service, unix=False,
-                          config=GatewayConfig(drain_timeout=0.3))
+    daemon = start_daemon(tmp_path, service, unix=False)
     try:
         job = service.submit("k", {})
         sock, stream = raw_connect(daemon, "tcp")
@@ -627,19 +647,16 @@ def test_drain_with_parked_waiters_leaves_nothing_registered(tmp_path):
 def test_wake_into_a_closed_loop_is_swallowed_by_the_worker():
     """A waiter whose event loop died without unparking it must not
     take the worker thread down with it."""
-    from repro.service.gateway import AdmissionController, Dispatcher, \
-        Session
+    from repro.service.gateway import Dispatcher
     gate = threading.Event()
     service = EchoService(runner=lambda job: gate.wait(30) and "ok",
                           workers=1)
-    dispatcher = Dispatcher(service, AdmissionController(
-        None, service.pool.queued_count, service.metrics))
+    dispatcher = Dispatcher(service)
     loop = asyncio.new_event_loop()
     try:
         job = service.submit("k", {})
         task = loop.create_task(dispatcher.dispatch(
-            Session(transport="test"),
-            {"op": "wait", "job_id": job.job_id}))
+            {"op": "wait", "job_id": job.job_id}, "sess-test", "test"))
         loop.run_until_complete(asyncio.sleep(0.05))
         assert len(job.waiters) == 1 and not task.done()
         loop.close()
@@ -684,9 +701,8 @@ def test_stress_200_concurrent_tcp_submitters(tmp_path, bam_file):
     lost, overload (if any) is an explicit error, and the gateway
     multiplexes all sessions on one event loop."""
     service = ConversionService(tmp_path / "svc", workers=4)
-    config = GatewayConfig(max_pending_jobs=None)
     daemon = GatewayServer(service, tcp_address=("127.0.0.1", 0),
-                           config=config)
+                           max_pending_jobs=None)
     daemon.start()
     results: list = [None] * N_SUBMITTERS
     errors: list = [None] * N_SUBMITTERS
@@ -748,7 +764,7 @@ def test_daemon_thread_count_does_not_depend_on_load(tmp_path):
     them, not after them."""
     service = SlowSubmits(runner=echo)
     daemon = start_daemon(tmp_path, service, unix=False,
-                          config=GatewayConfig(max_pending_jobs=None))
+                          max_pending_jobs=None)
     socks = [socketlib.create_connection(daemon.tcp_address, timeout=30)
              for _ in range(N_SUBMITTERS)]
     side, side_stream = raw_connect(daemon, "tcp")
